@@ -359,9 +359,11 @@ impl StreamingDataset {
         }
     }
 
-    /// Flush every cell digest's insert buffer so subsequent queries are
-    /// allocation-free. The runner calls this through
-    /// [`RecordSink::finalize`].
+    /// Flush every cell digest: subsequent queries are allocation-free
+    /// and the dataset holds centroids only. Each cell's insert buffers
+    /// are released as it is flushed, so the allocator hands them to the
+    /// next cell's centroid list and finalizing does not raise the peak.
+    /// The runner calls this through [`RecordSink::finalize`].
     pub fn flush(&mut self) {
         for g in &mut self.groups {
             for ws in &mut g.ranks {

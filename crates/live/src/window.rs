@@ -7,6 +7,12 @@
 //! [`edgeperf_analysis::StreamingDataset`] uses — so a finite replay
 //! through the server reproduces the offline cells bit for bit.
 //!
+//! An open cell costs what it holds: a 280-byte arena entry (key, two
+//! empty digests, route flags), a 24-byte slot in the window's index map,
+//! and digest heap that grows with its samples — 512 B at the paper's
+//! 30-session minimum, at most ~17 KB however hot the cell. Closing a
+//! window summarises and drops its cells one at a time.
+//!
 //! The *watermark* trails the maximum observed timestamp by the allowed
 //! lateness. A window closes when the watermark passes its end: its cells
 //! are flushed, summarized ([`CellSummary`]) and handed to the caller.
@@ -169,36 +175,36 @@ pub struct ClosedWindow {
     pub cells: Vec<(CellKey, CellSummary)>,
 }
 
-/// Cells of one still-open window, in insertion order.
+/// Cells of one still-open window: a dense arena in insertion order,
+/// addressed through an index map whose slots hold a key and a `u32`
+/// (the layout `StreamingDataset` uses for its groups).
 #[derive(Debug, Default)]
 struct OpenWindow {
-    cells: FxHashMap<CellKey, LiveCell>,
-    order: Vec<CellKey>,
+    index: FxHashMap<CellKey, u32>,
+    cells: Vec<(CellKey, LiveCell)>,
 }
 
 impl OpenWindow {
     fn push(&mut self, r: &LiveRecord) {
         let key = (r.group, r.route_rank);
-        match self.cells.get_mut(&key) {
-            Some(cell) => cell.push(r),
-            None => {
-                let mut cell = LiveCell::new(r.relationship);
-                cell.push(r);
-                self.cells.insert(key, cell);
-                self.order.push(key);
-            }
-        }
+        let slot = *self.index.entry(key).or_insert_with(|| {
+            self.cells.push((key, LiveCell::new(r.relationship)));
+            u32::try_from(self.cells.len() - 1).expect("a window holds fewer than 2^32 cells")
+        });
+        self.cells[slot as usize].1.push(r);
     }
 
-    fn close(mut self, index: u32) -> ClosedWindow {
-        let cells = self
-            .order
-            .iter()
-            .map(|key| {
-                let cell = self.cells.get_mut(key).expect("ordered key present");
-                (*key, CellSummary::from_cell(cell))
-            })
-            .collect();
+    /// Summarise the cells in insertion order, dropping each cell's
+    /// digests as soon as its summary is taken.
+    fn close(self, index: u32) -> ClosedWindow {
+        drop(self.index);
+        // Sized for the summaries: collecting in place would keep the
+        // arena's allocation, 280 bytes a cell, alive for the whole
+        // retention of the closed window.
+        let mut cells = Vec::with_capacity(self.cells.len());
+        cells.extend(
+            self.cells.into_iter().map(|(key, mut cell)| (key, CellSummary::from_cell(&mut cell))),
+        );
         ClosedWindow { index, cells }
     }
 }
@@ -478,6 +484,52 @@ mod tests {
         assert_eq!(closed.len(), 2);
         assert_eq!(ring.open_windows(), 0);
         assert_eq!(ring.push(&rec(10.0, 1, 0, 40.0)).unwrap_err().reason(), "late");
+    }
+
+    #[test]
+    fn ten_thousand_cells_close_in_insertion_order_with_counts_intact() {
+        let mut ring = WindowRing::new(1_000.0, 0.0);
+        // Cell i gets 1 + i % 3 records, spread over three passes so later
+        // records find their cell through the index, not at the arena's end.
+        let key_of = |i: u32| (5_000 + i * 7) % 10_000;
+        for pass in 0..3 {
+            for i in (0..10_000u32).filter(|i| i % 3 >= pass) {
+                ring.push(&rec(1.0, key_of(i) >> 1, (key_of(i) & 1) as u8, 40.0)).unwrap();
+            }
+        }
+        let closed = ring.force_close();
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed[0].cells.len(), 10_000);
+        for (i, ((group, rank), summary)) in (0..10_000u32).zip(&closed[0].cells) {
+            let key = key_of(i);
+            assert_eq!((group.prefix.base >> 16, *rank), (key >> 1, (key & 1) as u8), "slot {i}");
+            assert_eq!(summary.n as u64, 1 + u64::from(i % 3), "slot {i}");
+        }
+    }
+
+    #[test]
+    fn force_close_after_a_ring_rebuild_leaves_no_cell_behind() {
+        // A dirty worker panic abandons the ring mid-window and installs a
+        // fresh one (`server::recover`): the rebuilt ring must hand out
+        // every cell pushed after the rebuild, and nothing from before it.
+        let mut ring = WindowRing::new(100.0, 1_000.0);
+        for i in 0..500 {
+            ring.push(&rec(i as f64, i % 50, 0, 40.0)).unwrap();
+        }
+        assert_eq!(ring.open_windows(), 5);
+        ring = WindowRing::new(100.0, 1_000.0);
+        assert_eq!(ring.open_windows(), 0);
+        for i in 0..300u32 {
+            ring.push(&rec(200.0 + i as f64, 100 + i % 30, (i % 2) as u8, 40.0)).unwrap();
+        }
+        let closed = ring.force_close();
+        assert_eq!(closed.iter().map(|w| w.index).collect::<Vec<_>>(), [2, 3, 4]);
+        let cells = closed.iter().flat_map(|w| &w.cells);
+        assert_eq!(cells.clone().count(), 3 * 30);
+        assert_eq!(cells.clone().map(|(_, s)| s.n).sum::<usize>(), 300);
+        assert!(cells.clone().all(|((group, _), _)| group.prefix.base >> 16 >= 100));
+        assert_eq!(ring.open_windows(), 0);
+        assert!(ring.force_close().is_empty(), "nothing left to close");
     }
 
     #[test]

@@ -10,14 +10,28 @@
 //!
 //! Ingestion is buffered: inserts accumulate raw samples and merge into the
 //! compressed centroid list in batches of [`BUFFER_LEN`], so the per-insert
-//! cost is a bounds check and a push. Queries never mutate the digest:
-//! [`TDigest::quantile`]/[`TDigest::cdf`] take `&self` and, when buffered
-//! samples are pending, compress into a temporary view. Call
-//! [`TDigest::flush`] once after the last insert (the record sinks do this
-//! at finalize time) to make every subsequent query allocation-free.
+//! cost is a bounds check and a push. The buffer costs what it holds: an
+//! empty digest owns no heap, the first insert allocates room for
+//! [`FIRST_BUFFER_LEN`] samples — one allocation covers a cell at the
+//! paper's 30-sample validity minimum — and it doubles from there up to
+//! [`BUFFER_LEN`]. Samples are buffered as bare `f64` means (8 B); a
+//! parallel weight column appears only once a weight other than 1 is
+//! buffered ([`TDigest::insert_weighted`], or [`TDigest::merge`] of
+//! compressed centroids). The every-[`BUFFER_LEN`] compression keeps the
+//! buffer for the next batch.
+//!
+//! Queries never mutate the digest: [`TDigest::quantile`]/[`TDigest::cdf`]
+//! take `&self` and, when buffered samples are pending, compress into a
+//! temporary view. Call [`TDigest::flush`] once after the last insert (the
+//! record sinks do this at finalize time, the live tier at window close):
+//! every subsequent query is allocation-free, the buffer is released and
+//! the digest holds its centroids and nothing else.
 
 /// Buffered inserts per compression batch.
 const BUFFER_LEN: usize = 512;
+
+/// Samples the first buffer allocation has room for.
+const FIRST_BUFFER_LEN: usize = 32;
 
 /// A single centroid: a weighted point approximating nearby samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,8 +58,15 @@ pub struct Centroid {
 pub struct TDigest {
     compression: f64,
     centroids: Vec<Centroid>,
-    buffer: Vec<Centroid>,
+    /// Means of the samples not yet compressed, in arrival order.
+    buffer: Vec<f64>,
+    /// Their weights: empty while every buffered weight is 1, otherwise
+    /// one per buffered mean.
+    weights: Vec<f64>,
+    /// Weight held in `centroids`.
     total_weight: f64,
+    /// Weight held in `buffer`, summed in arrival order.
+    buffered_weight: f64,
     min: f64,
     max: f64,
     compressions: u64,
@@ -150,8 +171,10 @@ impl TDigest {
         TDigest {
             compression,
             centroids: Vec::new(),
-            buffer: Vec::with_capacity(BUFFER_LEN),
+            buffer: Vec::new(),
+            weights: Vec::new(),
             total_weight: 0.0,
+            buffered_weight: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             compressions: 0,
@@ -160,7 +183,7 @@ impl TDigest {
 
     /// Number of samples inserted (total weight).
     pub fn count(&self) -> f64 {
-        self.total_weight + self.buffer.iter().map(|c| c.weight).sum::<f64>()
+        self.total_weight + self.buffered_weight
     }
 
     /// True if no samples have been inserted.
@@ -181,10 +204,39 @@ impl TDigest {
         assert!(weight > 0.0, "non-positive weight {weight}");
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.buffer.push(Centroid { mean: value, weight });
-        if self.buffer.len() >= BUFFER_LEN {
-            self.flush();
+        self.push_buffered(value, weight);
+    }
+
+    /// Append one sample to the buffer, compressing when it is full.
+    #[inline]
+    fn push_buffered(&mut self, mean: f64, weight: f64) {
+        if self.buffer.len() == self.buffer.capacity() {
+            // First room for FIRST_BUFFER_LEN samples, then doubling; a
+            // full BUFFER_LEN is compressed below, so it stops there.
+            self.buffer.reserve_exact(self.buffer.capacity().max(FIRST_BUFFER_LEN));
         }
+        if weight != 1.0 || !self.weights.is_empty() {
+            // On the first non-unit weight the samples already buffered get
+            // their implicit 1s, in place, so the sort sees the same
+            // sequence; once the column exists this resize changes nothing.
+            self.weights.resize(self.buffer.len(), 1.0);
+            self.weights.push(weight);
+        }
+        self.buffer.push(mean);
+        self.buffered_weight += weight;
+        if self.buffer.len() >= BUFFER_LEN {
+            self.compress();
+        }
+    }
+
+    /// The buffered samples as centroids, in arrival order.
+    fn buffered(&self) -> impl Iterator<Item = Centroid> + '_ {
+        // Loop-invariant, so the all-unit case compiles to a plain copy.
+        let unit = self.weights.is_empty();
+        self.buffer.iter().enumerate().map(move |(i, &mean)| Centroid {
+            mean,
+            weight: if unit { 1.0 } else { self.weights[i] },
+        })
     }
 
     /// Merge another digest into this one.
@@ -197,26 +249,42 @@ impl TDigest {
         // have already pulled away from the true sample extremes.
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for c in other.centroids.iter().chain(other.buffer.iter()) {
-            self.buffer.push(*c);
-            if self.buffer.len() >= BUFFER_LEN {
-                self.flush();
-            }
+        for c in other.centroids.iter().copied().chain(other.buffered()) {
+            self.push_buffered(c.mean, c.weight);
         }
     }
 
-    /// Merge buffered samples into the compressed centroid list. Called
-    /// automatically every [`BUFFER_LEN`] inserts; call it once after the
-    /// last insert to make subsequent queries allocation-free.
-    pub fn flush(&mut self) {
+    /// Merge buffered samples into the compressed centroid list, keeping
+    /// the buffer's allocation for the next batch.
+    fn compress(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
         let mut all = std::mem::take(&mut self.centroids);
-        all.append(&mut self.buffer);
+        all.extend(self.buffered());
+        self.buffer.clear();
+        self.weights.clear();
+        self.buffered_weight = 0.0;
         self.total_weight = compress_centroids(&mut all, self.compression);
         self.centroids = all;
         self.compressions += 1;
+    }
+
+    /// Settle the digest: merge buffered samples into the compressed
+    /// centroid list (as happens automatically every [`BUFFER_LEN`]
+    /// inserts) and release the insert buffer, leaving centroids only.
+    /// Call it once after the last insert; subsequent queries are
+    /// allocation-free. Inserting afterwards is fine — the buffer grows
+    /// again from [`FIRST_BUFFER_LEN`].
+    pub fn flush(&mut self) {
+        self.compress();
+        self.buffer = Vec::new();
+        self.weights = Vec::new();
+        // Compression sizes its output by guess and doubling; hand back
+        // slack of more than a quarter, and do not pay a realloc for less.
+        if self.centroids.capacity() > self.centroids.len() + self.centroids.len() / 4 {
+            self.centroids.shrink_to_fit();
+        }
     }
 
     /// Run `f` over the compressed view of this digest. When the buffer is
@@ -229,7 +297,7 @@ impl TDigest {
         } else {
             let mut all = Vec::with_capacity(self.centroids.len() + self.buffer.len());
             all.extend_from_slice(&self.centroids);
-            all.extend_from_slice(&self.buffer);
+            all.extend(self.buffered());
             let total = compress_centroids(&mut all, self.compression);
             f(&all, total)
         }
@@ -319,8 +387,10 @@ impl TDigest {
         TDigest {
             compression: parts.compression,
             centroids: parts.centroids,
-            buffer: Vec::with_capacity(BUFFER_LEN),
+            buffer: Vec::new(),
+            weights: Vec::new(),
             total_weight,
+            buffered_weight: 0.0,
             min,
             max,
             compressions: parts.compressions,
@@ -567,6 +637,132 @@ mod tests {
         let restored = TDigest::from_parts(d.to_parts());
         assert!(restored.is_empty());
         assert_eq!(restored.centroid_count(), 0);
+    }
+
+    #[test]
+    fn the_buffer_costs_what_it_holds() {
+        let mut d = TDigest::new(100.0);
+        assert_eq!(d.buffer.capacity() + d.weights.capacity() + d.centroids.capacity(), 0);
+        for i in 0..30 {
+            d.insert(i as f64);
+        }
+        assert_eq!(d.buffer.capacity(), FIRST_BUFFER_LEN, "one allocation covers 30 samples");
+        assert_eq!(d.weights.capacity(), 0, "unit weights are implicit");
+        d.insert_weighted(30.0, 2.0);
+        assert_eq!(d.weights.len(), d.buffer.len(), "promoted in place");
+        assert_eq!(d.count(), 32.0);
+        for i in 0..BUFFER_LEN {
+            d.insert(i as f64);
+        }
+        assert_eq!(d.buffer.capacity(), BUFFER_LEN, "the batch compression keeps the buffer");
+        d.flush();
+        assert_eq!(d.buffer.capacity() + d.weights.capacity(), 0, "an explicit flush releases it");
+        assert!(d.centroids.capacity() <= d.centroids.len() + d.centroids.len() / 4);
+        assert_eq!(d.count(), 32.0 + BUFFER_LEN as f64);
+    }
+
+    /// The digest as it was when every buffered sample was an eager 16-byte
+    /// `Centroid`: the reference the content-sized buffer must match bit
+    /// for bit.
+    struct Eager {
+        centroids: Vec<Centroid>,
+        buffer: Vec<Centroid>,
+        total_weight: f64,
+        compressions: u64,
+    }
+
+    impl Eager {
+        fn push(&mut self, c: Centroid) {
+            self.buffer.push(c);
+            if self.buffer.len() >= BUFFER_LEN {
+                self.flush();
+            }
+        }
+
+        fn merge(&mut self, other: &Eager) {
+            other.centroids.iter().chain(&other.buffer).for_each(|c| self.push(*c));
+        }
+
+        fn flush(&mut self) {
+            if !self.buffer.is_empty() {
+                self.centroids.append(&mut self.buffer);
+                self.total_weight = compress_centroids(&mut self.centroids, 100.0);
+                self.compressions += 1;
+            }
+        }
+
+        fn count(&self) -> f64 {
+            self.total_weight + self.buffer.iter().map(|c| c.weight).sum::<f64>()
+        }
+
+        fn view(&self) -> Vec<Centroid> {
+            let mut all = [&self.centroids[..], &self.buffer[..]].concat();
+            if !self.buffer.is_empty() {
+                compress_centroids(&mut all, 100.0);
+            }
+            all
+        }
+    }
+
+    fn bits(centroids: &[Centroid]) -> Vec<(u64, u64)> {
+        centroids.iter().map(|c| (c.mean.to_bits(), c.weight.to_bits())).collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Arbitrary interleavings of unit inserts, weighted inserts, merges
+        /// of a dirty digest and explicit flushes leave exactly the
+        /// centroids, count and pass counter the eager buffer left.
+        #[test]
+        fn content_sized_buffer_matches_the_eager_one(
+            ops in prop::collection::vec((0u8..10, 0u32..400, 1u8..8, 1usize..700), 1..400),
+        ) {
+            let new_pair = || {
+                let eager = Eager {
+                    centroids: Vec::new(),
+                    buffer: Vec::new(),
+                    total_weight: 0.0,
+                    compressions: 0,
+                };
+                (TDigest::new(100.0), eager)
+            };
+            let (mut d, mut eager) = new_pair();
+            for &(op, v, w, n) in &ops {
+                // A coarse grid, so equal means with different weights occur.
+                let (value, weight) = (v as f64 * 0.5, w as f64 * 0.5);
+                match op {
+                    0..=5 => {
+                        d.insert(value);
+                        eager.push(Centroid { mean: value, weight: 1.0 });
+                    }
+                    6 | 7 => {
+                        d.insert_weighted(value, weight);
+                        eager.push(Centroid { mean: value, weight });
+                    }
+                    8 => {
+                        // `n` samples: below 512 a dirty buffer only, above
+                        // it centroids and a dirty buffer.
+                        let (mut other, mut other_eager) = new_pair();
+                        for i in 0..n {
+                            let (x, xw) = (value + (i % 37) as f64, if i % w as usize == 0 { weight } else { 1.0 });
+                            other.insert_weighted(x, xw);
+                            other_eager.push(Centroid { mean: x, weight: xw });
+                        }
+                        d.merge(&other);
+                        eager.merge(&other_eager);
+                    }
+                    _ => {
+                        d.flush();
+                        eager.flush();
+                    }
+                }
+                prop_assert_eq!(d.count().to_bits(), eager.count().to_bits());
+            }
+            let parts = d.to_parts();
+            prop_assert_eq!(bits(&parts.centroids), bits(&eager.view()));
+            prop_assert_eq!(parts.compressions, eager.compressions);
+        }
     }
 
     #[test]

@@ -1,0 +1,148 @@
+//! Tier-1 smoke for the live cell path: a seeded wide-shaped replay — many
+//! groups, about 30 records per (group, rank) cell, the paper's validity
+//! minimum — through a real `ServeBuilder` server over the binary wire at
+//! one and two workers must report cells bit-identical to a serial
+//! [`WindowRing`]. The full-size suites (`live_agreement`, `live_store`,
+//! `live_chaos`) live in `crates/bench` and do not run under `cargo test -q`.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use edgeperf::analysis::GroupKey;
+use edgeperf::core::HD_GOODPUT_BPS;
+use edgeperf::live::{
+    cell_line_sort_key, BinarySender, CellLine, LiveClient, LiveRecord, ServeBuilder, WindowRing,
+};
+use edgeperf::routing::{PopId, Prefix, Relationship};
+use edgeperf::serve::WireParser;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha12Rng;
+
+const WINDOW_MS: f64 = 1_000.0;
+const LATENESS_MS: f64 = 250.0;
+const GROUPS: u64 = 512;
+const PER_WINDOW: u64 = GROUPS * 2 * 30;
+/// Three full windows; one record per group in the fifth then closes the
+/// third on whichever worker owns the group.
+const FULL_WINDOWS: u64 = 3;
+
+fn group(g: u64) -> GroupKey {
+    GroupKey {
+        pop: PopId((g % 4) as u16),
+        prefix: Prefix::new((g as u32) << 8, 24),
+        country: (g % 9) as u16,
+        continent: (g % 6) as u8,
+    }
+}
+
+/// Timestamps evenly spread and in order, uniform group and rank, no
+/// HDratio for one record in five.
+fn records() -> Vec<LiveRecord> {
+    let mut rng = ChaCha12Rng::seed_from_u64(0x11CE11);
+    let mut out: Vec<LiveRecord> = (0..FULL_WINDOWS * PER_WINDOW)
+        .map(|i| {
+            let (g, rank) = (rng.gen_range(0..GROUPS), rng.gen_range(0..2u8));
+            let u = rng.gen_range(0.0..1.0f64);
+            LiveRecord {
+                ts_ms: i as f64 * WINDOW_MS / PER_WINDOW as f64,
+                group: group(g),
+                route_rank: rank,
+                relationship: if rank == 0 {
+                    Relationship::PrivatePeer
+                } else {
+                    Relationship::Transit
+                },
+                longer_path: rank > 0,
+                more_prepended: g % 3 == 0,
+                min_rtt_ms: 8.0 + 120.0 * u * u,
+                hdratio: (rng.gen_range(0..5) != 0).then_some(1.0 - u),
+                bytes: rng.gen_range(1_000..51_000u64),
+            }
+        })
+        .collect();
+    let closer = LiveRecord { ts_ms: (FULL_WINDOWS + 1) as f64 * WINDOW_MS, ..out[0] };
+    out.extend((0..GROUPS).map(|g| LiveRecord { group: group(g), ..closer }));
+    out
+}
+
+/// The cells of every window the watermark closes, in canonical order.
+fn serial_cells(records: &[LiveRecord]) -> Vec<CellLine> {
+    let mut ring = WindowRing::new(WINDOW_MS, LATENESS_MS);
+    let mut cells = Vec::new();
+    for rec in records {
+        for window in ring.push(rec).expect("in-order record") {
+            cells.extend(window.cells.iter().map(|(k, s)| CellLine::new(window.index, k, s)));
+        }
+    }
+    cells.sort_by_key(cell_line_sort_key);
+    cells
+}
+
+fn served_cells(records: &[LiveRecord], workers: usize) -> Vec<CellLine> {
+    let server = ServeBuilder::new()
+        .workers(workers)
+        .window_ms(WINDOW_MS)
+        .lateness_ms(LATENESS_MS)
+        .retention_windows(8)
+        .start(Arc::new(WireParser::new(HD_GOODPUT_BPS)))
+        .expect("server starts");
+    let mut sender = BinarySender::connect(server.addr()).expect("binary connect");
+    for rec in records {
+        sender.send(rec).expect("send frame");
+    }
+    sender.finish().expect("finish");
+    // Binary connections carry no commands: poll a control connection
+    // until every frame is accounted for.
+    let mut control = LiveClient::connect(server.addr()).expect("control connect");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let snap = control.snapshot().expect("snapshot");
+        if snap.accepted + snap.rejected >= records.len() as u64 {
+            assert_eq!((snap.accepted, snap.rejected, snap.late), (records.len() as u64, 0, 0));
+            break;
+        }
+        assert!(Instant::now() < deadline, "server stuck: {snap:?}");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let mut cells = control.cells().expect("cells");
+    assert!(control.shutdown().expect("shutdown").drained);
+    let _ = server.join();
+    cells.sort_by_key(cell_line_sort_key);
+    cells
+}
+
+#[test]
+fn wide_replay_cells_are_bit_identical_to_a_serial_ring() {
+    let records = records();
+    let serial = serial_cells(&records);
+    let windows: Vec<u32> = serial.iter().map(|c| c.window).collect();
+    assert_eq!((windows[0], windows[windows.len() - 1]), (0, FULL_WINDOWS as u32 - 1));
+    assert_eq!(serial.len() as u64, FULL_WINDOWS * GROUPS * 2, "every cell of every window");
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    for workers in [1, 2] {
+        let served = served_cells(&records, workers);
+        assert_eq!(served.len(), serial.len(), "workers={workers}: cell count");
+        for (got, want) in served.iter().zip(&serial) {
+            assert_eq!(cell_line_sort_key(got), cell_line_sort_key(want), "workers={workers}");
+            assert_eq!(
+                (got.n, got.n_tested, got.bytes, &got.relationship),
+                (want.n, want.n_tested, want.bytes, &want.relationship),
+                "workers={workers}: {got:?}"
+            );
+            assert_eq!(
+                (got.longer_path, got.more_prepended),
+                (want.longer_path, want.more_prepended)
+            );
+            assert_eq!(
+                (got.min_rtt_p50.to_bits(), bits(got.min_rtt_var)),
+                (want.min_rtt_p50.to_bits(), bits(want.min_rtt_var)),
+                "workers={workers}: {got:?} vs {want:?}"
+            );
+            assert_eq!(
+                (bits(got.hdratio_p50), bits(got.hdratio_var)),
+                (bits(want.hdratio_p50), bits(want.hdratio_var)),
+                "workers={workers}: {got:?} vs {want:?}"
+            );
+        }
+    }
+}
