@@ -21,8 +21,9 @@
 //!
 //! [`TDigest::to_parts`]: edgeperf_stats::TDigest::to_parts
 
+use crate::dataset::GroupData;
 use crate::record::{GroupKey, SessionRecord};
-use crate::sink::{RecordSink, StreamingCell, StreamingDataset, StreamingGroupData};
+use crate::sink::{RecordSink, StreamingCell, StreamingDataset};
 use crate::streaming::StreamingAggregation;
 use edgeperf_routing::{PopId, Prefix, Relationship};
 use edgeperf_stats::{Centroid, DigestParts};
@@ -321,7 +322,7 @@ impl PersistentSink for StreamingDataset {
         let mut ds = StreamingDataset::new(n_windows);
         for gv in array(field(value, "groups")?, "groups")? {
             let key = key_from_value(field(gv, "key")?)?;
-            let mut group = StreamingGroupData {
+            let mut group = GroupData {
                 ranks: Vec::new(),
                 total_bytes: int(field(gv, "total_bytes")?, "total_bytes")?,
             };
@@ -347,7 +348,7 @@ impl PersistentSink for StreamingDataset {
                         .collect::<Result<Vec<_>, DeError>>()?,
                 );
             }
-            ds.insert_group(key, group);
+            ds.grid.insert_group(key, group);
         }
         Ok(ds)
     }

@@ -27,7 +27,7 @@
 //! final length (each cell's sample count was tracked during the pass, so
 //! there is no growth-doubling churn) and sorts each cell once.
 
-use crate::dataset::{Aggregation, Dataset, GroupData};
+use crate::dataset::{Aggregation, Dataset, GroupSlots};
 use crate::hash::FxHashMap;
 use crate::record::{GroupKey, SessionRecord};
 use crate::sink::{RecordShard, RecordSink, SinkStats};
@@ -169,9 +169,7 @@ impl ColumnarSink {
     /// length, then each cell is sorted once.
     pub fn into_dataset(self) -> Dataset {
         let n_windows = self.n_windows;
-        let mut index: FxHashMap<GroupKey, u32> = FxHashMap::default();
-        let mut slots: Vec<(GroupKey, GroupData)> = Vec::new();
-        let mut memo: Option<(GroupKey, u32)> = None;
+        let mut grid: GroupSlots<Aggregation> = GroupSlots::new(n_windows);
         for shard in self.shards {
             let ColumnarShard { cells, rtt_cell, rtt_val, hd_cell, hd_val, .. } = shard;
             let mut min_rtt: Vec<Vec<f64>> =
@@ -186,29 +184,11 @@ impl ColumnarSink {
             }
             for (ci, meta) in cells.into_iter().enumerate() {
                 let key = meta.key;
-                assert!((key.window as usize) < n_windows, "window {} out of range", key.window);
                 let mut mr = std::mem::take(&mut min_rtt[ci]);
                 let mut hd = std::mem::take(&mut hdratio[ci]);
                 mr.sort_unstable_by(f64::total_cmp);
                 hd.sort_unstable_by(f64::total_cmp);
-                let gi = match memo {
-                    Some((k, i)) if k == key.group => i,
-                    _ => {
-                        let i = *index.entry(key.group).or_insert_with(|| {
-                            slots.push((key.group, GroupData::default()));
-                            (slots.len() - 1) as u32
-                        });
-                        memo = Some((key.group, i));
-                        i
-                    }
-                };
-                let g = &mut slots[gi as usize].1;
-                let rank = key.rank as usize;
-                while g.ranks.len() <= rank {
-                    g.ranks.push(vec![None; n_windows]);
-                }
-                g.total_bytes += meta.bytes;
-                match &mut g.ranks[rank][key.window as usize] {
+                match grid.cell(key.group, key.rank as usize, key.window as usize, meta.bytes) {
                     Some(cell) => {
                         // Two shards produced the same cell — impossible
                         // from the study runner, but merge defensively so
@@ -233,7 +213,7 @@ impl ColumnarSink {
                 }
             }
         }
-        Dataset { n_windows, groups: slots.into_iter().collect() }
+        Dataset { n_windows, groups: grid.slots.into_iter().collect() }
     }
 }
 

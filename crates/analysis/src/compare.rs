@@ -5,9 +5,15 @@
 //! medians is tight (< 10 ms for MinRTT_P50, < 0.1 for HDratio_P50).
 //! Events (degradation / opportunity) are declared on the *lower bound*
 //! of the CI exceeding the threshold, so noise cannot manufacture events.
+//!
+//! There is one comparison, [`compare`], over [`CellSummary`]s: whether a
+//! summary came from sorted samples, a t-digest or a spilled segment row
+//! only decides how good its order statistics are, not which rules apply.
 
 use crate::config::AnalysisConfig;
-use edgeperf_stats::median_ci::diff_of_medians_ci_sorted;
+use crate::dataset::CellSummary;
+use crate::degradation::DegradationMetric;
+use edgeperf_stats::dist::norm_inv_cdf;
 
 /// Result of comparing two aggregations on one metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,67 +47,131 @@ impl CompareOutcome {
     }
 }
 
-/// Compare medians of two **sorted** sample sets `a − b` under the
-/// validity rules. `max_ci_width` selects the metric's tightness rule.
-pub fn compare_medians(
+/// Difference of the `metric` medians `a − b` with the Price–Bonett CI
+/// (`diff ± z·√(Var_a + Var_b)`, the arithmetic of
+/// [`edgeperf_stats::median_ci::diff_of_medians_ci_sorted`]) under the validity
+/// rules: both sides hold `min_samples` samples of the metric (sessions
+/// for MinRTT, tested sessions for HDratio) and the CI is narrower than
+/// the metric's tightness bound.
+pub fn compare(
     cfg: &AnalysisConfig,
-    a_sorted: &[f64],
-    b_sorted: &[f64],
-    max_ci_width: f64,
+    metric: DegradationMetric,
+    a: &CellSummary,
+    b: &CellSummary,
 ) -> CompareOutcome {
-    if a_sorted.len() < cfg.min_samples || b_sorted.len() < cfg.min_samples {
+    let stat = |c: &CellSummary| match metric {
+        DegradationMetric::MinRtt => (c.n, Some(c.min_rtt_p50), c.min_rtt_var),
+        DegradationMetric::HdRatio => (c.n_tested, c.hdratio_p50, c.hdratio_var),
+    };
+    let max_ci_width = match metric {
+        DegradationMetric::MinRtt => cfg.max_ci_width_minrtt_ms,
+        DegradationMetric::HdRatio => cfg.max_ci_width_hdratio,
+    };
+    let ((na, pa, va), (nb, pb, vb)) = (stat(a), stat(b));
+    if na < cfg.min_samples || nb < cfg.min_samples {
         return CompareOutcome::Invalid;
     }
-    let ci = diff_of_medians_ci_sorted(a_sorted, b_sorted, cfg.confidence);
-    if ci.width() >= max_ci_width {
+    let (Some(pa), Some(va), Some(pb), Some(vb)) = (pa, va, pb, vb) else {
+        return CompareOutcome::Invalid;
+    };
+    let diff = pa - pb;
+    let half = norm_inv_cdf(0.5 + cfg.confidence / 2.0) * (va + vb).sqrt();
+    let (lo, hi) = (diff - half, diff + half);
+    if hi - lo >= max_ci_width {
         return CompareOutcome::Invalid;
     }
-    CompareOutcome::Valid { diff: ci.diff, lo: ci.lo, hi: ci.hi }
+    CompareOutcome::Valid { diff, lo, hi }
+}
+
+/// How much worse `x` performs than `y` on `metric`: `x − y` for MinRTT
+/// (higher is worse), `y − x` for HDratio (lower is worse). Degradation is
+/// the deficit of a window against its baseline; opportunity the deficit
+/// of the preferred route against an alternate.
+pub fn deficit(
+    cfg: &AnalysisConfig,
+    metric: DegradationMetric,
+    x: &CellSummary,
+    y: &CellSummary,
+) -> CompareOutcome {
+    match metric {
+        DegradationMetric::MinRtt => compare(cfg, metric, x, y),
+        DegradationMetric::HdRatio => compare(cfg, metric, y, x),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Aggregation;
+    use edgeperf_routing::Relationship;
+    use edgeperf_stats::median_ci::diff_of_medians_ci_sorted;
 
-    fn samples(center: f64, spread: f64, n: usize) -> Vec<f64> {
-        (0..n).map(|i| center + spread * (i as f64 / (n - 1) as f64 - 0.5)).collect()
+    const MINRTT: DegradationMetric = DegradationMetric::MinRtt;
+
+    /// Summary of a cell whose MinRTT samples are `center ± spread/2`;
+    /// every session tested, with HDratio = MinRTT / 100.
+    fn cell(center: f64, spread: f64, n: usize) -> (Vec<f64>, CellSummary) {
+        let samples: Vec<f64> =
+            (0..n).map(|i| center + spread * (i as f64 / (n - 1) as f64 - 0.5)).collect();
+        let mut agg = Aggregation::new(Relationship::PrivatePeer);
+        agg.min_rtt_ms = samples.clone();
+        agg.hdratio = samples.iter().map(|v| v / 100.0).collect();
+        (samples, agg.summary())
     }
 
     #[test]
     fn too_few_samples_is_invalid() {
         let cfg = AnalysisConfig::default();
-        let a = samples(50.0, 5.0, 10);
-        let b = samples(40.0, 5.0, 100);
-        assert_eq!(compare_medians(&cfg, &a, &b, 10.0), CompareOutcome::Invalid);
+        let (_, a) = cell(50.0, 5.0, 10);
+        let (_, b) = cell(40.0, 5.0, 100);
+        assert_eq!(compare(&cfg, MINRTT, &a, &b), CompareOutcome::Invalid);
+        assert_eq!(compare(&cfg, MINRTT, &b, &a), CompareOutcome::Invalid);
+    }
+
+    #[test]
+    fn hdratio_is_gated_on_tested_sessions() {
+        let cfg = AnalysisConfig::default();
+        let (_, a) = cell(50.0, 5.0, 100);
+        let (_, mut b) = cell(40.0, 5.0, 100);
+        assert!(matches!(
+            compare(&cfg, DegradationMetric::HdRatio, &a, &b),
+            CompareOutcome::Valid { diff, .. } if (diff - 0.1).abs() < 1e-9
+        ));
+        b.n_tested = 29;
+        assert_eq!(compare(&cfg, DegradationMetric::HdRatio, &a, &b), CompareOutcome::Invalid);
+        assert_ne!(compare(&cfg, MINRTT, &a, &b), CompareOutcome::Invalid);
     }
 
     #[test]
     fn wide_ci_is_invalid() {
         let cfg = AnalysisConfig::default();
         // Very high variance, few samples → CI wider than 10 ms.
-        let a = samples(50.0, 500.0, 30);
-        let b = samples(40.0, 500.0, 30);
-        assert_eq!(compare_medians(&cfg, &a, &b, 10.0), CompareOutcome::Invalid);
+        let (_, a) = cell(50.0, 500.0, 30);
+        let (_, b) = cell(40.0, 500.0, 30);
+        assert_eq!(compare(&cfg, MINRTT, &a, &b), CompareOutcome::Invalid);
     }
 
     #[test]
-    fn clear_difference_is_event() {
+    fn clear_difference_is_event_with_the_exact_ci() {
         let cfg = AnalysisConfig::default();
-        let a = samples(60.0, 4.0, 200);
-        let b = samples(40.0, 4.0, 200);
-        let o = compare_medians(&cfg, &a, &b, 10.0);
+        let (sa, a) = cell(60.0, 4.0, 200);
+        let (sb, b) = cell(40.0, 4.0, 200);
+        let o = compare(&cfg, MINRTT, &a, &b);
         assert!(o.event_at(5.0), "{o:?}");
         assert!(!o.event_at(25.0));
         assert!((o.diff().unwrap() - 20.0).abs() < 0.5);
+        // Through summaries nothing is lost: the reference CI, bit for bit.
+        let ci = diff_of_medians_ci_sorted(&sa, &sb, cfg.confidence);
+        assert_eq!(o, CompareOutcome::Valid { diff: ci.diff, lo: ci.lo, hi: ci.hi });
     }
 
     #[test]
     fn marginal_difference_is_not_event() {
         let cfg = AnalysisConfig::default();
         // True diff 6 ms but noisy: the lower bound should not clear 5 ms.
-        let a = samples(46.0, 30.0, 40);
-        let b = samples(40.0, 30.0, 40);
-        let o = compare_medians(&cfg, &a, &b, 10.0);
+        let (_, a) = cell(46.0, 30.0, 40);
+        let (_, b) = cell(40.0, 30.0, 40);
+        let o = compare(&cfg, MINRTT, &a, &b);
         if let CompareOutcome::Valid { lo, .. } = o {
             assert!(lo < 5.0, "lo = {lo}");
         }

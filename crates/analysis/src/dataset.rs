@@ -1,9 +1,53 @@
 //! Dataset assembly: records → per-(group, window, route-rank)
-//! aggregations (§3.3).
+//! aggregations (§3.3), and the one plain-data [`CellSummary`] every
+//! analysis reads whichever sink produced the cell.
 
+use crate::degradation::DegradationMetric;
 use crate::hash::FxHashMap;
 use crate::record::{GroupKey, SessionRecord};
+use crate::segment::WindowCell;
 use edgeperf_routing::Relationship;
+use edgeperf_stats::median_ci::median_variance_sorted;
+
+/// The paper's statistic for one (group, window, route-rank) cell: a
+/// median with its Price–Bonett variance for MinRTT and for HDratio
+/// (§§3.3–3.4.1), plus traffic weight and route annotations. Produced by
+/// [`Aggregation::summary`] (exact order statistics),
+/// [`crate::StreamingCell::summary`] (digest order statistics) and
+/// [`WindowCell::summary`] (closed live windows, decoded segments).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellSummary {
+    /// Sessions recorded.
+    pub n: usize,
+    /// Sessions with an HDratio.
+    pub n_tested: usize,
+    /// Traffic weight.
+    pub bytes: u64,
+    /// Median MinRTT (ms).
+    pub min_rtt_p50: f64,
+    /// Price–Bonett variance of the MinRTT median (None below 5 samples).
+    pub min_rtt_var: Option<f64>,
+    /// Median HDratio, if any session tested.
+    pub hdratio_p50: Option<f64>,
+    /// Price–Bonett variance of the HDratio median.
+    pub hdratio_var: Option<f64>,
+    /// Relationship of the route measured by this cell.
+    pub relationship: Relationship,
+    /// This route's AS path is longer than the preferred route's.
+    pub longer_path: bool,
+    /// This route is prepended more than the preferred route.
+    pub more_prepended: bool,
+}
+
+impl CellSummary {
+    /// The cell's median of `metric`, if it has one.
+    pub fn p50(&self, metric: DegradationMetric) -> Option<f64> {
+        match metric {
+            DegradationMetric::MinRtt => Some(self.min_rtt_p50),
+            DegradationMetric::HdRatio => self.hdratio_p50,
+        }
+    }
+}
 
 /// Measurements for one (group, window, route-rank) cell.
 #[derive(Debug, Clone)]
@@ -52,26 +96,188 @@ impl Aggregation {
     pub fn n(&self) -> usize {
         self.min_rtt_ms.len()
     }
+
+    /// Summarise from the exact order statistics of the sorted samples.
+    pub fn summary(&self) -> CellSummary {
+        let variance =
+            |sorted: &[f64]| (sorted.len() >= 5).then(|| median_variance_sorted(sorted).1);
+        CellSummary {
+            n: self.n(),
+            n_tested: self.hdratio.len(),
+            bytes: self.bytes,
+            min_rtt_p50: self.min_rtt_p50(),
+            min_rtt_var: variance(&self.min_rtt_ms),
+            hdratio_p50: self.hdratio_p50(),
+            hdratio_var: variance(&self.hdratio),
+            relationship: self.relationship,
+            longer_path: self.longer_path,
+            more_prepended: self.more_prepended,
+        }
+    }
 }
 
-/// All aggregations of one user group: `ranks[r].windows[w]`.
-#[derive(Debug, Clone, Default)]
-pub struct GroupData {
+/// All cells of one user group, `ranks[r][w]`, whatever a cell is: sorted
+/// samples ([`Aggregation`]), digests ([`crate::StreamingCell`]) or the
+/// [`CellSummary`] the analyses read.
+#[derive(Debug, Clone)]
+pub struct GroupData<C> {
     /// Per route rank (0 = preferred), per window.
-    pub ranks: Vec<Vec<Option<Aggregation>>>,
+    pub ranks: Vec<Vec<Option<C>>>,
     /// Total traffic bytes across every cell (the group weight).
     pub total_bytes: u64,
 }
 
-impl GroupData {
-    /// Aggregation for (rank, window) if present.
-    pub fn cell(&self, rank: usize, window: usize) -> Option<&Aggregation> {
+impl<C> Default for GroupData<C> {
+    fn default() -> Self {
+        GroupData { ranks: Vec::new(), total_bytes: 0 }
+    }
+}
+
+impl<C> GroupData<C> {
+    /// Cell for (rank, window) if present.
+    pub fn cell(&self, rank: usize, window: usize) -> Option<&C> {
         self.ranks.get(rank)?.get(window)?.as_ref()
+    }
+
+    /// Windows the group spans (every rank has the same count).
+    pub fn n_windows(&self) -> usize {
+        self.ranks.first().map_or(0, Vec::len)
+    }
+
+    /// Every present cell, rank by rank.
+    pub fn cells(&self) -> impl Iterator<Item = &C> {
+        self.ranks.iter().flat_map(|ws| ws.iter().flatten())
+    }
+
+    /// The preferred route's present cells, oldest window first.
+    pub fn preferred(&self) -> impl Iterator<Item = &C> {
+        self.ranks.first().into_iter().flat_map(|ws| ws.iter().flatten())
     }
 
     /// Windows where the preferred route has any traffic.
     pub fn covered_windows(&self) -> usize {
-        self.ranks.first().map(|ws| ws.iter().filter(|c| c.is_some()).count()).unwrap_or(0)
+        self.preferred().count()
+    }
+
+    /// The same grid with every cell summarised by `summary`.
+    pub fn summarize(&self, summary: impl Fn(&C) -> CellSummary) -> GroupData<CellSummary> {
+        GroupData {
+            ranks: self
+                .ranks
+                .iter()
+                .map(|ws| ws.iter().map(|c| c.as_ref().map(&summary)).collect())
+                .collect(),
+            total_bytes: self.total_bytes,
+        }
+    }
+}
+
+/// Groups in first-seen order behind an index, each a `ranks[r][w]` grid:
+/// how every dataset that is assembled cell by cell finds a cell's slot.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupSlots<C> {
+    pub(crate) n_windows: usize,
+    index: FxHashMap<GroupKey, u32>,
+    pub(crate) slots: Vec<(GroupKey, GroupData<C>)>,
+    memo: Option<(GroupKey, u32)>,
+}
+
+impl<C: Clone> GroupSlots<C> {
+    pub(crate) fn new(n_windows: usize) -> Self {
+        GroupSlots { n_windows, index: FxHashMap::default(), slots: Vec::new(), memo: None }
+    }
+
+    /// Data of `key`, if present.
+    pub(crate) fn get(&self, key: &GroupKey) -> Option<&GroupData<C>> {
+        self.index.get(key).map(|&i| &self.slots[i as usize].1)
+    }
+
+    /// Install a fully-built group under a `key` not present yet (checkpoint
+    /// restore: groups restored in their saved order keep that order).
+    pub(crate) fn insert_group(&mut self, key: GroupKey, group: GroupData<C>) {
+        let prev = self.index.insert(key, self.slots.len() as u32);
+        assert!(prev.is_none(), "duplicate group in checkpoint");
+        self.slots.push((key, group));
+    }
+
+    /// The slot of cell (`group`, `rank`, `window`), allocating the group
+    /// and the rank's row on first sight; `bytes` join the group's weight.
+    /// Record streams arrive grouped by prefix, so a last-group memo
+    /// short-circuits the hash lookup for nearly every record.
+    pub(crate) fn cell(
+        &mut self,
+        group: GroupKey,
+        rank: usize,
+        window: usize,
+        bytes: u64,
+    ) -> &mut Option<C> {
+        assert!(window < self.n_windows, "window {window} out of range");
+        let slot = match self.memo {
+            Some((k, i)) if k == group => i,
+            _ => {
+                let i = *self.index.entry(group).or_insert_with(|| {
+                    self.slots.push((group, GroupData::default()));
+                    (self.slots.len() - 1) as u32
+                });
+                self.memo = Some((group, i));
+                i
+            }
+        };
+        let g = &mut self.slots[slot as usize].1;
+        while g.ranks.len() <= rank {
+            g.ranks.push(vec![None; self.n_windows]);
+        }
+        g.total_bytes += bytes;
+        &mut g.ranks[rank][window]
+    }
+}
+
+/// The summary grid of a whole study: what [`Dataset::summarize`],
+/// [`crate::StreamingDataset::summarize`] and [`Summaries::from_cells`]
+/// all produce, and the only thing the §§5–6 analyses read. Groups keep
+/// the order their source iterates them in.
+#[derive(Debug, Clone, Default)]
+pub struct Summaries {
+    /// Per-group summary grids.
+    pub groups: Vec<(GroupKey, GroupData<CellSummary>)>,
+}
+
+impl Summaries {
+    /// Traffic carried on preferred routes only (rank 0) — the natural
+    /// denominator for "fraction of traffic" statements, since rank > 0
+    /// records exist purely to measure alternates.
+    pub fn preferred_bytes(&self) -> u64 {
+        self.groups.iter().flat_map(|(_, g)| g.preferred()).map(|c| c.bytes).sum()
+    }
+
+    /// Rebuild the grid from a bag of rows (a store range read, decoded
+    /// segments). The grid spans the rows' first to last window; groups
+    /// come out in first-seen order.
+    pub fn from_cells(cells: &[WindowCell]) -> Summaries {
+        let first = cells.iter().map(|c| c.window).min().unwrap_or(0);
+        let n_windows = cells.iter().map(|c| (c.window - first) as usize + 1).max().unwrap_or(0);
+        let mut grid = GroupSlots::new(n_windows);
+        for c in cells {
+            *grid.cell(c.group, c.rank as usize, (c.window - first) as usize, c.bytes) =
+                Some(c.summary());
+        }
+        Summaries { groups: grid.slots }
+    }
+
+    /// Flatten into rows, windows numbered from 0: group by group, rank
+    /// by rank, window by window.
+    pub fn to_cells(&self) -> Vec<WindowCell> {
+        let mut out = Vec::new();
+        for (key, g) in &self.groups {
+            for (rank, ws) in g.ranks.iter().enumerate() {
+                for (w, cell) in ws.iter().enumerate() {
+                    if let Some(cell) = cell {
+                        out.push(WindowCell::new(w as u32, *key, rank as u8, cell));
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -98,41 +304,18 @@ pub struct Dataset {
     /// Number of 15-minute windows in the study.
     pub n_windows: usize,
     /// Per-group data, keyed with the fast deterministic hasher.
-    pub groups: FxHashMap<GroupKey, GroupData>,
+    pub groups: FxHashMap<GroupKey, GroupData<Aggregation>>,
 }
 
 impl Dataset {
     /// Assemble from raw records. Records beyond `n_windows` or with
     /// rank ≥ 8 are rejected (defensive: they indicate runner bugs).
-    ///
-    /// Record streams arrive grouped by prefix (each prefix is simulated
-    /// by exactly one worker), so a last-group memo short-circuits the
-    /// hash lookup for nearly every record; the map itself uses the
-    /// FxHash hasher from [`crate::hash`].
     pub fn from_records(records: &[SessionRecord], n_windows: usize) -> Self {
-        let mut index: FxHashMap<GroupKey, u32> = FxHashMap::default();
-        let mut slots: Vec<(GroupKey, GroupData)> = Vec::new();
-        let mut memo: Option<(GroupKey, u32)> = None;
+        let mut grid = GroupSlots::new(n_windows);
         for r in records {
-            assert!((r.window as usize) < n_windows, "window {} out of range", r.window);
             assert!(r.route_rank < 8, "suspicious route rank {}", r.route_rank);
-            let gi = match memo {
-                Some((k, i)) if k == r.group => i,
-                _ => {
-                    let i = *index.entry(r.group).or_insert_with(|| {
-                        slots.push((r.group, GroupData::default()));
-                        (slots.len() - 1) as u32
-                    });
-                    memo = Some((r.group, i));
-                    i
-                }
-            };
-            let g = &mut slots[gi as usize].1;
-            let rank = r.route_rank as usize;
-            while g.ranks.len() <= rank {
-                g.ranks.push(vec![None; n_windows]);
-            }
-            let cell = g.ranks[rank][r.window as usize]
+            let cell = grid
+                .cell(r.group, r.route_rank as usize, r.window as usize, r.bytes)
                 .get_or_insert_with(|| Aggregation::new(r.relationship));
             cell.min_rtt_ms.push(r.min_rtt_ms);
             if let Some(h) = r.hdratio {
@@ -141,12 +324,11 @@ impl Dataset {
             cell.bytes += r.bytes;
             cell.longer_path |= r.longer_path;
             cell.more_prepended |= r.more_prepended;
-            g.total_bytes += r.bytes;
         }
         // Sort sample vectors once. `total_cmp` is a total order, so no
         // NaN panic path; unstable sort is fine (and faster) because equal
         // f64 samples are indistinguishable.
-        for (_, g) in &mut slots {
+        for (_, g) in &mut grid.slots {
             for ws in &mut g.ranks {
                 for cell in ws.iter_mut().flatten() {
                     cell.min_rtt_ms.sort_unstable_by(f64::total_cmp);
@@ -154,12 +336,23 @@ impl Dataset {
                 }
             }
         }
-        Dataset { n_windows, groups: slots.into_iter().collect() }
+        Dataset { n_windows, groups: grid.slots.into_iter().collect() }
+    }
+
+    /// Summarise every cell once, groups in this dataset's iteration order.
+    pub fn summarize(&self) -> Summaries {
+        Summaries {
+            groups: self
+                .groups
+                .iter()
+                .map(|(k, g)| (*k, g.summarize(Aggregation::summary)))
+                .collect(),
+        }
     }
 
     /// Number of populated (group, window, rank) cells.
     pub fn cell_count(&self) -> usize {
-        self.groups.values().flat_map(|g| &g.ranks).map(|ws| ws.iter().flatten().count()).sum()
+        self.groups.values().flat_map(GroupData::cells).count()
     }
 
     /// Total traffic across the dataset.
@@ -171,12 +364,7 @@ impl Dataset {
     /// denominator for "fraction of traffic" statements, since rank > 0
     /// records exist purely to measure alternates.
     pub fn preferred_bytes(&self) -> u64 {
-        self.groups
-            .values()
-            .flat_map(|g| g.ranks.first())
-            .flat_map(|ws| ws.iter().flatten())
-            .map(|c| c.bytes)
-            .sum()
+        self.groups.values().flat_map(GroupData::preferred).map(|c| c.bytes).sum()
     }
 }
 

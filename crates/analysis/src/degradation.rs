@@ -7,9 +7,9 @@
 //! the baseline), and degradation is declared only when the CI lower
 //! bound of the difference clears the threshold.
 
-use crate::compare::{compare_medians, CompareOutcome};
+use crate::compare::{deficit, CompareOutcome};
 use crate::config::AnalysisConfig;
-use crate::dataset::GroupData;
+use crate::dataset::{CellSummary, GroupData};
 use edgeperf_stats::quantile::quantile_unsorted;
 
 /// Which metric a degradation/opportunity analysis runs on.
@@ -22,9 +22,10 @@ pub enum DegradationMetric {
 }
 
 /// Status of one window in a degradation or opportunity series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WindowStatus {
     /// The group had no traffic in the window.
+    #[default]
     NoTraffic,
     /// Traffic, but the comparison failed the validity rules.
     Invalid,
@@ -47,6 +48,55 @@ pub struct WindowAssessment {
     pub bytes: u64,
 }
 
+/// The baseline of a series of preferred-route windows (oldest first):
+/// among windows with at least `min_samples` sessions and a median of
+/// `metric`, the one whose median is nearest the series' 10th percentile
+/// (MinRTT) or 90th (HDratio); the earliest on ties. `None` when no
+/// window qualifies.
+pub fn pick_baseline<'a>(
+    cfg: &AnalysisConfig,
+    metric: DegradationMetric,
+    windows: impl IntoIterator<Item = &'a CellSummary>,
+) -> Option<&'a CellSummary> {
+    let candidates: Vec<(&CellSummary, f64)> = windows
+        .into_iter()
+        .filter(|c| c.n >= cfg.min_samples)
+        .filter_map(|c| Some((c, c.p50(metric)?)))
+        .collect();
+    if candidates.is_empty() {
+        return None;
+    }
+    let p50s: Vec<f64> = candidates.iter().map(|&(_, v)| v).collect();
+    let target = match metric {
+        DegradationMetric::MinRtt => quantile_unsorted(&p50s, 0.10),
+        DegradationMetric::HdRatio => quantile_unsorted(&p50s, 0.90),
+    };
+    candidates
+        .into_iter()
+        .min_by(|a, b| (a.1 - target).abs().total_cmp(&(b.1 - target).abs()))
+        .map(|(c, _)| c)
+}
+
+/// Assess one window against the group's baseline: invalid without a
+/// baseline or a valid comparison, an event when the CI lower bound of
+/// the window's [`deficit`] clears `threshold`.
+pub fn assess_window(
+    cfg: &AnalysisConfig,
+    metric: DegradationMetric,
+    threshold: f64,
+    window: &CellSummary,
+    baseline: Option<&CellSummary>,
+) -> WindowAssessment {
+    let (status, diff) = match baseline.map(|b| deficit(cfg, metric, window, b)) {
+        Some(CompareOutcome::Valid { diff, lo, hi }) => (
+            if lo > threshold { WindowStatus::Event } else { WindowStatus::Quiet },
+            Some((diff, lo, hi)),
+        ),
+        Some(CompareOutcome::Invalid) | None => (WindowStatus::Invalid, None),
+    };
+    WindowAssessment { status, diff, bytes: window.bytes }
+}
+
 /// Assess every window of a group for degradation of `metric` at
 /// `threshold` (ms for MinRTT, ratio units for HDratio).
 ///
@@ -54,84 +104,16 @@ pub struct WindowAssessment {
 /// has a valid aggregation yield all-`Invalid`/`NoTraffic`.
 pub fn degradation_events(
     cfg: &AnalysisConfig,
-    group: &GroupData,
+    group: &GroupData<CellSummary>,
     metric: DegradationMetric,
     threshold: f64,
 ) -> Vec<WindowAssessment> {
-    let n_windows = group.ranks.first().map(|w| w.len()).unwrap_or(0);
-    let empty = |status| WindowAssessment { status, diff: None, bytes: 0 };
-
-    // Candidate baseline: valid preferred-route windows and their p50s.
-    let mut p50s: Vec<(usize, f64)> = Vec::new();
-    for w in 0..n_windows {
-        if let Some(cell) = group.cell(0, w) {
-            if cell.n() >= cfg.min_samples {
-                let v = match metric {
-                    DegradationMetric::MinRtt => Some(cell.min_rtt_p50()),
-                    DegradationMetric::HdRatio => cell.hdratio_p50(),
-                };
-                if let Some(v) = v {
-                    p50s.push((w, v));
-                }
-            }
-        }
-    }
-    if p50s.is_empty() {
-        return (0..n_windows)
-            .map(|w| {
-                empty(if group.cell(0, w).is_some() {
-                    WindowStatus::Invalid
-                } else {
-                    WindowStatus::NoTraffic
-                })
-            })
-            .collect();
-    }
-
-    // Baseline value and the window attaining it.
-    let values: Vec<f64> = p50s.iter().map(|&(_, v)| v).collect();
-    let target = match metric {
-        DegradationMetric::MinRtt => quantile_unsorted(&values, 0.10),
-        DegradationMetric::HdRatio => quantile_unsorted(&values, 0.90),
-    };
-    let (baseline_w, _) = p50s
-        .iter()
-        .copied()
-        .min_by(|a, b| (a.1 - target).abs().total_cmp(&(b.1 - target).abs()))
-        .unwrap();
-    let baseline = group.cell(0, baseline_w).expect("baseline cell");
-
-    (0..n_windows)
-        .map(|w| {
-            let cell = match group.cell(0, w) {
-                None => return empty(WindowStatus::NoTraffic),
-                Some(c) => c,
-            };
-            let outcome = match metric {
-                // Degradation in latency: current − baseline.
-                DegradationMetric::MinRtt => compare_medians(
-                    cfg,
-                    &cell.min_rtt_ms,
-                    &baseline.min_rtt_ms,
-                    cfg.max_ci_width_minrtt_ms,
-                ),
-                // Degradation in goodput: baseline − current.
-                DegradationMetric::HdRatio => {
-                    compare_medians(cfg, &baseline.hdratio, &cell.hdratio, cfg.max_ci_width_hdratio)
-                }
-            };
-            match outcome {
-                CompareOutcome::Invalid => WindowAssessment {
-                    status: WindowStatus::Invalid,
-                    diff: None,
-                    bytes: cell.bytes,
-                },
-                CompareOutcome::Valid { diff, lo, hi } => WindowAssessment {
-                    status: if lo > threshold { WindowStatus::Event } else { WindowStatus::Quiet },
-                    diff: Some((diff, lo, hi)),
-                    bytes: cell.bytes,
-                },
-            }
+    let baseline = pick_baseline(cfg, metric, group.preferred());
+    let preferred = group.ranks.first().into_iter().flatten();
+    preferred
+        .map(|cell| match cell {
+            None => WindowAssessment { status: WindowStatus::NoTraffic, diff: None, bytes: 0 },
+            Some(cell) => assess_window(cfg, metric, threshold, cell, baseline),
         })
         .collect()
 }
@@ -169,8 +151,8 @@ mod tests {
         out
     }
 
-    fn group_of(ds: &Dataset) -> &GroupData {
-        ds.groups.values().next().unwrap()
+    fn group_of(ds: &Dataset) -> GroupData<CellSummary> {
+        ds.summarize().groups.remove(0).1
     }
 
     #[test]
@@ -178,7 +160,7 @@ mod tests {
         let recs = records_with_rtts(&[40.0; 10]);
         let ds = Dataset::from_records(&recs, 10);
         let cfg = AnalysisConfig::default();
-        let a = degradation_events(&cfg, group_of(&ds), DegradationMetric::MinRtt, 5.0);
+        let a = degradation_events(&cfg, &group_of(&ds), DegradationMetric::MinRtt, 5.0);
         assert!(a.iter().all(|x| x.status == WindowStatus::Quiet), "{a:?}");
     }
 
@@ -188,7 +170,7 @@ mod tests {
         rtts[6] = 70.0;
         let ds = Dataset::from_records(&records_with_rtts(&rtts), 10);
         let cfg = AnalysisConfig::default();
-        let a = degradation_events(&cfg, group_of(&ds), DegradationMetric::MinRtt, 5.0);
+        let a = degradation_events(&cfg, &group_of(&ds), DegradationMetric::MinRtt, 5.0);
         assert_eq!(a[6].status, WindowStatus::Event);
         assert_eq!(a[5].status, WindowStatus::Quiet);
         let (diff, lo, hi) = a[6].diff.unwrap();
@@ -202,7 +184,7 @@ mod tests {
         rtts[3] = 43.0;
         let ds = Dataset::from_records(&records_with_rtts(&rtts), 10);
         let cfg = AnalysisConfig::default();
-        let a = degradation_events(&cfg, group_of(&ds), DegradationMetric::MinRtt, 5.0);
+        let a = degradation_events(&cfg, &group_of(&ds), DegradationMetric::MinRtt, 5.0);
         assert_eq!(a[3].status, WindowStatus::Quiet);
     }
 
@@ -213,7 +195,7 @@ mod tests {
         recs.retain(|r| r.window != 2);
         let ds = Dataset::from_records(&recs, 4);
         let cfg = AnalysisConfig::default();
-        let a = degradation_events(&cfg, group_of(&ds), DegradationMetric::MinRtt, 5.0);
+        let a = degradation_events(&cfg, &group_of(&ds), DegradationMetric::MinRtt, 5.0);
         assert_eq!(a[2].status, WindowStatus::NoTraffic);
     }
 
@@ -244,7 +226,7 @@ mod tests {
         }
         let ds = Dataset::from_records(&recs, 6);
         let cfg = AnalysisConfig::default();
-        let a = degradation_events(&cfg, group_of(&ds), DegradationMetric::HdRatio, 0.05);
+        let a = degradation_events(&cfg, &group_of(&ds), DegradationMetric::HdRatio, 0.05);
         assert_eq!(a[4].status, WindowStatus::Event, "{:?}", a[4]);
         assert_eq!(a[1].status, WindowStatus::Quiet);
     }
@@ -274,7 +256,7 @@ mod tests {
         }
         let ds = Dataset::from_records(&recs, 4);
         let cfg = AnalysisConfig::default();
-        let a = degradation_events(&cfg, group_of(&ds), DegradationMetric::MinRtt, 5.0);
+        let a = degradation_events(&cfg, &group_of(&ds), DegradationMetric::MinRtt, 5.0);
         assert_eq!(a[3].status, WindowStatus::Invalid);
     }
 }

@@ -1,8 +1,9 @@
 //! Figure-series builders: the distributions behind the paper's Figures
 //! 6–10 as queryable weighted CDFs.
 
+use crate::compare::{compare, CompareOutcome};
 use crate::config::AnalysisConfig;
-use crate::dataset::Dataset;
+use crate::dataset::{CellSummary, GroupData, Summaries};
 use crate::degradation::{degradation_events, DegradationMetric};
 use crate::opportunity::{opportunity_events, OpportunityMetric};
 use crate::record::SessionRecord;
@@ -82,28 +83,29 @@ pub struct DiffCdfs {
     pub traffic_covered: f64,
 }
 
-pub(crate) fn build_diff_cdfs(
-    points: Vec<(f64, f64, f64, u64)>,
-    covered_bytes: u64,
-    total_bytes: u64,
+/// Weighted CDFs of `(diff, lo, hi)` comparisons, each weighted by the
+/// traffic bytes it covers.
+fn diff_cdfs(
+    ds: &Summaries,
+    points: impl Iterator<Item = ((f64, f64, f64), u64)>,
 ) -> Option<DiffCdfs> {
-    if points.is_empty() {
-        return None;
-    }
-    let mut d = CdfBuilder::new();
-    let mut l = CdfBuilder::new();
-    let mut h = CdfBuilder::new();
-    for (diff, lo, hi, bytes) in points {
+    let (mut d, mut l, mut h) = (CdfBuilder::new(), CdfBuilder::new(), CdfBuilder::new());
+    let mut covered = 0u64;
+    for ((diff, lo, hi), bytes) in points {
         let w = bytes as f64;
         d.push_weighted(diff, w);
         l.push_weighted(lo, w);
         h.push_weighted(hi, w);
+        covered += bytes;
+    }
+    if d.is_empty() {
+        return None;
     }
     Some(DiffCdfs {
         diff: d.build(),
         lo: l.build(),
         hi: h.build(),
-        traffic_covered: covered_bytes as f64 / total_bytes.max(1) as f64,
+        traffic_covered: covered as f64 / ds.preferred_bytes().max(1) as f64,
     })
 }
 
@@ -111,40 +113,24 @@ pub(crate) fn build_diff_cdfs(
 /// weighted by window traffic.
 pub fn fig8_degradation(
     cfg: &AnalysisConfig,
-    ds: &Dataset,
+    ds: &Summaries,
     metric: DegradationMetric,
 ) -> Option<DiffCdfs> {
-    let mut points = Vec::new();
-    let mut covered = 0u64;
-    for g in ds.groups.values() {
-        for a in degradation_events(cfg, g, metric, f64::INFINITY) {
-            if let Some((diff, lo, hi)) = a.diff {
-                points.push((diff, lo, hi, a.bytes));
-                covered += a.bytes;
-            }
-        }
-    }
-    build_diff_cdfs(points, covered, ds.preferred_bytes())
+    let windows =
+        ds.groups.iter().flat_map(|(_, g)| degradation_events(cfg, g, metric, f64::INFINITY));
+    diff_cdfs(ds, windows.filter_map(|a| Some((a.diff?, a.bytes))))
 }
 
 /// Figure 9: preferred vs best alternate difference per valid window,
 /// weighted by traffic. Positive = alternate better.
 pub fn fig9_opportunity(
     cfg: &AnalysisConfig,
-    ds: &Dataset,
+    ds: &Summaries,
     metric: OpportunityMetric,
 ) -> Option<DiffCdfs> {
-    let mut points = Vec::new();
-    let mut covered = 0u64;
-    for g in ds.groups.values() {
-        for a in opportunity_events(cfg, g, metric, f64::INFINITY) {
-            if let Some((diff, lo, hi)) = a.diff {
-                points.push((diff, lo, hi, a.bytes));
-                covered += a.bytes;
-            }
-        }
-    }
-    build_diff_cdfs(points, covered, ds.preferred_bytes())
+    let windows =
+        ds.groups.iter().flat_map(|(_, g)| opportunity_events(cfg, g, metric, f64::INFINITY));
+    diff_cdfs(ds, windows.filter_map(|a| Some((a.diff?, a.bytes))))
 }
 
 /// The relationship pairs Figure 10 compares.
@@ -159,7 +145,7 @@ pub enum RelPair {
 }
 
 impl RelPair {
-    pub(crate) fn matches(&self, pref: Relationship, alt: Relationship) -> bool {
+    fn matches(&self, pref: Relationship, alt: Relationship) -> bool {
         match self {
             RelPair::PeeringVsTransit => pref.is_peer() && alt == Relationship::Transit,
             RelPair::TransitVsTransit => {
@@ -187,46 +173,28 @@ impl RelPair {
 /// alternate of the pair's type, not the best performer.
 pub fn fig10_by_relationship(
     cfg: &AnalysisConfig,
-    ds: &Dataset,
+    ds: &Summaries,
     pair: RelPair,
 ) -> Option<DiffCdfs> {
-    let mut points = Vec::new();
-    let mut covered = 0u64;
-    for g in ds.groups.values() {
-        let n_windows = g.ranks.first().map(|w| w.len()).unwrap_or(0);
-        for w in 0..n_windows {
-            let pref = match g.cell(0, w) {
-                Some(c) if c.n() >= cfg.min_samples => c,
-                _ => continue,
-            };
-            // First (most preferred) alternate with the matching type.
-            let alt = (1..g.ranks.len()).filter_map(|r| g.cell(r, w)).find(|c| {
-                c.n() >= cfg.min_samples && pair.matches(pref.relationship, c.relationship)
-            });
-            let alt = match alt {
-                None => continue,
-                Some(a) => a,
-            };
-            match crate::compare::compare_medians(
-                cfg,
-                &pref.min_rtt_ms,
-                &alt.min_rtt_ms,
-                cfg.max_ci_width_minrtt_ms,
-            ) {
-                crate::compare::CompareOutcome::Valid { diff, lo, hi } => {
-                    points.push((diff, lo, hi, pref.bytes));
-                    covered += pref.bytes;
-                }
-                crate::compare::CompareOutcome::Invalid => {}
-            }
+    let compared = |g: &GroupData<CellSummary>, w: usize| {
+        let pref = g.cell(0, w).filter(|c| c.n >= cfg.min_samples)?;
+        // First (most preferred) alternate with the matching type.
+        let alt = (1..g.ranks.len())
+            .filter_map(|r| g.cell(r, w))
+            .find(|c| c.n >= cfg.min_samples && pair.matches(pref.relationship, c.relationship))?;
+        match compare(cfg, DegradationMetric::MinRtt, pref, alt) {
+            CompareOutcome::Valid { diff, lo, hi } => Some(((diff, lo, hi), pref.bytes)),
+            CompareOutcome::Invalid => None,
         }
-    }
-    build_diff_cdfs(points, covered, ds.preferred_bytes())
+    };
+    let windows = ds.groups.iter().flat_map(|(_, g)| (0..g.n_windows()).map(move |w| (g, w)));
+    diff_cdfs(ds, windows.filter_map(|(g, w)| compared(g, w)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use crate::record::GroupKey;
     use edgeperf_routing::{PopId, Prefix};
 
@@ -295,7 +263,7 @@ mod tests {
                 }
             }
         }
-        let ds = Dataset::from_records(&records, 3);
+        let ds = Dataset::from_records(&records, 3).summarize();
         let cfg = AnalysisConfig::default();
         let deg = fig8_degradation(&cfg, &ds, DegradationMetric::MinRtt).unwrap();
         // Stable series: degradation concentrated at ~0.
@@ -315,7 +283,7 @@ mod tests {
                 records.push(r);
             }
         }
-        let ds = Dataset::from_records(&records, 1);
+        let ds = Dataset::from_records(&records, 1).summarize();
         let cfg = AnalysisConfig::default();
         assert!(fig10_by_relationship(&cfg, &ds, RelPair::PeeringVsTransit).is_some());
         // No transit-preferred groups in this dataset.

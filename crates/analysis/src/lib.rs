@@ -51,10 +51,13 @@ pub mod tables;
 pub use checkpoint::PersistentSink;
 pub use classify::{classify_group, TemporalClass};
 pub use columnar::{CellKey, ColumnarShard, ColumnarSink};
-pub use compare::{compare_medians, CompareOutcome};
+pub use compare::{compare, deficit, CompareOutcome};
 pub use config::AnalysisConfig;
-pub use dataset::{Aggregation, Dataset, GroupData};
-pub use degradation::{degradation_events, DegradationMetric, WindowAssessment, WindowStatus};
+pub use dataset::{Aggregation, CellSummary, Dataset, GroupData, Summaries};
+pub use degradation::{
+    assess_window, degradation_events, pick_baseline, DegradationMetric, WindowAssessment,
+    WindowStatus,
+};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use opportunity::{opportunity_events, OpportunityMetric};
 pub use record::{GroupKey, SessionRecord};
@@ -62,7 +65,5 @@ pub use segment::{
     atomic_write, cell_sort_key, decode_segment, encode_segment, sort_cells, stage, staging_path,
     window_span, WindowCell, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
-pub use sink::{
-    RecordShard, RecordSink, SinkStats, StreamingCell, StreamingDataset, StreamingGroupData,
-};
-pub use streaming::{compare_minrtt_streaming, StreamingAggregation};
+pub use sink::{RecordShard, RecordSink, SinkStats, StreamingCell, StreamingDataset};
+pub use streaming::StreamingAggregation;

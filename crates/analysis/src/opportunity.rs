@@ -6,17 +6,18 @@
 //! counts if the alternate's HDratio_P50 is statistically equal to or
 //! better than the preferred route's (§3.4).
 
-use crate::compare::{compare_medians, CompareOutcome};
+use crate::compare::{deficit, CompareOutcome};
 use crate::config::AnalysisConfig;
-use crate::dataset::{Aggregation, GroupData};
+use crate::dataset::{CellSummary, GroupData};
 use crate::degradation::{DegradationMetric, WindowStatus};
 use edgeperf_routing::Relationship;
 
 /// Metric for opportunity analysis (alias of the degradation metric).
 pub type OpportunityMetric = DegradationMetric;
 
-/// Assessment of one window's routing opportunity.
-#[derive(Debug, Clone, Copy)]
+/// Assessment of one window's routing opportunity; the default is a
+/// window without traffic.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OpportunityAssessment {
     /// Status of the comparison.
     pub status: WindowStatus,
@@ -36,43 +37,23 @@ pub struct OpportunityAssessment {
     pub bytes: u64,
 }
 
-impl OpportunityAssessment {
-    fn no_traffic() -> Self {
-        OpportunityAssessment {
-            status: WindowStatus::NoTraffic,
-            diff: None,
-            alt_rank: None,
-            alt_relationship: None,
-            pref_relationship: None,
-            alt_longer: false,
-            alt_prepended: false,
-            bytes: 0,
-        }
-    }
-}
-
 /// Select the best alternate cell for this window by the metric's point
 /// estimate (lowest MinRTT_P50 / highest HDratio_P50) among alternates
 /// with enough samples.
 fn best_alternate<'a>(
     cfg: &AnalysisConfig,
-    group: &'a GroupData,
+    group: &'a GroupData<CellSummary>,
     window: usize,
     metric: OpportunityMetric,
-) -> Option<(u8, &'a Aggregation)> {
-    let mut best: Option<(u8, &Aggregation, f64)> = None;
+) -> Option<(u8, &'a CellSummary)> {
+    let mut best: Option<(u8, &CellSummary, f64)> = None;
     for rank in 1..group.ranks.len() {
         let cell = match group.cell(rank, window) {
-            Some(c) if c.n() >= cfg.min_samples => c,
+            Some(c) if c.n >= cfg.min_samples => c,
             _ => continue,
         };
-        let score = match metric {
-            OpportunityMetric::MinRtt => -cell.min_rtt_p50(),
-            OpportunityMetric::HdRatio => match cell.hdratio_p50() {
-                Some(h) => h,
-                None => continue,
-            },
-        };
+        let Some(p50) = cell.p50(metric) else { continue };
+        let score = if metric == OpportunityMetric::MinRtt { -p50 } else { p50 };
         if best.is_none_or(|(_, _, s)| score > s) {
             best = Some((rank as u8, cell, score));
         }
@@ -84,54 +65,35 @@ fn best_alternate<'a>(
 /// `threshold`.
 pub fn opportunity_events(
     cfg: &AnalysisConfig,
-    group: &GroupData,
+    group: &GroupData<CellSummary>,
     metric: OpportunityMetric,
     threshold: f64,
 ) -> Vec<OpportunityAssessment> {
-    let n_windows = group.ranks.first().map(|w| w.len()).unwrap_or(0);
-    (0..n_windows)
+    (0..group.n_windows())
         .map(|w| {
             let pref = match group.cell(0, w) {
-                None => return OpportunityAssessment::no_traffic(),
+                None => return OpportunityAssessment::default(),
                 Some(c) => c,
             };
-            let invalid = |bytes| OpportunityAssessment {
+            let invalid = OpportunityAssessment {
                 status: WindowStatus::Invalid,
-                diff: None,
-                alt_rank: None,
-                alt_relationship: None,
                 pref_relationship: Some(pref.relationship),
-                alt_longer: false,
-                alt_prepended: false,
-                bytes,
+                bytes: pref.bytes,
+                ..OpportunityAssessment::default()
             };
-            let (alt_rank, alt) = match best_alternate(cfg, group, w, metric) {
-                None => return invalid(pref.bytes),
-                Some(x) => x,
+            let Some((alt_rank, alt)) = best_alternate(cfg, group, w, metric) else {
+                return invalid;
             };
-            let outcome = match metric {
-                // Positive = alternate has lower latency.
-                OpportunityMetric::MinRtt => compare_medians(
-                    cfg,
-                    &pref.min_rtt_ms,
-                    &alt.min_rtt_ms,
-                    cfg.max_ci_width_minrtt_ms,
-                ),
-                // Positive = alternate has higher HDratio.
-                OpportunityMetric::HdRatio => {
-                    compare_medians(cfg, &alt.hdratio, &pref.hdratio, cfg.max_ci_width_hdratio)
-                }
-            };
-            let (diff, lo, hi) = match outcome {
-                CompareOutcome::Invalid => return invalid(pref.bytes),
-                CompareOutcome::Valid { diff, lo, hi } => (diff, lo, hi),
+            // Positive = the preferred route is worse than the alternate.
+            let CompareOutcome::Valid { diff, lo, hi } = deficit(cfg, metric, pref, alt) else {
+                return invalid;
             };
 
             let mut event = lo > threshold;
             if event && metric == OpportunityMetric::MinRtt {
                 // HDratio priority: the alternate must not be
                 // statistically worse on HDratio.
-                match compare_medians(cfg, &alt.hdratio, &pref.hdratio, cfg.max_ci_width_hdratio) {
+                match deficit(cfg, OpportunityMetric::HdRatio, pref, alt) {
                     CompareOutcome::Valid { hi: h_hi, .. } if h_hi < 0.0 => event = false,
                     _ => {}
                 }
@@ -196,7 +158,7 @@ mod tests {
     #[test]
     fn better_alternate_is_opportunity() {
         let ds = Dataset::from_records(&two_route_records(60.0, 45.0, 3), 3);
-        let g = ds.groups.values().next().unwrap();
+        let g = &ds.summarize().groups.remove(0).1;
         let a = opportunity_events(&cfg(), g, OpportunityMetric::MinRtt, 5.0);
         for w in &a {
             assert_eq!(w.status, WindowStatus::Event, "{w:?}");
@@ -212,7 +174,7 @@ mod tests {
     #[test]
     fn equal_routes_are_quiet() {
         let ds = Dataset::from_records(&two_route_records(50.0, 50.0, 3), 3);
-        let g = ds.groups.values().next().unwrap();
+        let g = &ds.summarize().groups.remove(0).1;
         let a = opportunity_events(&cfg(), g, OpportunityMetric::MinRtt, 5.0);
         assert!(a.iter().all(|w| w.status == WindowStatus::Quiet));
     }
@@ -220,7 +182,7 @@ mod tests {
     #[test]
     fn worse_alternate_is_quiet_with_negative_diff() {
         let ds = Dataset::from_records(&two_route_records(40.0, 55.0, 2), 2);
-        let g = ds.groups.values().next().unwrap();
+        let g = &ds.summarize().groups.remove(0).1;
         let a = opportunity_events(&cfg(), g, OpportunityMetric::MinRtt, 5.0);
         for w in &a {
             assert_eq!(w.status, WindowStatus::Quiet);
@@ -233,7 +195,7 @@ mod tests {
         let mut recs = two_route_records(50.0, 45.0, 2);
         recs.retain(|r| r.route_rank == 0);
         let ds = Dataset::from_records(&recs, 2);
-        let g = ds.groups.values().next().unwrap();
+        let g = &ds.summarize().groups.remove(0).1;
         let a = opportunity_events(&cfg(), g, OpportunityMetric::MinRtt, 5.0);
         assert!(a.iter().all(|w| w.status == WindowStatus::Invalid));
     }
@@ -266,7 +228,7 @@ mod tests {
             }
         }
         let ds = Dataset::from_records(&recs, 1);
-        let g = ds.groups.values().next().unwrap();
+        let g = &ds.summarize().groups.remove(0).1;
         let a = opportunity_events(&cfg(), g, OpportunityMetric::MinRtt, 5.0);
         assert_eq!(a[0].status, WindowStatus::Quiet, "HDratio veto must apply: {:?}", a[0]);
     }
@@ -298,7 +260,7 @@ mod tests {
             }
         }
         let ds = Dataset::from_records(&recs, 1);
-        let g = ds.groups.values().next().unwrap();
+        let g = &ds.summarize().groups.remove(0).1;
         let a = opportunity_events(&cfg(), g, OpportunityMetric::HdRatio, 0.05);
         assert_eq!(a[0].status, WindowStatus::Event);
         assert!(a[0].alt_prepended);

@@ -23,6 +23,7 @@
 //! the supervisor checkpoint uses — so a crash mid-write can only ever
 //! leave an orphan temp file, never a torn segment at a live path.
 
+use crate::dataset::CellSummary;
 use crate::record::GroupKey;
 use edgeperf_core::EdgeperfError;
 use edgeperf_routing::{PopId, Prefix, Relationship};
@@ -66,6 +67,43 @@ pub struct WindowCell {
     pub hdratio_p50: Option<f64>,
     /// Price–Bonett variance of the HDratio median.
     pub hdratio_var: Option<f64>,
+}
+
+impl WindowCell {
+    /// The row for summary `s` of cell (`window`, `group`, `rank`).
+    pub fn new(window: u32, group: GroupKey, rank: u8, s: &CellSummary) -> WindowCell {
+        WindowCell {
+            window,
+            group,
+            rank,
+            relationship: s.relationship,
+            longer_path: s.longer_path,
+            more_prepended: s.more_prepended,
+            n: u64::try_from(s.n).expect("usize fits u64"),
+            n_tested: u64::try_from(s.n_tested).expect("usize fits u64"),
+            bytes: s.bytes,
+            min_rtt_p50: s.min_rtt_p50,
+            min_rtt_var: s.min_rtt_var,
+            hdratio_p50: s.hdratio_p50,
+            hdratio_var: s.hdratio_var,
+        }
+    }
+
+    /// The summary this row stores, bit for bit.
+    pub fn summary(&self) -> CellSummary {
+        CellSummary {
+            n: usize::try_from(self.n).unwrap_or(usize::MAX),
+            n_tested: usize::try_from(self.n_tested).unwrap_or(usize::MAX),
+            bytes: self.bytes,
+            min_rtt_p50: self.min_rtt_p50,
+            min_rtt_var: self.min_rtt_var,
+            hdratio_p50: self.hdratio_p50,
+            hdratio_var: self.hdratio_var,
+            relationship: self.relationship,
+            longer_path: self.longer_path,
+            more_prepended: self.more_prepended,
+        }
+    }
 }
 
 /// Canonical query/compaction order: (window, group fields, rank). Two

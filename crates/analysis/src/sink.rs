@@ -29,11 +29,9 @@
 
 pub use crate::columnar::{ColumnarShard, ColumnarSink};
 
-use crate::config::AnalysisConfig;
-use crate::figures::{build_diff_cdfs, DiffCdfs, RelPair};
-use crate::hash::FxHashMap;
+use crate::dataset::{CellSummary, GroupData, GroupSlots, Summaries};
 use crate::record::{GroupKey, SessionRecord};
-use crate::streaming::{compare_minrtt_streaming, StreamingAggregation};
+use crate::streaming::StreamingAggregation;
 use edgeperf_routing::Relationship;
 use edgeperf_stats::TDigest;
 use std::collections::BTreeMap;
@@ -184,7 +182,8 @@ impl<A: RecordSink, B: RecordSink> RecordSink for (A, B) {
 }
 
 /// Bounded-memory measurements for one (group, window, route-rank) cell —
-/// the streaming analogue of [`crate::Aggregation`].
+/// the streaming analogue of [`crate::Aggregation`], held by
+/// [`StreamingDataset`] and by the live tier's open windows alike.
 #[derive(Debug, Clone)]
 pub struct StreamingCell {
     /// Metric sketches (MinRTT / HDratio digests + traffic bytes).
@@ -198,7 +197,9 @@ pub struct StreamingCell {
 }
 
 impl StreamingCell {
-    fn new(relationship: Relationship) -> Self {
+    /// Empty cell for a route with `relationship` (the first record of a
+    /// cell pins it).
+    pub fn new(relationship: Relationship) -> Self {
         StreamingCell {
             agg: StreamingAggregation::new(),
             relationship,
@@ -207,10 +208,19 @@ impl StreamingCell {
         }
     }
 
-    fn push(&mut self, r: &SessionRecord) {
-        self.agg.push(r.min_rtt_ms, r.hdratio, r.bytes);
-        self.longer_path |= r.longer_path;
-        self.more_prepended |= r.more_prepended;
+    /// Record one session; the path flags are OR-ed over the cell.
+    #[inline]
+    pub fn push(
+        &mut self,
+        min_rtt_ms: f64,
+        hdratio: Option<f64>,
+        bytes: u64,
+        longer_path: bool,
+        more_prepended: bool,
+    ) {
+        self.agg.push(min_rtt_ms, hdratio, bytes);
+        self.longer_path |= longer_path;
+        self.more_prepended |= more_prepended;
     }
 
     fn merge(&mut self, other: &StreamingCell) {
@@ -218,22 +228,23 @@ impl StreamingCell {
         self.longer_path |= other.longer_path;
         self.more_prepended |= other.more_prepended;
     }
-}
 
-/// All streaming cells of one user group: `ranks[r][w]`, mirroring
-/// [`crate::GroupData`].
-#[derive(Debug, Clone, Default)]
-pub struct StreamingGroupData {
-    /// Per route rank (0 = preferred), per window.
-    pub ranks: Vec<Vec<Option<StreamingCell>>>,
-    /// Total traffic bytes across every cell (the group weight).
-    pub total_bytes: u64,
-}
-
-impl StreamingGroupData {
-    /// Cell for (rank, window) if present.
-    pub fn cell(&self, rank: usize, window: usize) -> Option<&StreamingCell> {
-        self.ranks.get(rank)?.get(window)?.as_ref()
+    /// Summarise from digest order statistics: the medians are digest
+    /// quantiles and the Price–Bonett variances read the exact path's
+    /// ranks off the digest. Allocation-free once the cell is flushed.
+    pub fn summary(&self) -> CellSummary {
+        CellSummary {
+            n: self.agg.n(),
+            n_tested: self.agg.n_tested(),
+            bytes: self.agg.bytes(),
+            min_rtt_p50: self.agg.min_rtt_p50(),
+            min_rtt_var: self.agg.min_rtt_median_variance(),
+            hdratio_p50: self.agg.hdratio_p50(),
+            hdratio_var: self.agg.hdratio_median_variance(),
+            relationship: self.relationship,
+            longer_path: self.longer_path,
+            more_prepended: self.more_prepended,
+        }
     }
 }
 
@@ -241,116 +252,59 @@ impl StreamingGroupData {
 /// layout as [`crate::Dataset`], but each cell is a pair of t-digests
 /// instead of sorted sample vectors. Memory is bounded by the number of
 /// *cells*, not the number of sessions.
-///
-/// Groups live in a dense `Vec` addressed through an FxHash index map,
-/// with a last-group memo so the consecutive same-group records the
-/// runner produces skip hashing entirely.
 #[derive(Debug, Clone)]
 pub struct StreamingDataset {
-    n_windows: usize,
-    index: FxHashMap<GroupKey, u32>,
-    keys: Vec<GroupKey>,
-    groups: Vec<StreamingGroupData>,
-    memo: Option<(GroupKey, u32)>,
+    pub(crate) grid: GroupSlots<StreamingCell>,
 }
 
 impl StreamingDataset {
     /// Empty dataset over a fixed number of 15-minute windows.
     pub fn new(n_windows: usize) -> Self {
-        StreamingDataset {
-            n_windows,
-            index: FxHashMap::default(),
-            keys: Vec::new(),
-            groups: Vec::new(),
-            memo: None,
-        }
+        StreamingDataset { grid: GroupSlots::new(n_windows) }
     }
 
     /// Number of windows in the study.
     pub fn n_windows(&self) -> usize {
-        self.n_windows
+        self.grid.n_windows
     }
 
     /// Number of user groups.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.grid.slots.len()
     }
 
     /// True when no record has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.grid.slots.is_empty()
     }
 
     /// Iterate groups in insertion order (first record wins the slot).
-    pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &StreamingGroupData)> {
-        self.keys.iter().zip(self.groups.iter())
+    pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &GroupData<StreamingCell>)> {
+        self.grid.slots.iter().map(|(k, g)| (k, g))
     }
 
     /// Data for one group, if present.
-    pub fn get(&self, key: &GroupKey) -> Option<&StreamingGroupData> {
-        self.index.get(key).map(|&i| &self.groups[i as usize])
-    }
-
-    /// Dense slot of `key`, allocating if new; memoized on the last key.
-    fn group_slot(&mut self, key: GroupKey) -> usize {
-        match self.memo {
-            Some((k, i)) if k == key => i as usize,
-            _ => {
-                let i = *self.index.entry(key).or_insert_with(|| {
-                    self.keys.push(key);
-                    self.groups.push(StreamingGroupData::default());
-                    (self.groups.len() - 1) as u32
-                });
-                self.memo = Some((key, i));
-                i as usize
-            }
-        }
+    pub fn get(&self, key: &GroupKey) -> Option<&GroupData<StreamingCell>> {
+        self.grid.get(key)
     }
 
     fn insert(&mut self, r: SessionRecord) {
-        assert!((r.window as usize) < self.n_windows, "window {} out of range", r.window);
         assert!(r.route_rank < 8, "suspicious route rank {}", r.route_rank);
-        let n_windows = self.n_windows;
-        let slot = self.group_slot(r.group);
-        let g = &mut self.groups[slot];
-        let rank = r.route_rank as usize;
-        while g.ranks.len() <= rank {
-            g.ranks.push(vec![None; n_windows]);
-        }
-        g.ranks[rank][r.window as usize]
+        self.grid
+            .cell(r.group, r.route_rank as usize, r.window as usize, r.bytes)
             .get_or_insert_with(|| StreamingCell::new(r.relationship))
-            .push(&r);
-        g.total_bytes += r.bytes;
-    }
-
-    /// Install a fully-built group under `key` (checkpoint restore path).
-    /// The key must not be present yet; insertion order is preserved, so
-    /// restoring groups in their saved order reproduces [`iter`] order.
-    ///
-    /// [`iter`]: StreamingDataset::iter
-    pub(crate) fn insert_group(&mut self, key: GroupKey, group: StreamingGroupData) {
-        let prev = self.index.insert(key, self.groups.len() as u32);
-        assert!(prev.is_none(), "duplicate group in checkpoint");
-        self.keys.push(key);
-        self.groups.push(group);
+            .push(r.min_rtt_ms, r.hdratio, r.bytes, r.longer_path, r.more_prepended);
     }
 
     /// Fold another dataset (typically a worker shard) into this one.
     /// Cells present on both sides merge via [`TDigest::merge`].
     pub fn merge(&mut self, other: StreamingDataset) {
-        assert_eq!(self.n_windows, other.n_windows, "window-count mismatch");
-        let n_windows = self.n_windows;
-        for (key, g) in other.keys.into_iter().zip(other.groups) {
-            let slot = self.group_slot(key);
-            let dst = &mut self.groups[slot];
-            dst.total_bytes += g.total_bytes;
+        assert_eq!(self.n_windows(), other.n_windows(), "window-count mismatch");
+        for (key, g) in other.grid.slots {
             for (rank, windows) in g.ranks.into_iter().enumerate() {
-                while dst.ranks.len() <= rank {
-                    dst.ranks.push(vec![None; n_windows]);
-                }
                 for (w, cell) in windows.into_iter().enumerate() {
                     let Some(cell) = cell else { continue };
-                    match &mut dst.ranks[rank][w] {
+                    match self.grid.cell(key, rank, w, cell.agg.bytes()) {
                         Some(existing) => existing.merge(&cell),
                         slot @ None => *slot = Some(cell),
                     }
@@ -365,7 +319,7 @@ impl StreamingDataset {
     /// next cell's centroid list and finalizing does not raise the peak.
     /// The runner calls this through [`RecordSink::finalize`].
     pub fn flush(&mut self) {
-        for g in &mut self.groups {
+        for (_, g) in &mut self.grid.slots {
             for ws in &mut g.ranks {
                 for cell in ws.iter_mut().flatten() {
                     cell.agg.flush();
@@ -374,24 +328,26 @@ impl StreamingDataset {
         }
     }
 
+    /// Summarise every cell once, groups in [`iter`](Self::iter) order.
+    pub fn summarize(&self) -> Summaries {
+        Summaries {
+            groups: self.iter().map(|(k, g)| (*k, g.summarize(StreamingCell::summary))).collect(),
+        }
+    }
+
     /// Total traffic across the dataset.
     pub fn total_bytes(&self) -> u64 {
-        self.groups.iter().map(|g| g.total_bytes).sum()
+        self.grid.slots.iter().map(|(_, g)| g.total_bytes).sum()
     }
 
     /// Traffic carried on preferred routes only (rank 0).
     pub fn preferred_bytes(&self) -> u64 {
-        self.groups
-            .iter()
-            .flat_map(|g| g.ranks.first())
-            .flat_map(|ws| ws.iter().flatten())
-            .map(|c| c.agg.bytes())
-            .sum()
+        self.iter().flat_map(|(_, g)| g.preferred()).map(|c| c.agg.bytes()).sum()
     }
 
     /// Number of materialized (group, window, route-rank) cells.
     pub fn cell_count(&self) -> usize {
-        self.groups.iter().flat_map(|g| g.ranks.iter()).map(|ws| ws.iter().flatten().count()).sum()
+        self.cells().count()
     }
 
     /// Sessions recorded across every cell.
@@ -400,18 +356,13 @@ impl StreamingDataset {
     }
 
     fn cells(&self) -> impl Iterator<Item = &StreamingCell> {
-        self.groups.iter().flat_map(|g| g.ranks.iter()).flat_map(|ws| ws.iter().flatten())
+        self.iter().flat_map(|(_, g)| g.cells())
     }
 
     /// Total centroids held across every cell digest — the dataset's
     /// memory footprint, bounded by cell count rather than session count.
     pub fn state_centroids(&self) -> usize {
-        self.groups
-            .iter()
-            .flat_map(|g| g.ranks.iter())
-            .flat_map(|ws| ws.iter().flatten())
-            .map(|c| c.agg.state_centroids())
-            .sum()
+        self.cells().map(|c| c.agg.state_centroids()).sum()
     }
 
     /// Per-session MinRTT digests over preferred-route cells: overall and
@@ -435,7 +386,7 @@ impl StreamingDataset {
         let mut overall = TDigest::new(100.0);
         let mut per: BTreeMap<u8, TDigest> = BTreeMap::new();
         for (key, g) in self.iter() {
-            for cell in g.ranks.first().into_iter().flatten().flatten() {
+            for cell in g.preferred() {
                 let d = digest(cell);
                 if d.is_empty() {
                     continue;
@@ -464,7 +415,7 @@ impl RecordSink for StreamingDataset {
     }
 
     fn new_shard(&self) -> StreamingDataset {
-        StreamingDataset::new(self.n_windows)
+        StreamingDataset::new(self.n_windows())
     }
 
     fn merge_shard(&mut self, shard: StreamingDataset) {
@@ -489,44 +440,12 @@ impl RecordSink for StreamingDataset {
     }
 }
 
-/// Figure 10 on streaming cells: MinRTT_P50 difference (preferred −
-/// alternate) by relationship pair, with the Price–Bonett CI read from
-/// digest order statistics. Mirrors
-/// [`crate::figures::fig10_by_relationship`] cell for cell.
-pub fn fig10_by_relationship_streaming(
-    cfg: &AnalysisConfig,
-    ds: &StreamingDataset,
-    pair: RelPair,
-) -> Option<DiffCdfs> {
-    let mut points = Vec::new();
-    let mut covered = 0u64;
-    for (_, g) in ds.iter() {
-        let n_windows = g.ranks.first().map(|w| w.len()).unwrap_or(0);
-        for w in 0..n_windows {
-            let pref = match g.cell(0, w) {
-                Some(c) if c.agg.n() >= cfg.min_samples => c,
-                _ => continue,
-            };
-            let alt = (1..g.ranks.len()).filter_map(|r| g.cell(r, w)).find(|c| {
-                c.agg.n() >= cfg.min_samples && pair.matches(pref.relationship, c.relationship)
-            });
-            let Some(alt) = alt else { continue };
-            match compare_minrtt_streaming(cfg, &pref.agg, &alt.agg) {
-                crate::compare::CompareOutcome::Valid { diff, lo, hi } => {
-                    points.push((diff, lo, hi, pref.agg.bytes()));
-                    covered += pref.agg.bytes();
-                }
-                crate::compare::CompareOutcome::Invalid => {}
-            }
-        }
-    }
-    build_diff_cdfs(points, covered, ds.preferred_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AnalysisConfig;
     use crate::dataset::Dataset;
+    use crate::figures::{fig10_by_relationship, RelPair};
     use edgeperf_routing::{PopId, Prefix};
 
     fn rec(prefix: u32, window: u32, rank: u8, rtt: f64, hdr: Option<f64>) -> SessionRecord {
@@ -771,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn fig10_streaming_finds_peering_vs_transit() {
+    fn fig10_over_streaming_summaries_finds_peering_vs_transit() {
         // Preferred private peer at ~50 ms, transit alternate at ~45 ms,
         // 40 sessions per cell: a clean, valid comparison.
         let mut ds = StreamingDataset::new(1);
@@ -780,11 +699,11 @@ mod tests {
             RecordShard::push(&mut ds, rec(3, 0, 0, 50.0 + jitter, None));
             RecordShard::push(&mut ds, rec(3, 0, 1, 45.0 + jitter, None));
         }
-        let cfg = AnalysisConfig::default();
-        let out = fig10_by_relationship_streaming(&cfg, &ds, RelPair::PeeringVsTransit)
-            .expect("valid comparison");
+        let (cfg, ds) = (AnalysisConfig::default(), ds.summarize());
+        let out =
+            fig10_by_relationship(&cfg, &ds, RelPair::PeeringVsTransit).expect("valid comparison");
         assert!((out.diff.quantile(0.5) - 5.0).abs() < 1.0);
         assert!(out.traffic_covered > 0.9);
-        assert!(fig10_by_relationship_streaming(&cfg, &ds, RelPair::TransitVsTransit).is_none());
+        assert!(fig10_by_relationship(&cfg, &ds, RelPair::TransitVsTransit).is_none());
     }
 }

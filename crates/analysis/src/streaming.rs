@@ -10,8 +10,6 @@
 //!
 //! Tests quantify the approximation against the exact pipeline.
 
-use crate::config::AnalysisConfig;
-use edgeperf_stats::dist::norm_inv_cdf;
 use edgeperf_stats::{median_variance_from_order_stats, order_stat_c, TDigest};
 
 /// Bounded-memory aggregation of one (group, window, route) cell.
@@ -183,34 +181,15 @@ fn median_variance(d: &TDigest) -> Option<f64> {
     Some(median_variance_from_order_stats(n, y_lo, y_hi))
 }
 
-/// Streaming analogue of [`crate::compare::compare_medians`] for MinRTT:
-/// difference of digest medians with the approximate CI, under the same
-/// validity rules.
-pub fn compare_minrtt_streaming(
-    cfg: &AnalysisConfig,
-    a: &StreamingAggregation,
-    b: &StreamingAggregation,
-) -> crate::compare::CompareOutcome {
-    use crate::compare::CompareOutcome;
-    if a.n() < cfg.min_samples || b.n() < cfg.min_samples {
-        return CompareOutcome::Invalid;
-    }
-    let (Some(va), Some(vb)) = (a.min_rtt_median_variance(), b.min_rtt_median_variance()) else {
-        return CompareOutcome::Invalid;
-    };
-    let diff = a.min_rtt_p50() - b.min_rtt_p50();
-    let z = norm_inv_cdf(0.5 + cfg.confidence / 2.0);
-    let half = z * (va + vb).sqrt();
-    if 2.0 * half >= cfg.max_ci_width_minrtt_ms {
-        return CompareOutcome::Invalid;
-    }
-    CompareOutcome::Valid { diff, lo: diff - half, hi: diff + half }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::{compare_medians, CompareOutcome};
+    use crate::compare::{compare, CompareOutcome};
+    use crate::config::AnalysisConfig;
+    use crate::dataset::{Aggregation, CellSummary};
+    use crate::degradation::DegradationMetric::MinRtt;
+    use crate::sink::StreamingCell;
+    use edgeperf_routing::Relationship;
 
     fn samples(center: f64, spread: f64, n: usize) -> Vec<f64> {
         (0..n)
@@ -229,6 +208,17 @@ mod tests {
         s
     }
 
+    /// The same samples summarised from exact and from digest order
+    /// statistics.
+    fn summaries_of(v: &[f64]) -> (CellSummary, CellSummary) {
+        let mut exact = Aggregation::new(Relationship::PrivatePeer);
+        exact.min_rtt_ms = v.to_vec();
+        exact.min_rtt_ms.sort_unstable_by(f64::total_cmp);
+        let mut stream = StreamingCell::new(Relationship::PrivatePeer);
+        stream.agg = stream_of(v);
+        (exact.summary(), stream.summary())
+    }
+
     #[test]
     fn medians_match_exact_pipeline() {
         let v = samples(42.0, 12.0, 5_000);
@@ -244,25 +234,10 @@ mod tests {
 
     #[test]
     fn streaming_ci_tracks_exact_ci() {
-        let a = samples(50.0, 8.0, 400);
-        let b = samples(44.0, 8.0, 400);
+        let (ea, sa) = summaries_of(&samples(50.0, 8.0, 400));
+        let (eb, sb) = summaries_of(&samples(44.0, 8.0, 400));
         let cfg = AnalysisConfig::default();
-        let exact = compare_medians(
-            &cfg,
-            &{
-                let mut v = a.clone();
-                v.sort_unstable_by(f64::total_cmp);
-                v
-            },
-            &{
-                let mut v = b.clone();
-                v.sort_unstable_by(f64::total_cmp);
-                v
-            },
-            cfg.max_ci_width_minrtt_ms,
-        );
-        let stream = compare_minrtt_streaming(&cfg, &stream_of(&a), &stream_of(&b));
-        match (exact, stream) {
+        match (compare(&cfg, MinRtt, &ea, &eb), compare(&cfg, MinRtt, &sa, &sb)) {
             (
                 CompareOutcome::Valid { diff: d1, lo: l1, hi: h1 },
                 CompareOutcome::Valid { diff: d2, lo: l2, hi: h2 },
@@ -277,37 +252,22 @@ mod tests {
 
     #[test]
     fn event_decisions_agree_with_exact() {
-        // Across a range of true differences, the streaming comparison
-        // should reach the same event verdict as the exact one.
+        // Across a range of true differences, the comparison of digest
+        // summaries should reach the same event verdict as the exact one.
         let cfg = AnalysisConfig::default();
         let mut agreements = 0;
         let mut total = 0;
         for shift in [0.0, 1.0, 3.0, 6.0, 12.0, 25.0] {
-            let a = samples(40.0 + shift, 6.0, 300);
-            let b = samples(40.0, 6.0, 300);
-            let mut sa = a.clone();
-            sa.sort_unstable_by(f64::total_cmp);
-            let mut sb = b.clone();
-            sb.sort_unstable_by(f64::total_cmp);
-            let exact = compare_medians(&cfg, &sa, &sb, cfg.max_ci_width_minrtt_ms);
-            let stream = compare_minrtt_streaming(&cfg, &stream_of(&a), &stream_of(&b));
+            let (ea, sa) = summaries_of(&samples(40.0 + shift, 6.0, 300));
+            let (eb, sb) = summaries_of(&samples(40.0, 6.0, 300));
+            let exact = compare(&cfg, MinRtt, &ea, &eb);
+            let stream = compare(&cfg, MinRtt, &sa, &sb);
             total += 1;
             if exact.event_at(5.0) == stream.event_at(5.0) {
                 agreements += 1;
             }
         }
         assert!(agreements >= total - 1, "only {agreements}/{total} verdicts agree");
-    }
-
-    #[test]
-    fn small_samples_are_invalid() {
-        let cfg = AnalysisConfig::default();
-        let a = samples(50.0, 5.0, 10);
-        let b = samples(40.0, 5.0, 100);
-        assert_eq!(
-            compare_minrtt_streaming(&cfg, &stream_of(&a), &stream_of(&b)),
-            CompareOutcome::Invalid
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::classify::{classify_group, TemporalClass};
 use crate::config::AnalysisConfig;
-use crate::dataset::Dataset;
+use crate::dataset::Summaries;
 use crate::degradation::{degradation_events, DegradationMetric, WindowStatus};
 use crate::opportunity::opportunity_events;
 use edgeperf_routing::Relationship;
@@ -43,67 +43,54 @@ pub struct Table1 {
 /// Compute Table 1 for a metric at a threshold.
 pub fn table1(
     cfg: &AnalysisConfig,
-    ds: &Dataset,
+    ds: &Summaries,
     kind: AnalysisKind,
     metric: DegradationMetric,
     threshold: f64,
 ) -> Table1 {
-    let mut class_bytes: BTreeMap<TemporalClass, u64> = BTreeMap::new();
-    let mut event_bytes: BTreeMap<TemporalClass, u64> = BTreeMap::new();
-    let mut cont_bytes: BTreeMap<(TemporalClass, u8), u64> = BTreeMap::new();
-    let mut cont_event: BTreeMap<(TemporalClass, u8), u64> = BTreeMap::new();
+    // Per class: (bytes of its groups, bytes of their eventful windows).
+    let mut overall: BTreeMap<TemporalClass, (u64, u64)> = BTreeMap::new();
+    let mut per_continent: BTreeMap<(TemporalClass, u8), (u64, u64)> = BTreeMap::new();
     let mut cont_total: BTreeMap<u8, u64> = BTreeMap::new();
     let mut total = 0u64;
 
     for (key, g) in &ds.groups {
-        let (statuses, bytes_per_window): (Vec<WindowStatus>, Vec<u64>) = match kind {
-            AnalysisKind::Degradation => {
-                let a = degradation_events(cfg, g, metric, threshold);
-                (a.iter().map(|x| x.status).collect(), a.iter().map(|x| x.bytes).collect())
-            }
-            AnalysisKind::Opportunity => {
-                let a = opportunity_events(cfg, g, metric, threshold);
-                (a.iter().map(|x| x.status).collect(), a.iter().map(|x| x.bytes).collect())
-            }
+        let windows: Vec<(WindowStatus, u64)> = match kind {
+            AnalysisKind::Degradation => degradation_events(cfg, g, metric, threshold)
+                .iter()
+                .map(|a| (a.status, a.bytes))
+                .collect(),
+            AnalysisKind::Opportunity => opportunity_events(cfg, g, metric, threshold)
+                .iter()
+                .map(|a| (a.status, a.bytes))
+                .collect(),
         };
+        let statuses: Vec<WindowStatus> = windows.iter().map(|w| w.0).collect();
         let class = classify_group(cfg, &statuses);
-        let gbytes = g.total_bytes;
-        let ebytes: u64 = statuses
-            .iter()
-            .zip(&bytes_per_window)
-            .filter(|(s, _)| **s == WindowStatus::Event)
-            .map(|(_, b)| *b)
-            .sum();
+        let ebytes: u64 = windows.iter().filter(|w| w.0 == WindowStatus::Event).map(|w| w.1).sum();
 
-        total += gbytes;
-        *class_bytes.entry(class).or_default() += gbytes;
-        *event_bytes.entry(class).or_default() += ebytes;
-        *cont_bytes.entry((class, key.continent)).or_default() += gbytes;
-        *cont_event.entry((class, key.continent)).or_default() += ebytes;
-        *cont_total.entry(key.continent).or_default() += gbytes;
+        total += g.total_bytes;
+        *cont_total.entry(key.continent).or_default() += g.total_bytes;
+        for acc in [
+            overall.entry(class).or_default(),
+            per_continent.entry((class, key.continent)).or_default(),
+        ] {
+            acc.0 += g.total_bytes;
+            acc.1 += ebytes;
+        }
     }
 
-    let mut t = Table1::default();
-    for (class, b) in &class_bytes {
-        t.overall.insert(
-            *class,
-            Share {
-                group_share: *b as f64 / total.max(1) as f64,
-                event_share: event_bytes[class] as f64 / total.max(1) as f64,
-            },
-        );
+    let share = |(group, event): (u64, u64), of: u64| Share {
+        group_share: group as f64 / of.max(1) as f64,
+        event_share: event as f64 / of.max(1) as f64,
+    };
+    Table1 {
+        overall: overall.into_iter().map(|(class, b)| (class, share(b, total))).collect(),
+        per_continent: per_continent
+            .into_iter()
+            .map(|((class, cont), b)| ((class, cont), share(b, cont_total[&cont])))
+            .collect(),
     }
-    for ((class, cont), b) in &cont_bytes {
-        let ct = cont_total[cont].max(1) as f64;
-        t.per_continent.insert(
-            (*class, *cont),
-            Share {
-                group_share: *b as f64 / ct,
-                event_share: cont_event[&(*class, *cont)] as f64 / ct,
-            },
-        );
-    }
-    t
 }
 
 /// One Table-2 row: opportunity traffic for a (preferred, alternate)
@@ -125,47 +112,42 @@ pub struct Table2Row {
 /// Table 2: opportunity broken down by relationship pair.
 pub fn table2(
     cfg: &AnalysisConfig,
-    ds: &Dataset,
+    ds: &Summaries,
     metric: DegradationMetric,
     threshold: f64,
 ) -> BTreeMap<(Relationship, Relationship), Table2Row> {
-    let mut opp_bytes: BTreeMap<(Relationship, Relationship), u64> = BTreeMap::new();
-    let mut longer_bytes: BTreeMap<(Relationship, Relationship), u64> = BTreeMap::new();
-    let mut prepended_bytes: BTreeMap<(Relationship, Relationship), u64> = BTreeMap::new();
+    // Per pair: opportunity bytes, and those on a longer / more prepended
+    // alternate.
+    let mut pairs: BTreeMap<(Relationship, Relationship), (u64, u64, u64)> = BTreeMap::new();
     let mut total = 0u64;
     let mut total_opp = 0u64;
 
-    for g in ds.groups.values() {
+    for (_, g) in &ds.groups {
         total += g.total_bytes;
         for a in opportunity_events(cfg, g, metric, threshold) {
             if a.status != WindowStatus::Event {
                 continue;
             }
             let key = (a.pref_relationship.unwrap(), a.alt_relationship.unwrap());
-            *opp_bytes.entry(key).or_default() += a.bytes;
-            if a.alt_longer {
-                *longer_bytes.entry(key).or_default() += a.bytes;
-            }
-            if a.alt_prepended {
-                *prepended_bytes.entry(key).or_default() += a.bytes;
-            }
+            let pair = pairs.entry(key).or_default();
+            pair.0 += a.bytes;
+            pair.1 += if a.alt_longer { a.bytes } else { 0 };
+            pair.2 += if a.alt_prepended { a.bytes } else { 0 };
             total_opp += a.bytes;
         }
     }
 
-    opp_bytes
-        .iter()
-        .map(|(&key, &b)| {
-            (
-                key,
-                Table2Row {
-                    absolute: b as f64 / total.max(1) as f64,
-                    relative: b as f64 / total_opp.max(1) as f64,
-                    longer: longer_bytes.get(&key).copied().unwrap_or(0) as f64 / b.max(1) as f64,
-                    prepended: prepended_bytes.get(&key).copied().unwrap_or(0) as f64
-                        / b.max(1) as f64,
-                },
-            )
+    let share = |part: u64, of: u64| part as f64 / of.max(1) as f64;
+    pairs
+        .into_iter()
+        .map(|(key, (b, longer, prepended))| {
+            let row = Table2Row {
+                absolute: share(b, total),
+                relative: share(b, total_opp),
+                longer: share(longer, b),
+                prepended: share(prepended, b),
+            };
+            (key, row)
         })
         .collect()
 }
@@ -173,11 +155,13 @@ pub fn table2(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use crate::record::{GroupKey, SessionRecord};
     use edgeperf_routing::{PopId, Prefix};
 
-    /// One group with a persistent 20 ms opportunity, another stable.
-    fn dataset() -> Dataset {
+    /// One group with a persistent 20 ms opportunity, another stable —
+    /// but for a 25 ms spike in window 7 when `spike` is set.
+    fn records(spike: bool) -> Vec<SessionRecord> {
         let mut records = Vec::new();
         for (gidx, alt_rtt) in [(0u32, 40.0f64), (1, 60.0)] {
             let group = GroupKey {
@@ -198,7 +182,13 @@ mod tests {
                             relationship: rel,
                             longer_path: rank == 1,
                             more_prepended: rank == 1 && gidx == 0,
-                            min_rtt_ms: rtt + (i as f64 - 20.0) * 0.05,
+                            min_rtt_ms: rtt
+                                + (i as f64 - 20.0) * 0.05
+                                + if spike && gidx == 1 && w == 7 && rank == 0 {
+                                    25.0
+                                } else {
+                                    0.0
+                                },
                             hdratio: Some(0.9),
                             bytes: 100,
                         });
@@ -206,7 +196,11 @@ mod tests {
                 }
             }
         }
-        Dataset::from_records(&records, 10)
+        records
+    }
+
+    fn dataset() -> Summaries {
+        Dataset::from_records(&records(false), 10).summarize()
     }
 
     fn cfg() -> AnalysisConfig {
@@ -248,6 +242,36 @@ mod tests {
     }
 
     #[test]
+    fn spilled_rows_feed_the_same_table1_and_fig8() {
+        use crate::figures::fig8_degradation;
+        use crate::segment::{decode_segment, encode_segment, sort_cells};
+        use crate::sink::{RecordShard, RecordSink, StreamingDataset};
+        // One source: whatever produced the summaries, rows that went
+        // through the segment codec (in the store's canonical order, not
+        // the grid's) rebuild a grid the analyses cannot tell apart.
+        let mut stream = StreamingDataset::new(10);
+        records(true).into_iter().for_each(|r| stream.push(r));
+        stream.finalize();
+        let direct = stream.summarize();
+        let mut rows = direct.to_cells();
+        sort_cells(&mut rows);
+        let decoded = decode_segment(&encode_segment(&rows)).expect("round trip");
+        let rebuilt = Summaries::from_cells(&decoded);
+
+        // `{:?}` prints floats in shortest round-trip form (and the CDFs
+        // point by point): equal text, equal bits.
+        let outputs = |ds: &Summaries| {
+            let metric = DegradationMetric::MinRtt;
+            let tables = [AnalysisKind::Degradation, AnalysisKind::Opportunity]
+                .map(|kind| table1(&cfg(), ds, kind, metric, 5.0));
+            let fig8 = fig8_degradation(&cfg(), ds, metric).expect("valid comparisons");
+            format!("{tables:?} {fig8:?}")
+        };
+        assert_eq!(outputs(&rebuilt), outputs(&direct));
+        assert!(outputs(&direct).contains("Episodic"), "the spike must register");
+    }
+
+    #[test]
     fn table2_empty_when_no_opportunity() {
         let mut records = Vec::new();
         let group =
@@ -269,7 +293,7 @@ mod tests {
                 }
             }
         }
-        let ds = Dataset::from_records(&records, 4);
+        let ds = Dataset::from_records(&records, 4).summarize();
         assert!(table2(&cfg(), &ds, DegradationMetric::MinRtt, 5.0).is_empty());
     }
 }

@@ -54,7 +54,7 @@ fn bench_dataset(c: &mut Criterion) {
     c.bench_function("Dataset::from_records 150k", |b| {
         b.iter(|| Dataset::from_records(black_box(&records), 96))
     });
-    let ds = Dataset::from_records(&records, 96);
+    let ds = Dataset::from_records(&records, 96).summarize();
     let cfg = AnalysisConfig::default();
     c.bench_function("table1 degradation MinRTT", |b| {
         b.iter(|| {

@@ -23,9 +23,10 @@
 //! Scale 1.0 reproduces the full configuration; CI uses ~0.1.
 //!
 //! `--streaming` runs the study through the bounded-memory t-digest sink
-//! instead of collecting every record: figures 6 and 10 are computed from
-//! digest cells; experiments that need per-session records are skipped
-//! with a note. Per-worker scheduler counters are printed either way.
+//! instead of collecting every record: every figure and table is computed
+//! from the digest cells but figure 7 (a joint distribution over sessions,
+//! which no cell holds), skipped with a note. Per-worker scheduler
+//! counters are printed either way.
 //!
 //! `--metrics` prints the observability snapshot (counters, gauges,
 //! latency histograms, phase spans) to stderr after the run;
@@ -168,7 +169,6 @@ fn main() {
     let needs_study =
         matches!(exp, "fig6" | "fig7" | "fig8" | "fig9" | "fig10" | "table1" | "table2" | "all");
     let mut data: Option<study::StudyData> = None;
-    let mut sdata: Option<study::StreamingStudyData> = None;
     if needs_study {
         let mut b = study_builder(&a, &metrics);
         eprintln!(
@@ -185,7 +185,7 @@ fn main() {
             b.resolved_country_fraction()
         );
         let t0 = std::time::Instant::now();
-        if a.supervised {
+        let (d, report) = if a.supervised {
             if a.streaming {
                 eprintln!("note: --supervised uses the exact sink; --streaming ignored");
             }
@@ -201,46 +201,40 @@ fn main() {
                 b = b.checkpoint_dir(dir);
             }
             match b.run_supervised() {
-                Ok(d) => {
-                    eprintln!("study: {} session records in {:.1?}", d.records.len(), t0.elapsed());
-                    eprintln!("{}", study::render_stats(&d.stats));
-                    eprint!("{}", d.report.render());
-                    let report_json = serde_json::to_string_pretty(&d.report.to_value()).unwrap();
-                    if let Some(dir) = &a.checkpoint_dir {
-                        let file = format!("{dir}/study_report.json");
-                        std::fs::create_dir_all(dir).expect("create checkpoint dir");
-                        std::fs::write(&file, &report_json)
-                            .unwrap_or_else(|e| panic!("write {file}: {e}"));
-                        eprintln!("wrote {file}");
-                    }
-                    write_json(&a.json, "study_report", serde_json::parse(&report_json).unwrap());
-                    data = Some(study::StudyData {
-                        records: d.records,
-                        dataset: d.dataset,
-                        cfg: d.cfg,
-                        stats: d.stats,
-                    });
-                }
+                Ok((d, report)) => (d, Some(report)),
                 Err(e) => {
                     eprintln!("supervised study failed: {e}");
                     std::process::exit(3);
                 }
             }
         } else if a.streaming {
-            let d = b.run_streaming();
-            eprintln!(
+            (b.run_streaming(), None)
+        } else {
+            (b.run(), None)
+        };
+        match d.records() {
+            Some(records) => {
+                eprintln!("study: {} session records in {:.1?}", records.len(), t0.elapsed())
+            }
+            None => eprintln!(
                 "study: {} sessions into bounded digest cells in {:.1?}",
                 d.stats.total().records_emitted,
                 t0.elapsed()
-            );
-            eprintln!("{}", study::render_stats(&d.stats));
-            sdata = Some(d);
-        } else {
-            let d = b.run();
-            eprintln!("study: {} session records in {:.1?}", d.records.len(), t0.elapsed());
-            eprintln!("{}", study::render_stats(&d.stats));
-            data = Some(d);
+            ),
         }
+        eprintln!("{}", study::render_stats(&d.stats));
+        if let Some(report) = report {
+            eprint!("{}", report.render());
+            let report_json = serde_json::to_string_pretty(&report.to_value()).unwrap();
+            if let Some(dir) = &a.checkpoint_dir {
+                let file = format!("{dir}/study_report.json");
+                std::fs::create_dir_all(dir).expect("create checkpoint dir");
+                std::fs::write(&file, &report_json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+                eprintln!("wrote {file}");
+            }
+            write_json(&a.json, "study_report", serde_json::parse(&report_json).unwrap());
+        }
+        data = Some(d);
     }
 
     let workload_n = ((30_000.0 * a.scale) as usize).max(2_000);
@@ -270,104 +264,66 @@ fn main() {
         let _ = writeln!(printed, "{}", fig5::render_grouping(&g));
         write_json(&a.json, "grouping", serde_json::to_value(&g).unwrap());
     }
-    if let Some(sdata) = &sdata {
-        if matches!(exp, "fig6" | "all") {
-            let s = {
-                let _sp = metrics.span("figures.fig6");
-                study::fig6_streaming(sdata)
-            };
-            let _ = writeln!(printed, "{}", study::render_fig6(&s));
-            write_json(&a.json, "fig6", serde_json::to_value(&s).unwrap());
-        }
-        if matches!(exp, "fig10" | "all") {
-            let d = {
-                let _sp = metrics.span("figures.fig10");
-                study::fig10_streaming(sdata)
-            };
-            let _ = writeln!(
-                printed,
-                "{}",
-                study::render_diffs("Figure 10: MinRTT by relationship pair [streaming]", &d)
-            );
-            write_json(&a.json, "fig10", serde_json::to_value(&d).unwrap());
-        }
-        for skipped in ["fig7", "fig8", "fig9", "table1", "table2"] {
-            if matches!(exp, "all") || exp == skipped {
-                let _ = writeln!(
-                    printed,
-                    "== {skipped}: skipped — needs per-session records; rerun without --streaming ==\n"
-                );
-            }
-        }
-    }
     if let Some(data) = &data {
-        if matches!(exp, "fig6" | "all") {
-            let s = {
-                let _sp = metrics.span("figures.fig6");
-                study::fig6(data)
-            };
-            let _ = writeln!(printed, "{}", study::render_fig6(&s));
-            write_json(&a.json, "fig6", serde_json::to_value(&s).unwrap());
+        // One entry per study experiment, whichever sink ran: the printed
+        // text and the JSON, or `None` when the sink kept too little.
+        type Experiment = fn(&study::StudyData) -> Option<(String, serde_json::Value)>;
+        fn rendered<T: serde::Serialize>(
+            text: String,
+            value: &T,
+        ) -> Option<(String, serde_json::Value)> {
+            Some((text, serde_json::to_value(value).unwrap()))
         }
-        if matches!(exp, "fig7" | "all") {
-            let rows = {
-                let _sp = metrics.span("figures.fig7");
-                study::fig7(data)
+        let experiments: [(&str, Experiment); 7] = [
+            ("fig6", |d| {
+                let s = study::fig6(d);
+                rendered(study::render_fig6(&s), &s)
+            }),
+            ("fig7", |d| {
+                let rows = study::fig7(d)?;
+                rendered(study::render_fig7(&rows), &rows)
+            }),
+            ("fig8", |d| {
+                let s = study::fig8(d);
+                rendered(study::render_diffs("Figure 8: degradation vs baseline", &s), &s)
+            }),
+            ("table1", |d| {
+                let t = study::table1_blocks(d);
+                rendered(study::render_table1(&t), &t)
+            }),
+            ("fig9", |d| {
+                let s = study::fig9(d);
+                rendered(study::render_diffs("Figure 9: opportunity vs best alternate", &s), &s)
+            }),
+            ("fig10", |d| {
+                let s = study::fig10(d);
+                rendered(study::render_diffs("Figure 10: MinRTT by relationship pair", &s), &s)
+            }),
+            ("table2", |d| {
+                let t = study::table2_outputs(d);
+                rendered(study::render_table2(&t), &t)
+            }),
+        ];
+        for (name, run) in experiments {
+            if exp != name && exp != "all" {
+                continue;
+            }
+            let out = {
+                let _sp = metrics.span(&format!("figures.{name}"));
+                run(data)
             };
-            let _ = writeln!(printed, "{}", study::render_fig7(&rows));
-            write_json(&a.json, "fig7", serde_json::to_value(&rows).unwrap());
-        }
-        if matches!(exp, "fig8" | "all") {
-            let d = {
-                let _sp = metrics.span("figures.fig8");
-                study::fig8(data)
-            };
-            let _ = writeln!(
-                printed,
-                "{}",
-                study::render_diffs("Figure 8: degradation vs baseline", &d)
-            );
-            write_json(&a.json, "fig8", serde_json::to_value(&d).unwrap());
-        }
-        if matches!(exp, "table1" | "all") {
-            let t = {
-                let _sp = metrics.span("figures.table1");
-                study::table1_blocks(data)
-            };
-            let _ = writeln!(printed, "{}", study::render_table1(&t));
-            write_json(&a.json, "table1", serde_json::to_value(&t).unwrap());
-        }
-        if matches!(exp, "fig9" | "all") {
-            let d = {
-                let _sp = metrics.span("figures.fig9");
-                study::fig9(data)
-            };
-            let _ = writeln!(
-                printed,
-                "{}",
-                study::render_diffs("Figure 9: opportunity vs best alternate", &d)
-            );
-            write_json(&a.json, "fig9", serde_json::to_value(&d).unwrap());
-        }
-        if matches!(exp, "fig10" | "all") {
-            let d = {
-                let _sp = metrics.span("figures.fig10");
-                study::fig10(data)
-            };
-            let _ = writeln!(
-                printed,
-                "{}",
-                study::render_diffs("Figure 10: MinRTT by relationship pair", &d)
-            );
-            write_json(&a.json, "fig10", serde_json::to_value(&d).unwrap());
-        }
-        if matches!(exp, "table2" | "all") {
-            let t = {
-                let _sp = metrics.span("figures.table2");
-                study::table2_outputs(data)
-            };
-            let _ = writeln!(printed, "{}", study::render_table2(&t));
-            write_json(&a.json, "table2", serde_json::to_value(&t).unwrap());
+            match out {
+                Some((text, json)) => {
+                    let _ = writeln!(printed, "{text}");
+                    write_json(&a.json, name, json);
+                }
+                None => {
+                    let _ = writeln!(
+                        printed,
+                        "== {name}: skipped — needs per-session records; rerun without --streaming ==\n"
+                    );
+                }
+            }
         }
     }
     if matches!(exp, "cc" | "all") {

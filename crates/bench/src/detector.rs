@@ -50,7 +50,7 @@ pub fn run(seed: u64, days: u32, sessions: u32, threshold_ms: f64) -> DetectorSc
     };
     let records = run_study(&world, &cfg);
     let n_windows = cfg.n_windows() as usize;
-    let ds = Dataset::from_records(&records, n_windows);
+    let ds = Dataset::from_records(&records, n_windows).summarize();
     let acfg = AnalysisConfig::default();
 
     // Map group keys back to prefix indices for ground-truth lookup.

@@ -3,15 +3,16 @@
 
 use edgeperf_analysis::figures::{
     fig10_by_relationship, fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt, fig8_degradation,
-    fig9_opportunity, RelPair,
+    fig9_opportunity, DiffCdfs, RelPair,
 };
-use edgeperf_analysis::sink::fig10_by_relationship_streaming;
-use edgeperf_analysis::tables::{table1, table2, AnalysisKind, Share, Table2Row};
+use edgeperf_analysis::tables::{table1, table2, AnalysisKind, Table2Row};
 use edgeperf_analysis::{
     AnalysisConfig, ColumnarSink, Dataset, DegradationMetric, SessionRecord, StreamingDataset,
+    Summaries,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_routing::Relationship;
+use edgeperf_stats::{TDigest, WeightedCdf};
 use edgeperf_world::{
     run_study_observed, run_study_supervised, Continent, FaultPlan, StudyConfig, StudyReport,
     StudyStats, SupervisorConfig, SupervisorError, World, WorldConfig,
@@ -36,7 +37,7 @@ use std::path::{Path, PathBuf};
 /// ```
 /// use edgeperf_bench::study::StudyBuilder;
 /// let data = StudyBuilder::new().seed(42).scale(0.1).days(1).run();
-/// assert!(!data.records.is_empty());
+/// assert!(!data.summaries.groups.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct StudyBuilder {
@@ -155,43 +156,36 @@ impl StudyBuilder {
     }
 }
 
-/// Everything the §§4–6 experiments need: the raw records plus the
-/// windowed dataset.
+/// The per-session view of a study, as its sink kept it.
+pub enum Sessions {
+    /// Every record (exact sink).
+    Records(Vec<SessionRecord>),
+    /// Per-cell t-digests only (streaming sink).
+    Digests(StreamingDataset),
+}
+
+/// Everything the §§4–6 experiments need, whichever sink ran: the
+/// per-cell summaries behind Figures 8–10 and both tables, plus the
+/// per-session view behind Figures 6–7.
 pub struct StudyData {
-    /// Per-session records.
-    pub records: Vec<SessionRecord>,
-    /// Aggregated dataset.
-    pub dataset: Dataset,
+    /// One summary per (group, window, route-rank) cell.
+    pub summaries: Summaries,
+    /// Per-session measurements.
+    pub sessions: Sessions,
     /// Analysis configuration used.
     pub cfg: AnalysisConfig,
     /// Per-worker scheduler counters from the run.
     pub stats: StudyStats,
 }
 
-/// [`StudyData`] plus the supervisor's account of the run: quarantine,
-/// retries, watchdog interventions, checkpoints.
-pub struct SupervisedStudyData {
-    /// Per-session records (prefix-index order — supervisor merge order).
-    pub records: Vec<SessionRecord>,
-    /// Aggregated dataset.
-    pub dataset: Dataset,
-    /// Analysis configuration used.
-    pub cfg: AnalysisConfig,
-    /// Per-worker scheduler counters from this process.
-    pub stats: StudyStats,
-    /// Completion, quarantine, and recovery report (cumulative across
-    /// resume).
-    pub report: StudyReport,
-}
-
-/// The bounded-memory variant: per-cell t-digests, no record vector.
-pub struct StreamingStudyData {
-    /// Streaming dataset (same cell layout as the exact one).
-    pub dataset: StreamingDataset,
-    /// Analysis configuration used.
-    pub cfg: AnalysisConfig,
-    /// Per-worker scheduler counters from the run.
-    pub stats: StudyStats,
+impl StudyData {
+    /// The session records, when the exact sink kept them.
+    pub fn records(&self) -> Option<&[SessionRecord]> {
+        match &self.sessions {
+            Sessions::Records(records) => Some(records),
+            Sessions::Digests(_) => None,
+        }
+    }
 }
 
 impl StudyBuilder {
@@ -224,18 +218,22 @@ impl StudyBuilder {
             (Vec::new(), ColumnarSink::new(study.n_windows() as usize));
         let stats = run_study_observed(&world, &study, &mut sink, &self.metrics);
         let (records, columnar) = sink;
-        let dataset = columnar.into_dataset();
-        StudyData { records, dataset, cfg: AnalysisConfig::default(), stats }
+        // The sorted samples are read once, here; only summaries stay.
+        let summaries = columnar.into_dataset().summarize();
+        let sessions = Sessions::Records(records);
+        StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats }
     }
 
     /// Run the study through the streaming sink: memory stays bounded by
     /// the number of (group, window, route) cells regardless of session
     /// count.
-    pub fn run_streaming(&self) -> StreamingStudyData {
+    pub fn run_streaming(&self) -> StudyData {
         let (world, study) = self.build();
         let mut dataset = StreamingDataset::new(study.n_windows() as usize);
         let stats = run_study_observed(&world, &study, &mut dataset, &self.metrics);
-        StreamingStudyData { dataset, cfg: AnalysisConfig::default(), stats }
+        let summaries = dataset.summarize();
+        let sessions = Sessions::Digests(dataset);
+        StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats }
     }
 
     /// The builder-level identity stored in (and checked against) a
@@ -264,7 +262,7 @@ impl StudyBuilder {
     ///
     /// When no fault plan was set and `EDGEPERF_FAULT_PLAN` holds an
     /// unparseable spec.
-    pub fn run_supervised(&self) -> Result<SupervisedStudyData, SupervisorError> {
+    pub fn run_supervised(&self) -> Result<(StudyData, StudyReport), SupervisorError> {
         let (world, study) = self.build();
         let plan = if self.fault_plan.is_empty() {
             FaultPlan::from_env().expect("EDGEPERF_FAULT_PLAN")
@@ -283,8 +281,9 @@ impl StudyBuilder {
         let mut records: Vec<SessionRecord> = Vec::new();
         let (stats, report) =
             run_study_supervised(&world, &study, &sup, &mut records, &self.metrics)?;
-        let dataset = Dataset::from_records(&records, study.n_windows() as usize);
-        Ok(SupervisedStudyData { records, dataset, cfg: AnalysisConfig::default(), stats, report })
+        let summaries = Dataset::from_records(&records, study.n_windows() as usize).summarize();
+        let sessions = Sessions::Records(records);
+        Ok((StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats }, report))
     }
 
     /// Rebuild the builder for a study whose checkpoint lives in `dir`,
@@ -336,11 +335,6 @@ impl StudyBuilder {
     }
 }
 
-/// Render the supervisor's report for the CLI.
-pub fn render_report(report: &StudyReport) -> String {
-    report.render()
-}
-
 /// Render the per-worker scheduler counters for the CLI.
 pub fn render_stats(stats: &StudyStats) -> String {
     let mut out = String::from("study workers (work-stealing scheduler):\n");
@@ -379,47 +373,46 @@ pub struct Fig6Summary {
     pub hdratio_zero_by_continent: BTreeMap<String, f64>,
 }
 
-/// Compute the Figure 6 summary.
-pub fn fig6(data: &StudyData) -> Fig6Summary {
-    let (mr_all, mr_cont) = fig6_minrtt(&data.records);
-    let (hd_all, hd_cont) = fig6_hdratio(&data.records);
+/// The Figure 6 summary of a MinRTT and an HDratio distribution (overall,
+/// per continent), read through `quantile` and `fraction_leq` so that
+/// exact CDFs and digests share it.
+fn fig6_summary<D>(
+    (mr_all, mr_cont): (D, BTreeMap<u8, D>),
+    (hd_all, hd_cont): (D, BTreeMap<u8, D>),
+    quantile: impl Fn(&D, f64) -> f64,
+    fraction_leq: impl Fn(&D, f64) -> f64,
+) -> Fig6Summary {
     Fig6Summary {
-        minrtt_p50: mr_all.quantile(0.5),
-        minrtt_p80: mr_all.quantile(0.8),
+        minrtt_p50: quantile(&mr_all, 0.5),
+        minrtt_p80: quantile(&mr_all, 0.8),
         minrtt_p50_by_continent: mr_cont
             .iter()
-            .map(|(c, cdf)| (cont_name(*c).to_string(), cdf.quantile(0.5)))
+            .map(|(c, d)| (cont_name(*c).to_string(), quantile(d, 0.5)))
             .collect(),
-        hdratio_gt0: 1.0 - hd_all.fraction_leq(0.0),
-        hdratio_eq1: 1.0 - hd_all.fraction_leq(1.0 - 1e-9),
+        hdratio_gt0: 1.0 - fraction_leq(&hd_all, 0.0),
+        hdratio_eq1: 1.0 - fraction_leq(&hd_all, 1.0 - 1e-9),
         hdratio_zero_by_continent: hd_cont
             .iter()
-            .map(|(c, cdf)| (cont_name(*c).to_string(), cdf.fraction_leq(0.0)))
+            .map(|(c, d)| (cont_name(*c).to_string(), fraction_leq(d, 0.0)))
             .collect(),
     }
 }
 
-/// Figure 6 summary from the streaming dataset: global digests are
-/// obtained by merging preferred-route cell digests (`TDigest::merge`).
-/// Quantiles match the exact path closely; the HDratio point-mass
+/// Compute the Figure 6 summary. From digests (merged preferred-route
+/// cells) quantiles match the exact path closely; the HDratio point-mass
 /// fractions (= 0, = 1) are interpolated from centroids and carry a few
 /// percentage points of approximation error (see EXPERIMENTS.md).
-pub fn fig6_streaming(data: &StreamingStudyData) -> Fig6Summary {
-    let (mr_all, mr_cont) = data.dataset.minrtt_rollup();
-    let (hd_all, hd_cont) = data.dataset.hdratio_rollup();
-    Fig6Summary {
-        minrtt_p50: mr_all.quantile(0.5),
-        minrtt_p80: mr_all.quantile(0.8),
-        minrtt_p50_by_continent: mr_cont
-            .into_iter()
-            .map(|(c, d)| (cont_name(c).to_string(), d.quantile(0.5)))
-            .collect(),
-        hdratio_gt0: 1.0 - hd_all.cdf(0.0),
-        hdratio_eq1: 1.0 - hd_all.cdf(1.0 - 1e-9),
-        hdratio_zero_by_continent: hd_cont
-            .into_iter()
-            .map(|(c, d)| (cont_name(c).to_string(), d.cdf(0.0)))
-            .collect(),
+pub fn fig6(data: &StudyData) -> Fig6Summary {
+    match &data.sessions {
+        Sessions::Records(records) => fig6_summary(
+            fig6_minrtt(records),
+            fig6_hdratio(records),
+            WeightedCdf::quantile,
+            WeightedCdf::fraction_leq,
+        ),
+        Sessions::Digests(ds) => {
+            fig6_summary(ds.minrtt_rollup(), ds.hdratio_rollup(), TDigest::quantile, TDigest::cdf)
+        }
     }
 }
 
@@ -436,9 +429,10 @@ pub struct Fig7Row {
     pub frac_one: f64,
 }
 
-/// Compute Figure 7 rows.
-pub fn fig7(data: &StudyData) -> Vec<Fig7Row> {
-    fig7_hdratio_by_minrtt(&data.records)
+/// Compute Figure 7 rows. `None` without session records: the joint
+/// MinRTT × HDratio distribution is in no per-cell summary or digest.
+pub fn fig7(data: &StudyData) -> Option<Vec<Fig7Row>> {
+    let rows = fig7_hdratio_by_minrtt(data.records()?)
         .into_iter()
         .map(|(label, cdf)| Fig7Row {
             bucket: label.to_string(),
@@ -446,7 +440,8 @@ pub fn fig7(data: &StudyData) -> Vec<Fig7Row> {
             median: cdf.quantile(0.5),
             frac_one: 1.0 - cdf.fraction_leq(1.0 - 1e-9),
         })
-        .collect()
+        .collect();
+    Some(rows)
 }
 
 /// A difference-distribution summary (Figures 8 and 9).
@@ -462,11 +457,7 @@ pub struct DiffSummary {
     pub traffic_covered: f64,
 }
 
-fn summarize_diff(
-    metric: &str,
-    cdfs: Option<edgeperf_analysis::figures::DiffCdfs>,
-    thresholds: &[f64],
-) -> Option<DiffSummary> {
+fn summarize_diff(metric: &str, cdfs: Option<DiffCdfs>, thresholds: &[f64]) -> Option<DiffSummary> {
     let c = cdfs?;
     Some(DiffSummary {
         metric: metric.to_string(),
@@ -486,58 +477,45 @@ fn relaxed(cfg: &AnalysisConfig) -> AnalysisConfig {
     AnalysisConfig { max_ci_width_hdratio: 1.01, ..*cfg }
 }
 
+/// The three series of Figure 8 or 9 — MinRTT, HDratio, and HDratio under
+/// the [`relaxed`] CI rule — from that figure's builder.
+fn diff_figure(
+    data: &StudyData,
+    figure: fn(&AnalysisConfig, &Summaries, DegradationMetric) -> Option<DiffCdfs>,
+    labels: [&str; 3],
+    minrtt_thresholds: &[f64],
+    hdratio_thresholds: &[f64],
+) -> Vec<DiffSummary> {
+    [
+        (labels[0], data.cfg, DegradationMetric::MinRtt, minrtt_thresholds),
+        (labels[1], data.cfg, DegradationMetric::HdRatio, hdratio_thresholds),
+        (labels[2], relaxed(&data.cfg), DegradationMetric::HdRatio, hdratio_thresholds),
+    ]
+    .into_iter()
+    .filter_map(|(label, cfg, metric, thresholds)| {
+        summarize_diff(label, figure(&cfg, &data.summaries, metric), thresholds)
+    })
+    .collect()
+}
+
 /// Figure 8: degradation distributions for both metrics.
 pub fn fig8(data: &StudyData) -> Vec<DiffSummary> {
-    let mut out = Vec::new();
-    if let Some(s) = summarize_diff(
+    let labels = [
         "MinRTT_P50 degradation (ms)",
-        fig8_degradation(&data.cfg, &data.dataset, DegradationMetric::MinRtt),
-        &[4.0, 10.0, 20.0],
-    ) {
-        out.push(s);
-    }
-    if let Some(s) = summarize_diff(
         "HDratio_P50 degradation",
-        fig8_degradation(&data.cfg, &data.dataset, DegradationMetric::HdRatio),
-        &[0.065, 0.2, 0.4],
-    ) {
-        out.push(s);
-    }
-    if let Some(s) = summarize_diff(
         "HDratio_P50 degradation [relaxed CI rule]",
-        fig8_degradation(&relaxed(&data.cfg), &data.dataset, DegradationMetric::HdRatio),
-        &[0.065, 0.2, 0.4],
-    ) {
-        out.push(s);
-    }
-    out
+    ];
+    diff_figure(data, fig8_degradation, labels, &[4.0, 10.0, 20.0], &[0.065, 0.2, 0.4])
 }
 
 /// Figure 9: opportunity distributions for both metrics.
 pub fn fig9(data: &StudyData) -> Vec<DiffSummary> {
-    let mut out = Vec::new();
-    if let Some(s) = summarize_diff(
+    let labels = [
         "MinRTT_P50 improvement on best alternate (ms)",
-        fig9_opportunity(&data.cfg, &data.dataset, DegradationMetric::MinRtt),
-        &[3.0, 5.0, 10.0],
-    ) {
-        out.push(s);
-    }
-    if let Some(s) = summarize_diff(
         "HDratio_P50 improvement on best alternate",
-        fig9_opportunity(&data.cfg, &data.dataset, DegradationMetric::HdRatio),
-        &[0.025, 0.05, 0.1],
-    ) {
-        out.push(s);
-    }
-    if let Some(s) = summarize_diff(
         "HDratio_P50 improvement [relaxed CI rule]",
-        fig9_opportunity(&relaxed(&data.cfg), &data.dataset, DegradationMetric::HdRatio),
-        &[0.025, 0.05, 0.1],
-    ) {
-        out.push(s);
-    }
-    out
+    ];
+    diff_figure(data, fig9_opportunity, labels, &[3.0, 5.0, 10.0], &[0.025, 0.05, 0.1])
 }
 
 /// Figure 10: MinRTT difference by relationship pair.
@@ -547,23 +525,7 @@ pub fn fig10(data: &StudyData) -> Vec<DiffSummary> {
         .filter_map(|pair| {
             summarize_diff(
                 pair.label(),
-                fig10_by_relationship(&data.cfg, &data.dataset, pair),
-                &[5.0, 10.0],
-            )
-        })
-        .collect()
-}
-
-/// Figure 10 from the streaming dataset: per-cell medians and
-/// Price–Bonett CIs read from digest order statistics instead of sorted
-/// samples.
-pub fn fig10_streaming(data: &StreamingStudyData) -> Vec<DiffSummary> {
-    [RelPair::PeeringVsTransit, RelPair::TransitVsTransit, RelPair::PrivateVsPublic]
-        .into_iter()
-        .filter_map(|pair| {
-            summarize_diff(
-                pair.label(),
-                fig10_by_relationship_streaming(&data.cfg, &data.dataset, pair),
+                fig10_by_relationship(&data.cfg, &data.summaries, pair),
                 &[5.0, 10.0],
             )
         })
@@ -613,8 +575,7 @@ pub fn table1_blocks(data: &StudyData) -> Vec<Table1Block> {
         for t in thresholds {
             let cfg =
                 if metric == DegradationMetric::HdRatio { relaxed(&data.cfg) } else { data.cfg };
-            let tab = table1(&cfg, &data.dataset, kind, metric, t);
-            let render_share = |s: &Share| (s.group_share, s.event_share);
+            let tab = table1(&cfg, &data.summaries, kind, metric, t);
             blocks.push(Table1Block {
                 kind: match kind {
                     AnalysisKind::Degradation => "degradation".into(),
@@ -625,17 +586,14 @@ pub fn table1_blocks(data: &StudyData) -> Vec<Table1Block> {
                 overall: tab
                     .overall
                     .iter()
-                    .map(|(c, s)| {
-                        let (g, e) = render_share(s);
-                        (c.label().to_string(), g, e)
-                    })
+                    .map(|(c, s)| (c.label().to_string(), s.group_share, s.event_share))
                     .collect(),
                 per_continent: tab
                     .per_continent
                     .iter()
                     .map(|((c, cont), s)| {
-                        let (g, e) = render_share(s);
-                        (c.label().to_string(), cont_name(*cont).to_string(), g, e)
+                        let cont = cont_name(*cont).to_string();
+                        (c.label().to_string(), cont, s.group_share, s.event_share)
                     })
                     .collect(),
             });
@@ -661,7 +619,7 @@ pub fn table2_outputs(data: &StudyData) -> Vec<Table2Output> {
     ];
     spec.iter()
         .map(|&(metric, label, t)| {
-            let rows = table2(&data.cfg, &data.dataset, metric, t);
+            let rows = table2(&data.cfg, &data.summaries, metric, t);
             Table2Output {
                 metric: label.to_string(),
                 rows: rows
@@ -793,7 +751,7 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(
             snap.counters.get("runner.records_emitted").copied(),
-            Some(data.records.len() as u64)
+            Some(data.records().unwrap().len() as u64)
         );
         assert!(snap.spans.iter().any(|s| s.name == "study"));
     }
@@ -801,11 +759,11 @@ mod tests {
     #[test]
     fn study_pipeline_produces_all_outputs() {
         let data = small().run();
-        assert!(!data.records.is_empty());
+        assert!(!data.records().unwrap().is_empty());
         let f6 = fig6(&data);
         assert!(f6.minrtt_p50 > 5.0 && f6.minrtt_p50 < 100.0, "{}", f6.minrtt_p50);
         assert!(f6.hdratio_gt0 > 0.3, "{}", f6.hdratio_gt0);
-        let f7 = fig7(&data);
+        let f7 = fig7(&data).unwrap();
         assert!(!f7.is_empty());
         // Lower-latency buckets should not be worse than the 81+ bucket.
         if f7.len() == 4 {
@@ -823,9 +781,10 @@ mod tests {
         let stream = small().run_streaming();
         // Same sessions flowed through both sinks.
         assert_eq!(exact.stats.total(), stream.stats.total());
-        assert_eq!(exact.stats.total().records_emitted, exact.records.len() as u64);
+        assert_eq!(exact.stats.total().records_emitted, exact.records().unwrap().len() as u64);
+        assert!(fig7(&stream).is_none(), "fig7 needs session records");
         let f6e = fig6(&exact);
-        let f6s = fig6_streaming(&stream);
+        let f6s = fig6(&stream);
         assert!(
             (f6e.minrtt_p50 - f6s.minrtt_p50).abs() <= 0.5,
             "{} vs {}",
@@ -842,15 +801,22 @@ mod tests {
         assert!((f6e.hdratio_gt0 - f6s.hdratio_gt0).abs() < 0.1);
         assert!((f6e.hdratio_eq1 - f6s.hdratio_eq1).abs() < 0.1);
         // Fig 10 reaches the same comparisons from digest order statistics.
-        let f10e = fig10(&exact);
-        let f10s = fig10_streaming(&stream);
-        assert_eq!(f10e.len(), f10s.len());
-        for (e, s) in f10e.iter().zip(&f10s) {
-            assert_eq!(e.metric, s.metric);
-            assert!((e.traffic_covered - s.traffic_covered).abs() < 0.15);
-            let p50 = |d: &DiffSummary| d.quantiles.iter().find(|(q, _)| *q == 0.5).unwrap().1;
-            assert!((p50(e) - p50(s)).abs() < 2.0, "{} vs {}", p50(e), p50(s));
+        // So do Figs 8 and 9, and the tables come out whole.
+        for (e, s) in [
+            (fig10(&exact), fig10(&stream)),
+            (fig8(&exact), fig8(&stream)),
+            (fig9(&exact), fig9(&stream)),
+        ] {
+            assert_eq!(e.len(), s.len());
+            for (e, s) in e.iter().zip(&s) {
+                assert_eq!(e.metric, s.metric);
+                assert!((e.traffic_covered - s.traffic_covered).abs() < 0.15);
+                let p50 = |d: &DiffSummary| d.quantiles.iter().find(|(q, _)| *q == 0.5).unwrap().1;
+                assert!((p50(e) - p50(s)).abs() < 2.0, "{} vs {}", p50(e), p50(s));
+            }
         }
+        assert_eq!(table1_blocks(&stream).len(), table1_blocks(&exact).len());
+        assert_eq!(table2_outputs(&stream).len(), table2_outputs(&exact).len());
     }
 
     #[test]

@@ -1,27 +1,23 @@
 //! Online degradation detection over closed windows.
 //!
-//! Mirrors the offline pipeline (`edgeperf_analysis::degradation` +
-//! `classify`) one window at a time: the baseline of a group is the
-//! window whose preferred-route p50 sits at the 10th percentile of the
-//! retained history (90th for HDratio), each closing window is compared
-//! against it with the Price–Bonett z-CI, and an *event* needs the CI
-//! lower bound to clear the threshold. Event series feed the paper's
-//! temporal classifier ([`classify_group`]) and an episode tracker that
-//! flags degradations as they open and close.
+//! Runs the offline pipeline (`edgeperf_analysis::degradation` +
+//! `classify`) one window at a time, through the offline code:
+//! [`pick_baseline`] chooses the group's baseline window from the
+//! retained history, [`assess_window`] compares each closing window
+//! against it, and the status series feed the paper's temporal
+//! classifier ([`classify_group`]) and an episode tracker that flags
+//! degradations as they open and close.
 //!
 //! The one deliberate divergence from the offline algorithm: offline, the
 //! baseline is picked over the whole study and every window re-assessed
 //! against it; online, each window is assessed against the baseline of
 //! the history retained *at close time*. Tests bound the difference.
 
-use crate::window::{
-    compare_hdratio_summaries, compare_minrtt_summaries, CellSummary, ClosedWindow,
-};
+use crate::window::{CellSummary, ClosedWindow};
 use edgeperf_analysis::{
-    classify_group, AnalysisConfig, CompareOutcome, DegradationMetric, FxHashMap, GroupKey,
-    TemporalClass, WindowStatus,
+    assess_window, classify_group, pick_baseline, AnalysisConfig, DegradationMetric, FxHashMap,
+    GroupKey, TemporalClass, WindowStatus,
 };
-use edgeperf_stats::quantile::quantile_unsorted;
 use std::collections::VecDeque;
 
 /// An episode boundary the detector observed while folding in a window.
@@ -51,7 +47,7 @@ fn metric_slot(metric: DegradationMetric) -> usize {
 #[derive(Debug, Default)]
 struct GroupState {
     /// Closed preferred-route summaries, oldest first.
-    history: VecDeque<(u32, CellSummary)>,
+    history: VecDeque<CellSummary>,
     /// Contiguous per-window status series per metric (gaps filled with
     /// `NoTraffic`), oldest first; `statuses[m].0` is the first window.
     statuses: [(u32, VecDeque<WindowStatus>); 2],
@@ -103,21 +99,19 @@ impl OnlineDetector {
             }
             let state = self.groups.get_mut(group).expect("group just ensured");
             // Retain the summary for future baselines.
-            state.history.push_back((window.index, *summary));
+            state.history.push_back(*summary);
             while state.history.len() > self.retention {
                 state.history.pop_front();
             }
             for metric in METRICS {
                 let m = metric_slot(metric);
-                let outcome = assess(&self.cfg, &state.history, metric, *summary);
-                let status = match outcome {
-                    Some(CompareOutcome::Valid { lo, .. }) if lo > self.thresholds[m] => {
-                        self.events[m] += 1;
-                        WindowStatus::Event
-                    }
-                    Some(CompareOutcome::Valid { .. }) => WindowStatus::Quiet,
-                    _ => WindowStatus::Invalid,
-                };
+                let baseline = pick_baseline(&self.cfg, metric, &state.history);
+                let assessed =
+                    assess_window(&self.cfg, metric, self.thresholds[m], summary, baseline);
+                let status = assessed.status;
+                if status == WindowStatus::Event {
+                    self.events[m] += 1;
+                }
                 push_status(&mut state.statuses[m], window.index, status, self.retention);
                 // Episode boundaries.
                 match (state.open_episode[m], status) {
@@ -129,12 +123,7 @@ impl OnlineDetector {
                             metric,
                             window: window.index,
                             opened: true,
-                            diff: match outcome {
-                                Some(CompareOutcome::Valid { diff, lo, hi }) => {
-                                    Some((diff, lo, hi))
-                                }
-                                _ => None,
-                            },
+                            diff: assessed.diff,
                         });
                     }
                     (Some(_), s) if s != WindowStatus::Event => {
@@ -198,54 +187,6 @@ impl OnlineDetector {
     }
 }
 
-/// Mirror of `degradation_events`' per-window assessment over the
-/// retained history: pick the baseline window, then compare the current
-/// summary against it. `None` means no valid baseline exists yet.
-fn assess(
-    cfg: &AnalysisConfig,
-    history: &VecDeque<(u32, CellSummary)>,
-    metric: DegradationMetric,
-    current: CellSummary,
-) -> Option<CompareOutcome> {
-    let mut p50s: Vec<(usize, f64)> = Vec::new();
-    for (i, (_, s)) in history.iter().enumerate() {
-        match metric {
-            DegradationMetric::MinRtt => {
-                if s.n >= cfg.min_samples {
-                    p50s.push((i, s.min_rtt_p50));
-                }
-            }
-            DegradationMetric::HdRatio => {
-                if s.n_tested >= cfg.min_samples {
-                    if let Some(p) = s.hdratio_p50 {
-                        p50s.push((i, p));
-                    }
-                }
-            }
-        }
-    }
-    if p50s.is_empty() {
-        return None;
-    }
-    let values: Vec<f64> = p50s.iter().map(|&(_, v)| v).collect();
-    let target = match metric {
-        DegradationMetric::MinRtt => quantile_unsorted(&values, 0.10),
-        DegradationMetric::HdRatio => quantile_unsorted(&values, 0.90),
-    };
-    let (baseline_i, _) = p50s
-        .iter()
-        .copied()
-        .min_by(|a, b| (a.1 - target).abs().total_cmp(&(b.1 - target).abs()))
-        .expect("non-empty candidates");
-    let baseline = history[baseline_i].1;
-    Some(match metric {
-        // Degradation in latency: current − baseline.
-        DegradationMetric::MinRtt => compare_minrtt_summaries(cfg, &current, &baseline),
-        // Degradation in goodput: baseline − current.
-        DegradationMetric::HdRatio => compare_hdratio_summaries(cfg, &baseline, &current),
-    })
-}
-
 /// Append `status` at `window`, padding skipped windows with `NoTraffic`
 /// and evicting from the front past `retention`.
 fn push_status(
@@ -282,28 +223,34 @@ fn push_status(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{CellKey, LiveCell};
-    use edgeperf_analysis::StreamingAggregation;
+    use edgeperf_analysis::{degradation_events, GroupData, StreamingCell};
     use edgeperf_routing::{PopId, Prefix, Relationship};
 
     fn group() -> GroupKey {
         GroupKey { pop: PopId(0), prefix: Prefix::new(0x0A000000, 16), country: 0, continent: 0 }
     }
 
-    fn window_of(index: u32, center_rtt: f64, hdratio: f64, n: usize) -> ClosedWindow {
-        let mut agg = StreamingAggregation::new();
+    /// A closed window of `n` sessions, the first `n_tested` with an
+    /// HDratio.
+    fn window_with(
+        index: u32,
+        center_rtt: f64,
+        hdratio: f64,
+        n: usize,
+        n_tested: usize,
+    ) -> ClosedWindow {
+        let mut cell = StreamingCell::new(Relationship::PrivatePeer);
         for i in 0..n {
             let jitter = (i as f64 - n as f64 / 2.0) * 0.05;
-            agg.push(center_rtt + jitter, Some((hdratio + jitter / 100.0).clamp(0.0, 1.0)), 100);
+            let hd = (i < n_tested).then_some((hdratio + jitter / 100.0).clamp(0.0, 1.0));
+            cell.push(center_rtt + jitter, hd, 100, false, false);
         }
-        let mut cell = LiveCell {
-            agg,
-            relationship: Relationship::PrivatePeer,
-            longer_path: false,
-            more_prepended: false,
-        };
-        let key: CellKey = (group(), 0);
-        ClosedWindow { index, cells: vec![(key, CellSummary::from_cell(&mut cell))] }
+        cell.agg.flush();
+        ClosedWindow { index, cells: vec![((group(), 0), cell.summary())] }
+    }
+
+    fn window_of(index: u32, center_rtt: f64, hdratio: f64, n: usize) -> ClosedWindow {
+        window_with(index, center_rtt, hdratio, n, n)
     }
 
     fn detector() -> OnlineDetector {
@@ -400,6 +347,40 @@ mod tests {
         let classes = d.classes(DegradationMetric::MinRtt);
         assert_eq!(classes[0].1, TemporalClass::Continuous);
         assert!(d.event_count(DegradationMetric::MinRtt) >= 8);
+    }
+
+    #[test]
+    fn final_window_verdict_equals_the_offline_detector() {
+        // With every window retained, the history at the last close is the
+        // whole series, so online and offline pick the same baseline and
+        // must reach the same verdict, bit for bit. Window 3 has 40
+        // sessions but 3 tested ones: both sides admit it as an HDratio
+        // baseline candidate (n ≥ 30 and a median exists), which
+        // `n_tested ≥ 30` would not.
+        let mut series: Vec<ClosedWindow> = (0..8)
+            .map(|w| window_of(w, 40.0 + w as f64 * 0.3, 0.9 - w as f64 * 0.004, 60))
+            .collect();
+        series[3] = window_with(3, 41.0, 0.99, 40, 3);
+        series.push(window_of(8, 70.0, 0.4, 60));
+
+        let mut d = detector();
+        for w in &series[..8] {
+            assert!(d.observe(w).is_empty(), "no episode before the last window");
+        }
+        let changes = d.observe(&series[8]);
+        let cfg = AnalysisConfig::default();
+        let grid = GroupData {
+            ranks: vec![series.iter().map(|w| Some(w.cells[0].1)).collect()],
+            total_bytes: 0,
+        };
+        for (metric, threshold) in METRICS.into_iter().zip([5.0, 0.05]) {
+            let offline = *degradation_events(&cfg, &grid, metric, threshold).last().unwrap();
+            assert_eq!(offline.status, WindowStatus::Event);
+            assert_eq!(d.latest_status(&group(), metric), Some(offline.status));
+            let opened = changes.iter().find(|c| c.metric == metric && c.opened).unwrap();
+            // Shortest round-trip float text: equal strings, equal bits.
+            assert_eq!(format!("{:?}", opened.diff), format!("{:?}", offline.diff));
+        }
     }
 
     #[test]

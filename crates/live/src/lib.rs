@@ -7,9 +7,9 @@
 //! one reader thread per connection, sharded bounded-queue workers)
 //! parses JSONL session records, folds them into a watermark-driven
 //! ring of event-time windows of per-group
-//! [`edgeperf_analysis::StreamingAggregation`] cells, and on window
-//! close computes MinRTT_P50 / HDratio_P50 with Price–Bonett CIs and
-//! feeds the degradation/classification machinery online.
+//! [`edgeperf_analysis::StreamingCell`]s, and on window close summarises
+//! each cell (MinRTT_P50 / HDratio_P50 with Price–Bonett variances) and
+//! feeds the offline degradation/classification code online.
 //!
 //! Module map:
 //!
@@ -22,8 +22,8 @@
 //!   zero-allocation incremental [`FrameDecoder`].
 //! - [`window`]: [`WindowRing`] — the watermark, late-record rejection
 //!   ([`edgeperf_core::EdgeperfError::LateRecord`], counted, never
-//!   silent), and [`CellSummary`] with the same bit-exact statistics as
-//!   the offline streaming path.
+//!   silent), closing into the [`CellSummary`] rows the offline analyses
+//!   read too.
 //! - [`detect`]: [`OnlineDetector`] — per-group baseline, degradation
 //!   events, episode tracking and temporal classes, computed as windows
 //!   close.
@@ -85,7 +85,4 @@ pub use server::{
     ServerHandle,
 };
 pub use store::{CrashPoint, SegmentMeta, SegmentStore, SpillOutcome, StoreStats};
-pub use window::{
-    compare_hdratio_summaries, compare_minrtt_summaries, CellKey, CellSummary, ClosedWindow,
-    LiveCell, WindowRing,
-};
+pub use window::{CellKey, CellSummary, ClosedWindow, WindowRing};

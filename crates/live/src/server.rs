@@ -205,26 +205,7 @@ pub struct CellLine {
 impl CellLine {
     /// Flatten a closed cell for the wire.
     pub fn new(window: u32, key: &CellKey, s: &CellSummary) -> CellLine {
-        let (group, rank) = key;
-        CellLine {
-            window,
-            pop: group.pop.0,
-            prefix_base: group.prefix.base,
-            prefix_len: group.prefix.len,
-            country: group.country,
-            continent: group.continent,
-            rank: *rank,
-            relationship: s.relationship.label().to_string(),
-            longer_path: s.longer_path,
-            more_prepended: s.more_prepended,
-            n: s.n as u64,
-            n_tested: s.n_tested as u64,
-            bytes: s.bytes,
-            min_rtt_p50: s.min_rtt_p50,
-            min_rtt_var: s.min_rtt_var,
-            hdratio_p50: s.hdratio_p50,
-            hdratio_var: s.hdratio_var,
-        }
+        crate::store::cell_line(&crate::store::window_cell(window, key, s))
     }
 
     /// The cell's group key.

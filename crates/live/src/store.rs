@@ -74,22 +74,7 @@ const MANIFEST_FILE: &str = "manifest.json";
 
 /// Flatten one closed cell into its storage-neutral segment row.
 pub fn window_cell(window: u32, key: &CellKey, s: &CellSummary) -> WindowCell {
-    let (group, rank) = key;
-    WindowCell {
-        window,
-        group: *group,
-        rank: *rank,
-        relationship: s.relationship,
-        longer_path: s.longer_path,
-        more_prepended: s.more_prepended,
-        n: u64::try_from(s.n).expect("usize fits u64"),
-        n_tested: u64::try_from(s.n_tested).expect("usize fits u64"),
-        bytes: s.bytes,
-        min_rtt_p50: s.min_rtt_p50,
-        min_rtt_var: s.min_rtt_var,
-        hdratio_p50: s.hdratio_p50,
-        hdratio_var: s.hdratio_var,
-    }
+    WindowCell::new(window, key.0, key.1, s)
 }
 
 /// Flatten a segment row into the wire form served by `cells` — the

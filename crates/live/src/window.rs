@@ -3,7 +3,7 @@
 //! Each ingest worker owns one [`WindowRing`]. Records carry event time;
 //! the ring assigns them to `floor(ts / window_ms)` windows whose
 //! per-(group, route-rank) cells are the same bounded-memory
-//! [`StreamingAggregation`] t-digest pairs the offline
+//! [`StreamingCell`] t-digest pairs the offline
 //! [`edgeperf_analysis::StreamingDataset`] uses — so a finite replay
 //! through the server reproduces the offline cells bit for bit.
 //!
@@ -20,151 +20,13 @@
 //! typed [`EdgeperfError::LateRecord`] — never silently dropped.
 
 use crate::record::LiveRecord;
-use edgeperf_analysis::{
-    AnalysisConfig, CompareOutcome, FxHashMap, GroupKey, StreamingAggregation,
-};
+pub use edgeperf_analysis::CellSummary;
+use edgeperf_analysis::{FxHashMap, GroupKey, StreamingCell};
 use edgeperf_core::EdgeperfError;
-use edgeperf_routing::Relationship;
-use edgeperf_stats::dist::norm_inv_cdf;
 use std::collections::BTreeMap;
 
 /// One (group, route-rank) cell address within a window.
 pub type CellKey = (GroupKey, u8);
-
-/// Live analogue of `edgeperf_analysis::sink::StreamingCell`: the digest
-/// pair plus the route annotations, accumulated with identical semantics
-/// (first record pins the relationship; path flags are OR-ed).
-#[derive(Debug, Clone)]
-pub struct LiveCell {
-    /// Metric sketches (MinRTT / HDratio digests + traffic bytes).
-    pub agg: StreamingAggregation,
-    /// Relationship of the route measured by this cell.
-    pub relationship: Relationship,
-    /// This route's AS path is longer than the preferred route's.
-    pub longer_path: bool,
-    /// This route is prepended more than the preferred route.
-    pub more_prepended: bool,
-}
-
-impl LiveCell {
-    fn new(relationship: Relationship) -> Self {
-        LiveCell {
-            agg: StreamingAggregation::new(),
-            relationship,
-            longer_path: false,
-            more_prepended: false,
-        }
-    }
-
-    fn push(&mut self, r: &LiveRecord) {
-        self.agg.push(r.min_rtt_ms, r.hdratio, r.bytes);
-        self.longer_path |= r.longer_path;
-        self.more_prepended |= r.more_prepended;
-    }
-}
-
-/// Plain-data summary of one flushed cell: everything the detector and
-/// the query protocol need, with the medians and Price–Bonett variances
-/// read from the digests through the exact same calls the offline
-/// streaming pipeline uses (hence bit-identical to it).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellSummary {
-    /// Sessions recorded.
-    pub n: usize,
-    /// Sessions with an HDratio.
-    pub n_tested: usize,
-    /// Traffic weight.
-    pub bytes: u64,
-    /// Median MinRTT (ms).
-    pub min_rtt_p50: f64,
-    /// Price–Bonett variance of the MinRTT median (None below 5 samples).
-    pub min_rtt_var: Option<f64>,
-    /// Median HDratio, if any session tested.
-    pub hdratio_p50: Option<f64>,
-    /// Price–Bonett variance of the HDratio median.
-    pub hdratio_var: Option<f64>,
-    /// Relationship of the route measured by this cell.
-    pub relationship: Relationship,
-    /// This route's AS path is longer than the preferred route's.
-    pub longer_path: bool,
-    /// This route is prepended more than the preferred route.
-    pub more_prepended: bool,
-}
-
-impl CellSummary {
-    /// Summarize a cell, flushing its digest buffers first.
-    pub fn from_cell(cell: &mut LiveCell) -> CellSummary {
-        cell.agg.flush();
-        Self::from_aggregation(&cell.agg, cell.relationship, cell.longer_path, cell.more_prepended)
-    }
-
-    /// Summarize an already-flushed aggregation (the offline comparator
-    /// path of the agreement tests).
-    pub fn from_aggregation(
-        agg: &StreamingAggregation,
-        relationship: Relationship,
-        longer_path: bool,
-        more_prepended: bool,
-    ) -> CellSummary {
-        CellSummary {
-            n: agg.n(),
-            n_tested: agg.n_tested(),
-            bytes: agg.bytes(),
-            min_rtt_p50: agg.min_rtt_p50(),
-            min_rtt_var: agg.min_rtt_median_variance(),
-            hdratio_p50: agg.hdratio_p50(),
-            hdratio_var: agg.hdratio_median_variance(),
-            relationship,
-            longer_path,
-            more_prepended,
-        }
-    }
-}
-
-/// MinRTT difference of medians `a − b` with the Price–Bonett z-CI, under
-/// the same validity rules — and the same arithmetic, hence bit-identical
-/// outcomes — as [`compare_minrtt_streaming`] on the underlying digests.
-pub fn compare_minrtt_summaries(
-    cfg: &AnalysisConfig,
-    a: &CellSummary,
-    b: &CellSummary,
-) -> CompareOutcome {
-    if a.n < cfg.min_samples || b.n < cfg.min_samples {
-        return CompareOutcome::Invalid;
-    }
-    let (Some(va), Some(vb)) = (a.min_rtt_var, b.min_rtt_var) else {
-        return CompareOutcome::Invalid;
-    };
-    ci(cfg, a.min_rtt_p50 - b.min_rtt_p50, va, vb, cfg.max_ci_width_minrtt_ms)
-}
-
-/// HDratio difference of medians `a − b` (validity gated on the tested
-/// session counts, matching the offline comparison's sample sizes).
-pub fn compare_hdratio_summaries(
-    cfg: &AnalysisConfig,
-    a: &CellSummary,
-    b: &CellSummary,
-) -> CompareOutcome {
-    if a.n_tested < cfg.min_samples || b.n_tested < cfg.min_samples {
-        return CompareOutcome::Invalid;
-    }
-    let (Some(pa), Some(pb)) = (a.hdratio_p50, b.hdratio_p50) else {
-        return CompareOutcome::Invalid;
-    };
-    let (Some(va), Some(vb)) = (a.hdratio_var, b.hdratio_var) else {
-        return CompareOutcome::Invalid;
-    };
-    ci(cfg, pa - pb, va, vb, cfg.max_ci_width_hdratio)
-}
-
-fn ci(cfg: &AnalysisConfig, diff: f64, va: f64, vb: f64, max_width: f64) -> CompareOutcome {
-    let z = norm_inv_cdf(0.5 + cfg.confidence / 2.0);
-    let half = z * (va + vb).sqrt();
-    if 2.0 * half >= max_width {
-        return CompareOutcome::Invalid;
-    }
-    CompareOutcome::Valid { diff, lo: diff - half, hi: diff + half }
-}
 
 /// One window the watermark has passed, ready for detection and queries.
 #[derive(Debug, Clone)]
@@ -181,17 +43,23 @@ pub struct ClosedWindow {
 #[derive(Debug, Default)]
 struct OpenWindow {
     index: FxHashMap<CellKey, u32>,
-    cells: Vec<(CellKey, LiveCell)>,
+    cells: Vec<(CellKey, StreamingCell)>,
 }
 
 impl OpenWindow {
     fn push(&mut self, r: &LiveRecord) {
         let key = (r.group, r.route_rank);
         let slot = *self.index.entry(key).or_insert_with(|| {
-            self.cells.push((key, LiveCell::new(r.relationship)));
+            self.cells.push((key, StreamingCell::new(r.relationship)));
             u32::try_from(self.cells.len() - 1).expect("a window holds fewer than 2^32 cells")
         });
-        self.cells[slot as usize].1.push(r);
+        self.cells[slot as usize].1.push(
+            r.min_rtt_ms,
+            r.hdratio,
+            r.bytes,
+            r.longer_path,
+            r.more_prepended,
+        );
     }
 
     /// Summarise the cells in insertion order, dropping each cell's
@@ -202,9 +70,10 @@ impl OpenWindow {
         // arena's allocation, 280 bytes a cell, alive for the whole
         // retention of the closed window.
         let mut cells = Vec::with_capacity(self.cells.len());
-        cells.extend(
-            self.cells.into_iter().map(|(key, mut cell)| (key, CellSummary::from_cell(&mut cell))),
-        );
+        cells.extend(self.cells.into_iter().map(|(key, mut cell)| {
+            cell.agg.flush();
+            (key, cell.summary())
+        }));
         ClosedWindow { index, cells }
     }
 }
@@ -323,8 +192,7 @@ impl WindowRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgeperf_analysis::compare_minrtt_streaming;
-    use edgeperf_routing::{PopId, Prefix};
+    use edgeperf_routing::{PopId, Prefix, Relationship};
 
     fn rec(ts_ms: f64, prefix: u32, rank: u8, rtt: f64) -> LiveRecord {
         LiveRecord {
@@ -423,56 +291,21 @@ mod tests {
     #[test]
     fn cells_are_bit_identical_to_direct_aggregation() {
         let mut ring = WindowRing::new(100.0, 0.0);
-        let mut direct = StreamingAggregation::new();
+        let mut direct = StreamingCell::new(Relationship::PrivatePeer);
         for i in 0..500 {
             let r = rec(i as f64 * 0.1, 7, 0, 30.0 + (i % 41) as f64 * 0.7);
-            direct.push(r.min_rtt_ms, r.hdratio, r.bytes);
+            direct.push(r.min_rtt_ms, r.hdratio, r.bytes, r.longer_path, r.more_prepended);
             ring.push(&r).unwrap();
         }
-        direct.flush();
+        direct.agg.flush();
         let closed = ring.force_close();
         assert_eq!(closed.len(), 1);
         let (_, summary) = &closed[0].cells[0];
-        let expected =
-            CellSummary::from_aggregation(&direct, Relationship::PrivatePeer, false, false);
+        let expected = direct.summary();
         assert_eq!(summary.n, expected.n);
         assert_eq!(summary.min_rtt_p50.to_bits(), expected.min_rtt_p50.to_bits());
         assert_eq!(summary.min_rtt_var.unwrap().to_bits(), expected.min_rtt_var.unwrap().to_bits());
         assert_eq!(summary.hdratio_p50.unwrap().to_bits(), expected.hdratio_p50.unwrap().to_bits());
-    }
-
-    #[test]
-    fn summary_comparisons_match_streaming_comparisons() {
-        let mut a = StreamingAggregation::new();
-        let mut b = StreamingAggregation::new();
-        for i in 0..200 {
-            let u = (i as f64 * 0.618_033_988_749).fract() - 0.5;
-            a.push(52.0 + 6.0 * u, Some((0.6 + 0.3 * u).clamp(0.0, 1.0)), 10);
-            b.push(44.0 + 6.0 * u, Some((0.9 + 0.1 * u).clamp(0.0, 1.0)), 10);
-        }
-        a.flush();
-        b.flush();
-        let cfg = AnalysisConfig::default();
-        let rel = Relationship::PrivatePeer;
-        let sa = CellSummary::from_aggregation(&a, rel, false, false);
-        let sb = CellSummary::from_aggregation(&b, rel, false, false);
-        let direct = compare_minrtt_streaming(&cfg, &a, &b);
-        let via_summary = compare_minrtt_summaries(&cfg, &sa, &sb);
-        match (direct, via_summary) {
-            (
-                CompareOutcome::Valid { diff: d1, lo: l1, hi: h1 },
-                CompareOutcome::Valid { diff: d2, lo: l2, hi: h2 },
-            ) => {
-                assert_eq!(d1.to_bits(), d2.to_bits());
-                assert_eq!(l1.to_bits(), l2.to_bits());
-                assert_eq!(h1.to_bits(), h2.to_bits());
-            }
-            other => panic!("expected both valid, got {other:?}"),
-        }
-        assert!(matches!(
-            compare_hdratio_summaries(&cfg, &sb, &sa),
-            CompareOutcome::Valid { diff, .. } if diff > 0.1
-        ));
     }
 
     #[test]

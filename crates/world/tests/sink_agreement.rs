@@ -7,7 +7,11 @@
 //! streaming cells must agree with the exact aggregations to within the
 //! t-digest approximation bounds, with sample extremes preserved exactly.
 
-use edgeperf_analysis::{ColumnarSink, Dataset, SessionRecord, StreamingDataset};
+use edgeperf_analysis::{
+    compare, Aggregation, AnalysisConfig, ColumnarSink, CompareOutcome, Dataset, DegradationMetric,
+    SessionRecord, StreamingDataset,
+};
+use edgeperf_stats::median_ci::diff_of_medians_ci_sorted;
 use edgeperf_world::{run_study_into, StudyConfig, World, WorldConfig};
 
 /// A reduced-country world keeps the runtime testable while preserving
@@ -199,4 +203,75 @@ fn columnar_sink_matches_from_records_end_to_end() {
         assert!(via_columnar.cell_count() > 50, "too few cells to be meaningful");
         assert_datasets_identical(&via_columnar, &via_records);
     }
+}
+
+/// The comparison as it was written over sorted samples: both sides hold
+/// `min_samples`, and the exact Price–Bonett CI is narrower than
+/// `max_ci_width`.
+fn compare_sorted(cfg: &AnalysisConfig, a: &[f64], b: &[f64], max_ci_width: f64) -> CompareOutcome {
+    if a.len() < cfg.min_samples || b.len() < cfg.min_samples {
+        return CompareOutcome::Invalid;
+    }
+    let ci = diff_of_medians_ci_sorted(a, b, cfg.confidence);
+    if ci.width() >= max_ci_width {
+        return CompareOutcome::Invalid;
+    }
+    CompareOutcome::Valid { diff: ci.diff, lo: ci.lo, hi: ci.hi }
+}
+
+#[test]
+fn comparing_summaries_loses_nothing_against_sorted_samples() {
+    // Every comparison the analyses can make — preferred vs each alternate
+    // in a window, one preferred-route window vs another — read from the
+    // cells' summaries must be the sorted-sample comparison bit for bit,
+    // verdict included, under all three width rules in use.
+    let world =
+        World::generate(WorldConfig { seed: 99, country_fraction: 0.15, ..Default::default() });
+    let study = StudyConfig {
+        seed: 17,
+        days: 1,
+        sessions_per_group_window: 90,
+        parallelism: 1,
+        ..Default::default()
+    };
+    let mut sink = ColumnarSink::new(study.n_windows() as usize);
+    run_study_into(&world, &study, &mut sink);
+    let ds = sink.into_dataset();
+
+    let cfg = AnalysisConfig::default();
+    let relaxed = AnalysisConfig { max_ci_width_hdratio: 1.01, ..cfg };
+    let (mut valid, mut invalid) = ([0usize; 3], 0usize);
+    let mut check = |a: &Aggregation, b: &Aggregation| {
+        let (sa, sb) = (a.summary(), b.summary());
+        let cases = [
+            (&cfg, DegradationMetric::MinRtt, &a.min_rtt_ms, &b.min_rtt_ms, 10.0),
+            (&cfg, DegradationMetric::HdRatio, &a.hdratio, &b.hdratio, 0.1),
+            (&relaxed, DegradationMetric::HdRatio, &a.hdratio, &b.hdratio, 1.01),
+        ];
+        for (i, (cfg, metric, xs, ys, width)) in cases.into_iter().enumerate() {
+            let want = compare_sorted(cfg, xs, ys, width);
+            // `{:?}` prints floats in shortest round-trip form: equal text, equal bits.
+            assert_eq!(format!("{:?}", compare(cfg, metric, &sa, &sb)), format!("{want:?}"));
+            match want {
+                CompareOutcome::Valid { .. } => valid[i] += 1,
+                CompareOutcome::Invalid => invalid += 1,
+            }
+        }
+    };
+    for g in ds.groups.values() {
+        let windows: Vec<&Aggregation> = g.ranks[0].iter().flatten().collect();
+        for (i, a) in windows.iter().enumerate() {
+            for b in &windows[i + 1..] {
+                check(a, b);
+            }
+        }
+        for w in 0..ds.n_windows {
+            let Some(pref) = g.cell(0, w) else { continue };
+            for alt in (1..g.ranks.len()).filter_map(|r| g.cell(r, w)) {
+                check(pref, alt);
+                check(alt, pref);
+            }
+        }
+    }
+    assert!(valid.iter().all(|&v| v > 100) && invalid > 100, "{valid:?} valid, {invalid} invalid");
 }

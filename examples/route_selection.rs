@@ -85,9 +85,9 @@ fn main() {
     }
 
     // ── The opportunity analysis decides ─────────────────────────────
-    let ds = Dataset::from_records(&records, 12);
+    let ds = Dataset::from_records(&records, 12).summarize();
     let cfg = AnalysisConfig::default();
-    let g = ds.groups.values().next().unwrap();
+    let g = &ds.groups[0].1;
     println!("\nper-window verdicts (threshold: 5 ms, CI-backed):");
     for (w, a) in opportunity_events(&cfg, g, OpportunityMetric::MinRtt, 5.0).iter().enumerate() {
         let verdict = match a.status {

@@ -1,0 +1,126 @@
+//! Tier-1 golden for the §§5–6 analyses: a small seeded study through the
+//! exact sink must render fig8, fig9, fig10, Table 1 and Table 2 — and
+//! through the streaming sink fig10 — to exactly the bytes recorded in
+//! `tests/golden/analysis_small.json`, recorded before the analyses were
+//! rewritten over cell summaries (PR 13). Floats are written in Rust's shortest round-trip
+//! form, so equal text means equal bits.
+
+use edgeperf::analysis::figures::{
+    fig10_by_relationship, fig8_degradation, fig9_opportunity, DiffCdfs, RelPair,
+};
+use edgeperf::analysis::tables::{table1, table2, AnalysisKind, Table1};
+use edgeperf::analysis::{AnalysisConfig, ColumnarSink, DegradationMetric, StreamingDataset};
+use edgeperf::stats::cdf::WeightedCdf;
+use edgeperf::world::{run_study_into, StudyConfig, World, WorldConfig};
+
+const MINRTT: DegradationMetric = DegradationMetric::MinRtt;
+const HDRATIO: DegradationMetric = DegradationMetric::HdRatio;
+const PAIRS: [RelPair; 3] =
+    [RelPair::PeeringVsTransit, RelPair::TransitVsTransit, RelPair::PrivateVsPublic];
+
+fn list(items: impl IntoIterator<Item = String>, indent: &str) -> String {
+    let items: Vec<String> = items.into_iter().map(|i| format!("{indent}  {i}")).collect();
+    if items.is_empty() {
+        return "[]".to_string();
+    }
+    format!("[\n{}\n{indent}]", items.join(",\n"))
+}
+
+fn diff_json(name: &str, cdfs: Option<DiffCdfs>) -> String {
+    let Some(c) = cdfs else {
+        return format!("{{\"series\": \"{name}\", \"empty\": true}}");
+    };
+    let row = |cdf: &WeightedCdf| {
+        let qs = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0].map(|q| format!("{:?}", cdf.quantile(q)));
+        qs.join(", ")
+    };
+    format!(
+        "{{\"series\": \"{name}\", \"weight\": {:?}, \"covered\": {:?}, \"diff\": [{}], \"lo\": [{}], \"hi\": [{}]}}",
+        c.diff.total_weight(),
+        c.traffic_covered,
+        row(&c.diff),
+        row(&c.lo),
+        row(&c.hi)
+    )
+}
+
+fn table1_json(name: &str, t: &Table1) -> String {
+    let overall = t.overall.iter().map(|(class, s)| {
+        format!("[\"{}\", {:?}, {:?}]", class.label(), s.group_share, s.event_share)
+    });
+    let per_continent = t.per_continent.iter().map(|((class, cont), s)| {
+        format!("[\"{}\", {cont}, {:?}, {:?}]", class.label(), s.group_share, s.event_share)
+    });
+    format!(
+        "{{\"table1\": \"{name}\", \"overall\": {}, \"per_continent\": {}}}",
+        list(overall, "    "),
+        list(per_continent, "    ")
+    )
+}
+
+fn render() -> String {
+    // One worker: the shard merge order, hence the order CDF inputs are
+    // pushed in, is then the same on every run.
+    let world =
+        World::generate(WorldConfig { seed: 11, country_fraction: 0.2, ..Default::default() });
+    let study = StudyConfig {
+        seed: 521,
+        days: 1,
+        sessions_per_group_window: 100,
+        parallelism: 1,
+        ..Default::default()
+    };
+    let windows = study.n_windows() as usize;
+    let cfg = AnalysisConfig::default();
+    let relaxed = AnalysisConfig { max_ci_width_hdratio: 1.01, ..cfg };
+
+    // One simulation pass feeds both sinks.
+    let mut sink = (ColumnarSink::new(windows), StreamingDataset::new(windows));
+    run_study_into(&world, &study, &mut sink);
+    let (columnar, stream) = sink;
+    let ds = columnar.into_dataset().summarize();
+    let stream = stream.summarize();
+    let mut exact = vec![
+        diff_json("fig8 minrtt", fig8_degradation(&cfg, &ds, MINRTT)),
+        diff_json("fig8 hdratio", fig8_degradation(&cfg, &ds, HDRATIO)),
+        diff_json("fig8 hdratio relaxed", fig8_degradation(&relaxed, &ds, HDRATIO)),
+        diff_json("fig9 minrtt", fig9_opportunity(&cfg, &ds, MINRTT)),
+        diff_json("fig9 hdratio", fig9_opportunity(&cfg, &ds, HDRATIO)),
+        diff_json("fig9 hdratio relaxed", fig9_opportunity(&relaxed, &ds, HDRATIO)),
+    ];
+    exact.extend(PAIRS.map(|p| diff_json(p.label(), fig10_by_relationship(&cfg, &ds, p))));
+    for (name, cfg, kind, metric, threshold) in [
+        ("degradation minrtt 5", &cfg, AnalysisKind::Degradation, MINRTT, 5.0),
+        ("degradation hdratio 0.05 relaxed", &relaxed, AnalysisKind::Degradation, HDRATIO, 0.05),
+        ("opportunity minrtt 5", &cfg, AnalysisKind::Opportunity, MINRTT, 5.0),
+    ] {
+        exact.push(table1_json(name, &table1(cfg, &ds, kind, metric, threshold)));
+    }
+    for (metric, label, threshold) in [(MINRTT, "minrtt 5", 5.0), (HDRATIO, "hdratio 0.05", 0.05)] {
+        let rows = table2(&cfg, &ds, metric, threshold).into_iter().map(|((pref, alt), r)| {
+            let shares = [r.absolute, r.relative, r.longer, r.prepended].map(|v| format!("{v:?}"));
+            format!("[\"{} -> {}\", {}]", pref.label(), alt.label(), shares.join(", "))
+        });
+        exact.push(format!("{{\"table2\": \"{label}\", \"rows\": {}}}", list(rows, "    ")));
+    }
+
+    let streaming = PAIRS.map(|p| diff_json(p.label(), fig10_by_relationship(&cfg, &stream, p)));
+
+    format!(
+        "{{\n  \"exact\": {},\n  \"streaming\": {}\n}}\n",
+        list(exact, "  "),
+        list(streaming, "  ")
+    )
+}
+
+#[test]
+fn analyses_match_the_recorded_golden() {
+    let got = render();
+    assert!(got.contains("\"weight\""), "the study must be large enough to yield comparisons");
+    let want = include_str!("golden/analysis_small.json");
+    if got != want {
+        let actual = concat!(env!("CARGO_TARGET_TMPDIR"), "/analysis_small.json");
+        std::fs::write(actual, &got).expect("write the actual rendering");
+        panic!("analysis output drifted from tests/golden/analysis_small.json; actual: {actual}");
+    }
+}

@@ -40,6 +40,7 @@ fn pipeline_produces_paper_shaped_results() {
     // ── Dataset + opportunity: preferred route usually at least as good
     let ds = Dataset::from_records(&records, n_windows);
     assert!(ds.preferred_bytes() < ds.total_bytes());
+    let ds = ds.summarize();
     let cfg = AnalysisConfig::default();
     if let Some(opp) = fig9_opportunity(&cfg, &ds, DegradationMetric::MinRtt) {
         let median_improvement = opp.diff.quantile(0.5);
