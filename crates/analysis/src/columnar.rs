@@ -1,33 +1,34 @@
-//! Columnar (SoA) worker shards for the exact analysis path.
+//! Columnar (SoA) worker shards: the one exact representation of a study.
 //!
-//! The original exact pipeline had each worker append `SessionRecord`s to
-//! a `Vec`, then rebuilt every aggregation serially after the join by
-//! re-hashing all records into a map of cells. At fleet scale that is the
-//! wrong shape twice over: the AoS record vector is written once and read
-//! once, and the post-join rebuild is a second serial pass over data the
-//! workers already had grouped.
-//!
-//! A [`ColumnarShard`] instead aggregates *during* the parallel pass into
-//! struct-of-arrays columns. Samples append to flat per-metric logs — a
-//! `Vec<u32>` of dense cell ids alongside a `Vec<f64>` of values — so the
-//! steady-state cost per record is one memo equality check, two array
-//! indexings, and a few unconditional pushes. The group → cell-table map
-//! is only consulted when the group changes, which the runner's
-//! per-prefix record order makes rare; within a group, (rank, window) →
-//! cell id resolves through a dense table with no hashing at all. This
-//! matters because the runner interleaves ranks record-by-record (each
-//! session emits preferred + alternates back-to-back), so a cell-keyed
-//! memo would miss on almost every record.
+//! A [`ColumnarShard`] aggregates *during* the parallel pass. Every
+//! session appends one row to three aligned columns — a `u32` dense cell
+//! id, its MinRTT and its HDratio (NaN when the session tested nothing) —
+//! 20 bytes, and a row still carries the joint (MinRTT, HDratio) that
+//! Figure 7 needs. The steady-state cost per record is one memo equality
+//! check, two array indexings, and three unconditional pushes. The group →
+//! cell-table map is only consulted when the group changes, which the
+//! runner's per-prefix record order makes rare; within a group, (rank,
+//! window) → cell id resolves through a dense table with no hashing at
+//! all. This matters because the runner interleaves ranks
+//! record-by-record (each session emits preferred + alternates
+//! back-to-back), so a cell-keyed memo would miss on almost every record.
 //!
 //! At join time [`ColumnarSink`] takes ownership of whole shards without
-//! touching their samples: the scheduler hands each prefix to exactly one
-//! worker, so cells never collide across shards and the merge is a
-//! `Vec::push` of the shard itself. [`ColumnarSink::into_dataset`] then
-//! scatters each log into per-cell vectors preallocated at their exact
-//! final length (each cell's sample count was tracked during the pass, so
-//! there is no growth-doubling churn) and sorts each cell once.
+//! touching their rows: the scheduler hands each prefix to exactly one
+//! worker, so shards share no group and the merge is a `Vec::push` of the
+//! shard itself (a hand-built shard that does share a group with one
+//! already merged is folded into it, so the sink's shards never share a
+//! cell). The sink is then kept, not exploded: [`ColumnarSink::summarize`]
+//! reads every cell's order statistics off one transient flat column per
+//! shard and metric, [`ColumnarSink::rows`] and the sink's
+//! [`PreferredSessions`] view re-read the rows for Figures 6–7, and
+//! [`ColumnarSink::into_dataset`] — the oracle tests and benches compare
+//! against — copies the same sorted slices out into a [`Dataset`].
 
-use crate::dataset::{Aggregation, Dataset, GroupSlots};
+use crate::dataset::{
+    in_dataset_order, median_and_variance, Aggregation, CellSummary, Dataset, GroupSlots, Summaries,
+};
+use crate::figures::PreferredSessions;
 use crate::hash::FxHashMap;
 use crate::record::{GroupKey, SessionRecord};
 use crate::sink::{RecordShard, RecordSink, SinkStats};
@@ -64,18 +65,33 @@ struct ShardGroup {
     ranks: Vec<Vec<u32>>,
 }
 
-/// One worker's columnar accumulator: flat per-metric sample logs keyed
-/// by a dense per-shard cell id, plus one metadata slot per cell.
+/// One worker's columnar accumulator: one row per session in three
+/// aligned columns keyed by a dense per-shard cell id, plus one metadata
+/// slot per cell.
 #[derive(Debug, Default)]
 pub struct ColumnarShard {
     group_index: FxHashMap<GroupKey, u32>,
     memo: Option<(GroupKey, u32)>,
     groups: Vec<ShardGroup>,
     cells: Vec<CellMeta>,
-    rtt_cell: Vec<u32>,
-    rtt_val: Vec<f64>,
-    hd_cell: Vec<u32>,
-    hd_val: Vec<f64>,
+    cell: Vec<u32>,
+    min_rtt: Vec<f64>,
+    /// NaN for a session that tested nothing.
+    hdratio: Vec<f64>,
+}
+
+/// One metric of one shard with every cell's samples contiguous and
+/// ascending: cell `ci` is `values[ends[ci - 1]..ends[ci]]`.
+struct SortedColumn {
+    values: Vec<f64>,
+    ends: Vec<usize>,
+}
+
+impl SortedColumn {
+    fn cell(&self, ci: usize) -> &[f64] {
+        let start = if ci == 0 { 0 } else { self.ends[ci - 1] };
+        &self.values[start..self.ends[ci]]
+    }
 }
 
 impl ColumnarShard {
@@ -86,25 +102,25 @@ impl ColumnarShard {
 
     /// MinRTT samples recorded (one per session).
     pub fn sample_count(&self) -> usize {
-        self.rtt_val.len()
+        self.min_rtt.len()
     }
-}
 
-impl RecordShard for ColumnarShard {
-    fn push(&mut self, r: SessionRecord) {
-        assert!(r.route_rank < 8, "suspicious route rank {}", r.route_rank);
+    /// Dense id of the cell `key`, created on first sight.
+    #[inline]
+    fn cell_id(&mut self, key: CellKey, relationship: Relationship) -> usize {
+        assert!(key.rank < 8, "suspicious route rank {}", key.rank);
         let gi = match self.memo {
-            Some((k, i)) if k == r.group => i as usize,
+            Some((k, i)) if k == key.group => i as usize,
             _ => {
-                let i = *self.group_index.entry(r.group).or_insert_with(|| {
+                let i = *self.group_index.entry(key.group).or_insert_with(|| {
                     self.groups.push(ShardGroup { ranks: Vec::new() });
                     (self.groups.len() - 1) as u32
                 });
-                self.memo = Some((r.group, i));
+                self.memo = Some((key.group, i));
                 i as usize
             }
         };
-        let (rank, window) = (r.route_rank as usize, r.window as usize);
+        let (rank, window) = (key.rank as usize, key.window as usize);
         let ranks = &mut self.groups[gi].ranks;
         if ranks.len() <= rank {
             ranks.resize_with(rank + 1, Vec::new);
@@ -113,12 +129,12 @@ impl RecordShard for ColumnarShard {
         if row.len() <= window {
             row.resize(window + 1, 0);
         }
-        let ci = match row[window] {
+        match row[window] {
             0 => {
                 let id = self.cells.len() as u32;
                 self.cells.push(CellMeta {
-                    key: CellKey { group: r.group, window: r.window, rank: r.route_rank },
-                    relationship: r.relationship,
+                    key,
+                    relationship,
                     longer_path: false,
                     more_prepended: false,
                     bytes: 0,
@@ -129,23 +145,131 @@ impl RecordShard for ColumnarShard {
                 id as usize
             }
             id_plus_1 => (id_plus_1 - 1) as usize,
+        }
+    }
+
+    /// Fold `other` in: a cell both hold unions its samples, adds its
+    /// bytes and ORs its flags (the relationship seen first stays), and
+    /// `other`'s rows follow this shard's.
+    fn absorb(&mut self, other: ColumnarShard) {
+        let remap: Vec<u32> = other
+            .cells
+            .iter()
+            .map(|theirs| {
+                let ci = self.cell_id(theirs.key, theirs.relationship);
+                let cell = &mut self.cells[ci];
+                cell.bytes += theirs.bytes;
+                cell.longer_path |= theirs.longer_path;
+                cell.more_prepended |= theirs.more_prepended;
+                cell.n_rtt += theirs.n_rtt;
+                cell.n_hd += theirs.n_hd;
+                ci as u32
+            })
+            .collect();
+        self.cell.extend(other.cell.iter().map(|&ci| remap[ci as usize]));
+        self.min_rtt.extend(other.min_rtt);
+        self.hdratio.extend(other.hdratio);
+    }
+
+    /// The one place where rows become sorted cells: scatter the non-NaN
+    /// `rows` to the prefix sums of `count` (each cell's sample count was
+    /// tracked during the pass), then sort each cell's slice once.
+    fn sorted_column(&self, rows: &[f64], count: impl Fn(&CellMeta) -> u32) -> SortedColumn {
+        // Until the scatter is done `ends[ci]` is the next free slot of cell
+        // `ci`; it starts at the cell's first slot and stops at its end.
+        let mut ends = Vec::with_capacity(self.cells.len());
+        let mut total = 0usize;
+        for c in &self.cells {
+            ends.push(total);
+            total += count(c) as usize;
+        }
+        let mut values = vec![0.0; total];
+        for (&ci, &v) in self.cell.iter().zip(rows) {
+            if !v.is_nan() {
+                let slot = &mut ends[ci as usize];
+                values[*slot] = v;
+                *slot += 1;
+            }
+        }
+        let mut start = 0;
+        for &end in &ends {
+            values[start..end].sort_unstable_by(f64::total_cmp);
+            start = end;
+        }
+        SortedColumn { values, ends }
+    }
+
+    /// Put `cell(id, metadata)` of every cell into its slot of `grid`, in
+    /// first-seen order (so groups land in first-seen order too).
+    fn place<C: Clone>(
+        &self,
+        grid: &mut GroupSlots<C>,
+        mut cell: impl FnMut(usize, &CellMeta) -> C,
+    ) {
+        for (ci, meta) in self.cells.iter().enumerate() {
+            let CellKey { group, window, rank } = meta.key;
+            *grid.cell(group, rank as usize, window as usize, meta.bytes) = Some(cell(ci, meta));
+        }
+    }
+
+    /// Summarise every cell into `grid` from its exact order statistics.
+    /// One sorted column is alive at a time: MinRTT's is read and freed
+    /// before HDratio's is built.
+    fn summarize_into(&self, grid: &mut GroupSlots<CellSummary>) {
+        let min_rtt: Vec<(f64, Option<f64>)> = {
+            let column = self.sorted_column(&self.min_rtt, |c| c.n_rtt);
+            (0..self.cells.len())
+                .map(|ci| median_and_variance(column.cell(ci)).expect("a cell holds a session"))
+                .collect()
         };
+        let hdratio = self.sorted_column(&self.hdratio, |c| c.n_hd);
+        self.place(grid, |ci, meta| {
+            let (min_rtt_p50, min_rtt_var) = min_rtt[ci];
+            let (hdratio_p50, hdratio_var) = median_and_variance(hdratio.cell(ci)).unzip();
+            CellSummary {
+                n: meta.n_rtt as usize,
+                n_tested: meta.n_hd as usize,
+                bytes: meta.bytes,
+                min_rtt_p50,
+                min_rtt_var,
+                hdratio_p50,
+                hdratio_var: hdratio_var.flatten(),
+                relationship: meta.relationship,
+                longer_path: meta.longer_path,
+                more_prepended: meta.more_prepended,
+            }
+        })
+    }
+}
+
+impl RecordShard for ColumnarShard {
+    fn push(&mut self, r: SessionRecord) {
+        assert!(!r.min_rtt_ms.is_nan(), "NaN MinRTT");
+        let key = CellKey { group: r.group, window: r.window, rank: r.route_rank };
+        let ci = self.cell_id(key, r.relationship);
         let cell = &mut self.cells[ci];
         cell.bytes += r.bytes;
         cell.longer_path |= r.longer_path;
         cell.more_prepended |= r.more_prepended;
         cell.n_rtt += 1;
-        self.rtt_cell.push(ci as u32);
-        self.rtt_val.push(r.min_rtt_ms);
-        if let Some(h) = r.hdratio {
-            cell.n_hd += 1;
-            self.hd_cell.push(ci as u32);
-            self.hd_val.push(h);
-        }
+        let hdratio = match r.hdratio {
+            Some(h) => {
+                // NaN is how a row says "untested".
+                assert!(!h.is_nan(), "NaN HDratio");
+                cell.n_hd += 1;
+                h
+            }
+            None => f64::NAN,
+        };
+        self.cell.push(ci as u32);
+        self.min_rtt.push(r.min_rtt_ms);
+        self.hdratio.push(hdratio);
     }
 }
 
-/// Exact-path sink that keeps worker shards whole until the study ends.
+/// The exact study: worker shards kept whole, from which the per-cell
+/// summaries, the per-session rows and (for tests) the [`Dataset`] are all
+/// read.
 #[derive(Debug, Default)]
 pub struct ColumnarSink {
     n_windows: usize,
@@ -158,62 +282,60 @@ impl ColumnarSink {
         ColumnarSink { n_windows, shards: Vec::new() }
     }
 
-    /// Distinct cells across all shards (the peak cell count of the run,
-    /// since the scheduler never sends one cell to two workers).
+    /// Distinct cells across all shards (shards never share a cell).
     pub fn cell_count(&self) -> usize {
         self.shards.iter().map(ColumnarShard::cell_count).sum()
     }
 
-    /// Assemble the exact [`Dataset`]. Each shard's sample logs scatter
-    /// once into per-cell vectors preallocated at their exact final
-    /// length, then each cell is sorted once.
-    pub fn into_dataset(self) -> Dataset {
-        let n_windows = self.n_windows;
-        let mut grid: GroupSlots<Aggregation> = GroupSlots::new(n_windows);
-        for shard in self.shards {
-            let ColumnarShard { cells, rtt_cell, rtt_val, hd_cell, hd_val, .. } = shard;
-            let mut min_rtt: Vec<Vec<f64>> =
-                cells.iter().map(|c| Vec::with_capacity(c.n_rtt as usize)).collect();
-            for (&ci, &v) in rtt_cell.iter().zip(&rtt_val) {
-                min_rtt[ci as usize].push(v);
-            }
-            let mut hdratio: Vec<Vec<f64>> =
-                cells.iter().map(|c| Vec::with_capacity(c.n_hd as usize)).collect();
-            for (&ci, &v) in hd_cell.iter().zip(&hd_val) {
-                hdratio[ci as usize].push(v);
-            }
-            for (ci, meta) in cells.into_iter().enumerate() {
-                let key = meta.key;
-                let mut mr = std::mem::take(&mut min_rtt[ci]);
-                let mut hd = std::mem::take(&mut hdratio[ci]);
-                mr.sort_unstable_by(f64::total_cmp);
-                hd.sort_unstable_by(f64::total_cmp);
-                match grid.cell(key.group, key.rank as usize, key.window as usize, meta.bytes) {
-                    Some(cell) => {
-                        // Two shards produced the same cell — impossible
-                        // from the study runner, but merge defensively so
-                        // hand-built shard splits stay correct.
-                        cell.min_rtt_ms.extend_from_slice(&mr);
-                        cell.hdratio.extend_from_slice(&hd);
-                        cell.min_rtt_ms.sort_unstable_by(f64::total_cmp);
-                        cell.hdratio.sort_unstable_by(f64::total_cmp);
-                        cell.bytes += meta.bytes;
-                        cell.longer_path |= meta.longer_path;
-                        cell.more_prepended |= meta.more_prepended;
-                    }
-                    slot @ None => {
-                        let mut cell = Aggregation::new(meta.relationship);
-                        cell.min_rtt_ms = mr;
-                        cell.hdratio = hd;
-                        cell.bytes = meta.bytes;
-                        cell.longer_path = meta.longer_path;
-                        cell.more_prepended = meta.more_prepended;
-                        *slot = Some(cell);
-                    }
-                }
-            }
+    /// Summarise every cell once from its exact order statistics — the
+    /// same numbers, groups in the same order, as
+    /// `into_dataset().summarize()`, without building the dataset: one
+    /// shard and one metric at a time is scattered into a flat column,
+    /// read, and freed.
+    pub fn summarize(&self) -> Summaries {
+        let mut grid = GroupSlots::new(self.n_windows);
+        for shard in &self.shards {
+            shard.summarize_into(&mut grid);
         }
-        Dataset { n_windows, groups: grid.slots.into_iter().collect() }
+        Summaries { groups: in_dataset_order(grid.slots) }
+    }
+
+    /// Every session as its worker pushed it, shard by shard: its cell,
+    /// its MinRTT (ms) and its HDratio if it tested.
+    pub fn rows(&self) -> impl Iterator<Item = (CellKey, f64, Option<f64>)> + '_ {
+        self.shards.iter().flat_map(|s| {
+            s.cell.iter().zip(&s.min_rtt).zip(&s.hdratio).map(move |((&ci, &min_rtt), &hd)| {
+                (s.cells[ci as usize].key, min_rtt, (!hd.is_nan()).then_some(hd))
+            })
+        })
+    }
+
+    /// Assemble the exact [`Dataset`] — the oracle tests and benches hold
+    /// [`summarize`](Self::summarize) and the other sinks against. Cells
+    /// are copied out of the same sorted columns `summarize` reads.
+    pub fn into_dataset(self) -> Dataset {
+        let mut grid = GroupSlots::new(self.n_windows);
+        for shard in &self.shards {
+            let min_rtt = shard.sorted_column(&shard.min_rtt, |c| c.n_rtt);
+            let hdratio = shard.sorted_column(&shard.hdratio, |c| c.n_hd);
+            shard.place(&mut grid, |ci, meta| Aggregation {
+                min_rtt_ms: min_rtt.cell(ci).to_vec(),
+                hdratio: hdratio.cell(ci).to_vec(),
+                bytes: meta.bytes,
+                relationship: meta.relationship,
+                longer_path: meta.longer_path,
+                more_prepended: meta.more_prepended,
+            });
+        }
+        Dataset { n_windows: self.n_windows, groups: grid.slots.into_iter().collect() }
+    }
+}
+
+impl PreferredSessions for ColumnarSink {
+    fn preferred_sessions(&self) -> impl Iterator<Item = (u8, f64, Option<f64>)> {
+        self.rows()
+            .filter(|(key, ..)| key.rank == 0)
+            .map(|(key, min_rtt, hdratio)| (key.group.continent, min_rtt, hdratio))
     }
 }
 
@@ -230,9 +352,25 @@ impl RecordSink for ColumnarSink {
         ColumnarShard::default()
     }
 
-    fn merge_shard(&mut self, shard: ColumnarShard) {
-        // Zero-copy: adopt the shard whole; samples stay where the worker
-        // wrote them until `into_dataset` moves each column into its cell.
+    fn merge_shard(&mut self, mut shard: ColumnarShard) {
+        // The runner hands each prefix to one worker, so its shards share
+        // no group and this loop never runs; a hand-built split that does
+        // is folded together here, and nothing downstream meets a cell in
+        // two shards.
+        while let Some(i) = self
+            .shards
+            .iter()
+            .position(|s| shard.group_index.keys().any(|g| s.group_index.contains_key(g)))
+        {
+            let mut merged = self.shards.remove(i);
+            merged.absorb(shard);
+            shard = merged;
+        }
+        // Adopt the shard whole: rows stay where the worker wrote them,
+        // minus the growth slack.
+        shard.cell.shrink_to_fit();
+        shard.min_rtt.shrink_to_fit();
+        shard.hdratio.shrink_to_fit();
         self.shards.push(shard);
     }
 

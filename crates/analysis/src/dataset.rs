@@ -99,21 +99,33 @@ impl Aggregation {
 
     /// Summarise from the exact order statistics of the sorted samples.
     pub fn summary(&self) -> CellSummary {
-        let variance =
-            |sorted: &[f64]| (sorted.len() >= 5).then(|| median_variance_sorted(sorted).1);
+        let (min_rtt_p50, min_rtt_var) =
+            median_and_variance(&self.min_rtt_ms).expect("a cell holds a session");
+        let (hdratio_p50, hdratio_var) = median_and_variance(&self.hdratio).unzip();
         CellSummary {
             n: self.n(),
             n_tested: self.hdratio.len(),
             bytes: self.bytes,
-            min_rtt_p50: self.min_rtt_p50(),
-            min_rtt_var: variance(&self.min_rtt_ms),
-            hdratio_p50: self.hdratio_p50(),
-            hdratio_var: variance(&self.hdratio),
+            min_rtt_p50,
+            min_rtt_var,
+            hdratio_p50,
+            hdratio_var: hdratio_var.flatten(),
             relationship: self.relationship,
             longer_path: self.longer_path,
             more_prepended: self.more_prepended,
         }
     }
+}
+
+/// One metric of one exact cell, off its ascending samples: the median and
+/// its Price–Bonett variance (`None` below 5 samples); `None` when the
+/// cell has no sample of the metric.
+pub(crate) fn median_and_variance(sorted: &[f64]) -> Option<(f64, Option<f64>)> {
+    if sorted.is_empty() {
+        return None;
+    }
+    let variance = (sorted.len() >= 5).then(|| median_variance_sorted(sorted).1);
+    Some((edgeperf_stats::quantile::median_sorted(sorted), variance))
 }
 
 /// All cells of one user group, `ranks[r][w]`, whatever a cell is: sorted
@@ -230,6 +242,15 @@ impl<C: Clone> GroupSlots<C> {
         g.total_bytes += bytes;
         &mut g.ranks[rank][window]
     }
+}
+
+/// Groups listed in first-seen order, reordered into the order a
+/// [`Dataset`]'s group map iterates them in — the order every exact
+/// `results/*.json` was recorded in.
+pub(crate) fn in_dataset_order<C>(
+    groups: Vec<(GroupKey, GroupData<C>)>,
+) -> Vec<(GroupKey, GroupData<C>)> {
+    groups.into_iter().collect::<FxHashMap<_, _>>().into_iter().collect()
 }
 
 /// The summary grid of a whole study: what [`Dataset::summarize`],

@@ -11,61 +11,85 @@ use edgeperf_routing::Relationship;
 use edgeperf_stats::cdf::{CdfBuilder, WeightedCdf};
 use std::collections::BTreeMap;
 
+/// The per-session view Figures 6–7 read: every preferred-route (rank 0)
+/// session as (continent, MinRTT in ms, HDratio if it tested). The figures
+/// take several passes, so every call must yield the same sessions.
+pub trait PreferredSessions {
+    /// One pass over the preferred-route sessions.
+    fn preferred_sessions(&self) -> impl Iterator<Item = (u8, f64, Option<f64>)>;
+}
+
+impl PreferredSessions for [SessionRecord] {
+    fn preferred_sessions(&self) -> impl Iterator<Item = (u8, f64, Option<f64>)> {
+        self.iter()
+            .filter(|r| r.route_rank == 0)
+            .map(|r| (r.group.continent, r.min_rtt_ms, r.hdratio))
+    }
+}
+
 /// Per-session MinRTT CDFs: overall and per continent (Figure 6a/6b).
 /// Only preferred-route sessions contribute (the §4 view).
-pub fn fig6_minrtt(records: &[SessionRecord]) -> (WeightedCdf, BTreeMap<u8, WeightedCdf>) {
-    per_continent_cdf(records, |r| Some(r.min_rtt_ms))
+pub fn fig6_minrtt<S: PreferredSessions + ?Sized>(
+    sessions: &S,
+) -> (WeightedCdf, BTreeMap<u8, WeightedCdf>) {
+    per_continent_cdf(sessions, |min_rtt, _| Some(min_rtt))
 }
 
 /// Per-session HDratio CDFs: overall and per continent (Figure 6a/6c).
-pub fn fig6_hdratio(records: &[SessionRecord]) -> (WeightedCdf, BTreeMap<u8, WeightedCdf>) {
-    per_continent_cdf(records, |r| r.hdratio)
+pub fn fig6_hdratio<S: PreferredSessions + ?Sized>(
+    sessions: &S,
+) -> (WeightedCdf, BTreeMap<u8, WeightedCdf>) {
+    per_continent_cdf(sessions, |_, hdratio| hdratio)
 }
 
-fn per_continent_cdf(
-    records: &[SessionRecord],
-    metric: impl Fn(&SessionRecord) -> Option<f64>,
+fn per_continent_cdf<S: PreferredSessions + ?Sized>(
+    sessions: &S,
+    metric: impl Fn(f64, Option<f64>) -> Option<f64>,
 ) -> (WeightedCdf, BTreeMap<u8, WeightedCdf>) {
-    let mut overall = CdfBuilder::new();
-    let mut per: BTreeMap<u8, CdfBuilder> = BTreeMap::new();
-    for r in records.iter().filter(|r| r.route_rank == 0) {
-        if let Some(v) = metric(r) {
-            overall.push(v);
-            per.entry(r.group.continent).or_default().push(v);
-        }
+    let samples =
+        || sessions.preferred_sessions().filter_map(|(c, rtt, hd)| Some((c, metric(rtt, hd)?)));
+    // Count first, so every builder is born at its final size, and finish
+    // the overall CDF before the per-continent builders exist: a study's
+    // worth of samples is held once at a time, not twice.
+    let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
+    for (continent, _) in samples() {
+        *counts.entry(continent).or_default() += 1;
     }
-    (
-        overall.build(),
-        per.into_iter().filter(|(_, b)| !b.is_empty()).map(|(k, b)| (k, b.build())).collect(),
-    )
+    let mut overall = CdfBuilder::with_capacity(counts.values().sum());
+    samples().for_each(|(_, v)| overall.push(v));
+    let overall = overall.build();
+    let mut per: BTreeMap<u8, CdfBuilder> =
+        counts.iter().map(|(&c, &n)| (c, CdfBuilder::with_capacity(n))).collect();
+    for (continent, v) in samples() {
+        per.get_mut(&continent).expect("continent was counted").push(v);
+    }
+    (overall, per.into_iter().map(|(c, b)| (c, b.build())).collect())
 }
 
 /// HDratio CDFs per MinRTT bucket (Figure 7). Buckets follow the paper:
 /// 0–30, 31–50, 51–80, 81+ ms.
-pub fn fig7_hdratio_by_minrtt(records: &[SessionRecord]) -> Vec<(&'static str, WeightedCdf)> {
-    let buckets: [(&str, f64, f64); 4] = [
+pub fn fig7_hdratio_by_minrtt<S: PreferredSessions + ?Sized>(
+    sessions: &S,
+) -> Vec<(&'static str, WeightedCdf)> {
+    // A bucket holds `lo < MinRTT ≤ hi`.
+    const BUCKETS: [(&str, f64, f64); 4] = [
         ("0-30", 0.0, 30.0),
         ("31-50", 30.0, 50.0),
         ("51-80", 50.0, 80.0),
         ("81+", 80.0, f64::INFINITY),
     ];
-    buckets
+    let mut builders: [CdfBuilder; 4] = Default::default();
+    for (_, min_rtt, hdratio) in sessions.preferred_sessions() {
+        let Some(h) = hdratio else { continue };
+        if let Some(i) = BUCKETS.iter().position(|&(_, lo, hi)| min_rtt > lo && min_rtt <= hi) {
+            builders[i].push(h);
+        }
+    }
+    BUCKETS
         .iter()
-        .filter_map(|&(label, lo, hi)| {
-            let mut b = CdfBuilder::new();
-            for r in records.iter().filter(|r| r.route_rank == 0) {
-                if r.min_rtt_ms > lo && r.min_rtt_ms <= hi {
-                    if let Some(h) = r.hdratio {
-                        b.push(h);
-                    }
-                }
-            }
-            if b.is_empty() {
-                None
-            } else {
-                Some((label, b.build()))
-            }
-        })
+        .zip(builders)
+        .filter(|(_, b)| !b.is_empty())
+        .map(|(&(label, ..), b)| (label, b.build()))
         .collect()
 }
 
@@ -219,31 +243,31 @@ mod tests {
 
     #[test]
     fn fig6_splits_by_continent() {
-        let records = vec![
+        let records = [
             rec(0, 0, 20.0, Some(1.0)),
             rec(0, 0, 30.0, Some(1.0)),
             rec(1, 0, 80.0, Some(0.2)),
             rec(1, 0, 90.0, None),
             rec(1, 1, 10.0, Some(1.0)), // alternate: excluded from fig6
         ];
-        let (overall, per) = fig6_minrtt(&records);
+        let (overall, per) = fig6_minrtt(&records[..]);
         assert_eq!(overall.total_weight(), 4.0);
         assert_eq!(per.len(), 2);
         assert!(per[&0].quantile(0.5) < per[&1].quantile(0.5));
-        let (hdr_overall, hdr_per) = fig6_hdratio(&records);
+        let (hdr_overall, hdr_per) = fig6_hdratio(&records[..]);
         assert_eq!(hdr_overall.total_weight(), 3.0);
         assert_eq!(hdr_per[&1].total_weight(), 1.0);
     }
 
     #[test]
     fn fig7_buckets_split_on_minrtt() {
-        let records = vec![
+        let records = [
             rec(0, 0, 10.0, Some(1.0)),
             rec(0, 0, 40.0, Some(0.8)),
             rec(0, 0, 70.0, Some(0.5)),
             rec(0, 0, 120.0, Some(0.1)),
         ];
-        let buckets = fig7_hdratio_by_minrtt(&records);
+        let buckets = fig7_hdratio_by_minrtt(&records[..]);
         assert_eq!(buckets.len(), 4);
         // Lower-latency buckets have higher HDratio.
         assert!(buckets[0].1.quantile(0.5) > buckets[3].1.quantile(0.5));

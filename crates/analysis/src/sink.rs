@@ -10,16 +10,18 @@
 //!
 //! Three implementations cover the analysis modes:
 //!
-//! - `Vec<SessionRecord>` — the exact path: collect every record, then
-//!   build a [`crate::Dataset`]. Memory grows linearly with session count.
-//! - [`crate::ColumnarSink`] — the fast exact path: workers accumulate
-//!   columnar (SoA) shards that merge zero-copy at join time.
+//! - [`crate::ColumnarSink`] — the exact path: workers append 20-byte
+//!   rows (cell id, MinRTT, HDratio) to columnar shards that the sink
+//!   adopts whole at join time and then *keeps*. Per-cell summaries
+//!   ([`ColumnarSink::summarize`]) and the per-session view of Figures 6–7
+//!   are read off those rows; nothing else holds an exact sample, and
+//!   memory grows by those 20 bytes a session.
 //! - [`StreamingDataset`] — the production path (§3.4.1): bounded-memory
-//!   t-digest cells keyed exactly like the exact dataset's; the full
-//!   record vector is never materialized.
-//!
-//! Tuple sinks `(A, B)` tee every record into both members, letting one
-//! parallel pass feed two destinations (e.g. records + columnar dataset).
+//!   t-digest cells keyed exactly like the exact dataset's; no per-session
+//!   row is ever kept.
+//! - `Vec<SessionRecord>` — every record whole (56 bytes): what the study
+//!   supervisor checkpoints, and the reference tests rebuild a
+//!   [`crate::Dataset`] from.
 //!
 //! This module is the one entry point for sinks: the traits, the
 //! [`SinkStats`] summary, and every implementation ([`ColumnarSink`] and
@@ -50,20 +52,6 @@ pub struct SinkStats {
     pub digest_centroids: u64,
     /// Digest buffer-compression passes run (streaming sinks; 0 elsewhere).
     pub digest_compressions: u64,
-}
-
-impl SinkStats {
-    /// Combine the two members of a tee. Both ingest the same record
-    /// stream, so `records` is the larger of the two (not the sum);
-    /// structural state (cells, digests) is disjoint per member and adds.
-    pub fn tee(self, other: SinkStats) -> SinkStats {
-        SinkStats {
-            records: self.records.max(other.records),
-            cells: self.cells + other.cells,
-            digest_centroids: self.digest_centroids + other.digest_centroids,
-            digest_compressions: self.digest_compressions + other.digest_compressions,
-        }
-    }
 }
 
 /// A per-worker accumulator of session records.
@@ -139,45 +127,6 @@ impl RecordSink for Vec<SessionRecord> {
 
     fn into_snapshot(self) -> Vec<SessionRecord> {
         self
-    }
-}
-
-impl<A: RecordShard, B: RecordShard> RecordShard for (A, B) {
-    fn push(&mut self, record: SessionRecord) {
-        self.0.push(record);
-        self.1.push(record);
-    }
-}
-
-impl<A: RecordSink, B: RecordSink> RecordSink for (A, B) {
-    type Shard = (A::Shard, B::Shard);
-    type Snapshot = (A::Snapshot, B::Snapshot);
-    type Stats = SinkStats;
-
-    fn name(&self) -> &'static str {
-        "tee"
-    }
-
-    fn new_shard(&self) -> Self::Shard {
-        (self.0.new_shard(), self.1.new_shard())
-    }
-
-    fn merge_shard(&mut self, shard: Self::Shard) {
-        self.0.merge_shard(shard.0);
-        self.1.merge_shard(shard.1);
-    }
-
-    fn finalize(&mut self) {
-        self.0.finalize();
-        self.1.finalize();
-    }
-
-    fn stats(&self) -> SinkStats {
-        self.0.stats().into().tee(self.1.stats().into())
-    }
-
-    fn into_snapshot(self) -> Self::Snapshot {
-        (self.0.into_snapshot(), self.1.into_snapshot())
     }
 }
 
@@ -315,8 +264,14 @@ impl StreamingDataset {
 
     /// Flush every cell digest: subsequent queries are allocation-free
     /// and the dataset holds centroids only. Each cell's insert buffers
-    /// are released as it is flushed, so the allocator hands them to the
-    /// next cell's centroid list and finalizing does not raise the peak.
+    /// are released as it is flushed, but finalizing does raise the peak:
+    /// a study's cells mostly hold ~80 samples, which is under the
+    /// digest's compression threshold, so an 8-byte buffered sample
+    /// becomes a 16-byte centroid nearly one for one — 13.9 M samples
+    /// into 8.26 M centroids, resident set 183 → 313 MB at seed 7
+    /// (7.72 M sessions) — beside freed buffers the allocator has not
+    /// reused yet. That step, not the run, sets `repro all --streaming`'s
+    /// peak, and is the next ceiling of the `offline_repro` workload.
     /// The runner calls this through [`RecordSink::finalize`].
     pub fn flush(&mut self) {
         for (_, g) in &mut self.grid.slots {
@@ -501,21 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_sink_feeds_both_members() {
-        let mut sink: (Vec<SessionRecord>, StreamingDataset) =
-            (Vec::new(), StreamingDataset::new(4));
-        let mut shard = sink.new_shard();
-        for r in synthetic(500) {
-            shard.push(r);
-        }
-        sink.merge_shard(shard);
-        sink.finalize();
-        assert_eq!(sink.0.len(), 500);
-        assert_eq!(sink.1.total_bytes(), 500 * 100);
-        assert_eq!(sink.1.len(), Dataset::from_records(&sink.0, 4).groups.len());
-    }
-
-    #[test]
     fn sink_stats_report_records_cells_and_digest_state() {
         let records = synthetic(2_000);
 
@@ -548,26 +488,6 @@ mod tests {
         assert_eq!(s.cells, c.cells, "both sinks saw the same cells");
         assert!(s.digest_centroids > 0);
         assert!(s.digest_compressions > 0, "finalize flushed every digest");
-    }
-
-    #[test]
-    fn tee_stats_max_records_and_add_structure() {
-        let mut sink: (Vec<SessionRecord>, StreamingDataset) =
-            (Vec::new(), StreamingDataset::new(4));
-        let mut shard = sink.new_shard();
-        for r in synthetic(300) {
-            shard.push(r);
-        }
-        sink.merge_shard(shard);
-        sink.finalize();
-        assert_eq!(sink.name(), "tee");
-        let stats: SinkStats = sink.stats();
-        // Both members saw the same 300 records: max, not 600.
-        assert_eq!(stats.records, 300);
-        assert_eq!(stats.cells, sink.1.cell_count() as u64);
-        let (records, ds) = sink.into_snapshot();
-        assert_eq!(records.len(), 300);
-        assert_eq!(ds.record_count(), 300);
     }
 
     #[test]

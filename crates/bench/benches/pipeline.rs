@@ -98,8 +98,8 @@ fn bench_pipeline_throughput(c: &mut Criterion) {
     });
 }
 
-/// End-to-end study through the shipping tee sink (records + columnar
-/// dataset in one pass) vs the old two-pass shape (records, then a
+/// End-to-end study to cell summaries: the shipping exact sink (columnar
+/// rows, summarised in place) vs the old two-pass shape (records, then a
 /// serial from_records sweep).
 fn bench_study_tee(c: &mut Criterion) {
     let world = World::generate(WorldConfig { country_fraction: 0.15, ..Default::default() });
@@ -109,15 +109,14 @@ fn bench_study_tee(c: &mut Criterion) {
         b.iter(|| {
             let mut records: Vec<SessionRecord> = Vec::new();
             run_study_into(black_box(&world), black_box(&cfg), &mut records);
-            Dataset::from_records(&records, n_windows)
+            Dataset::from_records(&records, n_windows).summarize()
         })
     });
-    c.bench_function("study: tee sink records + columnar (one-pass)", |b| {
+    c.bench_function("study: columnar sink, summarised in place (one-pass)", |b| {
         b.iter(|| {
-            let mut sink: (Vec<SessionRecord>, ColumnarSink) =
-                (Vec::new(), ColumnarSink::new(n_windows));
+            let mut sink = ColumnarSink::new(n_windows);
             run_study_into(black_box(&world), black_box(&cfg), &mut sink);
-            (sink.0, sink.1.into_dataset())
+            sink.summarize()
         })
     });
 }

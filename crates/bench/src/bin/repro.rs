@@ -44,6 +44,7 @@
 //! flag implies `--supervised`. `--quick` shrinks the study to scale 0.1
 //! unless `--scale` is given.
 
+use edgeperf_analysis::sink::RecordSink;
 use edgeperf_bench::{
     ablations, cc_compare, detector, env_scale, fig4, fig5, naive, pipeline_bench, study,
     validation, workload_figs,
@@ -212,11 +213,13 @@ fn main() {
         } else {
             (b.run(), None)
         };
-        match d.records() {
-            Some(records) => {
-                eprintln!("study: {} session records in {:.1?}", records.len(), t0.elapsed())
+        match &d.sessions {
+            // What the sink holds: after a resume that is more than this
+            // process's workers emitted.
+            study::Sessions::Columns(sink) => {
+                eprintln!("study: {} session records in {:.1?}", sink.stats().records, t0.elapsed())
             }
-            None => eprintln!(
+            study::Sessions::Digests(_) => eprintln!(
                 "study: {} sessions into bounded digest cells in {:.1?}",
                 d.stats.total().records_emitted,
                 t0.elapsed()

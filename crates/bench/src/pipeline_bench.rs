@@ -16,9 +16,10 @@
 //!   seed-style `from_records` (std hasher, no memo, stable sorts).
 //! - **from_records**: the same AoS shape but through today's
 //!   [`Dataset::from_records`] (FxHash, group memo, unstable sorts).
-//! - **columnar**: the shipping path — SoA shard pushes during the pass,
-//!   zero-copy merge, exact-capacity scatter and one sort per cell at
-//!   assembly.
+//! - **columnar**: the shipping sink — row-aligned SoA shard pushes during
+//!   the pass, zero-copy merge — assembled into the same `Dataset` (one
+//!   flat scatter and one sort per cell; the study itself stops at
+//!   `ColumnarSink::summarize` and never builds it).
 //!
 //! The headline `sessions_per_sec` compares baseline vs columnar (one
 //! record = one measured session).
@@ -31,7 +32,8 @@ use edgeperf_analysis::{
 use edgeperf_obs::Metrics;
 use edgeperf_routing::Relationship;
 use edgeperf_world::{
-    run_study_observed, run_study_supervised, StudyConfig, SupervisorConfig, World, WorldConfig,
+    run_study, run_study_observed, run_study_supervised, StudyConfig, SupervisorConfig, World,
+    WorldConfig,
 };
 use serde::Serialize;
 use std::collections::HashMap;
@@ -331,14 +333,16 @@ pub fn run_observed(opts: &BenchOptions, metrics: &Metrics) -> PipelineBenchRepo
     };
     let n_windows = study.n_windows() as usize;
 
-    // End-to-end study at parallelism 1 through the shipping tee sink,
+    // End-to-end study at parallelism 1 through the shipping exact sink,
     // metrics disabled: the baseline side of the overhead comparison.
     let t0 = Instant::now();
-    let mut sink: (Vec<SessionRecord>, ColumnarSink) = (Vec::new(), ColumnarSink::new(n_windows));
-    let stats = run_study_observed(&world, &study, &mut sink, &Metrics::disabled());
+    let mut columnar = ColumnarSink::new(n_windows);
+    let stats = run_study_observed(&world, &study, &mut columnar, &Metrics::disabled());
     let elapsed = t0.elapsed().as_secs_f64();
-    let (records, columnar) = sink;
     let peak_cells = columnar.cell_count();
+    drop(columnar);
+    // The record stream every ingestion path below replays.
+    let records = run_study(&world, &study);
     let totals = stats.total();
     let study_tp = StudyThroughput {
         sessions_simulated: totals.sessions_simulated,
@@ -385,7 +389,7 @@ pub fn run_observed(opts: &BenchOptions, metrics: &Metrics) -> PipelineBenchRepo
     let (stream_sec, stream_ds) = best_of(iters, || streaming_ingest(&records, n_windows));
     let (exact_cdf, _) = {
         let _sp = metrics.span("figures.fig6_minrtt");
-        fig6_minrtt(&records)
+        fig6_minrtt(&records[..])
     };
     let (stream_all, _) = stream_ds.minrtt_rollup();
     let e50 = exact_cdf.quantile(0.5);
@@ -408,8 +412,7 @@ pub fn run_observed(opts: &BenchOptions, metrics: &Metrics) -> PipelineBenchRepo
     // when the caller's handle is disabled) takes the final repeat, so
     // it ends up holding exactly one run's worth of counters.
     let study_once = |m: &Metrics| {
-        let mut sink: (Vec<SessionRecord>, ColumnarSink) =
-            (Vec::new(), ColumnarSink::new(n_windows));
+        let mut sink = ColumnarSink::new(n_windows);
         let t = Instant::now();
         run_study_observed(&world, &study, &mut sink, m);
         t.elapsed().as_secs_f64()
@@ -650,7 +653,7 @@ mod tests {
         );
         // Scheduler gauges and sink gauges.
         assert!(snap.gauges.keys().any(|k| k.starts_with("scheduler.worker.")));
-        assert!(snap.gauges.contains_key("sink.tee.records"));
+        assert!(snap.gauges.contains_key("sink.columnar.records"));
         // Merge-latency histogram and phase spans, including figures.
         assert!(snap.histograms.contains_key("sink.merge_ns"));
         let names: Vec<&str> = snap.spans.iter().map(|s| s.name.as_str()).collect();

@@ -5,10 +5,10 @@ use edgeperf_analysis::figures::{
     fig10_by_relationship, fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt, fig8_degradation,
     fig9_opportunity, DiffCdfs, RelPair,
 };
+use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::tables::{table1, table2, AnalysisKind, Table2Row};
 use edgeperf_analysis::{
-    AnalysisConfig, ColumnarSink, Dataset, DegradationMetric, SessionRecord, StreamingDataset,
-    Summaries,
+    AnalysisConfig, ColumnarSink, DegradationMetric, SessionRecord, StreamingDataset, Summaries,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_routing::Relationship;
@@ -158,8 +158,8 @@ impl StudyBuilder {
 
 /// The per-session view of a study, as its sink kept it.
 pub enum Sessions {
-    /// Every record (exact sink).
-    Records(Vec<SessionRecord>),
+    /// Every session's cell, MinRTT and HDratio (exact sink).
+    Columns(ColumnarSink),
     /// Per-cell t-digests only (streaming sink).
     Digests(StreamingDataset),
 }
@@ -176,16 +176,6 @@ pub struct StudyData {
     pub cfg: AnalysisConfig,
     /// Per-worker scheduler counters from the run.
     pub stats: StudyStats,
-}
-
-impl StudyData {
-    /// The session records, when the exact sink kept them.
-    pub fn records(&self) -> Option<&[SessionRecord]> {
-        match &self.sessions {
-            Sessions::Records(records) => Some(records),
-            Sessions::Digests(_) => None,
-        }
-    }
 }
 
 impl StudyBuilder {
@@ -205,22 +195,20 @@ impl StudyBuilder {
         (world, study)
     }
 
-    /// Run the study through the exact (collect-everything) sink.
+    /// Run the study through the exact sink.
     ///
-    /// A tee sink collects the raw record vector and the columnar dataset
-    /// shards in the same parallel pass, so the dataset comes from a
-    /// zero-copy shard merge at join time instead of a serial
-    /// `Dataset::from_records` sweep afterwards. The result is
-    /// bit-identical (see `columnar_sink_matches_from_records_end_to_end`).
+    /// The [`ColumnarSink`] is the only thing the run fills and the only
+    /// exact copy of the study afterwards: 20 bytes a session. The cell
+    /// summaries are read off it one shard and one metric at a time
+    /// ([`ColumnarSink::summarize`], bit-identical to summarising the
+    /// assembled `Dataset` — see `sink_agreement`), and Figures 6–7 re-read
+    /// its rows.
     pub fn run(&self) -> StudyData {
         let (world, study) = self.build();
-        let mut sink: (Vec<SessionRecord>, ColumnarSink) =
-            (Vec::new(), ColumnarSink::new(study.n_windows() as usize));
+        let mut sink = ColumnarSink::new(study.n_windows() as usize);
         let stats = run_study_observed(&world, &study, &mut sink, &self.metrics);
-        let (records, columnar) = sink;
-        // The sorted samples are read once, here; only summaries stay.
-        let summaries = columnar.into_dataset().summarize();
-        let sessions = Sessions::Records(records);
+        let summaries = sink.summarize();
+        let sessions = Sessions::Columns(sink);
         StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats }
     }
 
@@ -251,7 +239,9 @@ impl StudyBuilder {
     /// `edgeperf-world`'s `supervisor` module): per-prefix panic
     /// isolation with retry/quarantine, watchdog deadlines, and — when a
     /// checkpoint directory is set — periodic checkpoints and automatic
-    /// resume.
+    /// resume. The supervisor fills its checkpointable record vector; the
+    /// records are then replayed into one columnar shard and dropped, so
+    /// what comes back has the same shape as [`run`](Self::run)'s.
     ///
     /// # Errors
     ///
@@ -281,8 +271,12 @@ impl StudyBuilder {
         let mut records: Vec<SessionRecord> = Vec::new();
         let (stats, report) =
             run_study_supervised(&world, &study, &sup, &mut records, &self.metrics)?;
-        let summaries = Dataset::from_records(&records, study.n_windows() as usize).summarize();
-        let sessions = Sessions::Records(records);
+        let mut sink = ColumnarSink::new(study.n_windows() as usize);
+        let mut shard = sink.new_shard();
+        records.into_iter().for_each(|r| shard.push(r));
+        sink.merge_shard(shard);
+        let summaries = sink.summarize();
+        let sessions = Sessions::Columns(sink);
         Ok((StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats }, report))
     }
 
@@ -404,9 +398,9 @@ fn fig6_summary<D>(
 /// percentage points of approximation error (see EXPERIMENTS.md).
 pub fn fig6(data: &StudyData) -> Fig6Summary {
     match &data.sessions {
-        Sessions::Records(records) => fig6_summary(
-            fig6_minrtt(records),
-            fig6_hdratio(records),
+        Sessions::Columns(sink) => fig6_summary(
+            fig6_minrtt(sink),
+            fig6_hdratio(sink),
             WeightedCdf::quantile,
             WeightedCdf::fraction_leq,
         ),
@@ -429,10 +423,11 @@ pub struct Fig7Row {
     pub frac_one: f64,
 }
 
-/// Compute Figure 7 rows. `None` without session records: the joint
+/// Compute Figure 7 rows. `None` without per-session rows: the joint
 /// MinRTT × HDratio distribution is in no per-cell summary or digest.
 pub fn fig7(data: &StudyData) -> Option<Vec<Fig7Row>> {
-    let rows = fig7_hdratio_by_minrtt(data.records()?)
+    let Sessions::Columns(sink) = &data.sessions else { return None };
+    let rows = fig7_hdratio_by_minrtt(sink)
         .into_iter()
         .map(|(label, cdf)| Fig7Row {
             bucket: label.to_string(),
@@ -728,6 +723,13 @@ mod tests {
         StudyBuilder::new().seed(42).days(1).sessions_per_group_window(40).country_fraction(0.3)
     }
 
+    fn sessions_held(data: &StudyData) -> u64 {
+        match &data.sessions {
+            Sessions::Columns(sink) => sink.stats().records,
+            Sessions::Digests(digests) => digests.stats().records,
+        }
+    }
+
     #[test]
     fn scale_mapping_matches_the_old_cli_defaults() {
         let b = StudyBuilder::new().scale(0.1);
@@ -751,7 +753,7 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(
             snap.counters.get("runner.records_emitted").copied(),
-            Some(data.records().unwrap().len() as u64)
+            Some(sessions_held(&data))
         );
         assert!(snap.spans.iter().any(|s| s.name == "study"));
     }
@@ -759,7 +761,7 @@ mod tests {
     #[test]
     fn study_pipeline_produces_all_outputs() {
         let data = small().run();
-        assert!(!data.records().unwrap().is_empty());
+        assert!(sessions_held(&data) > 0);
         let f6 = fig6(&data);
         assert!(f6.minrtt_p50 > 5.0 && f6.minrtt_p50 < 100.0, "{}", f6.minrtt_p50);
         assert!(f6.hdratio_gt0 > 0.3, "{}", f6.hdratio_gt0);
@@ -781,8 +783,8 @@ mod tests {
         let stream = small().run_streaming();
         // Same sessions flowed through both sinks.
         assert_eq!(exact.stats.total(), stream.stats.total());
-        assert_eq!(exact.stats.total().records_emitted, exact.records().unwrap().len() as u64);
-        assert!(fig7(&stream).is_none(), "fig7 needs session records");
+        assert_eq!(exact.stats.total().records_emitted, sessions_held(&exact));
+        assert!(fig7(&stream).is_none(), "fig7 needs per-session rows");
         let f6e = fig6(&exact);
         let f6s = fig6(&stream);
         assert!(

@@ -3,8 +3,8 @@
 //! and crash → `resume_from` → completion bit-identical to an
 //! uninterrupted run.
 
-use edgeperf_analysis::SessionRecord;
-use edgeperf_bench::study::{StudyBuilder, StudyData};
+use edgeperf_analysis::GroupKey;
+use edgeperf_bench::study::{Sessions, StudyBuilder, StudyData};
 use edgeperf_world::FaultPlan;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,15 +18,29 @@ fn small() -> StudyBuilder {
         .parallelism(2)
 }
 
-fn record_bits(r: &SessionRecord) -> (u32, u32, u8, u64, Option<u64>, u64) {
-    (
-        r.group.prefix.base,
-        r.window,
-        r.route_rank,
-        r.min_rtt_ms.to_bits(),
-        r.hdratio.map(f64::to_bits),
-        r.bytes,
-    )
+/// (group, window, rank, MinRTT bits, HDratio bits) of every session the
+/// exact sink holds, in the order it holds them.
+fn rows(data: &StudyData) -> Vec<(GroupKey, u32, u8, u64, Option<u64>)> {
+    let Sessions::Columns(sink) = &data.sessions else { panic!("an exact study keeps its rows") };
+    sink.rows()
+        .map(|(cell, rtt, hd)| {
+            (cell.group, cell.window, cell.rank, rtt.to_bits(), hd.map(f64::to_bits))
+        })
+        .collect()
+}
+
+/// (group, rank, window, bytes) of every cell, sorted.
+fn cell_bytes(data: &StudyData) -> Vec<(GroupKey, usize, usize, u64)> {
+    let mut out = Vec::new();
+    for (key, g) in &data.summaries.groups {
+        for (rank, windows) in g.ranks.iter().enumerate() {
+            for (w, cell) in windows.iter().enumerate() {
+                out.extend(cell.map(|c| (*key, rank, w, c.bytes)));
+            }
+        }
+    }
+    out.sort_unstable();
+    out
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -44,25 +58,21 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn supervised_run_matches_raw_run_as_a_multiset() {
     let raw = small().run();
     let (sup, report) = small().run_supervised().expect("fault-free supervised run");
-    let (raw_records, sup_records) = (raw.records().unwrap(), sup.records().unwrap());
-
     assert_eq!(report.completed, report.n_prefixes);
     assert!(report.quarantined.is_empty());
-    assert_eq!(sup_records.len(), raw_records.len());
 
     // The raw path merges per-worker shards; the supervisor merges per
     // prefix. Orders differ, multisets must not.
-    let mut a: Vec<_> = raw_records.iter().map(record_bits).collect();
-    let mut b: Vec<_> = sup_records.iter().map(record_bits).collect();
+    let (mut a, mut b) = (rows(&raw), rows(&sup));
+    assert_eq!(a.len() as u64, raw.stats.total().records_emitted);
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b);
 
-    // And the summarised cells drive the same figures.
-    let total_bytes =
-        |d: &StudyData| d.summaries.groups.iter().map(|(_, g)| g.total_bytes).sum::<u64>();
+    // Bytes are kept per cell, not per row; and the summarised cells drive
+    // the same figures.
+    assert_eq!(cell_bytes(&sup), cell_bytes(&raw));
     assert_eq!(sup.summaries.groups.len(), raw.summaries.groups.len());
-    assert_eq!(total_bytes(&sup), total_bytes(&raw));
 }
 
 #[test]
@@ -102,11 +112,8 @@ fn crash_resume_via_builder_is_bit_identical() {
         .run_supervised()
         .expect("resume completes");
     assert_eq!(report.resumed_at, Some(n / 2 + 1));
-    let (resumed, uninterrupted) = (resumed.records().unwrap(), uninterrupted.records().unwrap());
-    assert_eq!(resumed.len(), uninterrupted.len());
-    for (a, b) in resumed.iter().zip(uninterrupted) {
-        assert_eq!(record_bits(a), record_bits(b));
-    }
+    assert_eq!(rows(&resumed), rows(&uninterrupted));
+    assert_eq!(cell_bytes(&resumed), cell_bytes(&uninterrupted));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -25,6 +25,12 @@ impl CdfBuilder {
         Self::default()
     }
 
+    /// Empty builder with room for `n` samples, so a caller that knows its
+    /// sample count pays for no growth doubling.
+    pub fn with_capacity(n: usize) -> Self {
+        CdfBuilder { items: Vec::with_capacity(n) }
+    }
+
     /// Add a sample with weight 1.
     pub fn push(&mut self, value: f64) {
         self.push_weighted(value, 1.0);
@@ -52,18 +58,28 @@ impl CdfBuilder {
     ///
     /// # Panics
     /// Panics if no samples were added.
-    pub fn build(mut self) -> WeightedCdf {
+    pub fn build(self) -> WeightedCdf {
         assert!(!self.items.is_empty(), "CDF of no samples");
-        self.items.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        let mut points = Vec::with_capacity(self.items.len());
-        let mut acc = 0.0;
-        for (v, w) in self.items {
+        let mut points = self.items;
+        points.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        // Accumulate in place: `points[..kept]` is the finished prefix, and
+        // duplicate values collapse to the last cumulative weight.
+        let (mut acc, mut kept) = (0.0, 0);
+        for i in 0..points.len() {
+            let (v, w) = points[i];
             acc += w;
-            // Collapse duplicate values to the last cumulative weight.
-            match points.last_mut() {
-                Some((pv, pw)) if *pv == v => *pw = acc,
-                _ => points.push((v, acc)),
+            if kept > 0 && points[kept - 1].0 == v {
+                points[kept - 1].1 = acc;
+            } else {
+                points[kept] = (v, acc);
+                kept += 1;
             }
+        }
+        points.truncate(kept);
+        // Hand back slack of more than a quarter, and do not pay a realloc
+        // for less (as `TDigest::flush` does).
+        if points.capacity() > kept + kept / 4 {
+            points.shrink_to_fit();
         }
         WeightedCdf { total: acc, points }
     }
@@ -163,6 +179,43 @@ mod tests {
         b.push(6.0);
         let c = b.build();
         assert!((c.fraction_leq(5.0) - 10.0 / 11.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn in_place_build_matches_a_second_vector() {
+        // The accumulate-into-a-fresh-Vec build, as it was written before.
+        let reference = |mut items: Vec<(f64, f64)>| {
+            items.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let mut points: Vec<(f64, f64)> = Vec::new();
+            let mut acc = 0.0;
+            for (v, w) in items {
+                acc += w;
+                match points.last_mut() {
+                    Some((pv, pw)) if *pv == v => *pw = acc,
+                    _ => points.push((v, acc)),
+                }
+            }
+            points
+        };
+        // Runs of duplicates (also at both ends, and -0.0 beside 0.0),
+        // uneven weights, pre-sized and not.
+        let items: Vec<(f64, f64)> = (0..5_000)
+            .map(|i| {
+                let u = (i as f64 * 0.618_033_988_749).fract();
+                ((u * 40.0).floor() / 8.0 - 1.0, 0.1 + u)
+            })
+            .chain([(-0.0, 1.0), (0.0, 2.0), (-1.0, 0.5), (4.0, 0.25), (4.0, 0.75)])
+            .collect();
+        for mut b in [CdfBuilder::new(), CdfBuilder::with_capacity(items.len())] {
+            items.iter().for_each(|&(v, w)| b.push_weighted(v, w));
+            let cdf = b.build();
+            let bits = |ps: &[(f64, f64)]| -> Vec<(u64, u64)> {
+                ps.iter().map(|p| (p.0.to_bits(), p.1.to_bits())).collect()
+            };
+            assert_eq!(bits(&cdf.points), bits(&reference(items.clone())));
+            assert_eq!(cdf.total.to_bits(), cdf.points.last().unwrap().1.to_bits());
+            assert!(cdf.points.capacity() <= cdf.points.len() + cdf.points.len() / 4);
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! streaming cells must agree with the exact aggregations to within the
 //! t-digest approximation bounds, with sample extremes preserved exactly.
 
+use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
-    compare, Aggregation, AnalysisConfig, ColumnarSink, CompareOutcome, Dataset, DegradationMetric,
-    SessionRecord, StreamingDataset,
+    compare, Aggregation, AnalysisConfig, CellSummary, ColumnarSink, CompareOutcome, Dataset,
+    DegradationMetric, SessionRecord, StreamingDataset, Summaries,
 };
 use edgeperf_stats::median_ci::diff_of_medians_ci_sorted;
 use edgeperf_world::{run_study_into, StudyConfig, World, WorldConfig};
@@ -188,20 +189,88 @@ fn assert_datasets_identical(a: &Dataset, b: &Dataset) {
 fn columnar_sink_matches_from_records_end_to_end() {
     // The fast exact path (columnar shards merged zero-copy, assembled
     // at the end) must be bit-identical to the original path (record
-    // vector re-aggregated by `from_records`) — at any parallelism, and
-    // through a tee so both paths see one simulation pass.
+    // vector re-aggregated by `from_records`) — at any parallelism.
     let (world, cfg) = skewed();
     let windows = cfg.n_windows() as usize;
     for p in [1usize, 4] {
         let cfg = StudyConfig { parallelism: p, ..cfg };
-        let mut sink: (Vec<SessionRecord>, ColumnarSink) = (Vec::new(), ColumnarSink::new(windows));
-        let stats = run_study_into(&world, &cfg, &mut sink);
-        let (records, columnar) = sink;
+        let mut records: Vec<SessionRecord> = Vec::new();
+        run_study_into(&world, &cfg, &mut records);
+        let mut columnar = ColumnarSink::new(windows);
+        let stats = run_study_into(&world, &cfg, &mut columnar);
         assert_eq!(stats.total().records_emitted, records.len() as u64);
+        assert_eq!(columnar.stats().records, records.len() as u64);
         let via_columnar = columnar.into_dataset();
         let via_records = Dataset::from_records(&records, windows);
         assert!(via_columnar.cell_count() > 50, "too few cells to be meaningful");
         assert_datasets_identical(&via_columnar, &via_records);
+    }
+}
+
+/// Every field of a summary, floats as bits.
+fn summary_bits(c: &CellSummary) -> impl PartialEq + std::fmt::Debug {
+    (
+        (c.n, c.n_tested, c.bytes, c.relationship, c.longer_path, c.more_prepended),
+        (c.min_rtt_p50.to_bits(), c.min_rtt_var.map(f64::to_bits)),
+        (c.hdratio_p50.map(f64::to_bits), c.hdratio_var.map(f64::to_bits)),
+    )
+}
+
+/// Group for group in order, cell for cell, bit for bit.
+fn assert_summaries_identical(a: &Summaries, b: &Summaries) {
+    assert_eq!(a.groups.len(), b.groups.len());
+    for ((ka, ga), (kb, gb)) in a.groups.iter().zip(&b.groups) {
+        assert_eq!(ka, kb, "groups come in a different order");
+        assert_eq!(ga.total_bytes, gb.total_bytes);
+        assert_eq!(ga.ranks.len(), gb.ranks.len());
+        for (ra, rb) in ga.ranks.iter().zip(&gb.ranks) {
+            assert_eq!(ra.len(), rb.len());
+            for (ca, cb) in ra.iter().zip(rb) {
+                assert_eq!(ca.as_ref().map(summary_bits), cb.as_ref().map(summary_bits));
+            }
+        }
+    }
+}
+
+#[test]
+fn summarize_reads_the_sink_as_the_assembled_dataset_would() {
+    // `ColumnarSink::summarize` never builds the dataset; what it yields
+    // must still be `into_dataset().summarize()` exactly — the order of the
+    // groups included, because `results/` were recorded in it.
+    let (world, cfg) = skewed();
+    let cfg = StudyConfig { sessions_per_group_window: 20, ..cfg };
+    let windows = cfg.n_windows() as usize;
+    for p in [1usize, 4] {
+        let mut sink = ColumnarSink::new(windows);
+        run_study_into(&world, &StudyConfig { parallelism: p, ..cfg }, &mut sink);
+        let direct = sink.summarize();
+        let cells = direct.groups.iter().flat_map(|(_, g)| g.cells());
+        assert!(cells.filter(|c| c.min_rtt_var.is_some() && c.hdratio_var.is_some()).count() > 50);
+        assert_summaries_identical(&direct, &sink.into_dataset().summarize());
+    }
+
+    // A hand-split pair of shards that collide on every cell: the sink
+    // folds them together, and both readings see the union.
+    let mut records: Vec<SessionRecord> = Vec::new();
+    run_study_into(&world, &cfg, &mut records);
+    let mut sink = ColumnarSink::new(windows);
+    let (mut even, mut odd) = (sink.new_shard(), sink.new_shard());
+    for (i, r) in records.iter().enumerate() {
+        if i % 2 == 0 { &mut even } else { &mut odd }.push(*r);
+    }
+    sink.merge_shard(odd);
+    sink.merge_shard(even);
+    assert_eq!(sink.stats().records, records.len() as u64);
+    let direct = sink.summarize();
+    assert_summaries_identical(&direct, &sink.into_dataset().summarize());
+    let whole = Dataset::from_records(&records, windows);
+    assert_eq!(direct.groups.len(), whole.groups.len());
+    for (key, g) in &direct.groups {
+        let want = whole.groups[key].summarize(Aggregation::summary);
+        assert_summaries_identical(
+            &Summaries { groups: vec![(*key, g.clone())] },
+            &Summaries { groups: vec![(*key, want)] },
+        );
     }
 }
 

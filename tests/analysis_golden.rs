@@ -1,17 +1,23 @@
-//! Tier-1 golden for the §§5–6 analyses: a small seeded study through the
+//! Tier-1 golden for the §§4–6 analyses: a small seeded study through the
 //! exact sink must render fig8, fig9, fig10, Table 1 and Table 2 — and
-//! through the streaming sink fig10 — to exactly the bytes recorded in
-//! `tests/golden/analysis_small.json`, recorded before the analyses were
-//! rewritten over cell summaries (PR 13). Floats are written in Rust's shortest round-trip
-//! form, so equal text means equal bits.
+//! through the streaming sink fig10 — and a wider, thinner one fig6 and
+//! fig7, to exactly the bytes recorded in
+//! `tests/golden/analysis_small.json`. Each part was recorded at the
+//! commit before its rewrite: the analyses before they read cell
+//! summaries (PR 13), fig6 and fig7 — then computed from a
+//! `Vec<SessionRecord>` — before they read the columnar sink's rows
+//! (PR 14). Floats are written in Rust's shortest round-trip form, so
+//! equal text means equal bits.
 
 use edgeperf::analysis::figures::{
-    fig10_by_relationship, fig8_degradation, fig9_opportunity, DiffCdfs, RelPair,
+    fig10_by_relationship, fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt, fig8_degradation,
+    fig9_opportunity, DiffCdfs, RelPair,
 };
 use edgeperf::analysis::tables::{table1, table2, AnalysisKind, Table1};
 use edgeperf::analysis::{AnalysisConfig, ColumnarSink, DegradationMetric, StreamingDataset};
 use edgeperf::stats::cdf::WeightedCdf;
 use edgeperf::world::{run_study_into, StudyConfig, World, WorldConfig};
+use std::collections::BTreeMap;
 
 const MINRTT: DegradationMetric = DegradationMetric::MinRtt;
 const HDRATIO: DegradationMetric = DegradationMetric::HdRatio;
@@ -58,6 +64,37 @@ fn table1_json(name: &str, t: &Table1) -> String {
     )
 }
 
+type Fig6 = (WeightedCdf, BTreeMap<u8, WeightedCdf>);
+
+/// Figure 6 as `repro` summarises it, every number exact.
+fn fig6_json((mr, mr_cont): &Fig6, (hd, hd_cont): &Fig6) -> String {
+    let by_continent = |per: &BTreeMap<u8, WeightedCdf>, stat: fn(&WeightedCdf) -> f64| {
+        let rows: Vec<String> = per.iter().map(|(c, d)| format!("[{c}, {:?}]", stat(d))).collect();
+        rows.join(", ")
+    };
+    format!(
+        "{{\"fig6\": {:?}, \"minrtt_p50\": {:?}, \"minrtt_p80\": {:?}, \"minrtt_p50_by_continent\": [{}], \"tested\": {:?}, \"hdratio_eq0\": {:?}, \"hdratio_eq1\": {:?}, \"hdratio_eq0_by_continent\": [{}]}}",
+        mr.total_weight(),
+        mr.quantile(0.5),
+        mr.quantile(0.8),
+        by_continent(mr_cont, |d| d.quantile(0.5)),
+        hd.total_weight(),
+        hd.fraction_leq(0.0),
+        1.0 - hd.fraction_leq(1.0 - 1e-9),
+        by_continent(hd_cont, |d| d.fraction_leq(0.0)),
+    )
+}
+
+fn fig7_json(label: &str, cdf: &WeightedCdf) -> String {
+    format!(
+        "{{\"fig7\": \"{label}\", \"tested\": {:?}, \"frac_zero\": {:?}, \"median\": {:?}, \"frac_one\": {:?}}}",
+        cdf.total_weight(),
+        cdf.fraction_leq(0.0),
+        cdf.quantile(0.5),
+        1.0 - cdf.fraction_leq(1.0 - 1e-9)
+    )
+}
+
 fn render() -> String {
     // One worker: the shard merge order, hence the order CDF inputs are
     // pushed in, is then the same on every run.
@@ -74,20 +111,30 @@ fn render() -> String {
     let cfg = AnalysisConfig::default();
     let relaxed = AnalysisConfig { max_ci_width_hdratio: 1.01, ..cfg };
 
-    // One simulation pass feeds both sinks.
-    let mut sink = (ColumnarSink::new(windows), StreamingDataset::new(windows));
-    run_study_into(&world, &study, &mut sink);
-    let (columnar, stream) = sink;
-    let ds = columnar.into_dataset().summarize();
+    // Figures 6–7 want every continent and every MinRTT bucket: a wider,
+    // thinner study of their own, read off the sink's rows.
+    let wide =
+        World::generate(WorldConfig { seed: 11, country_fraction: 1.0, ..Default::default() });
+    let mut sessions = ColumnarSink::new(windows);
+    run_study_into(&wide, &StudyConfig { sessions_per_group_window: 4, ..study }, &mut sessions);
+    let mut exact = vec![fig6_json(&fig6_minrtt(&sessions), &fig6_hdratio(&sessions))];
+    exact
+        .extend(fig7_hdratio_by_minrtt(&sessions).iter().map(|(label, cdf)| fig7_json(label, cdf)));
+
+    let mut columnar = ColumnarSink::new(windows);
+    run_study_into(&world, &study, &mut columnar);
+    let ds = columnar.summarize();
+    let mut stream = StreamingDataset::new(windows);
+    run_study_into(&world, &study, &mut stream);
     let stream = stream.summarize();
-    let mut exact = vec![
+    exact.extend([
         diff_json("fig8 minrtt", fig8_degradation(&cfg, &ds, MINRTT)),
         diff_json("fig8 hdratio", fig8_degradation(&cfg, &ds, HDRATIO)),
         diff_json("fig8 hdratio relaxed", fig8_degradation(&relaxed, &ds, HDRATIO)),
         diff_json("fig9 minrtt", fig9_opportunity(&cfg, &ds, MINRTT)),
         diff_json("fig9 hdratio", fig9_opportunity(&cfg, &ds, HDRATIO)),
         diff_json("fig9 hdratio relaxed", fig9_opportunity(&relaxed, &ds, HDRATIO)),
-    ];
+    ]);
     exact.extend(PAIRS.map(|p| diff_json(p.label(), fig10_by_relationship(&cfg, &ds, p))));
     for (name, cfg, kind, metric, threshold) in [
         ("degradation minrtt 5", &cfg, AnalysisKind::Degradation, MINRTT, 5.0),
