@@ -6,10 +6,6 @@
 //!         [--lateness-ms F] [--max-txns N] [--seed N] [--shutdown]
 //!         [--query-from N] [--query-until N]
 //!         [--expect-clean] [--json PATH]
-//! loadgen --suite [--sessions N] ... [--expect-clean] [--json PATH]
-//! loadgen --profile [--workers N] [--sessions N] ... [--json PATH]
-//! loadgen --long-horizon [--windows N] [--retention N] [--spill-dir DIR]
-//!         [--expect-clean] [--json PATH]
 //! loadgen --chaos PLAN [--wire jsonl|binary] [--workers N]
 //!         [--idle-timeout-ms N] [--retention N] [--spill-dir DIR]
 //!         [--expect-clean] [--json PATH]
@@ -18,8 +14,13 @@
 //!         [--window-ms F] [--lateness-ms F] [--expect-clean] [--json PATH]
 //! ```
 //!
-//! Prints the [`edgeperf_bench::loadgen::LoadReport`] as JSON on stdout;
-//! `--json PATH` also writes it to a file (the tracked `BENCH_live.json`).
+//! Three modes, each proving the live tier correct rather than timing it
+//! (`benchmark/` is the performance instrument). Each prints its report as
+//! JSON on stdout; `--json PATH` also writes it to a file. Integer flags
+//! are parsed as integers of their own type: `1.5`, `-1` or a value out of
+//! range is an error naming the flag, not a silently altered number.
+//!
+//! The plain replay prints a [`edgeperf_bench::loadgen::LoadReport`].
 //! `--wire binary` negotiates the length-prefixed binary frame format
 //! (the estimator runs locally; the server skips JSON entirely).
 //! `--shutdown` drains the server at the end of the replay.
@@ -32,26 +33,18 @@
 //! the tiered window store's historical query path. With
 //! `--expect-clean` the query must return at least one cell.
 //!
-//! `--suite` ignores `--addr`/`--shutdown` and self-hosts servers
-//! in-process instead: one headline run per wire mode plus a binary
-//! connections × workers scaling grid, a per-stage profile, and a
-//! long-horizon pass through the tiered window store, reported as a
-//! combined [`edgeperf_bench::loadgen::SuiteReport`].
-//!
-//! `--profile` runs only the per-stage breakdown (decode /
-//! route+enqueue / window-apply) without any server, reported as a
-//! [`edgeperf_bench::stage_profile::StageProfile`].
-//!
 //! `--chaos PLAN` self-hosts a fault-injected server (the plan's worker
 //! panics and disk faults fire server-side; its disconnects, torn
 //! records and stalls fire client-side in the resume loop), replays
 //! with reconnect-and-resume, then proves the recovery exact against a
 //! fault-free control server, reported as a
 //! [`edgeperf_bench::loadgen::ChaosReport`]. `--spill-dir` (with
-//! `--retention`) routes the faulted server through the tiered store so
-//! `spillfail:`/`compactfail:` clauses have a disk to hit. With
-//! `--expect-clean` the run must ack every record exactly once, reject
-//! nothing, and be bit-identical to the control.
+//! `--retention`, default
+//! [`edgeperf_bench::loadgen::CHAOS_SPILL_RETENTION`]) routes the faulted
+//! server through the tiered store so `spillfail:`/`compactfail:` clauses
+//! have a disk to hit. With `--expect-clean` the run must ack every
+//! record exactly once, reject nothing, and be bit-identical to the
+//! control.
 //!
 //! `--fleet ADDR` replays a catchment-partitioned workload through the
 //! multi-PoP coordinator listening on `ADDR` (started with `edgeperf
@@ -67,120 +60,129 @@
 //! rejected or late, every planned kill fired (re-homing at least one
 //! group), and the merged view bit-identical to the control.
 //!
-//! `--long-horizon` self-hosts the tiered-store comparison on its own:
-//! replay `--windows` of event time into a server that spills past
-//! `--retention` windows (segments under `--spill-dir`, a throwaway
-//! temp directory by default), replay the same sessions into an all-RAM
-//! control, and report the
-//! [`edgeperf_bench::loadgen::LongHorizonReport`]. With
-//! `--expect-clean` the merged disk+RAM query must be bit-identical to
-//! the control and something must actually have spilled.
+//! `--workers` sets the ingest workers of every self-hosted server (the
+//! chaos pair; each PoP of a `--fleet-pops` fleet and the fleet's
+//! single-node control).
 
+use edgeperf_bench::flag_value as value;
 use edgeperf_bench::fleet_run::{run_fleet, run_fleet_at, FleetRunOpts};
 use edgeperf_bench::loadgen::{
-    run, run_chaos, run_long_horizon, run_suite, ChaosRunOpts, LoadReport, LoadgenConfig, WireMode,
-    LONG_HORIZON_RETENTION, LONG_HORIZON_WINDOWS,
+    run, run_chaos, ChaosRunOpts, LoadReport, LoadgenConfig, WireMode, CHAOS_SPILL_RETENTION,
 };
-use edgeperf_bench::stage_profile::profile_stages;
 use edgeperf_fleet::FleetChaosPlan;
 use edgeperf_live::{CellQuery, ChaosPlan, LiveClient};
 use std::path::PathBuf;
+use std::str::FromStr;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = LoadgenConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut expect_clean = false;
-    let mut suite = false;
-    let mut profile = false;
-    let mut profile_workers = 4usize;
-    let mut long_horizon = false;
-    let mut chaos: Option<ChaosPlan> = None;
-    let mut fleet_addr: Option<String> = None;
-    let mut fleet_pops: Option<u16> = None;
-    let mut fleet_chaos = FleetChaosPlan::default();
-    let mut idle_timeout_ms = 0u64;
-    let mut retention = LONG_HORIZON_RETENTION;
-    let mut spill_dir: Option<PathBuf> = None;
-    let mut query_from: Option<u32> = None;
-    let mut query_until: Option<u32> = None;
-    fn num(it: &mut dyn Iterator<Item = &String>, flag: &str) -> f64 {
-        it.next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-    }
+/// The parsed command line.
+struct Cli {
+    cfg: LoadgenConfig,
+    json_path: Option<String>,
+    expect_clean: bool,
+    workers: usize,
+    chaos: Option<ChaosPlan>,
+    fleet_addr: Option<String>,
+    fleet_pops: Option<u16>,
+    fleet_chaos: FleetChaosPlan,
+    idle_timeout_ms: u64,
+    retention: usize,
+    spill_dir: Option<PathBuf>,
+    query_from: Option<u32>,
+    query_until: Option<u32>,
+}
+
+/// An integer flag, parsed as the integer type of the field it sets
+/// (`f64` then `as` used to alter fractions, signs and out-of-range values).
+fn int<'a, T: FromStr>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<T, String> {
+    value(it, flag, "an integer")
+}
+
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        cfg: LoadgenConfig::default(),
+        json_path: None,
+        expect_clean: false,
+        workers: 4,
+        chaos: None,
+        fleet_addr: None,
+        fleet_pops: None,
+        fleet_chaos: FleetChaosPlan::default(),
+        idle_timeout_ms: 0,
+        retention: CHAOS_SPILL_RETENTION,
+        spill_dir: None,
+        query_from: None,
+        query_until: None,
+    };
+    let cfg = &mut cli.cfg;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => {
-                cfg.addr = it.next().cloned().unwrap_or_else(|| die("--addr needs an address"));
-            }
+        let flag = a.as_str();
+        match flag {
+            "--addr" => cfg.addr = value(&mut it, flag, "an address")?,
             "--wire" => {
                 cfg.wire = it
                     .next()
                     .and_then(|s| WireMode::parse(s))
-                    .unwrap_or_else(|| die("--wire needs `jsonl` or `binary`"));
+                    .ok_or("--wire needs `jsonl` or `binary`")?;
             }
-            "--rate" => cfg.rate = num(&mut it, "--rate"),
-            "--sessions" => cfg.sessions = num(&mut it, "--sessions") as usize,
-            "--connections" => cfg.connections = num(&mut it, "--connections") as usize,
-            "--groups" => cfg.groups = num(&mut it, "--groups") as usize,
-            "--windows" => cfg.windows = num(&mut it, "--windows") as u32,
-            "--window-ms" => cfg.window_ms = num(&mut it, "--window-ms"),
-            "--lateness-ms" => cfg.lateness_ms = num(&mut it, "--lateness-ms"),
-            "--target-bps" => cfg.target_bps = num(&mut it, "--target-bps"),
-            "--max-txns" => cfg.max_txns = num(&mut it, "--max-txns") as usize,
-            "--seed" => cfg.seed = num(&mut it, "--seed") as u64,
-            "--ping-interval-ms" => {
-                cfg.ping_interval_ms = num(&mut it, "--ping-interval-ms") as u64
-            }
+            "--rate" => cfg.rate = value(&mut it, flag, "a number")?,
+            "--sessions" => cfg.sessions = int(&mut it, flag)?,
+            "--connections" => cfg.connections = int(&mut it, flag)?,
+            "--groups" => cfg.groups = int(&mut it, flag)?,
+            "--windows" => cfg.windows = int(&mut it, flag)?,
+            "--window-ms" => cfg.window_ms = value(&mut it, flag, "a number")?,
+            "--lateness-ms" => cfg.lateness_ms = value(&mut it, flag, "a number")?,
+            "--target-bps" => cfg.target_bps = value(&mut it, flag, "a number")?,
+            "--max-txns" => cfg.max_txns = int(&mut it, flag)?,
+            "--seed" => cfg.seed = int(&mut it, flag)?,
+            "--ping-interval-ms" => cfg.ping_interval_ms = int(&mut it, flag)?,
             "--shutdown" => cfg.shutdown = true,
-            "--suite" => suite = true,
-            "--profile" => profile = true,
-            "--workers" => profile_workers = num(&mut it, "--workers") as usize,
-            "--long-horizon" => long_horizon = true,
+            "--workers" => cli.workers = int(&mut it, flag)?,
             "--chaos" => {
-                let spec = it.next().cloned().unwrap_or_else(|| die("--chaos needs a plan"));
-                chaos =
-                    Some(ChaosPlan::parse(&spec).unwrap_or_else(|e| die(&format!("--chaos: {e}"))));
+                let spec: String = value(&mut it, flag, "a plan")?;
+                cli.chaos = Some(ChaosPlan::parse(&spec).map_err(|e| format!("--chaos: {e}"))?);
             }
-            "--fleet" => {
-                fleet_addr =
-                    Some(it.next().cloned().unwrap_or_else(|| die("--fleet needs an address")));
-            }
-            "--fleet-pops" => fleet_pops = Some(num(&mut it, "--fleet-pops") as u16),
+            "--fleet" => cli.fleet_addr = Some(value(&mut it, flag, "an address")?),
+            "--fleet-pops" => cli.fleet_pops = Some(int(&mut it, flag)?),
             "--fleet-chaos" => {
-                let spec = it.next().cloned().unwrap_or_else(|| die("--fleet-chaos needs a plan"));
-                fleet_chaos = FleetChaosPlan::parse(&spec)
-                    .unwrap_or_else(|e| die(&format!("--fleet-chaos: {e}")));
+                let spec: String = value(&mut it, flag, "a plan")?;
+                cli.fleet_chaos =
+                    FleetChaosPlan::parse(&spec).map_err(|e| format!("--fleet-chaos: {e}"))?;
             }
-            "--idle-timeout-ms" => idle_timeout_ms = num(&mut it, "--idle-timeout-ms") as u64,
-            "--retention" => retention = num(&mut it, "--retention") as usize,
-            "--spill-dir" => {
-                spill_dir = Some(PathBuf::from(
-                    it.next().cloned().unwrap_or_else(|| die("--spill-dir needs a path")),
-                ));
-            }
-            "--query-from" => query_from = Some(num(&mut it, "--query-from") as u32),
-            "--query-until" => query_until = Some(num(&mut it, "--query-until") as u32),
-            "--expect-clean" => expect_clean = true,
-            "--json" => {
-                json_path = Some(it.next().cloned().unwrap_or_else(|| die("--json needs a path")));
-            }
-            other => die(&format!("unknown argument {other}")),
+            "--idle-timeout-ms" => cli.idle_timeout_ms = int(&mut it, flag)?,
+            "--retention" => cli.retention = int(&mut it, flag)?,
+            "--spill-dir" => cli.spill_dir = Some(value(&mut it, flag, "a path")?),
+            "--query-from" => cli.query_from = Some(int(&mut it, flag)?),
+            "--query-until" => cli.query_until = Some(int(&mut it, flag)?),
+            "--expect-clean" => cli.expect_clean = true,
+            "--json" => cli.json_path = Some(value(&mut it, flag, "a path")?),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
+    Ok(cli)
+}
 
-    if profile {
-        let report =
-            profile_stages(&cfg, profile_workers).unwrap_or_else(|e| die(&format!("profile: {e}")));
-        emit(&serde_json::to_string_pretty(&report).expect("profile serializes"), &json_path);
-        return;
-    }
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Cli {
+        cfg,
+        json_path,
+        expect_clean,
+        workers,
+        chaos,
+        fleet_addr,
+        fleet_pops,
+        fleet_chaos,
+        idle_timeout_ms,
+        retention,
+        spill_dir,
+        query_from,
+        query_until,
+    } = parse_args(&args).unwrap_or_else(|e| die(&e));
 
     if let Some(plan) = chaos {
         let opts = ChaosRunOpts {
-            workers: profile_workers,
+            workers,
             idle_timeout_ms,
             spill: spill_dir.map(|dir| (dir, retention)),
             ..ChaosRunOpts::default()
@@ -203,7 +205,7 @@ fn main() {
     if fleet_addr.is_some() || fleet_pops.is_some() {
         let opts = FleetRunOpts {
             pops: fleet_pops.unwrap_or(FleetRunOpts::default().pops),
-            workers: profile_workers,
+            workers,
             plan: fleet_chaos,
         };
         let planned_kills = opts.plan.kills.len() as u64;
@@ -224,59 +226,6 @@ fn main() {
                 && report.bit_identical_to_single_node)
         {
             die(&format!("fleet run was not clean: {report:?}"));
-        }
-        return;
-    }
-
-    if long_horizon {
-        if cfg.windows == LoadgenConfig::default().windows {
-            cfg.windows = LONG_HORIZON_WINDOWS;
-        }
-        let (dir, throwaway) = match spill_dir {
-            Some(dir) => (dir, false),
-            None => (
-                std::env::temp_dir().join(format!("edgeperf-long-horizon-{}", std::process::id())),
-                true,
-            ),
-        };
-        let result = run_long_horizon(&cfg, retention, &dir);
-        if throwaway {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        let report = result.unwrap_or_else(|e| die(&format!("long-horizon: {e}")));
-        emit(&serde_json::to_string_pretty(&report).expect("report serializes"), &json_path);
-        if expect_clean
-            && !(report.bit_identical
-                && report.spilled_windows > 0
-                && report.segments > 0
-                && report.full_range_cells > 0)
-        {
-            die(&format!("long-horizon run was not clean: {report:?}"));
-        }
-        return;
-    }
-
-    if suite {
-        let report = run_suite(&cfg).unwrap_or_else(|e| die(&format!("suite: {e}")));
-        emit(&serde_json::to_string_pretty(&report).expect("suite serializes"), &json_path);
-        if expect_clean {
-            check_clean(&report.jsonl, true);
-            check_clean(&report.binary, true);
-            for point in &report.binary_scaling {
-                if point.rejected != 0 || point.accepted != report.sessions {
-                    die(&format!("scaling run was not clean: {point:?}"));
-                }
-            }
-            if let Some(chaos) = &report.chaos {
-                if !(chaos.acked == chaos.sessions
-                    && chaos.accepted == chaos.sessions
-                    && chaos.rejected == 0
-                    && chaos.worker_lost_records == 0
-                    && chaos.bit_identical_to_clean)
-                {
-                    die(&format!("chaos recovery was not exact: {chaos:?}"));
-                }
-            }
         }
         return;
     }
@@ -341,4 +290,74 @@ fn check_clean(report: &LoadReport, drained_expected: bool) {
 fn die(msg: &str) -> ! {
     eprintln!("loadgen: {msg}");
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn integer_flags_keep_every_bit_of_their_own_type() {
+        let cli = parse(&[
+            "--seed",
+            "18446744073709551615",
+            "--fleet-pops",
+            "65535",
+            "--query-until",
+            "4294967295",
+            "--workers",
+            "2",
+            "--rate",
+            "1.5",
+        ])
+        .unwrap();
+        assert_eq!(cli.cfg.seed, u64::MAX);
+        assert_eq!(cli.fleet_pops, Some(u16::MAX));
+        assert_eq!(cli.query_until, Some(u32::MAX));
+        assert_eq!(cli.workers, 2);
+        assert_eq!(cli.cfg.rate, 1.5);
+        let defaults = parse(&[]).unwrap();
+        assert_eq!((defaults.workers, defaults.retention), (4, CHAOS_SPILL_RETENTION));
+    }
+
+    #[test]
+    fn bad_or_missing_values_are_messages_naming_the_flag() {
+        for flag in [
+            "--seed",
+            "--sessions",
+            "--connections",
+            "--groups",
+            "--windows",
+            "--max-txns",
+            "--workers",
+            "--retention",
+            "--idle-timeout-ms",
+            "--ping-interval-ms",
+            "--fleet-pops",
+            "--query-from",
+            "--query-until",
+        ] {
+            let want = format!("{flag} needs an integer");
+            for bad in [&["1.5"][..], &["-1"], &["1e3"], &[]] {
+                let args: Vec<&str> = [flag].into_iter().chain(bad.iter().copied()).collect();
+                assert_eq!(parse(&args).err(), Some(want.clone()), "{args:?}");
+            }
+        }
+        for (args, want) in [
+            (&["--fleet-pops", "70000"][..], "--fleet-pops needs an integer"),
+            (&["--windows", "4294967296"], "--windows needs an integer"),
+            (&["--rate", "fast"], "--rate needs a number"),
+            (&["--addr"], "--addr needs an address"),
+            (&["--wire", "xml"], "--wire needs `jsonl` or `binary`"),
+            (&["--json"], "--json needs a path"),
+            (&["--chaos"], "--chaos needs a plan"),
+            (&["--frobnicate"], "unknown argument --frobnicate"),
+        ] {
+            assert_eq!(parse(args).err().as_deref(), Some(want), "{args:?}");
+        }
+    }
 }

@@ -2,21 +2,29 @@
 //!
 //! Usage:
 //! ```text
-//! repro <experiment> [--seed N] [--days N] [--sessions N] [--scale F] [--json PATH] [--streaming]
-//!                    [--metrics] [--metrics-json PATH]
+//! repro <experiment> [--seed N] [--days N] [--sessions N] [--scale F] [--quick]
+//!                    [--json DIR] [--streaming] [--metrics] [--metrics-json PATH]
+//!                    [--supervised] [--fault-plan SPEC] [--checkpoint-dir DIR]
 //!
 //! experiments:
 //!   fig1 fig2 fig3      traffic characterization (Figures 1–3)
 //!   fig4                worked example (Figure 4)
 //!   validation          §3.2.3 NS3-style sweep (15,840 configs at scale 1)
-//!   fig5                client-mix MinRTT shift (Figure 5)
+//!   fig5 grouping       client-mix MinRTT shift (Figure 5) and the §3.3
+//!                       grouping comparison computed from it
 //!   fig6 fig7           global performance (Figures 6–7)
 //!   fig8 table1         degradation over time (Figure 8, Table 1)
 //!   fig9 fig10 table2   routing opportunity (Figures 9–10, Table 2)
+//!   cc                  congestion-control comparison (Reno/Cubic/BBR)
+//!   detector            §5 degradation detector vs the world's known
+//!                       congestion episodes (precision/recall)
+//!   ablations           what each §3.2 estimator correction buys
 //!   naive               naive-vs-model achieved-rule ablation (§4)
-//!   bench               pipeline-throughput baseline (--quick, --bench-json)
-//!   all                 everything (one shared study run; excludes bench)
+//!   all                 everything (one shared study run)
 //! ```
+//!
+//! A flag without its value, or with one that does not parse, and an
+//! unknown flag or experiment all exit 2 with a `repro: …` line.
 //!
 //! `--scale` (or `EDGEPERF_SCALE`) trades fidelity for speed: it thins the
 //! validation grid and shrinks the study (countries and sessions).
@@ -46,11 +54,26 @@
 
 use edgeperf_analysis::sink::RecordSink;
 use edgeperf_bench::{
-    ablations, cc_compare, detector, env_scale, fig4, fig5, naive, pipeline_bench, study,
+    ablations, cc_compare, detector, env_scale, fig4, fig5, flag_value as value, naive, study,
     validation, workload_figs,
 };
 use edgeperf_obs::{render_table, Metrics};
 use std::fmt::Write as _;
+
+const USAGE: &str = "\
+repro <experiment> [--seed N] [--days N] [--sessions N] [--scale F] [--quick]
+                   [--json DIR] [--streaming] [--metrics] [--metrics-json PATH]
+                   [--supervised] [--fault-plan SPEC] [--checkpoint-dir DIR]
+experiments: fig1 fig2 fig3 fig4 validation fig5 grouping fig6 fig7 fig8 table1
+             fig9 fig10 table2 cc detector ablations naive all (the default)
+  --quick                scale 0.1 unless --scale or EDGEPERF_SCALE says otherwise
+  --json DIR             also write each experiment as DIR/<name>.json
+  --streaming            bounded-memory t-digest sink (skips fig7)
+  --metrics              print the observability snapshot to stderr
+  --metrics-json PATH    write the same snapshot as JSON
+  --supervised           fault-tolerant study driver; implied by the next two
+  --fault-plan SPEC      inject deterministic faults (or EDGEPERF_FAULT_PLAN)
+  --checkpoint-dir DIR   checkpoint there and resume from it on a rerun";
 
 struct Args {
     experiment: String,
@@ -59,7 +82,6 @@ struct Args {
     sessions: u32,
     scale: f64,
     json: Option<String>,
-    bench_json: Option<String>,
     quick: bool,
     streaming: bool,
     metrics: bool,
@@ -69,7 +91,7 @@ struct Args {
     checkpoint_dir: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         experiment: String::new(),
         seed: 20190521,
@@ -77,7 +99,6 @@ fn parse_args() -> Args {
         sessions: 0,
         scale: 0.0, // resolved after parsing (depends on --quick)
         json: None,
-        bench_json: None,
         quick: false,
         streaming: false,
         metrics: false,
@@ -87,41 +108,32 @@ fn parse_args() -> Args {
         checkpoint_dir: None,
     };
     let mut scale_flag: Option<f64> = None;
-    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => args.seed = it.next().expect("--seed N").parse().expect("seed"),
-            "--days" => args.days = it.next().expect("--days N").parse().expect("days"),
-            "--sessions" => {
-                args.sessions = it.next().expect("--sessions N").parse().expect("sessions")
-            }
-            "--scale" => scale_flag = Some(it.next().expect("--scale F").parse().expect("scale")),
-            "--json" => args.json = Some(it.next().expect("--json PATH")),
-            "--bench-json" => args.bench_json = Some(it.next().expect("--bench-json PATH")),
+            "--seed" => args.seed = value(&mut it, "--seed", "an integer")?,
+            "--days" => args.days = value(&mut it, "--days", "an integer")?,
+            "--sessions" => args.sessions = value(&mut it, "--sessions", "an integer")?,
+            "--scale" => scale_flag = Some(value(&mut it, "--scale", "a number")?),
+            "--json" => args.json = Some(value(&mut it, "--json", "a directory")?),
             "--quick" => args.quick = true,
             "--streaming" => args.streaming = true,
             "--metrics" => args.metrics = true,
-            "--metrics-json" => args.metrics_json = Some(it.next().expect("--metrics-json PATH")),
+            "--metrics-json" => {
+                args.metrics_json = Some(value(&mut it, "--metrics-json", "a path")?)
+            }
             "--supervised" => args.supervised = true,
-            "--fault-plan" => args.fault_plan = Some(it.next().expect("--fault-plan SPEC")),
+            "--fault-plan" => args.fault_plan = Some(value(&mut it, "--fault-plan", "a spec")?),
             "--checkpoint-dir" => {
-                args.checkpoint_dir = Some(it.next().expect("--checkpoint-dir PATH"))
+                args.checkpoint_dir = Some(value(&mut it, "--checkpoint-dir", "a directory")?)
             }
             "--help" | "-h" => {
-                eprintln!("repro <experiment> [--seed N] [--days N] [--sessions N] [--scale F] [--json PATH] [--streaming]");
-                eprintln!("       repro bench [--quick] [--bench-json PATH]   pipeline throughput baseline");
-                eprintln!("       --metrics prints the observability snapshot to stderr; --metrics-json PATH writes it as JSON");
-                eprintln!("       --supervised [--fault-plan SPEC] [--checkpoint-dir PATH]   fault-tolerant study driver");
-                eprintln!("experiments: fig1..fig10, table1, table2, fig4, validation, naive, ablations, bench, all");
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
             exp if args.experiment.is_empty() && !exp.starts_with('-') => {
                 args.experiment = exp.to_string()
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
     if args.experiment.is_empty() {
@@ -133,7 +145,7 @@ fn parse_args() -> Args {
     if args.fault_plan.is_some() || args.checkpoint_dir.is_some() {
         args.supervised = true;
     }
-    args
+    Ok(args)
 }
 
 fn write_json(path: &Option<String>, name: &str, value: serde_json::Value) {
@@ -158,7 +170,10 @@ fn study_builder(a: &Args, metrics: &Metrics) -> study::StudyBuilder {
 }
 
 fn main() {
-    let a = parse_args();
+    let a = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    });
     let exp = a.experiment.as_str();
     let metrics = if a.metrics || a.metrics_json.is_some() {
         Metrics::enabled()
@@ -350,24 +365,8 @@ fn main() {
         let _ = writeln!(printed, "{r}");
         write_json(&a.json, "naive", serde_json::to_value(&r).unwrap());
     }
-    // Deliberately not part of `all`: it re-runs the study several times
-    // to time each ingestion path.
-    if matches!(exp, "bench") {
-        let r = pipeline_bench::run_observed(
-            &pipeline_bench::BenchOptions { seed: a.seed, quick: a.quick },
-            &metrics,
-        );
-        let _ = writeln!(printed, "{}", pipeline_bench::render(&r));
-        write_json(&a.json, "bench", serde_json::to_value(&r).unwrap());
-        if let Some(path) = &a.bench_json {
-            std::fs::write(path, serde_json::to_string_pretty(&r).unwrap())
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("wrote {path}");
-        }
-    }
-
     if printed.is_empty() {
-        eprintln!("unknown experiment '{exp}'; try --help");
+        eprintln!("repro: unknown experiment '{exp}'; try --help");
         std::process::exit(2);
     }
     print!("{printed}");
@@ -381,6 +380,42 @@ fn main() {
         }
         if a.metrics {
             eprintln!("{}", render_table(&snap));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn integer_flags_keep_every_bit_of_their_own_type() {
+        let a = parse(&["fig6", "--seed", "18446744073709551615", "--days", "3"]).unwrap();
+        assert_eq!((a.experiment.as_str(), a.seed, a.days), ("fig6", u64::MAX, 3));
+        assert_eq!(parse(&[]).unwrap().experiment, "all");
+        assert!(parse(&["--checkpoint-dir", "ck"]).unwrap().supervised);
+    }
+
+    #[test]
+    fn bad_or_missing_values_are_messages_naming_the_flag() {
+        for (args, want) in [
+            (&["--seed"][..], "--seed needs an integer"),
+            (&["--seed", "1.5"], "--seed needs an integer"),
+            (&["--seed", "-1"], "--seed needs an integer"),
+            (&["--days", "4294967296"], "--days needs an integer"),
+            (&["fig6", "--sessions", "many"], "--sessions needs an integer"),
+            (&["--scale", "big"], "--scale needs a number"),
+            (&["all", "--json"], "--json needs a directory"),
+            (&["--metrics-json"], "--metrics-json needs a path"),
+            (&["--fault-plan"], "--fault-plan needs a spec"),
+            (&["--frobnicate", "x"], "unknown argument: --frobnicate"),
+            (&["fig6", "fig7"], "unknown argument: fig7"),
+        ] {
+            assert_eq!(parse(args).err().as_deref(), Some(want), "{args:?}");
         }
     }
 }

@@ -7,9 +7,9 @@
 //! `edgeperf_live::frame` — paced to a target rate across several
 //! connections, while a dedicated control connection pings through the
 //! worker queues to measure end-to-end ingest latency. The resulting
-//! [`LoadReport`] (or the self-hosted [`SuiteReport`] comparing both
-//! wire modes and sweeping worker counts) is the tracked
-//! `BENCH_live.json` artifact.
+//! [`LoadReport`] says whether the replay was clean (everything accepted,
+//! nothing rejected or late); how fast the server is gets measured by
+//! `benchmark/`, not here.
 //!
 //! In binary mode the generator runs the core estimator *locally*
 //! ([`edgeperf::serve::record_from_wire`], the same function the
@@ -22,7 +22,7 @@ use edgeperf::serve::{WireParser, WireSession};
 use edgeperf_core::{HD_GOODPUT_BPS, MILLISECOND};
 use edgeperf_live::{
     encode_frame, preamble, replay_with_resume, CellLine, CellQuery, ChaosPlan, LiveClient,
-    LiveRecord, ResumeInput, RetryPolicy, ServeBuilder, ServerHandle, WireChaos,
+    LiveRecord, ResumeInput, RetryPolicy, ServeBuilder, WireChaos,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_workload::WorkloadConfig;
@@ -31,7 +31,6 @@ use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufWriter, Write};
 use std::net::TcpStream;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -410,6 +409,12 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
     })
 }
 
+/// RAM retention (windows per worker) the `loadgen --chaos` binary gives a
+/// spilling faulted server unless `--retention` says otherwise: small
+/// enough that a CI-sized replay pushes most of its windows to disk, so
+/// the plan's disk faults have something to hit.
+pub const CHAOS_SPILL_RETENTION: usize = 8;
+
 /// Geometry knobs for a [`run_chaos`] server pair (faulted + control).
 #[derive(Debug, Clone)]
 pub struct ChaosRunOpts {
@@ -562,7 +567,7 @@ pub fn run_chaos(
     let mut control = LiveClient::connect(addr)?;
     let metrics_json = control.metrics_json()?;
     let store_stats = control.store_stats().ok();
-    let (chaos_rows, _) = timed_cells(&mut control, &full)?;
+    let chaos_rows = control.cells_query(&full)?;
     let snapshot = control.shutdown()?;
     drop(control);
     let _ = server.join();
@@ -576,7 +581,7 @@ pub fn run_chaos(
     let mut no_chaos = WireChaos::new(&ChaosPlan::default());
     replay_with_resume(clean_server.addr(), cfg.seed, input, &policy, &mut no_chaos)?;
     let mut control = LiveClient::connect(clean_server.addr())?;
-    let (clean_rows, _) = timed_cells(&mut control, &full)?;
+    let clean_rows = control.cells_query(&full)?;
     control.shutdown()?;
     drop(control);
     let _ = clean_server.join();
@@ -606,255 +611,8 @@ pub fn run_chaos(
     })
 }
 
-/// One (connections, workers) point of the binary scaling grid.
-/// Throughput is **aggregate** across connections — the number a whole
-/// node sustains, not a per-connection figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScalingPoint {
-    /// Parallel data connections (0 in reports from before the grid).
-    #[serde(default)]
-    pub connections: u64,
-    /// Server ingest worker threads.
-    pub workers: u64,
-    /// Aggregate sessions per second actually sustained.
-    pub achieved_sessions_per_sec: f64,
-    /// Wall-clock replay time (s).
-    pub elapsed_s: f64,
-    /// Server: records folded into windows.
-    pub accepted: u64,
-    /// Server: rejected records (must be 0 for a clean sweep).
-    pub rejected: u64,
-}
-
-/// Combined wire-format comparison: one headline run per mode plus a
-/// binary connections × workers grid, all against self-hosted
-/// in-process servers over real loopback TCP, and a per-stage profile
-/// of the ingest hot path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SuiteReport {
-    /// Sessions replayed per run.
-    pub sessions: u64,
-    /// Parallel data connections per run.
-    pub connections: u64,
-    /// Server workers for the headline runs.
-    pub server_workers: u64,
-    /// Logical cores on the measuring host (0 in reports from before
-    /// this field). Multi-worker speedups are only physically possible
-    /// when this exceeds 1 — read the scaling grid against it.
-    #[serde(default)]
-    pub host_cores: u64,
-    /// Headline JSONL run.
-    pub jsonl: LoadReport,
-    /// Headline binary run (same sessions, same server geometry).
-    pub binary: LoadReport,
-    /// `binary.achieved_sessions_per_sec / jsonl.achieved_sessions_per_sec`.
-    pub binary_speedup: f64,
-    /// Aggregate binary throughput over the
-    /// [`SCALING_CONNECTIONS`] × [`SCALING_WORKERS`] grid.
-    pub binary_scaling: Vec<ScalingPoint>,
-    /// Decode / route+enqueue / window-apply breakdown.
-    #[serde(default)]
-    pub stage_profile: crate::stage_profile::StageProfile,
-    /// Long-horizon replay through the tiered window store (absent in
-    /// reports from before the store existed).
-    #[serde(default)]
-    pub long_horizon: Option<LongHorizonReport>,
-    /// Chaos recovery pass: a fixed-seed fault plan (wire cuts, torn
-    /// record, stall, worker panic, injected ENOSPC) replayed with
-    /// reconnect-and-resume, proving exactly-once recovery against a
-    /// fault-free control (absent in reports from before chaos
-    /// existed).
-    #[serde(default)]
-    pub chaos: Option<ChaosReport>,
-    /// Multi-PoP fleet pass: a catchment-routed replay across a
-    /// self-hosted fleet with one mid-run PoP kill, proving fleet-wide
-    /// exactly-once accounting and bit-identity against a single-node
-    /// control (absent in reports from before the fleet tier existed).
-    #[serde(default)]
-    pub fleet: Option<crate::fleet_run::FleetReport>,
-}
-
-/// What a long-horizon (multi-day event time) replay through the tiered
-/// window store achieved, against an identical all-in-RAM control run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LongHorizonReport {
-    /// Event-time windows the replay spanned.
-    pub windows: u64,
-    /// Sessions replayed into each server.
-    pub sessions: u64,
-    /// RAM retention of the spilling server (windows per worker); every
-    /// older window lived only on disk at query time.
-    pub retention_windows: u64,
-    /// Segments on disk after the replay (post-compaction).
-    pub segments: u64,
-    /// Windows spilled past the retention horizon.
-    pub spilled_windows: u64,
-    /// Cells written into segments.
-    pub spilled_cells: u64,
-    /// Background compaction passes that ran.
-    pub compactions: u64,
-    /// Total bytes of live segments on disk.
-    pub store_bytes: u64,
-    /// Cells returned by the full-range query (disk + RAM merged).
-    pub full_range_cells: u64,
-    /// Cells returned by the historical half-horizon query (disk only).
-    pub historical_cells: u64,
-    /// Latency of the full-range `cells` query, ms.
-    pub full_query_ms: f64,
-    /// Latency of the historical range query, ms.
-    pub historical_query_ms: f64,
-    /// Process peak RSS (`VmHWM`, kB) right after the spilling replay.
-    pub peak_rss_spill_kb: u64,
-    /// Process peak RSS (kB) after the all-RAM control replay ran in
-    /// the same process. `VmHWM` is monotonic, so this only exceeds
-    /// [`LongHorizonReport::peak_rss_spill_kb`] if holding the whole
-    /// horizon in RAM pushed the high-water mark beyond the spill run.
-    pub peak_rss_all_ram_kb: u64,
-    /// Full-range query rows from the spilling server are byte-for-byte
-    /// identical (same serialized `f64` bits, same order) to the
-    /// all-RAM control server's.
-    pub bit_identical: bool,
-}
-
-/// Read a kB-denominated field (`VmHWM`, `VmRSS`, ...) from
-/// `/proc/self/status`. Returns 0 where procfs is unavailable.
-pub fn proc_status_kb(field: &str) -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with(field))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// Stream every payload down one data connection, then block until the
-/// server has processed them all. A single connection delivers in
-/// order, so the replay is late-free by construction and needs none of
-/// [`run`]'s cross-connection chunk barriers.
-pub(crate) fn replay_single_connection(
-    addr: std::net::SocketAddr,
-    payloads: &[Vec<u8>],
-    wire: WireMode,
-) -> io::Result<()> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut out = BufWriter::with_capacity(1 << 18, stream);
-    if wire == WireMode::Binary {
-        out.write_all(&preamble())?;
-    }
-    for payload in payloads {
-        out.write_all(payload)?;
-    }
-    out.flush()?;
-    drop(out);
-    let mut control = LiveClient::connect(addr)?;
-    wait_processed(&mut control, payloads.len() as u64)
-}
-
 pub(crate) fn render_rows(rows: &[CellLine]) -> Vec<String> {
     rows.iter().map(|c| serde_json::to_string(c).expect("cell line serializes")).collect()
-}
-
-pub(crate) fn timed_cells(
-    client: &mut LiveClient,
-    query: &CellQuery,
-) -> io::Result<(Vec<CellLine>, f64)> {
-    let start = Instant::now();
-    let rows = client.cells_query(query)?;
-    Ok((rows, start.elapsed().as_secs_f64() * 1e3))
-}
-
-/// Replay a long event-time horizon twice — once into a server whose
-/// RAM retention is a small fraction of the horizon (everything older
-/// spills to columnar segments under `spill_dir`), once into an all-RAM
-/// control — and prove the disk+RAM merged query path returns
-/// bit-identical rows while peak RSS stays bounded.
-pub fn run_long_horizon(
-    cfg: &LoadgenConfig,
-    retention_windows: usize,
-    spill_dir: &Path,
-) -> io::Result<LongHorizonReport> {
-    let lines = generate_lines(cfg);
-    let payloads = render_payloads(cfg, &lines)?;
-    drop(lines);
-    let parser = Arc::new(WireParser::new(cfg.target_bps));
-    let full = CellQuery { from_window: Some(0), ..CellQuery::default() };
-    let horizon_mid = cfg.windows / 2;
-    let historical = CellQuery { until_window: Some(horizon_mid), ..full };
-
-    // Pass 1: tiered server. Aggressive compaction thresholds so a
-    // bench-sized replay exercises the compactor, not just the spiller.
-    let spill_server = hosted_builder(cfg, SUITE_WORKERS)
-        .retention_windows(retention_windows)
-        .spill_dir(spill_dir)
-        .compact_min_segments(8)
-        .compact_batch(4)
-        .start(Arc::clone(&parser) as Arc<dyn edgeperf_live::LineParser>)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    replay_single_connection(spill_server.addr(), &payloads, cfg.wire)?;
-    let peak_rss_spill_kb = proc_status_kb("VmHWM:");
-    let mut control = LiveClient::connect(spill_server.addr())?;
-    let store = control.store_stats()?;
-    let (spilled_rows, full_query_ms) = timed_cells(&mut control, &full)?;
-    let (historical_rows, historical_query_ms) = timed_cells(&mut control, &historical)?;
-    control.shutdown()?;
-    drop(control);
-    let _ = spill_server.join();
-
-    // Pass 2: all-RAM control with retention covering the whole horizon.
-    let ram_server: ServerHandle = hosted_builder(cfg, SUITE_WORKERS)
-        .retention_windows(cfg.windows as usize + 4)
-        .start(parser)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    replay_single_connection(ram_server.addr(), &payloads, cfg.wire)?;
-    let mut control = LiveClient::connect(ram_server.addr())?;
-    let (ram_rows, _) = timed_cells(&mut control, &full)?;
-    control.shutdown()?;
-    drop(control);
-    let _ = ram_server.join();
-
-    Ok(LongHorizonReport {
-        windows: u64::from(cfg.windows),
-        sessions: payloads.len() as u64,
-        retention_windows: retention_windows as u64,
-        segments: store.segments,
-        spilled_windows: store.spilled_windows,
-        spilled_cells: store.spilled_cells,
-        compactions: store.compactions,
-        store_bytes: store.bytes,
-        full_range_cells: spilled_rows.len() as u64,
-        historical_cells: historical_rows.len() as u64,
-        full_query_ms,
-        historical_query_ms,
-        peak_rss_spill_kb,
-        peak_rss_all_ram_kb: proc_status_kb("VmHWM:"),
-        bit_identical: render_rows(&spilled_rows) == render_rows(&ram_rows),
-    })
-}
-
-/// Event-time windows for the suite's long-horizon pass: 10 days of the
-/// paper's 15-minute windows.
-pub const LONG_HORIZON_WINDOWS: u32 = 960;
-
-/// RAM retention (windows per worker) for the suite's long-horizon
-/// pass — under 1% of the horizon stays in memory.
-pub const LONG_HORIZON_RETENTION: usize = 8;
-
-/// Worker counts swept by [`run_suite`]'s binary scaling pass.
-pub const SCALING_WORKERS: [usize; 3] = [1, 4, 16];
-
-/// Connection counts swept by [`run_suite`]'s binary scaling pass.
-pub const SCALING_CONNECTIONS: [usize; 2] = [1, 4];
-
-/// Server workers for the suite's headline JSONL-vs-binary comparison.
-pub const SUITE_WORKERS: usize = 4;
-
-/// Logical cores available to this process.
-pub fn host_cores() -> u64 {
-    std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1)
 }
 
 /// The [`ServeBuilder`] every self-hosted server starts from: ephemeral
@@ -866,122 +624,6 @@ pub(crate) fn hosted_builder(cfg: &LoadgenConfig, workers: usize) -> ServeBuilde
         .window_ms(cfg.window_ms)
         .lateness_ms(cfg.lateness_ms)
         .metrics(&Metrics::enabled())
-}
-
-/// Start an in-process [`edgeperf_live::LiveServer`] matching `cfg`'s
-/// window geometry, replay into it over loopback TCP, drain it, and
-/// report.
-pub fn run_hosted(cfg: &LoadgenConfig, wire: WireMode, workers: usize) -> io::Result<LoadReport> {
-    let server = hosted_builder(cfg, workers)
-        .start(Arc::new(WireParser::new(cfg.target_bps)))
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let run_cfg =
-        LoadgenConfig { addr: server.addr().to_string(), wire, shutdown: true, ..cfg.clone() };
-    let report = run(&run_cfg)?;
-    let _ = server.join();
-    Ok(report)
-}
-
-/// Run the full self-hosted comparison suite (see [`SuiteReport`]).
-/// `cfg.addr` is ignored; each run gets a fresh ephemeral-port server.
-pub fn run_suite(cfg: &LoadgenConfig) -> io::Result<SuiteReport> {
-    let jsonl = run_hosted(cfg, WireMode::Jsonl, SUITE_WORKERS)?;
-    let binary = run_hosted(cfg, WireMode::Binary, SUITE_WORKERS)?;
-    let mut binary_scaling = Vec::with_capacity(SCALING_CONNECTIONS.len() * SCALING_WORKERS.len());
-    for &connections in &SCALING_CONNECTIONS {
-        for &workers in &SCALING_WORKERS {
-            let grid_cfg = LoadgenConfig { connections, ..cfg.clone() };
-            let r = run_hosted(&grid_cfg, WireMode::Binary, workers)?;
-            binary_scaling.push(ScalingPoint {
-                connections: connections as u64,
-                workers: workers as u64,
-                achieved_sessions_per_sec: r.achieved_sessions_per_sec,
-                elapsed_s: r.elapsed_s,
-                accepted: r.accepted,
-                rejected: r.rejected,
-            });
-        }
-    }
-    let binary_speedup = if jsonl.achieved_sessions_per_sec > 0.0 {
-        binary.achieved_sessions_per_sec / jsonl.achieved_sessions_per_sec
-    } else {
-        0.0
-    };
-    let stage_profile = crate::stage_profile::profile_stages(cfg, SUITE_WORKERS)?;
-
-    // Long-horizon pass: 10 days of event time through the tiered
-    // store, against an all-RAM control. Scoped to a throwaway spill
-    // directory; session count capped so the suite stays minutes-scale.
-    let horizon_cfg = LoadgenConfig {
-        sessions: cfg.sessions.min(24_000),
-        windows: LONG_HORIZON_WINDOWS,
-        connections: 1,
-        ..cfg.clone()
-    };
-    let spill_dir =
-        std::env::temp_dir().join(format!("edgeperf-long-horizon-{}", std::process::id()));
-    let long_horizon = run_long_horizon(&horizon_cfg, LONG_HORIZON_RETENTION, &spill_dir)?;
-    let _ = std::fs::remove_dir_all(&spill_dir);
-
-    // Chaos recovery pass: the suite's standard fault plan — two wire
-    // cuts, a torn record, a worker panic, injected ENOSPC — replayed
-    // with reconnect-and-resume against a fault-free control. Session
-    // count capped: the pass proves exactness, not throughput.
-    let chaos_cfg = LoadgenConfig {
-        sessions: cfg.sessions.min(20_000),
-        windows: 12,
-        connections: 1,
-        ..cfg.clone()
-    };
-    let chaos_plan = ChaosPlan::parse(&format!(
-        "disconnect:500;torn:1200;stall:2500@400;panic:0@800;spillfail:0@3;seed:{}",
-        cfg.seed
-    ))
-    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let chaos_dir = std::env::temp_dir().join(format!("edgeperf-chaos-{}", std::process::id()));
-    let chaos_opts = ChaosRunOpts {
-        workers: SUITE_WORKERS,
-        idle_timeout_ms: 200,
-        spill: Some((chaos_dir.clone(), 2)),
-        ..ChaosRunOpts::default()
-    };
-    let chaos = run_chaos(&chaos_cfg, &chaos_plan, &chaos_opts)?;
-    let _ = std::fs::remove_dir_all(&chaos_dir);
-
-    // Fleet pass: 3 PoPs behind a catchment coordinator, one PoP killed
-    // an eighth of the way in (well inside the lateness/2 failover
-    // budget), verified bit-identical against a single-node control.
-    let fleet_cfg = LoadgenConfig {
-        sessions: cfg.sessions.min(20_000),
-        windows: 8,
-        window_ms: 60_000.0,
-        lateness_ms: 120_000.0,
-        connections: 1,
-        ..cfg.clone()
-    };
-    let fleet_plan = edgeperf_fleet::FleetChaosPlan::parse(&format!(
-        "kill:1@{};seed:{}",
-        fleet_cfg.sessions / 16,
-        cfg.seed
-    ))
-    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let fleet_opts = crate::fleet_run::FleetRunOpts { pops: 3, workers: 2, plan: fleet_plan };
-    let fleet = crate::fleet_run::run_fleet(&fleet_cfg, &fleet_opts)?;
-
-    Ok(SuiteReport {
-        sessions: cfg.sessions as u64,
-        connections: cfg.connections.max(1) as u64,
-        server_workers: SUITE_WORKERS as u64,
-        host_cores: host_cores(),
-        jsonl,
-        binary,
-        binary_speedup,
-        binary_scaling,
-        stage_profile,
-        long_horizon: Some(long_horizon),
-        chaos: Some(chaos),
-        fleet: Some(fleet),
-    })
 }
 
 #[cfg(test)]
@@ -1023,15 +665,22 @@ mod tests {
 
     #[test]
     fn loadgen_replays_binary_frames_without_drops() {
+        let server = hosted_builder(&LoadgenConfig::default(), 2)
+            .start(Arc::new(WireParser::new(HD_GOODPUT_BPS)))
+            .expect("server starts");
         let cfg = LoadgenConfig {
+            addr: server.addr().to_string(),
+            wire: WireMode::Binary,
             sessions: 2_000,
             connections: 2,
             groups: 16,
             windows: 4,
             ping_interval_ms: 1,
+            shutdown: true,
             ..LoadgenConfig::default()
         };
-        let report = run_hosted(&cfg, WireMode::Binary, 2).expect("binary replay succeeds");
+        let report = run(&cfg).expect("binary replay succeeds");
+        server.join();
         assert_eq!(report.wire, "binary");
         assert!(report.drained);
         assert_eq!(report.sessions, 2_000);
@@ -1040,28 +689,6 @@ mod tests {
         assert_eq!(report.late, 0);
         assert_eq!(report.groups, 16);
         assert!(report.windows_closed >= 8, "windows closed: {report:?}");
-    }
-
-    #[test]
-    fn long_horizon_spill_matches_all_ram_bit_for_bit() {
-        let cfg = LoadgenConfig {
-            sessions: 3_000,
-            connections: 1,
-            groups: 16,
-            windows: 48,
-            ..LoadgenConfig::default()
-        };
-        let spill_dir =
-            std::env::temp_dir().join(format!("edgeperf-loadgen-horizon-{}", std::process::id()));
-        let report = run_long_horizon(&cfg, 4, &spill_dir).expect("long-horizon run");
-        std::fs::remove_dir_all(&spill_dir).expect("spill dir cleanup");
-        assert!(report.bit_identical, "spilled query drifted from RAM: {report:?}");
-        assert!(report.spilled_windows > 0, "nothing spilled: {report:?}");
-        assert!(report.segments > 0);
-        assert!(report.full_range_cells > 0);
-        assert!(report.historical_cells > 0);
-        assert!(report.historical_cells <= report.full_range_cells);
-        assert!(report.peak_rss_spill_kb > 0, "procfs RSS available on CI hosts");
     }
 
     #[test]

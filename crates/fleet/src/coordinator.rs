@@ -248,11 +248,18 @@ fn handle_connection(stream: TcpStream, shared: Arc<FleetShared>) {
         }
         let shutdown = command == "shutdown";
         let reply = dispatch(command, &shared);
-        if writer.write_all(reply.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-            || shutdown
-        {
+        let sent = writer
+            .write_all(reply.as_bytes())
+            .and_then(|()| writer.write_all(b"\n"))
+            .and_then(|()| writer.flush());
+        if shutdown {
+            // Pop the acceptor out of its blocking accept so join()
+            // returns; it re-checks `shutting_down` after every accept.
+            // Only after the reply is flushed: `edgeperf fleet` exits as
+            // soon as join() returns, and must not outrun the reply.
+            let _ = TcpStream::connect(shared.addr);
+        }
+        if sent.is_err() || shutdown {
             break;
         }
     }
@@ -520,9 +527,6 @@ fn serve_shutdown(shared: &FleetShared) -> Result<String, FleetError> {
     let merged = merge_snapshots(&snaps);
     *shared.final_snapshot.lock().expect("lock") = Some(merged.clone());
     shared.metrics.gauge("fleet.pops.alive").set(0.0);
-    // Pop the acceptor out of its blocking accept so join() returns;
-    // it re-checks `shutting_down` after every accept.
-    let _ = TcpStream::connect(shared.addr);
     Ok(render_snapshot(&merged))
 }
 

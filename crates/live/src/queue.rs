@@ -5,9 +5,9 @@
 //! shared by every reader through a `Mutex<Vec<SyncSender>>`. Each send
 //! took the channel's internal lock, and each batch `Vec` was allocated
 //! by the reader and freed by the worker — so adding cores added lock
-//! hand-offs and allocator traffic instead of throughput (the committed
-//! `BENCH_live.json` anti-scaled: 2.69M sessions/s at 1 worker, 2.22M
-//! at 16). This module replaces that wall with:
+//! hand-offs and allocator traffic instead of throughput (the PR-5
+//! recording anti-scaled: 2.69M sessions/s at 1 worker, 2.22M at 16).
+//! This module replaces that wall with:
 //!
 //! - [`spsc`]: a fixed-capacity single-producer/single-consumer ring,
 //!   one per (reader, worker) pair. The hot path is two cache lines

@@ -20,7 +20,7 @@
 //! batch. When a lane fills, the reader spins briefly then parks until
 //! the worker frees a slot — the PR-5 "block, never drop" backpressure
 //! semantics, without the `sync_channel` lock hand-off that made worker
-//! counts *anti*-scale (see `queue.rs` docs and `BENCH_live.json`).
+//! counts *anti*-scale (see the `queue.rs` docs).
 //!
 //! Every record of a user group flows through exactly one worker (groups
 //! are sharded by the deterministic FxHash), and one connection's records

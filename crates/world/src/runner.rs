@@ -250,38 +250,6 @@ pub fn run_study_observed<S: RecordSink>(
     stats
 }
 
-/// The pre-work-stealing scheduler: contiguous prefix ranges assigned up
-/// front. Kept as the baseline the pipeline bench compares the stealing
-/// scheduler against; produces the same record multiset.
-pub fn run_study_static(world: &World, cfg: &StudyConfig) -> Vec<SessionRecord> {
-    let threads = thread_count(cfg);
-    let n = world.prefixes.len();
-    let chunk = n.div_ceil(threads.max(1));
-    let mut out = Vec::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            handles.push(s.spawn(move || {
-                let mut records = Vec::new();
-                let mut counters = WorkerCounters::default();
-                for idx in lo..hi {
-                    run_prefix(world, cfg, idx, &mut records, &mut counters);
-                }
-                records
-            }));
-        }
-        for h in handles {
-            out.extend(h.join().expect("runner thread panicked"));
-        }
-    });
-    out
-}
-
 fn run_prefix<S: RecordShard>(
     world: &World,
     cfg: &StudyConfig,
@@ -607,22 +575,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(key(x), key(y));
             assert_eq!(x.hdratio.map(f64::to_bits), y.hdratio.map(f64::to_bits));
-        }
-    }
-
-    #[test]
-    fn work_stealing_matches_static_chunking() {
-        let (world, cfg) = tiny_study();
-        let key = |r: &SessionRecord| {
-            (r.group.prefix.base, r.window, r.route_rank, r.min_rtt_ms.to_bits())
-        };
-        let mut stealing = run_study(&world, &cfg);
-        let mut chunked = run_study_static(&world, &cfg);
-        stealing.sort_by_key(key);
-        chunked.sort_by_key(key);
-        assert_eq!(stealing.len(), chunked.len());
-        for (a, b) in stealing.iter().zip(&chunked) {
-            assert_eq!(key(a), key(b));
         }
     }
 
