@@ -63,7 +63,8 @@ pub use opportunity::{opportunity_events, OpportunityMetric};
 pub use record::{GroupKey, SessionRecord};
 pub use segment::{
     atomic_write, cell_sort_key, decode_segment, encode_segment, sort_cells, stage, staging_path,
-    window_span, WindowCell, SEGMENT_MAGIC, SEGMENT_VERSION,
+    CellSortKey, GroupEntry, SegmentIndex, SegmentReader, SegmentWriter, WindowCell, GROUP_ROWS,
+    SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 pub use sink::{RecordShard, RecordSink, SinkStats, StreamingCell, StreamingDataset};
 pub use streaming::StreamingAggregation;

@@ -2,12 +2,28 @@
 //! atomic-write discipline every durable artifact in the tree shares.
 //!
 //! A *segment* is the unit the live tier spills closed windows into: a
-//! flat run of [`WindowCell`] rows — one per (window, group, route-rank)
-//! cell, exactly the plain-data summary a closed live window carries —
+//! run of [`WindowCell`] rows — one per (window, group, route-rank) cell,
+//! exactly the plain-data summary a closed live window carries.
+//!
+//! ## Layout (`EPSG` version 2)
+//!
+//! ```text
+//! header   "EPSG" | version = 2                                  5 bytes
+//! group*   rows: u32 | columns | FxHash(rows, columns): u64
+//! footer   entry* | FxHash(entries): u64
+//!          entry = offset: u64 | len: u32 | rows: u32
+//!                  | first cell_sort_key | last cell_sort_key    46 bytes
+//! trailer  footer offset: u64 | footer len: u32 | "GSPE"        16 bytes
+//! ```
+//!
+//! A **row group** holds at most [`GROUP_ROWS`] rows of **one window**,
 //! encoded column-major like [`crate::columnar::ColumnarShard`] keeps its
-//! in-memory cells (all windows, then all pops, then all prefixes, …).
-//! Columnar order makes the common time-range scan a few contiguous
-//! reads and compresses trivially if a transport wants to.
+//! in-memory cells (all windows, then all pops, then all prefixes, …) and
+//! closed by its own checksum, so a reader verifies and decodes one group
+//! without touching the rest of the file. The footer indexes the groups
+//! — where each one is, how many rows it holds, and the smallest and
+//! largest [`cell_sort_key`] among them — which is what lets a query
+//! read only the groups its window range and group filter can match.
 //!
 //! Float statistics are stored as raw little-endian `f64` bit patterns,
 //! so a decode → merge → query path is **bit-identical** to the
@@ -15,27 +31,45 @@
 //! value. Optional statistics (Price–Bonett variances, HDratio medians)
 //! are a presence bitmap followed by the present values only.
 //!
-//! Every segment ends with an FxHash checksum over the preceding bytes;
-//! decode verifies magic, version, length arithmetic and checksum before
-//! trusting any row, and reports problems as the typed
-//! [`EdgeperfError::Segment`]. Writers must go through [`atomic_write`]
-//! (write `<path>.tmp`, then rename) — the same tmp + rename discipline
-//! the supervisor checkpoint uses — so a crash mid-write can only ever
-//! leave an orphan temp file, never a torn segment at a live path.
+//! ## What a reader trusts
+//!
+//! Nothing that a verified checksum does not cover. The trailer is
+//! checked by arithmetic (magic, and `offset + len + 16` must equal the
+//! file length), the footer by its checksum and by its entries tiling
+//! the bytes between header and footer exactly, each group by its own
+//! checksum and by holding the row count its entry promised. Every count
+//! read from disk is bounded by the bytes that hold it before anything is
+//! allocated for it. Problems are the typed [`EdgeperfError::Segment`].
+//!
+//! Version 1 images (no groups: header, row count, the columns of every
+//! row, one checksum over it all) stay readable — [`SegmentIndex`]
+//! presents one as a single group with unbounded keys, read whole.
+//!
+//! ## Writing
+//!
+//! [`SegmentWriter`] streams rows out group by group through one
+//! reusable buffer; [`SegmentWriter::stage`] writes at [`staging_path`]
+//! and the caller renames — the same tmp + rename discipline
+//! [`atomic_write`] gives single-buffer artifacts (manifests,
+//! checkpoints) — so a crash mid-write can only ever leave an orphan
+//! temp file, never a torn segment at a live path.
 
 use crate::dataset::CellSummary;
 use crate::record::GroupKey;
 use edgeperf_core::EdgeperfError;
 use edgeperf_routing::{PopId, Prefix, Relationship};
+use std::fs::File;
 use std::hash::Hasher;
-use std::io;
+use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"EPSG";
 
 /// Current segment format version.
-pub const SEGMENT_VERSION: u8 = 1;
+pub const SEGMENT_VERSION: u8 = 2;
 
 /// One spilled cell: the flat, storage-neutral form of a closed live
 /// window's ((group, rank), summary) entry.
@@ -106,10 +140,14 @@ impl WindowCell {
     }
 }
 
+/// What [`cell_sort_key`] orders by: (window, pop, prefix base, prefix
+/// length, country, continent, rank).
+pub type CellSortKey = (u32, u16, u32, u8, u16, u8, u8);
+
 /// Canonical query/compaction order: (window, group fields, rank). Two
 /// distinct cells can never tie — (window, group, rank) addresses a cell
 /// uniquely — so the order is total and merge output is deterministic.
-pub fn cell_sort_key(c: &WindowCell) -> (u32, u16, u32, u8, u16, u8, u8) {
+pub fn cell_sort_key(c: &WindowCell) -> CellSortKey {
     (
         c.window,
         c.group.pop.0,
@@ -150,21 +188,70 @@ fn corrupt(message: String) -> EdgeperfError {
 const FLAG_LONGER_PATH: u8 = 1;
 const FLAG_MORE_PREPENDED: u8 = 2;
 
+/// The version-1 format: one unindexed run of rows, read whole.
+const VERSION_1: u8 = 1;
+
+/// Most rows in one row group. 512 rows encode to ~34 KB — small enough
+/// that a point query decodes little it does not return and a k-way
+/// merge holds a group per input, large enough that the 46-byte index
+/// entry and 12-byte group frame stay near 0.2 % of the file.
+pub const GROUP_ROWS: usize = 512;
+
+/// Magic + version.
+const HEADER_LEN: usize = SEGMENT_MAGIC.len() + 1;
+
+/// Magic closing every version-2 file (the trailer's last four bytes).
+const TRAILER_MAGIC: [u8; 4] = *b"GSPE";
+
+/// Footer offset (u64), footer length (u32), [`TRAILER_MAGIC`].
+const TRAILER_LEN: usize = 16;
+
+/// Encoded [`cell_sort_key`]: 4 + 2 + 4 + 1 + 2 + 1 + 1.
+const KEY_LEN: usize = 15;
+
+/// One footer entry: offset (u64), length (u32), rows (u32), two keys.
+const ENTRY_LEN: usize = 16 + 2 * KEY_LEN;
+
+/// The columns every row has: 4+2+4+1+2+1+1+1+1 + 8*4.
+const FIXED_ROW_BYTES: u64 = 49;
+
+/// Bytes of a row group's frame: its row count and its checksum.
+const GROUP_FRAME: usize = 4 + 8;
+
+/// The shortest image there is: a version-1 segment of no rows.
+const MIN_IMAGE_LEN: u64 = (HEADER_LEN + GROUP_FRAME) as u64;
+
+/// The shortest version-2 image: header, empty footer, trailer.
+const MIN_V2_LEN: u64 = (HEADER_LEN + 8 + TRAILER_LEN) as u64;
+
+/// The fewest bytes `rows` rows can encode to (no optional statistic
+/// present): the bound that rejects a forged count before it sizes an
+/// allocation.
+fn min_columns_len(rows: u32) -> u64 {
+    let rows = u64::from(rows);
+    rows * FIXED_ROW_BYTES + 3 * rows.div_ceil(8)
+}
+
+/// The most: all three optional statistics present on every row.
+fn max_columns_len(rows: u32) -> u64 {
+    min_columns_len(rows) + u64::from(rows) * 24
+}
+
+/// Can `len` bytes be the columns of exactly `rows` rows?
+fn columns_fit(rows: u32, len: u64) -> bool {
+    (min_columns_len(rows)..=max_columns_len(rows)).contains(&len)
+}
+
 fn checksum(bytes: &[u8]) -> u64 {
     let mut h = crate::hash::FxHasher::default();
     h.write(bytes);
     h.finish()
 }
 
-/// Encode `cells` into a self-checking columnar segment image.
-pub fn encode_segment(cells: &[WindowCell]) -> Vec<u8> {
-    let n = cells.len();
-    // Fixed columns: 4+2+4+1+2+1+1+1+1 + 8*3 + 8 = 49 bytes/cell, plus
-    // three optional-column bitmaps and up to three more f64s.
-    let mut out = Vec::with_capacity(16 + n * 80);
-    out.extend_from_slice(&SEGMENT_MAGIC);
-    out.push(SEGMENT_VERSION);
-    out.extend_from_slice(&u32::try_from(n).expect("segment cell count fits u32").to_le_bytes());
+/// `cells` as a row count and one column per field, appended to `out`.
+fn encode_columns(out: &mut Vec<u8>, cells: &[WindowCell]) {
+    let n = u32::try_from(cells.len()).expect("a row group's count fits u32");
+    out.extend_from_slice(&n.to_le_bytes());
     for c in cells {
         out.extend_from_slice(&c.window.to_le_bytes());
     }
@@ -211,12 +298,9 @@ pub fn encode_segment(cells: &[WindowCell]) -> Vec<u8> {
     for c in cells {
         out.extend_from_slice(&c.min_rtt_p50.to_bits().to_le_bytes());
     }
-    encode_optional(&mut out, cells, |c| c.min_rtt_var);
-    encode_optional(&mut out, cells, |c| c.hdratio_p50);
-    encode_optional(&mut out, cells, |c| c.hdratio_var);
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    encode_optional(out, cells, |c| c.min_rtt_var);
+    encode_optional(out, cells, |c| c.hdratio_p50);
+    encode_optional(out, cells, |c| c.hdratio_var);
 }
 
 /// Presence bitmap (LSB-first within each byte) then the present values'
@@ -226,13 +310,13 @@ fn encode_optional(
     cells: &[WindowCell],
     get: impl Fn(&WindowCell) -> Option<f64>,
 ) {
-    let mut bitmap = vec![0u8; cells.len().div_ceil(8)];
+    let bitmap = out.len();
+    out.resize(bitmap + cells.len().div_ceil(8), 0);
     for (i, c) in cells.iter().enumerate() {
         if get(c).is_some() {
-            bitmap[i / 8] |= 1 << (i % 8);
+            out[bitmap + i / 8] |= 1 << (i % 8);
         }
     }
-    out.extend_from_slice(&bitmap);
     for c in cells {
         if let Some(v) = get(c) {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -240,7 +324,16 @@ fn encode_optional(
     }
 }
 
-/// A bounds-checked little-endian reader over the segment image.
+fn encode_key(out: &mut Vec<u8>, key: &CellSortKey) {
+    out.extend_from_slice(&key.0.to_le_bytes());
+    out.extend_from_slice(&key.1.to_le_bytes());
+    out.extend_from_slice(&key.2.to_le_bytes());
+    out.push(key.3);
+    out.extend_from_slice(&key.4.to_le_bytes());
+    out.extend_from_slice(&[key.5, key.6]);
+}
+
+/// A bounds-checked little-endian reader over encoded bytes.
 struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -257,8 +350,8 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8s(&mut self, n: usize) -> Result<&'a [u8], EdgeperfError> {
-        self.take(n)
+    fn u8(&mut self) -> Result<u8, EdgeperfError> {
+        Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16, EdgeperfError> {
@@ -272,15 +365,22 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, EdgeperfError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
+
+    fn key(&mut self) -> Result<CellSortKey, EdgeperfError> {
+        Ok((self.u32()?, self.u16()?, self.u32()?, self.u8()?, self.u16()?, self.u8()?, self.u8()?))
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
 }
 
-/// Decode a segment image, verifying magic, version, length arithmetic
-/// and the trailing checksum before any row is surfaced.
-pub fn decode_segment(bytes: &[u8]) -> Result<Vec<WindowCell>, EdgeperfError> {
-    if bytes.len() < SEGMENT_MAGIC.len() + 1 + 4 + 8 {
-        return Err(corrupt(format!("{} bytes is too short for a segment", bytes.len())));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
+/// Split `bytes` into what its trailing checksum covers, verified.
+fn checked_body(bytes: &[u8]) -> Result<&[u8], EdgeperfError> {
+    let Some(at) = bytes.len().checked_sub(8) else {
+        return Err(corrupt(format!("{} bytes cannot hold a checksum", bytes.len())));
+    };
+    let (body, tail) = bytes.split_at(at);
     let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
     let computed = checksum(body);
     if stored != computed {
@@ -288,17 +388,21 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Vec<WindowCell>, EdgeperfError> {
             "checksum mismatch (stored {stored:#x}, computed {computed:#x})"
         )));
     }
-    let mut r = Reader { bytes: body, at: 0 };
-    let magic = r.take(SEGMENT_MAGIC.len())?;
-    if magic != SEGMENT_MAGIC {
-        return Err(corrupt(format!("bad magic {magic:02x?}")));
+    Ok(body)
+}
+
+/// Decode a row count and that many rows' columns — the whole of what
+/// `r` has left — appending the rows to `out`.
+fn decode_columns(r: &mut Reader<'_>, out: &mut Vec<WindowCell>) -> Result<(), EdgeperfError> {
+    let n = r.u32()?;
+    // Length arithmetic before the allocation: a forged count cannot
+    // size a vector its own bytes could not fill.
+    if !columns_fit(n, r.remaining() as u64) {
+        return Err(corrupt(format!("{n} rows cannot fill {} bytes", r.remaining())));
     }
-    let version = r.u8s(1)?[0];
-    if version != SEGMENT_VERSION {
-        return Err(corrupt(format!("unsupported segment version {version}")));
-    }
-    let n = r.u32()? as usize;
-    let mut cells = vec![
+    let start = out.len();
+    out.resize(
+        start + n as usize,
         WindowCell {
             window: 0,
             group: GroupKey {
@@ -318,60 +422,60 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Vec<WindowCell>, EdgeperfError> {
             min_rtt_var: None,
             hdratio_p50: None,
             hdratio_var: None,
-        };
-        n
-    ];
-    for c in &mut cells {
+        },
+    );
+    let cells = &mut out[start..];
+    for c in &mut *cells {
         c.window = r.u32()?;
     }
-    for c in &mut cells {
+    for c in &mut *cells {
         c.group.pop = PopId(r.u16()?);
     }
-    for c in &mut cells {
+    for c in &mut *cells {
         c.group.prefix.base = r.u32()?;
     }
-    for c in &mut cells {
-        c.group.prefix.len = r.u8s(1)?[0];
+    for c in &mut *cells {
+        c.group.prefix.len = r.u8()?;
     }
-    for c in &mut cells {
+    for c in &mut *cells {
         c.group.country = r.u16()?;
     }
-    for c in &mut cells {
-        c.group.continent = r.u8s(1)?[0];
+    for c in &mut *cells {
+        c.group.continent = r.u8()?;
     }
-    for c in &mut cells {
-        c.rank = r.u8s(1)?[0];
+    for c in &mut *cells {
+        c.rank = r.u8()?;
     }
-    for c in &mut cells {
-        c.relationship = rel_from_code(r.u8s(1)?[0])?;
+    for c in &mut *cells {
+        c.relationship = rel_from_code(r.u8()?)?;
     }
-    for c in &mut cells {
-        let flags = r.u8s(1)?[0];
+    for c in &mut *cells {
+        let flags = r.u8()?;
         if flags & !(FLAG_LONGER_PATH | FLAG_MORE_PREPENDED) != 0 {
             return Err(corrupt(format!("unknown flag bits {flags:#04x}")));
         }
         c.longer_path = flags & FLAG_LONGER_PATH != 0;
         c.more_prepended = flags & FLAG_MORE_PREPENDED != 0;
     }
-    for c in &mut cells {
+    for c in &mut *cells {
         c.n = r.u64()?;
     }
-    for c in &mut cells {
+    for c in &mut *cells {
         c.n_tested = r.u64()?;
     }
-    for c in &mut cells {
+    for c in &mut *cells {
         c.bytes = r.u64()?;
     }
-    for c in &mut cells {
+    for c in &mut *cells {
         c.min_rtt_p50 = f64::from_bits(r.u64()?);
     }
-    decode_optional(&mut r, &mut cells, |c, v| c.min_rtt_var = v)?;
-    decode_optional(&mut r, &mut cells, |c, v| c.hdratio_p50 = v)?;
-    decode_optional(&mut r, &mut cells, |c, v| c.hdratio_var = v)?;
-    if r.at != body.len() {
-        return Err(corrupt(format!("{} trailing bytes after the last column", body.len() - r.at)));
+    decode_optional(r, cells, |c, v| c.min_rtt_var = v)?;
+    decode_optional(r, cells, |c, v| c.hdratio_p50 = v)?;
+    decode_optional(r, cells, |c, v| c.hdratio_var = v)?;
+    if r.remaining() != 0 {
+        return Err(corrupt(format!("{} trailing bytes after the last column", r.remaining())));
     }
-    Ok(cells)
+    Ok(())
 }
 
 fn decode_optional(
@@ -379,7 +483,7 @@ fn decode_optional(
     cells: &mut [WindowCell],
     set: impl Fn(&mut WindowCell, Option<f64>),
 ) -> Result<(), EdgeperfError> {
-    let bitmap = r.u8s(cells.len().div_ceil(8))?.to_vec();
+    let bitmap = r.take(cells.len().div_ceil(8))?;
     for (i, c) in cells.iter_mut().enumerate() {
         if bitmap[i / 8] & (1 << (i % 8)) != 0 {
             set(c, Some(f64::from_bits(r.u64()?)));
@@ -390,11 +494,387 @@ fn decode_optional(
     Ok(())
 }
 
-/// The `(first, last)` window span of a run of cells, `None` when empty.
-pub fn window_span(cells: &[WindowCell]) -> Option<(u32, u32)> {
-    let mut it = cells.iter().map(|c| c.window);
-    let first = it.next()?;
-    Some(it.fold((first, first), |(lo, hi), w| (lo.min(w), hi.max(w))))
+/// Decode a whole version-1 image: checksum, header, then every row.
+fn decode_v1(bytes: &[u8], out: &mut Vec<WindowCell>) -> Result<(), EdgeperfError> {
+    let mut r = Reader { bytes: checked_body(bytes)?, at: 0 };
+    let head = r.take(HEADER_LEN)?;
+    if head[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC || head[HEADER_LEN - 1] != VERSION_1 {
+        return Err(corrupt(format!("bad version-1 header {head:02x?}")));
+    }
+    decode_columns(&mut r, out)
+}
+
+/// Where one row group sits in its file and what it holds — one footer
+/// entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupEntry {
+    /// Byte offset of the group in the file.
+    pub offset: u64,
+    /// Encoded length, frame included.
+    pub len: u32,
+    /// Rows in the group.
+    pub rows: u32,
+    /// Smallest [`cell_sort_key`] among them.
+    pub first: CellSortKey,
+    /// Largest.
+    pub last: CellSortKey,
+}
+
+/// A segment's verified footer: every row group's place and key range.
+/// Small (46 bytes per ≤ [`GROUP_ROWS`] rows), so the store keeps one in
+/// RAM per segment and picks the groups a query needs without touching
+/// the disk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SegmentIndex {
+    version: u8,
+    groups: Vec<GroupEntry>,
+}
+
+impl SegmentIndex {
+    /// The row groups, in file order.
+    pub fn groups(&self) -> &[GroupEntry] {
+        &self.groups
+    }
+
+    /// Rows across every group.
+    pub fn rows(&self) -> u64 {
+        self.groups.iter().map(|g| u64::from(g.rows)).sum()
+    }
+
+    /// The `(first, last)` window any group covers, `None` when empty.
+    pub fn window_span(&self) -> Option<(u32, u32)> {
+        let first = self.groups.iter().map(|g| g.first.0).min()?;
+        Some((first, self.groups.iter().map(|g| g.last.0).max()?))
+    }
+
+    /// Index a whole image held in memory.
+    pub fn of_image(bytes: &[u8]) -> Result<SegmentIndex, EdgeperfError> {
+        Self::read(bytes.len() as u64, |buf, offset| {
+            let at = usize::try_from(offset).expect("below the image length");
+            buf.copy_from_slice(&bytes[at..at + buf.len()]);
+            Ok(())
+        })
+    }
+
+    /// Index an open segment file: three small reads — header, trailer,
+    /// footer.
+    pub fn of_file(file: &File) -> Result<SegmentIndex, EdgeperfError> {
+        let len = file.metadata().map_err(|e| corrupt(format!("stat segment: {e}")))?.len();
+        Self::read(len, |buf, offset| read_at(file, buf, offset))
+    }
+
+    /// Index a `len`-byte image through `read_at`, which is only ever
+    /// asked for ranges already checked to lie inside `len`. A version-1
+    /// image is one group spanning the file, with unbounded keys.
+    fn read(
+        len: u64,
+        read_at: impl Fn(&mut [u8], u64) -> Result<(), EdgeperfError>,
+    ) -> Result<SegmentIndex, EdgeperfError> {
+        let too_short = || corrupt(format!("{len} bytes is too short for a segment"));
+        if len < MIN_IMAGE_LEN {
+            return Err(too_short());
+        }
+        let mut head = [0u8; HEADER_LEN + 4];
+        read_at(&mut head, 0)?;
+        let mut r = Reader { bytes: &head, at: 0 };
+        let magic = r.take(SEGMENT_MAGIC.len())?;
+        if magic != SEGMENT_MAGIC {
+            return Err(corrupt(format!("bad magic {magic:02x?}")));
+        }
+        match r.u8()? {
+            VERSION_1 => {
+                let rows = r.u32()?;
+                let Some(len) =
+                    u32::try_from(len).ok().filter(|_| columns_fit(rows, len - MIN_IMAGE_LEN))
+                else {
+                    return Err(corrupt(format!("{rows} version-1 rows cannot fill {len} bytes")));
+                };
+                let unbounded = (u32::MAX, u16::MAX, u32::MAX, u8::MAX, u16::MAX, u8::MAX, u8::MAX);
+                let whole =
+                    GroupEntry { offset: 0, len, rows, first: Default::default(), last: unbounded };
+                Ok(SegmentIndex { version: VERSION_1, groups: vec![whole] })
+            }
+            SEGMENT_VERSION if len < MIN_V2_LEN => Err(too_short()),
+            SEGMENT_VERSION => {
+                let mut trailer = [0u8; TRAILER_LEN];
+                read_at(&mut trailer, len - TRAILER_LEN as u64)?;
+                let (offset, footer_len) = parse_trailer(&trailer, len)?;
+                let mut footer = vec![0u8; footer_len];
+                read_at(&mut footer, offset)?;
+                parse_footer(&footer, offset)
+            }
+            version => Err(corrupt(format!("unsupported segment version {version}"))),
+        }
+    }
+
+    /// Verify and decode group `i` out of `bytes`, the `len` bytes at its
+    /// `offset`, appending its rows to `out`.
+    fn decode_group(
+        &self,
+        i: usize,
+        bytes: &[u8],
+        out: &mut Vec<WindowCell>,
+    ) -> Result<(), EdgeperfError> {
+        let before = out.len();
+        if self.version == VERSION_1 {
+            decode_v1(bytes, out)?;
+        } else {
+            decode_columns(&mut Reader { bytes: checked_body(bytes)?, at: 0 }, out)?;
+        }
+        let rows = out.len() - before;
+        if rows != self.groups[i].rows as usize {
+            return Err(corrupt(format!(
+                "group {i} holds {rows} rows, its index entry says {}",
+                self.groups[i].rows
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Where the footer is, from the trailer of a `len`-byte version-2 file.
+/// Nothing here is checksummed; it is arithmetic that holds the trailer
+/// to account — the footer must end exactly where the trailer begins.
+fn parse_trailer(trailer: &[u8], len: u64) -> Result<(u64, usize), EdgeperfError> {
+    let mut r = Reader { bytes: trailer, at: 0 };
+    let (offset, footer_len) = (r.u64()?, r.u32()?);
+    if r.take(TRAILER_MAGIC.len())? != TRAILER_MAGIC {
+        return Err(corrupt("bad trailer magic".to_string()));
+    }
+    let ends = offset.checked_add(u64::from(footer_len) + TRAILER_LEN as u64);
+    if offset < HEADER_LEN as u64 || footer_len < 8 || ends != Some(len) {
+        return Err(corrupt(format!(
+            "trailer puts a {footer_len}-byte footer at {offset} of {len} bytes"
+        )));
+    }
+    Ok((offset, footer_len as usize))
+}
+
+/// Verify the footer found at `offset` and decode its entries, which
+/// must tile the bytes between the header and `offset` with groups that
+/// can hold the rows they claim.
+fn parse_footer(footer: &[u8], offset: u64) -> Result<SegmentIndex, EdgeperfError> {
+    let mut r = Reader { bytes: checked_body(footer)?, at: 0 };
+    if !r.remaining().is_multiple_of(ENTRY_LEN) {
+        return Err(corrupt(format!("footer of {} bytes is not whole entries", footer.len())));
+    }
+    let mut groups = Vec::with_capacity(r.remaining() / ENTRY_LEN);
+    let mut at = HEADER_LEN as u64;
+    while r.remaining() > 0 {
+        let g = GroupEntry {
+            offset: r.u64()?,
+            len: r.u32()?,
+            rows: r.u32()?,
+            first: r.key()?,
+            last: r.key()?,
+        };
+        let columns = u64::from(g.len).checked_sub(GROUP_FRAME as u64);
+        let sized = (1..=GROUP_ROWS as u32).contains(&g.rows)
+            && columns.is_some_and(|c| columns_fit(g.rows, c));
+        if g.offset != at || !sized || g.first > g.last || g.first.0 != g.last.0 {
+            return Err(corrupt(format!("footer entry {} is inconsistent: {g:?}", groups.len())));
+        }
+        at += u64::from(g.len);
+        groups.push(g);
+    }
+    if at != offset {
+        return Err(corrupt(format!("groups end at byte {at}, the footer starts at {offset}")));
+    }
+    Ok(SegmentIndex { version: SEGMENT_VERSION, groups })
+}
+
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), EdgeperfError> {
+    file.read_exact_at(buf, offset)
+        .map_err(|e| corrupt(format!("read {} bytes at {offset}: {e}", buf.len())))
+}
+
+/// The smallest and largest [`cell_sort_key`] among `rows`. Rows in
+/// order — what the store writes — cost one comparison each.
+fn key_range(rows: &[WindowCell]) -> Option<(CellSortKey, CellSortKey)> {
+    let mut keys = rows.iter().map(cell_sort_key);
+    let first = keys.next()?;
+    let mut last = first;
+    for key in keys {
+        if key < last {
+            let keys = rows.iter().map(cell_sort_key);
+            return Some(keys.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k))));
+        }
+        last = key;
+    }
+    Some((first, last))
+}
+
+/// Streams rows into a version-2 segment one row group at a time: rows
+/// gather until the group is full or the window changes, are encoded
+/// into one buffer sized for a full group, and leave in a single write.
+/// What the writer holds is a group of rows, that buffer and the index
+/// so far — never the segment.
+///
+/// Rows pushed in [`cell_sort_key`] order make the tightest index; any
+/// order is indexed correctly.
+pub struct SegmentWriter<W: Write> {
+    out: W,
+    pending: Vec<WindowCell>,
+    buf: Vec<u8>,
+    groups: Vec<GroupEntry>,
+    offset: u64,
+}
+
+impl SegmentWriter<File> {
+    /// A writer staging at [`staging_path`]`(path)`; once
+    /// [`finish`](Self::finish)ed, renaming the staged file onto `path`
+    /// is what publishes it.
+    pub fn stage(path: &Path) -> io::Result<SegmentWriter<File>> {
+        SegmentWriter::new(File::create(staging_path(path))?)
+    }
+}
+
+impl<W: Write> SegmentWriter<W> {
+    /// Start a segment on `out`.
+    pub fn new(mut out: W) -> io::Result<SegmentWriter<W>> {
+        out.write_all(&SEGMENT_MAGIC)?;
+        out.write_all(&[SEGMENT_VERSION])?;
+        Ok(SegmentWriter {
+            out,
+            pending: Vec::with_capacity(GROUP_ROWS),
+            buf: Vec::with_capacity(
+                GROUP_FRAME + usize::try_from(max_columns_len(GROUP_ROWS as u32)).expect("~37 KB"),
+            ),
+            groups: Vec::new(),
+            offset: HEADER_LEN as u64,
+        })
+    }
+
+    /// Append one row.
+    pub fn push(&mut self, cell: &WindowCell) -> io::Result<()> {
+        let fits = self.pending.len() < GROUP_ROWS
+            && self.pending.last().is_none_or(|p| p.window == cell.window);
+        if !fits {
+            self.flush_pending()?;
+        }
+        self.pending.push(*cell);
+        Ok(())
+    }
+
+    /// Append a run of rows — the same bytes as pushing each, but a
+    /// group that `cells` holds whole is encoded where it lies.
+    pub fn extend(&mut self, mut cells: &[WindowCell]) -> io::Result<()> {
+        while let Some(head) = cells.first() {
+            let run = cells.iter().take(GROUP_ROWS).take_while(|c| c.window == head.window).count();
+            // Whole: full, or closed by the next row's window.
+            if self.pending.is_empty() && (run == GROUP_ROWS || run < cells.len()) {
+                self.write_group(&cells[..run])?;
+                cells = &cells[run..];
+            } else {
+                self.push(head)?;
+                cells = &cells[1..];
+            }
+        }
+        Ok(())
+    }
+
+    fn flush_pending(&mut self) -> io::Result<()> {
+        let pending = std::mem::take(&mut self.pending);
+        let written = self.write_group(&pending);
+        self.pending = pending;
+        self.pending.clear();
+        written
+    }
+
+    /// Encode, write and index `rows` (of one window, at most
+    /// [`GROUP_ROWS`]) as one group; nothing for no rows.
+    fn write_group(&mut self, rows: &[WindowCell]) -> io::Result<()> {
+        let Some((first, last)) = key_range(rows) else { return Ok(()) };
+        self.buf.clear();
+        encode_columns(&mut self.buf, rows);
+        let sum = checksum(&self.buf);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
+        self.out.write_all(&self.buf)?;
+        let len = u32::try_from(self.buf.len()).expect("a row group is a few tens of KB");
+        let rows = u32::try_from(rows.len()).expect("at most GROUP_ROWS");
+        self.groups.push(GroupEntry { offset: self.offset, len, rows, first, last });
+        self.offset += u64::from(len);
+        Ok(())
+    }
+
+    /// Write the last group, the footer and the trailer; hand back the
+    /// sink and the index just written.
+    pub fn finish(mut self) -> io::Result<(W, SegmentIndex)> {
+        self.flush_pending()?;
+        self.buf.clear();
+        for g in &self.groups {
+            self.buf.extend_from_slice(&g.offset.to_le_bytes());
+            self.buf.extend_from_slice(&g.len.to_le_bytes());
+            self.buf.extend_from_slice(&g.rows.to_le_bytes());
+            encode_key(&mut self.buf, &g.first);
+            encode_key(&mut self.buf, &g.last);
+        }
+        let sum = checksum(&self.buf);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
+        let footer_len = u32::try_from(self.buf.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "footer exceeds 4 GiB"))?;
+        self.buf.extend_from_slice(&self.offset.to_le_bytes());
+        self.buf.extend_from_slice(&footer_len.to_le_bytes());
+        self.buf.extend_from_slice(&TRAILER_MAGIC);
+        self.out.write_all(&self.buf)?;
+        Ok((self.out, SegmentIndex { version: SEGMENT_VERSION, groups: self.groups }))
+    }
+}
+
+/// Reads a segment file one verified row group at a time.
+pub struct SegmentReader {
+    file: File,
+    index: Arc<SegmentIndex>,
+    buf: Vec<u8>,
+}
+
+impl SegmentReader {
+    /// Open the segment at `path` and verify its index.
+    pub fn open(path: &Path) -> Result<SegmentReader, EdgeperfError> {
+        let file = File::open(path)
+            .map_err(|e| corrupt(format!("open segment {}: {e}", path.display())))?;
+        let index = Arc::new(SegmentIndex::of_file(&file)?);
+        Ok(SegmentReader::new(file, index))
+    }
+
+    /// Read `file` through an index already verified for it.
+    pub fn new(file: File, index: Arc<SegmentIndex>) -> SegmentReader {
+        SegmentReader { file, index, buf: Vec::new() }
+    }
+
+    /// The segment's index.
+    pub fn index(&self) -> &SegmentIndex {
+        &self.index
+    }
+
+    /// Read, verify and decode row group `i`, appending its rows to
+    /// `out`. One positioned read of exactly that group's bytes.
+    pub fn read_group(&mut self, i: usize, out: &mut Vec<WindowCell>) -> Result<(), EdgeperfError> {
+        let g = self.index.groups[i];
+        self.buf.resize(g.len as usize, 0);
+        read_at(&self.file, &mut self.buf, g.offset)?;
+        self.index.decode_group(i, &self.buf, out)
+    }
+}
+
+/// Encode `cells` into a self-checking segment image, in the order given.
+pub fn encode_segment(cells: &[WindowCell]) -> Vec<u8> {
+    let image = Vec::with_capacity(64 + cells.len() * 80);
+    let mut writer = SegmentWriter::new(image).expect("a Vec takes every write");
+    writer.extend(cells).expect("a Vec takes every write");
+    writer.finish().expect("a Vec takes every write").0
+}
+
+/// Decode a segment image of either version, verifying every checksum
+/// and all length arithmetic before any row is surfaced.
+pub fn decode_segment(bytes: &[u8]) -> Result<Vec<WindowCell>, EdgeperfError> {
+    let index = SegmentIndex::of_image(bytes)?;
+    let mut cells = Vec::with_capacity(usize::try_from(index.rows()).expect("bounded by len"));
+    for (i, g) in index.groups.iter().enumerate() {
+        let at = usize::try_from(g.offset).expect("inside the image");
+        index.decode_group(i, &bytes[at..at + g.len as usize], &mut cells)?;
+    }
+    Ok(cells)
 }
 
 /// The path a writer stages bytes at before renaming over `path`.
@@ -486,7 +966,7 @@ mod tests {
     fn empty_segment_roundtrips() {
         let image = encode_segment(&[]);
         assert!(decode_segment(&image).expect("decodes").is_empty());
-        assert_eq!(window_span(&[]), None);
+        assert_eq!(SegmentIndex::of_image(&image).expect("indexes").window_span(), None);
     }
 
     #[test]
@@ -508,13 +988,75 @@ mod tests {
     }
 
     #[test]
+    fn groups_hold_one_window_and_at_most_group_rows() {
+        // Window 0 fills two groups and starts a third; window 1 must
+        // open its own although that third has room.
+        let mut cells: Vec<WindowCell> = (0..1_100).map(cell).collect();
+        for (i, c) in cells.iter_mut().enumerate() {
+            c.window = u32::from(i >= 1_030);
+        }
+        let image = encode_segment(&cells);
+        let index = SegmentIndex::of_image(&image).expect("indexes");
+        let rows: Vec<u32> = index.groups().iter().map(|g| g.rows).collect();
+        assert_eq!(rows, [512, 512, 6, 70]);
+        // Row by row, or in runs cut anywhere: the same bytes.
+        let mut writer = SegmentWriter::new(Vec::new()).expect("starts");
+        writer.extend(&cells[..300]).expect("writes");
+        writer.push(&cells[300]).expect("writes");
+        writer.extend(&cells[301..1_050]).expect("writes");
+        cells[1_050..].iter().for_each(|c| writer.push(c).expect("writes"));
+        assert_eq!(writer.finish().expect("finishes").0, image);
+        assert_eq!(index.rows(), 1_100);
+        let mut at = 0;
+        for g in index.groups() {
+            let held = &cells[at..at + g.rows as usize];
+            assert_eq!(g.first, held.iter().map(cell_sort_key).min().unwrap());
+            assert_eq!(g.last, held.iter().map(cell_sort_key).max().unwrap());
+            at += g.rows as usize;
+        }
+        // Framing costs well under the 3 % the store budgets for it.
+        let columns: usize = image.len() - index.groups().len() * (GROUP_FRAME + ENTRY_LEN);
+        assert!(image.len() * 100 < columns * 101, "{} vs {columns}", image.len());
+    }
+
+    #[test]
+    fn a_staged_file_reads_back_group_by_group() {
+        let path =
+            std::env::temp_dir().join(format!("edgeperf-segment-{}.seg", std::process::id()));
+        let cells: Vec<WindowCell> = (0..700).map(cell).collect();
+        let mut writer = SegmentWriter::stage(&path).expect("stages");
+        for c in &cells {
+            writer.push(c).expect("writes");
+        }
+        let (_, written) = writer.finish().expect("finishes");
+        assert!(!path.exists(), "only the staged file exists until the caller renames");
+        std::fs::rename(staging_path(&path), &path).expect("renames");
+        assert_eq!(std::fs::read(&path).expect("reads"), encode_segment(&cells));
+
+        let mut reader = SegmentReader::open(&path).expect("opens");
+        assert_eq!(*reader.index(), written);
+        let mut back = Vec::new();
+        for i in 0..written.groups().len() {
+            let before = back.len();
+            reader.read_group(i, &mut back).expect("group verifies");
+            assert_eq!(back.len() - before, written.groups()[i].rows as usize);
+        }
+        for (a, b) in cells.iter().zip(&back) {
+            assert_bits_equal(a, b);
+        }
+        assert_eq!(back.len(), cells.len());
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
     fn sort_is_total_over_distinct_cells() {
         let mut cells: Vec<WindowCell> = (0..100).map(cell).collect();
         sort_cells(&mut cells);
         for pair in cells.windows(2) {
             assert!(cell_sort_key(&pair[0]) <= cell_sort_key(&pair[1]));
         }
-        assert_eq!(window_span(&cells), Some((0, 33)));
+        let index = SegmentIndex::of_image(&encode_segment(&cells)).expect("indexes");
+        assert_eq!(index.window_span(), Some((0, 33)));
     }
 
     #[test]

@@ -1,97 +1,17 @@
 //! Footprint gate: a cell costs what it holds, and the exact sink holds
-//! every session once. Heap bytes are counted exactly by a counting
-//! global allocator, which is why this is a test binary of its own with a
-//! single `#[test]` (parallel tests would share the counter); only that
-//! test's thread is counted.
+//! every session once. Heap bytes are counted exactly by the counting
+//! global allocator in `counting/`, which is why this is a test binary of
+//! its own with a single `#[test]`.
 
+mod counting;
+
+use counting::{count_this_thread, heap_of, peak_above};
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
     ColumnarSink, GroupKey, SessionRecord, StreamingAggregation, StreamingDataset,
 };
 use edgeperf_routing::{PopId, Prefix, Relationship};
 use edgeperf_stats::TDigest;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Bytes the test thread has allocated and not freed. Relaxed: a
-/// statistic, publishes nothing.
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-/// High-water mark of [`LIVE_BYTES`] since [`peak_above`] last reset it.
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Set on the test's own thread: the harness's main thread allocates
-    /// while the test runs, and must not be counted.
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counted() -> bool {
-    COUNTED.try_with(Cell::get).unwrap_or(false)
-}
-
-fn grew(by: usize) {
-    if counted() {
-        let live = LIVE_BYTES.fetch_add(by, Ordering::Relaxed) + by;
-        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-    }
-}
-
-fn shrank(by: usize) {
-    if counted() {
-        LIVE_BYTES.fetch_sub(by, Ordering::Relaxed);
-    }
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters touch no allocator
-// state, and the thread-local they read has no destructor and so never
-// allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller guarantees `layout` has non-zero size.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrank(layout.size());
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        shrank(layout.size());
-        grew(new_size);
-        // SAFETY: as for `dealloc`; the caller guarantees `new_size` > 0.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Heap bytes `build`'s value holds once built.
-fn heap_of<T>(build: impl FnOnce() -> T) -> (T, usize) {
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
-    let value = build();
-    (value, LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(before))
-}
-
-/// `run`'s value, the heap it holds, and how far above that the heap
-/// peaked while `run` ran.
-fn peak_above<T>(run: impl FnOnce() -> T) -> (T, usize, usize) {
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(before, Ordering::Relaxed);
-    let value = run();
-    let held = LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(before);
-    (value, held, PEAK_BYTES.load(Ordering::Relaxed) - before - held)
-}
-
 fn open_cell(samples: usize) -> StreamingAggregation {
     let mut cell = StreamingAggregation::new();
     for i in 0..samples {
@@ -158,7 +78,7 @@ const PARENT_100K_CELL_BYTES: usize = 25_504;
 
 #[test]
 fn cells_cost_what_they_hold() {
-    COUNTED.set(true);
+    count_this_thread();
     // Empty digests own no heap at all.
     let (_digest, bytes) = heap_of(|| TDigest::new(100.0));
     assert_eq!(bytes, 0, "TDigest::new allocated");

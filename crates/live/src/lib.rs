@@ -84,5 +84,5 @@ pub use server::{
     cell_line_sort_key, shard_of, CellLine, ClassCount, LiveServer, LiveSnapshot, ReasonCount,
     ServerHandle,
 };
-pub use store::{CrashPoint, SegmentMeta, SegmentStore, SpillOutcome, StoreStats};
+pub use store::{CrashPoint, SegmentMeta, SegmentStore, SpillOutcome, StoreStats, QUERY_TOTALS};
 pub use window::{CellKey, CellSummary, ClosedWindow, WindowRing};

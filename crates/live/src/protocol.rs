@@ -799,12 +799,17 @@ mod tests {
             compactions: 0,
             spill_errors: 5,
             degraded: true,
+            query_groups_read: 7,
+            query_bytes_read: 1_900,
+            query_rows_examined: 24,
+            query_rows_returned: 3,
         };
         assert_eq!(
             Response::Store(Some(stats)).render(),
             "{\"segments\":2,\"cells\":26,\"bytes\":2048,\"from_window\":3,\"until_window\":4,\
              \"spilled_windows\":2,\"spilled_cells\":26,\"compactions\":0,\"spill_errors\":5,\
-             \"degraded\":true}"
+             \"degraded\":true,\"query_groups_read\":7,\"query_bytes_read\":1900,\
+             \"query_rows_examined\":24,\"query_rows_returned\":3}"
         );
         assert_eq!(Response::Store(None).render(), "{\"error\":\"no spill directory configured\"}");
         // Replies from servers predating the health fields still parse.

@@ -88,9 +88,9 @@ use crate::protocol::{
 };
 use crate::queue::{spsc, Consumer, Producer, Waiter};
 use crate::record::{LineParser, LiveRecord};
-use crate::store::{cell_line, SegmentStore, SpillOutcome};
+use crate::store::{cell_line, SegmentStore, SpillOutcome, QUERY_TOTALS};
 use crate::window::{CellKey, CellSummary, ClosedWindow, WindowRing};
-use edgeperf_analysis::{DegradationMetric, FxHasher, GroupKey, TemporalClass};
+use edgeperf_analysis::{cell_sort_key, DegradationMetric, FxHasher, GroupKey, TemporalClass};
 use edgeperf_core::EdgeperfError;
 use edgeperf_obs::{HeartbeatBoard, Metrics};
 use edgeperf_routing::{PopId, Prefix};
@@ -1362,14 +1362,19 @@ fn serve_cells(shared: &Shared, query: &CellQuery) -> Response {
         }
         return Response::Cells(all);
     };
-    match store.query(query) {
+    let reply = store.query(query);
+    // The store's running totals, mirrored so `metrics` shows what
+    // historical queries cost without a `store` round trip.
+    for (name, total) in QUERY_TOTALS.iter().zip(store.query_totals()) {
+        shared.metrics.gauge(&format!("store.{name}")).set(total as f64);
+    }
+    match reply {
         Ok(spilled) => {
+            // Dedupe on the row's own key: a spilled row that loses to
+            // its RAM copy never becomes a `CellLine`.
             let in_ram: std::collections::HashSet<_> = all.iter().map(cell_line_sort_key).collect();
             all.extend(
-                spilled
-                    .iter()
-                    .map(cell_line)
-                    .filter(|line| !in_ram.contains(&cell_line_sort_key(line))),
+                spilled.iter().filter(|c| !in_ram.contains(&cell_sort_key(c))).map(cell_line),
             );
             all.sort_by_key(cell_line_sort_key);
             Response::Cells(all)

@@ -5,12 +5,31 @@
 //! closed windows in RAM, exactly as before. With a spill directory
 //! configured, a window evicted from that map is first handed here:
 //! its cells become one [`WindowCell`] run, sorted into the canonical
-//! order, encoded with the shared columnar codec
-//! ([`edgeperf_analysis::segment`]) and written under the tmp + rename
-//! discipline. Spilling stores the **final summary bit patterns**, not
-//! the digests, so a historical query merged with live RAM windows is
-//! bit-identical to a run that never spilled: a change of address, not
-//! of value.
+//! order, streamed through the shared columnar codec's
+//! [`SegmentWriter`] ([`edgeperf_analysis::segment`]) and published
+//! under the tmp + rename discipline. Spilling stores the **final
+//! summary bit patterns**, not the digests, so a historical query merged
+//! with live RAM windows is bit-identical to a run that never spilled: a
+//! change of address, not of value.
+//!
+//! ## What is in RAM, and what the lock covers
+//!
+//! Besides the manifest's [`SegmentMeta`], the store keeps every
+//! segment's [`SegmentIndex`] — its footer: where each row group of
+//! ≤ 512 rows sits and the smallest and largest cell key in it — loaded
+//! and verified once in [`SegmentStore::open`] and otherwise handed over
+//! by the writer that produced the segment. That is ~46 bytes per 512
+//! rows, and it is what a query consults to decide which groups to read.
+//!
+//! The state mutex guards that mirror and the manifest file, nothing
+//! else. A query takes it to clone the overlapping segments' indexes and
+//! open their files, then releases it and reads group by group, each
+//! verified by its own checksum; a compaction takes it to choose victims
+//! and reserve an id, merges unlocked, and re-takes it to commit. Open
+//! handles are what make that safe: a compaction that commits mid-query
+//! unlinks files the query still reads to the end. Only a spill holds
+//! the lock across its write — it is the worker's own window, and the
+//! degraded-mode bookkeeping must see spills one at a time.
 //!
 //! ## Manifest and crash safety
 //!
@@ -29,7 +48,9 @@
 //! enough accumulate, [`SegmentStore::compact_once`] (driven by the
 //! server's background compactor thread) merges the smallest batch into
 //! one time-sorted segment — same codec, same manifest discipline —
-//! keeping segment count (and per-query open/decode work) bounded.
+//! keeping segment count (and per-query open work) bounded. The merge is
+//! k-way over the victims' already-sorted group streams and holds one
+//! row group per victim plus the writer's, whatever the segments' size.
 //!
 //! ## Degraded mode
 //!
@@ -59,12 +80,17 @@ use crate::protocol::CellQuery;
 use crate::server::CellLine;
 use crate::window::{CellKey, CellSummary};
 use edgeperf_analysis::segment::{
-    decode_segment, encode_segment, sort_cells, stage, window_span, WindowCell,
+    cell_sort_key, sort_cells, stage, staging_path, GroupEntry, SegmentIndex, SegmentReader,
+    SegmentWriter, WindowCell, GROUP_ROWS,
 };
 use edgeperf_core::EdgeperfError;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Current manifest format version.
 const MANIFEST_VERSION: u64 = 1;
@@ -153,6 +179,18 @@ pub struct StoreStats {
     /// The store is currently in degraded (RAM-only retention) mode.
     #[serde(default)]
     pub degraded: bool,
+    /// Row groups queries have read since this store opened.
+    #[serde(default)]
+    pub query_groups_read: u64,
+    /// Segment bytes those reads moved.
+    #[serde(default)]
+    pub query_bytes_read: u64,
+    /// Rows decoded out of them.
+    #[serde(default)]
+    pub query_rows_examined: u64,
+    /// Rows that matched and were returned.
+    #[serde(default)]
+    pub query_rows_returned: u64,
 }
 
 /// Where an injected crash stops the store mid-operation. Test-only
@@ -188,13 +226,28 @@ const INITIAL_PROBE_SKIP: u64 = 2;
 /// Cap on the skip run between probes (each failed probe doubles it).
 const MAX_PROBE_SKIP: u64 = 64;
 
+/// One manifested segment: what the manifest says of it, and its footer.
+#[derive(Clone)]
+struct Segment {
+    meta: SegmentMeta,
+    index: Arc<SegmentIndex>,
+}
+
+impl Segment {
+    fn reader(&self, dir: &Path) -> Result<SegmentReader, EdgeperfError> {
+        let path = dir.join(&self.meta.file);
+        let file = File::open(&path).map_err(|e| io_err("open segment", &path, e))?;
+        Ok(SegmentReader::new(file, Arc::clone(&self.index)))
+    }
+}
+
 /// In-memory mirror of the manifest plus session counters. Mutated only
 /// under the store lock, and only after the corresponding disk state is
 /// durable.
 #[derive(Default)]
 struct StoreState {
     next_id: u64,
-    segments: Vec<SegmentMeta>,
+    segments: Vec<Segment>,
     spilled_windows: u64,
     spilled_cells: u64,
     compactions: u64,
@@ -228,8 +281,20 @@ pub struct SegmentStore {
     /// (RAM-only retention) mode.
     spill_fail_threshold: u64,
     state: Mutex<StoreState>,
+    /// Held for the whole of a compaction, so that two can never pick
+    /// the same victims. Never taken by a spill or a query.
+    compacting: Mutex<()>,
     crash: Mutex<CrashPoint>,
+    /// Running query totals, in [`QUERY_TOTALS`] order. Relaxed:
+    /// statistics, publishing nothing.
+    query_totals: [AtomicU64; 4],
 }
+
+/// The [`StoreStats`] fields [`SegmentStore::query_totals`] reports, in
+/// its order: row groups read, segment bytes those reads moved, rows
+/// decoded out of them, rows that matched and were returned.
+pub const QUERY_TOTALS: [&str; 4] =
+    ["query_groups_read", "query_bytes_read", "query_rows_examined", "query_rows_returned"];
 
 fn corrupt(message: String) -> EdgeperfError {
     EdgeperfError::Segment { message }
@@ -260,21 +325,29 @@ impl SegmentStore {
             if manifest.version != MANIFEST_VERSION {
                 return Err(corrupt(format!("unsupported manifest version {}", manifest.version)));
             }
-            for meta in &manifest.segments {
+            for meta in manifest.segments {
                 let path = dir.join(&meta.file);
-                let md = std::fs::metadata(&path)
+                let file = File::open(&path)
                     .map_err(|e| io_err("manifest references missing segment", &path, e))?;
-                if md.len() != meta.bytes {
+                let len = file.metadata().map_err(|e| io_err("stat segment", &path, e))?.len();
+                if len != meta.bytes {
                     return Err(corrupt(format!(
-                        "segment {} is {} bytes, manifest says {}",
-                        meta.file,
-                        md.len(),
-                        meta.bytes
+                        "segment {} is {len} bytes, manifest says {}",
+                        meta.file, meta.bytes
                     )));
                 }
+                let index = SegmentIndex::of_file(&file)?;
+                if index.rows() != meta.cells {
+                    return Err(corrupt(format!(
+                        "segment {} indexes {} rows, manifest says {}",
+                        meta.file,
+                        index.rows(),
+                        meta.cells
+                    )));
+                }
+                state.segments.push(Segment { meta, index: Arc::new(index) });
             }
             state.next_id = manifest.next_id;
-            state.segments = manifest.segments;
         }
         // Sweep anything the manifest does not own: staged `.tmp` files
         // and segments whose manifest update never landed. Also advance
@@ -284,7 +357,8 @@ impl SegmentStore {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let referenced = name == MANIFEST_FILE || state.segments.iter().any(|m| m.file == name);
+            let referenced =
+                name == MANIFEST_FILE || state.segments.iter().any(|s| s.meta.file == name);
             if referenced {
                 continue;
             }
@@ -302,7 +376,9 @@ impl SegmentStore {
             compact_batch: compact_batch.max(2),
             spill_fail_threshold: u64::from(spill_fail_threshold.max(1)),
             state: Mutex::new(state),
+            compacting: Mutex::new(()),
             crash: Mutex::new(CrashPoint::None),
+            query_totals: Default::default(),
         })
     }
 
@@ -404,38 +480,37 @@ impl SegmentStore {
         state: &mut StoreState,
         rows: Vec<WindowCell>,
     ) -> Result<(), EdgeperfError> {
-        let meta = self.write_segment(state, rows)?;
-        state.spilled_cells += meta.cells;
+        let id = state.next_id;
+        state.next_id += 1;
+        let segment =
+            self.write_segment(id, |out| out.extend(&rows).map_err(|e| write_err(id, e)))?;
+        state.spilled_cells += segment.meta.cells;
         let mut segments = state.segments.clone();
-        segments.push(meta);
+        segments.push(segment);
         self.commit_manifest(state, segments)
     }
 
-    /// Encode and durably place one segment file (staged, then renamed).
-    /// The manifest is NOT updated here — an untracked `.seg` is the
-    /// worst a crash after this can leave.
+    /// Stream the rows `fill` pushes into segment `id`'s file, staged
+    /// then renamed. The manifest is NOT updated here — an untracked
+    /// `.seg` is the worst a crash after this can leave.
     fn write_segment(
         &self,
-        state: &mut StoreState,
-        rows: Vec<WindowCell>,
-    ) -> Result<SegmentMeta, EdgeperfError> {
-        let (from_window, until_window) = window_span(&rows).expect("non-empty segment");
-        let image = encode_segment(&rows);
-        let id = state.next_id;
-        state.next_id += 1;
+        id: u64,
+        fill: impl FnOnce(&mut SegmentWriter<File>) -> Result<(), EdgeperfError>,
+    ) -> Result<Segment, EdgeperfError> {
         let file = format!("seg-{id:08}.seg");
         let path = self.dir.join(&file);
-        let tmp = stage(&path, &image).map_err(|e| io_err("stage segment", &path, e))?;
+        let mut out = SegmentWriter::stage(&path).map_err(|e| io_err("stage segment", &path, e))?;
+        fill(&mut out)?;
+        let (staged, index) = out.finish().map_err(|e| write_err(id, e))?;
+        let bytes = staged.metadata().map_err(|e| io_err("stat segment", &path, e))?.len();
+        drop(staged);
         self.crashed_at(CrashPoint::BeforeSegmentRename)?;
-        std::fs::rename(&tmp, &path).map_err(|e| io_err("rename segment", &path, e))?;
-        Ok(SegmentMeta {
-            id,
-            file,
-            cells: u64::try_from(rows.len()).expect("usize fits u64"),
-            from_window,
-            until_window,
-            bytes: u64::try_from(image.len()).expect("usize fits u64"),
-        })
+        std::fs::rename(staging_path(&path), &path)
+            .map_err(|e| io_err("rename segment", &path, e))?;
+        let (from_window, until_window) = index.window_span().expect("non-empty segment");
+        let meta = SegmentMeta { id, file, cells: index.rows(), from_window, until_window, bytes };
+        Ok(Segment { meta, index: Arc::new(index) })
     }
 
     /// Write the manifest naming `segments`, then mirror it into
@@ -444,42 +519,84 @@ impl SegmentStore {
     fn commit_manifest(
         &self,
         state: &mut StoreState,
-        segments: Vec<SegmentMeta>,
+        segments: Vec<Segment>,
     ) -> Result<(), EdgeperfError> {
         self.crashed_at(CrashPoint::BeforeManifestStage)?;
-        let manifest = Manifest { version: MANIFEST_VERSION, next_id: state.next_id, segments };
+        let manifest = Manifest {
+            version: MANIFEST_VERSION,
+            next_id: state.next_id,
+            segments: segments.iter().map(|s| s.meta.clone()).collect(),
+        };
         let text = serde_json::to_string(&manifest)
             .map_err(|e| corrupt(format!("manifest does not serialize: {e}")))?;
         let path = self.dir.join(MANIFEST_FILE);
         let tmp = stage(&path, text.as_bytes()).map_err(|e| io_err("stage manifest", &path, e))?;
         self.crashed_at(CrashPoint::BeforeManifestRename)?;
         std::fs::rename(&tmp, &path).map_err(|e| io_err("rename manifest", &path, e))?;
-        state.segments = manifest.segments;
+        state.segments = segments;
         Ok(())
     }
 
-    /// Read every cell matching `q` out of the manifested segments.
-    /// Segments whose window span misses the query range are skipped
-    /// without being opened.
+    /// Read every cell matching `q` out of the manifested segments:
+    /// only the row groups whose window and key range can hold a match
+    /// are read, each verified and filtered before the next. The lock is
+    /// held to snapshot the segments and open their files, not to read.
     pub fn query(&self, q: &CellQuery) -> Result<Vec<WindowCell>, EdgeperfError> {
-        let state = self.state.lock().expect("store state");
+        self.query_pausing(q, || ())
+    }
+
+    /// [`query`](Self::query), calling `between_groups` after every
+    /// group read — where tests park a query to show what may run beside
+    /// it.
+    fn query_pausing(
+        &self,
+        q: &CellQuery,
+        mut between_groups: impl FnMut(),
+    ) -> Result<Vec<WindowCell>, EdgeperfError> {
+        let readers = {
+            let state = self.state.lock().expect("store state");
+            let overlaps = |m: &SegmentMeta| {
+                q.from_window.is_none_or(|lo| lo <= m.until_window)
+                    && q.until_window.is_none_or(|hi| hi >= m.from_window)
+            };
+            let overlapping = state.segments.iter().filter(|s| overlaps(&s.meta));
+            overlapping.map(|s| s.reader(&self.dir)).collect::<Result<Vec<_>, _>>()?
+        };
         let mut out = Vec::new();
-        for meta in &state.segments {
-            let overlaps = q.from_window.is_none_or(|lo| lo <= meta.until_window)
-                && q.until_window.is_none_or(|hi| hi >= meta.from_window);
-            if !overlaps {
-                continue;
+        let mut rows = Vec::with_capacity(GROUP_ROWS);
+        let (mut groups, mut bytes, mut examined) = (0, 0, 0);
+        for mut reader in readers {
+            for i in 0..reader.index().groups().len() {
+                let group = reader.index().groups()[i];
+                if !may_match(&group, q) {
+                    continue;
+                }
+                rows.clear();
+                reader.read_group(i, &mut rows)?;
+                groups += 1;
+                bytes += u64::from(group.len);
+                examined += rows.len() as u64;
+                out.extend(rows.iter().filter(|c| q.matches(c.window, &c.group)));
+                between_groups();
             }
-            let path = self.dir.join(&meta.file);
-            let bytes = std::fs::read(&path).map_err(|e| io_err("read segment", &path, e))?;
-            let cells = decode_segment(&bytes)?;
-            out.extend(cells.into_iter().filter(|c| q.matches(c.window, &c.group)));
+        }
+        for (total, by) in self.query_totals.iter().zip([groups, bytes, examined, out.len() as u64])
+        {
+            total.fetch_add(by, Ordering::Relaxed);
         }
         Ok(out)
     }
 
+    /// What queries have read and returned since this store opened, in
+    /// [`QUERY_TOTALS`] order. Takes no lock.
+    pub fn query_totals(&self) -> [u64; 4] {
+        [0, 1, 2, 3].map(|i| self.query_totals[i].load(Ordering::Relaxed))
+    }
+
     /// Point-in-time statistics.
     pub fn stats(&self) -> StoreStats {
+        let [query_groups_read, query_bytes_read, query_rows_examined, query_rows_returned] =
+            self.query_totals();
         let state = self.state.lock().expect("store state");
         let mut stats = StoreStats {
             segments: u64::try_from(state.segments.len()).expect("usize fits u64"),
@@ -488,9 +605,13 @@ impl SegmentStore {
             compactions: state.compactions,
             spill_errors: state.spill_errors,
             degraded: state.degraded,
+            query_groups_read,
+            query_bytes_read,
+            query_rows_examined,
+            query_rows_returned,
             ..StoreStats::default()
         };
-        for meta in &state.segments {
+        for Segment { meta, .. } in &state.segments {
             stats.cells += meta.cells;
             stats.bytes += meta.bytes;
             stats.from_window =
@@ -511,46 +632,129 @@ impl SegmentStore {
     /// segment. Returns whether a merge happened. Old files are deleted
     /// only after the new manifest lands; a crash in between leaves
     /// orphan `.seg` files for the next open to sweep.
+    ///
+    /// The lock is held to choose the victims and again to commit; the
+    /// merge between runs beside spills and queries, and what spilled
+    /// meanwhile is kept: the commit is `current − victims + merged`.
     pub fn compact_once(&self) -> Result<bool, EdgeperfError> {
+        self.compact_pausing(|| ())
+    }
+
+    /// [`compact_once`](Self::compact_once), calling `before_commit`
+    /// once the merged segment is in place and the lock not yet re-taken.
+    fn compact_pausing(&self, before_commit: impl FnOnce()) -> Result<bool, EdgeperfError> {
+        let _one_at_a_time = self.compacting.lock().expect("compaction lock");
+        let (id, victims, readers) = {
+            let mut state = self.state.lock().expect("store state");
+            if state.segments.len() < self.compact_min_segments {
+                return Ok(false);
+            }
+            let op = state.compact_ops;
+            state.compact_ops += 1;
+            if state.chaos.compact_fails(op) {
+                return Err(corrupt(format!("injected EIO (chaos, compaction op {op})")));
+            }
+            // Victims: the smallest segments by cell count (ties by id, so
+            // the choice — and the merged output — is deterministic).
+            let mut victims: Vec<&Segment> = state.segments.iter().collect();
+            victims.sort_by_key(|s| (s.meta.cells, s.meta.id));
+            victims.truncate(self.compact_batch);
+            let readers =
+                victims.iter().map(|s| s.reader(&self.dir)).collect::<Result<Vec<_>, _>>()?;
+            let victims: Vec<SegmentMeta> = victims.into_iter().map(|s| s.meta.clone()).collect();
+            let id = state.next_id;
+            state.next_id += 1;
+            (id, victims, readers)
+        };
+        let merged = self.write_segment(id, |out| merge(readers, out, id))?;
+        before_commit();
         let mut state = self.state.lock().expect("store state");
-        if state.segments.len() < self.compact_min_segments {
-            return Ok(false);
-        }
-        let op = state.compact_ops;
-        state.compact_ops += 1;
-        if state.chaos.compact_fails(op) {
-            return Err(corrupt(format!("injected EIO (chaos, compaction op {op})")));
-        }
-        // Victims: the smallest segments by cell count (ties by id, so
-        // the choice — and the merged output — is deterministic).
-        let mut by_size: Vec<usize> = (0..state.segments.len()).collect();
-        by_size.sort_by_key(|&i| (state.segments[i].cells, state.segments[i].id));
-        let victims: Vec<usize> = by_size.into_iter().take(self.compact_batch).collect();
-        let mut rows = Vec::new();
-        for &i in &victims {
-            let path = self.dir.join(&state.segments[i].file);
-            let bytes = std::fs::read(&path).map_err(|e| io_err("read segment", &path, e))?;
-            rows.extend(decode_segment(&bytes)?);
-        }
-        sort_cells(&mut rows);
-        let merged = self.write_segment(&mut state, rows)?;
-        let mut segments: Vec<SegmentMeta> = state
+        let mut segments: Vec<Segment> = state
             .segments
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !victims.contains(i))
-            .map(|(_, m)| m.clone())
+            .filter(|s| victims.iter().all(|v| v.id != s.meta.id))
+            .cloned()
             .collect();
-        let old_files: Vec<String> =
-            victims.iter().map(|&i| state.segments[i].file.clone()).collect();
         segments.push(merged);
         self.commit_manifest(&mut state, segments)?;
         state.compactions += 1;
-        for file in old_files {
-            let _ = std::fs::remove_file(self.dir.join(file));
+        drop(state);
+        for victim in victims {
+            let _ = std::fs::remove_file(self.dir.join(victim.file));
         }
         Ok(true)
     }
+}
+
+fn write_err(id: u64, e: std::io::Error) -> EdgeperfError {
+    corrupt(format!("write segment {id}: {e}"))
+}
+
+/// Can row group `g` hold a cell matching `q`? Its window must fall in
+/// the range; and since [`cell_sort_key`] orders a window's cells by pop
+/// then prefix, a `pop=` filter (with `prefix=`, if given) names a key
+/// interval that must meet the group's `first..=last`. A version-1
+/// segment's one unbounded group always may.
+fn may_match(g: &GroupEntry, q: &CellQuery) -> bool {
+    let in_range = q.from_window.is_none_or(|lo| lo <= g.last.0)
+        && q.until_window.is_none_or(|hi| hi >= g.first.0);
+    let (Some(pop), true) = (q.group.pop, g.first.0 == g.last.0) else { return in_range };
+    let (lo, hi) = match q.group.prefix {
+        Some((base, len)) => ((pop, base, len), (pop, base, len)),
+        None => ((pop, 0, 0), (pop, u32::MAX, u8::MAX)),
+    };
+    in_range && (g.first.1, g.first.2, g.first.3) <= hi && (g.last.1, g.last.2, g.last.3) >= lo
+}
+
+/// One merge input: a segment read a row group at a time.
+struct MergeInput {
+    reader: SegmentReader,
+    next_group: usize,
+    rows: Vec<WindowCell>,
+    at: usize,
+}
+
+impl MergeInput {
+    /// The row the input stands on, reading its next group when the
+    /// current one is spent; `None` at the end of the segment.
+    fn head(&mut self) -> Result<Option<&WindowCell>, EdgeperfError> {
+        if self.at == self.rows.len() && self.next_group < self.reader.index().groups().len() {
+            self.rows.clear();
+            self.reader.read_group(self.next_group, &mut self.rows)?;
+            (self.next_group, self.at) = (self.next_group + 1, 0);
+        }
+        Ok(self.rows.get(self.at))
+    }
+}
+
+/// K-way merge of `readers` — each already in [`cell_sort_key`] order,
+/// as every segment this store writes is — into `out`. Equal keys leave
+/// in input order, so the output is row for row what concatenating the
+/// inputs and [`sort_cells`] (a stable sort) would give.
+fn merge(
+    readers: Vec<SegmentReader>,
+    out: &mut SegmentWriter<File>,
+    id: u64,
+) -> Result<(), EdgeperfError> {
+    let mut inputs: Vec<MergeInput> = readers
+        .into_iter()
+        .map(|reader| MergeInput { reader, next_group: 0, rows: Vec::new(), at: 0 })
+        .collect();
+    let mut heads = BinaryHeap::with_capacity(inputs.len());
+    for (i, input) in inputs.iter_mut().enumerate() {
+        if let Some(row) = input.head()? {
+            heads.push(Reverse((cell_sort_key(row), i)));
+        }
+    }
+    while let Some(Reverse((_, i))) = heads.pop() {
+        let input = &mut inputs[i];
+        out.push(&input.rows[input.at]).map_err(|e| write_err(id, e))?;
+        input.at += 1;
+        if let Some(row) = input.head()? {
+            heads.push(Reverse((cell_sort_key(row), i)));
+        }
+    }
+    Ok(())
 }
 
 /// `seg-XXXXXXXX.seg[.tmp]` → `XXXXXXXX` as an id, if the name matches.
@@ -608,6 +812,70 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("edgeperf-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Every bit of a row, comparable: equal means bit-identical.
+    type Bits = (
+        edgeperf_analysis::CellSortKey,
+        (Relationship, bool, bool),
+        (u64, u64, u64),
+        u64,
+        [Option<u64>; 3],
+    );
+
+    fn bits(c: &WindowCell) -> Bits {
+        (
+            cell_sort_key(c),
+            (c.relationship, c.longer_path, c.more_prepended),
+            (c.n, c.n_tested, c.bytes),
+            c.min_rtt_p50.to_bits(),
+            [c.min_rtt_var, c.hdratio_p50, c.hdratio_var].map(|v| v.map(f64::to_bits)),
+        )
+    }
+
+    /// `rows` in canonical order, as [`bits`].
+    fn sorted_bits(mut rows: Vec<WindowCell>) -> Vec<Bits> {
+        sort_cells(&mut rows);
+        rows.iter().map(bits).collect()
+    }
+
+    /// The unindexed answer: filter every row there is.
+    fn answer(all: &[WindowCell], q: &CellQuery) -> Vec<Bits> {
+        sorted_bits(all.iter().filter(|c| q.matches(c.window, &c.group)).copied().collect())
+    }
+
+    fn rows_of(index: u32, cells: &[(CellKey, CellSummary)]) -> Vec<WindowCell> {
+        cells.iter().map(|(k, s)| window_cell(index, k, s)).collect()
+    }
+
+    /// Share `part` (of 2) of a window wide enough to fill several row
+    /// groups: `n` cells over 7 pops, every prefix its own group.
+    fn wide_window(index: u32, part: u32, n: u32) -> Vec<(CellKey, CellSummary)> {
+        (0..n)
+            .map(|i| {
+                let g = i * 2 + part;
+                let group = GroupKey {
+                    pop: PopId(u16::try_from(g % 7).unwrap()),
+                    prefix: Prefix::new(g << 8, 24),
+                    country: u16::try_from(g % 30).unwrap(),
+                    continent: u8::try_from(g % 5).unwrap(),
+                };
+                (
+                    (group, u8::try_from(g % 2).unwrap()),
+                    summary(u64::from(index) * 100_000 + u64::from(g)),
+                )
+            })
+            .collect()
+    }
+
+    /// A point query for the group of `cell` over every window.
+    fn point(cell: &WindowCell) -> CellQuery {
+        let group = crate::protocol::GroupFilter {
+            pop: Some(cell.group.pop.0),
+            prefix: Some((cell.group.prefix.base, cell.group.prefix.len)),
+            ..Default::default()
+        };
+        CellQuery { group, ..Default::default() }
     }
 
     #[test]
@@ -830,5 +1098,381 @@ mod tests {
         assert!(store.compact_once().expect("compacts"));
         assert_eq!(store.stats().compactions, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_point_query_reads_only_the_groups_that_can_match() {
+        let dir = tmpdir("pruning");
+        let store = SegmentStore::open(&dir, 4, 4, 3).expect("opens");
+        let mut all = Vec::new();
+        for w in 0..4u32 {
+            let cells = wide_window(w, 0, 2_000);
+            all.extend(rows_of(w, &cells));
+            store.spill_window(w, &cells).expect("spills");
+        }
+        assert!(store.compact_once().expect("compacts"));
+        let q = point(&all[1_234]);
+        let got = store.query(&q).expect("queries");
+        assert_eq!(sorted_bits(got.clone()), answer(&all, &q));
+        assert_eq!(got.len(), 4, "one cell a window");
+        let stats = store.stats();
+        assert_eq!(stats.query_rows_returned, 4);
+        assert_eq!(stats.query_groups_read, 4, "one group a window: {stats:?}");
+        assert!(stats.query_rows_examined <= 4 * GROUP_ROWS as u64, "{stats:?}");
+        assert!(stats.query_bytes_read * 3 < stats.bytes, "{stats:?}");
+        // A window range prunes by window, a full scan reads it all.
+        let q = CellQuery { from_window: Some(1), until_window: Some(2), ..Default::default() };
+        assert_eq!(sorted_bits(store.query(&q).expect("queries")), answer(&all, &q));
+        let full = store.query(&CellQuery::default()).expect("queries");
+        assert_eq!(sorted_bits(full), answer(&all, &CellQuery::default()));
+        assert_eq!(store.stats().query_rows_examined - stats.query_rows_examined, 4_000 + 8_000);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_query_outlives_the_compaction_that_unlinks_its_segments() {
+        let dir = tmpdir("query-vs-compaction");
+        let store = SegmentStore::open(&dir, 4, 4, 3).expect("opens");
+        let mut all = Vec::new();
+        for w in 0..4u32 {
+            let cells = wide_window(w, 0, 1_200);
+            all.extend(rows_of(w, &cells));
+            store.spill_window(w, &cells).expect("spills");
+        }
+        // After its first group the query stands aside for a whole
+        // compaction: all four segments it snapshotted are unlinked
+        // under it, and it must still read every one to the end.
+        let mut compacted = false;
+        let got = store
+            .query_pausing(&CellQuery::default(), || {
+                if !compacted {
+                    assert!(store.compact_once().expect("compacts beside the query"));
+                    compacted = true;
+                }
+            })
+            .expect("no StoreError");
+        assert!(compacted);
+        assert_eq!(store.stats().segments, 1);
+        assert!(!dir.join("seg-00000000.seg").exists(), "victims are gone from the directory");
+        assert_eq!(sorted_bits(got), answer(&all, &CellQuery::default()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_compaction_keeps_what_spilled_while_it_merged() {
+        let dir = tmpdir("spill-vs-compaction");
+        let store = SegmentStore::open(&dir, 4, 4, 3).expect("opens");
+        let mut all = Vec::new();
+        for w in 0..4u32 {
+            let cells = window(u64::from(w), 9);
+            all.extend(rows_of(w, &cells));
+            store.spill_window(w, &cells).expect("spills");
+        }
+        let late = window(4, 9);
+        all.extend(rows_of(4, &late));
+        let merged = store
+            .compact_pausing(|| {
+                store.spill_window(4, &late).expect("spills beside the merge");
+            })
+            .expect("compacts");
+        assert!(merged);
+        let stats = store.stats();
+        assert_eq!((stats.segments, stats.cells), (2, 45), "merged + the late spill");
+        assert_eq!(
+            sorted_bits(store.query(&CellQuery::default()).expect("queries")),
+            answer(&all, &CellQuery::default())
+        );
+        // And the manifest on disk agrees.
+        drop(store);
+        let store = SegmentStore::open(&dir, 4, 4, 3).expect("reopens");
+        assert_eq!(store.stats().cells, 45);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_spill_completes_while_a_query_is_parked_mid_read() {
+        use std::sync::mpsc::channel;
+        let dir = tmpdir("parked-query");
+        let store = &SegmentStore::open(&dir, 8, 8, 3).expect("opens");
+        store.spill_window(0, &wide_window(0, 0, 1_200)).expect("spills");
+        let (parked_tx, parked_rx) = channel();
+        let (resume_tx, resume_rx) = channel::<()>();
+        std::thread::scope(|scope| {
+            let query = scope.spawn(move || {
+                store.query_pausing(&CellQuery::default(), || {
+                    parked_tx.send(()).expect("test listens");
+                    resume_rx.recv().expect("test resumes");
+                })
+            });
+            // The query has read its first group and holds its handles.
+            parked_rx.recv().expect("query parks");
+            let (done_tx, done_rx) = channel();
+            let spill = scope.spawn(move || {
+                done_tx.send(store.spill_window(1, &window(1, 5))).expect("test listens");
+            });
+            let spilled = done_rx.recv_timeout(std::time::Duration::from_secs(20));
+            // Release the query whatever happened, so a failure reports
+            // instead of hanging the scope.
+            for _ in 0..4 {
+                let _ = resume_tx.send(());
+            }
+            drop(resume_tx);
+            assert_eq!(
+                spilled.expect("the spill waited for the parked query").expect("spills"),
+                SpillOutcome::Spilled
+            );
+            spill.join().expect("spill thread");
+            let got = query.join().expect("query thread").expect("queries");
+            assert_eq!(got.len(), 1_200, "the snapshot predates the spill");
+        });
+        assert_eq!(store.stats().segments, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn queries_racing_spills_and_compaction_never_miss_a_cell() {
+        use std::sync::atomic::{AtomicBool, AtomicU32};
+        const WINDOWS: u32 = 96;
+        let dir = tmpdir("race");
+        let store = SegmentStore::open(&dir, 4, 4, 3).expect("opens");
+        let shares: Vec<Vec<Vec<(CellKey, CellSummary)>>> =
+            (0..2).map(|part| (0..WINDOWS).map(|w| wide_window(w, part, 700)).collect()).collect();
+        // oracle[w]: window w's rows from both spillers, canonical order.
+        let oracle: Vec<Vec<WindowCell>> = (0..WINDOWS)
+            .map(|w| {
+                let mut rows = rows_of(w, &shares[0][w as usize]);
+                rows.extend(rows_of(w, &shares[1][w as usize]));
+                sort_cells(&mut rows);
+                rows
+            })
+            .collect();
+        // spilled[part]: windows below it are durably spilled by `part`.
+        let spilled = [AtomicU32::new(0), AtomicU32::new(0)];
+        let spilling = AtomicBool::new(true);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(400);
+        let queries = std::thread::scope(|scope| {
+            let spillers: Vec<_> = (0..2)
+                .map(|part| {
+                    let (store, shares, spilled) = (&store, &shares[part], &spilled[part]);
+                    scope.spawn(move || {
+                        for (w, cells) in shares.iter().enumerate() {
+                            // At least a compaction's worth, then to the deadline.
+                            if w >= 12 && std::time::Instant::now() > deadline {
+                                break;
+                            }
+                            let w = u32::try_from(w).unwrap();
+                            store.spill_window(w, cells).expect("spills");
+                            spilled.store(w + 1, Ordering::SeqCst);
+                        }
+                    })
+                })
+                .collect();
+            let compactor = scope.spawn(|| {
+                while spilling.load(Ordering::SeqCst) || store.needs_compaction() {
+                    if !store.compact_once().expect("compacts") {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            let askers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (store, oracle, spilled, spilling) = (&store, &oracle, &spilled, &spilling);
+                    scope.spawn(move || {
+                        let mut asked = 0u64;
+                        let mut turn = t;
+                        while spilling.load(Ordering::SeqCst) {
+                            // Loaded before the query: everything below
+                            // `lo` must be in the answer, whatever the
+                            // compactor does meanwhile.
+                            let lo =
+                                spilled.iter().map(|s| s.load(Ordering::SeqCst)).min().unwrap();
+                            if lo == 0 {
+                                std::thread::yield_now();
+                                continue;
+                            }
+                            turn = turn
+                                .wrapping_mul(6_364_136_223_846_793_005)
+                                .wrapping_add(1_442_695);
+                            let pick = u32::try_from(turn >> 40).unwrap();
+                            let q = if turn & 1 == 0 {
+                                let from = pick % lo;
+                                CellQuery {
+                                    from_window: Some(from),
+                                    until_window: Some((from + 5).min(lo - 1)),
+                                    ..Default::default()
+                                }
+                            } else {
+                                let cell = &oracle[0][pick as usize % oracle[0].len()];
+                                CellQuery { until_window: Some(lo - 1), ..point(cell) }
+                            };
+                            let got = store.query(&q).expect("never a StoreError");
+                            let span = q.from_window.unwrap_or(0) as usize..=(lo - 1) as usize;
+                            let all: Vec<WindowCell> = oracle[span].concat();
+                            assert_eq!(
+                                sorted_bits(got),
+                                answer(&all, &q),
+                                "{q:?} with {lo} spilled"
+                            );
+                            asked += 1;
+                        }
+                        asked
+                    })
+                })
+                .collect();
+            for spiller in spillers {
+                spiller.join().expect("spiller");
+            }
+            spilling.store(false, Ordering::SeqCst);
+            compactor.join().expect("compactor");
+            askers.into_iter().map(|a| a.join().expect("asker")).sum::<u64>()
+        });
+        let stats = store.stats();
+        assert!(queries > 0 && stats.compactions > 0, "{queries} queries, {stats:?}");
+        let spills: u32 = spilled.iter().map(|s| s.load(Ordering::SeqCst)).sum();
+        assert_eq!(stats.spilled_cells, u64::from(spills) * 700, "{stats:?}");
+        assert_eq!(stats.cells, stats.spilled_cells, "nothing lost, nothing doubled");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_spill_dir_written_by_version_1_opens_queries_and_compacts() {
+        // Written by the commit before row groups existed: `open(dir, 4,
+        // 4, 3)`, six spills of `window(w, 12)`, one compaction — so one
+        // four-window segment and two single-window ones, all version 1.
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/spill_v1");
+        let dir = tmpdir("v1-dir");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        for entry in std::fs::read_dir(&fixture).expect("fixture dir").flatten() {
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).expect("copies");
+        }
+        let all: Vec<WindowCell> =
+            (0..6u32).flat_map(|w| rows_of(w, &window(u64::from(w), 12))).collect();
+        let store = SegmentStore::open(&dir, 3, 3, 3).expect("opens a version-1 directory");
+        assert_eq!((store.stats().segments, store.stats().cells), (3, 72));
+        let queries = [
+            CellQuery::default(),
+            CellQuery { from_window: Some(2), until_window: Some(4), ..Default::default() },
+            point(&all[17]),
+        ];
+        for q in &queries {
+            assert_eq!(sorted_bits(store.query(q).expect("queries")), answer(&all, q), "{q:?}");
+        }
+        // Compacting rewrites all three as one version-2 segment; a new
+        // spill lands beside it; nothing changes in any answer.
+        assert!(store.compact_once().expect("compacts version-1 victims"));
+        assert_eq!(store.stats().segments, 1);
+        for q in &queries {
+            assert_eq!(sorted_bits(store.query(q).expect("queries")), answer(&all, q), "{q:?}");
+        }
+        drop(store);
+        let store = SegmentStore::open(&dir, 3, 3, 3).expect("reopens");
+        let merged = std::fs::read(dir.join("seg-00000007.seg")).expect("merged segment");
+        assert_eq!(merged[4], edgeperf_analysis::SEGMENT_VERSION);
+        assert_eq!(
+            sorted_bits(store.query(&queries[0]).expect("queries")),
+            answer(&all, &queries[0])
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_rejects_a_segment_whose_footer_does_not_verify() {
+        let dir = tmpdir("bad-footer");
+        {
+            let store = SegmentStore::open(&dir, 8, 8, 3).expect("opens");
+            store.spill_window(1, &window(1, 5)).expect("spills");
+        }
+        let path = dir.join("seg-00000000.seg");
+        let mut image = std::fs::read(&path).expect("reads");
+        let at = image.len() - 30;
+        image[at] ^= 1;
+        edgeperf_analysis::atomic_write(&path, &image).expect("rewrites");
+        let err = SegmentStore::open(&dir, 8, 8, 3).err().expect("footer is checked on open");
+        assert_eq!(err.reason(), "segment", "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Random rows, randomly split into spills, merged a random
+        /// number of times: the indexed answer to a random query is the
+        /// decode-everything-and-filter answer, and every merged segment
+        /// is its inputs concatenated and `sort_cells`ed, bit for bit.
+        #[test]
+        fn prop_indexed_answers_and_kway_merges_match_the_plain_ones(
+            picks in proptest::prop::collection::vec(
+                (0u32..5, 0u64..400, 0usize..3),
+                1..160,
+            ),
+            merges in 0usize..4,
+            queries in proptest::prop::collection::vec(
+                (
+                    proptest::prop::option::of(0u32..6),
+                    proptest::prop::option::of(0u32..6),
+                    proptest::prop::option::of(0u16..4),
+                    proptest::prop::option::of(0u32..100),
+                    proptest::prop::option::of(0u16..30),
+                ),
+                6,
+            ),
+        ) {
+            use proptest::prelude::*;
+            let dir = tmpdir("prop");
+            let store = SegmentStore::open(&dir, 2, 3, 3).expect("opens");
+            // One spill per (window, part); a cell is in one part only.
+            let mut spills: std::collections::BTreeMap<(u32, usize), Vec<(CellKey, CellSummary)>> =
+                Default::default();
+            let mut seen = std::collections::HashSet::new();
+            for &(w, seed, part) in &picks {
+                if seen.insert((w, key(seed))) {
+                    spills.entry((w, part)).or_default().push((key(seed), summary(seed + u64::from(w))));
+                }
+            }
+            let mut all = Vec::new();
+            for ((w, _), cells) in &spills {
+                all.extend(rows_of(*w, cells));
+                store.spill_window(*w, cells).expect("spills");
+            }
+            let decode = |file: &str| {
+                edgeperf_analysis::decode_segment(&std::fs::read(dir.join(file)).expect("reads"))
+                    .expect("decodes")
+            };
+            for _ in 0..merges {
+                let before: Vec<(SegmentMeta, Vec<WindowCell>)> = (store.state.lock().unwrap())
+                    .segments
+                    .iter()
+                    .map(|s| (s.meta.clone(), decode(&s.meta.file)))
+                    .collect();
+                if !store.compact_once().expect("compacts") {
+                    break;
+                }
+                let after: Vec<SegmentMeta> =
+                    store.state.lock().unwrap().segments.iter().map(|s| s.meta.clone()).collect();
+                // The victims, in the order the merge took them.
+                let mut victims: Vec<_> =
+                    before.iter().filter(|(m, _)| after.iter().all(|a| a.id != m.id)).collect();
+                victims.sort_by_key(|(m, _)| (m.cells, m.id));
+                let mut plain: Vec<WindowCell> =
+                    victims.into_iter().flat_map(|(_, rows)| rows.iter().copied()).collect();
+                sort_cells(&mut plain);
+                let merged = decode(&after.last().expect("the merged segment").file);
+                prop_assert_eq!(
+                    merged.iter().map(bits).collect::<Vec<_>>(),
+                    plain.iter().map(bits).collect::<Vec<_>>()
+                );
+            }
+            for &(from_window, until_window, pop, prefix, country) in &queries {
+                let group = crate::protocol::GroupFilter {
+                    pop,
+                    prefix: prefix.map(|p| (p << 16, 16)),
+                    country,
+                    continent: None,
+                };
+                let q = CellQuery { from_window, until_window, group };
+                prop_assert_eq!(sorted_bits(store.query(&q).expect("queries")), answer(&all, &q));
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
