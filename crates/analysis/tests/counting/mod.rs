@@ -20,6 +20,10 @@ static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// The largest single request since [`largest_request`] last reset it.
 static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
 
+/// Requests (allocations and growing or shrinking reallocations) the
+/// test thread has made.
+static REQUESTS: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
     /// Set on the test's own thread: the harness's main thread allocates
     /// while the test runs, and must not be counted.
@@ -40,6 +44,7 @@ fn grew(by: usize) {
         let live = LIVE_BYTES.fetch_add(by, Ordering::Relaxed) + by;
         PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
         LARGEST_REQUEST.fetch_max(by, Ordering::Relaxed);
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -102,4 +107,11 @@ pub fn largest_request<T>(run: impl FnOnce() -> T) -> (T, usize) {
     LARGEST_REQUEST.store(0, Ordering::Relaxed);
     let value = run();
     (value, LARGEST_REQUEST.load(Ordering::Relaxed))
+}
+
+/// `run`'s value and how many times it asked the allocator for memory.
+pub fn requests<T>(run: impl FnOnce() -> T) -> (T, usize) {
+    let before = REQUESTS.load(Ordering::Relaxed);
+    let value = run();
+    (value, REQUESTS.load(Ordering::Relaxed) - before)
 }

@@ -24,8 +24,8 @@ use std::thread;
 use std::time::Instant;
 
 use edgeperf_live::{
-    parse_cells_header, CellLine, CellQuery, LineParser, LiveClient, LiveSnapshot, ProtocolError,
-    Request, ServeBuilder, ServerHandle,
+    parse_cells_header, read_rows, CellLine, CellQuery, LineParser, LiveClient, LiveSnapshot,
+    ProtocolError, Request, Response, ServeBuilder, ServerHandle,
 };
 use edgeperf_obs::Metrics;
 use serde::{Deserialize, Serialize};
@@ -434,12 +434,7 @@ fn serve_cells(shared: &FleetShared, args: &str) -> Result<String, FleetError> {
         _ => unreachable!("a `cells` line parses to Request::Cells"),
     };
     let (_, cells) = fleet_cells_merged(shared, &query)?;
-    let mut out = format!("{{\"cells\":{}}}", cells.len());
-    for cell in &cells {
-        out.push('\n');
-        out.push_str(&serde_json::to_string(cell).expect("cell serializes"));
-    }
-    Ok(out)
+    Ok(Response::Cells(cells).render())
 }
 
 fn fleet_snapshot(shared: &FleetShared) -> Result<LiveSnapshot, FleetError> {
@@ -536,9 +531,6 @@ pub struct FleetClient {
     writer: BufWriter<TcpStream>,
 }
 
-/// Cap speculative preallocation from a wire-supplied row count.
-const MAX_PREALLOC_CELLS: usize = 1 << 16;
-
 impl FleetClient {
     /// Connect to a coordinator.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<FleetClient> {
@@ -625,14 +617,7 @@ impl FleetClient {
         let header = self.round_trip(&line)?;
         let count = parse_cells_header(&header)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut out = Vec::with_capacity(count.min(MAX_PREALLOC_CELLS));
-        for _ in 0..count {
-            let row = self.read_reply()?;
-            let cell: CellLine = serde_json::from_str(&row)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            out.push(cell);
-        }
-        Ok(out)
+        read_rows(&mut self.reader, count, &mut String::new())
     }
 
     /// Per-PoP worker stats as raw JSON.

@@ -4,15 +4,18 @@
 //! tests; also a reference implementation of the protocol for external
 //! tooling. Command lines are produced by [`Request::wire_line`] and
 //! replies parsed by the [`crate::protocol`] helpers — the client never
-//! hand-rolls wire syntax, so it cannot drift from the server. Data
+//! hand-rolls wire syntax, so it cannot drift from the server. The rows
+//! of a `cells`/`digest` reply are read through one reused line buffer
+//! and [`crate::protocol::read_row`]: what a row still costs the client
+//! is the [`CellLine`] it returns, relationship `String` included. Data
 //! lines are buffered (flushed before any command round-trip) so replay
 //! throughput is not bounded by per-line syscalls.
 
 use crate::chaos::{WireChaos, WireFault};
 use crate::frame::{encode_frame, hello_block, preamble, preamble_with_hello};
 use crate::protocol::{
-    parse_acked, parse_cells_header, parse_digest_header, CellQuery, DigestHeader, ProtocolError,
-    Request, PROTOCOL_VERSION,
+    parse_acked, parse_cells_header, parse_digest_header, read_rows, CellQuery, DigestHeader,
+    ProtocolError, Request, PROTOCOL_VERSION,
 };
 use crate::record::LiveRecord;
 use crate::server::{CellLine, LiveSnapshot};
@@ -21,10 +24,16 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// Rows preallocated from a `cells` header before rows actually arrive.
-/// The header is untrusted input: a malformed or hostile count must not
-/// translate into an unbounded upfront allocation.
-const MAX_PREALLOC_CELLS: usize = 1 << 16;
+/// A `cells`/`digest` header that did not parse: surface a server-side
+/// error reply as-is instead of wrapping it in "malformed header" noise.
+fn header_error(err: ProtocolError) -> io::Error {
+    match err {
+        ProtocolError::MalformedReply { got, .. } if got.starts_with("{\"error\"") => {
+            io::Error::other(got)
+        }
+        err => err.into(),
+    }
+}
 
 /// A blocking connection to a [`crate::LiveServer`].
 pub struct LiveClient {
@@ -94,22 +103,8 @@ impl LiveClient {
     /// Fetch the closed cells matching a window-range/group query.
     pub fn cells_query(&mut self, query: &CellQuery) -> io::Result<Vec<CellLine>> {
         let header = self.round_trip(&Request::Cells(*query))?;
-        let count = parse_cells_header(&header).map_err(|err| match err {
-            // Surface a server-side error reply as-is instead of
-            // wrapping it in "malformed header" noise.
-            ProtocolError::MalformedReply { ref got, .. } if got.starts_with("{\"error\"") => {
-                io::Error::other(got.clone())
-            }
-            err => err.into(),
-        })?;
-        let mut out = Vec::with_capacity(count.min(MAX_PREALLOC_CELLS));
-        for _ in 0..count {
-            let line = self.read_reply()?;
-            let cell: CellLine = serde_json::from_str(&line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            out.push(cell);
-        }
-        Ok(out)
+        let count = parse_cells_header(&header).map_err(header_error)?;
+        read_rows(&mut self.reader, count, &mut self.line)
     }
 
     /// Fetch a raw-cells digest: the matching cells (always in
@@ -123,15 +118,8 @@ impl LiveClient {
     pub fn digest_query(&mut self, query: &CellQuery) -> io::Result<(u64, Vec<CellLine>)> {
         let header =
             self.round_trip(&Request::Digest { proto: PROTOCOL_VERSION, query: *query })?;
-        let DigestHeader { cells: count, protocol, accepted } = parse_digest_header(&header)
-            .map_err(|err| match err {
-                // Surface a server-side error reply as-is instead of
-                // wrapping it in "malformed header" noise.
-                ProtocolError::MalformedReply { ref got, .. } if got.starts_with("{\"error\"") => {
-                    io::Error::other(got.clone())
-                }
-                err => err.into(),
-            })?;
+        let DigestHeader { cells: count, protocol, accepted } =
+            parse_digest_header(&header).map_err(header_error)?;
         if protocol != PROTOCOL_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -140,14 +128,7 @@ impl LiveClient {
                 ),
             ));
         }
-        let mut out = Vec::with_capacity(count.min(MAX_PREALLOC_CELLS));
-        for _ in 0..count {
-            let line = self.read_reply()?;
-            let cell: CellLine = serde_json::from_str(&line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            out.push(cell);
-        }
-        Ok((accepted, out))
+        Ok((accepted, read_rows(&mut self.reader, count, &mut self.line)?))
     }
 
     /// Fetch the tiered window-store statistics. Errors with the

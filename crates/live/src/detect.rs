@@ -98,11 +98,13 @@ impl OnlineDetector {
                 self.groups.insert(*group, GroupState::default());
             }
             let state = self.groups.get_mut(group).expect("group just ensured");
-            // Retain the summary for future baselines.
-            state.history.push_back(*summary);
-            while state.history.len() > self.retention {
+            // Retain the summary for future baselines. Evicting first
+            // keeps the deque at `retention` entries, never one more — a
+            // ninth entry at retention 8 doubles its buffer for good.
+            while state.history.len() >= self.retention {
                 state.history.pop_front();
             }
+            state.history.push_back(*summary);
             for metric in METRICS {
                 let m = metric_slot(metric);
                 let baseline = pick_baseline(&self.cfg, metric, &state.history);
@@ -390,7 +392,8 @@ mod tests {
             d.observe(&window_of(w, 40.0, 0.95, 60));
         }
         let state = &d.groups[&group()];
-        assert!(state.history.len() <= 8);
+        assert_eq!(state.history.len(), 8);
+        assert!(state.history.capacity() <= 8usize.next_power_of_two(), "evict, then push");
         assert!(state.statuses[0].1.len() <= 8);
         assert_eq!(state.statuses[0].0, 92);
     }

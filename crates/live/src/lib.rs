@@ -40,6 +40,9 @@
 //!   windows evicted past the RAM retention horizon into columnar
 //!   on-disk segments (manifest-tracked, crash-safe, background
 //!   compaction) that `cells` range queries merge back bit-identically.
+//! - [`reply`]: [`CellsReply`] — a `cells`/`digest` reply ordered
+//!   through a sort index and written row by row from the closed
+//!   windows the workers share, never built in memory.
 //! - [`server`]: [`LiveServer`] / [`ServerHandle`], request serving,
 //!   backpressure, heartbeat supervision and graceful drain.
 //! - [`client`]: [`LiveClient`], the blocking protocol client used by
@@ -59,6 +62,7 @@ pub mod frame;
 pub mod protocol;
 pub mod queue;
 pub mod record;
+pub mod reply;
 pub mod server;
 pub mod store;
 pub mod window;
@@ -75,11 +79,13 @@ pub use frame::{
     HELLO_LEN, HELLO_MAGIC, PREAMBLE_FLAG_HELLO, PREAMBLE_LEN,
 };
 pub use protocol::{
-    parse_acked, parse_cells_header, parse_digest_header, CellQuery, DigestHeader, GroupFilter,
-    ProtocolError, Request, Response, WorkerStatsLine, PROTOCOL_VERSION,
+    parse_acked, parse_cells_header, parse_digest_header, read_row, read_rows, write_row,
+    CellQuery, DigestHeader, GroupFilter, ProtocolError, Request, Response, RowsHeader,
+    WorkerStatsLine, PROTOCOL_VERSION,
 };
 pub use queue::{spsc, Consumer, Producer, Waiter};
 pub use record::{relationship_from_label, LineParser, LiveRecord};
+pub use reply::{CellsReply, SharedWindow};
 pub use server::{
     cell_line_sort_key, shard_of, CellLine, ClassCount, LiveServer, LiveSnapshot, ReasonCount,
     ServerHandle,

@@ -11,6 +11,27 @@
 //! into here, so a format change is one edit and the golden tests below
 //! pin the bytes.
 //!
+//! ## The row codec
+//!
+//! A `cells`/`digest` reply is a header line ([`RowsHeader`]) and one
+//! JSON object per row, and at the wide shape one reply is 32,768 rows.
+//! Rows therefore have one hand-written writer and one hand-written
+//! reader for their fixed 17 fields — [`write_row`] / [`read_row`] —
+//! used by the server's streamed replies, by [`Response::render`], by
+//! [`crate::client::LiveClient`] and by the fleet tier alike. The wire
+//! format did not change: the writer emits exactly the bytes
+//! `serde_json::to_string(&CellLine)` emitted (field order, integers
+//! below 1e15 as integers, `-0`, shortest round-trip floats, `null` for
+//! an absent or non-finite statistic, `u64` counts through the same
+//! `f64` rule), and the reader returns exactly the fields
+//! `serde_json::from_str::<CellLine>` returned, to the bit — but accepts
+//! only that one shape, so a reordered, truncated or padded row is a
+//! [`ProtocolError::MalformedReply`]. What the derive cost was a `Value`
+//! tree with 17 key `String`s per row in each direction. The golden
+//! tests pin the bytes; `prop_row_codec_is_the_serde_derive_byte_for_byte`
+//! pins both directions against the derive over every class of `f64`
+//! and `u64` the number rule tells apart.
+//!
 //! ## Compatibility
 //!
 //! Protocol version [`PROTOCOL_VERSION`] = 1 is the PR-5 line protocol,
@@ -39,8 +60,9 @@
 
 use crate::server::{CellLine, LiveSnapshot};
 use crate::store::StoreStats;
-use edgeperf_analysis::GroupKey;
+use edgeperf_analysis::{GroupKey, WindowCell};
 use std::fmt;
+use std::io;
 
 /// Version of the line protocol this build speaks (`version` command).
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -405,24 +427,9 @@ impl Response {
                     .collect();
                 format!("{{\"workers\":[{}]}}", rows.join(","))
             }
-            Response::Cells(cells) => {
-                let mut out = format!("{{\"cells\":{}}}", cells.len());
-                for cell in cells {
-                    out.push('\n');
-                    out.push_str(&serde_json::to_string(cell).expect("cell serializes"));
-                }
-                out
-            }
+            Response::Cells(cells) => render_rows(RowsHeader::Cells, cells),
             Response::Digest { accepted, cells } => {
-                let mut out = format!(
-                    "{{\"digest\":{},\"protocol\":{PROTOCOL_VERSION},\"accepted\":{accepted}}}",
-                    cells.len()
-                );
-                for cell in cells {
-                    out.push('\n');
-                    out.push_str(&serde_json::to_string(cell).expect("cell serializes"));
-                }
-                out
+                render_rows(RowsHeader::Digest { accepted: *accepted }, cells)
             }
             Response::Metrics(json) => json.clone(),
             Response::Store(Some(stats)) => {
@@ -439,6 +446,345 @@ impl Response {
             Response::Error(err) => err.render(),
         }
     }
+}
+
+/// The header line of a multi-row reply, written once the row count is
+/// known. [`Response::render`] and the server's streamed replies both
+/// write it here, so the two cannot drift.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowsHeader {
+    /// `{"cells":N}`.
+    Cells,
+    /// `{"digest":N,"protocol":V,"accepted":M}`.
+    Digest {
+        /// Records folded into windows at serve time.
+        accepted: u64,
+    },
+}
+
+impl RowsHeader {
+    /// Write the header announcing `rows` rows (no trailing newline).
+    pub fn write(&self, out: &mut impl io::Write, rows: usize) -> io::Result<()> {
+        match self {
+            RowsHeader::Cells => write!(out, "{{\"cells\":{rows}}}"),
+            RowsHeader::Digest { accepted } => write!(
+                out,
+                "{{\"digest\":{rows},\"protocol\":{PROTOCOL_VERSION},\"accepted\":{accepted}}}"
+            ),
+        }
+    }
+}
+
+fn render_rows(header: RowsHeader, cells: &[CellLine]) -> String {
+    let mut out = Vec::new();
+    header.write(&mut out, cells.len()).expect("write to a Vec");
+    for cell in cells {
+        out.push(b'\n');
+        write_fields(&mut out, &Fields::from(cell)).expect("write to a Vec");
+    }
+    String::from_utf8(out).expect("a row is UTF-8")
+}
+
+/// The 17 wire fields of one row, borrowed from wherever the row lives:
+/// a [`WindowCell`] the server holds or a [`CellLine`] a client parsed.
+struct Fields<'a> {
+    window: u32,
+    pop: u16,
+    prefix_base: u32,
+    prefix_len: u8,
+    country: u16,
+    continent: u8,
+    rank: u8,
+    relationship: &'a str,
+    longer_path: bool,
+    more_prepended: bool,
+    n: u64,
+    n_tested: u64,
+    bytes: u64,
+    min_rtt_p50: f64,
+    min_rtt_var: Option<f64>,
+    hdratio_p50: Option<f64>,
+    hdratio_var: Option<f64>,
+}
+
+impl<'a> From<&'a CellLine> for Fields<'a> {
+    fn from(c: &'a CellLine) -> Self {
+        Fields {
+            window: c.window,
+            pop: c.pop,
+            prefix_base: c.prefix_base,
+            prefix_len: c.prefix_len,
+            country: c.country,
+            continent: c.continent,
+            rank: c.rank,
+            relationship: &c.relationship,
+            longer_path: c.longer_path,
+            more_prepended: c.more_prepended,
+            n: c.n,
+            n_tested: c.n_tested,
+            bytes: c.bytes,
+            min_rtt_p50: c.min_rtt_p50,
+            min_rtt_var: c.min_rtt_var,
+            hdratio_p50: c.hdratio_p50,
+            hdratio_var: c.hdratio_var,
+        }
+    }
+}
+
+impl From<&WindowCell> for Fields<'static> {
+    fn from(c: &WindowCell) -> Self {
+        Fields {
+            window: c.window,
+            pop: c.group.pop.0,
+            prefix_base: c.group.prefix.base,
+            prefix_len: c.group.prefix.len,
+            country: c.group.country,
+            continent: c.group.continent,
+            rank: c.rank,
+            relationship: c.relationship.label(),
+            longer_path: c.longer_path,
+            more_prepended: c.more_prepended,
+            n: c.n,
+            n_tested: c.n_tested,
+            bytes: c.bytes,
+            min_rtt_p50: c.min_rtt_p50,
+            min_rtt_var: c.min_rtt_var,
+            hdratio_p50: c.hdratio_p50,
+            hdratio_var: c.hdratio_var,
+        }
+    }
+}
+
+/// A JSON number as `serde_json::to_string` prints an `f64` (the rule
+/// every numeric field goes through there, integers included): `null`
+/// when not finite, an integer below 1e15 as an integer, `-0` and
+/// everything else in Rust's shortest round-trip form.
+struct Num(f64);
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let n = self.0;
+        if !n.is_finite() {
+            f.write_str("null")
+        } else if n == n.trunc() && n.abs() < 1e15 && !(n == 0.0 && n.is_sign_negative()) {
+            (n as i64).fmt(f)
+        } else {
+            n.fmt(f)
+        }
+    }
+}
+
+/// An absent statistic is written as a non-finite one is: `null`.
+fn opt(n: Option<f64>) -> Num {
+    Num(n.unwrap_or(f64::NAN))
+}
+
+/// A JSON string with `serde_json::to_string`'s escapes. The three
+/// relationship labels need none; a hand-built [`CellLine`] might.
+struct Quoted<'a>(&'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write;
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if u32::from(c) < 0x20 => write!(f, "\\u{:04x}", u32::from(c))?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
+}
+
+/// The one place a row becomes bytes. Integer fields narrower than 54
+/// bits print as themselves — what [`Num`] would print for them.
+fn write_fields(out: &mut impl io::Write, r: &Fields<'_>) -> io::Result<()> {
+    write!(
+        out,
+        "{{\"window\":{},\"pop\":{},\"prefix_base\":{},\"prefix_len\":{},\"country\":{},\
+         \"continent\":{},\"rank\":{},\"relationship\":{},\"longer_path\":{},\
+         \"more_prepended\":{},\"n\":{},\"n_tested\":{},\"bytes\":{},\"min_rtt_p50\":{},\
+         \"min_rtt_var\":{},\"hdratio_p50\":{},\"hdratio_var\":{}}}",
+        r.window,
+        r.pop,
+        r.prefix_base,
+        r.prefix_len,
+        r.country,
+        r.continent,
+        r.rank,
+        Quoted(r.relationship),
+        r.longer_path,
+        r.more_prepended,
+        Num(r.n as f64),
+        Num(r.n_tested as f64),
+        Num(r.bytes as f64),
+        Num(r.min_rtt_p50),
+        opt(r.min_rtt_var),
+        opt(r.hdratio_p50),
+        opt(r.hdratio_var),
+    )
+}
+
+/// Write one row of a `cells`/`digest` reply (no newline): exactly the
+/// bytes `serde_json::to_string(&store::cell_line(row))` gives, without
+/// building the [`CellLine`], its `String` or a `Value` tree. The
+/// property test below pins the equality; [`read_row`] is the inverse.
+pub fn write_row(out: &mut impl io::Write, row: &WindowCell) -> io::Result<()> {
+    write_fields(out, &Fields::from(row))
+}
+
+const ROW_SHAPE: &str = "a cell row: {\"window\":N,…,\"hdratio_var\":X}";
+
+/// Parse one reply row: the strict inverse of [`write_row`]. The 17
+/// fields must come in wire order with nothing between or after them;
+/// each value is read as `serde_json::from_str::<CellLine>` reads it, so
+/// every `f64` keeps its bits. Anything else — a reordered, truncated or
+/// padded row, a value out of its field's range — is
+/// [`ProtocolError::MalformedReply`], never a panic.
+pub fn read_row(line: &str) -> Result<CellLine, ProtocolError> {
+    parse_row(line)
+        .ok_or_else(|| ProtocolError::MalformedReply { expected: ROW_SHAPE, got: line.to_string() })
+}
+
+fn parse_row(line: &str) -> Option<CellLine> {
+    let rest = &mut &*line;
+    let row = CellLine {
+        window: uint(scalar(rest, "{\"window\":")?)?,
+        pop: uint(scalar(rest, ",\"pop\":")?)?,
+        prefix_base: uint(scalar(rest, ",\"prefix_base\":")?)?,
+        prefix_len: uint(scalar(rest, ",\"prefix_len\":")?)?,
+        country: uint(scalar(rest, ",\"country\":")?)?,
+        continent: uint(scalar(rest, ",\"continent\":")?)?,
+        rank: uint(scalar(rest, ",\"rank\":")?)?,
+        relationship: quoted(rest, ",\"relationship\":\"")?,
+        longer_path: boolean(scalar(rest, ",\"longer_path\":")?)?,
+        more_prepended: boolean(scalar(rest, ",\"more_prepended\":")?)?,
+        n: uint(scalar(rest, ",\"n\":")?)?,
+        n_tested: uint(scalar(rest, ",\"n_tested\":")?)?,
+        bytes: uint(scalar(rest, ",\"bytes\":")?)?,
+        min_rtt_p50: number(scalar(rest, ",\"min_rtt_p50\":")?)?,
+        min_rtt_var: optional(scalar(rest, ",\"min_rtt_var\":")?)?,
+        hdratio_p50: optional(scalar(rest, ",\"hdratio_p50\":")?)?,
+        hdratio_var: optional(scalar(rest, ",\"hdratio_var\":")?)?,
+    };
+    (*rest == "}").then_some(row)
+}
+
+/// Strip `key` off `rest` and take the value after it: the text up to
+/// the next `,` or `}`, which stays in `rest`.
+fn scalar<'a>(rest: &mut &'a str, key: &str) -> Option<&'a str> {
+    let after = rest.strip_prefix(key)?;
+    let end = after.bytes().position(|b| b == b',' || b == b'}')?;
+    *rest = &after[end..];
+    Some(&after[..end])
+}
+
+/// Strip `key` (which ends with the opening quote) off `rest` and take
+/// the string after it, undoing exactly the escapes [`Quoted`] writes.
+fn quoted(rest: &mut &str, key: &str) -> Option<String> {
+    let after = rest.strip_prefix(key)?;
+    let plain = after.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20)?;
+    let mut out = after[..plain].to_string();
+    let mut chars = after[plain..].chars();
+    loop {
+        match chars.next()? {
+            '"' => break,
+            '\\' => out.push(match chars.next()? {
+                '"' => '"',
+                '\\' => '\\',
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let hex = |h: &&str| h.bytes().all(|b| b.is_ascii_hexdigit());
+                    let hex = chars.as_str().get(..4).filter(hex)?;
+                    let control = u8::from_str_radix(hex, 16).ok().filter(|c| *c < 0x20)?;
+                    chars = chars.as_str()[4..].chars();
+                    char::from(control)
+                }
+                _ => return None,
+            }),
+            c if u32::from(c) < 0x20 => return None,
+            c => out.push(c),
+        }
+    }
+    *rest = chars.as_str();
+    Some(out)
+}
+
+/// A number token as the `serde_json` stand-in's parser reads it: short
+/// integers through `i64` (but never `-0`, which must keep its sign),
+/// the rest through `f64::from_str` — which alone would also accept
+/// `inf` and `nan`, hence the character check.
+fn number(token: &str) -> Option<f64> {
+    let bytes = token.as_bytes();
+    if !matches!(bytes.first(), Some(b'-' | b'0'..=b'9')) {
+        return None;
+    }
+    if token.len() < 16 && bytes[1..].iter().all(u8::is_ascii_digit) {
+        if let Ok(i) = token.parse::<i64>() {
+            if i != 0 || bytes[0] != b'-' {
+                return Some(i as f64);
+            }
+        }
+    }
+    let json = |b: &u8| matches!(b, b'0'..=b'9' | b'+' | b'-' | b'.' | b'e' | b'E');
+    bytes.iter().all(json).then(|| token.parse().ok()).flatten()
+}
+
+/// An unsigned integer field, accepted as the stand-in's `Deserialize`
+/// accepts it: the `f64` must convert to the type and back unchanged
+/// (so `18446744073709552000`, what `u64::MAX` is written as, reads
+/// back as `u64::MAX`).
+fn uint<T: TryFrom<u64>>(token: &str) -> Option<T> {
+    let n = number(token)?;
+    let wide = n as u64;
+    (wide as f64 == n).then(|| T::try_from(wide).ok()).flatten()
+}
+
+fn optional(token: &str) -> Option<Option<f64>> {
+    if token == "null" {
+        Some(None)
+    } else {
+        number(token).map(Some)
+    }
+}
+
+fn boolean(token: &str) -> Option<bool> {
+    match token {
+        "true" => Some(true),
+        "false" => Some(false),
+        _ => None,
+    }
+}
+
+/// Rows preallocated from a reply header before rows actually arrive.
+/// The header is untrusted input: a malformed or hostile count must not
+/// translate into an unbounded upfront allocation.
+const MAX_PREALLOC_ROWS: usize = 1 << 16;
+
+/// Read the `count` rows that follow a `cells`/`digest` header, each
+/// through `line` (one buffer for the whole reply) and [`read_row`].
+pub fn read_rows(
+    reader: &mut impl io::BufRead,
+    count: usize,
+    line: &mut String,
+) -> io::Result<Vec<CellLine>> {
+    let mut rows = Vec::with_capacity(count.min(MAX_PREALLOC_ROWS));
+    for _ in 0..count {
+        line.clear();
+        if reader.read_line(line)? == 0 {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "reply ended mid-rows"));
+        }
+        rows.push(read_row(line.trim_end())?);
+    }
+    Ok(rows)
 }
 
 /// Parse the `{"cells":N}` header of a `cells` reply. The client used to
@@ -903,6 +1249,212 @@ mod tests {
             Response::Snapshot(snap.clone()).render(),
             serde_json::to_string(&snap).unwrap()
         );
+    }
+
+    /// One `f64` of each class the number rule tells apart, or any bit
+    /// pattern at all.
+    fn float(class: u8, bits: u64) -> f64 {
+        let two_53 = 9_007_199_254_740_992.0;
+        match class % 16 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(bits >> 12),            // subnormal
+            3 => (bits % 1_000_000_000_000_000) as f64, // integral below 1e15
+            4 => -((bits % 1_000_000_000_000_000) as f64),
+            5 => 1e15,
+            6 => 1e15 + (bits >> 24) as f64, // integral at or above 1e15
+            7 => two_53 - 1.0,
+            8 => two_53,
+            9 => two_53 + 2.0,
+            10 => f64::NAN,
+            11 => f64::INFINITY,
+            12 => f64::NEG_INFINITY,
+            13 => (bits >> 11) as f64 / two_53, // [0, 1)
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    /// A `u64` at each edge of the `f64` rule it is written through.
+    fn count(class: u8, bits: u64) -> u64 {
+        match class % 8 {
+            0 => 0,
+            1 => 999_999_999_999_999,
+            2 => 1_000_000_000_000_000,
+            3 => (1 << 53) - 1,
+            4 => 1 << 53,
+            5 => (1 << 53) + 1,
+            6 => u64::MAX,
+            _ => bits,
+        }
+    }
+
+    fn bits(c: &CellLine) -> impl PartialEq + fmt::Debug {
+        let opt = |v: Option<f64>| v.map(f64::to_bits);
+        (
+            (c.window, c.pop, c.prefix_base, c.prefix_len, c.country, c.continent, c.rank),
+            (c.relationship.clone(), c.longer_path, c.more_prepended, c.n, c.n_tested, c.bytes),
+            (c.min_rtt_p50.to_bits(), opt(c.min_rtt_var), opt(c.hdratio_p50), opt(c.hdratio_var)),
+        )
+    }
+
+    fn malformed(line: &str) -> bool {
+        matches!(read_row(line), Err(ProtocolError::MalformedReply { .. }))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The hand-written row codec against the derive it replaces:
+        /// the writer's bytes are `serde_json::to_string`'s, the reader's
+        /// fields are `serde_json::from_str`'s to the bit (both refuse a
+        /// row whose `min_rtt_p50` was not finite), and no damaged row
+        /// gets through or panics.
+        #[test]
+        fn prop_row_codec_is_the_serde_derive_byte_for_byte(
+            key in (
+                proptest::any::<u32>(),
+                proptest::any::<u16>(),
+                proptest::any::<u32>(),
+                proptest::any::<u8>(),
+                proptest::any::<u16>(),
+                proptest::any::<u8>(),
+                proptest::any::<u8>(),
+            ),
+            flags in (0u8..3, proptest::any::<bool>(), proptest::any::<bool>(), 0u8..8),
+            classes in (
+                proptest::any::<u8>(),
+                proptest::any::<u8>(),
+                proptest::any::<u8>(),
+                proptest::any::<u8>(),
+                proptest::any::<u8>(),
+                proptest::any::<u8>(),
+                proptest::any::<u8>(),
+            ),
+            raw in (
+                proptest::any::<u64>(),
+                proptest::any::<u64>(),
+                proptest::any::<u64>(),
+                proptest::any::<u64>(),
+                proptest::any::<u64>(),
+                proptest::any::<u64>(),
+                proptest::any::<u64>(),
+            ),
+        ) {
+            use edgeperf_routing::{PopId, Prefix, Relationship};
+            use proptest::prelude::*;
+            let (window, pop, base, len, country, continent, rank) = key;
+            let (relationship, longer_path, more_prepended, present) = flags;
+            let row = WindowCell {
+                window,
+                group: GroupKey { pop: PopId(pop), prefix: Prefix { base, len }, country, continent },
+                rank,
+                relationship: [
+                    Relationship::PrivatePeer,
+                    Relationship::PublicPeer,
+                    Relationship::Transit,
+                ][usize::from(relationship)],
+                longer_path,
+                more_prepended,
+                n: count(classes.0, raw.0),
+                n_tested: count(classes.1, raw.1),
+                bytes: count(classes.2, raw.2),
+                min_rtt_p50: float(classes.3, raw.3),
+                min_rtt_var: (present & 1 != 0).then(|| float(classes.4, raw.4)),
+                hdratio_p50: (present & 2 != 0).then(|| float(classes.5, raw.5)),
+                hdratio_var: (present & 4 != 0).then(|| float(classes.6, raw.6)),
+            };
+            let line = crate::store::cell_line(&row);
+            let mut written = Vec::new();
+            write_row(&mut written, &row).expect("writes to a Vec");
+            let written = String::from_utf8(written).expect("utf-8");
+            prop_assert_eq!(&written, &serde_json::to_string(&line).expect("serializes"));
+            prop_assert_eq!(
+                Response::Cells(vec![line]).render(),
+                format!("{{\"cells\":1}}\n{written}")
+            );
+            match (read_row(&written), serde_json::from_str::<CellLine>(&written)) {
+                (Ok(ours), Ok(serde)) => prop_assert_eq!(bits(&ours), bits(&serde)),
+                (Err(ProtocolError::MalformedReply { .. }), Err(_)) => {
+                    prop_assert!(!row.min_rtt_p50.is_finite(), "{written}")
+                }
+                (ours, serde) => panic!("{written}: read_row {ours:?}, serde {serde:?}"),
+            }
+            // Damage: every proper prefix, trailing bytes, two fields in
+            // the other order (still the same JSON object to serde).
+            for cut in 0..written.len() {
+                prop_assert!(malformed(&written[..cut]), "cut at {cut}: {written}");
+            }
+            for tail in [" ", "}", ",", "\n", ",\"x\":1}"] {
+                prop_assert!(malformed(&format!("{written}{tail}")), "{written}{tail}");
+            }
+            let head = format!("{{\"window\":{window},\"pop\":{pop},");
+            let swapped = format!("{{\"pop\":{pop},\"window\":{window},");
+            prop_assert!(written.starts_with(&head));
+            prop_assert!(malformed(&written.replacen(&head, &swapped, 1)));
+        }
+    }
+
+    /// What no server sends but a hand-built [`CellLine`] may hold: a
+    /// relationship that needs every escape the writer knows.
+    #[test]
+    fn escaped_relationship_labels_round_trip_like_serde() {
+        let cell = CellLine {
+            relationship: "q\" b\\ n\n r\r t\t c\u{1}\u{1f} é 😀 ,}".to_string(),
+            ..serde_json::from_str(
+                "{\"window\":3,\"pop\":1,\"prefix_base\":167772160,\"prefix_len\":24,\
+                 \"country\":7,\"continent\":2,\"rank\":0,\"relationship\":\"\",\
+                 \"longer_path\":false,\"more_prepended\":true,\"n\":10,\"n_tested\":8,\
+                 \"bytes\":1000,\"min_rtt_p50\":42.5,\"min_rtt_var\":0.25,\
+                 \"hdratio_p50\":null,\"hdratio_var\":null}",
+            )
+            .expect("parses")
+        };
+        let rendered = Response::Cells(vec![cell.clone()]).render();
+        let row = rendered.lines().nth(1).expect("one row");
+        assert_eq!(row, serde_json::to_string(&cell).expect("serializes"));
+        assert_eq!(read_row(row), Ok(cell));
+        // Escapes the writer never emits are not read back either.
+        for alien in ["\\/", "\\b", "\\u0041", "\\u00e9", "\\ud83d\\ude00", "\u{1}"] {
+            let line = row.replacen("q\\\"", alien, 1);
+            assert_ne!(line, row);
+            assert!(malformed(&line), "{line}");
+        }
+    }
+
+    #[test]
+    fn rows_are_read_through_one_buffer_until_the_count_or_the_stream_ends() {
+        let cell = crate::store::cell_line(&WindowCell {
+            window: 1,
+            group: GroupKey {
+                pop: edgeperf_routing::PopId(2),
+                prefix: edgeperf_routing::Prefix::new(0x0A00_0000, 24),
+                country: 3,
+                continent: 4,
+            },
+            rank: 0,
+            relationship: edgeperf_routing::Relationship::PublicPeer,
+            longer_path: true,
+            more_prepended: false,
+            n: 31,
+            n_tested: 30,
+            bytes: 77,
+            min_rtt_p50: 12.5,
+            min_rtt_var: None,
+            hdratio_p50: Some(0.5),
+            hdratio_var: Some(1e-7),
+        });
+        let reply = Response::Cells(vec![cell.clone(), cell.clone()]).render() + "\r\n";
+        let body = reply.split_once('\n').expect("header line").1;
+        let mut line = String::new();
+        let rows = read_rows(&mut body.as_bytes(), 2, &mut line).expect("two rows");
+        assert_eq!(rows, [cell.clone(), cell]);
+        let short = read_rows(&mut body.as_bytes(), 3, &mut line).unwrap_err();
+        assert_eq!(short.kind(), io::ErrorKind::UnexpectedEof);
+        let bad = read_rows(&mut "{\"window\":1}\n".as_bytes(), 1, &mut line).unwrap_err();
+        assert_eq!(bad.kind(), io::ErrorKind::InvalidData);
+        // A hostile count reserves a bounded number of rows up front.
+        let huge = read_rows(&mut "".as_bytes(), usize::MAX, &mut line).unwrap_err();
+        assert_eq!(huge.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

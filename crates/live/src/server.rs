@@ -38,6 +38,27 @@
 //! first — the reader flushes its partial batches and waits until each
 //! lane's applied counter catches up to its pushed counter.
 //!
+//! ## Closed windows and the replies written from them
+//!
+//! A worker keeps each closed window as an immutable shared slice
+//! (`Arc<[(CellKey, CellSummary)]>`): it owns the map of them — insert
+//! on close, spill and pop on eviction — and nothing ever changes a
+//! slice's contents. A `cells`/`digest` query therefore costs a worker
+//! one `Arc` clone per window in range; the connection's own reader
+//! thread does the rest ([`crate::reply::CellsReply`]): it filters on
+//! the group, orders the rows through a 24-byte-a-row sort index, merges
+//! the tiered store's rows under the same key with RAM winning
+//! duplicates, and only then — the row count, a draining server and a
+//! store error all known — writes header and rows through one 64 KiB
+//! buffer, each row formatted by [`crate::protocol::write_row`] straight
+//! from where it lies. No row is copied, no `CellLine` or whole-reply
+//! `String` exists, so a reply's transient memory is the index, not the
+//! reply; a window evicted mid-reply lives until the last reply reading
+//! it is written. Whenever any worker cannot be asked or does not answer
+//! (the server is draining, a worker died holding the message) the reply
+//! is `{"error":"draining"}` — never the remaining workers' rows passed
+//! off as all of them.
+//!
 //! ## Statistics
 //!
 //! Accept/reject tallies are sharded into per-reader and per-worker
@@ -77,6 +98,13 @@
 //! merge both tiers, deduplicating windows present in each (the copies
 //! are bit-identical by construction), and a background compactor
 //! thread folds small spilled segments into larger time-sorted ones.
+//!
+//! ## Query metrics
+//!
+//! Recorded once per `cells`/`digest` query, never per row:
+//! `live.query.cells_ns` / `live.query.digest_ns` (histograms: workers
+//! asked to last byte flushed) and the `live.query.rows` /
+//! `live.query.reply_bytes` counters, all served by `metrics`.
 
 use crate::config::LiveConfig;
 use crate::detect::OnlineDetector;
@@ -84,20 +112,21 @@ use crate::frame::{
     parse_hello, parse_preamble, FrameDecoder, FRAME_MAGIC, HELLO_LEN, PREAMBLE_LEN,
 };
 use crate::protocol::{
-    CellQuery, ProtocolError, Request, Response, WorkerStatsLine, PROTOCOL_VERSION,
+    CellQuery, ProtocolError, Request, Response, RowsHeader, WorkerStatsLine, PROTOCOL_VERSION,
 };
 use crate::queue::{spsc, Consumer, Producer, Waiter};
 use crate::record::{LineParser, LiveRecord};
-use crate::store::{cell_line, SegmentStore, SpillOutcome, QUERY_TOTALS};
+use crate::reply::{CellsReply, SharedWindow};
+use crate::store::{SegmentStore, SpillOutcome, QUERY_TOTALS};
 use crate::window::{CellKey, CellSummary, ClosedWindow, WindowRing};
-use edgeperf_analysis::{cell_sort_key, DegradationMetric, FxHasher, GroupKey, TemporalClass};
+use edgeperf_analysis::{DegradationMetric, FxHasher, GroupKey, TemporalClass};
 use edgeperf_core::EdgeperfError;
 use edgeperf_obs::{HeartbeatBoard, Metrics};
 use edgeperf_routing::{PopId, Prefix};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::io::{BufRead, BufReader, Cursor, Read, Write};
+use std::io::{self, BufRead, BufReader, Cursor, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -228,8 +257,10 @@ type Batch = Vec<LiveRecord>;
 enum ControlMsg {
     Ping(Sender<()>),
     Snapshot(Sender<WorkerSnap>),
-    /// Closed cells from this worker's RAM tier matching the query.
-    Cells(CellQuery, Sender<Vec<CellLine>>),
+    /// This worker's closed windows inside the query's window range, as
+    /// the shared slices it keeps them in — nothing is copied or
+    /// filtered here, so the worker is back on its lanes at once.
+    Cells(CellQuery, Sender<Vec<SharedWindow>>),
 }
 
 /// Records a reader coalesces per worker before pushing a batch onto the
@@ -1264,17 +1295,21 @@ fn line_reader_loop<R: Read>(
                         .render(),
                         None => Response::Draining.render(),
                     },
-                    Request::Cells(query) => serve_cells(shared, &query).render(),
-                    Request::Digest { proto, query } => {
-                        if proto != PROTOCOL_VERSION {
-                            Response::Error(ProtocolError::BadArgument {
-                                command: "digest",
-                                argument: format!("proto={proto}"),
-                                message: format!("server speaks protocol {PROTOCOL_VERSION}"),
-                            })
-                            .render()
-                        } else {
-                            serve_digest(shared, &query).render()
+                    Request::Digest { proto, .. } if proto != PROTOCOL_VERSION => {
+                        Response::Error(ProtocolError::BadArgument {
+                            command: "digest",
+                            argument: format!("proto={proto}"),
+                            message: format!("server speaks protocol {PROTOCOL_VERSION}"),
+                        })
+                        .render()
+                    }
+                    // The two replies that are written, not built: rows
+                    // go from where they lie to the socket.
+                    Request::Cells(query) | Request::Digest { query, .. } => {
+                        let digest = matches!(request, Request::Digest { .. });
+                        match serve_cells(shared, &query, digest, out) {
+                            Ok(()) => continue,
+                            Err(_) => break,
                         }
                     }
                     Request::Metrics => Response::Metrics(
@@ -1308,11 +1343,11 @@ fn line_reader_loop<R: Read>(
 }
 
 /// Send `make(reply)` to every worker over the control channels and
-/// collect the responses. `None` when the server is already draining.
-fn query_workers(
-    shared: &Shared,
-    make: fn(Sender<WorkerSnap>) -> ControlMsg,
-) -> Option<Vec<WorkerSnap>> {
+/// collect the responses, in worker order. `None` when any worker cannot
+/// be asked or does not answer — the server is draining, or the worker
+/// died holding the message: a partial answer is never passed off as a
+/// whole one.
+fn query_workers<T>(shared: &Shared, make: impl Fn(Sender<T>) -> ControlMsg) -> Option<Vec<T>> {
     let senders = shared.router.lock().expect("router").clone()?;
     let mut out = Vec::with_capacity(senders.len());
     for (w, tx) in senders.iter().enumerate() {
@@ -1333,94 +1368,99 @@ pub fn cell_line_sort_key(c: &CellLine) -> (u32, u16, u32, u8, u16, u8, u8) {
     (c.window, c.pop, c.prefix_base, c.prefix_len, c.country, c.continent, c.rank)
 }
 
-/// Serve a `cells` query from the RAM tier (each worker filters its own
-/// closed map) merged with the spilled tier. Windows present in both —
-/// spilled but not yet evicted, or still inside the retention horizon on
-/// restart replays — are deduplicated preferring the RAM copy; the
-/// copies are bit-identical by construction, so preference is about
-/// avoiding double rows, not about which bits win.
+/// Serve a `cells` or `digest` query by writing it: every worker hands
+/// over the closed windows in range as shared slices, the tiered store
+/// its matching rows, and this (the connection's reader) thread filters,
+/// orders and merges them through a [`CellsReply`] — windows present in
+/// both tiers (spilled but not yet evicted, or replayed after a restart)
+/// keep their RAM copy — and only then writes header and rows through
+/// one fixed-size buffer. The row count, a draining server and a store
+/// error are all known before the first byte goes out; an `Err` is the
+/// socket's.
 ///
 /// Compatibility: a bare `cells` on a store-less server keeps the
 /// legacy reply bytes exactly — worker order, insertion order, no sort.
-/// Any filtered query, and any server with a store, sorts canonically
-/// so results are deterministic across worker counts and spill timing.
-fn serve_cells(shared: &Shared, query: &CellQuery) -> Response {
-    let mut all: Vec<CellLine> = Vec::new();
-    for w in 0..shared.config.workers {
-        let Some(tx) = control_sender(shared, w) else { continue };
-        let (reply_tx, reply_rx) = channel();
-        if tx.send(ControlMsg::Cells(*query, reply_tx)).is_ok() {
-            shared.hubs[w].ring();
-            if let Ok(cells) = reply_rx.recv() {
-                all.extend(cells);
-            }
-        }
-    }
-    let Some(store) = &shared.store else {
-        if !query.is_all() {
-            all.sort_by_key(cell_line_sort_key);
-        }
-        return Response::Cells(all);
+/// Any filtered query, any server with a store and every `digest` (it
+/// exists for cross-node merging) is in canonical order, deterministic
+/// across worker counts and spill timing. A digest's accepted-record
+/// counter is read after the workers answered, under the caller's sync
+/// barrier like the rows, so the pair is consistent in a quiesced stream.
+fn serve_cells(
+    shared: &Shared,
+    query: &CellQuery,
+    digest: bool,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    let started = shared.metrics.is_enabled().then(Instant::now);
+    let Some(per_worker) = query_workers(shared, |reply| ControlMsg::Cells(*query, reply)) else {
+        return writeln!(out, "{}", Response::Draining.render());
     };
-    let reply = store.query(query);
-    // The store's running totals, mirrored so `metrics` shows what
-    // historical queries cost without a `store` round trip.
-    for (name, total) in QUERY_TOTALS.iter().zip(store.query_totals()) {
-        shared.metrics.gauge(&format!("store.{name}")).set(total as f64);
-    }
-    match reply {
-        Ok(spilled) => {
-            // Dedupe on the row's own key: a spilled row that loses to
-            // its RAM copy never becomes a `CellLine`.
-            let in_ram: std::collections::HashSet<_> = all.iter().map(cell_line_sort_key).collect();
-            all.extend(
-                spilled.iter().filter(|c| !in_ram.contains(&cell_sort_key(c))).map(cell_line),
-            );
-            all.sort_by_key(cell_line_sort_key);
-            Response::Cells(all)
-        }
-        Err(err) => Response::StoreError(err.to_string()),
-    }
-}
-
-/// Serve a `digest` query: the matching cells plus the accepted-record
-/// counter, both observed under the caller's sync barrier so the pair
-/// is consistent in a quiesced stream. Unlike the legacy bare `cells`,
-/// a digest always sorts canonically — it exists for cross-node
-/// merging, where deterministic order is part of the contract.
-fn serve_digest(shared: &Shared, query: &CellQuery) -> Response {
-    match serve_cells(shared, query) {
-        Response::Cells(mut cells) => {
-            cells.sort_by_key(cell_line_sort_key);
-            Response::Digest { accepted: shared.stat_totals().accepted, cells }
-        }
-        other => other,
-    }
-}
-
-/// Drain: stop the acceptor, cut other connections, drop the control
-/// router, retire the caller's lanes, wait for the workers to flush,
-/// and build the final snapshot.
-fn drain(shared: &Arc<Shared>, self_id: u64, lanes: ReaderLanes) -> LiveSnapshot {
-    let first = !shared.draining.swap(true, Ordering::AcqRel);
-    if first {
-        // Wake the acceptor so it observes the flag.
-        let _ = TcpStream::connect(shared.bound_addr);
-        // Cut every other connection; their readers drain what they
-        // have already batched, then retire (fold stats, close lanes).
-        for (cid, conn) in shared.conns.lock().expect("conns").iter() {
-            if *cid != self_id {
-                let _ = conn.shutdown(Shutdown::Both);
+    let windows: Vec<SharedWindow> = per_worker.into_iter().flatten().collect();
+    let spilled = match &shared.store {
+        None => None,
+        Some(store) => {
+            let rows = store.query(query);
+            // The store's running totals, mirrored so `metrics` shows
+            // what historical queries cost without a `store` round trip.
+            for (name, total) in QUERY_TOTALS.iter().zip(store.query_totals()) {
+                shared.metrics.gauge(&format!("store.{name}")).set(total as f64);
+            }
+            match rows {
+                Ok(rows) => Some(rows),
+                Err(err) => {
+                    return writeln!(out, "{}", Response::StoreError(err.to_string()).render())
+                }
             }
         }
-        // Drop the control senders: workers treat a disconnected
-        // control channel + no lanes as the exit condition, and readers
-        // can no longer register lanes.
-        *shared.router.lock().expect("router") = None;
-        for hub in &shared.hubs {
-            hub.ring();
+    };
+    let reply = match &spilled {
+        None if !digest && query.is_all() => CellsReply::as_they_lie(&windows),
+        _ => CellsReply::canonical(&windows, spilled.as_deref().unwrap_or(&[]), query),
+    };
+    let header = if digest {
+        RowsHeader::Digest { accepted: shared.stat_totals().accepted }
+    } else {
+        RowsHeader::Cells
+    };
+    let bytes = reply.write(header, out)?;
+    if let Some(started) = started {
+        let verb = if digest { "live.query.digest_ns" } else { "live.query.cells_ns" };
+        shared.metrics.histogram(verb).record(started.elapsed().as_nanos() as u64);
+        shared.metrics.counter("live.query.rows").add(reply.rows() as u64);
+        shared.metrics.counter("live.query.reply_bytes").add(bytes);
+    }
+    Ok(())
+}
+
+/// The first half of a drain, run once: stop the acceptor, cut every
+/// connection but `self_id`'s, and drop the control router — from here
+/// on state queries answer `draining` and readers can no longer
+/// register lanes.
+fn begin_drain(shared: &Shared, self_id: u64) {
+    if shared.draining.swap(true, Ordering::AcqRel) {
+        return;
+    }
+    // Wake the acceptor so it observes the flag.
+    let _ = TcpStream::connect(shared.bound_addr);
+    // Cut every other connection; their readers drain what they have
+    // already batched, then retire (fold stats, close lanes).
+    for (cid, conn) in shared.conns.lock().expect("conns").iter() {
+        if *cid != self_id {
+            let _ = conn.shutdown(Shutdown::Both);
         }
     }
+    // Drop the control senders: workers treat a disconnected control
+    // channel + no lanes as the exit condition.
+    *shared.router.lock().expect("router") = None;
+    for hub in &shared.hubs {
+        hub.ring();
+    }
+}
+
+/// Drain: [`begin_drain`], retire the caller's lanes, wait for the
+/// workers to flush, and build the final snapshot.
+fn drain(shared: &Arc<Shared>, self_id: u64, lanes: ReaderLanes) -> LiveSnapshot {
+    begin_drain(shared, self_id);
     lanes.retire(shared);
     let workers = shared.config.workers;
     let mut reports = shared.reports.lock().expect("reports");
@@ -1440,7 +1480,9 @@ fn drain(shared: &Arc<Shared>, self_id: u64, lanes: ReaderLanes) -> LiveSnapshot
 struct WorkerState {
     ring: WindowRing,
     detector: OnlineDetector,
-    closed: BTreeMap<u32, Vec<(CellKey, CellSummary)>>,
+    /// Closed windows retained in RAM, each an immutable slice shared
+    /// with whichever queries are writing it out.
+    closed: BTreeMap<u32, Arc<[(CellKey, CellSummary)]>>,
     processed: u64,
     windows_closed: u64,
 }
@@ -1751,18 +1793,13 @@ fn handle_control(state: &WorkerState, lanes: &[LaneRx], msg: ControlMsg) {
             let _ = reply.send(state.snap(depth));
         }
         ControlMsg::Cells(query, reply) => {
-            let cells = state
+            let windows = state
                 .closed
                 .iter()
                 .filter(|(window, _)| query.contains_window(**window))
-                .flat_map(|(window, cells)| {
-                    cells
-                        .iter()
-                        .filter(|((group, _), _)| query.group.matches(group))
-                        .map(|(key, s)| CellLine::new(*window, key, s))
-                })
+                .map(|(window, cells)| (*window, Arc::clone(cells)))
                 .collect();
-            let _ = reply.send(cells);
+            let _ = reply.send(windows);
         }
     }
 }
@@ -1839,7 +1876,7 @@ fn handle_close(
         }
         state.windows_closed += 1;
         windows.inc();
-        state.closed.insert(cw.index, cw.cells);
+        state.closed.insert(cw.index, cw.cells.into());
     });
     // Eviction (and spilling) runs outside the close timing: disk I/O
     // must never pollute the close-latency histogram. Spill-then-pop
@@ -2012,6 +2049,32 @@ mod tests {
         assert_eq!(back.min_rtt_p50.to_bits(), line.min_rtt_p50.to_bits());
         assert_eq!(back.min_rtt_var.unwrap().to_bits(), line.min_rtt_var.unwrap().to_bits());
         assert_eq!(back.group(), group);
+    }
+
+    /// Never silent: once a drain has dropped the control router a
+    /// worker can no longer be asked, and `cells`/`digest` must say so
+    /// like `snapshot` and `stats` do — not answer with whatever rows
+    /// the reachable workers had (here none: `{"cells":0}`), which a
+    /// fleet `digest` would merge as a whole PoP.
+    #[test]
+    fn cells_and_digest_answer_draining_once_a_shutdown_began() {
+        let parser = |_: &str| Err(EdgeperfError::UnknownDuration);
+        let server =
+            crate::ServeBuilder::new().workers(2).start(Arc::new(parser)).expect("server starts");
+        let mut client = crate::LiveClient::connect(server.addr()).expect("connects");
+        // The first connection is id 0; a reply shows its reader is up.
+        assert_eq!(client.cells().expect("cells"), []);
+        begin_drain(&server.shared, 0);
+        let draining = Response::Draining.render();
+        assert_eq!(client.stats_json().expect("stats"), draining);
+        let refused =
+            [client.cells().map(|_| ()), client.digest_query(&CellQuery::default()).map(|_| ())];
+        for reply in refused {
+            let err = reply.expect_err("a draining server serves no state");
+            assert_eq!(err.to_string(), draining);
+        }
+        assert!(client.shutdown().expect("shutdown").drained);
+        assert!(server.join().drained);
     }
 
     #[test]

@@ -1,0 +1,291 @@
+//! What a `cells`/`digest` reply is on the wire, byte for byte, now that
+//! the server writes it from the windows its workers share instead of
+//! building it: at 1, 2 and 4 workers, bare / window-filtered /
+//! `pop=`+`prefix=`, without a store and with one that holds some windows
+//! only on disk, some only in RAM and some in both, the bytes are those
+//! of `Response::Cells(expected).render()` with `expected` built the old
+//! way — a `Vec<CellLine>` from a serial [`WindowRing`], sorted (or, for
+//! the bare store-less `cells`, left in worker / window / insertion
+//! order). And the four `live.query.*` metrics say what the replies
+//! actually carried.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use edgeperf_analysis::GroupKey;
+use edgeperf_core::EdgeperfError;
+use edgeperf_live::{
+    cell_line_sort_key, parse_cells_header, parse_digest_header, shard_of, BinarySender, CellLine,
+    CellQuery, ClosedWindow, GroupFilter, LiveClient, LiveRecord, Request, Response, ServeBuilder,
+    ServerHandle, WindowRing, PROTOCOL_VERSION,
+};
+use edgeperf_obs::Metrics;
+use edgeperf_routing::{PopId, Prefix, Relationship};
+
+const WINDOW_MS: f64 = 1_000.0;
+const LATENESS_MS: f64 = 250.0;
+const GROUPS: u32 = 48;
+const WINDOWS: u32 = 5;
+const PER_WINDOW: u32 = 1_500;
+
+fn group(g: u32) -> GroupKey {
+    GroupKey {
+        pop: PopId(u16::try_from(g % 4).expect("small")),
+        prefix: Prefix::new(g << 8, 24),
+        country: u16::try_from(g % 9).expect("small"),
+        continent: u8::try_from(g % 6).expect("small"),
+    }
+}
+
+/// `WINDOWS` full windows in timestamp order, then one record per group
+/// two windows on, which closes the last of them on every worker.
+fn records() -> Vec<LiveRecord> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    let total = WINDOWS * PER_WINDOW;
+    let mut out: Vec<LiveRecord> = (0..total)
+        .map(|i| {
+            let g = u32::try_from(next() % u64::from(GROUPS)).expect("small");
+            let rank = u8::try_from(next() % 2).expect("small");
+            let u = (next() % 10_000) as f64 / 10_000.0;
+            LiveRecord {
+                ts_ms: f64::from(i) * WINDOW_MS / f64::from(PER_WINDOW),
+                group: group(g),
+                route_rank: rank,
+                relationship: [Relationship::PrivatePeer, Relationship::Transit][usize::from(rank)],
+                longer_path: rank > 0,
+                more_prepended: g.is_multiple_of(3),
+                min_rtt_ms: 8.0 + 120.0 * u * u,
+                hdratio: (!next().is_multiple_of(5)).then_some(1.0 - u),
+                bytes: 1_000 + next() % 50_000,
+            }
+        })
+        .collect();
+    let closer = LiveRecord { ts_ms: f64::from(WINDOWS + 1) * WINDOW_MS, ..out[0] };
+    out.extend((0..GROUPS).map(|g| LiveRecord { group: group(g), ..closer }));
+    out
+}
+
+/// The windows the watermark closes, from one serial pass.
+fn serial_windows(records: &[LiveRecord]) -> Vec<ClosedWindow> {
+    let mut ring = WindowRing::new(WINDOW_MS, LATENESS_MS);
+    let mut closed = Vec::new();
+    for rec in records {
+        closed.extend(ring.push(rec).expect("in-order record"));
+    }
+    closed.sort_by_key(|w| w.index);
+    closed
+}
+
+/// The reply the old build-then-render path gave: every matching row as
+/// a `CellLine`, in the legacy order (per worker, per window, as
+/// inserted) or sorted canonically.
+fn expected_rows(
+    serial: &[ClosedWindow],
+    query: &CellQuery,
+    legacy: Option<usize>,
+) -> Vec<CellLine> {
+    let lines = |worker: Option<usize>| -> Vec<CellLine> {
+        let workers = legacy.unwrap_or(1);
+        serial
+            .iter()
+            .flat_map(|w| w.cells.iter().map(move |(k, s)| (w.index, k, s)))
+            .filter(|(w, k, _)| query.matches(*w, &k.0))
+            .filter(|(_, k, _)| worker.is_none_or(|worker| shard_of(&k.0, workers) == worker))
+            .map(|(w, k, s)| CellLine::new(w, k, s))
+            .collect()
+    };
+    match legacy {
+        Some(workers) => (0..workers).flat_map(|w| lines(Some(w))).collect(),
+        None => {
+            let mut rows = lines(None);
+            rows.sort_by_key(cell_line_sort_key);
+            rows
+        }
+    }
+}
+
+fn builder(workers: usize) -> ServeBuilder {
+    ServeBuilder::new().workers(workers).window_ms(WINDOW_MS).lateness_ms(LATENESS_MS)
+}
+
+/// Start a server, replay `records` over the binary wire and wait until
+/// every one is folded in.
+fn replayed(builder: ServeBuilder, records: &[LiveRecord]) -> (ServerHandle, LiveClient) {
+    let parser = |_: &str| Err(EdgeperfError::UnknownDuration);
+    let server = builder.start(Arc::new(parser)).expect("server starts");
+    let mut sender = BinarySender::connect(server.addr()).expect("binary connect");
+    for rec in records {
+        sender.send(rec).expect("send frame");
+    }
+    sender.finish().expect("finish");
+    let mut control = LiveClient::connect(server.addr()).expect("control connect");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let snap = control.snapshot().expect("snapshot");
+        if snap.accepted + snap.rejected >= records.len() as u64 {
+            assert_eq!((snap.accepted, snap.rejected), (records.len() as u64, 0));
+            return (server, control);
+        }
+        assert!(Instant::now() < deadline, "server stuck: {snap:?}");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+fn stop(server: ServerHandle, mut control: LiveClient) {
+    assert!(control.shutdown().expect("shutdown").drained);
+    let _ = server.join();
+}
+
+/// One request on a raw line connection; the reply exactly as sent, the
+/// newline that ends it included.
+fn raw_reply(conn: &mut BufReader<TcpStream>, request: &Request) -> String {
+    writeln!(conn.get_mut(), "{}", request.wire_line()).expect("send");
+    let mut reply = String::new();
+    conn.read_line(&mut reply).expect("header");
+    let header = reply.trim_end();
+    let rows = match request {
+        Request::Cells(_) => parse_cells_header(header).expect("cells header"),
+        Request::Digest { .. } => parse_digest_header(header).expect("digest header").cells,
+        _ => 0,
+    };
+    for _ in 0..rows {
+        assert_ne!(conn.read_line(&mut reply).expect("row"), 0, "reply ended early");
+    }
+    reply
+}
+
+fn raw(server: &ServerHandle) -> BufReader<TcpStream> {
+    BufReader::new(TcpStream::connect(server.addr()).expect("raw connect"))
+}
+
+fn queries() -> [(&'static str, CellQuery); 3] {
+    let g = group(17);
+    let point = GroupFilter {
+        pop: Some(g.pop.0),
+        prefix: Some((g.prefix.base, g.prefix.len)),
+        ..GroupFilter::default()
+    };
+    [
+        ("bare", CellQuery::default()),
+        (
+            "windows",
+            CellQuery { from_window: Some(1), until_window: Some(3), ..CellQuery::default() },
+        ),
+        ("point", CellQuery { group: point, ..CellQuery::default() }),
+    ]
+}
+
+fn tmp_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("edgeperf-reply-bytes-{tag}-{}", std::process::id()))
+}
+
+/// Check every query against a server; `legacy` is the worker count when
+/// the bare `cells` keeps its legacy order (no store).
+fn check(server: &ServerHandle, serial: &[ClosedWindow], legacy: Option<usize>, what: &str) {
+    let mut conn = raw(server);
+    for (name, query) in queries() {
+        let legacy = legacy.filter(|_| query.is_all());
+        let expected = expected_rows(serial, &query, legacy);
+        assert!(!expected.is_empty(), "{what} {name}: the query selects something");
+        let got = raw_reply(&mut conn, &Request::Cells(query));
+        assert!(
+            got == Response::Cells(expected).render() + "\n",
+            "{what} {name}: reply bytes differ from the rendered Vec<CellLine>"
+        );
+    }
+}
+
+#[test]
+fn streamed_replies_are_the_rendered_replies_byte_for_byte() {
+    let records = records();
+    let serial = serial_windows(&records);
+    assert_eq!(serial.iter().map(|w| w.index).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+    for workers in [1usize, 2, 4] {
+        // No store: everything in RAM.
+        let (server, control) = replayed(builder(workers).retention_windows(16), &records);
+        check(&server, &serial, Some(workers), &format!("workers={workers} store-less"));
+        // A digest is canonical even when bare, and carries the counter.
+        let digest = Request::Digest { proto: PROTOCOL_VERSION, query: CellQuery::default() };
+        let cells = expected_rows(&serial, &CellQuery::default(), None);
+        assert!(
+            raw_reply(&mut raw(&server), &digest)
+                == Response::Digest { accepted: records.len() as u64, cells }.render() + "\n",
+            "workers={workers}: digest bytes"
+        );
+        stop(server, control);
+
+        // A store: the first server spills all but its newest windows
+        // (0..=2 at least); a second one on the same directory replays
+        // windows 2.. and keeps them all, so window 2 is on disk and in
+        // RAM, 0 and 1 on disk only, 4 in RAM only.
+        let dir = tmp_dir(&format!("w{workers}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (server, control) =
+            replayed(builder(workers).retention_windows(2).spill_dir(&dir), &records);
+        stop(server, control);
+        let tail: Vec<LiveRecord> =
+            records.iter().filter(|r| r.ts_ms >= 2.0 * WINDOW_MS).copied().collect();
+        let (server, mut control) =
+            replayed(builder(workers).retention_windows(16).spill_dir(&dir), &tail);
+        let store = control.store_stats().expect("store stats");
+        assert!(
+            store.from_window == Some(0) && matches!(store.until_window, Some(2 | 3)),
+            "the first server spilled windows 0..=2 and never its newest: {store:?}"
+        );
+        check(&server, &serial, None, &format!("workers={workers} spilling"));
+        stop(server, control);
+        std::fs::remove_dir_all(&dir).expect("spill dir cleanup");
+    }
+}
+
+/// ROADMAP 1b, "query by verb": one `cells` and one `digest`, and the
+/// `metrics` verb reports one timing each and exactly the rows and bytes
+/// the two replies carried.
+#[test]
+fn query_metrics_count_what_the_replies_carried() {
+    let records = records();
+    let (server, control) =
+        replayed(builder(2).retention_windows(16).metrics(&Metrics::enabled()), &records);
+    let mut conn = raw(&server);
+    let windows = CellQuery { from_window: Some(1), until_window: Some(3), ..CellQuery::default() };
+    let cells = raw_reply(&mut conn, &Request::Cells(windows));
+    let digest = raw_reply(
+        &mut conn,
+        &Request::Digest { proto: PROTOCOL_VERSION, query: CellQuery::default() },
+    );
+    let rows = |reply: &str| reply.lines().count() as f64 - 1.0;
+    assert!(rows(&cells) > 0.0 && rows(&digest) > rows(&cells));
+    let metrics = serde_json::parse(raw_reply(&mut conn, &Request::Metrics).trim_end())
+        .expect("metrics reply parses");
+    let metric = |kind: &str, name: &str| {
+        metrics
+            .get(kind)
+            .and_then(|m| m.get(name))
+            .unwrap_or_else(|| panic!("{kind}.{name}"))
+            .clone()
+    };
+    assert_eq!(
+        metric("counters", "live.query.rows"),
+        serde_json::Value::Num(rows(&cells) + rows(&digest))
+    );
+    assert_eq!(
+        metric("counters", "live.query.reply_bytes"),
+        serde_json::Value::Num((cells.len() + digest.len()) as f64)
+    );
+    for verb in ["live.query.cells_ns", "live.query.digest_ns"] {
+        let timing = metric("histograms", verb);
+        assert_eq!(timing.get("count"), Some(&serde_json::Value::Num(1.0)), "{verb}");
+        assert!(
+            matches!(timing.get("sum"), Some(serde_json::Value::Num(ns)) if *ns > 0.0),
+            "{verb}"
+        );
+    }
+    stop(server, control);
+}
