@@ -204,12 +204,11 @@ impl<C: Clone> GroupSlots<C> {
         self.index.get(key).map(|&i| &self.slots[i as usize].1)
     }
 
-    /// Install a fully-built group under a `key` not present yet (checkpoint
-    /// restore: groups restored in their saved order keep that order).
-    pub(crate) fn insert_group(&mut self, key: GroupKey, group: GroupData<C>) {
-        let prev = self.index.insert(key, self.slots.len() as u32);
-        assert!(prev.is_none(), "duplicate group in checkpoint");
-        self.slots.push((key, group));
+    /// Every group in first-seen order, leaving the grid empty.
+    pub(crate) fn take(&mut self) -> Vec<(GroupKey, GroupData<C>)> {
+        self.index.clear();
+        self.memo = None;
+        std::mem::take(&mut self.slots)
     }
 
     /// The slot of cell (`group`, `rank`, `window`), allocating the group

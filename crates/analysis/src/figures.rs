@@ -27,43 +27,69 @@ impl PreferredSessions for [SessionRecord] {
     }
 }
 
+/// Figures 6–7 count a session as HDratio = 1 when its HDratio exceeds
+/// this: the share at 1 is `1 − fraction_leq(HDRATIO_BELOW_ONE)`.
+pub const HDRATIO_BELOW_ONE: f64 = 1.0 - 1e-9;
+
+/// Figure 6's CDFs of one per-session metric: overall and per continent.
+pub type Fig6Cdfs = (WeightedCdf, BTreeMap<u8, WeightedCdf>);
+
 /// Per-session MinRTT CDFs: overall and per continent (Figure 6a/6b).
 /// Only preferred-route sessions contribute (the §4 view).
-pub fn fig6_minrtt<S: PreferredSessions + ?Sized>(
-    sessions: &S,
-) -> (WeightedCdf, BTreeMap<u8, WeightedCdf>) {
-    per_continent_cdf(sessions, |min_rtt, _| Some(min_rtt))
+pub fn fig6_minrtt<S: PreferredSessions + ?Sized>(sessions: &S) -> Fig6Cdfs {
+    collected(sessions, DegradationMetric::MinRtt)
 }
 
 /// Per-session HDratio CDFs: overall and per continent (Figure 6a/6c).
-pub fn fig6_hdratio<S: PreferredSessions + ?Sized>(
-    sessions: &S,
-) -> (WeightedCdf, BTreeMap<u8, WeightedCdf>) {
-    per_continent_cdf(sessions, |_, hdratio| hdratio)
+pub fn fig6_hdratio<S: PreferredSessions + ?Sized>(sessions: &S) -> Fig6Cdfs {
+    collected(sessions, DegradationMetric::HdRatio)
 }
 
-fn per_continent_cdf<S: PreferredSessions + ?Sized>(
+/// Every CDF [`fig6_cdfs`] yields, kept: a study's worth of samples twice
+/// over. Fine for tests and small studies; `repro` reads and drops them
+/// one at a time instead.
+fn collected<S: PreferredSessions + ?Sized>(sessions: &S, metric: DegradationMetric) -> Fig6Cdfs {
+    let (mut overall, mut per) = (None, BTreeMap::new());
+    fig6_cdfs(sessions, metric, |continent, cdf| match continent {
+        None => overall = Some(cdf),
+        Some(c) => {
+            per.insert(c, cdf);
+        }
+    });
+    (overall.expect("the overall CDF is visited first"), per)
+}
+
+/// Figure 6's per-session CDFs of `metric` over preferred-route sessions,
+/// handed to `visit` by value: the overall CDF first (`None`), then each
+/// continent's in ascending order. A CDF is 16 B a session, so a visitor
+/// that reads what it needs and drops the CDF keeps one study's worth of
+/// samples alive at a time — the overall CDF is gone before the
+/// continents' builders exist.
+pub fn fig6_cdfs<S: PreferredSessions + ?Sized>(
     sessions: &S,
-    metric: impl Fn(f64, Option<f64>) -> Option<f64>,
-) -> (WeightedCdf, BTreeMap<u8, WeightedCdf>) {
-    let samples =
-        || sessions.preferred_sessions().filter_map(|(c, rtt, hd)| Some((c, metric(rtt, hd)?)));
-    // Count first, so every builder is born at its final size, and finish
-    // the overall CDF before the per-continent builders exist: a study's
-    // worth of samples is held once at a time, not twice.
+    metric: DegradationMetric,
+    mut visit: impl FnMut(Option<u8>, WeightedCdf),
+) {
+    let samples = || {
+        sessions.preferred_sessions().filter_map(|(c, min_rtt, hdratio)| match metric {
+            DegradationMetric::MinRtt => Some((c, min_rtt)),
+            DegradationMetric::HdRatio => Some((c, hdratio?)),
+        })
+    };
+    // Count first, so every builder is born at its final size.
     let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
     for (continent, _) in samples() {
         *counts.entry(continent).or_default() += 1;
     }
     let mut overall = CdfBuilder::with_capacity(counts.values().sum());
     samples().for_each(|(_, v)| overall.push(v));
-    let overall = overall.build();
+    visit(None, overall.build());
     let mut per: BTreeMap<u8, CdfBuilder> =
         counts.iter().map(|(&c, &n)| (c, CdfBuilder::with_capacity(n))).collect();
     for (continent, v) in samples() {
         per.get_mut(&continent).expect("continent was counted").push(v);
     }
-    (overall, per.into_iter().map(|(c, b)| (c, b.build())).collect())
+    per.into_iter().for_each(|(c, b)| visit(Some(c), b.build()));
 }
 
 /// HDratio CDFs per MinRTT bucket (Figure 7). Buckets follow the paper:

@@ -66,5 +66,7 @@ pub use segment::{
     CellSortKey, GroupEntry, SegmentIndex, SegmentReader, SegmentWriter, WindowCell, GROUP_ROWS,
     SEGMENT_MAGIC, SEGMENT_VERSION,
 };
-pub use sink::{RecordShard, RecordSink, SinkStats, StreamingCell, StreamingDataset};
+pub use sink::{
+    HdratioCounts, RecordShard, RecordSink, SinkStats, StreamingCell, StreamingDataset,
+};
 pub use streaming::StreamingAggregation;

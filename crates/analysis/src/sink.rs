@@ -16,9 +16,11 @@
 //!   ([`ColumnarSink::summarize`]) and the per-session view of Figures 6–7
 //!   are read off those rows; nothing else holds an exact sample, and
 //!   memory grows by those 20 bytes a session.
-//! - [`StreamingDataset`] — the production path (§3.4.1): bounded-memory
-//!   t-digest cells keyed exactly like the exact dataset's; no per-session
-//!   row is ever kept.
+//! - [`StreamingDataset`] — the production path (§3.4.1): t-digest cells
+//!   keyed exactly like the exact dataset's, each reduced to its summary
+//!   when the runner [seals](RecordShard::seal) the work item that filled
+//!   it; no per-session row is ever kept, and no digest outlives its
+//!   prefix.
 //! - `Vec<SessionRecord>` — every record whole (56 bytes): what the study
 //!   supervisor checkpoints, and the reference tests rebuild a
 //!   [`crate::Dataset`] from.
@@ -32,6 +34,8 @@
 pub use crate::columnar::{ColumnarShard, ColumnarSink};
 
 use crate::dataset::{CellSummary, GroupData, GroupSlots, Summaries};
+use crate::figures::HDRATIO_BELOW_ONE;
+use crate::hash::FxHashSet;
 use crate::record::{GroupKey, SessionRecord};
 use crate::streaming::StreamingAggregation;
 use edgeperf_routing::Relationship;
@@ -47,10 +51,12 @@ pub struct SinkStats {
     pub records: u64,
     /// Materialized (group, window, route-rank) cells.
     pub cells: u64,
-    /// Centroids currently held across every cell digest (streaming
-    /// sinks; 0 elsewhere) — the sink's bounded-memory footprint.
+    /// Centroids currently held (streaming sinks; 0 elsewhere): every open
+    /// cell's digests plus the sealed groups' Figure 6 rollups — the sink's
+    /// bounded-memory footprint.
     pub digest_centroids: u64,
-    /// Digest buffer-compression passes run (streaming sinks; 0 elsewhere).
+    /// Buffer-compression passes cell digests have run, sealed cells
+    /// included (streaming sinks; 0 elsewhere).
     pub digest_compressions: u64,
 }
 
@@ -58,6 +64,13 @@ pub struct SinkStats {
 pub trait RecordShard: Send {
     /// Record one measured session.
     fn push(&mut self, record: SessionRecord);
+
+    /// The runner finished work item `unit` (a prefix index): every record
+    /// of it has been pushed, and none for a group pushed so far will
+    /// follow. A shard may settle what it holds — [`StreamingDataset`]
+    /// reduces the item's cells to their summaries; the default keeps
+    /// everything as it is.
+    fn seal(&mut self, _unit: usize) {}
 }
 
 /// A destination for study records, assembled from per-worker shards.
@@ -85,8 +98,9 @@ pub trait RecordSink {
     fn merge_shard(&mut self, shard: Self::Shard);
 
     /// Called once by the runner after every shard has been merged.
-    /// Sinks with deferred state (digest insert buffers) settle it here
-    /// so post-run queries borrow `&self` without hidden work.
+    /// Sinks with deferred state (groups nobody sealed, a canonical group
+    /// order) settle it here so post-run queries borrow `&self` without
+    /// hidden work.
     fn finalize(&mut self) {}
 
     /// Summary counters (record/cell/digest totals) for observability.
@@ -197,166 +211,227 @@ impl StreamingCell {
     }
 }
 
+/// Figure 6's HDratio point masses over the preferred-route sessions of
+/// one continent (or of all): Figure 6 reads no HDratio quantile, only the
+/// share of sessions at 0 and at 1, so the streaming sink counts them as
+/// records arrive — three integers that add, equal to the exact sink's
+/// CDF readings bit for bit — where a digest would interpolate them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HdratioCounts {
+    /// Sessions with an HDratio.
+    pub tested: u64,
+    /// Of those, sessions with HDratio ≤ 0.
+    pub zero: u64,
+    /// Of those, sessions with HDratio ≤ [`HDRATIO_BELOW_ONE`].
+    pub below_one: u64,
+}
+
+impl HdratioCounts {
+    fn record(&mut self, hdratio: f64) {
+        self.tested += 1;
+        self.zero += u64::from(hdratio <= 0.0);
+        self.below_one += u64::from(hdratio <= HDRATIO_BELOW_ONE);
+    }
+
+    fn add(&mut self, other: &HdratioCounts) {
+        self.tested += other.tested;
+        self.zero += other.zero;
+        self.below_one += other.below_one;
+    }
+
+    /// Fraction of tested sessions with HDratio = 0, as
+    /// `WeightedCdf::fraction_leq(0.0)` divides it.
+    pub fn fraction_zero(&self) -> f64 {
+        self.zero as f64 / self.tested as f64
+    }
+
+    /// Fraction of tested sessions short of HDratio = 1
+    /// (`fraction_leq(HDRATIO_BELOW_ONE)`).
+    pub fn fraction_below_one(&self) -> f64 {
+        self.below_one as f64 / self.tested as f64
+    }
+}
+
+/// One user group once the runner has finished its work item: what the
+/// analyses read, and nothing a session wrote.
+#[derive(Debug, Clone)]
+struct SealedGroup {
+    /// The work item that pushed the group; sealed groups are ordered by it.
+    unit: usize,
+    key: GroupKey,
+    /// Every cell summarised by [`StreamingCell::summary`].
+    summaries: GroupData<CellSummary>,
+    /// The preferred route's MinRTT digests merged in window order.
+    minrtt: TDigest,
+}
+
 /// The streaming study dataset: the same (group → rank → window) cell
-/// layout as [`crate::Dataset`], but each cell is a pair of t-digests
-/// instead of sorted sample vectors. Memory is bounded by the number of
-/// *cells*, not the number of sessions.
+/// layout as [`crate::Dataset`], each cell a pair of t-digests instead of
+/// sorted sample vectors — for as long as its group is *open*. A
+/// 15-minute aggregation is final once its window is over, so when the
+/// runner reports a work item done ([`RecordShard::seal`]) every group
+/// pushed since the previous seal is reduced to its
+/// `GroupData<CellSummary>` plus one MinRTT digest for Figure 6, and its
+/// cells are dropped. Memory is bounded by the summaries (88 B a cell)
+/// and the open cells of the groups in flight, one per worker — not by
+/// the number of sessions, and not by the number of cells times a digest.
+///
+/// [`RecordSink::finalize`] seals whatever is still open (a caller that
+/// never sealed gets its groups in first-seen order) and orders sealed
+/// groups by work item, so summaries and the Figure 6 rollup are the same
+/// bits whichever worker ran which prefix. Queries that read sealed state
+/// panic with "finalize first" while a group is open.
 #[derive(Debug, Clone)]
 pub struct StreamingDataset {
-    pub(crate) grid: GroupSlots<StreamingCell>,
+    open: GroupSlots<StreamingCell>,
+    sealed: Vec<SealedGroup>,
+    /// Indexed by continent; grown on first sight.
+    hdratio: Vec<HdratioCounts>,
+    /// Compression passes run by cells sealed so far.
+    compressions: u64,
 }
 
 impl StreamingDataset {
     /// Empty dataset over a fixed number of 15-minute windows.
     pub fn new(n_windows: usize) -> Self {
-        StreamingDataset { grid: GroupSlots::new(n_windows) }
+        StreamingDataset {
+            open: GroupSlots::new(n_windows),
+            sealed: Vec::new(),
+            hdratio: Vec::new(),
+            compressions: 0,
+        }
     }
 
     /// Number of windows in the study.
     pub fn n_windows(&self) -> usize {
-        self.grid.n_windows
+        self.open.n_windows
     }
 
-    /// Number of user groups.
+    /// Number of user groups, sealed and open.
     pub fn len(&self) -> usize {
-        self.grid.slots.len()
+        self.sealed.len() + self.open.slots.len()
     }
 
     /// True when no record has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.grid.slots.is_empty()
+        self.len() == 0
     }
 
-    /// Iterate groups in insertion order (first record wins the slot).
+    /// Iterate the open groups in insertion order (first record wins the
+    /// slot): the digest cells of everything pushed since the last seal.
     pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &GroupData<StreamingCell>)> {
-        self.grid.slots.iter().map(|(k, g)| (k, g))
+        self.open.slots.iter().map(|(k, g)| (k, g))
     }
 
-    /// Data for one group, if present.
+    /// Digest cells of one open group, if present.
     pub fn get(&self, key: &GroupKey) -> Option<&GroupData<StreamingCell>> {
-        self.grid.get(key)
+        self.open.get(key)
     }
 
-    fn insert(&mut self, r: SessionRecord) {
-        assert!(r.route_rank < 8, "suspicious route rank {}", r.route_rank);
-        self.grid
-            .cell(r.group, r.route_rank as usize, r.window as usize, r.bytes)
-            .get_or_insert_with(|| StreamingCell::new(r.relationship))
-            .push(r.min_rtt_ms, r.hdratio, r.bytes, r.longer_path, r.more_prepended);
-    }
-
-    /// Fold another dataset (typically a worker shard) into this one.
-    /// Cells present on both sides merge via [`TDigest::merge`].
-    pub fn merge(&mut self, other: StreamingDataset) {
-        assert_eq!(self.n_windows(), other.n_windows(), "window-count mismatch");
-        for (key, g) in other.grid.slots {
-            for (rank, windows) in g.ranks.into_iter().enumerate() {
-                for (w, cell) in windows.into_iter().enumerate() {
-                    let Some(cell) = cell else { continue };
-                    match self.grid.cell(key, rank, w, cell.agg.bytes()) {
-                        Some(existing) => existing.merge(&cell),
-                        slot @ None => *slot = Some(cell),
-                    }
-                }
-            }
+    /// The counters of `continent`, grown to it on first sight.
+    fn hdratio_of(&mut self, continent: usize) -> &mut HdratioCounts {
+        if self.hdratio.len() <= continent {
+            self.hdratio.resize(continent + 1, HdratioCounts::default());
         }
+        &mut self.hdratio[continent]
     }
 
-    /// Flush every cell digest: subsequent queries are allocation-free
-    /// and the dataset holds centroids only. Each cell's insert buffers
-    /// are released as it is flushed, but finalizing does raise the peak:
-    /// a study's cells mostly hold ~80 samples, which is under the
-    /// digest's compression threshold, so an 8-byte buffered sample
-    /// becomes a 16-byte centroid nearly one for one — 13.9 M samples
-    /// into 8.26 M centroids, resident set 183 → 313 MB at seed 7
-    /// (7.72 M sessions) — beside freed buffers the allocator has not
-    /// reused yet. That step, not the run, sets `repro all --streaming`'s
-    /// peak, and is the next ceiling of the `offline_repro` workload.
-    /// The runner calls this through [`RecordSink::finalize`].
-    pub fn flush(&mut self) {
-        for (_, g) in &mut self.grid.slots {
-            for ws in &mut g.ranks {
-                for cell in ws.iter_mut().flatten() {
-                    cell.agg.flush();
-                }
-            }
-        }
+    fn assert_finalized(&self) {
+        assert!(self.open.slots.is_empty(), "finalize first: a group is still open");
     }
 
-    /// Summarise every cell once, groups in [`iter`](Self::iter) order.
+    /// Every cell's summary, groups in work-item order. Panics ("finalize
+    /// first") while a group is open.
     pub fn summarize(&self) -> Summaries {
-        Summaries {
-            groups: self.iter().map(|(k, g)| (*k, g.summarize(StreamingCell::summary))).collect(),
-        }
+        self.assert_finalized();
+        Summaries { groups: self.sealed.iter().map(|g| (g.key, g.summaries.clone())).collect() }
     }
 
-    /// Total traffic across the dataset.
-    pub fn total_bytes(&self) -> u64 {
-        self.grid.slots.iter().map(|(_, g)| g.total_bytes).sum()
-    }
-
-    /// Traffic carried on preferred routes only (rank 0).
-    pub fn preferred_bytes(&self) -> u64 {
-        self.iter().flat_map(|(_, g)| g.preferred()).map(|c| c.agg.bytes()).sum()
-    }
-
-    /// Number of materialized (group, window, route-rank) cells.
+    /// Number of materialized (group, window, route-rank) cells, sealed
+    /// and open.
     pub fn cell_count(&self) -> usize {
-        self.cells().count()
+        self.sealed_cells().count() + self.open_cells().count()
     }
 
-    /// Sessions recorded across every cell.
+    /// Sessions recorded across every cell, sealed and open.
     pub fn record_count(&self) -> usize {
-        self.cells().map(|c| c.agg.n()).sum()
+        self.sealed_cells().map(|c| c.n).sum::<usize>()
+            + self.open_cells().map(|c| c.agg.n()).sum::<usize>()
     }
 
-    fn cells(&self) -> impl Iterator<Item = &StreamingCell> {
+    fn sealed_cells(&self) -> impl Iterator<Item = &CellSummary> {
+        self.sealed.iter().flat_map(|g| g.summaries.cells())
+    }
+
+    fn open_cells(&self) -> impl Iterator<Item = &StreamingCell> {
         self.iter().flat_map(|(_, g)| g.cells())
     }
 
-    /// Total centroids held across every cell digest — the dataset's
-    /// memory footprint, bounded by cell count rather than session count.
+    /// Centroids held now — the sealed groups' rollup digests plus every
+    /// open cell's — the dataset's digest footprint.
     pub fn state_centroids(&self) -> usize {
-        self.cells().map(|c| c.agg.state_centroids()).sum()
+        self.sealed.iter().map(|g| g.minrtt.centroid_count()).sum::<usize>()
+            + self.open_cells().map(|c| c.agg.state_centroids()).sum::<usize>()
     }
 
-    /// Per-session MinRTT digests over preferred-route cells: overall and
-    /// per continent — the streaming analogue of
-    /// [`crate::figures::fig6_minrtt`], obtained by merging rank-0 cell
-    /// digests (each session contributes weight 1, as in the exact path).
+    /// Per-session MinRTT digests over preferred-route sessions: overall
+    /// and per continent — the streaming analogue of
+    /// [`crate::figures::fig6_minrtt`]: the sealed groups' digests merged
+    /// in work-item order (each session contributes weight 1, as in the
+    /// exact path). Panics ("finalize first") while a group is open.
     pub fn minrtt_rollup(&self) -> (TDigest, BTreeMap<u8, TDigest>) {
-        self.rank0_rollup(|c| c.agg.minrtt_digest())
-    }
-
-    /// Per-session HDratio digests over preferred-route cells, overall and
-    /// per continent (streaming analogue of [`crate::figures::fig6_hdratio`]).
-    pub fn hdratio_rollup(&self) -> (TDigest, BTreeMap<u8, TDigest>) {
-        self.rank0_rollup(|c| c.agg.hdratio_digest())
-    }
-
-    fn rank0_rollup(
-        &self,
-        digest: impl Fn(&StreamingCell) -> &TDigest,
-    ) -> (TDigest, BTreeMap<u8, TDigest>) {
+        self.assert_finalized();
         let mut overall = TDigest::new(100.0);
         let mut per: BTreeMap<u8, TDigest> = BTreeMap::new();
-        for (key, g) in self.iter() {
-            for cell in g.preferred() {
-                let d = digest(cell);
-                if d.is_empty() {
-                    continue;
-                }
-                overall.merge(d);
-                per.entry(key.continent).or_insert_with(|| TDigest::new(100.0)).merge(d);
-            }
+        for g in &self.sealed {
+            overall.merge(&g.minrtt);
+            per.entry(g.key.continent).or_insert_with(|| TDigest::new(100.0)).merge(&g.minrtt);
+        }
+        (overall, per)
+    }
+
+    /// Per-session HDratio point masses over preferred-route sessions:
+    /// overall and for every continent with a tested session (streaming
+    /// analogue of [`crate::figures::fig6_hdratio`]). Counted as records
+    /// arrive, so open groups are covered.
+    pub fn hdratio_rollup(&self) -> (HdratioCounts, BTreeMap<u8, HdratioCounts>) {
+        let mut overall = HdratioCounts::default();
+        let mut per = BTreeMap::new();
+        for (continent, counts) in self.hdratio.iter().enumerate().filter(|(_, c)| c.tested > 0) {
+            overall.add(counts);
+            per.insert(continent as u8, *counts);
         }
         (overall, per)
     }
 }
 
 impl RecordShard for StreamingDataset {
-    fn push(&mut self, record: SessionRecord) {
-        self.insert(record);
+    fn push(&mut self, r: SessionRecord) {
+        assert!(r.route_rank < 8, "suspicious route rank {}", r.route_rank);
+        self.open
+            .cell(r.group, r.route_rank as usize, r.window as usize, r.bytes)
+            .get_or_insert_with(|| StreamingCell::new(r.relationship))
+            .push(r.min_rtt_ms, r.hdratio, r.bytes, r.longer_path, r.more_prepended);
+        if let (0, Some(h)) = (r.route_rank, r.hdratio) {
+            self.hdratio_of(r.group.continent as usize).record(h);
+        }
+    }
+
+    /// Turn every open group into a [`SealedGroup`] of work item `unit`:
+    /// each cell flushed and summarised, the preferred route's MinRTT
+    /// digests merged oldest window first, the cells dropped.
+    fn seal(&mut self, unit: usize) {
+        for (key, mut group) in self.open.take() {
+            for cell in group.ranks.iter_mut().flatten().flatten() {
+                cell.agg.flush();
+                self.compressions += cell.agg.compressions();
+            }
+            let mut minrtt = TDigest::new(100.0);
+            group.preferred().for_each(|cell| minrtt.merge(cell.agg.minrtt_digest()));
+            minrtt.flush();
+            let summaries = group.summarize(StreamingCell::summary);
+            self.sealed.push(SealedGroup { unit, key, summaries, minrtt });
+        }
     }
 }
 
@@ -373,12 +448,41 @@ impl RecordSink for StreamingDataset {
         StreamingDataset::new(self.n_windows())
     }
 
+    /// Sealed groups are concatenated; cells open on both sides merge via
+    /// [`TDigest::merge`], cell by cell.
     fn merge_shard(&mut self, shard: StreamingDataset) {
-        self.merge(shard);
+        assert_eq!(self.n_windows(), shard.n_windows(), "window-count mismatch");
+        self.sealed.extend(shard.sealed);
+        self.compressions += shard.compressions;
+        for (continent, theirs) in shard.hdratio.iter().enumerate() {
+            self.hdratio_of(continent).add(theirs);
+        }
+        for (key, g) in shard.open.slots {
+            for (rank, windows) in g.ranks.into_iter().enumerate() {
+                for (w, cell) in windows.into_iter().enumerate() {
+                    let Some(cell) = cell else { continue };
+                    match self.open.cell(key, rank, w, cell.agg.bytes()) {
+                        Some(existing) => existing.merge(&cell),
+                        slot @ None => *slot = Some(cell),
+                    }
+                }
+            }
+        }
     }
 
+    /// Seal what is open and order the sealed groups by work item, so
+    /// nothing read afterwards depends on which worker ran which prefix.
+    /// A group sealed twice would be counted twice by every analysis: a
+    /// runner bug, and a panic naming the group.
     fn finalize(&mut self) {
-        self.flush();
+        // Groups nobody sealed follow every work item, in first-seen order
+        // (the sort is stable).
+        self.seal(usize::MAX);
+        self.sealed.sort_by_key(|g| g.unit);
+        let mut seen = FxHashSet::default();
+        for g in &self.sealed {
+            assert!(seen.insert(g.key), "group {:?} sealed twice", g.key);
+        }
     }
 
     fn stats(&self) -> SinkStats {
@@ -386,7 +490,8 @@ impl RecordSink for StreamingDataset {
             records: self.record_count() as u64,
             cells: self.cell_count() as u64,
             digest_centroids: self.state_centroids() as u64,
-            digest_compressions: self.cells().map(|c| c.agg.compressions()).sum(),
+            digest_compressions: self.compressions
+                + self.open_cells().map(|c| c.agg.compressions()).sum::<u64>(),
         }
     }
 
@@ -490,18 +595,22 @@ mod tests {
         assert!(s.digest_compressions > 0, "finalize flushed every digest");
     }
 
+    /// A group's grid as text: `{:?}` prints floats in shortest round-trip
+    /// form, so equal text means equal bits.
+    fn grid_bits(g: &GroupData<CellSummary>) -> String {
+        format!("{g:?}")
+    }
+
     #[test]
     fn streaming_dataset_mirrors_exact_dataset() {
         let records = synthetic(4_000);
         let exact = Dataset::from_records(&records, 4);
+        // Nothing seals this sink, so its digest cells can be inspected.
         let mut stream = StreamingDataset::new(4);
         for r in &records {
             RecordShard::push(&mut stream, *r);
         }
-        stream.flush();
         assert_eq!(stream.len(), exact.groups.len());
-        assert_eq!(stream.total_bytes(), exact.total_bytes());
-        assert_eq!(stream.preferred_bytes(), exact.preferred_bytes());
         for (key, g) in &exact.groups {
             let sg = stream.get(key).expect("group present");
             for (rank, ws) in g.ranks.iter().enumerate() {
@@ -524,6 +633,32 @@ mod tests {
                 }
             }
         }
+        // Sealed, the same cells are the summaries the analyses read, and
+        // the Figure 6 HDratio counters are the exact CDFs' readings.
+        let open: Vec<_> =
+            stream.iter().map(|(k, g)| (*k, g.summarize(StreamingCell::summary))).collect();
+        stream.finalize();
+        assert!(stream.iter().next().is_none(), "finalize leaves no group open");
+        assert_eq!((stream.len(), stream.cell_count()), (exact.groups.len(), exact.cell_count()));
+        let sealed = stream.summarize();
+        assert_eq!(sealed.preferred_bytes(), exact.preferred_bytes());
+        assert_eq!(sealed.groups.len(), open.len());
+        for ((ka, ga), (kb, gb)) in sealed.groups.iter().zip(&open) {
+            assert_eq!(ka, kb, "a sink nobody sealed keeps first-seen order");
+            assert_eq!(grid_bits(ga), grid_bits(gb));
+        }
+        let (hd, hd_cont) = stream.hdratio_rollup();
+        let (cdf, cdf_cont) = crate::figures::fig6_hdratio(&records[..]);
+        assert_eq!(hd.tested as f64, cdf.total_weight());
+        assert_eq!(hd.fraction_zero().to_bits(), cdf.fraction_leq(0.0).to_bits());
+        assert_eq!(
+            hd.fraction_below_one().to_bits(),
+            cdf.fraction_leq(HDRATIO_BELOW_ONE).to_bits()
+        );
+        assert_eq!(hd_cont.keys().collect::<Vec<_>>(), cdf_cont.keys().collect::<Vec<_>>());
+        for (c, counts) in &hd_cont {
+            assert_eq!(counts.fraction_zero().to_bits(), cdf_cont[c].fraction_leq(0.0).to_bits());
+        }
     }
 
     #[test]
@@ -543,7 +678,6 @@ mod tests {
         for s in shards.into_iter().rev() {
             sink.merge_shard(s);
         }
-        sink.finalize();
         assert_eq!(sink.len(), single.len());
         for (key, g) in single.iter() {
             let sg = sink.get(key).expect("group present");
@@ -560,6 +694,96 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sealed_groups_come_out_in_unit_order_whoever_sealed_them() {
+        // The runner's contract: one prefix → one worker, sealed with the
+        // prefix index when done. Whichever worker ran which prefix, and
+        // in whatever order shards merge, the finalized sink is the same
+        // bits — summaries, Figure 6 rollup, counters — as one shard that
+        // ran every prefix in order.
+        let records = synthetic(6_000);
+        let run = |workers: usize, owner: fn(u32) -> usize| {
+            let mut sink = StreamingDataset::new(4);
+            let mut shards: Vec<StreamingDataset> =
+                (0..workers).map(|_| sink.new_shard()).collect();
+            for prefix in 0..13u32 {
+                let shard = &mut shards[owner(prefix)];
+                records
+                    .iter()
+                    .filter(|r| r.group.prefix.base >> 16 == prefix)
+                    .for_each(|r| shard.push(*r));
+                shard.seal(prefix as usize);
+                assert!(shard.iter().next().is_none(), "sealing drops the cells");
+            }
+            shards.into_iter().rev().for_each(|s| sink.merge_shard(s));
+            sink.finalize();
+            sink
+        };
+        let (serial, stolen) = (run(1, |_| 0), run(3, |p| (p as usize * 7 + 1) % 3));
+        assert_eq!(serial.stats(), stolen.stats());
+        assert_eq!(serial.stats().records, 6_000);
+        assert_eq!(serial.hdratio_rollup(), stolen.hdratio_rollup());
+        let (a, b) = (serial.summarize(), stolen.summarize());
+        assert_eq!(a.groups.len(), 13);
+        for ((ka, ga), (kb, gb)) in a.groups.iter().zip(&b.groups) {
+            assert_eq!(ka, kb);
+            assert_eq!(grid_bits(ga), grid_bits(gb));
+        }
+        let prefixes: Vec<u32> = a.groups.iter().map(|(k, _)| k.prefix.base >> 16).collect();
+        assert_eq!(prefixes, (0..13).collect::<Vec<_>>(), "groups follow their work items");
+        let ((all_a, per_a), (all_b, per_b)) = (serial.minrtt_rollup(), stolen.minrtt_rollup());
+        assert_eq!(all_a.to_parts(), all_b.to_parts());
+        assert_eq!(per_a.len(), 5);
+        for (c, d) in &per_a {
+            assert_eq!(d.to_parts(), per_b[c].to_parts());
+        }
+        // And sealing changes no summary: the same records through a sink
+        // nobody sealed summarise to the same bits, group for group.
+        let mut unsealed = StreamingDataset::new(4);
+        records.iter().for_each(|r| unsealed.push(*r));
+        unsealed.finalize();
+        let by_key: BTreeMap<_, _> = unsealed.summarize().groups.into_iter().collect();
+        for (key, g) in &a.groups {
+            assert_eq!(grid_bits(g), grid_bits(&by_key[key]));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finalize first")]
+    fn summaries_of_an_open_group_do_not_exist() {
+        // A query over sealed state must not silently leave out a group
+        // that is still open; it refuses instead.
+        let mut ds = StreamingDataset::new(4);
+        synthetic(200).into_iter().filter(|r| r.group.prefix.base >> 16 < 2).for_each(|r| {
+            ds.push(r);
+        });
+        ds.seal(0);
+        ds.push(rec(5, 0, 0, 30.0, None));
+        // Counts cover open groups; the HDratio counters never wait.
+        assert_eq!((ds.len(), ds.record_count(), ds.stats().records), (3, 33, 33));
+        assert!(ds.hdratio_rollup().0.tested > 0);
+        let _ = ds.summarize();
+    }
+
+    #[test]
+    #[should_panic(expected = "finalize first")]
+    fn the_figure_6_rollup_of_an_open_group_does_not_exist() {
+        let mut ds = StreamingDataset::new(4);
+        ds.push(rec(5, 0, 0, 30.0, None));
+        let _ = ds.minrtt_rollup();
+    }
+
+    #[test]
+    #[should_panic(expected = "sealed twice")]
+    fn a_group_sealed_twice_is_a_runner_bug() {
+        let mut ds = StreamingDataset::new(4);
+        ds.push(rec(5, 0, 0, 30.0, None));
+        ds.seal(0);
+        ds.push(rec(5, 1, 0, 31.0, None));
+        ds.seal(1);
+        ds.finalize();
     }
 
     #[test]
@@ -599,11 +823,13 @@ mod tests {
                 rec((i % 8) as u32, (i % 4) as u32, ((i / 8) % 2) as u8, 10.0 + 90.0 * u, Some(u)),
             );
         }
-        ds.flush();
         let cells = 64;
         let centroids = ds.state_centroids();
         assert!(centroids < cells * 2 * 400, "state = {centroids} centroids");
-        // And the data is still queryable.
+        // Sealed, what is left is one rollup digest a group — and the
+        // data is still queryable.
+        ds.finalize();
+        assert!(ds.state_centroids() < 8 * 400, "state = {} centroids", ds.state_centroids());
         let (overall, per) = ds.minrtt_rollup();
         assert!((overall.quantile(0.5) - 55.0).abs() < 2.0);
         assert!(!per.is_empty());
@@ -619,6 +845,7 @@ mod tests {
             RecordShard::push(&mut ds, rec(3, 0, 0, 50.0 + jitter, None));
             RecordShard::push(&mut ds, rec(3, 0, 1, 45.0 + jitter, None));
         }
+        ds.finalize();
         let (cfg, ds) = (AnalysisConfig::default(), ds.summarize());
         let out =
             fig10_by_relationship(&cfg, &ds, RelPair::PeeringVsTransit).expect("valid comparison");

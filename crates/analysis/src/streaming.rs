@@ -59,8 +59,8 @@ impl StreamingAggregation {
 
     /// Flush both digests: their insert buffers are compressed in and
     /// released, so the aggregation holds centroids only and subsequent
-    /// queries are allocation-free. Sinks call this once at finalize time,
-    /// the live tier at window close.
+    /// queries are allocation-free. The streaming sink calls this when it
+    /// seals the cell's group, the live tier at window close.
     pub fn flush(&mut self) {
         self.minrtt.flush();
         self.hdratio.flush();
@@ -142,28 +142,6 @@ impl StreamingAggregation {
     /// Approximate variance of the HDratio median.
     pub fn hdratio_median_variance(&self) -> Option<f64> {
         median_variance(&self.hdratio)
-    }
-
-    /// Flatten into plain data for checkpointing: both digests as
-    /// [`edgeperf_stats::DigestParts`] plus the byte weight. Like
-    /// [`TDigest::to_parts`], the parts describe the flushed state.
-    pub fn to_parts(&self) -> (edgeperf_stats::DigestParts, edgeperf_stats::DigestParts, u64) {
-        (self.minrtt.to_parts(), self.hdratio.to_parts(), self.bytes)
-    }
-
-    /// Rebuild from [`to_parts`] output.
-    ///
-    /// [`to_parts`]: StreamingAggregation::to_parts
-    pub fn from_parts(
-        minrtt: edgeperf_stats::DigestParts,
-        hdratio: edgeperf_stats::DigestParts,
-        bytes: u64,
-    ) -> Self {
-        StreamingAggregation {
-            minrtt: TDigest::from_parts(minrtt),
-            hdratio: TDigest::from_parts(hdratio),
-            bytes,
-        }
     }
 }
 

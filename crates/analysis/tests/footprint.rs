@@ -1,5 +1,6 @@
-//! Footprint gate: a cell costs what it holds, and the exact sink holds
-//! every session once. Heap bytes are counted exactly by the counting
+//! Footprint gate: a cell costs what it holds, the streaming sink holds
+//! digests only for the group in flight, and the exact sink holds every
+//! session once. Heap bytes are counted exactly by the counting
 //! global allocator in `counting/`, which is why this is a test binary of
 //! its own with a single `#[test]`.
 
@@ -43,17 +44,26 @@ fn session(cell: u32, i: usize) -> SessionRecord {
     }
 }
 
-/// `per_cell` sessions in each of `groups` × 2 ranks × 4 windows cells,
-/// finalized.
-fn finalized_dataset(groups: u32, per_cell: usize) -> StreamingDataset {
-    let mut sink = StreamingDataset::new(4);
-    let mut shard = sink.new_shard();
-    for i in 0..per_cell {
-        for cell in 0..groups * 8 {
-            shard.push(session(cell, i));
+/// One worker's shard after groups `groups` × 2 ranks × 4 windows cells
+/// of `per_cell` sessions each, pushed group by group and — when `seal` —
+/// sealed as each is done, the way the runner does.
+fn streaming_shard(groups: std::ops::Range<u32>, per_cell: usize, seal: bool) -> StreamingDataset {
+    let mut shard = StreamingDataset::new(4);
+    for group in groups {
+        for i in 0..per_cell {
+            (group * 8..(group + 1) * 8).for_each(|cell| shard.push(session(cell, i)));
+        }
+        if seal {
+            shard.seal(group as usize);
         }
     }
-    sink.merge_shard(shard);
+    shard
+}
+
+/// A study of `groups` groups run through one sealing worker, finalized.
+fn sealed_dataset(groups: u32, per_cell: usize) -> StreamingDataset {
+    let mut sink = StreamingDataset::new(4);
+    sink.merge_shard(streaming_shard(0..groups, per_cell, true));
     sink.finalize();
     sink
 }
@@ -97,19 +107,40 @@ fn cells_cost_what_they_hold() {
         "an open 100,000-sample cell holds {bytes} B, parent {PARENT_100K_CELL_BYTES} B"
     );
 
-    // A finalized dataset holds centroids only. Its digest heap is its
-    // heap minus that of the same layout with one session per cell, whose
-    // digests are one exactly-sized centroid each.
-    let (skeleton, skeleton_bytes) = heap_of(|| finalized_dataset(64, 1));
-    let layout_bytes = skeleton_bytes - 16 * skeleton.state_centroids();
-    for per_cell in [30, 80, 600] {
-        let (dataset, bytes) = heap_of(|| finalized_dataset(64, per_cell));
-        let (digest_bytes, centroids) = (bytes - layout_bytes, dataset.state_centroids());
-        assert!(
-            2 * digest_bytes <= 3 * 16 * centroids,
-            "{per_cell} per cell: {digest_bytes} B of digest heap for {centroids} centroids"
-        );
-    }
+    // A sealed, finalized sink holds a summary a cell and one Figure 6
+    // rollup digest a group, so its heap does not grow with the sessions
+    // a cell saw: twenty times the sessions cost at most what the rollups
+    // gained, if anything (a fuller digest can merge to fewer centroids) —
+    // 16 B a centroid, and up to a quarter of slack in the list
+    // (`TDigest::flush` trims beyond that).
+    let groups = 64;
+    let (thin, thin_bytes) = heap_of(|| sealed_dataset(groups, 30));
+    let (thick, thick_bytes) = heap_of(|| sealed_dataset(groups, 600));
+    assert_eq!(thick.stats().records, 20 * thin.stats().records);
+    assert_eq!(thick.cell_count(), groups as usize * 8);
+    let gained = thick.state_centroids().saturating_sub(thin.state_centroids());
+    assert!(
+        thick_bytes <= thin_bytes + 20 * gained,
+        "600 a cell holds {thick_bytes} B, 30 a cell {thin_bytes} B; rollups gained {gained} centroids"
+    );
+    drop((thin, thick));
+
+    // And the run never holds more than that plus the group in flight:
+    // sealing group by group peaks at one group's open cells above what
+    // it ends up holding (and a flush's temporaries: a digest's centroids
+    // once more), where an unsealed run holds every group's.
+    let (_open, one_group_bytes) = heap_of(|| streaming_shard(0..1, 600, false));
+    let (_sealed, held, transient) = peak_above(|| sealed_dataset(groups, 600));
+    assert!(
+        transient <= one_group_bytes + one_group_bytes / 4,
+        "sealing peaked {transient} B above the {held} B it holds; one open group is {one_group_bytes} B"
+    );
+    let (_unsealed, all_open_bytes) = heap_of(|| streaming_shard(0..groups, 600, false));
+    assert!(
+        held + transient < all_open_bytes / 8,
+        "the sealed run peaks at {} B, every group open is {all_open_bytes} B",
+        held + transient
+    );
 
     // The exact sink holds every session once: a 20 B row, beside cell and
     // group tables the same layout has with one session per cell.

@@ -31,10 +31,13 @@
 //! Scale 1.0 reproduces the full configuration; CI uses ~0.1.
 //!
 //! `--streaming` runs the study through the bounded-memory t-digest sink
-//! instead of collecting every record: every figure and table is computed
-//! from the digest cells but figure 7 (a joint distribution over sessions,
-//! which no cell holds), skipped with a note. Per-worker scheduler
-//! counters are printed either way.
+//! instead of collecting every record: digest cells are reduced to their
+//! summaries as the runner finishes each prefix, and every figure and
+//! table is computed from those (figure 6 from per-prefix MinRTT digests
+//! and HDratio counters) but figure 7 (a joint distribution over sessions,
+//! which no cell holds), skipped with a note. The output is byte-identical
+//! run to run and at any worker count. Per-worker scheduler counters are
+//! printed either way.
 //!
 //! `--metrics` prints the observability snapshot (counters, gauges,
 //! latency histograms, phase spans) to stderr after the run;

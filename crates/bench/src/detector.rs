@@ -7,9 +7,9 @@
 //! statistically-guarded detector recovers and how often it cries wolf.
 
 use edgeperf_analysis::degradation::{degradation_events, DegradationMetric, WindowStatus};
-use edgeperf_analysis::{AnalysisConfig, Dataset};
+use edgeperf_analysis::{AnalysisConfig, ColumnarSink};
 use edgeperf_world::dynamics::route_condition;
-use edgeperf_world::{run_study, StudyConfig, World, WorldConfig};
+use edgeperf_world::{run_study_into, StudyConfig, World, WorldConfig};
 use serde::Serialize;
 
 /// Outcome of the validation.
@@ -48,9 +48,13 @@ pub fn run(seed: u64, days: u32, sessions: u32, threshold_ms: f64) -> DetectorSc
         parallelism: 0,
         ..Default::default()
     };
-    let records = run_study(&world, &cfg);
-    let n_windows = cfg.n_windows() as usize;
-    let ds = Dataset::from_records(&records, n_windows).summarize();
+    // Rows in, summaries out, rows dropped: 20 B a session while the
+    // study runs and nothing per session afterwards.
+    let ds = {
+        let mut sink = ColumnarSink::new(cfg.n_windows() as usize);
+        run_study_into(&world, &cfg, &mut sink);
+        sink.summarize()
+    };
     let acfg = AnalysisConfig::default();
 
     // Map group keys back to prefix indices for ground-truth lookup.

@@ -137,9 +137,11 @@ pub fn run_study(world: &World, cfg: &StudyConfig) -> Vec<SessionRecord> {
 /// unprocessed prefix from a shared atomic cursor, so a worker stuck on a
 /// heavy prefix (many routes, many sessions) does not leave its siblings
 /// idle the way static chunking does. Each worker pushes into its own
-/// thread-local shard; shards merge into `sink` at join time, in worker
-/// order. Every prefix is claimed exactly once, so per-cell contents are
-/// independent of the parallelism level.
+/// thread-local shard and [seals](RecordShard::seal) it with the prefix
+/// index after each prefix; shards merge into `sink` at join time, in
+/// worker order. Every prefix is claimed exactly once, so per-cell
+/// contents are independent of the parallelism level, and a sink that
+/// orders what it sealed by that index (the streaming one) is too.
 pub fn run_study_into<S: RecordSink>(world: &World, cfg: &StudyConfig, sink: &mut S) -> StudyStats {
     run_study_observed(world, cfg, sink, &Metrics::disabled())
 }
@@ -195,13 +197,16 @@ pub fn run_study_observed<S: RecordSink>(
                             if idx >= n {
                                 break;
                             }
-                            if enabled {
+                            let t0 = enabled.then(|| {
                                 queue_depth.record((n - idx) as u64);
-                                let t0 = Instant::now();
-                                run_prefix(world, cfg, idx, &mut shard, &mut counters);
+                                Instant::now()
+                            });
+                            run_prefix(world, cfg, idx, &mut shard, &mut counters);
+                            // The prefix is this worker's alone and is
+                            // done: the shard may settle it now.
+                            shard.seal(idx);
+                            if let Some(t0) = t0 {
                                 busy_ns += t0.elapsed().as_nanos() as u64;
-                            } else {
-                                run_prefix(world, cfg, idx, &mut shard, &mut counters);
                             }
                             counters.prefixes += 1;
                         }
@@ -227,8 +232,8 @@ pub fn run_study_observed<S: RecordSink>(
         });
     }
     {
-        // Let the sink settle deferred state (e.g. digest insert buffers)
-        // so post-run queries borrow `&self` without hidden work.
+        // Let the sink settle deferred state (e.g. the order of sealed
+        // groups) so post-run queries borrow `&self` without hidden work.
         let _finalize = metrics.span("study.finalize");
         sink.finalize();
     }

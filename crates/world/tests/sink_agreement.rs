@@ -2,10 +2,11 @@
 //! sinks, across parallelism levels, on a skewed world.
 //!
 //! The work-stealing scheduler hands each prefix to exactly one worker,
-//! so the record *multiset* (Vec sink) and the per-cell digests
-//! (streaming sink) must be independent of the worker count; and the
-//! streaming cells must agree with the exact aggregations to within the
-//! t-digest approximation bounds, with sample extremes preserved exactly.
+//! so the record *multiset* (Vec sink) and everything the streaming sink
+//! answers once finalized (it seals each prefix under its index) must be
+//! independent of the worker count; and the streaming cells must agree
+//! with the exact aggregations to within the t-digest approximation
+//! bounds, with sample extremes preserved exactly.
 
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
@@ -60,45 +61,40 @@ fn vec_sink_multiset_identical_across_parallelism() {
 
 #[test]
 fn streaming_cells_identical_across_parallelism() {
+    // The twin of `vec_sink_multiset_identical_across_parallelism`: one
+    // prefix is claimed by exactly one worker and sealed under its index,
+    // so everything a finalized streaming sink answers — summaries in
+    // group order, the Figure 6 MinRTT rollup, the HDratio counters, its
+    // stats — is the same bits whichever worker ran which prefix.
     let (world, cfg) = skewed();
+    let cfg = StudyConfig { sessions_per_group_window: 20, ..cfg };
     let windows = cfg.n_windows() as usize;
     let mut runs: Vec<StreamingDataset> = [1usize, 4]
         .iter()
         .map(|&p| {
             let mut ds = StreamingDataset::new(windows);
             run_study_into(&world, &StudyConfig { parallelism: p, ..cfg }, &mut ds);
+            assert!(ds.iter().next().is_none(), "the runner sealed every prefix");
             ds
         })
         .collect();
     let b = runs.pop().unwrap();
     let a = runs.pop().unwrap();
-    assert_eq!(a.len(), b.len());
-    for (key, ga) in a.iter() {
-        let gb = b.get(key).expect("group present in both runs");
-        assert_eq!(ga.total_bytes, gb.total_bytes);
-        assert_eq!(ga.ranks.len(), gb.ranks.len());
-        for rank in 0..ga.ranks.len() {
-            for w in 0..windows {
-                match (ga.cell(rank, w), gb.cell(rank, w)) {
-                    (Some(ca), Some(cb)) => {
-                        // One prefix is claimed by exactly one worker, so
-                        // each cell sees one insertion stream regardless of
-                        // parallelism: digests are bit-identical.
-                        let (x, y) = (&ca.agg, &cb.agg);
-                        assert_eq!(x.n(), y.n());
-                        assert_eq!(x.bytes(), y.bytes());
-                        assert_eq!(x.min_rtt_p50().to_bits(), y.min_rtt_p50().to_bits());
-                        assert_eq!(
-                            x.hdratio_p50().map(f64::to_bits),
-                            y.hdratio_p50().map(f64::to_bits)
-                        );
-                    }
-                    (None, None) => {}
-                    other => panic!("cell presence differs at rank {rank} window {w}: {other:?}"),
-                }
-            }
-        }
+    assert_eq!(a.stats(), b.stats());
+    assert!(a.stats().cells > 50 && a.stats().digest_compressions > 0, "{:?}", a.stats());
+    assert_summaries_identical(&a.summarize(), &b.summarize());
+    let prefixes: Vec<_> = a.summarize().groups.iter().map(|(k, _)| k.prefix).collect();
+    let world_order: Vec<_> = world.prefixes.iter().map(|p| p.prefix).collect();
+    assert_eq!(prefixes, world_order, "groups come out in prefix order");
+    let ((all_a, per_a), (all_b, per_b)) = (a.minrtt_rollup(), b.minrtt_rollup());
+    assert_eq!(all_a.to_parts(), all_b.to_parts());
+    assert_eq!(per_a.keys().collect::<Vec<_>>(), per_b.keys().collect::<Vec<_>>());
+    for (continent, digest) in &per_a {
+        assert_eq!(digest.to_parts(), per_b[continent].to_parts(), "continent {continent}");
     }
+    let (hd, hd_per) = a.hdratio_rollup();
+    assert!(hd.tested > 0 && hd.zero > 0 && hd.below_one > hd.zero, "{hd:?}");
+    assert_eq!((hd, hd_per), b.hdratio_rollup());
 }
 
 #[test]
@@ -108,19 +104,19 @@ fn streaming_cells_agree_with_exact_aggregations() {
     let windows = cfg.n_windows() as usize;
 
     let mut records: Vec<SessionRecord> = Vec::new();
-    let vec_stats = run_study_into(&world, &cfg, &mut records);
+    run_study_into(&world, &cfg, &mut records);
     let exact = Dataset::from_records(&records, windows);
 
+    // The runner seals a prefix's cells as soon as it is done; pushing its
+    // records into a sink nobody seals keeps the digests inspectable.
     let mut stream = StreamingDataset::new(windows);
-    let stream_stats = run_study_into(&world, &cfg, &mut stream);
-    assert_eq!(vec_stats.total(), stream_stats.total());
+    records.iter().for_each(|r| stream.push(*r));
 
     assert_eq!(stream.len(), exact.groups.len());
-    assert_eq!(stream.total_bytes(), exact.total_bytes());
-    assert_eq!(stream.preferred_bytes(), exact.preferred_bytes());
     let mut cells = 0usize;
     for (key, g) in &exact.groups {
         let sg = stream.get(key).expect("group present in stream");
+        assert_eq!(sg.total_bytes, g.total_bytes);
         for (rank, ws) in g.ranks.iter().enumerate() {
             for (w, cell) in ws.iter().enumerate() {
                 let Some(cell) = cell else {
@@ -155,6 +151,25 @@ fn streaming_cells_agree_with_exact_aggregations() {
         }
     }
     assert!(cells > 50, "too few cells to be meaningful: {cells}");
+
+    // The study run, which does seal, summarises those cells to the same
+    // bits and counts the same sessions.
+    let mut sealed = StreamingDataset::new(windows);
+    let stats = run_study_into(&world, &cfg, &mut sealed);
+    assert_eq!(stats.total().records_emitted, records.len() as u64);
+    assert_eq!(sealed.stats().records, records.len() as u64);
+    assert_eq!(sealed.cell_count(), cells);
+    let sealed = sealed.summarize();
+    assert_eq!(sealed.preferred_bytes(), exact.preferred_bytes());
+    stream.finalize();
+    let by_key: std::collections::HashMap<_, _> = stream.summarize().groups.into_iter().collect();
+    for (key, g) in sealed.groups {
+        let unsealed = by_key[&key].clone();
+        assert_summaries_identical(
+            &Summaries { groups: vec![(key, g)] },
+            &Summaries { groups: vec![(key, unsealed)] },
+        );
+    }
 }
 
 /// Cell-by-cell bit equality of two exact datasets.

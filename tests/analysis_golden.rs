@@ -1,21 +1,26 @@
 //! Tier-1 golden for the §§4–6 analyses: a small seeded study through the
 //! exact sink must render fig8, fig9, fig10, Table 1 and Table 2 — and
 //! through the streaming sink fig10 — and a wider, thinner one fig6 and
-//! fig7, to exactly the bytes recorded in
-//! `tests/golden/analysis_small.json`. Each part was recorded at the
-//! commit before its rewrite: the analyses before they read cell
+//! fig7 — and through the streaming sink fig6 — to exactly the bytes
+//! recorded in `tests/golden/analysis_small.json`. Each part was recorded
+//! at the commit before its rewrite: the analyses before they read cell
 //! summaries (PR 13), fig6 and fig7 — then computed from a
 //! `Vec<SessionRecord>` — before they read the columnar sink's rows
-//! (PR 14). Floats are written in Rust's shortest round-trip form, so
-//! equal text means equal bits.
+//! (PR 14). The streaming fig6 line was recorded when the sink began to
+//! seal groups in prefix order (PR 19), before which it was not
+//! reproducible; its HDratio half must equal the exact line's. Floats are
+//! written in Rust's shortest round-trip form, so equal text means equal
+//! bits.
 
 use edgeperf::analysis::figures::{
     fig10_by_relationship, fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt, fig8_degradation,
-    fig9_opportunity, DiffCdfs, RelPair,
+    fig9_opportunity, DiffCdfs, RelPair, HDRATIO_BELOW_ONE,
 };
+use edgeperf::analysis::sink::HdratioCounts;
 use edgeperf::analysis::tables::{table1, table2, AnalysisKind, Table1};
 use edgeperf::analysis::{AnalysisConfig, ColumnarSink, DegradationMetric, StreamingDataset};
 use edgeperf::stats::cdf::WeightedCdf;
+use edgeperf::stats::TDigest;
 use edgeperf::world::{run_study_into, StudyConfig, World, WorldConfig};
 use std::collections::BTreeMap;
 
@@ -64,24 +69,39 @@ fn table1_json(name: &str, t: &Table1) -> String {
     )
 }
 
-type Fig6 = (WeightedCdf, BTreeMap<u8, WeightedCdf>);
+fn by_continent<D>(per: &BTreeMap<u8, D>, stat: impl Fn(&D) -> f64) -> String {
+    let rows: Vec<String> = per.iter().map(|(c, d)| format!("[{c}, {:?}]", stat(d))).collect();
+    rows.join(", ")
+}
 
-/// Figure 6 as `repro` summarises it, every number exact.
-fn fig6_json((mr, mr_cont): &Fig6, (hd, hd_cont): &Fig6) -> String {
-    let by_continent = |per: &BTreeMap<u8, WeightedCdf>, stat: fn(&WeightedCdf) -> f64| {
-        let rows: Vec<String> = per.iter().map(|(c, d)| format!("[{c}, {:?}]", stat(d))).collect();
-        rows.join(", ")
-    };
+/// The MinRTT half of Figure 6 as `repro` summarises it, every number
+/// exact: sessions, p50, p80 and the per-continent medians.
+fn fig6_minrtt_json<D>(
+    (all, per): &(D, BTreeMap<u8, D>),
+    count: impl Fn(&D) -> f64,
+    quantile: impl Fn(&D, f64) -> f64,
+) -> String {
     format!(
-        "{{\"fig6\": {:?}, \"minrtt_p50\": {:?}, \"minrtt_p80\": {:?}, \"minrtt_p50_by_continent\": [{}], \"tested\": {:?}, \"hdratio_eq0\": {:?}, \"hdratio_eq1\": {:?}, \"hdratio_eq0_by_continent\": [{}]}}",
-        mr.total_weight(),
-        mr.quantile(0.5),
-        mr.quantile(0.8),
-        by_continent(mr_cont, |d| d.quantile(0.5)),
-        hd.total_weight(),
-        hd.fraction_leq(0.0),
-        1.0 - hd.fraction_leq(1.0 - 1e-9),
-        by_continent(hd_cont, |d| d.fraction_leq(0.0)),
+        "\"fig6\": {:?}, \"minrtt_p50\": {:?}, \"minrtt_p80\": {:?}, \"minrtt_p50_by_continent\": [{}]",
+        count(all),
+        quantile(all, 0.5),
+        quantile(all, 0.8),
+        by_continent(per, |d| quantile(d, 0.5)),
+    )
+}
+
+/// The HDratio half: tested sessions, the point masses at 0 and 1, and
+/// the per-continent mass at 0 — `(tested, at 0, below 1)` fractions read
+/// off whatever holds the distribution.
+fn fig6_hdratio_json<D>(
+    (all, per): &(D, BTreeMap<u8, D>),
+    masses: impl Fn(&D) -> (f64, f64, f64),
+) -> String {
+    let (tested, zero, below_one) = masses(all);
+    format!(
+        "\"tested\": {tested:?}, \"hdratio_eq0\": {zero:?}, \"hdratio_eq1\": {:?}, \"hdratio_eq0_by_continent\": [{}]",
+        1.0 - below_one,
+        by_continent(per, |d| masses(d).1),
     )
 }
 
@@ -91,7 +111,7 @@ fn fig7_json(label: &str, cdf: &WeightedCdf) -> String {
         cdf.total_weight(),
         cdf.fraction_leq(0.0),
         cdf.quantile(0.5),
-        1.0 - cdf.fraction_leq(1.0 - 1e-9)
+        1.0 - cdf.fraction_leq(HDRATIO_BELOW_ONE)
     )
 }
 
@@ -117,7 +137,12 @@ fn render() -> String {
         World::generate(WorldConfig { seed: 11, country_fraction: 1.0, ..Default::default() });
     let mut sessions = ColumnarSink::new(windows);
     run_study_into(&wide, &StudyConfig { sessions_per_group_window: 4, ..study }, &mut sessions);
-    let mut exact = vec![fig6_json(&fig6_minrtt(&sessions), &fig6_hdratio(&sessions))];
+    let exact_hdratio = fig6_hdratio_json(&fig6_hdratio(&sessions), |d: &WeightedCdf| {
+        (d.total_weight(), d.fraction_leq(0.0), d.fraction_leq(HDRATIO_BELOW_ONE))
+    });
+    let exact_minrtt =
+        fig6_minrtt_json(&fig6_minrtt(&sessions), WeightedCdf::total_weight, WeightedCdf::quantile);
+    let mut exact = vec![format!("{{{exact_minrtt}, {exact_hdratio}}}")];
     exact
         .extend(fig7_hdratio_by_minrtt(&sessions).iter().map(|(label, cdf)| fig7_json(label, cdf)));
 
@@ -151,7 +176,18 @@ fn render() -> String {
         exact.push(format!("{{\"table2\": \"{label}\", \"rows\": {}}}", list(rows, "    ")));
     }
 
-    let streaming = PAIRS.map(|p| diff_json(p.label(), fig10_by_relationship(&cfg, &stream, p)));
+    // Streaming Figure 6 over the same wide study: MinRTT off the rollup
+    // digests, HDratio off the counters — which are not an approximation.
+    let mut digests = StreamingDataset::new(windows);
+    run_study_into(&wide, &StudyConfig { sessions_per_group_window: 4, ..study }, &mut digests);
+    let stream_hdratio = fig6_hdratio_json(&digests.hdratio_rollup(), |n: &HdratioCounts| {
+        (n.tested as f64, n.fraction_zero(), n.fraction_below_one())
+    });
+    assert_eq!(stream_hdratio, exact_hdratio, "HDratio point masses are counted, hence exact");
+    let stream_minrtt =
+        fig6_minrtt_json(&digests.minrtt_rollup(), TDigest::count, TDigest::quantile);
+    let mut streaming = vec![format!("{{{stream_minrtt}, {stream_hdratio}}}")];
+    streaming.extend(PAIRS.map(|p| diff_json(p.label(), fig10_by_relationship(&cfg, &stream, p))));
 
     format!(
         "{{\n  \"exact\": {},\n  \"streaming\": {}\n}}\n",
