@@ -46,10 +46,18 @@ fn num(v: &Value, what: &str) -> Result<f64, DeError> {
 
 fn int(v: &Value, what: &str) -> Result<u64, DeError> {
     let n = num(v, what)?;
-    if n < 0.0 || n.fract() != 0.0 {
+    // `u64::MAX as f64` is 2^64: the first value `as u64` would saturate.
+    if n < 0.0 || n.fract() != 0.0 || n >= u64::MAX as f64 {
         return Err(DeError(format!("{what}: expected non-negative integer, got {n}")));
     }
     Ok(n as u64)
+}
+
+/// [`int`], narrowed to the field's own type: a checkpoint is outside
+/// input, so a value its column cannot hold is an error, not a wrap.
+fn narrow<T: TryFrom<u64>>(v: &Value, what: &str) -> Result<T, DeError> {
+    let n = int(v, what)?;
+    T::try_from(n).map_err(|_| DeError(format!("column {what}: {n} is out of range")))
 }
 
 fn boolean(v: &Value, what: &str) -> Result<bool, DeError> {
@@ -153,16 +161,13 @@ impl PersistentSink for Vec<SessionRecord> {
             .map(|i| {
                 Ok(SessionRecord {
                     group: GroupKey {
-                        pop: PopId(int(&pop[i], "pop")? as u16),
-                        prefix: Prefix::new(
-                            int(&base[i], "base")? as u32,
-                            int(&plen[i], "plen")? as u8,
-                        ),
-                        country: int(&country[i], "country")? as u16,
-                        continent: int(&continent[i], "continent")? as u8,
+                        pop: PopId(narrow(&pop[i], "pop")?),
+                        prefix: Prefix::new(narrow(&base[i], "base")?, narrow(&plen[i], "plen")?),
+                        country: narrow(&country[i], "country")?,
+                        continent: narrow(&continent[i], "continent")?,
                     },
-                    window: int(&window[i], "window")? as u32,
-                    route_rank: int(&rank[i], "rank")? as u8,
+                    window: narrow(&window[i], "window")?,
+                    route_rank: narrow(&rank[i], "rank")?,
                     relationship: rel_from_code(int(&rel[i], "rel")?)?,
                     longer_path: boolean(&longer[i], "longer")?,
                     more_prepended: boolean(&prepended[i], "prepended")?,
@@ -244,6 +249,21 @@ mod tests {
         let empty: Vec<SessionRecord> = Vec::new();
         let restored = <Vec<SessionRecord>>::load(&empty.save()).unwrap();
         assert!(restored.is_empty());
+    }
+
+    #[test]
+    fn a_value_its_column_cannot_hold_is_an_error_not_another_record() {
+        for (column, value) in
+            [("pop", 65_536.0), ("plen", 256.0), ("rank", 256.0), ("window", 4_294_967_296.0)]
+        {
+            let mut v = synthetic(3).save();
+            if let Value::Object(members) = &mut v {
+                let (_, col) = members.iter_mut().find(|(k, _)| k == column).unwrap();
+                *col = Value::Array(vec![Value::Num(0.0), Value::Num(value), Value::Num(0.0)]);
+            }
+            let err = <Vec<SessionRecord>>::load(&v).expect_err(column);
+            assert_eq!(err.0, format!("column {column}: {value} is out of range"));
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@
 //! chaos pair; each PoP of a `--fleet-pops` fleet and the fleet's
 //! single-node control).
 
-use edgeperf_bench::flag_value as value;
+use edgeperf::flag_value as value;
 use edgeperf_bench::fleet_run::{run_fleet, run_fleet_at, FleetRunOpts};
 use edgeperf_bench::loadgen::{
     run, run_chaos, ChaosRunOpts, LoadReport, LoadgenConfig, WireMode, CHAOS_SPILL_RETENTION,

@@ -55,10 +55,10 @@
 //! flag implies `--supervised`. `--quick` shrinks the study to scale 0.1
 //! unless `--scale` is given.
 
+use edgeperf::flag_value as value;
 use edgeperf_analysis::sink::RecordSink;
 use edgeperf_bench::{
-    ablations, cc_compare, detector, env_scale, fig4, fig5, flag_value as value, naive, study,
-    validation, workload_figs,
+    ablations, cc_compare, detector, env_scale, fig4, fig5, naive, study, validation, workload_figs,
 };
 use edgeperf_obs::{render_table, Metrics};
 use std::fmt::Write as _;

@@ -25,6 +25,8 @@
 //!
 //! [`minrtt`] provides the kernel-style windowed MinRTT tracker and
 //! [`sampler`] the deterministic session sampling used in production.
+//! [`plan`] is the `kind:arg@arg` grammar the fault plans of the world,
+//! live and fleet tiers are all written in.
 
 pub mod error;
 pub mod estimator;
@@ -32,6 +34,7 @@ pub mod gtestable;
 pub mod hdratio;
 pub mod instrument;
 pub mod minrtt;
+pub mod plan;
 pub mod sampler;
 pub mod tmodel;
 pub mod types;

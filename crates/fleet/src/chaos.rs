@@ -4,9 +4,11 @@
 //! node; a [`FleetChaosPlan`] operates one level up — it removes whole
 //! PoPs from the fleet at a deterministic record count, forcing the
 //! coordinator to re-home the dead PoP's catchment and the clients to
-//! resume on survivors. Same spec-string idiom as `ChaosPlan` so runs
-//! are reproducible from a single CLI flag.
+//! resume on survivors. Same spec grammar as `ChaosPlan`
+//! ([`edgeperf_core::plan`]) so runs are reproducible from a single CLI
+//! flag.
 
+use edgeperf_core::plan::{clauses, write_clauses, PlanError};
 use std::fmt;
 
 /// Kill one PoP after the fleet has ingested a number of records.
@@ -35,49 +37,20 @@ pub struct FleetChaosPlan {
     pub seed: u64,
 }
 
-/// A malformed fleet chaos spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetChaosPlanError(pub String);
-
-impl fmt::Display for FleetChaosPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid fleet chaos plan: {}", self.0)
-    }
-}
-
-impl std::error::Error for FleetChaosPlanError {}
-
-fn parse_u64(s: &str, clause: &str) -> Result<u64, FleetChaosPlanError> {
-    s.parse()
-        .map_err(|_| FleetChaosPlanError(format!("`{clause}`: expected an integer, got `{s}`")))
-}
-
 impl FleetChaosPlan {
-    /// Parse a spec string; the empty string is the empty plan.
-    pub fn parse(spec: &str) -> Result<FleetChaosPlan, FleetChaosPlanError> {
+    /// Parse a spec string (the grammar is [`edgeperf_core::plan`]'s);
+    /// the empty string is the empty plan.
+    pub fn parse(spec: &str) -> Result<FleetChaosPlan, PlanError> {
         let mut plan = FleetChaosPlan::default();
-        for clause in spec.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let (kind, body) = clause
-                .split_once(':')
-                .ok_or_else(|| FleetChaosPlanError(format!("`{clause}`: expected `kind:args`")))?;
-            match kind {
+        for clause in clauses("fleet chaos plan", spec) {
+            let clause = clause?;
+            match clause.kind {
                 "kill" => {
-                    let (pop, after) = body.split_once('@').ok_or_else(|| {
-                        FleetChaosPlanError(format!("`{clause}`: expected `kill:POP@RECORDS`"))
-                    })?;
-                    plan.kills.push(FleetKill {
-                        pop: parse_u64(pop, clause)?.try_into().map_err(|_| {
-                            FleetChaosPlanError(format!("`{clause}`: PoP id out of range"))
-                        })?,
-                        after_records: parse_u64(after, clause)?,
-                    });
+                    let [pop, after_records] = clause.args([None, None])?;
+                    plan.kills.push(FleetKill { pop: clause.fit(pop)?, after_records });
                 }
-                "seed" => plan.seed = parse_u64(body, clause)?,
-                other => return Err(FleetChaosPlanError(format!("unknown clause kind `{other}`"))),
+                "seed" => plan.seed = clause.args([None])?[0],
+                _ => return Err(clause.error("unknown clause kind")),
             }
         }
         Ok(plan)
@@ -99,29 +72,37 @@ impl FleetChaosPlan {
 impl fmt::Display for FleetChaosPlan {
     /// Canonical spec form — `parse(plan.to_string())` round-trips.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| -> fmt::Result {
-            if !first {
-                write!(f, ";")?;
-            }
-            first = false;
-            Ok(())
-        };
-        for kill in &self.kills {
-            sep(f)?;
-            write!(f, "kill:{}@{}", kill.pop, kill.after_records)?;
-        }
-        if self.seed != 0 {
-            sep(f)?;
-            write!(f, "seed:{}", self.seed)?;
-        }
-        Ok(())
+        let mut clauses: Vec<String> =
+            self.kills.iter().map(|k| format!("kill:{}@{}", k.pop, k.after_records)).collect();
+        clauses.extend((self.seed != 0).then(|| format!("seed:{}", self.seed)));
+        write_clauses(f, &clauses)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Plans generated from the struct side.
+    fn plans() -> impl Strategy<Value = FleetChaosPlan> {
+        (prop::collection::vec((any::<u16>(), any::<u64>()), 0..4), any::<u64>()).prop_map(
+            |(kills, seed)| FleetChaosPlan {
+                kills: kills
+                    .into_iter()
+                    .map(|(pop, after_records)| FleetKill { pop, after_records })
+                    .collect(),
+                seed,
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn every_plan_round_trips_through_its_spec(plan in plans()) {
+            prop_assert_eq!(FleetChaosPlan::parse(&plan.to_string()), Ok(plan));
+        }
+    }
 
     #[test]
     fn empty_spec_is_the_empty_plan() {

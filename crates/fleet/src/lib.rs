@@ -41,8 +41,9 @@ use std::io;
 use edgeperf_live::ProtocolError;
 
 pub use catchment::{CatchmentModel, ClientKey, PopSite, CONTINENTS};
-pub use chaos::{FleetChaosPlan, FleetChaosPlanError, FleetKill};
+pub use chaos::{FleetChaosPlan, FleetKill};
 pub use coordinator::{Fleet, FleetClient, FleetConfig, FleetHandle, FleetPopInfo, KillReport};
+pub use edgeperf_core::plan::PlanError;
 pub use merge::{merge_cells, merge_snapshots};
 
 /// Typed coordinator/fleet errors (no stringly `Result<_, String>`).

@@ -3,9 +3,10 @@
 //! [`ChaosPlan`] is the network-tier sibling of the offline
 //! supervisor's `FaultPlan` (`edgeperf_world::supervisor`): a seeded,
 //! fully deterministic schedule of faults parsed from a compact spec
-//! string, so a chaos run is exactly reproducible and CI can assert on
-//! its outcome. The same grammar describes faults on both sides of the
-//! wire; each side applies only the clauses that concern it:
+//! string (the grammar is [`edgeperf_core::plan`]'s, shared with that
+//! plan and the fleet's), so a chaos run is exactly reproducible and CI
+//! can assert on its outcome. One plan describes faults on both sides
+//! of the wire; each side applies only the clauses that concern it:
 //!
 //! - **client side** (loadgen `--chaos`, [`WireChaos`]): `disconnect`
 //!   (drop the data connection at a record boundary), `torn` (send a
@@ -25,6 +26,7 @@
 //! `seed` feeds the client's backoff jitter (`client::RetryPolicy`);
 //! everything else is schedule-driven and needs no randomness at all.
 
+use edgeperf_core::plan::{clauses, write_clauses, PlanError};
 use std::fmt;
 use std::time::Duration;
 
@@ -99,82 +101,48 @@ pub struct ChaosPlan {
     pub seed: Option<u64>,
 }
 
-/// A malformed chaos spec (unknown clause kind or bad numbers).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosPlanError(pub String);
-
-impl fmt::Display for ChaosPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid chaos plan: {}", self.0)
-    }
-}
-
-impl std::error::Error for ChaosPlanError {}
-
-fn parse_u64(s: &str, clause: &str) -> Result<u64, ChaosPlanError> {
-    s.trim().parse().map_err(|_| ChaosPlanError(format!("bad number in `{clause}`")))
-}
-
-/// Parse `A@B` with a default `B` when the `@` part is absent.
-fn parse_pair(body: &str, clause: &str, default_second: u64) -> Result<(u64, u64), ChaosPlanError> {
-    match body.split_once('@') {
-        Some((a, b)) => Ok((parse_u64(a, clause)?, parse_u64(b, clause)?)),
-        None => Ok((parse_u64(body, clause)?, default_second)),
-    }
-}
-
 impl ChaosPlan {
-    /// Parse a spec string. Empty (or all-whitespace) spec = empty plan.
-    pub fn parse(spec: &str) -> Result<ChaosPlan, ChaosPlanError> {
+    /// Parse a spec string (the grammar is [`edgeperf_core::plan`]'s).
+    /// Empty (or all-whitespace) spec = empty plan.
+    pub fn parse(spec: &str) -> Result<ChaosPlan, PlanError> {
         let mut plan = ChaosPlan::default();
-        for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
-            let (kind, body) = clause
-                .split_once(':')
-                .ok_or_else(|| ChaosPlanError(format!("clause `{clause}` has no `:`")))?;
-            match kind.trim() {
-                "disconnect" => plan.disconnects.push(parse_u64(body, clause)?),
-                "torn" => plan.torn.push(parse_u64(body, clause)?),
+        for clause in clauses("chaos plan", spec) {
+            let clause = clause?;
+            match clause.kind {
+                "disconnect" => plan.disconnects.push(clause.args([None])?[0]),
+                "torn" => plan.torn.push(clause.args([None])?[0]),
                 "stall" => {
-                    let (record, millis) = parse_pair(body, clause, 0)?;
+                    let [record, millis] = clause.args([None, Some(0)])?;
                     if millis == 0 {
-                        return Err(ChaosPlanError(format!("`{clause}` needs `record@millis`")));
+                        return Err(clause.error("needs `record@millis`"));
                     }
                     plan.stalls.push(ChaosStall { record, millis });
                 }
                 "panic" => {
-                    let (worker, after) = parse_pair(body, clause, 0)?;
+                    let [worker, after_records] = clause.args([None, Some(0)])?;
                     plan.worker_panics
-                        .push(WorkerPanic { worker: worker as usize, after_records: after });
+                        .push(WorkerPanic { worker: clause.fit(worker)?, after_records });
                 }
                 "spillfail" => {
-                    let (op, count) = parse_pair(body, clause, 1)?;
+                    let [op, count] = clause.args([None, Some(1)])?;
                     plan.spill_failures.push(OpFault { op, count: count.max(1) });
                 }
                 "compactfail" => {
-                    let (op, count) = parse_pair(body, clause, 1)?;
+                    let [op, count] = clause.args([None, Some(1)])?;
                     plan.compact_failures.push(OpFault { op, count: count.max(1) });
                 }
                 "spilldelay" => {
-                    let (op, millis) = parse_pair(body, clause, 0)?;
+                    let [op, millis] = clause.args([None, Some(0)])?;
                     if millis == 0 {
-                        return Err(ChaosPlanError(format!("`{clause}` needs `op@millis`")));
+                        return Err(clause.error("needs `op@millis`"));
                     }
                     plan.spill_delays.push(OpDelay { op, millis });
                 }
-                "seed" => plan.seed = Some(parse_u64(body, clause)?),
-                other => return Err(ChaosPlanError(format!("unknown clause kind `{other}`"))),
+                "seed" => plan.seed = Some(clause.args([None])?[0]),
+                _ => return Err(clause.error("unknown clause kind")),
             }
         }
         Ok(plan)
-    }
-
-    /// Plan from the `EDGEPERF_CHAOS` environment variable (empty plan
-    /// when unset; a malformed value is an error, not silence).
-    pub fn from_env() -> Result<ChaosPlan, ChaosPlanError> {
-        match std::env::var("EDGEPERF_CHAOS") {
-            Ok(spec) => ChaosPlan::parse(&spec),
-            Err(_) => Ok(ChaosPlan::default()),
-        }
     }
 
     /// True when the plan injects nothing.
@@ -217,6 +185,9 @@ impl ChaosPlan {
 
 impl fmt::Display for ChaosPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let op_faults = |kind: &str, faults: &[OpFault]| -> Vec<String> {
+            faults.iter().map(|o| format!("{kind}:{}@{}", o.op, o.count)).collect()
+        };
         let mut clauses: Vec<String> = Vec::new();
         clauses.extend(self.disconnects.iter().map(|r| format!("disconnect:{r}")));
         clauses.extend(self.torn.iter().map(|r| format!("torn:{r}")));
@@ -224,17 +195,12 @@ impl fmt::Display for ChaosPlan {
         clauses.extend(
             self.worker_panics.iter().map(|p| format!("panic:{}@{}", p.worker, p.after_records)),
         );
-        clauses
-            .extend(self.spill_failures.iter().map(|o| format!("spillfail:{}@{}", o.op, o.count)));
-        clauses.extend(
-            self.compact_failures.iter().map(|o| format!("compactfail:{}@{}", o.op, o.count)),
-        );
+        clauses.extend(op_faults("spillfail", &self.spill_failures));
+        clauses.extend(op_faults("compactfail", &self.compact_failures));
         clauses
             .extend(self.spill_delays.iter().map(|d| format!("spilldelay:{}@{}", d.op, d.millis)));
-        if let Some(seed) = self.seed {
-            clauses.push(format!("seed:{seed}"));
-        }
-        write!(f, "{}", clauses.join(";"))
+        clauses.extend(self.seed.map(|seed| format!("seed:{seed}")));
+        write_clauses(f, &clauses)
     }
 }
 
@@ -300,6 +266,53 @@ impl WireChaos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Plans generated from the struct side, in the canonical form
+    /// `parse` produces (a stall or delay of 0 ms and a fault run of 0
+    /// ops are not plans).
+    fn plans() -> impl Strategy<Value = ChaosPlan> {
+        let records = || prop::collection::vec(any::<u64>(), 0..3);
+        let pairs = || prop::collection::vec((any::<u64>(), 1..=u64::MAX), 0..3);
+        let op_faults =
+            |v: Vec<(u64, u64)>| v.into_iter().map(|(op, count)| OpFault { op, count }).collect();
+        (
+            (records(), records(), pairs()),
+            prop::collection::vec((0usize..64, any::<u64>()), 0..3),
+            (pairs(), pairs(), pairs()),
+            prop::option::of(any::<u64>()),
+        )
+            .prop_map(
+                move |((disconnects, torn, stalls), panics, (spill, compact, delays), seed)| {
+                    ChaosPlan {
+                        disconnects,
+                        torn,
+                        stalls: stalls
+                            .into_iter()
+                            .map(|(record, millis)| ChaosStall { record, millis })
+                            .collect(),
+                        worker_panics: panics
+                            .into_iter()
+                            .map(|(worker, after_records)| WorkerPanic { worker, after_records })
+                            .collect(),
+                        spill_failures: op_faults(spill),
+                        compact_failures: op_faults(compact),
+                        spill_delays: delays
+                            .into_iter()
+                            .map(|(op, millis)| OpDelay { op, millis })
+                            .collect(),
+                        seed,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #[test]
+        fn every_plan_round_trips_through_its_spec(plan in plans()) {
+            prop_assert_eq!(ChaosPlan::parse(&plan.to_string()), Ok(plan));
+        }
+    }
 
     #[test]
     fn empty_specs_parse_to_the_empty_plan() {
@@ -376,11 +389,5 @@ mod tests {
         assert_eq!(wire.before_record(15), None);
         assert_eq!(wire.before_record(25), Some(WireFault::Torn), "torn fires past 20");
         assert_eq!(wire.unfired(), 0);
-    }
-
-    #[test]
-    fn from_env_reads_and_validates_the_variable() {
-        // No variable set in the test environment: empty plan.
-        assert!(ChaosPlan::from_env().expect("unset env is empty plan").is_empty());
     }
 }

@@ -14,11 +14,10 @@
 use crate::chaos::{WireChaos, WireFault};
 use crate::frame::{encode_frame, hello_block, preamble, preamble_with_hello};
 use crate::protocol::{
-    parse_acked, parse_cells_header, parse_digest_header, read_rows, CellQuery, DigestHeader,
-    ProtocolError, Request, PROTOCOL_VERSION,
+    parse_acked, parse_cells_header, parse_digest_header, read_rows, CellLine, CellQuery,
+    DigestHeader, LiveSnapshot, ProtocolError, Request, PROTOCOL_VERSION,
 };
 use crate::record::LiveRecord;
-use crate::server::{CellLine, LiveSnapshot};
 use crate::store::StoreStats;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};

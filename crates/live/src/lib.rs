@@ -31,11 +31,14 @@
 //!   spin-then-park [`Waiter`] backing the reader → worker fan-out.
 //! - [`chaos`]: [`ChaosPlan`] — deterministic, seeded wire/disk fault
 //!   injection (disconnects, torn frames, stalls, worker panics,
-//!   ENOSPC/EIO on spill and compaction), the live-tier sibling of the
-//!   offline supervisor's FaultPlan.
+//!   ENOSPC/EIO on spill and compaction), the live tier's clauses over
+//!   the plan grammar ([`edgeperf_core::plan`]) the offline supervisor's
+//!   FaultPlan is written in too.
 //! - [`protocol`]: the typed, versioned line protocol —
-//!   [`Request`]/[`Response`] and the one parse/render path shared by
-//!   server and client, byte-compatible with the legacy bare commands.
+//!   [`Request`]/[`Response`], the wire structs a reply carries
+//!   ([`LiveSnapshot`], [`CellLine`]) and the one parse/render path
+//!   shared by server and client, byte-compatible with the legacy bare
+//!   commands.
 //! - [`store`]: the tiered window store — [`SegmentStore`] spills
 //!   windows evicted past the RAM retention horizon into columnar
 //!   on-disk segments (manifest-tracked, crash-safe, background
@@ -43,8 +46,13 @@
 //! - [`reply`]: [`CellsReply`] — a `cells`/`digest` reply ordered
 //!   through a sort index and written row by row from the closed
 //!   windows the workers share, never built in memory.
-//! - [`server`]: [`LiveServer`] / [`ServerHandle`], request serving,
-//!   backpressure, heartbeat supervision and graceful drain.
+//! - [`server`]: [`LiveServer`] / [`ServerHandle`], the state the
+//!   threads share and the graceful drain; one private module per job
+//!   under `server/` — `conn` (acceptor and readers), `lanes` (the SPSC
+//!   fan-out and its backpressure), `session` (resume acks), `query`
+//!   (control fan-out, `cells`/`digest`), `worker` (windows, detection,
+//!   panic recovery), `stats` (accept/reject accounting), `background`
+//!   (compactor, heartbeat supervisor).
 //! - [`client`]: [`LiveClient`], the blocking protocol client used by
 //!   the load generator and the agreement tests.
 //!
@@ -67,28 +75,26 @@ pub mod server;
 pub mod store;
 pub mod window;
 
-pub use chaos::{ChaosPlan, ChaosPlanError, WireChaos, WireFault};
+pub use chaos::{ChaosPlan, WireChaos, WireFault};
 pub use client::{
     replay_with_resume, BinarySender, LiveClient, ResumeInput, ResumeReport, RetryPolicy,
 };
 pub use config::{LiveConfig, ServeBuilder};
 pub use detect::{EpisodeChange, OnlineDetector};
+pub use edgeperf_core::plan::PlanError;
 pub use frame::{
     decode_body, encode_frame, hello_block, parse_hello, parse_preamble, preamble,
     preamble_with_hello, FrameDecoder, FRAME_BODY_LEN, FRAME_MAGIC, FRAME_VERSION, FRAME_WIRE_LEN,
     HELLO_LEN, HELLO_MAGIC, PREAMBLE_FLAG_HELLO, PREAMBLE_LEN,
 };
 pub use protocol::{
-    parse_acked, parse_cells_header, parse_digest_header, read_row, read_rows, write_row,
-    CellQuery, DigestHeader, GroupFilter, ProtocolError, Request, Response, RowsHeader,
-    WorkerStatsLine, PROTOCOL_VERSION,
+    cell_line_sort_key, parse_acked, parse_cells_header, parse_digest_header, read_row, read_rows,
+    write_row, CellLine, CellQuery, ClassCount, DigestHeader, GroupFilter, LiveSnapshot,
+    ProtocolError, ReasonCount, Request, Response, RowsHeader, WorkerStatsLine, PROTOCOL_VERSION,
 };
 pub use queue::{spsc, Consumer, Producer, Waiter};
 pub use record::{relationship_from_label, LineParser, LiveRecord};
 pub use reply::{CellsReply, SharedWindow};
-pub use server::{
-    cell_line_sort_key, shard_of, CellLine, ClassCount, LiveServer, LiveSnapshot, ReasonCount,
-    ServerHandle,
-};
+pub use server::{shard_of, LiveServer, ServerHandle};
 pub use store::{CrashPoint, SegmentMeta, SegmentStore, SpillOutcome, StoreStats, QUERY_TOTALS};
 pub use window::{CellKey, CellSummary, ClosedWindow, WindowRing};

@@ -58,9 +58,11 @@
 //!   the same `{"error":"unknown command …"}` reply the stringly
 //!   dispatch produced.
 
-use crate::server::{CellLine, LiveSnapshot};
 use crate::store::StoreStats;
+use crate::window::{CellKey, CellSummary};
 use edgeperf_analysis::{GroupKey, WindowCell};
+use edgeperf_routing::{PopId, Prefix};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io;
 
@@ -356,6 +358,128 @@ pub struct WorkerStatsLine {
     pub open_windows: u64,
     /// Windows this worker has closed.
     pub windows_closed: u64,
+}
+
+/// Aggregate server state, as served by `snapshot` and returned on drain.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct LiveSnapshot {
+    /// True only for the final snapshot after a clean drain.
+    #[serde(default)]
+    pub drained: bool,
+    /// Worker threads.
+    pub workers: u64,
+    /// Records ingested into windows.
+    pub accepted: u64,
+    /// Lines rejected (parse errors + late records).
+    pub rejected: u64,
+    /// Of the rejected, records behind the watermark (`ingest.reject.late`).
+    pub late: u64,
+    /// Distinct preferred-route user groups observed.
+    pub groups: u64,
+    /// Windows closed (summarized) so far.
+    pub windows_closed: u64,
+    /// Windows currently open across workers.
+    pub open_windows: u64,
+    /// Confident MinRTT degradation events.
+    pub events_minrtt: u64,
+    /// Confident HDratio degradation events.
+    pub events_hdratio: u64,
+    /// Degradation episodes opened.
+    pub episodes_opened: u64,
+    /// Degradation episodes currently open.
+    pub episodes_open: u64,
+    /// Reject counts by typed reason.
+    #[serde(default)]
+    pub reject_reasons: Vec<ReasonCount>,
+    /// MinRTT temporal-class histogram over groups.
+    #[serde(default)]
+    pub classes_minrtt: Vec<ClassCount>,
+}
+
+/// One `ingest.reject.<reason>` tally.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ReasonCount {
+    /// Stable reason label ([`edgeperf_core::EdgeperfError::reason`]).
+    pub reason: String,
+    /// Rejected lines with this reason.
+    pub count: u64,
+}
+
+/// One temporal-class tally.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ClassCount {
+    /// Class label ([`edgeperf_analysis::TemporalClass::label`]).
+    pub class: String,
+    /// Groups currently in this class.
+    pub groups: u64,
+}
+
+/// One closed cell as served by the `cells` command — flat wire form of
+/// ([`CellKey`], [`CellSummary`]) with full `f64` round-trip precision
+/// (Rust's shortest-round-trip float formatting), so bit-identity can be
+/// asserted across the wire.
+#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+pub struct CellLine {
+    /// Window index.
+    pub window: u32,
+    /// Serving PoP.
+    pub pop: u16,
+    /// Client prefix base address.
+    pub prefix_base: u32,
+    /// Client prefix length.
+    pub prefix_len: u8,
+    /// Client country id.
+    pub country: u16,
+    /// Client continent id.
+    pub continent: u8,
+    /// Route rank (0 = preferred).
+    pub rank: u8,
+    /// Relationship label (`private` / `public` / `transit`).
+    pub relationship: String,
+    /// AS path longer than the preferred route's.
+    pub longer_path: bool,
+    /// More prepended than the preferred route.
+    pub more_prepended: bool,
+    /// Sessions recorded.
+    pub n: u64,
+    /// Sessions with an HDratio.
+    pub n_tested: u64,
+    /// Traffic bytes.
+    pub bytes: u64,
+    /// Median MinRTT (ms).
+    pub min_rtt_p50: f64,
+    /// Price–Bonett variance of the MinRTT median.
+    pub min_rtt_var: Option<f64>,
+    /// Median HDratio.
+    pub hdratio_p50: Option<f64>,
+    /// Price–Bonett variance of the HDratio median.
+    pub hdratio_var: Option<f64>,
+}
+
+impl CellLine {
+    /// Flatten a closed cell for the wire.
+    pub fn new(window: u32, key: &CellKey, s: &CellSummary) -> CellLine {
+        crate::store::cell_line(&crate::store::window_cell(window, key, s))
+    }
+
+    /// The cell's group key.
+    pub fn group(&self) -> GroupKey {
+        GroupKey {
+            pop: PopId(self.pop),
+            prefix: Prefix::new(self.prefix_base, self.prefix_len),
+            country: self.country,
+            continent: self.continent,
+        }
+    }
+}
+
+/// Canonical cell ordering for merged/filtered replies — the same
+/// (window, group, rank) key [`edgeperf_analysis::cell_sort_key`] gives
+/// segment rows, so disk- and RAM-sourced cells interleave one way.
+/// Public because the fleet tier's global merge sorts (and checks
+/// cross-node disjointness) on the very same key.
+pub fn cell_line_sort_key(c: &CellLine) -> (u32, u16, u32, u8, u16, u8, u8) {
+    (c.window, c.pop, c.prefix_base, c.prefix_len, c.country, c.continent, c.rank)
 }
 
 /// Every reply the server can send. [`Response::render`] produces the

@@ -175,8 +175,8 @@ impl<W: Write> Write for Counted<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{cell_line_sort_key, CellLine};
     use crate::protocol::{GroupFilter, Response};
-    use crate::server::{cell_line_sort_key, CellLine};
     use crate::store::cell_line;
     use edgeperf_analysis::GroupKey;
     use edgeperf_routing::{PopId, Prefix, Relationship};

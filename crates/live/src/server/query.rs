@@ -1,0 +1,181 @@
+//! The control plane, and the `cells`/`digest` replies written through
+//! it. Runs on the asking connection's reader thread; owns
+//! `Shared::router`.
+//!
+//! Commands (`ping`, `snapshot`, …) bypass the record lanes entirely:
+//! each worker owns an unbounded mpsc control channel drained once per
+//! scheduling round, so a full data ring never blocks a `ping`. Commands
+//! that report state still observe everything their own connection sent
+//! first — the reader flushes its partial batches and waits until each
+//! lane's applied counter catches up to its pushed counter.
+//!
+//! ## Closed windows and the replies written from them
+//!
+//! A worker keeps each closed window as an immutable shared slice
+//! (`Arc<[(CellKey, CellSummary)]>`): it owns the map of them — insert
+//! on close, spill and pop on eviction — and nothing ever changes a
+//! slice's contents. A `cells`/`digest` query therefore costs a worker
+//! one `Arc` clone per window in range; the connection's own reader
+//! thread does the rest ([`crate::reply::CellsReply`]): it filters on
+//! the group, orders the rows through a 24-byte-a-row sort index, merges
+//! the tiered store's rows under the same key with RAM winning
+//! duplicates, and only then — the row count, a draining server and a
+//! store error all known — writes header and rows through one 64 KiB
+//! buffer, each row formatted by [`crate::protocol::write_row`] straight
+//! from where it lies. No row is copied, no `CellLine` or whole-reply
+//! `String` exists, so a reply's transient memory is the index, not the
+//! reply; a window evicted mid-reply lives until the last reply reading
+//! it is written. Whenever any worker cannot be asked or does not answer
+//! (the server is draining, a worker died holding the message) the reply
+//! is `{"error":"draining"}` — never the remaining workers' rows passed
+//! off as all of them.
+//!
+//! ## Query metrics
+//!
+//! Recorded once per `cells`/`digest` query, never per row:
+//! `live.query.cells_ns` / `live.query.digest_ns` (histograms: workers
+//! asked to last byte flushed) and the `live.query.rows` /
+//! `live.query.reply_bytes` counters, all served by `metrics`.
+
+use super::stats::WorkerSnap;
+use super::{send, Shared};
+use crate::protocol::{CellQuery, Response, RowsHeader};
+use crate::reply::{CellsReply, SharedWindow};
+use crate::store::QUERY_TOTALS;
+use std::io::{self, Write};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Mutex;
+use std::time::Instant;
+
+/// Control-plane messages, delivered over each worker's unbounded mpsc
+/// channel so they never queue behind (or block on) full record lanes.
+pub(super) enum ControlMsg {
+    Ping(Sender<()>),
+    Snapshot(Sender<WorkerSnap>),
+    /// This worker's closed windows inside the query's window range, as
+    /// the shared slices it keeps them in — nothing is copied or
+    /// filtered here, so the worker is back on its lanes at once.
+    Cells(CellQuery, Sender<Vec<SharedWindow>>),
+}
+
+/// Control senders, one per worker; closed (`None`) before the workers
+/// start and once draining. Doubles as the "is the server accepting
+/// lanes" gate for readers.
+#[derive(Default)]
+pub(super) struct Router(Mutex<Option<Vec<Sender<ControlMsg>>>>);
+
+impl Router {
+    /// Start routing to the workers behind `senders`.
+    pub(super) fn open(&self, senders: Vec<Sender<ControlMsg>>) {
+        *self.0.lock().expect("router") = Some(senders);
+    }
+
+    /// Drop the control senders: workers treat a disconnected control
+    /// channel + no lanes as the exit condition.
+    pub(super) fn close(&self) {
+        *self.0.lock().expect("router") = None;
+    }
+
+    /// Run `f` with the router held open, or not at all once closed.
+    pub(super) fn while_open<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
+        let router = self.0.lock().expect("router");
+        router.as_ref()?;
+        Some(f())
+    }
+}
+
+/// Ask worker `w` alone whether it is scheduling: `Pong`, or `Gone` when
+/// the server is draining or the worker died holding the message.
+pub(super) fn ping(shared: &Shared, w: usize) -> Response {
+    let sender = shared.router.0.lock().expect("router").as_ref().map(|s| s[w].clone());
+    let (reply_tx, reply_rx) = channel();
+    match sender {
+        Some(tx) if tx.send(ControlMsg::Ping(reply_tx)).is_ok() => {
+            shared.hubs.of(w).ring();
+            reply_rx.recv().map_or(Response::Gone, |()| Response::Pong)
+        }
+        _ => Response::Gone,
+    }
+}
+
+/// Send `make(reply)` to every worker over the control channels and
+/// collect the responses, in worker order. `None` when any worker cannot
+/// be asked or does not answer — the server is draining, or the worker
+/// died holding the message: a partial answer is never passed off as a
+/// whole one.
+pub(super) fn query_workers<T>(
+    shared: &Shared,
+    make: impl Fn(Sender<T>) -> ControlMsg,
+) -> Option<Vec<T>> {
+    let senders = shared.router.0.lock().expect("router").clone()?;
+    let mut out = Vec::with_capacity(senders.len());
+    for (w, tx) in senders.iter().enumerate() {
+        let (reply_tx, reply_rx) = channel();
+        tx.send(make(reply_tx)).ok()?;
+        shared.hubs.of(w).ring();
+        out.push(reply_rx.recv().ok()?);
+    }
+    Some(out)
+}
+
+/// Serve a `cells` or `digest` query by writing it: every worker hands
+/// over the closed windows in range as shared slices, the tiered store
+/// its matching rows, and this (the connection's reader) thread filters,
+/// orders and merges them through a [`CellsReply`] — windows present in
+/// both tiers (spilled but not yet evicted, or replayed after a restart)
+/// keep their RAM copy — and only then writes header and rows through
+/// one fixed-size buffer. The row count, a draining server and a store
+/// error are all known before the first byte goes out; an `Err` is the
+/// socket's.
+///
+/// Compatibility: a bare `cells` on a store-less server keeps the
+/// legacy reply bytes exactly — worker order, insertion order, no sort.
+/// Any filtered query, any server with a store and every `digest` (it
+/// exists for cross-node merging) is in canonical order, deterministic
+/// across worker counts and spill timing. A digest's accepted-record
+/// counter is read after the workers answered, under the caller's sync
+/// barrier like the rows, so the pair is consistent in a quiesced stream.
+pub(super) fn serve_cells(
+    shared: &Shared,
+    query: &CellQuery,
+    digest: bool,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    let started = shared.metrics.is_enabled().then(Instant::now);
+    let Some(per_worker) = query_workers(shared, |reply| ControlMsg::Cells(*query, reply)) else {
+        return send(out, &Response::Draining);
+    };
+    let windows: Vec<SharedWindow> = per_worker.into_iter().flatten().collect();
+    let spilled = match &shared.store {
+        None => None,
+        Some(store) => {
+            let rows = store.query(query);
+            // The store's running totals, mirrored so `metrics` shows
+            // what historical queries cost without a `store` round trip.
+            for (name, total) in QUERY_TOTALS.iter().zip(store.query_totals()) {
+                shared.metrics.gauge(&format!("store.{name}")).set(total as f64);
+            }
+            match rows {
+                Ok(rows) => Some(rows),
+                Err(err) => return send(out, &Response::StoreError(err.to_string())),
+            }
+        }
+    };
+    let reply = match &spilled {
+        None if !digest && query.is_all() => CellsReply::as_they_lie(&windows),
+        _ => CellsReply::canonical(&windows, spilled.as_deref().unwrap_or(&[]), query),
+    };
+    let header = if digest {
+        RowsHeader::Digest { accepted: shared.stats.totals().accepted }
+    } else {
+        RowsHeader::Cells
+    };
+    let bytes = reply.write(header, out)?;
+    if let Some(started) = started {
+        let verb = if digest { "live.query.digest_ns" } else { "live.query.cells_ns" };
+        shared.metrics.histogram(verb).record(started.elapsed().as_nanos() as u64);
+        shared.metrics.counter("live.query.rows").add(reply.rows() as u64);
+        shared.metrics.counter("live.query.reply_bytes").add(bytes);
+    }
+    Ok(())
+}

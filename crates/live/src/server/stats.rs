@@ -1,0 +1,172 @@
+//! Accept/reject accounting; owns `Shared::stats`.
+//!
+//! Accept/reject tallies are sharded into per-reader and per-worker
+//! cells (relaxed atomic counters plus a rarely-touched reason map) and
+//! rolled up only when a snapshot is taken. A reader folds its cell into
+//! a retired-total *before* closing its lanes, and workers exit only
+//! after every lane is closed and drained — so the final drained
+//! snapshot is exact, not approximate.
+
+use crate::protocol::{ClassCount, LiveSnapshot, ReasonCount, WorkerStatsLine};
+use edgeperf_analysis::TemporalClass;
+use edgeperf_core::EdgeperfError;
+use edgeperf_obs::Metrics;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// Point-in-time view of one worker, produced on request or at drain:
+/// its row of the `stats` reply plus what only `snapshot` sums.
+#[derive(Debug, Clone, Default)]
+pub(super) struct WorkerSnap {
+    pub(super) line: WorkerStatsLine,
+    pub(super) events: [u64; 2],
+    pub(super) episodes_opened: u64,
+    pub(super) episodes_open: u64,
+    /// Groups per MinRTT temporal class, in the enum's (= the paper's
+    /// tables') order.
+    pub(super) classes_minrtt: BTreeMap<TemporalClass, u64>,
+}
+
+/// One shard of the accept/reject accounting, touched only by the
+/// reader or worker that owns it until a snapshot reads it.
+#[derive(Default)]
+pub(super) struct StatCell {
+    pub(super) accepted: AtomicU64,
+    pub(super) rejected: AtomicU64,
+    pub(super) late: AtomicU64,
+    /// Reason → count. A mutex, but per-cell and only on the reject
+    /// path, which is rare by construction.
+    pub(super) reasons: Mutex<BTreeMap<&'static str, u64>>,
+}
+
+/// Rolled-up accept/reject totals (also the retirement accumulator for
+/// readers that have come and gone).
+#[derive(Default, Clone)]
+pub(super) struct StatTotals {
+    pub(super) accepted: u64,
+    pub(super) rejected: u64,
+    pub(super) late: u64,
+    pub(super) reasons: BTreeMap<&'static str, u64>,
+}
+
+impl StatTotals {
+    pub(super) fn add_cell(&mut self, cell: &StatCell) {
+        self.accepted += cell.accepted.load(Ordering::Relaxed);
+        self.rejected += cell.rejected.load(Ordering::Relaxed);
+        self.late += cell.late.load(Ordering::Relaxed);
+        for (reason, n) in cell.reasons.lock().expect("reason map").iter() {
+            *self.reasons.entry(reason).or_insert(0) += n;
+        }
+    }
+}
+
+/// Live reader cells plus the folded totals of retired ones.
+#[derive(Default)]
+struct ReaderStats {
+    active: Vec<Arc<StatCell>>,
+    retired: StatTotals,
+}
+
+/// Every stat cell of the server: one per worker (accepts, late
+/// rejects, lost records) and one per connected reader.
+pub(super) struct Stats {
+    workers: Vec<StatCell>,
+    readers: Mutex<ReaderStats>,
+}
+
+impl Stats {
+    pub(super) fn new(workers: usize) -> Stats {
+        Stats {
+            workers: (0..workers).map(|_| StatCell::default()).collect(),
+            readers: Mutex::default(),
+        }
+    }
+
+    /// Worker `w`'s cell.
+    pub(super) fn worker(&self, w: usize) -> &StatCell {
+        &self.workers[w]
+    }
+
+    /// A cell for a newly connected reader.
+    pub(super) fn reader_joined(&self) -> Arc<StatCell> {
+        let cell = Arc::new(StatCell::default());
+        self.readers.lock().expect("reader stats").active.push(Arc::clone(&cell));
+        cell
+    }
+
+    /// Fold a departing reader's cell into the retired totals.
+    pub(super) fn reader_retired(&self, cell: &Arc<StatCell>) {
+        let mut readers = self.readers.lock().expect("reader stats");
+        readers.active.retain(|c| !Arc::ptr_eq(c, cell));
+        readers.retired.add_cell(cell);
+    }
+
+    /// Roll the cells up into totals. Exact for any quiescent cell (its
+    /// owner stopped counting); a snapshot during traffic is as
+    /// approximate as any read of moving counters.
+    pub(super) fn totals(&self) -> StatTotals {
+        let readers = self.readers.lock().expect("reader stats");
+        let mut totals = readers.retired.clone();
+        for cell in self.workers.iter().chain(readers.active.iter().map(Arc::as_ref)) {
+            totals.add_cell(cell);
+        }
+        totals
+    }
+
+    /// The server-wide snapshot: these totals plus every worker's view.
+    pub(super) fn snapshot_from(&self, per_worker: &[WorkerSnap], drained: bool) -> LiveSnapshot {
+        let totals = self.totals();
+        let mut snap = LiveSnapshot {
+            drained,
+            workers: self.workers.len() as u64,
+            accepted: totals.accepted,
+            rejected: totals.rejected,
+            late: totals.late,
+            ..LiveSnapshot::default()
+        };
+        let mut classes = BTreeMap::new();
+        for w in per_worker {
+            snap.groups += w.line.groups;
+            snap.windows_closed += w.line.windows_closed;
+            snap.open_windows += w.line.open_windows;
+            snap.events_minrtt += w.events[0];
+            snap.events_hdratio += w.events[1];
+            snap.episodes_opened += w.episodes_opened;
+            snap.episodes_open += w.episodes_open;
+            for (class, n) in &w.classes_minrtt {
+                *classes.entry(*class).or_insert(0) += n;
+            }
+        }
+        snap.reject_reasons = totals
+            .reasons
+            .iter()
+            .map(|(reason, count)| ReasonCount { reason: reason.to_string(), count: *count })
+            .collect();
+        snap.classes_minrtt = classes
+            .into_iter()
+            .map(|(class, groups)| ClassCount { class: class.label().to_string(), groups })
+            .collect();
+        snap
+    }
+}
+
+/// Count a reject into `cell` (the caller's shard) and the
+/// `ingest.reject.<reason>` metrics counter.
+pub(super) fn reject(metrics: &Metrics, cell: &StatCell, err: &EdgeperfError) {
+    let reason = err.reason();
+    cell.rejected.fetch_add(1, Ordering::Relaxed);
+    if reason == "late" {
+        cell.late.fetch_add(1, Ordering::Relaxed);
+    }
+    metrics.counter(&format!("ingest.reject.{reason}")).inc();
+    *cell.reasons.lock().expect("reason map").entry(reason).or_insert(0) += 1;
+}
+
+/// Count `dropped` records as `worker_lost` rejects in `cell`: a lane
+/// abandoned by its worker, or a batch a panic took with it — neither
+/// applied nor late, and never silently gone.
+pub(super) fn count_worker_lost(cell: &StatCell, dropped: u64) {
+    cell.rejected.fetch_add(dropped, Ordering::Relaxed);
+    *cell.reasons.lock().expect("reason map").entry("worker_lost").or_insert(0) += dropped;
+}

@@ -1,0 +1,436 @@
+//! The worker threads: each owns the window ring, detector and closed
+//! windows of its shard of the groups, applies batches from its lanes,
+//! answers control messages between them, closes (and spills) windows,
+//! and survives its own panics.
+
+use super::lanes::{Batch, LaneRx};
+use super::query::ControlMsg;
+use super::stats::{count_worker_lost, reject, StatCell, WorkerSnap};
+use super::Shared;
+use crate::config::LiveConfig;
+use crate::detect::OnlineDetector;
+use crate::protocol::WorkerStatsLine;
+use crate::store::SpillOutcome;
+use crate::window::{CellKey, CellSummary, ClosedWindow, WindowRing};
+use edgeperf_analysis::DegradationMetric;
+use edgeperf_obs::{Counter, Gauge, Histogram, Metrics};
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::Arc;
+
+/// Batches a worker takes from one lane before moving to the next —
+/// bounds per-lane burst so one hot connection cannot starve the rest.
+const BATCHES_PER_LANE_ROUND: usize = 4;
+
+struct WorkerState {
+    ring: WindowRing,
+    detector: OnlineDetector,
+    /// Closed windows retained in RAM, each an immutable slice shared
+    /// with whichever queries are writing it out.
+    closed: BTreeMap<u32, Arc<[(CellKey, CellSummary)]>>,
+    processed: u64,
+    windows_closed: u64,
+}
+
+/// A ring and a detector with nothing in them, shaped by the config: what
+/// a worker starts with, and what a dirty panic resets it to.
+fn empty_windows(cfg: &LiveConfig) -> (WindowRing, OnlineDetector) {
+    let detector = OnlineDetector::new(
+        cfg.analysis,
+        cfg.minrtt_threshold_ms,
+        cfg.hdratio_threshold,
+        cfg.retention_windows,
+    );
+    (WindowRing::new(cfg.window_ms, cfg.lateness_ms), detector)
+}
+
+impl WorkerState {
+    fn snap(&self, w: usize, queue_depth: usize) -> WorkerSnap {
+        let mut classes_minrtt = BTreeMap::new();
+        for (_, class) in self.detector.classes(DegradationMetric::MinRtt) {
+            *classes_minrtt.entry(class).or_insert(0) += 1;
+        }
+        WorkerSnap {
+            // usize → u64 widens on every supported target.
+            line: WorkerStatsLine {
+                worker: w as u64,
+                processed: self.processed,
+                queue_depth: queue_depth as u64,
+                groups: self.detector.group_count() as u64,
+                open_windows: self.ring.open_windows() as u64,
+                windows_closed: self.windows_closed,
+            },
+            events: [
+                self.detector.event_count(DegradationMetric::MinRtt),
+                self.detector.event_count(DegradationMetric::HdRatio),
+            ],
+            episodes_opened: self.detector.episodes_opened(),
+            episodes_open: self.detector.episodes_open() as u64,
+            classes_minrtt,
+        }
+    }
+}
+
+/// The registry handles a worker records into, looked up once.
+struct Probes {
+    window_close_ns: Histogram,
+    queue_depth: Histogram,
+    depth_gauge: Gauge,
+    processed_gauge: Gauge,
+    windows_closed: Counter,
+    events_minrtt: Counter,
+    events_hdratio: Counter,
+    episodes_opened: Counter,
+    episodes_closed: Counter,
+}
+
+impl Probes {
+    fn new(metrics: &Metrics, w: usize) -> Probes {
+        Probes {
+            window_close_ns: metrics.histogram("live.window_close_ns"),
+            queue_depth: metrics.histogram("live.queue_depth"),
+            depth_gauge: metrics.gauge(&format!("live.worker.{w}.queue_depth")),
+            processed_gauge: metrics.gauge(&format!("live.worker.{w}.processed")),
+            windows_closed: metrics.counter("live.windows.closed"),
+            events_minrtt: metrics.counter("live.events.minrtt"),
+            events_hdratio: metrics.counter("live.events.hdratio"),
+            episodes_opened: metrics.counter("live.episodes.opened"),
+            episodes_closed: metrics.counter("live.episodes.closed"),
+        }
+    }
+}
+
+/// Everything a worker owns across panics. Held *outside* the
+/// [`catch_unwind`] in [`worker_thread`], so a respawn resumes with the
+/// same lanes and — when the panic hit a clean batch boundary — the
+/// same window state. Only a panic caught mid-apply (`inflight` set)
+/// forces a window-state rebuild.
+struct WorkerCtx {
+    state: WorkerState,
+    lanes: Vec<LaneRx>,
+    seen_version: u64,
+    control_dead: bool,
+    /// `processed` thresholds at which the chaos plan panics this
+    /// worker, ascending; each fires exactly once.
+    pending_panics: Vec<u64>,
+    /// Set while a batch is mid-apply: `(lane index, records)`. A panic
+    /// with this set means the window ring may be inconsistent.
+    inflight: Option<(usize, u64)>,
+    /// Respawn budget exhausted: drain lanes, count records as
+    /// `worker_lost` rejects, keep answering control and the drain
+    /// protocol — never strand a reader or the final snapshot.
+    zombie: bool,
+}
+
+/// Worker thread entry: run [`worker_run`] under [`catch_unwind`] and
+/// respawn it in place (same thread, same [`WorkerCtx`]) after a panic,
+/// up to the configured budget; past the budget the worker degrades to
+/// zombie mode instead of stranding its readers.
+pub(super) fn worker_thread(w: usize, shared: &Shared, control: &Receiver<ControlMsg>) {
+    let (ring, detector) = empty_windows(&shared.config);
+    let mut ctx = WorkerCtx {
+        state: WorkerState {
+            ring,
+            detector,
+            closed: BTreeMap::new(),
+            processed: 0,
+            windows_closed: 0,
+        },
+        lanes: Vec::new(),
+        // u64::MAX forces the first iteration to absorb pre-registered
+        // lanes.
+        seen_version: u64::MAX,
+        control_dead: false,
+        pending_panics: shared.config.chaos.panics_for(w),
+        inflight: None,
+        zombie: false,
+    };
+    let mut respawns = 0u32;
+    loop {
+        let run = catch_unwind(AssertUnwindSafe(|| worker_run(w, shared, control, &mut ctx)));
+        match run {
+            Ok(()) => return,
+            Err(_) => {
+                recover(w, shared, &mut ctx);
+                if respawns >= shared.config.max_worker_respawns {
+                    ctx.zombie = true;
+                    shared.metrics.counter("worker.zombie").inc();
+                } else {
+                    respawns += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Post-panic repair, run between [`worker_run`] incarnations. A clean
+/// panic (batch boundary, `inflight` empty) needs nothing beyond
+/// accounting — all state survived in [`WorkerCtx`]. A dirty panic lost
+/// the mid-apply batch and may have left the ring inconsistent: account
+/// the records, unblock the syncing reader, and rebuild window state
+/// fresh (already-spilled segments are untouched and still serve
+/// queries).
+fn recover(w: usize, shared: &Shared, ctx: &mut WorkerCtx) {
+    // Clear any heartbeat left open mid-batch so the supervisor does
+    // not flag the recovered worker as slow forever.
+    shared.board.finish(w);
+    shared.metrics.counter("worker.recovered").inc();
+    if let Some((lane_idx, n)) = ctx.inflight.take() {
+        lose_records(shared, shared.stats.worker(w), n);
+        if let Some(lane) = ctx.lanes.get(lane_idx) {
+            lane.consumed(n);
+        }
+        let lost = ctx.state.ring.open_windows() as u64;
+        shared.metrics.counter("worker.lost_windows").add(lost);
+        (ctx.state.ring, ctx.state.detector) = empty_windows(&shared.config);
+    }
+}
+
+/// Count `n` records this worker took off a lane and will never apply.
+fn lose_records(shared: &Shared, cell: &StatCell, n: u64) {
+    count_worker_lost(cell, n);
+    shared.metrics.counter("ingest.reject.worker_lost").add(n);
+    shared.metrics.counter("worker.lost_records").add(n);
+}
+
+/// Zombie mode: the respawn budget is gone. Batches are drained and
+/// counted as `worker_lost` rejects so readers (and resume acks) never
+/// block, but no window state is touched.
+fn discard_batch(shared: &Shared, lane: &mut LaneRx, mut batch: Batch, cell: &StatCell) {
+    let n = batch.len() as u64;
+    batch.clear();
+    lose_records(shared, cell, n);
+    let _ = lane.recycle.try_push(batch);
+    lane.consumed(n);
+}
+
+fn worker_run(w: usize, shared: &Shared, control: &Receiver<ControlMsg>, ctx: &mut WorkerCtx) {
+    let hub = shared.hubs.of(w);
+    let cell = shared.stats.worker(w);
+    let probes = Probes::new(&shared.metrics, w);
+
+    loop {
+        // The doorbell sequence is read *before* scanning: anything rung
+        // after this load is caught by the park condition below.
+        let seq = hub.seq.load(Ordering::Acquire);
+        let version = hub.version.load(Ordering::Acquire);
+        if version != ctx.seen_version {
+            ctx.lanes.append(&mut hub.incoming.lock().expect("incoming lanes"));
+            ctx.seen_version = version;
+        }
+        // Chaos: a scripted panic fires at a clean batch boundary, so
+        // recovery is lossless — it exercises the respawn and resume
+        // machinery without corrupting window state.
+        if !ctx.zombie {
+            if let Some(&at) = ctx.pending_panics.first() {
+                if ctx.state.processed >= at {
+                    ctx.pending_panics.remove(0);
+                    panic!("chaos: injected worker {w} panic at {at} records");
+                }
+            }
+        }
+        let mut progress = false;
+        // Control bypass: drained every round, never behind record lanes.
+        loop {
+            match control.try_recv() {
+                Ok(msg) => {
+                    progress = true;
+                    handle_control(w, &ctx.state, &ctx.lanes, msg);
+                }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    ctx.control_dead = true;
+                    break;
+                }
+            }
+        }
+        // Round-robin over lanes, a bounded burst from each.
+        let mut i = 0;
+        while i < ctx.lanes.len() {
+            let mut taken = 0usize;
+            let mut remove = false;
+            loop {
+                if taken == BATCHES_PER_LANE_ROUND {
+                    break;
+                }
+                // closed must be read before the pop: closed + empty
+                // means drained for good.
+                let closed = ctx.lanes[i].data.is_closed();
+                match ctx.lanes[i].data.try_pop() {
+                    Some(batch) => {
+                        if ctx.zombie {
+                            discard_batch(shared, &mut ctx.lanes[i], batch, cell);
+                        } else {
+                            ctx.inflight = Some((i, batch.len() as u64));
+                            let lane = &mut ctx.lanes[i];
+                            apply_batch(w, shared, &mut ctx.state, lane, batch, cell, &probes);
+                            ctx.inflight = None;
+                        }
+                        progress = true;
+                        taken += 1;
+                    }
+                    None => {
+                        remove = closed;
+                        break;
+                    }
+                }
+            }
+            if remove {
+                ctx.lanes.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        if progress {
+            let depth: usize = ctx.lanes.iter().map(|l| l.data.len()).sum();
+            probes.queue_depth.record(depth as u64);
+            probes.depth_gauge.set(depth as f64);
+            probes.processed_gauge.set(ctx.state.processed as f64);
+            continue;
+        }
+        if ctx.control_dead
+            && shared.draining.load(Ordering::Acquire)
+            && ctx.lanes.is_empty()
+            && hub.version.load(Ordering::Acquire) == ctx.seen_version
+        {
+            break;
+        }
+        hub.bell.wait_until(|| {
+            hub.seq.load(Ordering::Acquire) != seq
+                || hub.version.load(Ordering::Acquire) != ctx.seen_version
+        });
+    }
+
+    // Drain: every lane closed and drained, control router gone. Flush
+    // the remaining windows, then publish the final report.
+    if !ctx.zombie {
+        for cw in ctx.state.ring.force_close() {
+            handle_close(shared, &mut ctx.state, cw, &probes);
+        }
+    }
+    probes.processed_gauge.set(ctx.state.processed as f64);
+    probes.depth_gauge.set(0.0);
+    shared.report(ctx.state.snap(w, 0));
+}
+
+fn handle_control(w: usize, state: &WorkerState, lanes: &[LaneRx], msg: ControlMsg) {
+    match msg {
+        ControlMsg::Ping(reply) => {
+            let _ = reply.send(());
+        }
+        ControlMsg::Snapshot(reply) => {
+            let depth = lanes.iter().map(|l| l.data.len()).sum();
+            let _ = reply.send(state.snap(w, depth));
+        }
+        ControlMsg::Cells(query, reply) => {
+            let windows = state
+                .closed
+                .iter()
+                .filter(|(window, _)| query.contains_window(**window))
+                .map(|(window, cells)| (*window, Arc::clone(cells)))
+                .collect();
+            let _ = reply.send(windows);
+        }
+    }
+}
+
+/// Apply one batch from `lane` into the window ring, then hand the
+/// spent `Vec` back through the recycle ring and publish progress
+/// (applied counter + lane doorbell) so a parked or syncing reader
+/// resumes.
+fn apply_batch(
+    w: usize,
+    shared: &Shared,
+    state: &mut WorkerState,
+    lane: &mut LaneRx,
+    mut batch: Batch,
+    cell: &StatCell,
+    probes: &Probes,
+) {
+    let token = shared.board.begin(w, state.processed as usize & 0xFFFF);
+    let n = batch.len() as u64;
+    let mut accepted = 0u64;
+    for rec in batch.drain(..) {
+        state.processed += 1;
+        match state.ring.push(&rec) {
+            Ok(closed) => {
+                accepted += 1;
+                for cw in closed {
+                    handle_close(shared, state, cw, probes);
+                }
+            }
+            Err(err) => reject(&shared.metrics, cell, &err),
+        }
+    }
+    cell.accepted.fetch_add(accepted, Ordering::Relaxed);
+    // Return the drained Vec for reuse; a full recycle ring just drops
+    // it (the reader will allocate a fresh one).
+    let _ = lane.recycle.try_push(batch);
+    lane.consumed(n);
+    shared.board.finish(w);
+    let _ = token;
+}
+
+fn handle_close(shared: &Shared, state: &mut WorkerState, cw: ClosedWindow, probes: &Probes) {
+    probes.window_close_ns.time(|| {
+        let before = [
+            state.detector.event_count(DegradationMetric::MinRtt),
+            state.detector.event_count(DegradationMetric::HdRatio),
+        ];
+        let changes = state.detector.observe(&cw);
+        let events = |metric| state.detector.event_count(metric);
+        probes.events_minrtt.add(events(DegradationMetric::MinRtt) - before[0]);
+        probes.events_hdratio.add(events(DegradationMetric::HdRatio) - before[1]);
+        for c in &changes {
+            if c.opened {
+                probes.episodes_opened.inc();
+            } else {
+                probes.episodes_closed.inc();
+            }
+        }
+        state.windows_closed += 1;
+        probes.windows_closed.inc();
+        state.closed.insert(cw.index, cw.cells.into());
+    });
+    // Eviction (and spilling) runs outside the close timing: disk I/O
+    // must never pollute the close-latency histogram. Spill-then-pop
+    // order keeps the invariant that every closed window is in RAM or
+    // on disk at all times — a query can at worst see both copies,
+    // which the merge path deduplicates (they are bit-identical).
+    //
+    // Degraded mode: when the store is failing (or skipping while
+    // degraded), windows stay in RAM past the retention horizon so no
+    // data is dropped while the disk is sick. Retention is only allowed
+    // to balloon to 8× before the oldest windows are shed (counted,
+    // never silent) to bound memory.
+    let retention = shared.config.retention_windows;
+    while state.closed.len() > retention {
+        let Some(store) = &shared.store else {
+            state.closed.pop_first();
+            continue;
+        };
+        let (&index, cells) = state.closed.first_key_value().expect("non-empty map");
+        let outcome = store.spill_window(index, cells);
+        shared.metrics.gauge("store.degraded").set(u64::from(store.is_degraded()) as f64);
+        match outcome {
+            Ok(SpillOutcome::Spilled) => {
+                state.closed.pop_first();
+            }
+            other => {
+                if other.is_err() {
+                    shared.metrics.counter("store.spill_errors").inc();
+                }
+                if state.closed.len() > retention.saturating_mul(8) {
+                    state.closed.pop_first();
+                    shared.metrics.counter("store.windows_shed").inc();
+                } else {
+                    // Keep the window in RAM; the next close retries
+                    // (or probes, if degraded).
+                    break;
+                }
+            }
+        }
+    }
+}

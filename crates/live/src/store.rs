@@ -59,8 +59,8 @@
 //! either. After `spill_fail_threshold` *consecutive* spill failures
 //! the store enters **degraded** mode: spill attempts are skipped
 //! without touching the disk — the server keeps the evicted windows in
-//! RAM instead (RAM-only retention; see `server::handle_close`) — and
-//! every few skipped attempts one *probe* spill goes to disk anyway,
+//! RAM instead (RAM-only retention; see `server::worker::handle_close`)
+//! — and every few skipped attempts one *probe* spill goes to disk anyway,
 //! with the skip run doubling after each failed probe
 //! ([`INITIAL_PROBE_SKIP`] → [`MAX_PROBE_SKIP`]). The first probe that
 //! succeeds clears degraded mode and the server's retained backlog
@@ -76,8 +76,7 @@
 //! and assert the exact degraded/recovered sequence.
 
 use crate::chaos::ChaosPlan;
-use crate::protocol::CellQuery;
-use crate::server::CellLine;
+use crate::protocol::{CellLine, CellQuery};
 use crate::window::{CellKey, CellSummary};
 use edgeperf_analysis::segment::{
     cell_sort_key, sort_cells, stage, staging_path, GroupEntry, SegmentIndex, SegmentReader,

@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn force_close_after_a_ring_rebuild_leaves_no_cell_behind() {
         // A dirty worker panic abandons the ring mid-window and installs a
-        // fresh one (`server::recover`): the rebuilt ring must hand out
+        // fresh one (`server::worker::recover`): the rebuilt ring must hand out
         // every cell pushed after the rebuild, and nothing from before it.
         let mut ring = WindowRing::new(100.0, 1_000.0);
         for i in 0..500 {

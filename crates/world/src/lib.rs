@@ -32,13 +32,14 @@ pub mod supervisor;
 pub mod topology;
 
 pub use cartographer::{map_cluster, ranked_pops, MappingPolicy};
+pub use edgeperf_core::plan::PlanError;
 pub use geo::{distance_km, propagation_rtt_ms, Continent, GeoPoint};
 pub use runner::{
     run_study, run_study_into, run_study_observed, simulate_session, simulate_session_scratch,
     simulate_session_with, SessionScratch, StudyConfig, StudyStats, WorkerCounters,
 };
 pub use supervisor::{
-    run_study_supervised, FaultPlan, FaultPlanError, QuarantinedPrefix, StudyReport,
-    SupervisorConfig, SupervisorError,
+    run_study_supervised, FaultPlan, QuarantinedPrefix, StudyReport, SupervisorConfig,
+    SupervisorError,
 };
 pub use topology::{ClientCluster, Pop, PrefixSite, RouteGt, World, WorldConfig};

@@ -52,6 +52,7 @@ use crate::runner::{
 use crate::topology::World;
 use edgeperf_analysis::checkpoint::PersistentSink;
 use edgeperf_analysis::{RecordShard, SessionRecord};
+use edgeperf_core::plan::{clauses, write_clauses, Clause, PlanError};
 use edgeperf_obs::{HeartbeatBoard, Metrics};
 use serde::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -113,78 +114,41 @@ pub struct FaultPlan {
     pub crash_after: Option<usize>,
 }
 
-/// A [`FaultPlan`] spec string failed to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlanError(pub String);
-
-impl fmt::Display for FaultPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid fault plan: {}", self.0)
-    }
-}
-
-impl std::error::Error for FaultPlanError {}
-
-fn parse_prefix_fault(body: &str, clause: &str) -> Result<PrefixFault, FaultPlanError> {
-    let (k, a) = match body.split_once('@') {
-        Some((k, a)) => (k, a),
-        None => (body, "1"),
-    };
-    let prefix =
-        k.parse().map_err(|_| FaultPlanError(format!("{clause}: bad prefix index {k:?}")))?;
-    let attempts =
-        a.parse().map_err(|_| FaultPlanError(format!("{clause}: bad attempt count {a:?}")))?;
-    Ok(PrefixFault { prefix, attempts })
-}
-
 impl FaultPlan {
-    /// Parse a spec string (see the type docs). Empty input is the empty
-    /// plan.
-    pub fn parse(spec: &str) -> Result<FaultPlan, FaultPlanError> {
+    /// Parse a spec string (see the type docs; the grammar is
+    /// [`edgeperf_core::plan`]'s). Empty input is the empty plan.
+    pub fn parse(spec: &str) -> Result<FaultPlan, PlanError> {
+        let prefix_fault = |clause: &Clause<'_>| -> Result<PrefixFault, PlanError> {
+            let [prefix, attempts] = clause.args([None, Some(1)])?;
+            Ok(PrefixFault { prefix: clause.fit(prefix)?, attempts: clause.fit(attempts)? })
+        };
         let mut plan = FaultPlan::default();
-        for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
-            let (kind, body) = clause
-                .split_once(':')
-                .ok_or_else(|| FaultPlanError(format!("{clause}: expected kind:args")))?;
-            match kind {
-                "panic" => plan.panics.push(parse_prefix_fault(body, clause)?),
-                "stall" => plan.stalls.push(parse_prefix_fault(body, clause)?),
-                "mergefail" => plan.merge_failures.push(parse_prefix_fault(body, clause)?),
+        for clause in clauses("fault plan", spec) {
+            let clause = clause?;
+            match clause.kind {
+                "panic" => plan.panics.push(prefix_fault(&clause)?),
+                "stall" => plan.stalls.push(prefix_fault(&clause)?),
+                "mergefail" => plan.merge_failures.push(prefix_fault(&clause)?),
                 "delay" => {
-                    let (w, ms) = body
-                        .split_once(':')
-                        .ok_or_else(|| FaultPlanError(format!("{clause}: expected delay:W:MS")))?;
-                    plan.delays.push(WorkerDelay {
-                        worker: w.parse().map_err(|_| {
-                            FaultPlanError(format!("{clause}: bad worker index {w:?}"))
-                        })?,
-                        delay_ms: ms
-                            .parse()
-                            .map_err(|_| FaultPlanError(format!("{clause}: bad delay {ms:?}")))?,
-                    });
+                    let [worker, delay_ms] = clause.args([None, None])?;
+                    plan.delays.push(WorkerDelay { worker: clause.fit(worker)?, delay_ms });
                 }
                 "malformed" => {
-                    let n: u64 = body
-                        .parse()
-                        .map_err(|_| FaultPlanError(format!("{clause}: bad period {body:?}")))?;
+                    let [n] = clause.args([None])?;
                     if n == 0 {
-                        return Err(FaultPlanError(format!("{clause}: period must be ≥ 1")));
+                        return Err(clause.error("period must be ≥ 1"));
                     }
                     plan.malformed_every = Some(n);
                 }
-                "crash" => {
-                    plan.crash_after = Some(body.parse().map_err(|_| {
-                        FaultPlanError(format!("{clause}: bad prefix index {body:?}"))
-                    })?);
-                }
-                other => return Err(FaultPlanError(format!("unknown fault kind {other:?}"))),
+                "crash" => plan.crash_after = Some(clause.fit(clause.args([None])?[0])?),
+                _ => return Err(clause.error("unknown clause kind")),
             }
         }
         Ok(plan)
     }
 
     /// The plan from `EDGEPERF_FAULT_PLAN`, or the empty plan when unset.
-    pub fn from_env() -> Result<FaultPlan, FaultPlanError> {
+    pub fn from_env() -> Result<FaultPlan, PlanError> {
         match std::env::var("EDGEPERF_FAULT_PLAN") {
             Ok(spec) => FaultPlan::parse(&spec),
             Err(_) => Ok(FaultPlan::default()),
@@ -220,26 +184,16 @@ impl FaultPlan {
 impl fmt::Display for FaultPlan {
     /// Canonical spec string (round-trips through [`FaultPlan::parse`]).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut clauses: Vec<String> = Vec::new();
-        for p in &self.panics {
-            clauses.push(format!("panic:{}@{}", p.prefix, p.attempts));
-        }
-        for s in &self.stalls {
-            clauses.push(format!("stall:{}@{}", s.prefix, s.attempts));
-        }
-        for d in &self.delays {
-            clauses.push(format!("delay:{}:{}", d.worker, d.delay_ms));
-        }
-        if let Some(n) = self.malformed_every {
-            clauses.push(format!("malformed:{n}"));
-        }
-        for m in &self.merge_failures {
-            clauses.push(format!("mergefail:{}@{}", m.prefix, m.attempts));
-        }
-        if let Some(k) = self.crash_after {
-            clauses.push(format!("crash:{k}"));
-        }
-        write!(f, "{}", clauses.join(";"))
+        let prefix_faults = |kind: &str, faults: &[PrefixFault]| -> Vec<String> {
+            faults.iter().map(|p| format!("{kind}:{}@{}", p.prefix, p.attempts)).collect()
+        };
+        let mut clauses = prefix_faults("panic", &self.panics);
+        clauses.extend(prefix_faults("stall", &self.stalls));
+        clauses.extend(self.delays.iter().map(|d| format!("delay:{}:{}", d.worker, d.delay_ms)));
+        clauses.extend(self.malformed_every.map(|n| format!("malformed:{n}")));
+        clauses.extend(prefix_faults("mergefail", &self.merge_failures));
+        clauses.extend(self.crash_after.map(|k| format!("crash:{k}")));
+        write_clauses(f, &clauses)
     }
 }
 
@@ -1105,6 +1059,44 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Plans generated from the struct side (`malformed:0` is not a plan).
+    fn plans() -> impl Strategy<Value = FaultPlan> {
+        let faults = || {
+            prop::collection::vec((0usize..1 << 20, any::<u32>()), 0..3).prop_map(|v| {
+                v.into_iter().map(|(prefix, attempts)| PrefixFault { prefix, attempts }).collect()
+            })
+        };
+        (
+            (faults(), faults(), faults()),
+            prop::collection::vec((0usize..64, any::<u64>()), 0..3),
+            prop::option::of(1..=u64::MAX),
+            prop::option::of(0usize..1 << 20),
+        )
+            .prop_map(
+                |((panics, stalls, merge_failures), delays, malformed_every, crash_after)| {
+                    FaultPlan {
+                        panics,
+                        stalls,
+                        delays: delays
+                            .into_iter()
+                            .map(|(worker, delay_ms)| WorkerDelay { worker, delay_ms })
+                            .collect(),
+                        malformed_every,
+                        merge_failures,
+                        crash_after,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #[test]
+        fn every_plan_round_trips_through_its_spec(plan in plans()) {
+            prop_assert_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan));
+        }
+    }
 
     #[test]
     fn fault_plan_parses_every_clause_kind() {

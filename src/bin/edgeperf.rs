@@ -60,6 +60,10 @@
 //! `pop N listening on ADDR` line per PoP, and on `fleet shutdown`
 //! drains every PoP and prints the merged final snapshot.
 //!
+//! Every integer flag of `serve` and `fleet` is parsed as the integer
+//! type of the field it sets: a fraction, a sign or a value out of range
+//! exits 2 with `edgeperf: --pops needs an integer`.
+//!
 //! `--metrics` prints an ingest accounting table (lines evaluated, rejects
 //! by reason) to stderr after the run.
 //!
@@ -75,12 +79,14 @@
 //! skipped.
 
 use edgeperf::core::HD_GOODPUT_BPS;
+use edgeperf::flag_value as value;
 use edgeperf::fleet::{Fleet, FleetConfig};
 use edgeperf::ingest::{evaluate_jsonl_observed, quarantine_jsonl, sample_line};
 use edgeperf::live::{ChaosPlan, ServeBuilder};
 use edgeperf::obs::{render_table, Metrics};
 use edgeperf::serve::WireParser;
 use std::io::Read;
+use std::str::FromStr;
 use std::sync::Arc;
 
 fn main() {
@@ -98,19 +104,13 @@ fn main() {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--target-mbps" => {
-                        let v: f64 = it
-                            .next()
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| die("--target-mbps needs a number"));
-                        target = v * 1e6;
+                        let mbps: f64 = value(&mut it, a, "a number").unwrap_or_else(|e| die(&e));
+                        target = mbps * 1e6;
                     }
                     "--metrics" => metrics = Metrics::enabled(),
                     "--quarantine-file" => {
-                        quarantine_file = Some(
-                            it.next()
-                                .cloned()
-                                .unwrap_or_else(|| die("--quarantine-file needs a path")),
-                        );
+                        quarantine_file =
+                            Some(value(&mut it, a, "a path").unwrap_or_else(|e| die(&e)));
                     }
                     f if !f.starts_with('-') => file = Some(f.to_string()),
                     other => die(&format!("unknown argument {other}")),
@@ -157,73 +157,8 @@ fn main() {
             }
         }
         Some("serve") => {
-            let mut builder = ServeBuilder::new().addr("127.0.0.1:4620");
-            let mut target = HD_GOODPUT_BPS;
-            let mut metrics = Metrics::disabled();
-            fn num(it: &mut dyn Iterator<Item = &String>, flag: &str) -> f64 {
-                it.next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-            }
-            let mut it = args.iter().skip(1);
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--addr" => {
-                        let addr =
-                            it.next().cloned().unwrap_or_else(|| die("--addr needs an address"));
-                        builder = builder.addr(addr);
-                    }
-                    "--workers" => builder = builder.workers(num(&mut it, "--workers") as usize),
-                    "--window-ms" => builder = builder.window_ms(num(&mut it, "--window-ms")),
-                    "--lateness-ms" => {
-                        builder = builder.lateness_ms(num(&mut it, "--lateness-ms"));
-                    }
-                    "--queue" => builder = builder.queue_capacity(num(&mut it, "--queue") as usize),
-                    "--retention" => {
-                        builder = builder.retention_windows(num(&mut it, "--retention") as usize);
-                    }
-                    "--spill-dir" => {
-                        let dir =
-                            it.next().cloned().unwrap_or_else(|| die("--spill-dir needs a path"));
-                        builder = builder.spill_dir(dir);
-                    }
-                    "--compact-min" => {
-                        builder =
-                            builder.compact_min_segments(num(&mut it, "--compact-min") as usize);
-                    }
-                    "--compact-batch" => {
-                        builder = builder.compact_batch(num(&mut it, "--compact-batch") as usize);
-                    }
-                    "--idle-timeout-ms" => {
-                        builder = builder.idle_timeout_ms(num(&mut it, "--idle-timeout-ms") as u64);
-                    }
-                    "--write-timeout-ms" => {
-                        builder =
-                            builder.write_timeout_ms(num(&mut it, "--write-timeout-ms") as u64);
-                    }
-                    "--max-conns" => {
-                        builder = builder.max_connections(num(&mut it, "--max-conns") as usize);
-                    }
-                    "--max-respawns" => {
-                        builder =
-                            builder.max_worker_respawns(num(&mut it, "--max-respawns") as u32);
-                    }
-                    "--spill-fail-threshold" => {
-                        builder = builder
-                            .spill_fail_threshold(num(&mut it, "--spill-fail-threshold") as u32);
-                    }
-                    "--chaos" => {
-                        let spec =
-                            it.next().cloned().unwrap_or_else(|| die("--chaos needs a plan"));
-                        let plan = ChaosPlan::parse(&spec)
-                            .unwrap_or_else(|e| die(&format!("--chaos: {e}")));
-                        builder = builder.chaos(plan);
-                    }
-                    "--target-mbps" => target = num(&mut it, "--target-mbps") * 1e6,
-                    "--metrics" => metrics = Metrics::enabled(),
-                    other => die(&format!("unknown argument {other}")),
-                }
-            }
+            let Serve { builder, target, metrics } =
+                parse_serve(&args[1..]).unwrap_or_else(|e| die(&e));
             let parser = Arc::new(WireParser::new(target));
             let handle = builder
                 .metrics(&metrics)
@@ -237,35 +172,8 @@ fn main() {
             }
         }
         Some("fleet") => {
-            let mut config =
-                FleetConfig { addr: "127.0.0.1:4630".to_string(), ..Default::default() };
-            let mut target = HD_GOODPUT_BPS;
-            let mut metrics = Metrics::disabled();
-            fn num(it: &mut dyn Iterator<Item = &String>, flag: &str) -> f64 {
-                it.next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-            }
-            let mut it = args.iter().skip(1);
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--addr" => {
-                        config.addr =
-                            it.next().cloned().unwrap_or_else(|| die("--addr needs an address"));
-                    }
-                    "--pops" => config.pops = num(&mut it, "--pops") as u16,
-                    "--workers" => config.workers = num(&mut it, "--workers") as usize,
-                    "--window-ms" => config.window_ms = num(&mut it, "--window-ms"),
-                    "--lateness-ms" => config.lateness_ms = num(&mut it, "--lateness-ms"),
-                    "--retention" => {
-                        config.retention_windows = num(&mut it, "--retention") as usize;
-                    }
-                    "--seed" => config.seed = num(&mut it, "--seed") as u64,
-                    "--target-mbps" => target = num(&mut it, "--target-mbps") * 1e6,
-                    "--metrics" => metrics = Metrics::enabled(),
-                    other => die(&format!("unknown argument {other}")),
-                }
-            }
+            let FleetArgs { config, target, metrics } =
+                parse_fleet(&args[1..]).unwrap_or_else(|e| die(&e));
             let parser = Arc::new(WireParser::new(target));
             let handle = Fleet::start(&config, parser, &metrics)
                 .unwrap_or_else(|e| die(&format!("fleet: {e}")));
@@ -288,7 +196,179 @@ fn main() {
     }
 }
 
+/// An integer flag, parsed as the integer type of the field it sets
+/// (`f64` then `as` used to alter fractions, signs and out-of-range values).
+fn int<'a, T: FromStr>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<T, String> {
+    value(it, flag, "an integer")
+}
+
+/// The parsed `edgeperf serve` command line.
+struct Serve {
+    builder: ServeBuilder,
+    target: f64,
+    metrics: Metrics,
+}
+
+fn parse_serve(args: &[String]) -> Result<Serve, String> {
+    let mut serve = Serve {
+        builder: ServeBuilder::new().addr("127.0.0.1:4620"),
+        target: HD_GOODPUT_BPS,
+        metrics: Metrics::disabled(),
+    };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let flag = a.as_str();
+        let b = serve.builder;
+        serve.builder = match flag {
+            "--addr" => b.addr(value::<String>(&mut it, flag, "an address")?),
+            "--workers" => b.workers(int(&mut it, flag)?),
+            "--window-ms" => b.window_ms(value(&mut it, flag, "a number")?),
+            "--lateness-ms" => b.lateness_ms(value(&mut it, flag, "a number")?),
+            "--queue" => b.queue_capacity(int(&mut it, flag)?),
+            "--retention" => b.retention_windows(int(&mut it, flag)?),
+            "--spill-dir" => b.spill_dir(value::<String>(&mut it, flag, "a path")?),
+            "--compact-min" => b.compact_min_segments(int(&mut it, flag)?),
+            "--compact-batch" => b.compact_batch(int(&mut it, flag)?),
+            "--idle-timeout-ms" => b.idle_timeout_ms(int(&mut it, flag)?),
+            "--write-timeout-ms" => b.write_timeout_ms(int(&mut it, flag)?),
+            "--max-conns" => b.max_connections(int(&mut it, flag)?),
+            "--max-respawns" => b.max_worker_respawns(int(&mut it, flag)?),
+            "--spill-fail-threshold" => b.spill_fail_threshold(int(&mut it, flag)?),
+            "--chaos" => {
+                let spec: String = value(&mut it, flag, "a plan")?;
+                b.chaos(ChaosPlan::parse(&spec).map_err(|e| format!("--chaos: {e}"))?)
+            }
+            "--target-mbps" => {
+                serve.target = value::<f64>(&mut it, flag, "a number")? * 1e6;
+                b
+            }
+            "--metrics" => {
+                serve.metrics = Metrics::enabled();
+                b
+            }
+            other => return Err(format!("unknown argument {other}")),
+        };
+    }
+    Ok(serve)
+}
+
+/// The parsed `edgeperf fleet` command line.
+struct FleetArgs {
+    config: FleetConfig,
+    target: f64,
+    metrics: Metrics,
+}
+
+fn parse_fleet(args: &[String]) -> Result<FleetArgs, String> {
+    let mut fleet = FleetArgs {
+        config: FleetConfig { addr: "127.0.0.1:4630".to_string(), ..Default::default() },
+        target: HD_GOODPUT_BPS,
+        metrics: Metrics::disabled(),
+    };
+    let config = &mut fleet.config;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let flag = a.as_str();
+        match flag {
+            "--addr" => config.addr = value(&mut it, flag, "an address")?,
+            "--pops" => config.pops = int(&mut it, flag)?,
+            "--workers" => config.workers = int(&mut it, flag)?,
+            "--window-ms" => config.window_ms = value(&mut it, flag, "a number")?,
+            "--lateness-ms" => config.lateness_ms = value(&mut it, flag, "a number")?,
+            "--retention" => config.retention_windows = int(&mut it, flag)?,
+            "--seed" => config.seed = int(&mut it, flag)?,
+            "--target-mbps" => fleet.target = value::<f64>(&mut it, flag, "a number")? * 1e6,
+            "--metrics" => fleet.metrics = Metrics::enabled(),
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    Ok(fleet)
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("edgeperf: {msg}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn serve(line: &str) -> Result<Serve, String> {
+        parse_serve(&words(line))
+    }
+
+    fn fleet(line: &str) -> Result<FleetArgs, String> {
+        parse_fleet(&words(line))
+    }
+
+    #[test]
+    fn integer_flags_keep_every_bit_of_their_own_type() {
+        let f = fleet("--pops 65535 --seed 18446744073709551615 --workers 3").unwrap();
+        assert_eq!((f.config.pops, f.config.seed, f.config.workers), (u16::MAX, u64::MAX, 3));
+        assert_eq!(fleet("").unwrap().config.addr, "127.0.0.1:4630");
+        let s = serve(
+            "--max-respawns 4294967295 --idle-timeout-ms 18446744073709551615 --max-conns 0 \
+             --window-ms 1.5 --target-mbps 2.5",
+        )
+        .unwrap();
+        let config = s.builder.config();
+        assert_eq!(config.max_worker_respawns, u32::MAX);
+        assert_eq!(config.idle_timeout_ms, u64::MAX);
+        assert_eq!((config.max_connections, config.window_ms, s.target), (0, 1.5, 2.5e6));
+        // The command line `benchmark/` starts its servers with.
+        let s =
+            serve("--addr 127.0.0.1:0 --workers 2 --retention 8 --lateness-ms 60000 --spill-dir D")
+                .unwrap();
+        let config = s.builder.config();
+        assert_eq!((config.addr.as_str(), config.workers), ("127.0.0.1:0", 2));
+        assert_eq!((config.retention_windows, config.lateness_ms), (8, 60_000.0));
+        assert_eq!(config.spill_dir.as_deref(), Some(std::path::Path::new("D")));
+    }
+
+    #[test]
+    fn bad_or_missing_values_are_messages_naming_the_flag() {
+        type Parse = fn(&str) -> Option<String>;
+        let serve_err: Parse = |line| serve(line).err();
+        let fleet_err: Parse = |line| fleet(line).err();
+        let integer_flags: [(Parse, &str); 2] = [
+            (
+                serve_err,
+                "--workers --queue --retention --compact-min --compact-batch --idle-timeout-ms \
+                 --write-timeout-ms --max-conns --max-respawns --spill-fail-threshold",
+            ),
+            (fleet_err, "--pops --workers --retention --seed"),
+        ];
+        for (parse, flags) in integer_flags {
+            for flag in flags.split_whitespace() {
+                for bad in ["1.5", "-1", "1e3", ""] {
+                    let line = format!("{flag} {bad}");
+                    assert_eq!(parse(&line), Some(format!("{flag} needs an integer")), "{line}");
+                }
+            }
+        }
+        for (parse, line, want) in [
+            (fleet_err, "--pops 70000", "--pops needs an integer"),
+            (serve_err, "--max-respawns 4294967296", "--max-respawns needs an integer"),
+            (serve_err, "--window-ms wide", "--window-ms needs a number"),
+            (fleet_err, "--lateness-ms", "--lateness-ms needs a number"),
+            (serve_err, "--target-mbps fast", "--target-mbps needs a number"),
+            (serve_err, "--addr", "--addr needs an address"),
+            (serve_err, "--spill-dir", "--spill-dir needs a path"),
+            (serve_err, "--chaos", "--chaos needs a plan"),
+            (
+                serve_err,
+                "--chaos bogus:1",
+                "--chaos: invalid chaos plan: `bogus:1`: unknown clause kind",
+            ),
+            (fleet_err, "--frobnicate", "unknown argument --frobnicate"),
+            (serve_err, "--pops 2", "unknown argument --pops"),
+        ] {
+            assert_eq!(parse(line).as_deref(), Some(want), "{line}");
+        }
+    }
 }

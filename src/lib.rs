@@ -71,3 +71,16 @@ pub use edgeperf_stats as stats;
 pub use edgeperf_tcp as tcp;
 pub use edgeperf_workload as workload;
 pub use edgeperf_world as world;
+
+/// The value following `flag` on a command line, parsed as the type of
+/// the field it sets: `Err("--seed needs an integer")` when the line ends
+/// before it or it does not parse — so an integer flag rejects `1.5`, a
+/// sign on an unsigned type and anything out of range. Shared by the
+/// `edgeperf`, `repro` and `loadgen` binaries.
+pub fn flag_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = impl AsRef<str>>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    it.next().and_then(|s| s.as_ref().parse().ok()).ok_or_else(|| format!("{flag} needs {what}"))
+}
