@@ -1,293 +1,239 @@
-//! Sink persistence for checkpoint/resume.
+//! The byte form of one exact fragment: what the study driver's
+//! checkpoint journal writes for each prefix it merges.
 //!
-//! The study supervisor periodically snapshots its sink to disk so a
-//! killed study can restart without recomputing merged prefixes. A sink
-//! opts in by implementing [`PersistentSink`]: flatten the complete sink
-//! state into a [`Value`] tree (encoded by the caller with the in-repo
-//! `serde_json`) and rebuild it bit-for-bit from that tree.
+//! ```text
+//! "EPSH" | version = 1 | cells: u32 | rows: u32                 13 bytes
+//! cell*   pop: u16 | base: u32 | len: u8 | country: u16 | continent: u8
+//!         | window: u32 | rank: u8 | relationship: u8 | flags: u8
+//!         | bytes: u64                                          25 bytes
+//! column  cell id: u32 per row
+//! column  MinRTT bits: u64 per row
+//! column  HDratio bits: u64 per row (NaN = untested)
+//! FxHash of everything above: u64
+//! ```
 //!
-//! The round-trip contract, proven by tests here: `Vec<SessionRecord>` is
-//! exact — every field of every record survives, including the `f64` bit
-//! patterns (the JSON layer prints shortest round-trip representations).
-//! It is the one sink the supervised study path uses, and the basis of
-//! its bit-identical-resume guarantee. The streaming sink is not
-//! persistent: the supervisor is never handed one, and its sealed state
-//! would need an on-disk format of its own.
+//! Rows are the shard's three aligned columns as they lie, floats as raw
+//! bit patterns, so a decoded fragment merges to the same bits as the one
+//! a worker filled. Per-cell sample counts are not stored: the decoder
+//! recounts them from the rows, so they cannot disagree.
+//!
+//! A journal file is outside input. Every record has a fixed size, so the
+//! two counts must account for the image's length *exactly* before
+//! anything is sized by them; a row must name a cell the image holds, a
+//! cell a rank and a window its sink has. Problems are the typed
+//! [`EdgeperfError::Segment`] — the checksum is `segment.rs`'s.
 
-use crate::record::{GroupKey, SessionRecord};
-use crate::sink::RecordSink;
-use edgeperf_routing::{PopId, Prefix, Relationship};
-use serde::{DeError, Value};
+use crate::columnar::{CellKey, ColumnarShard, ColumnarSink};
+use crate::record::GroupKey;
+use crate::segment::{
+    checked_body, checksum, corrupt, rel_code, rel_from_code, Reader, FLAG_LONGER_PATH,
+    FLAG_MORE_PREPENDED,
+};
+use edgeperf_core::EdgeperfError;
+use edgeperf_routing::{PopId, Prefix};
 
-/// A [`RecordSink`] whose complete state can be written to and rebuilt
-/// from a JSON value tree.
-pub trait PersistentSink: RecordSink {
-    /// Stable label stored in the checkpoint and checked on load, so a
-    /// checkpoint written by one sink kind cannot restore another.
-    fn kind() -> &'static str;
+/// Magic bytes opening every encoded shard.
+pub const SHARD_MAGIC: [u8; 4] = *b"EPSH";
 
-    /// Flatten the sink into a JSON value tree.
-    fn save(&self) -> Value;
+/// Current shard format version.
+pub const SHARD_VERSION: u8 = 1;
 
-    /// Rebuild a sink from [`save`] output.
-    ///
-    /// [`save`]: PersistentSink::save
-    fn load(value: &Value) -> Result<Self, DeError>
-    where
-        Self: Sized;
-}
+/// Magic, version, cell count, row count.
+const HEADER_LEN: usize = SHARD_MAGIC.len() + 1 + 4 + 4;
 
-fn num(v: &Value, what: &str) -> Result<f64, DeError> {
-    match v {
-        Value::Num(n) => Ok(*n),
-        other => Err(DeError::expected(what, other)),
+/// One cell's metadata: 2+4+1+2+1 + 4+1 + 1+1 + 8.
+const CELL_BYTES: usize = 25;
+
+/// One row: cell id, MinRTT, HDratio.
+const ROW_BYTES: usize = 4 + 8 + 8;
+
+impl ColumnarShard {
+    /// Append this shard's byte form (see the module docs) to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        let count = |n: usize| u32::try_from(n).expect("a shard's counts fit u32").to_le_bytes();
+        out.reserve(HEADER_LEN + self.cells.len() * CELL_BYTES + self.cell.len() * ROW_BYTES + 8);
+        out.extend_from_slice(&SHARD_MAGIC);
+        out.push(SHARD_VERSION);
+        out.extend_from_slice(&count(self.cells.len()));
+        out.extend_from_slice(&count(self.cell.len()));
+        for c in &self.cells {
+            let CellKey { group, window, rank } = c.key;
+            out.extend_from_slice(&group.pop.0.to_le_bytes());
+            out.extend_from_slice(&group.prefix.base.to_le_bytes());
+            out.push(group.prefix.len);
+            out.extend_from_slice(&group.country.to_le_bytes());
+            out.push(group.continent);
+            out.extend_from_slice(&window.to_le_bytes());
+            let flags = u8::from(c.longer_path) * FLAG_LONGER_PATH
+                + u8::from(c.more_prepended) * FLAG_MORE_PREPENDED;
+            out.extend_from_slice(&[rank, rel_code(c.relationship), flags]);
+            out.extend_from_slice(&c.bytes.to_le_bytes());
+        }
+        self.cell.iter().for_each(|ci| out.extend_from_slice(&ci.to_le_bytes()));
+        for column in [&self.min_rtt, &self.hdratio] {
+            column.iter().for_each(|v| out.extend_from_slice(&v.to_bits().to_le_bytes()));
+        }
+        let sum = checksum(&out[start..]);
+        out.extend_from_slice(&sum.to_le_bytes());
     }
 }
 
-fn int(v: &Value, what: &str) -> Result<u64, DeError> {
-    let n = num(v, what)?;
-    // `u64::MAX as f64` is 2^64: the first value `as u64` would saturate.
-    if n < 0.0 || n.fract() != 0.0 || n >= u64::MAX as f64 {
-        return Err(DeError(format!("{what}: expected non-negative integer, got {n}")));
-    }
-    Ok(n as u64)
-}
-
-/// [`int`], narrowed to the field's own type: a checkpoint is outside
-/// input, so a value its column cannot hold is an error, not a wrap.
-fn narrow<T: TryFrom<u64>>(v: &Value, what: &str) -> Result<T, DeError> {
-    let n = int(v, what)?;
-    T::try_from(n).map_err(|_| DeError(format!("column {what}: {n} is out of range")))
-}
-
-fn boolean(v: &Value, what: &str) -> Result<bool, DeError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        other => Err(DeError::expected(what, other)),
-    }
-}
-
-fn array<'v>(v: &'v Value, what: &str) -> Result<&'v [Value], DeError> {
-    match v {
-        Value::Array(items) => Ok(items),
-        other => Err(DeError::expected(what, other)),
-    }
-}
-
-fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, DeError> {
-    v.get(name).ok_or_else(|| DeError::missing(name))
-}
-
-fn rel_code(r: Relationship) -> f64 {
-    match r {
-        Relationship::PrivatePeer => 0.0,
-        Relationship::PublicPeer => 1.0,
-        Relationship::Transit => 2.0,
-    }
-}
-
-fn rel_from_code(code: u64) -> Result<Relationship, DeError> {
-    match code {
-        0 => Ok(Relationship::PrivatePeer),
-        1 => Ok(Relationship::PublicPeer),
-        2 => Ok(Relationship::Transit),
-        other => Err(DeError(format!("unknown relationship code {other}"))),
-    }
-}
-
-/// Exact record persistence, stored column-wise: one array per field,
-/// index-aligned. `f64` columns round-trip bit-exactly through the JSON
-/// layer's shortest-repr printing; `hdratio` uses `null` for untested
-/// sessions.
-impl PersistentSink for Vec<SessionRecord> {
-    fn kind() -> &'static str {
-        "records"
-    }
-
-    fn save(&self) -> Value {
-        let col = |f: &dyn Fn(&SessionRecord) -> Value| Value::Array(self.iter().map(f).collect());
-        Value::Object(vec![
-            ("pop".into(), col(&|r| Value::Num(r.group.pop.0 as f64))),
-            ("base".into(), col(&|r| Value::Num(r.group.prefix.base as f64))),
-            ("plen".into(), col(&|r| Value::Num(r.group.prefix.len as f64))),
-            ("country".into(), col(&|r| Value::Num(r.group.country as f64))),
-            ("continent".into(), col(&|r| Value::Num(r.group.continent as f64))),
-            ("window".into(), col(&|r| Value::Num(r.window as f64))),
-            ("rank".into(), col(&|r| Value::Num(r.route_rank as f64))),
-            ("rel".into(), col(&|r| Value::Num(rel_code(r.relationship)))),
-            ("longer".into(), col(&|r| Value::Bool(r.longer_path))),
-            ("prepended".into(), col(&|r| Value::Bool(r.more_prepended))),
-            ("min_rtt".into(), col(&|r| Value::Num(r.min_rtt_ms))),
-            ("hdratio".into(), col(&|r| r.hdratio.map_or(Value::Null, Value::Num))),
-            ("bytes".into(), col(&|r| Value::Num(r.bytes as f64))),
-        ])
-    }
-
-    fn load(value: &Value) -> Result<Self, DeError> {
-        let col = |name: &str| -> Result<&[Value], DeError> { array(field(value, name)?, name) };
-        let pop = col("pop")?;
-        let base = col("base")?;
-        let plen = col("plen")?;
-        let country = col("country")?;
-        let continent = col("continent")?;
-        let window = col("window")?;
-        let rank = col("rank")?;
-        let rel = col("rel")?;
-        let longer = col("longer")?;
-        let prepended = col("prepended")?;
-        let min_rtt = col("min_rtt")?;
-        let hdratio = col("hdratio")?;
-        let bytes = col("bytes")?;
-        let n = pop.len();
-        for (name, c) in [
-            ("base", base),
-            ("plen", plen),
-            ("country", country),
-            ("continent", continent),
-            ("window", window),
-            ("rank", rank),
-            ("rel", rel),
-            ("longer", longer),
-            ("prepended", prepended),
-            ("min_rtt", min_rtt),
-            ("hdratio", hdratio),
-            ("bytes", bytes),
-        ] {
-            if c.len() != n {
-                return Err(DeError(format!("column {name}: length {} != {n}", c.len())));
+impl ColumnarSink {
+    /// Rebuild a shard of this sink from [`ColumnarShard::encode`]'s
+    /// bytes, ready to [merge](crate::RecordSink::merge_shard).
+    pub fn decode_shard(&self, bytes: &[u8]) -> Result<ColumnarShard, EdgeperfError> {
+        let mut r = Reader { bytes: checked_body(bytes)?, at: 0 };
+        if r.take(SHARD_MAGIC.len())? != SHARD_MAGIC {
+            return Err(corrupt("not an encoded shard (bad magic)".into()));
+        }
+        let version = r.u8()?;
+        if version != SHARD_VERSION {
+            return Err(corrupt(format!("unsupported shard version {version}")));
+        }
+        let (n_cells, n_rows) = (r.u32()? as usize, r.u32()? as usize);
+        // Length arithmetic before any allocation: fixed-size records, so
+        // the counts either account for every byte left or are forged.
+        if n_cells as u64 * CELL_BYTES as u64 + n_rows as u64 * ROW_BYTES as u64
+            != r.remaining() as u64
+        {
+            return Err(corrupt(format!(
+                "{n_cells} cells and {n_rows} rows cannot be {} bytes",
+                r.remaining()
+            )));
+        }
+        let mut shard = ColumnarShard::default();
+        for i in 0..n_cells {
+            let group = GroupKey {
+                pop: PopId(r.u16()?),
+                prefix: Prefix { base: r.u32()?, len: r.u8()? },
+                country: r.u16()?,
+                continent: r.u8()?,
+            };
+            let key = CellKey { group, window: r.u32()?, rank: r.u8()? };
+            // The two bounds `cell_id` and `summarize` would panic on.
+            if key.rank >= 8 || key.window as usize >= self.n_windows {
+                return Err(corrupt(format!(
+                    "cell {i} at rank {} window {} is outside the sink",
+                    key.rank, key.window
+                )));
+            }
+            let (relationship, flags) = (rel_from_code(r.u8()?)?, r.u8()?);
+            if flags & !(FLAG_LONGER_PATH | FLAG_MORE_PREPENDED) != 0 {
+                return Err(corrupt(format!("unknown flag bits {flags:#04x}")));
+            }
+            if shard.cell_id(key, relationship) != i {
+                return Err(corrupt(format!("cell {i} repeats an earlier cell's key")));
+            }
+            let cell = &mut shard.cells[i];
+            cell.longer_path = flags & FLAG_LONGER_PATH != 0;
+            cell.more_prepended = flags & FLAG_MORE_PREPENDED != 0;
+            cell.bytes = r.u64()?;
+        }
+        shard.cell.reserve_exact(n_rows);
+        for row in 0..n_rows {
+            let ci = r.u32()?;
+            if ci as usize >= n_cells {
+                return Err(corrupt(format!("row {row} names cell {ci} of {n_cells}")));
+            }
+            shard.cell.push(ci);
+        }
+        for column in [&mut shard.min_rtt, &mut shard.hdratio] {
+            column.reserve_exact(n_rows);
+            for _ in 0..n_rows {
+                column.push(f64::from_bits(r.u64()?));
             }
         }
-        (0..n)
-            .map(|i| {
-                Ok(SessionRecord {
-                    group: GroupKey {
-                        pop: PopId(narrow(&pop[i], "pop")?),
-                        prefix: Prefix::new(narrow(&base[i], "base")?, narrow(&plen[i], "plen")?),
-                        country: narrow(&country[i], "country")?,
-                        continent: narrow(&continent[i], "continent")?,
-                    },
-                    window: narrow(&window[i], "window")?,
-                    route_rank: narrow(&rank[i], "rank")?,
-                    relationship: rel_from_code(int(&rel[i], "rel")?)?,
-                    longer_path: boolean(&longer[i], "longer")?,
-                    more_prepended: boolean(&prepended[i], "prepended")?,
-                    min_rtt_ms: num(&min_rtt[i], "min_rtt")?,
-                    hdratio: match &hdratio[i] {
-                        Value::Null => None,
-                        v => Some(num(v, "hdratio")?),
-                    },
-                    bytes: int(&bytes[i], "bytes")?,
-                })
-            })
-            .collect()
+        for (row, &ci) in shard.cell.iter().enumerate() {
+            if shard.min_rtt[row].is_nan() {
+                return Err(corrupt(format!("row {row} has a NaN MinRTT")));
+            }
+            let cell = &mut shard.cells[ci as usize];
+            cell.n_rtt += 1;
+            cell.n_hd += u32::from(!shard.hdratio[row].is_nan());
+        }
+        Ok(shard)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::tests::{rec, synthetic};
+    use crate::sink::{RecordShard, RecordSink};
 
-    fn rec(prefix: u32, window: u32, rank: u8, rtt: f64, hdr: Option<f64>) -> SessionRecord {
-        SessionRecord {
-            group: GroupKey {
-                pop: PopId((prefix % 3) as u16),
-                prefix: Prefix::new(prefix << 16, 16),
-                country: (prefix % 7) as u16,
-                continent: (prefix % 5) as u8,
-            },
-            window,
-            route_rank: rank,
-            relationship: match prefix % 3 {
-                0 => Relationship::PrivatePeer,
-                1 => Relationship::PublicPeer,
-                _ => Relationship::Transit,
-            },
-            longer_path: rank > 0,
-            more_prepended: prefix.is_multiple_of(2),
-            min_rtt_ms: rtt,
-            hdratio: hdr,
-            bytes: 100 + prefix as u64,
-        }
+    /// 13 prefixes × 4 windows = 52 cells; a third of the rows untested.
+    fn shard_of(sink: &ColumnarSink, n: usize) -> ColumnarShard {
+        let mut shard = sink.new_shard();
+        synthetic(n).into_iter().for_each(|r| shard.push(r));
+        shard
     }
 
-    fn synthetic(n: usize) -> Vec<SessionRecord> {
-        (0..n)
-            .map(|i| {
-                let u = (i as f64 * 0.618_033_988_749).fract();
-                rec(
-                    (i % 13) as u32,
-                    (i % 4) as u32,
-                    (i % 2) as u8,
-                    20.0 + 60.0 * u,
-                    (i % 3 != 0).then_some(u),
-                )
-            })
-            .collect()
+    /// Everything a sink holding just `shard` can be asked, as bits.
+    fn bits(mut sink: ColumnarSink, shard: ColumnarShard) -> (Vec<String>, String) {
+        sink.merge_shard(shard);
+        let rows = sink.rows().map(|(k, rtt, hd)| format!("{k:?} {rtt:?} {hd:?}")).collect();
+        (rows, format!("{:?}", sink.summarize().groups))
     }
 
     #[test]
-    fn vec_round_trip_is_bit_identical_through_json_text() {
-        let records = synthetic(1_500);
-        let text = serde_json::to_string(&records.save()).unwrap();
-        let restored = <Vec<SessionRecord>>::load(&serde_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(restored.len(), records.len());
-        for (a, b) in records.iter().zip(&restored) {
-            assert_eq!(a.group, b.group);
-            assert_eq!(a.window, b.window);
-            assert_eq!(a.route_rank, b.route_rank);
-            assert_eq!(a.relationship, b.relationship);
-            assert_eq!(a.longer_path, b.longer_path);
-            assert_eq!(a.more_prepended, b.more_prepended);
-            assert_eq!(a.min_rtt_ms.to_bits(), b.min_rtt_ms.to_bits());
-            assert_eq!(a.hdratio.map(f64::to_bits), b.hdratio.map(f64::to_bits));
-            assert_eq!(a.bytes, b.bytes);
+    fn a_shard_round_trips_to_the_same_rows_and_summaries() {
+        let sink = || ColumnarSink::new(4);
+        let mut image = Vec::new();
+        shard_of(&sink(), 1_500).encode(&mut image);
+        assert_eq!(image.len(), HEADER_LEN + 13 * 4 * CELL_BYTES + 1_500 * ROW_BYTES + 8);
+        let decoded = sink().decode_shard(&image).expect("decodes");
+        // A third of the rows tested nothing: NaN in the column, `None` out.
+        assert_eq!(decoded.hdratio.iter().filter(|h| h.is_nan()).count(), 500);
+        assert_eq!(bits(sink(), decoded), bits(sink(), shard_of(&sink(), 1_500)));
+
+        // A decoded shard is a working shard: pushed to and encoded again,
+        // it is the bytes of the shard that was pushed to all along.
+        let mut resumed = sink().decode_shard(&image).unwrap();
+        let mut whole = shard_of(&sink(), 1_500);
+        for shard in [&mut resumed, &mut whole] {
+            shard.push(rec(1, 3, 0, 41.5, None));
+            shard.push(rec(40, 0, 1, 7.25, Some(0.5)));
         }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        resumed.encode(&mut a);
+        whole.encode(&mut b);
+        assert_eq!(a, b);
+
+        let mut empty = Vec::new();
+        sink().new_shard().encode(&mut empty);
+        assert_eq!(empty.len(), HEADER_LEN + 8);
+        assert_eq!(sink().decode_shard(&empty).expect("an empty shard decodes").sample_count(), 0);
     }
 
     #[test]
-    fn empty_vec_round_trips() {
-        let empty: Vec<SessionRecord> = Vec::new();
-        let restored = <Vec<SessionRecord>>::load(&empty.save()).unwrap();
-        assert!(restored.is_empty());
-    }
-
-    #[test]
-    fn a_value_its_column_cannot_hold_is_an_error_not_another_record() {
-        for (column, value) in
-            [("pop", 65_536.0), ("plen", 256.0), ("rank", 256.0), ("window", 4_294_967_296.0)]
-        {
-            let mut v = synthetic(3).save();
-            if let Value::Object(members) = &mut v {
-                let (_, col) = members.iter_mut().find(|(k, _)| k == column).unwrap();
-                *col = Value::Array(vec![Value::Num(0.0), Value::Num(value), Value::Num(0.0)]);
-            }
-            let err = <Vec<SessionRecord>>::load(&v).expect_err(column);
-            assert_eq!(err.0, format!("column {column}: {value} is out of range"));
-        }
-    }
-
-    #[test]
-    fn load_rejects_malformed_trees() {
-        assert!(<Vec<SessionRecord>>::load(&Value::Null).is_err());
-        // Mismatched column lengths.
-        let mut v = synthetic(10).save();
-        if let Value::Object(members) = &mut v {
-            for (k, col) in members.iter_mut() {
-                if k == "window" {
-                    *col = Value::Array(vec![]);
-                }
-            }
-        }
-        assert!(<Vec<SessionRecord>>::load(&v).is_err());
-        // Unknown relationship code.
-        let mut v = synthetic(3).save();
-        if let Value::Object(members) = &mut v {
-            for (k, col) in members.iter_mut() {
-                if k == "rel" {
-                    *col = Value::Array(vec![Value::Num(9.0); 3]);
-                }
-            }
-        }
-        assert!(<Vec<SessionRecord>>::load(&v).is_err());
+    fn what_the_checksum_cannot_stop_the_arithmetic_and_the_bounds_do() {
+        let sink = ColumnarSink::new(4);
+        let mut image = Vec::new();
+        shard_of(&sink, 60).encode(&mut image);
+        // Forge one field, recompute the checksum, expect the message.
+        let forged = |at: usize, bytes: &[u8], want: &str| {
+            let mut bad = image.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            let body = bad.len() - 8;
+            let sum = checksum(&bad[..body]).to_le_bytes();
+            bad[body..].copy_from_slice(&sum);
+            let err = sink.decode_shard(&bad).expect_err(want);
+            assert!(err.to_string().contains(want), "{want}: {err}");
+        };
+        forged(0, b"EPSG", "bad magic");
+        forged(4, &[9], "unsupported shard version 9");
+        forged(5, &u32::MAX.to_le_bytes(), "cells and 60 rows cannot be");
+        forged(9, &u32::MAX.to_le_bytes(), "rows cannot be");
+        let cell0 = HEADER_LEN;
+        forged(cell0 + 10, &4u32.to_le_bytes(), "window 4 is outside the sink");
+        forged(cell0 + 14, &[8], "rank 8");
+        forged(cell0 + 15, &[3], "unknown relationship code 3");
+        forged(cell0 + 16, &[4], "unknown flag bits");
+        let cell1: Vec<u8> = image[cell0 + CELL_BYTES..cell0 + 2 * CELL_BYTES].to_vec();
+        forged(cell0, &cell1, "cell 1 repeats an earlier cell's key");
+        let rows = HEADER_LEN + 13 * 4 * CELL_BYTES;
+        forged(rows, &52u32.to_le_bytes(), "row 0 names cell 52 of 52");
+        forged(rows + 60 * 4, &f64::NAN.to_bits().to_le_bytes(), "row 0 has a NaN MinRTT");
     }
 }

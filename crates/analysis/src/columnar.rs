@@ -47,14 +47,14 @@ pub struct CellKey {
 
 /// Per-cell scalar metadata, updated in place on every record.
 #[derive(Debug, Clone)]
-struct CellMeta {
-    key: CellKey,
-    relationship: Relationship,
-    longer_path: bool,
-    more_prepended: bool,
-    bytes: u64,
-    n_rtt: u32,
-    n_hd: u32,
+pub(crate) struct CellMeta {
+    pub(crate) key: CellKey,
+    pub(crate) relationship: Relationship,
+    pub(crate) longer_path: bool,
+    pub(crate) more_prepended: bool,
+    pub(crate) bytes: u64,
+    pub(crate) n_rtt: u32,
+    pub(crate) n_hd: u32,
 }
 
 /// One group's dense (rank, window) → cell-id table. Entries store
@@ -73,11 +73,11 @@ pub struct ColumnarShard {
     group_index: FxHashMap<GroupKey, u32>,
     memo: Option<(GroupKey, u32)>,
     groups: Vec<ShardGroup>,
-    cells: Vec<CellMeta>,
-    cell: Vec<u32>,
-    min_rtt: Vec<f64>,
+    pub(crate) cells: Vec<CellMeta>,
+    pub(crate) cell: Vec<u32>,
+    pub(crate) min_rtt: Vec<f64>,
     /// NaN for a session that tested nothing.
-    hdratio: Vec<f64>,
+    pub(crate) hdratio: Vec<f64>,
 }
 
 /// One metric of one shard with every cell's samples contiguous and
@@ -107,7 +107,7 @@ impl ColumnarShard {
 
     /// Dense id of the cell `key`, created on first sight.
     #[inline]
-    fn cell_id(&mut self, key: CellKey, relationship: Relationship) -> usize {
+    pub(crate) fn cell_id(&mut self, key: CellKey, relationship: Relationship) -> usize {
         assert!(key.rank < 8, "suspicious route rank {}", key.rank);
         let gi = match self.memo {
             Some((k, i)) if k == key.group => i as usize,
@@ -272,7 +272,7 @@ impl RecordShard for ColumnarShard {
 /// read.
 #[derive(Debug, Default)]
 pub struct ColumnarSink {
-    n_windows: usize,
+    pub(crate) n_windows: usize,
     shards: Vec<ColumnarShard>,
 }
 
@@ -388,11 +388,17 @@ impl RecordSink for ColumnarSink {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use edgeperf_routing::{PopId, Prefix};
 
-    fn rec(prefix: u32, window: u32, rank: u8, rtt: f64, hdr: Option<f64>) -> SessionRecord {
+    pub(crate) fn rec(
+        prefix: u32,
+        window: u32,
+        rank: u8,
+        rtt: f64,
+        hdr: Option<f64>,
+    ) -> SessionRecord {
         SessionRecord {
             group: GroupKey {
                 pop: PopId((prefix % 3) as u16),
@@ -411,7 +417,7 @@ mod tests {
         }
     }
 
-    fn synthetic(n: usize) -> Vec<SessionRecord> {
+    pub(crate) fn synthetic(n: usize) -> Vec<SessionRecord> {
         (0..n)
             .map(|i| {
                 let u = (i as f64 * 0.618_033_988_749).fract();

@@ -166,11 +166,6 @@ impl<C> GroupData<C> {
         self.ranks.first().into_iter().flat_map(|ws| ws.iter().flatten())
     }
 
-    /// Windows where the preferred route has any traffic.
-    pub fn covered_windows(&self) -> usize {
-        self.preferred().count()
-    }
-
     /// The same grid with every cell summarised by `summary`.
     pub fn summarize(&self, summary: impl Fn(&C) -> CellSummary) -> GroupData<CellSummary> {
         GroupData {
@@ -431,7 +426,7 @@ mod tests {
         assert_eq!(c.bytes, 300);
         assert!(g.cell(1, 0).unwrap().longer_path);
         assert!(g.cell(0, 2).is_none());
-        assert_eq!(g.covered_windows(), 2);
+        assert_eq!(g.preferred().count(), 2);
         assert_eq!(ds.total_bytes(), 360);
     }
 

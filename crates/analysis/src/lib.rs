@@ -26,9 +26,9 @@
 //!   [`SinkStats`] summary the observability layer exports as gauges.
 //! - [`columnar`]: struct-of-arrays worker shards for the exact path,
 //!   merged zero-copy into the sink at join time.
-//! - [`checkpoint`]: [`PersistentSink`] — sinks that can flatten their
-//!   complete state to JSON and rebuild it, the substrate of the study
-//!   supervisor's checkpoint/resume.
+//! - [`checkpoint`]: the byte form of one exact fragment
+//!   ([`ColumnarShard::encode`] / [`ColumnarSink::decode_shard`]) — what
+//!   the study driver's checkpoint journal writes per merged prefix.
 //! - [`hash`]: the fast deterministic FxHash-style hasher behind every
 //!   hot-path map.
 
@@ -48,7 +48,6 @@ pub mod sink;
 pub mod streaming;
 pub mod tables;
 
-pub use checkpoint::PersistentSink;
 pub use classify::{classify_group, TemporalClass};
 pub use columnar::{CellKey, ColumnarShard, ColumnarSink};
 pub use compare::{compare, deficit, CompareOutcome};

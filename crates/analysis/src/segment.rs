@@ -164,7 +164,7 @@ pub fn sort_cells(cells: &mut [WindowCell]) {
     cells.sort_by_key(cell_sort_key);
 }
 
-fn rel_code(r: Relationship) -> u8 {
+pub(crate) fn rel_code(r: Relationship) -> u8 {
     match r {
         Relationship::PrivatePeer => 0,
         Relationship::PublicPeer => 1,
@@ -172,7 +172,7 @@ fn rel_code(r: Relationship) -> u8 {
     }
 }
 
-fn rel_from_code(code: u8) -> Result<Relationship, EdgeperfError> {
+pub(crate) fn rel_from_code(code: u8) -> Result<Relationship, EdgeperfError> {
     match code {
         0 => Ok(Relationship::PrivatePeer),
         1 => Ok(Relationship::PublicPeer),
@@ -181,12 +181,12 @@ fn rel_from_code(code: u8) -> Result<Relationship, EdgeperfError> {
     }
 }
 
-fn corrupt(message: String) -> EdgeperfError {
+pub(crate) fn corrupt(message: String) -> EdgeperfError {
     EdgeperfError::Segment { message }
 }
 
-const FLAG_LONGER_PATH: u8 = 1;
-const FLAG_MORE_PREPENDED: u8 = 2;
+pub(crate) const FLAG_LONGER_PATH: u8 = 1;
+pub(crate) const FLAG_MORE_PREPENDED: u8 = 2;
 
 /// The version-1 format: one unindexed run of rows, read whole.
 const VERSION_1: u8 = 1;
@@ -242,7 +242,8 @@ fn columns_fit(rows: u32, len: u64) -> bool {
     (min_columns_len(rows)..=max_columns_len(rows)).contains(&len)
 }
 
-fn checksum(bytes: &[u8]) -> u64 {
+/// The FxHash every durable artifact of the tree is closed with.
+pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h = crate::hash::FxHasher::default();
     h.write(bytes);
     h.finish()
@@ -334,13 +335,13 @@ fn encode_key(out: &mut Vec<u8>, key: &CellSortKey) {
 }
 
 /// A bounds-checked little-endian reader over encoded bytes.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
+pub(crate) struct Reader<'a> {
+    pub(crate) bytes: &'a [u8],
+    pub(crate) at: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], EdgeperfError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], EdgeperfError> {
         let end =
             self.at.checked_add(n).filter(|&end| end <= self.bytes.len()).ok_or_else(|| {
                 corrupt(format!("truncated at byte {} (wanted {n} more)", self.at))
@@ -350,19 +351,19 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, EdgeperfError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, EdgeperfError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, EdgeperfError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, EdgeperfError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 
-    fn u32(&mut self) -> Result<u32, EdgeperfError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, EdgeperfError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
-    fn u64(&mut self) -> Result<u64, EdgeperfError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, EdgeperfError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
@@ -370,13 +371,13 @@ impl<'a> Reader<'a> {
         Ok((self.u32()?, self.u16()?, self.u32()?, self.u8()?, self.u16()?, self.u8()?, self.u8()?))
     }
 
-    fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.at
     }
 }
 
 /// Split `bytes` into what its trailing checksum covers, verified.
-fn checked_body(bytes: &[u8]) -> Result<&[u8], EdgeperfError> {
+pub(crate) fn checked_body(bytes: &[u8]) -> Result<&[u8], EdgeperfError> {
     let Some(at) = bytes.len().checked_sub(8) else {
         return Err(corrupt(format!("{} bytes cannot hold a checksum", bytes.len())));
     };

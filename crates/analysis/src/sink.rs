@@ -21,8 +21,8 @@
 //!   when the runner [seals](RecordShard::seal) the work item that filled
 //!   it; no per-session row is ever kept, and no digest outlives its
 //!   prefix.
-//! - `Vec<SessionRecord>` — every record whole (56 bytes): what the study
-//!   supervisor checkpoints, and the reference tests rebuild a
+//! - `Vec<SessionRecord>` — every record whole (56 bytes): what
+//!   `run_study` returns, and the reference tests rebuild a
 //!   [`crate::Dataset`] from.
 //!
 //! This module is the one entry point for sinks: the traits, the

@@ -85,11 +85,6 @@ impl StreamingAggregation {
         &self.minrtt
     }
 
-    /// The underlying HDratio digest.
-    pub fn hdratio_digest(&self) -> &TDigest {
-        &self.hdratio
-    }
-
     /// Centroids currently held across both digests — the aggregation's
     /// memory footprint, which stays bounded regardless of session count.
     pub fn state_centroids(&self) -> usize {

@@ -1,14 +1,15 @@
 //! A counting global allocator for footprint tests: heap bytes counted
-//! exactly, on one thread. A test binary that declares `mod counting;`
-//! (from another crate: `#[path]` to this file) runs under it, and must
-//! hold a single `#[test]` — parallel tests would share the counters.
+//! exactly, on one thread (or, asked to, on all of them). A test binary
+//! that declares `mod counting;` (from another crate: `#[path]` to this
+//! file) runs under it, and must hold a single `#[test]` — parallel tests
+//! would share the counters.
 
 // Each test binary measures with its own subset of these.
 #![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Bytes the test thread has allocated and not freed. Relaxed: a
 /// statistic, publishes nothing.
@@ -30,13 +31,23 @@ thread_local! {
     static COUNTED: Cell<bool> = const { Cell::new(false) };
 }
 
+/// Set by a test whose subject allocates on threads of its own.
+static EVERY_THREAD: AtomicBool = AtomicBool::new(false);
+
 /// Count the calling thread's allocations from here on.
 pub fn count_this_thread() {
     COUNTED.set(true);
 }
 
+/// Count every thread's allocations from here on: for a subject that
+/// spawns workers, and frees on one thread what another allocated. The
+/// idle harness thread is then counted too — a few hundred bytes.
+pub fn count_every_thread() {
+    EVERY_THREAD.store(true, Ordering::Relaxed);
+}
+
 fn counted() -> bool {
-    COUNTED.try_with(Cell::get).unwrap_or(false)
+    EVERY_THREAD.load(Ordering::Relaxed) || COUNTED.try_with(Cell::get).unwrap_or(false)
 }
 
 fn grew(by: usize) {

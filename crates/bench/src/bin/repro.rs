@@ -4,7 +4,7 @@
 //! ```text
 //! repro <experiment> [--seed N] [--days N] [--sessions N] [--scale F] [--quick]
 //!                    [--json DIR] [--streaming] [--metrics] [--metrics-json PATH]
-//!                    [--supervised] [--fault-plan SPEC] [--checkpoint-dir DIR]
+//!                    [--fault-plan SPEC] [--checkpoint-dir DIR]
 //!
 //! experiments:
 //!   fig1 fig2 fig3      traffic characterization (Figures 1–3)
@@ -44,29 +44,33 @@
 //! `--metrics-json PATH` writes the same snapshot as JSON. Either flag
 //! enables recording; otherwise the metrics layer stays a dead branch.
 //!
-//! `--supervised` runs the study under the fault-tolerant supervisor
-//! (panic isolation, retry/quarantine, watchdog deadlines).
-//! `--checkpoint-dir PATH` adds periodic checkpoints there — a rerun
-//! against the same directory resumes after the last merged prefix, and
-//! the supervisor's `study_report.json` is written alongside the
-//! checkpoint. `--fault-plan SPEC` (or `EDGEPERF_FAULT_PLAN`) injects
-//! deterministic faults — `panic:K`, `stall:K`, `delay:W:MS`,
-//! `malformed:N`, `mergefail:K`, `crash:K` — for chaos testing. Either
-//! flag implies `--supervised`. `--quick` shrinks the study to scale 0.1
-//! unless `--scale` is given.
+//! Every study runs under the one fault-tolerant driver (panic isolation,
+//! retry/quarantine, watchdog deadlines, an in-order merge), whichever
+//! sink it fills. `--fault-plan SPEC` injects deterministic faults —
+//! `panic:K`, `stall:K`, `delay:W:MS`, `malformed:N`, `mergefail:K`,
+//! `crash:K` — for chaos testing, with either sink. `--checkpoint-dir
+//! PATH` journals each merged prefix of the exact study there — a rerun
+//! against the same directory resumes after the last one — and is refused
+//! (exit 2) with `--streaming`, whose sealed state has no on-disk form.
+//! With either flag the driver's `study_report.json` is written beside
+//! the checkpoint and into `--json DIR`. A study that quarantined a
+//! prefix nobody planned a fault for still writes its outputs, says which
+//! prefixes every figure is missing, and exits 3. `--quick` shrinks the
+//! study to scale 0.1 unless `--scale` is given.
 
 use edgeperf::flag_value as value;
-use edgeperf_analysis::sink::RecordSink;
+use edgeperf_analysis::segment::atomic_write;
 use edgeperf_bench::{
     ablations, cc_compare, detector, env_scale, fig4, fig5, naive, study, validation, workload_figs,
 };
 use edgeperf_obs::{render_table, Metrics};
+use edgeperf_world::FaultPlan;
 use std::fmt::Write as _;
 
 const USAGE: &str = "\
 repro <experiment> [--seed N] [--days N] [--sessions N] [--scale F] [--quick]
                    [--json DIR] [--streaming] [--metrics] [--metrics-json PATH]
-                   [--supervised] [--fault-plan SPEC] [--checkpoint-dir DIR]
+                   [--fault-plan SPEC] [--checkpoint-dir DIR]
 experiments: fig1 fig2 fig3 fig4 validation fig5 grouping fig6 fig7 fig8 table1
              fig9 fig10 table2 cc detector ablations naive all (the default)
   --quick                scale 0.1 unless --scale or EDGEPERF_SCALE says otherwise
@@ -74,9 +78,9 @@ experiments: fig1 fig2 fig3 fig4 validation fig5 grouping fig6 fig7 fig8 table1
   --streaming            bounded-memory t-digest sink (skips fig7)
   --metrics              print the observability snapshot to stderr
   --metrics-json PATH    write the same snapshot as JSON
-  --supervised           fault-tolerant study driver; implied by the next two
-  --fault-plan SPEC      inject deterministic faults (or EDGEPERF_FAULT_PLAN)
-  --checkpoint-dir DIR   checkpoint there and resume from it on a rerun";
+  --fault-plan SPEC      inject deterministic faults into the study driver
+  --checkpoint-dir DIR   journal the exact study there and resume from it on a
+                         rerun (not with --streaming)";
 
 struct Args {
     experiment: String,
@@ -89,8 +93,7 @@ struct Args {
     streaming: bool,
     metrics: bool,
     metrics_json: Option<String>,
-    supervised: bool,
-    fault_plan: Option<String>,
+    fault_plan: Option<FaultPlan>,
     checkpoint_dir: Option<String>,
 }
 
@@ -106,7 +109,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         streaming: false,
         metrics: false,
         metrics_json: None,
-        supervised: false,
         fault_plan: None,
         checkpoint_dir: None,
     };
@@ -124,8 +126,10 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--metrics-json" => {
                 args.metrics_json = Some(value(&mut it, "--metrics-json", "a path")?)
             }
-            "--supervised" => args.supervised = true,
-            "--fault-plan" => args.fault_plan = Some(value(&mut it, "--fault-plan", "a spec")?),
+            "--fault-plan" => {
+                let spec: String = value(&mut it, "--fault-plan", "a spec")?;
+                args.fault_plan = Some(FaultPlan::parse(&spec).map_err(|e| e.to_string())?)
+            }
             "--checkpoint-dir" => {
                 args.checkpoint_dir = Some(value(&mut it, "--checkpoint-dir", "a directory")?)
             }
@@ -145,8 +149,10 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     // --quick shrinks everything unless the scale was pinned explicitly
     // (EDGEPERF_SCALE still wins over the quick default).
     args.scale = scale_flag.unwrap_or_else(|| env_scale(if args.quick { 0.1 } else { 1.0 }));
-    if args.fault_plan.is_some() || args.checkpoint_dir.is_some() {
-        args.supervised = true;
+    if args.streaming && args.checkpoint_dir.is_some() {
+        return Err("--checkpoint-dir needs the exact sink: the streaming sink's sealed state \
+                    has no on-disk form (drop --streaming)"
+            .to_string());
     }
     Ok(args)
 }
@@ -192,68 +198,44 @@ fn main() {
         let mut b = study_builder(&a, &metrics);
         eprintln!(
             "running study ({}): days={} sessions/group/window={} country_fraction={:.2}",
-            if a.supervised {
-                "supervised"
-            } else if a.streaming {
-                "streaming sink"
-            } else {
-                "exact sink"
-            },
+            if a.streaming { "streaming sink" } else { "exact sink" },
             b.resolved_days(),
             b.resolved_sessions_per_group_window(),
             b.resolved_country_fraction()
         );
         let t0 = std::time::Instant::now();
-        let (d, report) = if a.supervised {
-            if a.streaming {
-                eprintln!("note: --supervised uses the exact sink; --streaming ignored");
-            }
-            if let Some(spec) = &a.fault_plan {
-                let plan = edgeperf_world::FaultPlan::parse(spec).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-                eprintln!("fault plan: {plan}");
-                b = b.fault_plan(plan);
-            }
-            if let Some(dir) = &a.checkpoint_dir {
-                b = b.checkpoint_dir(dir);
-            }
-            match b.run_supervised() {
-                Ok((d, report)) => (d, Some(report)),
-                Err(e) => {
-                    eprintln!("supervised study failed: {e}");
-                    std::process::exit(3);
-                }
-            }
-        } else if a.streaming {
-            (b.run_streaming(), None)
-        } else {
-            (b.run(), None)
-        };
-        match &d.sessions {
-            // What the sink holds: after a resume that is more than this
-            // process's workers emitted.
-            study::Sessions::Columns(sink) => {
-                eprintln!("study: {} session records in {:.1?}", sink.stats().records, t0.elapsed())
-            }
-            study::Sessions::Digests(_) => eprintln!(
-                "study: {} sessions into bounded digest cells in {:.1?}",
-                d.stats.total().records_emitted,
-                t0.elapsed()
-            ),
+        if let Some(plan) = &a.fault_plan {
+            eprintln!("fault plan: {plan}");
+            b = b.fault_plan(plan.clone());
         }
+        if let Some(dir) = &a.checkpoint_dir {
+            b = b.checkpoint_dir(dir);
+        }
+        let d = if a.streaming { b.run_streaming() } else { b.run() }.unwrap_or_else(|e| {
+            eprintln!("study failed: {e}");
+            std::process::exit(3);
+        });
+        // What the sink holds — after a resume, more than this process's
+        // workers emitted.
+        let held = d.report.records_emitted - d.report.malformed_dropped;
+        let kept = match &d.sessions {
+            study::Sessions::Columns(_) => "session records",
+            study::Sessions::Digests(_) => "sessions into bounded digest cells",
+        };
+        eprintln!("study: {held} {kept} in {:.1?}", t0.elapsed());
         eprintln!("{}", study::render_stats(&d.stats));
-        if let Some(report) = report {
-            eprint!("{}", report.render());
-            let report_json = serde_json::to_string_pretty(&report.to_value()).unwrap();
+        if a.fault_plan.is_some() || a.checkpoint_dir.is_some() {
+            eprint!("{}", d.report.render());
+            let report = serde_json::to_value(&d.report).unwrap();
             if let Some(dir) = &a.checkpoint_dir {
+                // Beside a journal that is staged and renamed: so is this.
                 let file = format!("{dir}/study_report.json");
-                std::fs::create_dir_all(dir).expect("create checkpoint dir");
-                std::fs::write(&file, &report_json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+                let text = serde_json::to_string_pretty(&report).unwrap();
+                atomic_write(std::path::Path::new(&file), text.as_bytes())
+                    .unwrap_or_else(|e| panic!("write {file}: {e}"));
                 eprintln!("wrote {file}");
             }
-            write_json(&a.json, "study_report", serde_json::parse(&report_json).unwrap());
+            write_json(&a.json, "study_report", report);
         }
         data = Some(d);
     }
@@ -385,6 +367,18 @@ fn main() {
             eprintln!("{}", render_table(&snap));
         }
     }
+
+    // Never-silent quarantine: under a plan it is the expected outcome;
+    // without one, every figure above is missing prefixes nobody asked to
+    // lose, and an exit 0 would say otherwise.
+    let lost = data.iter().flat_map(|d| &d.report.quarantined).collect::<Vec<_>>();
+    if a.fault_plan.is_none() && !lost.is_empty() {
+        eprintln!("repro: {} prefix(es) quarantined and missing from every figure:", lost.len());
+        for q in lost {
+            eprintln!("  prefix {} after {} attempts: {}", q.prefix, q.attempts, q.reason);
+        }
+        std::process::exit(3);
+    }
 }
 
 #[cfg(test)]
@@ -400,7 +394,10 @@ mod tests {
         let a = parse(&["fig6", "--seed", "18446744073709551615", "--days", "3"]).unwrap();
         assert_eq!((a.experiment.as_str(), a.seed, a.days), ("fig6", u64::MAX, 3));
         assert_eq!(parse(&[]).unwrap().experiment, "all");
-        assert!(parse(&["--checkpoint-dir", "ck"]).unwrap().supervised);
+        assert_eq!(
+            parse(&["--checkpoint-dir", "ck"]).unwrap().checkpoint_dir.as_deref(),
+            Some("ck")
+        );
     }
 
     #[test]
@@ -415,10 +412,18 @@ mod tests {
             (&["all", "--json"], "--json needs a directory"),
             (&["--metrics-json"], "--metrics-json needs a path"),
             (&["--fault-plan"], "--fault-plan needs a spec"),
+            (
+                &["--fault-plan", "explode:3"],
+                "invalid fault plan: `explode:3`: unknown clause kind",
+            ),
             (&["--frobnicate", "x"], "unknown argument: --frobnicate"),
             (&["fig6", "fig7"], "unknown argument: fig7"),
         ] {
             assert_eq!(parse(args).err().as_deref(), Some(want), "{args:?}");
         }
+        // A fault plan goes with either sink; a checkpoint only with the exact one.
+        assert!(parse(&["fig6", "--streaming", "--fault-plan", "panic:1@1"]).is_ok());
+        let refused = parse(&["fig6", "--streaming", "--checkpoint-dir", "ck"]).err().unwrap();
+        assert!(refused.starts_with("--checkpoint-dir needs the exact sink"), "{refused}");
     }
 }

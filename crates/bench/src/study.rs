@@ -5,16 +5,15 @@ use edgeperf_analysis::figures::{
     fig10_by_relationship, fig6_cdfs, fig7_hdratio_by_minrtt, fig8_degradation, fig9_opportunity,
     DiffCdfs, RelPair, HDRATIO_BELOW_ONE,
 };
-use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::tables::{table1, table2, AnalysisKind, Table2Row};
 use edgeperf_analysis::{
-    AnalysisConfig, ColumnarSink, DegradationMetric, SessionRecord, StreamingDataset, Summaries,
+    AnalysisConfig, ColumnarSink, DegradationMetric, StreamingDataset, Summaries,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_routing::Relationship;
 use edgeperf_world::{
-    run_study_observed, run_study_supervised, Continent, FaultPlan, StudyConfig, StudyReport,
-    StudyStats, SupervisorConfig, SupervisorError, World, WorldConfig,
+    checkpoint_fingerprint, run_study_checkpointed, run_study_supervised, Continent, FaultPlan,
+    StudyConfig, StudyReport, StudyStats, SupervisorConfig, SupervisorError, World, WorldConfig,
 };
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -23,9 +22,9 @@ use std::path::{Path, PathBuf};
 /// Builder for study runs.
 ///
 /// Every knob the harness has grown — seed, scale, explicit shape
-/// overrides, parallelism, a metrics handle — lives here, so the next
-/// knob is one more method instead of another positional argument at
-/// every call site.
+/// overrides, parallelism, a metrics handle, a fault plan, a checkpoint
+/// directory — lives here, so the next knob is one more method instead of
+/// another positional argument at every call site.
 ///
 /// `scale` is the single fidelity-for-speed dial: unless overridden
 /// explicitly, it derives the simulated days (`ceil(3·scale)`, clamped
@@ -35,8 +34,9 @@ use std::path::{Path, PathBuf};
 ///
 /// ```
 /// use edgeperf_bench::study::StudyBuilder;
-/// let data = StudyBuilder::new().seed(42).scale(0.1).days(1).run();
+/// let data = StudyBuilder::new().seed(42).scale(0.1).days(1).run().unwrap();
 /// assert!(!data.summaries.groups.is_empty());
+/// assert!(data.report.quarantined.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct StudyBuilder {
@@ -49,7 +49,6 @@ pub struct StudyBuilder {
     metrics: Metrics,
     fault_plan: FaultPlan,
     checkpoint_dir: Option<PathBuf>,
-    retry_budget: Option<u32>,
 }
 
 impl Default for StudyBuilder {
@@ -64,7 +63,6 @@ impl Default for StudyBuilder {
             metrics: Metrics::disabled(),
             fault_plan: FaultPlan::default(),
             checkpoint_dir: None,
-            retry_budget: None,
         }
     }
 }
@@ -118,23 +116,16 @@ impl StudyBuilder {
         self
     }
 
-    /// Faults to inject on the supervised path (default: none). An empty
-    /// plan falls back to `EDGEPERF_FAULT_PLAN` at run time.
+    /// Faults to inject (default: none).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
     }
 
-    /// Checkpoint directory for the supervised path. A compatible
+    /// Journal the exact study there ([`run`](Self::run)). A compatible
     /// checkpoint already present there resumes the study.
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Retries per prefix before quarantine on the supervised path.
-    pub fn retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = Some(budget);
         self
     }
 
@@ -176,6 +167,9 @@ pub struct StudyData {
     pub cfg: AnalysisConfig,
     /// Per-worker scheduler counters from the run.
     pub stats: StudyStats,
+    /// What the driver did: completion, quarantine, every recovery
+    /// decision. A quarantined prefix is in no figure.
+    pub report: StudyReport,
 }
 
 impl StudyBuilder {
@@ -195,7 +189,11 @@ impl StudyBuilder {
         (world, study)
     }
 
-    /// Run the study through the exact sink.
+    /// Run the study through the exact sink, under the one study driver
+    /// (`edgeperf-world`'s `supervisor` module: per-prefix panic isolation
+    /// with retry/quarantine, watchdog deadlines, an in-order merge) — and,
+    /// when a checkpoint directory is set, journalled there and resumed
+    /// from what is there.
     ///
     /// The [`ColumnarSink`] is the only thing the run fills and the only
     /// exact copy of the study afterwards: 20 bytes a session. The cell
@@ -203,33 +201,60 @@ impl StudyBuilder {
     /// ([`ColumnarSink::summarize`], bit-identical to summarising the
     /// assembled `Dataset` — see `sink_agreement`), and Figures 6–7 re-read
     /// its rows.
-    pub fn run(&self) -> StudyData {
+    ///
+    /// # Errors
+    ///
+    /// Checkpoint I/O failures, resuming against a checkpoint from a
+    /// different study, and the fault plan's injected crash.
+    pub fn run(&self) -> Result<StudyData, SupervisorError> {
         let (world, study) = self.build();
         let mut sink = ColumnarSink::new(study.n_windows() as usize);
-        let stats = run_study_observed(&world, &study, &mut sink, &self.metrics);
+        let sup = SupervisorConfig { fault_plan: self.fault_plan.clone(), ..Default::default() };
+        let metrics = &self.metrics;
+        let (stats, report) = match &self.checkpoint_dir {
+            Some(dir) => {
+                let meta = self.checkpoint_meta();
+                run_study_checkpointed(&world, &study, &sup, dir, &meta, &mut sink, metrics)?
+            }
+            None => run_study_supervised(&world, &study, &sup, &mut sink, metrics)?,
+        };
         let summaries = sink.summarize();
         let sessions = Sessions::Columns(sink);
-        StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats }
+        Ok(StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats, report })
     }
 
-    /// Run the study through the streaming sink. The runner seals each
-    /// prefix as a worker finishes it, so digests exist only for the
-    /// prefixes in flight; what accumulates is an 88-byte summary a cell
-    /// and one Figure 6 rollup digest a group, in prefix order at any
-    /// parallelism.
-    pub fn run_streaming(&self) -> StudyData {
+    /// Run the study through the streaming sink, under the same driver.
+    /// Each prefix is sealed as a worker finishes it, so digests exist
+    /// only for the prefixes in flight; what accumulates is an 88-byte
+    /// summary a cell and one Figure 6 rollup digest a group, in prefix
+    /// order at any parallelism.
+    ///
+    /// # Errors
+    ///
+    /// The fault plan's injected crash — and a checkpoint directory, which
+    /// this sink cannot honour: its sealed state has no on-disk form.
+    pub fn run_streaming(&self) -> Result<StudyData, SupervisorError> {
+        if let Some(dir) = &self.checkpoint_dir {
+            return Err(SupervisorError::Checkpoint {
+                path: dir.clone(),
+                message: "the streaming sink cannot be checkpointed".into(),
+            });
+        }
         let (world, study) = self.build();
         let mut dataset = StreamingDataset::new(study.n_windows() as usize);
-        let stats = run_study_observed(&world, &study, &mut dataset, &self.metrics);
+        let sup = SupervisorConfig { fault_plan: self.fault_plan.clone(), ..Default::default() };
+        let (stats, report) =
+            run_study_supervised(&world, &study, &sup, &mut dataset, &self.metrics)?;
         let summaries = dataset.summarize();
         let sessions = Sessions::Digests(dataset);
-        StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats }
+        Ok(StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats, report })
     }
 
     /// The builder-level identity stored in (and checked against) a
-    /// checkpoint: everything [`resume_from`](Self::resume_from) needs to
-    /// rebuild an equivalent builder. Parallelism is deliberately absent —
-    /// a resumed run may use a different worker count.
+    /// checkpoint: with the study's own fingerprint, everything
+    /// [`resume_from`](Self::resume_from) needs to rebuild an equivalent
+    /// builder. Parallelism is deliberately absent — a resumed run may use
+    /// a different worker count.
     fn checkpoint_meta(&self) -> Vec<(String, String)> {
         vec![
             ("builder_seed".into(), self.seed.to_string()),
@@ -237,97 +262,30 @@ impl StudyBuilder {
         ]
     }
 
-    /// Run the study under the fault-tolerant supervisor (see
-    /// `edgeperf-world`'s `supervisor` module): per-prefix panic
-    /// isolation with retry/quarantine, watchdog deadlines, and — when a
-    /// checkpoint directory is set — periodic checkpoints and automatic
-    /// resume. The supervisor fills its checkpointable record vector; the
-    /// records are then replayed into one columnar shard and dropped, so
-    /// what comes back has the same shape as [`run`](Self::run)'s.
-    ///
-    /// # Errors
-    ///
-    /// Checkpoint I/O failures, resuming against a checkpoint from a
-    /// different study, and the fault plan's injected crash.
-    ///
-    /// # Panics
-    ///
-    /// When no fault plan was set and `EDGEPERF_FAULT_PLAN` holds an
-    /// unparseable spec.
-    pub fn run_supervised(&self) -> Result<(StudyData, StudyReport), SupervisorError> {
-        let (world, study) = self.build();
-        let plan = if self.fault_plan.is_empty() {
-            FaultPlan::from_env().expect("EDGEPERF_FAULT_PLAN")
-        } else {
-            self.fault_plan.clone()
-        };
-        let mut sup = SupervisorConfig {
-            checkpoint_dir: self.checkpoint_dir.clone(),
-            meta: self.checkpoint_meta(),
-            fault_plan: plan,
-            ..SupervisorConfig::default()
-        };
-        if let Some(budget) = self.retry_budget {
-            sup.retry_budget = budget;
-        }
-        let mut records: Vec<SessionRecord> = Vec::new();
-        let (stats, report) =
-            run_study_supervised(&world, &study, &sup, &mut records, &self.metrics)?;
-        let mut sink = ColumnarSink::new(study.n_windows() as usize);
-        let mut shard = sink.new_shard();
-        records.into_iter().for_each(|r| shard.push(r));
-        sink.merge_shard(shard);
-        let summaries = sink.summarize();
-        let sessions = Sessions::Columns(sink);
-        Ok((StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats }, report))
-    }
-
     /// Rebuild the builder for a study whose checkpoint lives in `dir`,
-    /// ready to [`run_supervised`](Self::run_supervised) to completion.
-    /// The study shape (seed, days, sessions, country fraction) comes
-    /// from the checkpoint itself; parallelism and metrics are fresh
-    /// choices.
+    /// ready to [`run`](Self::run) to completion. The study shape (seed,
+    /// days, sessions, country fraction) comes from the checkpoint itself;
+    /// parallelism and metrics are fresh choices.
     ///
     /// # Errors
     ///
-    /// When the checkpoint file is missing, unreadable, or malformed.
+    /// When the checkpoint manifest is missing, unreadable, or malformed.
     pub fn resume_from(dir: impl AsRef<Path>) -> Result<StudyBuilder, SupervisorError> {
         let dir = dir.as_ref();
-        let path = dir.join("checkpoint.json");
-        let fail = |message: String| SupervisorError::Checkpoint { path: path.clone(), message };
-        let text = std::fs::read_to_string(&path).map_err(|e| fail(e.to_string()))?;
-        let root = serde_json::parse(&text).map_err(|e| fail(e.to_string()))?;
-        let study = root.get("study").ok_or_else(|| fail("missing field study".into()))?;
-        let meta = root.get("meta").ok_or_else(|| fail("missing field meta".into()))?;
-        let num = |v: &serde_json::Value, what: &str| match v {
-            serde_json::Value::Num(n) => Ok(*n),
-            _ => Err(fail(format!("{what}: expected a number"))),
+        let stored = checkpoint_fingerprint(dir)?;
+        let field = |name: &str| stored.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
+        let shape = || {
+            let b = StudyBuilder::new()
+                .seed(field("builder_seed")?.parse().ok()?)
+                .days(field("days")?.parse().ok()?)
+                .sessions_per_group_window(field("sessions_per_group_window")?.parse().ok()?)
+                .country_fraction(field("country_fraction")?.parse().ok()?);
+            Some(b.checkpoint_dir(dir))
         };
-        let days = num(study.get("days").ok_or_else(|| fail("missing field days".into()))?, "days")?
-            as u32;
-        let sessions = num(
-            study
-                .get("sessions_per_group_window")
-                .ok_or_else(|| fail("missing field sessions_per_group_window".into()))?,
-            "sessions_per_group_window",
-        )? as u32;
-        let meta_str = |name: &str| -> Result<String, SupervisorError> {
-            match meta.get(name) {
-                Some(serde_json::Value::Str(s)) => Ok(s.clone()),
-                _ => Err(fail(format!("missing meta field {name}"))),
-            }
-        };
-        let seed: u64 =
-            meta_str("builder_seed")?.parse().map_err(|_| fail("bad builder_seed".into()))?;
-        let fraction: f64 = meta_str("country_fraction")?
-            .parse()
-            .map_err(|_| fail("bad country_fraction".into()))?;
-        Ok(StudyBuilder::new()
-            .seed(seed)
-            .days(days)
-            .sessions_per_group_window(sessions)
-            .country_fraction(fraction)
-            .checkpoint_dir(dir))
+        shape().ok_or_else(|| SupervisorError::Checkpoint {
+            path: dir.join("checkpoint.json"),
+            message: "not a StudyBuilder's checkpoint: a shape field is missing".into(),
+        })
     }
 }
 
@@ -730,6 +688,7 @@ pub fn render_table2(outputs: &[Table2Output]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgeperf_analysis::RecordSink;
 
     fn small() -> StudyBuilder {
         StudyBuilder::new().seed(42).days(1).sessions_per_group_window(40).country_fraction(0.3)
@@ -761,7 +720,7 @@ mod tests {
     #[test]
     fn builder_records_into_the_supplied_metrics_handle() {
         let metrics = Metrics::enabled();
-        let data = small().metrics(&metrics).run();
+        let data = small().metrics(&metrics).run().unwrap();
         let snap = metrics.snapshot();
         assert_eq!(
             snap.counters.get("runner.records_emitted").copied(),
@@ -772,7 +731,7 @@ mod tests {
 
     #[test]
     fn study_pipeline_produces_all_outputs() {
-        let data = small().run();
+        let data = small().run().unwrap();
         assert!(sessions_held(&data) > 0);
         let f6 = fig6(&data);
         assert!(f6.minrtt_p50 > 5.0 && f6.minrtt_p50 < 100.0, "{}", f6.minrtt_p50);
@@ -791,8 +750,8 @@ mod tests {
 
     #[test]
     fn streaming_study_tracks_exact_study() {
-        let exact = small().run();
-        let stream = small().run_streaming();
+        let exact = small().run().unwrap();
+        let stream = small().run_streaming().unwrap();
         // Same sessions flowed through both sinks.
         assert_eq!(exact.stats.total(), stream.stats.total());
         assert_eq!(exact.stats.total().records_emitted, sessions_held(&exact));
@@ -841,7 +800,7 @@ mod tests {
         // digest merge, order-sensitive) and the float sums of figs 8–10
         // and the tables (group-order-sensitive) included.
         let tree = |parallelism: usize| {
-            let d = small().parallelism(parallelism).run_streaming();
+            let d = small().parallelism(parallelism).run_streaming().unwrap();
             [
                 serde_json::to_string(&fig6(&d)),
                 serde_json::to_string(&fig8(&d)),
@@ -858,7 +817,7 @@ mod tests {
     #[test]
     fn preferred_route_is_usually_best() {
         // The paper's headline: default routing is close to optimal.
-        let data = small().run();
+        let data = small().run().unwrap();
         let opp = fig9(&data);
         if let Some(minrtt) = opp.iter().find(|d| d.metric.contains("MinRTT")) {
             // Median improvement available should be ≈ 0 or negative.

@@ -1,13 +1,17 @@
-//! The supervised study path through `StudyBuilder`: same analysis
-//! outputs as the raw path, faults quarantined with the figures intact,
+//! The study driver through `StudyBuilder` and the `repro` command line:
+//! the same outputs with or without recovered faults, from either sink;
+//! faults quarantined with the figures intact and the exit code honest;
 //! and crash → `resume_from` → completion bit-identical to an
 //! uninterrupted run.
 
 use edgeperf_analysis::GroupKey;
-use edgeperf_bench::study::{Sessions, StudyBuilder, StudyData};
+use edgeperf_bench::study::{self, Sessions, StudyBuilder, StudyData};
 use edgeperf_world::FaultPlan;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// The plan CI's chaos job used to put in the environment of every test.
+const CHAOS: &str = "panic:1@1;delay:0:2";
 
 fn small() -> StudyBuilder {
     StudyBuilder::new()
@@ -16,6 +20,10 @@ fn small() -> StudyBuilder {
         .sessions_per_group_window(8)
         .country_fraction(0.15)
         .parallelism(2)
+}
+
+fn plan(spec: &str) -> FaultPlan {
+    FaultPlan::parse(spec).unwrap()
 }
 
 /// (group, window, rank, MinRTT bits, HDratio bits) of every session the
@@ -29,96 +37,132 @@ fn rows(data: &StudyData) -> Vec<(GroupKey, u32, u8, u64, Option<u64>)> {
         .collect()
 }
 
-/// (group, rank, window, bytes) of every cell, sorted.
-fn cell_bytes(data: &StudyData) -> Vec<(GroupKey, usize, usize, u64)> {
-    let mut out = Vec::new();
-    for (key, g) in &data.summaries.groups {
-        for (rank, windows) in g.ranks.iter().enumerate() {
-            for (w, cell) in windows.iter().enumerate() {
-                out.extend(cell.map(|c| (*key, rank, w, c.bytes)));
-            }
-        }
-    }
-    out.sort_unstable();
-    out
+/// Every study experiment as the JSON `repro all --json` writes for it
+/// (fig7 only from the exact sink).
+fn json_tree(d: &StudyData) -> Vec<String> {
+    [
+        serde_json::to_string(&study::fig6(d)),
+        serde_json::to_string(&study::fig7(d)),
+        serde_json::to_string(&study::fig8(d)),
+        serde_json::to_string(&study::fig9(d)),
+        serde_json::to_string(&study::fig10(d)),
+        serde_json::to_string(&study::table1_blocks(d)),
+        serde_json::to_string(&study::table2_outputs(d)),
+    ]
+    .map(|json| json.expect("serializable"))
+    .to_vec()
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "edgeperf-bench-supervised-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
+    let dir = std::env::temp_dir().join(format!("edgeperf-bench-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
 #[test]
-fn supervised_run_matches_raw_run_as_a_multiset() {
-    let raw = small().run();
-    let (sup, report) = small().run_supervised().expect("fault-free supervised run");
-    assert_eq!(report.completed, report.n_prefixes);
-    assert!(report.quarantined.is_empty());
+fn a_recovered_fault_changes_no_output_byte_of_either_sink() {
+    let exact = small().run().expect("fault-free run");
+    assert_eq!(exact.report.completed, exact.report.n_prefixes);
+    assert!(exact.report.quarantined.is_empty());
+    assert_eq!(rows(&exact).len() as u64, exact.stats.total().records_emitted);
 
-    // The raw path merges per-worker shards; the supervisor merges per
-    // prefix. Orders differ, multisets must not.
-    let (mut a, mut b) = (rows(&raw), rows(&sup));
-    assert_eq!(a.len() as u64, raw.stats.total().records_emitted);
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b);
+    let shaken = small().fault_plan(plan(CHAOS)).parallelism(4).run().unwrap();
+    assert_eq!(shaken.report.retries, 1);
+    assert_eq!(rows(&shaken), rows(&exact));
+    assert_eq!(json_tree(&shaken), json_tree(&exact));
 
-    // Bytes are kept per cell, not per row; and the summarised cells drive
-    // the same figures.
-    assert_eq!(cell_bytes(&sup), cell_bytes(&raw));
-    assert_eq!(sup.summaries.groups.len(), raw.summaries.groups.len());
+    // Streaming under `panic:1@1` writes what a clean streaming run writes.
+    let streaming = small().run_streaming().unwrap();
+    let shaken = small().fault_plan(plan(CHAOS)).parallelism(4).run_streaming().unwrap();
+    assert_eq!((shaken.report.retries, shaken.report.completed), (1, exact.report.n_prefixes));
+    assert_eq!(json_tree(&shaken), json_tree(&streaming));
 }
 
 #[test]
 fn injected_fault_quarantines_but_figures_still_compute() {
-    let (sup, report) = small()
-        .fault_plan(FaultPlan::parse("panic:0@99").unwrap())
-        .run_supervised()
-        .expect("faulty run still completes");
+    let data = small().fault_plan(plan("panic:0@99")).run().expect("faulty run still completes");
+    let report = &data.report;
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].prefix, 0);
     assert_eq!(report.completed, report.n_prefixes - 1);
-    let text = report.render();
-    assert!(text.contains("quarantined prefix 0"));
+    assert!(report.render().contains("quarantined prefix 0"));
     // The analysis layer never sees the quarantined prefix; everything
     // else flows through.
-    let f6 = edgeperf_bench::study::fig6(&sup);
+    let f6 = study::fig6(&data);
     assert!(f6.minrtt_p50 > 5.0 && f6.minrtt_p50 < 100.0);
 }
 
 #[test]
 fn crash_resume_via_builder_is_bit_identical() {
-    let (uninterrupted, report) = small().run_supervised().unwrap();
-    let n = report.n_prefixes;
+    let uninterrupted = small().run().unwrap();
+    let n = uninterrupted.report.n_prefixes;
 
     let dir = scratch_dir("resume");
-    let first = small()
-        .checkpoint_dir(&dir)
-        .fault_plan(FaultPlan::parse(&format!("crash:{}", n / 2)).unwrap())
-        .run_supervised();
-    let err = first.err().expect("injected crash aborts the first run");
+    let first = small().checkpoint_dir(&dir).fault_plan(plan(&format!("crash:{}", n / 2))).run();
+    let err = first.map(|_| ()).expect_err("injected crash aborts the first run");
     assert!(err.to_string().contains("injected crash"), "got: {err}");
 
     // `resume_from` rebuilds the study shape from the checkpoint alone.
-    let (resumed, report) = StudyBuilder::resume_from(&dir)
+    let resumed = StudyBuilder::resume_from(&dir)
         .expect("checkpoint readable")
         .parallelism(4)
-        .run_supervised()
+        .run()
         .expect("resume completes");
-    assert_eq!(report.resumed_at, Some(n / 2 + 1));
+    assert_eq!(resumed.report.resumed_at, Some(n / 2 + 1));
     assert_eq!(rows(&resumed), rows(&uninterrupted));
-    assert_eq!(cell_bytes(&resumed), cell_bytes(&uninterrupted));
+    assert_eq!(json_tree(&resumed), json_tree(&uninterrupted));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn resume_from_rejects_a_missing_checkpoint() {
+fn what_cannot_be_resumed_or_checkpointed_is_an_error() {
     let dir = scratch_dir("missing");
     assert!(StudyBuilder::resume_from(&dir).is_err());
+    let refused = small().checkpoint_dir(&dir).run_streaming().map(|_| ());
+    let err = refused.expect_err("no on-disk form");
+    assert!(err.to_string().contains("streaming sink cannot be checkpointed"), "got: {err}");
+    assert!(!dir.exists(), "refused before anything was written");
+}
+
+/// `repro fig6` on a study of a second or so, plus `args`; its exit code.
+fn repro(json: &Path, args: &[&str]) -> Option<i32> {
+    let shape = ["fig6", "--scale", "0.15", "--days", "1", "--sessions", "8", "--json"];
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(shape)
+        .arg(json)
+        .args(args)
+        .output()
+        .expect("repro runs");
+    out.status.code()
+}
+
+#[test]
+fn a_quarantine_nobody_planned_is_an_exit_code_and_a_planned_one_is_not() {
+    let dir = scratch_dir("cli");
+    let (ck, json) = (dir.join("ck"), dir.join("json"));
+    let ck_arg = ck.to_str().unwrap();
+
+    // Under a plan the quarantine is the expected outcome: exit 0, with
+    // the report beside the figure.
+    assert_eq!(repro(&json, &["--fault-plan", "panic:0@99"]), Some(0));
+    let report = std::fs::read_to_string(json.join("study_report.json")).unwrap();
+    assert!(report.contains("\"reason\": \"panic: fault-plan: injected panic"), "{report}");
+    assert!(json.join("fig6.json").exists());
+    // A checkpoint of the streaming sink is refused before anything runs.
+    assert_eq!(repro(&json, &["--streaming", "--checkpoint-dir", ck_arg]), Some(2));
+    assert!(!ck.exists());
+
+    // The same quarantine met without a plan — here remembered by the
+    // checkpoint of a run that crashed — is a loss nobody asked for: the
+    // outputs are written, and the exit code says they are short.
+    std::fs::remove_dir_all(&json).unwrap();
+    let crashed = ["--checkpoint-dir", ck_arg, "--fault-plan", "panic:0@99;crash:3"];
+    assert_eq!(repro(&json, &crashed), Some(3));
+    assert!(!json.join("fig6.json").exists(), "the crashed run wrote no figure");
+    assert_eq!(repro(&json, &["--checkpoint-dir", ck_arg]), Some(3));
+    assert!(json.join("fig6.json").exists());
+    let report = std::fs::read_to_string(ck.join("study_report.json")).unwrap();
+    assert!(report.contains("\"resumed_at\": 4"), "{report}");
+    assert!(!ck.join("study_report.json.tmp").exists(), "staged and renamed");
+    let _ = std::fs::remove_dir_all(&dir);
 }

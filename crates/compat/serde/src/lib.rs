@@ -233,6 +233,16 @@ macro_rules! tuple_impls {
                 Value::Array(vec![$(self.$idx.to_value()),+])
             }
         }
+        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
+            fn from_value(v: &Value) -> Result<Self, DeError> {
+                match v {
+                    Value::Array(items) if items.len() == [$($idx),+].len() => {
+                        Ok(($($name::from_value(&items[$idx])?,)+))
+                    }
+                    other => Err(DeError::expected("tuple", other)),
+                }
+            }
+        }
     )*};
 }
 tuple_impls! {
@@ -292,6 +302,8 @@ mod tests {
             }
             other => panic!("expected array, got {other:?}"),
         }
+        assert_eq!(Vec::<(f64, f64)>::from_value(&v.to_value()), Ok(v));
+        assert!(<(f64, f64)>::from_value(&Value::Array(vec![Value::Num(1.0)])).is_err());
         let mut m = BTreeMap::new();
         m.insert("a".to_string(), 1.0f64);
         assert_eq!(m.to_value().get("a"), Some(&Value::Num(1.0)));

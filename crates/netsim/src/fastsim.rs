@@ -7,9 +7,9 @@
 //! sensitive to — slow-start doubling by bytes ACKed, bottleneck
 //! serialization, per-round RTT jitter, loss-triggered window reductions,
 //! RTO on tail loss, and cwnd persistence across transactions — while
-//! costing O(rounds) per transaction. An ablation bench
-//! (`benches/simulator.rs`) and an integration test compare its agreement
-//! with the packet-level [`crate::flow::FlowSim`].
+//! costing O(rounds) per transaction. An integration test
+//! (`tests/fastsim_agreement.rs`) compares its agreement with the
+//! packet-level [`crate::flow::FlowSim`].
 
 use edgeperf_tcp::time::transmission_time;
 use edgeperf_tcp::{Nanos, TcpConfig};

@@ -15,17 +15,6 @@ pub const MILLISECOND: Nanos = 1_000_000;
 /// One second in [`Nanos`].
 pub const SECOND: Nanos = 1_000_000_000;
 
-/// Convert nanoseconds to floating-point seconds (for reporting only).
-pub fn to_secs(ns: Nanos) -> f64 {
-    ns as f64 / SECOND as f64
-}
-
-/// Convert floating-point milliseconds to [`Nanos`], rounding to nearest.
-pub fn from_millis_f64(ms: f64) -> Nanos {
-    assert!(ms >= 0.0 && ms.is_finite(), "bad duration {ms} ms");
-    (ms * MILLISECOND as f64).round() as Nanos
-}
-
 /// Transmission time of `bytes` at `rate_bps` bits per second.
 ///
 /// # Panics
@@ -66,11 +55,5 @@ mod tests {
         let t = transmission_time(125_000, 10_000_000); // 125 kB at 10 Mbps = 100 ms
         assert_eq!(t, 100 * MILLISECOND);
         assert!((rate_bps(125_000, t) - 10_000_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn from_millis_rounds() {
-        assert_eq!(from_millis_f64(1.5), 1_500_000);
-        assert_eq!(from_millis_f64(0.0), 0);
     }
 }

@@ -18,13 +18,17 @@
 //!   transfers with `edgeperf-netsim`'s fast model, measures them with
 //!   `edgeperf-core` exactly as a production load balancer would, and
 //!   emits `edgeperf-analysis` session records.
-//! - [`supervisor`]: the fault-tolerant study driver — panic isolation
-//!   with retry/quarantine, watchdog deadlines, checkpoint/resume, and a
+//! - [`supervisor`]: the one study driver — the work-stealing scheduler
+//!   every study runs under, with panic isolation and retry/quarantine,
+//!   watchdog deadlines, an in-order merge into any record sink, and a
 //!   deterministic fault-injection harness ([`FaultPlan`]).
+//! - [`checkpoint`]: checkpoint/resume for the exact sink — a journal of
+//!   merged fragments hung on that driver's merge.
 //!
 //! Everything is deterministic in the world seed.
 
 pub mod cartographer;
+pub mod checkpoint;
 pub mod dynamics;
 pub mod geo;
 pub mod runner;
@@ -32,11 +36,12 @@ pub mod supervisor;
 pub mod topology;
 
 pub use cartographer::{map_cluster, ranked_pops, MappingPolicy};
+pub use checkpoint::{checkpoint_fingerprint, run_study_checkpointed};
 pub use edgeperf_core::plan::PlanError;
 pub use geo::{distance_km, propagation_rtt_ms, Continent, GeoPoint};
 pub use runner::{
-    run_study, run_study_into, run_study_observed, simulate_session, simulate_session_scratch,
-    simulate_session_with, SessionScratch, StudyConfig, StudyStats, WorkerCounters,
+    run_study, run_study_into, simulate_session, simulate_session_scratch, simulate_session_with,
+    SessionScratch, StudyConfig, StudyStats, WorkerCounters,
 };
 pub use supervisor::{
     run_study_supervised, FaultPlan, QuarantinedPrefix, StudyReport, SupervisorConfig,

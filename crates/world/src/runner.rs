@@ -12,8 +12,9 @@
 
 use crate::dynamics::{diurnal_factor, local_hour, pick_cluster, route_condition};
 use crate::geo::propagation_rtt_ms;
+use crate::supervisor::{run_study_supervised, SupervisorConfig};
 use crate::topology::World;
-use edgeperf_analysis::{GroupKey, RecordShard, RecordSink, SessionRecord, SinkStats};
+use edgeperf_analysis::{GroupKey, RecordShard, RecordSink, SessionRecord};
 use edgeperf_core::{session_hdratio, ResponseObs, SessionObs, HD_GOODPUT_BPS};
 use edgeperf_netsim::{FastFlow, PathState};
 use edgeperf_obs::Metrics;
@@ -23,8 +24,6 @@ use edgeperf_workload::{SessionPlan, WorkloadConfig};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Study parameters.
 #[derive(Debug, Clone, Copy)]
@@ -131,141 +130,29 @@ pub fn run_study(world: &World, cfg: &StudyConfig) -> Vec<SessionRecord> {
     records
 }
 
-/// Run the study into any [`RecordSink`], returning per-worker counters.
+/// Run the study into any [`RecordSink`], returning per-worker counters:
+/// [`run_study_supervised`] under its default configuration, with no
+/// faults planned and no metrics recorded. Prefixes are distributed by
+/// work stealing, each computed into its own shard, [sealed] with the
+/// prefix index and merged into `sink` in prefix order — so what the sink
+/// ends up holding is independent of the parallelism level.
 ///
-/// Prefixes are distributed by work stealing: workers claim the next
-/// unprocessed prefix from a shared atomic cursor, so a worker stuck on a
-/// heavy prefix (many routes, many sessions) does not leave its siblings
-/// idle the way static chunking does. Each worker pushes into its own
-/// thread-local shard and [seals](RecordShard::seal) it with the prefix
-/// index after each prefix; shards merge into `sink` at join time, in
-/// worker order. Every prefix is claimed exactly once, so per-cell
-/// contents are independent of the parallelism level, and a sink that
-/// orders what it sealed by that index (the streaming one) is too.
+/// # Panics
+///
+/// When a prefix panicked on every attempt the retry budget allows — with
+/// the supervisor's reasons.
+///
+/// [sealed]: edgeperf_analysis::RecordShard::seal
 pub fn run_study_into<S: RecordSink>(world: &World, cfg: &StudyConfig, sink: &mut S) -> StudyStats {
-    run_study_observed(world, cfg, sink, &Metrics::disabled())
-}
-
-/// [`run_study_into`] with pipeline observability.
-///
-/// With an enabled [`Metrics`] handle the runner additionally records:
-///
-/// - counters `runner.prefixes`, `runner.sessions_simulated`,
-///   `runner.records_emitted`, and drops by reason
-///   (`runner.drop.no_minrtt`);
-/// - per-worker gauges `scheduler.worker.<i>.{steals,busy_sec,idle_sec}`
-///   and the `scheduler.queue_depth` histogram (prefixes still unclaimed
-///   at each steal);
-/// - the `sink.merge_ns` shard-merge latency histogram and post-run
-///   `sink.<name>.{records,cells,digest_centroids,digest_compressions}`
-///   gauges from [`RecordSink::stats`];
-/// - spans `study` → `study.run` (workers + merges, with
-///   `study.run.merge` as the merge share) and `study.finalize`.
-///
-/// Instrumentation granularity is per prefix and per worker, never per
-/// record, so the measured overhead stays well under the 3% budget; with
-/// a disabled handle every metrics call is a no-op branch and no clock is
-/// read.
-pub fn run_study_observed<S: RecordSink>(
-    world: &World,
-    cfg: &StudyConfig,
-    sink: &mut S,
-    metrics: &Metrics,
-) -> StudyStats {
-    let _study = metrics.span("study");
-    let threads = thread_count(cfg).max(1);
-    let n = world.prefixes.len();
-    let cursor = AtomicUsize::new(0);
-    let mut stats = StudyStats::default();
-    {
-        let _run = metrics.span("study.run");
-        let merge_ns = metrics.histogram("sink.merge_ns");
-        std::thread::scope(|s| {
-            let cursor = &cursor;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let mut shard = sink.new_shard();
-                    let metrics = metrics.clone();
-                    s.spawn(move || {
-                        let enabled = metrics.is_enabled();
-                        let queue_depth = metrics.histogram("scheduler.queue_depth");
-                        let worker_t0 = enabled.then(Instant::now);
-                        let mut busy_ns = 0u64;
-                        let mut counters = WorkerCounters::default();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= n {
-                                break;
-                            }
-                            let t0 = enabled.then(|| {
-                                queue_depth.record((n - idx) as u64);
-                                Instant::now()
-                            });
-                            run_prefix(world, cfg, idx, &mut shard, &mut counters);
-                            // The prefix is this worker's alone and is
-                            // done: the shard may settle it now.
-                            shard.seal(idx);
-                            if let Some(t0) = t0 {
-                                busy_ns += t0.elapsed().as_nanos() as u64;
-                            }
-                            counters.prefixes += 1;
-                        }
-                        if let Some(t0) = worker_t0 {
-                            let wall = t0.elapsed().as_nanos() as u64;
-                            let pre = format!("scheduler.worker.{w}");
-                            metrics.gauge(&format!("{pre}.steals")).set(counters.prefixes as f64);
-                            metrics.gauge(&format!("{pre}.busy_sec")).set(busy_ns as f64 / 1e9);
-                            metrics
-                                .gauge(&format!("{pre}.idle_sec"))
-                                .set(wall.saturating_sub(busy_ns) as f64 / 1e9);
-                        }
-                        (shard, counters)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (shard, counters) = h.join().expect("runner thread panicked");
-                let _merge = metrics.span("study.run.merge");
-                merge_ns.time(|| sink.merge_shard(shard));
-                stats.workers.push(counters);
-            }
-        });
-    }
-    {
-        // Let the sink settle deferred state (e.g. the order of sealed
-        // groups) so post-run queries borrow `&self` without hidden work.
-        let _finalize = metrics.span("study.finalize");
-        sink.finalize();
-    }
-    if metrics.is_enabled() {
-        let t = stats.total();
-        metrics.counter("runner.prefixes").add(t.prefixes);
-        metrics.counter("runner.sessions_simulated").add(t.sessions_simulated);
-        metrics.counter("runner.records_emitted").add(t.records_emitted);
-        metrics.counter("runner.drop.no_minrtt").add(t.sessions_dropped_no_minrtt);
-        let s: SinkStats = sink.stats().into();
-        let label = sink.name();
-        metrics.gauge(&format!("sink.{label}.records")).set(s.records as f64);
-        metrics.gauge(&format!("sink.{label}.cells")).set(s.cells as f64);
-        metrics.gauge(&format!("sink.{label}.digest_centroids")).set(s.digest_centroids as f64);
-        metrics
-            .gauge(&format!("sink.{label}.digest_compressions"))
-            .set(s.digest_compressions as f64);
-    }
+    let (sup, metrics) = (SupervisorConfig::default(), Metrics::disabled());
+    let (stats, report) = run_study_supervised(world, cfg, &sup, sink, &metrics)
+        .expect("the empty plan injects no crash");
+    assert!(report.quarantined.is_empty(), "runner thread panicked: {:?}", report.quarantined);
     stats
 }
 
-fn run_prefix<S: RecordShard>(
-    world: &World,
-    cfg: &StudyConfig,
-    idx: usize,
-    out: &mut S,
-    counters: &mut WorkerCounters,
-) {
-    run_prefix_cancellable(world, cfg, idx, out, counters, &|| false);
-}
-
-/// As [`run_prefix`], polling `cancelled` once per window.
+/// Simulate and measure every session of prefix `idx`, window by window,
+/// polling `cancelled` once per window.
 ///
 /// The supervisor's watchdog aborts a stuck prefix by flipping its
 /// cancellation flag; the sim loop honours it at window granularity (the
@@ -434,7 +321,7 @@ pub struct SessionScratch {
 }
 
 /// As [`simulate_session_with`], reusing caller-owned scratch buffers
-/// across calls. The hot path: `run_prefix` keeps one scratch per prefix.
+/// across calls. The hot path: the runner keeps one scratch per prefix.
 pub fn simulate_session_scratch(
     plan: &SessionPlan,
     state: &PathState,
@@ -609,20 +496,22 @@ mod tests {
 
     #[test]
     fn observed_run_matches_sink_at_parallelism_1_and_4() {
-        // The tentpole's end-to-end contract: for a fixed seed, the
-        // metrics snapshot's emitted-record counter equals the sink's
-        // record count — and both are invariant under parallelism.
+        // The end-to-end contract: for a fixed seed, the metrics
+        // snapshot's emitted-record counter equals the sink's record
+        // count — and both are invariant under parallelism.
         let (world, cfg) = tiny_study();
         let mut emitted = Vec::new();
         for p in [1usize, 4] {
             let metrics = Metrics::enabled();
             let mut records: Vec<SessionRecord> = Vec::new();
-            let stats = run_study_observed(
+            let (stats, _) = run_study_supervised(
                 &world,
                 &StudyConfig { parallelism: p, ..cfg },
+                &SupervisorConfig::default(),
                 &mut records,
                 &metrics,
-            );
+            )
+            .unwrap();
             let snap = metrics.snapshot();
             assert_eq!(
                 snap.counters["runner.records_emitted"],
@@ -642,7 +531,8 @@ mod tests {
                 (0..p).map(|w| snap.gauges[&format!("scheduler.worker.{w}.steals")]).sum();
             assert_eq!(steals as u64, world.prefixes.len() as u64);
             assert_eq!(snap.histograms["scheduler.queue_depth"].count, world.prefixes.len() as u64);
-            assert_eq!(snap.histograms["sink.merge_ns"].count, p as u64);
+            // One fragment a prefix, merged in prefix order.
+            assert_eq!(snap.histograms["sink.merge_ns"].count, world.prefixes.len() as u64);
             assert_eq!(stats.workers.len(), p);
             // Span taxonomy is present and nested.
             let names: Vec<&str> = snap.spans.iter().map(|s| s.name.as_str()).collect();
@@ -813,7 +703,8 @@ mod pep_runner_tests {
         // Run the PEP'd prefix, then the identical prefix with PEP removed.
         let median = |world: &World| {
             let mut out = Vec::new();
-            run_prefix(world, &cfg, idx, &mut out, &mut WorkerCounters::default());
+            let mut counters = WorkerCounters::default();
+            assert!(run_prefix_cancellable(world, &cfg, idx, &mut out, &mut counters, &|| false));
             let mut v: Vec<f64> =
                 out.iter().filter(|r| r.route_rank == 0).map(|r| r.min_rtt_ms).collect();
             v.sort_unstable_by(f64::total_cmp);

@@ -1,16 +1,23 @@
-//! The fault-tolerant study driver.
+//! The study driver: the one scheduler every study runs under.
 //!
 //! The paper's pipeline ran continuously for 10 days over every PoP
 //! (§3.3); at that scale a bad prefix, a wedged worker, or a mid-run
 //! machine loss must not discard hours of work. [`run_study_supervised`]
-//! wraps the work-stealing runner in a supervisor that guarantees the
-//! study *always completes with an exact account of what is missing*:
+//! is the work-stealing runner *and* its supervisor — `run_study` and
+//! `run_study_into` are this loop under the default configuration — and
+//! it guarantees the study *always completes with an exact account of
+//! what is missing*, into whichever [`RecordSink`] the caller reports from:
 //!
-//! - **Panic isolation.** Each prefix computes into its own fragment
-//!   under `catch_unwind`. A panicking prefix is requeued with a bounded
-//!   retry budget and exponential backoff; once the budget is spent it is
-//!   **quarantined** into [`StudyReport::quarantined`] with the panic
-//!   payload, and the rest of the study is unaffected.
+//! - **One fragment per attempt.** Each (prefix, attempt) computes into a
+//!   fresh shard the sink's owner made ([`RecordSink::new_shard`]) and
+//!   shipped with the work item; a worker [seals](RecordShard::seal) it
+//!   with the prefix index on success. A failed attempt's fragment is
+//!   dropped, so nothing poisoned ever reaches the sink.
+//! - **Panic isolation.** Each attempt runs under `catch_unwind`. A
+//!   panicking prefix is requeued with a bounded retry budget and
+//!   exponential backoff; once the budget is spent it is **quarantined**
+//!   into [`StudyReport::quarantined`] with the panic payload, and the
+//!   rest of the study is unaffected.
 //! - **Watchdog deadlines.** A per-worker [`HeartbeatBoard`] exposes what
 //!   every worker is running and for how long. Tasks past half their
 //!   deadline are marked slow (`supervisor.watchdog.slow`); tasks past
@@ -20,21 +27,20 @@
 //! - **Deterministic in-order merge.** Fragments arrive in any order but
 //!   merge into the sink strictly by prefix index; out-of-order arrivals
 //!   park in their slot until the cursor reaches them. Sink state after
-//!   prefix *k* therefore never depends on scheduling — the foundation of
-//!   bit-identical resume.
-//! - **Checkpoint/resume.** With a checkpoint directory configured, the
-//!   supervisor periodically writes the merge cursor, quarantine list,
-//!   counters, and the full sink state ([`PersistentSink`]) to
-//!   `checkpoint.json` (atomic tmp+rename). A rerun pointed at the same
-//!   directory resumes after the last merged prefix; for the exact
-//!   `Vec<SessionRecord>` sink the final output is bit-identical to an
-//!   uninterrupted run (see DESIGN.md §10 for the argument).
+//!   prefix *k* therefore never depends on scheduling — why every sink's
+//!   output is the same bytes at any worker count, and the foundation of
+//!   bit-identical resume ([`crate::checkpoint`] hooks this merge).
 //! - **Fault injection.** Every failure mode above is exercised through a
 //!   [`FaultPlan`] — deterministic, spec-string-driven, honoured by unit
 //!   tests and the CI chaos job alike.
 //!
-//! Supervisor decisions surface as `supervisor.*` counters and spans on
-//! the existing metrics registry.
+//! The run records what the runner always has — spans `study` →
+//! `study.run` (with `study.run.merge` as the merge share) and
+//! `study.finalize`, counters `runner.*`, per-worker gauges
+//! `scheduler.worker.<i>.{steals,busy_sec,idle_sec}`, the
+//! `scheduler.queue_depth` and `sink.merge_ns` histograms, post-run
+//! `sink.<name>.*` gauges — plus its own decisions as `supervisor.*`
+//! counters. Granularity is per prefix and per worker, never per record.
 //!
 //! What the supervisor cannot do: preemptively kill a truly wedged
 //! computation. Cancellation is cooperative (checked at window
@@ -44,21 +50,19 @@
 //! serialization per prefix) and determinism is easy to prove.
 //!
 //! [`HeartbeatBoard`]: edgeperf_obs::HeartbeatBoard
-//! [`PersistentSink`]: edgeperf_analysis::PersistentSink
 
 use crate::runner::{
     run_prefix_cancellable, thread_count, StudyConfig, StudyStats, WorkerCounters,
 };
 use crate::topology::World;
-use edgeperf_analysis::checkpoint::PersistentSink;
-use edgeperf_analysis::{RecordShard, SessionRecord};
+use edgeperf_analysis::{RecordShard, RecordSink, SessionRecord, SinkStats};
 use edgeperf_core::plan::{clauses, write_clauses, Clause, PlanError};
 use edgeperf_obs::{HeartbeatBoard, Metrics};
-use serde::Value;
-use std::collections::{HashMap, HashSet, VecDeque};
+use serde::{Deserialize, Serialize};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Mutex;
@@ -83,7 +87,7 @@ pub struct WorkerDelay {
 }
 
 /// A deterministic fault-injection plan, threaded from `StudyBuilder` /
-/// `repro --fault-plan` / `EDGEPERF_FAULT_PLAN` down to the workers.
+/// `repro --fault-plan` down to the workers.
 ///
 /// Spec strings are `;`-separated clauses:
 ///
@@ -94,7 +98,7 @@ pub struct WorkerDelay {
 /// | `delay:W:MS` | worker `W` sleeps `MS` ms before every prefix it claims |
 /// | `malformed:N` | every `N`-th record of every prefix is corrupted (NaN MinRTT) before validation |
 /// | `mergefail:K` or `mergefail:K@A` | merging prefix `K` into the sink fails on the first `A` tries |
-/// | `crash:K` | the supervisor checkpoints and aborts right after merging prefix `K` |
+/// | `crash:K` | the supervisor aborts right after merging (and journalling) prefix `K` |
 ///
 /// Every clause is a pure function of (prefix, attempt) or (worker), so a
 /// faulty run is exactly reproducible.
@@ -147,33 +151,14 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// The plan from `EDGEPERF_FAULT_PLAN`, or the empty plan when unset.
-    pub fn from_env() -> Result<FaultPlan, PlanError> {
-        match std::env::var("EDGEPERF_FAULT_PLAN") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => Ok(FaultPlan::default()),
-        }
-    }
-
     /// True when no clause is present.
     pub fn is_empty(&self) -> bool {
         *self == FaultPlan::default()
     }
 
+    /// Does a clause of `faults` cover this try (attempt or merge) of `prefix`?
     fn fires(faults: &[PrefixFault], prefix: usize, attempt: u32) -> bool {
         faults.iter().any(|f| f.prefix == prefix && attempt < f.attempts)
-    }
-
-    fn panics(&self, prefix: usize, attempt: u32) -> bool {
-        Self::fires(&self.panics, prefix, attempt)
-    }
-
-    fn stalls(&self, prefix: usize, attempt: u32) -> bool {
-        Self::fires(&self.stalls, prefix, attempt)
-    }
-
-    fn merge_fails(&self, prefix: usize, merge_try: u32) -> bool {
-        Self::fires(&self.merge_failures, prefix, merge_try)
     }
 
     fn delay_ms(&self, worker: usize) -> Option<u64> {
@@ -207,18 +192,8 @@ pub struct SupervisorConfig {
     pub deadline: Duration,
     /// Base requeue backoff after a failure; doubles on every retry.
     pub backoff: Duration,
-    /// Supervisor wake-up period (watchdog scan + checkpoint check).
+    /// Supervisor wake-up period (watchdog scan).
     pub tick: Duration,
-    /// Directory for `checkpoint.json`; `None` disables checkpointing.
-    /// If the directory already holds a compatible checkpoint, the run
-    /// resumes from it.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Minimum interval between checkpoint writes.
-    pub checkpoint_every: Duration,
-    /// Caller-provided fingerprint pairs stored in the checkpoint and
-    /// required to match on resume (e.g. builder-level scale settings the
-    /// [`StudyConfig`] cannot express).
-    pub meta: Vec<(String, String)>,
     /// Faults to inject (empty in production).
     pub fault_plan: FaultPlan,
 }
@@ -230,16 +205,13 @@ impl Default for SupervisorConfig {
             deadline: Duration::from_secs(30),
             backoff: Duration::from_millis(10),
             tick: Duration::from_millis(20),
-            checkpoint_dir: None,
-            checkpoint_every: Duration::from_secs(2),
-            meta: Vec::new(),
             fault_plan: FaultPlan::default(),
         }
     }
 }
 
 /// A prefix the supervisor gave up on, with the evidence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantinedPrefix {
     /// Prefix index in `world.prefixes`.
     pub prefix: usize,
@@ -249,9 +221,10 @@ pub struct QuarantinedPrefix {
     pub reason: String,
 }
 
-/// What the supervised study did: completion, quarantine, every recovery
-/// decision, and cumulative throughput counters (carried across resume).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// What the study did: completion, quarantine, every recovery decision,
+/// and cumulative throughput counters (carried across resume). Serialized
+/// as is into `study_report.json` and the checkpoint manifest.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StudyReport {
     /// Prefixes in the study.
     pub n_prefixes: usize,
@@ -284,40 +257,6 @@ pub struct StudyReport {
 }
 
 impl StudyReport {
-    /// JSON value tree (the shape written to `study_report.json`).
-    pub fn to_value(&self) -> Value {
-        let quarantined = self
-            .quarantined
-            .iter()
-            .map(|q| {
-                Value::Object(vec![
-                    ("prefix".into(), Value::Num(q.prefix as f64)),
-                    ("attempts".into(), Value::Num(q.attempts as f64)),
-                    ("reason".into(), Value::Str(q.reason.clone())),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("n_prefixes".into(), Value::Num(self.n_prefixes as f64)),
-            ("completed".into(), Value::Num(self.completed as f64)),
-            ("quarantined".into(), Value::Array(quarantined)),
-            ("retries".into(), Value::Num(self.retries as f64)),
-            ("watchdog_slow".into(), Value::Num(self.watchdog_slow as f64)),
-            ("watchdog_aborts".into(), Value::Num(self.watchdog_aborts as f64)),
-            ("merge_failures".into(), Value::Num(self.merge_failures as f64)),
-            ("malformed_dropped".into(), Value::Num(self.malformed_dropped as f64)),
-            ("stale_results".into(), Value::Num(self.stale_results as f64)),
-            ("checkpoints_written".into(), Value::Num(self.checkpoints_written as f64)),
-            ("resumed_at".into(), self.resumed_at.map_or(Value::Null, |c| Value::Num(c as f64))),
-            ("sessions_simulated".into(), Value::Num(self.sessions_simulated as f64)),
-            ("records_emitted".into(), Value::Num(self.records_emitted as f64)),
-            (
-                "sessions_dropped_no_minrtt".into(),
-                Value::Num(self.sessions_dropped_no_minrtt as f64),
-            ),
-        ])
-    }
-
     /// Human-readable summary for the CLI.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -404,28 +343,30 @@ impl fmt::Display for SupervisorError {
 
 impl std::error::Error for SupervisorError {}
 
-/// Work queue entry: one (prefix, attempt) to compute, possibly embargoed
-/// until its backoff expires.
-#[derive(Debug, Clone, Copy)]
-struct Work {
+/// Work queue entry: one (prefix, attempt) to compute into `fragment`,
+/// possibly embargoed until its backoff expires. The fragment is made by
+/// the sink's owner, so a worker never touches the sink itself.
+struct Work<Sh> {
     prefix: usize,
     attempt: u32,
     not_before: Option<Instant>,
+    fragment: Sh,
 }
 
-fn pop_ready(queue: &Mutex<VecDeque<Work>>) -> Option<Work> {
-    let mut q = queue.lock().unwrap();
-    let now = Instant::now();
+/// The first ready item and how many were queued when it was taken.
+fn pop_ready<Sh>(queue: &Mutex<VecDeque<Work<Sh>>>) -> Option<(Work<Sh>, usize)> {
+    let mut q = queue.lock().expect("no panic under the queue lock");
+    let (now, depth) = (Instant::now(), q.len());
     let idx = q.iter().position(|w| w.not_before.is_none_or(|t| t <= now))?;
-    q.remove(idx)
+    q.remove(idx).map(|work| (work, depth))
 }
 
 /// Sink-side validation plus fault injection, wrapped around a worker's
-/// fragment. Validation is always on in supervised runs: a record with a
-/// non-finite MinRTT or HDratio is dropped and counted rather than
-/// poisoning a digest or a figure. The injector corrupts every N-th
-/// record *before* validation, so the chaos tests exercise the same path
-/// a buggy instrumentation change would hit.
+/// fragment. Validation is always on: a record with a non-finite MinRTT
+/// or HDratio is dropped and counted rather than poisoning a digest or a
+/// figure. The injector corrupts every N-th record *before* validation,
+/// so the chaos tests exercise the same path a buggy instrumentation
+/// change would hit.
 struct GuardShard<'a, S: RecordShard> {
     inner: &'a mut S,
     malformed_every: Option<u64>,
@@ -448,43 +389,42 @@ impl<S: RecordShard> RecordShard for GuardShard<'_, S> {
         }
         self.inner.push(record);
     }
+
+    fn seal(&mut self, unit: usize) {
+        self.inner.seal(unit);
+    }
 }
 
-enum Outcome<Sh> {
-    Done { fragment: Sh, counters: WorkerCounters, malformed_dropped: u64 },
-    Panicked { payload: String },
-    Cancelled,
+/// One finished attempt: its fragment and what filling it counted.
+struct Computed<Sh> {
+    worker: usize,
+    fragment: Sh,
+    counters: WorkerCounters,
+    malformed_dropped: u64,
 }
 
+/// What a worker reports: the attempt's result, or its panic payload. A
+/// cancelled attempt reports nothing — the watchdog accounted for it when
+/// it decided.
 struct Msg<Sh> {
     prefix: usize,
     attempt: u32,
-    worker: usize,
-    outcome: Outcome<Sh>,
+    outcome: Result<Computed<Sh>, String>,
 }
 
 enum Slot<Sh> {
     /// Unresolved: queued, in flight, or awaiting retry.
     Pending,
     /// Computed, parked until the merge cursor arrives.
-    Ready {
-        worker: usize,
-        fragment: Sh,
-        counters: WorkerCounters,
-        malformed_dropped: u64,
-    },
+    Ready(Computed<Sh>),
     Merged,
     Quarantined,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    let text = payload.downcast_ref::<&str>().map(|s| (*s).to_string());
+    text.or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 fn sleep_cancellable(ms: u64, cancelled: &dyn Fn() -> bool) {
@@ -499,255 +439,66 @@ fn scaled(base: Duration, attempt: u32) -> Duration {
     base.saturating_mul(1u32 << attempt.min(10))
 }
 
-const CHECKPOINT_VERSION: f64 = 1.0;
+/// What [`crate::checkpoint`] hangs on the merge: called with the merge
+/// cursor and the report as they stand once `(prefix, fragment)` is in —
+/// just before it is — and once more, with `None`, when the study is over.
+pub(crate) type Journal<'a, Sh> =
+    dyn FnMut(usize, Option<(usize, &Sh)>, &StudyReport) -> Result<(), SupervisorError> + 'a;
 
-fn checkpoint_path(dir: &Path) -> PathBuf {
-    dir.join("checkpoint.json")
-}
-
-fn fingerprint(cfg: &StudyConfig, n_prefixes: usize) -> Vec<(&'static str, f64)> {
-    vec![
-        ("seed", cfg.seed as f64),
-        ("days", cfg.days as f64),
-        ("sessions_per_group_window", cfg.sessions_per_group_window as f64),
-        ("n_prefixes", n_prefixes as f64),
-    ]
-}
-
-struct ResumedState<S> {
-    cursor: usize,
-    quarantined: Vec<QuarantinedPrefix>,
-    report: StudyReport,
-    sink: S,
-}
-
-fn ck_num(v: &Value, path: &Path, what: &str) -> Result<f64, SupervisorError> {
-    match v {
-        Value::Num(n) => Ok(*n),
-        _ => Err(SupervisorError::Checkpoint {
-            path: path.to_path_buf(),
-            message: format!("{what}: expected a number"),
-        }),
-    }
-}
-
-fn ck_field<'v>(v: &'v Value, path: &Path, name: &str) -> Result<&'v Value, SupervisorError> {
-    v.get(name).ok_or_else(|| SupervisorError::Checkpoint {
-        path: path.to_path_buf(),
-        message: format!("missing field {name}"),
-    })
-}
-
-fn load_checkpoint<S: PersistentSink>(
-    path: &PathBuf,
-    cfg: &StudyConfig,
-    n_prefixes: usize,
-    meta: &[(String, String)],
-) -> Result<ResumedState<S>, SupervisorError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| SupervisorError::Checkpoint { path: path.clone(), message: e.to_string() })?;
-    let root = serde_json::parse(&text)
-        .map_err(|e| SupervisorError::Checkpoint { path: path.clone(), message: e.to_string() })?;
-
-    let version = ck_num(ck_field(&root, path, "version")?, path, "version")?;
-    if version != CHECKPOINT_VERSION {
-        return Err(SupervisorError::Mismatch {
-            field: "version".into(),
-            expected: CHECKPOINT_VERSION.to_string(),
-            found: version.to_string(),
-        });
-    }
-    let kind = match ck_field(&root, path, "kind")? {
-        Value::Str(s) => s.clone(),
-        _ => String::new(),
-    };
-    if kind != S::kind() {
-        return Err(SupervisorError::Mismatch {
-            field: "sink kind".into(),
-            expected: S::kind().into(),
-            found: kind,
-        });
-    }
-    let study = ck_field(&root, path, "study")?;
-    for (name, expected) in fingerprint(cfg, n_prefixes) {
-        let found = ck_num(ck_field(study, path, name)?, path, name)?;
-        if found != expected {
-            return Err(SupervisorError::Mismatch {
-                field: name.into(),
-                expected: expected.to_string(),
-                found: found.to_string(),
-            });
-        }
-    }
-    let stored_meta = ck_field(&root, path, "meta")?;
-    for (k, expected) in meta {
-        let found = match stored_meta.get(k) {
-            Some(Value::Str(s)) => s.clone(),
-            _ => String::new(),
-        };
-        if &found != expected {
-            return Err(SupervisorError::Mismatch {
-                field: k.clone(),
-                expected: expected.clone(),
-                found,
-            });
-        }
-    }
-
-    let cursor = ck_num(ck_field(&root, path, "cursor")?, path, "cursor")? as usize;
-    let mut quarantined = Vec::new();
-    if let Value::Array(items) = ck_field(&root, path, "quarantined")? {
-        for q in items {
-            quarantined.push(QuarantinedPrefix {
-                prefix: ck_num(ck_field(q, path, "prefix")?, path, "prefix")? as usize,
-                attempts: ck_num(ck_field(q, path, "attempts")?, path, "attempts")? as u32,
-                reason: match q.get("reason") {
-                    Some(Value::Str(s)) => s.clone(),
-                    _ => String::new(),
-                },
-            });
-        }
-    }
-    let rv = ck_field(&root, path, "report")?;
-    let count = |name: &str| -> Result<u64, SupervisorError> {
-        Ok(ck_num(ck_field(rv, path, name)?, path, name)? as u64)
-    };
-    let report = StudyReport {
-        n_prefixes,
-        completed: count("completed")? as usize,
-        quarantined: quarantined.clone(),
-        retries: count("retries")?,
-        watchdog_slow: count("watchdog_slow")?,
-        watchdog_aborts: count("watchdog_aborts")?,
-        merge_failures: count("merge_failures")?,
-        malformed_dropped: count("malformed_dropped")?,
-        stale_results: count("stale_results")?,
-        checkpoints_written: 0,
-        resumed_at: Some(cursor),
-        sessions_simulated: count("sessions_simulated")?,
-        records_emitted: count("records_emitted")?,
-        sessions_dropped_no_minrtt: count("sessions_dropped_no_minrtt")?,
-    };
-    let sink = S::load(ck_field(&root, path, "sink")?).map_err(|e| {
-        SupervisorError::Checkpoint { path: path.clone(), message: format!("sink state: {}", e.0) }
-    })?;
-    Ok(ResumedState { cursor, quarantined, report, sink })
-}
-
-fn write_checkpoint<S: PersistentSink>(
-    dir: &Path,
-    cfg: &StudyConfig,
-    n_prefixes: usize,
-    meta: &[(String, String)],
-    cursor: usize,
-    report: &StudyReport,
-    sink: &S,
-) -> Result<(), SupervisorError> {
-    let path = checkpoint_path(dir);
-    let fail = |message: String| SupervisorError::Checkpoint { path: path.clone(), message };
-    let study = Value::Object(
-        fingerprint(cfg, n_prefixes)
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), Value::Num(v)))
-            .collect(),
-    );
-    let meta_v =
-        Value::Object(meta.iter().map(|(k, v)| (k.clone(), Value::Str(v.clone()))).collect());
-    let root = Value::Object(vec![
-        ("version".into(), Value::Num(CHECKPOINT_VERSION)),
-        ("kind".into(), Value::Str(S::kind().into())),
-        ("study".into(), study),
-        ("meta".into(), meta_v),
-        ("cursor".into(), Value::Num(cursor as f64)),
-        (
-            "quarantined".into(),
-            Value::Array(
-                report
-                    .quarantined
-                    .iter()
-                    .map(|q| {
-                        Value::Object(vec![
-                            ("prefix".into(), Value::Num(q.prefix as f64)),
-                            ("attempts".into(), Value::Num(q.attempts as f64)),
-                            ("reason".into(), Value::Str(q.reason.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("report".into(), report.to_value()),
-        ("sink".into(), sink.save()),
-    ]);
-    let text = serde_json::to_string(&root).map_err(|e| fail(e.to_string()))?;
-    std::fs::create_dir_all(dir).map_err(|e| fail(e.to_string()))?;
-    // Shared tmp + rename discipline (edgeperf_analysis::segment): a
-    // crash mid-write leaves an orphan `.tmp`, never a torn checkpoint.
-    edgeperf_analysis::segment::atomic_write(&path, text.as_bytes())
-        .map_err(|e| fail(e.to_string()))?;
-    Ok(())
-}
-
-/// Run the study under the supervisor. See the module docs for the
-/// guarantees; on success returns the per-worker scheduler counters of
-/// *this process* plus the cumulative [`StudyReport`].
-///
-/// The sink must be a [`PersistentSink`] whose shards are `Clone` (each
-/// prefix computes into a clone of an empty prototype shard, so a
-/// poisoned fragment can be discarded without touching the sink).
+/// Run the study into any [`RecordSink`] under the supervisor. See the
+/// module docs for the guarantees and for what an enabled [`Metrics`]
+/// handle records; on success returns the per-worker scheduler counters
+/// of *this process* plus the cumulative [`StudyReport`].
 ///
 /// # Errors
 ///
-/// Only checkpoint-layer failures (I/O, parse, fingerprint mismatch) and
-/// the fault plan's injected crash return `Err`; worker failures are
-/// handled (retried or quarantined) and reported in the
-/// [`StudyReport`].
-pub fn run_study_supervised<S>(
+/// Only the fault plan's injected crash: worker failures are handled
+/// (retried or quarantined) and reported in the [`StudyReport`].
+pub fn run_study_supervised<S: RecordSink>(
     world: &World,
     cfg: &StudyConfig,
     sup: &SupervisorConfig,
     sink: &mut S,
     metrics: &Metrics,
-) -> Result<(StudyStats, StudyReport), SupervisorError>
-where
-    S: PersistentSink,
-    S::Shard: Clone + Send,
-{
-    let _span = metrics.span("supervisor");
+) -> Result<(StudyStats, StudyReport), SupervisorError> {
+    drive(world, cfg, sup, sink, metrics, None, &mut |_, _, _| Ok(()))
+}
+
+/// The loop behind [`run_study_supervised`]: optionally picking up at a
+/// `resumed` (cursor, report) whose prefixes the caller already merged
+/// into `sink`, and telling `journal` about every merge.
+pub(crate) fn drive<S: RecordSink>(
+    world: &World,
+    cfg: &StudyConfig,
+    sup: &SupervisorConfig,
+    sink: &mut S,
+    metrics: &Metrics,
+    resumed: Option<(usize, StudyReport)>,
+    journal: &mut Journal<'_, S::Shard>,
+) -> Result<(StudyStats, StudyReport), SupervisorError> {
+    let _study = metrics.span("study");
     let n = world.prefixes.len();
     let threads = thread_count(cfg).max(1);
     let plan = &sup.fault_plan;
 
-    // Resume if the checkpoint directory already holds a matching study.
-    let mut cursor = 0usize;
-    let mut report = StudyReport { n_prefixes: n, ..StudyReport::default() };
-    let mut slots: Vec<Slot<S::Shard>> = (0..n).map(|_| Slot::Pending).collect();
-    if let Some(dir) = &sup.checkpoint_dir {
-        let path = checkpoint_path(dir);
-        if path.exists() {
-            let resumed: ResumedState<S> = load_checkpoint(&path, cfg, n, &sup.meta)?;
-            cursor = resumed.cursor;
-            report = resumed.report;
-            *sink = resumed.sink;
-            for slot in slots.iter_mut().take(cursor) {
-                *slot = Slot::Merged;
-            }
-            for q in &resumed.quarantined {
-                if q.prefix < n {
-                    slots[q.prefix] = Slot::Quarantined;
-                }
-            }
-            metrics.gauge("supervisor.resumed_at").set(cursor as f64);
-        }
+    let (mut cursor, mut report) =
+        resumed.unwrap_or((0, StudyReport { n_prefixes: n, ..StudyReport::default() }));
+    let mut slots: Vec<Slot<S::Shard>> =
+        (0..n).map(|p| if p < cursor { Slot::Merged } else { Slot::Pending }).collect();
+    for q in &report.quarantined {
+        slots[q.prefix] = Slot::Quarantined;
     }
 
-    let queue: Mutex<VecDeque<Work>> = Mutex::new(
-        (cursor..n).map(|prefix| Work { prefix, attempt: 0, not_before: None }).collect(),
+    let queue: Mutex<VecDeque<Work<S::Shard>>> = Mutex::new(
+        (cursor..n)
+            .filter(|&p| matches!(slots[p], Slot::Pending))
+            .map(|prefix| Work { prefix, attempt: 0, not_before: None, fragment: sink.new_shard() })
+            .collect(),
     );
     let mut attempts: Vec<u32> = vec![0; n];
     let done = AtomicBool::new(false);
     let board = HeartbeatBoard::new(threads);
     let (tx, rx) = mpsc::channel::<Msg<S::Shard>>();
-    let proto = sink.new_shard();
 
     let mut stats = StudyStats { workers: vec![WorkerCounters::default(); threads] };
     let mut crash: Option<SupervisorError> = None;
@@ -759,86 +510,102 @@ where
     let mergefail_c = metrics.counter("supervisor.merge_failures");
     let malformed_c = metrics.counter("supervisor.malformed_dropped");
     let stale_c = metrics.counter("supervisor.stale_results");
-    let checkpoints_c = metrics.counter("supervisor.checkpoints");
     let merged_c = metrics.counter("supervisor.prefixes_merged");
+    let merge_ns = metrics.histogram("sink.merge_ns");
 
+    let run = metrics.span("study.run");
     std::thread::scope(|scope| {
         let queue = &queue;
         let done = &done;
         let board = &board;
         for w in 0..threads {
             let tx = tx.clone();
-            let proto = proto.clone();
-            scope.spawn(move || loop {
-                if done.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Some(work) = pop_ready(queue) else {
-                    std::thread::sleep(Duration::from_micros(200));
-                    continue;
-                };
-                let token = board.begin(w, work.prefix);
-                let cancelled = || board.cancelled(w, token);
-                if let Some(ms) = plan.delay_ms(w) {
-                    sleep_cancellable(ms, &cancelled);
-                }
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if plan.panics(work.prefix, work.attempt) {
-                        panic!(
-                            "fault-plan: injected panic on prefix {} attempt {}",
-                            work.prefix, work.attempt
-                        );
-                    }
-                    if plan.stalls(work.prefix, work.attempt) {
-                        // Stall until the watchdog cancels us (or a safety
-                        // cap, after which the task proceeds as merely
-                        // slow — keeps watchdog-less runs finite).
-                        sleep_cancellable(60_000, &cancelled);
-                    }
-                    let mut fragment = proto.clone();
-                    let mut counters = WorkerCounters::default();
-                    let mut guard = GuardShard {
-                        inner: &mut fragment,
-                        malformed_every: plan.malformed_every,
-                        seen: 0,
-                        dropped: 0,
+            let metrics = metrics.clone();
+            scope.spawn(move || {
+                let queue_depth = metrics.histogram("scheduler.queue_depth");
+                let started = Instant::now();
+                // `worked_until`: when this worker's last task ended — what
+                // it waits after that is the supervisor's tail, not idleness.
+                let (mut busy, mut steals, mut worked_until) = (Duration::ZERO, 0u64, started);
+                while !done.load(Ordering::Relaxed) {
+                    let Some((work, depth)) = pop_ready(queue) else {
+                        std::thread::sleep(Duration::from_micros(200));
+                        continue;
                     };
-                    let completed = run_prefix_cancellable(
-                        world,
-                        cfg,
-                        work.prefix,
-                        &mut guard,
-                        &mut counters,
-                        &cancelled,
-                    );
-                    counters.prefixes += 1;
-                    let dropped = guard.dropped;
-                    (fragment, counters, dropped, completed)
-                }));
-                board.finish(w);
-                let outcome = match result {
-                    Ok((fragment, counters, malformed_dropped, true)) => {
-                        Outcome::Done { fragment, counters, malformed_dropped }
+                    queue_depth.record(depth as u64);
+                    steals += 1;
+                    let t0 = Instant::now();
+                    let Work { prefix, attempt, mut fragment, .. } = work;
+                    let token = board.begin(w, prefix);
+                    let cancelled = || board.cancelled(w, token);
+                    if let Some(ms) = plan.delay_ms(w) {
+                        sleep_cancellable(ms, &cancelled);
                     }
-                    Ok((_, _, _, false)) => Outcome::Cancelled,
-                    Err(payload) => Outcome::Panicked { payload: panic_message(payload) },
-                };
-                if tx
-                    .send(Msg { prefix: work.prefix, attempt: work.attempt, worker: w, outcome })
-                    .is_err()
-                {
-                    break;
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        if FaultPlan::fires(&plan.panics, prefix, attempt) {
+                            panic!(
+                                "fault-plan: injected panic on prefix {prefix} attempt {attempt}"
+                            );
+                        }
+                        if FaultPlan::fires(&plan.stalls, prefix, attempt) {
+                            // Stall until the watchdog cancels us (or a safety
+                            // cap, after which the task proceeds as merely
+                            // slow — keeps watchdog-less runs finite).
+                            sleep_cancellable(60_000, &cancelled);
+                        }
+                        let mut counters = WorkerCounters::default();
+                        let mut guard = GuardShard {
+                            inner: &mut fragment,
+                            malformed_every: plan.malformed_every,
+                            seen: 0,
+                            dropped: 0,
+                        };
+                        let completed = run_prefix_cancellable(
+                            world,
+                            cfg,
+                            prefix,
+                            &mut guard,
+                            &mut counters,
+                            &cancelled,
+                        );
+                        if completed {
+                            // The prefix is this fragment's alone and is
+                            // done: the shard may settle it now.
+                            guard.seal(prefix);
+                        }
+                        counters.prefixes += 1;
+                        let dropped = guard.dropped;
+                        (fragment, counters, dropped, completed)
+                    }));
+                    board.finish(w);
+                    worked_until = Instant::now();
+                    busy += worked_until - t0;
+                    let outcome = match result {
+                        Ok((fragment, counters, malformed_dropped, true)) => {
+                            Ok(Computed { worker: w, fragment, counters, malformed_dropped })
+                        }
+                        Ok((_, _, _, false)) => continue,
+                        Err(payload) => Err(panic_message(payload)),
+                    };
+                    if tx.send(Msg { prefix, attempt, outcome }).is_err() {
+                        break;
+                    }
+                }
+                if metrics.is_enabled() {
+                    let pre = format!("scheduler.worker.{w}");
+                    let idle = (worked_until - started).saturating_sub(busy);
+                    metrics.gauge(&format!("{pre}.steals")).set(steals as f64);
+                    metrics.gauge(&format!("{pre}.busy_sec")).set(busy.as_secs_f64());
+                    metrics.gauge(&format!("{pre}.idle_sec")).set(idle.as_secs_f64());
                 }
             });
         }
         drop(tx);
 
         // ---- supervisor loop (runs on the scope's owning thread) ----
-        let mut merge_tries: HashMap<usize, u32> = HashMap::new();
+        let mut merge_tries: Vec<u32> = vec![0; n];
         let mut aborted: HashSet<(usize, u64)> = HashSet::new();
         let mut slow_marked: HashSet<(usize, u64)> = HashSet::new();
-        let mut last_checkpoint = Instant::now();
-        let mut dirty = false;
 
         // Requeue (within budget) or quarantine the current attempt of
         // `prefix`; shared by panic, watchdog-abort, and merge-failure
@@ -852,10 +619,11 @@ where
                     report.retries += 1;
                     retries_c.inc();
                     slots[p] = Slot::Pending;
-                    queue.lock().unwrap().push_back(Work {
+                    queue.lock().expect("no panic under the queue lock").push_back(Work {
                         prefix: p,
                         attempt: a + 1,
                         not_before: Some(Instant::now() + scaled(sup.backoff, a)),
+                        fragment: sink.new_shard(),
                     });
                 } else {
                     slots[p] = Slot::Quarantined;
@@ -870,50 +638,30 @@ where
         }
 
         loop {
-            let mut pending_msgs: Vec<Msg<S::Shard>> = Vec::new();
-            match rx.recv_timeout(sup.tick) {
-                Ok(msg) => {
-                    pending_msgs.push(msg);
-                    while let Ok(m) = rx.try_recv() {
-                        pending_msgs.push(m);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
+            let first = match rx.recv_timeout(sup.tick) {
+                Ok(msg) => Some(msg),
+                Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => break,
-            }
-
-            for msg in pending_msgs {
+            };
+            for msg in first.into_iter().chain(rx.try_iter()) {
                 let actionable = matches!(slots[msg.prefix], Slot::Pending)
                     && msg.attempt == attempts[msg.prefix];
                 match msg.outcome {
-                    Outcome::Done { fragment, counters, malformed_dropped } => {
-                        if actionable {
-                            slots[msg.prefix] = Slot::Ready {
-                                worker: msg.worker,
-                                fragment,
-                                counters,
-                                malformed_dropped,
-                            };
-                            // A retry may still be queued from a watchdog
-                            // abort whose original attempt then finished;
-                            // it is no longer needed.
-                            queue.lock().unwrap().retain(|w| w.prefix != msg.prefix);
-                        } else {
-                            report.stale_results += 1;
-                            stale_c.inc();
-                        }
+                    _ if !actionable => {
+                        report.stale_results += 1;
+                        stale_c.inc();
                     }
-                    Outcome::Panicked { payload } => {
-                        if actionable {
-                            fail_attempt!(msg.prefix, format!("panic: {payload}"));
-                        } else {
-                            report.stale_results += 1;
-                            stale_c.inc();
-                        }
+                    Ok(computed) => {
+                        slots[msg.prefix] = Slot::Ready(computed);
+                        // A retry may still be queued from a watchdog
+                        // abort whose original attempt then finished;
+                        // it is no longer needed.
+                        queue
+                            .lock()
+                            .expect("no panic under the queue lock")
+                            .retain(|w| w.prefix != msg.prefix);
                     }
-                    // The abort was accounted when the watchdog decided;
-                    // the cancellation notice itself carries no news.
-                    Outcome::Cancelled => {}
+                    Err(payload) => fail_attempt!(msg.prefix, format!("panic: {payload}")),
                 }
             }
 
@@ -925,26 +673,20 @@ where
                         cursor += 1;
                         continue;
                     }
-                    Slot::Ready { .. } => {}
+                    Slot::Ready(_) => {}
                 }
-                let tries = merge_tries.entry(cursor).or_insert(0);
-                let this_try = *tries;
-                *tries += 1;
-                if plan.merge_fails(cursor, this_try) {
+                merge_tries[cursor] += 1;
+                if FaultPlan::fires(&plan.merge_failures, cursor, merge_tries[cursor] - 1) {
                     report.merge_failures += 1;
                     mergefail_c.inc();
                     fail_attempt!(cursor, "sink merge failure (injected)".to_string());
                     continue;
                 }
-                let Slot::Ready { worker, fragment, counters, malformed_dropped } =
+                let Slot::Ready(Computed { worker, fragment, counters, malformed_dropped }) =
                     std::mem::replace(&mut slots[cursor], Slot::Merged)
                 else {
                     unreachable!("checked above");
                 };
-                {
-                    let _merge = metrics.span("supervisor.merge");
-                    sink.merge_shard(fragment);
-                }
                 stats.workers[worker].absorb(&counters);
                 report.completed += 1;
                 report.sessions_simulated += counters.sessions_simulated;
@@ -953,21 +695,17 @@ where
                 report.malformed_dropped += malformed_dropped;
                 malformed_c.add(malformed_dropped);
                 merged_c.inc();
-                dirty = true;
                 let merged_prefix = cursor;
                 cursor += 1;
+                if let Err(e) = journal(cursor, Some((merged_prefix, &fragment)), &report) {
+                    crash = Some(e);
+                    break;
+                }
+                {
+                    let _merge = metrics.span("study.run.merge");
+                    merge_ns.time(|| sink.merge_shard(fragment));
+                }
                 if plan.crash_after == Some(merged_prefix) {
-                    if let Some(dir) = &sup.checkpoint_dir {
-                        let _ck = metrics.span("supervisor.checkpoint");
-                        if let Err(e) =
-                            write_checkpoint(dir, cfg, n, &sup.meta, cursor, &report, sink)
-                        {
-                            crash = Some(e);
-                            break;
-                        }
-                        report.checkpoints_written += 1;
-                        checkpoints_c.inc();
-                    }
                     crash = Some(SupervisorError::InjectedCrash { after_prefix: merged_prefix });
                     break;
                 }
@@ -978,10 +716,7 @@ where
 
             // Watchdog: scan in-flight tasks against their deadlines.
             for t in board.active() {
-                if aborted.contains(&(t.worker, t.token)) {
-                    continue;
-                }
-                if t.prefix >= n {
+                if aborted.contains(&(t.worker, t.token)) || t.prefix >= n {
                     continue;
                 }
                 if matches!(slots[t.prefix], Slot::Pending) {
@@ -1014,45 +749,41 @@ where
                 }
             }
 
-            // Periodic checkpoint after progress.
-            if let Some(dir) = &sup.checkpoint_dir {
-                if dirty && last_checkpoint.elapsed() >= sup.checkpoint_every {
-                    let _ck = metrics.span("supervisor.checkpoint");
-                    match write_checkpoint(dir, cfg, n, &sup.meta, cursor, &report, sink) {
-                        Ok(()) => {
-                            report.checkpoints_written += 1;
-                            checkpoints_c.inc();
-                            dirty = false;
-                            last_checkpoint = Instant::now();
-                        }
-                        Err(e) => {
-                            crash = Some(e);
-                            break;
-                        }
-                    }
-                }
-            }
-
             if cursor == n {
                 break;
             }
         }
         done.store(true, Ordering::Relaxed);
     });
+    drop(run);
 
     if let Some(e) = crash {
         return Err(e);
     }
-
-    // Final checkpoint so a rerun against the same directory is a no-op
-    // resume, then settle the sink.
-    if let Some(dir) = &sup.checkpoint_dir {
-        let _ck = metrics.span("supervisor.checkpoint");
-        write_checkpoint(dir, cfg, n, &sup.meta, cursor, &report, sink)?;
-        report.checkpoints_written += 1;
-        checkpoints_c.inc();
+    // The last word: trailing quarantines are on record, and a rerun
+    // against the same journal is a no-op resume.
+    journal(cursor, None, &report)?;
+    {
+        // Let the sink settle deferred state (e.g. the order of sealed
+        // groups) so post-run queries borrow `&self` without hidden work.
+        let _finalize = metrics.span("study.finalize");
+        sink.finalize();
     }
-    sink.finalize();
+    if metrics.is_enabled() {
+        let t = stats.total();
+        metrics.counter("runner.prefixes").add(t.prefixes);
+        metrics.counter("runner.sessions_simulated").add(t.sessions_simulated);
+        metrics.counter("runner.records_emitted").add(t.records_emitted);
+        metrics.counter("runner.drop.no_minrtt").add(t.sessions_dropped_no_minrtt);
+        let s: SinkStats = sink.stats().into();
+        let label = sink.name();
+        metrics.gauge(&format!("sink.{label}.records")).set(s.records as f64);
+        metrics.gauge(&format!("sink.{label}.cells")).set(s.cells as f64);
+        metrics.gauge(&format!("sink.{label}.digest_centroids")).set(s.digest_centroids as f64);
+        metrics
+            .gauge(&format!("sink.{label}.digest_compressions"))
+            .set(s.digest_compressions as f64);
+    }
     Ok((stats, report))
 }
 
@@ -1133,10 +864,9 @@ mod tests {
     #[test]
     fn fault_clauses_are_attempt_scoped() {
         let plan = FaultPlan::parse("panic:4@2").unwrap();
-        assert!(plan.panics(4, 0));
-        assert!(plan.panics(4, 1));
-        assert!(!plan.panics(4, 2));
-        assert!(!plan.panics(5, 0));
+        let fires = |prefix, attempt| FaultPlan::fires(&plan.panics, prefix, attempt);
+        assert!(fires(4, 0) && fires(4, 1));
+        assert!(!fires(4, 2) && !fires(5, 0));
     }
 
     #[test]
@@ -1156,13 +886,11 @@ mod tests {
         let text = report.render();
         assert!(text.contains("9/10 prefixes merged"));
         assert!(text.contains("quarantined prefix 4 after 3 attempts: panic: boom"));
+        // `study_report.json` is the derive's tree, and reads back whole.
         let v = report.to_value();
-        assert_eq!(v.get("completed"), Some(&Value::Num(9.0)));
-        assert_eq!(v.get("resumed_at"), Some(&Value::Num(5.0)));
-        match v.get("quarantined") {
-            Some(Value::Array(items)) => assert_eq!(items.len(), 1),
-            other => panic!("bad quarantined field: {other:?}"),
-        }
+        assert_eq!(v.get("completed"), Some(&serde::Value::Num(9.0)));
+        assert_eq!(v.get("resumed_at"), Some(&serde::Value::Num(5.0)));
+        assert_eq!(StudyReport::from_value(&v), Ok(report));
     }
 
     #[test]

@@ -1,0 +1,81 @@
+//! Footprint gate for the checkpoint journal: journalling a study costs
+//! one fragment's bytes of heap, not a second copy of the sink, and what
+//! it leaves on disk is the codec's 20 B a row and 25 B a cell, not a
+//! JSON tree. (The whole-sink checkpoint this replaced peaked at 17 × the
+//! plain run and wrote 57 B a session.) Heap is counted exactly, on every
+//! thread, by the counting allocator of `crates/analysis/tests/counting/`
+//! — hence a test binary of its own with a single `#[test]`.
+
+#[path = "../../analysis/tests/counting/mod.rs"]
+mod counting;
+
+use counting::{count_every_thread, peak_above};
+use edgeperf_analysis::{ColumnarSink, RecordSink};
+use edgeperf_obs::Metrics;
+use edgeperf_world::{
+    run_study_checkpointed, run_study_supervised, StudyConfig, SupervisorConfig, World, WorldConfig,
+};
+
+#[test]
+fn a_checkpointed_study_costs_a_fragment_of_heap_and_the_codec_s_bytes_of_disk() {
+    count_every_thread();
+    let world =
+        World::generate(WorldConfig { seed: 42, country_fraction: 0.3, ..Default::default() });
+    let cfg = StudyConfig {
+        seed: 11,
+        days: 1,
+        sessions_per_group_window: 24,
+        parallelism: 1,
+        ..Default::default()
+    };
+    let dir = &std::env::temp_dir().join(format!("edgeperf-ckfoot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(dir);
+    let (sup, metrics) = (SupervisorConfig::default(), Metrics::disabled());
+    let sink = || ColumnarSink::new(cfg.n_windows() as usize);
+
+    // Peak live bytes of a run: what the finished sink holds plus how far
+    // above that the heap went on the way.
+    let (plain, held, above) = peak_above(|| {
+        let mut sink = sink();
+        run_study_supervised(&world, &cfg, &sup, &mut sink, &metrics).unwrap();
+        sink
+    });
+    let plain_peak = held + above;
+    let (journalled, held, above) = peak_above(|| {
+        let mut sink = sink();
+        run_study_checkpointed(&world, &cfg, &sup, dir, &[], &mut sink, &metrics).unwrap();
+        sink
+    });
+    let journalled_peak = held + above;
+    let (rows, cells) = (plain.stats().records, plain.stats().cells);
+    assert_eq!(journalled.stats(), plain.stats());
+    assert!(rows > 50_000 && world.prefixes.len() > 20, "{rows} rows");
+    assert!(
+        journalled_peak as f64 <= 1.25 * plain_peak as f64,
+        "journalled {journalled_peak} B against {plain_peak} B plain"
+    );
+
+    // And reading it all back peaks no higher than writing it did.
+    drop(journalled);
+    let (resumed, held, above) = peak_above(|| {
+        let mut sink = sink();
+        let (stats, _) =
+            run_study_checkpointed(&world, &cfg, &sup, dir, &[], &mut sink, &metrics).unwrap();
+        assert_eq!(stats.total().prefixes, 0, "everything was on disk");
+        sink
+    });
+    assert_eq!(resumed.stats(), plain.stats());
+    assert!(
+        (held + above) as f64 <= 1.25 * plain_peak as f64,
+        "resumed {} B against {plain_peak} B plain",
+        held + above
+    );
+
+    let on_disk: u64 =
+        std::fs::read_dir(dir).unwrap().map(|entry| entry.unwrap().metadata().unwrap().len()).sum();
+    assert!(
+        on_disk <= 20 * rows + 64 * cells + 4096,
+        "{on_disk} B on disk for {rows} rows in {cells} cells"
+    );
+    std::fs::remove_dir_all(dir).expect("cleanup");
+}

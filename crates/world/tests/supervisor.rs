@@ -1,21 +1,25 @@
-//! Semantics of the fault-tolerant study supervisor, exercised through
-//! the deterministic fault-injection harness.
+//! Semantics of the study driver, exercised through the deterministic
+//! fault-injection harness.
 //!
-//! The contract under test: whatever faults fire, the supervised study
-//! completes with an exact account of what is missing — unaffected
-//! prefixes are bit-identical to a fault-free run, quarantine hits
-//! exactly the injected prefixes after the retry budget, and a crash
-//! resumed from a checkpoint reproduces the uninterrupted output
-//! bit-for-bit at any parallelism.
+//! The contract under test: whatever faults fire, the study completes
+//! with an exact account of what is missing — unaffected prefixes are
+//! bit-identical to a fault-free run, quarantine hits exactly the
+//! injected prefixes after the retry budget, and a crash resumed from a
+//! checkpoint reproduces the uninterrupted output bit-for-bit at any
+//! parallelism. Output is what the exact sink every figure reads from
+//! holds: `ColumnarSink::rows()` as bit tuples, plus its summaries.
 
-use edgeperf_analysis::SessionRecord;
+use edgeperf_analysis::{atomic_write, ColumnarSink, RecordSink, StreamingDataset};
 use edgeperf_obs::Metrics;
 use edgeperf_world::{
-    run_study_into, run_study_supervised, FaultPlan, StudyConfig, SupervisorConfig, World,
-    WorldConfig,
+    run_study_checkpointed, run_study_into, run_study_supervised, FaultPlan, StudyConfig,
+    StudyReport, StudyStats, SupervisorConfig, SupervisorError, World, WorldConfig,
 };
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
+
+/// The plan CI's chaos job used to put in the environment of every test:
+/// the fault-free assertions below hold under it too.
+const CHAOS: &str = "panic:1@1;delay:0:2";
 
 /// A thinned world: enough prefixes for the scheduler to matter, small
 /// enough that every test finishes in well under a second of sim time.
@@ -35,70 +39,131 @@ fn tiny() -> (World, StudyConfig) {
 
 /// Test-speed supervisor defaults: fast tick, tiny backoff, generous
 /// deadline (the watchdog tests shrink it explicitly).
-fn sup() -> SupervisorConfig {
+fn sup(plan: &str) -> SupervisorConfig {
     SupervisorConfig {
         backoff: std::time::Duration::from_millis(1),
         tick: std::time::Duration::from_millis(5),
+        fault_plan: FaultPlan::parse(plan).unwrap(),
         ..SupervisorConfig::default()
     }
 }
 
-fn record_bits(r: &SessionRecord) -> (u32, u32, u8, u64, Option<u64>, u64) {
-    (
-        r.group.prefix.base,
-        r.window,
-        r.route_rank,
-        r.min_rtt_ms.to_bits(),
-        r.hdratio.map(f64::to_bits),
-        r.bytes,
-    )
+fn sink_for(cfg: &StudyConfig) -> ColumnarSink {
+    ColumnarSink::new(cfg.n_windows() as usize)
 }
 
-/// A fresh checkpoint directory under the system temp dir.
+/// One study into a fresh exact sink.
+fn run(world: &World, cfg: &StudyConfig, sup: &SupervisorConfig) -> (ColumnarSink, StudyReport) {
+    let mut sink = sink_for(cfg);
+    let (_, report) = run_study_supervised(world, cfg, sup, &mut sink, &Metrics::disabled())
+        .expect("no crash planned");
+    (sink, report)
+}
+
+/// The same, journalled under `dir` (resuming whatever is there).
+fn run_in(
+    dir: &Path,
+    world: &World,
+    cfg: &StudyConfig,
+    sup: &SupervisorConfig,
+) -> Result<(ColumnarSink, StudyStats, StudyReport), SupervisorError> {
+    let mut sink = sink_for(cfg);
+    run_study_checkpointed(world, cfg, sup, dir, &[], &mut sink, &Metrics::disabled())
+        .map(|(stats, report)| (sink, stats, report))
+}
+
+type Row = (u32, u32, u8, u64, Option<u64>);
+
+/// Every session the sink holds, in the order it holds them: prefix,
+/// window, rank, MinRTT bits, HDratio bits.
+fn rows(sink: &ColumnarSink) -> Vec<Row> {
+    sink.rows()
+        .map(|(cell, rtt, hd)| {
+            (cell.group.prefix.base, cell.window, cell.rank, rtt.to_bits(), hd.map(f64::to_bits))
+        })
+        .collect()
+}
+
+/// Every cell's summary (bytes and flags included) as text: `{:?}` prints
+/// floats in shortest round-trip form, so equal text means equal bits.
+fn cells(sink: &ColumnarSink) -> String {
+    format!("{:?}", sink.summarize().groups)
+}
+
+fn assert_same(a: &ColumnarSink, b: &ColumnarSink, what: &str) {
+    assert_eq!(rows(a), rows(b), "{what}");
+    assert_eq!(cells(a), cells(b), "{what}");
+}
+
+/// A fresh checkpoint directory under the system temp dir, one a test.
 fn scratch_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "edgeperf-supervisor-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("edgeperf-supervisor-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
 #[test]
-fn fault_free_supervised_run_matches_unsupervised_output_exactly() {
+fn output_is_the_same_bits_at_any_parallelism_with_or_without_recovered_faults() {
     let (world, cfg) = tiny();
 
-    // The unsupervised baseline at parallelism 1 emits records in prefix
-    // order (one worker drains the shared cursor in order).
-    let mut baseline: Vec<SessionRecord> = Vec::new();
-    run_study_into(&world, &StudyConfig { parallelism: 1, ..cfg }, &mut baseline);
+    // `run_study_into` is the driver under its defaults: the baseline.
+    let mut baseline = sink_for(&cfg);
+    let stats = run_study_into(&world, &StudyConfig { parallelism: 1, ..cfg }, &mut baseline);
+    assert_eq!(stats.total().records_emitted, baseline.stats().records);
 
-    // The supervisor merges fragments strictly by prefix index, so its
-    // output order matches the parallelism-1 baseline at ANY parallelism.
-    for p in [1usize, 4] {
-        let mut records: Vec<SessionRecord> = Vec::new();
-        let (stats, report) = run_study_supervised(
-            &world,
-            &StudyConfig { parallelism: p, ..cfg },
-            &sup(),
-            &mut records,
-            &Metrics::disabled(),
-        )
-        .expect("fault-free run cannot fail");
-        assert_eq!(records.len(), baseline.len(), "parallelism {p}");
-        for (a, b) in records.iter().zip(&baseline) {
-            assert_eq!(record_bits(a), record_bits(b), "parallelism {p}");
+    // Fragments merge strictly by prefix index, so the sink holds the same
+    // rows in the same order at ANY parallelism — and a fault the retry
+    // budget absorbs (a first-attempt panic, a failed merge: the prefix is
+    // recomputed) leaves no trace in it.
+    for plan in ["", CHAOS, "mergefail:3"] {
+        for p in [1usize, 4] {
+            let mut sink = sink_for(&cfg);
+            let (stats, report) = run_study_supervised(
+                &world,
+                &StudyConfig { parallelism: p, ..cfg },
+                &sup(plan),
+                &mut sink,
+                &Metrics::disabled(),
+            )
+            .expect("nothing here can fail the run");
+            assert_same(&sink, &baseline, &format!("plan {plan:?} parallelism {p}"));
+            assert_eq!(report.completed, world.prefixes.len());
+            assert_eq!(report.n_prefixes, world.prefixes.len());
+            assert!(report.quarantined.is_empty());
+            assert_eq!(report.retries, u64::from(!plan.is_empty()));
+            assert_eq!(report.merge_failures, u64::from(plan == "mergefail:3"));
+            assert_eq!(report.malformed_dropped, 0);
+            assert_eq!(stats.workers.len(), p);
+            assert_eq!(stats.total().records_emitted, sink.stats().records);
+            assert_eq!(report.records_emitted, sink.stats().records);
         }
-        assert_eq!(report.completed, world.prefixes.len());
-        assert_eq!(report.n_prefixes, world.prefixes.len());
-        assert!(report.quarantined.is_empty());
-        assert_eq!(report.retries, 0);
-        assert_eq!(report.malformed_dropped, 0);
-        assert_eq!(stats.total().records_emitted, records.len() as u64);
-        assert_eq!(report.records_emitted, records.len() as u64);
     }
+}
+
+#[test]
+fn the_streaming_sink_runs_under_the_same_driver_and_the_same_faults() {
+    // What `repro --streaming --fault-plan` is: a sealed fragment per
+    // prefix, a panicked attempt's fragment dropped whole, the retry's
+    // merged in its place — the same summaries and Figure 6 rollups, bit
+    // for bit, as a clean run's.
+    let (world, cfg) = tiny();
+    let run = |plan: &str, parallelism: usize| {
+        let mut sink = StreamingDataset::new(cfg.n_windows() as usize);
+        let cfg = StudyConfig { parallelism, ..cfg };
+        let (_, report) =
+            run_study_supervised(&world, &cfg, &sup(plan), &mut sink, &Metrics::disabled())
+                .unwrap();
+        assert_eq!(report.retries, u64::from(!plan.is_empty()));
+        let (minrtt, per_continent) = sink.minrtt_rollup();
+        let rollups: Vec<_> =
+            std::iter::once(&minrtt).chain(per_continent.values()).map(|d| d.to_parts()).collect();
+        (format!("{:?}", sink.summarize().groups), rollups, sink.hdratio_rollup(), sink.stats())
+    };
+    let clean = run("", 1);
+    assert!(clean.3.records > 0);
+    assert_eq!(run(CHAOS, 1), clean);
+    assert_eq!(run(CHAOS, 4), clean);
 }
 
 #[test]
@@ -108,17 +173,10 @@ fn panicking_prefix_is_quarantined_and_the_rest_is_bit_identical() {
     let victim = n / 2;
     let victim_base = world.prefixes[victim].prefix.base;
 
-    let mut clean: Vec<SessionRecord> = Vec::new();
-    run_study_supervised(&world, &cfg, &sup(), &mut clean, &Metrics::disabled()).unwrap();
+    let (clean, _) = run(&world, &cfg, &sup(""));
 
     // Panic on every attempt: budget 2 → 3 attempts, then quarantine.
-    let faulty_sup = SupervisorConfig {
-        fault_plan: FaultPlan::parse(&format!("panic:{victim}@99")).unwrap(),
-        ..sup()
-    };
-    let mut faulty: Vec<SessionRecord> = Vec::new();
-    let (_, report) =
-        run_study_supervised(&world, &cfg, &faulty_sup, &mut faulty, &Metrics::disabled()).unwrap();
+    let (faulty, report) = run(&world, &cfg, &sup(&format!("panic:{victim}@99")));
 
     assert_eq!(report.completed, n - 1);
     assert_eq!(report.retries, 2);
@@ -128,145 +186,54 @@ fn panicking_prefix_is_quarantined_and_the_rest_is_bit_identical() {
     assert_eq!(q.attempts, 3);
     assert!(q.reason.contains("injected panic"), "reason: {}", q.reason);
 
-    // Every other prefix's records survive bit-identically, in order.
-    let expected: Vec<&SessionRecord> =
-        clean.iter().filter(|r| r.group.prefix.base != victim_base).collect();
-    assert!(faulty.len() < clean.len(), "victim produced records it shouldn't have");
-    assert_eq!(faulty.len(), expected.len());
-    for (a, b) in faulty.iter().zip(expected) {
-        assert_eq!(record_bits(a), record_bits(b));
-    }
-}
-
-#[test]
-fn transient_panic_retries_then_completes_clean() {
-    let (world, cfg) = tiny();
-    let victim = 1;
-
-    // Panics on the first attempt only; the retry succeeds.
-    let faulty_sup = SupervisorConfig {
-        fault_plan: FaultPlan::parse(&format!("panic:{victim}@1")).unwrap(),
-        ..sup()
-    };
-    let mut records: Vec<SessionRecord> = Vec::new();
-    let (_, report) =
-        run_study_supervised(&world, &cfg, &faulty_sup, &mut records, &Metrics::disabled())
-            .unwrap();
-    assert_eq!(report.completed, world.prefixes.len());
-    assert!(report.quarantined.is_empty());
-    assert_eq!(report.retries, 1);
-
-    // And the retried prefix's records equal a clean run's (deterministic
-    // per-prefix RNG: a retry replays the identical stream).
-    let mut clean: Vec<SessionRecord> = Vec::new();
-    run_study_supervised(&world, &cfg, &sup(), &mut clean, &Metrics::disabled()).unwrap();
-    assert_eq!(records.len(), clean.len());
-    for (a, b) in records.iter().zip(&clean) {
-        assert_eq!(record_bits(a), record_bits(b));
-    }
-}
-
-#[test]
-fn watchdog_aborts_a_stalled_prefix_and_the_retry_completes() {
-    let (world, cfg) = tiny();
-    let victim = 2;
-
-    let faulty_sup = SupervisorConfig {
-        // Stall fires on attempt 0 only; 120 ms deadline catches it fast.
-        fault_plan: FaultPlan::parse(&format!("stall:{victim}@1")).unwrap(),
-        deadline: std::time::Duration::from_millis(120),
-        ..sup()
-    };
-    let mut records: Vec<SessionRecord> = Vec::new();
-    let (_, report) =
-        run_study_supervised(&world, &cfg, &faulty_sup, &mut records, &Metrics::disabled())
-            .unwrap();
-    assert_eq!(report.completed, world.prefixes.len());
-    assert!(report.quarantined.is_empty());
-    assert!(report.watchdog_aborts >= 1, "watchdog never fired");
-    assert!(report.watchdog_slow >= 1, "slow mark should precede the abort");
-    assert!(report.retries >= 1);
-
-    let mut clean: Vec<SessionRecord> = Vec::new();
-    run_study_supervised(&world, &cfg, &sup(), &mut clean, &Metrics::disabled()).unwrap();
-    assert_eq!(records.len(), clean.len());
-    for (a, b) in records.iter().zip(&clean) {
-        assert_eq!(record_bits(a), record_bits(b));
-    }
+    // Every other prefix's rows survive bit-identically, in order.
+    let expected: Vec<Row> = rows(&clean).into_iter().filter(|r| r.0 != victim_base).collect();
+    assert!(expected.len() < rows(&clean).len(), "the victim has rows to lose");
+    assert_eq!(rows(&faulty), expected);
 }
 
 #[test]
 fn acceptance_scenario_panic_plus_stall_completes_with_exact_quarantine() {
-    // ISSUE acceptance: a FaultPlan study with one panicking prefix and
-    // one stuck worker completes, quarantining exactly the panicking
-    // prefix after the retry budget.
+    // A FaultPlan study with one panicking prefix and one stuck worker
+    // completes, quarantining exactly the panicking prefix after the
+    // retry budget.
     let (world, cfg) = tiny();
     let n = world.prefixes.len();
     let (bad, stuck) = (n / 3, 2 * n / 3);
     assert_ne!(bad, stuck);
 
     let faulty_sup = SupervisorConfig {
-        fault_plan: FaultPlan::parse(&format!("panic:{bad}@99;stall:{stuck}@1")).unwrap(),
+        // The stall fires on attempt 0 only; a 120 ms deadline catches it.
         deadline: std::time::Duration::from_millis(120),
-        ..sup()
+        ..sup(&format!("panic:{bad}@99;stall:{stuck}@1"))
     };
-    let mut records: Vec<SessionRecord> = Vec::new();
-    let (_, report) =
-        run_study_supervised(&world, &cfg, &faulty_sup, &mut records, &Metrics::disabled())
-            .unwrap();
+    let (sink, report) = run(&world, &cfg, &faulty_sup);
 
     assert_eq!(report.completed, n - 1);
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].prefix, bad);
     assert_eq!(report.quarantined[0].attempts, 1 + SupervisorConfig::default().retry_budget);
     assert!(report.watchdog_aborts >= 1, "stalled prefix never aborted");
-    // The stalled prefix recovered rather than being quarantined.
-    assert!(report.quarantined.iter().all(|q| q.prefix != stuck));
-}
-
-#[test]
-fn merge_failure_recomputes_the_prefix_and_completes() {
-    let (world, cfg) = tiny();
-    let victim = 3;
-
-    let faulty_sup = SupervisorConfig {
-        fault_plan: FaultPlan::parse(&format!("mergefail:{victim}")).unwrap(),
-        ..sup()
-    };
-    let mut records: Vec<SessionRecord> = Vec::new();
-    let (_, report) =
-        run_study_supervised(&world, &cfg, &faulty_sup, &mut records, &Metrics::disabled())
-            .unwrap();
-    assert_eq!(report.completed, world.prefixes.len());
-    assert_eq!(report.merge_failures, 1);
-    assert_eq!(report.retries, 1);
-    assert!(report.quarantined.is_empty());
-
-    let mut clean: Vec<SessionRecord> = Vec::new();
-    run_study_supervised(&world, &cfg, &sup(), &mut clean, &Metrics::disabled()).unwrap();
-    assert_eq!(records.len(), clean.len());
-    for (a, b) in records.iter().zip(&clean) {
-        assert_eq!(record_bits(a), record_bits(b));
-    }
+    assert!(report.watchdog_slow >= 1, "slow mark should precede the abort");
+    // The stalled prefix recovered rather than being quarantined, and its
+    // retry replayed the identical stream (deterministic per-prefix RNG):
+    // but for the quarantined prefix, the rows are a clean run's.
+    let bad_base = world.prefixes[bad].prefix.base;
+    let clean = rows(&run(&world, &cfg, &sup("")).0);
+    assert_eq!(rows(&sink), clean.into_iter().filter(|r| r.0 != bad_base).collect::<Vec<_>>());
 }
 
 #[test]
 fn malformed_records_are_dropped_counted_and_never_reach_the_sink() {
     let (world, cfg) = tiny();
-
-    let faulty_sup =
-        SupervisorConfig { fault_plan: FaultPlan::parse("malformed:7").unwrap(), ..sup() };
-    let mut records: Vec<SessionRecord> = Vec::new();
-    let (_, report) =
-        run_study_supervised(&world, &cfg, &faulty_sup, &mut records, &Metrics::disabled())
-            .unwrap();
+    let (sink, report) = run(&world, &cfg, &sup("malformed:7"));
 
     assert!(report.malformed_dropped > 0, "injector never fired");
     // Accounting closes: emitted = kept + dropped.
-    assert_eq!(report.records_emitted, records.len() as u64 + report.malformed_dropped);
-    // Validation held the line: nothing non-finite reached the sink.
-    assert!(records.iter().all(|r| r.min_rtt_ms.is_finite()));
-    assert!(records.iter().all(|r| r.hdratio.is_none_or(f64::is_finite)));
+    assert_eq!(report.records_emitted, sink.stats().records + report.malformed_dropped);
+    // Validation held the line: nothing non-finite reached the sink (which
+    // would have refused it with a panic, not a count).
+    assert!(sink.rows().all(|(_, rtt, hd)| rtt.is_finite() && hd.is_none_or(f64::is_finite)));
 }
 
 #[test]
@@ -274,39 +241,27 @@ fn crash_then_resume_is_bit_identical_to_uninterrupted() {
     let (world, cfg) = tiny();
     let n = world.prefixes.len();
 
-    for p in [1usize, 4] {
-        let cfg = StudyConfig { parallelism: p, ..cfg };
-        let mut uninterrupted: Vec<SessionRecord> = Vec::new();
-        run_study_supervised(&world, &cfg, &sup(), &mut uninterrupted, &Metrics::disabled())
-            .unwrap();
+    for plan in ["", CHAOS] {
+        for p in [1usize, 4] {
+            let cfg = StudyConfig { parallelism: p, ..cfg };
+            let (uninterrupted, _) = run(&world, &cfg, &sup(plan));
 
-        let dir = scratch_dir("resume");
-        // First process: crash right after merging the middle prefix.
-        let crash_sup = SupervisorConfig {
-            checkpoint_dir: Some(dir.clone()),
-            fault_plan: FaultPlan::parse(&format!("crash:{}", n / 2)).unwrap(),
-            ..sup()
-        };
-        let mut first: Vec<SessionRecord> = Vec::new();
-        let err = run_study_supervised(&world, &cfg, &crash_sup, &mut first, &Metrics::disabled())
-            .expect_err("the injected crash must abort the run");
-        assert!(err.to_string().contains("injected crash"), "got: {err}");
-        assert!(dir.join("checkpoint.json").exists());
+            let dir = scratch_dir("resume");
+            // First process: crash right after merging the middle prefix.
+            let crash = format!("{plan};crash:{}", n / 2);
+            let err = run_in(&dir, &world, &cfg, &sup(&crash))
+                .expect_err("the injected crash must abort the run");
+            assert!(err.to_string().contains("injected crash"), "got: {err}");
+            assert!(dir.join("checkpoint.json").exists());
 
-        // Second process: same checkpoint dir, no faults → resume.
-        let resume_sup = SupervisorConfig { checkpoint_dir: Some(dir.clone()), ..sup() };
-        let mut resumed: Vec<SessionRecord> = Vec::new();
-        let (_, report) =
-            run_study_supervised(&world, &cfg, &resume_sup, &mut resumed, &Metrics::disabled())
-                .unwrap();
-        assert_eq!(report.resumed_at, Some(n / 2 + 1), "parallelism {p}");
-        assert_eq!(report.completed, n, "cumulative completion count survives resume");
-
-        assert_eq!(resumed.len(), uninterrupted.len(), "parallelism {p}");
-        for (a, b) in resumed.iter().zip(&uninterrupted) {
-            assert_eq!(record_bits(a), record_bits(b), "parallelism {p}");
+            // Second process: same checkpoint dir, no crash → resume.
+            let (resumed, stats, report) = run_in(&dir, &world, &cfg, &sup(plan)).unwrap();
+            assert_eq!(report.resumed_at, Some(n / 2 + 1), "parallelism {p}");
+            assert_eq!(report.completed, n, "cumulative completion count survives resume");
+            assert_eq!(stats.total().prefixes as usize, n - (n / 2 + 1), "only the rest reran");
+            assert_same(&resumed, &uninterrupted, &format!("plan {plan:?} parallelism {p}"));
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -319,27 +274,42 @@ fn resume_preserves_quarantine_across_the_crash() {
     assert!(victim < crash_at);
 
     let dir = scratch_dir("quarantine");
-    let crash_sup = SupervisorConfig {
-        checkpoint_dir: Some(dir.clone()),
-        fault_plan: FaultPlan::parse(&format!("panic:{victim}@99;crash:{crash_at}")).unwrap(),
-        ..sup()
-    };
-    let mut first: Vec<SessionRecord> = Vec::new();
-    run_study_supervised(&world, &cfg, &crash_sup, &mut first, &Metrics::disabled())
+    run_in(&dir, &world, &cfg, &sup(&format!("panic:{victim}@99;crash:{crash_at}")))
         .expect_err("crash fires");
 
-    let resume_sup = SupervisorConfig { checkpoint_dir: Some(dir.clone()), ..sup() };
-    let mut resumed: Vec<SessionRecord> = Vec::new();
-    let (_, report) =
-        run_study_supervised(&world, &cfg, &resume_sup, &mut resumed, &Metrics::disabled())
-            .unwrap();
+    let (resumed, _, report) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
     // The pre-crash quarantine is remembered: not re-attempted, still
-    // reported, and its records stay absent.
+    // reported, and its rows stay absent.
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].prefix, victim);
     assert_eq!(report.completed, n - 1);
+    assert_eq!(report.retries, 2, "the retries before the crash, and none after");
     let victim_base = world.prefixes[victim].prefix.base;
-    assert!(resumed.iter().all(|r| r.group.prefix.base != victim_base));
+    assert!(rows(&resumed).iter().all(|r| r.0 != victim_base));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_shard_file_beyond_the_cursor_is_ignored_and_overwritten() {
+    // A crash between journalling a fragment and rewriting the manifest
+    // leaves the shard file of a prefix the manifest does not count.
+    let (world, cfg) = tiny();
+    let n = world.prefixes.len();
+    let dir = scratch_dir("orphan");
+    run_in(&dir, &world, &cfg, &sup(&format!("crash:{}", n / 2))).expect_err("crash fires");
+
+    let orphan = dir.join(format!("shard-{:06}.bin", n / 2 + 1));
+    assert!(!orphan.exists(), "the crash stopped the journal at the cursor");
+    atomic_write(&orphan, b"not a shard: the prefix it names was never counted").unwrap();
+
+    let (resumed, _, report) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
+    assert_eq!(report.resumed_at, Some(n / 2 + 1));
+    assert_same(&resumed, &run(&world, &cfg, &sup("")).0, "resumed past an orphan");
+    // The prefix reran and its file is now the real thing: a second rerun
+    // reads every shard back.
+    let (again, stats, _) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
+    assert_eq!(stats.total().prefixes, 0);
+    assert_same(&again, &resumed, "reread from the journal");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -347,27 +317,36 @@ fn resume_preserves_quarantine_across_the_crash() {
 fn checkpoint_from_a_different_study_is_rejected() {
     let (world, cfg) = tiny();
     let dir = scratch_dir("mismatch");
-    let ck_sup = SupervisorConfig { checkpoint_dir: Some(dir.clone()), ..sup() };
-    let mut records: Vec<SessionRecord> = Vec::new();
-    run_study_supervised(&world, &cfg, &ck_sup, &mut records, &Metrics::disabled()).unwrap();
+    run_in(&dir, &world, &cfg, &sup("")).unwrap();
+    let mismatch = |result: Result<(), SupervisorError>, field: &str| match result {
+        Err(SupervisorError::Mismatch { field: f, .. }) => assert_eq!(f, field),
+        Err(other) => panic!("{field}: expected a mismatch, got: {other}"),
+        Ok(()) => panic!("{field}: a different study resumed"),
+    };
 
     // Same directory, different seed → refuse to resume.
     let other = StudyConfig { seed: cfg.seed + 1, ..cfg };
-    let mut out: Vec<SessionRecord> = Vec::new();
-    let err = run_study_supervised(&world, &other, &ck_sup, &mut out, &Metrics::disabled())
-        .expect_err("seed mismatch must be rejected");
-    assert!(err.to_string().contains("seed"), "got: {err}");
+    mismatch(run_in(&dir, &world, &other, &sup("")).map(|_| ()), "seed");
 
     // Different builder-level meta → also refused.
-    let meta_sup = SupervisorConfig {
-        checkpoint_dir: Some(dir.clone()),
-        meta: vec![("scale".into(), "0.5".into())],
-        ..sup()
-    };
-    let mut out: Vec<SessionRecord> = Vec::new();
-    let err = run_study_supervised(&world, &cfg, &meta_sup, &mut out, &Metrics::disabled())
-        .expect_err("meta mismatch must be rejected");
-    assert!(err.to_string().contains("scale"), "got: {err}");
+    let meta = [("scale".to_string(), "0.5".to_string())];
+    let mut sink = sink_for(&cfg);
+    let with_meta = run_study_checkpointed(
+        &world,
+        &cfg,
+        &sup(""),
+        &dir,
+        &meta,
+        &mut sink,
+        &Metrics::disabled(),
+    );
+    mismatch(with_meta.map(|_| ()), "scale");
+
+    // A version-1 checkpoint (one JSON tree, sink inside, no checksum) is
+    // another format, not damage: a checkpoint is one study's transient.
+    let v1 = r#"{"version":1,"kind":"records","study":{"seed":11},"cursor":0,"sink":{}}"#;
+    atomic_write(&dir.join("checkpoint.json"), v1.as_bytes()).unwrap();
+    mismatch(run_in(&dir, &world, &cfg, &sup("")).map(|_| ()), "version");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -375,37 +354,27 @@ fn checkpoint_from_a_different_study_is_rejected() {
 fn completed_checkpoint_resumes_as_a_no_op() {
     let (world, cfg) = tiny();
     let dir = scratch_dir("noop");
-    let ck_sup = SupervisorConfig { checkpoint_dir: Some(dir.clone()), ..sup() };
+    let (first, _, report) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
+    // A manifest per merge, and the last word.
+    assert_eq!(report.checkpoints_written as usize, world.prefixes.len() + 1);
 
-    let mut records: Vec<SessionRecord> = Vec::new();
-    run_study_supervised(&world, &cfg, &ck_sup, &mut records, &Metrics::disabled()).unwrap();
-
-    // Rerun against the finished checkpoint: nothing recomputes, output
-    // is rebuilt bit-identically from the stored sink state.
-    let mut again: Vec<SessionRecord> = Vec::new();
-    let (stats, report) =
-        run_study_supervised(&world, &cfg, &ck_sup, &mut again, &Metrics::disabled()).unwrap();
+    // Rerun against the finished checkpoint: nothing recomputes, the sink
+    // is rebuilt bit-identically from the journalled shards.
+    let (again, stats, report) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
     assert_eq!(report.resumed_at, Some(world.prefixes.len()));
     assert_eq!(stats.total().records_emitted, 0, "no new work on a finished study");
-    assert_eq!(again.len(), records.len());
-    for (a, b) in again.iter().zip(&records) {
-        assert_eq!(record_bits(a), record_bits(b));
-    }
+    assert_eq!(report.records_emitted, again.stats().records, "the cumulative count stands");
+    assert_same(&again, &first, "rebuilt from the journal");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn supervisor_metrics_account_for_every_decision() {
     let (world, cfg) = tiny();
-    let victim = 0;
     let metrics = Metrics::enabled();
-    let faulty_sup = SupervisorConfig {
-        fault_plan: FaultPlan::parse(&format!("panic:{victim}@99")).unwrap(),
-        ..sup()
-    };
-    let mut records: Vec<SessionRecord> = Vec::new();
+    let mut sink = sink_for(&cfg);
     let (_, report) =
-        run_study_supervised(&world, &cfg, &faulty_sup, &mut records, &metrics).unwrap();
+        run_study_supervised(&world, &cfg, &sup("panic:0@99"), &mut sink, &metrics).unwrap();
 
     let snap = metrics.snapshot();
     let counter =
@@ -413,6 +382,10 @@ fn supervisor_metrics_account_for_every_decision() {
     assert_eq!(counter("supervisor.retries"), report.retries);
     assert_eq!(counter("supervisor.quarantined"), report.quarantined.len() as u64);
     assert_eq!(counter("supervisor.prefixes_merged"), report.completed as u64);
-    assert!(snap.spans.iter().any(|s| s.name == "supervisor"));
-    assert!(snap.spans.iter().any(|s| s.name == "supervisor.merge"));
+    // The runner's names, from the same loop: what merged, and every claim
+    // (three of them the victim's).
+    assert_eq!(counter("runner.prefixes"), report.completed as u64);
+    assert_eq!(counter("runner.records_emitted"), sink.stats().records);
+    assert_eq!(snap.histograms["sink.merge_ns"].count, report.completed as u64);
+    assert_eq!(snap.histograms["scheduler.queue_depth"].count, report.completed as u64 + 3);
 }
