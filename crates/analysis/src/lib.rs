@@ -61,8 +61,8 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use opportunity::{opportunity_events, OpportunityMetric};
 pub use record::{GroupKey, SessionRecord};
 pub use segment::{
-    atomic_write, cell_sort_key, decode_segment, encode_segment, sort_cells, stage, staging_path,
-    CellSortKey, GroupEntry, SegmentIndex, SegmentReader, SegmentWriter, WindowCell, GROUP_ROWS,
+    atomic_write, cell_sort_key, decode_segment, encode_segment, sort_cells, CellSortKey,
+    GroupEntry, SegmentIndex, SegmentReader, SegmentWriter, StagedFile, WindowCell, GROUP_ROWS,
     SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 pub use sink::{

@@ -721,15 +721,6 @@ pub struct SegmentWriter<W: Write> {
     offset: u64,
 }
 
-impl SegmentWriter<File> {
-    /// A writer staging at [`staging_path`]`(path)`; once
-    /// [`finish`](Self::finish)ed, renaming the staged file onto `path`
-    /// is what publishes it.
-    pub fn stage(path: &Path) -> io::Result<SegmentWriter<File>> {
-        SegmentWriter::new(File::create(staging_path(path))?)
-    }
-}
-
 impl<W: Write> SegmentWriter<W> {
     /// Start a segment on `out`.
     pub fn new(mut out: W) -> io::Result<SegmentWriter<W>> {
@@ -878,30 +869,62 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Vec<WindowCell>, EdgeperfError> {
     Ok(cells)
 }
 
-/// The path a writer stages bytes at before renaming over `path`.
-pub fn staging_path(path: &Path) -> PathBuf {
+const STAGING_SUFFIX: &str = ".tmp";
+
+fn staging_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
+    name.push(STAGING_SUFFIX);
     path.with_file_name(name)
 }
 
-/// Stage `bytes` at [`staging_path`] and return that path — the first
-/// half of [`atomic_write`], exposed on its own so the tiered store's
-/// crash-injection tests can stop between stage and rename.
-pub fn stage(path: &Path, bytes: &[u8]) -> io::Result<PathBuf> {
-    let tmp = staging_path(path);
-    std::fs::write(&tmp, bytes)?;
-    Ok(tmp)
-}
-
-/// Write `bytes` to `path` atomically: stage at [`staging_path`], then
-/// rename. A crash between the two steps leaves an orphan `.tmp` file; a
+/// A file on its way to `path`: bytes are written beside it under a
+/// staging name, and [`commit`](Self::commit) renames them into place. A
+/// crash (or a drop) before the commit leaves an orphan staging file; a
 /// reader can never observe a torn file at `path` itself. This is the
 /// one sanctioned way to write durable artifacts (segments, manifests,
-/// checkpoints) — CI greps direct `std::fs::write` out of `crates/live`.
+/// checkpoints) — `scripts/gates.sh` greps direct `std::fs::write` and
+/// `File::create` out of the live, fleet and world tiers.
+pub struct StagedFile {
+    file: File,
+    path: PathBuf,
+}
+
+impl StagedFile {
+    /// Start staging the file that [`commit`](Self::commit) publishes at
+    /// `path`.
+    pub fn create(path: &Path) -> io::Result<StagedFile> {
+        Ok(StagedFile { file: File::create(staging_path(path))?, path: path.to_path_buf() })
+    }
+
+    /// Publish the staged bytes at the path given to
+    /// [`create`](Self::create).
+    pub fn commit(self) -> io::Result<()> {
+        drop(self.file);
+        std::fs::rename(staging_path(&self.path), &self.path)
+    }
+
+    /// Is `path` a staging name — what an uncommitted [`StagedFile`]
+    /// leaves behind?
+    pub fn is_staging(path: &Path) -> bool {
+        path.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.ends_with(STAGING_SUFFIX))
+    }
+}
+
+impl Write for StagedFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+/// Write `bytes` to `path` through a [`StagedFile`].
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = stage(path, bytes)?;
-    std::fs::rename(&tmp, path)
+    let mut staged = StagedFile::create(path)?;
+    staged.write_all(bytes)?;
+    staged.commit()
 }
 
 #[cfg(test)]
@@ -1025,13 +1048,16 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("edgeperf-segment-{}.seg", std::process::id()));
         let cells: Vec<WindowCell> = (0..700).map(cell).collect();
-        let mut writer = SegmentWriter::stage(&path).expect("stages");
+        let staged = StagedFile::create(&path).expect("stages");
+        let mut writer = SegmentWriter::new(staged).expect("starts");
         for c in &cells {
             writer.push(c).expect("writes");
         }
-        let (_, written) = writer.finish().expect("finishes");
-        assert!(!path.exists(), "only the staged file exists until the caller renames");
-        std::fs::rename(staging_path(&path), &path).expect("renames");
+        let (staged, written) = writer.finish().expect("finishes");
+        assert!(!path.exists(), "only the staged file exists until the commit");
+        assert!(StagedFile::is_staging(&staging_path(&path)) && !StagedFile::is_staging(&path));
+        staged.commit().expect("renames");
+        assert!(!staging_path(&path).exists(), "the commit is a rename, not a copy");
         assert_eq!(std::fs::read(&path).expect("reads"), encode_segment(&cells));
 
         let mut reader = SegmentReader::open(&path).expect("opens");

@@ -31,13 +31,15 @@ use std::time::Instant;
 use edgeperf::serve::WireParser;
 use edgeperf_fleet::{ClientKey, Fleet, FleetChaosPlan, FleetClient, FleetConfig};
 use edgeperf_live::{
-    cell_line_sort_key, replay_with_resume, CellLine, CellQuery, ChaosPlan, LiveClient,
-    ResumeInput, RetryPolicy, WireChaos,
+    cell_line_sort_key, replay_with_resume, CellLine, CellQuery, ChaosPlan, LiveClient, LiveConfig,
+    RetryPolicy, WireChaos, WireMode,
 };
 use edgeperf_obs::Metrics;
 use serde::{Deserialize, Serialize};
 
-use crate::loadgen::{generate_lines, hosted_builder, render_rows, LoadgenConfig};
+use crate::loadgen::{
+    generate_lines, hosted_config, jsonl_payloads, render_rows, start_hosted, LoadgenConfig,
+};
 
 /// Fleet-run shape: how many PoPs to host and what to break.
 #[derive(Debug, Clone)]
@@ -114,9 +116,9 @@ struct Stream {
     session: u64,
     /// Ascending global record indices this stream carries.
     indices: Vec<usize>,
-    /// The wire lines at those indices, in the same order.
-    lines: Vec<String>,
-    /// Lines already replayed and acked (a prefix length).
+    /// The JSONL payloads at those indices, in the same order.
+    payloads: Vec<Vec<u8>>,
+    /// Payloads already replayed and acked (a prefix length).
     sent: usize,
     /// Last cumulative ack from the server.
     acked: u64,
@@ -176,24 +178,24 @@ fn cells_bit_identical(a: &[CellLine], b: &[CellLine]) -> bool {
         && render_rows(a) == render_rows(b)
 }
 
-/// Single-node control: the same lines into one server, then the
+/// Single-node control: the same payloads into one server, then the
 /// canonical `digest` export (sorted cells + accepted under one sync
 /// barrier). The fleet view must match this bit-for-bit.
 fn run_control(
     cfg: &LoadgenConfig,
     workers: usize,
-    lines: &[String],
+    payloads: &[Vec<u8>],
     policy: &RetryPolicy,
 ) -> io::Result<(u64, Vec<CellLine>)> {
-    let server = hosted_builder(cfg, workers)
-        .retention_windows(cfg.windows as usize + 4)
-        .start(Arc::new(WireParser::new(cfg.target_bps)))
-        .map_err(|e| invalid(e.to_string()))?;
+    let config =
+        LiveConfig { retention_windows: cfg.windows as usize + 4, ..hosted_config(cfg, workers) };
+    let server = start_hosted(config, Arc::new(WireParser::new(cfg.target_bps)))?;
     let mut wire = WireChaos::new(&ChaosPlan::default());
     replay_with_resume(
         server.addr(),
         session_id(cfg.seed, 0, u16::MAX),
-        ResumeInput::Lines(lines),
+        WireMode::Jsonl,
+        payloads,
         policy,
         &mut wire,
     )?;
@@ -245,7 +247,7 @@ pub fn run_fleet_at(
     cfg: &LoadgenConfig,
     opts: &FleetRunOpts,
 ) -> io::Result<FleetReport> {
-    let lines = generate_lines(cfg);
+    let payloads = jsonl_payloads(&generate_lines(cfg));
     let sessions = cfg.sessions;
     let groups = cfg.groups.max(1);
     let span_ms = f64::from(cfg.windows) * cfg.window_ms;
@@ -288,12 +290,12 @@ pub fn run_fleet_at(
         if indices.is_empty() {
             continue;
         }
-        let stream_lines = indices.iter().map(|&i| lines[i].clone()).collect();
+        let stream_payloads = indices.iter().map(|&i| payloads[i].clone()).collect();
         streams.push(Stream {
             addr: addr.clone(),
             session: session_id(cfg.seed, 1, pop),
             indices,
-            lines: stream_lines,
+            payloads: stream_payloads,
             sent: 0,
             acked: 0,
             pop,
@@ -344,12 +346,12 @@ pub fn run_fleet_at(
             for (pop, inherited_groups) in inherited {
                 let indices: Vec<usize> =
                     (0..sessions).filter(|i| inherited_groups.contains(&(i % groups))).collect();
-                let stream_lines = indices.iter().map(|&i| lines[i].clone()).collect();
+                let stream_payloads = indices.iter().map(|&i| payloads[i].clone()).collect();
                 let mut stream = Stream {
                     addr: pop_addr[&pop].clone(),
                     session: session_id(cfg.seed, generation, pop),
                     indices,
-                    lines: stream_lines,
+                    payloads: stream_payloads,
                     sent: 0,
                     acked: 0,
                     pop,
@@ -373,12 +375,12 @@ pub fn run_fleet_at(
 
     // The merged fleet view, while windows are still live.
     let full = CellQuery { from_window: Some(0), ..CellQuery::default() };
-    let fleet_rows = coord.cells(&full)?;
+    let fleet_rows = coord.cells_query(&full)?;
     let pops_info = coord.pops()?;
     let metrics_json = coord.metrics_json()?;
 
-    // Single-node control over the very same lines.
-    let (_, control_rows) = run_control(cfg, opts.workers, &lines, &policy)?;
+    // Single-node control over the very same payloads.
+    let (_, control_rows) = run_control(cfg, opts.workers, &payloads, &policy)?;
     let bit_identical = cells_bit_identical(&fleet_rows, &control_rows);
 
     let elapsed_s = started.elapsed().as_secs_f64();
@@ -413,7 +415,7 @@ pub fn run_fleet_at(
 }
 
 /// Advance one stream to the global barrier `b`: replay the prefix of
-/// its lines whose global index is below `b` and block until the
+/// its payloads whose global index is below `b` and block until the
 /// server acks (and has applied) all of it.
 fn replay_stream_to(
     stream: &mut Stream,
@@ -428,7 +430,8 @@ fn replay_stream_to(
     let report = replay_with_resume(
         &stream.addr,
         stream.session,
-        ResumeInput::Lines(&stream.lines[..k]),
+        WireMode::Jsonl,
+        &stream.payloads[..k],
         policy,
         wire,
     )?;

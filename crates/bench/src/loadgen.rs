@@ -20,9 +20,10 @@
 use edgeperf::ingest::{ResponseIn, SessionIn};
 use edgeperf::serve::{WireParser, WireSession};
 use edgeperf_core::{HD_GOODPUT_BPS, MILLISECOND};
+pub use edgeperf_live::WireMode;
 use edgeperf_live::{
-    encode_frame, preamble, replay_with_resume, CellLine, CellQuery, ChaosPlan, LiveClient,
-    LiveRecord, ResumeInput, RetryPolicy, ServeBuilder, WireChaos,
+    encode_frame, preamble, replay_with_resume, CellLine, CellQuery, ChaosPlan, LineParser,
+    LiveClient, LiveConfig, LiveServer, RetryPolicy, ServerHandle, WireChaos,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_workload::WorkloadConfig;
@@ -34,34 +35,6 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Wire format of the replay's data connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireMode {
-    /// `WireSession` JSONL lines (the default wire format).
-    Jsonl,
-    /// Length-prefixed binary frames (`edgeperf_live::frame`).
-    Binary,
-}
-
-impl WireMode {
-    /// Stable label, as reported in [`LoadReport::wire`].
-    pub fn label(self) -> &'static str {
-        match self {
-            WireMode::Jsonl => "jsonl",
-            WireMode::Binary => "binary",
-        }
-    }
-
-    /// Parse a `--wire` argument.
-    pub fn parse(s: &str) -> Option<WireMode> {
-        match s {
-            "jsonl" => Some(WireMode::Jsonl),
-            "binary" => Some(WireMode::Binary),
-            _ => None,
-        }
-    }
-}
 
 /// Knobs for one load run.
 #[derive(Debug, Clone)]
@@ -230,15 +203,7 @@ pub fn generate_lines(cfg: &LoadgenConfig) -> Vec<String> {
 /// running the estimator locally on the very same generated sessions.
 pub fn render_payloads(cfg: &LoadgenConfig, lines: &[String]) -> io::Result<Vec<Vec<u8>>> {
     match cfg.wire {
-        WireMode::Jsonl => Ok(lines
-            .iter()
-            .map(|l| {
-                let mut bytes = Vec::with_capacity(l.len() + 1);
-                bytes.extend_from_slice(l.as_bytes());
-                bytes.push(b'\n');
-                bytes
-            })
-            .collect()),
+        WireMode::Jsonl => Ok(jsonl_payloads(lines)),
         WireMode::Binary => {
             let parser = WireParser::new(cfg.target_bps);
             lines
@@ -252,6 +217,11 @@ pub fn render_payloads(cfg: &LoadgenConfig, lines: &[String]) -> io::Result<Vec<
                 .collect()
         }
     }
+}
+
+/// Each line with its trailing newline: the JSONL wire's payloads.
+pub(crate) fn jsonl_payloads(lines: &[String]) -> Vec<Vec<u8>> {
+    lines.iter().map(|l| format!("{l}\n").into_bytes()).collect()
 }
 
 /// Poll `snapshot` until the server has accounted for `expected` lines
@@ -499,21 +469,6 @@ pub(crate) fn metrics_counter(metrics_json: &str, name: &str) -> u64 {
     }
 }
 
-/// Parse the replay into [`LiveRecord`]s with the same local estimator
-/// pass the binary wire ships (bit-identical to the server's JSONL
-/// parse by construction).
-fn parse_records(cfg: &LoadgenConfig, lines: &[String]) -> io::Result<Vec<LiveRecord>> {
-    let parser = WireParser::new(cfg.target_bps);
-    lines
-        .iter()
-        .map(|l| {
-            parser
-                .parse_line(l)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        })
-        .collect()
-}
-
 /// Replay `cfg.sessions` through a chaos-injected self-hosted server
 /// with [`replay_with_resume`], then through a fault-free control
 /// server, and prove the recovery was exact: every record applied
@@ -528,40 +483,31 @@ pub fn run_chaos(
     plan: &ChaosPlan,
     opts: &ChaosRunOpts,
 ) -> io::Result<ChaosReport> {
-    let lines = generate_lines(cfg);
-    let records;
-    let input = match cfg.wire {
-        WireMode::Jsonl => ResumeInput::Lines(&lines),
-        WireMode::Binary => {
-            records = parse_records(cfg, &lines)?;
-            ResumeInput::Records(&records)
-        }
-    };
+    let payloads = render_payloads(cfg, &generate_lines(cfg))?;
     let parser = Arc::new(WireParser::new(cfg.target_bps));
     let full = CellQuery { from_window: Some(0), ..CellQuery::default() };
 
     // Faulted server: the plan's worker panics and disk faults inject
-    // server-side via the builder.
-    let mut builder = hosted_builder(cfg, opts.workers)
-        .chaos(plan.clone())
-        .idle_timeout_ms(opts.idle_timeout_ms)
-        .max_worker_respawns(opts.max_worker_respawns);
+    // server-side through its config.
+    let mut config = LiveConfig {
+        chaos: plan.clone(),
+        idle_timeout_ms: opts.idle_timeout_ms,
+        max_worker_respawns: opts.max_worker_respawns,
+        ..hosted_config(cfg, opts.workers)
+    };
     if let Some((dir, retention)) = &opts.spill {
-        builder = builder
-            .spill_dir(dir)
-            .retention_windows(*retention)
-            .compact_min_segments(8)
-            .compact_batch(4);
+        config.spill_dir = Some(dir.clone());
+        config.retention_windows = *retention;
+        config.compact_min_segments = 8;
+        config.compact_batch = 4;
     }
-    let server = builder
-        .start(Arc::clone(&parser) as Arc<dyn edgeperf_live::LineParser>)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let server = start_hosted(config, Arc::clone(&parser) as Arc<dyn LineParser>)?;
     let addr = server.addr();
 
     let mut wire_chaos = WireChaos::new(plan);
     let policy = RetryPolicy { seed: cfg.seed, ..RetryPolicy::default() };
     let started = Instant::now();
-    let resume = replay_with_resume(addr, cfg.seed, input, &policy, &mut wire_chaos)?;
+    let resume = replay_with_resume(addr, cfg.seed, cfg.wire, &payloads, &policy, &mut wire_chaos)?;
     let elapsed_s = started.elapsed().as_secs_f64();
 
     let mut control = LiveClient::connect(addr)?;
@@ -574,12 +520,14 @@ pub fn run_chaos(
 
     // Fault-free control: same sessions, same worker count, all-RAM
     // retention so every window is queryable.
-    let clean_server = hosted_builder(cfg, opts.workers)
-        .retention_windows(cfg.windows as usize + 4)
-        .start(parser)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let clean_config = LiveConfig {
+        retention_windows: cfg.windows as usize + 4,
+        ..hosted_config(cfg, opts.workers)
+    };
+    let clean_server = start_hosted(clean_config, parser)?;
     let mut no_chaos = WireChaos::new(&ChaosPlan::default());
-    replay_with_resume(clean_server.addr(), cfg.seed, input, &policy, &mut no_chaos)?;
+    let clean_addr = clean_server.addr();
+    replay_with_resume(clean_addr, cfg.seed, cfg.wire, &payloads, &policy, &mut no_chaos)?;
     let mut control = LiveClient::connect(clean_server.addr())?;
     let clean_rows = control.cells_query(&full)?;
     control.shutdown()?;
@@ -615,15 +563,24 @@ pub(crate) fn render_rows(rows: &[CellLine]) -> Vec<String> {
     rows.iter().map(|c| serde_json::to_string(c).expect("cell line serializes")).collect()
 }
 
-/// The [`ServeBuilder`] every self-hosted server starts from: ephemeral
-/// loopback port, `cfg`'s window geometry, metrics enabled.
-pub(crate) fn hosted_builder(cfg: &LoadgenConfig, workers: usize) -> ServeBuilder {
-    ServeBuilder::new()
-        .addr("127.0.0.1:0")
-        .workers(workers)
-        .window_ms(cfg.window_ms)
-        .lateness_ms(cfg.lateness_ms)
-        .metrics(&Metrics::enabled())
+/// The [`LiveConfig`] every self-hosted server starts from: ephemeral
+/// loopback port, `cfg`'s window geometry.
+pub(crate) fn hosted_config(cfg: &LoadgenConfig, workers: usize) -> LiveConfig {
+    LiveConfig {
+        workers,
+        window_ms: cfg.window_ms,
+        lateness_ms: cfg.lateness_ms,
+        ..LiveConfig::default()
+    }
+}
+
+/// Start a self-hosted server, metrics enabled.
+pub(crate) fn start_hosted(
+    config: LiveConfig,
+    parser: Arc<dyn LineParser>,
+) -> io::Result<ServerHandle> {
+    LiveServer::start(config, parser, Metrics::enabled())
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
 }
 
 #[cfg(test)]
@@ -632,12 +589,9 @@ mod tests {
 
     #[test]
     fn loadgen_replays_into_a_live_server_without_drops() {
-        let server = ServeBuilder::new()
-            .workers(2)
-            .queue_capacity(512)
-            .metrics(&Metrics::enabled())
-            .start(Arc::new(WireParser::new(HD_GOODPUT_BPS)))
-            .expect("server starts");
+        let config = LiveConfig { workers: 2, queue_capacity: 512, ..LiveConfig::default() };
+        let server =
+            start_hosted(config, Arc::new(WireParser::new(HD_GOODPUT_BPS))).expect("server starts");
         let cfg = LoadgenConfig {
             addr: server.addr().to_string(),
             sessions: 2_000,
@@ -665,9 +619,11 @@ mod tests {
 
     #[test]
     fn loadgen_replays_binary_frames_without_drops() {
-        let server = hosted_builder(&LoadgenConfig::default(), 2)
-            .start(Arc::new(WireParser::new(HD_GOODPUT_BPS)))
-            .expect("server starts");
+        let server = start_hosted(
+            hosted_config(&LoadgenConfig::default(), 2),
+            Arc::new(WireParser::new(HD_GOODPUT_BPS)),
+        )
+        .expect("server starts");
         let cfg = LoadgenConfig {
             addr: server.addr().to_string(),
             wire: WireMode::Binary,

@@ -22,7 +22,9 @@ use std::sync::Arc;
 
 use edgeperf::core::HD_GOODPUT_BPS;
 use edgeperf::ingest::{ResponseIn, SessionIn};
-use edgeperf::live::{BinarySender, CellLine, LiveClient, ServeBuilder, WindowRing};
+use edgeperf::live::{
+    BinarySender, CellLine, LiveClient, LiveConfig, LiveServer, ServerHandle, WindowRing,
+};
 use edgeperf::obs::Metrics;
 use edgeperf::serve::{WireParser, WireSession};
 use edgeperf_bench::loadgen::{generate_lines, LoadgenConfig};
@@ -30,13 +32,16 @@ use edgeperf_bench::loadgen::{generate_lines, LoadgenConfig};
 const WINDOW_MS: f64 = 1_000.0;
 const LATENESS_MS: f64 = 250.0;
 
-fn builder(workers: usize) -> ServeBuilder {
-    ServeBuilder::new()
-        .workers(workers)
-        .window_ms(WINDOW_MS)
-        .lateness_ms(LATENESS_MS)
-        .retention_windows(16)
-        .metrics(&Metrics::enabled())
+fn start(workers: usize) -> ServerHandle {
+    let config = LiveConfig {
+        workers,
+        window_ms: WINDOW_MS,
+        lateness_ms: LATENESS_MS,
+        retention_windows: 16,
+        ..LiveConfig::default()
+    };
+    LiveServer::start(config, Arc::new(WireParser::new(HD_GOODPUT_BPS)), Metrics::enabled())
+        .expect("server starts")
 }
 
 /// The offline reference: the same lines through a serial [`WindowRing`]
@@ -58,8 +63,7 @@ fn offline_cells(lines: &[String], parser: &WireParser) -> Vec<CellLine> {
 
 /// Replay the lines over one connection and fetch the closed cells.
 fn live_cells(lines: &[String], workers: usize) -> Vec<CellLine> {
-    let server =
-        builder(workers).start(Arc::new(WireParser::new(HD_GOODPUT_BPS))).expect("server starts");
+    let server = start(workers);
     let mut client = LiveClient::connect(server.addr()).expect("connect");
     for line in lines {
         client.send_line(line).expect("send");
@@ -79,8 +83,7 @@ fn live_cells(lines: &[String], workers: usize) -> Vec<CellLine> {
 /// encode each record as a frame, and fetch the closed cells over a
 /// separate JSONL control connection.
 fn live_cells_binary(lines: &[String], parser: &WireParser, workers: usize) -> Vec<CellLine> {
-    let server =
-        builder(workers).start(Arc::new(WireParser::new(HD_GOODPUT_BPS))).expect("server starts");
+    let server = start(workers);
     let mut sender = BinarySender::connect(server.addr()).expect("binary connect");
     for line in lines {
         let rec = parser.parse_line(line).expect("local parse");
@@ -222,13 +225,11 @@ fn wire_line(ts_ms: f64) -> String {
 
 #[test]
 fn late_records_are_counted_and_typed_end_to_end() {
-    let server = ServeBuilder::new()
-        .workers(1)
-        .window_ms(1_000.0)
-        .lateness_ms(100.0)
-        .metrics(&Metrics::enabled())
-        .start(Arc::new(WireParser::new(HD_GOODPUT_BPS)))
-        .expect("server starts");
+    let config =
+        LiveConfig { workers: 1, window_ms: 1_000.0, lateness_ms: 100.0, ..LiveConfig::default() };
+    let server =
+        LiveServer::start(config, Arc::new(WireParser::new(HD_GOODPUT_BPS)), Metrics::enabled())
+            .expect("server starts");
     let mut client = LiveClient::connect(server.addr()).expect("connect");
     // ts 5000 drives the watermark to 4900; ts 100 is then behind it.
     client.send_line(&wire_line(5_000.0)).expect("send");

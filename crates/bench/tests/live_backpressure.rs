@@ -15,20 +15,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use edgeperf::core::HD_GOODPUT_BPS;
-use edgeperf::live::{LiveClient, ServeBuilder, ServerHandle};
+use edgeperf::live::{LiveClient, LiveConfig, LiveServer, ServerHandle};
 use edgeperf::obs::Metrics;
 use edgeperf::serve::WireParser;
 use edgeperf_bench::loadgen::{generate_lines, LoadgenConfig};
 
 fn start(workers: usize) -> ServerHandle {
-    ServeBuilder::new()
-        .workers(workers)
-        .window_ms(1_000.0)
-        .lateness_ms(250.0)
-        .queue_capacity(1)
-        .retention_windows(16)
-        .metrics(&Metrics::enabled())
-        .start(Arc::new(WireParser::new(HD_GOODPUT_BPS)))
+    let config = LiveConfig {
+        workers,
+        window_ms: 1_000.0,
+        lateness_ms: 250.0,
+        queue_capacity: 1,
+        retention_windows: 16,
+        ..LiveConfig::default()
+    };
+    LiveServer::start(config, Arc::new(WireParser::new(HD_GOODPUT_BPS)), Metrics::enabled())
         .expect("server starts")
 }
 

@@ -5,12 +5,14 @@
 //! horizon in memory — at any worker count, after a restart, and after
 //! background compaction has rewritten the segments.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use edgeperf::core::HD_GOODPUT_BPS;
-use edgeperf::live::{CellLine, CellQuery, GroupFilter, LiveClient, ServeBuilder, ServerHandle};
+use edgeperf::live::{
+    CellLine, CellQuery, GroupFilter, LiveClient, LiveConfig, LiveServer, ServerHandle,
+};
 use edgeperf::obs::Metrics;
 use edgeperf::serve::WireParser;
 use edgeperf_bench::loadgen::{generate_lines, LoadgenConfig};
@@ -31,16 +33,22 @@ fn lines(sessions: usize) -> Vec<String> {
     })
 }
 
-fn builder(workers: usize) -> ServeBuilder {
-    ServeBuilder::new()
-        .workers(workers)
-        .window_ms(WINDOW_MS)
-        .lateness_ms(LATENESS_MS)
-        .metrics(&Metrics::enabled())
+/// `workers` workers keeping `retention` windows in RAM, spilling the
+/// rest to `spill_dir` when there is one.
+fn config(workers: usize, retention: usize, spill_dir: Option<&Path>) -> LiveConfig {
+    LiveConfig {
+        workers,
+        window_ms: WINDOW_MS,
+        lateness_ms: LATENESS_MS,
+        retention_windows: retention,
+        spill_dir: spill_dir.map(Path::to_path_buf),
+        ..LiveConfig::default()
+    }
 }
 
-fn start(builder: ServeBuilder) -> ServerHandle {
-    builder.start(Arc::new(WireParser::new(HD_GOODPUT_BPS))).expect("server starts")
+fn start(config: LiveConfig) -> ServerHandle {
+    LiveServer::start(config, Arc::new(WireParser::new(HD_GOODPUT_BPS)), Metrics::enabled())
+        .expect("server starts")
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -84,7 +92,7 @@ fn spilled_query_is_bit_identical_to_all_ram_at_1_4_16_workers() {
     let lines = lines(4_000);
     for workers in [1usize, 4, 16] {
         let dir = tmp_dir(&format!("workers{workers}"));
-        let spill = start(builder(workers).retention_windows(2).spill_dir(&dir));
+        let spill = start(config(workers, 2, Some(&dir)));
         let mut client = LiveClient::connect(spill.addr()).expect("connect");
         replay(&mut client, &lines);
         let store = client.store_stats().expect("store stats");
@@ -94,7 +102,7 @@ fn spilled_query_is_bit_identical_to_all_ram_at_1_4_16_workers() {
         client.shutdown().expect("shutdown");
         let _ = spill.join();
 
-        let ram = start(builder(workers).retention_windows(WINDOWS as usize + 4));
+        let ram = start(config(workers, WINDOWS as usize + 4, None));
         let mut client = LiveClient::connect(ram.addr()).expect("connect");
         replay(&mut client, &lines);
         let ram_rows = client.cells_query(&full()).expect("ram cells");
@@ -115,7 +123,7 @@ fn spilled_query_is_bit_identical_to_all_ram_at_1_4_16_workers() {
 fn range_and_group_filters_match_a_manual_filter_of_the_full_result() {
     let lines = lines(3_000);
     let dir = tmp_dir("filters");
-    let server = start(builder(4).retention_windows(2).spill_dir(&dir));
+    let server = start(config(4, 2, Some(&dir)));
     let mut client = LiveClient::connect(server.addr()).expect("connect");
     replay(&mut client, &lines);
 
@@ -161,7 +169,7 @@ fn restart_serves_spilled_history_from_the_manifest() {
     let historical =
         CellQuery { from_window: Some(0), until_window: Some(12), ..CellQuery::default() };
 
-    let first = start(builder(4).retention_windows(2).spill_dir(&dir));
+    let first = start(config(4, 2, Some(&dir)));
     let mut client = LiveClient::connect(first.addr()).expect("connect");
     replay(&mut client, &lines);
     let before = client.cells_query(&historical).expect("historical cells");
@@ -171,7 +179,7 @@ fn restart_serves_spilled_history_from_the_manifest() {
 
     // A fresh server over the same directory, fed nothing: the manifest
     // replay alone must serve the same history.
-    let second = start(builder(4).retention_windows(2).spill_dir(&dir));
+    let second = start(config(4, 2, Some(&dir)));
     let mut client = LiveClient::connect(second.addr()).expect("connect");
     let after = client.cells_query(&historical).expect("recovered cells");
     assert_eq!(rows_json(&before), rows_json(&after), "manifest recovery lost or altered cells");
@@ -184,9 +192,8 @@ fn restart_serves_spilled_history_from_the_manifest() {
 fn compaction_rewrites_segments_without_changing_query_results() {
     let lines = lines(3_000);
     let dir = tmp_dir("compaction");
-    let server = start(
-        builder(4).retention_windows(2).spill_dir(&dir).compact_min_segments(2).compact_batch(2),
-    );
+    let server =
+        start(LiveConfig { compact_min_segments: 2, compact_batch: 2, ..config(4, 2, Some(&dir)) });
     let mut client = LiveClient::connect(server.addr()).expect("connect");
     replay(&mut client, &lines);
 
@@ -206,7 +213,7 @@ fn compaction_rewrites_segments_without_changing_query_results() {
     client.shutdown().expect("shutdown");
     let _ = server.join();
 
-    let ram = start(builder(4).retention_windows(WINDOWS as usize + 4));
+    let ram = start(config(4, WINDOWS as usize + 4, None));
     let mut client = LiveClient::connect(ram.addr()).expect("connect");
     replay(&mut client, &lines);
     let ram_rows = client.cells_query(&full()).expect("ram cells");

@@ -44,5 +44,5 @@ pub use estimator::{AchievedRule, Estimator, EstimatorOptions, TxnOutcome};
 pub use hdratio::{session_hdratio, SessionVerdict};
 pub use instrument::{assemble_transactions, InstrumentOptions, Transaction};
 pub use minrtt::MinRttTracker;
-pub use sampler::sample_session;
+pub use sampler::{sample_session, splitmix64};
 pub use types::{HttpVersion, Nanos, ResponseObs, SessionObs, HD_GOODPUT_BPS, MILLISECOND, SECOND};

@@ -7,8 +7,9 @@
 //! selected set is unbiased with respect to anything correlated with the
 //! id's low bits.
 
-/// SplitMix64 finalizer: a fast, well-mixed 64-bit hash.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finalizer: a fast, well-mixed 64-bit hash. The one mixer
+/// every seeded, stateless draw in the workspace goes through.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);

@@ -17,6 +17,8 @@
 
 use std::collections::BTreeMap;
 
+use edgeperf_core::splitmix64;
+
 /// Number of continent codes the workload generator emits (0..6).
 pub const CONTINENTS: u8 = 6;
 
@@ -58,16 +60,6 @@ fn ring_distance(a: u8, b: u8) -> u32 {
     let n = u32::from(CONTINENTS);
     let d = (u32::from(a % CONTINENTS)).abs_diff(u32::from(b % CONTINENTS));
     d.min(n - d)
-}
-
-/// splitmix64 — the same cheap stateless mixer the workload generator
-/// uses, so the jitter is reproducible from (seed, prefix, pop) alone.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl CatchmentModel {

@@ -2,13 +2,16 @@
 //! and serves fleet-level queries by fanning the typed live protocol
 //! out to every alive node and merging the replies.
 //!
-//! Control plane vs data plane: the coordinator speaks its own small
-//! line protocol (`ping` / `pops` / `home` / `snapshot` / `cells` /
-//! `stats` / `metrics` / `kill` / `shutdown`, each optionally prefixed
-//! `fleet `) on its own socket, but **records never flow through it** —
-//! clients ask `home` for their PoP and then connect to that PoP's
-//! ingest socket directly, exactly as anycast delivers client packets
-//! straight to the catchment PoP.
+//! Control plane vs data plane: on its own socket the coordinator
+//! answers the live protocol's `ping` / `snapshot` / `cells` / `stats` /
+//! `metrics` / `shutdown` — parsed by [`Request::parse`], as a PoP parses
+//! them — for the fleet as a whole, plus three verbs only it has: `pops`,
+//! `home` and `kill` (each verb optionally prefixed `fleet `). **Records
+//! never flow through it** — clients ask `home` for their PoP and then
+//! connect to that PoP's ingest socket directly, exactly as anycast
+//! delivers client packets straight to the catchment PoP. The client side
+//! is therefore a [`LiveClient`] pointed at the coordinator;
+//! [`FleetClient`] adds the three verbs to one.
 //!
 //! Fan-out reuses one persistent [`LiveClient`] per PoP across query
 //! rounds (one connection per fan-out round, not per request);
@@ -18,14 +21,15 @@
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
 use edgeperf_live::{
-    parse_cells_header, read_rows, CellLine, CellQuery, LineParser, LiveClient, LiveSnapshot,
-    ProtocolError, Request, Response, ServeBuilder, ServerHandle,
+    CellLine, CellQuery, LineParser, LiveClient, LiveConfig, LiveServer, LiveSnapshot,
+    ProtocolError, Request, Response, ServerHandle,
 };
 use edgeperf_obs::Metrics;
 use serde::{Deserialize, Serialize};
@@ -148,14 +152,14 @@ impl Fleet {
         }
         let mut pops = Vec::with_capacity(usize::from(config.pops));
         for pop in 0..config.pops {
-            let handle = ServeBuilder::new()
-                .addr("127.0.0.1:0")
-                .workers(config.workers)
-                .window_ms(config.window_ms)
-                .lateness_ms(config.lateness_ms)
-                .retention_windows(config.retention_windows)
-                .metrics(&Metrics::enabled())
-                .start(Arc::clone(&parser))
+            let pop_config = LiveConfig {
+                workers: config.workers,
+                window_ms: config.window_ms,
+                lateness_ms: config.lateness_ms,
+                retention_windows: config.retention_windows,
+                ..LiveConfig::default()
+            };
+            let handle = LiveServer::start(pop_config, Arc::clone(&parser), Metrics::enabled())
                 .map_err(|e| FleetError::Config(format!("PoP {pop}: {e}")))?;
             pops.push(PopState {
                 pop,
@@ -270,18 +274,27 @@ fn dispatch(command: &str, shared: &FleetShared) -> String {
         Some((v, a)) => (v, a.trim()),
         None => (command, ""),
     };
-    let result = match verb {
-        "ping" => Ok("pong".to_string()),
-        "pops" => serve_pops(shared),
-        "home" => serve_home(shared, args),
-        "snapshot" => fleet_snapshot(shared).map(|s| render_snapshot(&s)),
-        "cells" => serve_cells(shared, args),
-        "stats" => serve_stats(shared),
-        "metrics" => serde_json::to_string(&shared.metrics.snapshot())
-            .map_err(|e| FleetError::Io(io::Error::other(e))),
-        "kill" => serve_kill(shared, args),
-        "shutdown" => serve_shutdown(shared),
-        _ => Err(FleetError::Protocol(ProtocolError::UnknownCommand(command.to_string()))),
+    // The coordinator's own three verbs, then the live protocol: a verb a
+    // PoP also answers is parsed exactly as a PoP parses it.
+    let result = match (verb, args) {
+        ("pops", "") => serve_pops(shared),
+        ("home", _) => serve_home(shared, args),
+        ("kill", _) => serve_kill(shared, args),
+        _ => match Request::parse(command) {
+            Ok(Request::Ping) => Ok("pong".to_string()),
+            Ok(Request::Snapshot) => fleet_snapshot(shared).map(|s| render_snapshot(&s)),
+            Ok(Request::Cells(query)) => serve_cells(shared, &query),
+            Ok(Request::Stats) => serve_stats(shared),
+            Ok(Request::Metrics) => serde_json::to_string(&shared.metrics.snapshot())
+                .map_err(|e| FleetError::Io(io::Error::other(e))),
+            Ok(Request::Shutdown) => serve_shutdown(shared),
+            // The PoP's own words for an argument it would refuse too.
+            Err(err @ ProtocolError::BadArgument { .. }) => return err.render(),
+            // A per-PoP verb (`store`, `hello`, …) is no fleet verb.
+            Ok(_) | Err(_) => {
+                Err(FleetError::Protocol(ProtocolError::UnknownCommand(command.to_string())))
+            }
+        },
     };
     result.unwrap_or_else(|err| err.render())
 }
@@ -425,15 +438,8 @@ fn fleet_cells_merged(
     Ok((accepted, merged))
 }
 
-fn serve_cells(shared: &FleetShared, args: &str) -> Result<String, FleetError> {
-    // Reuse the live protocol's own parser for the query arguments by
-    // reconstructing a `cells` request line.
-    let line = if args.is_empty() { "cells".to_string() } else { format!("cells {args}") };
-    let query = match Request::parse(&line)? {
-        Request::Cells(query) => query,
-        _ => unreachable!("a `cells` line parses to Request::Cells"),
-    };
-    let (_, cells) = fleet_cells_merged(shared, &query)?;
+fn serve_cells(shared: &FleetShared, query: &CellQuery) -> Result<String, FleetError> {
+    let (_, cells) = fleet_cells_merged(shared, query)?;
     Ok(Response::Cells(cells).render())
 }
 
@@ -525,123 +531,59 @@ fn serve_shutdown(shared: &FleetShared) -> Result<String, FleetError> {
     Ok(render_snapshot(&merged))
 }
 
-/// Blocking client for the coordinator's line protocol.
-pub struct FleetClient {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+/// A [`LiveClient`] connected to a coordinator: `ping`, `snapshot`,
+/// `cells_query`, `stats_json`, `metrics_json` and `shutdown` are the
+/// live client's own (the coordinator answers them fleet-wide); this
+/// adds the three verbs only a coordinator has.
+pub struct FleetClient(LiveClient);
+
+impl Deref for FleetClient {
+    type Target = LiveClient;
+
+    fn deref(&self) -> &LiveClient {
+        &self.0
+    }
+}
+
+impl DerefMut for FleetClient {
+    fn deref_mut(&mut self) -> &mut LiveClient {
+        &mut self.0
+    }
 }
 
 impl FleetClient {
     /// Connect to a coordinator.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<FleetClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(FleetClient { reader, writer: BufWriter::new(stream) })
-    }
-
-    fn round_trip(&mut self, line: &str) -> io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        self.read_reply()
-    }
-
-    fn read_reply(&mut self) -> io::Result<String> {
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "coordinator closed the connection",
-            ));
-        }
-        while reply.ends_with('\n') || reply.ends_with('\r') {
-            reply.pop();
-        }
-        if reply.starts_with("{\"error\"") {
-            return Err(io::Error::other(reply));
-        }
-        Ok(reply)
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> io::Result<()> {
-        let reply = self.round_trip("fleet ping")?;
-        if reply == "pong" {
-            Ok(())
-        } else {
-            Err(io::Error::new(io::ErrorKind::InvalidData, format!("expected pong, got {reply}")))
-        }
+        LiveClient::connect(addr).map(FleetClient)
     }
 
     /// The PoP table with liveness and catchment shares.
     pub fn pops(&mut self) -> io::Result<Vec<FleetPopInfo>> {
-        let reply = self.round_trip("fleet pops")?;
-        serde_json::from_str(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        from_json(&self.request("fleet pops")?)
     }
 
     /// Home a client key; returns (PoP id, ingest address).
     pub fn home(&mut self, key: &ClientKey) -> io::Result<(u16, String)> {
-        let reply = self.round_trip(&format!(
+        #[derive(Deserialize)]
+        struct Home {
+            pop: u16,
+            addr: String,
+        }
+        let Home { pop, addr } = from_json(&self.request(&format!(
             "fleet home {}/{} {} {}",
             key.prefix_base, key.prefix_len, key.country, key.continent
-        ))?;
-        let parsed =
-            serde_json::parse(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let bad = || io::Error::new(io::ErrorKind::InvalidData, reply.clone());
-        let pop = match parsed.get("pop") {
-            Some(serde_json::Value::Num(n)) if *n >= 0.0 && *n <= f64::from(u16::MAX) => *n as u16,
-            _ => return Err(bad()),
-        };
-        let addr = match parsed.get("addr") {
-            Some(serde_json::Value::Str(s)) => s.clone(),
-            _ => return Err(bad()),
-        };
+        ))?)?;
         Ok((pop, addr))
-    }
-
-    /// The merged fleet snapshot.
-    pub fn snapshot(&mut self) -> io::Result<LiveSnapshot> {
-        let reply = self.round_trip("fleet snapshot")?;
-        serde_json::from_str(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
-    /// Fleet-merged cells for a query (canonical order, disjoint union).
-    pub fn cells(&mut self, query: &CellQuery) -> io::Result<Vec<CellLine>> {
-        let mut line = String::from("fleet cells");
-        let rendered = Request::Cells(*query).wire_line();
-        if let Some(args) = rendered.strip_prefix("cells ") {
-            line.push(' ');
-            line.push_str(args);
-        }
-        let header = self.round_trip(&line)?;
-        let count = parse_cells_header(&header)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        read_rows(&mut self.reader, count, &mut String::new())
-    }
-
-    /// Per-PoP worker stats as raw JSON.
-    pub fn stats_json(&mut self) -> io::Result<String> {
-        self.round_trip("fleet stats")
-    }
-
-    /// The coordinator's `fleet.*` metrics registry as raw JSON.
-    pub fn metrics_json(&mut self) -> io::Result<String> {
-        self.round_trip("fleet metrics")
     }
 
     /// Kill a PoP and re-home its catchment.
     pub fn kill(&mut self, pop: u16) -> io::Result<KillReport> {
-        let reply = self.round_trip(&format!("fleet kill {pop}"))?;
-        serde_json::from_str(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        from_json(&self.request(&format!("fleet kill {pop}"))?)
     }
+}
 
-    /// Drain every alive PoP and return the merged drained snapshot.
-    /// The coordinator stops accepting afterwards.
-    pub fn shutdown(&mut self) -> io::Result<LiveSnapshot> {
-        let reply = self.round_trip("fleet shutdown")?;
-        serde_json::from_str(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
+fn from_json<T: Deserialize>(reply: &str) -> io::Result<T> {
+    serde_json::from_str(reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]

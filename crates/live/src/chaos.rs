@@ -13,7 +13,7 @@
 //!   partial frame/line — a mid-frame disconnect — then drop), `stall`
 //!   (slow-loris pause before a record, long enough to trip the
 //!   server's idle eviction when one is configured).
-//! - **server side** (`ServeBuilder::chaos`, `serve --chaos`): `panic`
+//! - **server side** (`LiveConfig::chaos`, `serve --chaos`): `panic`
 //!   (a worker thread panics at a batch boundary, exercising
 //!   catch_unwind recovery), `spillfail`/`compactfail` (ENOSPC/EIO-
 //!   style errors injected into the tiered store's disk operations,

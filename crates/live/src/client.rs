@@ -19,19 +19,23 @@ use crate::protocol::{
 };
 use crate::record::LiveRecord;
 use crate::store::StoreStats;
+use edgeperf_core::splitmix64;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// A `cells`/`digest` header that did not parse: surface a server-side
-/// error reply as-is instead of wrapping it in "malformed header" noise.
-fn header_error(err: ProtocolError) -> io::Error {
-    match err {
-        ProtocolError::MalformedReply { got, .. } if got.starts_with("{\"error\"") => {
-            io::Error::other(got)
-        }
-        err => err.into(),
+/// The one error-reply rule: a reply that is the server's
+/// `{"error":…}` line is the caller's error, its text intact — never
+/// handed to a parser that would report what the line is missing.
+fn checked(reply: String) -> io::Result<String> {
+    if reply.starts_with("{\"error\"") {
+        return Err(io::Error::other(reply));
     }
+    Ok(reply)
+}
+
+fn from_json<T: serde::Deserialize>(reply: &str) -> io::Result<T> {
+    serde_json::from_str(reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// A blocking connection to a [`crate::LiveServer`].
@@ -61,14 +65,11 @@ impl LiveClient {
         self.writer.flush()
     }
 
-    fn round_trip(&mut self, request: &Request) -> io::Result<String> {
-        self.writer.write_all(request.wire_line().as_bytes())?;
-        self.writer.write_all(b"\n")?;
+    /// Flush what is buffered, send `line`, and return the reply's first
+    /// line exactly as the server wrote it, error replies included.
+    fn round_trip(&mut self, line: &str) -> io::Result<String> {
+        self.send_line(line)?;
         self.writer.flush()?;
-        self.read_reply()
-    }
-
-    fn read_reply(&mut self) -> io::Result<String> {
         self.line.clear();
         if self.reader.read_line(&mut self.line)? == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"));
@@ -76,11 +77,23 @@ impl LiveClient {
         Ok(self.line.trim_end().to_string())
     }
 
+    /// Send one command line and return the first line of the reply; an
+    /// `{"error":…}` reply is an [`io::Error`] carrying that line. For
+    /// verbs this client has no typed method for — the fleet
+    /// coordinator's `pops` / `home` / `kill`.
+    pub fn request(&mut self, line: &str) -> io::Result<String> {
+        checked(self.round_trip(line)?)
+    }
+
+    fn typed(&mut self, request: &Request) -> io::Result<String> {
+        self.request(&request.wire_line())
+    }
+
     /// Round-trip a `ping` through a worker queue. The elapsed time is
     /// the end-to-end ingest latency: socket + parse + queue wait.
     pub fn ping(&mut self) -> io::Result<Duration> {
         let start = Instant::now();
-        let reply = self.round_trip(&Request::Ping)?;
+        let reply = self.typed(&Request::Ping)?;
         if reply != "pong" {
             return Err(io::Error::new(io::ErrorKind::InvalidData, format!("ping: {reply}")));
         }
@@ -89,8 +102,7 @@ impl LiveClient {
 
     /// Fetch the aggregate server snapshot.
     pub fn snapshot(&mut self) -> io::Result<LiveSnapshot> {
-        let reply = self.round_trip(&Request::Snapshot)?;
-        serde_json::from_str(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        from_json(&self.typed(&Request::Snapshot)?)
     }
 
     /// Fetch every retained closed cell (RAM and, when the server
@@ -101,8 +113,8 @@ impl LiveClient {
 
     /// Fetch the closed cells matching a window-range/group query.
     pub fn cells_query(&mut self, query: &CellQuery) -> io::Result<Vec<CellLine>> {
-        let header = self.round_trip(&Request::Cells(*query))?;
-        let count = parse_cells_header(&header).map_err(header_error)?;
+        let header = self.typed(&Request::Cells(*query))?;
+        let count = parse_cells_header(&header)?;
         read_rows(&mut self.reader, count, &mut self.line)
     }
 
@@ -115,10 +127,8 @@ impl LiveClient {
     /// version refuses with a typed error instead of replying in a
     /// layout this client would mis-parse.
     pub fn digest_query(&mut self, query: &CellQuery) -> io::Result<(u64, Vec<CellLine>)> {
-        let header =
-            self.round_trip(&Request::Digest { proto: PROTOCOL_VERSION, query: *query })?;
-        let DigestHeader { cells: count, protocol, accepted } =
-            parse_digest_header(&header).map_err(header_error)?;
+        let header = self.typed(&Request::Digest { proto: PROTOCOL_VERSION, query: *query })?;
+        let DigestHeader { cells: count, protocol, accepted } = parse_digest_header(&header)?;
         if protocol != PROTOCOL_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -133,17 +143,13 @@ impl LiveClient {
     /// Fetch the tiered window-store statistics. Errors with the
     /// server's reply when no spill directory is configured.
     pub fn store_stats(&mut self) -> io::Result<StoreStats> {
-        let reply = self.round_trip(&Request::Store)?;
-        if reply.starts_with("{\"error\"") {
-            return Err(io::Error::other(reply));
-        }
-        serde_json::from_str(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        from_json(&self.typed(&Request::Store)?)
     }
 
     /// Fetch the server's protocol version and check it against this
     /// client's [`PROTOCOL_VERSION`].
     pub fn version(&mut self) -> io::Result<u32> {
-        let reply = self.round_trip(&Request::Version)?;
+        let reply = self.typed(&Request::Version)?;
         let version: u32 = reply
             .strip_prefix("{\"protocol\":")
             .and_then(|s| s.strip_suffix('}'))
@@ -172,37 +178,30 @@ impl LiveClient {
         stream.set_write_timeout(timeout)
     }
 
-    /// Announce a resume session (`hello <session> <epoch>`) and return
-    /// the server's cumulative ack — the record index to resume from.
-    pub fn hello(&mut self, session: u64, epoch: u64) -> io::Result<u64> {
-        let reply = self.round_trip(&Request::Hello { session, epoch })?;
-        parse_acked(&reply).map_err(io::Error::from)
-    }
-
     /// Fetch the final ack for a session (`resume <session>`). The
     /// server holds the reply until the session's previous connection
     /// retires, so the returned count is exact, not racing.
     pub fn resume_ack(&mut self, session: u64) -> io::Result<u64> {
-        let reply = self.round_trip(&Request::Resume { session })?;
-        parse_acked(&reply).map_err(io::Error::from)
+        Ok(parse_acked(&self.typed(&Request::Resume { session })?)?)
     }
 
-    /// Fetch the observability metrics snapshot as raw JSON.
+    /// Fetch the observability metrics snapshot as raw JSON — the reply
+    /// line whatever it says, an error reply included.
     pub fn metrics_json(&mut self) -> io::Result<String> {
-        self.round_trip(&Request::Metrics)
+        self.round_trip(&Request::Metrics.wire_line())
     }
 
-    /// Fetch the per-worker stats line as raw JSON.
+    /// Fetch the per-worker stats line as raw JSON, passed through like
+    /// [`metrics_json`](Self::metrics_json).
     pub fn stats_json(&mut self) -> io::Result<String> {
-        self.round_trip(&Request::Stats)
+        self.round_trip(&Request::Stats.wire_line())
     }
 
     /// Drain the server and return its final snapshot. Close every data
     /// connection first: the drain force-closes other connections, and
     /// any bytes still queued on their sockets are discarded by the OS.
     pub fn shutdown(&mut self) -> io::Result<LiveSnapshot> {
-        let reply = self.round_trip(&Request::Shutdown)?;
-        serde_json::from_str(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        from_json(&self.typed(&Request::Shutdown)?)
     }
 }
 
@@ -224,33 +223,6 @@ impl BinarySender {
         let mut out = BufWriter::with_capacity(1 << 18, stream);
         out.write_all(&preamble())?;
         Ok(BinarySender { out })
-    }
-
-    /// Connect in binary mode with a resume session: the preamble's
-    /// hello flag plus the fixed-size hello block, answered by one
-    /// `{"acked":N}` line before any frames flow. Returns the sender
-    /// and the record index to resume from.
-    pub fn connect_resume<A: ToSocketAddrs>(
-        addr: A,
-        session: u64,
-        epoch: u64,
-        io_timeout: Option<Duration>,
-    ) -> io::Result<(BinarySender, u64)> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(io_timeout)?;
-        stream.set_write_timeout(io_timeout)?;
-        let mut ack_reader = BufReader::new(stream.try_clone()?);
-        let mut out = BufWriter::with_capacity(1 << 18, stream);
-        out.write_all(&preamble_with_hello())?;
-        out.write_all(&hello_block(session, epoch))?;
-        out.flush()?;
-        let mut line = String::new();
-        if ack_reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed during hello"));
-        }
-        let acked = parse_acked(line.trim_end()).map_err(io::Error::from)?;
-        Ok((BinarySender { out }, acked))
     }
 
     /// Enqueue one record (buffered; no response).
@@ -300,16 +272,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// SplitMix64 step — the standard 64-bit mixer, deterministic jitter
-/// without pulling in an RNG crate.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl RetryPolicy {
     /// The sleep before retry number `attempt` (1-based): exponential
     /// from `base_backoff`, capped at `max_backoff`, jittered into
@@ -318,35 +280,37 @@ impl RetryPolicy {
     pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         let exp = self.base_backoff.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
         let capped = exp.min(self.max_backoff);
-        let mut state = self.seed ^ salt.wrapping_mul(0xA24B_AED4_963E_E407) ^ u64::from(attempt);
-        let jitter = splitmix64(&mut state) % 50; // percent to shave off
+        let state = self.seed ^ salt.wrapping_mul(0xA24B_AED4_963E_E407) ^ u64::from(attempt);
+        let jitter = splitmix64(state) % 50; // percent to shave off
         capped.mul_f64(1.0 - jitter as f64 / 100.0)
     }
 }
 
-/// The payload [`replay_with_resume`] drives: pre-rendered JSONL lines
-/// (the line wire's record format lives outside this crate) or records
-/// for the binary frame wire.
-#[derive(Clone, Copy)]
-pub enum ResumeInput<'a> {
-    /// JSONL record lines, one record each, no trailing newline.
-    Lines(&'a [String]),
-    /// Records encoded as length-prefixed binary frames.
-    Records(&'a [LiveRecord]),
+/// Wire format of a data connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireMode {
+    /// JSONL record lines (the default wire format).
+    Jsonl,
+    /// Length-prefixed binary frames ([`crate::frame`]).
+    Binary,
 }
 
-impl ResumeInput<'_> {
-    /// Records in the payload.
-    pub fn len(&self) -> usize {
+impl WireMode {
+    /// Stable label, as load reports carry it.
+    pub fn label(self) -> &'static str {
         match self {
-            ResumeInput::Lines(lines) => lines.len(),
-            ResumeInput::Records(records) => records.len(),
+            WireMode::Jsonl => "jsonl",
+            WireMode::Binary => "binary",
         }
     }
 
-    /// True when the payload holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Parse a `--wire` argument.
+    pub fn parse(s: &str) -> Option<WireMode> {
+        match s {
+            "jsonl" => Some(WireMode::Jsonl),
+            "binary" => Some(WireMode::Binary),
+            _ => None,
+        }
     }
 }
 
@@ -371,72 +335,53 @@ pub struct ResumeReport {
     pub injected_stalls: u32,
 }
 
-/// One live data connection of either wire, with its resume session
-/// already negotiated.
-enum ResumeConn {
-    Jsonl(LiveClient),
-    Binary(BinarySender),
+/// One data connection of either wire, its resume session negotiated.
+/// What it sends is the wire's own bytes, rendered by the caller.
+struct DataConn {
+    out: BufWriter<TcpStream>,
 }
 
-impl ResumeConn {
+impl DataConn {
+    /// Connect, announce (`session`, `epoch`) the way `wire` does — the
+    /// `hello` line, or the preamble's hello flag and the fixed-size
+    /// hello block — and read the one `{"acked":N}` line that answers
+    /// either before any record flows. Returns the connection and the
+    /// record index to resume from.
     fn open<A: ToSocketAddrs>(
         addr: &A,
+        wire: WireMode,
         session: u64,
         epoch: u64,
-        input: ResumeInput<'_>,
-        policy: &RetryPolicy,
-    ) -> io::Result<(ResumeConn, u64)> {
-        match input {
-            ResumeInput::Lines(_) => {
-                let mut client = LiveClient::connect(addr)?;
-                client.set_io_timeout(policy.io_timeout)?;
-                let acked = client.hello(session, epoch)?;
-                Ok((ResumeConn::Jsonl(client), acked))
-            }
-            ResumeInput::Records(_) => {
-                let (sender, acked) =
-                    BinarySender::connect_resume(addr, session, epoch, policy.io_timeout)?;
-                Ok((ResumeConn::Binary(sender), acked))
+        timeout: Option<Duration>,
+    ) -> io::Result<(DataConn, u64)> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(timeout)?;
+        stream.set_write_timeout(timeout)?;
+        let mut ack_reader = BufReader::new(stream.try_clone()?);
+        let mut out = BufWriter::with_capacity(1 << 18, stream);
+        match wire {
+            WireMode::Jsonl => writeln!(out, "{}", Request::Hello { session, epoch }.wire_line())?,
+            WireMode::Binary => {
+                out.write_all(&preamble_with_hello())?;
+                out.write_all(&hello_block(session, epoch))?;
             }
         }
-    }
-
-    fn send(&mut self, input: ResumeInput<'_>, idx: u64) -> io::Result<()> {
-        match (self, input) {
-            (ResumeConn::Jsonl(client), ResumeInput::Lines(lines)) => {
-                client.send_line(&lines[idx as usize])
-            }
-            (ResumeConn::Binary(sender), ResumeInput::Records(records)) => {
-                sender.send(&records[idx as usize])
-            }
-            _ => Err(io::Error::other("resume wire/input mismatch")),
+        out.flush()?;
+        let mut line = String::new();
+        if ack_reader.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed during hello"));
         }
+        let acked = parse_acked(&checked(line.trim_end().to_string())?)?;
+        Ok((DataConn { out }, acked))
     }
 
-    /// Write the first half of record `idx`'s wire bytes and flush —
-    /// a deterministic torn tail for chaos runs. The server must leave
+    /// Write the first half of a record's wire bytes and flush — a
+    /// deterministic torn tail for chaos runs. The server must leave
     /// the fragment unconsumed so the reconnect replays it whole.
-    fn send_torn(&mut self, input: ResumeInput<'_>, idx: u64) -> io::Result<()> {
-        match (self, input) {
-            (ResumeConn::Jsonl(client), ResumeInput::Lines(lines)) => {
-                let bytes = lines[idx as usize].as_bytes();
-                client.writer.write_all(&bytes[..bytes.len() / 2])?;
-                client.writer.flush()
-            }
-            (ResumeConn::Binary(sender), ResumeInput::Records(records)) => {
-                let frame = encode_frame(&records[idx as usize]);
-                sender.out.write_all(&frame[..frame.len() / 2])?;
-                sender.out.flush()
-            }
-            _ => Err(io::Error::other("resume wire/input mismatch")),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ResumeConn::Jsonl(client) => client.flush(),
-            ResumeConn::Binary(sender) => sender.flush(),
-        }
+    fn send_torn(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.out.write_all(&payload[..payload.len() / 2])?;
+        self.out.flush()
     }
 }
 
@@ -451,7 +396,9 @@ fn ack_after_retire<A: ToSocketAddrs>(addr: &A, session: u64) -> io::Result<u64>
     control.resume_ack(session)
 }
 
-/// Replay `input` into a live server with exactly-once resume: every
+/// Replay `payloads` — one record each, already in `wire`'s bytes: a
+/// JSONL line with its newline, or an [`encode_frame`] — into a live
+/// server with exactly-once resume: every
 /// record is applied exactly once even across disconnects, torn
 /// frames, stalls and server-side evictions. The ack protocol carries
 /// the proof — the server only acks *consumed* records after they are
@@ -465,11 +412,12 @@ fn ack_after_retire<A: ToSocketAddrs>(addr: &A, session: u64) -> io::Result<u64>
 pub fn replay_with_resume<A: ToSocketAddrs>(
     addr: A,
     session: u64,
-    input: ResumeInput<'_>,
+    wire: WireMode,
+    payloads: &[Vec<u8>],
     policy: &RetryPolicy,
     chaos: &mut WireChaos,
 ) -> io::Result<ResumeReport> {
-    let total = input.len() as u64;
+    let total = payloads.len() as u64;
     let mut report = ResumeReport { total, ..ResumeReport::default() };
     let mut epoch: u64 = 0;
     let mut failures: u32 = 0;
@@ -478,7 +426,7 @@ pub fn replay_with_resume<A: ToSocketAddrs>(
             report.reconnects += 1;
         }
         report.connections += 1;
-        let opened = ResumeConn::open(&addr, session, epoch, input, policy);
+        let opened = DataConn::open(&addr, wire, session, epoch, policy.io_timeout);
         epoch = epoch.wrapping_add(1);
         let (mut conn, acked) = match opened {
             Ok(pair) => pair,
@@ -496,7 +444,7 @@ pub fn replay_with_resume<A: ToSocketAddrs>(
         let mut chaos_cut = false;
         let sent: io::Result<()> = loop {
             if idx >= total {
-                break conn.flush();
+                break conn.out.flush();
             }
             match chaos.before_record(idx) {
                 Some(WireFault::Disconnect) => {
@@ -504,21 +452,21 @@ pub fn replay_with_resume<A: ToSocketAddrs>(
                     // records, then drop the connection.
                     report.injected_disconnects += 1;
                     chaos_cut = true;
-                    break conn.flush();
+                    break conn.out.flush();
                 }
                 Some(WireFault::Torn) => {
                     report.injected_torn += 1;
                     chaos_cut = true;
-                    break conn.send_torn(input, idx);
+                    break conn.send_torn(&payloads[idx as usize]);
                 }
                 Some(WireFault::Stall(pause)) => {
                     report.injected_stalls += 1;
-                    let _ = conn.flush();
+                    let _ = conn.out.flush();
                     std::thread::sleep(pause);
                 }
                 None => {}
             }
-            if let Err(e) = conn.send(input, idx) {
+            if let Err(e) = conn.out.write_all(&payloads[idx as usize]) {
                 break Err(e);
             }
             idx += 1;
@@ -576,14 +524,5 @@ mod tests {
         }
         // Different salts de-synchronize the schedule.
         assert_ne!(policy.backoff(3, 1), policy.backoff(3, 2));
-    }
-
-    #[test]
-    fn resume_input_reports_length_for_both_wires() {
-        let lines = vec!["{}".to_string(); 3];
-        assert_eq!(ResumeInput::Lines(&lines).len(), 3);
-        assert!(!ResumeInput::Lines(&lines).is_empty());
-        let records: Vec<LiveRecord> = Vec::new();
-        assert!(ResumeInput::Records(&records).is_empty());
     }
 }

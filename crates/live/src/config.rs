@@ -1,20 +1,16 @@
-//! Live-server tunables and the one sanctioned construction path.
+//! Live-server tunables: one struct of public fields, checked by
+//! [`LiveConfig::validate`] when [`crate::LiveServer::start`] takes it.
 
-use crate::record::LineParser;
-use crate::server::{LiveServer, ServerHandle};
 use edgeperf_analysis::AnalysisConfig;
 use edgeperf_core::EdgeperfError;
-use edgeperf_obs::Metrics;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Configuration of a [`crate::LiveServer`].
 ///
 /// Defaults target the paper's parameters (15-minute windows, §3.3) with
 /// an allowed lateness of one minute; tests shrink both to keep replays
-/// fast. Prefer building through [`ServeBuilder`] — struct literals
-/// scattered over callers is how config fields get missed when one is
-/// added.
+/// fast. Callers name the fields that differ and take the rest from
+/// [`Default`]: `LiveConfig { workers: 2, ..LiveConfig::default() }`.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port).
@@ -161,186 +157,6 @@ impl LiveConfig {
     }
 }
 
-/// The one construction path for a live server, mirroring
-/// [`StudyBuilder`] on the offline side: defaults first, consuming-self
-/// setters for what differs, then [`start`](ServeBuilder::start).
-///
-/// The CLI's `edgeperf serve`, the load generator's self-hosted suite
-/// servers and the live tests all build through here, so adding a config
-/// field means extending one builder instead of chasing struct literals
-/// across three crates.
-///
-/// ```no_run
-/// # use edgeperf_live::{ServeBuilder, LineParser, LiveRecord};
-/// # use edgeperf_core::EdgeperfError;
-/// # use std::sync::Arc;
-/// # struct P;
-/// # impl LineParser for P {
-/// #     fn parse(&self, _: &str) -> Result<LiveRecord, EdgeperfError> { unimplemented!() }
-/// # }
-/// let handle = ServeBuilder::new()
-///     .addr("127.0.0.1:0")
-///     .workers(4)
-///     .retention_windows(96)
-///     .spill_dir("/tmp/edgeperf-spill")
-///     .start(Arc::new(P))?;
-/// # Ok::<(), EdgeperfError>(())
-/// ```
-///
-/// [`StudyBuilder`]: https://docs.rs/edgeperf-bench
-#[derive(Debug, Clone, Default)]
-pub struct ServeBuilder {
-    config: LiveConfig,
-    metrics: Option<Metrics>,
-}
-
-impl ServeBuilder {
-    /// Start from [`LiveConfig::default`] (paper windowing, 4 workers,
-    /// ephemeral localhost bind, no spilling, disabled metrics).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Address to bind (`127.0.0.1:0` picks an ephemeral port).
-    pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.addr = addr.into();
-        self
-    }
-
-    /// Ingest worker threads.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Aggregation window length (ms).
-    pub fn window_ms(mut self, window_ms: f64) -> Self {
-        self.config.window_ms = window_ms;
-        self
-    }
-
-    /// Allowed event-time lateness (ms).
-    pub fn lateness_ms(mut self, lateness_ms: f64) -> Self {
-        self.config.lateness_ms = lateness_ms;
-        self
-    }
-
-    /// Bounded per-lane queue capacity (records).
-    pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
-        self.config.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Closed windows retained in RAM per worker.
-    pub fn retention_windows(mut self, retention_windows: usize) -> Self {
-        self.config.retention_windows = retention_windows;
-        self
-    }
-
-    /// Spill evicted windows into the tiered segment store at `dir`.
-    pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Segment count that triggers background compaction.
-    pub fn compact_min_segments(mut self, segments: usize) -> Self {
-        self.config.compact_min_segments = segments;
-        self
-    }
-
-    /// Segments merged per compaction round.
-    pub fn compact_batch(mut self, batch: usize) -> Self {
-        self.config.compact_batch = batch;
-        self
-    }
-
-    /// Statistical parameters shared with the offline pipeline.
-    pub fn analysis(mut self, analysis: AnalysisConfig) -> Self {
-        self.config.analysis = analysis;
-        self
-    }
-
-    /// MinRTT degradation threshold (ms).
-    pub fn minrtt_threshold_ms(mut self, threshold: f64) -> Self {
-        self.config.minrtt_threshold_ms = threshold;
-        self
-    }
-
-    /// HDratio degradation threshold.
-    pub fn hdratio_threshold(mut self, threshold: f64) -> Self {
-        self.config.hdratio_threshold = threshold;
-        self
-    }
-
-    /// Watchdog deadline for slow workers (ms).
-    pub fn slow_worker_ms(mut self, deadline_ms: u64) -> Self {
-        self.config.slow_worker_ms = deadline_ms;
-        self
-    }
-
-    /// Per-connection read buffer size (bytes).
-    pub fn read_buffer_bytes(mut self, bytes: usize) -> Self {
-        self.config.read_buffer_bytes = bytes;
-        self
-    }
-
-    /// Idle/read deadline per connection (ms; 0 disables).
-    pub fn idle_timeout_ms(mut self, ms: u64) -> Self {
-        self.config.idle_timeout_ms = ms;
-        self
-    }
-
-    /// Write deadline per connection (ms; 0 disables).
-    pub fn write_timeout_ms(mut self, ms: u64) -> Self {
-        self.config.write_timeout_ms = ms;
-        self
-    }
-
-    /// Maximum simultaneous client connections (0 = unlimited).
-    pub fn max_connections(mut self, cap: usize) -> Self {
-        self.config.max_connections = cap;
-        self
-    }
-
-    /// Worker respawn budget before a shard goes zombie.
-    pub fn max_worker_respawns(mut self, budget: u32) -> Self {
-        self.config.max_worker_respawns = budget;
-        self
-    }
-
-    /// Consecutive spill failures before store degraded mode.
-    pub fn spill_fail_threshold(mut self, threshold: u32) -> Self {
-        self.config.spill_fail_threshold = threshold;
-        self
-    }
-
-    /// Deterministic fault-injection schedule.
-    pub fn chaos(mut self, plan: crate::ChaosPlan) -> Self {
-        self.config.chaos = plan;
-        self
-    }
-
-    /// Metrics handle the pipeline records into (default: disabled).
-    pub fn metrics(mut self, metrics: &Metrics) -> Self {
-        self.metrics = Some(metrics.clone());
-        self
-    }
-
-    /// The assembled configuration (not yet validated) — for callers
-    /// that need to inspect or persist it before starting.
-    pub fn config(&self) -> &LiveConfig {
-        &self.config
-    }
-
-    /// Validate, bind and start every server thread, with `parser`
-    /// supplying the line wire format.
-    pub fn start(self, parser: Arc<dyn LineParser>) -> Result<ServerHandle, EdgeperfError> {
-        let metrics = self.metrics.unwrap_or_else(Metrics::disabled);
-        LiveServer::start(self.config, parser, metrics)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,52 +197,5 @@ mod tests {
                 other => panic!("unexpected error for {field}: {other}"),
             }
         }
-    }
-
-    #[test]
-    fn builder_covers_every_field() {
-        let analysis = AnalysisConfig::default();
-        let b = ServeBuilder::new()
-            .addr("127.0.0.1:7")
-            .workers(9)
-            .window_ms(1_000.0)
-            .lateness_ms(50.0)
-            .queue_capacity(128)
-            .retention_windows(3)
-            .spill_dir("/tmp/x")
-            .compact_min_segments(5)
-            .compact_batch(3)
-            .analysis(analysis)
-            .minrtt_threshold_ms(7.0)
-            .hdratio_threshold(0.1)
-            .slow_worker_ms(123)
-            .read_buffer_bytes(4_096)
-            .idle_timeout_ms(2_000)
-            .write_timeout_ms(1_500)
-            .max_connections(64)
-            .max_worker_respawns(2)
-            .spill_fail_threshold(5)
-            .chaos(crate::ChaosPlan::parse("disconnect:10;seed:7").expect("plan"));
-        let c = b.config();
-        assert_eq!(c.addr, "127.0.0.1:7");
-        assert_eq!(c.workers, 9);
-        assert_eq!(c.window_ms, 1_000.0);
-        assert_eq!(c.lateness_ms, 50.0);
-        assert_eq!(c.queue_capacity, 128);
-        assert_eq!(c.retention_windows, 3);
-        assert_eq!(c.spill_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
-        assert_eq!(c.compact_min_segments, 5);
-        assert_eq!(c.compact_batch, 3);
-        assert_eq!(c.minrtt_threshold_ms, 7.0);
-        assert_eq!(c.hdratio_threshold, 0.1);
-        assert_eq!(c.slow_worker_ms, 123);
-        assert_eq!(c.read_buffer_bytes, 4_096);
-        assert_eq!(c.idle_timeout_ms, 2_000);
-        assert_eq!(c.write_timeout_ms, 1_500);
-        assert_eq!(c.max_connections, 64);
-        assert_eq!(c.max_worker_respawns, 2);
-        assert_eq!(c.spill_fail_threshold, 5);
-        assert_eq!(c.chaos.to_string(), "disconnect:10;seed:7");
-        c.validate().expect("builder output validates");
     }
 }

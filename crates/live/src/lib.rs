@@ -77,9 +77,9 @@ pub mod window;
 
 pub use chaos::{ChaosPlan, WireChaos, WireFault};
 pub use client::{
-    replay_with_resume, BinarySender, LiveClient, ResumeInput, ResumeReport, RetryPolicy,
+    replay_with_resume, BinarySender, LiveClient, ResumeReport, RetryPolicy, WireMode,
 };
-pub use config::{LiveConfig, ServeBuilder};
+pub use config::LiveConfig;
 pub use detect::{EpisodeChange, OnlineDetector};
 pub use edgeperf_core::plan::PlanError;
 pub use frame::{

@@ -407,16 +407,22 @@ mod tests {
     #[test]
     fn cells_and_digest_answer_draining_once_a_shutdown_began() {
         let parser = |_: &str| Err(EdgeperfError::UnknownDuration);
-        let server =
-            crate::ServeBuilder::new().workers(2).start(Arc::new(parser)).expect("server starts");
+        let config = LiveConfig { workers: 2, ..LiveConfig::default() };
+        let server = LiveServer::start(config, Arc::new(parser), Metrics::disabled())
+            .expect("server starts");
         let mut client = crate::LiveClient::connect(server.addr()).expect("connects");
         // The first connection is id 0; a reply shows its reader is up.
         assert_eq!(client.cells().expect("cells"), []);
         begin_drain(&server.shared, 0);
         let draining = Response::Draining.render();
         assert_eq!(client.stats_json().expect("stats"), draining);
-        let refused =
-            [client.cells().map(|_| ()), client.digest_query(&CellQuery::default()).map(|_| ())];
+        // ... and so must `snapshot()`: the server's word, not serde's
+        // complaint about the fields an error reply lacks.
+        let refused = [
+            client.cells().map(|_| ()),
+            client.digest_query(&CellQuery::default()).map(|_| ()),
+            client.snapshot().map(|_| ()),
+        ];
         for reply in refused {
             let err = reply.expect_err("a draining server serves no state");
             assert_eq!(err.to_string(), draining);

@@ -79,14 +79,15 @@ use crate::chaos::ChaosPlan;
 use crate::protocol::{CellLine, CellQuery};
 use crate::window::{CellKey, CellSummary};
 use edgeperf_analysis::segment::{
-    cell_sort_key, sort_cells, stage, staging_path, GroupEntry, SegmentIndex, SegmentReader,
-    SegmentWriter, WindowCell, GROUP_ROWS,
+    cell_sort_key, sort_cells, GroupEntry, SegmentIndex, SegmentReader, SegmentWriter, StagedFile,
+    WindowCell, GROUP_ROWS,
 };
 use edgeperf_core::EdgeperfError;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -361,7 +362,7 @@ impl SegmentStore {
             if referenced {
                 continue;
             }
-            if name.ends_with(".tmp") || name.ends_with(".seg") {
+            if StagedFile::is_staging(&entry.path()) || name.ends_with(".seg") {
                 if let Some(id) = segment_file_id(name) {
                     state.next_id = state.next_id.max(id + 1);
                 }
@@ -495,18 +496,17 @@ impl SegmentStore {
     fn write_segment(
         &self,
         id: u64,
-        fill: impl FnOnce(&mut SegmentWriter<File>) -> Result<(), EdgeperfError>,
+        fill: impl FnOnce(&mut SegmentWriter<StagedFile>) -> Result<(), EdgeperfError>,
     ) -> Result<Segment, EdgeperfError> {
         let file = format!("seg-{id:08}.seg");
         let path = self.dir.join(&file);
-        let mut out = SegmentWriter::stage(&path).map_err(|e| io_err("stage segment", &path, e))?;
+        let staged = StagedFile::create(&path).map_err(|e| io_err("stage segment", &path, e))?;
+        let mut out = SegmentWriter::new(staged).map_err(|e| write_err(id, e))?;
         fill(&mut out)?;
         let (staged, index) = out.finish().map_err(|e| write_err(id, e))?;
-        let bytes = staged.metadata().map_err(|e| io_err("stat segment", &path, e))?.len();
-        drop(staged);
         self.crashed_at(CrashPoint::BeforeSegmentRename)?;
-        std::fs::rename(staging_path(&path), &path)
-            .map_err(|e| io_err("rename segment", &path, e))?;
+        staged.commit().map_err(|e| io_err("rename segment", &path, e))?;
+        let bytes = std::fs::metadata(&path).map_err(|e| io_err("stat segment", &path, e))?.len();
         let (from_window, until_window) = index.window_span().expect("non-empty segment");
         let meta = SegmentMeta { id, file, cells: index.rows(), from_window, until_window, bytes };
         Ok(Segment { meta, index: Arc::new(index) })
@@ -529,9 +529,11 @@ impl SegmentStore {
         let text = serde_json::to_string(&manifest)
             .map_err(|e| corrupt(format!("manifest does not serialize: {e}")))?;
         let path = self.dir.join(MANIFEST_FILE);
-        let tmp = stage(&path, text.as_bytes()).map_err(|e| io_err("stage manifest", &path, e))?;
+        let stage_err = |e| io_err("stage manifest", &path, e);
+        let mut staged = StagedFile::create(&path).map_err(stage_err)?;
+        staged.write_all(text.as_bytes()).map_err(stage_err)?;
         self.crashed_at(CrashPoint::BeforeManifestRename)?;
-        std::fs::rename(&tmp, &path).map_err(|e| io_err("rename manifest", &path, e))?;
+        staged.commit().map_err(|e| io_err("rename manifest", &path, e))?;
         state.segments = segments;
         Ok(())
     }
@@ -732,7 +734,7 @@ impl MergeInput {
 /// inputs and [`sort_cells`] (a stable sort) would give.
 fn merge(
     readers: Vec<SegmentReader>,
-    out: &mut SegmentWriter<File>,
+    out: &mut SegmentWriter<StagedFile>,
     id: u64,
 ) -> Result<(), EdgeperfError> {
     let mut inputs: Vec<MergeInput> = readers
@@ -925,7 +927,9 @@ mod tests {
         }
         // Fake crash leftovers: a staged tmp and an unreferenced segment.
         edgeperf_analysis::atomic_write(&dir.join("seg-00000099.seg"), b"torn").unwrap();
-        edgeperf_analysis::stage(&dir.join("seg-00000100.seg"), b"staged").unwrap();
+        let mut staged = StagedFile::create(&dir.join("seg-00000100.seg")).unwrap();
+        staged.write_all(b"staged").unwrap();
+        drop(staged);
         let store = SegmentStore::open(&dir, 8, 8, 3).expect("reopens");
         assert!(!dir.join("seg-00000099.seg").exists(), "orphan segment swept");
         assert!(!dir.join("seg-00000100.seg.tmp").exists(), "orphan tmp swept");

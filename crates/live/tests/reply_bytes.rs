@@ -11,6 +11,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -18,8 +19,8 @@ use edgeperf_analysis::GroupKey;
 use edgeperf_core::EdgeperfError;
 use edgeperf_live::{
     cell_line_sort_key, parse_cells_header, parse_digest_header, shard_of, BinarySender, CellLine,
-    CellQuery, ClosedWindow, GroupFilter, LiveClient, LiveRecord, Request, Response, ServeBuilder,
-    ServerHandle, WindowRing, PROTOCOL_VERSION,
+    CellQuery, ClosedWindow, GroupFilter, LiveClient, LiveConfig, LiveRecord, LiveServer, Request,
+    Response, ServerHandle, WindowRing, PROTOCOL_VERSION,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_routing::{PopId, Prefix, Relationship};
@@ -111,15 +112,28 @@ fn expected_rows(
     }
 }
 
-fn builder(workers: usize) -> ServeBuilder {
-    ServeBuilder::new().workers(workers).window_ms(WINDOW_MS).lateness_ms(LATENESS_MS)
+/// `workers` workers keeping `retention` windows in RAM, spilling the
+/// rest to `spill_dir` when there is one.
+fn config(workers: usize, retention: usize, spill_dir: Option<&Path>) -> LiveConfig {
+    LiveConfig {
+        workers,
+        window_ms: WINDOW_MS,
+        lateness_ms: LATENESS_MS,
+        retention_windows: retention,
+        spill_dir: spill_dir.map(Path::to_path_buf),
+        ..LiveConfig::default()
+    }
 }
 
 /// Start a server, replay `records` over the binary wire and wait until
 /// every one is folded in.
-fn replayed(builder: ServeBuilder, records: &[LiveRecord]) -> (ServerHandle, LiveClient) {
+fn replayed(
+    config: LiveConfig,
+    metrics: Metrics,
+    records: &[LiveRecord],
+) -> (ServerHandle, LiveClient) {
     let parser = |_: &str| Err(EdgeperfError::UnknownDuration);
-    let server = builder.start(Arc::new(parser)).expect("server starts");
+    let server = LiveServer::start(config, Arc::new(parser), metrics).expect("server starts");
     let mut sender = BinarySender::connect(server.addr()).expect("binary connect");
     for rec in records {
         sender.send(rec).expect("send frame");
@@ -209,7 +223,7 @@ fn streamed_replies_are_the_rendered_replies_byte_for_byte() {
     assert_eq!(serial.iter().map(|w| w.index).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
     for workers in [1usize, 2, 4] {
         // No store: everything in RAM.
-        let (server, control) = replayed(builder(workers).retention_windows(16), &records);
+        let (server, control) = replayed(config(workers, 16, None), Metrics::disabled(), &records);
         check(&server, &serial, Some(workers), &format!("workers={workers} store-less"));
         // A digest is canonical even when bare, and carries the counter.
         let digest = Request::Digest { proto: PROTOCOL_VERSION, query: CellQuery::default() };
@@ -228,12 +242,12 @@ fn streamed_replies_are_the_rendered_replies_byte_for_byte() {
         let dir = tmp_dir(&format!("w{workers}"));
         let _ = std::fs::remove_dir_all(&dir);
         let (server, control) =
-            replayed(builder(workers).retention_windows(2).spill_dir(&dir), &records);
+            replayed(config(workers, 2, Some(&dir)), Metrics::disabled(), &records);
         stop(server, control);
         let tail: Vec<LiveRecord> =
             records.iter().filter(|r| r.ts_ms >= 2.0 * WINDOW_MS).copied().collect();
         let (server, mut control) =
-            replayed(builder(workers).retention_windows(16).spill_dir(&dir), &tail);
+            replayed(config(workers, 16, Some(&dir)), Metrics::disabled(), &tail);
         let store = control.store_stats().expect("store stats");
         assert!(
             store.from_window == Some(0) && matches!(store.until_window, Some(2 | 3)),
@@ -251,8 +265,7 @@ fn streamed_replies_are_the_rendered_replies_byte_for_byte() {
 #[test]
 fn query_metrics_count_what_the_replies_carried() {
     let records = records();
-    let (server, control) =
-        replayed(builder(2).retention_windows(16).metrics(&Metrics::enabled()), &records);
+    let (server, control) = replayed(config(2, 16, None), Metrics::enabled(), &records);
     let mut conn = raw(&server);
     let windows = CellQuery { from_window: Some(1), until_window: Some(3), ..CellQuery::default() };
     let cells = raw_reply(&mut conn, &Request::Cells(windows));

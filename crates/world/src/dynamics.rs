@@ -7,6 +7,7 @@
 //! identical ground truth.
 
 use crate::topology::PrefixSite;
+use edgeperf_core::splitmix64;
 
 /// Condition of a route toward a prefix during one 15-minute window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,13 +23,6 @@ pub struct RouteCondition {
 
 /// Windows per day at 15-minute granularity.
 pub const WINDOWS_PER_DAY: u32 = 96;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
 
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64

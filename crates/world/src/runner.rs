@@ -15,7 +15,7 @@ use crate::geo::propagation_rtt_ms;
 use crate::supervisor::{run_study_supervised, SupervisorConfig};
 use crate::topology::World;
 use edgeperf_analysis::{GroupKey, RecordShard, RecordSink, SessionRecord};
-use edgeperf_core::{session_hdratio, ResponseObs, SessionObs, HD_GOODPUT_BPS};
+use edgeperf_core::{session_hdratio, splitmix64, ResponseObs, SessionObs, HD_GOODPUT_BPS};
 use edgeperf_netsim::{FastFlow, PathState};
 use edgeperf_obs::Metrics;
 use edgeperf_routing::EdgeFabric;
@@ -58,13 +58,6 @@ impl StudyConfig {
     pub fn n_windows(&self) -> u32 {
         self.days * crate::dynamics::WINDOWS_PER_DAY
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 /// Per-worker throughput and drop counters, reported by

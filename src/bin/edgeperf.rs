@@ -82,7 +82,7 @@ use edgeperf::core::HD_GOODPUT_BPS;
 use edgeperf::flag_value as value;
 use edgeperf::fleet::{Fleet, FleetConfig};
 use edgeperf::ingest::{evaluate_jsonl_observed, quarantine_jsonl, sample_line};
-use edgeperf::live::{ChaosPlan, ServeBuilder};
+use edgeperf::live::{ChaosPlan, LiveConfig, LiveServer};
 use edgeperf::obs::{render_table, Metrics};
 use edgeperf::serve::WireParser;
 use std::io::Read;
@@ -157,12 +157,10 @@ fn main() {
             }
         }
         Some("serve") => {
-            let Serve { builder, target, metrics } =
+            let Serve { config, target, metrics } =
                 parse_serve(&args[1..]).unwrap_or_else(|e| die(&e));
             let parser = Arc::new(WireParser::new(target));
-            let handle = builder
-                .metrics(&metrics)
-                .start(parser)
+            let handle = LiveServer::start(config, parser, metrics.clone())
                 .unwrap_or_else(|e| die(&format!("serve: {e}")));
             println!("listening on {}", handle.addr());
             let snapshot = handle.join();
@@ -204,50 +202,46 @@ fn int<'a, T: FromStr>(it: &mut impl Iterator<Item = &'a String>, flag: &str) ->
 
 /// The parsed `edgeperf serve` command line.
 struct Serve {
-    builder: ServeBuilder,
+    config: LiveConfig,
     target: f64,
     metrics: Metrics,
 }
 
 fn parse_serve(args: &[String]) -> Result<Serve, String> {
     let mut serve = Serve {
-        builder: ServeBuilder::new().addr("127.0.0.1:4620"),
+        config: LiveConfig { addr: "127.0.0.1:4620".to_string(), ..Default::default() },
         target: HD_GOODPUT_BPS,
         metrics: Metrics::disabled(),
     };
+    let config = &mut serve.config;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let flag = a.as_str();
-        let b = serve.builder;
-        serve.builder = match flag {
-            "--addr" => b.addr(value::<String>(&mut it, flag, "an address")?),
-            "--workers" => b.workers(int(&mut it, flag)?),
-            "--window-ms" => b.window_ms(value(&mut it, flag, "a number")?),
-            "--lateness-ms" => b.lateness_ms(value(&mut it, flag, "a number")?),
-            "--queue" => b.queue_capacity(int(&mut it, flag)?),
-            "--retention" => b.retention_windows(int(&mut it, flag)?),
-            "--spill-dir" => b.spill_dir(value::<String>(&mut it, flag, "a path")?),
-            "--compact-min" => b.compact_min_segments(int(&mut it, flag)?),
-            "--compact-batch" => b.compact_batch(int(&mut it, flag)?),
-            "--idle-timeout-ms" => b.idle_timeout_ms(int(&mut it, flag)?),
-            "--write-timeout-ms" => b.write_timeout_ms(int(&mut it, flag)?),
-            "--max-conns" => b.max_connections(int(&mut it, flag)?),
-            "--max-respawns" => b.max_worker_respawns(int(&mut it, flag)?),
-            "--spill-fail-threshold" => b.spill_fail_threshold(int(&mut it, flag)?),
+        match flag {
+            "--addr" => config.addr = value(&mut it, flag, "an address")?,
+            "--workers" => config.workers = int(&mut it, flag)?,
+            "--window-ms" => config.window_ms = value(&mut it, flag, "a number")?,
+            "--lateness-ms" => config.lateness_ms = value(&mut it, flag, "a number")?,
+            "--queue" => config.queue_capacity = int(&mut it, flag)?,
+            "--retention" => config.retention_windows = int(&mut it, flag)?,
+            "--spill-dir" => {
+                config.spill_dir = Some(value::<String>(&mut it, flag, "a path")?.into())
+            }
+            "--compact-min" => config.compact_min_segments = int(&mut it, flag)?,
+            "--compact-batch" => config.compact_batch = int(&mut it, flag)?,
+            "--idle-timeout-ms" => config.idle_timeout_ms = int(&mut it, flag)?,
+            "--write-timeout-ms" => config.write_timeout_ms = int(&mut it, flag)?,
+            "--max-conns" => config.max_connections = int(&mut it, flag)?,
+            "--max-respawns" => config.max_worker_respawns = int(&mut it, flag)?,
+            "--spill-fail-threshold" => config.spill_fail_threshold = int(&mut it, flag)?,
             "--chaos" => {
                 let spec: String = value(&mut it, flag, "a plan")?;
-                b.chaos(ChaosPlan::parse(&spec).map_err(|e| format!("--chaos: {e}"))?)
+                config.chaos = ChaosPlan::parse(&spec).map_err(|e| format!("--chaos: {e}"))?;
             }
-            "--target-mbps" => {
-                serve.target = value::<f64>(&mut it, flag, "a number")? * 1e6;
-                b
-            }
-            "--metrics" => {
-                serve.metrics = Metrics::enabled();
-                b
-            }
+            "--target-mbps" => serve.target = value::<f64>(&mut it, flag, "a number")? * 1e6,
+            "--metrics" => serve.metrics = Metrics::enabled(),
             other => return Err(format!("unknown argument {other}")),
-        };
+        }
     }
     Ok(serve)
 }
@@ -316,7 +310,7 @@ mod tests {
              --window-ms 1.5 --target-mbps 2.5",
         )
         .unwrap();
-        let config = s.builder.config();
+        let config = &s.config;
         assert_eq!(config.max_worker_respawns, u32::MAX);
         assert_eq!(config.idle_timeout_ms, u64::MAX);
         assert_eq!((config.max_connections, config.window_ms, s.target), (0, 1.5, 2.5e6));
@@ -324,7 +318,7 @@ mod tests {
         let s =
             serve("--addr 127.0.0.1:0 --workers 2 --retention 8 --lateness-ms 60000 --spill-dir D")
                 .unwrap();
-        let config = s.builder.config();
+        let config = &s.config;
         assert_eq!((config.addr.as_str(), config.workers), ("127.0.0.1:0", 2));
         assert_eq!((config.retention_windows, config.lateness_ms), (8, 60_000.0));
         assert_eq!(config.spill_dir.as_deref(), Some(std::path::Path::new("D")));

@@ -1,6 +1,6 @@
 //! Tier-1 smoke for the live cell path: a seeded wide-shaped replay — many
 //! groups, about 30 records per (group, rank) cell, the paper's validity
-//! minimum — through a real `ServeBuilder` server over the binary wire at
+//! minimum — through a real `LiveServer` over the binary wire at
 //! one and two workers must report cells bit-identical to a serial
 //! [`WindowRing`]. The full-size suites (`live_agreement`, `live_store`,
 //! `live_chaos`) live in `crates/bench` and do not run under `cargo test -q`.
@@ -11,8 +11,10 @@ use std::time::{Duration, Instant};
 use edgeperf::analysis::GroupKey;
 use edgeperf::core::HD_GOODPUT_BPS;
 use edgeperf::live::{
-    cell_line_sort_key, BinarySender, CellLine, LiveClient, LiveRecord, ServeBuilder, WindowRing,
+    cell_line_sort_key, BinarySender, CellLine, LiveClient, LiveConfig, LiveRecord, LiveServer,
+    WindowRing,
 };
+use edgeperf::obs::Metrics;
 use edgeperf::routing::{PopId, Prefix, Relationship};
 use edgeperf::serve::WireParser;
 use rand::{Rng, SeedableRng};
@@ -79,13 +81,16 @@ fn serial_cells(records: &[LiveRecord]) -> Vec<CellLine> {
 }
 
 fn served_cells(records: &[LiveRecord], workers: usize) -> Vec<CellLine> {
-    let server = ServeBuilder::new()
-        .workers(workers)
-        .window_ms(WINDOW_MS)
-        .lateness_ms(LATENESS_MS)
-        .retention_windows(8)
-        .start(Arc::new(WireParser::new(HD_GOODPUT_BPS)))
-        .expect("server starts");
+    let config = LiveConfig {
+        workers,
+        window_ms: WINDOW_MS,
+        lateness_ms: LATENESS_MS,
+        retention_windows: 8,
+        ..LiveConfig::default()
+    };
+    let server =
+        LiveServer::start(config, Arc::new(WireParser::new(HD_GOODPUT_BPS)), Metrics::disabled())
+            .expect("server starts");
     let mut sender = BinarySender::connect(server.addr()).expect("binary connect");
     for rec in records {
         sender.send(rec).expect("send frame");
