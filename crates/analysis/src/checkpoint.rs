@@ -33,10 +33,10 @@ use edgeperf_core::EdgeperfError;
 use edgeperf_routing::{PopId, Prefix};
 
 /// Magic bytes opening every encoded shard.
-pub const SHARD_MAGIC: [u8; 4] = *b"EPSH";
+pub(crate) const SHARD_MAGIC: [u8; 4] = *b"EPSH";
 
 /// Current shard format version.
-pub const SHARD_VERSION: u8 = 1;
+pub(crate) const SHARD_VERSION: u8 = 1;
 
 /// Magic, version, cell count, row count.
 const HEADER_LEN: usize = SHARD_MAGIC.len() + 1 + 4 + 4;

@@ -101,7 +101,7 @@ impl ColumnarShard {
     }
 
     /// MinRTT samples recorded (one per session).
-    pub fn sample_count(&self) -> usize {
+    pub(crate) fn sample_count(&self) -> usize {
         self.min_rtt.len()
     }
 

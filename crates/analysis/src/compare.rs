@@ -34,7 +34,8 @@ pub enum CompareOutcome {
 impl CompareOutcome {
     /// Is the difference confidently above `threshold`?
     /// (Lower-bound rule; `Invalid` is never an event.)
-    pub fn event_at(&self, threshold: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn event_at(&self, threshold: f64) -> bool {
         matches!(self, CompareOutcome::Valid { lo, .. } if *lo > threshold)
     }
 
@@ -87,7 +88,7 @@ pub fn compare(
 /// (higher is worse), `y − x` for HDratio (lower is worse). Degradation is
 /// the deficit of a window against its baseline; opportunity the deficit
 /// of the preferred route against an alternate.
-pub fn deficit(
+pub(crate) fn deficit(
     cfg: &AnalysisConfig,
     metric: DegradationMetric,
     x: &CellSummary,

@@ -5,6 +5,7 @@
 use crate::degradation::DegradationMetric;
 use crate::hash::FxHashMap;
 use crate::record::{GroupKey, SessionRecord};
+#[cfg(test)]
 use crate::segment::WindowCell;
 use edgeperf_routing::Relationship;
 use edgeperf_stats::median_ci::median_variance_sorted;
@@ -14,7 +15,7 @@ use edgeperf_stats::median_ci::median_variance_sorted;
 /// (§§3.3–3.4.1), plus traffic weight and route annotations. Produced by
 /// [`Aggregation::summary`] (exact order statistics),
 /// [`crate::StreamingCell::summary`] (digest order statistics) and
-/// [`WindowCell::summary`] (closed live windows, decoded segments).
+/// [`crate::WindowCell::summary`] (closed live windows, decoded segments).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSummary {
     /// Sessions recorded.
@@ -247,10 +248,10 @@ pub(crate) fn in_dataset_order<C>(
     groups.into_iter().collect::<FxHashMap<_, _>>().into_iter().collect()
 }
 
-/// The summary grid of a whole study: what [`Dataset::summarize`],
-/// [`crate::StreamingDataset::summarize`] and [`Summaries::from_cells`]
-/// all produce, and the only thing the §§5–6 analyses read. Groups keep
-/// the order their source iterates them in.
+/// The summary grid of a whole study: what [`Dataset::summarize`] and
+/// [`crate::StreamingDataset::summarize`] produce (and what rows read
+/// back from segments rebuild), and the only thing the §§5–6 analyses
+/// read. Groups keep the order their source iterates them in.
 #[derive(Debug, Clone, Default)]
 pub struct Summaries {
     /// Per-group summary grids.
@@ -268,7 +269,8 @@ impl Summaries {
     /// Rebuild the grid from a bag of rows (a store range read, decoded
     /// segments). The grid spans the rows' first to last window; groups
     /// come out in first-seen order.
-    pub fn from_cells(cells: &[WindowCell]) -> Summaries {
+    #[cfg(test)]
+    pub(crate) fn from_cells(cells: &[WindowCell]) -> Summaries {
         let first = cells.iter().map(|c| c.window).min().unwrap_or(0);
         let n_windows = cells.iter().map(|c| (c.window - first) as usize + 1).max().unwrap_or(0);
         let mut grid = GroupSlots::new(n_windows);
@@ -281,7 +283,8 @@ impl Summaries {
 
     /// Flatten into rows, windows numbered from 0: group by group, rank
     /// by rank, window by window.
-    pub fn to_cells(&self) -> Vec<WindowCell> {
+    #[cfg(test)]
+    pub(crate) fn to_cells(&self) -> Vec<WindowCell> {
         let mut out = Vec::new();
         for (key, g) in &self.groups {
             for (rank, ws) in g.ranks.iter().enumerate() {

@@ -32,7 +32,7 @@ impl PreferredSessions for [SessionRecord] {
 pub const HDRATIO_BELOW_ONE: f64 = 1.0 - 1e-9;
 
 /// Figure 6's CDFs of one per-session metric: overall and per continent.
-pub type Fig6Cdfs = (WeightedCdf, BTreeMap<u8, WeightedCdf>);
+pub(crate) type Fig6Cdfs = (WeightedCdf, BTreeMap<u8, WeightedCdf>);
 
 /// Per-session MinRTT CDFs: overall and per continent (Figure 6a/6b).
 /// Only preferred-route sessions contribute (the §4 view).

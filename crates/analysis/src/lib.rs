@@ -50,7 +50,7 @@ pub mod tables;
 
 pub use classify::{classify_group, TemporalClass};
 pub use columnar::{CellKey, ColumnarShard, ColumnarSink};
-pub use compare::{compare, deficit, CompareOutcome};
+pub use compare::{compare, CompareOutcome};
 pub use config::AnalysisConfig;
 pub use dataset::{Aggregation, CellSummary, Dataset, GroupData, Summaries};
 pub use degradation::{
@@ -63,7 +63,7 @@ pub use record::{GroupKey, SessionRecord};
 pub use segment::{
     atomic_write, cell_sort_key, decode_segment, encode_segment, sort_cells, CellSortKey,
     GroupEntry, SegmentIndex, SegmentReader, SegmentWriter, StagedFile, WindowCell, GROUP_ROWS,
-    SEGMENT_MAGIC, SEGMENT_VERSION,
+    SEGMENT_VERSION,
 };
 pub use sink::{
     HdratioCounts, RecordShard, RecordSink, SinkStats, StreamingCell, StreamingDataset,

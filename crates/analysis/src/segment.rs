@@ -48,9 +48,9 @@
 //! ## Writing
 //!
 //! [`SegmentWriter`] streams rows out group by group through one
-//! reusable buffer; [`SegmentWriter::stage`] writes at [`staging_path`]
-//! and the caller renames — the same tmp + rename discipline
-//! [`atomic_write`] gives single-buffer artifacts (manifests,
+//! reusable buffer. Over a [`StagedFile`] it writes beside the segment's
+//! path and the caller's `commit` renames — the same tmp + rename
+//! discipline [`atomic_write`] gives single-buffer artifacts (manifests,
 //! checkpoints) — so a crash mid-write can only ever leave an orphan
 //! temp file, never a torn segment at a live path.
 
@@ -66,7 +66,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Magic bytes opening every segment file.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"EPSG";
+pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"EPSG";
 
 /// Current segment format version.
 pub const SEGMENT_VERSION: u8 = 2;

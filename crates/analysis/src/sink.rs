@@ -354,7 +354,7 @@ impl StreamingDataset {
     }
 
     /// Sessions recorded across every cell, sealed and open.
-    pub fn record_count(&self) -> usize {
+    pub(crate) fn record_count(&self) -> usize {
         self.sealed_cells().map(|c| c.n).sum::<usize>()
             + self.open_cells().map(|c| c.agg.n()).sum::<usize>()
     }

@@ -81,7 +81,7 @@ impl StreamingAggregation {
     }
 
     /// The underlying MinRTT digest (for rollups that merge across cells).
-    pub fn minrtt_digest(&self) -> &TDigest {
+    pub(crate) fn minrtt_digest(&self) -> &TDigest {
         &self.minrtt
     }
 
@@ -130,12 +130,12 @@ impl StreamingAggregation {
     /// Approximate Price–Bonett variance of the MinRTT median: the exact
     /// method reads order statistics `y_c` and `y_{n−c+1}`; here they are
     /// approximated by digest quantiles at ranks `c/n` and `(n−c+1)/n`.
-    pub fn min_rtt_median_variance(&self) -> Option<f64> {
+    pub(crate) fn min_rtt_median_variance(&self) -> Option<f64> {
         median_variance(&self.minrtt)
     }
 
     /// Approximate variance of the HDratio median.
-    pub fn hdratio_median_variance(&self) -> Option<f64> {
+    pub(crate) fn hdratio_median_variance(&self) -> Option<f64> {
         median_variance(&self.hdratio)
     }
 }

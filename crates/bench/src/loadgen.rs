@@ -201,7 +201,7 @@ pub fn generate_lines(cfg: &LoadgenConfig) -> Vec<String> {
 /// Pre-render the replay as raw socket payloads for `cfg.wire`: JSONL
 /// lines with their trailing newline, or binary frames produced by
 /// running the estimator locally on the very same generated sessions.
-pub fn render_payloads(cfg: &LoadgenConfig, lines: &[String]) -> io::Result<Vec<Vec<u8>>> {
+pub(crate) fn render_payloads(cfg: &LoadgenConfig, lines: &[String]) -> io::Result<Vec<Vec<u8>>> {
     match cfg.wire {
         WireMode::Jsonl => Ok(jsonl_payloads(lines)),
         WireMode::Binary => {

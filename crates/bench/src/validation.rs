@@ -70,7 +70,7 @@ pub fn grid(fraction: f64) -> Vec<(u64, u64, u32, u64)> {
 
 /// Run one grid point; returns `(capable, relative_error)` —
 /// `None` if the transfer could not test the bottleneck rate.
-pub fn run_config(bw_bps: u64, rtt: u64, iw: u32, size_pkts: u64) -> Option<f64> {
+pub(crate) fn run_config(bw_bps: u64, rtt: u64, iw: u32, size_pkts: u64) -> Option<f64> {
     const MSS: u64 = 1_460;
     let tcp = TcpConfig::ns3_validation(iw);
     let mut sim = FlowSim::new(tcp, PathConfig::ideal(bw_bps, rtt), 42);

@@ -70,12 +70,12 @@ impl Estimator {
     }
 
     /// Estimator with an explicit achieved-rule (for the naive ablation).
-    pub fn with_rule(target_bps: f64, rule: AchievedRule) -> Self {
+    pub(crate) fn with_rule(target_bps: f64, rule: AchievedRule) -> Self {
         Self::with_options(target_bps, EstimatorOptions { rule, ..Default::default() })
     }
 
     /// Estimator with full ablation options.
-    pub fn with_options(target_bps: f64, opts: EstimatorOptions) -> Self {
+    pub(crate) fn with_options(target_bps: f64, opts: EstimatorOptions) -> Self {
         assert!(target_bps > 0.0);
         Estimator { target_bps, opts, carry: None }
     }

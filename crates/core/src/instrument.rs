@@ -66,7 +66,7 @@ pub fn assemble_transactions(responses: &[ResponseObs]) -> Vec<Transaction> {
 
 /// As [`assemble_transactions`], with explicit correction options (for
 /// the methodology ablations).
-pub fn assemble_transactions_opts(
+pub(crate) fn assemble_transactions_opts(
     responses: &[ResponseObs],
     opts: InstrumentOptions,
 ) -> Vec<Transaction> {

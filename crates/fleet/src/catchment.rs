@@ -15,12 +15,10 @@
 //! and the alive set, so the coordinator, tests, and the load generator
 //! all compute identical catchments without coordination.
 
-use std::collections::BTreeMap;
-
 use edgeperf_core::splitmix64;
 
 /// Number of continent codes the workload generator emits (0..6).
-pub const CONTINENTS: u8 = 6;
+pub(crate) const CONTINENTS: u8 = 6;
 
 /// One PoP site in the catchment table.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,23 +75,18 @@ impl CatchmentModel {
     }
 
     /// Build from an explicit site table (capacity skew, custom placement).
-    pub fn with_sites(sites: Vec<PopSite>, seed: u64) -> CatchmentModel {
+    pub(crate) fn with_sites(sites: Vec<PopSite>, seed: u64) -> CatchmentModel {
         let alive = vec![true; sites.len()];
         CatchmentModel { seed, sites, alive }
     }
 
     /// The site table.
-    pub fn sites(&self) -> &[PopSite] {
+    pub(crate) fn sites(&self) -> &[PopSite] {
         &self.sites
     }
 
-    /// Whether a PoP is still alive (in-catchment).
-    pub fn is_alive(&self, pop: u16) -> bool {
-        self.alive.get(usize::from(pop)).copied().unwrap_or(false)
-    }
-
     /// Number of alive PoPs.
-    pub fn alive_count(&self) -> usize {
+    pub(crate) fn alive_count(&self) -> usize {
         self.alive.iter().filter(|a| **a).count()
     }
 
@@ -137,17 +130,12 @@ impl CatchmentModel {
         }
         best.map(|(_, p)| p)
     }
-
-    /// Home every key in `keys`, returning the catchment map. Used by
-    /// the coordinator to re-home observed prefixes after a kill.
-    pub fn home_all(&self, keys: &[ClientKey]) -> BTreeMap<ClientKey, u16> {
-        keys.iter().filter_map(|k| self.home(k).map(|p| (*k, p))).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn key(g: u32) -> ClientKey {
         ClientKey {
@@ -200,12 +188,14 @@ mod tests {
     fn killing_a_pop_rehomes_only_its_prefixes() {
         let mut model = CatchmentModel::new(3, 7);
         let keys: Vec<ClientKey> = (0..256).map(key).collect();
-        let before = model.home_all(&keys);
+        let homes = |model: &CatchmentModel| -> BTreeMap<ClientKey, u16> {
+            keys.iter().map(|k| (*k, model.home(k).expect("a PoP is alive"))).collect()
+        };
+        let before = homes(&model);
         assert!(model.kill(1));
         assert!(!model.kill(1), "double kill reports false");
-        assert!(!model.is_alive(1));
         assert_eq!(model.alive_count(), 2);
-        let after = model.home_all(&keys);
+        let after = homes(&model);
         let mut rehomed = 0usize;
         for k in &keys {
             if before[k] == 1 {

@@ -14,15 +14,16 @@
 //! - [`catchment`]: [`CatchmentModel`] — the deterministic seeded
 //!   anycast model (client prefix → PoP by continent ring distance,
 //!   capacity weight, and seeded tie-break jitter).
-//! - [`merge`]: [`merge_cells`] / [`merge_snapshots`] — the
+//! - [`merge`]: `merge_cells` / `merge_snapshots` — the
 //!   disjoint-union fleet merge with cross-PoP duplicate-cell
 //!   detection (a duplicate means a catchment violation, not data).
 //! - [`chaos`]: [`FleetChaosPlan`] — seeded PoP kills at deterministic
 //!   record counts, the fleet-level sibling of the live tier's
 //!   `ChaosPlan`.
 //! - [`coordinator`]: [`Fleet`] / [`FleetHandle`] — hosts the PoPs,
-//!   speaks the `fleet *` line protocol, re-homes catchments on a
-//!   kill; [`FleetClient`] is the blocking client side.
+//!   answers the live protocol's verbs fleet-wide plus `pops` / `home` /
+//!   `kill`, re-homes catchments on a kill; [`FleetClient`] is a
+//!   `LiveClient` with those three verbs added.
 //!
 //! The cross-cutting invariant (DESIGN.md §16): a prefix is homed on
 //! exactly one PoP at a time, so every (group, rank, window) cell lives
@@ -40,11 +41,10 @@ use std::io;
 
 use edgeperf_live::ProtocolError;
 
-pub use catchment::{CatchmentModel, ClientKey, PopSite, CONTINENTS};
+pub use catchment::{CatchmentModel, ClientKey, PopSite};
 pub use chaos::{FleetChaosPlan, FleetKill};
 pub use coordinator::{Fleet, FleetClient, FleetConfig, FleetHandle, FleetPopInfo, KillReport};
 pub use edgeperf_core::plan::PlanError;
-pub use merge::{merge_cells, merge_snapshots};
 
 /// Typed coordinator/fleet errors (no stringly `Result<_, String>`).
 #[derive(Debug)]

@@ -31,7 +31,7 @@ type CellKey = (u32, u16, u32, u8, u16, u8, u8);
 /// canonically sorted, but we don't rely on that) cell rows. Errors
 /// with [`FleetError::DuplicateCell`] if two nodes both served the same
 /// (window, group, rank) cell.
-pub fn merge_cells(per_pop: Vec<(u16, Vec<CellLine>)>) -> Result<Vec<CellLine>, FleetError> {
+pub(crate) fn merge_cells(per_pop: Vec<(u16, Vec<CellLine>)>) -> Result<Vec<CellLine>, FleetError> {
     let total: usize = per_pop.iter().map(|(_, cells)| cells.len()).sum();
     let mut owner: HashMap<CellKey, u16> = HashMap::with_capacity(total);
     let mut merged: Vec<CellLine> = Vec::with_capacity(total);
@@ -59,7 +59,7 @@ pub fn merge_cells(per_pop: Vec<(u16, Vec<CellLine>)>) -> Result<Vec<CellLine>, 
 /// Sum per-PoP snapshots into the fleet-wide snapshot. Counters add;
 /// `drained` is true only when every node drained; typed reject reasons
 /// and temporal-class tallies merge by label in sorted order.
-pub fn merge_snapshots(per_pop: &[LiveSnapshot]) -> LiveSnapshot {
+pub(crate) fn merge_snapshots(per_pop: &[LiveSnapshot]) -> LiveSnapshot {
     let mut out = LiveSnapshot {
         drained: !per_pop.is_empty(),
         workers: 0,

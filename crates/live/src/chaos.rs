@@ -150,13 +150,8 @@ impl ChaosPlan {
         *self == ChaosPlan::default()
     }
 
-    /// True when any clause targets the client side of the wire.
-    pub fn has_wire_faults(&self) -> bool {
-        !(self.disconnects.is_empty() && self.torn.is_empty() && self.stalls.is_empty())
-    }
-
     /// Applied-record panic thresholds armed for `worker`, ascending.
-    pub fn panics_for(&self, worker: usize) -> Vec<u64> {
+    pub(crate) fn panics_for(&self, worker: usize) -> Vec<u64> {
         let mut thresholds: Vec<u64> = self
             .worker_panics
             .iter()
@@ -168,17 +163,17 @@ impl ChaosPlan {
     }
 
     /// Does spill op `op` (0-based) fail?
-    pub fn spill_fails(&self, op: u64) -> bool {
+    pub(crate) fn spill_fails(&self, op: u64) -> bool {
         self.spill_failures.iter().any(|f| f.covers(op))
     }
 
     /// Does compaction op `op` (0-based) fail?
-    pub fn compact_fails(&self, op: u64) -> bool {
+    pub(crate) fn compact_fails(&self, op: u64) -> bool {
         self.compact_failures.iter().any(|f| f.covers(op))
     }
 
     /// Injected delay before spill op `op`, if any.
-    pub fn spill_delay(&self, op: u64) -> Option<Duration> {
+    pub(crate) fn spill_delay(&self, op: u64) -> Option<Duration> {
         self.spill_delays.iter().find(|d| d.op == op).map(|d| Duration::from_millis(d.millis))
     }
 }
@@ -246,7 +241,7 @@ impl WireChaos {
     /// Marks the returned event fired. At most one event fires per
     /// call; a disconnect and a stall armed at the same index fire on
     /// consecutive attempts to send it.
-    pub fn before_record(&mut self, index: u64) -> Option<WireFault> {
+    pub(crate) fn before_record(&mut self, index: u64) -> Option<WireFault> {
         for (record, fault, fired) in self.events.iter_mut() {
             if !*fired && *record <= index {
                 *fired = true;
@@ -254,12 +249,6 @@ impl WireChaos {
             }
         }
         None
-    }
-
-    /// Events that have not fired yet (reported by the chaos run so a
-    /// plan that outlives the replay is visible, not silent).
-    pub fn unfired(&self) -> usize {
-        self.events.iter().filter(|(_, _, fired)| !fired).count()
     }
 }
 
@@ -319,7 +308,6 @@ mod tests {
         for spec in ["", "   ", ";;", " ; ; "] {
             let plan = ChaosPlan::parse(spec).expect("empty spec parses");
             assert!(plan.is_empty(), "{spec:?} -> {plan:?}");
-            assert!(!plan.has_wire_faults());
         }
     }
 
@@ -388,6 +376,5 @@ mod tests {
         // until the replay reaches the torn record.
         assert_eq!(wire.before_record(15), None);
         assert_eq!(wire.before_record(25), Some(WireFault::Torn), "torn fires past 20");
-        assert_eq!(wire.unfired(), 0);
     }
 }

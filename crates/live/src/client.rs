@@ -181,7 +181,7 @@ impl LiveClient {
     /// Fetch the final ack for a session (`resume <session>`). The
     /// server holds the reply until the session's previous connection
     /// retires, so the returned count is exact, not racing.
-    pub fn resume_ack(&mut self, session: u64) -> io::Result<u64> {
+    pub(crate) fn resume_ack(&mut self, session: u64) -> io::Result<u64> {
         Ok(parse_acked(&self.typed(&Request::Resume { session })?)?)
     }
 

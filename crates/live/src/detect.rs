@@ -146,12 +146,12 @@ impl OnlineDetector {
     }
 
     /// Distinct preferred-route groups observed.
-    pub fn group_count(&self) -> usize {
+    pub(crate) fn group_count(&self) -> usize {
         self.keys.len()
     }
 
     /// Confident degradation events recorded for `metric`.
-    pub fn event_count(&self, metric: DegradationMetric) -> u64 {
+    pub(crate) fn event_count(&self, metric: DegradationMetric) -> u64 {
         self.events[metric_slot(metric)]
     }
 
@@ -180,11 +180,8 @@ impl OnlineDetector {
     }
 
     /// The latest per-metric window status of `group`, if observed.
-    pub fn latest_status(
-        &self,
-        group: &GroupKey,
-        metric: DegradationMetric,
-    ) -> Option<WindowStatus> {
+    #[cfg(test)]
+    fn latest_status(&self, group: &GroupKey, metric: DegradationMetric) -> Option<WindowStatus> {
         self.groups.get(group)?.statuses[metric_slot(metric)].1.back().copied()
     }
 }

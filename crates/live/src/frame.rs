@@ -69,21 +69,21 @@ use edgeperf_routing::{PopId, Prefix, Relationship};
 use crate::record::LiveRecord;
 
 /// First four bytes of a binary-mode connection.
-pub const FRAME_MAGIC: [u8; 4] = *b"EPB1";
+pub(crate) const FRAME_MAGIC: [u8; 4] = *b"EPB1";
 /// Protocol version this decoder speaks.
-pub const FRAME_VERSION: u8 = 1;
+pub(crate) const FRAME_VERSION: u8 = 1;
 /// Total preamble length in bytes.
-pub const PREAMBLE_LEN: usize = 8;
+pub(crate) const PREAMBLE_LEN: usize = 8;
 /// Body length of a version-1 frame.
 pub const FRAME_BODY_LEN: usize = 44;
 /// On-wire length of a version-1 frame (length prefix + body).
 pub const FRAME_WIRE_LEN: usize = 1 + FRAME_BODY_LEN;
 /// Preamble flag (byte 6, bit 0): a hello block follows the preamble.
-pub const PREAMBLE_FLAG_HELLO: u8 = 0x01;
+pub(crate) const PREAMBLE_FLAG_HELLO: u8 = 0x01;
 /// First four bytes of the binary hello block.
-pub const HELLO_MAGIC: [u8; 4] = *b"EPH1";
+pub(crate) const HELLO_MAGIC: [u8; 4] = *b"EPH1";
 /// Total hello block length: magic + session u64 + epoch u64.
-pub const HELLO_LEN: usize = 20;
+pub(crate) const HELLO_LEN: usize = 20;
 
 const META_RELATIONSHIP_MASK: u8 = 0b0000_0011;
 const META_LONGER_PATH: u8 = 0b0000_0100;
@@ -102,7 +102,7 @@ pub fn preamble() -> [u8; PREAMBLE_LEN] {
 }
 
 /// The preamble variant announcing a hello block (resume protocol).
-pub fn preamble_with_hello() -> [u8; PREAMBLE_LEN] {
+pub(crate) fn preamble_with_hello() -> [u8; PREAMBLE_LEN] {
     let mut p = preamble();
     p[6] = PREAMBLE_FLAG_HELLO;
     p
@@ -110,7 +110,7 @@ pub fn preamble_with_hello() -> [u8; PREAMBLE_LEN] {
 
 /// Validate a complete preamble. Returns the declared frame body length
 /// and whether a [`hello_block`] follows the preamble.
-pub fn parse_preamble(p: &[u8; PREAMBLE_LEN]) -> Result<(usize, bool), EdgeperfError> {
+pub(crate) fn parse_preamble(p: &[u8; PREAMBLE_LEN]) -> Result<(usize, bool), EdgeperfError> {
     debug_assert_eq!(p[..4], FRAME_MAGIC, "caller matches magic before parsing");
     if p[4] != FRAME_VERSION {
         return Err(EdgeperfError::Frame {
@@ -132,7 +132,7 @@ pub fn parse_preamble(p: &[u8; PREAMBLE_LEN]) -> Result<(usize, bool), EdgeperfE
 }
 
 /// Encode the hello block: session id and reconnect epoch.
-pub fn hello_block(session: u64, epoch: u64) -> [u8; HELLO_LEN] {
+pub(crate) fn hello_block(session: u64, epoch: u64) -> [u8; HELLO_LEN] {
     let mut b = [0u8; HELLO_LEN];
     b[..4].copy_from_slice(&HELLO_MAGIC);
     b[4..12].copy_from_slice(&session.to_le_bytes());
@@ -141,7 +141,7 @@ pub fn hello_block(session: u64, epoch: u64) -> [u8; HELLO_LEN] {
 }
 
 /// Decode a hello block into `(session, epoch)`.
-pub fn parse_hello(b: &[u8; HELLO_LEN]) -> Result<(u64, u64), EdgeperfError> {
+pub(crate) fn parse_hello(b: &[u8; HELLO_LEN]) -> Result<(u64, u64), EdgeperfError> {
     if b[..4] != HELLO_MAGIC {
         return Err(EdgeperfError::Frame {
             message: format!("bad hello magic {:02x}{:02x}{:02x}{:02x}", b[0], b[1], b[2], b[3]),
@@ -201,7 +201,7 @@ fn le_f64(b: &[u8]) -> f64 {
 /// flagged `hdratio` is [`EdgeperfError::NonFinite`], and structurally
 /// impossible packed fields (relationship code 3, prefix length > 32,
 /// unknown meta bits, non-finite `ts_ms`) are [`EdgeperfError::Frame`].
-pub fn decode_body(b: &[u8]) -> Result<LiveRecord, EdgeperfError> {
+pub(crate) fn decode_body(b: &[u8]) -> Result<LiveRecord, EdgeperfError> {
     debug_assert!(b.len() >= FRAME_BODY_LEN, "caller checks the length prefix");
     let meta = b[43];
     if meta & !META_KNOWN_BITS != 0 {

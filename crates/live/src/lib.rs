@@ -82,19 +82,15 @@ pub use client::{
 pub use config::LiveConfig;
 pub use detect::{EpisodeChange, OnlineDetector};
 pub use edgeperf_core::plan::PlanError;
-pub use frame::{
-    decode_body, encode_frame, hello_block, parse_hello, parse_preamble, preamble,
-    preamble_with_hello, FrameDecoder, FRAME_BODY_LEN, FRAME_MAGIC, FRAME_VERSION, FRAME_WIRE_LEN,
-    HELLO_LEN, HELLO_MAGIC, PREAMBLE_FLAG_HELLO, PREAMBLE_LEN,
-};
+pub use frame::{encode_frame, preamble, FrameDecoder, FRAME_BODY_LEN, FRAME_WIRE_LEN};
 pub use protocol::{
-    cell_line_sort_key, parse_acked, parse_cells_header, parse_digest_header, read_row, read_rows,
-    write_row, CellLine, CellQuery, ClassCount, DigestHeader, GroupFilter, LiveSnapshot,
-    ProtocolError, ReasonCount, Request, Response, RowsHeader, WorkerStatsLine, PROTOCOL_VERSION,
+    cell_line_sort_key, parse_cells_header, parse_digest_header, CellLine, CellQuery, ClassCount,
+    DigestHeader, GroupFilter, LiveSnapshot, ProtocolError, ReasonCount, Request, Response,
+    RowsHeader, WorkerStatsLine, PROTOCOL_VERSION,
 };
 pub use queue::{spsc, Consumer, Producer, Waiter};
 pub use record::{relationship_from_label, LineParser, LiveRecord};
 pub use reply::{CellsReply, SharedWindow};
 pub use server::{shard_of, LiveServer, ServerHandle};
-pub use store::{CrashPoint, SegmentMeta, SegmentStore, SpillOutcome, StoreStats, QUERY_TOTALS};
+pub use store::{CrashPoint, SegmentMeta, SegmentStore, SpillOutcome, StoreStats};
 pub use window::{CellKey, CellSummary, ClosedWindow, WindowRing};

@@ -120,7 +120,7 @@ impl CellQuery {
     }
 
     /// Does window index `window` fall inside the range?
-    pub fn contains_window(&self, window: u32) -> bool {
+    pub(crate) fn contains_window(&self, window: u32) -> bool {
         self.from_window.is_none_or(|lo| window >= lo)
             && self.until_window.is_none_or(|hi| window <= hi)
     }
@@ -331,7 +331,7 @@ impl Request {
 
     /// Does this request require the read-your-own-writes barrier (sync
     /// lanes before serving) like the legacy `snapshot`/`stats`/`cells`?
-    pub fn needs_sync(&self) -> bool {
+    pub(crate) fn needs_sync(&self) -> bool {
         matches!(
             self,
             Request::Snapshot
@@ -759,7 +759,7 @@ fn write_fields(out: &mut impl io::Write, r: &Fields<'_>) -> io::Result<()> {
 /// bytes `serde_json::to_string(&store::cell_line(row))` gives, without
 /// building the [`CellLine`], its `String` or a `Value` tree. The
 /// property test below pins the equality; [`read_row`] is the inverse.
-pub fn write_row(out: &mut impl io::Write, row: &WindowCell) -> io::Result<()> {
+pub(crate) fn write_row(out: &mut impl io::Write, row: &WindowCell) -> io::Result<()> {
     write_fields(out, &Fields::from(row))
 }
 
@@ -771,7 +771,7 @@ const ROW_SHAPE: &str = "a cell row: {\"window\":N,…,\"hdratio_var\":X}";
 /// every `f64` keeps its bits. Anything else — a reordered, truncated or
 /// padded row, a value out of its field's range — is
 /// [`ProtocolError::MalformedReply`], never a panic.
-pub fn read_row(line: &str) -> Result<CellLine, ProtocolError> {
+pub(crate) fn read_row(line: &str) -> Result<CellLine, ProtocolError> {
     parse_row(line)
         .ok_or_else(|| ProtocolError::MalformedReply { expected: ROW_SHAPE, got: line.to_string() })
 }
@@ -895,7 +895,7 @@ const MAX_PREALLOC_ROWS: usize = 1 << 16;
 
 /// Read the `count` rows that follow a `cells`/`digest` header, each
 /// through `line` (one buffer for the whole reply) and [`read_row`].
-pub fn read_rows(
+pub(crate) fn read_rows(
     reader: &mut impl io::BufRead,
     count: usize,
     line: &mut String,
@@ -957,7 +957,7 @@ pub fn parse_digest_header(header: &str) -> Result<DigestHeader, ProtocolError> 
 }
 
 /// Parse the `{"acked":N}` reply to `hello`/`resume` (client side).
-pub fn parse_acked(line: &str) -> Result<u64, ProtocolError> {
+pub(crate) fn parse_acked(line: &str) -> Result<u64, ProtocolError> {
     line.strip_prefix("{\"acked\":")
         .and_then(|s| s.strip_suffix('}'))
         .and_then(|s| s.parse().ok())

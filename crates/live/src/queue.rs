@@ -114,7 +114,7 @@ impl<T> Producer<T> {
     /// True when a `try_push` would currently succeed. Reloads the
     /// consumer index, so it is exact at the time of the load — the
     /// park condition for a blocked producer.
-    pub fn has_space(&self) -> bool {
+    pub(crate) fn has_space(&self) -> bool {
         let cap = self.ring.mask + 1;
         let head = self.ring.head.0.load(Ordering::Acquire);
         self.tail.wrapping_sub(head) < cap
@@ -138,7 +138,7 @@ impl<T> Producer<T> {
     /// The consumer is gone (dropped, e.g. its thread panicked), so
     /// nothing will ever free a slot again — a blocked producer must
     /// give up instead of parking forever.
-    pub fn is_abandoned(&self) -> bool {
+    pub(crate) fn is_abandoned(&self) -> bool {
         self.ring.closed.load(Ordering::Acquire)
     }
 }
@@ -193,7 +193,7 @@ impl<T> Consumer<T> {
     /// the close flag is set after the producer's last push, so observing
     /// it (acquire) guarantees every prior push is visible — `closed`
     /// then an empty pop means the ring is drained for good.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.ring.closed.load(Ordering::Acquire)
     }
 }
@@ -260,7 +260,7 @@ impl Default for Waiter {
 impl Waiter {
     /// Wake the parked peer, if any. Call *after* the progress it waits
     /// for (a freed slot, a pushed item) is published.
-    pub fn notify(&self) {
+    pub(crate) fn notify(&self) {
         fence(Ordering::SeqCst);
         if self.waiting.load(Ordering::Relaxed) && self.waiting.swap(false, Ordering::SeqCst) {
             let mut epoch = self.epoch.lock().expect("waiter epoch");

@@ -54,7 +54,7 @@ fn index(i: usize) -> u32 {
 impl<'a> CellsReply<'a> {
     /// Every row of `windows` in the order given — the bare `cells` of a
     /// store-less server: worker, then window, then insertion order.
-    pub fn as_they_lie(windows: &'a [SharedWindow]) -> Self {
+    pub(crate) fn as_they_lie(windows: &'a [SharedWindow]) -> Self {
         CellsReply { windows, spilled: &[], order: None }
     }
 

@@ -106,7 +106,7 @@ pub fn window_cell(window: u32, key: &CellKey, s: &CellSummary) -> WindowCell {
 /// Flatten a segment row into the wire form served by `cells` — the
 /// same representation [`CellLine::new`] builds from a RAM window, so
 /// disk- and RAM-sourced cells are indistinguishable on the wire.
-pub fn cell_line(c: &WindowCell) -> CellLine {
+pub(crate) fn cell_line(c: &WindowCell) -> CellLine {
     CellLine {
         window: c.window,
         pop: c.group.pop.0,
@@ -293,7 +293,7 @@ pub struct SegmentStore {
 /// The [`StoreStats`] fields [`SegmentStore::query_totals`] reports, in
 /// its order: row groups read, segment bytes those reads moved, rows
 /// decoded out of them, rows that matched and were returned.
-pub const QUERY_TOTALS: [&str; 4] =
+pub(crate) const QUERY_TOTALS: [&str; 4] =
     ["query_groups_read", "query_bytes_read", "query_rows_examined", "query_rows_returned"];
 
 fn corrupt(message: String) -> EdgeperfError {
@@ -384,18 +384,13 @@ impl SegmentStore {
 
     /// Arm a deterministic disk-fault schedule (`spillfail` /
     /// `compactfail` / `spilldelay` clauses; the rest are ignored here).
-    pub fn set_chaos(&self, plan: ChaosPlan) {
+    pub(crate) fn set_chaos(&self, plan: ChaosPlan) {
         self.state.lock().expect("store state").chaos = plan;
     }
 
     /// The store is currently in degraded (RAM-only retention) mode.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.state.lock().expect("store state").degraded
-    }
-
-    /// Spill attempts that failed on disk since this store opened.
-    pub fn spill_error_count(&self) -> u64 {
-        self.state.lock().expect("store state").spill_errors
     }
 
     /// The spill directory this store owns.
@@ -405,7 +400,8 @@ impl SegmentStore {
 
     /// Arm the next matching operation boundary to fail as if the
     /// process died there (test instrumentation; see [`CrashPoint`]).
-    pub fn inject_crash(&self, point: CrashPoint) {
+    #[cfg(test)]
+    fn inject_crash(&self, point: CrashPoint) {
         *self.crash.lock().expect("crash point") = point;
     }
 
@@ -590,7 +586,7 @@ impl SegmentStore {
 
     /// What queries have read and returned since this store opened, in
     /// [`QUERY_TOTALS`] order. Takes no lock.
-    pub fn query_totals(&self) -> [u64; 4] {
+    pub(crate) fn query_totals(&self) -> [u64; 4] {
         [0, 1, 2, 3].map(|i| self.query_totals[i].load(Ordering::Relaxed))
     }
 
@@ -1039,7 +1035,7 @@ mod tests {
             assert!(err.to_string().contains("injected ENOSPC"), "op {op}: {err}");
         }
         assert!(store.is_degraded(), "threshold 3 reached");
-        assert_eq!(store.spill_error_count(), 3);
+        assert_eq!(store.stats().spill_errors, 3);
         // Two skipped attempts before the first probe — no disk contact.
         for _ in 0..2 {
             assert_eq!(
@@ -1083,7 +1079,7 @@ mod tests {
         // The next probe (op 2) is past the fault window and recovers.
         assert_eq!(store.spill_window(1, &window(1, 3)).expect("probes"), SpillOutcome::Spilled);
         assert!(!store.is_degraded());
-        assert_eq!(store.spill_error_count(), 2);
+        assert_eq!(store.stats().spill_errors, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -77,7 +77,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Nanos> {
+    pub(crate) fn peek_time(&self) -> Option<Nanos> {
         self.heap.peek().map(|e| e.key.0 .0)
     }
 

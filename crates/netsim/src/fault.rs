@@ -1,8 +1,7 @@
 //! Fault injection: packet-loss processes.
 //!
-//! Two models cover the study's needs: independent (Bernoulli) loss for the
-//! NS3-style validation sweeps, and Gilbert–Elliott two-state bursts for
-//! realistic congestion-episode loss (losses on the Internet cluster).
+//! Independent (Bernoulli) loss, as the NS3-style validation sweeps and
+//! the ablations inject it.
 
 use rand::Rng;
 
@@ -17,18 +16,6 @@ pub enum LossModel {
         /// Loss probability in [0, 1].
         p: f64,
     },
-    /// Gilbert–Elliott: a hidden good/bad channel state; packets are lost
-    /// with probability `loss_bad` while in the bad state.
-    GilbertElliott {
-        /// P(good → bad) per packet.
-        p_enter_bad: f64,
-        /// P(bad → good) per packet.
-        p_exit_bad: f64,
-        /// Loss probability while in the bad state.
-        loss_bad: f64,
-        /// Current state (true = bad).
-        in_bad: bool,
-    },
 }
 
 impl LossModel {
@@ -42,45 +29,11 @@ impl LossModel {
         }
     }
 
-    /// Bursty loss. With defaults `p_enter_bad` small and `p_exit_bad`
-    /// moderate, average loss ≈ `loss_bad · p_enter/(p_enter+p_exit)`.
-    pub fn gilbert_elliott(p_enter_bad: f64, p_exit_bad: f64, loss_bad: f64) -> Self {
-        for p in [p_enter_bad, p_exit_bad, loss_bad] {
-            assert!((0.0..=1.0).contains(&p), "probability {p}");
-        }
-        LossModel::GilbertElliott { p_enter_bad, p_exit_bad, loss_bad, in_bad: false }
-    }
-
     /// Decide the fate of the next packet.
-    pub fn is_lost<R: Rng>(&mut self, rng: &mut R) -> bool {
+    pub(crate) fn is_lost<R: Rng>(&mut self, rng: &mut R) -> bool {
         match self {
             LossModel::None => false,
             LossModel::Bernoulli { p } => rng.gen::<f64>() < *p,
-            LossModel::GilbertElliott { p_enter_bad, p_exit_bad, loss_bad, in_bad } => {
-                if *in_bad {
-                    if rng.gen::<f64>() < *p_exit_bad {
-                        *in_bad = false;
-                    }
-                } else if rng.gen::<f64>() < *p_enter_bad {
-                    *in_bad = true;
-                }
-                *in_bad && rng.gen::<f64>() < *loss_bad
-            }
-        }
-    }
-
-    /// Long-run expected loss rate of the process.
-    pub fn expected_rate(&self) -> f64 {
-        match self {
-            LossModel::None => 0.0,
-            LossModel::Bernoulli { p } => *p,
-            LossModel::GilbertElliott { p_enter_bad, p_exit_bad, loss_bad, .. } => {
-                if *p_enter_bad + *p_exit_bad == 0.0 {
-                    0.0
-                } else {
-                    loss_bad * p_enter_bad / (p_enter_bad + p_exit_bad)
-                }
-            }
         }
     }
 }
@@ -90,7 +43,7 @@ impl LossModel {
 /// bytes. The paper identifies policing as a key reason high-RTT clients
 /// fail to sustain goodput.
 #[derive(Debug, Clone)]
-pub struct Policer {
+pub(crate) struct Policer {
     rate_bps: u64,
     burst_bytes: u64,
     tokens: f64,
@@ -146,36 +99,6 @@ mod tests {
     #[test]
     fn bernoulli_zero_collapses_to_none() {
         assert!(matches!(LossModel::bernoulli(0.0), LossModel::None));
-    }
-
-    #[test]
-    fn gilbert_elliott_long_run_rate() {
-        let mut m = LossModel::gilbert_elliott(0.01, 0.2, 0.5);
-        let expect = m.expected_rate();
-        let mut rng = SmallRng::seed_from_u64(7);
-        let lost = (0..400_000).filter(|_| m.is_lost(&mut rng)).count();
-        let rate = lost as f64 / 400_000.0;
-        assert!((rate - expect).abs() < 0.005, "rate = {rate}, expect = {expect}");
-    }
-
-    #[test]
-    fn gilbert_elliott_losses_are_bursty() {
-        // Compare the number of loss "runs" with Bernoulli at equal rate:
-        // bursty loss has fewer, longer runs.
-        let mut ge = LossModel::gilbert_elliott(0.01, 0.2, 0.9);
-        let rate = ge.expected_rate();
-        let mut be = LossModel::bernoulli(rate);
-        let mut rng1 = SmallRng::seed_from_u64(3);
-        let mut rng2 = SmallRng::seed_from_u64(3);
-        let runs = |seq: Vec<bool>| seq.windows(2).filter(|w| !w[0] && w[1]).count();
-        let ge_seq: Vec<bool> = (0..200_000).map(|_| ge.is_lost(&mut rng1)).collect();
-        let be_seq: Vec<bool> = (0..200_000).map(|_| be.is_lost(&mut rng2)).collect();
-        let (ge_losses, be_losses) =
-            (ge_seq.iter().filter(|&&l| l).count(), be_seq.iter().filter(|&&l| l).count());
-        // Rates should be in the same ballpark…
-        assert!((ge_losses as f64 / be_losses as f64 - 1.0).abs() < 0.25);
-        // …but GE loss events cluster into fewer runs.
-        assert!(runs(ge_seq) < runs(be_seq) / 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   configurable rate, propagation delay, random loss, jitter, and an
 //!   optional token-bucket policer (the paper cites policing as a major
 //!   cause of failing to sustain goodput at high RTT).
-//! - [`fault`]: loss processes (Bernoulli and Gilbert–Elliott bursts).
+//! - [`fault`]: the Bernoulli loss process and the token-bucket policer.
 //! - [`flow`]: packet-level simulation of one TCP connection carrying a
 //!   sequence of application writes (HTTP responses), built on
 //!   `edgeperf-tcp`. Produces the per-write instrumentation records the

@@ -26,7 +26,7 @@ pub struct PathConfig {
     pub one_way_propagation: Nanos,
     /// Drop-tail queue capacity in bytes at the bottleneck.
     pub queue_capacity_bytes: u64,
-    /// Loss process applied before the queue (random/bursty loss on the
+    /// Loss process applied before the queue (random loss on the
     /// wire, distinct from queue overflow drops).
     pub loss: LossModel,
     /// Max extra per-packet delay (uniform in [0, jitter_max]).
@@ -77,7 +77,7 @@ impl PathConfig {
     }
 
     /// Effective service rate after background cross-traffic.
-    pub fn effective_bps(&self) -> u64 {
+    pub(crate) fn effective_bps(&self) -> u64 {
         assert!(
             (0.0..1.0).contains(&self.background_utilization),
             "background utilization must be in [0, 1): {}",
@@ -169,7 +169,7 @@ impl Path {
     }
 
     /// Delay for an ACK travelling receiver → sender.
-    pub fn ack_delay(&self) -> Nanos {
+    pub(crate) fn ack_delay(&self) -> Nanos {
         self.cfg.one_way_propagation
     }
 

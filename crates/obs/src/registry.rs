@@ -15,11 +15,11 @@ use std::time::Instant;
 
 /// Number of log₂ buckets a histogram holds: `u64` values bucket by
 /// `floor(log2(value))`, so 64 buckets cover the full range.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Bucket index of `value`: bucket 0 covers `[0, 2)`, bucket *i* ≥ 1
 /// covers `[2^i, 2^(i+1))`.
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     (63 - (value | 1).leading_zeros()) as usize
 }
 

@@ -1,26 +1,20 @@
 //! Edge-Fabric-style egress control (paper §2.2.3, [55]).
 //!
-//! Two responsibilities:
-//!
-//! 1. **Ordinary traffic**: when the preferred route's interconnect
-//!    approaches capacity, detour the overflow onto the next-best route,
-//!    preventing self-inflicted congestion at the edge.
-//! 2. **Sampled sessions**: pin routes deterministically so the
-//!    measurement dataset continuously covers the preferred route *and*
-//!    the best alternates, immune to the controller's shifts. The paper
-//!    routes ≈47% of sampled sessions via the best path and splits the
-//!    rest across (by default two) alternates.
-
-use crate::rib::Rib;
-use crate::types::{Prefix, Route};
+//! Of the controller's two jobs only the measurement one is modelled:
+//! **sampled sessions** are pinned to routes deterministically so the
+//! dataset continuously covers the preferred route *and* the best
+//! alternates, immune to the controller's shifts. The paper routes ≈47%
+//! of sampled sessions via the best path and splits the rest across (by
+//! default two) alternates. Detouring ordinary traffic off a hot
+//! interconnect has no caller in the study; ROADMAP item 11 (a
+//! performance-aware controller) is where it would come back.
 
 /// Where a session was placed and why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteChoice {
     /// Index into the policy-ranked route list (0 = preferred).
     pub rank: usize,
-    /// True when the placement was a measurement pin (sampled session)
-    /// rather than a capacity detour.
+    /// True when the placement was a measurement pin (sampled session).
     pub pinned: bool,
 }
 
@@ -31,13 +25,11 @@ pub struct EdgeFabric {
     pub preferred_fraction: f64,
     /// Number of alternate routes to measure (the paper uses 2).
     pub alternates: usize,
-    /// Utilization (0–1) above which ordinary traffic detours.
-    pub detour_threshold: f64,
 }
 
 impl Default for EdgeFabric {
     fn default() -> Self {
-        EdgeFabric { preferred_fraction: 0.47, alternates: 2, detour_threshold: 0.95 }
+        EdgeFabric { preferred_fraction: 0.47, alternates: 2 }
     }
 }
 
@@ -60,36 +52,6 @@ impl EdgeFabric {
         };
         RouteChoice { rank, pinned: true }
     }
-
-    /// Place ordinary (unsampled) traffic given current interface
-    /// utilizations (same order as `routes`): use the preferred route
-    /// unless it is above the detour threshold, else the first route
-    /// below threshold (falling back to the least-utilized).
-    pub fn place_ordinary(&self, routes: &[&Route], utilization: &[f64]) -> RouteChoice {
-        assert!(!routes.is_empty());
-        assert_eq!(routes.len(), utilization.len());
-        for (rank, &u) in utilization.iter().enumerate() {
-            if u < self.detour_threshold {
-                return RouteChoice { rank, pinned: false };
-            }
-        }
-        // All hot: pick the least loaded.
-        let rank = utilization
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap();
-        RouteChoice { rank, pinned: false }
-    }
-
-    /// Convenience: ranked routes for a prefix from a RIB, limited to the
-    /// preferred route plus the configured number of alternates.
-    pub fn measured_routes<'a>(&self, rib: &'a Rib, prefix: &Prefix) -> Vec<&'a Route> {
-        let mut rs = rib.ranked(prefix);
-        rs.truncate(1 + self.alternates);
-        rs
-    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -102,17 +64,6 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{AsPath, Asn, Relationship, RouteId};
-
-    fn mk_route(id: u32) -> Route {
-        Route {
-            id: RouteId(id),
-            prefix: Prefix::new(0x0A000000, 16),
-            as_path: AsPath(vec![Asn(7018)]),
-            relationship: Relationship::PrivatePeer,
-            capacity_bps: 1_000_000_000,
-        }
-    }
 
     #[test]
     fn pinning_splits_as_configured() {
@@ -154,50 +105,5 @@ mod tests {
             let r = ef.pin_sampled(id, 2).rank;
             assert!(r <= 1);
         }
-    }
-
-    #[test]
-    fn ordinary_traffic_prefers_rank_zero_when_cool() {
-        let ef = EdgeFabric::default();
-        let r0 = mk_route(0);
-        let r1 = mk_route(1);
-        let routes = vec![&r0, &r1];
-        let c = ef.place_ordinary(&routes, &[0.5, 0.1]);
-        assert_eq!(c.rank, 0);
-        assert!(!c.pinned);
-    }
-
-    #[test]
-    fn ordinary_traffic_detours_when_hot() {
-        let ef = EdgeFabric::default();
-        let r0 = mk_route(0);
-        let r1 = mk_route(1);
-        let routes = vec![&r0, &r1];
-        let c = ef.place_ordinary(&routes, &[0.99, 0.3]);
-        assert_eq!(c.rank, 1);
-    }
-
-    #[test]
-    fn all_hot_picks_least_loaded() {
-        let ef = EdgeFabric::default();
-        let r0 = mk_route(0);
-        let r1 = mk_route(1);
-        let r2 = mk_route(2);
-        let routes = vec![&r0, &r1, &r2];
-        let c = ef.place_ordinary(&routes, &[0.99, 0.96, 0.98]);
-        assert_eq!(c.rank, 1);
-    }
-
-    #[test]
-    fn measured_routes_truncates_to_three() {
-        let mut rib = Rib::new();
-        let pre = Prefix::new(0x0A000000, 16);
-        for i in 0..5 {
-            let mut r = mk_route(i);
-            r.relationship = Relationship::Transit;
-            rib.insert(r);
-        }
-        let ef = EdgeFabric::default();
-        assert_eq!(ef.measured_routes(&rib, &pre).len(), 3);
     }
 }

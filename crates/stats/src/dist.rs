@@ -11,7 +11,7 @@
 /// Uses the relation Φ(x) = erfc(-x/√2)/2 with a high-accuracy rational
 /// `erfc` approximation (from Numerical Recipes; relative error < 1.2e-7,
 /// which is far below what order-statistic CIs can resolve).
-pub fn norm_cdf(x: f64) -> f64 {
+pub(crate) fn norm_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
@@ -101,13 +101,13 @@ pub fn norm_inv_cdf(p: f64) -> f64 {
 }
 
 /// ln C(n, k) via ln-gamma, stable for large n.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
     assert!(k <= n);
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
 
 /// ln(n!) using Stirling's series for large n and a small lookup otherwise.
-pub fn ln_factorial(n: u64) -> f64 {
+pub(crate) fn ln_factorial(n: u64) -> f64 {
     if n < 2 {
         return 0.0;
     }
@@ -123,7 +123,7 @@ pub fn ln_factorial(n: u64) -> f64 {
 /// P[Bin(n, 1/2) ≤ k]: the lower tail of a fair binomial.
 ///
 /// Order-statistic confidence intervals for medians need exactly this tail.
-pub fn binom_half_cdf(n: u64, k: u64) -> f64 {
+pub(crate) fn binom_half_cdf(n: u64, k: u64) -> f64 {
     if k >= n {
         return 1.0;
     }

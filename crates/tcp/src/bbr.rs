@@ -44,7 +44,8 @@ impl BbrLite {
     }
 
     /// Current bottleneck-bandwidth estimate in bits/second.
-    pub fn btl_bw_bps(&self) -> f64 {
+    #[cfg(test)]
+    fn btl_bw_bps(&self) -> f64 {
         self.btl_bw * 8.0
     }
 

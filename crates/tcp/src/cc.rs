@@ -159,7 +159,7 @@ impl CongestionControl for Cubic {
 }
 
 /// Construct the configured algorithm.
-pub fn make_cc(algo: CcAlgorithm, mss: u32) -> Box<dyn CongestionControl + Send> {
+pub(crate) fn make_cc(algo: CcAlgorithm, mss: u32) -> Box<dyn CongestionControl + Send> {
     match algo {
         CcAlgorithm::Reno => Box::new(Reno::new(mss)),
         CcAlgorithm::Cubic => Box::new(Cubic::new(mss)),

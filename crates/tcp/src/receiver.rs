@@ -36,8 +36,6 @@ pub struct DelayedAckReceiver {
     pending_deadline: Option<Nanos>,
     delayed_ack_timeout: Nanos,
     delayed_ack_disabled: bool,
-    /// Total bytes received (for diagnostics).
-    bytes_received: u64,
 }
 
 impl DelayedAckReceiver {
@@ -51,29 +49,24 @@ impl DelayedAckReceiver {
             pending_deadline: None,
             delayed_ack_timeout: timeout,
             delayed_ack_disabled: disabled,
-            bytes_received: 0,
         }
     }
 
     /// Next expected in-order sequence number (the cumulative ACK value).
-    pub fn rcv_nxt(&self) -> u64 {
+    #[cfg(test)]
+    fn rcv_nxt(&self) -> u64 {
         self.rcv_nxt
     }
 
-    /// Total payload bytes received (including out-of-order).
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received
-    }
-
     /// Deadline of the pending delayed ACK, if one is armed.
-    pub fn ack_deadline(&self) -> Option<Nanos> {
+    #[cfg(test)]
+    fn ack_deadline(&self) -> Option<Nanos> {
         self.pending_deadline
     }
 
     /// A data segment `[seq, seq+len)` arrived at `now`.
     pub fn on_segment(&mut self, now: Nanos, seq: u64, len: u32) -> AckAction {
         assert!(len > 0, "zero-length segment");
-        self.bytes_received += len as u64;
         let end = seq + len as u64;
 
         if seq > self.rcv_nxt {
@@ -239,14 +232,6 @@ mod tests {
             a => panic!("{a:?}"),
         }
     }
-
-    #[test]
-    fn bytes_received_counts_everything() {
-        let mut r = DelayedAckReceiver::new(TO, true);
-        r.on_segment(0, 0, 1000);
-        r.on_segment(1, 5000, 500); // out of order still counted
-        assert_eq!(r.bytes_received(), 1500);
-    }
 }
 
 #[cfg(test)]
@@ -281,7 +266,6 @@ mod reorder_properties {
                 prop_assert!(r.rcv_nxt() <= total);
             }
             prop_assert_eq!(r.rcv_nxt(), total);
-            prop_assert_eq!(r.bytes_received(), total);
         }
     }
 }

@@ -42,12 +42,12 @@ impl RttEstimator {
     }
 
     /// A retransmission timeout fired: double the RTO (capped).
-    pub fn on_timeout(&mut self) {
+    pub(crate) fn on_timeout(&mut self) {
         self.backoff = (self.backoff + 1).min(10);
     }
 
     /// Current retransmission timeout.
-    pub fn rto(&self) -> Nanos {
+    pub(crate) fn rto(&self) -> Nanos {
         let base = match self.srtt {
             None => SECOND, // RFC 6298 initial RTO (1 s, conservative)
             Some(srtt) => srtt + (4 * self.rttvar).max(MILLISECOND),

@@ -121,11 +121,6 @@ impl TcpSender {
         self.snd_una == self.app_limit
     }
 
-    /// First unacknowledged sequence number.
-    pub fn snd_una(&self) -> u64 {
-        self.snd_una
-    }
-
     /// Next new sequence number (bytes written to the wire so far).
     pub fn snd_nxt(&self) -> u64 {
         self.snd_nxt

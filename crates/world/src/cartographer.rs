@@ -35,7 +35,7 @@ impl Default for MappingPolicy {
 }
 
 /// PoPs ranked by modelled propagation RTT to a location.
-pub fn ranked_pops(pops: &[Pop], loc: GeoPoint) -> Vec<(&Pop, f64)> {
+pub(crate) fn ranked_pops(pops: &[Pop], loc: GeoPoint) -> Vec<(&Pop, f64)> {
     let mut v: Vec<(&Pop, f64)> =
         pops.iter().map(|p| (p, propagation_rtt_ms(p.loc, loc))).collect();
     v.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -43,7 +43,7 @@ pub fn ranked_pops(pops: &[Pop], loc: GeoPoint) -> Vec<(&Pop, f64)> {
 }
 
 /// Map a client cluster to its serving PoP under the policy.
-pub fn map_cluster(
+pub(crate) fn map_cluster(
     pops: &[Pop],
     loc: GeoPoint,
     policy: MappingPolicy,

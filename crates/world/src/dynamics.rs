@@ -29,13 +29,13 @@ fn unit(h: u64) -> f64 {
 }
 
 /// Local hour (0–24, fractional) for a window given a UTC offset.
-pub fn local_hour(window: u32, utc_offset: i8) -> f64 {
+pub(crate) fn local_hour(window: u32, utc_offset: i8) -> f64 {
     let utc_hour = (window % WINDOWS_PER_DAY) as f64 * 24.0 / WINDOWS_PER_DAY as f64;
     (utc_hour + utc_offset as f64).rem_euclid(24.0)
 }
 
 /// Diurnal activity factor ∈ [0, 1]: minimal ≈5 AM, peak ≈21 PM local.
-pub fn diurnal_factor(local_hour: f64) -> f64 {
+pub(crate) fn diurnal_factor(local_hour: f64) -> f64 {
     // Shifted sinusoid peaking at 21:00.
     let phase = (local_hour - 21.0) / 24.0 * std::f64::consts::TAU;
     (0.5 + 0.5 * phase.cos()).powi(2)

@@ -58,7 +58,7 @@ pub struct GeoPoint {
 }
 
 /// Great-circle distance (haversine), kilometres.
-pub fn distance_km(a: GeoPoint, b: GeoPoint) -> f64 {
+pub(crate) fn distance_km(a: GeoPoint, b: GeoPoint) -> f64 {
     const R: f64 = 6_371.0;
     let (la1, la2) = (a.lat.to_radians(), b.lat.to_radians());
     let dla = (b.lat - a.lat).to_radians();

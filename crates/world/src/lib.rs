@@ -35,13 +35,13 @@ pub mod runner;
 pub mod supervisor;
 pub mod topology;
 
-pub use cartographer::{map_cluster, ranked_pops, MappingPolicy};
+pub use cartographer::MappingPolicy;
 pub use checkpoint::{checkpoint_fingerprint, run_study_checkpointed};
 pub use edgeperf_core::plan::PlanError;
-pub use geo::{distance_km, propagation_rtt_ms, Continent, GeoPoint};
+pub use geo::{propagation_rtt_ms, Continent, GeoPoint};
 pub use runner::{
-    run_study, run_study_into, simulate_session, simulate_session_scratch, simulate_session_with,
-    SessionScratch, StudyConfig, StudyStats, WorkerCounters,
+    run_study, run_study_into, simulate_session, simulate_session_with, SessionScratch,
+    StudyConfig, StudyStats, WorkerCounters,
 };
 pub use supervisor::{
     run_study_supervised, FaultPlan, QuarantinedPrefix, StudyReport, SupervisorConfig,

@@ -315,7 +315,7 @@ pub struct SessionScratch {
 
 /// As [`simulate_session_with`], reusing caller-owned scratch buffers
 /// across calls. The hot path: the runner keeps one scratch per prefix.
-pub fn simulate_session_scratch(
+pub(crate) fn simulate_session_scratch(
     plan: &SessionPlan,
     state: &PathState,
     tcp: TcpConfig,

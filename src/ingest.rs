@@ -183,7 +183,7 @@ impl SessionIn {
 }
 
 /// One evaluated input line: a verdict, or the typed per-line error.
-pub type LineResult = Result<VerdictOut, LineError>;
+pub(crate) type LineResult = Result<VerdictOut, LineError>;
 
 /// Evaluate a stream of JSONL sessions; invalid lines yield [`LineError`]
 /// entries carrying the 1-based line number and a typed cause.
@@ -217,7 +217,7 @@ pub fn evaluate_jsonl_observed(input: &str, target_bps: f64, metrics: &Metrics) 
 /// 1-based line number, the typed reason (stable, machine-matchable),
 /// the human-readable error, and the offending raw line — everything
 /// needed to replay or triage the reject without the original file.
-pub fn quarantine_line(raw: &str, err: &LineError) -> String {
+pub(crate) fn quarantine_line(raw: &str, err: &LineError) -> String {
     let v = serde_json::Value::Object(vec![
         ("line".to_string(), serde_json::Value::Num(err.line as f64)),
         ("reason".to_string(), serde_json::Value::Str(err.error.reason().to_string())),
