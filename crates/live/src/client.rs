@@ -1,15 +1,20 @@
 //! Blocking client for the live server's line protocol.
 //!
-//! Used by the load generator, the CI smoke job and the agreement
-//! tests; also a reference implementation of the protocol for external
-//! tooling. Command lines are produced by [`Request::wire_line`] and
+//! Used by the load generator, the fleet tier (a coordinator answers the
+//! same verbs, so its client is this one), the CI smoke job and the
+//! agreement tests; also a reference implementation of the protocol for
+//! external tooling. Command lines are produced by [`Request::wire_line`] and
 //! replies parsed by the [`crate::protocol`] helpers — the client never
 //! hand-rolls wire syntax, so it cannot drift from the server. The rows
 //! of a `cells`/`digest` reply are read through one reused line buffer
 //! and [`crate::protocol::read_row`]: what a row still costs the client
 //! is the [`CellLine`] it returns, relationship `String` included. Data
 //! lines are buffered (flushed before any command round-trip) so replay
-//! throughput is not bounded by per-line syscalls.
+//! throughput is not bounded by per-line syscalls. An `{"error":…}`
+//! reply to a typed verb is an [`io::Error`] carrying the server's line.
+//!
+//! [`replay_with_resume`] is the exactly-once data path: one resumable
+//! connection of either wire over payloads the caller has rendered.
 
 use crate::chaos::{WireChaos, WireFault};
 use crate::frame::{encode_frame, hello_block, preamble, preamble_with_hello};

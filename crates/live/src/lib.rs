@@ -14,7 +14,8 @@
 //! Module map:
 //!
 //! - [`config`]: [`LiveConfig`] — address, workers, window geometry,
-//!   lateness bound, queue capacity, retention, detection thresholds.
+//!   lateness bound, queue capacity, retention, detection thresholds;
+//!   public fields over a `Default`, checked by [`LiveServer::start`].
 //! - [`record`]: [`LiveRecord`] and the pluggable [`LineParser`] wire
 //!   trait (the umbrella `edgeperf` crate supplies the JSONL format).
 //! - [`frame`]: the length-prefixed binary wire format — preamble
@@ -54,7 +55,8 @@
 //!   panic recovery), `stats` (accept/reject accounting), `background`
 //!   (compactor, heartbeat supervisor).
 //! - [`client`]: [`LiveClient`], the blocking protocol client used by
-//!   the load generator and the agreement tests.
+//!   the load generator, the fleet tier and the agreement tests, and
+//!   [`replay_with_resume`], the exactly-once data connection.
 //!
 //! The cross-cutting invariant: a finite replay through the server is
 //! **bit-identical** to the offline [`edgeperf_analysis::StreamingDataset`]
