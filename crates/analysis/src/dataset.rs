@@ -5,8 +5,6 @@
 use crate::degradation::DegradationMetric;
 use crate::hash::FxHashMap;
 use crate::record::{GroupKey, SessionRecord};
-#[cfg(test)]
-use crate::segment::WindowCell;
 use edgeperf_routing::Relationship;
 use edgeperf_stats::median_ci::median_variance_sorted;
 
@@ -270,7 +268,7 @@ impl Summaries {
     /// segments). The grid spans the rows' first to last window; groups
     /// come out in first-seen order.
     #[cfg(test)]
-    pub(crate) fn from_cells(cells: &[WindowCell]) -> Summaries {
+    pub(crate) fn from_cells(cells: &[crate::segment::WindowCell]) -> Summaries {
         let first = cells.iter().map(|c| c.window).min().unwrap_or(0);
         let n_windows = cells.iter().map(|c| (c.window - first) as usize + 1).max().unwrap_or(0);
         let mut grid = GroupSlots::new(n_windows);
@@ -284,13 +282,13 @@ impl Summaries {
     /// Flatten into rows, windows numbered from 0: group by group, rank
     /// by rank, window by window.
     #[cfg(test)]
-    pub(crate) fn to_cells(&self) -> Vec<WindowCell> {
+    pub(crate) fn to_cells(&self) -> Vec<crate::segment::WindowCell> {
         let mut out = Vec::new();
         for (key, g) in &self.groups {
             for (rank, ws) in g.ranks.iter().enumerate() {
                 for (w, cell) in ws.iter().enumerate() {
                     if let Some(cell) = cell {
-                        out.push(WindowCell::new(w as u32, *key, rank as u8, cell));
+                        out.push(crate::segment::WindowCell::new(w as u32, *key, rank as u8, cell));
                     }
                 }
             }

@@ -923,9 +923,7 @@ mod tests {
         }
         // Fake crash leftovers: a staged tmp and an unreferenced segment.
         edgeperf_analysis::atomic_write(&dir.join("seg-00000099.seg"), b"torn").unwrap();
-        let mut staged = StagedFile::create(&dir.join("seg-00000100.seg")).unwrap();
-        staged.write_all(b"staged").unwrap();
-        drop(staged);
+        StagedFile::create(&dir.join("seg-00000100.seg")).unwrap().write_all(b"staged").unwrap();
         let store = SegmentStore::open(&dir, 8, 8, 3).expect("reopens");
         assert!(!dir.join("seg-00000099.seg").exists(), "orphan segment swept");
         assert!(!dir.join("seg-00000100.seg.tmp").exists(), "orphan tmp swept");
