@@ -1,7 +1,7 @@
 //! `loadgen` — replay simulated workload sessions into `edgeperf serve`.
 //!
 //! ```text
-//! loadgen --addr HOST:PORT [--wire jsonl|binary] [--rate F] [--sessions N]
+//! loadgen --addr HOST:PORT [--wire jsonl|binary] [--sessions N]
 //!         [--connections N] [--groups N] [--windows N] [--window-ms F]
 //!         [--lateness-ms F] [--max-txns N] [--seed N] [--shutdown]
 //!         [--query-from N] [--query-until N]
@@ -14,19 +14,21 @@
 //!         [--window-ms F] [--lateness-ms F] [--expect-clean] [--json PATH]
 //! ```
 //!
-//! Three modes, each proving the live tier correct rather than timing it
-//! (`benchmark/` is the performance instrument). Each prints its report as
-//! JSON on stdout; `--json PATH` also writes it to a file. Integer flags
-//! are parsed as integers of their own type: `1.5`, `-1` or a value out of
+//! Three modes, each proving the live tier correct — none times it, and
+//! there is no pacing or latency flag (`benchmark/` is the performance
+//! instrument). Each prints its report as JSON on stdout; `--json PATH`
+//! also writes it to a file; `--expect-clean` exits non-zero unless the
+//! report's `verdict()` — the one predicate the test suites assert too —
+//! is `Ok`, naming the first condition that failed. Integer flags are
+//! parsed as integers of their own type: `1.5`, `-1` or a value out of
 //! range is an error naming the flag, not a silently altered number.
 //!
 //! The plain replay prints a [`edgeperf_bench::loadgen::LoadReport`].
 //! `--wire binary` negotiates the length-prefixed binary frame format
 //! (the estimator runs locally; the server skips JSON entirely).
-//! `--shutdown` drains the server at the end of the replay.
-//! `--expect-clean` exits non-zero unless every session was ingested
-//! (no rejects, no late drops, groups observed, clean drain when
-//! `--shutdown` was given) — the CI smoke assertion.
+//! `--shutdown` drains the server at the end of the replay. Its verdict:
+//! every session ingested, no rejects, no late drops, groups observed,
+//! clean drain when `--shutdown` was given.
 //!
 //! `--query-from` / `--query-until` issue a window-range `cells` query
 //! after the replay (and before any `--shutdown` drain) — the smoke for
@@ -36,38 +38,44 @@
 //! `--chaos PLAN` self-hosts a fault-injected server (the plan's worker
 //! panics and disk faults fire server-side; its disconnects, torn
 //! records and stalls fire client-side in the resume loop), replays
-//! with reconnect-and-resume, then proves the recovery exact against a
-//! fault-free control server, reported as a
+//! with reconnect-and-resume, then compares what it serves with the
+//! serial oracle, reported as a
 //! [`edgeperf_bench::loadgen::ChaosReport`]. `--spill-dir` (with
 //! `--retention`, default
-//! [`edgeperf_bench::loadgen::CHAOS_SPILL_RETENTION`]) routes the faulted
-//! server through the tiered store so `spillfail:`/`compactfail:` clauses
-//! have a disk to hit. With `--expect-clean` the run must ack every
-//! record exactly once, reject nothing, and be bit-identical to the
-//! control.
+//! [`edgeperf_bench::loadgen::CHAOS_SPILL_RETENTION`]) routes the server
+//! through the tiered store so `spillfail:`/`compactfail:` clauses have a
+//! disk to hit. Its verdict: every record acked and applied exactly
+//! once, nothing rejected, lost or shed, and
+//! `bit_identical_to_serial`.
 //!
 //! `--fleet ADDR` replays a catchment-partitioned workload through the
 //! multi-PoP coordinator listening on `ADDR` (started with `edgeperf
 //! fleet`); `--fleet-pops N` self-hosts an N-PoP fleet in-process
 //! instead. Either way each group's records go to the PoP the anycast
-//! catchment homes them on, the merged `fleet cells` view is compared
-//! f64-bit-identically against a fault-free single-node control, and
-//! the run is reported as a
+//! catchment homes them on, and the merged `fleet cells` view is
+//! compared with the serial oracle, reported as a
 //! [`edgeperf_bench::fleet_run::FleetReport`]. `--fleet-chaos PLAN`
 //! (grammar `kill:POP@RECORDS;seed:S`) kills a PoP mid-replay and
-//! proves exactly-once failover. With `--expect-clean` every record
-//! must be acked and accepted exactly once fleet-wide, nothing
-//! rejected or late, every planned kill fired (re-homing at least one
-//! group), and the merged view bit-identical to the control.
+//! proves exactly-once failover. Its verdict: every record acked and
+//! accepted exactly once fleet-wide, nothing rejected or late, a clean
+//! drain, every planned kill fired (re-homing at least one group), and
+//! `bit_identical_to_serial`.
+//!
+//! `bit_identical_to_serial` means one thing in both reports: the
+//! served `cells from=0 until=K` equal, row for row and float bit for
+//! float bit, one serial `WindowRing` pass over the very sessions that
+//! were sent, where `K` (`settled_until` in the report) is the last
+//! window every worker and PoP is known to have closed
+//! ([`edgeperf_bench::loadgen::settled_horizon`]). A replay too short to
+//! settle any window is refused, not passed.
 //!
 //! `--workers` sets the ingest workers of every self-hosted server (the
-//! chaos pair; each PoP of a `--fleet-pops` fleet and the fleet's
-//! single-node control).
+//! chaos server; each PoP of a `--fleet-pops` fleet).
 
 use edgeperf::flag_value as value;
 use edgeperf_bench::fleet_run::{run_fleet, run_fleet_at, FleetRunOpts};
 use edgeperf_bench::loadgen::{
-    run, run_chaos, ChaosRunOpts, LoadReport, LoadgenConfig, WireMode, CHAOS_SPILL_RETENTION,
+    run, run_chaos, ChaosRunOpts, LoadgenConfig, WireMode, CHAOS_SPILL_RETENTION,
 };
 use edgeperf_fleet::FleetChaosPlan;
 use edgeperf_live::{CellQuery, ChaosPlan, LiveClient};
@@ -125,7 +133,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .and_then(|s| WireMode::parse(s))
                     .ok_or("--wire needs `jsonl` or `binary`")?;
             }
-            "--rate" => cfg.rate = value(&mut it, flag, "a number")?,
             "--sessions" => cfg.sessions = int(&mut it, flag)?,
             "--connections" => cfg.connections = int(&mut it, flag)?,
             "--groups" => cfg.groups = int(&mut it, flag)?,
@@ -135,7 +142,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--target-bps" => cfg.target_bps = value(&mut it, flag, "a number")?,
             "--max-txns" => cfg.max_txns = int(&mut it, flag)?,
             "--seed" => cfg.seed = int(&mut it, flag)?,
-            "--ping-interval-ms" => cfg.ping_interval_ms = int(&mut it, flag)?,
             "--shutdown" => cfg.shutdown = true,
             "--workers" => cli.workers = int(&mut it, flag)?,
             "--chaos" => {
@@ -189,15 +195,8 @@ fn main() {
         };
         let report = run_chaos(&cfg, &plan, &opts).unwrap_or_else(|e| die(&format!("chaos: {e}")));
         emit(&serde_json::to_string_pretty(&report).expect("report serializes"), &json_path);
-        if expect_clean
-            && !(report.acked == report.sessions
-                && report.accepted == report.sessions
-                && report.rejected == 0
-                && report.worker_lost_records == 0
-                && report.windows_shed == 0
-                && report.bit_identical_to_clean)
-        {
-            die(&format!("chaos run was not clean: {report:?}"));
+        if let (true, Err(why)) = (expect_clean, report.verdict()) {
+            die(&format!("chaos run was not clean: {why}: {report:?}"));
         }
         return;
     }
@@ -215,17 +214,8 @@ fn main() {
             None => run_fleet(&cfg, &opts).unwrap_or_else(|e| die(&format!("fleet: {e}"))),
         };
         emit(&serde_json::to_string_pretty(&report).expect("report serializes"), &json_path);
-        if expect_clean
-            && !(report.acked == report.sessions
-                && report.accepted == report.sessions
-                && report.rejected == 0
-                && report.late == 0
-                && report.drained
-                && report.kills == planned_kills
-                && (report.kills == 0 || report.rehomed_groups > 0)
-                && report.bit_identical_to_single_node)
-        {
-            die(&format!("fleet run was not clean: {report:?}"));
+        if let (true, Err(why)) = (expect_clean, report.verdict(planned_kills)) {
+            die(&format!("fleet run was not clean: {why}: {report:?}"));
         }
         return;
     }
@@ -263,8 +253,8 @@ fn main() {
         }
     }
     emit(&serde_json::to_string_pretty(&report).expect("report serializes"), &json_path);
-    if expect_clean {
-        check_clean(&report, cfg.shutdown);
+    if let (true, Err(why)) = (expect_clean, report.verdict(cfg.shutdown)) {
+        die(&format!("replay was not clean: {why}: {report:?}"));
     }
 }
 
@@ -273,17 +263,6 @@ fn emit(json: &str, json_path: &Option<String>) {
     if let Some(path) = json_path {
         std::fs::write(path, format!("{json}\n"))
             .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-    }
-}
-
-fn check_clean(report: &LoadReport, drained_expected: bool) {
-    let clean = report.accepted == report.sessions
-        && report.rejected == 0
-        && report.late == 0
-        && report.groups > 0
-        && (!drained_expected || report.drained);
-    if !clean {
-        die(&format!("replay was not clean: {report:?}"));
     }
 }
 
@@ -311,7 +290,7 @@ mod tests {
             "4294967295",
             "--workers",
             "2",
-            "--rate",
+            "--window-ms",
             "1.5",
         ])
         .unwrap();
@@ -319,7 +298,7 @@ mod tests {
         assert_eq!(cli.fleet_pops, Some(u16::MAX));
         assert_eq!(cli.query_until, Some(u32::MAX));
         assert_eq!(cli.workers, 2);
-        assert_eq!(cli.cfg.rate, 1.5);
+        assert_eq!(cli.cfg.window_ms, 1.5);
         let defaults = parse(&[]).unwrap();
         assert_eq!((defaults.workers, defaults.retention), (4, CHAOS_SPILL_RETENTION));
     }
@@ -336,7 +315,6 @@ mod tests {
             "--workers",
             "--retention",
             "--idle-timeout-ms",
-            "--ping-interval-ms",
             "--fleet-pops",
             "--query-from",
             "--query-until",
@@ -350,7 +328,7 @@ mod tests {
         for (args, want) in [
             (&["--fleet-pops", "70000"][..], "--fleet-pops needs an integer"),
             (&["--windows", "4294967296"], "--windows needs an integer"),
-            (&["--rate", "fast"], "--rate needs a number"),
+            (&["--window-ms", "wide"], "--window-ms needs a number"),
             (&["--addr"], "--addr needs an address"),
             (&["--wire", "xml"], "--wire needs `jsonl` or `binary`"),
             (&["--json"], "--json needs a path"),

@@ -1,6 +1,7 @@
 //! Fleet load generation: catchment-routed, chunk-barriered replay
-//! across a multi-PoP fleet, with mid-run PoP failover, proven
-//! bit-identical to a single-node control run.
+//! across a multi-PoP fleet, with mid-run PoP failover, its merged view
+//! proven bit-identical to the serial oracle over the settled horizon
+//! ([`crate::loadgen::settled_horizon`]).
 //!
 //! Routing mirrors anycast: each user group's client key is homed via
 //! the coordinator's `home` command, and the group's full record
@@ -16,8 +17,8 @@
 //! the replayer opens a *new* session whose payload is the inherited
 //! groups' full substream from record zero. The server acks zero for
 //! an unknown session, so resume naturally replays everything, and the
-//! new home rebuilds exactly the per-group insertion sequences a
-//! single-node run would have seen. The lateness budget that makes the
+//! new home rebuilds exactly the per-group insertion sequences one
+//! serial pass sees. The lateness budget that makes the
 //! catch-up safe: a kill at event time `T` is only valid while
 //! `T <= lateness/2`, because the survivors' watermark at the kill
 //! barrier is then `<= T + lateness/2 - lateness <= 0` — older than
@@ -31,14 +32,14 @@ use std::time::Instant;
 use edgeperf::serve::WireParser;
 use edgeperf_fleet::{ClientKey, Fleet, FleetChaosPlan, FleetClient, FleetConfig};
 use edgeperf_live::{
-    cell_line_sort_key, replay_with_resume, CellLine, CellQuery, ChaosPlan, LiveClient, LiveConfig,
-    RetryPolicy, WireChaos, WireMode,
+    first_difference, replay_with_resume, ChaosPlan, RetryPolicy, WireChaos, WireMode,
 };
 use edgeperf_obs::Metrics;
 use serde::{Deserialize, Serialize};
 
 use crate::loadgen::{
-    generate_lines, hosted_config, jsonl_payloads, render_rows, start_hosted, LoadgenConfig,
+    differs_from_serial, first_violated, generate_lines, jsonl_payloads, serial_rows,
+    settled_horizon, settled_query, LoadgenConfig, MetricsReply,
 };
 
 /// Fleet-run shape: how many PoPs to host and what to break.
@@ -98,15 +99,38 @@ pub struct FleetReport {
     pub fanout_reconnects: u64,
     /// Last fleet cells merge latency, ms.
     pub merge_ms: f64,
-    /// Rows in the fleet-merged full-range cells view.
+    /// Rows in the fleet-merged view of the settled horizon.
     pub fleet_cells: u64,
     /// Final per-PoP catchment share over observed client keys.
     pub catchment_share: Vec<f64>,
-    /// Fleet-merged cells are f64-bit-identical (and byte-identical
-    /// when serialized) to a single-node control over the same records.
-    pub bit_identical_to_single_node: bool,
-    /// Wall-clock replay time (s), excluding the control run.
+    /// The merged `fleet cells from=0 until=settled_until` are, row for
+    /// row and bit for bit, `serial_cells` of the same sessions.
+    pub bit_identical_to_serial: bool,
+    /// The settled horizon `K` that comparison covered.
+    pub settled_until: u32,
+    /// Wall-clock replay time (s).
     pub elapsed_s: f64,
+}
+
+impl FleetReport {
+    /// `Ok` when the fleet contract held: every record acked and
+    /// accepted exactly once fleet-wide, nothing rejected or late, a
+    /// clean drain, each of the `planned_kills` fired and re-homed at
+    /// least one group, and the merged settled horizon bit-identical to
+    /// the serial oracle.
+    pub fn verdict(&self, planned_kills: u64) -> Result<(), String> {
+        let FleetReport { sessions, acked, accepted, rejected, late, kills, .. } = self;
+        first_violated([
+            (acked == sessions, format!("acked {acked} of {sessions} sessions")),
+            (accepted == sessions, format!("accepted {accepted} of {sessions} sessions")),
+            (*rejected == 0, format!("{rejected} records rejected")),
+            (*late == 0, format!("{late} records late")),
+            (self.drained, "the fleet did not drain cleanly".to_string()),
+            (*kills == planned_kills, format!("{kills} of {planned_kills} planned kills fired")),
+            (*kills == 0 || self.rehomed_groups > 0, "a kill re-homed no group".to_string()),
+            (self.bit_identical_to_serial, differs_from_serial(self.settled_until)),
+        ])
+    }
 }
 
 /// One replay session: a (pop, session-id) pair carrying the global
@@ -123,6 +147,22 @@ struct Stream {
     /// Last cumulative ack from the server.
     acked: u64,
     pop: u16,
+}
+
+impl Stream {
+    /// A fresh session to `pop` at `addr`, carrying every record of
+    /// `payloads` whose global index `carries` accepts.
+    fn new(
+        pop: u16,
+        addr: &str,
+        session: u64,
+        payloads: &[Vec<u8>],
+        carries: impl Fn(usize) -> bool,
+    ) -> Stream {
+        let indices: Vec<usize> = (0..payloads.len()).filter(|&i| carries(i)).collect();
+        let payloads = indices.iter().map(|&i| payloads[i].clone()).collect();
+        Stream { addr: addr.to_string(), session, indices, payloads, sent: 0, acked: 0, pop }
+    }
 }
 
 /// The client key [`generate_lines`] encodes for group `g` — the
@@ -143,69 +183,6 @@ fn session_id(seed: u64, generation: u64, pop: u16) -> u64 {
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
-}
-
-fn metrics_gauge(metrics_json: &str, name: &str) -> f64 {
-    let Ok(v) = serde_json::parse(metrics_json) else { return 0.0 };
-    match v.get("gauges").and_then(|g| g.get(name)) {
-        Some(serde_json::Value::Num(n)) => *n,
-        _ => 0.0,
-    }
-}
-
-fn opt_bits(v: Option<f64>) -> Option<u64> {
-    v.map(f64::to_bits)
-}
-
-/// Strict f64-bit-identity between two canonical cell sequences: same
-/// keys in the same order, every float field equal under
-/// [`f64::to_bits`], and byte-identical serialized rows.
-fn cells_bit_identical(a: &[CellLine], b: &[CellLine]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b.iter()).all(|(x, y)| {
-            cell_line_sort_key(x) == cell_line_sort_key(y)
-                && x.relationship == y.relationship
-                && x.longer_path == y.longer_path
-                && x.more_prepended == y.more_prepended
-                && x.n == y.n
-                && x.n_tested == y.n_tested
-                && x.bytes == y.bytes
-                && x.min_rtt_p50.to_bits() == y.min_rtt_p50.to_bits()
-                && opt_bits(x.min_rtt_var) == opt_bits(y.min_rtt_var)
-                && opt_bits(x.hdratio_p50) == opt_bits(y.hdratio_p50)
-                && opt_bits(x.hdratio_var) == opt_bits(y.hdratio_var)
-        })
-        && render_rows(a) == render_rows(b)
-}
-
-/// Single-node control: the same payloads into one server, then the
-/// canonical `digest` export (sorted cells + accepted under one sync
-/// barrier). The fleet view must match this bit-for-bit.
-fn run_control(
-    cfg: &LoadgenConfig,
-    workers: usize,
-    payloads: &[Vec<u8>],
-    policy: &RetryPolicy,
-) -> io::Result<(u64, Vec<CellLine>)> {
-    let config =
-        LiveConfig { retention_windows: cfg.windows as usize + 4, ..hosted_config(cfg, workers) };
-    let server = start_hosted(config, Arc::new(WireParser::new(cfg.target_bps)))?;
-    let mut wire = WireChaos::new(&ChaosPlan::default());
-    replay_with_resume(
-        server.addr(),
-        session_id(cfg.seed, 0, u16::MAX),
-        WireMode::Jsonl,
-        payloads,
-        policy,
-        &mut wire,
-    )?;
-    let mut client = LiveClient::connect(server.addr())?;
-    let full = CellQuery { from_window: Some(0), ..CellQuery::default() };
-    let (accepted, rows) = client.digest_query(&full)?;
-    client.shutdown()?;
-    drop(client);
-    let _ = server.join();
-    Ok((accepted, rows))
 }
 
 /// Self-host a fleet matching `cfg`'s geometry, replay through it (see
@@ -239,15 +216,19 @@ pub fn run_fleet(cfg: &LoadgenConfig, opts: &FleetRunOpts) -> io::Result<FleetRe
 /// Replay `cfg.sessions` through the fleet behind the coordinator at
 /// `addr`: home every group, stream each PoP's substream under the
 /// exactly-once session protocol with global chunk barriers, fire the
-/// plan's kills at barriers, fail over, and verify the merged fleet
-/// view against a single-node control. Always ends with
-/// `fleet shutdown`.
+/// plan's kills at barriers, fail over, and compare the merged fleet
+/// view of the settled horizon with the serial oracle. Ends with
+/// `fleet shutdown` unless it fails first.
 pub fn run_fleet_at(
     addr: &str,
     cfg: &LoadgenConfig,
     opts: &FleetRunOpts,
 ) -> io::Result<FleetReport> {
-    let payloads = jsonl_payloads(&generate_lines(cfg));
+    let settled_until = settled_horizon(cfg)?;
+    let lines = generate_lines(cfg);
+    let oracle = serial_rows(cfg, &lines, settled_until)?;
+    let payloads = jsonl_payloads(&lines);
+    drop(lines);
     let sessions = cfg.sessions;
     let groups = cfg.groups.max(1);
     let span_ms = f64::from(cfg.windows) * cfg.window_ms;
@@ -286,21 +267,11 @@ pub fn run_fleet_at(
     // One initial stream per PoP that owns at least one group.
     let mut streams: Vec<Stream> = Vec::new();
     for (&pop, addr) in &pop_addr {
-        let indices: Vec<usize> = (0..sessions).filter(|i| group_home[i % groups] == pop).collect();
-        if indices.is_empty() {
-            continue;
-        }
-        let stream_payloads = indices.iter().map(|&i| payloads[i].clone()).collect();
-        streams.push(Stream {
-            addr: addr.clone(),
-            session: session_id(cfg.seed, 1, pop),
-            indices,
-            payloads: stream_payloads,
-            sent: 0,
-            acked: 0,
-            pop,
-        });
+        let session = session_id(cfg.seed, 1, pop);
+        let homed_here = |i: usize| group_home[i % groups] == pop;
+        streams.push(Stream::new(pop, addr, session, &payloads, homed_here));
     }
+    streams.retain(|s| !s.indices.is_empty());
     let mut total_streams = streams.len() as u64;
 
     // Chunk the replay so each barrier-to-barrier stretch spans at most
@@ -344,18 +315,9 @@ pub fn run_fleet_at(
                 inherited.entry(new_home).or_default().push(g);
             }
             for (pop, inherited_groups) in inherited {
-                let indices: Vec<usize> =
-                    (0..sessions).filter(|i| inherited_groups.contains(&(i % groups))).collect();
-                let stream_payloads = indices.iter().map(|&i| payloads[i].clone()).collect();
-                let mut stream = Stream {
-                    addr: pop_addr[&pop].clone(),
-                    session: session_id(cfg.seed, generation, pop),
-                    indices,
-                    payloads: stream_payloads,
-                    sent: 0,
-                    acked: 0,
-                    pop,
-                };
+                let session = session_id(cfg.seed, generation, pop);
+                let inherits = |i: usize| inherited_groups.contains(&(i % groups));
+                let mut stream = Stream::new(pop, &pop_addr[&pop], session, &payloads, inherits);
                 // Catch the new session up to the barrier immediately:
                 // the survivors' watermark is still older than every
                 // inherited record (the budget check above).
@@ -374,15 +336,9 @@ pub fn run_fleet_at(
     let acked: u64 = streams.iter().map(|s| s.acked).sum();
 
     // The merged fleet view, while windows are still live.
-    let full = CellQuery { from_window: Some(0), ..CellQuery::default() };
-    let fleet_rows = coord.cells_query(&full)?;
+    let fleet_rows = coord.cells_query(&settled_query(settled_until))?;
     let pops_info = coord.pops()?;
-    let metrics_json = coord.metrics_json()?;
-
-    // Single-node control over the very same payloads.
-    let (_, control_rows) = run_control(cfg, opts.workers, &payloads, &policy)?;
-    let bit_identical = cells_bit_identical(&fleet_rows, &control_rows);
-
+    let metrics = MetricsReply::parse(&coord.metrics_json()?)?;
     let elapsed_s = started.elapsed().as_secs_f64();
     let merged = coord.shutdown()?;
 
@@ -401,15 +357,13 @@ pub fn run_fleet_at(
         kills: kills_fired,
         rehomed_groups: rehomed_total,
         streams: total_streams,
-        fanout_connects: crate::loadgen::metrics_counter(&metrics_json, "fleet.fanout.connects"),
-        fanout_reconnects: crate::loadgen::metrics_counter(
-            &metrics_json,
-            "fleet.fanout.reconnects",
-        ),
-        merge_ms: metrics_gauge(&metrics_json, "fleet.merge.last_ms"),
+        fanout_connects: metrics.counter("fleet.fanout.connects"),
+        fanout_reconnects: metrics.counter("fleet.fanout.reconnects"),
+        merge_ms: metrics.gauge("fleet.merge.last_ms"),
         fleet_cells: fleet_rows.len() as u64,
         catchment_share: pops_info.iter().map(|p| p.share).collect(),
-        bit_identical_to_single_node: bit_identical,
+        bit_identical_to_serial: first_difference(&fleet_rows, &oracle).is_none(),
+        settled_until,
         elapsed_s,
     })
 }
@@ -468,6 +422,40 @@ mod tests {
                 line.contains(&format!("\"continent\":{}", key.continent)),
                 "line {i} continent mismatch"
             );
+        }
+    }
+
+    #[test]
+    fn the_verdict_names_the_first_violated_condition() {
+        let clean = FleetReport {
+            sessions: 10,
+            acked: 10,
+            accepted: 10,
+            drained: true,
+            kills: 1,
+            rehomed_groups: 4,
+            bit_identical_to_serial: true,
+            settled_until: 2,
+            ..FleetReport::default()
+        };
+        assert_eq!(clean.verdict(1), Ok(()));
+        let unplanned = FleetReport { kills: 0, rehomed_groups: 0, ..clean.clone() };
+        assert_eq!(unplanned.verdict(0), Ok(()), "no kill planned, none fired");
+        for (broken, names) in [
+            (FleetReport { acked: 9, accepted: 9, ..clean.clone() }, "acked 9 of 10"),
+            (FleetReport { accepted: 11, rejected: 1, ..clean.clone() }, "accepted 11 of 10"),
+            (FleetReport { rejected: 1, late: 1, ..clean.clone() }, "1 records rejected"),
+            (FleetReport { late: 2, drained: false, ..clean.clone() }, "2 records late"),
+            (FleetReport { drained: false, kills: 0, ..clean.clone() }, "did not drain"),
+            (unplanned, "0 of 1 planned kills fired"),
+            (FleetReport { rehomed_groups: 0, ..clean.clone() }, "re-homed no group"),
+            (
+                FleetReport { bit_identical_to_serial: false, ..clean.clone() },
+                "windows 0..=2 differ",
+            ),
+        ] {
+            let verdict = broken.verdict(1).expect_err(names);
+            assert!(verdict.contains(names), "{verdict}");
         }
     }
 

@@ -1,15 +1,20 @@
-//! Load generator for the live ingest server (`edgeperf serve`).
+//! Load generator for the live ingest server (`edgeperf serve`): replays
+//! that prove the live tier correct. Nothing here paces or times a send —
+//! how fast the server is gets measured by `benchmark/`.
 //!
-//! Replays simulated workload sessions (from `edgeperf-workload`'s
-//! session planner, so the transaction mixture matches the paper's
-//! traffic shape) over TCP — as `WireSession` JSONL or, with
-//! [`WireMode::Binary`], as the length-prefixed binary frames of
-//! `edgeperf_live::frame` — paced to a target rate across several
-//! connections, while a dedicated control connection pings through the
-//! worker queues to measure end-to-end ingest latency. The resulting
-//! [`LoadReport`] says whether the replay was clean (everything accepted,
-//! nothing rejected or late); how fast the server is gets measured by
-//! `benchmark/`, not here.
+//! Every mode replays the same simulated workload sessions
+//! ([`generate_lines`], from `edgeperf-workload`'s session planner, so the
+//! transaction mixture matches the paper's traffic shape) over TCP — as
+//! `WireSession` JSONL or, with [`WireMode::Binary`], as the binary frames
+//! of `edgeperf_live::frame` — and ends in a report with a `verdict()`:
+//! [`run`] (a plain replay into someone else's server: was it clean?),
+//! [`run_chaos`] (a self-hosted fault-injected server under the resume
+//! client: was the recovery exact?) and [`crate::fleet_run`] (the same
+//! through a multi-PoP fleet). The last two claim bit-identity and mean
+//! one thing by it: the served cells of the settled horizon
+//! ([`settled_horizon`]) equal [`serial_cells`] — one serial `WindowRing`
+//! pass over the very records that were sent — under
+//! [`first_difference`].
 //!
 //! In binary mode the generator runs the core estimator *locally*
 //! ([`edgeperf::serve::record_from_wire`], the same function the
@@ -22,19 +27,19 @@ use edgeperf::serve::{WireParser, WireSession};
 use edgeperf_core::{HD_GOODPUT_BPS, MILLISECOND};
 pub use edgeperf_live::WireMode;
 use edgeperf_live::{
-    encode_frame, preamble, replay_with_resume, CellLine, CellQuery, ChaosPlan, LineParser,
-    LiveClient, LiveConfig, LiveServer, RetryPolicy, ServerHandle, WireChaos,
+    encode_frame, first_difference, preamble, replay_with_resume, serial_cells, CellLine,
+    CellQuery, ChaosPlan, LiveClient, LiveConfig, LiveRecord, LiveServer, RetryPolicy, WireChaos,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_workload::WorkloadConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Knobs for one load run.
 #[derive(Debug, Clone)]
@@ -43,8 +48,6 @@ pub struct LoadgenConfig {
     pub addr: String,
     /// Wire format for the data connections.
     pub wire: WireMode,
-    /// Target send rate in sessions/s (0 = unthrottled).
-    pub rate: f64,
     /// Total sessions to replay.
     pub sessions: usize,
     /// Parallel data connections.
@@ -70,8 +73,6 @@ pub struct LoadgenConfig {
     pub target_bps: f64,
     /// Workload/rng seed.
     pub seed: u64,
-    /// Ping cadence on the control connection (ms).
-    pub ping_interval_ms: u64,
     /// Drain the server after the replay (`shutdown` command).
     pub shutdown: bool,
 }
@@ -81,7 +82,6 @@ impl Default for LoadgenConfig {
         LoadgenConfig {
             addr: "127.0.0.1:4620".to_string(),
             wire: WireMode::Jsonl,
-            rate: 0.0,
             sessions: 100_000,
             connections: 4,
             groups: 64,
@@ -92,34 +92,21 @@ impl Default for LoadgenConfig {
             lateness_ms: 60_000.0,
             target_bps: HD_GOODPUT_BPS,
             seed: 7,
-            ping_interval_ms: 10,
             shutdown: false,
         }
     }
 }
 
-/// What a load run achieved, plus the server's closing snapshot.
+/// What a plain replay sent, plus the server's closing snapshot.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LoadReport {
     /// Wire format the data connections used (`jsonl` / `binary`).
     #[serde(default)]
     pub wire: String,
-    /// Configured target rate (sessions/s; 0 = unthrottled).
-    pub target_rate: f64,
     /// Sessions replayed.
     pub sessions: u64,
     /// Wall-clock replay time (s).
     pub elapsed_s: f64,
-    /// Sessions per second actually sustained.
-    pub achieved_sessions_per_sec: f64,
-    /// Ping round-trips measured during the replay.
-    pub pings: u64,
-    /// Median control-path round-trip, ms. Pings ride each worker's
-    /// control channel, which bypasses the record lanes — so this
-    /// measures command responsiveness under load, not queue wait.
-    pub p50_ingest_latency_ms: f64,
-    /// p99 control-path round-trip, ms.
-    pub p99_ingest_latency_ms: f64,
     /// Server: records folded into windows.
     pub accepted: u64,
     /// Server: lines rejected (parse errors + late records).
@@ -134,6 +121,29 @@ pub struct LoadReport {
     pub events_minrtt: u64,
     /// The server drained cleanly (only with [`LoadgenConfig::shutdown`]).
     pub drained: bool,
+}
+
+/// A verdict: `Ok`, or the message of the first condition that does not
+/// hold.
+pub(crate) fn first_violated<const N: usize>(checks: [(bool, String); N]) -> Result<(), String> {
+    checks.into_iter().find(|(holds, _)| !holds).map_or(Ok(()), |(_, why)| Err(why))
+}
+
+impl LoadReport {
+    /// `Ok` when the replay was clean: every session accepted, nothing
+    /// rejected or late, groups observed and — when the run asked for
+    /// the `shutdown` drain — a clean drain. What `loadgen
+    /// --expect-clean` exits on and what the suites assert.
+    pub fn verdict(&self, shutdown: bool) -> Result<(), String> {
+        let LoadReport { sessions, accepted, rejected, late, .. } = self;
+        first_violated([
+            (accepted == sessions, format!("accepted {accepted} of {sessions} sessions")),
+            (*rejected == 0, format!("{rejected} records rejected")),
+            (*late == 0, format!("{late} records late")),
+            (self.groups > 0, "no group observed".to_string()),
+            (!shutdown || self.drained, "the server did not drain cleanly".to_string()),
+        ])
+    }
 }
 
 /// Pre-render the whole replay as wire lines. Event time is laid out
@@ -224,31 +234,73 @@ pub(crate) fn jsonl_payloads(lines: &[String]) -> Vec<Vec<u8>> {
     lines.iter().map(|l| format!("{l}\n").into_bytes()).collect()
 }
 
-/// Poll `snapshot` until the server has accounted for `expected` lines
-/// (ingested or rejected), i.e. every byte sent so far is processed.
-fn wait_processed(client: &mut LiveClient, expected: u64) -> io::Result<()> {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let snap = client.snapshot()?;
-        if snap.accepted + snap.rejected >= expected {
-            return Ok(());
-        }
-        if Instant::now() > deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("server stuck at {}/{expected} processed", snap.accepted + snap.rejected),
-            ));
-        }
-        std::thread::sleep(Duration::from_micros(200));
+/// [`settled_horizon`]'s refusal: the replay ends before every shard is
+/// known to have closed a window, so a comparison would compare nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NoSettledWindow {
+    /// The least any shard's watermark can be when the replay ends.
+    pub watermark_ms: f64,
+    /// The window length it falls short of.
+    pub window_ms: f64,
+}
+
+impl fmt::Display for NoSettledWindow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let NoSettledWindow { watermark_ms, window_ms } = self;
+        write!(f, "no settled window: every shard's watermark reaches {watermark_ms:.0} ms, ")?;
+        write!(f, "short of one {window_ms:.0} ms window (more sessions, or less lateness)")
     }
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+impl std::error::Error for NoSettledWindow {}
+
+impl From<NoSettledWindow> for io::Error {
+    fn from(err: NoSettledWindow) -> Self {
+        io::Error::new(io::ErrorKind::InvalidInput, err)
     }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// The settled horizon `K` of `cfg`'s replay: the last window closed on
+/// every shard once all of [`generate_lines`] is folded in, however
+/// groups fall on workers or PoPs. The last `groups` records visit every
+/// group, so every shard has seen `ts(sessions − groups)` or newer and
+/// closed every window below `floor((that − lateness_ms) / window_ms)`;
+/// `K` is one less (DESIGN.md §15 has the argument). Windows `0..=K` are
+/// whole everywhere; a later one may be closed here and open there.
+pub fn settled_horizon(cfg: &LoadgenConfig) -> Result<u32, NoSettledWindow> {
+    let span_ms = f64::from(cfg.windows) * cfg.window_ms;
+    let newest_everywhere = match cfg.sessions.checked_sub(cfg.groups.max(1)) {
+        Some(i) => (i as f64 + 0.5) * span_ms / cfg.sessions as f64,
+        None => 0.0,
+    };
+    let watermark_ms = newest_everywhere - cfg.lateness_ms;
+    let closed_below = (watermark_ms / cfg.window_ms).floor();
+    if closed_below >= 1.0 {
+        // At most `cfg.windows`, a `u32`.
+        Ok(closed_below as u32 - 1)
+    } else {
+        Err(NoSettledWindow { watermark_ms, window_ms: cfg.window_ms })
+    }
+}
+
+/// The `cells` query selecting the settled horizon `0..=until`.
+pub(crate) fn settled_query(until: u32) -> CellQuery {
+    CellQuery { from_window: Some(0), until_window: Some(until), ..CellQuery::default() }
+}
+
+/// The oracle's rows over the settled horizon: `lines` through
+/// [`serial_cells`] under `cfg`'s geometry, windows `0..=until`.
+pub(crate) fn serial_rows(
+    cfg: &LoadgenConfig,
+    lines: &[String],
+    until: u32,
+) -> io::Result<Vec<CellLine>> {
+    let parser = WireParser::new(cfg.target_bps);
+    let records: Result<Vec<LiveRecord>, _> = lines.iter().map(|l| parser.parse_line(l)).collect();
+    let rows = records.and_then(|r| serial_cells(&r, cfg.window_ms, cfg.lateness_ms));
+    let mut rows = rows.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    rows.retain(|c| c.window <= until);
+    Ok(rows)
 }
 
 /// Run one replay against a live server and collect the report.
@@ -257,24 +309,6 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
     let payloads = render_payloads(cfg, &lines)?;
     drop(lines);
     let connections = cfg.connections.max(1);
-
-    // Ping sampler on its own connection: each round-trip rides a worker
-    // queue, so it measures real ingest latency under load.
-    let stop = Arc::new(AtomicBool::new(false));
-    let pinger = {
-        let stop = Arc::clone(&stop);
-        let addr = cfg.addr.clone();
-        let interval = Duration::from_millis(cfg.ping_interval_ms.max(1));
-        std::thread::spawn(move || -> io::Result<Vec<f64>> {
-            let mut client = LiveClient::connect(&addr)?;
-            let mut samples = Vec::new();
-            while !stop.load(Ordering::Acquire) {
-                samples.push(client.ping()?.as_secs_f64() * 1e3);
-                std::thread::sleep(interval);
-            }
-            Ok(samples)
-        })
-    };
 
     // Senders: stripe the replay across connections. Event time is tied
     // to the global line index, but connections drain at independent
@@ -298,7 +332,6 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
             let payloads = Arc::clone(&payloads);
             let barrier = Arc::clone(&barrier);
             let addr = cfg.addr.clone();
-            let per_conn_rate = cfg.rate / connections as f64;
             let wire = cfg.wire;
             std::thread::spawn(move || -> io::Result<u64> {
                 let stream = TcpStream::connect(&addr)?;
@@ -311,7 +344,6 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
                 // control connection: binary data connections carry no
                 // commands, and the snapshot counters are global anyway.
                 let mut control = if c == 0 { Some(LiveClient::connect(&addr)?) } else { None };
-                let start = Instant::now();
                 let mut sent = 0u64;
                 let total = payloads.len();
                 let mut chunk_start = 0usize;
@@ -325,18 +357,11 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
                     {
                         out.write_all(payload)?;
                         sent += 1;
-                        if per_conn_rate > 0.0 && sent.is_multiple_of(64) {
-                            let due = sent as f64 / per_conn_rate;
-                            let ahead = due - start.elapsed().as_secs_f64();
-                            if ahead > 0.0 {
-                                std::thread::sleep(Duration::from_secs_f64(ahead));
-                            }
-                        }
                     }
                     out.flush()?;
                     barrier.wait();
                     if let Some(control) = control.as_mut() {
-                        wait_processed(control, chunk_end as u64)?;
+                        control.wait_processed(chunk_end as u64)?;
                     }
                     barrier.wait();
                     chunk_start = chunk_end;
@@ -352,23 +377,14 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
     }
     let elapsed = started.elapsed().as_secs_f64();
 
-    stop.store(true, Ordering::Release);
-    let mut pings = pinger.join().expect("ping thread").unwrap_or_default();
-    pings.sort_by(f64::total_cmp);
-
     // Data connections are closed; fetch the closing server state.
     let mut control = LiveClient::connect(&cfg.addr)?;
     let snapshot = if cfg.shutdown { control.shutdown()? } else { control.snapshot()? };
 
     Ok(LoadReport {
         wire: cfg.wire.label().to_string(),
-        target_rate: cfg.rate,
         sessions: sent,
         elapsed_s: elapsed,
-        achieved_sessions_per_sec: if elapsed > 0.0 { sent as f64 / elapsed } else { 0.0 },
-        pings: pings.len() as u64,
-        p50_ingest_latency_ms: percentile(&pings, 0.50),
-        p99_ingest_latency_ms: percentile(&pings, 0.99),
         accepted: snapshot.accepted,
         rejected: snapshot.rejected,
         late: snapshot.late,
@@ -385,7 +401,7 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
 /// the plan's disk faults have something to hit.
 pub const CHAOS_SPILL_RETENTION: usize = 8;
 
-/// Geometry knobs for a [`run_chaos`] server pair (faulted + control).
+/// Geometry knobs for [`run_chaos`]'s fault-injected server.
 #[derive(Debug, Clone)]
 pub struct ChaosRunOpts {
     /// Ingest worker threads.
@@ -409,8 +425,8 @@ impl Default for ChaosRunOpts {
 }
 
 /// What a chaos replay achieved: resume/retry traffic, server-side
-/// recovery accounting, and the bit-identity verdict against a
-/// fault-free control replay of the same sessions.
+/// recovery accounting, and the bit-identity verdict against the serial
+/// oracle over the same sessions.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ChaosReport {
     /// The canonical chaos plan that was injected.
@@ -453,27 +469,77 @@ pub struct ChaosReport {
     pub windows_shed: u64,
     /// Store: still degraded when the replay ended.
     pub degraded_at_end: bool,
-    /// Canonically-sorted cells from the faulted server are
-    /// byte-identical (same serialized `f64` bits) to the fault-free
-    /// control server's.
-    pub bit_identical_to_clean: bool,
+    /// The faulted server's `cells from=0 until=settled_until` are, row
+    /// for row and bit for bit, [`serial_cells`] of the same sessions.
+    pub bit_identical_to_serial: bool,
+    /// The settled horizon `K` that comparison covered
+    /// ([`settled_horizon`]).
+    pub settled_until: u32,
     /// Wall-clock chaos replay time (s).
     pub elapsed_s: f64,
 }
 
-pub(crate) fn metrics_counter(metrics_json: &str, name: &str) -> u64 {
-    let Ok(v) = serde_json::parse(metrics_json) else { return 0 };
-    match v.get("counters").and_then(|c| c.get(name)) {
-        Some(serde_json::Value::Num(n)) => *n as u64,
-        _ => 0,
+impl ChaosReport {
+    /// `Ok` when the recovery was exact: every record acked and applied
+    /// exactly once, nothing rejected, lost or shed, and the settled
+    /// horizon bit-identical to the serial oracle.
+    pub fn verdict(&self) -> Result<(), String> {
+        let ChaosReport { sessions, acked, accepted, rejected, settled_until, .. } = self;
+        let (lost, shed) = (self.worker_lost_records, self.windows_shed);
+        first_violated([
+            (acked == sessions, format!("acked {acked} of {sessions} sessions")),
+            (accepted == sessions, format!("accepted {accepted} of {sessions} sessions")),
+            (*rejected == 0, format!("{rejected} records rejected")),
+            (lost == 0, format!("{lost} records lost to worker panics")),
+            (shed == 0, format!("{shed} windows shed")),
+            (self.bit_identical_to_serial, differs_from_serial(*settled_until)),
+        ])
+    }
+}
+
+pub(crate) fn differs_from_serial(settled_until: u32) -> String {
+    format!("cells of windows 0..={settled_until} differ from the serial oracle")
+}
+
+/// One `metrics` reply, read once. A reply without `counters` and
+/// `gauges` — `{"error":"draining"}`, which `metrics_json` hands through
+/// by design — is an error carrying the server's line: a counter nobody
+/// reported must not read as a clean zero.
+pub(crate) struct MetricsReply(serde_json::Value);
+
+impl MetricsReply {
+    pub(crate) fn parse(reply: &str) -> io::Result<MetricsReply> {
+        match serde_json::parse(reply) {
+            Ok(v) if v.get("counters").is_some() && v.get("gauges").is_some() => {
+                Ok(MetricsReply(v))
+            }
+            _ => Err(io::Error::other(format!("metrics reply carries no counters: {reply}"))),
+        }
+    }
+
+    /// A metric nothing ever touched is not in the registry: zero.
+    fn number(&self, kind: &str, name: &str) -> f64 {
+        match self.0.get(kind).and_then(|metrics| metrics.get(name)) {
+            Some(serde_json::Value::Num(n)) => *n,
+            _ => 0.0,
+        }
+    }
+
+    pub(crate) fn counter(&self, name: &str) -> u64 {
+        self.number("counters", name) as u64
+    }
+
+    pub(crate) fn gauge(&self, name: &str) -> f64 {
+        self.number("gauges", name)
     }
 }
 
 /// Replay `cfg.sessions` through a chaos-injected self-hosted server
-/// with [`replay_with_resume`], then through a fault-free control
-/// server, and prove the recovery was exact: every record applied
-/// exactly once (ack == sessions, rejected == 0) and the closed cells
-/// bit-identical to the fault-free run.
+/// with [`replay_with_resume`] and prove the recovery was exact: every
+/// record applied exactly once (ack == sessions, rejected == 0) and the
+/// closed cells of the settled horizon bit-identical to the serial
+/// oracle. A replay too short to settle a window is refused
+/// ([`NoSettledWindow`]) before anything starts.
 ///
 /// The same `plan` drives both sides of the fault surface: its wire
 /// faults fire client-side (disconnects, torn records, stalls) and its
@@ -483,17 +549,22 @@ pub fn run_chaos(
     plan: &ChaosPlan,
     opts: &ChaosRunOpts,
 ) -> io::Result<ChaosReport> {
-    let payloads = render_payloads(cfg, &generate_lines(cfg))?;
-    let parser = Arc::new(WireParser::new(cfg.target_bps));
-    let full = CellQuery { from_window: Some(0), ..CellQuery::default() };
+    let settled_until = settled_horizon(cfg)?;
+    let lines = generate_lines(cfg);
+    let oracle = serial_rows(cfg, &lines, settled_until)?;
+    let payloads = render_payloads(cfg, &lines)?;
+    drop(lines);
 
-    // Faulted server: the plan's worker panics and disk faults inject
-    // server-side through its config.
+    // The plan's worker panics and disk faults inject server-side
+    // through the config.
     let mut config = LiveConfig {
+        workers: opts.workers,
+        window_ms: cfg.window_ms,
+        lateness_ms: cfg.lateness_ms,
         chaos: plan.clone(),
         idle_timeout_ms: opts.idle_timeout_ms,
         max_worker_respawns: opts.max_worker_respawns,
-        ..hosted_config(cfg, opts.workers)
+        ..LiveConfig::default()
     };
     if let Some((dir, retention)) = &opts.spill {
         config.spill_dir = Some(dir.clone());
@@ -501,7 +572,9 @@ pub fn run_chaos(
         config.compact_min_segments = 8;
         config.compact_batch = 4;
     }
-    let server = start_hosted(config, Arc::clone(&parser) as Arc<dyn LineParser>)?;
+    let parser = Arc::new(WireParser::new(cfg.target_bps));
+    let server = LiveServer::start(config, parser, Metrics::enabled())
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let addr = server.addr();
 
     let mut wire_chaos = WireChaos::new(plan);
@@ -511,28 +584,13 @@ pub fn run_chaos(
     let elapsed_s = started.elapsed().as_secs_f64();
 
     let mut control = LiveClient::connect(addr)?;
-    let metrics_json = control.metrics_json()?;
+    let metrics = control.metrics_json()?;
     let store_stats = control.store_stats().ok();
-    let chaos_rows = control.cells_query(&full)?;
+    let rows = control.cells_query(&settled_query(settled_until))?;
     let snapshot = control.shutdown()?;
     drop(control);
     let _ = server.join();
-
-    // Fault-free control: same sessions, same worker count, all-RAM
-    // retention so every window is queryable.
-    let clean_config = LiveConfig {
-        retention_windows: cfg.windows as usize + 4,
-        ..hosted_config(cfg, opts.workers)
-    };
-    let clean_server = start_hosted(clean_config, parser)?;
-    let mut no_chaos = WireChaos::new(&ChaosPlan::default());
-    let clean_addr = clean_server.addr();
-    replay_with_resume(clean_addr, cfg.seed, cfg.wire, &payloads, &policy, &mut no_chaos)?;
-    let mut control = LiveClient::connect(clean_server.addr())?;
-    let clean_rows = control.cells_query(&full)?;
-    control.shutdown()?;
-    drop(control);
-    let _ = clean_server.join();
+    let metrics = MetricsReply::parse(&metrics)?;
 
     Ok(ChaosReport {
         plan: plan.to_string(),
@@ -547,83 +605,55 @@ pub fn run_chaos(
         accepted: snapshot.accepted,
         rejected: snapshot.rejected,
         late: snapshot.late,
-        worker_recovered: metrics_counter(&metrics_json, "worker.recovered"),
-        worker_lost_records: metrics_counter(&metrics_json, "worker.lost_records"),
-        truncated_tails: metrics_counter(&metrics_json, "ingest.truncated"),
-        conns_evicted: metrics_counter(&metrics_json, "live.conns.evicted"),
+        worker_recovered: metrics.counter("worker.recovered"),
+        worker_lost_records: metrics.counter("worker.lost_records"),
+        truncated_tails: metrics.counter("ingest.truncated"),
+        conns_evicted: metrics.counter("live.conns.evicted"),
         spill_errors: store_stats.as_ref().map_or(0, |s| s.spill_errors),
-        windows_shed: metrics_counter(&metrics_json, "store.windows_shed"),
+        windows_shed: metrics.counter("store.windows_shed"),
         degraded_at_end: store_stats.as_ref().is_some_and(|s| s.degraded),
-        bit_identical_to_clean: render_rows(&chaos_rows) == render_rows(&clean_rows),
+        bit_identical_to_serial: first_difference(&rows, &oracle).is_none(),
+        settled_until,
         elapsed_s,
     })
-}
-
-pub(crate) fn render_rows(rows: &[CellLine]) -> Vec<String> {
-    rows.iter().map(|c| serde_json::to_string(c).expect("cell line serializes")).collect()
-}
-
-/// The [`LiveConfig`] every self-hosted server starts from: ephemeral
-/// loopback port, `cfg`'s window geometry.
-pub(crate) fn hosted_config(cfg: &LoadgenConfig, workers: usize) -> LiveConfig {
-    LiveConfig {
-        workers,
-        window_ms: cfg.window_ms,
-        lateness_ms: cfg.lateness_ms,
-        ..LiveConfig::default()
-    }
-}
-
-/// Start a self-hosted server, metrics enabled.
-pub(crate) fn start_hosted(
-    config: LiveConfig,
-    parser: Arc<dyn LineParser>,
-) -> io::Result<ServerHandle> {
-    LiveServer::start(config, parser, Metrics::enabled())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgeperf_live::ServerHandle;
+
+    fn start(config: LiveConfig) -> ServerHandle {
+        LiveServer::start(config, Arc::new(WireParser::new(HD_GOODPUT_BPS)), Metrics::enabled())
+            .expect("server starts")
+    }
 
     #[test]
     fn loadgen_replays_into_a_live_server_without_drops() {
         let config = LiveConfig { workers: 2, queue_capacity: 512, ..LiveConfig::default() };
-        let server =
-            start_hosted(config, Arc::new(WireParser::new(HD_GOODPUT_BPS))).expect("server starts");
+        let server = start(config);
         let cfg = LoadgenConfig {
             addr: server.addr().to_string(),
             sessions: 2_000,
             connections: 2,
             groups: 16,
             windows: 4,
-            ping_interval_ms: 1,
             shutdown: true,
             ..LoadgenConfig::default()
         };
         let report = run(&cfg).expect("replay succeeds");
         let final_snap = server.join();
-        assert!(report.drained);
+        assert_eq!(report.verdict(true), Ok(()), "clean, drained: {report:?}");
         assert_eq!(report.sessions, 2_000);
-        assert_eq!(report.accepted, 2_000, "every session ingested: {report:?}");
-        assert_eq!(report.rejected, 0);
-        assert_eq!(report.late, 0);
         assert_eq!(report.groups, 16);
         // 4 event-time windows on each of 2 worker rings.
         assert!(report.windows_closed >= 8, "windows closed: {report:?}");
-        assert!(report.pings > 0);
-        assert!(report.p99_ingest_latency_ms >= report.p50_ingest_latency_ms);
         assert_eq!(final_snap.accepted, 2_000);
     }
 
     #[test]
     fn loadgen_replays_binary_frames_without_drops() {
-        let server = start_hosted(
-            hosted_config(&LoadgenConfig::default(), 2),
-            Arc::new(WireParser::new(HD_GOODPUT_BPS)),
-        )
-        .expect("server starts");
+        let server = start(LiveConfig { workers: 2, ..LiveConfig::default() });
         let cfg = LoadgenConfig {
             addr: server.addr().to_string(),
             wire: WireMode::Binary,
@@ -631,24 +661,20 @@ mod tests {
             connections: 2,
             groups: 16,
             windows: 4,
-            ping_interval_ms: 1,
             shutdown: true,
             ..LoadgenConfig::default()
         };
         let report = run(&cfg).expect("binary replay succeeds");
         server.join();
         assert_eq!(report.wire, "binary");
-        assert!(report.drained);
+        assert_eq!(report.verdict(true), Ok(()), "clean, drained: {report:?}");
         assert_eq!(report.sessions, 2_000);
-        assert_eq!(report.accepted, 2_000, "every frame ingested: {report:?}");
-        assert_eq!(report.rejected, 0);
-        assert_eq!(report.late, 0);
         assert_eq!(report.groups, 16);
         assert!(report.windows_closed >= 8, "windows closed: {report:?}");
     }
 
     #[test]
-    fn chaos_replay_recovers_exactly_and_matches_clean_run() {
+    fn chaos_replay_recovers_exactly_and_matches_the_serial_oracle() {
         let cfg = LoadgenConfig {
             sessions: 2_000,
             connections: 1,
@@ -662,17 +688,109 @@ mod tests {
         let report =
             run_chaos(&cfg, &plan, &ChaosRunOpts { workers: 2, ..ChaosRunOpts::default() })
                 .expect("chaos replay");
-        assert_eq!(report.acked, 2_000, "every record acked exactly once: {report:?}");
-        assert_eq!(report.accepted, 2_000, "no double-counts, no losses: {report:?}");
-        assert_eq!(report.rejected, 0);
-        assert_eq!(report.worker_lost_records, 0, "scripted panics are clean: {report:?}");
+        assert_eq!(report.verdict(), Ok(()), "exactly once, scripted panics clean: {report:?}");
+        assert_eq!(report.sessions, 2_000);
         assert!(report.reconnects >= 2, "disconnect + torn both force reconnects: {report:?}");
         assert_eq!(report.injected_disconnects, 1);
         assert_eq!(report.injected_torn, 1);
         assert_eq!(report.injected_stalls, 1);
         assert_eq!(report.worker_recovered, 1, "worker 0 panicked once: {report:?}");
         assert_eq!(report.truncated_tails, 1, "the torn record's tail was dropped: {report:?}");
-        assert!(report.bit_identical_to_clean, "chaos cells drifted from clean: {report:?}");
+        // 4 windows of 900 s, 60 s lateness: the watermark closes 0..=2.
+        assert_eq!(report.settled_until, 2);
+    }
+
+    #[test]
+    fn the_settled_horizon_follows_the_formula_and_refuses_a_replay_too_short() {
+        // The chaos and fleet geometries of `scripts/gates.sh`.
+        let chaos = LoadgenConfig { sessions: 20_000, windows: 12, ..LoadgenConfig::default() };
+        assert_eq!(settled_horizon(&chaos), Ok(10));
+        let fleet = LoadgenConfig {
+            sessions: 20_000,
+            windows: 8,
+            window_ms: 60_000.0,
+            lateness_ms: 120_000.0,
+            ..LoadgenConfig::default()
+        };
+        assert_eq!(settled_horizon(&fleet), Ok(4));
+        // One window of data can never close itself; neither can a
+        // replay whose lateness swallows its whole span, or one that
+        // never reaches some group.
+        for short in [
+            LoadgenConfig { windows: 1, ..chaos.clone() },
+            LoadgenConfig { lateness_ms: 12.0 * 900_000.0, ..chaos.clone() },
+            LoadgenConfig { sessions: 10, groups: 16, ..chaos.clone() },
+        ] {
+            let err = settled_horizon(&short).expect_err("nothing settles");
+            assert!(err.watermark_ms < err.window_ms, "{err}");
+            let plan = ChaosPlan::default();
+            let refused = run_chaos(&short, &plan, &ChaosRunOpts::default()).expect_err("typed");
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+            let inner = refused.get_ref().and_then(|e| e.downcast_ref::<NoSettledWindow>());
+            assert_eq!(inner, Some(&err), "{refused}");
+        }
+    }
+
+    #[test]
+    fn each_verdict_names_the_first_violated_condition() {
+        let clean = LoadReport {
+            sessions: 10,
+            accepted: 10,
+            groups: 2,
+            drained: true,
+            ..LoadReport::default()
+        };
+        assert_eq!(clean.verdict(true), Ok(()));
+        let undrained = LoadReport { drained: false, ..clean.clone() };
+        assert_eq!(undrained.verdict(false), Ok(()), "no drain was asked for");
+        for (broken, names) in [
+            (LoadReport { accepted: 9, rejected: 1, ..clean.clone() }, "accepted 9 of 10"),
+            (LoadReport { rejected: 1, late: 1, ..clean.clone() }, "1 records rejected"),
+            (LoadReport { late: 2, groups: 0, ..clean.clone() }, "2 records late"),
+            (LoadReport { groups: 0, drained: false, ..clean.clone() }, "no group observed"),
+            (undrained, "did not drain"),
+        ] {
+            let verdict = broken.verdict(true).expect_err(names);
+            assert!(verdict.contains(names), "{verdict}");
+        }
+
+        let exact = ChaosReport {
+            sessions: 10,
+            acked: 10,
+            accepted: 10,
+            bit_identical_to_serial: true,
+            settled_until: 3,
+            ..ChaosReport::default()
+        };
+        assert_eq!(exact.verdict(), Ok(()));
+        for (broken, names) in [
+            (ChaosReport { acked: 9, accepted: 9, ..exact.clone() }, "acked 9 of 10"),
+            (ChaosReport { accepted: 11, rejected: 1, ..exact.clone() }, "accepted 11 of 10"),
+            (ChaosReport { rejected: 1, worker_lost_records: 1, ..exact.clone() }, "1 records rej"),
+            (ChaosReport { worker_lost_records: 3, ..exact.clone() }, "3 records lost"),
+            (ChaosReport { windows_shed: 1, ..exact.clone() }, "1 windows shed"),
+            (ChaosReport { bit_identical_to_serial: false, ..exact.clone() }, "0..=3 differ"),
+        ] {
+            let verdict = broken.verdict().expect_err(names);
+            assert!(verdict.contains(names), "{verdict}");
+        }
+    }
+
+    /// A `metrics` reply that says nothing must fail the run, not fill a
+    /// report with zeros that `verdict` would pass.
+    #[test]
+    fn a_metrics_reply_without_counters_is_an_error_not_zeros() {
+        for silent in ["{\"error\":\"draining\"}", "{\"counters\":{}}", "not json", ""] {
+            let err = MetricsReply::parse(silent).err().expect(silent);
+            assert!(err.to_string().ends_with(silent), "the server's line: {err}");
+        }
+        let reply =
+            "{\"counters\":{\"worker.lost_records\":3},\"gauges\":{\"fleet.merge.last_ms\":1.5},\
+                     \"histograms\":{},\"spans\":[]}";
+        let metrics = MetricsReply::parse(reply).expect("a registry snapshot");
+        assert_eq!(metrics.counter("worker.lost_records"), 3);
+        assert_eq!(metrics.counter("store.windows_shed"), 0, "never incremented");
+        assert_eq!(metrics.gauge("fleet.merge.last_ms"), 1.5);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Live/offline agreement: a finite replay through `edgeperf serve`
 //! yields window medians and Price–Bonett variances **bit-identical** to
 //! the offline streaming pipeline, at parallelism 1, 4, and 16 — over the
-//! JSONL wire *and* over the binary frame wire.
+//! JSONL wire *and* over the binary frame wire. The reference is the
+//! proof kit's [`serial_cells`], the comparison its [`first_difference`],
+//! over the settled horizon `cells from=0 until=K`.
 //!
 //! Why this holds: records are sharded to workers by group hash, so every
 //! record of a group flows through one worker in connection order, and
 //! each worker's per-cell t-digest therefore sees the exact insertion
-//! sequence a serial offline [`WindowRing`] sees. A single client
+//! sequence a serial offline `WindowRing` sees. A single client
 //! connection preserves the global order. The `cells` wire format prints
 //! floats with shortest-round-trip precision, so the assertion survives
 //! the JSON hop. On the binary path, the client runs the same estimator
@@ -23,11 +25,12 @@ use std::sync::Arc;
 use edgeperf::core::HD_GOODPUT_BPS;
 use edgeperf::ingest::{ResponseIn, SessionIn};
 use edgeperf::live::{
-    BinarySender, CellLine, LiveClient, LiveConfig, LiveServer, ServerHandle, WindowRing,
+    first_difference, serial_cells, BinarySender, CellLine, CellQuery, LiveClient, LiveConfig,
+    LiveRecord, LiveServer, ServerHandle,
 };
 use edgeperf::obs::Metrics;
 use edgeperf::serve::{WireParser, WireSession};
-use edgeperf_bench::loadgen::{generate_lines, LoadgenConfig};
+use edgeperf_bench::loadgen::{generate_lines, settled_horizon, LoadgenConfig};
 
 const WINDOW_MS: f64 = 1_000.0;
 const LATENESS_MS: f64 = 250.0;
@@ -44,32 +47,44 @@ fn start(workers: usize) -> ServerHandle {
         .expect("server starts")
 }
 
-/// The offline reference: the same lines through a serial [`WindowRing`]
-/// (the exact per-cell aggregation `StreamingDataset` uses), collecting
-/// the cells of every window the watermark closes.
-fn offline_cells(lines: &[String], parser: &WireParser) -> Vec<CellLine> {
-    let mut ring = WindowRing::new(WINDOW_MS, LATENESS_MS);
-    let mut out = Vec::new();
-    for line in lines {
-        let rec = parser.parse_line(line).expect("offline parse");
-        for cw in ring.push(&rec).expect("offline push") {
-            for (key, summary) in &cw.cells {
-                out.push(CellLine::new(cw.index, key, summary));
-            }
-        }
-    }
-    out
+/// The replay every test below sends, and its settled horizon `K`: 6
+/// windows of 1 s under 250 ms of lateness settle windows 0..=4.
+fn replay() -> (Vec<String>, CellQuery) {
+    let gen = LoadgenConfig {
+        sessions: 4_000,
+        groups: 16,
+        windows: 6,
+        window_ms: WINDOW_MS,
+        lateness_ms: LATENESS_MS,
+        max_txns: 3,
+        ..LoadgenConfig::default()
+    };
+    let until = settled_horizon(&gen).expect("five windows settle");
+    assert_eq!(until, 4);
+    let settled =
+        CellQuery { from_window: Some(0), until_window: Some(until), ..CellQuery::default() };
+    (generate_lines(&gen), settled)
 }
 
-/// Replay the lines over one connection and fetch the closed cells.
-fn live_cells(lines: &[String], workers: usize) -> Vec<CellLine> {
+/// The offline reference: the same lines through the kit's serial
+/// oracle (the exact per-cell aggregation `StreamingDataset` uses) — the
+/// cells of every window the watermark closes, which here is the settled
+/// horizon and nothing past it.
+fn offline_reference(lines: &[String], parser: &WireParser) -> Vec<CellLine> {
+    let records: Vec<LiveRecord> =
+        lines.iter().map(|l| parser.parse_line(l).expect("offline parse")).collect();
+    serial_cells(&records, WINDOW_MS, LATENESS_MS).expect("offline push")
+}
+
+/// Replay the lines over one connection and fetch the settled cells.
+fn live_cells(lines: &[String], settled: &CellQuery, workers: usize) -> Vec<CellLine> {
     let server = start(workers);
     let mut client = LiveClient::connect(server.addr()).expect("connect");
     for line in lines {
         client.send_line(line).expect("send");
     }
     client.flush().expect("flush");
-    let cells = client.cells().expect("cells");
+    let cells = client.cells_query(settled).expect("cells");
     let snap = client.shutdown().expect("shutdown");
     assert_eq!(snap.accepted, lines.len() as u64, "every line ingested: {snap:?}");
     assert_eq!(snap.rejected, 0, "{snap:?}");
@@ -80,9 +95,14 @@ fn live_cells(lines: &[String], workers: usize) -> Vec<CellLine> {
 
 /// Replay the same lines over one *binary* connection: run the estimator
 /// locally (the same `record_from_wire` the server's JSONL path uses),
-/// encode each record as a frame, and fetch the closed cells over a
+/// encode each record as a frame, and fetch the settled cells over a
 /// separate JSONL control connection.
-fn live_cells_binary(lines: &[String], parser: &WireParser, workers: usize) -> Vec<CellLine> {
+fn live_cells_binary(
+    lines: &[String],
+    settled: &CellQuery,
+    parser: &WireParser,
+    workers: usize,
+) -> Vec<CellLine> {
     let server = start(workers);
     let mut sender = BinarySender::connect(server.addr()).expect("binary connect");
     for line in lines {
@@ -90,103 +110,51 @@ fn live_cells_binary(lines: &[String], parser: &WireParser, workers: usize) -> V
         sender.send(&rec).expect("send frame");
     }
     sender.finish().expect("finish");
-    // Binary connections carry no commands; poll a control connection
+    // Binary connections carry no commands; a control connection waits
     // until the server has folded in every frame.
     let mut control = LiveClient::connect(server.addr()).expect("control connect");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    loop {
-        let snap = control.snapshot().expect("snapshot");
-        if snap.accepted + snap.rejected >= lines.len() as u64 {
-            assert_eq!(snap.accepted, lines.len() as u64, "every frame ingested: {snap:?}");
-            assert_eq!(snap.rejected, 0, "{snap:?}");
-            assert_eq!(snap.late, 0, "{snap:?}");
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "server stuck: {snap:?}");
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    let cells = control.cells().expect("cells");
+    let snap = control.wait_processed(lines.len() as u64).expect("every frame processed");
+    assert_eq!(snap.accepted, lines.len() as u64, "every frame ingested: {snap:?}");
+    assert_eq!(snap.rejected, 0, "{snap:?}");
+    assert_eq!(snap.late, 0, "{snap:?}");
+    let cells = control.cells_query(settled).expect("cells");
     let snap = control.shutdown().expect("shutdown");
     assert!(snap.drained);
     let _ = server.join();
     cells
 }
 
-type SortKey = (u32, u16, u32, u8, u16, u8, u8);
-
-fn sort_key(c: &CellLine) -> SortKey {
-    (c.window, c.pop, c.prefix_base, c.prefix_len, c.country, c.continent, c.rank)
-}
-
-fn assert_bit_identical(live: &[CellLine], offline: &[CellLine]) {
-    assert_eq!(live.len(), offline.len(), "cell count");
-    for (x, y) in live.iter().zip(offline) {
-        assert_eq!(sort_key(x), sort_key(y), "cell identity");
-        assert_eq!(x.n, y.n);
-        assert_eq!(x.n_tested, y.n_tested);
-        assert_eq!(x.bytes, y.bytes);
-        assert_eq!(x.relationship, y.relationship);
-        assert_eq!(x.longer_path, y.longer_path);
-        assert_eq!(x.more_prepended, y.more_prepended);
-        assert_eq!(x.min_rtt_p50.to_bits(), y.min_rtt_p50.to_bits(), "{x:?} vs {y:?}");
-        assert_eq!(x.min_rtt_var.map(f64::to_bits), y.min_rtt_var.map(f64::to_bits), "{x:?}");
-        assert_eq!(x.hdratio_p50.map(f64::to_bits), y.hdratio_p50.map(f64::to_bits), "{x:?}");
-        assert_eq!(x.hdratio_var.map(f64::to_bits), y.hdratio_var.map(f64::to_bits), "{x:?}");
-    }
-}
-
 #[test]
 fn live_replay_matches_offline_windows_bit_for_bit() {
-    let gen = LoadgenConfig {
-        sessions: 4_000,
-        groups: 16,
-        windows: 6,
-        window_ms: WINDOW_MS,
-        max_txns: 3,
-        ..LoadgenConfig::default()
-    };
-    let lines = generate_lines(&gen);
+    let (lines, settled) = replay();
     let parser = WireParser::new(HD_GOODPUT_BPS);
 
-    let mut offline = offline_cells(&lines, &parser);
-    offline.sort_by_key(sort_key);
+    let offline = offline_reference(&lines, &parser);
     // 6 windows of data; the watermark closes all but the last, with at
     // least one rank-0 cell per group in each.
     assert!(offline.len() >= 5 * 16, "only {} offline cells closed", offline.len());
 
     for workers in [1usize, 4, 16] {
-        let mut live = live_cells(&lines, workers);
-        live.sort_by_key(sort_key);
-        assert_bit_identical(&live, &offline);
+        let live = live_cells(&lines, &settled, workers);
+        assert_eq!(first_difference(&live, &offline), None, "workers={workers}");
     }
 }
 
 #[test]
 fn binary_replay_matches_jsonl_and_offline_bit_for_bit() {
-    let gen = LoadgenConfig {
-        sessions: 4_000,
-        groups: 16,
-        windows: 6,
-        window_ms: WINDOW_MS,
-        max_txns: 3,
-        ..LoadgenConfig::default()
-    };
-    let lines = generate_lines(&gen);
+    let (lines, settled) = replay();
     let parser = WireParser::new(HD_GOODPUT_BPS);
 
-    let mut offline = offline_cells(&lines, &parser);
-    offline.sort_by_key(sort_key);
+    let offline = offline_reference(&lines, &parser);
     assert!(offline.len() >= 5 * 16, "only {} offline cells closed", offline.len());
 
     for workers in [1usize, 4, 16] {
-        let mut jsonl = live_cells(&lines, workers);
-        jsonl.sort_by_key(sort_key);
-        let mut binary = live_cells_binary(&lines, &parser, workers);
-        binary.sort_by_key(sort_key);
+        let jsonl = live_cells(&lines, &settled, workers);
+        let binary = live_cells_binary(&lines, &settled, &parser, workers);
         // Binary-ingested cells equal JSONL-ingested cells equal the
         // offline reference, to the bit, at this worker count.
-        assert_bit_identical(&binary, &jsonl);
-        assert_bit_identical(&binary, &offline);
+        assert_eq!(first_difference(&binary, &jsonl), None, "workers={workers}");
+        assert_eq!(first_difference(&binary, &offline), None, "workers={workers}");
     }
 }
 

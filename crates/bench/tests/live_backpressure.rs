@@ -134,7 +134,6 @@ fn concurrent_connections_drain_clean_under_pressure() {
         // keys off it to keep connection skew ahead of the watermark.
         lateness_ms: 250.0,
         max_txns: 2,
-        rate: 0.0,
         shutdown: true,
         ..LoadgenConfig::default()
     };

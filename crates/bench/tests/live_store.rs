@@ -11,7 +11,8 @@ use std::time::{Duration, Instant};
 
 use edgeperf::core::HD_GOODPUT_BPS;
 use edgeperf::live::{
-    CellLine, CellQuery, GroupFilter, LiveClient, LiveConfig, LiveServer, ServerHandle,
+    first_difference, CellLine, CellQuery, GroupFilter, LiveClient, LiveConfig, LiveServer,
+    ServerHandle,
 };
 use edgeperf::obs::Metrics;
 use edgeperf::serve::WireParser;
@@ -62,23 +63,8 @@ fn replay(client: &mut LiveClient, lines: &[String]) {
         client.send_line(line).expect("send");
     }
     client.flush().expect("flush");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let snap = client.snapshot().expect("snapshot");
-        if snap.accepted + snap.rejected >= lines.len() as u64 {
-            assert_eq!(snap.rejected, 0, "clean replay: {snap:?}");
-            return;
-        }
-        assert!(Instant::now() < deadline, "server stuck mid-replay");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// Serialize rows for comparison: equal JSON means equal `f64` bit
-/// patterns (the wire format ships the exact bits; see
-/// `edgeperf_live::store`) and equal order.
-fn rows_json(rows: &[CellLine]) -> Vec<String> {
-    rows.iter().map(|c| serde_json::to_string(c).expect("cell serializes")).collect()
+    let snap = client.wait_processed(lines.len() as u64).expect("every line processed");
+    assert_eq!(snap.rejected, 0, "clean replay: {snap:?}");
 }
 
 /// The full horizon. `from=0` makes the query "filtered", which routes
@@ -111,8 +97,8 @@ fn spilled_query_is_bit_identical_to_all_ram_at_1_4_16_workers() {
 
         assert!(!spilled_rows.is_empty());
         assert_eq!(
-            rows_json(&spilled_rows),
-            rows_json(&ram_rows),
+            first_difference(&spilled_rows, &ram_rows),
+            None,
             "disk+RAM merge drifted from all-RAM at workers={workers}"
         );
         std::fs::remove_dir_all(&dir).expect("spill dir cleanup");
@@ -132,11 +118,12 @@ fn range_and_group_filters_match_a_manual_filter_of_the_full_result() {
 
     let sub = CellQuery { from_window: Some(3), until_window: Some(11), ..CellQuery::default() };
     let got = client.cells_query(&sub).expect("range cells");
-    let want: Vec<&CellLine> = all.iter().filter(|c| (3..=11).contains(&c.window)).collect();
+    let want: Vec<CellLine> =
+        all.iter().filter(|c| (3..=11).contains(&c.window)).cloned().collect();
     assert!(!got.is_empty(), "historical range must hit spilled windows");
     assert_eq!(
-        rows_json(&got),
-        want.iter().map(|c| serde_json::to_string(c).expect("cell")).collect::<Vec<_>>(),
+        first_difference(&got, &want),
+        None,
         "window-range query drifted from a manual filter"
     );
 
@@ -147,11 +134,11 @@ fn range_and_group_filters_match_a_manual_filter_of_the_full_result() {
         ..CellQuery::default()
     };
     let got = client.cells_query(&grouped).expect("group cells");
-    let want: Vec<&CellLine> = all.iter().filter(|c| c.pop == pop).collect();
+    let want: Vec<CellLine> = all.iter().filter(|c| c.pop == pop).cloned().collect();
     assert!(!got.is_empty());
     assert_eq!(
-        rows_json(&got),
-        want.iter().map(|c| serde_json::to_string(c).expect("cell")).collect::<Vec<_>>(),
+        first_difference(&got, &want),
+        None,
         "group-filtered query drifted from a manual filter"
     );
 
@@ -182,7 +169,7 @@ fn restart_serves_spilled_history_from_the_manifest() {
     let second = start(config(4, 2, Some(&dir)));
     let mut client = LiveClient::connect(second.addr()).expect("connect");
     let after = client.cells_query(&historical).expect("recovered cells");
-    assert_eq!(rows_json(&before), rows_json(&after), "manifest recovery lost or altered cells");
+    assert_eq!(first_difference(&after, &before), None, "manifest recovery lost or altered cells");
     client.shutdown().expect("shutdown");
     let _ = second.join();
     std::fs::remove_dir_all(&dir).expect("spill dir cleanup");
@@ -222,8 +209,8 @@ fn compaction_rewrites_segments_without_changing_query_results() {
 
     assert!(!compacted_rows.is_empty());
     assert_eq!(
-        rows_json(&compacted_rows),
-        rows_json(&ram_rows),
+        first_difference(&compacted_rows, &ram_rows),
+        None,
         "compaction changed what a full-range query returns"
     );
     std::fs::remove_dir_all(&dir).expect("spill dir cleanup");

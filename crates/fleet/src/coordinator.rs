@@ -28,8 +28,8 @@ use std::thread;
 use std::time::Instant;
 
 use edgeperf_live::{
-    CellLine, CellQuery, LineParser, LiveClient, LiveConfig, LiveServer, LiveSnapshot,
-    ProtocolError, Request, Response, ServerHandle,
+    CellQuery, LineParser, LiveClient, LiveConfig, LiveServer, LiveSnapshot, ProtocolError,
+    Request, Response, ServerHandle,
 };
 use edgeperf_obs::Metrics;
 use serde::{Deserialize, Serialize};
@@ -421,26 +421,17 @@ fn with_link<R>(
     }
 }
 
-/// Fan the version-gated `digest` out to every alive PoP and merge the
-/// raw cells into the global canonical view.
-fn fleet_cells_merged(
-    shared: &FleetShared,
-    query: &CellQuery,
-) -> Result<(u64, Vec<CellLine>), FleetError> {
+/// Fan `cells` out to every alive PoP and merge the rows into the
+/// global canonical view.
+fn serve_cells(shared: &FleetShared, query: &CellQuery) -> Result<String, FleetError> {
     shared.metrics.counter("fleet.queries.cells").inc();
-    let per_pop = fan_out(shared, |client| client.digest_query(query))?;
+    let per_pop = fan_out(shared, |client| client.cells_query(query))?;
     let started = Instant::now();
-    let accepted = per_pop.iter().map(|(_, (a, _))| a).sum();
-    let merged = merge_cells(per_pop.into_iter().map(|(p, (_, c))| (p, c)).collect())?;
+    let merged = merge_cells(per_pop)?;
     let elapsed = started.elapsed();
     shared.metrics.gauge("fleet.merge.last_ms").set(elapsed.as_secs_f64() * 1e3);
     shared.metrics.histogram("fleet.merge.us").record(elapsed.as_micros() as u64);
-    Ok((accepted, merged))
-}
-
-fn serve_cells(shared: &FleetShared, query: &CellQuery) -> Result<String, FleetError> {
-    let (_, cells) = fleet_cells_merged(shared, query)?;
-    Ok(Response::Cells(cells).render())
+    Ok(Response::Cells(merged).render())
 }
 
 fn fleet_snapshot(shared: &FleetShared) -> Result<LiveSnapshot, FleetError> {

@@ -13,7 +13,6 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use edgeperf_analysis::GroupKey;
 use edgeperf_core::EdgeperfError;
@@ -129,16 +128,8 @@ fn coordinator_replies_are_the_recorded_bytes() {
         mine.iter().for_each(|rec| sender.send(rec).expect("send frame"));
         sender.finish().expect("finish");
         let mut control = LiveClient::connect(addr).expect("control connect");
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let snap = control.snapshot().expect("snapshot");
-            if snap.accepted + snap.rejected >= mine.len() as u64 {
-                assert_eq!((snap.accepted, snap.rejected), (mine.len() as u64, 0));
-                break;
-            }
-            assert!(Instant::now() < deadline, "PoP {pop} stuck: {snap:?}");
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        let snap = control.wait_processed(mine.len() as u64).expect("PoP folds its share in");
+        assert_eq!((snap.accepted, snap.rejected), (mine.len() as u64, 0), "PoP {pop}");
     }
 
     let mut conn = BufReader::new(TcpStream::connect(fleet.addr()).expect("connect"));

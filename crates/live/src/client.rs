@@ -6,7 +6,7 @@
 //! external tooling. Command lines are produced by [`Request::wire_line`] and
 //! replies parsed by the [`crate::protocol`] helpers — the client never
 //! hand-rolls wire syntax, so it cannot drift from the server. The rows
-//! of a `cells`/`digest` reply are read through one reused line buffer
+//! of a `cells` reply are read through one reused line buffer
 //! and [`crate::protocol::read_row`]: what a row still costs the client
 //! is the [`CellLine`] it returns, relationship `String` included. Data
 //! lines are buffered (flushed before any command round-trip) so replay
@@ -19,8 +19,8 @@
 use crate::chaos::{WireChaos, WireFault};
 use crate::frame::{encode_frame, hello_block, preamble, preamble_with_hello};
 use crate::protocol::{
-    parse_acked, parse_cells_header, parse_digest_header, read_rows, CellLine, CellQuery,
-    DigestHeader, LiveSnapshot, ProtocolError, Request, PROTOCOL_VERSION,
+    parse_acked, parse_cells_header, read_rows, CellLine, CellQuery, LiveSnapshot, ProtocolError,
+    Request, PROTOCOL_VERSION,
 };
 use crate::record::LiveRecord;
 use crate::store::StoreStats;
@@ -110,6 +110,31 @@ impl LiveClient {
         from_json(&self.typed(&Request::Snapshot)?)
     }
 
+    /// The settle-wait: poll `snapshot` until the server has accounted
+    /// for `expected` records — accepted or rejected — and return that
+    /// snapshot. Data connections carry no replies, so this is how a
+    /// sender learns that everything it flushed has been folded in; a
+    /// server still short of `expected` after 30 s is a `TimedOut` error.
+    pub fn wait_processed(&mut self, expected: u64) -> io::Result<LiveSnapshot> {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let snap = self.snapshot()?;
+            if snap.accepted + snap.rejected >= expected {
+                return Ok(snap);
+            }
+            if Instant::now() > deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!(
+                        "server stuck at {}/{expected} processed",
+                        snap.accepted + snap.rejected
+                    ),
+                ));
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
     /// Fetch every retained closed cell (RAM and, when the server
     /// spills, the on-disk tier too).
     pub fn cells(&mut self) -> io::Result<Vec<CellLine>> {
@@ -121,28 +146,6 @@ impl LiveClient {
         let header = self.typed(&Request::Cells(*query))?;
         let count = parse_cells_header(&header)?;
         read_rows(&mut self.reader, count, &mut self.line)
-    }
-
-    /// Fetch a raw-cells digest: the matching cells (always in
-    /// canonical order) plus the accepted-record counter observed under
-    /// the same sync barrier. This is the fleet coordinator's fan-out
-    /// primitive — one round-trip yields a self-consistent
-    /// (cells, accepted) pair per node. The request carries this
-    /// client's [`PROTOCOL_VERSION`]; a server that speaks another
-    /// version refuses with a typed error instead of replying in a
-    /// layout this client would mis-parse.
-    pub fn digest_query(&mut self, query: &CellQuery) -> io::Result<(u64, Vec<CellLine>)> {
-        let header = self.typed(&Request::Digest { proto: PROTOCOL_VERSION, query: *query })?;
-        let DigestHeader { cells: count, protocol, accepted } = parse_digest_header(&header)?;
-        if protocol != PROTOCOL_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "digest rendered under protocol {protocol}, client speaks {PROTOCOL_VERSION}"
-                ),
-            ));
-        }
-        Ok((accepted, read_rows(&mut self.reader, count, &mut self.line)?))
     }
 
     /// Fetch the tiered window-store statistics. Errors with the

@@ -44,19 +44,23 @@
 //!   windows evicted past the RAM retention horizon into columnar
 //!   on-disk segments (manifest-tracked, crash-safe, background
 //!   compaction) that `cells` range queries merge back bit-identically.
-//! - [`reply`]: [`CellsReply`] — a `cells`/`digest` reply ordered
+//! - [`reply`]: [`CellsReply`] — a `cells` reply ordered
 //!   through a sort index and written row by row from the closed
 //!   windows the workers share, never built in memory.
 //! - [`server`]: [`LiveServer`] / [`ServerHandle`], the state the
 //!   threads share and the graceful drain; one private module per job
 //!   under `server/` — `conn` (acceptor and readers), `lanes` (the SPSC
 //!   fan-out and its backpressure), `session` (resume acks), `query`
-//!   (control fan-out, `cells`/`digest`), `worker` (windows, detection,
+//!   (control fan-out, `cells`), `worker` (windows, detection,
 //!   panic recovery), `stats` (accept/reject accounting), `background`
 //!   (compactor, heartbeat supervisor).
 //! - [`client`]: [`LiveClient`], the blocking protocol client used by
 //!   the load generator, the fleet tier and the agreement tests, and
 //!   [`replay_with_resume`], the exactly-once data connection.
+//! - [`proof`]: the proof kit behind every bit-identity claim —
+//!   [`serial_cells`], the one-serial-ring oracle, and
+//!   [`first_difference`], the bitwise row comparator (the settle-wait
+//!   is [`LiveClient::wait_processed`]).
 //!
 //! The cross-cutting invariant: a finite replay through the server is
 //! **bit-identical** to the offline [`edgeperf_analysis::StreamingDataset`]
@@ -69,6 +73,7 @@ pub mod client;
 pub mod config;
 pub mod detect;
 pub mod frame;
+pub mod proof;
 pub mod protocol;
 pub mod queue;
 pub mod record;
@@ -85,10 +90,10 @@ pub use config::LiveConfig;
 pub use detect::{EpisodeChange, OnlineDetector};
 pub use edgeperf_core::plan::PlanError;
 pub use frame::{encode_frame, preamble, FrameDecoder, FRAME_BODY_LEN, FRAME_WIRE_LEN};
+pub use proof::{first_difference, serial_cells};
 pub use protocol::{
-    cell_line_sort_key, parse_cells_header, parse_digest_header, CellLine, CellQuery, ClassCount,
-    DigestHeader, GroupFilter, LiveSnapshot, ProtocolError, ReasonCount, Request, Response,
-    RowsHeader, WorkerStatsLine, PROTOCOL_VERSION,
+    cell_line_sort_key, parse_cells_header, CellLine, CellQuery, ClassCount, GroupFilter,
+    LiveSnapshot, ProtocolError, ReasonCount, Request, Response, WorkerStatsLine, PROTOCOL_VERSION,
 };
 pub use queue::{spsc, Consumer, Producer, Waiter};
 pub use record::{relationship_from_label, LineParser, LiveRecord};

@@ -13,7 +13,7 @@
 //!
 //! ## The row codec
 //!
-//! A `cells`/`digest` reply is a header line ([`RowsHeader`]) and one
+//! A `cells` reply is a header line ([`write_cells_header`]) and one
 //! JSON object per row, and at the wide shape one reply is 32,768 rows.
 //! Rows therefore have one hand-written writer and one hand-written
 //! reader for their fixed 17 fields — [`write_row`] / [`read_row`] —
@@ -232,19 +232,6 @@ pub enum Request {
         /// The session id to look up.
         session: u64,
     },
-    /// Raw-cells export for fleet-level merging: the matching cells
-    /// *and* the accepted-record counter, served under one sync barrier
-    /// so a coordinator can validate a merged view against per-node
-    /// accounting without racing a separate `snapshot` round-trip.
-    /// Version-gated: the mandatory `proto=` argument must name the
-    /// protocol version the client speaks, so a digest consumer can
-    /// never silently mis-parse a future layout.
-    Digest {
-        /// Protocol version the client speaks (`proto=` argument).
-        proto: u32,
-        /// Cell selection, same grammar as `cells`.
-        query: CellQuery,
-    },
     /// Drain the server and reply with the final snapshot.
     Shutdown,
     /// Close this connection.
@@ -276,17 +263,6 @@ impl Request {
                     epoch: args[1].parse().map_err(|_| bad(args[1], "epoch"))?,
                 })
             }
-            ("digest", false) => {
-                let proto = args[0]
-                    .strip_prefix("proto=")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| ProtocolError::BadArgument {
-                        command: "digest",
-                        argument: args[0].to_string(),
-                        message: "expected proto=VERSION first".to_string(),
-                    })?;
-                Ok(Request::Digest { proto, query: CellQuery::parse_args(&args[1..])? })
-            }
             ("resume", false) if args.len() == 1 => Ok(Request::Resume {
                 session: args[0].parse().map_err(|_| ProtocolError::BadArgument {
                     command: "resume",
@@ -317,11 +293,6 @@ impl Request {
             Request::Metrics => "metrics".to_string(),
             Request::Store => "store".to_string(),
             Request::Version => "version".to_string(),
-            Request::Digest { proto, query } => {
-                let mut out = format!("digest proto={proto}");
-                query.render_args(&mut out);
-                out
-            }
             Request::Hello { session, epoch } => format!("hello {session} {epoch}"),
             Request::Resume { session } => format!("resume {session}"),
             Request::Shutdown => "shutdown".to_string(),
@@ -332,14 +303,7 @@ impl Request {
     /// Does this request require the read-your-own-writes barrier (sync
     /// lanes before serving) like the legacy `snapshot`/`stats`/`cells`?
     pub(crate) fn needs_sync(&self) -> bool {
-        matches!(
-            self,
-            Request::Snapshot
-                | Request::Stats
-                | Request::Cells(_)
-                | Request::Store
-                | Request::Digest { .. }
-        )
+        matches!(self, Request::Snapshot | Request::Stats | Request::Cells(_) | Request::Store)
     }
 }
 
@@ -497,15 +461,6 @@ pub enum Response {
     Stats(Vec<WorkerStatsLine>),
     /// Cell header + rows.
     Cells(Vec<CellLine>),
-    /// Raw-cells digest export: header carrying the row count, the
-    /// protocol version, and the accepted-record counter observed under
-    /// the same sync barrier, then the rows in canonical order.
-    Digest {
-        /// Records folded into windows at serve time.
-        accepted: u64,
-        /// Matching cells, canonically sorted.
-        cells: Vec<CellLine>,
-    },
     /// Pre-serialized metrics snapshot JSON.
     Metrics(String),
     /// Tiered store statistics; `None` when spilling is not configured.
@@ -551,10 +506,7 @@ impl Response {
                     .collect();
                 format!("{{\"workers\":[{}]}}", rows.join(","))
             }
-            Response::Cells(cells) => render_rows(RowsHeader::Cells, cells),
-            Response::Digest { accepted, cells } => {
-                render_rows(RowsHeader::Digest { accepted: *accepted }, cells)
-            }
+            Response::Cells(cells) => render_rows(cells),
             Response::Metrics(json) => json.clone(),
             Response::Store(Some(stats)) => {
                 serde_json::to_string(stats).expect("store stats serialize")
@@ -572,36 +524,17 @@ impl Response {
     }
 }
 
-/// The header line of a multi-row reply, written once the row count is
-/// known. [`Response::render`] and the server's streamed replies both
-/// write it here, so the two cannot drift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowsHeader {
-    /// `{"cells":N}`.
-    Cells,
-    /// `{"digest":N,"protocol":V,"accepted":M}`.
-    Digest {
-        /// Records folded into windows at serve time.
-        accepted: u64,
-    },
+/// Write the `{"cells":N}` header of a `cells` reply (no trailing
+/// newline), once the row count is known. [`Response::render`] and the
+/// server's streamed replies both write it here, so the two cannot
+/// drift; [`parse_cells_header`] is the inverse.
+pub(crate) fn write_cells_header(out: &mut impl io::Write, rows: usize) -> io::Result<()> {
+    write!(out, "{{\"cells\":{rows}}}")
 }
 
-impl RowsHeader {
-    /// Write the header announcing `rows` rows (no trailing newline).
-    pub fn write(&self, out: &mut impl io::Write, rows: usize) -> io::Result<()> {
-        match self {
-            RowsHeader::Cells => write!(out, "{{\"cells\":{rows}}}"),
-            RowsHeader::Digest { accepted } => write!(
-                out,
-                "{{\"digest\":{rows},\"protocol\":{PROTOCOL_VERSION},\"accepted\":{accepted}}}"
-            ),
-        }
-    }
-}
-
-fn render_rows(header: RowsHeader, cells: &[CellLine]) -> String {
+fn render_rows(cells: &[CellLine]) -> String {
     let mut out = Vec::new();
-    header.write(&mut out, cells.len()).expect("write to a Vec");
+    write_cells_header(&mut out, cells.len()).expect("write to a Vec");
     for cell in cells {
         out.push(b'\n');
         write_fields(&mut out, &Fields::from(cell)).expect("write to a Vec");
@@ -755,7 +688,7 @@ fn write_fields(out: &mut impl io::Write, r: &Fields<'_>) -> io::Result<()> {
     )
 }
 
-/// Write one row of a `cells`/`digest` reply (no newline): exactly the
+/// Write one row of a `cells` reply (no newline): exactly the
 /// bytes `serde_json::to_string(&store::cell_line(row))` gives, without
 /// building the [`CellLine`], its `String` or a `Value` tree. The
 /// property test below pins the equality; [`read_row`] is the inverse.
@@ -893,7 +826,7 @@ fn boolean(token: &str) -> Option<bool> {
 /// translate into an unbounded upfront allocation.
 const MAX_PREALLOC_ROWS: usize = 1 << 16;
 
-/// Read the `count` rows that follow a `cells`/`digest` header, each
+/// Read the `count` rows that follow a `cells` header, each
 /// through `line` (one buffer for the whole reply) and [`read_row`].
 pub(crate) fn read_rows(
     reader: &mut impl io::BufRead,
@@ -923,37 +856,6 @@ pub fn parse_cells_header(header: &str) -> Result<usize, ProtocolError> {
             expected: "{\"cells\":N}",
             got: header.to_string(),
         })
-}
-
-/// Parsed header of a `digest` reply, followed on the wire by
-/// [`DigestHeader::cells`] rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DigestHeader {
-    /// Rows that follow the header.
-    pub cells: usize,
-    /// Protocol version the server rendered the rows under.
-    pub protocol: u32,
-    /// Accepted-record counter at serve time (same sync barrier as the
-    /// rows).
-    pub accepted: u64,
-}
-
-/// Parse the `{"digest":N,"protocol":V,"accepted":M}` header of a
-/// `digest` reply.
-pub fn parse_digest_header(header: &str) -> Result<DigestHeader, ProtocolError> {
-    let err = || ProtocolError::MalformedReply {
-        expected: "{\"digest\":N,\"protocol\":V,\"accepted\":M}",
-        got: header.to_string(),
-    };
-    let rest = header.strip_prefix("{\"digest\":").ok_or_else(err)?;
-    let (cells, rest) = rest.split_once(",\"protocol\":").ok_or_else(err)?;
-    let (protocol, rest) = rest.split_once(",\"accepted\":").ok_or_else(err)?;
-    let accepted = rest.strip_suffix('}').ok_or_else(err)?;
-    Ok(DigestHeader {
-        cells: cells.parse().map_err(|_| err())?,
-        protocol: protocol.parse().map_err(|_| err())?,
-        accepted: accepted.parse().map_err(|_| err())?,
-    })
 }
 
 /// Parse the `{"acked":N}` reply to `hello`/`resume` (client side).
@@ -1108,86 +1010,10 @@ mod tests {
             Request::Version,
             Request::Hello { session: 7, epoch: 0 },
             Request::Resume { session: u64::MAX },
-            Request::Digest { proto: PROTOCOL_VERSION, query: CellQuery::default() },
             Request::Shutdown,
             Request::Quit,
         ] {
             assert_eq!(Request::parse(&req.wire_line()), Ok(req));
-        }
-    }
-
-    #[test]
-    fn digest_requires_the_version_gate_and_accepts_cell_args() {
-        // Bare `digest` is not in the protocol: the version argument is
-        // mandatory, so a pre-digest client's guess stays an unknown
-        // command and a digest consumer always states what it speaks.
-        assert_eq!(
-            Request::parse("digest"),
-            Err(ProtocolError::UnknownCommand("digest".to_string()))
-        );
-        match Request::parse("digest from=0") {
-            Err(ProtocolError::BadArgument { command: "digest", .. }) => {}
-            other => panic!("expected BadArgument, got {other:?}"),
-        }
-        match Request::parse("digest proto=x") {
-            Err(ProtocolError::BadArgument { command: "digest", .. }) => {}
-            other => panic!("expected BadArgument, got {other:?}"),
-        }
-        let req = Request::parse("digest proto=1 from=2 until=4 pop=1").expect("parses");
-        match req {
-            Request::Digest { proto: 1, query } => {
-                assert_eq!(query.from_window, Some(2));
-                assert_eq!(query.until_window, Some(4));
-                assert_eq!(query.group.pop, Some(1));
-            }
-            other => panic!("expected digest, got {other:?}"),
-        }
-        assert!(req.needs_sync(), "digest must observe the connection's own writes");
-        assert_eq!(Request::parse(&req.wire_line()), Ok(req));
-    }
-
-    #[test]
-    fn golden_digest_reply_and_header() {
-        // New reply shape, pinned from day one like the legacy goldens.
-        assert_eq!(
-            Response::Digest { accepted: 12_345, cells: Vec::new() }.render(),
-            "{\"digest\":0,\"protocol\":1,\"accepted\":12345}"
-        );
-        let cell = CellLine {
-            window: 3,
-            pop: 1,
-            prefix_base: 167_772_160,
-            prefix_len: 24,
-            country: 7,
-            continent: 2,
-            rank: 0,
-            relationship: "private".to_string(),
-            longer_path: false,
-            more_prepended: false,
-            n: 10,
-            n_tested: 8,
-            bytes: 1_000,
-            min_rtt_p50: 42.5,
-            min_rtt_var: Some(0.25),
-            hdratio_p50: None,
-            hdratio_var: None,
-        };
-        let rendered = Response::Digest { accepted: 10, cells: vec![cell.clone()] }.render();
-        let mut lines = rendered.lines();
-        let header = parse_digest_header(lines.next().expect("header")).expect("header parses");
-        assert_eq!(header, DigestHeader { cells: 1, protocol: PROTOCOL_VERSION, accepted: 10 });
-        let back: CellLine = serde_json::from_str(lines.next().expect("row")).expect("row parses");
-        assert_eq!(back, cell);
-        assert_eq!(lines.next(), None);
-        for bad in [
-            "{\"digest\":1}",
-            "{\"digest\":1,\"protocol\":1}",
-            "{\"digest\":x,\"protocol\":1,\"accepted\":0}",
-            "{\"cells\":1}",
-            "",
-            "pong",
-        ] {
-            assert!(parse_digest_header(bad).is_err(), "{bad}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! A `cells`/`digest` reply, ordered and written from rows that stay
+//! A `cells` reply, ordered and written from rows that stay
 //! where they are.
 //!
 //! A worker answers a query with its closed windows themselves — shared
@@ -11,7 +11,7 @@
 //! [`crate::CellLine`], no `String` and no copy of a row exists on the way
 //! (`tests/reply_footprint.rs` holds that to bytes and allocation counts).
 
-use crate::protocol::{write_row, CellQuery, RowsHeader};
+use crate::protocol::{write_cells_header, write_row, CellQuery};
 use crate::store::window_cell;
 use crate::window::{CellKey, CellSummary};
 use edgeperf_analysis::{cell_sort_key, CellSortKey, WindowCell};
@@ -110,13 +110,13 @@ impl<'a> CellsReply<'a> {
         }
     }
 
-    /// Write the whole reply — `header` with the row count, the rows, the
-    /// closing newline — to `out` through one 64 KiB buffer, flushed.
+    /// Write the whole reply — the header with the row count, the rows,
+    /// the closing newline — to `out` through one 64 KiB buffer, flushed.
     /// Returns the bytes written.
-    pub fn write(&self, header: RowsHeader, out: &mut impl Write) -> io::Result<u64> {
+    pub fn write(&self, out: &mut impl Write) -> io::Result<u64> {
         let mut out =
             BufWriter::with_capacity(REPLY_BUFFER_BYTES, Counted { inner: out, bytes: 0 });
-        header.write(&mut out, self.rows())?;
+        write_cells_header(&mut out, self.rows())?;
         self.write_rows(&mut out)?;
         out.write_all(b"\n")?;
         out.flush()?;
@@ -212,7 +212,7 @@ mod tests {
 
     fn written(reply: &CellsReply<'_>) -> String {
         let mut out = Vec::new();
-        let bytes = reply.write(RowsHeader::Cells, &mut out).expect("writes");
+        let bytes = reply.write(&mut out).expect("writes");
         assert_eq!(bytes, out.len() as u64);
         String::from_utf8(out).expect("utf-8")
     }

@@ -43,7 +43,7 @@
 //! | `conn` | acceptor, one reader per connection | `Shared::conns`; wire negotiation, the frame and line loops |
 //! | `lanes` | reader (tx end), worker (rx end) | `Shared::hubs`; the SPSC lanes and their sync barrier |
 //! | `session` | reader | `Shared::resume`; resume acks |
-//! | `query` | reader | `Shared::router`; control fan-out, `cells`/`digest` |
+//! | `query` | reader | `Shared::router`; control fan-out, `cells` |
 //! | `worker` | one per worker | rings, detectors and closed windows (thread-local, not in `Shared`) |
 //! | `stats` | whoever counts | `Shared::stats`; accept/reject cells and their roll-up |
 //! | `background` | compactor, supervisor | nothing; they watch the store and the heartbeat board |
@@ -309,7 +309,7 @@ fn drain(shared: &Shared, self_id: u64, lanes: ReaderLanes) -> LiveSnapshot {
 // written; these are the names they reach through `super::*`.
 #[cfg(test)]
 use {
-    crate::protocol::{CellLine, CellQuery, ClassCount, ReasonCount},
+    crate::protocol::{CellLine, ClassCount, ReasonCount},
     edgeperf_analysis::GroupKey,
     edgeperf_routing::{PopId, Prefix},
     stats::{StatCell, StatTotals},
@@ -400,12 +400,12 @@ mod tests {
     }
 
     /// Never silent: once a drain has dropped the control router a
-    /// worker can no longer be asked, and `cells`/`digest` must say so
-    /// like `snapshot` and `stats` do — not answer with whatever rows
-    /// the reachable workers had (here none: `{"cells":0}`), which a
-    /// fleet `digest` would merge as a whole PoP.
+    /// worker can no longer be asked, and `cells` must say so like
+    /// `snapshot` and `stats` do — not answer with whatever rows the
+    /// reachable workers had (here none: `{"cells":0}`), which a fleet
+    /// `cells` would merge as a whole PoP.
     #[test]
-    fn cells_and_digest_answer_draining_once_a_shutdown_began() {
+    fn cells_answer_draining_once_a_shutdown_began() {
         let parser = |_: &str| Err(EdgeperfError::UnknownDuration);
         let config = LiveConfig { workers: 2, ..LiveConfig::default() };
         let server = LiveServer::start(config, Arc::new(parser), Metrics::disabled())
@@ -418,11 +418,7 @@ mod tests {
         assert_eq!(client.stats_json().expect("stats"), draining);
         // ... and so must `snapshot()`: the server's word, not serde's
         // complaint about the fields an error reply lacks.
-        let refused = [
-            client.cells().map(|_| ()),
-            client.digest_query(&CellQuery::default()).map(|_| ()),
-            client.snapshot().map(|_| ()),
-        ];
+        let refused = [client.cells().map(|_| ()), client.snapshot().map(|_| ())];
         for reply in refused {
             let err = reply.expect_err("a draining server serves no state");
             assert_eq!(err.to_string(), draining);

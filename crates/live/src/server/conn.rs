@@ -29,7 +29,7 @@ use super::{drain, send, Shared};
 use crate::frame::{
     parse_hello, parse_preamble, FrameDecoder, FRAME_MAGIC, HELLO_LEN, PREAMBLE_LEN,
 };
-use crate::protocol::{ProtocolError, Request, Response, PROTOCOL_VERSION};
+use crate::protocol::{Request, Response};
 use crate::record::LineParser;
 use std::io::{self, BufRead, BufReader, Cursor, ErrorKind, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -401,22 +401,12 @@ fn line_reader_loop<R: Read>(
                             }
                         }
                     }
-                    Request::Digest { proto, .. } if proto != PROTOCOL_VERSION => {
-                        Response::Error(ProtocolError::BadArgument {
-                            command: "digest",
-                            argument: format!("proto={proto}"),
-                            message: format!("server speaks protocol {PROTOCOL_VERSION}"),
-                        })
-                    }
-                    // The two replies that are written, not built: rows
-                    // go from where they lie to the socket.
-                    Request::Cells(query) | Request::Digest { query, .. } => {
-                        let digest = matches!(request, Request::Digest { .. });
-                        match serve_cells(shared, &query, digest, out) {
-                            Ok(()) => continue,
-                            Err(_) => break,
-                        }
-                    }
+                    // The one reply that is written, not built: rows go
+                    // from where they lie to the socket.
+                    Request::Cells(query) => match serve_cells(shared, &query, out) {
+                        Ok(()) => continue,
+                        Err(_) => break,
+                    },
                     Request::Metrics => Response::Metrics(
                         serde_json::to_string(&shared.metrics.snapshot())
                             .expect("metrics serialize"),

@@ -1,4 +1,4 @@
-//! The control plane, and the `cells`/`digest` replies written through
+//! The control plane, and the `cells` replies written through
 //! it. Runs on the asking connection's reader thread; owns
 //! `Shared::router`.
 //!
@@ -14,7 +14,7 @@
 //! A worker keeps each closed window as an immutable shared slice
 //! (`Arc<[(CellKey, CellSummary)]>`): it owns the map of them — insert
 //! on close, spill and pop on eviction — and nothing ever changes a
-//! slice's contents. A `cells`/`digest` query therefore costs a worker
+//! slice's contents. A `cells` query therefore costs a worker
 //! one `Arc` clone per window in range; the connection's own reader
 //! thread does the rest ([`crate::reply::CellsReply`]): it filters on
 //! the group, orders the rows through a 24-byte-a-row sort index, merges
@@ -32,14 +32,14 @@
 //!
 //! ## Query metrics
 //!
-//! Recorded once per `cells`/`digest` query, never per row:
-//! `live.query.cells_ns` / `live.query.digest_ns` (histograms: workers
-//! asked to last byte flushed) and the `live.query.rows` /
-//! `live.query.reply_bytes` counters, all served by `metrics`.
+//! Recorded once per `cells` query, never per row: `live.query.cells_ns`
+//! (histogram: workers asked to last byte flushed) and the
+//! `live.query.rows` / `live.query.reply_bytes` counters, all served by
+//! `metrics`.
 
 use super::stats::WorkerSnap;
 use super::{send, Shared};
-use crate::protocol::{CellQuery, Response, RowsHeader};
+use crate::protocol::{CellQuery, Response};
 use crate::reply::{CellsReply, SharedWindow};
 use crate::store::QUERY_TOTALS;
 use std::io::{self, Write};
@@ -118,7 +118,7 @@ pub(super) fn query_workers<T>(
     Some(out)
 }
 
-/// Serve a `cells` or `digest` query by writing it: every worker hands
+/// Serve a `cells` query by writing it: every worker hands
 /// over the closed windows in range as shared slices, the tiered store
 /// its matching rows, and this (the connection's reader) thread filters,
 /// orders and merges them through a [`CellsReply`] — windows present in
@@ -130,15 +130,11 @@ pub(super) fn query_workers<T>(
 ///
 /// Compatibility: a bare `cells` on a store-less server keeps the
 /// legacy reply bytes exactly — worker order, insertion order, no sort.
-/// Any filtered query, any server with a store and every `digest` (it
-/// exists for cross-node merging) is in canonical order, deterministic
-/// across worker counts and spill timing. A digest's accepted-record
-/// counter is read after the workers answered, under the caller's sync
-/// barrier like the rows, so the pair is consistent in a quiesced stream.
+/// Any filtered query and any server with a store is in canonical order,
+/// deterministic across worker counts and spill timing.
 pub(super) fn serve_cells(
     shared: &Shared,
     query: &CellQuery,
-    digest: bool,
     out: &mut impl Write,
 ) -> io::Result<()> {
     let started = shared.metrics.is_enabled().then(Instant::now);
@@ -162,18 +158,12 @@ pub(super) fn serve_cells(
         }
     };
     let reply = match &spilled {
-        None if !digest && query.is_all() => CellsReply::as_they_lie(&windows),
+        None if query.is_all() => CellsReply::as_they_lie(&windows),
         _ => CellsReply::canonical(&windows, spilled.as_deref().unwrap_or(&[]), query),
     };
-    let header = if digest {
-        RowsHeader::Digest { accepted: shared.stats.totals().accepted }
-    } else {
-        RowsHeader::Cells
-    };
-    let bytes = reply.write(header, out)?;
+    let bytes = reply.write(out)?;
     if let Some(started) = started {
-        let verb = if digest { "live.query.digest_ns" } else { "live.query.cells_ns" };
-        shared.metrics.histogram(verb).record(started.elapsed().as_nanos() as u64);
+        shared.metrics.histogram("live.query.cells_ns").record(started.elapsed().as_nanos() as u64);
         shared.metrics.counter("live.query.rows").add(reply.rows() as u64);
         shared.metrics.counter("live.query.reply_bytes").add(bytes);
     }

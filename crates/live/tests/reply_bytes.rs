@@ -1,26 +1,26 @@
-//! What a `cells`/`digest` reply is on the wire, byte for byte, now that
+//! What a `cells` reply is on the wire, byte for byte, now that
 //! the server writes it from the windows its workers share instead of
 //! building it: at 1, 2 and 4 workers, bare / window-filtered /
 //! `pop=`+`prefix=`, without a store and with one that holds some windows
 //! only on disk, some only in RAM and some in both, the bytes are those
 //! of `Response::Cells(expected).render()` with `expected` built the old
-//! way — a `Vec<CellLine>` from a serial [`WindowRing`], sorted (or, for
-//! the bare store-less `cells`, left in worker / window / insertion
-//! order). And the four `live.query.*` metrics say what the replies
-//! actually carried.
+//! way — the `Vec<CellLine>` of the proof kit's [`serial_cells`], in its
+//! canonical order (or, for the bare store-less `cells`, in worker /
+//! window / insertion order). The deleted `digest` verb answers as any
+//! unknown command does. And the three `live.query.*` metrics say what
+//! the replies actually carried.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use edgeperf_analysis::GroupKey;
 use edgeperf_core::EdgeperfError;
 use edgeperf_live::{
-    cell_line_sort_key, parse_cells_header, parse_digest_header, shard_of, BinarySender, CellLine,
-    CellQuery, ClosedWindow, GroupFilter, LiveClient, LiveConfig, LiveRecord, LiveServer, Request,
-    Response, ServerHandle, WindowRing, PROTOCOL_VERSION,
+    parse_cells_header, serial_cells, shard_of, BinarySender, CellKey, CellLine, CellQuery,
+    GroupFilter, LiveClient, LiveConfig, LiveRecord, LiveServer, Request, Response, ServerHandle,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_routing::{PopId, Prefix, Relationship};
@@ -73,43 +73,37 @@ fn records() -> Vec<LiveRecord> {
     out
 }
 
-/// The windows the watermark closes, from one serial pass.
-fn serial_windows(records: &[LiveRecord]) -> Vec<ClosedWindow> {
-    let mut ring = WindowRing::new(WINDOW_MS, LATENESS_MS);
-    let mut closed = Vec::new();
-    for rec in records {
-        closed.extend(ring.push(rec).expect("in-order record"));
+/// The oracle's rows, and for each the index of the first record that
+/// lands in its cell: a worker's ring creates its cells in that order,
+/// which is the order the legacy bare `cells` serves them in.
+struct Serial {
+    rows: Vec<CellLine>,
+    first_seen: HashMap<(u32, CellKey), usize>,
+}
+
+fn serial(records: &[LiveRecord]) -> Serial {
+    let rows = serial_cells(records, WINDOW_MS, LATENESS_MS).expect("in-order records");
+    let mut first_seen = HashMap::new();
+    for (i, rec) in records.iter().enumerate() {
+        let window = u32::try_from((rec.ts_ms / WINDOW_MS) as u64).expect("a small index");
+        first_seen.entry((window, (rec.group, rec.route_rank))).or_insert(i);
     }
-    closed.sort_by_key(|w| w.index);
-    closed
+    Serial { rows, first_seen }
 }
 
 /// The reply the old build-then-render path gave: every matching row as
-/// a `CellLine`, in the legacy order (per worker, per window, as
-/// inserted) or sorted canonically.
-fn expected_rows(
-    serial: &[ClosedWindow],
-    query: &CellQuery,
-    legacy: Option<usize>,
-) -> Vec<CellLine> {
-    let lines = |worker: Option<usize>| -> Vec<CellLine> {
-        let workers = legacy.unwrap_or(1);
-        serial
-            .iter()
-            .flat_map(|w| w.cells.iter().map(move |(k, s)| (w.index, k, s)))
-            .filter(|(w, k, _)| query.matches(*w, &k.0))
-            .filter(|(_, k, _)| worker.is_none_or(|worker| shard_of(&k.0, workers) == worker))
-            .map(|(w, k, s)| CellLine::new(w, k, s))
-            .collect()
-    };
-    match legacy {
-        Some(workers) => (0..workers).flat_map(|w| lines(Some(w))).collect(),
-        None => {
-            let mut rows = lines(None);
-            rows.sort_by_key(cell_line_sort_key);
-            rows
-        }
+/// a `CellLine`, sorted canonically or — `legacy` workers — in the legacy
+/// order (per worker, per window, as inserted).
+fn expected_rows(serial: &Serial, query: &CellQuery, legacy: Option<usize>) -> Vec<CellLine> {
+    let mut rows: Vec<CellLine> =
+        serial.rows.iter().filter(|c| query.matches(c.window, &c.group())).cloned().collect();
+    if let Some(workers) = legacy {
+        rows.sort_by_key(|c| {
+            let seen = serial.first_seen[&(c.window, (c.group(), c.rank))];
+            (shard_of(&c.group(), workers), c.window, seen)
+        });
     }
+    rows
 }
 
 /// `workers` workers keeping `retention` windows in RAM, spilling the
@@ -140,16 +134,9 @@ fn replayed(
     }
     sender.finish().expect("finish");
     let mut control = LiveClient::connect(server.addr()).expect("control connect");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let snap = control.snapshot().expect("snapshot");
-        if snap.accepted + snap.rejected >= records.len() as u64 {
-            assert_eq!((snap.accepted, snap.rejected), (records.len() as u64, 0));
-            return (server, control);
-        }
-        assert!(Instant::now() < deadline, "server stuck: {snap:?}");
-        std::thread::sleep(Duration::from_micros(200));
-    }
+    let snap = control.wait_processed(records.len() as u64).expect("every frame processed");
+    assert_eq!((snap.accepted, snap.rejected), (records.len() as u64, 0));
+    (server, control)
 }
 
 fn stop(server: ServerHandle, mut control: LiveClient) {
@@ -157,19 +144,13 @@ fn stop(server: ServerHandle, mut control: LiveClient) {
     let _ = server.join();
 }
 
-/// One request on a raw line connection; the reply exactly as sent, the
-/// newline that ends it included.
-fn raw_reply(conn: &mut BufReader<TcpStream>, request: &Request) -> String {
-    writeln!(conn.get_mut(), "{}", request.wire_line()).expect("send");
+/// One command line on a raw line connection; the reply exactly as sent,
+/// the rows of a `cells` reply and the newline that ends it included.
+fn raw_reply(conn: &mut BufReader<TcpStream>, command: &str) -> String {
+    writeln!(conn.get_mut(), "{command}").expect("send");
     let mut reply = String::new();
     conn.read_line(&mut reply).expect("header");
-    let header = reply.trim_end();
-    let rows = match request {
-        Request::Cells(_) => parse_cells_header(header).expect("cells header"),
-        Request::Digest { .. } => parse_digest_header(header).expect("digest header").cells,
-        _ => 0,
-    };
-    for _ in 0..rows {
+    for _ in 0..parse_cells_header(reply.trim_end()).unwrap_or(0) {
         assert_ne!(conn.read_line(&mut reply).expect("row"), 0, "reply ended early");
     }
     reply
@@ -202,13 +183,13 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 
 /// Check every query against a server; `legacy` is the worker count when
 /// the bare `cells` keeps its legacy order (no store).
-fn check(server: &ServerHandle, serial: &[ClosedWindow], legacy: Option<usize>, what: &str) {
+fn check(server: &ServerHandle, serial: &Serial, legacy: Option<usize>, what: &str) {
     let mut conn = raw(server);
     for (name, query) in queries() {
         let legacy = legacy.filter(|_| query.is_all());
         let expected = expected_rows(serial, &query, legacy);
         assert!(!expected.is_empty(), "{what} {name}: the query selects something");
-        let got = raw_reply(&mut conn, &Request::Cells(query));
+        let got = raw_reply(&mut conn, &Request::Cells(query).wire_line());
         assert!(
             got == Response::Cells(expected).render() + "\n",
             "{what} {name}: reply bytes differ from the rendered Vec<CellLine>"
@@ -219,19 +200,19 @@ fn check(server: &ServerHandle, serial: &[ClosedWindow], legacy: Option<usize>, 
 #[test]
 fn streamed_replies_are_the_rendered_replies_byte_for_byte() {
     let records = records();
-    let serial = serial_windows(&records);
-    assert_eq!(serial.iter().map(|w| w.index).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+    let serial = serial(&records);
+    let mut windows: Vec<u32> = serial.rows.iter().map(|c| c.window).collect();
+    windows.dedup();
+    assert_eq!(windows, [0, 1, 2, 3, 4]);
     for workers in [1usize, 2, 4] {
         // No store: everything in RAM.
         let (server, control) = replayed(config(workers, 16, None), Metrics::disabled(), &records);
         check(&server, &serial, Some(workers), &format!("workers={workers} store-less"));
-        // A digest is canonical even when bare, and carries the counter.
-        let digest = Request::Digest { proto: PROTOCOL_VERSION, query: CellQuery::default() };
-        let cells = expected_rows(&serial, &CellQuery::default(), None);
-        assert!(
-            raw_reply(&mut raw(&server), &digest)
-                == Response::Digest { accepted: records.len() as u64, cells }.render() + "\n",
-            "workers={workers}: digest bytes"
+        // The `digest` verb is gone: what it answers is what any
+        // unknown command answers.
+        assert_eq!(
+            raw_reply(&mut raw(&server), "digest proto=1"),
+            "{\"error\":\"unknown command digest proto=1\"}\n"
         );
         stop(server, control);
 
@@ -259,23 +240,20 @@ fn streamed_replies_are_the_rendered_replies_byte_for_byte() {
     }
 }
 
-/// ROADMAP 1b, "query by verb": one `cells` and one `digest`, and the
-/// `metrics` verb reports one timing each and exactly the rows and bytes
-/// the two replies carried.
+/// ROADMAP 1b, "query by verb": two `cells` queries, and the `metrics`
+/// verb reports one timing each and exactly the rows and bytes the two
+/// replies carried.
 #[test]
 fn query_metrics_count_what_the_replies_carried() {
     let records = records();
     let (server, control) = replayed(config(2, 16, None), Metrics::enabled(), &records);
     let mut conn = raw(&server);
     let windows = CellQuery { from_window: Some(1), until_window: Some(3), ..CellQuery::default() };
-    let cells = raw_reply(&mut conn, &Request::Cells(windows));
-    let digest = raw_reply(
-        &mut conn,
-        &Request::Digest { proto: PROTOCOL_VERSION, query: CellQuery::default() },
-    );
+    let ranged = raw_reply(&mut conn, &Request::Cells(windows).wire_line());
+    let bare = raw_reply(&mut conn, "cells");
     let rows = |reply: &str| reply.lines().count() as f64 - 1.0;
-    assert!(rows(&cells) > 0.0 && rows(&digest) > rows(&cells));
-    let metrics = serde_json::parse(raw_reply(&mut conn, &Request::Metrics).trim_end())
+    assert!(rows(&ranged) > 0.0 && rows(&bare) > rows(&ranged));
+    let metrics = serde_json::parse(raw_reply(&mut conn, "metrics").trim_end())
         .expect("metrics reply parses");
     let metric = |kind: &str, name: &str| {
         metrics
@@ -286,19 +264,14 @@ fn query_metrics_count_what_the_replies_carried() {
     };
     assert_eq!(
         metric("counters", "live.query.rows"),
-        serde_json::Value::Num(rows(&cells) + rows(&digest))
+        serde_json::Value::Num(rows(&ranged) + rows(&bare))
     );
     assert_eq!(
         metric("counters", "live.query.reply_bytes"),
-        serde_json::Value::Num((cells.len() + digest.len()) as f64)
+        serde_json::Value::Num((ranged.len() + bare.len()) as f64)
     );
-    for verb in ["live.query.cells_ns", "live.query.digest_ns"] {
-        let timing = metric("histograms", verb);
-        assert_eq!(timing.get("count"), Some(&serde_json::Value::Num(1.0)), "{verb}");
-        assert!(
-            matches!(timing.get("sum"), Some(serde_json::Value::Num(ns)) if *ns > 0.0),
-            "{verb}"
-        );
-    }
+    let timing = metric("histograms", "live.query.cells_ns");
+    assert_eq!(timing.get("count"), Some(&serde_json::Value::Num(2.0)));
+    assert!(matches!(timing.get("sum"), Some(serde_json::Value::Num(ns)) if *ns > 0.0));
     stop(server, control);
 }

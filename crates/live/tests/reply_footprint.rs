@@ -1,4 +1,4 @@
-//! Footprint gate for `cells`/`digest` replies: a reply is written from
+//! Footprint gate for `cells` replies: a reply is written from
 //! the windows the workers share, not built. Ordering and writing the
 //! `recent_4w` read at the wide shape — 32,768 rows from four shared
 //! 8,192-row windows, 10.6 MB on the wire — peaks below 2 MB of live heap
@@ -15,7 +15,7 @@ mod counting;
 
 use counting::{count_this_thread, peak_above, requests};
 use edgeperf_analysis::GroupKey;
-use edgeperf_live::{CellQuery, CellSummary, CellsReply, RowsHeader, SharedWindow};
+use edgeperf_live::{CellQuery, CellSummary, CellsReply, SharedWindow};
 use edgeperf_routing::{PopId, Prefix, Relationship};
 
 const WINDOWS: u32 = 4;
@@ -55,7 +55,7 @@ fn reply(windows: &[SharedWindow]) -> (u64, usize, usize) {
     let ((bytes, held, transient), asked) = requests(|| {
         peak_above(|| {
             CellsReply::canonical(windows, &[], &recent)
-                .write(RowsHeader::Cells, &mut std::io::sink())
+                .write(&mut std::io::sink())
                 .expect("a sink takes everything")
         })
     });

@@ -23,6 +23,6 @@ pub mod types;
 
 pub use bgp::{BestPathChange, BgpProcessor, Update};
 pub use edge_fabric::{EdgeFabric, RouteChoice};
-pub use prepend::{is_prepended, prepended_more, stripped_len};
+pub use prepend::{prepended_more, stripped_len};
 pub use rib::Rib;
 pub use types::{AsPath, Asn, PopId, Prefix, Relationship, Route, RouteId};

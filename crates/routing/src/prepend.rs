@@ -21,11 +21,6 @@ pub fn stripped_len(path: &AsPath) -> usize {
     n
 }
 
-/// Does the path contain any prepending?
-pub fn is_prepended(path: &AsPath) -> bool {
-    stripped_len(path) != path.len()
-}
-
 /// Number of prepended hops (announced length minus stripped length).
 pub fn prepend_count(path: &AsPath) -> usize {
     path.len() - stripped_len(path)
@@ -48,7 +43,6 @@ mod tests {
     #[test]
     fn clean_path_is_not_prepended() {
         let p = path(&[64500, 3356, 7018]);
-        assert!(!is_prepended(&p));
         assert_eq!(stripped_len(&p), 3);
         assert_eq!(prepend_count(&p), 0);
     }
@@ -56,7 +50,6 @@ mod tests {
     #[test]
     fn detects_origin_prepending() {
         let p = path(&[64500, 7018, 7018, 7018]);
-        assert!(is_prepended(&p));
         assert_eq!(stripped_len(&p), 2);
         assert_eq!(prepend_count(&p), 2);
     }
@@ -64,7 +57,6 @@ mod tests {
     #[test]
     fn detects_midpath_prepending() {
         let p = path(&[64500, 3356, 3356, 7018]);
-        assert!(is_prepended(&p));
         assert_eq!(prepend_count(&p), 1);
     }
 
@@ -73,7 +65,7 @@ mod tests {
         // AS loops don't happen in valid BGP, but the stripper must only
         // collapse *consecutive* repeats.
         let p = path(&[64500, 3356, 64500]);
-        assert!(!is_prepended(&p));
+        assert_eq!(prepend_count(&p), 0);
     }
 
     #[test]
@@ -89,6 +81,6 @@ mod tests {
     fn empty_path() {
         let p = path(&[]);
         assert_eq!(stripped_len(&p), 0);
-        assert!(!is_prepended(&p));
+        assert_eq!(prepend_count(&p), 0);
     }
 }

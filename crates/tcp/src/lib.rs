@@ -30,4 +30,4 @@ pub use info::TcpInfo;
 pub use receiver::DelayedAckReceiver;
 pub use rtt::RttEstimator;
 pub use sender::{SenderState, TcpSender};
-pub use time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
+pub use time::{Nanos, MILLISECOND, SECOND};

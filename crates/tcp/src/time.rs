@@ -8,8 +8,6 @@
 /// Virtual time or duration in nanoseconds.
 pub type Nanos = u64;
 
-/// One microsecond in [`Nanos`].
-pub const MICROSECOND: Nanos = 1_000;
 /// One millisecond in [`Nanos`].
 pub const MILLISECOND: Nanos = 1_000_000;
 /// One second in [`Nanos`].

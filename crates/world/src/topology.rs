@@ -8,7 +8,9 @@
 //! Asian clients sometimes served from Europe.
 
 use crate::geo::{Continent, GeoPoint};
-use edgeperf_routing::{AsPath, Asn, PopId, Prefix, Relationship, Rib, Route, RouteId};
+use edgeperf_routing::{
+    prepended_more, AsPath, Asn, PopId, Prefix, Relationship, Rib, Route, RouteId,
+};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -481,14 +483,11 @@ impl World {
         ranked.truncate(3);
 
         // Annotate alternates relative to the preferred route.
-        let pref_len = ranked[0].route.as_path.len();
-        let pref_prepends =
-            pref_len - edgeperf_routing::prepend::stripped_len(&ranked[0].route.as_path);
-        for r in ranked.iter_mut().skip(1) {
-            r.longer_path = r.route.as_path.len() > pref_len;
-            let prepends =
-                r.route.as_path.len() - edgeperf_routing::prepend::stripped_len(&r.route.as_path);
-            r.more_prepended = prepends > pref_prepends;
+        let (preferred, alternates) = ranked.split_first_mut().expect("every prefix has a route");
+        let preferred = &preferred.route.as_path;
+        for r in alternates {
+            r.longer_path = r.route.as_path.len() > preferred.len();
+            r.more_prepended = prepended_more(&r.route.as_path, preferred);
         }
         ranked
     }

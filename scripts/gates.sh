@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# The repository's source gates: greps that keep fixed mistakes from
-# creeping back, and the tracked-lines count ROADMAP quotes. Plain bash
-# over the working tree, no build and no downloads, so it runs wherever
-# the tests run; .github/workflows/ci.yml calls it one gate per step.
+# The repository's gates, so they run wherever the tests run and
+# .github/workflows/ci.yml only calls them, one gate per step. Source
+# gates: greps that keep fixed mistakes from creeping back, and the
+# tracked-lines count ROADMAP quotes — plain bash over the working tree,
+# no build. Replay gates (live_smoke, chaos_live, fleet_smoke): `loadgen`
+# replays through real `edgeperf` processes on loopback ports 4620-4631,
+# which need the release binaries
+# (`cargo build --release -p edgeperf -p edgeperf-bench`) and leave
+# their reports under replay-reports/. No downloads anywhere.
 #
 #   scripts/gates.sh          run every gate, report each, exit 1 if any failed
 #   scripts/gates.sh NAME     run one (names: `scripts/gates.sh list`)
@@ -38,7 +43,7 @@ raw_durable_writes() {
     banned -E "fs::write|\bFile::create" crates/live crates/fleet crates/world --include="*.rs"
 }
 
-# A `cells`/`digest` row becomes bytes in protocol::write_row and comes
+# A `cells` row becomes bytes in protocol::write_row and comes
 # back through protocol::read_row, nowhere else: a loop of
 # serde_json::to_string / from_str per row (a Value tree and a dozen
 # Strings each) is what made a reply the server's memory peak.
@@ -56,6 +61,180 @@ front_door_wrappers() {
     banned "ServeBuilder\|ResumeInput\|connect_resume" crates src tests examples
 }
 
+# The live tier's bit-identity claims have one proof kit
+# (edgeperf_live::{serial_cells, first_difference},
+# LiveClient::wait_processed) and one `verdict()` per report. The
+# hand-written copies it replaced — serial oracles, row comparators,
+# control servers, `--expect-clean` predicates, the `digest` verb — stay
+# gone, and nothing but the client polls `snapshot` for settlement.
+# (protocol.rs's private `render_rows` and frame.rs's `LiveRecord` test
+# helper `assert_bit_identical` are other things; `benchmark/` is outside
+# these paths.)
+proof_kit_copies() {
+    banned -E "fn (offline_cells|serial_windows|cells_bit_identical|opt_bits|rows_json|run_control|assert_exact|percentile|check_clean)\\b|digest_query|Request::Digest|DigestHeader|RowsHeader" \
+        crates src tests examples --include="*.rs" &&
+        ! grep -rnE "fn (render_rows|assert_bit_identical)\\b" crates src tests examples \
+            --include="*.rs" | grep -v "^crates/live/src/\(protocol\|frame\).rs:" &&
+        ! grep -rnE "fn wait_processed|accepted \\+ .*rejected >=" crates src tests examples \
+            --include="*.rs" | grep -v "^crates/live/src/client.rs:"
+}
+
+# --- Replay gates -----------------------------------------------------
+
+bin=target/release
+reports=replay-reports
+
+# The release binaries the replays drive, and a place for their reports.
+built() {
+    for b in edgeperf loadgen; do
+        if [ ! -x "$bin/$b" ]; then
+            echo "gates.sh: $bin/$b is missing: cargo build --release -p edgeperf -p edgeperf-bench" >&2
+            return 1
+        fi
+    done
+    mkdir -p "$reports"
+}
+
+# with_server PORT SNAPSHOT EDGEPERF_ARGS... -- COMMAND...
+# Start `edgeperf EDGEPERF_ARGS` with its stdout (the final snapshot) in
+# SNAPSHOT, wait until PORT accepts, run COMMAND — which must end by
+# shutting the server down — then wait for the server and require that
+# it reported a clean drain.
+with_server() {
+    local port=$1 snapshot=$2 args=() pid status
+    shift 2
+    while [ "$1" != -- ]; do args+=("$1"); shift; done
+    shift
+    "$bin/edgeperf" "${args[@]}" > "$snapshot" &
+    pid=$!
+    for _ in $(seq 1 50); do
+        (exec 3<> "/dev/tcp/127.0.0.1/$port") 2> /dev/null && break
+        sleep 0.2
+    done
+    "$@"
+    status=$?
+    if [ "$status" -ne 0 ]; then
+        kill "$pid" 2> /dev/null
+        wait "$pid" 2> /dev/null
+        return "$status"
+    fi
+    wait "$pid" && grep -q '"drained": *true' "$snapshot"
+}
+
+# Live smoke: 50k workload sessions into `edgeperf serve`, once per wire,
+# then through a spilling server with a historical range query; every run
+# must pass `--expect-clean` (LoadReport::verdict) and drain cleanly.
+live_smoke() {
+    built || return 1
+    local wire port=4620 spill="$reports/spill" geometry returned
+    for wire in jsonl binary; do
+        with_server "$port" "$reports/serve_${wire}_snapshot.json" \
+            serve --addr "127.0.0.1:$port" --workers 4 -- \
+            "$bin/loadgen" --addr "127.0.0.1:$port" --sessions 50000 --connections 4 \
+            --wire "$wire" --shutdown --expect-clean --json "$reports/replay_live_$wire.json" \
+            > /dev/null || return 1
+        port=$((port + 1))
+    done
+    # A tiny RAM retention and a spill directory, a replay long enough
+    # that most windows land on disk, then a historical query that must
+    # hit spilled segments (`--expect-clean` fails on zero rows) before
+    # the drain; afterwards a manifest, at least one segment and no
+    # leftover staging file.
+    rm -rf "$spill"
+    mkdir -p "$spill"
+    geometry="--window-ms 60000 --lateness-ms 5000"
+    # shellcheck disable=SC2086
+    with_server 4622 "$reports/serve_spill_snapshot.json" \
+        serve --addr 127.0.0.1:4622 --workers 4 $geometry --retention 4 --spill-dir "$spill" -- \
+        "$bin/loadgen" --addr 127.0.0.1:4622 --sessions 50000 --connections 1 --windows 48 \
+        $geometry --query-from 0 --query-until 24 --shutdown --expect-clean \
+        --json "$reports/replay_live_spill.json" \
+        > /dev/null 2> "$reports/loadgen_spill.err" || { cat "$reports/loadgen_spill.err" >&2; return 1; }
+    test -f "$spill/manifest.json" && ls "$spill"/seg-*.seg > /dev/null || return 1
+    if ls "$spill"/*.tmp 2> /dev/null; then
+        echo "staging files survived the run" >&2
+        return 1
+    fi
+    # Reopen: a second server over the same directory re-reads every
+    # footer and rebuilds its index. A four-window replay (it stays in
+    # RAM, and its cells dedupe against their spilled copies) satisfies
+    # --expect-clean; the same historical query must then return no
+    # fewer cells than the first server did.
+    # shellcheck disable=SC2086
+    with_server 4622 "$reports/serve_respill_snapshot.json" \
+        serve --addr 127.0.0.1:4622 --workers 4 $geometry --retention 4 --spill-dir "$spill" -- \
+        "$bin/loadgen" --addr 127.0.0.1:4622 --sessions 2000 --connections 1 --windows 4 \
+        $geometry --query-from 0 --query-until 24 --shutdown --expect-clean \
+        > /dev/null 2> "$reports/loadgen_respill.err" || { cat "$reports/loadgen_respill.err" >&2; return 1; }
+    returned() { sed -n 's/.*returned \([0-9]*\) cells.*/\1/p' "$1"; }
+    test "$(returned "$reports/loadgen_respill.err")" -ge "$(returned "$reports/loadgen_spill.err")"
+}
+
+# One field of a replay report, by name.
+reported() { grep -q "\"$2\": *$3\b" "$1" || { echo "$1: $2 is not $3" >&2; return 1; }; }
+
+# Chaos over the live tier: a fixed-seed fault plan (wire cuts, torn
+# records, a slow-loris stall, worker panics, injected ENOSPC on spill)
+# against the reconnect-and-resume client, once per wire.
+# `--expect-clean` is ChaosReport::verdict: every record acked and
+# applied exactly once, nothing rejected, lost or shed, and the settled
+# horizon — windows 0..=10 of these replays' 12, every window their
+# watermark closes — bit-identical to the serial oracle. A third pass
+# drives a real `edgeperf serve --chaos` to prove the server-side flags
+# and the standalone binaries compose.
+chaos_live() {
+    built || return 1
+    local faults="disconnect:500;torn:1200;stall:2500@400;panic:0@800;panic:1@2000"
+    # chaos_replay WIRE PLAN [LOADGEN_ARGS...]
+    chaos_replay() {
+        local wire=$1 plan=$2 report="$reports/replay_chaos_$1.json"
+        shift 2
+        "$bin/loadgen" --chaos "$plan" --wire "$wire" --sessions 20000 --windows 12 --workers 4 \
+            --idle-timeout-ms 200 --seed 42 "$@" --expect-clean --json "$report" > /dev/null &&
+            reported "$report" bit_identical_to_serial true &&
+            reported "$report" settled_until 10 &&
+            reported "$report" rejected 0 &&
+            reported "$report" acked 20000
+    }
+    rm -rf "$reports/spill-chaos"
+    mkdir -p "$reports/spill-chaos"
+    chaos_replay jsonl "$faults;spillfail:0@3;seed:42" \
+        --retention 2 --spill-dir "$reports/spill-chaos" || return 1
+    chaos_replay binary "$faults;seed:42" || return 1
+    with_server 4630 "$reports/serve_chaos_snapshot.json" \
+        serve --addr 127.0.0.1:4630 --workers 4 --chaos "panic:0@800;panic:2@5000;seed:42" \
+        --max-respawns 8 --idle-timeout-ms 5000 --max-conns 64 -- \
+        "$bin/loadgen" --addr 127.0.0.1:4630 --sessions 20000 --connections 4 --wire jsonl \
+        --shutdown --expect-clean --json "$reports/replay_chaos_serve.json" > /dev/null
+}
+
+# Multi-PoP fleet: a real `edgeperf fleet` process (coordinator + 2 PoP
+# servers), a catchment-partitioned replay through the coordinator's
+# `home` routing, one PoP killed mid-run with the survivors inheriting
+# its groups. `--expect-clean` is FleetReport::verdict: every record
+# acked and accepted exactly once fleet-wide, nothing rejected or late,
+# the planned kill fired and re-homed a group, a clean drain, and the
+# merged `fleet cells` of the settled horizon — windows 0..=4 of 8, the
+# lateness being two windows — bit-identical to the serial oracle. The
+# kill at record 1000 is event time 24 s, inside the failover budget
+# (lateness/2 = 60 s).
+fleet_smoke() {
+    built || return 1
+    local report="$reports/replay_fleet.json" geometry="--window-ms 60000 --lateness-ms 120000"
+    # shellcheck disable=SC2086
+    with_server 4631 "$reports/fleet_snapshot.json" \
+        fleet --addr 127.0.0.1:4631 --pops 2 --workers 2 $geometry -- \
+        "$bin/loadgen" --fleet 127.0.0.1:4631 --sessions 20000 --windows 8 $geometry \
+        --workers 2 --fleet-chaos "kill:1@1000;seed:7" --expect-clean --json "$report" \
+        > /dev/null &&
+        reported "$report" kills 1 &&
+        reported "$report" bit_identical_to_serial true &&
+        reported "$report" settled_until 4 &&
+        reported "$report" rejected 0 &&
+        reported "$report" late 0 &&
+        reported "$report" acked 20000
+}
+
 # The line count ROADMAP tracks, with the split it quotes: test = files
 # under tests/, benches/ or examples/, and everything from a file's first
 # `#[cfg(test)]` on; then the five largest files, so the next 2,000-line
@@ -71,7 +250,7 @@ tracked_lines() {
 }
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
-front_door_wrappers tracked_lines"
+front_door_wrappers proof_kit_copies live_smoke chaos_live fleet_smoke tracked_lines"
 
 case "${1:-all}" in
 list) echo $gates ;;

@@ -2,17 +2,17 @@
 //! groups, about 30 records per (group, rank) cell, the paper's validity
 //! minimum — through a real `LiveServer` over the binary wire at
 //! one and two workers must report cells bit-identical to a serial
-//! [`WindowRing`]. The full-size suites (`live_agreement`, `live_store`,
+//! `WindowRing` (the proof kit's [`serial_cells`], compared by its
+//! [`first_difference`]). The full-size suites (`live_agreement`, `live_store`,
 //! `live_chaos`) live in `crates/bench` and do not run under `cargo test -q`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use edgeperf::analysis::GroupKey;
 use edgeperf::core::HD_GOODPUT_BPS;
 use edgeperf::live::{
-    cell_line_sort_key, BinarySender, CellLine, LiveClient, LiveConfig, LiveRecord, LiveServer,
-    WindowRing,
+    cell_line_sort_key, first_difference, serial_cells, BinarySender, CellLine, LiveClient,
+    LiveConfig, LiveRecord, LiveServer,
 };
 use edgeperf::obs::Metrics;
 use edgeperf::routing::{PopId, Prefix, Relationship};
@@ -67,19 +67,6 @@ fn records() -> Vec<LiveRecord> {
     out
 }
 
-/// The cells of every window the watermark closes, in canonical order.
-fn serial_cells(records: &[LiveRecord]) -> Vec<CellLine> {
-    let mut ring = WindowRing::new(WINDOW_MS, LATENESS_MS);
-    let mut cells = Vec::new();
-    for rec in records {
-        for window in ring.push(rec).expect("in-order record") {
-            cells.extend(window.cells.iter().map(|(k, s)| CellLine::new(window.index, k, s)));
-        }
-    }
-    cells.sort_by_key(cell_line_sort_key);
-    cells
-}
-
 fn served_cells(records: &[LiveRecord], workers: usize) -> Vec<CellLine> {
     let config = LiveConfig {
         workers,
@@ -96,19 +83,11 @@ fn served_cells(records: &[LiveRecord], workers: usize) -> Vec<CellLine> {
         sender.send(rec).expect("send frame");
     }
     sender.finish().expect("finish");
-    // Binary connections carry no commands: poll a control connection
+    // Binary connections carry no commands: a control connection waits
     // until every frame is accounted for.
     let mut control = LiveClient::connect(server.addr()).expect("control connect");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let snap = control.snapshot().expect("snapshot");
-        if snap.accepted + snap.rejected >= records.len() as u64 {
-            assert_eq!((snap.accepted, snap.rejected, snap.late), (records.len() as u64, 0, 0));
-            break;
-        }
-        assert!(Instant::now() < deadline, "server stuck: {snap:?}");
-        std::thread::sleep(Duration::from_micros(200));
-    }
+    let snap = control.wait_processed(records.len() as u64).expect("every frame processed");
+    assert_eq!((snap.accepted, snap.rejected, snap.late), (records.len() as u64, 0, 0));
     let mut cells = control.cells().expect("cells");
     assert!(control.shutdown().expect("shutdown").drained);
     let _ = server.join();
@@ -119,35 +98,12 @@ fn served_cells(records: &[LiveRecord], workers: usize) -> Vec<CellLine> {
 #[test]
 fn wide_replay_cells_are_bit_identical_to_a_serial_ring() {
     let records = records();
-    let serial = serial_cells(&records);
+    let serial = serial_cells(&records, WINDOW_MS, LATENESS_MS).expect("in-order records");
     let windows: Vec<u32> = serial.iter().map(|c| c.window).collect();
     assert_eq!((windows[0], windows[windows.len() - 1]), (0, FULL_WINDOWS as u32 - 1));
     assert_eq!(serial.len() as u64, FULL_WINDOWS * GROUPS * 2, "every cell of every window");
-    let bits = |v: Option<f64>| v.map(f64::to_bits);
     for workers in [1, 2] {
         let served = served_cells(&records, workers);
-        assert_eq!(served.len(), serial.len(), "workers={workers}: cell count");
-        for (got, want) in served.iter().zip(&serial) {
-            assert_eq!(cell_line_sort_key(got), cell_line_sort_key(want), "workers={workers}");
-            assert_eq!(
-                (got.n, got.n_tested, got.bytes, &got.relationship),
-                (want.n, want.n_tested, want.bytes, &want.relationship),
-                "workers={workers}: {got:?}"
-            );
-            assert_eq!(
-                (got.longer_path, got.more_prepended),
-                (want.longer_path, want.more_prepended)
-            );
-            assert_eq!(
-                (got.min_rtt_p50.to_bits(), bits(got.min_rtt_var)),
-                (want.min_rtt_p50.to_bits(), bits(want.min_rtt_var)),
-                "workers={workers}: {got:?} vs {want:?}"
-            );
-            assert_eq!(
-                (bits(got.hdratio_p50), bits(got.hdratio_var)),
-                (bits(want.hdratio_p50), bits(want.hdratio_var)),
-                "workers={workers}: {got:?} vs {want:?}"
-            );
-        }
+        assert_eq!(first_difference(&served, &serial), None, "workers={workers}");
     }
 }
