@@ -8,7 +8,7 @@
 //!         | bytes: u64                                          25 bytes
 //! column  cell id: u32 per row
 //! column  MinRTT bits: u64 per row
-//! column  HDratio bits: u64 per row (NaN = untested)
+//! column  HDratio bits: u64 per row (`f64::NAN` = untested)
 //! FxHash of everything above: u64
 //! ```
 //!
@@ -148,9 +148,14 @@ impl ColumnarSink {
             if shard.min_rtt[row].is_nan() {
                 return Err(corrupt(format!("row {row} has a NaN MinRTT")));
             }
+            // Untested is one NaN, `f64::NAN`: it sorts after every sample.
+            let hd = shard.hdratio[row];
+            if hd.is_nan() && hd.to_bits() != f64::NAN.to_bits() {
+                return Err(corrupt(format!("row {row} has a NaN HDratio that is not the mark")));
+            }
             let cell = &mut shard.cells[ci as usize];
             cell.n_rtt += 1;
-            cell.n_hd += u32::from(!shard.hdratio[row].is_nan());
+            cell.n_hd += u32::from(!hd.is_nan());
         }
         Ok(shard)
     }
@@ -235,5 +240,10 @@ mod tests {
         let rows = HEADER_LEN + 13 * 4 * CELL_BYTES;
         forged(rows, &52u32.to_le_bytes(), "row 0 names cell 52 of 52");
         forged(rows + 60 * 4, &f64::NAN.to_bits().to_le_bytes(), "row 0 has a NaN MinRTT");
+        forged(
+            rows + 60 * 12,
+            &(-f64::NAN).to_bits().to_le_bytes(),
+            "row 0 has a NaN HDratio that",
+        );
     }
 }

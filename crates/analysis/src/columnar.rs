@@ -13,26 +13,29 @@
 //! record-by-record (each session emits preferred + alternates
 //! back-to-back), so a cell-keyed memo would miss on almost every record.
 //!
-//! At join time [`ColumnarSink`] takes ownership of whole shards without
-//! touching their rows: the scheduler hands each prefix to exactly one
-//! worker, so shards share no group and the merge is a `Vec::push` of the
-//! shard itself (a hand-built shard that does share a group with one
-//! already merged is folded into it, so the sink's shards never share a
-//! cell). The sink is then kept, not exploded: [`ColumnarSink::summarize`]
-//! reads every cell's order statistics off one transient flat column per
-//! shard and metric, [`ColumnarSink::rows`] and the sink's
-//! [`PreferredSessions`] view re-read the rows for Figures 6–7, and
-//! [`ColumnarSink::into_dataset`] — the oracle tests and benches compare
-//! against — copies the same sorted slices out into a [`Dataset`].
+//! At join time [`ColumnarSink`] adopts each shard: one stable counting
+//! scatter over the per-cell counts the pass tracked lays its
+//! (MinRTT, HDratio) pairs out cell by cell, so the cell column becomes
+//! one `u32` end offset a cell and a kept row is 16 bytes. The scheduler
+//! hands each prefix to exactly one worker, so shards share no group (a
+//! hand-built shard that does share a group with one already adopted is
+//! folded into it, so the sink's shards never share a cell). The sink is
+//! then kept, not exploded: [`ColumnarSink::summarize`] reads every cell's
+//! order statistics off one transient sorted column per shard and metric,
+//! [`ColumnarSink::rows`] and the sink's [`PreferredSessions`] view walk
+//! the cells for Figures 6–7, and [`ColumnarSink::into_dataset`] — the
+//! oracle tests and benches compare against — copies the same sorted
+//! slices out into a [`Dataset`].
 
 use crate::dataset::{
     in_dataset_order, median_and_variance, Aggregation, CellSummary, Dataset, GroupSlots, Summaries,
 };
 use crate::figures::PreferredSessions;
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::record::{GroupKey, SessionRecord};
 use crate::sink::{RecordShard, RecordSink, SinkStats};
 use edgeperf_routing::Relationship;
+use std::ops::Range;
 
 /// Identity of one (group, window, route-rank) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,20 +83,6 @@ pub struct ColumnarShard {
     pub(crate) hdratio: Vec<f64>,
 }
 
-/// One metric of one shard with every cell's samples contiguous and
-/// ascending: cell `ci` is `values[ends[ci - 1]..ends[ci]]`.
-struct SortedColumn {
-    values: Vec<f64>,
-    ends: Vec<usize>,
-}
-
-impl SortedColumn {
-    fn cell(&self, ci: usize) -> &[f64] {
-        let start = if ci == 0 { 0 } else { self.ends[ci - 1] };
-        &self.values[start..self.ends[ci]]
-    }
-}
-
 impl ColumnarShard {
     /// Number of distinct cells this shard has seen.
     pub fn cell_count(&self) -> usize {
@@ -101,6 +90,7 @@ impl ColumnarShard {
     }
 
     /// MinRTT samples recorded (one per session).
+    #[cfg(test)]
     pub(crate) fn sample_count(&self) -> usize {
         self.min_rtt.len()
     }
@@ -170,45 +160,105 @@ impl ColumnarShard {
         self.min_rtt.extend(other.min_rtt);
         self.hdratio.extend(other.hdratio);
     }
+}
 
-    /// The one place where rows become sorted cells: scatter the non-NaN
-    /// `rows` to the prefix sums of `count` (each cell's sample count was
-    /// tracked during the pass), then sort each cell's slice once.
-    fn sorted_column(&self, rows: &[f64], count: impl Fn(&CellMeta) -> u32) -> SortedColumn {
-        // Until the scatter is done `ends[ci]` is the next free slot of cell
-        // `ci`; it starts at the cell's first slot and stops at its end.
-        let mut ends = Vec::with_capacity(self.cells.len());
+/// A shard as the sink keeps it: the worker's rows laid out cell by cell —
+/// cell `ci` is rows `ends[ci - 1]..ends[ci]` of both columns, in the order
+/// its worker pushed them — so a row is its 16 bytes of (MinRTT, HDratio)
+/// and a cell's place costs one `u32`.
+#[derive(Debug)]
+struct AdoptedShard {
+    groups: FxHashSet<GroupKey>,
+    cells: Vec<CellMeta>,
+    ends: Vec<u32>,
+    min_rtt: Vec<f64>,
+    /// NaN for a session that tested nothing.
+    hdratio: Vec<f64>,
+}
+
+impl AdoptedShard {
+    /// Group `shard`'s rows by cell: a stable counting scatter to the
+    /// prefix sums of the per-cell counts the pass tracked.
+    fn adopt(shard: ColumnarShard) -> Self {
+        let rows = shard.cell.len();
+        assert!(u32::try_from(rows).is_ok(), "a shard's rows fit u32");
+        // Until the scatter is done `ends[ci]` is the next free row of cell
+        // `ci`; it starts at the cell's first row and stops at its end.
+        let mut ends = Vec::with_capacity(shard.cells.len());
         let mut total = 0usize;
-        for c in &self.cells {
-            ends.push(total);
-            total += count(c) as usize;
+        for c in &shard.cells {
+            ends.push(total as u32);
+            total += c.n_rtt as usize;
         }
-        let mut values = vec![0.0; total];
-        for (&ci, &v) in self.cell.iter().zip(rows) {
-            if !v.is_nan() {
-                let slot = &mut ends[ci as usize];
-                values[*slot] = v;
-                *slot += 1;
-            }
+        assert_eq!(total, rows, "per-cell counts cover every row");
+        let mut min_rtt = vec![0.0; rows];
+        let mut hdratio = vec![0.0; rows];
+        for ((&ci, &rtt), &hd) in shard.cell.iter().zip(&shard.min_rtt).zip(&shard.hdratio) {
+            let row = &mut ends[ci as usize];
+            min_rtt[*row as usize] = rtt;
+            hdratio[*row as usize] = hd;
+            *row += 1;
         }
-        let mut start = 0;
-        for &end in &ends {
-            values[start..end].sort_unstable_by(f64::total_cmp);
-            start = end;
-        }
-        SortedColumn { values, ends }
+        let groups = shard.group_index.into_keys().collect();
+        AdoptedShard { groups, cells: shard.cells, ends, min_rtt, hdratio }
     }
 
-    /// Put `cell(id, metadata)` of every cell into its slot of `grid`, in
-    /// first-seen order (so groups land in first-seen order too).
+    /// Back to the worker's form (cells in the same order, rows cell by
+    /// cell), so that a shard sharing a group can be [absorbed].
+    ///
+    /// [absorbed]: ColumnarShard::absorb
+    fn into_shard(self) -> ColumnarShard {
+        let mut shard = ColumnarShard::default();
+        for (ci, (meta, rows)) in self.cells().enumerate() {
+            assert_eq!(shard.cell_id(meta.key, meta.relationship), ci, "cell keys are distinct");
+            shard.cell.extend(rows.map(|_| ci as u32));
+        }
+        ColumnarShard { cells: self.cells, min_rtt: self.min_rtt, hdratio: self.hdratio, ..shard }
+    }
+
+    /// Every cell with the rows it owns in both columns.
+    fn cells(&self) -> impl Iterator<Item = (&CellMeta, Range<usize>)> {
+        let mut start = 0;
+        self.cells.iter().zip(&self.ends).map(move |(meta, &end)| {
+            let rows = start..end as usize;
+            start = end as usize;
+            (meta, rows)
+        })
+    }
+
+    /// Every session of the cells `keep` admits, cell by cell: its cell, its
+    /// MinRTT (ms) and its HDratio if it tested.
+    fn sessions(
+        &self,
+        keep: fn(&CellKey) -> bool,
+    ) -> impl Iterator<Item = (CellKey, f64, Option<f64>)> + '_ {
+        self.cells().filter(move |(meta, _)| keep(&meta.key)).flat_map(|(meta, rows)| {
+            let rows = self.min_rtt[rows.clone()].iter().zip(&self.hdratio[rows]);
+            rows.map(|(&min_rtt, &hd)| (meta.key, min_rtt, (!hd.is_nan()).then_some(hd)))
+        })
+    }
+
+    /// The one place where rows become sorted cells: a copy of `column`
+    /// with each cell's slice sorted once — a cell's NaNs (the untested
+    /// mark, a positive NaN) after its samples.
+    fn sorted_column(&self, column: &[f64]) -> Vec<f64> {
+        let mut values = column.to_vec();
+        for (_, rows) in self.cells() {
+            values[rows].sort_unstable_by(f64::total_cmp);
+        }
+        values
+    }
+
+    /// Put `cell(metadata, its rows)` of every cell into its slot of
+    /// `grid`, in first-seen order (so groups land in first-seen order too).
     fn place<C: Clone>(
         &self,
         grid: &mut GroupSlots<C>,
-        mut cell: impl FnMut(usize, &CellMeta) -> C,
+        mut cell: impl FnMut(&CellMeta, Range<usize>) -> C,
     ) {
-        for (ci, meta) in self.cells.iter().enumerate() {
+        for (meta, rows) in self.cells() {
             let CellKey { group, window, rank } = meta.key;
-            *grid.cell(group, rank as usize, window as usize, meta.bytes) = Some(cell(ci, meta));
+            *grid.cell(group, rank as usize, window as usize, meta.bytes) = Some(cell(meta, rows));
         }
     }
 
@@ -217,15 +267,15 @@ impl ColumnarShard {
     /// before HDratio's is built.
     fn summarize_into(&self, grid: &mut GroupSlots<CellSummary>) {
         let min_rtt: Vec<(f64, Option<f64>)> = {
-            let column = self.sorted_column(&self.min_rtt, |c| c.n_rtt);
-            (0..self.cells.len())
-                .map(|ci| median_and_variance(column.cell(ci)).expect("a cell holds a session"))
-                .collect()
+            let column = self.sorted_column(&self.min_rtt);
+            let stats = self.cells().map(|(_, rows)| median_and_variance(&column[rows]));
+            stats.map(|s| s.expect("a cell holds a session")).collect()
         };
-        let hdratio = self.sorted_column(&self.hdratio, |c| c.n_hd);
-        self.place(grid, |ci, meta| {
-            let (min_rtt_p50, min_rtt_var) = min_rtt[ci];
-            let (hdratio_p50, hdratio_var) = median_and_variance(hdratio.cell(ci)).unzip();
+        let (hdratio, mut min_rtt) = (self.sorted_column(&self.hdratio), min_rtt.into_iter());
+        self.place(grid, |meta, rows| {
+            let (min_rtt_p50, min_rtt_var) = min_rtt.next().expect("one a cell");
+            let tested = &hdratio[rows][..meta.n_hd as usize];
+            let (hdratio_p50, hdratio_var) = median_and_variance(tested).unzip();
             CellSummary {
                 n: meta.n_rtt as usize,
                 n_tested: meta.n_hd as usize,
@@ -267,13 +317,13 @@ impl RecordShard for ColumnarShard {
     }
 }
 
-/// The exact study: worker shards kept whole, from which the per-cell
-/// summaries, the per-session rows and (for tests) the [`Dataset`] are all
-/// read.
+/// The exact study: every worker shard adopted and kept, from which the
+/// per-cell summaries, the per-session rows and (for tests) the
+/// [`Dataset`] are all read.
 #[derive(Debug, Default)]
 pub struct ColumnarSink {
     pub(crate) n_windows: usize,
-    shards: Vec<ColumnarShard>,
+    shards: Vec<AdoptedShard>,
 }
 
 impl ColumnarSink {
@@ -284,14 +334,14 @@ impl ColumnarSink {
 
     /// Distinct cells across all shards (shards never share a cell).
     pub fn cell_count(&self) -> usize {
-        self.shards.iter().map(ColumnarShard::cell_count).sum()
+        self.shards.iter().map(|s| s.cells.len()).sum()
     }
 
     /// Summarise every cell once from its exact order statistics — the
     /// same numbers, groups in the same order, as
     /// `into_dataset().summarize()`, without building the dataset: one
-    /// shard and one metric at a time is scattered into a flat column,
-    /// read, and freed.
+    /// shard and one metric at a time is copied into a flat column and
+    /// sorted cell by cell, read, and freed.
     pub fn summarize(&self) -> Summaries {
         let mut grid = GroupSlots::new(self.n_windows);
         for shard in &self.shards {
@@ -300,14 +350,11 @@ impl ColumnarSink {
         Summaries { groups: in_dataset_order(grid.slots) }
     }
 
-    /// Every session as its worker pushed it, shard by shard: its cell,
-    /// its MinRTT (ms) and its HDratio if it tested.
+    /// Every session, shard by shard and within a shard cell by cell (cells
+    /// in first-seen order, a cell's sessions in the order its worker
+    /// pushed them): its cell, its MinRTT (ms) and its HDratio if it tested.
     pub fn rows(&self) -> impl Iterator<Item = (CellKey, f64, Option<f64>)> + '_ {
-        self.shards.iter().flat_map(|s| {
-            s.cell.iter().zip(&s.min_rtt).zip(&s.hdratio).map(move |((&ci, &min_rtt), &hd)| {
-                (s.cells[ci as usize].key, min_rtt, (!hd.is_nan()).then_some(hd))
-            })
-        })
+        self.shards.iter().flat_map(|s| s.sessions(|_| true))
     }
 
     /// Assemble the exact [`Dataset`] — the oracle tests and benches hold
@@ -316,11 +363,11 @@ impl ColumnarSink {
     pub fn into_dataset(self) -> Dataset {
         let mut grid = GroupSlots::new(self.n_windows);
         for shard in &self.shards {
-            let min_rtt = shard.sorted_column(&shard.min_rtt, |c| c.n_rtt);
-            let hdratio = shard.sorted_column(&shard.hdratio, |c| c.n_hd);
-            shard.place(&mut grid, |ci, meta| Aggregation {
-                min_rtt_ms: min_rtt.cell(ci).to_vec(),
-                hdratio: hdratio.cell(ci).to_vec(),
+            let min_rtt = shard.sorted_column(&shard.min_rtt);
+            let hdratio = shard.sorted_column(&shard.hdratio);
+            shard.place(&mut grid, |meta, rows| Aggregation {
+                min_rtt_ms: min_rtt[rows.clone()].to_vec(),
+                hdratio: hdratio[rows][..meta.n_hd as usize].to_vec(),
                 bytes: meta.bytes,
                 relationship: meta.relationship,
                 longer_path: meta.longer_path,
@@ -333,9 +380,8 @@ impl ColumnarSink {
 
 impl PreferredSessions for ColumnarSink {
     fn preferred_sessions(&self) -> impl Iterator<Item = (u8, f64, Option<f64>)> {
-        self.rows()
-            .filter(|(key, ..)| key.rank == 0)
-            .map(|(key, min_rtt, hdratio)| (key.group.continent, min_rtt, hdratio))
+        let preferred = self.shards.iter().flat_map(|s| s.sessions(|cell| cell.rank == 0));
+        preferred.map(|(cell, min_rtt, hdratio)| (cell.group.continent, min_rtt, hdratio))
     }
 }
 
@@ -357,26 +403,19 @@ impl RecordSink for ColumnarSink {
         // no group and this loop never runs; a hand-built split that does
         // is folded together here, and nothing downstream meets a cell in
         // two shards.
-        while let Some(i) = self
-            .shards
-            .iter()
-            .position(|s| shard.group_index.keys().any(|g| s.group_index.contains_key(g)))
+        while let Some(i) =
+            self.shards.iter().position(|s| shard.group_index.keys().any(|g| s.groups.contains(g)))
         {
-            let mut merged = self.shards.remove(i);
+            let mut merged = self.shards.remove(i).into_shard();
             merged.absorb(shard);
             shard = merged;
         }
-        // Adopt the shard whole: rows stay where the worker wrote them,
-        // minus the growth slack.
-        shard.cell.shrink_to_fit();
-        shard.min_rtt.shrink_to_fit();
-        shard.hdratio.shrink_to_fit();
-        self.shards.push(shard);
+        self.shards.push(AdoptedShard::adopt(shard));
     }
 
     fn stats(&self) -> SinkStats {
         SinkStats {
-            records: self.shards.iter().map(|s| s.sample_count() as u64).sum(),
+            records: self.shards.iter().map(|s| s.min_rtt.len() as u64).sum(),
             cells: self.cell_count() as u64,
             ..SinkStats::default()
         }

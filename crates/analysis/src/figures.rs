@@ -1,5 +1,7 @@
 //! Figure-series builders: the distributions behind the paper's Figures
-//! 6–10 as queryable weighted CDFs.
+//! 6–10 — the per-session ones (6–7) as exact ranks and counts read in
+//! place off the sessions, the traffic-weighted ones (8–10) as queryable
+//! weighted CDFs.
 
 use crate::compare::{compare, CompareOutcome};
 use crate::config::AnalysisConfig;
@@ -9,6 +11,7 @@ use crate::opportunity::{opportunity_events, OpportunityMetric};
 use crate::record::SessionRecord;
 use edgeperf_routing::Relationship;
 use edgeperf_stats::cdf::{CdfBuilder, WeightedCdf};
+use edgeperf_stats::quantiles_in_place;
 use std::collections::BTreeMap;
 
 /// The per-session view Figures 6–7 read: every preferred-route (rank 0)
@@ -28,75 +31,129 @@ impl PreferredSessions for [SessionRecord] {
 }
 
 /// Figures 6–7 count a session as HDratio = 1 when its HDratio exceeds
-/// this: the share at 1 is `1 − fraction_leq(HDRATIO_BELOW_ONE)`.
+/// this: the share at 1 is `1 − fraction_below_one()`.
 pub const HDRATIO_BELOW_ONE: f64 = 1.0 - 1e-9;
 
-/// Figure 6's CDFs of one per-session metric: overall and per continent.
-pub(crate) type Fig6Cdfs = (WeightedCdf, BTreeMap<u8, WeightedCdf>);
-
-/// Per-session MinRTT CDFs: overall and per continent (Figure 6a/6b).
-/// Only preferred-route sessions contribute (the §4 view).
-pub fn fig6_minrtt<S: PreferredSessions + ?Sized>(sessions: &S) -> Fig6Cdfs {
-    collected(sessions, DegradationMetric::MinRtt)
+/// The HDratio point masses of a set of tested sessions: Figures 6–7 read
+/// no HDratio CDF, only the share of sessions at 0 and at 1 (and Figure 7
+/// a median), so both sinks count them — three integers that add, equal
+/// to a per-session CDF's `fraction_leq` readings bit for bit — where a
+/// digest would interpolate them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HdratioCounts {
+    /// Sessions with an HDratio.
+    pub tested: u64,
+    /// Of those, sessions with HDratio ≤ 0.
+    pub zero: u64,
+    /// Of those, sessions with HDratio ≤ [`HDRATIO_BELOW_ONE`].
+    pub below_one: u64,
 }
 
-/// Per-session HDratio CDFs: overall and per continent (Figure 6a/6c).
-pub fn fig6_hdratio<S: PreferredSessions + ?Sized>(sessions: &S) -> Fig6Cdfs {
-    collected(sessions, DegradationMetric::HdRatio)
-}
+impl HdratioCounts {
+    pub(crate) fn record(&mut self, hdratio: f64) {
+        self.tested += 1;
+        self.zero += u64::from(hdratio <= 0.0);
+        self.below_one += u64::from(hdratio <= HDRATIO_BELOW_ONE);
+    }
 
-/// Every CDF [`fig6_cdfs`] yields, kept: a study's worth of samples twice
-/// over. Fine for tests and small studies; `repro` reads and drops them
-/// one at a time instead.
-fn collected<S: PreferredSessions + ?Sized>(sessions: &S, metric: DegradationMetric) -> Fig6Cdfs {
-    let (mut overall, mut per) = (None, BTreeMap::new());
-    fig6_cdfs(sessions, metric, |continent, cdf| match continent {
-        None => overall = Some(cdf),
-        Some(c) => {
-            per.insert(c, cdf);
+    pub(crate) fn add(&mut self, other: &HdratioCounts) {
+        self.tested += other.tested;
+        self.zero += other.zero;
+        self.below_one += other.below_one;
+    }
+
+    /// Fraction of tested sessions with HDratio = 0, as
+    /// `WeightedCdf::fraction_leq(0.0)` divides it.
+    pub fn fraction_zero(&self) -> f64 {
+        self.zero as f64 / self.tested as f64
+    }
+
+    /// Fraction of tested sessions short of HDratio = 1
+    /// (`fraction_leq(HDRATIO_BELOW_ONE)`).
+    pub fn fraction_below_one(&self) -> f64 {
+        self.below_one as f64 / self.tested as f64
+    }
+
+    /// Figure 6's HDratio half from counters indexed by continent: overall,
+    /// and every continent with a tested session.
+    pub(crate) fn rollup(by_continent: &[HdratioCounts]) -> (Self, BTreeMap<u8, Self>) {
+        let mut overall = HdratioCounts::default();
+        let mut per = BTreeMap::new();
+        for (continent, counts) in by_continent.iter().enumerate().filter(|(_, c)| c.tested > 0) {
+            overall.add(counts);
+            per.insert(continent as u8, *counts);
         }
-    });
-    (overall.expect("the overall CDF is visited first"), per)
+        (overall, per)
+    }
 }
 
-/// Figure 6's per-session CDFs of `metric` over preferred-route sessions,
-/// handed to `visit` by value: the overall CDF first (`None`), then each
-/// continent's in ascending order. A CDF is 16 B a session, so a visitor
-/// that reads what it needs and drops the CDF keeps one study's worth of
-/// samples alive at a time — the overall CDF is gone before the
-/// continents' builders exist.
-pub fn fig6_cdfs<S: PreferredSessions + ?Sized>(
+/// Figure 6's MinRTT reading of one set of preferred-route sessions: how
+/// many there are, and their exact median and 80th percentile (ms).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MinRttQuantiles {
+    /// Sessions read.
+    pub sessions: u64,
+    /// Median MinRTT.
+    pub p50: f64,
+    /// 80th-percentile MinRTT.
+    pub p80: f64,
+}
+
+/// Per-session MinRTT quantiles: overall and per continent (Figure 6a/6b).
+/// Only preferred-route sessions contribute (the §4 view). The ranks are
+/// read in place ([`quantiles_in_place`]): the same bits as a CDF of every
+/// session, holding one 65,536-counter histogram or one histogram bucket's
+/// samples at a time.
+///
+/// # Panics
+/// Panics when there is no preferred-route session.
+pub fn fig6_minrtt<S: PreferredSessions + ?Sized>(
     sessions: &S,
-    metric: DegradationMetric,
-    mut visit: impl FnMut(Option<u8>, WeightedCdf),
-) {
-    let samples = || {
-        sessions.preferred_sessions().filter_map(|(c, min_rtt, hdratio)| match metric {
-            DegradationMetric::MinRtt => Some((c, min_rtt)),
-            DegradationMetric::HdRatio => Some((c, hdratio?)),
-        })
+) -> (MinRttQuantiles, BTreeMap<u8, MinRttQuantiles>) {
+    let mut counts = [0u64; 1 << u8::BITS];
+    sessions.preferred_sessions().for_each(|(continent, ..)| counts[continent as usize] += 1);
+    let read = |continent: Option<u8>, sessions_read: u64| {
+        let of = move |(c, min_rtt, _)| continent.is_none_or(|only| only == c).then_some(min_rtt);
+        let q = quantiles_in_place(|| sessions.preferred_sessions().filter_map(of), &[0.5, 0.8]);
+        MinRttQuantiles { sessions: sessions_read, p50: q[0], p80: q[1] }
     };
-    // Count first, so every builder is born at its final size.
-    let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
-    for (continent, _) in samples() {
-        *counts.entry(continent).or_default() += 1;
-    }
-    let mut overall = CdfBuilder::with_capacity(counts.values().sum());
-    samples().for_each(|(_, v)| overall.push(v));
-    visit(None, overall.build());
-    let mut per: BTreeMap<u8, CdfBuilder> =
-        counts.iter().map(|(&c, &n)| (c, CdfBuilder::with_capacity(n))).collect();
-    for (continent, v) in samples() {
-        per.get_mut(&continent).expect("continent was counted").push(v);
-    }
-    per.into_iter().for_each(|(c, b)| visit(Some(c), b.build()));
+    let seen = (0..=u8::MAX).filter(|&c| counts[c as usize] > 0);
+    (
+        read(None, counts.iter().sum()),
+        seen.map(|c| (c, read(Some(c), counts[c as usize]))).collect(),
+    )
 }
 
-/// HDratio CDFs per MinRTT bucket (Figure 7). Buckets follow the paper:
-/// 0–30, 31–50, 51–80, 81+ ms.
-pub fn fig7_hdratio_by_minrtt<S: PreferredSessions + ?Sized>(
+/// Per-session HDratio point masses: overall, and for every continent with
+/// a tested preferred-route session (Figure 6a/6c).
+pub fn fig6_hdratio<S: PreferredSessions + ?Sized>(
     sessions: &S,
-) -> Vec<(&'static str, WeightedCdf)> {
+) -> (HdratioCounts, BTreeMap<u8, HdratioCounts>) {
+    let mut counts = [HdratioCounts::default(); 1 << u8::BITS];
+    for (continent, _, hdratio) in sessions.preferred_sessions() {
+        if let Some(h) = hdratio {
+            counts[continent as usize].record(h);
+        }
+    }
+    HdratioCounts::rollup(&counts)
+}
+
+/// One MinRTT bucket of Figure 7: the HDratio distribution of its tested
+/// preferred-route sessions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fig7Bucket {
+    /// MinRTT range (ms).
+    pub label: &'static str,
+    /// The point masses at HDratio 0 and 1.
+    pub hdratio: HdratioCounts,
+    /// Exact median HDratio.
+    pub median: f64,
+}
+
+/// HDratio by MinRTT bucket (Figure 7), every bucket with a tested
+/// session. Buckets follow the paper: 0–30, 31–50, 51–80, 81+ ms. Counted
+/// and read in place like Figure 6.
+pub fn fig7_hdratio_by_minrtt<S: PreferredSessions + ?Sized>(sessions: &S) -> Vec<Fig7Bucket> {
     // A bucket holds `lo < MinRTT ≤ hi`.
     const BUCKETS: [(&str, f64, f64); 4] = [
         ("0-30", 0.0, 30.0),
@@ -104,18 +161,22 @@ pub fn fig7_hdratio_by_minrtt<S: PreferredSessions + ?Sized>(
         ("51-80", 50.0, 80.0),
         ("81+", 80.0, f64::INFINITY),
     ];
-    let mut builders: [CdfBuilder; 4] = Default::default();
-    for (_, min_rtt, hdratio) in sessions.preferred_sessions() {
-        let Some(h) = hdratio else { continue };
-        if let Some(i) = BUCKETS.iter().position(|&(_, lo, hi)| min_rtt > lo && min_rtt <= hi) {
-            builders[i].push(h);
-        }
-    }
-    BUCKETS
-        .iter()
-        .zip(builders)
-        .filter(|(_, b)| !b.is_empty())
-        .map(|(&(label, ..), b)| (label, b.build()))
+    // Every tested session as (its bucket, its HDratio).
+    let tested = || {
+        sessions.preferred_sessions().filter_map(|(_, min_rtt, hdratio)| {
+            let bucket = BUCKETS.iter().position(|&(_, lo, hi)| min_rtt > lo && min_rtt <= hi)?;
+            Some((bucket, hdratio?))
+        })
+    };
+    let mut counts = [HdratioCounts::default(); BUCKETS.len()];
+    tested().for_each(|(bucket, h)| counts[bucket].record(h));
+    let filled = BUCKETS.iter().zip(counts).enumerate().filter(|(_, (_, n))| n.tested > 0);
+    filled
+        .map(|(i, (&(label, ..), hdratio))| {
+            let of = move |(bucket, h)| (bucket == i).then_some(h);
+            let median = quantiles_in_place(|| tested().filter_map(of), &[0.5])[0];
+            Fig7Bucket { label, hdratio, median }
+        })
         .collect()
 }
 
@@ -277,12 +338,12 @@ mod tests {
             rec(1, 1, 10.0, Some(1.0)), // alternate: excluded from fig6
         ];
         let (overall, per) = fig6_minrtt(&records[..]);
-        assert_eq!(overall.total_weight(), 4.0);
+        assert_eq!(overall, MinRttQuantiles { sessions: 4, p50: 30.0, p80: 90.0 });
         assert_eq!(per.len(), 2);
-        assert!(per[&0].quantile(0.5) < per[&1].quantile(0.5));
+        assert_eq!((per[&0].p50, per[&1].p50, per[&1].sessions), (20.0, 80.0, 2));
         let (hdr_overall, hdr_per) = fig6_hdratio(&records[..]);
-        assert_eq!(hdr_overall.total_weight(), 3.0);
-        assert_eq!(hdr_per[&1].total_weight(), 1.0);
+        assert_eq!(hdr_overall, HdratioCounts { tested: 3, zero: 0, below_one: 1 });
+        assert_eq!(hdr_per[&1].tested, 1);
     }
 
     #[test]
@@ -294,9 +355,13 @@ mod tests {
             rec(0, 0, 120.0, Some(0.1)),
         ];
         let buckets = fig7_hdratio_by_minrtt(&records[..]);
-        assert_eq!(buckets.len(), 4);
+        let labels: Vec<_> = buckets.iter().map(|b| b.label).collect();
+        assert_eq!(labels, ["0-30", "31-50", "51-80", "81+"]);
         // Lower-latency buckets have higher HDratio.
-        assert!(buckets[0].1.quantile(0.5) > buckets[3].1.quantile(0.5));
+        assert_eq!((buckets[0].median, buckets[3].median), (1.0, 0.1));
+        assert_eq!(buckets[0].hdratio, HdratioCounts { tested: 1, zero: 0, below_one: 0 });
+        // A bucket nobody tested in is left out.
+        assert_eq!(fig7_hdratio_by_minrtt(&records[1..3]).len(), 2);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!
 //! - [`crate::ColumnarSink`] — the exact path: workers append 20-byte
 //!   rows (cell id, MinRTT, HDratio) to columnar shards that the sink
-//!   adopts whole at join time and then *keeps*. Per-cell summaries
-//!   ([`ColumnarSink::summarize`]) and the per-session view of Figures 6–7
-//!   are read off those rows; nothing else holds an exact sample, and
-//!   memory grows by those 20 bytes a session.
+//!   adopts at join time — rows regrouped by cell, 16 bytes each — and
+//!   then *keeps*. Per-cell summaries ([`ColumnarSink::summarize`]) and
+//!   the per-session view of Figures 6–7 are read off those rows in
+//!   place; nothing else holds an exact sample, and memory grows by those
+//!   16 bytes a session.
 //! - [`StreamingDataset`] — the production path (§3.4.1): t-digest cells
 //!   keyed exactly like the exact dataset's, each reduced to its summary
 //!   when the runner [seals](RecordShard::seal) the work item that filled
@@ -32,9 +33,9 @@
 //! into `columnar`/`streaming` directly.
 
 pub use crate::columnar::{ColumnarShard, ColumnarSink};
+pub use crate::figures::HdratioCounts;
 
 use crate::dataset::{CellSummary, GroupData, GroupSlots, Summaries};
-use crate::figures::HDRATIO_BELOW_ONE;
 use crate::hash::FxHashSet;
 use crate::record::{GroupKey, SessionRecord};
 use crate::streaming::StreamingAggregation;
@@ -211,47 +212,6 @@ impl StreamingCell {
     }
 }
 
-/// Figure 6's HDratio point masses over the preferred-route sessions of
-/// one continent (or of all): Figure 6 reads no HDratio quantile, only the
-/// share of sessions at 0 and at 1, so the streaming sink counts them as
-/// records arrive — three integers that add, equal to the exact sink's
-/// CDF readings bit for bit — where a digest would interpolate them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HdratioCounts {
-    /// Sessions with an HDratio.
-    pub tested: u64,
-    /// Of those, sessions with HDratio ≤ 0.
-    pub zero: u64,
-    /// Of those, sessions with HDratio ≤ [`HDRATIO_BELOW_ONE`].
-    pub below_one: u64,
-}
-
-impl HdratioCounts {
-    fn record(&mut self, hdratio: f64) {
-        self.tested += 1;
-        self.zero += u64::from(hdratio <= 0.0);
-        self.below_one += u64::from(hdratio <= HDRATIO_BELOW_ONE);
-    }
-
-    fn add(&mut self, other: &HdratioCounts) {
-        self.tested += other.tested;
-        self.zero += other.zero;
-        self.below_one += other.below_one;
-    }
-
-    /// Fraction of tested sessions with HDratio = 0, as
-    /// `WeightedCdf::fraction_leq(0.0)` divides it.
-    pub fn fraction_zero(&self) -> f64 {
-        self.zero as f64 / self.tested as f64
-    }
-
-    /// Fraction of tested sessions short of HDratio = 1
-    /// (`fraction_leq(HDRATIO_BELOW_ONE)`).
-    pub fn fraction_below_one(&self) -> f64 {
-        self.below_one as f64 / self.tested as f64
-    }
-}
-
 /// One user group once the runner has finished its work item: what the
 /// analyses read, and nothing a session wrote.
 #[derive(Debug, Clone)]
@@ -395,13 +355,7 @@ impl StreamingDataset {
     /// analogue of [`crate::figures::fig6_hdratio`]). Counted as records
     /// arrive, so open groups are covered.
     pub fn hdratio_rollup(&self) -> (HdratioCounts, BTreeMap<u8, HdratioCounts>) {
-        let mut overall = HdratioCounts::default();
-        let mut per = BTreeMap::new();
-        for (continent, counts) in self.hdratio.iter().enumerate().filter(|(_, c)| c.tested > 0) {
-            overall.add(counts);
-            per.insert(continent as u8, *counts);
-        }
-        (overall, per)
+        HdratioCounts::rollup(&self.hdratio)
     }
 }
 
@@ -634,7 +588,7 @@ mod tests {
             }
         }
         // Sealed, the same cells are the summaries the analyses read, and
-        // the Figure 6 HDratio counters are the exact CDFs' readings.
+        // the Figure 6 HDratio counters are the exact sink's.
         let open: Vec<_> =
             stream.iter().map(|(k, g)| (*k, g.summarize(StreamingCell::summary))).collect();
         stream.finalize();
@@ -647,18 +601,15 @@ mod tests {
             assert_eq!(ka, kb, "a sink nobody sealed keeps first-seen order");
             assert_eq!(grid_bits(ga), grid_bits(gb));
         }
-        let (hd, hd_cont) = stream.hdratio_rollup();
-        let (cdf, cdf_cont) = crate::figures::fig6_hdratio(&records[..]);
-        assert_eq!(hd.tested as f64, cdf.total_weight());
-        assert_eq!(hd.fraction_zero().to_bits(), cdf.fraction_leq(0.0).to_bits());
-        assert_eq!(
-            hd.fraction_below_one().to_bits(),
-            cdf.fraction_leq(HDRATIO_BELOW_ONE).to_bits()
-        );
-        assert_eq!(hd_cont.keys().collect::<Vec<_>>(), cdf_cont.keys().collect::<Vec<_>>());
-        for (c, counts) in &hd_cont {
-            assert_eq!(counts.fraction_zero().to_bits(), cdf_cont[c].fraction_leq(0.0).to_bits());
-        }
+        // The exact sink counts the same point masses off its rows.
+        let mut columnar = ColumnarSink::new(4);
+        let mut shard = columnar.new_shard();
+        records.iter().for_each(|r| shard.push(*r));
+        columnar.merge_shard(shard);
+        let exact = crate::figures::fig6_hdratio(&columnar);
+        assert_eq!(exact, stream.hdratio_rollup());
+        assert_eq!(exact, crate::figures::fig6_hdratio(&records[..]));
+        assert_eq!((exact.0.tested, exact.1.len()), (1_333, 5));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Footprint gate: a cell costs what it holds, the streaming sink holds
-//! digests only for the group in flight, and the exact sink holds every
-//! session once. Heap bytes are counted exactly by the counting
+//! digests only for the group in flight, the exact sink holds every
+//! session once in 16 bytes, and Figures 6–7 read it without copying it. Heap bytes are counted exactly by the counting
 //! global allocator in `counting/`, which is why this is a test binary of
 //! its own with a single `#[test]`.
 
 mod counting;
 
 use counting::{count_this_thread, heap_of, peak_above};
+use edgeperf_analysis::figures::{fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt};
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
     ColumnarSink, GroupKey, SessionRecord, StreamingAggregation, StreamingDataset,
@@ -142,20 +143,40 @@ fn cells_cost_what_they_hold() {
         held + transient
     );
 
-    // The exact sink holds every session once: a 20 B row, beside cell and
-    // group tables the same layout has with one session per cell.
+    // The exact sink holds every session once: a 16 B row (the adopted
+    // shard's rows lie grouped by cell, so no row names its cell), beside
+    // cell and group tables the same layout has with one session per cell.
     let groups = [64, 192];
     let cells = (groups[0] + groups[1]) as usize * 8;
     let (_skeleton, skeleton_bytes) = heap_of(|| columnar_sink(groups, 1));
-    let table_bytes = skeleton_bytes - 20 * cells;
+    let table_bytes = skeleton_bytes - 16 * cells;
     let per_cell = 40;
     let (sink, bytes) = heap_of(|| columnar_sink(groups, per_cell));
     let rows = sink.stats().records as usize;
     assert_eq!(rows, cells * per_cell);
     assert!(
-        bytes <= 20 * rows + table_bytes,
+        bytes <= 16 * rows + table_bytes,
         "{rows} rows in {bytes} B beside {table_bytes} B of tables"
     );
+
+    // Figures 6–7 read their ranks and counts off those rows in place: one
+    // 65,536-counter histogram (512 KiB) or the samples of the histogram
+    // buckets a wanted rank fell in (8 B each; a bucket is a sixteenth of
+    // an octave, and these uniform samples put under an eighth of them
+    // into any two) — never the 16 B a preferred session of a CDF.
+    for (sink, preferred) in
+        [(columnar_sink([10, 40], 40), 8_000), (columnar_sink([1, 0], 50_000), 200_000)]
+    {
+        let (figures, held, transient) =
+            peak_above(|| (fig6_minrtt(&sink), fig6_hdratio(&sink), fig7_hdratio_by_minrtt(&sink)));
+        assert_eq!(figures.0 .0.sessions, preferred);
+        assert_eq!(figures.1 .0.tested, preferred);
+        assert_eq!(figures.2.iter().map(|b| b.hdratio.tested).sum::<u64>(), preferred);
+        assert!(
+            held + transient <= (1 << 20) + 8 * preferred as usize / 8,
+            "figures 6-7 over {preferred} preferred sessions peaked {transient} B above the {held} B they return"
+        );
+    }
 
     // Summarising it keeps one shard's one metric in a flat column at a
     // time (8 B a row of the largest shard) beside that shard's per-cell

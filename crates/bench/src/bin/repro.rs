@@ -35,9 +35,11 @@
 //! summaries as the runner finishes each prefix, and every figure and
 //! table is computed from those (figure 6 from per-prefix MinRTT digests
 //! and HDratio counters) but figure 7 (a joint distribution over sessions,
-//! which no cell holds), skipped with a note. The output is byte-identical
-//! run to run and at any worker count. Per-worker scheduler counters are
-//! printed either way.
+//! which no cell holds), skipped with a note (`fig7 --streaming` alone
+//! prints it without running a study). The output is byte-identical run to
+//! run and at any worker count. Per-worker scheduler counters are printed
+//! either way. The exact sink's rows, most of the job's memory, are dropped
+//! once no experiment still to run reads them (after `fig7` under `all`).
 //!
 //! `--metrics` prints the observability snapshot (counters, gauges,
 //! latency histograms, phase spans) to stderr after the run;
@@ -157,6 +159,15 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
+/// Whether anything asked for can use a study run: a study experiment, but
+/// not Figure 7 alone through the streaming sink — that is its "skipped"
+/// note, known before any session is simulated.
+fn needs_study(a: &Args) -> bool {
+    let exp = a.experiment.as_str();
+    matches!(exp, "fig6" | "fig7" | "fig8" | "fig9" | "fig10" | "table1" | "table2" | "all")
+        && !(a.streaming && exp == "fig7")
+}
+
 fn write_json(path: &Option<String>, name: &str, value: serde_json::Value) {
     if let Some(dir) = path {
         std::fs::create_dir_all(dir).expect("create json dir");
@@ -191,10 +202,8 @@ fn main() {
     };
     let mut printed = String::new();
 
-    let needs_study =
-        matches!(exp, "fig6" | "fig7" | "fig8" | "fig9" | "fig10" | "table1" | "table2" | "all");
     let mut data: Option<study::StudyData> = None;
-    if needs_study {
+    if needs_study(&a) {
         let mut b = study_builder(&a, &metrics);
         eprintln!(
             "running study ({}): days={} sessions/group/window={} country_fraction={:.2}",
@@ -218,10 +227,8 @@ fn main() {
         // What the sink holds — after a resume, more than this process's
         // workers emitted.
         let held = d.report.records_emitted - d.report.malformed_dropped;
-        let kept = match &d.sessions {
-            study::Sessions::Columns(_) => "session records",
-            study::Sessions::Digests(_) => "sessions into bounded digest cells",
-        };
+        let kept =
+            if a.streaming { "sessions into bounded digest cells" } else { "session records" };
         eprintln!("study: {held} {kept} in {:.1?}", t0.elapsed());
         eprintln!("{}", study::render_stats(&d.stats));
         if a.fault_plan.is_some() || a.checkpoint_dir.is_some() {
@@ -267,7 +274,7 @@ fn main() {
         let _ = writeln!(printed, "{}", fig5::render_grouping(&g));
         write_json(&a.json, "grouping", serde_json::to_value(&g).unwrap());
     }
-    if let Some(data) = &data {
+    {
         // One entry per study experiment, whichever sink ran: the printed
         // text and the JSON, or `None` when the sink kept too little.
         type Experiment = fn(&study::StudyData) -> Option<(String, serde_json::Value)>;
@@ -307,13 +314,21 @@ fn main() {
                 rendered(study::render_table2(&t), &t)
             }),
         ];
-        for (name, run) in experiments {
-            if exp != name && exp != "all" {
+        let wanted = |name: &str| exp == name || exp == "all";
+        for (i, (name, run)) in experiments.into_iter().enumerate() {
+            // The rows go with their last reader: Figure 6 or 7.
+            let reads_rows =
+                |(n, _): &(&str, Experiment)| wanted(n) && matches!(*n, "fig6" | "fig7");
+            if let Some(d) = data.as_mut().filter(|_| !experiments[i..].iter().any(reads_rows)) {
+                d.sessions = None;
+            }
+            if !wanted(name) {
                 continue;
             }
             let out = {
                 let _sp = metrics.span(&format!("figures.{name}"));
-                run(data)
+                // No study ran: nothing in it could have been used.
+                data.as_ref().and_then(run)
             };
             match out {
                 Some((text, json)) => {
@@ -425,5 +440,19 @@ mod tests {
         assert!(parse(&["fig6", "--streaming", "--fault-plan", "panic:1@1"]).is_ok());
         let refused = parse(&["fig6", "--streaming", "--checkpoint-dir", "ck"]).err().unwrap();
         assert!(refused.starts_with("--checkpoint-dir needs the exact sink"), "{refused}");
+    }
+
+    #[test]
+    fn a_study_runs_only_for_an_experiment_that_can_use_it() {
+        let study = |args: &[&str]| needs_study(&parse(args).unwrap());
+        for exp in ["all", "fig6", "fig7", "fig8", "fig9", "fig10", "table1", "table2"] {
+            assert!(study(&[exp]), "{exp}");
+            // Figure 7 alone through the streaming sink is its "skipped" note.
+            assert_eq!(study(&[exp, "--streaming"]), exp != "fig7", "{exp} --streaming");
+        }
+        assert!(study(&[]) && study(&["--streaming"]));
+        for exp in ["fig4", "validation", "cc", "naive", "nonesuch"] {
+            assert!(!study(&[exp]) && !study(&[exp, "--streaming"]), "{exp}");
+        }
     }
 }

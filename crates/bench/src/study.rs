@@ -2,8 +2,8 @@
 //! world run.
 
 use edgeperf_analysis::figures::{
-    fig10_by_relationship, fig6_cdfs, fig7_hdratio_by_minrtt, fig8_degradation, fig9_opportunity,
-    DiffCdfs, RelPair, HDRATIO_BELOW_ONE,
+    fig10_by_relationship, fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt, fig8_degradation,
+    fig9_opportunity, DiffCdfs, RelPair,
 };
 use edgeperf_analysis::tables::{table1, table2, AnalysisKind, Table2Row};
 use edgeperf_analysis::{
@@ -161,8 +161,10 @@ pub enum Sessions {
 pub struct StudyData {
     /// One summary per (group, window, route-rank) cell.
     pub summaries: Summaries,
-    /// Per-session measurements.
-    pub sessions: Sessions,
+    /// Per-session measurements, read by [`fig6`] and [`fig7`] alone. The
+    /// exact sink's are most of the job's memory: `repro` sets this to
+    /// `None` once nothing it still has to run reads them.
+    pub sessions: Option<Sessions>,
     /// Analysis configuration used.
     pub cfg: AnalysisConfig,
     /// Per-worker scheduler counters from the run.
@@ -196,11 +198,11 @@ impl StudyBuilder {
     /// from what is there.
     ///
     /// The [`ColumnarSink`] is the only thing the run fills and the only
-    /// exact copy of the study afterwards: 20 bytes a session. The cell
-    /// summaries are read off it one shard and one metric at a time
-    /// ([`ColumnarSink::summarize`], bit-identical to summarising the
-    /// assembled `Dataset` — see `sink_agreement`), and Figures 6–7 re-read
-    /// its rows.
+    /// exact copy of the study afterwards: 16 bytes a session, grouped by
+    /// cell. The cell summaries are read off it one shard and one metric at
+    /// a time ([`ColumnarSink::summarize`], bit-identical to summarising
+    /// the assembled `Dataset` — see `sink_agreement`), and Figures 6–7
+    /// read their ranks and counts off its rows in place.
     ///
     /// # Errors
     ///
@@ -219,7 +221,7 @@ impl StudyBuilder {
             None => run_study_supervised(&world, &study, &sup, &mut sink, metrics)?,
         };
         let summaries = sink.summarize();
-        let sessions = Sessions::Columns(sink);
+        let sessions = Some(Sessions::Columns(sink));
         Ok(StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats, report })
     }
 
@@ -246,7 +248,7 @@ impl StudyBuilder {
         let (stats, report) =
             run_study_supervised(&world, &study, &sup, &mut dataset, &self.metrics)?;
         let summaries = dataset.summarize();
-        let sessions = Sessions::Digests(dataset);
+        let sessions = Some(Sessions::Digests(dataset));
         Ok(StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats, report })
     }
 
@@ -311,7 +313,7 @@ fn cont_name(c: u8) -> &'static str {
 }
 
 /// Figure 6 summary: MinRTT and HDratio distributions.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig6Summary {
     /// Global MinRTT quantiles (p50, p80) in ms (paper: 39, 78).
     pub minrtt_p50: f64,
@@ -329,54 +331,43 @@ pub struct Fig6Summary {
 
 /// Compute the Figure 6 summary.
 ///
-/// From the exact sink's rows one CDF is built, read and dropped at a
-/// time, MinRTT before HDratio: a CDF is 16 B a preferred session, and two
-/// alive at once were the exact job's peak. From the streaming sink the
-/// MinRTT quantiles come off its rollup digests (the sealed groups'
-/// merged in work-item order — within a percent of exact, see
-/// EXPERIMENTS.md) and the HDratio point masses off its counters, which
-/// equal the exact CDF readings bit for bit.
+/// From the exact sink's rows the MinRTT quantiles are exact ranks read in
+/// place and the HDratio point masses are counts: no copy of the sessions
+/// is made. From the streaming sink the MinRTT quantiles come off its
+/// rollup digests (the sealed groups' merged in work-item order — within a
+/// percent of exact, see EXPERIMENTS.md) and the HDratio point masses off
+/// the counters it kept as records arrived, which equal the exact sink's.
+///
+/// # Panics
+/// Panics when the per-session view has been released.
 pub fn fig6(data: &StudyData) -> Fig6Summary {
     let name = |c: u8| cont_name(c).to_string();
-    match &data.sessions {
+    let sessions = data.sessions.as_ref().expect("fig6 reads the per-session view");
+    let (minrtt_p50, minrtt_p80, minrtt_p50_by_continent) = match sessions {
         Sessions::Columns(sink) => {
-            // Every field is written: the overall CDF is always visited.
-            let mut s = Fig6Summary::default();
-            fig6_cdfs(sink, DegradationMetric::MinRtt, |continent, cdf| match continent {
-                None => (s.minrtt_p50, s.minrtt_p80) = (cdf.quantile(0.5), cdf.quantile(0.8)),
-                Some(c) => {
-                    s.minrtt_p50_by_continent.insert(name(c), cdf.quantile(0.5));
-                }
-            });
-            fig6_cdfs(sink, DegradationMetric::HdRatio, |continent, cdf| match continent {
-                None => {
-                    s.hdratio_gt0 = 1.0 - cdf.fraction_leq(0.0);
-                    s.hdratio_eq1 = 1.0 - cdf.fraction_leq(HDRATIO_BELOW_ONE);
-                }
-                Some(c) => {
-                    s.hdratio_zero_by_continent.insert(name(c), cdf.fraction_leq(0.0));
-                }
-            });
-            s
+            let (all, per) = fig6_minrtt(sink);
+            (all.p50, all.p80, per.iter().map(|(c, q)| (name(*c), q.p50)).collect())
         }
         Sessions::Digests(ds) => {
-            let (mr_all, mr_cont) = ds.minrtt_rollup();
-            let (hd_all, hd_cont) = ds.hdratio_rollup();
-            Fig6Summary {
-                minrtt_p50: mr_all.quantile(0.5),
-                minrtt_p80: mr_all.quantile(0.8),
-                minrtt_p50_by_continent: mr_cont
-                    .iter()
-                    .map(|(c, d)| (name(*c), d.quantile(0.5)))
-                    .collect(),
-                hdratio_gt0: 1.0 - hd_all.fraction_zero(),
-                hdratio_eq1: 1.0 - hd_all.fraction_below_one(),
-                hdratio_zero_by_continent: hd_cont
-                    .iter()
-                    .map(|(c, n)| (name(*c), n.fraction_zero()))
-                    .collect(),
-            }
+            let (all, per) = ds.minrtt_rollup();
+            let medians = per.iter().map(|(c, d)| (name(*c), d.quantile(0.5))).collect();
+            (all.quantile(0.5), all.quantile(0.8), medians)
         }
+    };
+    let (hd_all, hd_cont) = match sessions {
+        Sessions::Columns(sink) => fig6_hdratio(sink),
+        Sessions::Digests(ds) => ds.hdratio_rollup(),
+    };
+    Fig6Summary {
+        minrtt_p50,
+        minrtt_p80,
+        minrtt_p50_by_continent,
+        hdratio_gt0: 1.0 - hd_all.fraction_zero(),
+        hdratio_eq1: 1.0 - hd_all.fraction_below_one(),
+        hdratio_zero_by_continent: hd_cont
+            .iter()
+            .map(|(c, n)| (name(*c), n.fraction_zero()))
+            .collect(),
     }
 }
 
@@ -393,17 +384,22 @@ pub struct Fig7Row {
     pub frac_one: f64,
 }
 
-/// Compute Figure 7 rows. `None` without per-session rows: the joint
-/// MinRTT × HDratio distribution is in no per-cell summary or digest.
+/// Compute Figure 7 rows. `None` from the streaming sink, which keeps no
+/// per-session rows: the joint MinRTT × HDratio distribution is in no
+/// per-cell summary or digest.
+///
+/// # Panics
+/// Panics when the per-session view has been released.
 pub fn fig7(data: &StudyData) -> Option<Vec<Fig7Row>> {
-    let Sessions::Columns(sink) = &data.sessions else { return None };
+    let sessions = data.sessions.as_ref().expect("fig7 reads the per-session view");
+    let Sessions::Columns(sink) = sessions else { return None };
     let rows = fig7_hdratio_by_minrtt(sink)
         .into_iter()
-        .map(|(label, cdf)| Fig7Row {
-            bucket: label.to_string(),
-            frac_zero: cdf.fraction_leq(0.0),
-            median: cdf.quantile(0.5),
-            frac_one: 1.0 - cdf.fraction_leq(HDRATIO_BELOW_ONE),
+        .map(|b| Fig7Row {
+            bucket: b.label.to_string(),
+            frac_zero: b.hdratio.fraction_zero(),
+            median: b.median,
+            frac_one: 1.0 - b.hdratio.fraction_below_one(),
         })
         .collect();
     Some(rows)
@@ -695,7 +691,7 @@ mod tests {
     }
 
     fn sessions_held(data: &StudyData) -> u64 {
-        match &data.sessions {
+        match data.sessions.as_ref().expect("nothing released them") {
             Sessions::Columns(sink) => sink.stats().records,
             Sessions::Digests(digests) => digests.stats().records,
         }

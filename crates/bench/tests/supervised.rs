@@ -29,7 +29,9 @@ fn plan(spec: &str) -> FaultPlan {
 /// (group, window, rank, MinRTT bits, HDratio bits) of every session the
 /// exact sink holds, in the order it holds them.
 fn rows(data: &StudyData) -> Vec<(GroupKey, u32, u8, u64, Option<u64>)> {
-    let Sessions::Columns(sink) = &data.sessions else { panic!("an exact study keeps its rows") };
+    let Some(Sessions::Columns(sink)) = &data.sessions else {
+        panic!("an exact study keeps its rows")
+    };
     sink.rows()
         .map(|(cell, rtt, hd)| {
             (cell.group, cell.window, cell.rank, rtt.to_bits(), hd.map(f64::to_bits))

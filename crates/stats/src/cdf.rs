@@ -25,12 +25,6 @@ impl CdfBuilder {
         Self::default()
     }
 
-    /// Empty builder with room for `n` samples, so a caller that knows its
-    /// sample count pays for no growth doubling.
-    pub fn with_capacity(n: usize) -> Self {
-        CdfBuilder { items: Vec::with_capacity(n) }
-    }
-
     /// Add a sample with weight 1.
     pub fn push(&mut self, value: f64) {
         self.push_weighted(value, 1.0);
@@ -198,7 +192,7 @@ mod tests {
             points
         };
         // Runs of duplicates (also at both ends, and -0.0 beside 0.0),
-        // uneven weights, pre-sized and not.
+        // uneven weights.
         let items: Vec<(f64, f64)> = (0..5_000)
             .map(|i| {
                 let u = (i as f64 * 0.618_033_988_749).fract();
@@ -206,16 +200,15 @@ mod tests {
             })
             .chain([(-0.0, 1.0), (0.0, 2.0), (-1.0, 0.5), (4.0, 0.25), (4.0, 0.75)])
             .collect();
-        for mut b in [CdfBuilder::new(), CdfBuilder::with_capacity(items.len())] {
-            items.iter().for_each(|&(v, w)| b.push_weighted(v, w));
-            let cdf = b.build();
-            let bits = |ps: &[(f64, f64)]| -> Vec<(u64, u64)> {
-                ps.iter().map(|p| (p.0.to_bits(), p.1.to_bits())).collect()
-            };
-            assert_eq!(bits(&cdf.points), bits(&reference(items.clone())));
-            assert_eq!(cdf.total.to_bits(), cdf.points.last().unwrap().1.to_bits());
-            assert!(cdf.points.capacity() <= cdf.points.len() + cdf.points.len() / 4);
-        }
+        let mut b = CdfBuilder::new();
+        items.iter().for_each(|&(v, w)| b.push_weighted(v, w));
+        let cdf = b.build();
+        let bits = |ps: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            ps.iter().map(|p| (p.0.to_bits(), p.1.to_bits())).collect()
+        };
+        assert_eq!(bits(&cdf.points), bits(&reference(items.clone())));
+        assert_eq!(cdf.total.to_bits(), cdf.points.last().unwrap().1.to_bits());
+        assert!(cdf.points.capacity() <= cdf.points.len() + cdf.points.len() / 4);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Exact and weighted quantiles on finite samples.
+//! Exact quantiles on finite samples.
 //!
 //! The analysis pipeline aggregates at most a few thousand sessions per
 //! (user group, window) aggregation, so exact order statistics are cheap;
@@ -60,34 +60,71 @@ pub fn median_sorted(sorted: &[f64]) -> f64 {
     quantile_sorted(sorted, 0.5)
 }
 
-/// Weighted quantile: the smallest value v such that the cumulative weight
-/// of samples ≤ v reaches `q` of the total weight.
+/// Exact unweighted quantiles of a sample source that can be walked twice,
+/// read in place: for each `q` the bits a [`crate::cdf::CdfBuilder`] fed
+/// every sample answers `build().quantile(q)` with — the k-th smallest,
+/// k the least integer with `k as f64 ≥ q · n as f64` and at least 1 —
+/// without that CDF's 16 B a sample. Pass one histograms the top 16 bits of
+/// each sample's `total_cmp` key (65,536 counters); pass two keeps only the
+/// samples of the buckets a wanted rank falls in, 8 B each, and selects
+/// there. `samples()` must yield the same multiset on every call.
 ///
-/// `items` need not be sorted; weights must be non-negative with a positive
-/// sum. This is the primitive behind "X% of *traffic*" statements, where a
-/// sample's weight is its traffic volume.
-pub fn weighted_quantile(items: &[(f64, f64)], q: f64) -> f64 {
-    assert!(!items.is_empty(), "weighted quantile of empty input");
-    assert!((0.0..=1.0).contains(&q));
-    let mut v: Vec<(f64, f64)> = items
-        .iter()
-        .copied()
-        .inspect(|&(x, w)| {
-            assert!(w >= 0.0 && x.is_finite(), "bad item ({x}, {w})");
-        })
-        .collect();
-    v.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-    let total: f64 = v.iter().map(|&(_, w)| w).sum();
-    assert!(total > 0.0, "weighted quantile needs positive total weight");
-    let target = q * total;
-    let mut acc = 0.0;
-    for &(x, w) in &v {
-        acc += w;
-        if acc >= target {
-            return x;
+/// # Panics
+/// Panics on no samples, a non-finite sample, or a `q` outside [0, 1].
+pub fn quantiles_in_place<I: Iterator<Item = f64>>(
+    samples: impl Fn() -> I,
+    qs: &[f64],
+) -> Vec<f64> {
+    // Sign, exponent and four mantissa bits, ascending as `total_cmp`
+    // does: a negative's bits all flipped, a positive's sign bit alone.
+    let bucket = |v: f64| {
+        let bits = v.to_bits();
+        ((bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)) >> 48) as usize
+    };
+    let mut counts = vec![0usize; 1 << 16];
+    let mut negative_zero = false;
+    samples().for_each(|v| {
+        assert!(v.is_finite(), "bad quantile sample {v}");
+        counts[bucket(v)] += 1;
+        negative_zero |= v.to_bits() == (-0.0f64).to_bits();
+    });
+    let n: usize = counts.iter().sum();
+    assert!(n > 0, "quantile of no samples");
+    // Each wanted rank as (its bucket, its 0-based rank within the bucket).
+    let wanted = qs.iter().map(|&q| {
+        assert!((0.0..=1.0).contains(&q), "quantile q must be in [0,1], got {q}");
+        let mut rank = ((q * n as f64).ceil() as usize).max(1) - 1;
+        let bucket = counts.iter().position(|&c| {
+            let here = rank < c;
+            rank -= if here { 0 } else { c };
+            here
+        });
+        (bucket.expect("the rank is below n"), rank)
+    });
+    let wanted: Vec<(usize, usize)> = wanted.collect();
+    let mut buckets: Vec<usize> = wanted.iter().map(|w| w.0).collect();
+    buckets.sort_unstable();
+    buckets.dedup();
+    let mut kept: Vec<Vec<f64>> = buckets.iter().map(|&b| Vec::with_capacity(counts[b])).collect();
+    drop(counts);
+    samples().for_each(|v| {
+        if let Ok(i) = buckets.binary_search(&bucket(v)) {
+            kept[i].push(v);
         }
-    }
-    v.last().unwrap().0
+    });
+    let select = |&(b, rank): &(usize, usize)| {
+        let held = &mut kept[buckets.binary_search(&b).expect("every wanted bucket is kept")];
+        assert!(rank < held.len(), "the second pass saw other samples than the first");
+        let v = *held.select_nth_unstable_by(rank, f64::total_cmp).1;
+        // A CDF point is the first of a run of `==` values, and -0.0
+        // orders just before the 0.0 it equals.
+        if v.to_bits() == 0 && negative_zero {
+            -0.0
+        } else {
+            v
+        }
+    };
+    wanted.iter().map(select).collect()
 }
 
 #[cfg(test)]
@@ -136,22 +173,6 @@ mod tests {
                 "q={q}"
             );
         }
-    }
-
-    #[test]
-    fn weighted_quantile_respects_weights() {
-        // 1.0 carries 90% of weight: every quantile up to 0.9 is 1.0.
-        let items = [(1.0, 9.0), (100.0, 1.0)];
-        assert_eq!(weighted_quantile(&items, 0.5), 1.0);
-        assert_eq!(weighted_quantile(&items, 0.89), 1.0);
-        assert_eq!(weighted_quantile(&items, 0.95), 100.0);
-    }
-
-    #[test]
-    fn weighted_quantile_uniform_weights_match_unweighted_rank() {
-        let items: Vec<(f64, f64)> = (1..=100).map(|i| (i as f64, 1.0)).collect();
-        assert_eq!(weighted_quantile(&items, 0.5), 50.0);
-        assert_eq!(weighted_quantile(&items, 0.9), 90.0);
     }
 
     #[test]

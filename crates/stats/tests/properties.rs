@@ -1,7 +1,7 @@
 //! Property tests over the statistics crate's public API.
 
 use edgeperf_stats::cdf::CdfBuilder;
-use edgeperf_stats::{quantile_sorted, weighted_quantile, TDigest};
+use edgeperf_stats::{quantile_sorted, quantiles_in_place, TDigest};
 use proptest::prelude::*;
 
 proptest! {
@@ -25,23 +25,6 @@ proptest! {
         let hi_idx = (((q + 0.05) * n as f64).ceil() as usize).min(n - 1);
         prop_assert!(est >= values[lo_idx], "q={q}: {est} < {}", values[lo_idx]);
         prop_assert!(est <= values[hi_idx], "q={q}: {est} > {}", values[hi_idx]);
-    }
-
-    /// Weighted quantile with unit weights equals the rank-based
-    /// definition on sorted data.
-    #[test]
-    fn weighted_quantile_degenerates_to_rank(
-        mut values in prop::collection::vec(-1.0e3f64..1.0e3, 5..200),
-        q in 0.0f64..=1.0,
-    ) {
-        values.sort_unstable_by(f64::total_cmp);
-        let items: Vec<(f64, f64)> = values.iter().map(|&v| (v, 1.0)).collect();
-        let wq = weighted_quantile(&items, q);
-        // Rank definition: smallest v with cum count >= q*n.
-        let n = values.len() as f64;
-        let target = (q * n).ceil().max(1.0) as usize;
-        let expect = values[(target - 1).min(values.len() - 1)];
-        prop_assert_eq!(wq, expect);
     }
 
     /// CDF quantile and fraction_leq are mutually consistent:
@@ -137,4 +120,64 @@ proptest! {
         let (qa, qb) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
         prop_assert!(quantile_sorted(&values, qa) <= quantile_sorted(&values, qb) + 1e-12);
     }
+}
+
+/// The ranks `quantiles_in_place` reads against the CDF it replaces, bit
+/// for bit: every `q` alone and all of them in one call.
+fn assert_reads_the_cdfs_ranks(what: &str, values: &[f64]) {
+    let mut b = CdfBuilder::new();
+    values.iter().for_each(|&v| b.push(v));
+    let cdf = b.build();
+    let n = values.len() as f64;
+    let qs = [0.0, 1.0 / n, 0.25, 0.5, 0.8, 1.0 - 1.0 / n, 1.0];
+    let want: Vec<u64> = qs.iter().map(|&q| cdf.quantile(q).to_bits()).collect();
+    let bits = |qs: &[f64]| -> Vec<u64> {
+        quantiles_in_place(|| values.iter().copied(), qs).iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&qs), want, "{what}: every rank in one call");
+    for (q, want) in qs.iter().zip(&want) {
+        assert_eq!(bits(&[*q]), [*want], "{what}: q = {q}");
+    }
+}
+
+#[test]
+fn ranks_read_in_place_are_the_cdfs_bit_for_bit() {
+    // A seeded generator: the multisets are the same on every run.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut unit = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut draw =
+        |n: usize, f: &dyn Fn(f64) -> f64| -> Vec<f64> { (0..n).map(|_| f(unit())).collect() };
+    // 1.0 opens a 16-bit bucket that ends short of 1.0625.
+    let edge = 1.0625;
+    let cases: Vec<(&str, Vec<f64>)> = vec![
+        ("n = 1", vec![42.5]),
+        ("one value only", vec![7.25; 1_000]),
+        ("heavy duplicates", draw(20_000, &|u| (u * 12.0).floor() / 4.0)),
+        ("point masses at 0 and 1", draw(20_000, &|u| (u * 1.6 - 0.3).clamp(0.0, 1.0))),
+        ("all in one bucket", draw(5_000, &|u| 1.0 + u * 0.0624)),
+        ("straddling a bucket edge", draw(5_001, &|u| edge + (u - 0.5) * 1e-9)),
+        ("two samples either side of an edge", vec![edge, f64::from_bits(edge.to_bits() - 1)]),
+        ("negatives", draw(10_000, &|u| -1_000.0 * u)),
+        ("both signs", draw(10_001, &|u| (u - 0.5) * 1e6)),
+        ("-0.0 beside 0.0", vec![0.0, -0.0, 0.0, -0.0, 0.0]),
+        ("-0.0 below zeros and positives", vec![3.0, 0.0, 0.0, -0.0, 0.0, 0.0, 5.0, 0.0]),
+        ("zeros with no -0.0", vec![0.0, 0.0, 1.0, 0.0]),
+        ("-0.0 alone among negatives", vec![-1.0, -0.0, -2.0]),
+        ("subnormals", draw(4_000, &|u| (u - 0.5) * 1e-310)),
+        ("across magnitudes", draw(50_000, &|u| (u * 600.0 - 300.0).exp2())),
+        ("3 M uniform", draw(3_000_000, &|u| 1.0 + 399.0 * u)),
+    ];
+    for (what, values) in &cases {
+        assert_reads_the_cdfs_ranks(what, values);
+    }
+}
+
+#[test]
+#[should_panic(expected = "quantile of no samples")]
+fn ranks_of_no_samples_do_not_exist() {
+    quantiles_in_place(std::iter::empty::<f64>, &[0.5]);
 }

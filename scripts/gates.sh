@@ -5,9 +5,13 @@
 # tracked-lines count ROADMAP quotes — plain bash over the working tree,
 # no build. Replay gates (live_smoke, chaos_live, fleet_smoke): `loadgen`
 # replays through real `edgeperf` processes on loopback ports 4620-4631,
-# which need the release binaries
-# (`cargo build --release -p edgeperf -p edgeperf-bench`) and leave
-# their reports under replay-reports/. No downloads anywhere.
+# which leave their reports under replay-reports/. Repro gates
+# (repro_results, repro_streaming): `repro all` must rewrite results/
+# byte for byte, and its streaming job every study file but fig7.json,
+# the same bytes twice; they work in a temp dir they remove. Replay and
+# repro gates need the release binaries
+# (`cargo build --release -p edgeperf -p edgeperf-bench`). No downloads
+# anywhere.
 #
 #   scripts/gates.sh          run every gate, report each, exit 1 if any failed
 #   scripts/gates.sh NAME     run one (names: `scripts/gates.sh list`)
@@ -84,9 +88,10 @@ proof_kit_copies() {
 bin=target/release
 reports=replay-reports
 
-# The release binaries the replays drive, and a place for their reports.
+# The release binaries the replays and the repro gates drive, and a place
+# for the replays' reports.
 built() {
-    for b in edgeperf loadgen; do
+    for b in edgeperf loadgen repro; do
         if [ ! -x "$bin/$b" ]; then
             echo "gates.sh: $bin/$b is missing: cargo build --release -p edgeperf -p edgeperf-bench" >&2
             return 1
@@ -235,6 +240,58 @@ fleet_smoke() {
         reported "$report" acked 20000
 }
 
+# --- Repro gates ------------------------------------------------------
+
+# repro_tree DIR ARGS...: `repro all ARGS --json DIR/tree`, its stdout in
+# DIR/stdout; its stderr is shown only when it fails.
+repro_tree() {
+    local dir=$1
+    shift
+    mkdir -p "$dir"
+    "$bin/repro" all "$@" --json "$dir/tree" > "$dir/stdout" 2> "$dir/stderr" ||
+        { tail -n 5 "$dir/stderr" >&2; return 1; }
+}
+
+# The checked-in results/ are compared, not just regenerated: the exact
+# job at the default seed and full scale (~15 s; `--scale 1` overrides an
+# ambient EDGEPERF_SCALE) must rewrite every file of results/ byte for
+# byte.
+repro_results() {
+    built || return 1
+    local out status
+    out=$(mktemp -d) || return 1
+    repro_tree "$out" --scale 1 && diff -r "$out/tree" results
+    status=$?
+    rm -rf "$out"
+    return "$status"
+}
+
+# Every analysis reads per-cell summaries either sink can produce, so the
+# streaming job writes Figures 8-10 and both tables too; the one
+# experiment it must skip, with exactly one note, is fig7 (the joint
+# MinRTT x HDratio distribution, which no cell holds). The sink seals
+# each prefix under its index, so a second run must write the same bytes,
+# fig6.json included (its digest merge order used to follow the
+# scheduler).
+repro_streaming() {
+    built || return 1
+    local out status f
+    out=$(mktemp -d) || return 1
+    repro_tree "$out/a" --streaming --scale 0.1 && repro_tree "$out/b" --streaming --scale 0.1 &&
+        diff -r "$out/a/tree" "$out/b/tree"
+    status=$?
+    for f in fig6 fig8 fig9 fig10 table1 table2; do
+        test -f "$out/a/tree/$f.json" || { echo "streaming repro wrote no $f.json" >&2; status=1; }
+    done
+    test ! -e "$out/a/tree/fig7.json" || { echo "streaming repro wrote fig7.json" >&2; status=1; }
+    if [ "$(grep -c 'skipped' "$out/a/stdout")" != 1 ] || ! grep -q '^== fig7: skipped' "$out/a/stdout"; then
+        echo "streaming repro must skip fig7, and only fig7, with a note" >&2
+        status=1
+    fi
+    rm -rf "$out"
+    return "$status"
+}
+
 # The line count ROADMAP tracks, with the split it quotes: test = files
 # under tests/, benches/ or examples/, and everything from a file's first
 # `#[cfg(test)]` on; then the five largest files, so the next 2,000-line
@@ -250,7 +307,8 @@ tracked_lines() {
 }
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
-front_door_wrappers proof_kit_copies live_smoke chaos_live fleet_smoke tracked_lines"
+front_door_wrappers proof_kit_copies live_smoke chaos_live fleet_smoke repro_results
+repro_streaming tracked_lines"
 
 case "${1:-all}" in
 list) echo $gates ;;

@@ -14,7 +14,7 @@
 
 use edgeperf::analysis::figures::{
     fig10_by_relationship, fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt, fig8_degradation,
-    fig9_opportunity, DiffCdfs, RelPair, HDRATIO_BELOW_ONE,
+    fig9_opportunity, DiffCdfs, Fig7Bucket, MinRttQuantiles, RelPair,
 };
 use edgeperf::analysis::sink::HdratioCounts;
 use edgeperf::analysis::tables::{table1, table2, AnalysisKind, Table1};
@@ -105,13 +105,14 @@ fn fig6_hdratio_json<D>(
     )
 }
 
-fn fig7_json(label: &str, cdf: &WeightedCdf) -> String {
+fn fig7_json(b: &Fig7Bucket) -> String {
     format!(
-        "{{\"fig7\": \"{label}\", \"tested\": {:?}, \"frac_zero\": {:?}, \"median\": {:?}, \"frac_one\": {:?}}}",
-        cdf.total_weight(),
-        cdf.fraction_leq(0.0),
-        cdf.quantile(0.5),
-        1.0 - cdf.fraction_leq(HDRATIO_BELOW_ONE)
+        "{{\"fig7\": \"{}\", \"tested\": {:?}, \"frac_zero\": {:?}, \"median\": {:?}, \"frac_one\": {:?}}}",
+        b.label,
+        b.hdratio.tested as f64,
+        b.hdratio.fraction_zero(),
+        b.median,
+        1.0 - b.hdratio.fraction_below_one()
     )
 }
 
@@ -137,14 +138,15 @@ fn render() -> String {
         World::generate(WorldConfig { seed: 11, country_fraction: 1.0, ..Default::default() });
     let mut sessions = ColumnarSink::new(windows);
     run_study_into(&wide, &StudyConfig { sessions_per_group_window: 4, ..study }, &mut sessions);
-    let exact_hdratio = fig6_hdratio_json(&fig6_hdratio(&sessions), |d: &WeightedCdf| {
-        (d.total_weight(), d.fraction_leq(0.0), d.fraction_leq(HDRATIO_BELOW_ONE))
-    });
-    let exact_minrtt =
-        fig6_minrtt_json(&fig6_minrtt(&sessions), WeightedCdf::total_weight, WeightedCdf::quantile);
+    let masses = |n: &HdratioCounts| (n.tested as f64, n.fraction_zero(), n.fraction_below_one());
+    let exact_hdratio = fig6_hdratio_json(&fig6_hdratio(&sessions), masses);
+    let exact_minrtt = fig6_minrtt_json(
+        &fig6_minrtt(&sessions),
+        |d: &MinRttQuantiles| d.sessions as f64,
+        |d, q| if q == 0.5 { d.p50 } else { d.p80 },
+    );
     let mut exact = vec![format!("{{{exact_minrtt}, {exact_hdratio}}}")];
-    exact
-        .extend(fig7_hdratio_by_minrtt(&sessions).iter().map(|(label, cdf)| fig7_json(label, cdf)));
+    exact.extend(fig7_hdratio_by_minrtt(&sessions).iter().map(fig7_json));
 
     let mut columnar = ColumnarSink::new(windows);
     run_study_into(&world, &study, &mut columnar);
@@ -180,9 +182,7 @@ fn render() -> String {
     // digests, HDratio off the counters — which are not an approximation.
     let mut digests = StreamingDataset::new(windows);
     run_study_into(&wide, &StudyConfig { sessions_per_group_window: 4, ..study }, &mut digests);
-    let stream_hdratio = fig6_hdratio_json(&digests.hdratio_rollup(), |n: &HdratioCounts| {
-        (n.tested as f64, n.fraction_zero(), n.fraction_below_one())
-    });
+    let stream_hdratio = fig6_hdratio_json(&digests.hdratio_rollup(), masses);
     assert_eq!(stream_hdratio, exact_hdratio, "HDratio point masses are counted, hence exact");
     let stream_minrtt =
         fig6_minrtt_json(&digests.minrtt_rollup(), TDigest::count, TDigest::quantile);

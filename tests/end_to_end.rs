@@ -28,13 +28,13 @@ fn pipeline_produces_paper_shaped_results() {
 
     // ── Figure 6 shape ────────────────────────────────────────────────
     let (mr, _per) = fig6_minrtt(&records[..]);
-    let p50 = mr.quantile(0.5);
+    let p50 = mr.p50;
     assert!(p50 > 8.0 && p50 < 60.0, "median MinRTT = {p50}");
     // 80th percentile noticeably above the median (long tail).
-    assert!(mr.quantile(0.8) > p50 * 1.2);
+    assert!(mr.p80 > p50 * 1.2);
 
     let (hd, _) = fig6_hdratio(&records[..]);
-    let gt0 = 1.0 - hd.fraction_leq(0.0);
+    let gt0 = 1.0 - hd.fraction_zero();
     assert!(gt0 > 0.6, "HDratio>0 fraction = {gt0}");
 
     // ── Dataset + opportunity: preferred route usually at least as good
@@ -75,14 +75,14 @@ fn continental_ordering_matches_paper() {
     };
     let records = run_study(&world, &cfg);
     let (_, per) = fig6_minrtt(&records[..]);
-    let med = |c: Continent| per.get(&(c as u8)).map(|cdf| cdf.quantile(0.5)).unwrap();
+    let med = |c: Continent| per[&(c as u8)].p50;
     // Paper Fig 6b: AF > AS > (EU, NA); SA also worse than EU/NA.
     assert!(med(Continent::Africa) > med(Continent::Europe));
     assert!(med(Continent::Asia) > med(Continent::Europe));
     assert!(med(Continent::SouthAmerica) > med(Continent::NorthAmerica));
 
     let (_, hd_per) = fig6_hdratio(&records[..]);
-    let zero = |c: Continent| hd_per.get(&(c as u8)).map(|cdf| cdf.fraction_leq(0.0)).unwrap();
+    let zero = |c: Continent| hd_per[&(c as u8)].fraction_zero();
     assert!(zero(Continent::Africa) > zero(Continent::Europe));
     assert!(zero(Continent::SouthAmerica) > zero(Continent::NorthAmerica));
 }
