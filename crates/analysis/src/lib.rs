@@ -65,7 +65,5 @@ pub use segment::{
     GroupEntry, SegmentIndex, SegmentReader, SegmentWriter, StagedFile, WindowCell, GROUP_ROWS,
     SEGMENT_VERSION,
 };
-pub use sink::{
-    HdratioCounts, RecordShard, RecordSink, SinkStats, StreamingCell, StreamingDataset,
-};
+pub use sink::{RecordShard, RecordSink, SinkStats, StreamingCell, StreamingDataset};
 pub use streaming::StreamingAggregation;

@@ -33,9 +33,9 @@
 //! into `columnar`/`streaming` directly.
 
 pub use crate::columnar::{ColumnarShard, ColumnarSink};
-pub use crate::figures::HdratioCounts;
 
 use crate::dataset::{CellSummary, GroupData, GroupSlots, Summaries};
+use crate::figures::HdratioCounts;
 use crate::hash::FxHashSet;
 use crate::record::{GroupKey, SessionRecord};
 use crate::streaming::StreamingAggregation;
@@ -459,8 +459,9 @@ mod tests {
     use super::*;
     use crate::config::AnalysisConfig;
     use crate::dataset::Dataset;
-    use crate::figures::{fig10_by_relationship, RelPair};
+    use crate::figures::{fig10_by_relationship, RelPair, HDRATIO_BELOW_ONE};
     use edgeperf_routing::{PopId, Prefix};
+    use edgeperf_stats::cdf::CdfBuilder;
 
     fn rec(prefix: u32, window: u32, rank: u8, rtt: f64, hdr: Option<f64>) -> SessionRecord {
         SessionRecord {
@@ -610,6 +611,22 @@ mod tests {
         assert_eq!(exact, stream.hdratio_rollup());
         assert_eq!(exact, crate::figures::fig6_hdratio(&records[..]));
         assert_eq!((exact.0.tested, exact.1.len()), (1_333, 5));
+        // And they are a per-session CDF's readings, bit for bit.
+        let cdf_of = |continent: Option<u8>| {
+            let mut b = CdfBuilder::new();
+            let preferred = records.iter().filter(|r| r.route_rank == 0);
+            let of = preferred.filter(|r| continent.is_none_or(|c| c == r.group.continent));
+            of.filter_map(|r| r.hdratio).for_each(|h| b.push(h));
+            b.build()
+        };
+        let all = exact.1.iter().map(|(c, n)| (Some(*c), n));
+        for (continent, counts) in all.chain([(None, &exact.0)]) {
+            let cdf = cdf_of(continent);
+            assert_eq!(counts.tested as f64, cdf.total_weight(), "{continent:?}");
+            assert_eq!(counts.fraction_zero().to_bits(), cdf.fraction_leq(0.0).to_bits());
+            let below_one = cdf.fraction_leq(HDRATIO_BELOW_ONE);
+            assert_eq!(counts.fraction_below_one().to_bits(), below_one.to_bits());
+        }
     }
 
     #[test]

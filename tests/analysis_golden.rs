@@ -14,9 +14,8 @@
 
 use edgeperf::analysis::figures::{
     fig10_by_relationship, fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt, fig8_degradation,
-    fig9_opportunity, DiffCdfs, Fig7Bucket, MinRttQuantiles, RelPair,
+    fig9_opportunity, DiffCdfs, Fig7Bucket, HdratioCounts, MinRttQuantiles, RelPair,
 };
-use edgeperf::analysis::sink::HdratioCounts;
 use edgeperf::analysis::tables::{table1, table2, AnalysisKind, Table1};
 use edgeperf::analysis::{AnalysisConfig, ColumnarSink, DegradationMetric, StreamingDataset};
 use edgeperf::stats::cdf::WeightedCdf;
