@@ -30,9 +30,10 @@ impl StreamingAggregation {
     /// Empty aggregation (t-digest compression 100). It owns no heap until
     /// the first push; state then scales with content: 512 B at the
     /// paper's 30-session minimum, 2 KB at 80 sessions, and at most
-    /// ~17 KB from 512 sessions on (two 4 KB insert buffers plus the
-    /// compressed centroid lists), however many sessions follow. Once
-    /// [`flush`](Self::flush)ed it holds its centroids only: under 2 KB.
+    /// ~10 KB from 512 sessions on (two 4 KiB insert buffers plus 16 B a
+    /// centroid, the lists trimmed at every compression), however many
+    /// sessions follow. Once [`flush`](Self::flush)ed it holds its
+    /// centroids only: under 2 KB.
     /// (The eager 512-slot buffers this replaced cost 16.4 KB from birth.)
     pub fn new() -> Self {
         StreamingAggregation { minrtt: TDigest::new(100.0), hdratio: TDigest::new(100.0), bytes: 0 }

@@ -10,8 +10,9 @@
 //! An open cell costs what it holds: a 280-byte arena entry (key, two
 //! empty digests, route flags), a 24-byte slot in the window's index map,
 //! and digest heap that grows with its samples — 512 B at the paper's
-//! 30-session minimum, at most ~17 KB however hot the cell. Closing a
-//! window summarises and drops its cells one at a time.
+//! 30-session minimum, at most ~10 KB however hot the cell (two 4 KiB
+//! insert buffers and 16 B a centroid, trimmed at every compression).
+//! Closing a window summarises and drops its cells one at a time.
 //!
 //! The *watermark* trails the maximum observed timestamp by the allowed
 //! lateness. A window closes when the watermark passes its end: its cells

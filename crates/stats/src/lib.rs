@@ -8,8 +8,8 @@
 //!   for the *difference* of two medians (Price & Bonett 2002), used to
 //!   separate measurement noise from statistically significant degradation
 //!   or routing opportunity.
-//! - [`quantile`]: exact and weighted quantiles on finite samples, and exact
-//!   ranks read in place off a sample source too large to copy.
+//! - [`quantile`]: exact quantiles on finite samples, and exact ranks read
+//!   in place off a sample source too large to copy.
 //! - [`cdf`]: traffic-weighted empirical CDFs used to render the paper's
 //!   figures.
 //! - [`dist`]: the normal/binomial helper functions the above need.
@@ -18,13 +18,11 @@ pub mod cdf;
 pub mod dist;
 pub mod median_ci;
 pub mod quantile;
-pub mod summary;
 pub mod tdigest;
 
 pub use cdf::WeightedCdf;
 pub use median_ci::{
     diff_of_medians_ci, median_ci, median_variance_from_order_stats, order_stat_c, DiffCi, MedianCi,
 };
-pub use quantile::{quantile_sorted, quantile_unsorted, quantiles_in_place, weighted_quantile};
-pub use summary::Summary;
+pub use quantile::{quantile_sorted, quantile_unsorted, quantiles_in_place};
 pub use tdigest::{Centroid, DigestParts, TDigest};

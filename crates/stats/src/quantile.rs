@@ -1,4 +1,4 @@
-//! Exact and weighted quantiles on finite samples.
+//! Exact quantiles on finite samples.
 //!
 //! The analysis pipeline aggregates at most a few thousand sessions per
 //! (user group, window) aggregation, so exact order statistics are cheap;
@@ -127,36 +127,6 @@ pub fn quantiles_in_place<I: Iterator<Item = f64>>(
     wanted.iter().map(select).collect()
 }
 
-/// Weighted quantile: the smallest value v such that the cumulative weight
-/// of samples ≤ v reaches `q` of the total weight.
-///
-/// `items` need not be sorted; weights must be non-negative with a positive
-/// sum. This is the primitive behind "X% of *traffic*" statements, where a
-/// sample's weight is its traffic volume.
-pub fn weighted_quantile(items: &[(f64, f64)], q: f64) -> f64 {
-    assert!(!items.is_empty(), "weighted quantile of empty input");
-    assert!((0.0..=1.0).contains(&q));
-    let mut v: Vec<(f64, f64)> = items
-        .iter()
-        .copied()
-        .inspect(|&(x, w)| {
-            assert!(w >= 0.0 && x.is_finite(), "bad item ({x}, {w})");
-        })
-        .collect();
-    v.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-    let total: f64 = v.iter().map(|&(_, w)| w).sum();
-    assert!(total > 0.0, "weighted quantile needs positive total weight");
-    let target = q * total;
-    let mut acc = 0.0;
-    for &(x, w) in &v {
-        acc += w;
-        if acc >= target {
-            return x;
-        }
-    }
-    v.last().unwrap().0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,22 +173,6 @@ mod tests {
                 "q={q}"
             );
         }
-    }
-
-    #[test]
-    fn weighted_quantile_respects_weights() {
-        // 1.0 carries 90% of weight: every quantile up to 0.9 is 1.0.
-        let items = [(1.0, 9.0), (100.0, 1.0)];
-        assert_eq!(weighted_quantile(&items, 0.5), 1.0);
-        assert_eq!(weighted_quantile(&items, 0.89), 1.0);
-        assert_eq!(weighted_quantile(&items, 0.95), 100.0);
-    }
-
-    #[test]
-    fn weighted_quantile_uniform_weights_match_unweighted_rank() {
-        let items: Vec<(f64, f64)> = (1..=100).map(|i| (i as f64, 1.0)).collect();
-        assert_eq!(weighted_quantile(&items, 0.5), 50.0);
-        assert_eq!(weighted_quantile(&items, 0.9), 90.0);
     }
 
     #[test]

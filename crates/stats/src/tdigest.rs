@@ -9,16 +9,19 @@
 //! the same digest.
 //!
 //! Ingestion is buffered: inserts accumulate raw samples and merge into the
-//! compressed centroid list in batches of [`BUFFER_LEN`], so the per-insert
-//! cost is a bounds check and a push. The buffer costs what it holds: an
-//! empty digest owns no heap, the first insert allocates room for
-//! [`FIRST_BUFFER_LEN`] samples — one allocation covers a cell at the
-//! paper's 30-sample validity minimum — and it doubles from there up to
-//! [`BUFFER_LEN`]. Samples are buffered as bare `f64` means (8 B); a
-//! parallel weight column appears only once a weight other than 1 is
-//! buffered ([`TDigest::insert_weighted`], or [`TDigest::merge`] of
+//! compressed centroid list in batches of [`BUFFER_LEN`], so an insert
+//! costs a bounds check and a push, and a batch one sort plus one merge
+//! pass that calls `asin` and `sin` once per *output* centroid. The buffer
+//! costs what it holds: an empty digest owns no heap, the first insert
+//! allocates room for [`FIRST_BUFFER_LEN`] samples — one allocation covers
+//! a cell at the paper's 30-sample validity minimum — and it doubles from
+//! there up to [`BUFFER_LEN`]. Samples are buffered as bare `f64` means
+//! (8 B); a parallel weight column appears only once a weight other than 1
+//! is buffered ([`TDigest::insert_weighted`], or [`TDigest::merge`] of
 //! compressed centroids). The every-[`BUFFER_LEN`] compression keeps the
-//! buffer for the next batch.
+//! buffer for the next batch; every compression trims the centroid list to
+//! within a quarter of its count, so a hot digest holds its 4 KiB buffer
+//! and 16 B a centroid.
 //!
 //! Queries never mutate the digest: [`TDigest::quantile`]/[`TDigest::cdf`]
 //! take `&self` and, when buffered samples are pending, compress into a
@@ -78,32 +81,66 @@ fn k1(compression: f64, q: f64) -> f64 {
 }
 
 /// Sort `all` by mean and merge adjacent centroids under the `k1` size
-/// bound. The single compression routine shared by the mutating flush and
-/// the non-mutating query view, so both produce identical centroids.
+/// bound, in place. The single compression routine shared by the mutating
+/// compression and the non-mutating query view, so both produce identical
+/// centroids.
+///
+/// The bound `k1(q_hi) − k1(q_lo) ≤ 1` costs one `asin` and one `sin` per
+/// output centroid, not an `asin` pair per input: while one centroid grows
+/// `k1(q_lo)` is fixed, and the bound is crossed at
+/// `q* = (sin((k1(q_lo) + 1)/scale) + 1)/2`. An element whose `q_hi` lies
+/// more than 1e-9 from `q*` is decided by the side it lies on — a margin of
+/// at least δ/π·1e-9 in k, orders of magnitude above any `asin`/`sin`
+/// rounding — and only one inside that band runs the exact test, so every
+/// bit is what the per-element test gives.
 fn compress_centroids(all: &mut Vec<Centroid>, compression: f64) -> f64 {
     debug_assert!(!all.is_empty());
     all.sort_unstable_by(|a, b| a.mean.total_cmp(&b.mean));
     let total: f64 = all.iter().map(|c| c.weight).sum();
 
-    let mut merged: Vec<Centroid> = Vec::with_capacity(all.len() / 2 + 1);
+    // For the centroid starting at `w_before`: `k1(q_lo)`, the weight up to
+    // which an element merges and the weight above which it does not. Past
+    // θ = π/2 − 1e-4 the upper bracket would reach the clamp at q = 1, and a
+    // subnormal or infinite total voids the relative precision the margin
+    // rests on, so both take the exact test throughout (as does a NaN
+    // `k1(q_lo)`, whose brackets are NaN).
+    let bound = |w_before: f64| {
+        let k_lo = k1(compression, w_before / total);
+        let theta = (k_lo + 1.0) / (compression / (2.0 * std::f64::consts::PI));
+        if theta > std::f64::consts::FRAC_PI_2 - 1e-4 || !total.is_normal() {
+            return (k_lo, f64::NEG_INFINITY, f64::INFINITY);
+        }
+        let q = (theta.sin() + 1.0) / 2.0;
+        (k_lo, (q - 1e-9) * total, (q + 1e-9) * total)
+    };
+    let mut out = 0; // centroids finished, at the front of `all`
     let mut acc = all[0];
     let mut w_before = 0.0; // weight strictly before `acc`
-    for c in all.drain(..).skip(1) {
-        let q_lo = w_before / total;
-        let q_hi = (w_before + acc.weight + c.weight) / total;
-        if k1(compression, q_hi.min(1.0)) - k1(compression, q_lo) <= 1.0 {
-            // Merge c into acc.
+    let (mut k_lo, mut merge_to, mut split_above) = bound(w_before);
+    for i in 1..all.len() {
+        let c = all[i];
+        let w_hi = w_before + acc.weight + c.weight;
+        let merge = if w_hi <= merge_to {
+            true
+        } else if w_hi > split_above {
+            false
+        } else {
+            k1(compression, (w_hi / total).min(1.0)) - k_lo <= 1.0
+        };
+        if merge {
             let w = acc.weight + c.weight;
             acc.mean += (c.mean - acc.mean) * c.weight / w;
             acc.weight = w;
         } else {
             w_before += acc.weight;
-            merged.push(acc);
+            all[out] = acc;
+            out += 1;
             acc = c;
+            (k_lo, merge_to, split_above) = bound(w_before);
         }
     }
-    merged.push(acc);
-    *all = merged;
+    all[out] = acc;
+    all.truncate(out + 1);
     total
 }
 
@@ -166,7 +203,11 @@ fn cdf_over(centroids: &[Centroid], total: f64, min: f64, max: f64, x: f64) -> f
 impl TDigest {
     /// Create a digest with the given compression δ (typical: 100).
     /// Larger δ means more centroids and better accuracy.
+    ///
+    /// # Panics
+    /// Panics on a non-finite δ (a digest that never merges) or one < 10.
     pub fn new(compression: f64) -> Self {
+        assert!(compression.is_finite(), "non-finite compression {compression}");
         assert!(compression >= 10.0, "compression too small: {compression}");
         TDigest {
             compression,
@@ -197,11 +238,12 @@ impl TDigest {
         self.insert_weighted(value, 1.0);
     }
 
-    /// Insert a sample with an arbitrary positive weight.
+    /// Insert a sample with an arbitrary positive, finite weight.
     #[inline]
     pub fn insert_weighted(&mut self, value: f64, weight: f64) {
         assert!(value.is_finite(), "non-finite sample {value}");
         assert!(weight > 0.0, "non-positive weight {weight}");
+        assert!(weight.is_finite(), "non-finite weight {weight}");
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.push_buffered(value, weight);
@@ -254,37 +296,47 @@ impl TDigest {
         }
     }
 
+    /// The centroids and the buffered samples in one list with no room to
+    /// spare: what a compression merges, in place.
+    fn gathered(&self) -> Vec<Centroid> {
+        let mut all = Vec::with_capacity(self.centroids.len() + self.buffer.len());
+        all.extend_from_slice(&self.centroids);
+        all.extend(self.buffered());
+        all
+    }
+
     /// Merge buffered samples into the compressed centroid list, keeping
     /// the buffer's allocation for the next batch.
     fn compress(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
-        let mut all = std::mem::take(&mut self.centroids);
-        all.extend(self.buffered());
+        let mut all = self.gathered();
+        self.centroids = Vec::new();
         self.buffer.clear();
         self.weights.clear();
         self.buffered_weight = 0.0;
         self.total_weight = compress_centroids(&mut all, self.compression);
-        self.centroids = all;
+        // Slack of more than a quarter is handed back by moving the output
+        // to an allocation of its own, so the batch-sized list is freed
+        // whole for the next compression to reuse (a `shrink_to_fit` would
+        // split it, and the heap grew around the tails); less is kept.
+        self.centroids =
+            if all.capacity() > all.len() + all.len() / 4 { all.to_vec() } else { all };
         self.compressions += 1;
     }
 
     /// Settle the digest: merge buffered samples into the compressed
     /// centroid list (as happens automatically every [`BUFFER_LEN`]
-    /// inserts) and release the insert buffer, leaving centroids only.
-    /// Call it once after the last insert; subsequent queries are
-    /// allocation-free. Inserting afterwards is fine — the buffer grows
+    /// inserts) and release the insert buffer, leaving centroids only —
+    /// trimmed, as every compression leaves them, to within a quarter of
+    /// their count. Call it once after the last insert; subsequent queries
+    /// are allocation-free. Inserting afterwards is fine — the buffer grows
     /// again from [`FIRST_BUFFER_LEN`].
     pub fn flush(&mut self) {
         self.compress();
         self.buffer = Vec::new();
         self.weights = Vec::new();
-        // Compression sizes its output by guess and doubling; hand back
-        // slack of more than a quarter, and do not pay a realloc for less.
-        if self.centroids.capacity() > self.centroids.len() + self.centroids.len() / 4 {
-            self.centroids.shrink_to_fit();
-        }
     }
 
     /// Run `f` over the compressed view of this digest. When the buffer is
@@ -295,9 +347,7 @@ impl TDigest {
         if self.buffer.is_empty() {
             f(&self.centroids, self.total_weight)
         } else {
-            let mut all = Vec::with_capacity(self.centroids.len() + self.buffer.len());
-            all.extend_from_slice(&self.centroids);
-            all.extend(self.buffered());
+            let mut all = self.gathered();
             let total = compress_centroids(&mut all, self.compression);
             f(&all, total)
         }
@@ -368,15 +418,18 @@ impl TDigest {
     ///
     /// # Panics
     /// Panics on the same invalid inputs `insert_weighted` rejects
-    /// (non-finite means, non-positive weights) or a compression < 10.
+    /// (non-finite means, non-positive or non-finite weights) and those
+    /// `new` rejects (a non-finite compression or one < 10).
     ///
     /// [`to_parts`]: TDigest::to_parts
     pub fn from_parts(parts: DigestParts) -> Self {
+        assert!(parts.compression.is_finite(), "non-finite compression {}", parts.compression);
         assert!(parts.compression >= 10.0, "compression too small: {}", parts.compression);
         let mut total_weight = 0.0;
         for c in &parts.centroids {
             assert!(c.mean.is_finite(), "non-finite centroid mean {}", c.mean);
             assert!(c.weight > 0.0, "non-positive centroid weight {}", c.weight);
+            assert!(c.weight.is_finite(), "non-finite centroid weight {}", c.weight);
             total_weight += c.weight;
         }
         let (min, max) = if parts.centroids.is_empty() {
@@ -603,6 +656,37 @@ mod tests {
         d.insert(f64::NAN);
     }
 
+    // An infinite compression would never merge (100,000 inserts, 100,000
+    // centroids); an infinite weight makes `count()` infinite.
+    #[test]
+    #[should_panic(expected = "non-finite compression")]
+    fn infinite_compression_panics() {
+        TDigest::new(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite weight")]
+    fn infinite_weight_panics() {
+        TDigest::new(100.0).insert_weighted(1.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite compression")]
+    fn parts_with_infinite_compression_panic() {
+        TDigest::from_parts(DigestParts {
+            compression: f64::INFINITY,
+            ..uniform_digest(10).to_parts()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite centroid weight")]
+    fn parts_with_an_infinite_weight_panic() {
+        let mut parts = uniform_digest(10).to_parts();
+        parts.centroids[3].weight = f64::INFINITY;
+        TDigest::from_parts(parts);
+    }
+
     #[test]
     fn parts_round_trip_is_bit_identical_to_flushed_state() {
         let mut d = uniform_digest(10_000);
@@ -655,6 +739,10 @@ mod tests {
             d.insert(i as f64);
         }
         assert_eq!(d.buffer.capacity(), BUFFER_LEN, "the batch compression keeps the buffer");
+        assert!(
+            d.centroids.capacity() <= d.centroids.len() + d.centroids.len() / 4,
+            "and trims the centroids it made"
+        );
         d.flush();
         assert_eq!(d.buffer.capacity() + d.weights.capacity(), 0, "an explicit flush releases it");
         assert!(d.centroids.capacity() <= d.centroids.len() + d.centroids.len() / 4);
@@ -762,6 +850,140 @@ mod tests {
             let parts = d.to_parts();
             prop_assert_eq!(bits(&parts.centroids), bits(&eager.view()));
             prop_assert_eq!(parts.compressions, eager.compressions);
+        }
+
+        /// The bracketed merge bound decides as the per-element test does,
+        /// bit for bit, from scratch and over a prior centroid list: values
+        /// on a coarse grid (ties), ±0.0, 1e-300 to 1e300, or uniform;
+        /// weights unit, on a grid, or anywhere in [1e-3, 1e12].
+        #[test]
+        fn the_bracketed_bound_is_the_per_element_test(
+            compression in prop::sample::select(vec![10.0, 25.0, 100.0, 1_000.0, 1e5]),
+            weights in 0u8..3,
+            prior in prop::collection::vec(any::<u64>(), 1..400),
+            items in prop::collection::vec(any::<u64>(), 1..3_000),
+        ) {
+            let unit = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64;
+            let point = |r: u64| {
+                let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+                let exponent = ((r >> 16) % 301) as i32;
+                let mean = match (r >> 1) & 3 {
+                    0 => ((r >> 8) & 15) as f64 * 0.5,
+                    1 if (r >> 8) & 7 == 0 => sign * 0.0,
+                    1 => sign * (1.0 + unit(r)) * 10f64.powi(exponent),
+                    2 => sign * (1.0 + unit(r)) * 10f64.powi(-exponent),
+                    _ => unit(r) * 2_000.0 - 1_000.0,
+                };
+                let weight = match weights {
+                    0 => 1.0,
+                    1 => ((r >> 24) & 7) as f64 * 0.5 + 0.5,
+                    _ => 10f64.powf(unit(r.rotate_left(29)) * 15.0 - 3.0),
+                };
+                Centroid { mean, weight }
+            };
+            let mut all: Vec<Centroid> = prior.into_iter().map(point).collect();
+            assert_compresses_as_per_element(&mut all, compression);
+            all.extend(items.into_iter().map(point));
+            assert_compresses_as_per_element(&mut all, compression);
+        }
+    }
+
+    /// The merge pass as it was before the bracketed bound, two `asin`s an
+    /// input element: the reference `compress_centroids` must match.
+    fn compress_per_element(all: &mut Vec<Centroid>, compression: f64) -> f64 {
+        all.sort_unstable_by(|a, b| a.mean.total_cmp(&b.mean));
+        let total: f64 = all.iter().map(|c| c.weight).sum();
+        let mut merged: Vec<Centroid> = Vec::with_capacity(all.len() / 2 + 1);
+        let mut acc = all[0];
+        let mut w_before = 0.0;
+        for c in all.drain(..).skip(1) {
+            let q_lo = w_before / total;
+            let q_hi = (w_before + acc.weight + c.weight) / total;
+            if k1(compression, q_hi.min(1.0)) - k1(compression, q_lo) <= 1.0 {
+                let w = acc.weight + c.weight;
+                acc.mean += (c.mean - acc.mean) * c.weight / w;
+                acc.weight = w;
+            } else {
+                w_before += acc.weight;
+                merged.push(acc);
+                acc = c;
+            }
+        }
+        merged.push(acc);
+        *all = merged;
+        total
+    }
+
+    /// Compress `all` in place and assert the per-element pass would have
+    /// made the same centroids and total, bit for bit.
+    fn assert_compresses_as_per_element(all: &mut Vec<Centroid>, compression: f64) {
+        let mut reference = all.clone();
+        let want = compress_per_element(&mut reference, compression);
+        let total = compress_centroids(all, compression);
+        assert_eq!(total.to_bits(), want.to_bits(), "total at δ = {compression}");
+        assert_eq!(bits(all), bits(&reference), "centroids at δ = {compression}");
+    }
+
+    /// The bound `k1(q_lo) + 1` of a centroid starting at `q_lo`, as a
+    /// quantile: where the bracket is centred.
+    fn crossing(compression: f64, q_lo: f64) -> f64 {
+        let theta = (k1(compression, q_lo) + 1.0) / (compression / (2.0 * std::f64::consts::PI));
+        (theta.sin() + 1.0) / 2.0
+    }
+
+    #[test]
+    fn the_band_and_its_edges_decide_as_the_per_element_test() {
+        // A centroid starting at `q_lo` (after one element of that weight,
+        // which stands alone) meets a pair whose merge lands `d` from the
+        // crossing: inside the band, on its edges, and just outside.
+        let offsets = [0.0, 1e-16, 1e-15, 1e-12, 5e-10, 1e-9, 1.000_001e-9, 2e-9, 1e-8];
+        for compression in [10.0, 25.0, 100.0, 1_000.0, 1e5] {
+            for q_lo in [0.0, 0.5, 0.9] {
+                let mut merged = Vec::new();
+                for d in offsets.iter().flat_map(|&d| [d, -d]) {
+                    let half = (crossing(compression, q_lo) - q_lo + d) / 2.0;
+                    let mut all: Vec<Centroid> = [q_lo, half, half, 1.0 - q_lo - 2.0 * half]
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &w)| w > 0.0)
+                        .map(|(i, &weight)| Centroid { mean: i as f64, weight })
+                        .collect();
+                    assert_compresses_as_per_element(&mut all, compression);
+                    // The pair at means 1 and 2 merged to 1.5, or did not.
+                    merged.push(all.iter().any(|c| c.mean == 1.5));
+                }
+                assert!(
+                    merged.contains(&true) && merged.contains(&false),
+                    "δ = {compression}, q_lo = {q_lo}: the sweep never crossed"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_cut_off_and_odd_totals_decide_as_the_per_element_test() {
+        // Centroids starting either side of θ = π/2 − 1e-4, where the
+        // bracket gives way to the exact test, and of θ = π/2, past which
+        // everything merges; then a tail of small ones.
+        let scale = |compression: f64| compression / (2.0 * std::f64::consts::PI);
+        let cuts = [std::f64::consts::FRAC_PI_2 - 1e-4, std::f64::consts::FRAC_PI_2];
+        for (compression, theta) in
+            [10.0, 100.0, 1e5].into_iter().flat_map(|c| cuts.map(|t| (c, t)))
+        {
+            let q_cut = ((theta - 1.0 / scale(compression)).sin() + 1.0) / 2.0;
+            for f in [-0.5, -1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3, 0.5] {
+                let head = Centroid { mean: 0.0, weight: q_cut + f * (1.0 - q_cut) };
+                let mut all = vec![head];
+                let tail = (1.0 - head.weight) / 40.0;
+                all.extend((1..=40).map(|i| Centroid { mean: i as f64, weight: tail }));
+                assert_compresses_as_per_element(&mut all, compression);
+            }
+        }
+        // A weight sum that overflows, and one that is subnormal.
+        for weight in [f64::MAX / 3.0, 5e-324, 1e-310] {
+            let mut all: Vec<Centroid> =
+                (0..700).map(|i| Centroid { mean: (i % 13) as f64, weight }).collect();
+            assert_compresses_as_per_element(&mut all, 100.0);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property tests over the statistics crate's public API.
 
 use edgeperf_stats::cdf::CdfBuilder;
-use edgeperf_stats::{quantile_sorted, quantiles_in_place, weighted_quantile, TDigest};
+use edgeperf_stats::{quantile_sorted, quantiles_in_place, TDigest};
 use proptest::prelude::*;
 
 proptest! {
@@ -25,23 +25,6 @@ proptest! {
         let hi_idx = (((q + 0.05) * n as f64).ceil() as usize).min(n - 1);
         prop_assert!(est >= values[lo_idx], "q={q}: {est} < {}", values[lo_idx]);
         prop_assert!(est <= values[hi_idx], "q={q}: {est} > {}", values[hi_idx]);
-    }
-
-    /// Weighted quantile with unit weights equals the rank-based
-    /// definition on sorted data.
-    #[test]
-    fn weighted_quantile_degenerates_to_rank(
-        mut values in prop::collection::vec(-1.0e3f64..1.0e3, 5..200),
-        q in 0.0f64..=1.0,
-    ) {
-        values.sort_unstable_by(f64::total_cmp);
-        let items: Vec<(f64, f64)> = values.iter().map(|&v| (v, 1.0)).collect();
-        let wq = weighted_quantile(&items, q);
-        // Rank definition: smallest v with cum count >= q*n.
-        let n = values.len() as f64;
-        let target = (q * n).ceil().max(1.0) as usize;
-        let expect = values[(target - 1).min(values.len() - 1)];
-        prop_assert_eq!(wq, expect);
     }
 
     /// CDF quantile and fraction_leq are mutually consistent:

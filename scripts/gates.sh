@@ -6,10 +6,11 @@
 # no build. Replay gates (live_smoke, chaos_live, fleet_smoke): `loadgen`
 # replays through real `edgeperf` processes on loopback ports 4620-4631,
 # which leave their reports under replay-reports/. Repro gates
-# (repro_results, repro_streaming): `repro all` must rewrite results/
-# byte for byte, and its streaming job every study file but fig7.json,
-# the same bytes twice; they work in a temp dir they remove. Replay and
-# repro gates need the release binaries
+# (repro_results, repro_streaming, study_resume): `repro all` must rewrite
+# results/ byte for byte, its streaming job every study file but
+# fig7.json, the same bytes twice, and a study killed mid-run must resume
+# from its checkpoint to an uninterrupted run's fig6.json; they work in a
+# temp dir they remove. Replay and repro gates need the release binaries
 # (`cargo build --release -p edgeperf -p edgeperf-bench`). No downloads
 # anywhere.
 #
@@ -292,6 +293,32 @@ repro_streaming() {
     return "$status"
 }
 
+# Kill-and-resume: the injected `crash:8` takes the study down (exit 3)
+# right after its eighth merge is journalled, exactly like a SIGKILL
+# there, and must leave the checkpoint behind; the rerun on the same
+# directory must resume from it (`"resumed_at": 9`), not start over, and
+# write the fig6.json an uninterrupted run writes, byte for byte. The
+# resumed run's StudyReport is kept as $reports/study_resume_report.json.
+study_resume() {
+    built || return 1
+    local out status
+    out=$(mktemp -d) || return 1
+    fig6() { "$bin/repro" fig6 --quick "$@" > /dev/null 2> "$out/stderr"; }
+    (
+        fig6 --checkpoint-dir "$out/ck" --fault-plan crash:8 --json "$out/first"
+        status=$?
+        [ "$status" -eq 3 ] || { echo "the crashed study exited $status, not 3" >&2; exit 1; }
+        test -f "$out/ck/checkpoint.json" || { echo "the crash left no checkpoint.json" >&2; exit 1; }
+        fig6 --checkpoint-dir "$out/ck" --json "$out/resumed" || { tail -n 5 "$out/stderr" >&2; exit 1; }
+        cp "$out/ck/study_report.json" "$reports/study_resume_report.json"
+        reported "$out/ck/study_report.json" resumed_at 9 &&
+            fig6 --json "$out/whole" && cmp "$out/resumed/fig6.json" "$out/whole/fig6.json"
+    )
+    status=$?
+    rm -rf "$out"
+    return "$status"
+}
+
 # The line count ROADMAP tracks, with the split it quotes: test = files
 # under tests/, benches/ or examples/, and everything from a file's first
 # `#[cfg(test)]` on; then the five largest files, so the next 2,000-line
@@ -308,7 +335,7 @@ tracked_lines() {
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
 front_door_wrappers proof_kit_copies live_smoke chaos_live fleet_smoke repro_results
-repro_streaming tracked_lines"
+repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
 list) echo $gates ;;
