@@ -16,16 +16,20 @@
 //! At join time [`ColumnarSink`] adopts each shard: one stable counting
 //! scatter over the per-cell counts the pass tracked lays its
 //! (MinRTT, HDratio) pairs out cell by cell, so the cell column becomes
-//! one `u32` end offset a cell and a kept row is 16 bytes. The scheduler
+//! one `u32` end offset a cell, and keeps each metric in the narrowest
+//! [`ColumnForm`] that gives every value back to the bit. A study's
+//! MinRTTs are whole nanoseconds (the runner divides a nanosecond count
+//! by 10⁶) and its HDratios `achieved / tested`, a few hundred distinct
+//! ratios a prefix, so a kept row is 4 + 2 bytes. The scheduler
 //! hands each prefix to exactly one worker, so shards share no group (a
 //! hand-built shard that does share a group with one already adopted is
 //! folded into it, so the sink's shards never share a cell). The sink is
 //! then kept, not exploded: [`ColumnarSink::summarize`] reads every cell's
 //! order statistics off one transient sorted column per shard and metric,
 //! [`ColumnarSink::rows`] and the sink's [`PreferredSessions`] view walk
-//! the cells for Figures 6–7, and [`ColumnarSink::into_dataset`] — the
-//! oracle tests and benches compare against — copies the same sorted
-//! slices out into a [`Dataset`].
+//! the cells for Figures 6–7, decoding as they go, and
+//! [`ColumnarSink::into_dataset`] — the oracle tests and benches compare
+//! against — copies the same sorted slices out into a [`Dataset`].
 
 use crate::dataset::{
     in_dataset_order, median_and_variance, Aggregation, CellSummary, Dataset, GroupSlots, Summaries,
@@ -162,43 +166,181 @@ impl ColumnarShard {
     }
 }
 
+/// How an adopted shard keeps one metric's rows: the first of these forms
+/// that gives every value of the shard back with the same `to_bits`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColumnForm {
+    /// Whole nanoseconds below 2³², a value being its count ÷ 10⁶ (a
+    /// MinRTT in ms): 4 B a row.
+    Nanos,
+    /// A code into a palette of this many distinct values (at most 65,536
+    /// and three quarters of the rows; the untested NaN is one of them):
+    /// 2 B a row, 8 B a value.
+    Palette(usize),
+    /// The `f64` itself: 8 B a row.
+    Plain,
+}
+
+/// One metric's rows in their [`ColumnForm`].
+#[derive(Debug)]
+enum Column {
+    Nanos(Vec<u32>),
+    Palette { codes: Vec<u16>, palette: Vec<f64> },
+    Plain(Vec<f64>),
+}
+
+/// `ms` as a whole number of nanoseconds, if it is one below 2³².
+fn nanos_of(ms: f64) -> Option<u32> {
+    // `as` saturates (NaN to 0); what does not come back is refused.
+    let nanos = (ms * 1e6).round() as u32;
+    (f64::from(nanos) / 1e6).to_bits().eq(&ms.to_bits()).then_some(nanos)
+}
+
+/// `values` laid out cell by cell — value `i` at the next free row of cell
+/// `cell[i]`, whose first row is `starts[cell[i]]` — each as `encode`
+/// gives it, or `None` at the first value it cannot.
+fn scatter<T: Copy + Default>(
+    values: &[f64],
+    cell: &[u32],
+    starts: &[u32],
+    mut encode: impl FnMut(f64) -> Option<T>,
+) -> Option<Vec<T>> {
+    let mut next = starts.to_vec();
+    let mut rows = vec![T::default(); values.len()];
+    for (&ci, &value) in cell.iter().zip(values) {
+        let row = &mut next[ci as usize];
+        rows[*row as usize] = encode(value)?;
+        *row += 1;
+    }
+    Some(rows)
+}
+
+impl Column {
+    /// Scatter `values` (see [`scatter`]) into the first form that holds
+    /// every one of them bit for bit.
+    fn adopt(values: &[f64], cell: &[u32], starts: &[u32]) -> Column {
+        if let Some(nanos) = scatter(values, cell, starts, nanos_of) {
+            return Column::Nanos(nanos);
+        }
+        // A palette narrower than the values it codes: 2 B a row and 8 B an
+        // entry against 8 B a row.
+        let most = (values.len() / 4 * 3).min(1 << u16::BITS);
+        let (mut palette, mut index) = (Vec::new(), FxHashMap::default());
+        // Ratios such as k/2ⁿ differ only in their bits' high half, and
+        // FxHash picks a bucket by the low bits: mix and fold the halves
+        // (each a bijection) first.
+        let key = |value: f64| {
+            let mixed = value.to_bits().wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            mixed ^ mixed >> 32
+        };
+        let code = |value: f64| match index.get(&key(value)) {
+            Some(&code) => Some(code),
+            None if palette.len() < most => {
+                let code = palette.len() as u16;
+                palette.push(value);
+                index.insert(key(value), code);
+                Some(code)
+            }
+            None => None,
+        };
+        if let Some(codes) = scatter(values, cell, starts, code) {
+            palette.shrink_to_fit();
+            return Column::Palette { codes, palette };
+        }
+        Column::Plain(scatter(values, cell, starts, Some).expect("an f64 holds itself"))
+    }
+
+    fn form(&self) -> ColumnForm {
+        match self {
+            Column::Nanos(_) => ColumnForm::Nanos,
+            Column::Palette { palette, .. } => ColumnForm::Palette(palette.len()),
+            Column::Plain(_) => ColumnForm::Plain,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Column::Nanos(nanos) => nanos.len(),
+            Column::Palette { codes, .. } => codes.len(),
+            Column::Plain(values) => values.len(),
+        }
+    }
+
+    /// Rows `rows`, decoded as they are read, their bits as adopted.
+    fn values(&self, rows: Range<usize>) -> Values<'_> {
+        match self {
+            Column::Nanos(nanos) => Values::Nanos(nanos[rows].iter()),
+            Column::Palette { codes, palette } => Values::Palette(codes[rows].iter(), palette),
+            Column::Plain(values) => Values::Plain(values[rows].iter()),
+        }
+    }
+
+    /// Every row decoded, in order.
+    fn to_vec(&self) -> Vec<f64> {
+        self.values(0..self.len()).collect()
+    }
+}
+
+/// A run of a [`Column`]'s rows, decoded.
+enum Values<'a> {
+    Nanos(std::slice::Iter<'a, u32>),
+    Palette(std::slice::Iter<'a, u16>, &'a [f64]),
+    Plain(std::slice::Iter<'a, f64>),
+}
+
+impl Iterator for Values<'_> {
+    type Item = f64;
+
+    #[inline]
+    fn next(&mut self) -> Option<f64> {
+        match self {
+            Values::Nanos(nanos) => nanos.next().map(|&nanos| f64::from(nanos) / 1e6),
+            Values::Palette(codes, palette) => codes.next().map(|&code| palette[code as usize]),
+            Values::Plain(values) => values.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Values::Nanos(nanos) => nanos.size_hint(),
+            Values::Palette(codes, _) => codes.size_hint(),
+            Values::Plain(values) => values.size_hint(),
+        }
+    }
+}
+
 /// A shard as the sink keeps it: the worker's rows laid out cell by cell —
 /// cell `ci` is rows `ends[ci - 1]..ends[ci]` of both columns, in the order
-/// its worker pushed them — so a row is its 16 bytes of (MinRTT, HDratio)
-/// and a cell's place costs one `u32`.
+/// its worker pushed them — so a row is its (MinRTT, HDratio) pair in the
+/// two columns' forms and a cell's place costs one `u32`.
 #[derive(Debug)]
 struct AdoptedShard {
     groups: FxHashSet<GroupKey>,
     cells: Vec<CellMeta>,
     ends: Vec<u32>,
-    min_rtt: Vec<f64>,
+    min_rtt: Column,
     /// NaN for a session that tested nothing.
-    hdratio: Vec<f64>,
+    hdratio: Column,
 }
 
 impl AdoptedShard {
     /// Group `shard`'s rows by cell: a stable counting scatter to the
-    /// prefix sums of the per-cell counts the pass tracked.
+    /// prefix sums of the per-cell counts the pass tracked, each metric
+    /// into its narrowest form.
     fn adopt(shard: ColumnarShard) -> Self {
         let rows = shard.cell.len();
         assert!(u32::try_from(rows).is_ok(), "a shard's rows fit u32");
-        // Until the scatter is done `ends[ci]` is the next free row of cell
-        // `ci`; it starts at the cell's first row and stops at its end.
-        let mut ends = Vec::with_capacity(shard.cells.len());
+        let mut starts = Vec::with_capacity(shard.cells.len());
         let mut total = 0usize;
         for c in &shard.cells {
-            ends.push(total as u32);
+            starts.push(total as u32);
             total += c.n_rtt as usize;
         }
         assert_eq!(total, rows, "per-cell counts cover every row");
-        let mut min_rtt = vec![0.0; rows];
-        let mut hdratio = vec![0.0; rows];
-        for ((&ci, &rtt), &hd) in shard.cell.iter().zip(&shard.min_rtt).zip(&shard.hdratio) {
-            let row = &mut ends[ci as usize];
-            min_rtt[*row as usize] = rtt;
-            hdratio[*row as usize] = hd;
-            *row += 1;
-        }
+        let min_rtt = Column::adopt(&shard.min_rtt, &shard.cell, &starts);
+        let hdratio = Column::adopt(&shard.hdratio, &shard.cell, &starts);
+        let mut ends = starts;
+        ends.iter_mut().zip(&shard.cells).for_each(|(end, c)| *end += c.n_rtt);
         let groups = shard.group_index.into_keys().collect();
         AdoptedShard { groups, cells: shard.cells, ends, min_rtt, hdratio }
     }
@@ -213,7 +355,8 @@ impl AdoptedShard {
             assert_eq!(shard.cell_id(meta.key, meta.relationship), ci, "cell keys are distinct");
             shard.cell.extend(rows.map(|_| ci as u32));
         }
-        ColumnarShard { cells: self.cells, min_rtt: self.min_rtt, hdratio: self.hdratio, ..shard }
+        let (min_rtt, hdratio) = (self.min_rtt.to_vec(), self.hdratio.to_vec());
+        ColumnarShard { cells: self.cells, min_rtt, hdratio, ..shard }
     }
 
     /// Every cell with the rows it owns in both columns.
@@ -233,15 +376,15 @@ impl AdoptedShard {
         keep: fn(&CellKey) -> bool,
     ) -> impl Iterator<Item = (CellKey, f64, Option<f64>)> + '_ {
         self.cells().filter(move |(meta, _)| keep(&meta.key)).flat_map(|(meta, rows)| {
-            let rows = self.min_rtt[rows.clone()].iter().zip(&self.hdratio[rows]);
-            rows.map(|(&min_rtt, &hd)| (meta.key, min_rtt, (!hd.is_nan()).then_some(hd)))
+            let rows = self.min_rtt.values(rows.clone()).zip(self.hdratio.values(rows));
+            rows.map(|(min_rtt, hd)| (meta.key, min_rtt, (!hd.is_nan()).then_some(hd)))
         })
     }
 
-    /// The one place where rows become sorted cells: a copy of `column`
-    /// with each cell's slice sorted once — a cell's NaNs (the untested
-    /// mark, a positive NaN) after its samples.
-    fn sorted_column(&self, column: &[f64]) -> Vec<f64> {
+    /// The one place where rows become sorted cells: `column` decoded, with
+    /// each cell's slice sorted once — a cell's NaNs (the untested mark, a
+    /// positive NaN) after its samples.
+    fn sorted_column(&self, column: &Column) -> Vec<f64> {
         let mut values = column.to_vec();
         for (_, rows) in self.cells() {
             values[rows].sort_unstable_by(f64::total_cmp);
@@ -355,6 +498,12 @@ impl ColumnarSink {
     /// pushed them): its cell, its MinRTT (ms) and its HDratio if it tested.
     pub fn rows(&self) -> impl Iterator<Item = (CellKey, f64, Option<f64>)> + '_ {
         self.shards.iter().flat_map(|s| s.sessions(|_| true))
+    }
+
+    /// Every adopted shard's MinRTT form and HDratio form, in the order the
+    /// shards were merged.
+    pub fn column_forms(&self) -> impl Iterator<Item = (ColumnForm, ColumnForm)> + '_ {
+        self.shards.iter().map(|s| (s.min_rtt.form(), s.hdratio.form()))
     }
 
     /// Assemble the exact [`Dataset`] — the oracle tests and benches hold
@@ -581,5 +730,147 @@ pub(crate) mod tests {
         shard.push(rec(1, 3, 0, 30.0, None));
         sink.merge_shard(shard);
         let _ = sink.into_dataset();
+    }
+
+    /// `n` sessions of `prefix` shaped like a study's: a MinRTT of a whole
+    /// `nanos(i)` nanoseconds and an `achieved / tested` HDratio, a fifth
+    /// of them untested.
+    fn study_shaped(prefix: u32, n: usize, nanos: impl Fn(usize) -> u64) -> Vec<SessionRecord> {
+        let session = |i: usize| {
+            let tested = 1 + i % 9;
+            let hdratio = (i * 7 % (tested + 1)) as f64 / tested as f64;
+            let min_rtt = nanos(i) as f64 / 1e6;
+            rec(
+                prefix,
+                (i % 4) as u32,
+                (i / 4 % 2) as u8,
+                min_rtt,
+                (!i.is_multiple_of(5)).then_some(hdratio),
+            )
+        };
+        (0..n).map(session).collect()
+    }
+
+    /// One adopted shard per entry of `shards`, merged in order.
+    fn adopted(shards: &[Vec<SessionRecord>]) -> ColumnarSink {
+        let mut sink = ColumnarSink::new(4);
+        for records in shards {
+            let mut shard = sink.new_shard();
+            records.iter().for_each(|r| shard.push(*r));
+            sink.merge_shard(shard);
+        }
+        sink
+    }
+
+    /// Every way the sink is read — its rows, its summaries, Figures 6–7
+    /// and its dataset — gives the bits `records`, held as `f64`s, give.
+    fn assert_reads_as(sink: ColumnarSink, records: &[SessionRecord]) {
+        // Rows come cell by cell, cells in first-seen order.
+        let mut first_seen = FxHashMap::default();
+        let mut want: Vec<_> = records
+            .iter()
+            .map(|r| {
+                let key = CellKey { group: r.group, window: r.window, rank: r.route_rank };
+                let next = first_seen.len();
+                let seen = *first_seen.entry(key).or_insert(next);
+                (seen, (key, r.min_rtt_ms.to_bits(), r.hdratio.map(f64::to_bits)))
+            })
+            .collect();
+        want.sort_by_key(|&(seen, _)| seen);
+        let rows = sink.rows().map(|(key, rtt, hd)| (key, rtt.to_bits(), hd.map(f64::to_bits)));
+        assert!(rows.eq(want.into_iter().map(|(_, row)| row)), "rows differ");
+
+        // `{:?}` prints a float in its shortest round-trip form: equal text,
+        // equal bits (-0.0 included).
+        use crate::figures::{fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt};
+        let figures = (fig6_minrtt(&sink), fig6_hdratio(&sink), fig7_hdratio_by_minrtt(&sink));
+        let want = (fig6_minrtt(records), fig6_hdratio(records), fig7_hdratio_by_minrtt(records));
+        assert_eq!(format!("{figures:?}"), format!("{want:?}"));
+        let whole = Dataset::from_records(records, 4);
+        let summaries = sink.summarize();
+        assert_eq!(summaries.groups.len(), whole.groups.len());
+        for (key, g) in &summaries.groups {
+            let want = whole.groups[key].summarize(Aggregation::summary);
+            assert_eq!(format!("{g:?}"), format!("{want:?}"));
+        }
+        assert_identical(&sink.into_dataset(), &whole);
+    }
+
+    #[test]
+    fn each_shard_takes_the_first_form_that_gives_back_every_bit() {
+        let edges = [
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            0.1 + 0.2,
+            0.3,
+            4_294.967_295,
+            4_294.967_296,
+            1e300,
+        ];
+        let ratios = [Some(-0.0), Some(0.1 + 0.2), Some(5e-324), None, Some(1.0)];
+        let distinct = |i: usize| 1_000 + 7_919 * i as u64;
+        let mut negative_zero = study_shaped(3, 400, distinct);
+        negative_zero[7].min_rtt_ms = -0.0;
+        let shards = [
+            // Whole nanoseconds up to the most a `u32` counts.
+            study_shaped(1, 400, |i| if i == 7 { u32::MAX.into() } else { distinct(i) }),
+            // One 2³² ns among 50 whole milliseconds: a palette, this shard only.
+            study_shaped(2, 400, |i| if i == 7 { 1 << 32 } else { 1_000_000 * (i as u64 % 50) }),
+            // One -0.0 among 400 distinct values, too many for a palette.
+            negative_zero,
+            (0..36).map(|i| rec(4, (i % 4) as u32, 0, edges[i % 9], ratios[i % 5])).collect(),
+        ];
+        let hdratios = |records: &[SessionRecord]| {
+            let bits = records.iter().map(|r| r.hdratio.unwrap_or(f64::NAN).to_bits());
+            ColumnForm::Palette(bits.collect::<FxHashSet<_>>().len())
+        };
+        let sink = adopted(&shards);
+        assert_eq!(
+            sink.column_forms().collect::<Vec<_>>(),
+            [
+                (ColumnForm::Nanos, hdratios(&shards[0])),
+                (ColumnForm::Palette(51), hdratios(&shards[1])),
+                (ColumnForm::Plain, hdratios(&shards[2])),
+                (ColumnForm::Palette(9), ColumnForm::Palette(5)),
+            ]
+        );
+        assert_reads_as(sink, &shards.concat());
+    }
+
+    #[test]
+    fn a_palette_holds_at_most_65_536_values() {
+        // Every HDratio twice, so that a palette is narrower than the values.
+        let twice = |prefix: u32, distinct: usize| -> Vec<SessionRecord> {
+            let session = |i: usize| {
+                let min_rtt = (20_000_000 + i as u64 % 977) as f64 / 1e6;
+                let hdratio = (i % distinct) as f64 / distinct as f64;
+                rec(prefix, (i % 4) as u32, (i / 4 % 2) as u8, min_rtt, Some(hdratio))
+            };
+            (0..2 * distinct).map(session).collect()
+        };
+        let shards = [twice(1, 1 << 16), twice(2, (1 << 16) + 1)];
+        let sink = adopted(&shards);
+        assert_eq!(
+            sink.column_forms().collect::<Vec<_>>(),
+            [
+                (ColumnForm::Nanos, ColumnForm::Palette(1 << 16)),
+                (ColumnForm::Nanos, ColumnForm::Plain)
+            ]
+        );
+        assert_reads_as(sink, &shards.concat());
+    }
+
+    #[test]
+    fn a_compact_shard_folded_back_into_a_worker_shard_keeps_its_bits() {
+        // Two shards of one prefix: the first is adopted compact, then taken
+        // back to the worker's form to absorb the second.
+        let records = study_shaped(1, 400, |i| 7_919 * i as u64);
+        let (first, second) = records.split_at(150);
+        let sink = adopted(&[first.to_vec(), second.to_vec()]);
+        let min_rtt: Vec<_> = sink.column_forms().map(|(min_rtt, _)| min_rtt).collect();
+        assert_eq!(min_rtt, [ColumnForm::Nanos], "the second shard folded into the first");
+        assert_reads_as(sink, &records);
     }
 }

@@ -1,13 +1,14 @@
 //! Footprint gate: a cell costs what it holds, the streaming sink holds
 //! digests only for the group in flight, the exact sink holds every
-//! session once in 16 bytes, and Figures 6–7 read it without copying it.
-//! Heap bytes are counted exactly by the counting global allocator in
-//! `counting/`, which is why this is a test binary of its own with a
-//! single `#[test]`.
+//! session once — in 6 bytes when it is shaped like a study's, 16 at most
+//! — and Figures 6–7 read it without copying it. Heap bytes are counted
+//! exactly by the counting global allocator in `counting/`, which is why
+//! this is a test binary of its own with a single `#[test]`.
 
 mod counting;
 
 use counting::{count_this_thread, heap_of, peak_above};
+use edgeperf_analysis::columnar::ColumnForm;
 use edgeperf_analysis::figures::{fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt};
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
@@ -46,6 +47,20 @@ fn session(cell: u32, i: usize) -> SessionRecord {
     }
 }
 
+/// Session `i` of cell `cell` shaped like a study's: its MinRTT a whole
+/// number of nanoseconds, as the runner writes it, and its HDratio
+/// `achieved / tested`, untested one time in five.
+fn study_session(cell: u32, i: usize) -> SessionRecord {
+    let r = session(cell, i);
+    let tested = 1 + i % 9;
+    let hdratio = (i * 7 % (tested + 1)) as f64 / tested as f64;
+    SessionRecord {
+        min_rtt_ms: (r.min_rtt_ms * 1e6).round() / 1e6,
+        hdratio: (!i.is_multiple_of(5)).then_some(hdratio),
+        ..r
+    }
+}
+
 /// One worker's shard after groups `groups` × 2 ranks × 4 windows cells
 /// of `per_cell` sessions each, pushed group by group and — when `seal` —
 /// sealed as each is done, the way the runner does.
@@ -71,8 +86,12 @@ fn sealed_dataset(groups: u32, per_cell: usize) -> StreamingDataset {
 }
 
 /// Two merged shards, of `groups[0]` and `groups[1]` groups, `per_cell`
-/// sessions in each cell.
-fn columnar_sink(groups: [u32; 2], per_cell: usize) -> ColumnarSink {
+/// sessions made by `session` in each cell.
+fn columnar_sink(
+    groups: [u32; 2],
+    per_cell: usize,
+    session: fn(u32, usize) -> SessionRecord,
+) -> ColumnarSink {
     let mut sink = ColumnarSink::new(4);
     for cells in [0..groups[0] * 8, groups[0] * 8..(groups[0] + groups[1]) * 8] {
         let mut shard = sink.new_shard();
@@ -139,17 +158,32 @@ fn cells_cost_what_they_hold() {
         held + transient
     );
 
-    // The exact sink holds every session once: a 16 B row (the adopted
-    // shard's rows lie grouped by cell, so no row names its cell), beside
-    // cell and group tables the same layout has with one session per cell.
+    // The exact sink holds every session once (the adopted shard's rows lie
+    // grouped by cell, so no row names its cell), beside cell and group
+    // tables the same layout has with one session per cell (whose 16 B
+    // rows are these sessions' plain `f64`s). A study's session is a 6 B
+    // row — its MinRTT in whole nanoseconds and a code into its shard's
+    // palette of HDratios, 8 B an entry — and no session is more than 16.
     let groups = [64, 192];
     let cells = (groups[0] + groups[1]) as usize * 8;
-    let (_skeleton, skeleton_bytes) = heap_of(|| columnar_sink(groups, 1));
+    let (_skeleton, skeleton_bytes) = heap_of(|| columnar_sink(groups, 1, session));
     let table_bytes = skeleton_bytes - 16 * cells;
     let per_cell = 40;
-    let (sink, bytes) = heap_of(|| columnar_sink(groups, per_cell));
-    let rows = sink.stats().records as usize;
+    let (study, bytes) = heap_of(|| columnar_sink(groups, per_cell, study_session));
+    let rows = study.stats().records as usize;
     assert_eq!(rows, cells * per_cell);
+    let mut palettes = 0;
+    for (min_rtt, hdratio) in study.column_forms() {
+        assert_eq!(min_rtt, ColumnForm::Nanos);
+        let ColumnForm::Palette(values) = hdratio else { panic!("HDratios kept {hdratio:?}") };
+        palettes += values;
+    }
+    assert!(
+        bytes <= 6 * rows + 8 * palettes + table_bytes,
+        "{rows} study-shaped rows ({palettes} palette entries) in {bytes} B beside {table_bytes} B of tables"
+    );
+    drop(study);
+    let (sink, bytes) = heap_of(|| columnar_sink(groups, per_cell, session));
     assert!(
         bytes <= 16 * rows + table_bytes,
         "{rows} rows in {bytes} B beside {table_bytes} B of tables"
@@ -163,9 +197,10 @@ fn cells_cost_what_they_hold() {
     // a CDF. Over 400 cells that bound leaves a copy of the sessions no
     // room beside the histogram; over 200,000 preferred sessions a copy
     // alone (3 MiB) breaks it.
-    for (sink, preferred) in
-        [(columnar_sink([10, 40], 40), 8_000), (columnar_sink([1, 0], 50_000), 200_000)]
-    {
+    for (sink, preferred) in [
+        (columnar_sink([10, 40], 40, session), 8_000),
+        (columnar_sink([1, 0], 50_000, session), 200_000),
+    ] {
         let (figures, held, transient) =
             peak_above(|| (fig6_minrtt(&sink), fig6_hdratio(&sink), fig7_hdratio_by_minrtt(&sink)));
         assert_eq!(figures.0 .0.sessions, preferred);

@@ -48,7 +48,7 @@ pub fn run(seed: u64, days: u32, sessions: u32, threshold_ms: f64) -> DetectorSc
         parallelism: 0,
         ..Default::default()
     };
-    // Rows in, summaries out, rows dropped: 16 B a session while the
+    // Rows in, summaries out, rows dropped: 6 B a session while the
     // study runs and nothing per session afterwards.
     let ds = {
         let mut sink = ColumnarSink::new(cfg.n_windows() as usize);

@@ -198,8 +198,9 @@ impl StudyBuilder {
     /// from what is there.
     ///
     /// The [`ColumnarSink`] is the only thing the run fills and the only
-    /// exact copy of the study afterwards: 16 bytes a session, grouped by
-    /// cell. The cell summaries are read off it one shard and one metric at
+    /// exact copy of the study afterwards: 6 bytes a session (a MinRTT in
+    /// whole nanoseconds, an HDratio as a code into its prefix's palette),
+    /// grouped by cell. The cell summaries are read off it one shard and one metric at
     /// a time ([`ColumnarSink::summarize`], bit-identical to summarising
     /// the assembled `Dataset` — see `sink_agreement`), and Figures 6–7
     /// read their ranks and counts off its rows in place.
@@ -684,6 +685,7 @@ pub fn render_table2(outputs: &[Table2Output]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgeperf_analysis::columnar::ColumnForm;
     use edgeperf_analysis::RecordSink;
 
     fn small() -> StudyBuilder {
@@ -742,6 +744,21 @@ mod tests {
         assert_eq!(t1.len(), 4 + 4 + 2 + 1);
         let _ = table2_outputs(&data);
         let _ = fig10(&data);
+    }
+
+    #[test]
+    fn a_quick_study_keeps_every_shard_compact() {
+        // The runner writes a MinRTT as whole nanoseconds and an HDratio
+        // as `achieved / tested`: were either to change, the exact sink
+        // would fall back to 8 B a value without any output changing.
+        let data = StudyBuilder::new().scale(0.1).run().unwrap();
+        let Some(Sessions::Columns(sink)) = &data.sessions else { panic!("an exact study") };
+        let forms: Vec<_> = sink.column_forms().collect();
+        assert!(forms.len() > 10, "{} shards", forms.len());
+        for (shard, (min_rtt, hdratio)) in forms.into_iter().enumerate() {
+            assert_eq!(min_rtt, ColumnForm::Nanos, "shard {shard}");
+            assert_ne!(hdratio, ColumnForm::Plain, "shard {shard}");
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 # replays through real `edgeperf` processes on loopback ports 4620-4631,
 # which leave their reports under replay-reports/. Repro gates
 # (repro_results, repro_streaming, study_resume): `repro all` must rewrite
-# results/ byte for byte, its streaming job every study file but
-# fig7.json, the same bytes twice, and a study killed mid-run must resume
-# from its checkpoint to an uninterrupted run's fig6.json; they work in a
-# temp dir they remove. Replay and repro gates need the release binaries
+# results/ and print the stdout kept there byte for byte, its streaming
+# job every study file but fig7.json, the same bytes twice, and a study
+# killed mid-run must resume from its checkpoint to an uninterrupted run's
+# fig6.json; they work in a temp dir they remove. Replay and repro gates need the release binaries
 # (`cargo build --release -p edgeperf -p edgeperf-bench`). No downloads
 # anywhere.
 #
@@ -255,13 +255,15 @@ repro_tree() {
 
 # The checked-in results/ are compared, not just regenerated: the exact
 # job at the default seed and full scale (~15 s; `--scale 1` overrides an
-# ambient EDGEPERF_SCALE) must rewrite every file of results/ byte for
-# byte.
+# ambient EDGEPERF_SCALE) must rewrite every JSON file of results/ byte
+# for byte, and print results/repro_all.stdout byte for byte — what a
+# reader sees, whatever order the experiments ran in.
 repro_results() {
     built || return 1
     local out status
     out=$(mktemp -d) || return 1
-    repro_tree "$out" --scale 1 && diff -r "$out/tree" results
+    repro_tree "$out" --scale 1 && diff -r -x repro_all.stdout "$out/tree" results &&
+        cmp "$out/stdout" results/repro_all.stdout
     status=$?
     rm -rf "$out"
     return "$status"
