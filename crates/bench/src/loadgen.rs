@@ -416,11 +416,20 @@ pub struct ChaosRunOpts {
     pub spill: Option<(std::path::PathBuf, usize)>,
     /// Worker respawn budget before zombie mode.
     pub max_worker_respawns: u32,
+    /// Asks the faulted server whatever it likes once the replay is over
+    /// and before anything else does; an `Err` fails the run.
+    pub inspect: fn(&mut LiveClient) -> io::Result<()>,
 }
 
 impl Default for ChaosRunOpts {
     fn default() -> ChaosRunOpts {
-        ChaosRunOpts { workers: 4, idle_timeout_ms: 0, spill: None, max_worker_respawns: 8 }
+        ChaosRunOpts {
+            workers: 4,
+            idle_timeout_ms: 0,
+            spill: None,
+            max_worker_respawns: 8,
+            inspect: |_| Ok(()),
+        }
     }
 }
 
@@ -584,6 +593,7 @@ pub fn run_chaos(
     let elapsed_s = started.elapsed().as_secs_f64();
 
     let mut control = LiveClient::connect(addr)?;
+    (opts.inspect)(&mut control)?;
     let metrics = control.metrics_json()?;
     let store_stats = control.store_stats().ok();
     let rows = control.cells_query(&settled_query(settled_until))?;

@@ -31,6 +31,7 @@ use edgeperf::live::{
 use edgeperf::obs::Metrics;
 use edgeperf::serve::{WireParser, WireSession};
 use edgeperf_bench::loadgen::{generate_lines, settled_horizon, LoadgenConfig};
+use serde_json::Value;
 
 const WINDOW_MS: f64 = 1_000.0;
 const LATENESS_MS: f64 = 250.0;
@@ -213,7 +214,20 @@ fn late_records_are_counted_and_typed_end_to_end() {
     assert_eq!(reasons, vec![("late", 1)], "typed reject reason");
 
     let metrics = client.metrics_json().expect("metrics");
-    assert!(metrics.contains("ingest.reject.late"), "late counter exported: {metrics}");
+    let registry = serde_json::parse(&metrics).expect("a registry snapshot");
+    let Some(Value::Object(counters)) = registry.get("counters") else {
+        panic!("no counters in {metrics}");
+    };
+    // The counters whose names start with `prefix`, summed.
+    let count = |prefix: &str| -> f64 {
+        let values = counters.iter().filter(|(name, _)| name.starts_with(prefix));
+        values.map(|(_, v)| if let Value::Num(n) = v { *n } else { 0.0 }).sum()
+    };
+    assert_eq!(count("ingest.reject.late"), 1.0, "late counter exported: {metrics}");
+    // One tally: the registry mirrors the snapshot, so the late record
+    // is not also counted accepted.
+    assert_eq!(count("live.accepted"), snap.accepted as f64, "{metrics}");
+    assert_eq!(count("ingest.reject."), snap.rejected as f64, "{metrics}");
 
     let fin = client.shutdown().expect("shutdown");
     assert!(fin.drained);

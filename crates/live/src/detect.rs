@@ -145,6 +145,13 @@ impl OnlineDetector {
         changes
     }
 
+    /// Forget every group but keep the running totals: what a worker's
+    /// detector becomes after a dirty panic, so its counts only grow.
+    pub(crate) fn forget_groups(&mut self) {
+        self.groups.clear();
+        self.keys.clear();
+    }
+
     /// Distinct preferred-route groups observed.
     pub(crate) fn group_count(&self) -> usize {
         self.keys.len()

@@ -13,7 +13,6 @@ use std::time::Duration;
 /// compaction see either the small segments or the merged one — never
 /// both, never neither.
 pub(super) fn compactor_loop(shared: &Shared, store: &SegmentStore) {
-    let merges = shared.metrics.counter("store.compactions");
     let errors = shared.metrics.counter("store.compact_errors");
     let tick = Duration::from_millis(50);
     while !shared.supervisor_stop.load(Ordering::Acquire) {
@@ -22,7 +21,7 @@ pub(super) fn compactor_loop(shared: &Shared, store: &SegmentStore) {
             continue;
         }
         match store.compact_once() {
-            Ok(true) => merges.inc(),
+            Ok(true) => {}
             Ok(false) => std::thread::sleep(tick),
             Err(_) => {
                 errors.inc();

@@ -24,7 +24,7 @@
 
 use super::lanes::{register_reader, ReaderLanes};
 use super::query::{ping, query_workers, serve_cells, ControlMsg};
-use super::stats::reject;
+use super::stats::{publish, reject};
 use super::{drain, send, Shared};
 use crate::frame::{
     parse_hello, parse_preamble, FrameDecoder, FRAME_MAGIC, HELLO_LEN, PREAMBLE_LEN,
@@ -197,7 +197,7 @@ fn binary_connection(
     let (body_len, hello) = match parse_preamble(pre) {
         Ok(parsed) => parsed,
         Err(err) => {
-            reject(&shared.metrics, &lanes.cell, &err);
+            reject(&lanes.cell, &err);
             return None;
         }
     };
@@ -208,7 +208,7 @@ fn binary_connection(
         let (sid, _epoch) = match parse_hello(&block) {
             Ok(parsed) => parsed,
             Err(err) => {
-                reject(&shared.metrics, &lanes.cell, &err);
+                reject(&lanes.cell, &err);
                 return None;
             }
         };
@@ -241,7 +241,6 @@ fn binary_reader_loop(
     mut session: Option<&mut SessionCtx>,
 ) {
     let frames_counter = shared.metrics.counter("ingest.frames");
-    let accepted_counter = shared.metrics.counter("live.accepted");
     let mut decoder = FrameDecoder::new(body_len, shared.config.read_buffer_bytes);
     loop {
         let writable = decoder.writable();
@@ -261,11 +260,11 @@ fn binary_reader_loop(
             Ok(n) => n,
         };
         decoder.advance(n, writable_len);
+        let mut frames = 0;
         loop {
             match decoder.next_record() {
                 Ok(Some(rec)) => {
-                    frames_counter.inc();
-                    accepted_counter.inc();
+                    frames += 1;
                     if let Some(sc) = session.as_deref_mut() {
                         sc.consumed += 1;
                     }
@@ -273,11 +272,13 @@ fn binary_reader_loop(
                 }
                 Ok(None) => break,
                 Err(err) => {
-                    reject(&shared.metrics, &lanes.cell, &err);
+                    frames_counter.add(frames);
+                    reject(&lanes.cell, &err);
                     return;
                 }
             }
         }
+        frames_counter.add(frames);
         // About to block on the socket: hand workers everything decoded
         // so far (same invariant as the line path — a quiet connection
         // never strands records in a partial batch).
@@ -310,7 +311,8 @@ fn line_reader_loop<R: Read>(
 ) -> Option<SessionCtx> {
     let workers = shared.config.workers;
     let lines_counter = shared.metrics.counter("ingest.lines");
-    let accepted_counter = shared.metrics.counter("live.accepted");
+    // Record lines `ingest.lines` has yet to count.
+    let mut lines = 0;
     let mut line = String::new();
     let mut rr = id as usize;
     let mut session: Option<SessionCtx> = None;
@@ -336,26 +338,25 @@ fn line_reader_loop<R: Read>(
             continue;
         }
         if trimmed.starts_with('{') {
-            lines_counter.inc();
+            lines += 1;
             if let Some(sc) = session.as_mut() {
                 sc.consumed += 1;
             }
             match parser.parse(trimmed) {
-                Ok(rec) => {
-                    accepted_counter.inc();
-                    lanes.route(rec);
-                }
-                Err(err) => reject(&shared.metrics, &lanes.cell, &err),
+                Ok(rec) => lanes.route(rec),
+                Err(err) => reject(&lanes.cell, &err),
             }
             // About to block on the socket: hand workers everything
             // parsed so far, so a quiet connection never strands
             // records in a partial batch (snapshots taken while the
             // sender idles must observe them).
             if reader.buffer().is_empty() {
+                lines_counter.add(std::mem::take(&mut lines));
                 lanes.flush_all();
             }
             continue;
         }
+        lines_counter.add(std::mem::take(&mut lines));
         // One parse path for every command line; syntax errors render
         // their reply without touching any server state.
         let reply = match Request::parse(trimmed) {
@@ -407,10 +408,16 @@ fn line_reader_loop<R: Read>(
                         Ok(()) => continue,
                         Err(_) => break,
                     },
-                    Request::Metrics => Response::Metrics(
-                        serde_json::to_string(&shared.metrics.snapshot())
-                            .expect("metrics serialize"),
-                    ),
+                    Request::Metrics => {
+                        if shared.metrics.is_enabled() {
+                            let per_worker = query_workers(shared, ControlMsg::Snapshot);
+                            publish(shared, &per_worker.unwrap_or_default());
+                        }
+                        Response::Metrics(
+                            serde_json::to_string(&shared.metrics.snapshot())
+                                .expect("metrics serialize"),
+                        )
+                    }
                     Request::Store => Response::Store(shared.store.as_ref().map(|s| s.stats())),
                     Request::Version => Response::Version,
                     Request::Shutdown => {
@@ -426,6 +433,7 @@ fn line_reader_loop<R: Read>(
             break;
         }
     }
+    lines_counter.add(lines);
     // EOF / cut connection: the caller retires the lanes, which flushes
     // whatever is still batched. (After `shutdown`, `lanes` was taken
     // and retirement is a no-op.)

@@ -5,12 +5,14 @@
 //! rolled up only when a snapshot is taken. A reader folds its cell into
 //! a retired-total *before* closing its lanes, and workers exit only
 //! after every lane is closed and drained — so the final drained
-//! snapshot is exact, not approximate.
+//! snapshot is exact, not approximate. These cells, the workers' state
+//! and the store's `StoreStats` are the one tally of what the server
+//! reports; the metrics registry only mirrors them, through [`publish`].
 
+use super::Shared;
 use crate::protocol::{ClassCount, LiveSnapshot, ReasonCount, WorkerStatsLine};
 use edgeperf_analysis::TemporalClass;
 use edgeperf_core::EdgeperfError;
-use edgeperf_obs::Metrics;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,10 +35,9 @@ pub(super) struct WorkerSnap {
 #[derive(Default)]
 pub(super) struct StatCell {
     pub(super) accepted: AtomicU64,
-    pub(super) rejected: AtomicU64,
-    pub(super) late: AtomicU64,
-    /// Reason → count. A mutex, but per-cell and only on the reject
-    /// path, which is rare by construction.
+    /// Reason → count, the one reject tally: `rejected` is its sum and
+    /// `late` its `late` entry. A mutex, but per-cell and only on the
+    /// reject path, which is rare by construction.
     pub(super) reasons: Mutex<BTreeMap<&'static str, u64>>,
 }
 
@@ -45,16 +46,12 @@ pub(super) struct StatCell {
 #[derive(Default, Clone)]
 pub(super) struct StatTotals {
     pub(super) accepted: u64,
-    pub(super) rejected: u64,
-    pub(super) late: u64,
     pub(super) reasons: BTreeMap<&'static str, u64>,
 }
 
 impl StatTotals {
     pub(super) fn add_cell(&mut self, cell: &StatCell) {
         self.accepted += cell.accepted.load(Ordering::Relaxed);
-        self.rejected += cell.rejected.load(Ordering::Relaxed);
-        self.late += cell.late.load(Ordering::Relaxed);
         for (reason, n) in cell.reasons.lock().expect("reason map").iter() {
             *self.reasons.entry(reason).or_insert(0) += n;
         }
@@ -121,8 +118,8 @@ impl Stats {
             drained,
             workers: self.workers.len() as u64,
             accepted: totals.accepted,
-            rejected: totals.rejected,
-            late: totals.late,
+            rejected: totals.reasons.values().sum(),
+            late: totals.reasons.get("late").copied().unwrap_or(0),
             ..LiveSnapshot::default()
         };
         let mut classes = BTreeMap::new();
@@ -151,22 +148,56 @@ impl Stats {
     }
 }
 
-/// Count a reject into `cell` (the caller's shard) and the
-/// `ingest.reject.<reason>` metrics counter.
-pub(super) fn reject(metrics: &Metrics, cell: &StatCell, err: &EdgeperfError) {
-    let reason = err.reason();
-    cell.rejected.fetch_add(1, Ordering::Relaxed);
-    if reason == "late" {
-        cell.late.fetch_add(1, Ordering::Relaxed);
-    }
-    metrics.counter(&format!("ingest.reject.{reason}")).inc();
-    *cell.reasons.lock().expect("reason map").entry(reason).or_insert(0) += 1;
+/// Count a reject into `cell` (the caller's shard).
+pub(super) fn reject(cell: &StatCell, err: &EdgeperfError) {
+    *cell.reasons.lock().expect("reason map").entry(err.reason()).or_insert(0) += 1;
 }
 
 /// Count `dropped` records as `worker_lost` rejects in `cell`: a lane
 /// abandoned by its worker, or a batch a panic took with it — neither
 /// applied nor late, and never silently gone.
 pub(super) fn count_worker_lost(cell: &StatCell, dropped: u64) {
-    cell.rejected.fetch_add(dropped, Ordering::Relaxed);
     *cell.reasons.lock().expect("reason map").entry("worker_lost").or_insert(0) += dropped;
+}
+
+/// Copy the account into `shared.metrics` under the names `metrics` has
+/// always served, whenever the registry is about to be read: the
+/// `metrics` verb, the drain and `ServerHandle::join`. `per_worker` are
+/// the workers' views, empty when they cannot be asked. A counter is
+/// raised to its total, never lowered — every total here only grows —
+/// so a missing view leaves its counters where they were.
+pub(super) fn publish(shared: &Shared, per_worker: &[WorkerSnap]) {
+    let metrics = &shared.metrics;
+    let raise = |name: &str, total| metrics.counter(name).raise_to(total);
+    let snap = shared.stats.snapshot_from(per_worker, false);
+    raise("live.accepted", snap.accepted);
+    for ReasonCount { reason, count } in &snap.reject_reasons {
+        raise(&format!("ingest.reject.{reason}"), *count);
+        if reason == "worker_lost" {
+            raise("worker.lost_records", *count);
+        }
+    }
+    raise("live.windows.closed", snap.windows_closed);
+    raise("live.events.minrtt", snap.events_minrtt);
+    raise("live.events.hdratio", snap.events_hdratio);
+    raise("live.episodes.opened", snap.episodes_opened);
+    // An episode still open when a dirty panic made the detector forget
+    // its groups ended there: it counts as closed.
+    raise("live.episodes.closed", snap.episodes_opened - snap.episodes_open);
+    for WorkerSnap { line, .. } in per_worker {
+        let gauge = |what: &str| metrics.gauge(&format!("live.worker.{}.{what}", line.worker));
+        gauge("queue_depth").set(line.queue_depth as f64);
+        gauge("processed").set(line.processed as f64);
+    }
+    if let Some(store) = &shared.store {
+        let stats = store.stats();
+        raise("store.compactions", stats.compactions);
+        if stats.spill_errors > 0 {
+            raise("store.spill_errors", stats.spill_errors);
+        }
+        // Shown from the first spill attempt on.
+        if stats.spilled_windows + stats.spill_errors > 0 {
+            metrics.gauge("store.degraded").set(f64::from(u8::from(stats.degraded)));
+        }
+    }
 }

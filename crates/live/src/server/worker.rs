@@ -13,7 +13,7 @@ use crate::protocol::WorkerStatsLine;
 use crate::store::SpillOutcome;
 use crate::window::{CellKey, CellSummary, ClosedWindow, WindowRing};
 use edgeperf_analysis::DegradationMetric;
-use edgeperf_obs::{Counter, Gauge, Histogram, Metrics};
+use edgeperf_obs::Histogram;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -32,18 +32,6 @@ struct WorkerState {
     closed: BTreeMap<u32, Arc<[(CellKey, CellSummary)]>>,
     processed: u64,
     windows_closed: u64,
-}
-
-/// A ring and a detector with nothing in them, shaped by the config: what
-/// a worker starts with, and what a dirty panic resets it to.
-fn empty_windows(cfg: &LiveConfig) -> (WindowRing, OnlineDetector) {
-    let detector = OnlineDetector::new(
-        cfg.analysis,
-        cfg.minrtt_threshold_ms,
-        cfg.hdratio_threshold,
-        cfg.retention_windows,
-    );
-    (WindowRing::new(cfg.window_ms, cfg.lateness_ms), detector)
 }
 
 impl WorkerState {
@@ -73,35 +61,6 @@ impl WorkerState {
     }
 }
 
-/// The registry handles a worker records into, looked up once.
-struct Probes {
-    window_close_ns: Histogram,
-    queue_depth: Histogram,
-    depth_gauge: Gauge,
-    processed_gauge: Gauge,
-    windows_closed: Counter,
-    events_minrtt: Counter,
-    events_hdratio: Counter,
-    episodes_opened: Counter,
-    episodes_closed: Counter,
-}
-
-impl Probes {
-    fn new(metrics: &Metrics, w: usize) -> Probes {
-        Probes {
-            window_close_ns: metrics.histogram("live.window_close_ns"),
-            queue_depth: metrics.histogram("live.queue_depth"),
-            depth_gauge: metrics.gauge(&format!("live.worker.{w}.queue_depth")),
-            processed_gauge: metrics.gauge(&format!("live.worker.{w}.processed")),
-            windows_closed: metrics.counter("live.windows.closed"),
-            events_minrtt: metrics.counter("live.events.minrtt"),
-            events_hdratio: metrics.counter("live.events.hdratio"),
-            episodes_opened: metrics.counter("live.episodes.opened"),
-            episodes_closed: metrics.counter("live.episodes.closed"),
-        }
-    }
-}
-
 /// Everything a worker owns across panics. Held *outside* the
 /// [`catch_unwind`] in [`worker_thread`], so a respawn resumes with the
 /// same lanes and — when the panic hit a clean batch boundary — the
@@ -124,29 +83,40 @@ struct WorkerCtx {
     zombie: bool,
 }
 
+impl WorkerCtx {
+    fn new(cfg: &LiveConfig, w: usize) -> WorkerCtx {
+        let detector = OnlineDetector::new(
+            cfg.analysis,
+            cfg.minrtt_threshold_ms,
+            cfg.hdratio_threshold,
+            cfg.retention_windows,
+        );
+        WorkerCtx {
+            state: WorkerState {
+                ring: WindowRing::new(cfg.window_ms, cfg.lateness_ms),
+                detector,
+                closed: BTreeMap::new(),
+                processed: 0,
+                windows_closed: 0,
+            },
+            lanes: Vec::new(),
+            // u64::MAX forces the first iteration to absorb pre-registered
+            // lanes.
+            seen_version: u64::MAX,
+            control_dead: false,
+            pending_panics: cfg.chaos.panics_for(w),
+            inflight: None,
+            zombie: false,
+        }
+    }
+}
+
 /// Worker thread entry: run [`worker_run`] under [`catch_unwind`] and
 /// respawn it in place (same thread, same [`WorkerCtx`]) after a panic,
 /// up to the configured budget; past the budget the worker degrades to
 /// zombie mode instead of stranding its readers.
 pub(super) fn worker_thread(w: usize, shared: &Shared, control: &Receiver<ControlMsg>) {
-    let (ring, detector) = empty_windows(&shared.config);
-    let mut ctx = WorkerCtx {
-        state: WorkerState {
-            ring,
-            detector,
-            closed: BTreeMap::new(),
-            processed: 0,
-            windows_closed: 0,
-        },
-        lanes: Vec::new(),
-        // u64::MAX forces the first iteration to absorb pre-registered
-        // lanes.
-        seen_version: u64::MAX,
-        control_dead: false,
-        pending_panics: shared.config.chaos.panics_for(w),
-        inflight: None,
-        zombie: false,
-    };
+    let mut ctx = WorkerCtx::new(&shared.config, w);
     let mut respawns = 0u32;
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| worker_run(w, shared, control, &mut ctx)));
@@ -171,37 +141,32 @@ pub(super) fn worker_thread(w: usize, shared: &Shared, control: &Receiver<Contro
 /// the mid-apply batch and may have left the ring inconsistent: account
 /// the records, unblock the syncing reader, and rebuild window state
 /// fresh (already-spilled segments are untouched and still serve
-/// queries).
+/// queries). The detector forgets its groups but keeps its running
+/// totals, so the worker's events and episodes never fall back.
 fn recover(w: usize, shared: &Shared, ctx: &mut WorkerCtx) {
     // Clear any heartbeat left open mid-batch so the supervisor does
     // not flag the recovered worker as slow forever.
     shared.board.finish(w);
     shared.metrics.counter("worker.recovered").inc();
     if let Some((lane_idx, n)) = ctx.inflight.take() {
-        lose_records(shared, shared.stats.worker(w), n);
+        count_worker_lost(shared.stats.worker(w), n);
         if let Some(lane) = ctx.lanes.get(lane_idx) {
             lane.consumed(n);
         }
         let lost = ctx.state.ring.open_windows() as u64;
         shared.metrics.counter("worker.lost_windows").add(lost);
-        (ctx.state.ring, ctx.state.detector) = empty_windows(&shared.config);
+        ctx.state.ring = WindowRing::new(shared.config.window_ms, shared.config.lateness_ms);
+        ctx.state.detector.forget_groups();
     }
-}
-
-/// Count `n` records this worker took off a lane and will never apply.
-fn lose_records(shared: &Shared, cell: &StatCell, n: u64) {
-    count_worker_lost(cell, n);
-    shared.metrics.counter("ingest.reject.worker_lost").add(n);
-    shared.metrics.counter("worker.lost_records").add(n);
 }
 
 /// Zombie mode: the respawn budget is gone. Batches are drained and
 /// counted as `worker_lost` rejects so readers (and resume acks) never
 /// block, but no window state is touched.
-fn discard_batch(shared: &Shared, lane: &mut LaneRx, mut batch: Batch, cell: &StatCell) {
+fn discard_batch(lane: &mut LaneRx, mut batch: Batch, cell: &StatCell) {
     let n = batch.len() as u64;
     batch.clear();
-    lose_records(shared, cell, n);
+    count_worker_lost(cell, n);
     let _ = lane.recycle.try_push(batch);
     lane.consumed(n);
 }
@@ -209,7 +174,8 @@ fn discard_batch(shared: &Shared, lane: &mut LaneRx, mut batch: Batch, cell: &St
 fn worker_run(w: usize, shared: &Shared, control: &Receiver<ControlMsg>, ctx: &mut WorkerCtx) {
     let hub = shared.hubs.of(w);
     let cell = shared.stats.worker(w);
-    let probes = Probes::new(&shared.metrics, w);
+    let close_ns = shared.metrics.histogram("live.window_close_ns");
+    let queue_depth = shared.metrics.histogram("live.queue_depth");
 
     loop {
         // The doorbell sequence is read *before* scanning: anything rung
@@ -261,11 +227,11 @@ fn worker_run(w: usize, shared: &Shared, control: &Receiver<ControlMsg>, ctx: &m
                 match ctx.lanes[i].data.try_pop() {
                     Some(batch) => {
                         if ctx.zombie {
-                            discard_batch(shared, &mut ctx.lanes[i], batch, cell);
+                            discard_batch(&mut ctx.lanes[i], batch, cell);
                         } else {
                             ctx.inflight = Some((i, batch.len() as u64));
                             let lane = &mut ctx.lanes[i];
-                            apply_batch(w, shared, &mut ctx.state, lane, batch, cell, &probes);
+                            apply_batch(w, shared, &mut ctx.state, lane, batch, cell, &close_ns);
                             ctx.inflight = None;
                         }
                         progress = true;
@@ -285,9 +251,7 @@ fn worker_run(w: usize, shared: &Shared, control: &Receiver<ControlMsg>, ctx: &m
         }
         if progress {
             let depth: usize = ctx.lanes.iter().map(|l| l.data.len()).sum();
-            probes.queue_depth.record(depth as u64);
-            probes.depth_gauge.set(depth as f64);
-            probes.processed_gauge.set(ctx.state.processed as f64);
+            queue_depth.record(depth as u64);
             continue;
         }
         if ctx.control_dead
@@ -307,11 +271,9 @@ fn worker_run(w: usize, shared: &Shared, control: &Receiver<ControlMsg>, ctx: &m
     // the remaining windows, then publish the final report.
     if !ctx.zombie {
         for cw in ctx.state.ring.force_close() {
-            handle_close(shared, &mut ctx.state, cw, &probes);
+            handle_close(shared, &mut ctx.state, cw, &close_ns);
         }
     }
-    probes.processed_gauge.set(ctx.state.processed as f64);
-    probes.depth_gauge.set(0.0);
     shared.report(ctx.state.snap(w, 0));
 }
 
@@ -347,7 +309,7 @@ fn apply_batch(
     lane: &mut LaneRx,
     mut batch: Batch,
     cell: &StatCell,
-    probes: &Probes,
+    close_ns: &Histogram,
 ) {
     let token = shared.board.begin(w, state.processed as usize & 0xFFFF);
     let n = batch.len() as u64;
@@ -358,10 +320,10 @@ fn apply_batch(
             Ok(closed) => {
                 accepted += 1;
                 for cw in closed {
-                    handle_close(shared, state, cw, probes);
+                    handle_close(shared, state, cw, close_ns);
                 }
             }
-            Err(err) => reject(&shared.metrics, cell, &err),
+            Err(err) => reject(cell, &err),
         }
     }
     cell.accepted.fetch_add(accepted, Ordering::Relaxed);
@@ -373,25 +335,10 @@ fn apply_batch(
     let _ = token;
 }
 
-fn handle_close(shared: &Shared, state: &mut WorkerState, cw: ClosedWindow, probes: &Probes) {
-    probes.window_close_ns.time(|| {
-        let before = [
-            state.detector.event_count(DegradationMetric::MinRtt),
-            state.detector.event_count(DegradationMetric::HdRatio),
-        ];
-        let changes = state.detector.observe(&cw);
-        let events = |metric| state.detector.event_count(metric);
-        probes.events_minrtt.add(events(DegradationMetric::MinRtt) - before[0]);
-        probes.events_hdratio.add(events(DegradationMetric::HdRatio) - before[1]);
-        for c in &changes {
-            if c.opened {
-                probes.episodes_opened.inc();
-            } else {
-                probes.episodes_closed.inc();
-            }
-        }
+fn handle_close(shared: &Shared, state: &mut WorkerState, cw: ClosedWindow, close_ns: &Histogram) {
+    close_ns.time(|| {
+        state.detector.observe(&cw);
         state.windows_closed += 1;
-        probes.windows_closed.inc();
         state.closed.insert(cw.index, cw.cells.into());
     });
     // Eviction (and spilling) runs outside the close timing: disk I/O
@@ -412,16 +359,11 @@ fn handle_close(shared: &Shared, state: &mut WorkerState, cw: ClosedWindow, prob
             continue;
         };
         let (&index, cells) = state.closed.first_key_value().expect("non-empty map");
-        let outcome = store.spill_window(index, cells);
-        shared.metrics.gauge("store.degraded").set(u64::from(store.is_degraded()) as f64);
-        match outcome {
+        match store.spill_window(index, cells) {
             Ok(SpillOutcome::Spilled) => {
                 state.closed.pop_first();
             }
-            other => {
-                if other.is_err() {
-                    shared.metrics.counter("store.spill_errors").inc();
-                }
+            _ => {
                 if state.closed.len() > retention.saturating_mul(8) {
                     state.closed.pop_first();
                     shared.metrics.counter("store.windows_shed").inc();
@@ -432,5 +374,87 @@ fn handle_close(shared: &Shared, state: &mut WorkerState, cw: ClosedWindow, prob
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{Conns, Hubs, Router, Sessions, Stats};
+    use super::*;
+    use edgeperf_analysis::{GroupKey, StreamingCell};
+    use edgeperf_obs::{HeartbeatBoard, Metrics};
+    use edgeperf_routing::{PopId, Prefix, Relationship};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Condvar, Mutex};
+
+    /// One group's closed window: 60 sessions around `rtt_ms`.
+    fn window(index: u32, rtt_ms: f64) -> ClosedWindow {
+        let group = GroupKey {
+            pop: PopId(0),
+            prefix: Prefix::new(0x0A00_0000, 16),
+            country: 0,
+            continent: 0,
+        };
+        let mut cell = StreamingCell::new(Relationship::PrivatePeer);
+        for i in 0..60 {
+            let jitter = (f64::from(i) - 30.0) * 0.05;
+            cell.push(rtt_ms + jitter, Some(0.95 + jitter / 100.0), 100, false, false);
+        }
+        cell.agg.flush();
+        ClosedWindow { index, cells: vec![((group, 0), cell.summary())] }
+    }
+
+    /// Six steady windows then a latency spike: one MinRTT event, which
+    /// opens an episode.
+    fn close_a_spike(shared: &Shared, state: &mut WorkerState, from: u32) {
+        let close_ns = Histogram::default();
+        for w in from..from + 6 {
+            handle_close(shared, state, window(w, 40.0), &close_ns);
+        }
+        handle_close(shared, state, window(from + 6, 70.0), &close_ns);
+    }
+
+    /// A dirty panic rebuilds the window state; what the detector had
+    /// counted stays counted, so the worker's events and episodes only
+    /// grow, and the batch the panic took is a `worker_lost` reject.
+    #[test]
+    fn recover_keeps_what_the_detector_counted() {
+        let shared = Shared {
+            config: LiveConfig { workers: 1, ..LiveConfig::default() },
+            bound_addr: ([127, 0, 0, 1], 0).into(),
+            metrics: Metrics::enabled(),
+            board: HeartbeatBoard::new(1),
+            draining: AtomicBool::new(false),
+            supervisor_stop: AtomicBool::new(false),
+            store: None,
+            hubs: Hubs::new(1),
+            router: Router::default(),
+            stats: Stats::new(1),
+            conns: Conns::default(),
+            resume: Sessions::new(),
+            reports: Mutex::default(),
+            reports_ready: Condvar::new(),
+            final_snapshot: Mutex::default(),
+        };
+        let mut ctx = WorkerCtx::new(&shared.config, 0);
+        close_a_spike(&shared, &mut ctx.state, 0);
+        let before = ctx.state.snap(0, 0);
+        assert_eq!((before.events, before.episodes_opened, before.episodes_open), ([1, 0], 1, 1));
+
+        ctx.inflight = Some((0, 5));
+        recover(0, &shared, &mut ctx);
+        assert_eq!(ctx.inflight, None);
+        let after = ctx.state.snap(0, 0);
+        assert_eq!(after.line.groups, 0, "the detector forgot its groups");
+        assert_eq!((after.events, after.episodes_opened, after.episodes_open), ([1, 0], 1, 0));
+        let snap = shared.stats.snapshot_from(&[after], false);
+        assert_eq!((snap.rejected, snap.reject_reasons.len()), (5, 1));
+        assert_eq!(snap.reject_reasons[0].reason, "worker_lost");
+
+        // Counting resumes from those totals.
+        close_a_spike(&shared, &mut ctx.state, 7);
+        let later = ctx.state.snap(0, 0);
+        assert_eq!((later.events, later.episodes_opened, later.episodes_open), ([2, 0], 2, 1));
+        assert_eq!(later.line.windows_closed, 14);
     }
 }

@@ -388,11 +388,6 @@ impl SegmentStore {
         self.state.lock().expect("store state").chaos = plan;
     }
 
-    /// The store is currently in degraded (RAM-only retention) mode.
-    pub(crate) fn is_degraded(&self) -> bool {
-        self.state.lock().expect("store state").degraded
-    }
-
     /// The spill directory this store owns.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -1028,11 +1023,11 @@ mod tests {
         let store = SegmentStore::open(&dir, 8, 8, 3).expect("opens");
         store.set_chaos(ChaosPlan::parse("spillfail:0@3").expect("plan"));
         for op in 0..3u64 {
-            assert!(!store.is_degraded(), "not degraded before op {op}");
+            assert!(!store.stats().degraded, "not degraded before op {op}");
             let err = store.spill_window(1, &window(1, 4)).expect_err("injected");
             assert!(err.to_string().contains("injected ENOSPC"), "op {op}: {err}");
         }
-        assert!(store.is_degraded(), "threshold 3 reached");
+        assert!(store.stats().degraded, "threshold 3 reached");
         assert_eq!(store.stats().spill_errors, 3);
         // Two skipped attempts before the first probe — no disk contact.
         for _ in 0..2 {
@@ -1043,7 +1038,7 @@ mod tests {
         }
         // The probe reaches the (now healthy) disk and clears degraded.
         assert_eq!(store.spill_window(3, &window(3, 4)).expect("probes"), SpillOutcome::Spilled);
-        assert!(!store.is_degraded());
+        assert!(!store.stats().degraded);
         let stats = store.stats();
         assert_eq!(stats.spill_errors, 3);
         assert!(!stats.degraded);
@@ -1059,7 +1054,7 @@ mod tests {
         store.set_chaos(ChaosPlan::parse("spillfail:0@2").expect("plan"));
         // Op 0 fails → degraded at threshold 1, first skip run of 2.
         store.spill_window(1, &window(1, 3)).expect_err("fails");
-        assert!(store.is_degraded());
+        assert!(store.stats().degraded);
         for _ in 0..2 {
             assert_eq!(
                 store.spill_window(1, &window(1, 3)).expect("skips"),
@@ -1076,7 +1071,7 @@ mod tests {
         }
         // The next probe (op 2) is past the fault window and recovers.
         assert_eq!(store.spill_window(1, &window(1, 3)).expect("probes"), SpillOutcome::Spilled);
-        assert!(!store.is_degraded());
+        assert!(!store.stats().degraded);
         assert_eq!(store.stats().spill_errors, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }

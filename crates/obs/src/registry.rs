@@ -99,9 +99,11 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (0 for a disabled handle).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map(|c| c.load(Ordering::Relaxed)).unwrap_or(0)
+    /// Raise the count to `total` (a running total kept elsewhere).
+    pub fn raise_to(&self, total: u64) {
+        if let Some(c) = &self.0 {
+            c.fetch_max(total, Ordering::Relaxed);
+        }
     }
 }
 
@@ -115,11 +117,6 @@ impl Gauge {
         if let Some(g) = &self.0 {
             g.store(value.to_bits(), Ordering::Relaxed);
         }
-    }
-
-    /// Current value (0.0 for a disabled handle).
-    pub fn get(&self) -> f64 {
-        self.0.as_ref().map(|g| f64::from_bits(g.load(Ordering::Relaxed))).unwrap_or(0.0)
     }
 }
 
@@ -268,9 +265,7 @@ mod tests {
     fn disabled_handles_are_inert() {
         let m = Metrics::disabled();
         assert!(!m.is_enabled());
-        let c = m.counter("x");
-        c.add(5);
-        assert_eq!(c.get(), 0);
+        m.counter("x").add(5);
         m.gauge("g").set(1.0);
         m.histogram("h").record(9);
         drop(m.span("s"));

@@ -40,7 +40,8 @@
 //! `scheduler.worker.<i>.{steals,busy_sec,idle_sec}`, the
 //! `scheduler.queue_depth` and `sink.merge_ns` histograms, post-run
 //! `sink.<name>.*` gauges — plus its own decisions as `supervisor.*`
-//! counters. Granularity is per prefix and per worker, never per record.
+//! counters, published from the [`StudyReport`] once the run ends.
+//! Granularity is per prefix and per worker, never per record.
 //!
 //! What the supervisor cannot do: preemptively kill a truly wedged
 //! computation. Cancellation is cooperative (checked at window
@@ -483,6 +484,7 @@ pub(crate) fn drive<S: RecordSink>(
 
     let (mut cursor, mut report) =
         resumed.unwrap_or((0, StudyReport { n_prefixes: n, ..StudyReport::default() }));
+    let start = report.clone();
     let mut slots: Vec<Slot<S::Shard>> =
         (0..n).map(|p| if p < cursor { Slot::Merged } else { Slot::Pending }).collect();
     for q in &report.quarantined {
@@ -503,14 +505,6 @@ pub(crate) fn drive<S: RecordSink>(
     let mut stats = StudyStats { workers: vec![WorkerCounters::default(); threads] };
     let mut crash: Option<SupervisorError> = None;
 
-    let retries_c = metrics.counter("supervisor.retries");
-    let quarantined_c = metrics.counter("supervisor.quarantined");
-    let slow_c = metrics.counter("supervisor.watchdog.slow");
-    let aborts_c = metrics.counter("supervisor.watchdog.aborts");
-    let mergefail_c = metrics.counter("supervisor.merge_failures");
-    let malformed_c = metrics.counter("supervisor.malformed_dropped");
-    let stale_c = metrics.counter("supervisor.stale_results");
-    let merged_c = metrics.counter("supervisor.prefixes_merged");
     let merge_ns = metrics.histogram("sink.merge_ns");
 
     let run = metrics.span("study.run");
@@ -617,7 +611,6 @@ pub(crate) fn drive<S: RecordSink>(
                 if a < sup.retry_budget {
                     attempts[p] = a + 1;
                     report.retries += 1;
-                    retries_c.inc();
                     slots[p] = Slot::Pending;
                     queue.lock().expect("no panic under the queue lock").push_back(Work {
                         prefix: p,
@@ -632,7 +625,6 @@ pub(crate) fn drive<S: RecordSink>(
                         attempts: a + 1,
                         reason: $reason,
                     });
-                    quarantined_c.inc();
                 }
             }};
         }
@@ -647,10 +639,7 @@ pub(crate) fn drive<S: RecordSink>(
                 let actionable = matches!(slots[msg.prefix], Slot::Pending)
                     && msg.attempt == attempts[msg.prefix];
                 match msg.outcome {
-                    _ if !actionable => {
-                        report.stale_results += 1;
-                        stale_c.inc();
-                    }
+                    _ if !actionable => report.stale_results += 1,
                     Ok(computed) => {
                         slots[msg.prefix] = Slot::Ready(computed);
                         // A retry may still be queued from a watchdog
@@ -678,7 +667,6 @@ pub(crate) fn drive<S: RecordSink>(
                 merge_tries[cursor] += 1;
                 if FaultPlan::fires(&plan.merge_failures, cursor, merge_tries[cursor] - 1) {
                     report.merge_failures += 1;
-                    mergefail_c.inc();
                     fail_attempt!(cursor, "sink merge failure (injected)".to_string());
                     continue;
                 }
@@ -693,8 +681,6 @@ pub(crate) fn drive<S: RecordSink>(
                 report.records_emitted += counters.records_emitted;
                 report.sessions_dropped_no_minrtt += counters.sessions_dropped_no_minrtt;
                 report.malformed_dropped += malformed_dropped;
-                malformed_c.add(malformed_dropped);
-                merged_c.inc();
                 let merged_prefix = cursor;
                 cursor += 1;
                 if let Err(e) = journal(cursor, Some((merged_prefix, &fragment)), &report) {
@@ -726,7 +712,6 @@ pub(crate) fn drive<S: RecordSink>(
                         board.request_cancel(t.worker, t.token);
                         aborted.insert((t.worker, t.token));
                         report.watchdog_aborts += 1;
-                        aborts_c.inc();
                         fail_attempt!(
                             t.prefix,
                             format!(
@@ -739,7 +724,6 @@ pub(crate) fn drive<S: RecordSink>(
                     {
                         slow_marked.insert((t.worker, t.token));
                         report.watchdog_slow += 1;
-                        slow_c.inc();
                     }
                 } else {
                     // A zombie attempt of an already-resolved prefix —
@@ -756,6 +740,7 @@ pub(crate) fn drive<S: RecordSink>(
         done.store(true, Ordering::Relaxed);
     });
     drop(run);
+    publish_decisions(metrics, &report, &start);
 
     if let Some(e) = crash {
         return Err(e);
@@ -785,6 +770,26 @@ pub(crate) fn drive<S: RecordSink>(
             .set(s.digest_compressions as f64);
     }
     Ok((stats, report))
+}
+
+/// Publish this process's share of `report`'s decision counters — the
+/// report minus `start`, the one it resumed from — as `supervisor.*`.
+fn publish_decisions(metrics: &Metrics, report: &StudyReport, start: &StudyReport) {
+    let decisions = |r: &StudyReport| {
+        [
+            ("retries", r.retries),
+            ("quarantined", r.quarantined.len() as u64),
+            ("watchdog.slow", r.watchdog_slow),
+            ("watchdog.aborts", r.watchdog_aborts),
+            ("merge_failures", r.merge_failures),
+            ("malformed_dropped", r.malformed_dropped),
+            ("stale_results", r.stale_results),
+            ("prefixes_merged", r.completed as u64),
+        ]
+    };
+    for ((name, now), (_, then)) in decisions(report).into_iter().zip(decisions(start)) {
+        metrics.counter(&format!("supervisor.{name}")).add(now - then);
+    }
 }
 
 #[cfg(test)]

@@ -84,6 +84,16 @@ proof_kit_copies() {
             --include="*.rs" | grep -v "^crates/live/src/client.rs:"
 }
 
+# `serve` counts each fact it reports once: the stat cells, worker state
+# and StoreStats behind `snapshot`, `stats` and `store`. The metrics
+# registry mirrors them through server/stats.rs's `publish` when it is
+# read, so no other live-tier file names a mirrored metric — a second
+# writer is how `live.accepted` came to count late records twice.
+double_counts() {
+    ! grep -rnE '"[^"]*(live\.accepted|ingest\.reject\.|worker\.lost_records|live\.windows\.closed|live\.events\.|live\.episodes\.|live\.worker\.|store\.spill_errors|store\.degraded|store\.compactions)' \
+        crates/live/src --include="*.rs" | grep -v "^crates/live/src/server/stats.rs:"
+}
+
 # --- Replay gates -----------------------------------------------------
 
 bin=target/release
@@ -336,7 +346,7 @@ tracked_lines() {
 }
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
-front_door_wrappers proof_kit_copies live_smoke chaos_live fleet_smoke repro_results
+front_door_wrappers proof_kit_copies double_counts live_smoke chaos_live fleet_smoke repro_results
 repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
