@@ -12,12 +12,13 @@
 //!
 //! - [`crate::ColumnarSink`] — the exact path: workers append 20-byte
 //!   rows (cell id, MinRTT, HDratio) to columnar shards that the sink
-//!   adopts at join time — rows regrouped by cell, each metric in the
-//!   narrowest lossless [form](crate::columnar::ColumnForm), 6 bytes a
-//!   study's session — and then *keeps*. Per-cell summaries
-//!   ([`ColumnarSink::summarize`]) and the per-session view of Figures 6–7
-//!   are read off those rows in place; nothing else holds an exact sample,
-//!   and memory grows by those 6 bytes a session.
+//!   seals at join time, as the streaming sink seals a prefix: every
+//!   cell's summary goes into its grid, from the cell's exact order
+//!   statistics, and only the preferred route's rows are kept — regrouped
+//!   by cell, each metric in the narrowest lossless
+//!   [form](crate::columnar::ColumnForm), 6 bytes a study's preferred
+//!   session — for the per-session view of Figures 6–7. Memory grows by a
+//!   summary a cell and those 6 bytes a preferred session.
 //! - [`StreamingDataset`] — the production path (§3.4.1): t-digest cells
 //!   keyed exactly like the exact dataset's, each reduced to its summary
 //!   when the runner [seals](RecordShard::seal) the work item that filled

@@ -1,7 +1,8 @@
 //! Footprint gate: a cell costs what it holds, the streaming sink holds
-//! digests only for the group in flight, the exact sink holds every
-//! session once — in 6 bytes when it is shaped like a study's, 16 at most
-//! — and Figures 6–7 read it without copying it. Heap bytes are counted
+//! digests only for the group in flight, the exact sink holds a summary a
+//! cell and every preferred-route session once — in 6 bytes when it is
+//! shaped like a study's, 16 at most — and Figures 6–7 read it without
+//! copying it. Heap bytes are counted
 //! exactly by the counting global allocator in `counting/`, which is why
 //! this is a test binary of its own with a single `#[test]`.
 
@@ -158,20 +159,26 @@ fn cells_cost_what_they_hold() {
         held + transient
     );
 
-    // The exact sink holds every session once (the adopted shard's rows lie
-    // grouped by cell, so no row names its cell), beside cell and group
-    // tables the same layout has with one session per cell (whose 16 B
-    // rows are these sessions' plain `f64`s). A study's session is a 6 B
-    // row — its MinRTT in whole nanoseconds and a code into its shard's
-    // palette of HDratios, 8 B an entry — and no session is more than 16.
+    // The exact sink seals each shard as it merges it: every cell becomes a
+    // summary in its grid, and only a preferred-route session keeps a row
+    // (the shard's kept rows lie grouped by cell, so no row names its
+    // cell). Beside the grid and the cell and group tables — what the same
+    // layout holds with one session per cell, whose 16 B rows are these
+    // sessions' plain `f64`s — a study's preferred session is a 6 B row,
+    // its MinRTT in whole nanoseconds and a code into its shard's palette
+    // of HDratios (8 B an entry), no session is more than 16, and an
+    // alternate route's sessions hold no row bytes at all.
     let groups = [64, 192];
     let cells = (groups[0] + groups[1]) as usize * 8;
+    let preferred_cells = cells / 2;
     let (_skeleton, skeleton_bytes) = heap_of(|| columnar_sink(groups, 1, session));
-    let table_bytes = skeleton_bytes - 16 * cells;
+    let table_bytes = skeleton_bytes - 16 * preferred_cells;
     let per_cell = 40;
     let (study, bytes) = heap_of(|| columnar_sink(groups, per_cell, study_session));
-    let rows = study.stats().records as usize;
-    assert_eq!(rows, cells * per_cell);
+    assert_eq!(study.stats().records as usize, cells * per_cell);
+    let rows = study.rows().count();
+    assert_eq!(rows, preferred_cells * per_cell);
+    assert!(study.rows().all(|(cell, ..)| cell.rank == 0), "an alternate row is held");
     let mut palettes = 0;
     for (min_rtt, hdratio) in study.column_forms() {
         assert_eq!(min_rtt, ColumnForm::Nanos);
@@ -180,13 +187,13 @@ fn cells_cost_what_they_hold() {
     }
     assert!(
         bytes <= 6 * rows + 8 * palettes + table_bytes,
-        "{rows} study-shaped rows ({palettes} palette entries) in {bytes} B beside {table_bytes} B of tables"
+        "{rows} study-shaped preferred rows ({palettes} palette entries) in {bytes} B beside {table_bytes} B of grid and tables"
     );
     drop(study);
-    let (sink, bytes) = heap_of(|| columnar_sink(groups, per_cell, session));
+    let (_sink, bytes) = heap_of(|| columnar_sink(groups, per_cell, session));
     assert!(
         bytes <= 16 * rows + table_bytes,
-        "{rows} rows in {bytes} B beside {table_bytes} B of tables"
+        "{rows} preferred rows in {bytes} B beside {table_bytes} B of grid and tables"
     );
 
     // Figures 6–7 read their ranks and counts off those rows in place: one
@@ -212,16 +219,27 @@ fn cells_cost_what_they_hold() {
         );
     }
 
-    // Summarising it keeps one shard's one metric in a flat column at a
-    // time (8 B a row of the largest shard) beside that shard's per-cell
-    // offsets and MinRTT statistics (32 B a cell) and the grid's group
-    // index (under 64 B a group) — never a second copy of the study.
-    let (summaries, held, transient) = peak_above(|| sink.summarize());
-    assert_eq!(summaries.groups.len(), (groups[0] + groups[1]) as usize);
-    let largest_cells = groups[1] as usize * 8;
+    // Sealing a shard rises above the shard it is handed by at most what
+    // the sink then holds, one metric of the shard in a flat column (8 B a
+    // row) and 64 B of bookkeeping a cell — never a second copy of the
+    // shard's rows.
+    let one_shard = || {
+        let mut shard = ColumnarSink::new(4).new_shard();
+        for i in 0..per_cell {
+            (0..groups[1] * 8).for_each(|cell| shard.push(study_session(cell, i)));
+        }
+        shard
+    };
+    let (_sealed, sealed_bytes) = heap_of(|| {
+        let mut sink = ColumnarSink::new(4);
+        sink.merge_shard(one_shard());
+        sink
+    });
+    let (shard, mut fresh) = (one_shard(), ColumnarSink::new(4));
+    let shard_cells = groups[1] as usize * 8;
+    let ((), _, rise) = peak_above(|| fresh.merge_shard(shard));
     assert!(
-        transient
-            <= 8 * largest_cells * per_cell + 32 * largest_cells + 64 * summaries.groups.len(),
-        "summarize peaked {transient} B above the sink and the {held} B it returns"
+        rise <= sealed_bytes + 8 * shard_cells * per_cell + 64 * shard_cells,
+        "sealing {shard_cells} cells rose {rise} B above the shard; the sealed sink is {sealed_bytes} B"
     );
 }

@@ -140,43 +140,48 @@ proptest! {
         assert_matches_reference(&ds, &reference);
     }
 
-    /// Columnar shards assembled from an arbitrary by-group split of the
-    /// stream produce the same dataset as a single `from_records` pass.
+    /// Columnar shards from an arbitrary by-group split of the stream
+    /// summarise to what a single `from_records` pass over the same records
+    /// in merge order summarises to, bit for bit and in the same group
+    /// order, and keep the preferred route's sessions, cell by cell.
     #[test]
     fn columnar_shard_split_matches_baseline(raw in raw_stream(), n_shards in 1usize..5) {
         let records = materialize(&raw);
-        let reference = reference_ingest(&records);
-        // Split by group, as the runner does per-prefix: cells stay
-        // disjoint across shards and the merge is zero-copy.
-        let mut shards: Vec<ColumnarShard> = Vec::new();
-        shards.resize_with(n_shards, ColumnarShard::default);
+        // Split by group, as the runner does per prefix: no group is in
+        // two shards.
+        let mut split = vec![Vec::new(); n_shards];
         for (&r, &(g, ..)) in records.iter().zip(&raw) {
-            shards[g as usize % n_shards].push(r);
+            split[g as usize % n_shards].push(r);
         }
         let mut sink = ColumnarSink::new(N_WINDOWS);
-        for shard in shards {
+        for part in &split {
+            let mut shard = ColumnarShard::default();
+            part.iter().for_each(|r| shard.push(*r));
             sink.merge_shard(shard);
         }
         sink.finalize();
-        assert_matches_reference(&sink.into_dataset(), &reference);
-    }
-
-    /// A memo-hostile split (round-robin over shards, so the same cell
-    /// lands in several shards) still assembles to the same dataset via
-    /// the defensive cross-shard merge.
-    #[test]
-    fn columnar_round_robin_split_matches_baseline(raw in raw_stream(), n_shards in 2usize..4) {
-        let records = materialize(&raw);
-        let reference = reference_ingest(&records);
-        let mut shards: Vec<ColumnarShard> = Vec::new();
-        shards.resize_with(n_shards, ColumnarShard::default);
-        for (i, &r) in records.iter().enumerate() {
-            shards[i % n_shards].push(r);
-        }
-        let mut sink = ColumnarSink::new(N_WINDOWS);
-        for shard in shards {
-            sink.merge_shard(shard);
-        }
-        assert_matches_reference(&sink.into_dataset(), &reference);
+        let merged = split.concat();
+        let whole = Dataset::from_records(&merged, N_WINDOWS);
+        prop_assert_eq!(sink.stats().records, records.len() as u64);
+        prop_assert_eq!(sink.cell_count(), whole.cell_count());
+        prop_assert_eq!(
+            format!("{:?}", sink.summarize().groups),
+            format!("{:?}", whole.summarize().groups)
+        );
+        let bits = |(g, w, rank, rtt, hd): (GroupKey, u32, u8, f64, Option<f64>)| {
+            (g, w, rank, rtt.to_bits(), hd.map(f64::to_bits))
+        };
+        let mut want: Vec<_> = merged
+            .iter()
+            .filter(|r| r.route_rank == 0)
+            .map(|r| bits((r.group, r.window, 0, r.min_rtt_ms, r.hdratio)))
+            .collect();
+        let mut rows: Vec<_> =
+            sink.rows().map(|(c, rtt, hd)| bits((c.group, c.window, c.rank, rtt, hd))).collect();
+        // Rows come cell by cell; within a cell, in the order pushed.
+        let cell = |r: &(GroupKey, u32, u8, u64, Option<u64>)| (r.0.prefix.base, r.0.pop.0, r.1);
+        want.sort_by_key(cell);
+        rows.sort_by_key(cell);
+        prop_assert_eq!(rows, want);
     }
 }

@@ -7,7 +7,7 @@
 //! statistically-guarded detector recovers and how often it cries wolf.
 
 use edgeperf_analysis::degradation::{degradation_events, DegradationMetric, WindowStatus};
-use edgeperf_analysis::{AnalysisConfig, ColumnarSink};
+use edgeperf_analysis::{AnalysisConfig, ColumnarSink, RecordSink};
 use edgeperf_world::dynamics::route_condition;
 use edgeperf_world::{run_study_into, StudyConfig, World, WorldConfig};
 use serde::Serialize;
@@ -48,12 +48,12 @@ pub fn run(seed: u64, days: u32, sessions: u32, threshold_ms: f64) -> DetectorSc
         parallelism: 0,
         ..Default::default()
     };
-    // Rows in, summaries out, rows dropped: 6 B a session while the
-    // study runs and nothing per session afterwards.
+    // Each prefix is summarised as it is merged; the preferred route's
+    // rows, which nothing here reads, go with the sink.
     let ds = {
         let mut sink = ColumnarSink::new(cfg.n_windows() as usize);
         run_study_into(&world, &cfg, &mut sink);
-        sink.summarize()
+        sink.into_snapshot()
     };
     let acfg = AnalysisConfig::default();
 

@@ -148,7 +148,8 @@ impl StudyBuilder {
 
 /// The per-session view of a study, as its sink kept it.
 pub enum Sessions {
-    /// Every session's cell, MinRTT and HDratio (exact sink).
+    /// Every preferred-route session's cell, MinRTT and HDratio (exact
+    /// sink, its summaries taken).
     Columns(ColumnarSink),
     /// The streaming sink once sealed: Figure 6's MinRTT rollup digests
     /// and HDratio counters, no per-session row.
@@ -197,13 +198,14 @@ impl StudyBuilder {
     /// when a checkpoint directory is set, journalled there and resumed
     /// from what is there.
     ///
-    /// The [`ColumnarSink`] is the only thing the run fills and the only
-    /// exact copy of the study afterwards: 6 bytes a session (a MinRTT in
-    /// whole nanoseconds, an HDratio as a code into its prefix's palette),
-    /// grouped by cell. The cell summaries are read off it one shard and one metric at
-    /// a time ([`ColumnarSink::summarize`], bit-identical to summarising
-    /// the assembled `Dataset` — see `sink_agreement`), and Figures 6–7
-    /// read their ranks and counts off its rows in place.
+    /// The [`ColumnarSink`] is the only thing the run fills. It seals each
+    /// prefix as the driver merges it: every cell's summary goes into its
+    /// grid, read off the cell's exact order statistics (bit-identical to
+    /// summarising the assembled `Dataset` — see `sink_agreement`), and
+    /// only the preferred route's rows are kept, 6 bytes a session (a
+    /// MinRTT in whole nanoseconds, an HDratio as a code into its prefix's
+    /// palette) grouped by cell. The grid is handed over, not copied;
+    /// Figures 6–7 read their ranks and counts off the rows in place.
     ///
     /// # Errors
     ///
@@ -221,7 +223,7 @@ impl StudyBuilder {
             }
             None => run_study_supervised(&world, &study, &sup, &mut sink, metrics)?,
         };
-        let summaries = sink.summarize();
+        let summaries = sink.take_summaries();
         let sessions = Some(Sessions::Columns(sink));
         Ok(StudyData { summaries, sessions, cfg: AnalysisConfig::default(), stats, report })
     }
@@ -759,6 +761,10 @@ mod tests {
             assert_eq!(min_rtt, ColumnForm::Nanos, "shard {shard}");
             assert_ne!(hdratio, ColumnForm::Plain, "shard {shard}");
         }
+        // Alternate routes are summaries only: no row of theirs is held.
+        assert!(sink.rows().all(|(cell, ..)| cell.rank == 0));
+        let alternates = data.summaries.groups.iter().flat_map(|(_, g)| g.ranks.iter().skip(1));
+        assert!(alternates.flatten().flatten().count() > 0, "the study measured alternates");
     }
 
     #[test]

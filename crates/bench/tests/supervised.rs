@@ -27,7 +27,7 @@ fn plan(spec: &str) -> FaultPlan {
 }
 
 /// (group, window, rank, MinRTT bits, HDratio bits) of every session the
-/// exact sink holds, in the order it holds them.
+/// exact sink holds — the preferred route's — in the order it holds them.
 fn rows(data: &StudyData) -> Vec<(GroupKey, u32, u8, u64, Option<u64>)> {
     let Some(Sessions::Columns(sink)) = &data.sessions else {
         panic!("an exact study keeps its rows")
@@ -66,7 +66,8 @@ fn a_recovered_fault_changes_no_output_byte_of_either_sink() {
     let exact = small().run().expect("fault-free run");
     assert_eq!(exact.report.completed, exact.report.n_prefixes);
     assert!(exact.report.quarantined.is_empty());
-    assert_eq!(rows(&exact).len() as u64, exact.stats.total().records_emitted);
+    let preferred = exact.summaries.groups.iter().flat_map(|(_, g)| g.preferred());
+    assert_eq!(rows(&exact).len(), preferred.map(|c| c.n).sum::<usize>());
 
     let shaken = small().fault_plan(plan(CHAOS)).parallelism(4).run().unwrap();
     assert_eq!(shaken.report.retries, 1);

@@ -8,13 +8,15 @@
 //! with the exact aggregations to within the t-digest approximation
 //! bounds, with sample extremes preserved exactly.
 
+use edgeperf_analysis::figures::PreferredSessions;
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
     compare, Aggregation, AnalysisConfig, CellSummary, ColumnarSink, CompareOutcome, Dataset,
-    DegradationMetric, SessionRecord, StreamingDataset, Summaries,
+    DegradationMetric, GroupKey, SessionRecord, StreamingDataset, Summaries,
 };
 use edgeperf_stats::median_ci::diff_of_medians_ci_sorted;
 use edgeperf_world::{run_study_into, StudyConfig, World, WorldConfig};
+use std::collections::HashMap;
 
 /// A reduced-country world keeps the runtime testable while preserving
 /// the per-prefix skew (route counts, diurnal activity, cluster mixes)
@@ -162,63 +164,13 @@ fn streaming_cells_agree_with_exact_aggregations() {
     let sealed = sealed.summarize();
     assert_eq!(sealed.preferred_bytes(), exact.preferred_bytes());
     stream.finalize();
-    let by_key: std::collections::HashMap<_, _> = stream.summarize().groups.into_iter().collect();
+    let by_key: HashMap<_, _> = stream.summarize().groups.into_iter().collect();
     for (key, g) in sealed.groups {
         let unsealed = by_key[&key].clone();
         assert_summaries_identical(
             &Summaries { groups: vec![(key, g)] },
             &Summaries { groups: vec![(key, unsealed)] },
         );
-    }
-}
-
-/// Cell-by-cell bit equality of two exact datasets.
-fn assert_datasets_identical(a: &Dataset, b: &Dataset) {
-    assert_eq!(a.n_windows, b.n_windows);
-    assert_eq!(a.groups.len(), b.groups.len());
-    for (key, ga) in &a.groups {
-        let gb = b.groups.get(key).expect("group present in both");
-        assert_eq!(ga.total_bytes, gb.total_bytes);
-        assert_eq!(ga.ranks.len(), gb.ranks.len());
-        for (rank, ws) in ga.ranks.iter().enumerate() {
-            for (w, ca) in ws.iter().enumerate() {
-                match (ca, &gb.ranks[rank][w]) {
-                    (Some(x), Some(y)) => {
-                        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(&x.min_rtt_ms), bits(&y.min_rtt_ms));
-                        assert_eq!(bits(&x.hdratio), bits(&y.hdratio));
-                        assert_eq!(x.bytes, y.bytes);
-                        assert_eq!(x.relationship, y.relationship);
-                        assert_eq!(x.longer_path, y.longer_path);
-                        assert_eq!(x.more_prepended, y.more_prepended);
-                    }
-                    (None, None) => {}
-                    other => panic!("cell presence differs at rank {rank} w {w}: {other:?}"),
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn columnar_sink_matches_from_records_end_to_end() {
-    // The fast exact path (columnar shards merged zero-copy, assembled
-    // at the end) must be bit-identical to the original path (record
-    // vector re-aggregated by `from_records`) — at any parallelism.
-    let (world, cfg) = skewed();
-    let windows = cfg.n_windows() as usize;
-    for p in [1usize, 4] {
-        let cfg = StudyConfig { parallelism: p, ..cfg };
-        let mut records: Vec<SessionRecord> = Vec::new();
-        run_study_into(&world, &cfg, &mut records);
-        let mut columnar = ColumnarSink::new(windows);
-        let stats = run_study_into(&world, &cfg, &mut columnar);
-        assert_eq!(stats.total().records_emitted, records.len() as u64);
-        assert_eq!(columnar.stats().records, records.len() as u64);
-        let via_columnar = columnar.into_dataset();
-        let via_records = Dataset::from_records(&records, windows);
-        assert!(via_columnar.cell_count() > 50, "too few cells to be meaningful");
-        assert_datasets_identical(&via_columnar, &via_records);
     }
 }
 
@@ -248,45 +200,68 @@ fn assert_summaries_identical(a: &Summaries, b: &Summaries) {
 }
 
 #[test]
-fn summarize_reads_the_sink_as_the_assembled_dataset_would() {
-    // `ColumnarSink::summarize` never builds the dataset; what it yields
-    // must still be `into_dataset().summarize()` exactly — the order of the
-    // groups included, because `results/` were recorded in it.
+fn columnar_sink_matches_from_records_end_to_end() {
+    // The exact sink summarises each prefix as it merges it and keeps the
+    // preferred route's rows alone. Its summaries must be those of the
+    // record vector re-aggregated by `from_records` — bit for bit, in the
+    // same group order, because `results/` were recorded in it — and its
+    // rows that vector's preferred-route sessions, at any parallelism.
     let (world, cfg) = skewed();
     let cfg = StudyConfig { sessions_per_group_window: 20, ..cfg };
     let windows = cfg.n_windows() as usize;
     for p in [1usize, 4] {
+        let cfg = StudyConfig { parallelism: p, ..cfg };
+        let mut records: Vec<SessionRecord> = Vec::new();
+        run_study_into(&world, &cfg, &mut records);
         let mut sink = ColumnarSink::new(windows);
-        run_study_into(&world, &StudyConfig { parallelism: p, ..cfg }, &mut sink);
+        let stats = run_study_into(&world, &cfg, &mut sink);
+        assert_eq!(stats.total().records_emitted, records.len() as u64);
+        assert_eq!(sink.stats().records, records.len() as u64);
+
+        let whole = Dataset::from_records(&records, windows);
+        assert_eq!(sink.cell_count(), whole.cell_count());
         let direct = sink.summarize();
         let cells = direct.groups.iter().flat_map(|(_, g)| g.cells());
         assert!(cells.filter(|c| c.min_rtt_var.is_some() && c.hdratio_var.is_some()).count() > 50);
-        assert_summaries_identical(&direct, &sink.into_dataset().summarize());
-    }
+        assert_summaries_identical(&direct, &whole.summarize());
 
-    // A hand-split pair of shards that collide on every cell: the sink
-    // folds them together, and both readings see the union.
+        // Cell by cell, the preferred sessions in the order they were pushed.
+        type Cell = (GroupKey, u32, u8);
+        let mut want: HashMap<Cell, Vec<(u64, Option<u64>)>> = HashMap::new();
+        for r in records.iter().filter(|r| r.route_rank == 0) {
+            let row = (r.min_rtt_ms.to_bits(), r.hdratio.map(f64::to_bits));
+            want.entry((r.group, r.window, 0)).or_default().push(row);
+        }
+        let mut rows: HashMap<Cell, Vec<(u64, Option<u64>)>> = HashMap::new();
+        for ((cell, rtt, hd), (continent, p_rtt, p_hd)) in
+            sink.rows().zip(sink.preferred_sessions())
+        {
+            assert_eq!((cell.group.continent, rtt.to_bits()), (continent, p_rtt.to_bits()));
+            assert_eq!(hd.map(f64::to_bits), p_hd.map(f64::to_bits));
+            let row = (rtt.to_bits(), hd.map(f64::to_bits));
+            rows.entry((cell.group, cell.window, cell.rank)).or_default().push(row);
+        }
+        assert_eq!(sink.rows().count(), sink.preferred_sessions().count());
+        assert_eq!(rows, want);
+    }
+}
+
+#[test]
+#[should_panic(expected = "reached the sink in two shards")]
+fn a_hand_split_that_shares_groups_is_refused() {
+    // Even and odd records of one study: every group in both shards. The
+    // first shard's cells are summaries by the time the second arrives,
+    // so the sink refuses it rather than summarise a cell twice.
+    let (world, cfg) = skewed();
     let mut records: Vec<SessionRecord> = Vec::new();
     run_study_into(&world, &cfg, &mut records);
-    let mut sink = ColumnarSink::new(windows);
+    let mut sink = ColumnarSink::new(cfg.n_windows() as usize);
     let (mut even, mut odd) = (sink.new_shard(), sink.new_shard());
     for (i, r) in records.iter().enumerate() {
         if i % 2 == 0 { &mut even } else { &mut odd }.push(*r);
     }
     sink.merge_shard(odd);
     sink.merge_shard(even);
-    assert_eq!(sink.stats().records, records.len() as u64);
-    let direct = sink.summarize();
-    assert_summaries_identical(&direct, &sink.into_dataset().summarize());
-    let whole = Dataset::from_records(&records, windows);
-    assert_eq!(direct.groups.len(), whole.groups.len());
-    for (key, g) in &direct.groups {
-        let want = whole.groups[key].summarize(Aggregation::summary);
-        assert_summaries_identical(
-            &Summaries { groups: vec![(*key, g.clone())] },
-            &Summaries { groups: vec![(*key, want)] },
-        );
-    }
 }
 
 /// The comparison as it was written over sorted samples: both sides hold
@@ -318,9 +293,9 @@ fn comparing_summaries_loses_nothing_against_sorted_samples() {
         parallelism: 1,
         ..Default::default()
     };
-    let mut sink = ColumnarSink::new(study.n_windows() as usize);
-    run_study_into(&world, &study, &mut sink);
-    let ds = sink.into_dataset();
+    let mut records: Vec<SessionRecord> = Vec::new();
+    run_study_into(&world, &study, &mut records);
+    let ds = Dataset::from_records(&records, study.n_windows() as usize);
 
     let cfg = AnalysisConfig::default();
     let relaxed = AnalysisConfig { max_ci_width_hdratio: 1.01, ..cfg };

@@ -7,10 +7,11 @@
 # replays through real `edgeperf` processes on loopback ports 4620-4631,
 # which leave their reports under replay-reports/. Repro gates
 # (repro_results, repro_streaming, study_resume): `repro all` must rewrite
-# results/ and print the stdout kept there byte for byte, its streaming
-# job every study file but fig7.json, the same bytes twice, and a study
-# killed mid-run must resume from its checkpoint to an uninterrupted run's
-# fig6.json; they work in a temp dir they remove. Replay and repro gates need the release binaries
+# results/ and print the stdout kept there byte for byte within 58 MiB
+# resident, its streaming job every study file but fig7.json, the same
+# bytes twice, and a study killed mid-run must resume from its checkpoint
+# to an uninterrupted run's fig6.json; they work in a temp dir they
+# remove. Replay and repro gates need the release binaries
 # (`cargo build --release -p edgeperf -p edgeperf-bench`). No downloads
 # anywhere.
 #
@@ -254,27 +255,44 @@ fleet_smoke() {
 # --- Repro gates ------------------------------------------------------
 
 # repro_tree DIR ARGS...: `repro all ARGS --json DIR/tree`, its stdout in
-# DIR/stdout; its stderr is shown only when it fails.
+# DIR/stdout and its peak resident set (VmHWM, kB, polled every 10 ms) in
+# DIR/vmhwm_kb; its stderr is shown only when it fails.
 repro_tree() {
-    local dir=$1
+    local dir=$1 pid kb hwm=0
     shift
     mkdir -p "$dir"
-    "$bin/repro" all "$@" --json "$dir/tree" > "$dir/stdout" 2> "$dir/stderr" ||
-        { tail -n 5 "$dir/stderr" >&2; return 1; }
+    "$bin/repro" all "$@" --json "$dir/tree" > "$dir/stdout" 2> "$dir/stderr" &
+    pid=$!
+    while kill -0 "$pid" 2> /dev/null; do
+        kb=$(awk '/^VmHWM:/ { print $2 }' "/proc/$pid/status" 2> /dev/null)
+        [ -n "$kb" ] && hwm=$kb
+        sleep 0.01
+    done
+    echo "$hwm" > "$dir/vmhwm_kb"
+    wait "$pid" || { tail -n 5 "$dir/stderr" >&2; return 1; }
 }
 
 # The checked-in results/ are compared, not just regenerated: the exact
 # job at the default seed and full scale (~15 s; `--scale 1` overrides an
 # ambient EDGEPERF_SCALE) must rewrite every JSON file of results/ byte
 # for byte, and print results/repro_all.stdout byte for byte — what a
-# reader sees, whatever order the experiments ran in.
+# reader sees, whatever order the experiments ran in. The exact sink keeps
+# a summary a cell and rows for the preferred route only, so the job must
+# also peak at no more than 58 MiB resident (it reads ~43; keeping every
+# route's rows read ~68).
 repro_results() {
     built || return 1
-    local out status
+    local out status hwm
     out=$(mktemp -d) || return 1
     repro_tree "$out" --scale 1 && diff -r -x repro_all.stdout "$out/tree" results &&
         cmp "$out/stdout" results/repro_all.stdout
     status=$?
+    hwm=$(cat "$out/vmhwm_kb" 2> /dev/null || echo 0)
+    echo "repro all --scale 1 peaked at $((hwm / 1024)) MiB resident (VmHWM $hwm kB)"
+    if [ "$status" = 0 ] && [ "$hwm" -gt $((58 * 1024)) ]; then
+        echo "repro all --scale 1 peaked above 58 MiB" >&2
+        status=1
+    fi
     rm -rf "$out"
     return "$status"
 }
