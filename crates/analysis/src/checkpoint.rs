@@ -29,6 +29,7 @@ use crate::segment::{
     checked_body, checksum, corrupt, rel_code, rel_from_code, Reader, FLAG_LONGER_PATH,
     FLAG_MORE_PREPENDED,
 };
+use crate::sink::RecordSink;
 use edgeperf_core::EdgeperfError;
 use edgeperf_routing::{PopId, Prefix};
 
@@ -102,7 +103,7 @@ impl ColumnarSink {
                 r.remaining()
             )));
         }
-        let mut shard = ColumnarShard::default();
+        let mut shard = self.new_shard();
         for i in 0..n_cells {
             let group = GroupKey {
                 pop: PopId(r.u16()?),
@@ -165,7 +166,7 @@ impl ColumnarSink {
 mod tests {
     use super::*;
     use crate::columnar::tests::{rec, synthetic};
-    use crate::sink::{RecordShard, RecordSink};
+    use crate::sink::RecordShard;
 
     /// 13 prefixes × 4 windows = 52 cells; a third of the rows untested.
     fn shard_of(sink: &ColumnarSink, n: usize) -> ColumnarShard {

@@ -4,14 +4,16 @@
 //! session appends one row to three aligned columns — a `u32` dense cell
 //! id, its MinRTT and its HDratio (NaN when the session tested nothing) —
 //! 20 bytes, and a row still carries the joint (MinRTT, HDratio) that
-//! Figure 7 needs. The steady-state cost per record is one memo equality
-//! check, two array indexings, and three unconditional pushes. The group →
-//! cell-table map is only consulted when the group changes, which the
-//! runner's per-prefix record order makes rare; within a group, (rank,
-//! window) → cell id resolves through a dense table with no hashing at
-//! all. This matters because the runner interleaves ranks
-//! record-by-record (each session emits preferred + alternates
-//! back-to-back), so a cell-keyed memo would miss on almost every record.
+//! Figure 7 needs. A cell's id lives in the same `GroupSlots` grid every
+//! dataset built cell by cell uses, sized from the sink's window count, so
+//! the steady-state cost per record is one memo equality check, two array
+//! indexings, and three unconditional pushes. The group → grid map is only
+//! consulted when the group changes, which the runner's per-prefix record
+//! order makes rare; within a group, (rank, window) → cell id resolves
+//! through the dense grid with no hashing at all. This matters because the
+//! runner interleaves ranks record-by-record (each session emits its
+//! preferred and alternate records back-to-back), so a cell-keyed memo
+//! would miss on almost every record.
 //!
 //! At join time [`ColumnarSink`] seals each shard as it adopts it, the
 //! way the streaming sink seals a prefix: one stable counting scatter
@@ -61,22 +63,14 @@ pub(crate) struct CellMeta {
     pub(crate) n_hd: u32,
 }
 
-/// One group's dense (rank, window) → cell-id table. Entries store
-/// `cell id + 1` so zero means "no cell yet"; rows grow lazily to the
-/// highest window seen.
-#[derive(Debug)]
-struct ShardGroup {
-    ranks: Vec<Vec<u32>>,
-}
-
 /// One worker's columnar accumulator: one row per session in three
 /// aligned columns keyed by a dense per-shard cell id, plus one metadata
-/// slot per cell.
-#[derive(Debug, Default)]
+/// slot per cell. Made by [`ColumnarSink::new_shard`], whose window count
+/// it takes: a record outside it panics at push.
+#[derive(Debug)]
 pub struct ColumnarShard {
-    group_index: FxHashMap<GroupKey, u32>,
-    memo: Option<(GroupKey, u32)>,
-    groups: Vec<ShardGroup>,
+    /// Every cell's id, in its group's `ranks[rank][window]` slot.
+    ids: GroupSlots<u32>,
     pub(crate) cells: Vec<CellMeta>,
     pub(crate) cell: Vec<u32>,
     pub(crate) min_rtt: Vec<f64>,
@@ -100,43 +94,20 @@ impl ColumnarShard {
     #[inline]
     pub(crate) fn cell_id(&mut self, key: CellKey, relationship: Relationship) -> usize {
         assert!(key.rank < 8, "suspicious route rank {}", key.rank);
-        let gi = match self.memo {
-            Some((k, i)) if k == key.group => i as usize,
-            _ => {
-                let i = *self.group_index.entry(key.group).or_insert_with(|| {
-                    self.groups.push(ShardGroup { ranks: Vec::new() });
-                    (self.groups.len() - 1) as u32
-                });
-                self.memo = Some((key.group, i));
-                i as usize
-            }
-        };
-        let (rank, window) = (key.rank as usize, key.window as usize);
-        let ranks = &mut self.groups[gi].ranks;
-        if ranks.len() <= rank {
-            ranks.resize_with(rank + 1, Vec::new);
-        }
-        let row = &mut ranks[rank];
-        if row.len() <= window {
-            row.resize(window + 1, 0);
-        }
-        match row[window] {
-            0 => {
-                let id = self.cells.len() as u32;
-                self.cells.push(CellMeta {
-                    key,
-                    relationship,
-                    longer_path: false,
-                    more_prepended: false,
-                    bytes: 0,
-                    n_rtt: 0,
-                    n_hd: 0,
-                });
-                row[window] = id + 1;
-                id as usize
-            }
-            id_plus_1 => (id_plus_1 - 1) as usize,
-        }
+        let slot = self.ids.cell(key.group, key.rank as usize, key.window as usize, 0);
+        let id = *slot.get_or_insert_with(|| {
+            self.cells.push(CellMeta {
+                key,
+                relationship,
+                longer_path: false,
+                more_prepended: false,
+                bytes: 0,
+                n_rtt: 0,
+                n_hd: 0,
+            });
+            (self.cells.len() - 1) as u32
+        });
+        id as usize
     }
 }
 
@@ -448,15 +419,24 @@ impl RecordSink for ColumnarSink {
     }
 
     fn new_shard(&self) -> ColumnarShard {
-        ColumnarShard::default()
+        ColumnarShard {
+            ids: GroupSlots::new(self.n_windows),
+            cells: Vec::new(),
+            cell: Vec::new(),
+            min_rtt: Vec::new(),
+            hdratio: Vec::new(),
+        }
     }
 
     /// Seal `shard` into the sink. The runner hands each prefix to one
     /// worker, so no two shards share a group; one that does is refused,
     /// naming the group, since that group's cells are summaries already.
     fn merge_shard(&mut self, shard: ColumnarShard) {
-        if let Some(group) = shard.group_index.keys().find(|g| self.summaries.get(g).is_some()) {
-            panic!("group {group:?} reached the sink in two shards");
+        for (group, _) in &shard.ids.slots {
+            assert!(
+                self.summaries.get(group).is_none(),
+                "group {group:?} reached the sink in two shards"
+            );
         }
         self.records += shard.cell.len() as u64;
         self.cells += shard.cells.len() as u64;
@@ -607,7 +587,7 @@ pub(crate) mod tests {
             records.push(rec(1, 0, 0, 30.0 + i as f64, None));
             records.push(rec(2, 3, 1, 60.0 + i as f64, Some(0.5)));
         }
-        let mut shard = ColumnarShard::default();
+        let mut shard = ColumnarSink::new(4).new_shard();
         records.iter().for_each(|r| shard.push(*r));
         assert_eq!(shard.cell_count(), 2);
         assert_eq!(shard.sample_count(), 1_000);
@@ -616,7 +596,7 @@ pub(crate) mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn window_out_of_range_panics_at_merge() {
+    fn window_out_of_range_panics_at_push() {
         adopted(&[vec![rec(1, 4, 0, 30.0, None)]]);
     }
 

@@ -189,12 +189,6 @@ impl StreamingCell {
         self.more_prepended |= more_prepended;
     }
 
-    fn merge(&mut self, other: &StreamingCell) {
-        self.agg.merge(&other.agg);
-        self.longer_path |= other.longer_path;
-        self.more_prepended |= other.more_prepended;
-    }
-
     /// Summarise from digest order statistics: the medians are digest
     /// quantiles and the Price–Bonett variances read the exact path's
     /// ranks off the digest. Allocation-free once the cell is flushed.
@@ -404,8 +398,11 @@ impl RecordSink for StreamingDataset {
         StreamingDataset::new(self.n_windows())
     }
 
-    /// Sealed groups are concatenated; cells open on both sides merge via
-    /// [`TDigest::merge`], cell by cell.
+    /// Sealed groups are concatenated, open ones adopted whole. The
+    /// runner hands each prefix to one worker, so no two shards share a
+    /// group; an open group the sink already holds is refused, naming the
+    /// group, as [`ColumnarSink`] refuses one (a group sealed in both shards
+    /// is `finalize`'s "sealed twice").
     fn merge_shard(&mut self, shard: StreamingDataset) {
         assert_eq!(self.n_windows(), shard.n_windows(), "window-count mismatch");
         self.sealed.extend(shard.sealed);
@@ -414,12 +411,12 @@ impl RecordSink for StreamingDataset {
             self.hdratio_of(continent).add(theirs);
         }
         for (key, g) in shard.open.slots {
+            assert!(self.open.get(&key).is_none(), "group {key:?} reached the sink in two shards");
             for (rank, windows) in g.ranks.into_iter().enumerate() {
                 for (w, cell) in windows.into_iter().enumerate() {
-                    let Some(cell) = cell else { continue };
-                    match self.open.cell(key, rank, w, cell.agg.bytes()) {
-                        Some(existing) => existing.merge(&cell),
-                        slot @ None => *slot = Some(cell),
+                    if let Some(cell) = cell {
+                        let bytes = cell.agg.bytes();
+                        *self.open.cell(key, rank, w, bytes) = Some(cell);
                     }
                 }
             }
@@ -757,27 +754,16 @@ mod tests {
     }
 
     #[test]
-    fn merged_cells_keep_exact_extremes() {
-        // The satellite t-digest fix, observed at the sink level: a cell
-        // split across two compressed shards still reports the true
-        // sample extremes after the join-time merge.
-        let mut lo_shard = StreamingDataset::new(1);
-        let mut hi_shard = StreamingDataset::new(1);
-        for i in 0..2_000 {
-            let r = rec(1, 0, 0, 10.0 + i as f64 * 0.1, None);
-            if i < 1_000 {
-                RecordShard::push(&mut lo_shard, r);
-            } else {
-                RecordShard::push(&mut hi_shard, r);
-            }
-        }
+    #[should_panic(expected = "reached the sink in two shards")]
+    fn a_group_open_in_two_shards_is_refused() {
+        // Not produced by the runner, which hands a prefix to one worker:
+        // a cell split across two shards would need a digest merge.
         let mut sink = StreamingDataset::new(1);
-        sink.merge_shard(hi_shard);
-        sink.merge_shard(lo_shard);
-        let (_, g) = sink.iter().next().unwrap();
-        let agg = &g.cell(0, 0).unwrap().agg;
-        assert_eq!(agg.min_rtt_quantile(0.0), 10.0);
-        assert_eq!(agg.min_rtt_quantile(1.0), 10.0 + 1_999.0 * 0.1);
+        let mut shards = [sink.new_shard(), sink.new_shard()];
+        for i in 0..2_000 {
+            shards[i % 2].push(rec(1, 0, 0, 10.0 + i as f64 * 0.1, None));
+        }
+        shards.into_iter().for_each(|shard| sink.merge_shard(shard));
     }
 
     #[test]

@@ -48,16 +48,6 @@ impl StreamingAggregation {
         self.bytes += bytes;
     }
 
-    /// Merge another aggregation of the same cell into this one. Built on
-    /// [`TDigest::merge`], so the true sample extremes survive: after a
-    /// merge, `quantile(0.0)`/`quantile(1.0)` are exactly the min/max over
-    /// both inputs.
-    pub fn merge(&mut self, other: &StreamingAggregation) {
-        self.minrtt.merge(&other.minrtt);
-        self.hdratio.merge(&other.hdratio);
-        self.bytes += other.bytes;
-    }
-
     /// Flush both digests: their insert buffers are compressed in and
     /// released, so the aggregation holds centroids only and subsequent
     /// queries are allocation-free. The streaming sink calls this when it

@@ -5,7 +5,7 @@
 //! and streams split across worker shards.
 
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
-use edgeperf_analysis::{ColumnarShard, ColumnarSink, Dataset, GroupKey, SessionRecord};
+use edgeperf_analysis::{ColumnarSink, Dataset, GroupKey, SessionRecord};
 use edgeperf_routing::{PopId, Prefix, Relationship};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -155,7 +155,7 @@ proptest! {
         }
         let mut sink = ColumnarSink::new(N_WINDOWS);
         for part in &split {
-            let mut shard = ColumnarShard::default();
+            let mut shard = sink.new_shard();
             part.iter().for_each(|r| shard.push(*r));
             sink.merge_shard(shard);
         }

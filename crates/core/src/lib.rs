@@ -24,7 +24,8 @@
 //! 4. [`hdratio`]: summarize per session.
 //!
 //! [`minrtt`] provides the kernel-style windowed MinRTT tracker and
-//! [`sampler`] the deterministic session sampling used in production.
+//! [`sampler`] the stateless mixer ([`splitmix64`]) every seeded draw
+//! of the workspace hashes through.
 //! [`plan`] is the `kind:arg@arg` grammar the fault plans of the world,
 //! live and fleet tiers are all written in.
 
@@ -44,5 +45,5 @@ pub use estimator::{AchievedRule, Estimator, EstimatorOptions, TxnOutcome};
 pub use hdratio::{session_hdratio, SessionVerdict};
 pub use instrument::{assemble_transactions, InstrumentOptions, Transaction};
 pub use minrtt::MinRttTracker;
-pub use sampler::{sample_session, splitmix64};
+pub use sampler::splitmix64;
 pub use types::{HttpVersion, Nanos, ResponseObs, SessionObs, HD_GOODPUT_BPS, MILLISECOND, SECOND};

@@ -1,7 +1,6 @@
 //! Property tests over the core estimator's public API.
 
 use edgeperf_core::minrtt::MinRttTracker;
-use edgeperf_core::sampler::sample_session;
 use edgeperf_core::MILLISECOND;
 use proptest::prelude::*;
 
@@ -32,27 +31,6 @@ proptest! {
                 .map(|&(_, r)| r)
                 .min();
             prop_assert_eq!(tracker.current(t), naive, "at t={}", t);
-        }
-    }
-
-    /// Sampling decisions depend only on (id, salt), never on call order,
-    /// and respect the degenerate rates exactly.
-    #[test]
-    fn sampler_is_pure(ids in prop::collection::vec(any::<u64>(), 1..50), salt in any::<u64>()) {
-        for &id in &ids {
-            prop_assert_eq!(sample_session(id, salt, 0.5), sample_session(id, salt, 0.5));
-            prop_assert!(!sample_session(id, salt, 0.0));
-            prop_assert!(sample_session(id, salt, 1.0));
-        }
-    }
-
-    /// A higher sampling rate never excludes a session a lower rate
-    /// included (the hash-threshold construction is monotone).
-    #[test]
-    fn sampler_is_monotone_in_rate(id in any::<u64>(), salt in any::<u64>(), lo in 0.0f64..1.0, hi in 0.0f64..1.0) {
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        if sample_session(id, salt, lo) {
-            prop_assert!(sample_session(id, salt, hi));
         }
     }
 }

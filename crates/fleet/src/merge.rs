@@ -28,8 +28,8 @@ type CellKey = (u32, u16, u32, u8, u16, u8, u8);
 /// Merge per-PoP cell exports into the global canonical-order view.
 ///
 /// `per_pop` pairs each contributing node id with its `cells` rows, in
-/// whatever order the node served them (a bare `cells` on a store-less
-/// PoP is in worker order). Errors
+/// whatever order the node served them (every PoP reply is canonical
+/// already; the merge does not rely on it). Errors
 /// with [`FleetError::DuplicateCell`] if two nodes both served the same
 /// (window, group, rank) cell.
 pub(crate) fn merge_cells(per_pop: Vec<(u16, Vec<CellLine>)>) -> Result<Vec<CellLine>, FleetError> {

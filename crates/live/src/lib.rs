@@ -39,7 +39,8 @@
 //!   [`Request`]/[`Response`], the wire structs a reply carries
 //!   ([`LiveSnapshot`], [`CellLine`]) and the one parse/render path
 //!   shared by server and client, byte-compatible with the legacy bare
-//!   commands.
+//!   commands; every `cells` reply is in canonical (window, group, rank)
+//!   order.
 //! - [`store`]: the tiered window store — [`SegmentStore`] spills
 //!   windows evicted past the RAM retention horizon into columnar
 //!   on-disk segments (manifest-tracked, crash-safe, background

@@ -39,11 +39,15 @@
 //!
 //! - Every legacy bare command (`ping`, `snapshot`, `stats`, `cells`,
 //!   `metrics`, `shutdown`, `quit`) parses and renders **byte-identical**
-//!   replies — proven by `golden_*` tests against literal strings.
+//!   replies — proven by `golden_*` tests against literal strings — but
+//!   for the row order of a bare `cells` (below).
 //! - `cells` now accepts optional `key=value` arguments selecting a
 //!   window range and/or group: `cells from=120 until=240 pop=3
 //!   prefix=167772160/24 country=7 continent=2`. A bare `cells` is the
-//!   full unbounded query, exactly as before.
+//!   full unbounded query. Every `cells` reply, the bare one included,
+//!   lists its rows in canonical (window, group, rank) order; the bare
+//!   reply of a server without a spill directory used to list them per
+//!   worker, window and insertion instead.
 //! - New commands: `version` reports the protocol version; `store`
 //!   reports tiered-store statistics ([`crate::store::StoreStats`],
 //!   which now includes `spill_errors` and `degraded` spill health).
@@ -102,7 +106,7 @@ impl GroupFilter {
 
 /// A time-range/group cell query. Window bounds are inclusive; `None`
 /// means unbounded on that side. The default selects everything — the
-/// legacy bare `cells`.
+/// bare `cells`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CellQuery {
     /// First window index included.
@@ -114,11 +118,6 @@ pub struct CellQuery {
 }
 
 impl CellQuery {
-    /// True when the query selects every retained cell (bare `cells`).
-    pub fn is_all(&self) -> bool {
-        *self == CellQuery::default()
-    }
-
     /// Does window index `window` fall inside the range?
     pub(crate) fn contains_window(&self, window: u32) -> bool {
         self.from_window.is_none_or(|lo| window >= lo)
@@ -995,7 +994,6 @@ mod tests {
         assert_eq!(q.group.prefix, Some((167_772_160, 24)));
         assert_eq!(q.group.country, Some(7));
         assert_eq!(q.group.continent, Some(2));
-        assert!(!q.is_all());
         // render → parse is the identity.
         let line = Request::Cells(q).wire_line();
         assert_eq!(Request::parse(&line), Ok(Request::Cells(q)));

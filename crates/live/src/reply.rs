@@ -43,8 +43,7 @@ struct Entry {
 pub struct CellsReply<'a> {
     windows: &'a [SharedWindow],
     spilled: &'a [WindowCell],
-    /// `None`: every row of `windows`, as they lie.
-    order: Option<Vec<Entry>>,
+    order: Vec<Entry>,
 }
 
 fn index(i: usize) -> u32 {
@@ -52,12 +51,6 @@ fn index(i: usize) -> u32 {
 }
 
 impl<'a> CellsReply<'a> {
-    /// Every row of `windows` in the order given — the bare `cells` of a
-    /// store-less server: worker, then window, then insertion order.
-    pub(crate) fn as_they_lie(windows: &'a [SharedWindow]) -> Self {
-        CellsReply { windows, spilled: &[], order: None }
-    }
-
     /// The rows of `windows` matching `query` merged with `spilled`
     /// (rows the store already matched against it), in canonical
     /// (window, group, rank) order — the order of a stable sort of the
@@ -99,15 +92,12 @@ impl<'a> CellsReply<'a> {
                 }
             });
         }
-        CellsReply { windows, spilled, order: Some(order) }
+        CellsReply { windows, spilled, order }
     }
 
     /// Rows the reply holds — what its header announces.
     pub fn rows(&self) -> usize {
-        match &self.order {
-            Some(order) => order.len(),
-            None => self.windows.iter().map(|w| w.1.len()).sum(),
-        }
+        self.order.len()
     }
 
     /// Write the whole reply — the header with the row count, the rows,
@@ -126,28 +116,14 @@ impl<'a> CellsReply<'a> {
     /// Every row, each behind the newline that ends the line before it
     /// (the header's, to begin with).
     fn write_rows(&self, out: &mut impl Write) -> io::Result<()> {
-        let mut row = |cell: &WindowCell| {
+        for e in &self.order {
             out.write_all(b"\n")?;
-            write_row(out, cell)
-        };
-        match &self.order {
-            None => {
-                for (window, cells) in self.windows {
-                    for (key, summary) in cells.iter() {
-                        row(&window_cell(*window, key, summary))?;
-                    }
-                }
-            }
-            Some(order) => {
-                for e in order {
-                    if e.slot == SPILLED {
-                        row(&self.spilled[e.row as usize])?;
-                    } else {
-                        let (window, cells) = &self.windows[e.slot as usize];
-                        let (key, summary) = &cells[e.row as usize];
-                        row(&window_cell(*window, key, summary))?;
-                    }
-                }
+            if e.slot == SPILLED {
+                write_row(out, &self.spilled[e.row as usize])?;
+            } else {
+                let (window, cells) = &self.windows[e.slot as usize];
+                let (key, summary) = &cells[e.row as usize];
+                write_row(out, &window_cell(*window, key, summary))?;
             }
         }
         Ok(())
@@ -226,14 +202,6 @@ mod tests {
 
     fn rendered(rows: Vec<CellLine>) -> String {
         Response::Cells(rows).render() + "\n"
-    }
-
-    #[test]
-    fn the_legacy_order_is_the_order_given() {
-        let windows = [window(4, &[9, 2, 5]), window(3, &[1]), window(4, &[7, 0])];
-        let reply = CellsReply::as_they_lie(&windows);
-        assert_eq!(reply.rows(), 6);
-        assert_eq!(written(&reply), rendered(lines(&windows)));
     }
 
     #[test]

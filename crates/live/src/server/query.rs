@@ -17,7 +17,8 @@
 //! slice's contents. A `cells` query therefore costs a worker
 //! one `Arc` clone per window in range; the connection's own reader
 //! thread does the rest ([`crate::reply::CellsReply`]): it filters on
-//! the group, orders the rows through a 24-byte-a-row sort index, merges
+//! the group, orders the rows canonically — (window, group, rank), for
+//! a bare `cells` too — through a 24-byte-a-row sort index, merges
 //! the tiered store's rows under the same key with RAM winning
 //! duplicates, and only then — the row count, a draining server and a
 //! store error all known — writes header and rows through one 64 KiB
@@ -41,7 +42,6 @@ use super::stats::WorkerSnap;
 use super::{send, Shared};
 use crate::protocol::{CellQuery, Response};
 use crate::reply::{CellsReply, SharedWindow};
-use crate::store::QUERY_TOTALS;
 use std::io::{self, Write};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Mutex;
@@ -126,12 +126,8 @@ pub(super) fn query_workers<T>(
 /// keep their RAM copy — and only then writes header and rows through
 /// one fixed-size buffer. The row count, a draining server and a store
 /// error are all known before the first byte goes out; an `Err` is the
-/// socket's.
-///
-/// Compatibility: a bare `cells` on a store-less server keeps the
-/// legacy reply bytes exactly — worker order, insertion order, no sort.
-/// Any filtered query and any server with a store is in canonical order,
-/// deterministic across worker counts and spill timing.
+/// socket's. Every reply is in canonical (window, group, rank) order,
+/// whatever the query, the worker count or the spill timing.
 pub(super) fn serve_cells(
     shared: &Shared,
     query: &CellQuery,
@@ -142,25 +138,12 @@ pub(super) fn serve_cells(
         return send(out, &Response::Draining);
     };
     let windows: Vec<SharedWindow> = per_worker.into_iter().flatten().collect();
-    let spilled = match &shared.store {
-        None => None,
-        Some(store) => {
-            let rows = store.query(query);
-            // The store's running totals, mirrored so `metrics` shows
-            // what historical queries cost without a `store` round trip.
-            for (name, total) in QUERY_TOTALS.iter().zip(store.query_totals()) {
-                shared.metrics.gauge(&format!("store.{name}")).set(total as f64);
-            }
-            match rows {
-                Ok(rows) => Some(rows),
-                Err(err) => return send(out, &Response::StoreError(err.to_string())),
-            }
-        }
+    let spilled = match shared.store.as_ref().map(|store| store.query(query)) {
+        None => Vec::new(),
+        Some(Ok(rows)) => rows,
+        Some(Err(err)) => return send(out, &Response::StoreError(err.to_string())),
     };
-    let reply = match &spilled {
-        None if query.is_all() => CellsReply::as_they_lie(&windows),
-        _ => CellsReply::canonical(&windows, spilled.as_deref().unwrap_or(&[]), query),
-    };
+    let reply = CellsReply::canonical(&windows, &spilled, query);
     let bytes = reply.write(out)?;
     if let Some(started) = started {
         shared.metrics.histogram("live.query.cells_ns").record(started.elapsed().as_nanos() as u64);

@@ -199,5 +199,14 @@ pub(super) fn publish(shared: &Shared, per_worker: &[WorkerSnap]) {
         if stats.spilled_windows + stats.spill_errors > 0 {
             metrics.gauge("store.degraded").set(f64::from(u8::from(stats.degraded)));
         }
+        // What historical queries cost, without a `store` round trip.
+        for (name, total) in [
+            ("store.query_groups_read", stats.query_groups_read),
+            ("store.query_bytes_read", stats.query_bytes_read),
+            ("store.query_rows_examined", stats.query_rows_examined),
+            ("store.query_rows_returned", stats.query_rows_returned),
+        ] {
+            metrics.gauge(name).set(total as f64);
+        }
     }
 }

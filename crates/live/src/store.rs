@@ -285,16 +285,12 @@ pub struct SegmentStore {
     /// the same victims. Never taken by a spill or a query.
     compacting: Mutex<()>,
     crash: Mutex<CrashPoint>,
-    /// Running query totals, in [`QUERY_TOTALS`] order. Relaxed:
-    /// statistics, publishing nothing.
+    /// Running query totals — row groups read, segment bytes those reads
+    /// moved, rows decoded out of them, rows returned — behind
+    /// [`StoreStats`]'s `query_*` fields. Relaxed: statistics, publishing
+    /// nothing.
     query_totals: [AtomicU64; 4],
 }
-
-/// The [`StoreStats`] fields [`SegmentStore::query_totals`] reports, in
-/// its order: row groups read, segment bytes those reads moved, rows
-/// decoded out of them, rows that matched and were returned.
-pub(crate) const QUERY_TOTALS: [&str; 4] =
-    ["query_groups_read", "query_bytes_read", "query_rows_examined", "query_rows_returned"];
 
 fn corrupt(message: String) -> EdgeperfError {
     EdgeperfError::Segment { message }
@@ -579,16 +575,10 @@ impl SegmentStore {
         Ok(out)
     }
 
-    /// What queries have read and returned since this store opened, in
-    /// [`QUERY_TOTALS`] order. Takes no lock.
-    pub(crate) fn query_totals(&self) -> [u64; 4] {
-        [0, 1, 2, 3].map(|i| self.query_totals[i].load(Ordering::Relaxed))
-    }
-
     /// Point-in-time statistics.
     pub fn stats(&self) -> StoreStats {
         let [query_groups_read, query_bytes_read, query_rows_examined, query_rows_returned] =
-            self.query_totals();
+            self.query_totals.each_ref().map(|total| total.load(Ordering::Relaxed));
         let state = self.state.lock().expect("store state");
         let mut stats = StoreStats {
             segments: u64::try_from(state.segments.len()).expect("usize fits u64"),

@@ -5,12 +5,10 @@
 //! only on disk, some only in RAM and some in both, the bytes are those
 //! of `Response::Cells(expected).render()` with `expected` built the old
 //! way — the `Vec<CellLine>` of the proof kit's [`serial_cells`], in its
-//! canonical order (or, for the bare store-less `cells`, in worker /
-//! window / insertion order). The deleted `digest` verb answers as any
-//! unknown command does. And the three `live.query.*` metrics say what
-//! the replies actually carried.
+//! canonical order, the bare store-less `cells` included. The deleted
+//! `digest` verb answers as any unknown command does. And the three
+//! `live.query.*` metrics say what the replies actually carried.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -19,8 +17,8 @@ use std::sync::Arc;
 use edgeperf_analysis::GroupKey;
 use edgeperf_core::EdgeperfError;
 use edgeperf_live::{
-    parse_cells_header, serial_cells, shard_of, BinarySender, CellKey, CellLine, CellQuery,
-    GroupFilter, LiveClient, LiveConfig, LiveRecord, LiveServer, Request, Response, ServerHandle,
+    parse_cells_header, serial_cells, BinarySender, CellLine, CellQuery, GroupFilter, LiveClient,
+    LiveConfig, LiveRecord, LiveServer, Request, Response, ServerHandle,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_routing::{PopId, Prefix, Relationship};
@@ -73,37 +71,10 @@ fn records() -> Vec<LiveRecord> {
     out
 }
 
-/// The oracle's rows, and for each the index of the first record that
-/// lands in its cell: a worker's ring creates its cells in that order,
-/// which is the order the legacy bare `cells` serves them in.
-struct Serial {
-    rows: Vec<CellLine>,
-    first_seen: HashMap<(u32, CellKey), usize>,
-}
-
-fn serial(records: &[LiveRecord]) -> Serial {
-    let rows = serial_cells(records, WINDOW_MS, LATENESS_MS).expect("in-order records");
-    let mut first_seen = HashMap::new();
-    for (i, rec) in records.iter().enumerate() {
-        let window = u32::try_from((rec.ts_ms / WINDOW_MS) as u64).expect("a small index");
-        first_seen.entry((window, (rec.group, rec.route_rank))).or_insert(i);
-    }
-    Serial { rows, first_seen }
-}
-
-/// The reply the old build-then-render path gave: every matching row as
-/// a `CellLine`, sorted canonically or — `legacy` workers — in the legacy
-/// order (per worker, per window, as inserted).
-fn expected_rows(serial: &Serial, query: &CellQuery, legacy: Option<usize>) -> Vec<CellLine> {
-    let mut rows: Vec<CellLine> =
-        serial.rows.iter().filter(|c| query.matches(c.window, &c.group())).cloned().collect();
-    if let Some(workers) = legacy {
-        rows.sort_by_key(|c| {
-            let seen = serial.first_seen[&(c.window, (c.group(), c.rank))];
-            (shard_of(&c.group(), workers), c.window, seen)
-        });
-    }
-    rows
+/// The reply the old build-then-render path gave: every row of the
+/// oracle's (canonical) `serial` that `query` selects, as a `CellLine`.
+fn expected_rows(serial: &[CellLine], query: &CellQuery) -> Vec<CellLine> {
+    serial.iter().filter(|c| query.matches(c.window, &c.group())).cloned().collect()
 }
 
 /// `workers` workers keeping `retention` windows in RAM, spilling the
@@ -181,13 +152,11 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("edgeperf-reply-bytes-{tag}-{}", std::process::id()))
 }
 
-/// Check every query against a server; `legacy` is the worker count when
-/// the bare `cells` keeps its legacy order (no store).
-fn check(server: &ServerHandle, serial: &Serial, legacy: Option<usize>, what: &str) {
+/// Check every query against a server.
+fn check(server: &ServerHandle, serial: &[CellLine], what: &str) {
     let mut conn = raw(server);
     for (name, query) in queries() {
-        let legacy = legacy.filter(|_| query.is_all());
-        let expected = expected_rows(serial, &query, legacy);
+        let expected = expected_rows(serial, &query);
         assert!(!expected.is_empty(), "{what} {name}: the query selects something");
         let got = raw_reply(&mut conn, &Request::Cells(query).wire_line());
         assert!(
@@ -200,14 +169,15 @@ fn check(server: &ServerHandle, serial: &Serial, legacy: Option<usize>, what: &s
 #[test]
 fn streamed_replies_are_the_rendered_replies_byte_for_byte() {
     let records = records();
-    let serial = serial(&records);
-    let mut windows: Vec<u32> = serial.rows.iter().map(|c| c.window).collect();
+    let serial = serial_cells(&records, WINDOW_MS, LATENESS_MS).expect("in-order records");
+    let mut windows: Vec<u32> = serial.iter().map(|c| c.window).collect();
     windows.dedup();
     assert_eq!(windows, [0, 1, 2, 3, 4]);
     for workers in [1usize, 2, 4] {
-        // No store: everything in RAM.
+        // No store: everything in RAM, and a bare `cells` is as canonical
+        // as every other reply.
         let (server, control) = replayed(config(workers, 16, None), Metrics::disabled(), &records);
-        check(&server, &serial, Some(workers), &format!("workers={workers} store-less"));
+        check(&server, &serial, &format!("workers={workers} store-less"));
         // The `digest` verb is gone: what it answers is what any
         // unknown command answers.
         assert_eq!(
@@ -234,7 +204,7 @@ fn streamed_replies_are_the_rendered_replies_byte_for_byte() {
             store.from_window == Some(0) && matches!(store.until_window, Some(2 | 3)),
             "the first server spilled windows 0..=2 and never its newest: {store:?}"
         );
-        check(&server, &serial, None, &format!("workers={workers} spilling"));
+        check(&server, &serial, &format!("workers={workers} spilling"));
         stop(server, control);
         std::fs::remove_dir_all(&dir).expect("spill dir cleanup");
     }

@@ -9,20 +9,20 @@
 //!   (4) prefer private interconnects (PNI) over public exchanges.
 //! - [`prepend`]: AS-path prepending detection (§6.2.2 — prepended
 //!   alternates signal ingress traffic engineering and are deprioritized).
-//! - [`edge_fabric`]: the egress controller — capacity-aware overflow
-//!   detouring for ordinary traffic plus deterministic route *pinning*
-//!   for sampled sessions, so measurements continuously cover the
-//!   preferred route and the best alternates regardless of the
-//!   controller's shifts (§2.2.3).
+//! - [`edge_fabric`]: the egress controller's measurement half —
+//!   deterministic route *pinning* for sampled sessions, so measurements
+//!   continuously cover the preferred route and the best alternates
+//!   regardless of the controller's shifts (§2.2.3).
+//!
+//! Route sets are static for a study: nothing announces or withdraws a
+//! route once the world is generated.
 
-pub mod bgp;
 pub mod edge_fabric;
 pub mod prepend;
 pub mod rib;
 pub mod types;
 
-pub use bgp::{BestPathChange, BgpProcessor, Update};
-pub use edge_fabric::{EdgeFabric, RouteChoice};
+pub use edge_fabric::pin_sampled;
 pub use prepend::{prepended_more, stripped_len};
 pub use rib::Rib;
 pub use types::{AsPath, Asn, PopId, Prefix, Relationship, Route, RouteId};

@@ -41,34 +41,6 @@ impl Rib {
         self.routes.entry(route.prefix).or_default().push(route);
     }
 
-    /// Remove the route with the given id for a prefix; returns whether
-    /// anything was removed. Empty prefix entries are dropped.
-    pub fn remove(&mut self, prefix: &Prefix, id: crate::types::RouteId) -> bool {
-        let Some(v) = self.routes.get_mut(prefix) else { return false };
-        let before = v.len();
-        v.retain(|r| r.id != id);
-        let removed = v.len() != before;
-        if v.is_empty() {
-            self.routes.remove(prefix);
-        }
-        removed
-    }
-
-    /// Number of installed routes across all prefixes.
-    pub fn len(&self) -> usize {
-        self.routes.values().map(Vec::len).sum()
-    }
-
-    /// True when no routes are installed.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
-    }
-
-    /// All prefixes with at least one route.
-    pub fn prefixes(&self) -> impl Iterator<Item = &Prefix> {
-        self.routes.keys()
-    }
-
     /// Longest-prefix match for an address: returns the candidate routes
     /// of the most specific covering prefix, ranked best-first by policy.
     pub fn lookup(&self, addr: u32) -> Vec<&Route> {

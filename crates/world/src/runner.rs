@@ -18,7 +18,7 @@ use edgeperf_analysis::{GroupKey, RecordShard, RecordSink, SessionRecord};
 use edgeperf_core::{session_hdratio, splitmix64, ResponseObs, SessionObs, HD_GOODPUT_BPS};
 use edgeperf_netsim::{FastFlow, PathState};
 use edgeperf_obs::Metrics;
-use edgeperf_routing::EdgeFabric;
+use edgeperf_routing::pin_sampled;
 use edgeperf_tcp::{TcpConfig, MILLISECOND};
 use edgeperf_workload::{SessionPlan, WorkloadConfig};
 use rand::Rng;
@@ -163,7 +163,6 @@ pub(crate) fn run_prefix_cancellable<S: RecordShard>(
 ) -> bool {
     let site = &world.prefixes[idx];
     let pop = world.pop(site.pop);
-    let fabric = EdgeFabric::default();
     let group = GroupKey {
         pop: site.pop,
         prefix: site.prefix,
@@ -189,9 +188,9 @@ pub(crate) fn run_prefix_cancellable<S: RecordShard>(
                 splitmix64(cfg.seed ^ (idx as u64) << 40 ^ (window as u64) << 16 ^ i as u64);
             let mut rng = ChaCha12Rng::seed_from_u64(session_id);
 
-            let choice = fabric.pin_sampled(session_id, site.routes.len());
-            let gt = &site.routes[choice.rank];
-            let cond = route_condition(world.seed, site, choice.rank, window);
+            let rank = pin_sampled(session_id, site.routes.len());
+            let gt = &site.routes[rank];
+            let cond = route_condition(world.seed, site, rank, window);
             let cluster_idx = pick_cluster(site, window, rng.gen::<f64>());
             let cluster = site.clusters[cluster_idx];
 
@@ -260,7 +259,7 @@ pub(crate) fn run_prefix_cancellable<S: RecordShard>(
             out.push(SessionRecord {
                 group,
                 window,
-                route_rank: choice.rank as u8,
+                route_rank: rank as u8,
                 relationship: gt.route.relationship,
                 longer_path: gt.longer_path,
                 more_prepended: gt.more_prepended,

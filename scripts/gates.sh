@@ -91,7 +91,7 @@ proof_kit_copies() {
 # read, so no other live-tier file names a mirrored metric — a second
 # writer is how `live.accepted` came to count late records twice.
 double_counts() {
-    ! grep -rnE '"[^"]*(live\.accepted|ingest\.reject\.|worker\.lost_records|live\.windows\.closed|live\.events\.|live\.episodes\.|live\.worker\.|store\.spill_errors|store\.degraded|store\.compactions)' \
+    ! grep -rnE '"[^"]*(live\.accepted|ingest\.reject\.|worker\.lost_records|live\.windows\.closed|live\.events\.|live\.episodes\.|live\.worker\.|store\.spill_errors|store\.degraded|store\.compactions|store\.query_)' \
         crates/live/src --include="*.rs" | grep -v "^crates/live/src/server/stats.rs:"
 }
 
@@ -351,15 +351,24 @@ study_resume() {
 
 # The line count ROADMAP tracks, with the split it quotes: test = files
 # under tests/, benches/ or examples/, and everything from a file's first
-# `#[cfg(test)]` on; then the five largest files, so the next 2,000-line
-# one is visible the week it appears. Reports; never fails.
+# `#[cfg(test)]` on; then the non-test lines of each crate (`crates/*`,
+# `benchmark`, and `.` for the root package's src/), largest first; then
+# the five largest files, so the next 2,000-line one is visible the week
+# it appears. Reports; never fails.
 tracked_lines() {
     git ls-files '*.rs' | xargs wc -l | tail -1
     git ls-files '*.rs' | xargs awk '
-        FNR == 1 { in_test = (FILENAME ~ /(^|\/)(tests|benches|examples)\//) }
+        FNR == 1 {
+            in_test = (FILENAME ~ /(^|\/)(tests|benches|examples)\//)
+            split(FILENAME, part, "/")
+            crate = part[1] == "crates" ? part[1] "/" part[2] : part[1] == "benchmark" ? "benchmark" : "."
+        }
         /^#\[cfg\(test\)\]/ { in_test = 1 }
-        { if (in_test) test++; else code++ }
-        END { printf "%d non-test, %d test\n", code, test }'
+        { if (in_test) test++; else { code++; per[crate]++ } }
+        END {
+            printf "%d non-test, %d test\n", code, test
+            for (c in per) printf "%7d non-test  %s\n", per[c], c | "sort -rn"
+        }'
     git ls-files '*.rs' | xargs wc -l | sort -rn | sed -n '2,6p'
 }
 
