@@ -176,10 +176,11 @@ mod tests {
     }
 
     /// Everything a sink holding just `shard` can be asked, as bits.
-    fn bits(mut sink: ColumnarSink, shard: ColumnarShard) -> (Vec<String>, String) {
+    fn bits(mut sink: ColumnarSink, shard: ColumnarShard) -> (Vec<String>, String, String) {
         sink.merge_shard(shard);
-        let rows = sink.rows().map(|(k, rtt, hd)| format!("{k:?} {rtt:?} {hd:?}")).collect();
-        (rows, format!("{:?}", sink.summarize().groups))
+        let rows = sink.rows().map(|(k, rtt)| format!("{k:?} {rtt:?}")).collect();
+        let hdratio = format!("{:?}", (sink.hdratio_rollup(), sink.hdratio().fig7()));
+        (rows, format!("{:?}", sink.summarize().groups), hdratio)
     }
 
     #[test]

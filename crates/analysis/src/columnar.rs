@@ -16,28 +16,31 @@
 //! would miss on almost every record.
 //!
 //! At join time [`ColumnarSink`] seals each shard as it adopts it, the
-//! way the streaming sink seals a prefix: one stable counting scatter
-//! over the per-cell counts the pass tracked lays a metric's rows out cell
-//! by cell in a transient column, the preferred route's cells first. Those
-//! rows — the only ones Figures 6–7 read — are kept in the narrowest
-//! [`ColumnForm`] that gives every value back to the bit, so their cell
-//! column becomes one `u32` end offset a cell. A study's MinRTTs are whole
-//! nanoseconds (the runner divides a nanosecond count by 10⁶) and its
-//! HDratios `achieved / tested`, a few hundred distinct ratios a prefix, so
-//! a kept row is 4 + 2 bytes. Then each cell's slice is sorted once and its
-//! order statistics go into the sink's summary grid; an alternate route's
-//! rows are never stored. The scheduler hands each prefix to exactly one
-//! worker, so shards share no group, and the sink refuses a shard that
-//! does: the group's cells are already summaries. [`ColumnarSink::rows`]
-//! and the sink's [`PreferredSessions`] view walk the kept cells, decoding
-//! as they go, and [`ColumnarSink::take_summaries`] hands the grid over.
+//! way the streaming sink seals a prefix. What Figures 6–7 read of
+//! HDratio — point masses by continent, and by Figure 7's MinRTT bucket a
+//! count of each distinct HDratio — goes into the sink's
+//! [`HdratioTally`] off the shard's preferred-route rows. Then one stable
+//! counting scatter over the per-cell counts the pass tracked lays a
+//! metric's rows out cell by cell in a transient column, the preferred
+//! route's cells first. Their MinRTTs — the only per-session values left
+//! to read, by Figure 6 — are kept in the narrowest form that gives every
+//! value back to the bit, so their cell column becomes one `u32` end
+//! offset a cell. A study's MinRTTs are whole nanoseconds (the runner
+//! divides a nanosecond count by 10⁶), so a kept row is 4 bytes. Then
+//! each cell's slice is sorted once and its order statistics go into the
+//! sink's summary grid; an alternate route's rows are never stored. The
+//! scheduler hands each prefix to exactly one worker, so shards share no
+//! group, and the sink refuses a shard that does: the group's cells are
+//! already summaries. [`ColumnarSink::rows`] and the sink's
+//! [`PreferredSessions`] view walk the kept cells, decoding as they go,
+//! and [`ColumnarSink::take_summaries`] hands the grid over.
 
 use crate::dataset::{in_dataset_order, median_and_variance, CellSummary, GroupSlots, Summaries};
-use crate::figures::PreferredSessions;
-use crate::hash::FxHashMap;
+use crate::figures::{HdratioCounts, HdratioTally, PreferredSessions};
 use crate::record::{GroupKey, SessionRecord};
 use crate::sink::{RecordShard, RecordSink, SinkStats};
 use edgeperf_routing::Relationship;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Identity of one (group, window, route-rank) cell.
@@ -111,26 +114,14 @@ impl ColumnarShard {
     }
 }
 
-/// How an adopted shard keeps one metric's rows: the first of these forms
-/// that gives every kept value of the shard back with the same `to_bits`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColumnForm {
-    /// Whole nanoseconds below 2³², a value being its count ÷ 10⁶ (a
-    /// MinRTT in ms): 4 B a row.
-    Nanos,
-    /// A code into a palette of this many distinct values (at most 65,536
-    /// and three quarters of the rows; the untested NaN is one of them):
-    /// 2 B a row, 8 B a value.
-    Palette(usize),
-    /// The `f64` itself: 8 B a row.
-    Plain,
-}
-
-/// One metric's rows in their [`ColumnForm`].
+/// An adopted shard's MinRTTs, in the first of these forms that gives
+/// every one of them back with the same `to_bits`.
 #[derive(Debug)]
 enum Column {
+    /// Whole nanoseconds below 2³², a value being its count ÷ 10⁶ (a
+    /// MinRTT in ms): 4 B a row.
     Nanos(Vec<u32>),
-    Palette { codes: Vec<u16>, palette: Vec<f64> },
+    /// The `f64` itself: 8 B a row.
     Plain(Vec<f64>),
 }
 
@@ -141,125 +132,66 @@ fn nanos_of(ms: f64) -> Option<u32> {
     (f64::from(nanos) / 1e6).to_bits().eq(&ms.to_bits()).then_some(nanos)
 }
 
-/// Every one of `values` as `encode` gives it, or `None` at the first it
-/// cannot: one exact-sized allocation, where collecting an `Option` grows
-/// by doubling.
-fn encoded<T>(values: &[f64], mut encode: impl FnMut(f64) -> Option<T>) -> Option<Vec<T>> {
-    let mut rows = Vec::with_capacity(values.len());
-    for &value in values {
-        rows.push(encode(value)?);
-    }
-    Some(rows)
-}
-
 impl Column {
     /// `values` in the first form that holds every one of them bit for bit.
     fn adopt(values: &[f64]) -> Column {
-        if let Some(nanos) = encoded(values, nanos_of) {
-            return Column::Nanos(nanos);
-        }
-        // A palette narrower than the values it codes: 2 B a row and 8 B an
-        // entry against 8 B a row.
-        let most = (values.len() / 4 * 3).min(1 << u16::BITS);
-        let (mut palette, mut index) = (Vec::new(), FxHashMap::default());
-        // Ratios such as k/2ⁿ differ only in their bits' high half, and
-        // FxHash picks a bucket by the low bits: mix and fold the halves
-        // (each a bijection) first.
-        let key = |value: f64| {
-            let mixed = value.to_bits().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            mixed ^ mixed >> 32
-        };
-        let code = |value: f64| match index.get(&key(value)) {
-            Some(&code) => Some(code),
-            None if palette.len() < most => {
-                let code = palette.len() as u16;
-                palette.push(value);
-                index.insert(key(value), code);
-                Some(code)
+        // One exact-sized allocation, where collecting an `Option` grows by
+        // doubling.
+        let mut nanos = Vec::with_capacity(values.len());
+        for &value in values {
+            match nanos_of(value) {
+                Some(n) => nanos.push(n),
+                None => return Column::Plain(values.to_vec()),
             }
-            None => None,
-        };
-        if let Some(codes) = encoded(values, code) {
-            palette.shrink_to_fit();
-            return Column::Palette { codes, palette };
         }
-        Column::Plain(values.to_vec())
-    }
-
-    fn form(&self) -> ColumnForm {
-        match self {
-            Column::Nanos(_) => ColumnForm::Nanos,
-            Column::Palette { palette, .. } => ColumnForm::Palette(palette.len()),
-            Column::Plain(_) => ColumnForm::Plain,
-        }
+        Column::Nanos(nanos)
     }
 
     /// Rows `rows`, decoded as they are read, their bits as adopted.
-    fn values(&self, rows: Range<usize>) -> Values<'_> {
-        match self {
-            Column::Nanos(nanos) => Values::Nanos(nanos[rows].iter()),
-            Column::Palette { codes, palette } => Values::Palette(codes[rows].iter(), palette),
-            Column::Plain(values) => Values::Plain(values[rows].iter()),
-        }
+    fn values(&self, rows: Range<usize>) -> impl Iterator<Item = f64> + '_ {
+        let (nanos, plain): (&[u32], &[f64]) = match self {
+            Column::Nanos(nanos) => (&nanos[rows], &[]),
+            Column::Plain(values) => (&[], &values[rows]),
+        };
+        nanos.iter().map(|&nanos| f64::from(nanos) / 1e6).chain(plain.iter().copied())
     }
 }
 
-/// A run of a [`Column`]'s rows, decoded.
-enum Values<'a> {
-    Nanos(std::slice::Iter<'a, u32>),
-    Palette(std::slice::Iter<'a, u16>, &'a [f64]),
-    Plain(std::slice::Iter<'a, f64>),
-}
-
-impl Iterator for Values<'_> {
-    type Item = f64;
-
-    #[inline]
-    fn next(&mut self) -> Option<f64> {
-        match self {
-            Values::Nanos(nanos) => nanos.next().map(|&nanos| f64::from(nanos) / 1e6),
-            Values::Palette(codes, palette) => codes.next().map(|&code| palette[code as usize]),
-            Values::Plain(values) => values.next().copied(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Values::Nanos(nanos) => nanos.size_hint(),
-            Values::Palette(codes, _) => codes.size_hint(),
-            Values::Plain(values) => values.size_hint(),
-        }
-    }
-}
-
-/// What the sink keeps of a shard: the rows of its preferred-route cells,
-/// laid out cell by cell — cell `ci` is rows `ends[ci - 1]..ends[ci]` of
-/// both columns, in the order its worker pushed them — so a row is its
-/// (MinRTT, HDratio) pair in the two columns' forms and a cell's place
-/// costs one `u32`.
+/// What the sink keeps of a shard: the MinRTTs of its preferred-route
+/// cells, laid out cell by cell — cell `ci` is rows `ends[ci - 1]..ends[ci]`,
+/// in the order its worker pushed them — so a cell's place costs one `u32`.
 #[derive(Debug)]
 struct AdoptedShard {
     cells: Vec<CellKey>,
     ends: Vec<u32>,
     min_rtt: Column,
-    /// NaN for a session that tested nothing.
-    hdratio: Column,
 }
 
 impl AdoptedShard {
-    /// Seal `shard`: summarise every cell into `grid`, in first-seen order
+    /// Seal `shard`: tally its tested preferred-route sessions into
+    /// `hdratio`, summarise every cell into `grid`, in first-seen order
     /// (so groups land in first-seen order too), and keep its
-    /// preferred-route rows. A stable counting scatter to the prefix sums
-    /// of the per-cell counts the pass tracked lays a metric out cell by
-    /// cell, preferred cells first, in one transient column; the preferred
-    /// rows are adopted into their narrowest form, then every cell's slice
-    /// is sorted once — its NaNs (the untested mark, a positive NaN) after
-    /// its samples — and read. MinRTT's statistics are taken before
-    /// HDratio is scattered into the same column.
-    fn adopt(shard: ColumnarShard, grid: &mut GroupSlots<CellSummary>) -> Self {
+    /// preferred-route MinRTTs. A stable counting scatter to the prefix
+    /// sums of the per-cell counts the pass tracked lays a metric out cell
+    /// by cell, preferred cells first, in one transient column; the
+    /// preferred MinRTTs are adopted into their narrowest form, then every
+    /// cell's slice is sorted once — its NaNs (the untested mark, a
+    /// positive NaN) after its samples — and read. MinRTT's statistics are
+    /// taken before HDratio is scattered into the same column.
+    fn adopt(
+        shard: ColumnarShard,
+        grid: &mut GroupSlots<CellSummary>,
+        hdratio: &mut HdratioTally,
+    ) -> Self {
         let rows = shard.cell.len();
         assert!(u32::try_from(rows).is_ok(), "a shard's rows fit u32");
         let cells = &shard.cells;
+        for ((&ci, &min_rtt), &h) in shard.cell.iter().zip(&shard.min_rtt).zip(&shard.hdratio) {
+            let CellKey { group, rank, .. } = cells[ci as usize].key;
+            if rank == 0 && !h.is_nan() {
+                hdratio.record(group.continent, min_rtt, h);
+            }
+        }
         let (preferred, alternate): (Vec<usize>, Vec<usize>) =
             (0..cells.len()).partition(|&ci| cells[ci].key.rank == 0);
         let mut starts = vec![0; cells.len()];
@@ -279,15 +211,18 @@ impl AdoptedShard {
                 column[next[ci as usize] as usize] = value;
                 next[ci as usize] += 1;
             }
-            let adopted = Column::adopt(&column[..kept]);
-            (0..cells.len()).for_each(|ci| column[rows_of(ci)].sort_unstable_by(f64::total_cmp));
-            adopted
         };
-        let min_rtt = scatter(&mut column, &shard.min_rtt);
+        let sort = |column: &mut [f64]| {
+            (0..cells.len()).for_each(|ci| column[rows_of(ci)].sort_unstable_by(f64::total_cmp));
+        };
+        scatter(&mut column, &shard.min_rtt);
+        let min_rtt = Column::adopt(&column[..kept]);
+        sort(&mut column);
         let min_rtt_stats: Vec<(f64, Option<f64>)> = (0..cells.len())
             .map(|ci| median_and_variance(&column[rows_of(ci)]).expect("a cell holds a session"))
             .collect();
-        let hdratio = scatter(&mut column, &shard.hdratio);
+        scatter(&mut column, &shard.hdratio);
+        sort(&mut column);
         for (ci, (meta, (min_rtt_p50, min_rtt_var))) in cells.iter().zip(min_rtt_stats).enumerate()
         {
             let tested = &column[rows_of(ci)][..meta.n_hd as usize];
@@ -310,18 +245,14 @@ impl AdoptedShard {
             cells: preferred.iter().map(|&ci| cells[ci].key).collect(),
             ends: preferred.iter().map(|&ci| starts[ci] + cells[ci].n_rtt).collect(),
             min_rtt,
-            hdratio,
         }
     }
 
-    /// Every session kept, cell by cell: its cell, its MinRTT (ms) and its
-    /// HDratio if it tested.
-    fn sessions(&self) -> impl Iterator<Item = (CellKey, f64, Option<f64>)> + '_ {
+    /// Every session kept, cell by cell: its cell and its MinRTT (ms).
+    fn sessions(&self) -> impl Iterator<Item = (CellKey, f64)> + '_ {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
         self.cells.iter().zip(starts.zip(&self.ends)).flat_map(|(&key, (start, &end))| {
-            let rows = start as usize..end as usize;
-            let rows = self.min_rtt.values(rows.clone()).zip(self.hdratio.values(rows));
-            rows.map(move |(min_rtt, hd)| (key, min_rtt, (!hd.is_nan()).then_some(hd)))
+            self.min_rtt.values(start as usize..end as usize).map(move |min_rtt| (key, min_rtt))
         })
     }
 }
@@ -352,13 +283,15 @@ impl RecordShard for ColumnarShard {
 }
 
 /// The exact study, sealed shard by shard as it is merged: every cell's
-/// summary, from its exact order statistics, and the preferred route's
-/// rows, which Figures 6–7 read.
+/// summary, from its exact order statistics, the preferred route's
+/// MinRTTs, which Figure 6 reads, and what Figures 6–7 read of its
+/// HDratios, tallied.
 #[derive(Debug)]
 pub struct ColumnarSink {
     pub(crate) n_windows: usize,
     summaries: GroupSlots<CellSummary>,
     preferred: Vec<AdoptedShard>,
+    hdratio: HdratioTally,
     records: u64,
     cells: u64,
 }
@@ -366,8 +299,8 @@ pub struct ColumnarSink {
 impl ColumnarSink {
     /// Empty sink over a fixed number of 15-minute windows.
     pub fn new(n_windows: usize) -> Self {
-        let summaries = GroupSlots::new(n_windows);
-        ColumnarSink { n_windows, summaries, preferred: Vec::new(), records: 0, cells: 0 }
+        let (summaries, hdratio) = (GroupSlots::new(n_windows), HdratioTally::default());
+        ColumnarSink { n_windows, summaries, preferred: Vec::new(), hdratio, records: 0, cells: 0 }
     }
 
     /// Distinct cells merged (shards never share a group).
@@ -383,29 +316,38 @@ impl ColumnarSink {
     }
 
     /// [`summarize`](Self::summarize) without the copy: the grid is handed
-    /// over and the sink keeps only its rows.
+    /// over and the sink keeps only its rows and tally.
     pub fn take_summaries(&mut self) -> Summaries {
         Summaries { groups: in_dataset_order(self.summaries.take()) }
     }
 
     /// Every preferred-route session, shard by shard and within a shard
     /// cell by cell (cells in first-seen order, a cell's sessions in the
-    /// order its worker pushed them): its cell, its MinRTT (ms) and its
-    /// HDratio if it tested.
-    pub fn rows(&self) -> impl Iterator<Item = (CellKey, f64, Option<f64>)> + '_ {
+    /// order its worker pushed them): its cell and its MinRTT (ms).
+    pub fn rows(&self) -> impl Iterator<Item = (CellKey, f64)> + '_ {
         self.preferred.iter().flat_map(AdoptedShard::sessions)
     }
 
-    /// The MinRTT form and HDratio form of every shard that kept rows, in
-    /// the order the shards were merged.
-    pub fn column_forms(&self) -> impl Iterator<Item = (ColumnForm, ColumnForm)> + '_ {
-        self.preferred.iter().map(|s| (s.min_rtt.form(), s.hdratio.form()))
+    /// For every shard that kept rows, in merge order, whether its MinRTTs
+    /// are kept as whole nanoseconds (4 B a row) rather than `f64`s (8 B).
+    pub fn min_rtt_in_nanos(&self) -> impl Iterator<Item = bool> + '_ {
+        self.preferred.iter().map(|s| matches!(s.min_rtt, Column::Nanos(_)))
+    }
+
+    /// The HDratio tally of every merged preferred-route session.
+    pub fn hdratio(&self) -> &HdratioTally {
+        &self.hdratio
+    }
+
+    /// Figure 6's HDratio point masses, as `StreamingDataset` answers them.
+    pub fn hdratio_rollup(&self) -> (HdratioCounts, BTreeMap<u8, HdratioCounts>) {
+        self.hdratio.rollup()
     }
 }
 
 impl PreferredSessions for ColumnarSink {
-    fn preferred_sessions(&self) -> impl Iterator<Item = (u8, f64, Option<f64>)> {
-        self.rows().map(|(cell, min_rtt, hdratio)| (cell.group.continent, min_rtt, hdratio))
+    fn preferred_sessions(&self) -> impl Iterator<Item = (u8, f64)> {
+        self.rows().map(|(cell, min_rtt)| (cell.group.continent, min_rtt))
     }
 }
 
@@ -440,7 +382,7 @@ impl RecordSink for ColumnarSink {
         }
         self.records += shard.cell.len() as u64;
         self.cells += shard.cells.len() as u64;
-        let kept = AdoptedShard::adopt(shard, &mut self.summaries);
+        let kept = AdoptedShard::adopt(shard, &mut self.summaries, &mut self.hdratio);
         if !kept.cells.is_empty() {
             self.preferred.push(kept);
         }
@@ -460,7 +402,7 @@ impl RecordSink for ColumnarSink {
 pub(crate) mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use crate::hash::FxHashSet;
+    use crate::hash::FxHashMap;
     use edgeperf_routing::{PopId, Prefix};
 
     pub(crate) fn rec(
@@ -516,8 +458,9 @@ pub(crate) mod tests {
 
     /// Every way the sink is read — its rows, Figures 6–7 and its summaries
     /// — gives the bits `records`, in merge order and held as `f64`s, give:
-    /// the rows are the preferred route's, and the summaries are
-    /// `Dataset::from_records`'s, groups in the same order.
+    /// the rows are the preferred route's MinRTTs, the HDratio tally
+    /// theirs, and the summaries are `Dataset::from_records`'s, groups in
+    /// the same order.
     fn assert_reads_as(mut sink: ColumnarSink, records: &[SessionRecord]) {
         // Rows come cell by cell, cells in first-seen order.
         let mut first_seen = FxHashMap::default();
@@ -528,18 +471,20 @@ pub(crate) mod tests {
                 let key = CellKey { group: r.group, window: r.window, rank: r.route_rank };
                 let next = first_seen.len();
                 let seen = *first_seen.entry(key).or_insert(next);
-                (seen, (key, r.min_rtt_ms.to_bits(), r.hdratio.map(f64::to_bits)))
+                (seen, (key, r.min_rtt_ms.to_bits()))
             })
             .collect();
         want.sort_by_key(|&(seen, _)| seen);
-        let rows = sink.rows().map(|(key, rtt, hd)| (key, rtt.to_bits(), hd.map(f64::to_bits)));
+        let rows = sink.rows().map(|(key, rtt)| (key, rtt.to_bits()));
         assert!(rows.eq(want.into_iter().map(|(_, row)| row)), "rows differ");
 
         // `{:?}` prints a float in its shortest round-trip form: equal text,
         // equal bits (-0.0 included).
-        use crate::figures::{fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt};
-        let figures = (fig6_minrtt(&sink), fig6_hdratio(&sink), fig7_hdratio_by_minrtt(&sink));
-        let want = (fig6_minrtt(records), fig6_hdratio(records), fig7_hdratio_by_minrtt(records));
+        use crate::figures::{fig6_minrtt, HdratioTally};
+        let tally = HdratioTally::of(records);
+        assert_eq!(sink.hdratio(), &tally);
+        let figures = (fig6_minrtt(&sink), sink.hdratio_rollup(), sink.hdratio().fig7());
+        let want = (fig6_minrtt(records), tally.rollup(), tally.fig7());
         assert_eq!(format!("{figures:?}"), format!("{want:?}"));
         let whole = Dataset::from_records(records, 4);
         assert_eq!(sink.cell_count(), whole.cell_count());
@@ -641,51 +586,16 @@ pub(crate) mod tests {
         let shards = [
             // Whole nanoseconds up to the most a `u32` counts.
             study_shaped(1, 400, |i| if i == 8 { u32::MAX.into() } else { distinct(i) }),
-            // One 2³² ns among 50 whole milliseconds: a palette, this shard only.
+            // One 2³² ns among whole milliseconds: plain, this shard only.
             study_shaped(2, 400, |i| if i == 8 { 1 << 32 } else { 1_000_000 * (i as u64 % 50) }),
-            // One -0.0 among 200 distinct values, too many for a palette.
+            // One -0.0 among whole nanoseconds.
             negative_zero,
             (0..36).map(|i| rec(4, (i % 4) as u32, 0, edges[i % 9], ratios[i % 5])).collect(),
+            study_shaped(5, 400, distinct),
         ];
-        let hdratios = |records: &[SessionRecord]| {
-            let preferred = records.iter().filter(|r| r.route_rank == 0);
-            let bits = preferred.map(|r| r.hdratio.unwrap_or(f64::NAN).to_bits());
-            ColumnForm::Palette(bits.collect::<FxHashSet<_>>().len())
-        };
         let sink = adopted(&shards);
-        assert_eq!(
-            sink.column_forms().collect::<Vec<_>>(),
-            [
-                (ColumnForm::Nanos, hdratios(&shards[0])),
-                (ColumnForm::Palette(51), hdratios(&shards[1])),
-                (ColumnForm::Plain, hdratios(&shards[2])),
-                (ColumnForm::Palette(9), ColumnForm::Palette(5)),
-            ]
-        );
-        assert_reads_as(sink, &shards.concat());
-    }
-
-    #[test]
-    fn a_palette_holds_at_most_65_536_values() {
-        // Every HDratio twice, so that a palette is narrower than the values,
-        // all on the preferred route, so that every row is kept.
-        let twice = |prefix: u32, distinct: usize| -> Vec<SessionRecord> {
-            let session = |i: usize| {
-                let min_rtt = (20_000_000 + i as u64 % 977) as f64 / 1e6;
-                let hdratio = (i % distinct) as f64 / distinct as f64;
-                rec(prefix, (i % 4) as u32, 0, min_rtt, Some(hdratio))
-            };
-            (0..2 * distinct).map(session).collect()
-        };
-        let shards = [twice(1, 1 << 16), twice(2, (1 << 16) + 1)];
-        let sink = adopted(&shards);
-        assert_eq!(
-            sink.column_forms().collect::<Vec<_>>(),
-            [
-                (ColumnForm::Nanos, ColumnForm::Palette(1 << 16)),
-                (ColumnForm::Nanos, ColumnForm::Plain)
-            ]
-        );
+        let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();
+        assert_eq!(nanos, [true, false, false, false, true]);
         assert_reads_as(sink, &shards.concat());
     }
 }

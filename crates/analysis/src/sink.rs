@@ -14,11 +14,11 @@
 //!   rows (cell id, MinRTT, HDratio) to columnar shards that the sink
 //!   seals at join time, as the streaming sink seals a prefix: every
 //!   cell's summary goes into its grid, from the cell's exact order
-//!   statistics, and only the preferred route's rows are kept — regrouped
-//!   by cell, each metric in the narrowest lossless
-//!   [form](crate::columnar::ColumnForm), 6 bytes a study's preferred
-//!   session — for the per-session view of Figures 6–7. Memory grows by a
-//!   summary a cell and those 6 bytes a preferred session.
+//!   statistics, what Figures 6–7 read of HDratio into a
+//!   [tally](crate::figures::HdratioTally), and only the preferred route's
+//!   MinRTTs are kept, grouped by cell, for Figure 6. Memory grows by a
+//!   summary a cell, 4 bytes a study's preferred session (a whole number
+//!   of nanoseconds) and an entry a distinct HDratio.
 //! - [`StreamingDataset`] — the production path (§3.4.1): t-digest cells
 //!   keyed exactly like the exact dataset's, each reduced to its summary
 //!   when the runner [seals](RecordShard::seal) the work item that filled
@@ -284,14 +284,6 @@ impl StreamingDataset {
         self.open.get(key)
     }
 
-    /// The counters of `continent`, grown to it on first sight.
-    fn hdratio_of(&mut self, continent: usize) -> &mut HdratioCounts {
-        if self.hdratio.len() <= continent {
-            self.hdratio.resize(continent + 1, HdratioCounts::default());
-        }
-        &mut self.hdratio[continent]
-    }
-
     fn assert_finalized(&self) {
         assert!(self.open.slots.is_empty(), "finalize first: a group is still open");
     }
@@ -348,7 +340,7 @@ impl StreamingDataset {
 
     /// Per-session HDratio point masses over preferred-route sessions:
     /// overall and for every continent with a tested session (streaming
-    /// analogue of [`crate::figures::fig6_hdratio`]). Counted as records
+    /// analogue of [`ColumnarSink::hdratio_rollup`]). Counted as records
     /// arrive, so open groups are covered.
     pub fn hdratio_rollup(&self) -> (HdratioCounts, BTreeMap<u8, HdratioCounts>) {
         HdratioCounts::rollup(&self.hdratio)
@@ -363,7 +355,7 @@ impl RecordShard for StreamingDataset {
             .get_or_insert_with(|| StreamingCell::new(r.relationship))
             .push(r.min_rtt_ms, r.hdratio, r.bytes, r.longer_path, r.more_prepended);
         if let (0, Some(h)) = (r.route_rank, r.hdratio) {
-            self.hdratio_of(r.group.continent as usize).record(h);
+            HdratioCounts::of(&mut self.hdratio, r.group.continent).record(h);
         }
     }
 
@@ -408,7 +400,7 @@ impl RecordSink for StreamingDataset {
         self.sealed.extend(shard.sealed);
         self.compressions += shard.compressions;
         for (continent, theirs) in shard.hdratio.iter().enumerate() {
-            self.hdratio_of(continent).add(theirs);
+            HdratioCounts::of(&mut self.hdratio, continent as u8).add(theirs);
         }
         for (key, g) in shard.open.slots {
             assert!(self.open.get(&key).is_none(), "group {key:?} reached the sink in two shards");
@@ -601,14 +593,14 @@ mod tests {
             assert_eq!(ka, kb, "a sink nobody sealed keeps first-seen order");
             assert_eq!(grid_bits(ga), grid_bits(gb));
         }
-        // The exact sink counts the same point masses off its rows.
+        // The exact sink tallies the same point masses as it merges.
         let mut columnar = ColumnarSink::new(4);
         let mut shard = columnar.new_shard();
         records.iter().for_each(|r| shard.push(*r));
         columnar.merge_shard(shard);
-        let exact = crate::figures::fig6_hdratio(&columnar);
+        let exact = columnar.hdratio_rollup();
         assert_eq!(exact, stream.hdratio_rollup());
-        assert_eq!(exact, crate::figures::fig6_hdratio(&records[..]));
+        assert_eq!(exact, crate::figures::HdratioTally::of(&records).rollup());
         assert_eq!((exact.0.tested, exact.1.len()), (1_333, 5));
         // And they are a per-session CDF's readings, bit for bit.
         let cdf_of = |continent: Option<u8>| {

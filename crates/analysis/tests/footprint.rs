@@ -1,16 +1,16 @@
 //! Footprint gate: a cell costs what it holds, the streaming sink holds
 //! digests only for the group in flight, the exact sink holds a summary a
-//! cell and every preferred-route session once — in 6 bytes when it is
-//! shaped like a study's, 16 at most — and Figures 6–7 read it without
-//! copying it. Heap bytes are counted
-//! exactly by the counting global allocator in `counting/`, which is why
-//! this is a test binary of its own with a single `#[test]`.
+//! cell, every preferred-route session's MinRTT once — in 4 bytes when it
+//! is shaped like a study's, 8 at most — and an HDratio tally bounded by
+//! the distinct HDratios, and Figures 6–7 read it without copying it. Heap
+//! bytes are counted exactly by the counting global allocator in
+//! `counting/`, which is why this is a test binary of its own with a
+//! single `#[test]`.
 
 mod counting;
 
 use counting::{count_this_thread, heap_of, peak_above};
-use edgeperf_analysis::columnar::ColumnForm;
-use edgeperf_analysis::figures::{fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt};
+use edgeperf_analysis::figures::{fig6_minrtt, HdratioTally};
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
     ColumnarSink, GroupKey, SessionRecord, StreamingAggregation, StreamingDataset,
@@ -86,19 +86,24 @@ fn sealed_dataset(groups: u32, per_cell: usize) -> StreamingDataset {
     sink
 }
 
-/// Two merged shards, of `groups[0]` and `groups[1]` groups, `per_cell`
-/// sessions made by `session` in each cell.
-fn columnar_sink(
+/// The sessions of two shards, of `groups[0]` and `groups[1]` groups,
+/// `per_cell` sessions made by `session` in each cell, in push order.
+fn shards(
     groups: [u32; 2],
     per_cell: usize,
     session: fn(u32, usize) -> SessionRecord,
-) -> ColumnarSink {
+) -> [Vec<SessionRecord>; 2] {
+    [0..groups[0] * 8, groups[0] * 8..(groups[0] + groups[1]) * 8].map(|cells| {
+        (0..per_cell).flat_map(|i| cells.clone().map(move |cell| session(cell, i))).collect()
+    })
+}
+
+/// `shards` merged in order.
+fn columnar_sink(shards: &[Vec<SessionRecord>]) -> ColumnarSink {
     let mut sink = ColumnarSink::new(4);
-    for cells in [0..groups[0] * 8, groups[0] * 8..(groups[0] + groups[1]) * 8] {
+    for records in shards {
         let mut shard = sink.new_shard();
-        for i in 0..per_cell {
-            cells.clone().for_each(|cell| shard.push(session(cell, i)));
-        }
+        records.iter().for_each(|r| shard.push(*r));
         sink.merge_shard(shard);
     }
     sink
@@ -160,61 +165,76 @@ fn cells_cost_what_they_hold() {
     );
 
     // The exact sink seals each shard as it merges it: every cell becomes a
-    // summary in its grid, and only a preferred-route session keeps a row
+    // summary in its grid, what Figures 6–7 read of HDratio goes into its
+    // tally, and only a preferred-route session keeps a row, its MinRTT
     // (the shard's kept rows lie grouped by cell, so no row names its
-    // cell). Beside the grid and the cell and group tables — what the same
-    // layout holds with one session per cell, whose 16 B rows are these
-    // sessions' plain `f64`s — a study's preferred session is a 6 B row,
-    // its MinRTT in whole nanoseconds and a code into its shard's palette
-    // of HDratios (8 B an entry), no session is more than 16, and an
-    // alternate route's sessions hold no row bytes at all.
+    // cell). Beside the grid, the cell and group tables — what the same
+    // layout holds with one untested session per cell — and the tally, a
+    // study's preferred session is a 4 B row, its MinRTT in whole
+    // nanoseconds, no session is more than 8, and an alternate route's
+    // sessions hold no row bytes at all.
     let groups = [64, 192];
     let cells = (groups[0] + groups[1]) as usize * 8;
     let preferred_cells = cells / 2;
-    let (_skeleton, skeleton_bytes) = heap_of(|| columnar_sink(groups, 1, session));
-    let table_bytes = skeleton_bytes - 16 * preferred_cells;
+    let (skeleton, skeleton_bytes) = heap_of(|| columnar_sink(&shards(groups, 1, study_session)));
+    assert_eq!(skeleton.hdratio_rollup().0.tested, 0, "session 0 tests nothing");
+    let table_bytes = skeleton_bytes - 4 * preferred_cells;
+    drop(skeleton);
     let per_cell = 40;
-    let (study, bytes) = heap_of(|| columnar_sink(groups, per_cell, study_session));
-    assert_eq!(study.stats().records as usize, cells * per_cell);
-    let rows = study.rows().count();
-    assert_eq!(rows, preferred_cells * per_cell);
-    assert!(study.rows().all(|(cell, ..)| cell.rank == 0), "an alternate row is held");
-    let mut palettes = 0;
-    for (min_rtt, hdratio) in study.column_forms() {
-        assert_eq!(min_rtt, ColumnForm::Nanos);
-        let ColumnForm::Palette(values) = hdratio else { panic!("HDratios kept {hdratio:?}") };
-        palettes += values;
+    for (session, row_bytes) in
+        [(study_session as fn(u32, usize) -> SessionRecord, 4), (session, 8)]
+    {
+        let sessions = shards(groups, per_cell, session);
+        let (sink, bytes) = heap_of(|| columnar_sink(&sessions));
+        let (tally, tally_bytes) = heap_of(|| HdratioTally::of(&sessions.concat()));
+        assert_eq!(sink.hdratio(), &tally);
+        assert_eq!(sink.stats().records as usize, cells * per_cell);
+        let rows = sink.rows().count();
+        assert_eq!(rows, preferred_cells * per_cell);
+        assert!(sink.rows().all(|(cell, _)| cell.rank == 0), "an alternate row is held");
+        assert!(sink.min_rtt_in_nanos().all(|nanos| nanos == (row_bytes == 4)));
+        assert!(
+            bytes <= row_bytes * rows + table_bytes + tally_bytes,
+            "{rows} preferred rows in {bytes} B beside {table_bytes} B of grid and tables and a {tally_bytes} B tally"
+        );
     }
-    assert!(
-        bytes <= 6 * rows + 8 * palettes + table_bytes,
-        "{rows} study-shaped preferred rows ({palettes} palette entries) in {bytes} B beside {table_bytes} B of grid and tables"
-    );
-    drop(study);
-    let (_sink, bytes) = heap_of(|| columnar_sink(groups, per_cell, session));
-    assert!(
-        bytes <= 16 * rows + table_bytes,
-        "{rows} preferred rows in {bytes} B beside {table_bytes} B of grid and tables"
-    );
 
-    // Figures 6–7 read their ranks and counts off those rows in place: one
-    // 65,536-counter histogram (512 KiB) beside room for the samples of
-    // the histogram buckets a wanted rank fell in (8 B each; a bucket is a
-    // sixteenth of an octave, and these uniform samples put under an
-    // eighth of them into any two) — never the 16 B a preferred session of
-    // a CDF. Over 400 cells that bound leaves a copy of the sessions no
-    // room beside the histogram; over 200,000 preferred sessions a copy
-    // alone (3 MiB) breaks it.
+    // The tally holds an entry a distinct HDratio and Figure 7 bucket,
+    // 64 B at most, and no more for more sessions: a study's HDratios are
+    // `achieved / tested` ratios, a few thousand distinct.
+    let tally = |per_cell: usize| {
+        let sessions = shards([1, 3], per_cell, study_session).concat();
+        heap_of(|| HdratioTally::of(&sessions))
+    };
+    let ((few, few_bytes), (many, many_bytes)) = (tally(400), tally(4_000));
+    assert_eq!(many.rollup().0.tested, 10 * few.rollup().0.tested);
+    assert_eq!(few.distinct_hdratios(), many.distinct_hdratios());
+    assert_eq!(few_bytes, many_bytes, "the tally grew with the sessions");
+    let distinct = few.distinct_hdratios();
+    assert!(distinct > 50 && few_bytes <= 64 * distinct + 1024, "{distinct} in {few_bytes} B");
+
+    // Figure 6 reads its ranks off those rows in place: one 65,536-counter
+    // histogram (512 KiB) beside room for the samples of the histogram
+    // buckets a wanted rank fell in (8 B each; a bucket is a sixteenth of
+    // an octave, and these uniform samples put under an eighth of them
+    // into any two) — never the 16 B a preferred session of a CDF, nor a
+    // 4 B copy of the rows. Figure 7 reads the tally: one list of its
+    // distinct HDratios. Over 400 cells that bound leaves a copy of the
+    // sessions no room beside the histogram; over 200,000 preferred
+    // sessions a copy alone (800 KiB) breaks it.
     for (sink, preferred) in [
-        (columnar_sink([10, 40], 40, session), 8_000),
-        (columnar_sink([1, 0], 50_000, session), 200_000),
+        (columnar_sink(&shards([10, 40], 40, study_session)), 8_000),
+        (columnar_sink(&shards([1, 0], 50_000, study_session)), 200_000),
     ] {
         let (figures, held, transient) =
-            peak_above(|| (fig6_minrtt(&sink), fig6_hdratio(&sink), fig7_hdratio_by_minrtt(&sink)));
+            peak_above(|| (fig6_minrtt(&sink), sink.hdratio_rollup(), sink.hdratio().fig7()));
+        let tested = preferred * 4 / 5;
         assert_eq!(figures.0 .0.sessions, preferred);
-        assert_eq!(figures.1 .0.tested, preferred);
-        assert_eq!(figures.2.iter().map(|b| b.hdratio.tested).sum::<u64>(), preferred);
+        assert_eq!(figures.1 .0.tested, tested);
+        assert_eq!(figures.2.iter().map(|b| b.hdratio.tested).sum::<u64>(), tested);
+        let distinct = sink.hdratio().distinct_hdratios();
         assert!(
-            held + transient <= (512 << 10) + 8 * preferred as usize / 8 + 1024,
+            held + transient <= (512 << 10) + 8 * preferred as usize / 8 + 16 * distinct + 1024,
             "figures 6-7 over {preferred} preferred sessions peaked {transient} B above the {held} B they return"
         );
     }

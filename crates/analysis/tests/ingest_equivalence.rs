@@ -4,6 +4,7 @@
 //! streams — including streams that defeat the memo (interleaved cells)
 //! and streams split across worker shards.
 
+use edgeperf_analysis::figures::HdratioTally;
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{ColumnarSink, Dataset, GroupKey, SessionRecord};
 use edgeperf_routing::{PopId, Prefix, Relationship};
@@ -143,7 +144,8 @@ proptest! {
     /// Columnar shards from an arbitrary by-group split of the stream
     /// summarise to what a single `from_records` pass over the same records
     /// in merge order summarises to, bit for bit and in the same group
-    /// order, and keep the preferred route's sessions, cell by cell.
+    /// order, keep the preferred route's MinRTTs, cell by cell, and tally
+    /// their HDratios.
     #[test]
     fn columnar_shard_split_matches_baseline(raw in raw_stream(), n_shards in 1usize..5) {
         let records = materialize(&raw);
@@ -168,18 +170,16 @@ proptest! {
             format!("{:?}", sink.summarize().groups),
             format!("{:?}", whole.summarize().groups)
         );
-        let bits = |(g, w, rank, rtt, hd): (GroupKey, u32, u8, f64, Option<f64>)| {
-            (g, w, rank, rtt.to_bits(), hd.map(f64::to_bits))
-        };
+        prop_assert_eq!(sink.hdratio(), &HdratioTally::of(&merged));
         let mut want: Vec<_> = merged
             .iter()
             .filter(|r| r.route_rank == 0)
-            .map(|r| bits((r.group, r.window, 0, r.min_rtt_ms, r.hdratio)))
+            .map(|r| (r.group, r.window, 0, r.min_rtt_ms.to_bits()))
             .collect();
         let mut rows: Vec<_> =
-            sink.rows().map(|(c, rtt, hd)| bits((c.group, c.window, c.rank, rtt, hd))).collect();
+            sink.rows().map(|(c, rtt)| (c.group, c.window, c.rank, rtt.to_bits())).collect();
         // Rows come cell by cell; within a cell, in the order pushed.
-        let cell = |r: &(GroupKey, u32, u8, u64, Option<u64>)| (r.0.prefix.base, r.0.pop.0, r.1);
+        let cell = |r: &(GroupKey, u32, u8, u64)| (r.0.prefix.base, r.0.pop.0, r.1);
         want.sort_by_key(cell);
         rows.sort_by_key(cell);
         prop_assert_eq!(rows, want);

@@ -38,10 +38,10 @@
 //! which no cell holds), skipped with a note (`fig7 --streaming` alone
 //! prints it without running a study). The output is byte-identical run to
 //! run and at any worker count. Per-worker scheduler counters are printed
-//! either way. The study's experiments run straight after it, their text
-//! held for its place in the output, so the exact sink's rows, most of the
-//! job's memory, are dropped once no experiment still to run reads them
-//! (after `fig7` under `all`) and nothing else runs on top of them.
+//! either way. What never reads the study runs before it, and its own
+//! experiments straight after it, so the exact sink's MinRTT rows, most
+//! of the job's memory, are dropped once no experiment still to run reads
+//! them (after `fig7` under `all`) and nothing else runs on top of them.
 //!
 //! `--metrics` prints the observability snapshot (counters, gauges,
 //! latency histograms, phase spans) to stderr after the run;
@@ -204,6 +204,35 @@ fn main() {
     };
     let mut printed = String::new();
 
+    // Figures 1–5 never read the study: nothing they leave sits on top of it.
+    let workload_n = ((30_000.0 * a.scale) as usize).max(2_000);
+    if matches!(exp, "fig1" | "fig2" | "fig3" | "all") {
+        let out = workload_figs::run(a.seed, workload_n);
+        let _ = writeln!(printed, "{out}");
+        write_json(&a.json, "fig1-3", serde_json::to_value(&out).unwrap());
+    }
+    if matches!(exp, "fig4" | "all") {
+        let rows = fig4::run();
+        let _ = writeln!(printed, "{}", fig4::render(&rows));
+        write_json(&a.json, "fig4", serde_json::to_value(&rows).unwrap());
+    }
+    if matches!(exp, "validation" | "all") {
+        let res = validation::run(a.scale);
+        let _ = writeln!(printed, "{res}");
+        write_json(&a.json, "validation", serde_json::to_value(&res).unwrap());
+    }
+    if matches!(exp, "fig5" | "grouping" | "all") {
+        let days = if a.days > 0 { a.days } else { 3 };
+        let pts = fig5::run(a.seed, days, ((400.0 * a.scale) as usize).max(100));
+        if matches!(exp, "fig5" | "all") {
+            let _ = writeln!(printed, "{}", fig5::render(&pts));
+            write_json(&a.json, "fig5", serde_json::to_value(&pts).unwrap());
+        }
+        let g = fig5::grouping_comparison(&pts);
+        let _ = writeln!(printed, "{}", fig5::render_grouping(&g));
+        write_json(&a.json, "grouping", serde_json::to_value(&g).unwrap());
+    }
+
     let mut data: Option<study::StudyData> = None;
     if needs_study(&a) {
         let mut b = study_builder(&a, &metrics);
@@ -250,9 +279,7 @@ fn main() {
     }
 
     // The study experiments run straight after the study, so the rows are
-    // gone before anything else runs; their text waits for its place in
-    // `printed`, after `grouping`.
-    let mut study_printed = String::new();
+    // gone before anything else runs.
     {
         // One entry per study experiment, whichever sink ran: the printed
         // text and the JSON, or `None` when the sink kept too little.
@@ -295,7 +322,7 @@ fn main() {
         ];
         let wanted = |name: &str| exp == name || exp == "all";
         for (i, (name, run)) in experiments.into_iter().enumerate() {
-            // The rows go with their last reader: Figure 6 or 7.
+            // The rows and tally go with their last reader: Figure 6 or 7.
             let reads_rows =
                 |(n, _): &(&str, Experiment)| wanted(n) && matches!(*n, "fig6" | "fig7");
             if let Some(d) = data.as_mut().filter(|_| !experiments[i..].iter().any(reads_rows)) {
@@ -311,12 +338,12 @@ fn main() {
             };
             match out {
                 Some((text, json)) => {
-                    let _ = writeln!(study_printed, "{text}");
+                    let _ = writeln!(printed, "{text}");
                     write_json(&a.json, name, json);
                 }
                 None => {
                     let _ = writeln!(
-                        study_printed,
+                        printed,
                         "== {name}: skipped — needs per-session records; rerun without --streaming ==\n"
                     );
                 }
@@ -324,34 +351,6 @@ fn main() {
         }
     }
 
-    let workload_n = ((30_000.0 * a.scale) as usize).max(2_000);
-    if matches!(exp, "fig1" | "fig2" | "fig3" | "all") {
-        let out = workload_figs::run(a.seed, workload_n);
-        let _ = writeln!(printed, "{out}");
-        write_json(&a.json, "fig1-3", serde_json::to_value(&out).unwrap());
-    }
-    if matches!(exp, "fig4" | "all") {
-        let rows = fig4::run();
-        let _ = writeln!(printed, "{}", fig4::render(&rows));
-        write_json(&a.json, "fig4", serde_json::to_value(&rows).unwrap());
-    }
-    if matches!(exp, "validation" | "all") {
-        let res = validation::run(a.scale);
-        let _ = writeln!(printed, "{res}");
-        write_json(&a.json, "validation", serde_json::to_value(&res).unwrap());
-    }
-    if matches!(exp, "fig5" | "grouping" | "all") {
-        let days = if a.days > 0 { a.days } else { 3 };
-        let pts = fig5::run(a.seed, days, ((400.0 * a.scale) as usize).max(100));
-        if matches!(exp, "fig5" | "all") {
-            let _ = writeln!(printed, "{}", fig5::render(&pts));
-            write_json(&a.json, "fig5", serde_json::to_value(&pts).unwrap());
-        }
-        let g = fig5::grouping_comparison(&pts);
-        let _ = writeln!(printed, "{}", fig5::render_grouping(&g));
-        write_json(&a.json, "grouping", serde_json::to_value(&g).unwrap());
-    }
-    printed.push_str(&study_printed);
     if matches!(exp, "cc" | "all") {
         let rows = cc_compare::run(a.seed, ((1_500.0 * a.scale) as usize).max(200));
         let _ = writeln!(printed, "{}", cc_compare::render(&rows));

@@ -2,8 +2,7 @@
 //! world run.
 
 use edgeperf_analysis::figures::{
-    fig10_by_relationship, fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt, fig8_degradation,
-    fig9_opportunity, DiffCdfs, RelPair,
+    fig10_by_relationship, fig6_minrtt, fig8_degradation, fig9_opportunity, DiffCdfs, RelPair,
 };
 use edgeperf_analysis::tables::{table1, table2, AnalysisKind, Table2Row};
 use edgeperf_analysis::{
@@ -148,8 +147,8 @@ impl StudyBuilder {
 
 /// The per-session view of a study, as its sink kept it.
 pub enum Sessions {
-    /// Every preferred-route session's cell, MinRTT and HDratio (exact
-    /// sink, its summaries taken).
+    /// Every preferred-route session's cell and MinRTT, and the HDratio
+    /// tally behind Figures 6–7 (exact sink, its summaries taken).
     Columns(ColumnarSink),
     /// The streaming sink once sealed: Figure 6's MinRTT rollup digests
     /// and HDratio counters, no per-session row.
@@ -163,8 +162,8 @@ pub struct StudyData {
     /// One summary per (group, window, route-rank) cell.
     pub summaries: Summaries,
     /// Per-session measurements, read by [`fig6`] and [`fig7`] alone. The
-    /// exact sink's are most of the job's memory: `repro` sets this to
-    /// `None` once nothing it still has to run reads them.
+    /// exact sink's MinRTT rows are most of the job's memory: `repro` sets
+    /// this to `None` once nothing it still has to run reads them.
     pub sessions: Option<Sessions>,
     /// Analysis configuration used.
     pub cfg: AnalysisConfig,
@@ -201,11 +200,11 @@ impl StudyBuilder {
     /// The [`ColumnarSink`] is the only thing the run fills. It seals each
     /// prefix as the driver merges it: every cell's summary goes into its
     /// grid, read off the cell's exact order statistics (bit-identical to
-    /// summarising the assembled `Dataset` — see `sink_agreement`), and
-    /// only the preferred route's rows are kept, 6 bytes a session (a
-    /// MinRTT in whole nanoseconds, an HDratio as a code into its prefix's
-    /// palette) grouped by cell. The grid is handed over, not copied;
-    /// Figures 6–7 read their ranks and counts off the rows in place.
+    /// summarising the assembled `Dataset` — see `sink_agreement`), what
+    /// Figures 6–7 read of HDratio is tallied, and only the preferred
+    /// route's MinRTTs are kept, 4 bytes a session (whole nanoseconds)
+    /// grouped by cell. The grid is handed over, not copied; Figure 6
+    /// reads its ranks off the rows in place.
     ///
     /// # Errors
     ///
@@ -334,9 +333,9 @@ pub struct Fig6Summary {
 
 /// Compute the Figure 6 summary.
 ///
-/// From the exact sink's rows the MinRTT quantiles are exact ranks read in
-/// place and the HDratio point masses are counts: no copy of the sessions
-/// is made. From the streaming sink the MinRTT quantiles come off its
+/// From the exact sink the MinRTT quantiles are exact ranks read in place
+/// off its rows and the HDratio point masses are the counts it tallied: no
+/// copy of the sessions is made. From the streaming sink the MinRTT quantiles come off its
 /// rollup digests (the sealed groups' merged in work-item order — within a
 /// percent of exact, see EXPERIMENTS.md) and the HDratio point masses off
 /// the counters it kept as records arrived, which equal the exact sink's.
@@ -358,7 +357,7 @@ pub fn fig6(data: &StudyData) -> Fig6Summary {
         }
     };
     let (hd_all, hd_cont) = match sessions {
-        Sessions::Columns(sink) => fig6_hdratio(sink),
+        Sessions::Columns(sink) => sink.hdratio_rollup(),
         Sessions::Digests(ds) => ds.hdratio_rollup(),
     };
     Fig6Summary {
@@ -387,8 +386,8 @@ pub struct Fig7Row {
     pub frac_one: f64,
 }
 
-/// Compute Figure 7 rows. `None` from the streaming sink, which keeps no
-/// per-session rows: the joint MinRTT × HDratio distribution is in no
+/// Compute Figure 7 rows, off the exact sink's HDratio tally. `None` from
+/// the streaming sink: the joint MinRTT × HDratio distribution is in no
 /// per-cell summary or digest.
 ///
 /// # Panics
@@ -396,7 +395,9 @@ pub struct Fig7Row {
 pub fn fig7(data: &StudyData) -> Option<Vec<Fig7Row>> {
     let sessions = data.sessions.as_ref().expect("fig7 reads the per-session view");
     let Sessions::Columns(sink) = sessions else { return None };
-    let rows = fig7_hdratio_by_minrtt(sink)
+    let rows = sink
+        .hdratio()
+        .fig7()
         .into_iter()
         .map(|b| Fig7Row {
             bucket: b.label.to_string(),
@@ -687,7 +688,6 @@ pub fn render_table2(outputs: &[Table2Output]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgeperf_analysis::columnar::ColumnForm;
     use edgeperf_analysis::RecordSink;
 
     fn small() -> StudyBuilder {
@@ -752,17 +752,17 @@ mod tests {
     fn a_quick_study_keeps_every_shard_compact() {
         // The runner writes a MinRTT as whole nanoseconds and an HDratio
         // as `achieved / tested`: were either to change, the exact sink
-        // would fall back to 8 B a value without any output changing.
+        // would fall back to 8 B a MinRTT, or tally an entry an HDratio,
+        // without any output changing.
         let data = StudyBuilder::new().scale(0.1).run().unwrap();
         let Some(Sessions::Columns(sink)) = &data.sessions else { panic!("an exact study") };
-        let forms: Vec<_> = sink.column_forms().collect();
-        assert!(forms.len() > 10, "{} shards", forms.len());
-        for (shard, (min_rtt, hdratio)) in forms.into_iter().enumerate() {
-            assert_eq!(min_rtt, ColumnForm::Nanos, "shard {shard}");
-            assert_ne!(hdratio, ColumnForm::Plain, "shard {shard}");
-        }
+        let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();
+        assert!(nanos.len() > 10 && nanos.iter().all(|&n| n), "{nanos:?}");
+        let (tested, distinct) =
+            (sink.hdratio_rollup().0.tested, sink.hdratio().distinct_hdratios());
+        assert!(distinct > 0 && (distinct as u64) < tested / 10, "{distinct} distinct of {tested}");
         // Alternate routes are summaries only: no row of theirs is held.
-        assert!(sink.rows().all(|(cell, ..)| cell.rank == 0));
+        assert!(sink.rows().all(|(cell, _)| cell.rank == 0));
         let alternates = data.summaries.groups.iter().flat_map(|(_, g)| g.ranks.iter().skip(1));
         assert!(alternates.flatten().flatten().count() > 0, "the study measured alternates");
     }

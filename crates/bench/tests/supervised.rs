@@ -4,7 +4,7 @@
 //! and crash → `resume_from` → completion bit-identical to an
 //! uninterrupted run.
 
-use edgeperf_analysis::GroupKey;
+use edgeperf_analysis::{ColumnarSink, GroupKey};
 use edgeperf_bench::study::{self, Sessions, StudyBuilder, StudyData};
 use edgeperf_world::FaultPlan;
 use std::path::{Path, PathBuf};
@@ -26,17 +26,18 @@ fn plan(spec: &str) -> FaultPlan {
     FaultPlan::parse(spec).unwrap()
 }
 
-/// (group, window, rank, MinRTT bits, HDratio bits) of every session the
-/// exact sink holds — the preferred route's — in the order it holds them.
-fn rows(data: &StudyData) -> Vec<(GroupKey, u32, u8, u64, Option<u64>)> {
+fn exact_sink(data: &StudyData) -> &ColumnarSink {
     let Some(Sessions::Columns(sink)) = &data.sessions else {
         panic!("an exact study keeps its rows")
     };
-    sink.rows()
-        .map(|(cell, rtt, hd)| {
-            (cell.group, cell.window, cell.rank, rtt.to_bits(), hd.map(f64::to_bits))
-        })
-        .collect()
+    sink
+}
+
+/// (group, window, rank, MinRTT bits) of every session the exact sink
+/// holds — the preferred route's — in the order it holds them.
+fn rows(data: &StudyData) -> Vec<(GroupKey, u32, u8, u64)> {
+    let rows = exact_sink(data).rows();
+    rows.map(|(cell, rtt)| (cell.group, cell.window, cell.rank, rtt.to_bits())).collect()
 }
 
 /// Every study experiment as the JSON `repro all --json` writes for it
@@ -114,6 +115,28 @@ fn crash_resume_via_builder_is_bit_identical() {
     assert_eq!(resumed.report.resumed_at, Some(n / 2 + 1));
     assert_eq!(rows(&resumed), rows(&uninterrupted));
     assert_eq!(json_tree(&resumed), json_tree(&uninterrupted));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_study_resumed_after_crash_8_tallies_what_an_uninterrupted_one_does() {
+    // The journal holds each prefix's worker shard, HDratios and all, so
+    // the resumed sink tallies the journalled prefixes as it rereads them.
+    let uninterrupted = small().run().unwrap();
+    assert!(uninterrupted.report.n_prefixes > 9, "{} prefixes", uninterrupted.report.n_prefixes);
+    let dir = scratch_dir("tally");
+    let crashed = small().checkpoint_dir(&dir).fault_plan(plan("crash:8")).run();
+    crashed.map(|_| ()).expect_err("injected crash aborts the first run");
+    let resumed = StudyBuilder::resume_from(&dir).unwrap().run().unwrap();
+    assert_eq!(resumed.report.resumed_at, Some(9));
+    let tally = |d: &StudyData| {
+        let sink = exact_sink(d);
+        let fig7 = format!("{:?}", sink.hdratio().fig7());
+        (sink.hdratio_rollup(), fig7, sink.hdratio().clone())
+    };
+    let want = tally(&uninterrupted);
+    assert!(want.0 .0.tested > 0 && want.2.fig7().len() >= 3, "{want:?}");
+    assert_eq!(tally(&resumed), want);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,7 +8,7 @@
 //! with the exact aggregations to within the t-digest approximation
 //! bounds, with sample extremes preserved exactly.
 
-use edgeperf_analysis::figures::PreferredSessions;
+use edgeperf_analysis::figures::{HdratioTally, PreferredSessions};
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
     compare, Aggregation, AnalysisConfig, CellSummary, ColumnarSink, CompareOutcome, Dataset,
@@ -202,10 +202,11 @@ fn assert_summaries_identical(a: &Summaries, b: &Summaries) {
 #[test]
 fn columnar_sink_matches_from_records_end_to_end() {
     // The exact sink summarises each prefix as it merges it and keeps the
-    // preferred route's rows alone. Its summaries must be those of the
+    // preferred route's MinRTTs alone. Its summaries must be those of the
     // record vector re-aggregated by `from_records` — bit for bit, in the
-    // same group order, because `results/` were recorded in it — and its
-    // rows that vector's preferred-route sessions, at any parallelism.
+    // same group order, because `results/` were recorded in it — its rows
+    // that vector's preferred-route MinRTTs and its HDratio tally theirs,
+    // at any parallelism.
     let (world, cfg) = skewed();
     let cfg = StudyConfig { sessions_per_group_window: 20, ..cfg };
     let windows = cfg.n_windows() as usize;
@@ -225,24 +226,25 @@ fn columnar_sink_matches_from_records_end_to_end() {
         assert!(cells.filter(|c| c.min_rtt_var.is_some() && c.hdratio_var.is_some()).count() > 50);
         assert_summaries_identical(&direct, &whole.summarize());
 
-        // Cell by cell, the preferred sessions in the order they were pushed.
+        // Cell by cell, the preferred MinRTTs in the order they were pushed.
         type Cell = (GroupKey, u32, u8);
-        let mut want: HashMap<Cell, Vec<(u64, Option<u64>)>> = HashMap::new();
+        let mut want: HashMap<Cell, Vec<u64>> = HashMap::new();
         for r in records.iter().filter(|r| r.route_rank == 0) {
-            let row = (r.min_rtt_ms.to_bits(), r.hdratio.map(f64::to_bits));
-            want.entry((r.group, r.window, 0)).or_default().push(row);
+            want.entry((r.group, r.window, 0)).or_default().push(r.min_rtt_ms.to_bits());
         }
-        let mut rows: HashMap<Cell, Vec<(u64, Option<u64>)>> = HashMap::new();
-        for ((cell, rtt, hd), (continent, p_rtt, p_hd)) in
-            sink.rows().zip(sink.preferred_sessions())
-        {
+        let mut rows: HashMap<Cell, Vec<u64>> = HashMap::new();
+        for ((cell, rtt), (continent, p_rtt)) in sink.rows().zip(sink.preferred_sessions()) {
             assert_eq!((cell.group.continent, rtt.to_bits()), (continent, p_rtt.to_bits()));
-            assert_eq!(hd.map(f64::to_bits), p_hd.map(f64::to_bits));
-            let row = (rtt.to_bits(), hd.map(f64::to_bits));
-            rows.entry((cell.group, cell.window, cell.rank)).or_default().push(row);
+            rows.entry((cell.group, cell.window, cell.rank)).or_default().push(rtt.to_bits());
         }
         assert_eq!(sink.rows().count(), sink.preferred_sessions().count());
         assert_eq!(rows, want);
+
+        // And the HDratio tally is the preferred sessions', whoever ran them.
+        let tally = HdratioTally::of(&records);
+        assert_eq!(sink.hdratio(), &tally);
+        assert_eq!(format!("{:?}", sink.hdratio().fig7()), format!("{:?}", tally.fig7()));
+        assert!(sink.hdratio().fig7().len() >= 3, "{:?}", sink.hdratio().fig7());
     }
 }
 

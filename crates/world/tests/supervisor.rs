@@ -7,7 +7,8 @@
 //! injected prefixes after the retry budget, and a crash resumed from a
 //! checkpoint reproduces the uninterrupted output bit-for-bit at any
 //! parallelism. Output is what the exact sink every figure reads from
-//! holds: `ColumnarSink::rows()` as bit tuples, plus its summaries.
+//! holds: `ColumnarSink::rows()` as bit tuples, its summaries and its
+//! HDratio tally.
 
 use edgeperf_analysis::{atomic_write, ColumnarSink, RecordSink, StreamingDataset};
 use edgeperf_obs::Metrics;
@@ -72,15 +73,13 @@ fn run_in(
         .map(|(stats, report)| (sink, stats, report))
 }
 
-type Row = (u32, u32, u8, u64, Option<u64>);
+type Row = (u32, u32, u8, u64);
 
 /// Every session the sink holds, in the order it holds them: prefix,
-/// window, rank, MinRTT bits, HDratio bits.
+/// window, rank, MinRTT bits.
 fn rows(sink: &ColumnarSink) -> Vec<Row> {
-    sink.rows()
-        .map(|(cell, rtt, hd)| {
-            (cell.group.prefix.base, cell.window, cell.rank, rtt.to_bits(), hd.map(f64::to_bits))
-        })
+    let rows = sink.rows();
+    rows.map(|(cell, rtt)| (cell.group.prefix.base, cell.window, cell.rank, rtt.to_bits()))
         .collect()
 }
 
@@ -93,6 +92,7 @@ fn cells(sink: &ColumnarSink) -> String {
 fn assert_same(a: &ColumnarSink, b: &ColumnarSink, what: &str) {
     assert_eq!(rows(a), rows(b), "{what}");
     assert_eq!(cells(a), cells(b), "{what}");
+    assert_eq!(a.hdratio(), b.hdratio(), "{what}");
 }
 
 /// A fresh checkpoint directory under the system temp dir, one a test.
@@ -233,7 +233,9 @@ fn malformed_records_are_dropped_counted_and_never_reach_the_sink() {
     assert_eq!(report.records_emitted, sink.stats().records + report.malformed_dropped);
     // Validation held the line: nothing non-finite reached the sink (which
     // would have refused it with a panic, not a count).
-    assert!(sink.rows().all(|(_, rtt, hd)| rtt.is_finite() && hd.is_none_or(f64::is_finite)));
+    assert!(sink.rows().all(|(_, rtt)| rtt.is_finite()));
+    let fig7 = sink.hdratio().fig7();
+    assert!(fig7.iter().all(|b| b.median.is_finite()), "{fig7:?}");
 }
 
 #[test]

@@ -13,8 +13,8 @@
 //! bits.
 
 use edgeperf::analysis::figures::{
-    fig10_by_relationship, fig6_hdratio, fig6_minrtt, fig7_hdratio_by_minrtt, fig8_degradation,
-    fig9_opportunity, DiffCdfs, Fig7Bucket, HdratioCounts, MinRttQuantiles, RelPair,
+    fig10_by_relationship, fig6_minrtt, fig8_degradation, fig9_opportunity, DiffCdfs, Fig7Bucket,
+    HdratioCounts, MinRttQuantiles, RelPair,
 };
 use edgeperf::analysis::tables::{table1, table2, AnalysisKind, Table1};
 use edgeperf::analysis::{AnalysisConfig, ColumnarSink, DegradationMetric, StreamingDataset};
@@ -132,20 +132,20 @@ fn render() -> String {
     let relaxed = AnalysisConfig { max_ci_width_hdratio: 1.01, ..cfg };
 
     // Figures 6–7 want every continent and every MinRTT bucket: a wider,
-    // thinner study of their own, read off the sink's rows.
+    // thinner study of their own, read off the sink's rows and tally.
     let wide =
         World::generate(WorldConfig { seed: 11, country_fraction: 1.0, ..Default::default() });
     let mut sessions = ColumnarSink::new(windows);
     run_study_into(&wide, &StudyConfig { sessions_per_group_window: 4, ..study }, &mut sessions);
     let masses = |n: &HdratioCounts| (n.tested as f64, n.fraction_zero(), n.fraction_below_one());
-    let exact_hdratio = fig6_hdratio_json(&fig6_hdratio(&sessions), masses);
+    let exact_hdratio = fig6_hdratio_json(&sessions.hdratio_rollup(), masses);
     let exact_minrtt = fig6_minrtt_json(
         &fig6_minrtt(&sessions),
         |d: &MinRttQuantiles| d.sessions as f64,
         |d, q| if q == 0.5 { d.p50 } else { d.p80 },
     );
     let mut exact = vec![format!("{{{exact_minrtt}, {exact_hdratio}}}")];
-    exact.extend(fig7_hdratio_by_minrtt(&sessions).iter().map(fig7_json));
+    exact.extend(sessions.hdratio().fig7().iter().map(fig7_json));
 
     let mut columnar = ColumnarSink::new(windows);
     run_study_into(&world, &study, &mut columnar);

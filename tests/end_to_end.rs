@@ -2,7 +2,7 @@
 //! production-style measurement → aggregation → the paper's analyses.
 //! Exercises every crate through the public API.
 
-use edgeperf::analysis::figures::{fig6_hdratio, fig6_minrtt, fig9_opportunity};
+use edgeperf::analysis::figures::{fig6_minrtt, fig9_opportunity, HdratioTally};
 use edgeperf::analysis::tables::{table1, AnalysisKind};
 use edgeperf::analysis::{AnalysisConfig, Dataset, DegradationMetric, TemporalClass};
 use edgeperf::world::{run_study, Continent, StudyConfig, World, WorldConfig};
@@ -33,7 +33,7 @@ fn pipeline_produces_paper_shaped_results() {
     // 80th percentile noticeably above the median (long tail).
     assert!(mr.p80 > p50 * 1.2);
 
-    let (hd, _) = fig6_hdratio(&records[..]);
+    let (hd, _) = HdratioTally::of(&records).rollup();
     let gt0 = 1.0 - hd.fraction_zero();
     assert!(gt0 > 0.6, "HDratio>0 fraction = {gt0}");
 
@@ -81,7 +81,7 @@ fn continental_ordering_matches_paper() {
     assert!(med(Continent::Asia) > med(Continent::Europe));
     assert!(med(Continent::SouthAmerica) > med(Continent::NorthAmerica));
 
-    let (_, hd_per) = fig6_hdratio(&records[..]);
+    let (_, hd_per) = HdratioTally::of(&records).rollup();
     let zero = |c: Continent| hd_per[&(c as u8)].fraction_zero();
     assert!(zero(Continent::Africa) > zero(Continent::Europe));
     assert!(zero(Continent::SouthAmerica) > zero(Continent::NorthAmerica));
