@@ -273,7 +273,7 @@ impl Summaries {
         let n_windows = cells.iter().map(|c| (c.window - first) as usize + 1).max().unwrap_or(0);
         let mut grid = GroupSlots::new(n_windows);
         for c in cells {
-            *grid.cell(c.group, c.rank as usize, (c.window - first) as usize, c.bytes) =
+            *grid.cell(c.group(), c.rank as usize, (c.window - first) as usize, c.bytes) =
                 Some(c.summary());
         }
         Summaries { groups: grid.slots }

@@ -71,22 +71,27 @@ pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"EPSG";
 /// Current segment format version.
 pub const SEGMENT_VERSION: u8 = 2;
 
-/// One spilled cell: the flat, storage-neutral form of a closed live
-/// window's ((group, rank), summary) entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One closed cell: a live window's ((group, rank), summary) entry in the
+/// one form the live tier holds, shares, spills and replies from. 72
+/// bytes: what is stored as itself is a public field; the group is flat
+/// fields behind [`group`](Self::group), and one flag byte holds the
+/// route annotations and which optional statistics are present — an
+/// absent one's slot holds `0.0` and is never read.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowCell {
     /// Window index (`floor(ts / window_ms)`).
     pub window: u32,
-    /// The cell's user group.
-    pub group: GroupKey,
+    prefix_base: u32,
+    pop: u16,
+    country: u16,
+    prefix_len: u8,
+    continent: u8,
     /// Route rank (0 = preferred).
     pub rank: u8,
-    /// Relationship of the route measured by this cell.
-    pub relationship: Relationship,
-    /// This route's AS path is longer than the preferred route's.
-    pub longer_path: bool,
-    /// This route is prepended more than the preferred route.
-    pub more_prepended: bool,
+    /// The segment's two route flags, the relationship code from
+    /// [`REL_SHIFT`] and a presence bit an optional statistic from
+    /// [`HAS_SHIFT`].
+    flags: u8,
     /// Sessions recorded.
     pub n: u64,
     /// Sessions with an HDratio.
@@ -95,32 +100,43 @@ pub struct WindowCell {
     pub bytes: u64,
     /// Median MinRTT (ms).
     pub min_rtt_p50: f64,
-    /// Price–Bonett variance of the MinRTT median.
-    pub min_rtt_var: Option<f64>,
-    /// Median HDratio.
-    pub hdratio_p50: Option<f64>,
-    /// Price–Bonett variance of the HDratio median.
-    pub hdratio_var: Option<f64>,
+    /// The MinRTT median's variance, the HDratio median and its variance.
+    optional: [f64; 3],
 }
+
+const _: () = assert!(std::mem::size_of::<WindowCell>() == 72);
+
+/// Where [`WindowCell`]'s flag byte keeps the relationship code (two
+/// bits) and the presence bits of its three optional statistics.
+const REL_SHIFT: usize = 2;
+const HAS_SHIFT: usize = 4;
 
 impl WindowCell {
     /// The row for summary `s` of cell (`window`, `group`, `rank`).
     pub fn new(window: u32, group: GroupKey, rank: u8, s: &CellSummary) -> WindowCell {
-        WindowCell {
+        let mut row = WindowCell {
             window,
-            group,
+            prefix_base: group.prefix.base,
+            pop: group.pop.0,
+            country: group.country,
+            prefix_len: group.prefix.len,
+            continent: group.continent,
             rank,
-            relationship: s.relationship,
-            longer_path: s.longer_path,
-            more_prepended: s.more_prepended,
+            flags: (rel_code(s.relationship) << REL_SHIFT)
+                | (u8::from(s.longer_path) * FLAG_LONGER_PATH)
+                | (u8::from(s.more_prepended) * FLAG_MORE_PREPENDED),
             n: u64::try_from(s.n).expect("usize fits u64"),
             n_tested: u64::try_from(s.n_tested).expect("usize fits u64"),
             bytes: s.bytes,
             min_rtt_p50: s.min_rtt_p50,
-            min_rtt_var: s.min_rtt_var,
-            hdratio_p50: s.hdratio_p50,
-            hdratio_var: s.hdratio_var,
+            optional: [0.0; 3],
+        };
+        for (i, value) in [s.min_rtt_var, s.hdratio_p50, s.hdratio_var].into_iter().enumerate() {
+            if let Some(value) = value {
+                row.set_optional(i, value);
+            }
         }
+        row
     }
 
     /// The summary this row stores, bit for bit.
@@ -130,13 +146,62 @@ impl WindowCell {
             n_tested: usize::try_from(self.n_tested).unwrap_or(usize::MAX),
             bytes: self.bytes,
             min_rtt_p50: self.min_rtt_p50,
-            min_rtt_var: self.min_rtt_var,
-            hdratio_p50: self.hdratio_p50,
-            hdratio_var: self.hdratio_var,
-            relationship: self.relationship,
-            longer_path: self.longer_path,
-            more_prepended: self.more_prepended,
+            min_rtt_var: self.min_rtt_var(),
+            hdratio_p50: self.hdratio_p50(),
+            hdratio_var: self.hdratio_var(),
+            relationship: self.relationship(),
+            longer_path: self.longer_path(),
+            more_prepended: self.more_prepended(),
         }
+    }
+
+    /// The cell's user group.
+    pub fn group(&self) -> GroupKey {
+        GroupKey {
+            pop: PopId(self.pop),
+            prefix: Prefix { base: self.prefix_base, len: self.prefix_len },
+            country: self.country,
+            continent: self.continent,
+        }
+    }
+
+    /// Relationship of the route measured by this cell.
+    pub fn relationship(&self) -> Relationship {
+        rel_from_code((self.flags >> REL_SHIFT) & 3).expect("built from a valid relationship")
+    }
+
+    /// This route's AS path is longer than the preferred route's.
+    pub fn longer_path(&self) -> bool {
+        self.flags & FLAG_LONGER_PATH != 0
+    }
+
+    /// This route is prepended more than the preferred route.
+    pub fn more_prepended(&self) -> bool {
+        self.flags & FLAG_MORE_PREPENDED != 0
+    }
+
+    /// Price–Bonett variance of the MinRTT median.
+    pub fn min_rtt_var(&self) -> Option<f64> {
+        self.get_optional(0)
+    }
+
+    /// Median HDratio.
+    pub fn hdratio_p50(&self) -> Option<f64> {
+        self.get_optional(1)
+    }
+
+    /// Price–Bonett variance of the HDratio median.
+    pub fn hdratio_var(&self) -> Option<f64> {
+        self.get_optional(2)
+    }
+
+    fn get_optional(&self, i: usize) -> Option<f64> {
+        (self.flags & (1 << (HAS_SHIFT + i)) != 0).then_some(self.optional[i])
+    }
+
+    fn set_optional(&mut self, i: usize, value: f64) {
+        self.optional[i] = value;
+        self.flags |= 1 << (HAS_SHIFT + i);
     }
 }
 
@@ -148,15 +213,7 @@ pub type CellSortKey = (u32, u16, u32, u8, u16, u8, u8);
 /// distinct cells can never tie — (window, group, rank) addresses a cell
 /// uniquely — so the order is total and merge output is deterministic.
 pub fn cell_sort_key(c: &WindowCell) -> CellSortKey {
-    (
-        c.window,
-        c.group.pop.0,
-        c.group.prefix.base,
-        c.group.prefix.len,
-        c.group.country,
-        c.group.continent,
-        c.rank,
-    )
+    (c.window, c.pop, c.prefix_base, c.prefix_len, c.country, c.continent, c.rank)
 }
 
 /// Sort cells into the canonical time-sorted order (see [`cell_sort_key`]).
@@ -253,74 +310,40 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 fn encode_columns(out: &mut Vec<u8>, cells: &[WindowCell]) {
     let n = u32::try_from(cells.len()).expect("a row group's count fits u32");
     out.extend_from_slice(&n.to_le_bytes());
-    for c in cells {
-        out.extend_from_slice(&c.window.to_le_bytes());
-    }
-    for c in cells {
-        out.extend_from_slice(&c.group.pop.0.to_le_bytes());
-    }
-    for c in cells {
-        out.extend_from_slice(&c.group.prefix.base.to_le_bytes());
-    }
-    for c in cells {
-        out.push(c.group.prefix.len);
-    }
-    for c in cells {
-        out.extend_from_slice(&c.group.country.to_le_bytes());
-    }
-    for c in cells {
-        out.push(c.group.continent);
-    }
-    for c in cells {
-        out.push(c.rank);
-    }
-    for c in cells {
-        out.push(rel_code(c.relationship));
-    }
-    for c in cells {
-        let mut flags = 0u8;
-        if c.longer_path {
-            flags |= FLAG_LONGER_PATH;
-        }
-        if c.more_prepended {
-            flags |= FLAG_MORE_PREPENDED;
-        }
-        out.push(flags);
-    }
-    for c in cells {
-        out.extend_from_slice(&c.n.to_le_bytes());
-    }
-    for c in cells {
-        out.extend_from_slice(&c.n_tested.to_le_bytes());
-    }
-    for c in cells {
-        out.extend_from_slice(&c.bytes.to_le_bytes());
-    }
-    for c in cells {
-        out.extend_from_slice(&c.min_rtt_p50.to_bits().to_le_bytes());
-    }
-    encode_optional(out, cells, |c| c.min_rtt_var);
-    encode_optional(out, cells, |c| c.hdratio_p50);
-    encode_optional(out, cells, |c| c.hdratio_var);
+    column(out, cells, |c| c.window.to_le_bytes());
+    column(out, cells, |c| c.pop.to_le_bytes());
+    column(out, cells, |c| c.prefix_base.to_le_bytes());
+    column(out, cells, |c| [c.prefix_len]);
+    column(out, cells, |c| c.country.to_le_bytes());
+    column(out, cells, |c| [c.continent]);
+    column(out, cells, |c| [c.rank]);
+    column(out, cells, |c| [(c.flags >> REL_SHIFT) & 3]);
+    column(out, cells, |c| [c.flags & (FLAG_LONGER_PATH | FLAG_MORE_PREPENDED)]);
+    column(out, cells, |c| c.n.to_le_bytes());
+    column(out, cells, |c| c.n_tested.to_le_bytes());
+    column(out, cells, |c| c.bytes.to_le_bytes());
+    column(out, cells, |c| c.min_rtt_p50.to_le_bytes());
+    (0..3).for_each(|i| encode_optional(out, cells, i));
 }
 
-/// Presence bitmap (LSB-first within each byte) then the present values'
-/// raw bits, in row order.
-fn encode_optional(
+/// One fixed-width column: every row's `bytes`, in row order.
+fn column<const N: usize>(
     out: &mut Vec<u8>,
     cells: &[WindowCell],
-    get: impl Fn(&WindowCell) -> Option<f64>,
+    bytes: impl Fn(&WindowCell) -> [u8; N],
 ) {
+    cells.iter().for_each(|c| out.extend_from_slice(&bytes(c)));
+}
+
+/// Optional statistic `i`'s presence bitmap (LSB-first within each byte)
+/// then the present values' raw bits, in row order.
+fn encode_optional(out: &mut Vec<u8>, cells: &[WindowCell], i: usize) {
     let bitmap = out.len();
     out.resize(bitmap + cells.len().div_ceil(8), 0);
-    for (i, c) in cells.iter().enumerate() {
-        if get(c).is_some() {
-            out[bitmap + i / 8] |= 1 << (i % 8);
-        }
-    }
-    for c in cells {
-        if let Some(v) = get(c) {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+    for (row, c) in cells.iter().enumerate() {
+        if let Some(v) = c.get_optional(i) {
+            out[bitmap + row / 8] |= 1 << (row % 8);
+            out.extend_from_slice(&v.to_le_bytes());
         }
     }
 }
@@ -402,95 +425,53 @@ fn decode_columns(r: &mut Reader<'_>, out: &mut Vec<WindowCell>) -> Result<(), E
         return Err(corrupt(format!("{n} rows cannot fill {} bytes", r.remaining())));
     }
     let start = out.len();
-    out.resize(
-        start + n as usize,
-        WindowCell {
-            window: 0,
-            group: GroupKey {
-                pop: PopId(0),
-                prefix: Prefix { base: 0, len: 0 },
-                country: 0,
-                continent: 0,
-            },
-            rank: 0,
-            relationship: Relationship::PrivatePeer,
-            longer_path: false,
-            more_prepended: false,
-            n: 0,
-            n_tested: 0,
-            bytes: 0,
-            min_rtt_p50: 0.0,
-            min_rtt_var: None,
-            hdratio_p50: None,
-            hdratio_var: None,
-        },
-    );
+    out.resize(start + n as usize, WindowCell::default());
     let cells = &mut out[start..];
+    read_column(r, cells, |c, b| c.window = u32::from_le_bytes(b))?;
+    read_column(r, cells, |c, b| c.pop = u16::from_le_bytes(b))?;
+    read_column(r, cells, |c, b| c.prefix_base = u32::from_le_bytes(b))?;
+    read_column(r, cells, |c, [b]| c.prefix_len = b)?;
+    read_column(r, cells, |c, b| c.country = u16::from_le_bytes(b))?;
+    read_column(r, cells, |c, [b]| c.continent = b)?;
+    read_column(r, cells, |c, [b]| c.rank = b)?;
     for c in &mut *cells {
-        c.window = r.u32()?;
-    }
-    for c in &mut *cells {
-        c.group.pop = PopId(r.u16()?);
-    }
-    for c in &mut *cells {
-        c.group.prefix.base = r.u32()?;
-    }
-    for c in &mut *cells {
-        c.group.prefix.len = r.u8()?;
-    }
-    for c in &mut *cells {
-        c.group.country = r.u16()?;
-    }
-    for c in &mut *cells {
-        c.group.continent = r.u8()?;
-    }
-    for c in &mut *cells {
-        c.rank = r.u8()?;
-    }
-    for c in &mut *cells {
-        c.relationship = rel_from_code(r.u8()?)?;
+        let code = r.u8()?;
+        rel_from_code(code)?;
+        c.flags = code << REL_SHIFT;
     }
     for c in &mut *cells {
         let flags = r.u8()?;
         if flags & !(FLAG_LONGER_PATH | FLAG_MORE_PREPENDED) != 0 {
             return Err(corrupt(format!("unknown flag bits {flags:#04x}")));
         }
-        c.longer_path = flags & FLAG_LONGER_PATH != 0;
-        c.more_prepended = flags & FLAG_MORE_PREPENDED != 0;
+        c.flags |= flags;
     }
-    for c in &mut *cells {
-        c.n = r.u64()?;
+    read_column(r, cells, |c, b| c.n = u64::from_le_bytes(b))?;
+    read_column(r, cells, |c, b| c.n_tested = u64::from_le_bytes(b))?;
+    read_column(r, cells, |c, b| c.bytes = u64::from_le_bytes(b))?;
+    read_column(r, cells, |c, b| c.min_rtt_p50 = f64::from_le_bytes(b))?;
+    for i in 0..3 {
+        let bitmap = r.take(cells.len().div_ceil(8))?;
+        for (row, c) in cells.iter_mut().enumerate() {
+            if bitmap[row / 8] & (1 << (row % 8)) != 0 {
+                c.set_optional(i, f64::from_bits(r.u64()?));
+            }
+        }
     }
-    for c in &mut *cells {
-        c.n_tested = r.u64()?;
-    }
-    for c in &mut *cells {
-        c.bytes = r.u64()?;
-    }
-    for c in &mut *cells {
-        c.min_rtt_p50 = f64::from_bits(r.u64()?);
-    }
-    decode_optional(r, cells, |c, v| c.min_rtt_var = v)?;
-    decode_optional(r, cells, |c, v| c.hdratio_p50 = v)?;
-    decode_optional(r, cells, |c, v| c.hdratio_var = v)?;
     if r.remaining() != 0 {
         return Err(corrupt(format!("{} trailing bytes after the last column", r.remaining())));
     }
     Ok(())
 }
 
-fn decode_optional(
+/// Read one fixed-width column into every row through `set`.
+fn read_column<const N: usize>(
     r: &mut Reader<'_>,
     cells: &mut [WindowCell],
-    set: impl Fn(&mut WindowCell, Option<f64>),
+    set: impl Fn(&mut WindowCell, [u8; N]),
 ) -> Result<(), EdgeperfError> {
-    let bitmap = r.take(cells.len().div_ceil(8))?;
-    for (i, c) in cells.iter_mut().enumerate() {
-        if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-            set(c, Some(f64::from_bits(r.u64()?)));
-        } else {
-            set(c, None);
-        }
+    for c in cells {
+        set(c, r.take(N)?.try_into().expect("N bytes"));
     }
     Ok(())
 }
@@ -748,42 +729,18 @@ impl<W: Write> SegmentWriter<W> {
         Ok(())
     }
 
-    /// Append a run of rows — the same bytes as pushing each, but a
-    /// group that `cells` holds whole is encoded where it lies.
-    pub fn extend(&mut self, mut cells: &[WindowCell]) -> io::Result<()> {
-        while let Some(head) = cells.first() {
-            let run = cells.iter().take(GROUP_ROWS).take_while(|c| c.window == head.window).count();
-            // Whole: full, or closed by the next row's window.
-            if self.pending.is_empty() && (run == GROUP_ROWS || run < cells.len()) {
-                self.write_group(&cells[..run])?;
-                cells = &cells[run..];
-            } else {
-                self.push(head)?;
-                cells = &cells[1..];
-            }
-        }
-        Ok(())
-    }
-
+    /// Encode, write and index the pending rows (of one window, at most
+    /// [`GROUP_ROWS`]) as one group; nothing for none.
     fn flush_pending(&mut self) -> io::Result<()> {
-        let pending = std::mem::take(&mut self.pending);
-        let written = self.write_group(&pending);
-        self.pending = pending;
-        self.pending.clear();
-        written
-    }
-
-    /// Encode, write and index `rows` (of one window, at most
-    /// [`GROUP_ROWS`]) as one group; nothing for no rows.
-    fn write_group(&mut self, rows: &[WindowCell]) -> io::Result<()> {
-        let Some((first, last)) = key_range(rows) else { return Ok(()) };
+        let Some((first, last)) = key_range(&self.pending) else { return Ok(()) };
         self.buf.clear();
-        encode_columns(&mut self.buf, rows);
+        encode_columns(&mut self.buf, &self.pending);
         let sum = checksum(&self.buf);
         self.buf.extend_from_slice(&sum.to_le_bytes());
         self.out.write_all(&self.buf)?;
         let len = u32::try_from(self.buf.len()).expect("a row group is a few tens of KB");
-        let rows = u32::try_from(rows.len()).expect("at most GROUP_ROWS");
+        let rows = u32::try_from(self.pending.len()).expect("at most GROUP_ROWS");
+        self.pending.clear();
         self.groups.push(GroupEntry { offset: self.offset, len, rows, first, last });
         self.offset += u64::from(len);
         Ok(())
@@ -853,7 +810,7 @@ impl SegmentReader {
 pub fn encode_segment(cells: &[WindowCell]) -> Vec<u8> {
     let image = Vec::with_capacity(64 + cells.len() * 80);
     let mut writer = SegmentWriter::new(image).expect("a Vec takes every write");
-    writer.extend(cells).expect("a Vec takes every write");
+    cells.iter().try_for_each(|c| writer.push(c)).expect("a Vec takes every write");
     writer.finish().expect("a Vec takes every write").0
 }
 
@@ -932,47 +889,46 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn relationship(i: u32) -> Relationship {
+        [Relationship::PrivatePeer, Relationship::PublicPeer, Relationship::Transit][i as usize % 3]
+    }
+
     fn cell(i: u32) -> WindowCell {
-        WindowCell {
-            window: i / 3,
-            group: GroupKey {
-                pop: PopId(u16::try_from(i % 5).unwrap()),
-                prefix: Prefix { base: 0x0A00_0000 + (i << 8), len: 24 },
-                country: u16::try_from(i % 40).unwrap(),
-                continent: u8::try_from(i % 6).unwrap(),
-            },
-            rank: u8::try_from(i % 2).unwrap(),
-            relationship: match i % 3 {
-                0 => Relationship::PrivatePeer,
-                1 => Relationship::PublicPeer,
-                _ => Relationship::Transit,
-            },
-            longer_path: i.is_multiple_of(5),
-            more_prepended: i.is_multiple_of(7),
-            n: u64::from(i) * 31 + 1,
-            n_tested: u64::from(i) * 17,
+        let group = GroupKey {
+            pop: PopId(u16::try_from(i % 5).unwrap()),
+            prefix: Prefix { base: 0x0A00_0000 + (i << 8), len: 24 },
+            country: u16::try_from(i % 40).unwrap(),
+            continent: u8::try_from(i % 6).unwrap(),
+        };
+        let summary = CellSummary {
+            n: i as usize * 31 + 1,
+            n_tested: i as usize * 17,
             bytes: u64::from(i) * 100_003,
             min_rtt_p50: 15.0 + f64::from(i) * 0.37,
             min_rtt_var: (!i.is_multiple_of(4)).then(|| 0.01 + f64::from(i) * 1e-4),
             hdratio_p50: (i % 3 != 1).then(|| (f64::from(i % 100)) / 100.0),
             hdratio_var: (i % 6 == 2).then(|| 3e-5 * f64::from(i + 1)),
-        }
+            relationship: relationship(i),
+            longer_path: i.is_multiple_of(5),
+            more_prepended: i.is_multiple_of(7),
+        };
+        WindowCell::new(i / 3, group, u8::try_from(i % 2).unwrap(), &summary)
+    }
+
+    /// Every field of `s`, floats as their bits: equal means
+    /// bit-identical.
+    fn summary_bits(s: &CellSummary) -> impl PartialEq + std::fmt::Debug {
+        let floats = [Some(s.min_rtt_p50), s.min_rtt_var, s.hdratio_p50, s.hdratio_var];
+        (
+            (s.n, s.n_tested, s.bytes),
+            (s.relationship, s.longer_path, s.more_prepended),
+            floats.map(|f| f.map(f64::to_bits)),
+        )
     }
 
     fn assert_bits_equal(a: &WindowCell, b: &WindowCell) {
-        assert_eq!(a.window, b.window);
-        assert_eq!(a.group, b.group);
-        assert_eq!(a.rank, b.rank);
-        assert_eq!(a.relationship, b.relationship);
-        assert_eq!(a.longer_path, b.longer_path);
-        assert_eq!(a.more_prepended, b.more_prepended);
-        assert_eq!(a.n, b.n);
-        assert_eq!(a.n_tested, b.n_tested);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.min_rtt_p50.to_bits(), b.min_rtt_p50.to_bits());
-        assert_eq!(a.min_rtt_var.map(f64::to_bits), b.min_rtt_var.map(f64::to_bits));
-        assert_eq!(a.hdratio_p50.map(f64::to_bits), b.hdratio_p50.map(f64::to_bits));
-        assert_eq!(a.hdratio_var.map(f64::to_bits), b.hdratio_var.map(f64::to_bits));
+        assert_eq!((a.window, a.group(), a.rank), (b.window, b.group(), b.rank));
+        assert_eq!(summary_bits(&a.summary()), summary_bits(&b.summary()));
     }
 
     #[test]
@@ -1023,13 +979,6 @@ mod tests {
         let index = SegmentIndex::of_image(&image).expect("indexes");
         let rows: Vec<u32> = index.groups().iter().map(|g| g.rows).collect();
         assert_eq!(rows, [512, 512, 6, 70]);
-        // Row by row, or in runs cut anywhere: the same bytes.
-        let mut writer = SegmentWriter::new(Vec::new()).expect("starts");
-        writer.extend(&cells[..300]).expect("writes");
-        writer.push(&cells[300]).expect("writes");
-        writer.extend(&cells[301..1_050]).expect("writes");
-        cells[1_050..].iter().for_each(|c| writer.push(c).expect("writes"));
-        assert_eq!(writer.finish().expect("finishes").0, image);
         assert_eq!(index.rows(), 1_100);
         let mut at = 0;
         for g in index.groups() {
@@ -1094,7 +1043,94 @@ mod tests {
         );
     }
 
+    /// Pack a cell into its row and take it back out.
+    fn repacked(window: u32, group: GroupKey, rank: u8, s: &CellSummary) -> WindowCell {
+        let row = WindowCell::new(window, group, rank, s);
+        assert_eq!((row.window, row.group(), row.rank), (window, group, rank));
+        assert_eq!(summary_bits(&row.summary()), summary_bits(s));
+        row
+    }
+
+    /// Float bit patterns a packing could lose: both zeros, NaNs of
+    /// either sign with any payload (quiet or signalling), subnormals,
+    /// infinities, and anything at all.
+    fn odd_float() -> impl Strategy<Value = f64> {
+        (0u8..7, 1u64..1 << 52, any::<u64>()).prop_map(|(class, payload, raw)| match class {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::INFINITY,
+            3 => f64::from_bits(0x7FF0_0000_0000_0000 | payload),
+            4 => f64::from_bits(0xFFF0_0000_0000_0000 | payload),
+            5 => f64::from_bits(payload),
+            _ => f64::from_bits(raw),
+        })
+    }
+
+    fn odd_count() -> impl Strategy<Value = u64> {
+        (0u8..3, any::<u64>()).prop_map(|(class, raw)| [u64::MAX, 0, raw][usize::from(class)])
+    }
+
+    /// Every presence combination of the three optional statistics, every
+    /// relationship and both route flags: 96 rows, each unpacked to the
+    /// summary it was packed from.
+    #[test]
+    fn packing_keeps_every_option_relationship_and_flag() {
+        let group = cell(7).group();
+        for present in 0..8u8 {
+            for rel in 0..3 {
+                for route in 0..4u8 {
+                    let (longer_path, more_prepended) = (route & 1 != 0, route & 2 != 0);
+                    let s = CellSummary {
+                        n: usize::MAX,
+                        n_tested: 0,
+                        bytes: u64::MAX,
+                        min_rtt_p50: -0.0,
+                        min_rtt_var: (present & 1 != 0)
+                            .then(|| f64::from_bits(0x7FF0_0000_0000_0001)),
+                        hdratio_p50: (present & 2 != 0).then_some(-0.0),
+                        hdratio_var: (present & 4 != 0).then(|| f64::from_bits(1)),
+                        relationship: relationship(rel),
+                        longer_path,
+                        more_prepended,
+                    };
+                    repacked(u32::MAX, group, u8::MAX, &s);
+                }
+            }
+        }
+    }
+
     proptest! {
+        /// Packing is lossless: whatever the group, rank, counts and
+        /// float bits, a (key, summary) pair comes back out of its
+        /// 72-byte row bit for bit.
+        #[test]
+        fn prop_packing_is_lossless(
+            key in (any::<u32>(), any::<u16>(), any::<u32>(), any::<u8>(), any::<u16>(), any::<u8>(), any::<u8>()),
+            counts in (odd_count(), odd_count(), odd_count()),
+            floats in (odd_float(), odd_float(), odd_float(), odd_float()),
+            present in 0u8..8,
+            route in (0u32..3, any::<bool>(), any::<bool>()),
+        ) {
+            let (window, pop, base, len, country, continent, rank) = key;
+            let group = GroupKey { pop: PopId(pop), prefix: Prefix { base, len }, country, continent };
+            let s = CellSummary {
+                n: usize::try_from(counts.0).unwrap(),
+                n_tested: usize::try_from(counts.1).unwrap(),
+                bytes: counts.2,
+                min_rtt_p50: floats.0,
+                min_rtt_var: (present & 1 != 0).then_some(floats.1),
+                hdratio_p50: (present & 2 != 0).then_some(floats.2),
+                hdratio_var: (present & 4 != 0).then_some(floats.3),
+                relationship: relationship(route.0),
+                longer_path: route.1,
+                more_prepended: route.2,
+            };
+            let row = repacked(window, group, rank, &s);
+            // And the codec keeps what the row holds.
+            let back = decode_segment(&encode_segment(&[row])).expect("decodes");
+            assert_bits_equal(&back[0], &row);
+        }
+
         /// Arbitrary f64 bit patterns (including NaNs, infinities, -0.0
         /// and subnormals) survive the codec bit-exactly, and presence
         /// of the optional statistics is preserved per row.
@@ -1115,13 +1151,15 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, &(window, nbits, p50bits, varbits, hdbits))| {
-                    let mut c = cell(u32::try_from(i).unwrap());
-                    c.window = window;
-                    c.n = nbits;
-                    c.min_rtt_p50 = f64::from_bits(p50bits);
-                    c.min_rtt_var = varbits.map(f64::from_bits);
-                    c.hdratio_var = hdbits.map(f64::from_bits);
-                    c
+                    let c = cell(u32::try_from(i).unwrap());
+                    let summary = CellSummary {
+                        n: usize::try_from(nbits).unwrap(),
+                        min_rtt_p50: f64::from_bits(p50bits),
+                        min_rtt_var: varbits.map(f64::from_bits),
+                        hdratio_var: hdbits.map(f64::from_bits),
+                        ..c.summary()
+                    };
+                    WindowCell::new(window, c.group(), c.rank, &summary)
                 })
                 .collect();
             let back = decode_segment(&encode_segment(&cells)).expect("decodes");

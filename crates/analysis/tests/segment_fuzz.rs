@@ -11,7 +11,8 @@ mod counting;
 
 use counting::{count_this_thread, largest_request};
 use edgeperf_analysis::{
-    decode_segment, encode_segment, FxHasher, GroupKey, SegmentIndex, SegmentReader, WindowCell,
+    decode_segment, encode_segment, CellSummary, FxHasher, GroupKey, SegmentIndex, SegmentReader,
+    WindowCell,
 };
 use edgeperf_core::EdgeperfError;
 use edgeperf_routing::{PopId, Prefix, Relationship};
@@ -21,15 +22,20 @@ use std::path::Path;
 /// Row `i` — the generator `tests/fixtures/segment_v1.bin` was recorded
 /// from (`encode_segment` of rows 0..64 at the last version-1 commit).
 fn cell(i: u32) -> WindowCell {
-    WindowCell {
-        window: i / 3,
-        group: GroupKey {
-            pop: PopId(u16::try_from(i % 5).unwrap()),
-            prefix: Prefix { base: 0x0A00_0000 + (i << 8), len: 24 },
-            country: u16::try_from(i % 40).unwrap(),
-            continent: u8::try_from(i % 6).unwrap(),
-        },
-        rank: u8::try_from(i % 2).unwrap(),
+    let group = GroupKey {
+        pop: PopId(u16::try_from(i % 5).unwrap()),
+        prefix: Prefix { base: 0x0A00_0000 + (i << 8), len: 24 },
+        country: u16::try_from(i % 40).unwrap(),
+        continent: u8::try_from(i % 6).unwrap(),
+    };
+    let summary = CellSummary {
+        n: i as usize * 31 + 1,
+        n_tested: i as usize * 17,
+        bytes: u64::from(i) * 100_003,
+        min_rtt_p50: 15.0 + f64::from(i) * 0.37,
+        min_rtt_var: (!i.is_multiple_of(4)).then(|| 0.01 + f64::from(i) * 1e-4),
+        hdratio_p50: (i % 3 != 1).then(|| (f64::from(i % 100)) / 100.0),
+        hdratio_var: (i % 6 == 2).then(|| 3e-5 * f64::from(i + 1)),
         relationship: match i % 3 {
             0 => Relationship::PrivatePeer,
             1 => Relationship::PublicPeer,
@@ -37,19 +43,13 @@ fn cell(i: u32) -> WindowCell {
         },
         longer_path: i.is_multiple_of(5),
         more_prepended: i.is_multiple_of(7),
-        n: u64::from(i) * 31 + 1,
-        n_tested: u64::from(i) * 17,
-        bytes: u64::from(i) * 100_003,
-        min_rtt_p50: 15.0 + f64::from(i) * 0.37,
-        min_rtt_var: (!i.is_multiple_of(4)).then(|| 0.01 + f64::from(i) * 1e-4),
-        hdratio_p50: (i % 3 != 1).then(|| (f64::from(i % 100)) / 100.0),
-        hdratio_var: (i % 6 == 2).then(|| 3e-5 * f64::from(i + 1)),
-    }
+    };
+    WindowCell::new(i / 3, group, u8::try_from(i % 2).unwrap(), &summary)
 }
 
 fn same_bits(a: &[WindowCell], b: &[WindowCell]) -> bool {
     let bits = |c: &WindowCell| {
-        let floats = [Some(c.min_rtt_p50), c.min_rtt_var, c.hdratio_p50, c.hdratio_var];
+        let floats = [Some(c.min_rtt_p50), c.min_rtt_var(), c.hdratio_p50(), c.hdratio_var()];
         (
             edgeperf_analysis::cell_sort_key(c),
             c.n,
@@ -61,8 +61,8 @@ fn same_bits(a: &[WindowCell], b: &[WindowCell]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(a, b)| {
             bits(a) == bits(b)
-                && (a.relationship, a.longer_path, a.more_prepended)
-                    == (b.relationship, b.longer_path, b.more_prepended)
+                && (a.relationship(), a.longer_path(), a.more_prepended())
+                    == (b.relationship(), b.longer_path(), b.more_prepended())
         })
 }
 
@@ -74,7 +74,7 @@ fn checksum(bytes: &[u8]) -> [u8; 8] {
 
 /// The most a decoder may ask the allocator for at once, given `len`
 /// bytes of input: the rows those bytes could encode (49 bytes a row at
-/// the least, 104 in memory) or a copy of the bytes themselves, and an
+/// the least, 72 in memory) or a copy of the bytes themselves, and an
 /// error message.
 fn allowance(len: usize) -> usize {
     len * std::mem::size_of::<WindowCell>() / 49 + 512

@@ -45,9 +45,9 @@
 //!   windows evicted past the RAM retention horizon into columnar
 //!   on-disk segments (manifest-tracked, crash-safe, background
 //!   compaction) that `cells` range queries merge back bit-identically.
-//! - [`reply`]: [`CellsReply`] — a `cells` reply ordered
-//!   through a sort index and written row by row from the closed
-//!   windows the workers share, never built in memory.
+//! - [`reply`]: [`CellsReply`] — a `cells` reply merged from the
+//!   sorted runs the workers and the store hand over and written row by
+//!   row from where each row lies, never sorted or built in memory.
 //! - [`server`]: [`LiveServer`] / [`ServerHandle`], the state the
 //!   threads share and the graceful drain; one private module per job
 //!   under `server/` — `conn` (acceptor and readers), `lanes` (the SPSC
@@ -98,7 +98,7 @@ pub use protocol::{
 };
 pub use queue::{spsc, Consumer, Producer, Waiter};
 pub use record::{relationship_from_label, LineParser, LiveRecord};
-pub use reply::{CellsReply, SharedWindow};
+pub use reply::CellsReply;
 pub use server::{shard_of, LiveServer, ServerHandle};
-pub use store::{CrashPoint, SegmentMeta, SegmentStore, SpillOutcome, StoreStats};
-pub use window::{CellKey, CellSummary, ClosedWindow, WindowRing};
+pub use store::{CrashPoint, Runs, SegmentMeta, SegmentStore, SpillOutcome, StoreStats};
+pub use window::{CellKey, CellSummary, ClosedWindow, SharedWindow, WindowRing};

@@ -88,11 +88,6 @@ pub struct GroupFilter {
 }
 
 impl GroupFilter {
-    /// True when no field constrains the group.
-    pub fn is_all(&self) -> bool {
-        *self == GroupFilter::default()
-    }
-
     /// Does `group` satisfy every present field?
     pub fn matches(&self, group: &GroupKey) -> bool {
         self.pop.is_none_or(|p| group.pop.0 == p)
@@ -589,24 +584,25 @@ impl<'a> From<&'a CellLine> for Fields<'a> {
 
 impl From<&WindowCell> for Fields<'static> {
     fn from(c: &WindowCell) -> Self {
+        let group = c.group();
         Fields {
             window: c.window,
-            pop: c.group.pop.0,
-            prefix_base: c.group.prefix.base,
-            prefix_len: c.group.prefix.len,
-            country: c.group.country,
-            continent: c.group.continent,
+            pop: group.pop.0,
+            prefix_base: group.prefix.base,
+            prefix_len: group.prefix.len,
+            country: group.country,
+            continent: group.continent,
             rank: c.rank,
-            relationship: c.relationship.label(),
-            longer_path: c.longer_path,
-            more_prepended: c.more_prepended,
+            relationship: c.relationship().label(),
+            longer_path: c.longer_path(),
+            more_prepended: c.more_prepended(),
             n: c.n,
             n_tested: c.n_tested,
             bytes: c.bytes,
             min_rtt_p50: c.min_rtt_p50,
-            min_rtt_var: c.min_rtt_var,
-            hdratio_p50: c.hdratio_p50,
-            hdratio_var: c.hdratio_var,
+            min_rtt_var: c.min_rtt_var(),
+            hdratio_p50: c.hdratio_p50(),
+            hdratio_var: c.hdratio_var(),
         }
     }
 }
@@ -1292,10 +1288,8 @@ mod tests {
             use proptest::prelude::*;
             let (window, pop, base, len, country, continent, rank) = key;
             let (relationship, longer_path, more_prepended, present) = flags;
-            let row = WindowCell {
-                window,
-                group: GroupKey { pop: PopId(pop), prefix: Prefix { base, len }, country, continent },
-                rank,
+            let group = GroupKey { pop: PopId(pop), prefix: Prefix { base, len }, country, continent };
+            let summary = CellSummary {
                 relationship: [
                     Relationship::PrivatePeer,
                     Relationship::PublicPeer,
@@ -1303,14 +1297,15 @@ mod tests {
                 ][usize::from(relationship)],
                 longer_path,
                 more_prepended,
-                n: count(classes.0, raw.0),
-                n_tested: count(classes.1, raw.1),
+                n: usize::try_from(count(classes.0, raw.0)).expect("64-bit usize"),
+                n_tested: usize::try_from(count(classes.1, raw.1)).expect("64-bit usize"),
                 bytes: count(classes.2, raw.2),
                 min_rtt_p50: float(classes.3, raw.3),
                 min_rtt_var: (present & 1 != 0).then(|| float(classes.4, raw.4)),
                 hdratio_p50: (present & 2 != 0).then(|| float(classes.5, raw.5)),
                 hdratio_var: (present & 4 != 0).then(|| float(classes.6, raw.6)),
             };
+            let row = WindowCell::new(window, group, rank, &summary);
             let line = crate::store::cell_line(&row);
             let mut written = Vec::new();
             write_row(&mut written, &row).expect("writes to a Vec");
@@ -1371,26 +1366,28 @@ mod tests {
 
     #[test]
     fn rows_are_read_through_one_buffer_until_the_count_or_the_stream_ends() {
-        let cell = crate::store::cell_line(&WindowCell {
-            window: 1,
-            group: GroupKey {
-                pop: edgeperf_routing::PopId(2),
-                prefix: edgeperf_routing::Prefix::new(0x0A00_0000, 24),
-                country: 3,
-                continent: 4,
+        let group = GroupKey {
+            pop: edgeperf_routing::PopId(2),
+            prefix: edgeperf_routing::Prefix::new(0x0A00_0000, 24),
+            country: 3,
+            continent: 4,
+        };
+        let cell = CellLine::new(
+            1,
+            &(group, 0),
+            &CellSummary {
+                n: 31,
+                n_tested: 30,
+                bytes: 77,
+                min_rtt_p50: 12.5,
+                min_rtt_var: None,
+                hdratio_p50: Some(0.5),
+                hdratio_var: Some(1e-7),
+                relationship: edgeperf_routing::Relationship::PublicPeer,
+                longer_path: true,
+                more_prepended: false,
             },
-            rank: 0,
-            relationship: edgeperf_routing::Relationship::PublicPeer,
-            longer_path: true,
-            more_prepended: false,
-            n: 31,
-            n_tested: 30,
-            bytes: 77,
-            min_rtt_p50: 12.5,
-            min_rtt_var: None,
-            hdratio_p50: Some(0.5),
-            hdratio_var: Some(1e-7),
-        });
+        );
         let reply = Response::Cells(vec![cell.clone(), cell.clone()]).render() + "\r\n";
         let body = reply.split_once('\n').expect("header line").1;
         let mut line = String::new();

@@ -11,22 +11,18 @@
 //!
 //! ## Closed windows and the replies written from them
 //!
-//! A worker keeps each closed window as an immutable shared slice
-//! (`Arc<[(CellKey, CellSummary)]>`): it owns the map of them — insert
-//! on close, spill and pop on eviction — and nothing ever changes a
-//! slice's contents. A `cells` query therefore costs a worker
-//! one `Arc` clone per window in range; the connection's own reader
-//! thread does the rest ([`crate::reply::CellsReply`]): it filters on
-//! the group, orders the rows canonically — (window, group, rank), for
-//! a bare `cells` too — through a 24-byte-a-row sort index, merges
-//! the tiered store's rows under the same key with RAM winning
-//! duplicates, and only then — the row count, a draining server and a
-//! store error all known — writes header and rows through one 64 KiB
-//! buffer, each row formatted by [`crate::protocol::write_row`] straight
-//! from where it lies. No row is copied, no `CellLine` or whole-reply
-//! `String` exists, so a reply's transient memory is the index, not the
-//! reply; a window evicted mid-reply lives until the last reply reading
-//! it is written. Whenever any worker cannot be asked or does not answer
+//! A worker keeps each closed window as an immutable shared slice of rows
+//! in canonical order ([`crate::SharedWindow`]): insert on close, spill
+//! and pop on eviction, and nothing ever changes a slice. A `cells` query
+//! costs a worker one `Arc` clone per window in range; the connection's
+//! reader thread does the rest ([`crate::reply::CellsReply`]): it merges
+//! those sorted runs with the store's, RAM winning duplicates, counts the
+//! rows, and only then — the row count, a draining server and a store
+//! error all known — merges again to write them through one 64 KiB
+//! buffer, each by [`crate::protocol::write_row`] straight from where it
+//! lies. Nothing is sorted, copied or built; a window evicted mid-reply
+//! lives until the last reply reading it is written. Whenever any worker
+//! cannot be asked or does not answer
 //! (the server is draining, a worker died holding the message) the reply
 //! is `{"error":"draining"}` — never the remaining workers' rows passed
 //! off as all of them.
@@ -41,7 +37,9 @@
 use super::stats::WorkerSnap;
 use super::{send, Shared};
 use crate::protocol::{CellQuery, Response};
-use crate::reply::{CellsReply, SharedWindow};
+use crate::reply::CellsReply;
+use crate::store::Runs;
+use crate::window::SharedWindow;
 use std::io::{self, Write};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Mutex;
@@ -119,15 +117,16 @@ pub(super) fn query_workers<T>(
 }
 
 /// Serve a `cells` query by writing it: every worker hands
-/// over the closed windows in range as shared slices, the tiered store
-/// its matching rows, and this (the connection's reader) thread filters,
-/// orders and merges them through a [`CellsReply`] — windows present in
-/// both tiers (spilled but not yet evicted, or replayed after a restart)
-/// keep their RAM copy — and only then writes header and rows through
-/// one fixed-size buffer. The row count, a draining server and a store
-/// error are all known before the first byte goes out; an `Err` is the
-/// socket's. Every reply is in canonical (window, group, rank) order,
-/// whatever the query, the worker count or the spill timing.
+/// over the closed windows in range as shared sorted slices, the tiered
+/// store its matching rows as sorted runs, and this (the connection's
+/// reader) thread filters and merges them through a [`CellsReply`] —
+/// windows present in both tiers (spilled but not yet evicted, or
+/// replayed after a restart) keep their RAM copy — and only then writes
+/// header and rows through one fixed-size buffer. The row count, a
+/// draining server and a store error are all known before the first
+/// byte goes out; an `Err` is the socket's. Every reply is in canonical
+/// (window, group, rank) order, whatever the query, the worker count or
+/// the spill timing.
 pub(super) fn serve_cells(
     shared: &Shared,
     query: &CellQuery,
@@ -138,16 +137,17 @@ pub(super) fn serve_cells(
         return send(out, &Response::Draining);
     };
     let windows: Vec<SharedWindow> = per_worker.into_iter().flatten().collect();
-    let spilled = match shared.store.as_ref().map(|store| store.query(query)) {
-        None => Vec::new(),
-        Some(Ok(rows)) => rows,
+    let stored = match shared.store.as_ref().map(|store| store.query(query)) {
+        None => Runs::default(),
+        Some(Ok(runs)) => runs,
         Some(Err(err)) => return send(out, &Response::StoreError(err.to_string())),
     };
-    let reply = CellsReply::canonical(&windows, &spilled, query);
+    let reply = CellsReply::canonical(&windows, &stored, query);
+    let rows = reply.rows() as u64;
     let bytes = reply.write(out)?;
     if let Some(started) = started {
         shared.metrics.histogram("live.query.cells_ns").record(started.elapsed().as_nanos() as u64);
-        shared.metrics.counter("live.query.rows").add(reply.rows() as u64);
+        shared.metrics.counter("live.query.rows").add(rows);
         shared.metrics.counter("live.query.reply_bytes").add(bytes);
     }
     Ok(())

@@ -11,7 +11,7 @@ use crate::config::LiveConfig;
 use crate::detect::OnlineDetector;
 use crate::protocol::WorkerStatsLine;
 use crate::store::SpillOutcome;
-use crate::window::{CellKey, CellSummary, ClosedWindow, WindowRing};
+use crate::window::{ClosedWindow, SharedWindow, WindowRing};
 use edgeperf_analysis::DegradationMetric;
 use edgeperf_obs::Histogram;
 use std::collections::BTreeMap;
@@ -27,9 +27,9 @@ const BATCHES_PER_LANE_ROUND: usize = 4;
 struct WorkerState {
     ring: WindowRing,
     detector: OnlineDetector,
-    /// Closed windows retained in RAM, each an immutable slice shared
-    /// with whichever queries are writing it out.
-    closed: BTreeMap<u32, Arc<[(CellKey, CellSummary)]>>,
+    /// Closed windows retained in RAM, each an immutable slice of rows in
+    /// canonical order, shared with whichever queries are writing it out.
+    closed: BTreeMap<u32, SharedWindow>,
     processed: u64,
     windows_closed: u64,
 }
@@ -291,7 +291,7 @@ fn handle_control(w: usize, state: &WorkerState, lanes: &[LaneRx], msg: ControlM
                 .closed
                 .iter()
                 .filter(|(window, _)| query.contains_window(**window))
-                .map(|(window, cells)| (*window, Arc::clone(cells)))
+                .map(|(_, rows)| Arc::clone(rows))
                 .collect();
             let _ = reply.send(windows);
         }
@@ -339,8 +339,10 @@ fn handle_close(shared: &Shared, state: &mut WorkerState, cw: ClosedWindow, clos
     close_ns.time(|| {
         state.detector.observe(&cw);
         state.windows_closed += 1;
-        state.closed.insert(cw.index, cw.cells.into());
+        state.closed.insert(cw.index, cw.share());
     });
+    // The 112-byte summaries are spent: free them before a spill runs.
+    drop(cw);
     // Eviction (and spilling) runs outside the close timing: disk I/O
     // must never pollute the close-latency histogram. Spill-then-pop
     // order keeps the invariant that every closed window is in RAM or
@@ -358,8 +360,8 @@ fn handle_close(shared: &Shared, state: &mut WorkerState, cw: ClosedWindow, clos
             state.closed.pop_first();
             continue;
         };
-        let (&index, cells) = state.closed.first_key_value().expect("non-empty map");
-        match store.spill_window(index, cells) {
+        let (_, rows) = state.closed.first_key_value().expect("non-empty map");
+        match store.spill(rows) {
             Ok(SpillOutcome::Spilled) => {
                 state.closed.pop_first();
             }

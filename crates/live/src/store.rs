@@ -2,15 +2,17 @@
 //! segments once they age past the in-RAM retention horizon.
 //!
 //! Each worker keeps its last [`crate::LiveConfig::retention_windows`]
-//! closed windows in RAM, exactly as before. With a spill directory
-//! configured, a window evicted from that map is first handed here:
-//! its cells become one [`WindowCell`] run, sorted into the canonical
-//! order, streamed through the shared columnar codec's
+//! closed windows in RAM, each one run of [`WindowCell`] rows in the
+//! canonical [`cell_sort_key`] order. With a spill directory configured,
+//! a window evicted from that map is first handed here: its run is
+//! streamed as it lies through the shared columnar codec's
 //! [`SegmentWriter`] ([`edgeperf_analysis::segment`]) and published
 //! under the tmp + rename discipline. Spilling stores the **final
 //! summary bit patterns**, not the digests, so a historical query merged
 //! with live RAM windows is bit-identical to a run that never spilled: a
-//! change of address, not of value.
+//! change of address, not of value. A query answers with [`Runs`]: each
+//! overlapping segment's matching rows, still in that order, so a reply
+//! merges them with the RAM windows and never sorts.
 //!
 //! ## What is in RAM, and what the lock covers
 //!
@@ -107,24 +109,44 @@ pub fn window_cell(window: u32, key: &CellKey, s: &CellSummary) -> WindowCell {
 /// same representation [`CellLine::new`] builds from a RAM window, so
 /// disk- and RAM-sourced cells are indistinguishable on the wire.
 pub(crate) fn cell_line(c: &WindowCell) -> CellLine {
+    let group = c.group();
     CellLine {
         window: c.window,
-        pop: c.group.pop.0,
-        prefix_base: c.group.prefix.base,
-        prefix_len: c.group.prefix.len,
-        country: c.group.country,
-        continent: c.group.continent,
+        pop: group.pop.0,
+        prefix_base: group.prefix.base,
+        prefix_len: group.prefix.len,
+        country: group.country,
+        continent: group.continent,
         rank: c.rank,
-        relationship: c.relationship.label().to_string(),
-        longer_path: c.longer_path,
-        more_prepended: c.more_prepended,
+        relationship: c.relationship().label().to_string(),
+        longer_path: c.longer_path(),
+        more_prepended: c.more_prepended(),
         n: c.n,
         n_tested: c.n_tested,
         bytes: c.bytes,
         min_rtt_p50: c.min_rtt_p50,
-        min_rtt_var: c.min_rtt_var,
-        hdratio_p50: c.hdratio_p50,
-        hdratio_var: c.hdratio_var,
+        min_rtt_var: c.min_rtt_var(),
+        hdratio_p50: c.hdratio_p50(),
+        hdratio_var: c.hdratio_var(),
+    }
+}
+
+/// What [`SegmentStore::query`] matched: every overlapping segment's
+/// matching rows, one run a segment in manifest order, each run in the
+/// canonical [`cell_sort_key`] order its segment holds them in.
+#[derive(Debug, Default)]
+pub struct Runs {
+    /// Every matching row, run after run.
+    pub rows: Vec<WindowCell>,
+    /// Where each run ends in `rows`.
+    pub ends: Vec<usize>,
+}
+
+impl Runs {
+    /// Run `i`.
+    pub fn run(&self, i: usize) -> &[WindowCell] {
+        let start = i.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.rows[start..self.ends[i]]
     }
 }
 
@@ -403,15 +425,8 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Spill one evicted window. The cells arrive exactly as the
-    /// worker's RAM map held them; they are sorted into canonical order
-    /// and written as one segment, then the manifest commits it.
-    ///
-    /// In degraded mode most attempts return
-    /// [`SpillOutcome::DegradedSkip`] without touching the disk; the
-    /// caller must keep the window in RAM and offer it again on a later
-    /// eviction pass. Every `probe_skip`-th attempt goes to disk as a
-    /// probe — the first success clears degraded mode.
+    /// Spill window `index`'s cells, in any order: they are sorted into
+    /// canonical order and [`spill`](Self::spill)ed.
     pub fn spill_window(
         &self,
         index: u32,
@@ -420,6 +435,19 @@ impl SegmentStore {
         let mut rows: Vec<WindowCell> =
             cells.iter().map(|(key, s)| window_cell(index, key, s)).collect();
         sort_cells(&mut rows);
+        self.spill(&rows)
+    }
+
+    /// Spill one evicted window's `rows`, already in canonical order —
+    /// the slice a worker keeps — streamed as they lie into one segment,
+    /// then the manifest commits it.
+    ///
+    /// In degraded mode most attempts return
+    /// [`SpillOutcome::DegradedSkip`] without touching the disk; the
+    /// caller must keep the window in RAM and offer it again on a later
+    /// eviction pass. Every `probe_skip`-th attempt goes to disk as a
+    /// probe — the first success clears degraded mode.
+    pub(crate) fn spill(&self, rows: &[WindowCell]) -> Result<SpillOutcome, EdgeperfError> {
         let mut state = self.state.lock().expect("store state");
         if rows.is_empty() {
             state.spilled_windows += 1;
@@ -465,12 +493,13 @@ impl SegmentStore {
     fn spill_to_disk(
         &self,
         state: &mut StoreState,
-        rows: Vec<WindowCell>,
+        rows: &[WindowCell],
     ) -> Result<(), EdgeperfError> {
         let id = state.next_id;
         state.next_id += 1;
-        let segment =
-            self.write_segment(id, |out| out.extend(&rows).map_err(|e| write_err(id, e)))?;
+        let segment = self.write_segment(id, |out| {
+            rows.iter().try_for_each(|c| out.push(c)).map_err(|e| write_err(id, e))
+        })?;
         state.spilled_cells += segment.meta.cells;
         let mut segments = state.segments.clone();
         segments.push(segment);
@@ -525,11 +554,12 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Read every cell matching `q` out of the manifested segments:
-    /// only the row groups whose window and key range can hold a match
-    /// are read, each verified and filtered before the next. The lock is
-    /// held to snapshot the segments and open their files, not to read.
-    pub fn query(&self, q: &CellQuery) -> Result<Vec<WindowCell>, EdgeperfError> {
+    /// Read every cell matching `q` out of the manifested segments, one
+    /// sorted run a segment: only the row groups whose window and key
+    /// range can hold a match are read, each verified and filtered before
+    /// the next. The lock is held to snapshot the segments and open their
+    /// files, not to read.
+    pub fn query(&self, q: &CellQuery) -> Result<Runs, EdgeperfError> {
         self.query_pausing(q, || ())
     }
 
@@ -540,7 +570,7 @@ impl SegmentStore {
         &self,
         q: &CellQuery,
         mut between_groups: impl FnMut(),
-    ) -> Result<Vec<WindowCell>, EdgeperfError> {
+    ) -> Result<Runs, EdgeperfError> {
         let readers = {
             let state = self.state.lock().expect("store state");
             let overlaps = |m: &SegmentMeta| {
@@ -550,7 +580,7 @@ impl SegmentStore {
             let overlapping = state.segments.iter().filter(|s| overlaps(&s.meta));
             overlapping.map(|s| s.reader(&self.dir)).collect::<Result<Vec<_>, _>>()?
         };
-        let mut out = Vec::new();
+        let mut out = Runs { rows: Vec::new(), ends: Vec::with_capacity(readers.len()) };
         let mut rows = Vec::with_capacity(GROUP_ROWS);
         let (mut groups, mut bytes, mut examined) = (0, 0, 0);
         for mut reader in readers {
@@ -564,12 +594,13 @@ impl SegmentStore {
                 groups += 1;
                 bytes += u64::from(group.len);
                 examined += rows.len() as u64;
-                out.extend(rows.iter().filter(|c| q.matches(c.window, &c.group)));
+                out.rows.extend(rows.iter().filter(|c| q.matches(c.window, &c.group())));
                 between_groups();
             }
+            out.ends.push(out.rows.len());
         }
-        for (total, by) in self.query_totals.iter().zip([groups, bytes, examined, out.len() as u64])
-        {
+        let returned = out.rows.len() as u64;
+        for (total, by) in self.query_totals.iter().zip([groups, bytes, examined, returned]) {
             total.fetch_add(by, Ordering::Relaxed);
         }
         Ok(out)
@@ -808,10 +839,10 @@ mod tests {
     fn bits(c: &WindowCell) -> Bits {
         (
             cell_sort_key(c),
-            (c.relationship, c.longer_path, c.more_prepended),
+            (c.relationship(), c.longer_path(), c.more_prepended()),
             (c.n, c.n_tested, c.bytes),
             c.min_rtt_p50.to_bits(),
-            [c.min_rtt_var, c.hdratio_p50, c.hdratio_var].map(|v| v.map(f64::to_bits)),
+            [c.min_rtt_var(), c.hdratio_p50(), c.hdratio_var()].map(|v| v.map(f64::to_bits)),
         )
     }
 
@@ -821,9 +852,19 @@ mod tests {
         rows.iter().map(bits).collect()
     }
 
+    /// A query's rows, once each run is checked to be in canonical order.
+    fn checked(runs: Result<Runs, EdgeperfError>) -> Vec<WindowCell> {
+        let runs = runs.expect("queries");
+        for i in 0..runs.ends.len() {
+            let keys: Vec<_> = runs.run(i).iter().map(cell_sort_key).collect();
+            assert!(keys.is_sorted(), "a run out of canonical order: {keys:?}");
+        }
+        runs.rows
+    }
+
     /// The unindexed answer: filter every row there is.
     fn answer(all: &[WindowCell], q: &CellQuery) -> Vec<Bits> {
-        sorted_bits(all.iter().filter(|c| q.matches(c.window, &c.group)).copied().collect())
+        sorted_bits(all.iter().filter(|c| q.matches(c.window, &c.group())).copied().collect())
     }
 
     fn rows_of(index: u32, cells: &[(CellKey, CellSummary)]) -> Vec<WindowCell> {
@@ -852,9 +893,10 @@ mod tests {
 
     /// A point query for the group of `cell` over every window.
     fn point(cell: &WindowCell) -> CellQuery {
+        let g = cell.group();
         let group = crate::protocol::GroupFilter {
-            pop: Some(cell.group.pop.0),
-            prefix: Some((cell.group.prefix.base, cell.group.prefix.len)),
+            pop: Some(g.pop.0),
+            prefix: Some((g.prefix.base, g.prefix.len)),
             ..Default::default()
         };
         CellQuery { group, ..Default::default() }
@@ -868,7 +910,7 @@ mod tests {
         let w4 = window(4, 9);
         store.spill_window(3, &w3).expect("spills");
         store.spill_window(4, &w4).expect("spills");
-        let got = store.query(&CellQuery::default()).expect("queries");
+        let got = store.query(&CellQuery::default()).expect("queries").rows;
         assert_eq!(got.len(), w3.len() + w4.len());
         let mut expected: Vec<WindowCell> = w3
             .iter()
@@ -879,15 +921,16 @@ mod tests {
         let mut got_sorted = got.clone();
         sort_cells(&mut got_sorted);
         for (a, b) in expected.iter().zip(&got_sorted) {
-            assert_eq!(a.group, b.group);
+            assert_eq!(a.group(), b.group());
             assert_eq!(a.min_rtt_p50.to_bits(), b.min_rtt_p50.to_bits());
-            assert_eq!(a.min_rtt_var.map(f64::to_bits), b.min_rtt_var.map(f64::to_bits));
-            assert_eq!(a.hdratio_p50.map(f64::to_bits), b.hdratio_p50.map(f64::to_bits));
+            assert_eq!(a.min_rtt_var().map(f64::to_bits), b.min_rtt_var().map(f64::to_bits));
+            assert_eq!(a.hdratio_p50().map(f64::to_bits), b.hdratio_p50().map(f64::to_bits));
         }
         // Range and group filters prune.
         let only3 = store
             .query(&CellQuery { from_window: Some(3), until_window: Some(3), ..Default::default() })
-            .expect("queries");
+            .expect("queries")
+            .rows;
         assert_eq!(only3.len(), w3.len());
         assert!(only3.iter().all(|c| c.window == 3));
         let stats = store.stats();
@@ -912,7 +955,7 @@ mod tests {
         let store = SegmentStore::open(&dir, 8, 8, 3).expect("reopens");
         assert!(!dir.join("seg-00000099.seg").exists(), "orphan segment swept");
         assert!(!dir.join("seg-00000100.seg.tmp").exists(), "orphan tmp swept");
-        assert_eq!(store.query(&CellQuery::default()).expect("queries").len(), 11);
+        assert_eq!(store.query(&CellQuery::default()).expect("queries").rows.len(), 11);
         // Ids never collide with swept orphans.
         store.spill_window(3, &window(3, 2)).expect("spills");
         let stats = store.stats();
@@ -932,7 +975,7 @@ mod tests {
             {
                 let store = SegmentStore::open(&dir, 8, 8, 3).expect("opens");
                 store.spill_window(1, &window(1, 4)).expect("spills");
-                cells_before = store.query(&CellQuery::default()).expect("queries").len();
+                cells_before = store.query(&CellQuery::default()).expect("queries").rows.len();
                 store.inject_crash(point);
                 store.spill_window(2, &window(2, 7)).expect_err("crash injected");
             }
@@ -941,7 +984,7 @@ mod tests {
             // crash. The interrupted spill is simply absent.
             let store = SegmentStore::open(&dir, 8, 8, 3)
                 .unwrap_or_else(|e| panic!("{point:?}: recovery failed: {e}"));
-            let after = store.query(&CellQuery::default()).expect("queries");
+            let after = store.query(&CellQuery::default()).expect("queries").rows;
             assert_eq!(after.len(), cells_before, "{point:?}");
             // No stray staging files survive recovery.
             for entry in std::fs::read_dir(&dir).unwrap().flatten() {
@@ -951,7 +994,7 @@ mod tests {
             // And the store keeps working.
             store.spill_window(2, &window(2, 7)).expect("spills after recovery");
             assert_eq!(
-                store.query(&CellQuery::default()).expect("queries").len(),
+                store.query(&CellQuery::default()).expect("queries").rows.len(),
                 cells_before + 7
             );
             let _ = std::fs::remove_dir_all(&dir);
@@ -967,7 +1010,7 @@ mod tests {
         }
         assert!(store.needs_compaction());
         let before = {
-            let mut v = store.query(&CellQuery::default()).expect("queries");
+            let mut v = store.query(&CellQuery::default()).expect("queries").rows;
             sort_cells(&mut v);
             v
         };
@@ -976,22 +1019,20 @@ mod tests {
         assert_eq!(stats.compactions, 1);
         assert_eq!(stats.segments, 3, "4 victims merged into 1, 2 untouched");
         let after = {
-            let mut v = store.query(&CellQuery::default()).expect("queries");
+            let mut v = store.query(&CellQuery::default()).expect("queries").rows;
             sort_cells(&mut v);
             v
         };
         assert_eq!(before.len(), after.len());
         for (a, b) in before.iter().zip(&after) {
-            assert_eq!(a.group, b.group);
-            assert_eq!(a.window, b.window);
-            assert_eq!(a.min_rtt_p50.to_bits(), b.min_rtt_p50.to_bits());
+            assert_eq!(bits(a), bits(b));
         }
         // Compacting below the threshold is a no-op.
         assert!(!store.compact_once().expect("no-op"));
         // Reopen still serves the merged state.
         drop(store);
         let store = SegmentStore::open(&dir, 4, 4, 3).expect("reopens");
-        assert_eq!(store.query(&CellQuery::default()).expect("queries").len(), before.len());
+        assert_eq!(store.query(&CellQuery::default()).expect("queries").rows.len(), before.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1003,7 +1044,7 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.spilled_windows, 1);
         assert_eq!(stats.segments, 0);
-        assert!(store.query(&CellQuery::default()).expect("queries").is_empty());
+        assert!(store.query(&CellQuery::default()).expect("queries").rows.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1094,7 +1135,7 @@ mod tests {
         }
         assert!(store.compact_once().expect("compacts"));
         let q = point(&all[1_234]);
-        let got = store.query(&q).expect("queries");
+        let got = store.query(&q).expect("queries").rows;
         assert_eq!(sorted_bits(got.clone()), answer(&all, &q));
         assert_eq!(got.len(), 4, "one cell a window");
         let stats = store.stats();
@@ -1104,8 +1145,8 @@ mod tests {
         assert!(stats.query_bytes_read * 3 < stats.bytes, "{stats:?}");
         // A window range prunes by window, a full scan reads it all.
         let q = CellQuery { from_window: Some(1), until_window: Some(2), ..Default::default() };
-        assert_eq!(sorted_bits(store.query(&q).expect("queries")), answer(&all, &q));
-        let full = store.query(&CellQuery::default()).expect("queries");
+        assert_eq!(sorted_bits(store.query(&q).expect("queries").rows), answer(&all, &q));
+        let full = store.query(&CellQuery::default()).expect("queries").rows;
         assert_eq!(sorted_bits(full), answer(&all, &CellQuery::default()));
         assert_eq!(store.stats().query_rows_examined - stats.query_rows_examined, 4_000 + 8_000);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1132,7 +1173,8 @@ mod tests {
                     compacted = true;
                 }
             })
-            .expect("no StoreError");
+            .expect("no StoreError")
+            .rows;
         assert!(compacted);
         assert_eq!(store.stats().segments, 1);
         assert!(!dir.join("seg-00000000.seg").exists(), "victims are gone from the directory");
@@ -1161,7 +1203,7 @@ mod tests {
         let stats = store.stats();
         assert_eq!((stats.segments, stats.cells), (2, 45), "merged + the late spill");
         assert_eq!(
-            sorted_bits(store.query(&CellQuery::default()).expect("queries")),
+            sorted_bits(store.query(&CellQuery::default()).expect("queries").rows),
             answer(&all, &CellQuery::default())
         );
         // And the manifest on disk agrees.
@@ -1204,7 +1246,7 @@ mod tests {
                 SpillOutcome::Spilled
             );
             spill.join().expect("spill thread");
-            let got = query.join().expect("query thread").expect("queries");
+            let got = query.join().expect("query thread").expect("queries").rows;
             assert_eq!(got.len(), 1_200, "the snapshot predates the spill");
         });
         assert_eq!(store.stats().segments, 2);
@@ -1287,7 +1329,7 @@ mod tests {
                                 let cell = &oracle[0][pick as usize % oracle[0].len()];
                                 CellQuery { until_window: Some(lo - 1), ..point(cell) }
                             };
-                            let got = store.query(&q).expect("never a StoreError");
+                            let got = store.query(&q).expect("never a StoreError").rows;
                             let span = q.from_window.unwrap_or(0) as usize..=(lo - 1) as usize;
                             let all: Vec<WindowCell> = oracle[span].concat();
                             assert_eq!(
@@ -1336,24 +1378,23 @@ mod tests {
             CellQuery { from_window: Some(2), until_window: Some(4), ..Default::default() },
             point(&all[17]),
         ];
+        // Version-1 segments were sorted too: each is a run a reply can
+        // merge.
         for q in &queries {
-            assert_eq!(sorted_bits(store.query(q).expect("queries")), answer(&all, q), "{q:?}");
+            assert_eq!(sorted_bits(checked(store.query(q))), answer(&all, q), "{q:?}");
         }
         // Compacting rewrites all three as one version-2 segment; a new
         // spill lands beside it; nothing changes in any answer.
         assert!(store.compact_once().expect("compacts version-1 victims"));
         assert_eq!(store.stats().segments, 1);
         for q in &queries {
-            assert_eq!(sorted_bits(store.query(q).expect("queries")), answer(&all, q), "{q:?}");
+            assert_eq!(sorted_bits(checked(store.query(q))), answer(&all, q), "{q:?}");
         }
         drop(store);
         let store = SegmentStore::open(&dir, 3, 3, 3).expect("reopens");
         let merged = std::fs::read(dir.join("seg-00000007.seg")).expect("merged segment");
         assert_eq!(merged[4], edgeperf_analysis::SEGMENT_VERSION);
-        assert_eq!(
-            sorted_bits(store.query(&queries[0]).expect("queries")),
-            answer(&all, &queries[0])
-        );
+        assert_eq!(sorted_bits(checked(store.query(&queries[0]))), answer(&all, &queries[0]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1452,7 +1493,7 @@ mod tests {
                     continent: None,
                 };
                 let q = CellQuery { from_window, until_window, group };
-                prop_assert_eq!(sorted_bits(store.query(&q).expect("queries")), answer(&all, &q));
+                prop_assert_eq!(sorted_bits(checked(store.query(&q))), answer(&all, &q));
             }
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -14,6 +14,9 @@
 //! insert buffers and 16 B a centroid, trimmed at every compression).
 //! Closing a window summarises and drops its cells one at a time.
 //!
+//! [`ClosedWindow::share`] then packs a closed window into the 72-byte
+//! rows its worker retains, spills and replies from.
+//!
 //! The *watermark* trails the maximum observed timestamp by the allowed
 //! lateness. A window closes when the watermark passes its end: its cells
 //! are flushed, summarized ([`CellSummary`]) and handed to the caller.
@@ -22,9 +25,10 @@
 
 use crate::record::LiveRecord;
 pub use edgeperf_analysis::CellSummary;
-use edgeperf_analysis::{FxHashMap, GroupKey, StreamingCell};
+use edgeperf_analysis::{cell_sort_key, FxHashMap, GroupKey, StreamingCell, WindowCell};
 use edgeperf_core::EdgeperfError;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One (group, route-rank) cell address within a window.
 pub type CellKey = (GroupKey, u8);
@@ -36,6 +40,23 @@ pub struct ClosedWindow {
     pub index: u32,
     /// Cells in worker insertion order.
     pub cells: Vec<(CellKey, CellSummary)>,
+}
+
+/// One closed window as its worker keeps and shares it: its rows in
+/// canonical [`cell_sort_key`] order, immutable.
+pub type SharedWindow = Arc<[WindowCell]>;
+
+impl ClosedWindow {
+    /// The window as its worker keeps it once the detector has observed
+    /// it: one allocation of 72-byte rows, sorted where it lies. A
+    /// window's (group, rank) keys are distinct, so an unstable sort is
+    /// the canonical order and allocates nothing more.
+    pub fn share(&self) -> SharedWindow {
+        let mut rows: SharedWindow =
+            self.cells.iter().map(|(k, s)| WindowCell::new(self.index, k.0, k.1, s)).collect();
+        Arc::get_mut(&mut rows).expect("not shared yet").sort_unstable_by_key(cell_sort_key);
+        rows
+    }
 }
 
 /// Cells of one still-open window: a dense arena in insertion order,

@@ -210,7 +210,7 @@ fn streamed_replies_are_the_rendered_replies_byte_for_byte() {
     }
 }
 
-/// ROADMAP 1b, "query by verb": two `cells` queries, and the `metrics`
+/// ROADMAP item 5, "query by verb": two `cells` queries, and the `metrics`
 /// verb reports one timing each and exactly the rows and bytes the two
 /// replies carried.
 #[test]

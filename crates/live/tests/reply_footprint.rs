@@ -1,27 +1,28 @@
-//! Footprint gate for `cells` replies: a reply is written from
-//! the windows the workers share, not built. Ordering and writing the
-//! `recent_4w` read at the wide shape — 32,768 rows from four shared
-//! 8,192-row windows, 10.6 MB on the wire — peaks below 2 MB of live heap
-//! (the 24-byte-a-row sort index and one 64 KiB buffer) and asks the
-//! allocator for memory as often as a 256-row reply does. A
-//! `Vec<CellLine>` (a `String` a row), a `Value` tree a row or the reply
-//! as one `String` — the path this replaced held the rows four times
-//! over, ~20 MB — fails here. Heap is counted exactly by the counting
-//! global allocator the analysis crate's footprint test uses, hence one
-//! `#[test]`.
+//! Footprint gate for `cells` replies: a reply is merged and written from
+//! the windows the workers share, not built or sorted. A retained window
+//! of 8,192 cells is one allocation of 72 B a cell. Merging and writing
+//! the `recent_4w` read at the wide shape — 32,768 rows from four such
+//! windows, 10.6 MB on the wire — peaks below 256 KiB of live heap (one
+//! 64 KiB buffer and a heap of one head a window) in at most two allocator
+//! requests, as many as a 256-row reply makes. A sort index (24 B a row,
+//! 786 KB here), a `Vec<CellLine>` (a `String` a row), a `Value` tree a
+//! row or the reply as one `String` fails here. Heap is counted exactly by
+//! the counting global allocator the analysis crate's footprint test
+//! uses, hence one `#[test]`.
 
 #[path = "../../analysis/tests/counting/mod.rs"]
 mod counting;
 
-use counting::{count_this_thread, peak_above, requests};
+use counting::{count_this_thread, heap_of, peak_above, requests};
 use edgeperf_analysis::GroupKey;
-use edgeperf_live::{CellQuery, CellSummary, CellsReply, SharedWindow};
+use edgeperf_live::{CellQuery, CellSummary, CellsReply, ClosedWindow, Runs, SharedWindow};
 use edgeperf_routing::{PopId, Prefix, Relationship};
 
 const WINDOWS: u32 = 4;
 
-/// Window `window`: `rows` cells in an order no sort would leave them in.
-fn window(window: u32, rows: u32) -> SharedWindow {
+/// Window `window` as it closes: `rows` cells in an order no sort would
+/// leave them in.
+fn closed(window: u32, rows: u32) -> ClosedWindow {
     let cells = (0..rows).map(|i| {
         let g = i.wrapping_mul(2_654_435_761).wrapping_add(window) % rows;
         let group = GroupKey {
@@ -44,17 +45,18 @@ fn window(window: u32, rows: u32) -> SharedWindow {
         };
         ((group, u8::from(i % 2 == 1)), summary)
     });
-    (window, cells.collect())
+    ClosedWindow { index: window, cells: cells.collect() }
 }
 
-/// Order and write the four newest windows into a sink, as the server
+/// Merge and write the four newest windows into a sink, as the server
 /// does between the workers' answer and the socket: bytes written, heap
 /// peak, allocator requests.
 fn reply(windows: &[SharedWindow]) -> (u64, usize, usize) {
     let recent = CellQuery { from_window: Some(0), ..CellQuery::default() };
+    let none = Runs::default();
     let ((bytes, held, transient), asked) = requests(|| {
         peak_above(|| {
-            CellsReply::canonical(windows, &[], &recent)
+            CellsReply::canonical(windows, &none, &recent)
                 .write(&mut std::io::sink())
                 .expect("a sink takes everything")
         })
@@ -63,15 +65,23 @@ fn reply(windows: &[SharedWindow]) -> (u64, usize, usize) {
 }
 
 #[test]
-fn a_reply_holds_an_index_and_a_buffer_not_its_rows() {
+fn a_reply_holds_a_buffer_and_a_head_a_window_not_its_rows() {
     count_this_thread();
-    let wide: Vec<SharedWindow> = (0..WINDOWS).map(|w| window(w, 8_192)).collect();
-    let small: Vec<SharedWindow> = (0..WINDOWS).map(|w| window(w, 64)).collect();
+    let wide: Vec<SharedWindow> = (0..WINDOWS)
+        .map(|w| {
+            let closed = closed(w, 8_192);
+            let (shared, heap) = heap_of(|| closed.share());
+            let arc_counts = 2 * std::mem::size_of::<usize>();
+            assert_eq!(heap, 72 * 8_192 + arc_counts, "a retained window is 72 B a cell");
+            shared
+        })
+        .collect();
+    let small: Vec<SharedWindow> = (0..WINDOWS).map(|w| closed(w, 64).share()).collect();
     let (bytes, peak, asked) = reply(&wide);
     assert!(bytes > 9 << 20, "32,768 rows are ~10 MB of JSON, wrote {bytes} B");
-    assert!(peak < 2 << 20, "writing {bytes} B of reply peaked at {peak} B of heap");
+    assert!(peak < 256 << 10, "writing {bytes} B of reply peaked at {peak} B of heap");
     let (small_bytes, _, small_asked) = reply(&small);
     assert!(small_bytes < bytes / 100);
     assert_eq!(asked, small_asked, "allocator requests must not grow with the row count");
-    assert!(asked <= 4, "an index and a buffer, {asked} requests");
+    assert!(asked <= 2, "a buffer and the merge's heads, {asked} requests");
 }

@@ -1,11 +1,12 @@
 //! Footprint gate for the tiered store: a historical query and a
 //! compaction hold row groups, not segments. On eight 25,000-row
-//! segments (1.6 MB each on disk, 2.6 MB decoded) a point query over
-//! every window peaks below 1 MB of live heap and a merge of all eight
-//! below 2 MB; reading a segment whole — `fs::read` plus `decode_segment`
-//! is 4 MB for one, `rows.extend(..)` over eight is 40 MB — fails here.
-//! Heap bytes are counted exactly by the counting global allocator the
-//! analysis crate's footprint test uses, hence one `#[test]`.
+//! segments (1.6 MB each on disk, 1.8 MB decoded at 72 B a row) a point
+//! query over every window peaks below 1 MB of live heap and holds 72 B a
+//! row it returns, and a merge of all eight peaks below 2 MB; reading a
+//! segment whole — `fs::read` plus `decode_segment` is 3.4 MB for one,
+//! `rows.extend(..)` over eight 15–30 MB — fails here. Heap bytes are
+//! counted exactly by the counting global allocator the analysis crate's
+//! footprint test uses, hence one `#[test]`.
 
 #[path = "../../analysis/tests/counting/mod.rs"]
 mod counting;
@@ -61,8 +62,13 @@ fn queries_and_compaction_hold_row_groups_not_segments() {
         GroupFilter { pop: Some((g % 8) as u16), prefix: Some((g << 8, 24)), ..Default::default() };
     let point = CellQuery { group, ..CellQuery::default() };
     for merged in [false, true] {
-        let (rows, held, transient) = peak_above(|| store.query(&point).expect("queries"));
-        assert_eq!(rows.len(), SEGMENTS as usize, "one cell a window");
+        let (runs, held, transient) = peak_above(|| store.query(&point).expect("queries"));
+        assert_eq!(runs.rows.len(), SEGMENTS as usize, "one cell a window");
+        assert_eq!(
+            held,
+            72 * runs.rows.capacity() + std::mem::size_of::<usize>() * runs.ends.capacity(),
+            "a returned row is 72 B, a run's end one usize"
+        );
         assert!(
             held + transient < 1 << 20,
             "a point query (merged: {merged}) peaked {transient} B above the {held} B it returns"

@@ -95,6 +95,17 @@ double_counts() {
         crates/live/src --include="*.rs" | grep -v "^crates/live/src/server/stats.rs:"
 }
 
+# A `cells` reply merges the runs the workers and the store hand over,
+# each already in canonical order; it never sorts. A sort on the reply
+# path — outside reply.rs's tests, whose reference answer is a sort — is
+# the 24-byte-a-row index that used to be the query phase's memory peak
+# coming back.
+reply_sorts() {
+    awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /\.sort|sort_cells/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit found }' crates/live/src/reply.rs crates/live/src/server/query.rs
+}
+
 # --- Replay gates -----------------------------------------------------
 
 bin=target/release
@@ -375,8 +386,8 @@ tracked_lines() {
 }
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
-front_door_wrappers proof_kit_copies double_counts live_smoke chaos_live fleet_smoke repro_results
-repro_streaming study_resume tracked_lines"
+front_door_wrappers proof_kit_copies double_counts reply_sorts live_smoke chaos_live fleet_smoke
+repro_results repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
 list) echo $gates ;;
