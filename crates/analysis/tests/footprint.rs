@@ -13,15 +13,16 @@ use counting::{count_this_thread, heap_of, peak_above};
 use edgeperf_analysis::figures::{fig6_minrtt, HdratioTally};
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
-    ColumnarSink, GroupKey, SessionRecord, StreamingAggregation, StreamingDataset,
+    ColumnarSink, GroupKey, SessionRecord, StreamingAggregation, StreamingCell, StreamingDataset,
 };
 use edgeperf_routing::{PopId, Prefix, Relationship};
 use edgeperf_stats::TDigest;
+/// A cell of `samples` sessions, one in five untested.
 fn open_cell(samples: usize) -> StreamingAggregation {
     let mut cell = StreamingAggregation::new();
     for i in 0..samples {
         let u = (i as f64 * 0.618_033_988_749).fract();
-        cell.push(20.0 + 80.0 * u, Some(u), 1_000);
+        cell.push(20.0 + 80.0 * u, (i % 5 != 4).then_some(u), 1_000);
     }
     cell
 }
@@ -119,14 +120,22 @@ fn cells_cost_what_they_hold() {
     let (_digest, bytes) = heap_of(|| TDigest::from_parts(parts));
     assert_eq!(bytes, 0, "TDigest::from_parts(empty) allocated");
 
-    // The paper's minimum-sample cell (30 sessions, both metrics).
-    let (_cell, bytes) = heap_of(|| open_cell(30));
-    assert!(bytes <= 600, "an open 30-sample cell holds {bytes} B");
+    // A cell below 512 sessions holds them, 16 B each in a run that
+    // doubles from four: the wide shape's 1- and 3-session alternate
+    // routes, its 28-session preferred route and the paper's 30-session
+    // minimum. Beside it the live tier's arena entry, (`CellKey`, cell),
+    // is 72 B at most.
+    assert!(std::mem::size_of::<((GroupKey, u8), StreamingCell)>() <= 72);
+    for (sessions, run) in [(1, 64), (3, 64), (28, 512), (30, 512)] {
+        let (_cell, bytes) = heap_of(|| open_cell(sessions));
+        assert!(bytes <= run, "an open {sessions}-session cell holds {bytes} B");
+    }
 
-    // A hot cell holds its two 4 KiB insert buffers and 16 B a centroid:
-    // every compression trims the slack its output was given.
+    // A hot cell holds its boxed digest pair, their two 4 KiB insert
+    // buffers and 16 B a centroid: every compression trims the slack its
+    // output was given.
     let (cell, bytes) = heap_of(|| open_cell(100_000));
-    let held = 2 * 4096 + 16 * cell.state_centroids();
+    let held = std::mem::size_of::<[TDigest; 2]>() + 2 * 4096 + 16 * cell.state_centroids();
     assert!(bytes <= held, "an open 100,000-sample cell holds {bytes} B, its content {held} B");
 
     // A sealed, finalized sink holds a summary a cell and one Figure 6

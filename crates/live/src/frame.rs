@@ -66,7 +66,7 @@ use edgeperf_analysis::GroupKey;
 use edgeperf_core::EdgeperfError;
 use edgeperf_routing::{PopId, Prefix, Relationship};
 
-use crate::record::LiveRecord;
+use crate::record::{check_measurements, LiveRecord};
 
 /// First four bytes of a binary-mode connection.
 pub(crate) const FRAME_MAGIC: [u8; 4] = *b"EPB1";
@@ -224,18 +224,8 @@ pub(crate) fn decode_body(b: &[u8]) -> Result<LiveRecord, EdgeperfError> {
         return Err(EdgeperfError::Frame { message: format!("invalid ts_ms {ts_ms}") });
     }
     let min_rtt_ms = le_f64(&b[8..16]);
-    if !min_rtt_ms.is_finite() || min_rtt_ms < 0.0 {
-        return Err(EdgeperfError::InvalidMinRtt { value: min_rtt_ms });
-    }
-    let hdratio = if meta & META_HAS_HDRATIO != 0 {
-        let h = le_f64(&b[16..24]);
-        if !h.is_finite() {
-            return Err(EdgeperfError::NonFinite { field: "hdratio".into(), value: h });
-        }
-        Some(h)
-    } else {
-        None
-    };
+    let hdratio = (meta & META_HAS_HDRATIO != 0).then(|| le_f64(&b[16..24]));
+    check_measurements(min_rtt_ms, hdratio)?;
     let base = u32::from_le_bytes(b[32..36].try_into().expect("4-byte slice"));
     Ok(LiveRecord {
         ts_ms,

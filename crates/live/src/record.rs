@@ -30,6 +30,33 @@ pub struct LiveRecord {
     pub bytes: u64,
 }
 
+/// The rule a session's measurements meet before they reach a cell: a
+/// MinRTT that is non-finite or negative is
+/// [`EdgeperfError::InvalidMinRtt`], a non-finite HDratio
+/// [`EdgeperfError::NonFinite`]. The frame decoder applies it to what the
+/// wire carries, [`crate::WindowRing::push`] to whatever a caller hands it.
+#[inline]
+pub(crate) fn check_measurements(
+    min_rtt_ms: f64,
+    hdratio: Option<f64>,
+) -> Result<(), EdgeperfError> {
+    // One test on the path every record takes (NaN lies in no range);
+    // the error is built out of line.
+    let min_rtt_ok = (0.0..f64::INFINITY).contains(&min_rtt_ms);
+    if min_rtt_ok && hdratio.is_none_or(f64::is_finite) {
+        return Ok(());
+    }
+    Err(measurement_error(min_rtt_ok, min_rtt_ms, hdratio))
+}
+
+#[cold]
+fn measurement_error(min_rtt_ok: bool, min_rtt_ms: f64, hdratio: Option<f64>) -> EdgeperfError {
+    match hdratio {
+        Some(h) if min_rtt_ok => EdgeperfError::NonFinite { field: "hdratio".into(), value: h },
+        _ => EdgeperfError::InvalidMinRtt { value: min_rtt_ms },
+    }
+}
+
 /// Parses one wire line into a [`LiveRecord`].
 ///
 /// The server is generic over the wire format so the crate graph stays

@@ -3,16 +3,18 @@
 //! Each ingest worker owns one [`WindowRing`]. Records carry event time;
 //! the ring assigns them to `floor(ts / window_ms)` windows whose
 //! per-(group, route-rank) cells are the same bounded-memory
-//! [`StreamingCell`] t-digest pairs the offline
+//! [`StreamingCell`]s the offline
 //! [`edgeperf_analysis::StreamingDataset`] uses — so a finite replay
 //! through the server reproduces the offline cells bit for bit.
 //!
-//! An open cell costs what it holds: a 280-byte arena entry (key, two
-//! empty digests, route flags), a 24-byte slot in the window's index map,
-//! and digest heap that grows with its samples — 512 B at the paper's
-//! 30-session minimum, at most ~10 KB however hot the cell (two 4 KiB
-//! insert buffers and 16 B a centroid, trimmed at every compression).
-//! Closing a window summarises and drops its cells one at a time.
+//! An open cell costs what it holds: a 72-byte arena entry (key, route
+//! flags, an empty slot for its digests), a 24-byte slot in the window's
+//! index map, and its sessions — 16 B each until its 512th: 64 B for up
+//! to four, 512 B at the paper's 30-session minimum. From the 512th on it
+//! holds a boxed digest pair instead, at most ~10 KB however hot the cell
+//! (two 4 KiB insert buffers and 16 B a centroid, trimmed at every
+//! compression). Closing a window builds a small cell's digests from its
+//! sessions, then summarises and drops its cells one at a time.
 //!
 //! [`ClosedWindow::share`] then packs a closed window into the 72-byte
 //! rows its worker retains, spills and replies from.
@@ -23,7 +25,7 @@
 //! Records addressed at an already-closed window are rejected with the
 //! typed [`EdgeperfError::LateRecord`] — never silently dropped.
 
-use crate::record::LiveRecord;
+use crate::record::{check_measurements, LiveRecord};
 pub use edgeperf_analysis::CellSummary;
 use edgeperf_analysis::{cell_sort_key, FxHashMap, GroupKey, StreamingCell, WindowCell};
 use edgeperf_core::EdgeperfError;
@@ -89,8 +91,10 @@ impl OpenWindow {
     fn close(self, index: u32) -> ClosedWindow {
         drop(self.index);
         // Sized for the summaries: collecting in place would keep the
-        // arena's allocation, 280 bytes a cell, alive for the whole
-        // retention of the closed window.
+        // arena's allocation, 72 bytes a cell, alive for the whole
+        // retention of the closed window. A cell's digests — built here
+        // from its sessions if it never reached 512 — live only until its
+        // summary is taken.
         let mut cells = Vec::with_capacity(self.cells.len());
         cells.extend(self.cells.into_iter().map(|(key, mut cell)| {
             cell.agg.flush();
@@ -139,7 +143,9 @@ impl WindowRing {
     /// Ingest one record. Returns the windows this record's timestamp
     /// closed (usually none). Records behind the watermark — addressed at
     /// an already-closed window — are rejected as
-    /// [`EdgeperfError::LateRecord`].
+    /// [`EdgeperfError::LateRecord`]; a bad timestamp or measurement (the
+    /// frame decoder's rule: a non-finite or negative MinRTT, a non-finite
+    /// HDratio) is rejected before it touches a cell or the watermark.
     pub fn push(&mut self, r: &LiveRecord) -> Result<Vec<ClosedWindow>, EdgeperfError> {
         if !r.ts_ms.is_finite() {
             return Err(EdgeperfError::NonFinite { field: "ts_ms".to_string(), value: r.ts_ms });
@@ -150,6 +156,7 @@ impl WindowRing {
                 value: r.ts_ms,
             });
         }
+        check_measurements(r.min_rtt_ms, r.hdratio)?;
         // Window indices live in `u32` (ClosedWindow, the protocol, the
         // offline SessionRecord all agree); a saturating `as` cast here
         // used to collapse every far-future timestamp into window
@@ -277,6 +284,48 @@ mod tests {
         let mut ring = WindowRing::new(100.0, 0.0);
         assert_eq!(ring.push(&rec(-5.0, 1, 0, 40.0)).unwrap_err().reason(), "negative_timestamp");
         assert_eq!(ring.push(&rec(f64::NAN, 1, 0, 40.0)).unwrap_err().reason(), "non_finite");
+    }
+
+    /// A bad measurement a library caller hands the ring is the decoder's
+    /// typed reject, not a panic inside a digest, and it leaves no trace:
+    /// the ring that refused it closes the cells and windows of one that
+    /// never saw it, bit for bit.
+    #[test]
+    fn bad_measurements_are_typed_rejects_that_touch_no_cell() {
+        let mut ring = WindowRing::new(100.0, 50.0);
+        let mut clean = WindowRing::new(100.0, 50.0);
+        for i in 0..40 {
+            let r = rec(i as f64 * 2.0, i % 3, 0, 30.0 + i as f64);
+            ring.push(&r).unwrap();
+            clean.push(&r).unwrap();
+        }
+        // Each bad record is far enough ahead to close window 0 if it were
+        // taken, and addresses a cell that exists.
+        let nan_rtt = LiveRecord { min_rtt_ms: f64::NAN, ..rec(500.0, 1, 0, 0.0) };
+        let err = ring.push(&nan_rtt).unwrap_err();
+        assert!(matches!(err, EdgeperfError::InvalidMinRtt { value } if value.is_nan()), "{err:?}");
+        assert_eq!(err.reason(), "invalid_min_rtt");
+        let negative_rtt = rec(500.0, 1, 0, -1.0);
+        assert!(matches!(
+            ring.push(&negative_rtt).unwrap_err(),
+            EdgeperfError::InvalidMinRtt { value } if value == -1.0
+        ));
+        let nan_hdratio = LiveRecord { hdratio: Some(f64::NAN), ..rec(500.0, 1, 0, 40.0) };
+        match ring.push(&nan_hdratio).unwrap_err() {
+            EdgeperfError::NonFinite { field, value } => {
+                assert_eq!(field, "hdratio");
+                assert!(value.is_nan());
+            }
+            other => panic!("expected NonFinite, got {other:?}"),
+        }
+        assert_eq!(ring.watermark_ms().to_bits(), clean.watermark_ms().to_bits());
+        assert_eq!(ring.open_windows(), 1, "nothing closed");
+        let (got, want) = (ring.force_close(), clean.force_close());
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            // `{:?}` of an f64 round-trips it, so equal text is equal bits.
+            assert_eq!(format!("{g:?}"), format!("{w:?}"));
+        }
     }
 
     /// The old saturating u32 cast mapped every timestamp past the

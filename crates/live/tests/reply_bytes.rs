@@ -210,9 +210,9 @@ fn streamed_replies_are_the_rendered_replies_byte_for_byte() {
     }
 }
 
-/// ROADMAP item 5, "query by verb": two `cells` queries, and the `metrics`
-/// verb reports one timing each and exactly the rows and bytes the two
-/// replies carried.
+/// Per-query observability (ROADMAP item 5's `serve` metrics): two
+/// `cells` queries, and the `metrics` verb reports one timing each and
+/// exactly the rows and bytes the two replies carried.
 #[test]
 fn query_metrics_count_what_the_replies_carried() {
     let records = records();

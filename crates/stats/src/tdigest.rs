@@ -33,7 +33,11 @@
 /// Buffered inserts per compression batch.
 const BUFFER_LEN: usize = 512;
 
-/// Samples the first buffer allocation has room for.
+/// Samples the first buffer allocation has room for when a digest grows
+/// one insert at a time: from empty, or after a flush. A digest built by
+/// [`TDigest::from_unit_samples`] starts from the buffer it was handed
+/// (the analysis cells build theirs that way from a small cell's
+/// sessions) and doubles from there, never past [`BUFFER_LEN`].
 const FIRST_BUFFER_LEN: usize = 32;
 
 /// A single centroid: a weighted point approximating nearby samples.
@@ -222,6 +226,32 @@ impl TDigest {
         }
     }
 
+    /// The digest that inserting `samples` one at a time, in order and at
+    /// weight 1, leaves behind — its buffer, extremes and counts bit for
+    /// bit, compressed once if the samples fill a batch (512) — built
+    /// without replaying the inserts: `samples` becomes the insert buffer
+    /// as it is, so no buffer grows.
+    ///
+    /// # Panics
+    /// Panics on more than one batch of samples, on a non-finite sample
+    /// and on the compressions [`TDigest::new`] rejects.
+    pub fn from_unit_samples(compression: f64, samples: Vec<f64>) -> Self {
+        assert!(samples.len() <= BUFFER_LEN, "{} samples exceed one batch", samples.len());
+        let mut d = TDigest::new(compression);
+        for &value in &samples {
+            assert!(value.is_finite(), "non-finite sample {value}");
+            d.min = d.min.min(value);
+            d.max = d.max.max(value);
+        }
+        // A sum of unit weights is exact in any order.
+        d.buffered_weight = samples.len() as f64;
+        d.buffer = samples;
+        if d.buffer.len() == BUFFER_LEN {
+            d.compress();
+        }
+        d
+    }
+
     /// Number of samples inserted (total weight).
     pub fn count(&self) -> f64 {
         self.total_weight + self.buffered_weight
@@ -253,9 +283,12 @@ impl TDigest {
     #[inline]
     fn push_buffered(&mut self, mean: f64, weight: f64) {
         if self.buffer.len() == self.buffer.capacity() {
-            // First room for FIRST_BUFFER_LEN samples, then doubling; a
-            // full BUFFER_LEN is compressed below, so it stops there.
-            self.buffer.reserve_exact(self.buffer.capacity().max(FIRST_BUFFER_LEN));
+            // First room for FIRST_BUFFER_LEN samples, then doubling, up to
+            // the BUFFER_LEN at which it is compressed below: a buffer
+            // handed over by `from_unit_samples`, of any length, grows to
+            // no more than one grown from empty does.
+            let room = self.buffer.capacity().max(FIRST_BUFFER_LEN);
+            self.buffer.reserve_exact(room.min(BUFFER_LEN - self.buffer.len()));
         }
         if weight != 1.0 || !self.weights.is_empty() {
             // On the first non-unit weight the samples already buffered get
@@ -850,6 +883,33 @@ mod tests {
             let parts = d.to_parts();
             prop_assert_eq!(bits(&parts.centroids), bits(&eager.view()));
             prop_assert_eq!(parts.compressions, eager.compressions);
+        }
+
+        /// Up to one batch of unit samples — ties, ±0.0 — handed over whole
+        /// is the digest their inserts make: buffer, extremes, counts, and
+        /// what inserts after it make.
+        #[test]
+        fn unit_samples_handed_over_are_their_inserts(
+            grid in prop::collection::vec(0u8..12, 0..BUFFER_LEN + 1),
+            after in 0usize..600,
+        ) {
+            let samples: Vec<f64> =
+                grid.iter().map(|&g| if g == 11 { -0.0 } else { g as f64 * 0.5 }).collect();
+            let mut inserted = TDigest::new(100.0);
+            samples.iter().for_each(|&v| inserted.insert(v));
+            let mut built = TDigest::from_unit_samples(100.0, samples);
+            let state = |d: &TDigest| {
+                let scalars = [d.min, d.max, d.total_weight, d.buffered_weight].map(f64::to_bits);
+                let buffer: Vec<u64> = d.buffer.iter().map(|v| v.to_bits()).collect();
+                (scalars, buffer, bits(&d.centroids), d.compressions)
+            };
+            for i in 0..=after {
+                prop_assert_eq!(state(&built), state(&inserted));
+                prop_assert!(built.buffer.capacity() <= BUFFER_LEN, "the buffer outgrew a batch");
+                let v = (i % 7) as f64;
+                built.insert(v);
+                inserted.insert(v);
+            }
         }
 
         /// The bracketed merge bound decides as the per-element test does,
