@@ -29,11 +29,12 @@ pub struct LiveConfig {
     /// slots); a reader blocks when a lane is full — backpressure
     /// instead of unbounded memory.
     pub queue_capacity: usize,
-    /// Closed windows retained in RAM for queries and baselines, per
-    /// worker. Older windows are evicted — into the tiered segment
-    /// store when [`spill_dir`](Self::spill_dir) is set, otherwise
-    /// dropped — so RAM stays bounded by
-    /// `groups × retention_windows` cells either way.
+    /// Closed windows retained in RAM per worker. One set serves both
+    /// queries and the detector's baselines: the detector reads the
+    /// packed windows the worker keeps and holds no copy of its own.
+    /// Older windows are evicted — into the tiered segment store when
+    /// [`spill_dir`](Self::spill_dir) is set, otherwise dropped — so RAM
+    /// stays bounded by `groups × retention_windows` cells either way.
     pub retention_windows: usize,
     /// Directory for the tiered window store. `None` (the default)
     /// keeps the pre-spill behaviour: evicted windows are gone. With a

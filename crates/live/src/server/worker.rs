@@ -28,7 +28,8 @@ struct WorkerState {
     ring: WindowRing,
     detector: OnlineDetector,
     /// Closed windows retained in RAM, each an immutable slice of rows in
-    /// canonical order, shared with whichever queries are writing it out.
+    /// canonical order, shared with the detector (its baseline history)
+    /// and whichever queries are writing it out.
     closed: BTreeMap<u32, SharedWindow>,
     processed: u64,
     windows_closed: u64,
@@ -65,7 +66,7 @@ impl WorkerState {
 /// [`catch_unwind`] in [`worker_thread`], so a respawn resumes with the
 /// same lanes and — when the panic hit a clean batch boundary — the
 /// same window state. Only a panic caught mid-apply (`inflight` set)
-/// forces a window-state rebuild.
+/// drops the open windows.
 struct WorkerCtx {
     state: WorkerState,
     lanes: Vec<LaneRx>,
@@ -75,7 +76,7 @@ struct WorkerCtx {
     /// worker, ascending; each fires exactly once.
     pending_panics: Vec<u64>,
     /// Set while a batch is mid-apply: `(lane index, records)`. A panic
-    /// with this set means the window ring may be inconsistent.
+    /// with this set means the open windows may be inconsistent.
     inflight: Option<(usize, u64)>,
     /// Respawn budget exhausted: drain lanes, count records as
     /// `worker_lost` rejects, keep answering control and the drain
@@ -138,11 +139,13 @@ pub(super) fn worker_thread(w: usize, shared: &Shared, control: &Receiver<Contro
 /// Post-panic repair, run between [`worker_run`] incarnations. A clean
 /// panic (batch boundary, `inflight` empty) needs nothing beyond
 /// accounting — all state survived in [`WorkerCtx`]. A dirty panic lost
-/// the mid-apply batch and may have left the ring inconsistent: account
-/// the records, unblock the syncing reader, and rebuild window state
-/// fresh (already-spilled segments are untouched and still serve
-/// queries). The detector forgets its groups but keeps its running
-/// totals, so the worker's events and episodes never fall back.
+/// the mid-apply batch and may have left the open windows inconsistent:
+/// account the records, unblock the syncing reader, and drop the open
+/// windows. The ring keeps its watermark, so a record for a window closed
+/// before the panic is still late and the closed windows (in RAM or
+/// spilled) are never reopened or replaced. The detector forgets its
+/// groups and baselines but keeps its running totals, so the worker's
+/// events and episodes never fall back.
 fn recover(w: usize, shared: &Shared, ctx: &mut WorkerCtx) {
     // Clear any heartbeat left open mid-batch so the supervisor does
     // not flag the recovered worker as slow forever.
@@ -153,9 +156,8 @@ fn recover(w: usize, shared: &Shared, ctx: &mut WorkerCtx) {
         if let Some(lane) = ctx.lanes.get(lane_idx) {
             lane.consumed(n);
         }
-        let lost = ctx.state.ring.open_windows() as u64;
+        let lost = ctx.state.ring.discard_open() as u64;
         shared.metrics.counter("worker.lost_windows").add(lost);
-        ctx.state.ring = WindowRing::new(shared.config.window_ms, shared.config.lateness_ms);
         ctx.state.detector.forget_groups();
     }
 }
@@ -337,9 +339,10 @@ fn apply_batch(
 
 fn handle_close(shared: &Shared, state: &mut WorkerState, cw: ClosedWindow, close_ns: &Histogram) {
     close_ns.time(|| {
-        state.detector.observe(&cw);
+        // The detector packs the window; these rows are the one copy.
+        let (rows, _) = state.detector.observe(&cw);
         state.windows_closed += 1;
-        state.closed.insert(cw.index, cw.share());
+        state.closed.insert(cw.index, rows);
     });
     // The 112-byte summaries are spent: free them before a spill runs.
     drop(cw);
@@ -383,27 +386,26 @@ fn handle_close(shared: &Shared, state: &mut WorkerState, cw: ClosedWindow, clos
 mod tests {
     use super::super::{Conns, Hubs, Router, Sessions, Stats};
     use super::*;
+    use crate::record::LiveRecord;
     use edgeperf_analysis::{GroupKey, StreamingCell};
     use edgeperf_obs::{HeartbeatBoard, Metrics};
     use edgeperf_routing::{PopId, Prefix, Relationship};
     use std::sync::atomic::AtomicBool;
     use std::sync::{Condvar, Mutex};
 
+    fn group() -> GroupKey {
+        GroupKey { pop: PopId(0), prefix: Prefix::new(0x0A00_0000, 16), country: 0, continent: 0 }
+    }
+
     /// One group's closed window: 60 sessions around `rtt_ms`.
     fn window(index: u32, rtt_ms: f64) -> ClosedWindow {
-        let group = GroupKey {
-            pop: PopId(0),
-            prefix: Prefix::new(0x0A00_0000, 16),
-            country: 0,
-            continent: 0,
-        };
         let mut cell = StreamingCell::new(Relationship::PrivatePeer);
         for i in 0..60 {
             let jitter = (f64::from(i) - 30.0) * 0.05;
             cell.push(rtt_ms + jitter, Some(0.95 + jitter / 100.0), 100, false, false);
         }
         cell.agg.flush();
-        ClosedWindow { index, cells: vec![((group, 0), cell.summary())] }
+        ClosedWindow { index, cells: vec![((group(), 0), cell.summary())] }
     }
 
     /// Six steady windows then a latency spike: one MinRTT event, which
@@ -416,12 +418,9 @@ mod tests {
         handle_close(shared, state, window(from + 6, 70.0), &close_ns);
     }
 
-    /// A dirty panic rebuilds the window state; what the detector had
-    /// counted stays counted, so the worker's events and episodes only
-    /// grow, and the batch the panic took is a `worker_lost` reject.
-    #[test]
-    fn recover_keeps_what_the_detector_counted() {
-        let shared = Shared {
+    /// One worker's shared state, store-less, at the default geometry.
+    fn shared() -> Shared {
+        Shared {
             config: LiveConfig { workers: 1, ..LiveConfig::default() },
             bound_addr: ([127, 0, 0, 1], 0).into(),
             metrics: Metrics::enabled(),
@@ -437,7 +436,86 @@ mod tests {
             reports: Mutex::default(),
             reports_ready: Condvar::new(),
             final_snapshot: Mutex::default(),
-        };
+        }
+    }
+
+    /// A session of `window()`'s group at `ts_ms`.
+    fn record(ts_ms: f64, rtt_ms: f64) -> LiveRecord {
+        LiveRecord {
+            ts_ms,
+            group: group(),
+            route_rank: 0,
+            relationship: Relationship::PrivatePeer,
+            longer_path: false,
+            more_prepended: false,
+            min_rtt_ms: rtt_ms,
+            hdratio: Some(0.9),
+            bytes: 100,
+        }
+    }
+
+    /// Push `records` through the ring as `apply_batch` does, closing
+    /// whatever they close.
+    fn apply(shared: &Shared, state: &mut WorkerState, records: &[LiveRecord]) {
+        let close_ns = Histogram::default();
+        for rec in records {
+            for cw in state.ring.push(rec).expect("an accepted record") {
+                handle_close(shared, state, cw, &close_ns);
+            }
+        }
+    }
+
+    /// The detector packs a closed window and the worker retains those
+    /// same rows: one allocation, two owners.
+    #[test]
+    fn a_closed_window_is_one_copy() {
+        let shared = shared();
+        let mut ctx = WorkerCtx::new(&shared.config, 0);
+        close_a_spike(&shared, &mut ctx.state, 0);
+        let newest = ctx.state.detector.newest_window().expect("a window observed");
+        assert!(Arc::ptr_eq(newest, &ctx.state.closed[&6]));
+        assert_eq!(Arc::strong_count(newest), 2);
+    }
+
+    /// A dirty panic drops the open windows but keeps the watermark: a
+    /// record for a window closed before the panic is a `late` reject, so
+    /// the window is never reopened and its retained rows stay as they
+    /// were. (A ring rebuilt from scratch took the record, re-closed a
+    /// partial window 0 over the retained one, and a detector series then
+    /// saw an index older than its start.)
+    #[test]
+    fn a_dirty_panic_keeps_the_watermark() {
+        let shared = shared();
+        let mut ctx = WorkerCtx::new(&shared.config, 0);
+        let (window_ms, lateness_ms) = (shared.config.window_ms, shared.config.lateness_ms);
+        let mut first: Vec<LiveRecord> =
+            (0..40).map(|i| record(f64::from(i) * 1_000.0, 40.0)).collect();
+        // Past window 0's end by the lateness: window 0 closes, 1 opens.
+        first.push(record(window_ms + lateness_ms, 41.0));
+        apply(&shared, &mut ctx.state, &first);
+        let kept = Arc::clone(&ctx.state.closed[&0]);
+        assert_eq!((kept.len(), kept[0].n), (1, 40));
+        assert_eq!(ctx.state.ring.open_windows(), 1);
+
+        ctx.inflight = Some((0, 1));
+        recover(0, &shared, &mut ctx);
+        assert_eq!(ctx.state.ring.open_windows(), 0, "window 1's half batch is gone");
+        let late = ctx.state.ring.push(&record(5_000.0, 40.0)).expect_err("window 0 is closed");
+        assert_eq!(late.reason(), "late");
+
+        // Windows 1 and 2 close after the panic; window 0 is the same rows.
+        let after = [1.1, 2.0, 3.0].map(|w| record(w * window_ms + lateness_ms, 42.0));
+        apply(&shared, &mut ctx.state, &after);
+        assert_eq!(ctx.state.closed.keys().copied().collect::<Vec<_>>(), [0, 1, 2]);
+        assert!(Arc::ptr_eq(&ctx.state.closed[&0], &kept));
+    }
+
+    /// A dirty panic drops the open windows and the detector's groups;
+    /// what the detector had counted stays counted, so the worker's events and episodes only
+    /// grow, and the batch the panic took is a `worker_lost` reject.
+    #[test]
+    fn recover_keeps_what_the_detector_counted() {
+        let shared = shared();
         let mut ctx = WorkerCtx::new(&shared.config, 0);
         close_a_spike(&shared, &mut ctx.state, 0);
         let before = ctx.state.snap(0, 0);

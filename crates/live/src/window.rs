@@ -17,7 +17,8 @@
 //! sessions, then summarises and drops its cells one at a time.
 //!
 //! [`ClosedWindow::share`] then packs a closed window into the 72-byte
-//! rows its worker retains, spills and replies from.
+//! rows its worker's detector reads baselines from and its worker
+//! retains, spills and replies from.
 //!
 //! The *watermark* trails the maximum observed timestamp by the allowed
 //! lateness. A window closes when the watermark passes its end: its cells
@@ -49,10 +50,10 @@ pub struct ClosedWindow {
 pub type SharedWindow = Arc<[WindowCell]>;
 
 impl ClosedWindow {
-    /// The window as its worker keeps it once the detector has observed
-    /// it: one allocation of 72-byte rows, sorted where it lies. A
-    /// window's (group, rank) keys are distinct, so an unstable sort is
-    /// the canonical order and allocates nothing more.
+    /// The window as its detector and worker keep it, packed once when the
+    /// detector observes it: one allocation of 72-byte rows, sorted where
+    /// it lies. A window's (group, rank) keys are distinct, so an unstable
+    /// sort is the canonical order and allocates nothing more.
     pub fn share(&self) -> SharedWindow {
         let mut rows: SharedWindow =
             self.cells.iter().map(|(k, s)| WindowCell::new(self.index, k.0, k.1, s)).collect();
@@ -206,6 +207,16 @@ impl WindowRing {
             closed.push(entry.remove().close(index));
         }
         closed
+    }
+
+    /// Drop every open window, keeping the watermark and which windows are
+    /// closed: what a dirty worker panic leaves, whose open cells may hold
+    /// half a batch. A record for a window closed before is still late, so
+    /// no closed window reopens. Returns how many windows were dropped.
+    pub(crate) fn discard_open(&mut self) -> usize {
+        let dropped = self.open.len();
+        self.open.clear();
+        dropped
     }
 
     /// Close every open window regardless of the watermark (drain path).
@@ -413,15 +424,15 @@ mod tests {
 
     #[test]
     fn force_close_after_a_ring_rebuild_leaves_no_cell_behind() {
-        // A dirty worker panic abandons the ring mid-window and installs a
-        // fresh one (`server::worker::recover`): the rebuilt ring must hand out
-        // every cell pushed after the rebuild, and nothing from before it.
+        // A dirty worker panic abandons the ring's open windows mid-window
+        // (`server::worker::recover`): the ring must then hand out every
+        // cell pushed after the discard, and nothing from before it.
         let mut ring = WindowRing::new(100.0, 1_000.0);
         for i in 0..500 {
             ring.push(&rec(i as f64, i % 50, 0, 40.0)).unwrap();
         }
         assert_eq!(ring.open_windows(), 5);
-        ring = WindowRing::new(100.0, 1_000.0);
+        assert_eq!(ring.discard_open(), 5);
         assert_eq!(ring.open_windows(), 0);
         for i in 0..300u32 {
             ring.push(&rec(200.0 + i as f64, 100 + i % 30, (i % 2) as u8, 40.0)).unwrap();

@@ -106,6 +106,14 @@ reply_sorts() {
         END { exit found }' crates/live/src/reply.rs crates/live/src/server/query.rs
 }
 
+# The online detector reads its baselines from the packed windows its
+# worker retains anyway. A per-group deque of summaries beside them was a
+# second copy of every retained preferred-route cell: ~1 KB a group at
+# `--retention 8`, and 88 B a group for each further retained window.
+detector_copies() {
+    banned "VecDeque<CellSummary>" crates/live/src crates/fleet/src
+}
+
 # --- Replay gates -----------------------------------------------------
 
 bin=target/release
@@ -386,7 +394,7 @@ tracked_lines() {
 }
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
-front_door_wrappers proof_kit_copies double_counts reply_sorts live_smoke chaos_live fleet_smoke
+front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies live_smoke chaos_live fleet_smoke
 repro_results repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
