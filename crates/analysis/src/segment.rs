@@ -770,11 +770,12 @@ impl<W: Write> SegmentWriter<W> {
     }
 }
 
-/// Reads a segment file one verified row group at a time.
+/// Reads a segment file one verified row group at a time, through a
+/// buffer its caller lends — so readers that take turns, like a merge's
+/// inputs, share one.
 pub struct SegmentReader {
     file: File,
     index: Arc<SegmentIndex>,
-    buf: Vec<u8>,
 }
 
 impl SegmentReader {
@@ -788,7 +789,7 @@ impl SegmentReader {
 
     /// Read `file` through an index already verified for it.
     pub fn new(file: File, index: Arc<SegmentIndex>) -> SegmentReader {
-        SegmentReader { file, index, buf: Vec::new() }
+        SegmentReader { file, index }
     }
 
     /// The segment's index.
@@ -797,12 +798,18 @@ impl SegmentReader {
     }
 
     /// Read, verify and decode row group `i`, appending its rows to
-    /// `out`. One positioned read of exactly that group's bytes.
-    pub fn read_group(&mut self, i: usize, out: &mut Vec<WindowCell>) -> Result<(), EdgeperfError> {
+    /// `out`. One positioned read of exactly that group's bytes, into
+    /// `buf`.
+    pub fn read_group(
+        &self,
+        i: usize,
+        buf: &mut Vec<u8>,
+        out: &mut Vec<WindowCell>,
+    ) -> Result<(), EdgeperfError> {
         let g = self.index.groups[i];
-        self.buf.resize(g.len as usize, 0);
-        read_at(&self.file, &mut self.buf, g.offset)?;
-        self.index.decode_group(i, &self.buf, out)
+        buf.resize(g.len as usize, 0);
+        read_at(&self.file, buf, g.offset)?;
+        self.index.decode_group(i, buf, out)
     }
 }
 
@@ -1009,12 +1016,12 @@ mod tests {
         assert!(!staging_path(&path).exists(), "the commit is a rename, not a copy");
         assert_eq!(std::fs::read(&path).expect("reads"), encode_segment(&cells));
 
-        let mut reader = SegmentReader::open(&path).expect("opens");
+        let reader = SegmentReader::open(&path).expect("opens");
         assert_eq!(*reader.index(), written);
-        let mut back = Vec::new();
+        let (mut back, mut buf) = (Vec::new(), Vec::new());
         for i in 0..written.groups().len() {
             let before = back.len();
-            reader.read_group(i, &mut back).expect("group verifies");
+            reader.read_group(i, &mut buf, &mut back).expect("group verifies");
             assert_eq!(back.len() - before, written.groups()[i].rows as usize);
         }
         for (a, b) in cells.iter().zip(&back) {

@@ -83,11 +83,11 @@ fn allowance(len: usize) -> usize {
 /// Every group of the file at `path`, the way the store reads one: a
 /// cleared row buffer per group.
 fn read_through_a_reader(path: &Path) -> Result<Vec<WindowCell>, EdgeperfError> {
-    let mut reader = SegmentReader::open(path)?;
-    let (mut all, mut rows) = (Vec::new(), Vec::new());
+    let reader = SegmentReader::open(path)?;
+    let (mut all, mut rows, mut buf) = (Vec::new(), Vec::new(), Vec::new());
     for i in 0..reader.index().groups().len() {
         rows.clear();
-        reader.read_group(i, &mut rows)?;
+        reader.read_group(i, &mut buf, &mut rows)?;
         all.extend_from_slice(&rows);
     }
     Ok(all)

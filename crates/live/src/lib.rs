@@ -100,5 +100,5 @@ pub use queue::{spsc, Consumer, Producer, Waiter};
 pub use record::{relationship_from_label, LineParser, LiveRecord};
 pub use reply::CellsReply;
 pub use server::{shard_of, LiveServer, ServerHandle};
-pub use store::{CrashPoint, Runs, SegmentMeta, SegmentStore, SpillOutcome, StoreStats};
+pub use store::{CrashPoint, Cursors, SegmentMeta, SegmentStore, SpillOutcome, StoreStats};
 pub use window::{CellKey, CellSummary, ClosedWindow, SharedWindow, WindowRing};

@@ -823,6 +823,9 @@ const MAX_PREALLOC_ROWS: usize = 1 << 16;
 
 /// Read the `count` rows that follow a `cells` header, each
 /// through `line` (one buffer for the whole reply) and [`read_row`].
+/// Every row ends in a newline: a reply cut off before its count — a
+/// server closes the connection when a store read fails after the header
+/// — is `UnexpectedEof`, a torn last row included.
 pub(crate) fn read_rows(
     reader: &mut impl io::BufRead,
     count: usize,
@@ -831,7 +834,7 @@ pub(crate) fn read_rows(
     let mut rows = Vec::with_capacity(count.min(MAX_PREALLOC_ROWS));
     for _ in 0..count {
         line.clear();
-        if reader.read_line(line)? == 0 {
+        if reader.read_line(line)? == 0 || !line.ends_with('\n') {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "reply ended mid-rows"));
         }
         rows.push(read_row(line.trim_end())?);
@@ -1397,6 +1400,13 @@ mod tests {
         assert_eq!(short.kind(), io::ErrorKind::UnexpectedEof);
         let bad = read_rows(&mut "{\"window\":1}\n".as_bytes(), 1, &mut line).unwrap_err();
         assert_eq!(bad.kind(), io::ErrorKind::InvalidData);
+        // A reply cut off inside a row, even right after its last brace,
+        // ended early.
+        let whole = body.split('\n').next().expect("a row");
+        for torn in [&whole[..whole.len() / 2], whole] {
+            let cut = read_rows(&mut torn.as_bytes(), 1, &mut line).unwrap_err();
+            assert_eq!(cut.kind(), io::ErrorKind::UnexpectedEof, "{torn}");
+        }
         // A hostile count reserves a bounded number of rows up front.
         let huge = read_rows(&mut "".as_bytes(), usize::MAX, &mut line).unwrap_err();
         assert_eq!(huge.kind(), io::ErrorKind::UnexpectedEof);

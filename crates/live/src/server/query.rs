@@ -14,14 +14,22 @@
 //! A worker keeps each closed window as an immutable shared slice of rows
 //! in canonical order ([`crate::SharedWindow`]): insert on close, spill
 //! and pop on eviction, and nothing ever changes a slice. A `cells` query
-//! costs a worker one `Arc` clone per window in range; the connection's
-//! reader thread does the rest ([`crate::reply::CellsReply`]): it merges
-//! those sorted runs with the store's, RAM winning duplicates, counts the
-//! rows, and only then — the row count, a draining server and a store
-//! error all known — merges again to write them through one 64 KiB
-//! buffer, each by [`crate::protocol::write_row`] straight from where it
-//! lies. Nothing is sorted, copied or built; a window evicted mid-reply
-//! lives until the last reply reading it is written. Whenever any worker
+//! costs a worker one `Arc` clone per window in range; the store hands
+//! over one run cursor an overlapping segment ([`crate::Cursors`]), its
+//! files opened under the store's lock and nothing read yet. The
+//! connection's reader thread does the rest ([`crate::reply::CellsReply`]):
+//! it merges those sorted runs, RAM winning duplicates, and counts the
+//! rows — reading each segment a row group at a time, and keeping a run's
+//! matches while they fit one group — and only then, the row count, a
+//! draining server and any store error in that first pass all known,
+//! merges again to write them through one 64 KiB buffer, each by
+//! [`crate::protocol::write_row`] straight from where it lies; a run that
+//! did not fit is read again. Nothing is sorted, collected or built; a
+//! window evicted mid-reply lives until the last reply reading it is
+//! written, and a segment compacted away mid-reply is read to the end
+//! through the handle the cursor holds. A store error in the second pass
+//! comes after the header: the connection is closed mid-reply, and the
+//! client sees the reply end short of its count. Whenever any worker
 //! cannot be asked or does not answer
 //! (the server is draining, a worker died holding the message) the reply
 //! is `{"error":"draining"}` — never the remaining workers' rows passed
@@ -38,7 +46,7 @@ use super::stats::WorkerSnap;
 use super::{send, Shared};
 use crate::protocol::{CellQuery, Response};
 use crate::reply::CellsReply;
-use crate::store::Runs;
+use crate::store::Cursors;
 use crate::window::SharedWindow;
 use std::io::{self, Write};
 use std::sync::mpsc::{channel, Sender};
@@ -118,13 +126,15 @@ pub(super) fn query_workers<T>(
 
 /// Serve a `cells` query by writing it: every worker hands
 /// over the closed windows in range as shared sorted slices, the tiered
-/// store its matching rows as sorted runs, and this (the connection's
-/// reader) thread filters and merges them through a [`CellsReply`] —
-/// windows present in both tiers (spilled but not yet evicted, or
-/// replayed after a restart) keep their RAM copy — and only then writes
-/// header and rows through one fixed-size buffer. The row count, a
-/// draining server and a store error are all known before the first
-/// byte goes out; an `Err` is the socket's. Every reply is in canonical
+/// store a cursor a segment over its matching rows, and this (the
+/// connection's reader) thread filters and merges them through a
+/// [`CellsReply`] — windows present in both tiers (spilled but not yet
+/// evicted, or replayed after a restart) keep their RAM copy — counting
+/// first and only then writing header and rows through one fixed-size
+/// buffer. The row count, a draining server and a store error in the
+/// counting pass are all known before the first byte goes out; an `Err`
+/// is the socket's, or a store read failing after the header, and either
+/// way the caller closes the connection. Every reply is in canonical
 /// (window, group, rank) order, whatever the query, the worker count or
 /// the spill timing.
 pub(super) fn serve_cells(
@@ -137,12 +147,11 @@ pub(super) fn serve_cells(
         return send(out, &Response::Draining);
     };
     let windows: Vec<SharedWindow> = per_worker.into_iter().flatten().collect();
-    let stored = match shared.store.as_ref().map(|store| store.query(query)) {
-        None => Runs::default(),
-        Some(Ok(runs)) => runs,
-        Some(Err(err)) => return send(out, &Response::StoreError(err.to_string())),
+    let stored = shared.store.as_deref().map_or(Ok(Cursors::default()), |s| s.query(query));
+    let reply = match stored.and_then(|stored| CellsReply::canonical(&windows, stored, query)) {
+        Ok(reply) => reply,
+        Err(err) => return send(out, &Response::StoreError(err.to_string())),
     };
-    let reply = CellsReply::canonical(&windows, &stored, query);
     let rows = reply.rows() as u64;
     let bytes = reply.write(out)?;
     if let Some(started) = started {

@@ -10,9 +10,29 @@
 //! under the tmp + rename discipline. Spilling stores the **final
 //! summary bit patterns**, not the digests, so a historical query merged
 //! with live RAM windows is bit-identical to a run that never spilled: a
-//! change of address, not of value. A query answers with [`Runs`]: each
-//! overlapping segment's matching rows, still in that order, so a reply
-//! merges them with the RAM windows and never sorts.
+//! change of address, not of value.
+//!
+//! ## Queries: a cursor a segment, read a row group at a time
+//!
+//! A query answers with [`Cursors`], one run cursor an overlapping
+//! segment, and collects nothing: each cursor yields its segment's
+//! matching rows in canonical order, so a reply
+//! ([`crate::reply::CellsReply`]) merges them with the RAM windows and
+//! never sorts. A cursor holds the matching rows of the one row group it
+//! stands in, and reads the next group that may hold a match (by the
+//! footer's window and key ranges) when those are spent; every cursor of
+//! a query reads and decodes through one shared pair of buffers. A reply
+//! merges twice — once to count the
+//! rows its header announces, once to write them — so in the first pass
+//! each cursor also keeps the rows it matched, but only while they fit one
+//! row group ([`GROUP_ROWS`]): the second pass replays a run that fit and
+//! reads one that overflowed again. A point query (a few rows a segment)
+//! reads each group once; a four-window range reads its groups twice and
+//! holds a group a run, never its 32,768 rows. [`StoreStats`]'
+//! `query_groups_read` / `query_bytes_read` / `query_rows_examined` count
+//! every group read, second-pass re-reads included;
+//! `query_rows_returned` counts the store rows replies carried, not
+//! those a RAM copy of the same key displaced.
 //!
 //! ## What is in RAM, and what the lock covers
 //!
@@ -25,11 +45,12 @@
 //!
 //! The state mutex guards that mirror and the manifest file, nothing
 //! else. A query takes it to clone the overlapping segments' indexes and
-//! open their files, then releases it and reads group by group, each
-//! verified by its own checksum; a compaction takes it to choose victims
-//! and reserve an id, merges unlocked, and re-takes it to commit. Open
-//! handles are what make that safe: a compaction that commits mid-query
-//! unlinks files the query still reads to the end. Only a spill holds
+//! open their files, then releases it; its cursors read group by group,
+//! each verified by its own checksum, for as long as the reply that
+//! holds them writes. A compaction takes it to choose victims and reserve
+//! an id, merges unlocked, and re-takes it to commit. Open handles are
+//! what make that safe: a compaction that commits mid-reply unlinks files
+//! the reply's cursors still read to the end, twice. Only a spill holds
 //! the lock across its write — it is the worker's own window, and the
 //! degraded-mode bookkeeping must see spills one at a time.
 //!
@@ -51,8 +72,10 @@
 //! server's background compactor thread) merges the smallest batch into
 //! one time-sorted segment — same codec, same manifest discipline —
 //! keeping segment count (and per-query open work) bounded. The merge is
-//! k-way over the victims' already-sorted group streams and holds one
-//! row group per victim plus the writer's, whatever the segments' size.
+//! k-way over cursors on the victims — the same cursor a query uses, with
+//! a query that matches everything — and holds one row group per victim,
+//! one shared pair of read buffers and the writer's group, whatever the
+//! segments' size.
 //!
 //! ## Degraded mode
 //!
@@ -131,22 +154,225 @@ pub(crate) fn cell_line(c: &WindowCell) -> CellLine {
     }
 }
 
-/// What [`SegmentStore::query`] matched: every overlapping segment's
-/// matching rows, one run a segment in manifest order, each run in the
-/// canonical [`cell_sort_key`] order its segment holds them in.
-#[derive(Debug, Default)]
-pub struct Runs {
-    /// Every matching row, run after run.
-    pub rows: Vec<WindowCell>,
-    /// Where each run ends in `rows`.
-    pub ends: Vec<usize>,
+/// What [`SegmentStore::query`] answers: a run cursor an overlapping
+/// segment, in manifest order, each yielding its segment's matching rows
+/// in the canonical [`cell_sort_key`] order the segment holds them in.
+/// Nothing is read until a reply's first pass asks; see the module docs
+/// for the passes and what a cursor holds. Empty ([`Default`]) for a
+/// server without a store. When dropped it adds what its passes read,
+/// and the rows the reply carried, to the store's `query_*` totals.
+#[derive(Default)]
+pub struct Cursors<'s> {
+    runs: Vec<RunCursor>,
+    reads: Reads,
+    /// Passes started: the first keeps, later ones replay or re-read.
+    passes: u32,
+    /// Store rows the reply carries, as its first pass counted them.
+    carried: u64,
+    totals: Option<&'s [AtomicU64; 4]>,
 }
 
-impl Runs {
-    /// Run `i`.
-    pub fn run(&self, i: usize) -> &[WindowCell] {
-        let start = i.checked_sub(1).map_or(0, |before| self.ends[before]);
-        &self.rows[start..self.ends[i]]
+impl Cursors<'_> {
+    /// Runs: one an overlapping segment.
+    pub(crate) fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Put every run on its first matching row for a new pass. The first
+    /// pass reads each segment, and a run keeps the rows it matches while
+    /// they fit one row group ([`GROUP_ROWS`]); each later pass replays a
+    /// run that fit from what it kept, and reads a run that overflowed
+    /// again from its first group.
+    pub(crate) fn start_pass(&mut self) -> Result<(), EdgeperfError> {
+        self.passes += 1;
+        for run in &mut self.runs {
+            if self.passes == 1 {
+                run.segment.seek(&mut self.reads)?;
+                run.keep();
+            } else if run.kept.is_some() {
+                run.replay = Some(0);
+            } else {
+                run.segment.rewind();
+                run.segment.seek(&mut self.reads)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The row run `i` stands on; `None` once it is spent.
+    pub(crate) fn head(&self, i: usize) -> Option<&WindowCell> {
+        let run = &self.runs[i];
+        match (run.replay, &run.kept) {
+            (Some(at), Some(kept)) => kept.get(at),
+            _ => run.segment.head(),
+        }
+    }
+
+    /// Move run `i` to its next matching row.
+    pub(crate) fn step(&mut self, i: usize) -> Result<(), EdgeperfError> {
+        let run = &mut self.runs[i];
+        if let Some(at) = &mut run.replay {
+            *at += 1;
+            return Ok(());
+        }
+        run.segment.advance(&mut self.reads)?;
+        if self.passes == 1 {
+            run.keep();
+        }
+        Ok(())
+    }
+
+    /// Record that the reply carries `rows` of the store's rows — what
+    /// its first pass counted, store rows that lost their key to a RAM
+    /// row left out.
+    pub(crate) fn carry(&mut self, rows: u64) {
+        self.carried = rows;
+    }
+}
+
+impl Drop for Cursors<'_> {
+    fn drop(&mut self) {
+        let Some(totals) = self.totals else { return };
+        let Reads { groups, bytes, rows, .. } = self.reads;
+        for (total, by) in totals.iter().zip([groups, bytes, rows, self.carried]) {
+            total.fetch_add(by, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One run of a query's answer: its segment's cursor, and what the first
+/// pass kept of it.
+struct RunCursor {
+    segment: GroupCursor,
+    /// The rows the first pass matched, while they fit one row group;
+    /// `None` once they overflowed it.
+    kept: Option<Vec<WindowCell>>,
+    /// Where a later pass stands in `kept`; `None` while reading the
+    /// segment.
+    replay: Option<usize>,
+}
+
+impl RunCursor {
+    /// Keep the row the segment cursor stands on, or give up keeping once
+    /// a row group's worth is already kept.
+    fn keep(&mut self) {
+        let Some(&row) = self.segment.head() else { return };
+        match &mut self.kept {
+            Some(kept) if kept.len() < GROUP_ROWS => {
+                if kept.is_empty() {
+                    kept.reserve_exact(GROUP_ROWS);
+                }
+                kept.push(row);
+            }
+            _ => self.kept = None,
+        }
+    }
+}
+
+/// The read buffers a merge's cursors take turns with — a group's bytes,
+/// and its rows decoded — and what they read through them: row groups,
+/// their bytes, the rows decoded out of them.
+#[derive(Default)]
+struct Reads {
+    buf: Vec<u8>,
+    decoded: Vec<WindowCell>,
+    /// The largest group any of the cursors may read, in bytes and in
+    /// rows, reserved at the first read: each buffer is one allocation.
+    largest: (usize, usize),
+    groups: u64,
+    bytes: u64,
+    rows: u64,
+}
+
+impl Reads {
+    fn new<'a>(segments: impl IntoIterator<Item = &'a SegmentIndex>) -> Reads {
+        let groups = segments.into_iter().flat_map(|index| index.groups());
+        let largest = groups
+            .fold((0, 0), |(len, rows), g| (len.max(g.len as usize), rows.max(g.rows as usize)));
+        Reads { largest, ..Reads::default() }
+    }
+
+    /// Read group `i` of `reader` through the buffers, and append the
+    /// rows of it `q` matches to `out`.
+    fn read(
+        &mut self,
+        reader: &SegmentReader,
+        i: usize,
+        q: &CellQuery,
+        out: &mut Vec<WindowCell>,
+    ) -> Result<(), EdgeperfError> {
+        self.buf.clear();
+        self.buf.reserve_exact(self.largest.0);
+        self.decoded.clear();
+        self.decoded.reserve_exact(self.largest.1);
+        reader.read_group(i, &mut self.buf, &mut self.decoded)?;
+        self.groups += 1;
+        self.bytes += u64::from(reader.index().groups()[i].len);
+        self.rows += self.decoded.len() as u64;
+        out.extend(self.decoded.iter().filter(|c| q.matches(c.window, &c.group())));
+        Ok(())
+    }
+}
+
+/// A segment read one row group at a time: the groups that may hold a
+/// row `query` matches (every group, for a compaction's default query),
+/// and the rows of the group it stands in that do. What it reads goes
+/// through the [`Reads`] its caller lends, so a cursor holds only what
+/// matched: a row or two of each group for a point query.
+struct GroupCursor {
+    reader: SegmentReader,
+    query: CellQuery,
+    /// The next group to consider reading.
+    next_group: usize,
+    rows: Vec<WindowCell>,
+    /// The row the cursor stands on in `rows`.
+    at: usize,
+}
+
+impl GroupCursor {
+    fn new(reader: SegmentReader, query: CellQuery) -> GroupCursor {
+        GroupCursor { reader, query, next_group: 0, rows: Vec::new(), at: 0 }
+    }
+
+    /// The row the cursor stands on; `None` before the first
+    /// [`seek`](Self::seek) and once the segment is spent.
+    fn head(&self) -> Option<&WindowCell> {
+        self.rows.get(self.at)
+    }
+
+    /// Stand on a row: the current one if there is one, else the first
+    /// match of the next group that may hold one.
+    fn seek(&mut self, reads: &mut Reads) -> Result<(), EdgeperfError> {
+        while self.at == self.rows.len() {
+            self.rows.clear();
+            self.at = 0;
+            let groups = self.reader.index().groups();
+            let next =
+                (self.next_group..groups.len()).find(|&i| may_match(&groups[i], &self.query));
+            let Some(i) = next else {
+                self.next_group = groups.len();
+                return Ok(());
+            };
+            if self.rows.capacity() == 0 {
+                let most = groups.iter().map(|g| g.rows as usize).max().unwrap_or(0);
+                self.rows.reserve_exact(most);
+            }
+            self.next_group = i + 1;
+            reads.read(&self.reader, i, &self.query, &mut self.rows)?;
+        }
+        Ok(())
+    }
+
+    /// Step past the row the cursor stands on to the next match.
+    fn advance(&mut self, reads: &mut Reads) -> Result<(), EdgeperfError> {
+        self.at += 1;
+        self.seek(reads)
+    }
+
+    /// Back to before the first group, for another pass.
+    fn rewind(&mut self) {
+        (self.next_group, self.at) = (0, 0);
+        self.rows.clear();
     }
 }
 
@@ -201,7 +427,8 @@ pub struct StoreStats {
     /// The store is currently in degraded (RAM-only retention) mode.
     #[serde(default)]
     pub degraded: bool,
-    /// Row groups queries have read since this store opened.
+    /// Row groups queries have read since this store opened: every
+    /// read, a reply's second-pass re-reads included.
     #[serde(default)]
     pub query_groups_read: u64,
     /// Segment bytes those reads moved.
@@ -210,7 +437,8 @@ pub struct StoreStats {
     /// Rows decoded out of them.
     #[serde(default)]
     pub query_rows_examined: u64,
-    /// Rows that matched and were returned.
+    /// Store rows replies carried, each once: a matching row whose key a
+    /// RAM window carries too is not returned.
     #[serde(default)]
     pub query_rows_returned: u64,
 }
@@ -308,9 +536,9 @@ pub struct SegmentStore {
     compacting: Mutex<()>,
     crash: Mutex<CrashPoint>,
     /// Running query totals — row groups read, segment bytes those reads
-    /// moved, rows decoded out of them, rows returned — behind
-    /// [`StoreStats`]'s `query_*` fields. Relaxed: statistics, publishing
-    /// nothing.
+    /// moved, rows decoded out of them, store rows replies carried —
+    /// behind [`StoreStats`]'s `query_*` fields, added by each dropped
+    /// [`Cursors`]. Relaxed: statistics, publishing nothing.
     query_totals: [AtomicU64; 4],
 }
 
@@ -554,56 +782,28 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Read every cell matching `q` out of the manifested segments, one
-    /// sorted run a segment: only the row groups whose window and key
-    /// range can hold a match are read, each verified and filtered before
-    /// the next. The lock is held to snapshot the segments and open their
-    /// files, not to read.
-    pub fn query(&self, q: &CellQuery) -> Result<Runs, EdgeperfError> {
-        self.query_pausing(q, || ())
-    }
-
-    /// [`query`](Self::query), calling `between_groups` after every
-    /// group read — where tests park a query to show what may run beside
-    /// it.
-    fn query_pausing(
-        &self,
-        q: &CellQuery,
-        mut between_groups: impl FnMut(),
-    ) -> Result<Runs, EdgeperfError> {
-        let readers = {
-            let state = self.state.lock().expect("store state");
-            let overlaps = |m: &SegmentMeta| {
-                q.from_window.is_none_or(|lo| lo <= m.until_window)
-                    && q.until_window.is_none_or(|hi| hi >= m.from_window)
-            };
-            let overlapping = state.segments.iter().filter(|s| overlaps(&s.meta));
-            overlapping.map(|s| s.reader(&self.dir)).collect::<Result<Vec<_>, _>>()?
+    /// A run cursor for every manifested segment that overlaps `q`'s
+    /// window range: the lock is held to snapshot the segments and open
+    /// their files, not to read. A reply reads them, group by group, as
+    /// it merges; only the row groups whose window and key range can hold
+    /// a match are read, each verified by its own checksum.
+    pub fn query(&self, q: &CellQuery) -> Result<Cursors<'_>, EdgeperfError> {
+        let state = self.state.lock().expect("store state");
+        let overlaps = |m: &SegmentMeta| {
+            q.from_window.is_none_or(|lo| lo <= m.until_window)
+                && q.until_window.is_none_or(|hi| hi >= m.from_window)
         };
-        let mut out = Runs { rows: Vec::new(), ends: Vec::with_capacity(readers.len()) };
-        let mut rows = Vec::with_capacity(GROUP_ROWS);
-        let (mut groups, mut bytes, mut examined) = (0, 0, 0);
-        for mut reader in readers {
-            for i in 0..reader.index().groups().len() {
-                let group = reader.index().groups()[i];
-                if !may_match(&group, q) {
-                    continue;
-                }
-                rows.clear();
-                reader.read_group(i, &mut rows)?;
-                groups += 1;
-                bytes += u64::from(group.len);
-                examined += rows.len() as u64;
-                out.rows.extend(rows.iter().filter(|c| q.matches(c.window, &c.group())));
-                between_groups();
-            }
-            out.ends.push(out.rows.len());
-        }
-        let returned = out.rows.len() as u64;
-        for (total, by) in self.query_totals.iter().zip([groups, bytes, examined, returned]) {
-            total.fetch_add(by, Ordering::Relaxed);
-        }
-        Ok(out)
+        let overlapping: Vec<&Segment> =
+            state.segments.iter().filter(|s| overlaps(&s.meta)).collect();
+        let runs = overlapping
+            .iter()
+            .map(|s| {
+                let segment = GroupCursor::new(s.reader(&self.dir)?, *q);
+                Ok(RunCursor { segment, kept: Some(Vec::new()), replay: None })
+            })
+            .collect::<Result<_, EdgeperfError>>()?;
+        let reads = Reads::new(overlapping.iter().map(|s| &*s.index));
+        Ok(Cursors { runs, reads, totals: Some(&self.query_totals), ..Cursors::default() })
     }
 
     /// Point-in-time statistics.
@@ -719,51 +919,31 @@ fn may_match(g: &GroupEntry, q: &CellQuery) -> bool {
     in_range && (g.first.1, g.first.2, g.first.3) <= hi && (g.last.1, g.last.2, g.last.3) >= lo
 }
 
-/// One merge input: a segment read a row group at a time.
-struct MergeInput {
-    reader: SegmentReader,
-    next_group: usize,
-    rows: Vec<WindowCell>,
-    at: usize,
-}
-
-impl MergeInput {
-    /// The row the input stands on, reading its next group when the
-    /// current one is spent; `None` at the end of the segment.
-    fn head(&mut self) -> Result<Option<&WindowCell>, EdgeperfError> {
-        if self.at == self.rows.len() && self.next_group < self.reader.index().groups().len() {
-            self.rows.clear();
-            self.reader.read_group(self.next_group, &mut self.rows)?;
-            (self.next_group, self.at) = (self.next_group + 1, 0);
-        }
-        Ok(self.rows.get(self.at))
-    }
-}
-
 /// K-way merge of `readers` — each already in [`cell_sort_key`] order,
-/// as every segment this store writes is — into `out`. Equal keys leave
-/// in input order, so the output is row for row what concatenating the
-/// inputs and [`sort_cells`] (a stable sort) would give.
+/// as every segment this store writes is — into `out`, through one read
+/// buffer. Equal keys leave in input order, so the output is row for row
+/// what concatenating the inputs and [`sort_cells`] (a stable sort) would
+/// give.
 fn merge(
     readers: Vec<SegmentReader>,
     out: &mut SegmentWriter<StagedFile>,
     id: u64,
 ) -> Result<(), EdgeperfError> {
-    let mut inputs: Vec<MergeInput> = readers
-        .into_iter()
-        .map(|reader| MergeInput { reader, next_group: 0, rows: Vec::new(), at: 0 })
-        .collect();
+    let mut reads = Reads::new(readers.iter().map(SegmentReader::index));
+    let mut inputs: Vec<GroupCursor> =
+        readers.into_iter().map(|reader| GroupCursor::new(reader, CellQuery::default())).collect();
     let mut heads = BinaryHeap::with_capacity(inputs.len());
     for (i, input) in inputs.iter_mut().enumerate() {
-        if let Some(row) = input.head()? {
+        input.seek(&mut reads)?;
+        if let Some(row) = input.head() {
             heads.push(Reverse((cell_sort_key(row), i)));
         }
     }
     while let Some(Reverse((_, i))) = heads.pop() {
         let input = &mut inputs[i];
-        out.push(&input.rows[input.at]).map_err(|e| write_err(id, e))?;
-        input.at += 1;
-        if let Some(row) = input.head()? {
+        out.push(input.head().expect("a head stands on its row")).map_err(|e| write_err(id, e))?;
+        input.advance(&mut reads)?;
+        if let Some(row) = input.head() {
             heads.push(Reverse((cell_sort_key(row), i)));
         }
     }
@@ -852,14 +1032,31 @@ mod tests {
         rows.iter().map(bits).collect()
     }
 
-    /// A query's rows, once each run is checked to be in canonical order.
-    fn checked(runs: Result<Runs, EdgeperfError>) -> Vec<WindowCell> {
-        let runs = runs.expect("queries");
-        for i in 0..runs.ends.len() {
-            let keys: Vec<_> = runs.run(i).iter().map(cell_sort_key).collect();
+    /// The rest of a pass: each run's rows from where it stands, run
+    /// after run, each checked to be in canonical order.
+    fn rest(cursors: &mut Cursors<'_>) -> Vec<WindowCell> {
+        let mut rows = Vec::new();
+        for i in 0..cursors.len() {
+            let start = rows.len();
+            while let Some(&row) = cursors.head(i) {
+                rows.push(row);
+                cursors.step(i).expect("reads");
+            }
+            let keys: Vec<_> = rows[start..].iter().map(cell_sort_key).collect();
             assert!(keys.is_sorted(), "a run out of canonical order: {keys:?}");
         }
-        runs.rows
+        rows
+    }
+
+    /// A query's rows: one pass, carried whole, as a reply without RAM
+    /// windows makes it — so what it reads and returns lands in the
+    /// totals.
+    fn drained(cursors: Result<Cursors<'_>, EdgeperfError>) -> Vec<WindowCell> {
+        let mut cursors = cursors.expect("queries");
+        cursors.start_pass().expect("reads");
+        let rows = rest(&mut cursors);
+        cursors.carry(rows.len() as u64);
+        rows
     }
 
     /// The unindexed answer: filter every row there is.
@@ -910,7 +1107,7 @@ mod tests {
         let w4 = window(4, 9);
         store.spill_window(3, &w3).expect("spills");
         store.spill_window(4, &w4).expect("spills");
-        let got = store.query(&CellQuery::default()).expect("queries").rows;
+        let got = drained(store.query(&CellQuery::default()));
         assert_eq!(got.len(), w3.len() + w4.len());
         let mut expected: Vec<WindowCell> = w3
             .iter()
@@ -927,10 +1124,11 @@ mod tests {
             assert_eq!(a.hdratio_p50().map(f64::to_bits), b.hdratio_p50().map(f64::to_bits));
         }
         // Range and group filters prune.
-        let only3 = store
-            .query(&CellQuery { from_window: Some(3), until_window: Some(3), ..Default::default() })
-            .expect("queries")
-            .rows;
+        let only3 = drained(store.query(&CellQuery {
+            from_window: Some(3),
+            until_window: Some(3),
+            ..Default::default()
+        }));
         assert_eq!(only3.len(), w3.len());
         assert!(only3.iter().all(|c| c.window == 3));
         let stats = store.stats();
@@ -955,7 +1153,7 @@ mod tests {
         let store = SegmentStore::open(&dir, 8, 8, 3).expect("reopens");
         assert!(!dir.join("seg-00000099.seg").exists(), "orphan segment swept");
         assert!(!dir.join("seg-00000100.seg.tmp").exists(), "orphan tmp swept");
-        assert_eq!(store.query(&CellQuery::default()).expect("queries").rows.len(), 11);
+        assert_eq!(drained(store.query(&CellQuery::default())).len(), 11);
         // Ids never collide with swept orphans.
         store.spill_window(3, &window(3, 2)).expect("spills");
         let stats = store.stats();
@@ -975,7 +1173,7 @@ mod tests {
             {
                 let store = SegmentStore::open(&dir, 8, 8, 3).expect("opens");
                 store.spill_window(1, &window(1, 4)).expect("spills");
-                cells_before = store.query(&CellQuery::default()).expect("queries").rows.len();
+                cells_before = drained(store.query(&CellQuery::default())).len();
                 store.inject_crash(point);
                 store.spill_window(2, &window(2, 7)).expect_err("crash injected");
             }
@@ -984,7 +1182,7 @@ mod tests {
             // crash. The interrupted spill is simply absent.
             let store = SegmentStore::open(&dir, 8, 8, 3)
                 .unwrap_or_else(|e| panic!("{point:?}: recovery failed: {e}"));
-            let after = store.query(&CellQuery::default()).expect("queries").rows;
+            let after = drained(store.query(&CellQuery::default()));
             assert_eq!(after.len(), cells_before, "{point:?}");
             // No stray staging files survive recovery.
             for entry in std::fs::read_dir(&dir).unwrap().flatten() {
@@ -993,10 +1191,7 @@ mod tests {
             }
             // And the store keeps working.
             store.spill_window(2, &window(2, 7)).expect("spills after recovery");
-            assert_eq!(
-                store.query(&CellQuery::default()).expect("queries").rows.len(),
-                cells_before + 7
-            );
+            assert_eq!(drained(store.query(&CellQuery::default())).len(), cells_before + 7);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -1010,7 +1205,7 @@ mod tests {
         }
         assert!(store.needs_compaction());
         let before = {
-            let mut v = store.query(&CellQuery::default()).expect("queries").rows;
+            let mut v = drained(store.query(&CellQuery::default()));
             sort_cells(&mut v);
             v
         };
@@ -1019,7 +1214,7 @@ mod tests {
         assert_eq!(stats.compactions, 1);
         assert_eq!(stats.segments, 3, "4 victims merged into 1, 2 untouched");
         let after = {
-            let mut v = store.query(&CellQuery::default()).expect("queries").rows;
+            let mut v = drained(store.query(&CellQuery::default()));
             sort_cells(&mut v);
             v
         };
@@ -1032,7 +1227,7 @@ mod tests {
         // Reopen still serves the merged state.
         drop(store);
         let store = SegmentStore::open(&dir, 4, 4, 3).expect("reopens");
-        assert_eq!(store.query(&CellQuery::default()).expect("queries").rows.len(), before.len());
+        assert_eq!(drained(store.query(&CellQuery::default())).len(), before.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1044,7 +1239,7 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.spilled_windows, 1);
         assert_eq!(stats.segments, 0);
-        assert!(store.query(&CellQuery::default()).expect("queries").rows.is_empty());
+        assert!(drained(store.query(&CellQuery::default())).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1135,7 +1330,7 @@ mod tests {
         }
         assert!(store.compact_once().expect("compacts"));
         let q = point(&all[1_234]);
-        let got = store.query(&q).expect("queries").rows;
+        let got = drained(store.query(&q));
         assert_eq!(sorted_bits(got.clone()), answer(&all, &q));
         assert_eq!(got.len(), 4, "one cell a window");
         let stats = store.stats();
@@ -1145,8 +1340,8 @@ mod tests {
         assert!(stats.query_bytes_read * 3 < stats.bytes, "{stats:?}");
         // A window range prunes by window, a full scan reads it all.
         let q = CellQuery { from_window: Some(1), until_window: Some(2), ..Default::default() };
-        assert_eq!(sorted_bits(store.query(&q).expect("queries").rows), answer(&all, &q));
-        let full = store.query(&CellQuery::default()).expect("queries").rows;
+        assert_eq!(sorted_bits(drained(store.query(&q))), answer(&all, &q));
+        let full = drained(store.query(&CellQuery::default()));
         assert_eq!(sorted_bits(full), answer(&all, &CellQuery::default()));
         assert_eq!(store.stats().query_rows_examined - stats.query_rows_examined, 4_000 + 8_000);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1162,23 +1357,20 @@ mod tests {
             all.extend(rows_of(w, &cells));
             store.spill_window(w, &cells).expect("spills");
         }
-        // After its first group the query stands aside for a whole
-        // compaction: all four segments it snapshotted are unlinked
-        // under it, and it must still read every one to the end.
-        let mut compacted = false;
-        let got = store
-            .query_pausing(&CellQuery::default(), || {
-                if !compacted {
-                    assert!(store.compact_once().expect("compacts beside the query"));
-                    compacted = true;
-                }
-            })
-            .expect("no StoreError")
-            .rows;
-        assert!(compacted);
+        // After its first groups the query stands aside for a whole
+        // compaction: all four segments it snapshotted are unlinked under
+        // it, and it must still read every one to the end — twice, as a
+        // reply re-reads runs longer than a row group.
+        let mut cursors = store.query(&CellQuery::default()).expect("queries");
+        cursors.start_pass().expect("reads the first groups");
+        assert!(store.compact_once().expect("compacts beside the query"));
         assert_eq!(store.stats().segments, 1);
         assert!(!dir.join("seg-00000000.seg").exists(), "victims are gone from the directory");
-        assert_eq!(sorted_bits(got), answer(&all, &CellQuery::default()));
+        let first = rest(&mut cursors);
+        cursors.start_pass().expect("the unlinked files read again");
+        let second = rest(&mut cursors);
+        assert_eq!(sorted_bits(first), answer(&all, &CellQuery::default()));
+        assert_eq!(sorted_bits(second), answer(&all, &CellQuery::default()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1203,7 +1395,7 @@ mod tests {
         let stats = store.stats();
         assert_eq!((stats.segments, stats.cells), (2, 45), "merged + the late spill");
         assert_eq!(
-            sorted_bits(store.query(&CellQuery::default()).expect("queries").rows),
+            sorted_bits(drained(store.query(&CellQuery::default()))),
             answer(&all, &CellQuery::default())
         );
         // And the manifest on disk agrees.
@@ -1215,41 +1407,56 @@ mod tests {
 
     #[test]
     fn a_spill_completes_while_a_query_is_parked_mid_read() {
-        use std::sync::mpsc::channel;
         let dir = tmpdir("parked-query");
-        let store = &SegmentStore::open(&dir, 8, 8, 3).expect("opens");
+        let store = SegmentStore::open(&dir, 8, 8, 3).expect("opens");
         store.spill_window(0, &wide_window(0, 0, 1_200)).expect("spills");
-        let (parked_tx, parked_rx) = channel();
-        let (resume_tx, resume_rx) = channel::<()>();
-        std::thread::scope(|scope| {
-            let query = scope.spawn(move || {
-                store.query_pausing(&CellQuery::default(), || {
-                    parked_tx.send(()).expect("test listens");
-                    resume_rx.recv().expect("test resumes");
-                })
-            });
-            // The query has read its first group and holds its handles.
-            parked_rx.recv().expect("query parks");
-            let (done_tx, done_rx) = channel();
-            let spill = scope.spawn(move || {
-                done_tx.send(store.spill_window(1, &window(1, 5))).expect("test listens");
-            });
-            let spilled = done_rx.recv_timeout(std::time::Duration::from_secs(20));
-            // Release the query whatever happened, so a failure reports
-            // instead of hanging the scope.
-            for _ in 0..4 {
-                let _ = resume_tx.send(());
-            }
-            drop(resume_tx);
-            assert_eq!(
-                spilled.expect("the spill waited for the parked query").expect("spills"),
-                SpillOutcome::Spilled
-            );
-            spill.join().expect("spill thread");
-            let got = query.join().expect("query thread").expect("queries").rows;
-            assert_eq!(got.len(), 1_200, "the snapshot predates the spill");
-        });
+        let mut cursors = store.query(&CellQuery::default()).expect("queries");
+        cursors.start_pass().expect("reads its first group");
+        // The query holds its file handles, not the store's lock.
+        assert_eq!(store.spill_window(1, &window(1, 5)).expect("spills"), SpillOutcome::Spilled);
+        assert_eq!(rest(&mut cursors).len(), 1_200, "the snapshot predates the spill");
+        drop(cursors);
         assert_eq!(store.stats().segments, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_pass_replays_a_run_that_fit_and_rereads_one_that_did_not() {
+        let dir = tmpdir("two-passes");
+        let store = SegmentStore::open(&dir, 8, 8, 3).expect("opens");
+        // Window 0 matches 2,000 rows (four groups), window 1 matches 300.
+        let mut all = rows_of(0, &wide_window(0, 0, 2_000));
+        all.extend(rows_of(1, &wide_window(1, 0, 300)));
+        store.spill_window(0, &wide_window(0, 0, 2_000)).expect("spills");
+        store.spill_window(1, &wide_window(1, 0, 300)).expect("spills");
+        let q = CellQuery::default();
+        let mut cursors = store.query(&q).expect("queries");
+        cursors.start_pass().expect("reads");
+        let first = rest(&mut cursors);
+        let after_first = (cursors.reads.groups, cursors.reads.rows);
+        assert_eq!(after_first, (5, 2_300), "every group once");
+        assert!(cursors.runs[0].kept.is_none(), "2,000 matches overflow a row group");
+        assert_eq!(cursors.runs[1].kept.as_ref().map(Vec::len), Some(300));
+        cursors.start_pass().expect("reads again");
+        let second = rest(&mut cursors);
+        assert_eq!(
+            first.iter().map(bits).collect::<Vec<_>>(),
+            second.iter().map(bits).collect::<Vec<_>>()
+        );
+        assert_eq!(sorted_bits(second), answer(&all, &q));
+        assert_eq!(
+            (cursors.reads.groups, cursors.reads.rows),
+            (9, 4_300),
+            "the run that overflowed is read again, the one that fit is not"
+        );
+        cursors.carry(2_300);
+        drop(cursors);
+        let stats = store.stats();
+        assert_eq!(
+            (stats.query_groups_read, stats.query_rows_examined, stats.query_rows_returned),
+            (9, 4_300, 2_300),
+            "every group read counts, re-reads too; a row returned counts once"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1329,7 +1536,7 @@ mod tests {
                                 let cell = &oracle[0][pick as usize % oracle[0].len()];
                                 CellQuery { until_window: Some(lo - 1), ..point(cell) }
                             };
-                            let got = store.query(&q).expect("never a StoreError").rows;
+                            let got = drained(store.query(&q));
                             let span = q.from_window.unwrap_or(0) as usize..=(lo - 1) as usize;
                             let all: Vec<WindowCell> = oracle[span].concat();
                             assert_eq!(
@@ -1381,20 +1588,20 @@ mod tests {
         // Version-1 segments were sorted too: each is a run a reply can
         // merge.
         for q in &queries {
-            assert_eq!(sorted_bits(checked(store.query(q))), answer(&all, q), "{q:?}");
+            assert_eq!(sorted_bits(drained(store.query(q))), answer(&all, q), "{q:?}");
         }
         // Compacting rewrites all three as one version-2 segment; a new
         // spill lands beside it; nothing changes in any answer.
         assert!(store.compact_once().expect("compacts version-1 victims"));
         assert_eq!(store.stats().segments, 1);
         for q in &queries {
-            assert_eq!(sorted_bits(checked(store.query(q))), answer(&all, q), "{q:?}");
+            assert_eq!(sorted_bits(drained(store.query(q))), answer(&all, q), "{q:?}");
         }
         drop(store);
         let store = SegmentStore::open(&dir, 3, 3, 3).expect("reopens");
         let merged = std::fs::read(dir.join("seg-00000007.seg")).expect("merged segment");
         assert_eq!(merged[4], edgeperf_analysis::SEGMENT_VERSION);
-        assert_eq!(sorted_bits(checked(store.query(&queries[0]))), answer(&all, &queries[0]));
+        assert_eq!(sorted_bits(drained(store.query(&queries[0]))), answer(&all, &queries[0]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1493,7 +1700,7 @@ mod tests {
                     continent: None,
                 };
                 let q = CellQuery { from_window, until_window, group };
-                prop_assert_eq!(sorted_bits(checked(store.query(&q))), answer(&all, &q));
+                prop_assert_eq!(sorted_bits(drained(store.query(&q))), answer(&all, &q));
             }
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -1,21 +1,29 @@
 //! Footprint gate for `cells` replies: a reply is merged and written from
-//! the windows the workers share, not built or sorted. A retained window
-//! of 8,192 cells is one allocation of 72 B a cell. Merging and writing
-//! the `recent_4w` read at the wide shape — 32,768 rows from four such
-//! windows, 10.6 MB on the wire — peaks below 256 KiB of live heap (one
-//! 64 KiB buffer and a heap of one head a window) in at most two allocator
-//! requests, as many as a 256-row reply makes. A sort index (24 B a row,
-//! 786 KB here), a `Vec<CellLine>` (a `String` a row), a `Value` tree a
-//! row or the reply as one `String` fails here. Heap is counted exactly by
-//! the counting global allocator the analysis crate's footprint test
-//! uses, hence one `#[test]`.
+//! the windows the workers share and the store's segments, not built or
+//! sorted. A retained window of 8,192 cells is one allocation of 72 B a
+//! cell. Merging and writing the `recent_4w` read at the wide shape —
+//! 32,768 rows from four such windows, 10.6 MB on the wire — peaks below
+//! 256 KiB of live heap (one 64 KiB buffer and a heap of one head a
+//! window) in at most two allocator requests, as many as a 256-row reply
+//! makes. The same 32,768 rows spilled as four segments and read back as
+//! a range answer peak below 512 KiB — a head, a row group's matches and
+//! a kept block a segment, one pair of read buffers and the write buffer —
+//! in as many
+//! requests as a 256-row answer from the same four segments makes. A sort
+//! index (24 B a row, 786 KB here), the store's matches collected in one
+//! vector (72 B a row, 2.36 MB), a `Vec<CellLine>` (a `String` a row), a
+//! `Value` tree a row or the reply as one `String` fails here. Heap is
+//! counted exactly by the counting global allocator the analysis crate's
+//! footprint test uses, hence one `#[test]`.
 
 #[path = "../../analysis/tests/counting/mod.rs"]
 mod counting;
 
 use counting::{count_this_thread, heap_of, peak_above, requests};
 use edgeperf_analysis::GroupKey;
-use edgeperf_live::{CellQuery, CellSummary, CellsReply, ClosedWindow, Runs, SharedWindow};
+use edgeperf_live::{
+    CellQuery, CellSummary, CellsReply, ClosedWindow, Cursors, SegmentStore, SharedWindow,
+};
 use edgeperf_routing::{PopId, Prefix, Relationship};
 
 const WINDOWS: u32 = 4;
@@ -48,20 +56,34 @@ fn closed(window: u32, rows: u32) -> ClosedWindow {
     ClosedWindow { index: window, cells: cells.collect() }
 }
 
-/// Merge and write the four newest windows into a sink, as the server
-/// does between the workers' answer and the socket: bytes written, heap
-/// peak, allocator requests.
-fn reply(windows: &[SharedWindow]) -> (u64, usize, usize) {
-    let recent = CellQuery { from_window: Some(0), ..CellQuery::default() };
-    let none = Runs::default();
+/// Merge and write the rows of `windows` and `store` in windows 0–3
+/// into a sink, as the server does between the workers' and the store's
+/// answers and the socket: bytes written, heap peak, allocator requests.
+fn reply(windows: &[SharedWindow], store: Option<&SegmentStore>) -> (u64, usize, usize) {
+    let range =
+        CellQuery { from_window: Some(0), until_window: Some(WINDOWS - 1), ..CellQuery::default() };
     let ((bytes, held, transient), asked) = requests(|| {
         peak_above(|| {
-            CellsReply::canonical(windows, &none, &recent)
+            let stored = store.map_or(Cursors::default(), |s| s.query(&range).expect("queries"));
+            CellsReply::canonical(windows, stored, &range)
+                .expect("reads")
                 .write(&mut std::io::sink())
                 .expect("a sink takes everything")
         })
     });
     (bytes, held + transient, asked)
+}
+
+/// A store holding `rows` cells of each of windows 0–3, a segment each.
+fn spilled(tag: &str, rows: u32) -> SegmentStore {
+    let dir =
+        std::env::temp_dir().join(format!("edgeperf-reply-footprint-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = SegmentStore::open(&dir, 16, 8, 3).expect("opens");
+    for w in 0..WINDOWS {
+        store.spill_window(w, &closed(w, rows).cells).expect("spills");
+    }
+    store
 }
 
 #[test]
@@ -77,11 +99,23 @@ fn a_reply_holds_a_buffer_and_a_head_a_window_not_its_rows() {
         })
         .collect();
     let small: Vec<SharedWindow> = (0..WINDOWS).map(|w| closed(w, 64).share()).collect();
-    let (bytes, peak, asked) = reply(&wide);
+    let (bytes, peak, asked) = reply(&wide, None);
     assert!(bytes > 9 << 20, "32,768 rows are ~10 MB of JSON, wrote {bytes} B");
     assert!(peak < 256 << 10, "writing {bytes} B of reply peaked at {peak} B of heap");
-    let (small_bytes, _, small_asked) = reply(&small);
+    let (small_bytes, _, small_asked) = reply(&small, None);
     assert!(small_bytes < bytes / 100);
     assert_eq!(asked, small_asked, "allocator requests must not grow with the row count");
     assert!(asked <= 2, "a buffer and the merge's heads, {asked} requests");
+
+    // The store half: the same rows, spilled, answer a range query.
+    let (wide, small) = (spilled("wide", 8_192), spilled("small", 64));
+    let (stored_bytes, peak, asked) = reply(&[], Some(&wide));
+    assert_eq!(stored_bytes, bytes, "a spilled row is written as its RAM copy was");
+    assert!(peak < 512 << 10, "writing {bytes} B of stored reply peaked at {peak} B of heap");
+    let (small_stored_bytes, _, small_asked) = reply(&[], Some(&small));
+    assert_eq!(small_stored_bytes, small_bytes);
+    assert_eq!(asked, small_asked, "allocator requests must not grow with the row count");
+    for store in [wide, small] {
+        std::fs::remove_dir_all(store.dir()).expect("cleanup");
+    }
 }

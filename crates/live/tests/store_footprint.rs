@@ -1,19 +1,21 @@
 //! Footprint gate for the tiered store: a historical query and a
 //! compaction hold row groups, not segments. On eight 25,000-row
 //! segments (1.6 MB each on disk, 1.8 MB decoded at 72 B a row) a point
-//! query over every window peaks below 1 MB of live heap and holds 72 B a
-//! row it returns, and a merge of all eight peaks below 2 MB; reading a
-//! segment whole — `fs::read` plus `decode_segment` is 3.4 MB for one,
-//! `rows.extend(..)` over eight 15–30 MB — fails here. Heap bytes are
-//! counted exactly by the counting global allocator the analysis crate's
-//! footprint test uses, hence one `#[test]`.
+//! query over every window holds room for a row group's matches and for
+//! the matches it keeps a segment, and one pair of read buffers, and
+//! peaks below 1 MB of live heap; a merge of all
+//! eight peaks below 2 MB; reading a segment whole — `fs::read` plus
+//! `decode_segment` is 3.4 MB for one, `rows.extend(..)` over eight 15–30
+//! MB — fails here. Heap bytes are counted exactly by the counting global
+//! allocator the analysis crate's footprint test uses, hence one
+//! `#[test]`.
 
 #[path = "../../analysis/tests/counting/mod.rs"]
 mod counting;
 
 use counting::{count_this_thread, peak_above};
-use edgeperf_analysis::GroupKey;
-use edgeperf_live::{CellKey, CellQuery, CellSummary, GroupFilter, SegmentStore};
+use edgeperf_analysis::{GroupKey, GROUP_ROWS};
+use edgeperf_live::{CellKey, CellQuery, CellSummary, CellsReply, GroupFilter, SegmentStore};
 use edgeperf_routing::{PopId, Prefix, Relationship};
 
 const SEGMENTS: u32 = 8;
@@ -62,17 +64,27 @@ fn queries_and_compaction_hold_row_groups_not_segments() {
         GroupFilter { pop: Some((g % 8) as u16), prefix: Some((g << 8, 24)), ..Default::default() };
     let point = CellQuery { group, ..CellQuery::default() };
     for merged in [false, true] {
-        let (runs, held, transient) = peak_above(|| store.query(&point).expect("queries"));
-        assert_eq!(runs.rows.len(), SEGMENTS as usize, "one cell a window");
-        assert_eq!(
-            held,
-            72 * runs.rows.capacity() + std::mem::size_of::<usize>() * runs.ends.capacity(),
-            "a returned row is 72 B, a run's end one usize"
+        let segments = if merged { 1 } else { SEGMENTS as usize };
+        let (reply, held, transient) = peak_above(|| {
+            let stored = store.query(&point).expect("queries");
+            CellsReply::canonical(&[], stored, &point).expect("reads")
+        });
+        assert_eq!(reply.rows(), SEGMENTS as usize, "one cell a window");
+        // A segment's cursor holds room for one group's matches and for
+        // the matches it keeps, a group's worth each; the read buffers —
+        // a group's encoding (under 72 B a row) and its rows decoded —
+        // are one for all of them; then the cursors themselves and the
+        // merge's heads.
+        let group = 72 * GROUP_ROWS;
+        assert!(
+            held <= (segments + 1) * 2 * group + 4_096,
+            "a point query over {segments} segments holds {held} B after counting"
         );
         assert!(
             held + transient < 1 << 20,
-            "a point query (merged: {merged}) peaked {transient} B above the {held} B it returns"
+            "a point query (merged: {merged}) peaked {transient} B above the {held} B it holds"
         );
+        reply.write(&mut std::io::sink()).expect("a sink takes everything");
         if !merged {
             let (did, held, transient) = peak_above(|| store.compact_once().expect("compacts"));
             assert!(did, "eight segments meet the threshold");

@@ -114,6 +114,21 @@ detector_copies() {
     banned "VecDeque<CellSummary>" crates/live/src crates/fleet/src
 }
 
+# A `cells` reply streams the store's rows: `SegmentStore::query` hands
+# over a cursor a segment, each holding one row group, and the reply
+# merges them. The store's answer collected into one vector of rows — 72 B
+# a matching row, 2.4 MB for a four-window range at the wide shape, what
+# the history workload's query phase peaked on — stays gone: outside
+# tests, reply.rs and server/query.rs name no `Vec<WindowCell>`, and
+# store.rs neither exposes one as a field nor returns one.
+store_rows() {
+    awk '/^#\[cfg\(test\)\]/ { nextfile }
+        FILENAME ~ /store\.rs$/ && !/pub[^:]*: *Vec<WindowCell>|->.*Vec<WindowCell>/ { next }
+        /Vec<WindowCell>/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit found }' crates/live/src/reply.rs crates/live/src/server/query.rs \
+        crates/live/src/store.rs
+}
+
 # --- Replay gates -----------------------------------------------------
 
 bin=target/release
@@ -394,7 +409,8 @@ tracked_lines() {
 }
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
-front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies live_smoke chaos_live fleet_smoke
+front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies store_rows live_smoke
+chaos_live fleet_smoke
 repro_results repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
