@@ -1,23 +1,26 @@
-//! Tier-1 golden for the §§4–6 analyses: a small seeded study through the
-//! exact sink must render fig8, fig9, fig10, Table 1 and Table 2 — and
-//! through the streaming sink fig10 — and a wider, thinner one fig6 and
-//! fig7 — and through the streaming sink fig6 — to exactly the bytes
-//! recorded in `tests/golden/analysis_small.json`. Each part was recorded
-//! at the commit before its rewrite: the analyses before they read cell
-//! summaries (PR 13), fig6 and fig7 — then computed from a
-//! `Vec<SessionRecord>` — before they read the columnar sink's rows
-//! (PR 14). The streaming fig6 line was recorded when the sink began to
-//! seal groups in prefix order (PR 19), before which it was not
-//! reproducible; its HDratio half must equal the exact line's. Floats are
-//! written in Rust's shortest round-trip form, so equal text means equal
-//! bits.
+//! Tier-1 golden for the §§4–6 analyses: a small seeded study must render
+//! fig8, fig9, fig10, Table 1 and Table 2 through either sink, and a wider,
+//! thinner one fig6 and fig7 through the exact sink and fig6 through the
+//! streaming one, to exactly the bytes recorded in
+//! `tests/golden/analysis_small.json`. Each part was recorded at the commit
+//! before its rewrite: the exact analyses before they read cell summaries;
+//! fig6 and fig7 (then computed from a `Vec<SessionRecord>`) before they
+//! read the columnar sink's rows; the streaming fig6 line when the sink
+//! began to seal groups in prefix order, before which it was not
+//! reproducible (its HDratio half must equal the exact line's); the
+//! streaming fig8, fig9 and tables, which read Price–Bonett variances off
+//! t-digest order statistics, before closing a digest stopped computing
+//! terms that are exactly zero or unused. Floats are written in Rust's
+//! shortest round-trip form, so equal text means equal bits.
 
 use edgeperf::analysis::figures::{
     fig10_by_relationship, fig6_minrtt, fig8_degradation, fig9_opportunity, DiffCdfs, Fig7Bucket,
     HdratioCounts, MinRttQuantiles, RelPair,
 };
 use edgeperf::analysis::tables::{table1, table2, AnalysisKind, Table1};
-use edgeperf::analysis::{AnalysisConfig, ColumnarSink, DegradationMetric, StreamingDataset};
+use edgeperf::analysis::{
+    AnalysisConfig, ColumnarSink, DegradationMetric, StreamingDataset, Summaries,
+};
 use edgeperf::stats::cdf::WeightedCdf;
 use edgeperf::stats::TDigest;
 use edgeperf::world::{run_study_into, StudyConfig, World, WorldConfig};
@@ -115,6 +118,43 @@ fn fig7_json(b: &Fig7Bucket) -> String {
     )
 }
 
+/// Figures 8 and 9 over one sink's cell summaries.
+fn fig8_fig9(cfg: &AnalysisConfig, relaxed: &AnalysisConfig, ds: &Summaries) -> Vec<String> {
+    vec![
+        diff_json("fig8 minrtt", fig8_degradation(cfg, ds, MINRTT)),
+        diff_json("fig8 hdratio", fig8_degradation(cfg, ds, HDRATIO)),
+        diff_json("fig8 hdratio relaxed", fig8_degradation(relaxed, ds, HDRATIO)),
+        diff_json("fig9 minrtt", fig9_opportunity(cfg, ds, MINRTT)),
+        diff_json("fig9 hdratio", fig9_opportunity(cfg, ds, HDRATIO)),
+        diff_json("fig9 hdratio relaxed", fig9_opportunity(relaxed, ds, HDRATIO)),
+    ]
+}
+
+/// Figure 10, one line a relationship pair.
+fn fig10(cfg: &AnalysisConfig, ds: &Summaries) -> [String; 3] {
+    PAIRS.map(|p| diff_json(p.label(), fig10_by_relationship(cfg, ds, p)))
+}
+
+/// Tables 1 and 2 over one sink's cell summaries.
+fn tables(cfg: &AnalysisConfig, relaxed: &AnalysisConfig, ds: &Summaries) -> Vec<String> {
+    let mut lines = Vec::new();
+    for (name, cfg, kind, metric, threshold) in [
+        ("degradation minrtt 5", cfg, AnalysisKind::Degradation, MINRTT, 5.0),
+        ("degradation hdratio 0.05 relaxed", relaxed, AnalysisKind::Degradation, HDRATIO, 0.05),
+        ("opportunity minrtt 5", cfg, AnalysisKind::Opportunity, MINRTT, 5.0),
+    ] {
+        lines.push(table1_json(name, &table1(cfg, ds, kind, metric, threshold)));
+    }
+    for (metric, label, threshold) in [(MINRTT, "minrtt 5", 5.0), (HDRATIO, "hdratio 0.05", 0.05)] {
+        let rows = table2(cfg, ds, metric, threshold).into_iter().map(|((pref, alt), r)| {
+            let shares = [r.absolute, r.relative, r.longer, r.prepended].map(|v| format!("{v:?}"));
+            format!("[\"{} -> {}\", {}]", pref.label(), alt.label(), shares.join(", "))
+        });
+        lines.push(format!("{{\"table2\": \"{label}\", \"rows\": {}}}", list(rows, "    ")));
+    }
+    lines
+}
+
 fn render() -> String {
     // One worker: the shard merge order, hence the order CDF inputs are
     // pushed in, is then the same on every run.
@@ -153,29 +193,9 @@ fn render() -> String {
     let mut stream = StreamingDataset::new(windows);
     run_study_into(&world, &study, &mut stream);
     let stream = stream.summarize();
-    exact.extend([
-        diff_json("fig8 minrtt", fig8_degradation(&cfg, &ds, MINRTT)),
-        diff_json("fig8 hdratio", fig8_degradation(&cfg, &ds, HDRATIO)),
-        diff_json("fig8 hdratio relaxed", fig8_degradation(&relaxed, &ds, HDRATIO)),
-        diff_json("fig9 minrtt", fig9_opportunity(&cfg, &ds, MINRTT)),
-        diff_json("fig9 hdratio", fig9_opportunity(&cfg, &ds, HDRATIO)),
-        diff_json("fig9 hdratio relaxed", fig9_opportunity(&relaxed, &ds, HDRATIO)),
-    ]);
-    exact.extend(PAIRS.map(|p| diff_json(p.label(), fig10_by_relationship(&cfg, &ds, p))));
-    for (name, cfg, kind, metric, threshold) in [
-        ("degradation minrtt 5", &cfg, AnalysisKind::Degradation, MINRTT, 5.0),
-        ("degradation hdratio 0.05 relaxed", &relaxed, AnalysisKind::Degradation, HDRATIO, 0.05),
-        ("opportunity minrtt 5", &cfg, AnalysisKind::Opportunity, MINRTT, 5.0),
-    ] {
-        exact.push(table1_json(name, &table1(cfg, &ds, kind, metric, threshold)));
-    }
-    for (metric, label, threshold) in [(MINRTT, "minrtt 5", 5.0), (HDRATIO, "hdratio 0.05", 0.05)] {
-        let rows = table2(&cfg, &ds, metric, threshold).into_iter().map(|((pref, alt), r)| {
-            let shares = [r.absolute, r.relative, r.longer, r.prepended].map(|v| format!("{v:?}"));
-            format!("[\"{} -> {}\", {}]", pref.label(), alt.label(), shares.join(", "))
-        });
-        exact.push(format!("{{\"table2\": \"{label}\", \"rows\": {}}}", list(rows, "    ")));
-    }
+    exact.extend(fig8_fig9(&cfg, &relaxed, &ds));
+    exact.extend(fig10(&cfg, &ds));
+    exact.extend(tables(&cfg, &relaxed, &ds));
 
     // Streaming Figure 6 over the same wide study: MinRTT off the rollup
     // digests, HDratio off the counters — which are not an approximation.
@@ -186,7 +206,9 @@ fn render() -> String {
     let stream_minrtt =
         fig6_minrtt_json(&digests.minrtt_rollup(), TDigest::count, TDigest::quantile);
     let mut streaming = vec![format!("{{{stream_minrtt}, {stream_hdratio}}}")];
-    streaming.extend(PAIRS.map(|p| diff_json(p.label(), fig10_by_relationship(&cfg, &stream, p))));
+    streaming.extend(fig8_fig9(&cfg, &relaxed, &stream));
+    streaming.extend(tables(&cfg, &relaxed, &stream));
+    streaming.extend(fig10(&cfg, &stream));
 
     format!(
         "{{\n  \"exact\": {},\n  \"streaming\": {}\n}}\n",
