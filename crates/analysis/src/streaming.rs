@@ -93,10 +93,11 @@ impl StreamingAggregation {
     }
 
     /// Flush both digests — built from the run first, if the cell never
-    /// reached 512 sessions: their insert buffers are compressed in and
-    /// released, so the aggregation holds centroids only and subsequent
-    /// queries are allocation-free. The streaming sink calls this when it
-    /// seals the cell's group, the live tier at window close.
+    /// reached 512 sessions: their insert buffers are compressed in (a
+    /// sort, and under ~60 sessions no merge test) and released, so the
+    /// aggregation holds centroids only and subsequent queries are
+    /// allocation-free. The streaming sink calls this when it seals the
+    /// cell's group, the live tier at window close.
     pub fn flush(&mut self) {
         let digests = match &mut self.digests {
             Some(digests) => digests,

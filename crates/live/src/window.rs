@@ -14,7 +14,9 @@
 //! holds a boxed digest pair instead, at most ~10 KB however hot the cell
 //! (two 4 KiB insert buffers and 16 B a centroid, trimmed at every
 //! compression). Closing a window builds a small cell's digests from its
-//! sessions, then summarises and drops its cells one at a time.
+//! sessions (a sort each, and no merge test under ~60 sessions), then
+//! summarises and drops its cells one at a time: a summary's Price–Bonett
+//! tails sum only their terms `exp` does not round to zero.
 //!
 //! [`ClosedWindow::share`] then packs a closed window into the 72-byte
 //! rows its worker's detector reads baselines from and its worker

@@ -11,7 +11,9 @@
 //! Ingestion is buffered: inserts accumulate raw samples and merge into the
 //! compressed centroid list in batches of [`BUFFER_LEN`], so an insert
 //! costs a bounds check and a push, and a batch one sort plus one merge
-//! pass that calls `asin` and `sin` once per *output* centroid. The buffer
+//! pass that calls `asin` and `sin` once per *output* centroid — none for
+//! fewer than 0.95·2δ/π (60 at δ = 100) unit weights, which cannot merge:
+//! a 30-sample cell closes at the cost of its sort. The buffer
 //! costs what it holds: an empty digest owns no heap, the first insert
 //! allocates room for [`FIRST_BUFFER_LEN`] samples — one allocation covers
 //! a cell at the paper's 30-sample validity minimum — and it doubles from
@@ -96,11 +98,19 @@ fn k1(compression: f64, q: f64) -> f64 {
 /// more than 1e-9 from `q*` is decided by the side it lies on — a margin of
 /// at least δ/π·1e-9 in k, orders of magnitude above any `asin`/`sin`
 /// rounding — and only one inside that band runs the exact test, so every
-/// bit is what the per-element test gives.
+/// bit is what the per-element test gives. Too few unit weights to merge
+/// skip the pass.
 fn compress_centroids(all: &mut Vec<Centroid>, compression: f64) -> f64 {
     debug_assert!(!all.is_empty());
     all.sort_unstable_by(|a, b| a.mean.total_cmp(&b.mean));
     let total: f64 = all.iter().map(|c| c.weight).sum();
+    // Fewer unit weights than 2δ/π never merge: across two, k1 steps by at
+    // least 2δ/(π·total) > 1 as asin′ ≥ 1 (0.95: a margin for rounding).
+    if (all.len() as f64) < 0.95 * std::f64::consts::FRAC_2_PI * compression
+        && all.iter().all(|c| c.weight == 1.0)
+    {
+        return total;
+    }
 
     // For the centroid starting at `w_before`: `k1(q_lo)`, the weight up to
     // which an element merges and the weight above which it does not. Past
@@ -989,6 +999,40 @@ mod tests {
     fn crossing(compression: f64, q_lo: f64) -> f64 {
         let theta = (k1(compression, q_lo) + 1.0) / (compression / (2.0 * std::f64::consts::PI));
         (theta.sin() + 1.0) / 2.0
+    }
+
+    #[test]
+    fn lists_too_short_to_merge_decide_as_the_per_element_test() {
+        // All-unit lists up to and past 2δ/π, where skipping the pass gives
+        // way to running it; below 0.95·2δ/π, the same lists with one weight
+        // that is not 1, which must run it.
+        let two_over_pi = std::f64::consts::FRAC_2_PI;
+        for compression in [10.0, 25.0, 100.0, 1_000.0] {
+            let (mut unit_merged, mut weighted_merged) = (false, false);
+            for len in 1..=(two_over_pi * compression).ceil() as usize + 10 {
+                // Out of order, with ties and a signed zero.
+                let unit: Vec<Centroid> = (0..len)
+                    .map(|i| match i * 7 % 11 {
+                        0 => -0.0,
+                        m => m as f64 * 0.5,
+                    })
+                    .map(|mean| Centroid { mean, weight: 1.0 })
+                    .collect();
+                let mut all = unit.clone();
+                assert_compresses_as_per_element(&mut all, compression);
+                unit_merged |= all.len() < len;
+                if (len as f64) >= 0.95 * two_over_pi * compression {
+                    continue;
+                }
+                for weight in [0.5, 1.0 + f64::EPSILON, 3.0, 1e3] {
+                    let mut all = unit.clone();
+                    all[len / 2].weight = weight;
+                    assert_compresses_as_per_element(&mut all, compression);
+                    weighted_merged |= all.len() < len;
+                }
+            }
+            assert!(unit_merged && weighted_merged, "δ = {compression}: nothing merged");
+        }
     }
 
     #[test]
