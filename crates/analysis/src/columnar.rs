@@ -38,6 +38,7 @@
 use crate::dataset::{in_dataset_order, median_and_variance, CellSummary, GroupSlots, Summaries};
 use crate::figures::{HdratioCounts, HdratioTally, PreferredSessions};
 use crate::record::{GroupKey, SessionRecord};
+use crate::segment::WindowCell;
 use crate::sink::{RecordShard, RecordSink, SinkStats};
 use edgeperf_routing::Relationship;
 use std::collections::BTreeMap;
@@ -180,7 +181,7 @@ impl AdoptedShard {
     /// taken before HDratio is scattered into the same column.
     fn adopt(
         shard: ColumnarShard,
-        grid: &mut GroupSlots<CellSummary>,
+        grid: &mut GroupSlots<WindowCell>,
         hdratio: &mut HdratioTally,
     ) -> Self {
         let rows = shard.cell.len();
@@ -228,7 +229,7 @@ impl AdoptedShard {
             let tested = &column[rows_of(ci)][..meta.n_hd as usize];
             let (hdratio_p50, hdratio_var) = median_and_variance(tested).unzip();
             let CellKey { group, window, rank } = meta.key;
-            *grid.cell(group, rank as usize, window as usize, meta.bytes) = Some(CellSummary {
+            let summary = CellSummary {
                 n: meta.n_rtt as usize,
                 n_tested: meta.n_hd as usize,
                 bytes: meta.bytes,
@@ -239,7 +240,9 @@ impl AdoptedShard {
                 relationship: meta.relationship,
                 longer_path: meta.longer_path,
                 more_prepended: meta.more_prepended,
-            });
+            };
+            let row = WindowCell::new(window, group, rank, &summary);
+            *grid.cell(group, rank as usize, window as usize, meta.bytes) = Some(row);
         }
         AdoptedShard {
             cells: preferred.iter().map(|&ci| cells[ci].key).collect(),
@@ -289,7 +292,7 @@ impl RecordShard for ColumnarShard {
 #[derive(Debug)]
 pub struct ColumnarSink {
     pub(crate) n_windows: usize,
-    summaries: GroupSlots<CellSummary>,
+    summaries: GroupSlots<WindowCell>,
     preferred: Vec<AdoptedShard>,
     hdratio: HdratioTally,
     records: u64,

@@ -6,13 +6,14 @@
 //! Events (degradation / opportunity) are declared on the *lower bound*
 //! of the CI exceeding the threshold, so noise cannot manufacture events.
 //!
-//! There is one comparison, [`compare`], over [`CellSummary`]s: whether a
-//! summary came from sorted samples, a t-digest or a spilled segment row
-//! only decides how good its order statistics are, not which rules apply.
+//! There is one comparison, [`compare`], over [`WindowCell`] rows: whether
+//! a row was summarised from sorted samples or a t-digest, or read back
+//! from a spilled segment, only decides how good its order statistics
+//! are, not which rules apply.
 
 use crate::config::AnalysisConfig;
-use crate::dataset::CellSummary;
 use crate::degradation::DegradationMetric;
+use crate::segment::WindowCell;
 use edgeperf_stats::dist::norm_inv_cdf;
 
 /// Result of comparing two aggregations on one metric.
@@ -57,22 +58,23 @@ impl CompareOutcome {
 pub fn compare(
     cfg: &AnalysisConfig,
     metric: DegradationMetric,
-    a: &CellSummary,
-    b: &CellSummary,
+    a: &WindowCell,
+    b: &WindowCell,
 ) -> CompareOutcome {
-    let stat = |c: &CellSummary| match metric {
-        DegradationMetric::MinRtt => (c.n, Some(c.min_rtt_p50), c.min_rtt_var),
-        DegradationMetric::HdRatio => (c.n_tested, c.hdratio_p50, c.hdratio_var),
+    let stat = |c: &WindowCell| match metric {
+        DegradationMetric::MinRtt => (c.n, c.min_rtt_var()),
+        DegradationMetric::HdRatio => (c.n_tested, c.hdratio_var()),
     };
     let max_ci_width = match metric {
         DegradationMetric::MinRtt => cfg.max_ci_width_minrtt_ms,
         DegradationMetric::HdRatio => cfg.max_ci_width_hdratio,
     };
-    let ((na, pa, va), (nb, pb, vb)) = (stat(a), stat(b));
-    if na < cfg.min_samples || nb < cfg.min_samples {
+    let ((na, va), (nb, vb)) = (stat(a), stat(b));
+    let min_samples = cfg.min_samples as u64;
+    if na < min_samples || nb < min_samples {
         return CompareOutcome::Invalid;
     }
-    let (Some(pa), Some(va), Some(pb), Some(vb)) = (pa, va, pb, vb) else {
+    let (Some(pa), Some(va), Some(pb), Some(vb)) = (a.p50(metric), va, b.p50(metric), vb) else {
         return CompareOutcome::Invalid;
     };
     let diff = pa - pb;
@@ -91,8 +93,8 @@ pub fn compare(
 pub(crate) fn deficit(
     cfg: &AnalysisConfig,
     metric: DegradationMetric,
-    x: &CellSummary,
-    y: &CellSummary,
+    x: &WindowCell,
+    y: &WindowCell,
 ) -> CompareOutcome {
     match metric {
         DegradationMetric::MinRtt => compare(cfg, metric, x, y),
@@ -104,20 +106,23 @@ pub(crate) fn deficit(
 mod tests {
     use super::*;
     use crate::dataset::Aggregation;
-    use edgeperf_routing::Relationship;
+    use crate::record::GroupKey;
+    use edgeperf_routing::{PopId, Prefix, Relationship};
     use edgeperf_stats::median_ci::diff_of_medians_ci_sorted;
 
     const MINRTT: DegradationMetric = DegradationMetric::MinRtt;
 
-    /// Summary of a cell whose MinRTT samples are `center ± spread/2`;
+    /// The row of a cell whose MinRTT samples are `center ± spread/2`;
     /// every session tested, with HDratio = MinRTT / 100.
-    fn cell(center: f64, spread: f64, n: usize) -> (Vec<f64>, CellSummary) {
+    fn cell(center: f64, spread: f64, n: usize) -> (Vec<f64>, WindowCell) {
         let samples: Vec<f64> =
             (0..n).map(|i| center + spread * (i as f64 / (n - 1) as f64 - 0.5)).collect();
         let mut agg = Aggregation::new(Relationship::PrivatePeer);
         agg.min_rtt_ms = samples.clone();
         agg.hdratio = samples.iter().map(|v| v / 100.0).collect();
-        (samples, agg.summary())
+        let group =
+            GroupKey { pop: PopId(0), prefix: Prefix::new(0, 16), country: 0, continent: 0 };
+        (samples, WindowCell::new(0, group, 0, &agg.summary()))
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! Dataset assembly: records → per-(group, window, route-rank)
-//! aggregations (§3.3), and the one plain-data [`CellSummary`] every
-//! analysis reads whichever sink produced the cell.
+//! aggregations (§3.3), each summarised into the [`CellSummary`] a
+//! summarizer hands over and packed into the [`WindowCell`] row every
+//! analysis reads, whichever sink produced the cell.
 
-use crate::degradation::DegradationMetric;
 use crate::hash::FxHashMap;
 use crate::record::{GroupKey, SessionRecord};
+use crate::segment::WindowCell;
 use edgeperf_routing::Relationship;
 use edgeperf_stats::median_ci::median_variance_sorted;
 
 /// The paper's statistic for one (group, window, route-rank) cell: a
 /// median with its Price–Bonett variance for MinRTT and for HDratio
-/// (§§3.3–3.4.1), plus traffic weight and route annotations. Produced by
-/// [`Aggregation::summary`] (exact order statistics),
-/// [`crate::StreamingCell::summary`] (digest order statistics) and
-/// [`crate::WindowCell::summary`] (closed live windows, decoded segments).
+/// (§§3.3–3.4.1), plus traffic weight and route annotations: what a
+/// summarizer hands over — [`Aggregation::summary`] (exact order
+/// statistics) and [`crate::StreamingCell::summary`] (digest order
+/// statistics) — and what [`WindowCell::new`] packs. Nothing reads a cell
+/// as one: the analyses, both sinks' grids and the live detector read the
+/// packed row. It stays the element of a live `ClosedWindow`'s cells and
+/// the input of `store::window_cell`, `CellLine::new` and
+/// `SegmentStore::spill_window`, because the benchmark's probes build
+/// and read those.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSummary {
     /// Sessions recorded.
@@ -36,16 +42,6 @@ pub struct CellSummary {
     pub longer_path: bool,
     /// This route is prepended more than the preferred route.
     pub more_prepended: bool,
-}
-
-impl CellSummary {
-    /// The cell's median of `metric`, if it has one.
-    pub fn p50(&self, metric: DegradationMetric) -> Option<f64> {
-        match metric {
-            DegradationMetric::MinRtt => Some(self.min_rtt_p50),
-            DegradationMetric::HdRatio => self.hdratio_p50,
-        }
-    }
 }
 
 /// Measurements for one (group, window, route-rank) cell.
@@ -129,7 +125,7 @@ pub(crate) fn median_and_variance(sorted: &[f64]) -> Option<(f64, Option<f64>)> 
 
 /// All cells of one user group, `ranks[r][w]`, whatever a cell is: sorted
 /// samples ([`Aggregation`]), digests ([`crate::StreamingCell`]) or the
-/// [`CellSummary`] the analyses read.
+/// [`WindowCell`] rows the analyses read.
 #[derive(Debug, Clone)]
 pub struct GroupData<C> {
     /// Per route rank (0 = preferred), per window.
@@ -165,16 +161,20 @@ impl<C> GroupData<C> {
         self.ranks.first().into_iter().flat_map(|ws| ws.iter().flatten())
     }
 
-    /// The same grid with every cell summarised by `summary`.
-    pub fn summarize(&self, summary: impl Fn(&C) -> CellSummary) -> GroupData<CellSummary> {
-        GroupData {
-            ranks: self
-                .ranks
-                .iter()
-                .map(|ws| ws.iter().map(|c| c.as_ref().map(&summary)).collect())
-                .collect(),
-            total_bytes: self.total_bytes,
-        }
+    /// The same grid with every cell summarised by `summary` and packed
+    /// into the row of (window `w`, group `key`, rank `r`).
+    pub fn summarize(
+        &self,
+        key: GroupKey,
+        summary: impl Fn(&C) -> CellSummary,
+    ) -> GroupData<WindowCell> {
+        let ranks = self.ranks.iter().zip(0u8..).map(|(ws, rank)| {
+            let row = |(c, window): (&Option<C>, u32)| {
+                c.as_ref().map(|c| WindowCell::new(window, key, rank, &summary(c)))
+            };
+            ws.iter().zip(0u32..).map(row).collect()
+        });
+        GroupData { ranks: ranks.collect(), total_bytes: self.total_bytes }
     }
 }
 
@@ -246,14 +246,14 @@ pub(crate) fn in_dataset_order<C>(
     groups.into_iter().collect::<FxHashMap<_, _>>().into_iter().collect()
 }
 
-/// The summary grid of a whole study: what [`Dataset::summarize`] and
+/// The row grid of a whole study: what [`Dataset::summarize`] and
 /// [`crate::StreamingDataset::summarize`] produce (and what rows read
 /// back from segments rebuild), and the only thing the §§5–6 analyses
 /// read. Groups keep the order their source iterates them in.
 #[derive(Debug, Clone, Default)]
 pub struct Summaries {
-    /// Per-group summary grids.
-    pub groups: Vec<(GroupKey, GroupData<CellSummary>)>,
+    /// Per-group row grids.
+    pub groups: Vec<(GroupKey, GroupData<WindowCell>)>,
 }
 
 impl Summaries {
@@ -268,13 +268,14 @@ impl Summaries {
     /// segments). The grid spans the rows' first to last window; groups
     /// come out in first-seen order.
     #[cfg(test)]
-    pub(crate) fn from_cells(cells: &[crate::segment::WindowCell]) -> Summaries {
+    pub(crate) fn from_cells(cells: &[WindowCell]) -> Summaries {
         let first = cells.iter().map(|c| c.window).min().unwrap_or(0);
         let n_windows = cells.iter().map(|c| (c.window - first) as usize + 1).max().unwrap_or(0);
         let mut grid = GroupSlots::new(n_windows);
         for c in cells {
-            *grid.cell(c.group(), c.rank as usize, (c.window - first) as usize, c.bytes) =
-                Some(c.summary());
+            let mut row = *c;
+            row.window -= first;
+            *grid.cell(c.group(), c.rank as usize, row.window as usize, c.bytes) = Some(row);
         }
         Summaries { groups: grid.slots }
     }
@@ -282,18 +283,8 @@ impl Summaries {
     /// Flatten into rows, windows numbered from 0: group by group, rank
     /// by rank, window by window.
     #[cfg(test)]
-    pub(crate) fn to_cells(&self) -> Vec<crate::segment::WindowCell> {
-        let mut out = Vec::new();
-        for (key, g) in &self.groups {
-            for (rank, ws) in g.ranks.iter().enumerate() {
-                for (w, cell) in ws.iter().enumerate() {
-                    if let Some(cell) = cell {
-                        out.push(crate::segment::WindowCell::new(w as u32, *key, rank as u8, cell));
-                    }
-                }
-            }
-        }
-        out
+    pub(crate) fn to_cells(&self) -> Vec<WindowCell> {
+        self.groups.iter().flat_map(|(_, g)| g.cells()).copied().collect()
     }
 }
 
@@ -361,7 +352,7 @@ impl Dataset {
             groups: self
                 .groups
                 .iter()
-                .map(|(k, g)| (*k, g.summarize(Aggregation::summary)))
+                .map(|(k, g)| (*k, g.summarize(*k, Aggregation::summary)))
                 .collect(),
         }
     }

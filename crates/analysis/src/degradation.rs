@@ -9,7 +9,8 @@
 
 use crate::compare::{deficit, CompareOutcome};
 use crate::config::AnalysisConfig;
-use crate::dataset::{CellSummary, GroupData};
+use crate::dataset::GroupData;
+use crate::segment::WindowCell;
 use edgeperf_stats::quantile::quantile_unsorted;
 
 /// Which metric a degradation/opportunity analysis runs on.
@@ -56,11 +57,11 @@ pub struct WindowAssessment {
 pub fn pick_baseline<'a>(
     cfg: &AnalysisConfig,
     metric: DegradationMetric,
-    windows: impl IntoIterator<Item = &'a CellSummary>,
-) -> Option<&'a CellSummary> {
-    let candidates: Vec<(&CellSummary, f64)> = windows
+    windows: impl IntoIterator<Item = &'a WindowCell>,
+) -> Option<&'a WindowCell> {
+    let candidates: Vec<(&WindowCell, f64)> = windows
         .into_iter()
-        .filter(|c| c.n >= cfg.min_samples)
+        .filter(|c| c.n >= cfg.min_samples as u64)
         .filter_map(|c| Some((c, c.p50(metric)?)))
         .collect();
     if candidates.is_empty() {
@@ -84,8 +85,8 @@ pub fn assess_window(
     cfg: &AnalysisConfig,
     metric: DegradationMetric,
     threshold: f64,
-    window: &CellSummary,
-    baseline: Option<&CellSummary>,
+    window: &WindowCell,
+    baseline: Option<&WindowCell>,
 ) -> WindowAssessment {
     let (status, diff) = match baseline.map(|b| deficit(cfg, metric, window, b)) {
         Some(CompareOutcome::Valid { diff, lo, hi }) => (
@@ -104,7 +105,7 @@ pub fn assess_window(
 /// has a valid aggregation yield all-`Invalid`/`NoTraffic`.
 pub fn degradation_events(
     cfg: &AnalysisConfig,
-    group: &GroupData<CellSummary>,
+    group: &GroupData<WindowCell>,
     metric: DegradationMetric,
     threshold: f64,
 ) -> Vec<WindowAssessment> {
@@ -151,7 +152,7 @@ mod tests {
         out
     }
 
-    fn group_of(ds: &Dataset) -> GroupData<CellSummary> {
+    fn group_of(ds: &Dataset) -> GroupData<WindowCell> {
         ds.summarize().groups.remove(0).1
     }
 

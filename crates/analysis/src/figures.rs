@@ -5,11 +5,12 @@
 
 use crate::compare::{compare, CompareOutcome};
 use crate::config::AnalysisConfig;
-use crate::dataset::{CellSummary, GroupData, Summaries};
+use crate::dataset::{GroupData, Summaries};
 use crate::degradation::{degradation_events, DegradationMetric};
 use crate::hash::FxHashMap;
 use crate::opportunity::{opportunity_events, OpportunityMetric};
 use crate::record::SessionRecord;
+use crate::segment::WindowCell;
 use edgeperf_routing::Relationship;
 use edgeperf_stats::cdf::{CdfBuilder, WeightedCdf};
 use edgeperf_stats::quantiles_in_place;
@@ -353,12 +354,13 @@ pub fn fig10_by_relationship(
     ds: &Summaries,
     pair: RelPair,
 ) -> Option<DiffCdfs> {
-    let compared = |g: &GroupData<CellSummary>, w: usize| {
-        let pref = g.cell(0, w).filter(|c| c.n >= cfg.min_samples)?;
+    let enough = |c: &&WindowCell| c.n >= cfg.min_samples as u64;
+    let compared = |g: &GroupData<WindowCell>, w: usize| {
+        let pref = g.cell(0, w).filter(enough)?;
         // First (most preferred) alternate with the matching type.
         let alt = (1..g.ranks.len())
             .filter_map(|r| g.cell(r, w))
-            .find(|c| c.n >= cfg.min_samples && pair.matches(pref.relationship, c.relationship))?;
+            .find(|c| enough(c) && pair.matches(pref.relationship(), c.relationship()))?;
         match compare(cfg, DegradationMetric::MinRtt, pref, alt) {
             CompareOutcome::Valid { diff, lo, hi } => Some(((diff, lo, hi), pref.bytes)),
             CompareOutcome::Invalid => None,

@@ -8,8 +8,9 @@
 
 use crate::compare::{deficit, CompareOutcome};
 use crate::config::AnalysisConfig;
-use crate::dataset::{CellSummary, GroupData};
+use crate::dataset::GroupData;
 use crate::degradation::{DegradationMetric, WindowStatus};
+use crate::segment::WindowCell;
 use edgeperf_routing::Relationship;
 
 /// Metric for opportunity analysis (alias of the degradation metric).
@@ -42,14 +43,14 @@ pub struct OpportunityAssessment {
 /// with enough samples.
 fn best_alternate<'a>(
     cfg: &AnalysisConfig,
-    group: &'a GroupData<CellSummary>,
+    group: &'a GroupData<WindowCell>,
     window: usize,
     metric: OpportunityMetric,
-) -> Option<(u8, &'a CellSummary)> {
-    let mut best: Option<(u8, &CellSummary, f64)> = None;
+) -> Option<(u8, &'a WindowCell)> {
+    let mut best: Option<(u8, &WindowCell, f64)> = None;
     for rank in 1..group.ranks.len() {
         let cell = match group.cell(rank, window) {
-            Some(c) if c.n >= cfg.min_samples => c,
+            Some(c) if c.n >= cfg.min_samples as u64 => c,
             _ => continue,
         };
         let Some(p50) = cell.p50(metric) else { continue };
@@ -65,7 +66,7 @@ fn best_alternate<'a>(
 /// `threshold`.
 pub fn opportunity_events(
     cfg: &AnalysisConfig,
-    group: &GroupData<CellSummary>,
+    group: &GroupData<WindowCell>,
     metric: OpportunityMetric,
     threshold: f64,
 ) -> Vec<OpportunityAssessment> {
@@ -77,7 +78,7 @@ pub fn opportunity_events(
             };
             let invalid = OpportunityAssessment {
                 status: WindowStatus::Invalid,
-                pref_relationship: Some(pref.relationship),
+                pref_relationship: Some(pref.relationship()),
                 bytes: pref.bytes,
                 ..OpportunityAssessment::default()
             };
@@ -103,10 +104,10 @@ pub fn opportunity_events(
                 status: if event { WindowStatus::Event } else { WindowStatus::Quiet },
                 diff: Some((diff, lo, hi)),
                 alt_rank: Some(alt_rank),
-                alt_relationship: Some(alt.relationship),
-                pref_relationship: Some(pref.relationship),
-                alt_longer: alt.longer_path,
-                alt_prepended: alt.more_prepended,
+                alt_relationship: Some(alt.relationship()),
+                pref_relationship: Some(pref.relationship()),
+                alt_longer: alt.longer_path(),
+                alt_prepended: alt.more_prepended(),
                 bytes: pref.bytes,
             }
         })

@@ -55,6 +55,7 @@
 //! temp file, never a torn segment at a live path.
 
 use crate::dataset::CellSummary;
+use crate::degradation::DegradationMetric;
 use crate::record::GroupKey;
 use edgeperf_core::EdgeperfError;
 use edgeperf_routing::{PopId, Prefix, Relationship};
@@ -71,12 +72,13 @@ pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"EPSG";
 /// Current segment format version.
 pub const SEGMENT_VERSION: u8 = 2;
 
-/// One closed cell: a live window's ((group, rank), summary) entry in the
-/// one form the live tier holds, shares, spills and replies from. 72
-/// bytes: what is stored as itself is a public field; the group is flat
-/// fields behind [`group`](Self::group), and one flag byte holds the
-/// route annotations and which optional statistics are present — an
-/// absent one's slot holds `0.0` and is never read.
+/// One closed cell: the one form every reader of a (window, group, rank)
+/// cell's statistic takes it in — the offline analyses and both sinks'
+/// grids, and the live tier, which holds, shares, spills and replies
+/// from it. 72 bytes: what is stored as itself is a public field; the
+/// group is flat fields behind [`group`](Self::group), and one flag byte
+/// holds the route annotations and which optional statistics are
+/// present — an absent one's slot holds `0.0` and is never read.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowCell {
     /// Window index (`floor(ts / window_ms)`).
@@ -139,22 +141,6 @@ impl WindowCell {
         row
     }
 
-    /// The summary this row stores, bit for bit.
-    pub fn summary(&self) -> CellSummary {
-        CellSummary {
-            n: usize::try_from(self.n).unwrap_or(usize::MAX),
-            n_tested: usize::try_from(self.n_tested).unwrap_or(usize::MAX),
-            bytes: self.bytes,
-            min_rtt_p50: self.min_rtt_p50,
-            min_rtt_var: self.min_rtt_var(),
-            hdratio_p50: self.hdratio_p50(),
-            hdratio_var: self.hdratio_var(),
-            relationship: self.relationship(),
-            longer_path: self.longer_path(),
-            more_prepended: self.more_prepended(),
-        }
-    }
-
     /// The cell's user group.
     pub fn group(&self) -> GroupKey {
         GroupKey {
@@ -178,6 +164,14 @@ impl WindowCell {
     /// This route is prepended more than the preferred route.
     pub fn more_prepended(&self) -> bool {
         self.flags & FLAG_MORE_PREPENDED != 0
+    }
+
+    /// The cell's median of `metric`, if it has one.
+    pub fn p50(&self, metric: DegradationMetric) -> Option<f64> {
+        match metric {
+            DegradationMetric::MinRtt => Some(self.min_rtt_p50),
+            DegradationMetric::HdRatio => self.hdratio_p50(),
+        }
     }
 
     /// Price–Bonett variance of the MinRTT median.
@@ -900,14 +894,17 @@ mod tests {
         [Relationship::PrivatePeer, Relationship::PublicPeer, Relationship::Transit][i as usize % 3]
     }
 
-    fn cell(i: u32) -> WindowCell {
-        let group = GroupKey {
+    fn group(i: u32) -> GroupKey {
+        GroupKey {
             pop: PopId(u16::try_from(i % 5).unwrap()),
             prefix: Prefix { base: 0x0A00_0000 + (i << 8), len: 24 },
             country: u16::try_from(i % 40).unwrap(),
             continent: u8::try_from(i % 6).unwrap(),
-        };
-        let summary = CellSummary {
+        }
+    }
+
+    fn summary(i: u32) -> CellSummary {
+        CellSummary {
             n: i as usize * 31 + 1,
             n_tested: i as usize * 17,
             bytes: u64::from(i) * 100_003,
@@ -918,24 +915,39 @@ mod tests {
             relationship: relationship(i),
             longer_path: i.is_multiple_of(5),
             more_prepended: i.is_multiple_of(7),
-        };
-        WindowCell::new(i / 3, group, u8::try_from(i % 2).unwrap(), &summary)
+        }
     }
 
-    /// Every field of `s`, floats as their bits: equal means
+    fn cell(i: u32) -> WindowCell {
+        WindowCell::new(i / 3, group(i), u8::try_from(i % 2).unwrap(), &summary(i))
+    }
+
+    /// Counts, route annotations and floats as their bits: equal means
     /// bit-identical.
-    fn summary_bits(s: &CellSummary) -> impl PartialEq + std::fmt::Debug {
+    type Bits = ((u64, u64, u64), (Relationship, bool, bool), [Option<u64>; 4]);
+
+    fn summary_bits(s: &CellSummary) -> Bits {
         let floats = [Some(s.min_rtt_p50), s.min_rtt_var, s.hdratio_p50, s.hdratio_var];
+        let count = |n: usize| u64::try_from(n).unwrap();
         (
-            (s.n, s.n_tested, s.bytes),
+            (count(s.n), count(s.n_tested), s.bytes),
             (s.relationship, s.longer_path, s.more_prepended),
+            floats.map(|f| f.map(f64::to_bits)),
+        )
+    }
+
+    fn row_bits(c: &WindowCell) -> Bits {
+        let floats = [Some(c.min_rtt_p50), c.min_rtt_var(), c.hdratio_p50(), c.hdratio_var()];
+        (
+            (c.n, c.n_tested, c.bytes),
+            (c.relationship(), c.longer_path(), c.more_prepended()),
             floats.map(|f| f.map(f64::to_bits)),
         )
     }
 
     fn assert_bits_equal(a: &WindowCell, b: &WindowCell) {
         assert_eq!((a.window, a.group(), a.rank), (b.window, b.group(), b.rank));
-        assert_eq!(summary_bits(&a.summary()), summary_bits(&b.summary()));
+        assert_eq!(row_bits(a), row_bits(b));
     }
 
     #[test]
@@ -1054,7 +1066,7 @@ mod tests {
     fn repacked(window: u32, group: GroupKey, rank: u8, s: &CellSummary) -> WindowCell {
         let row = WindowCell::new(window, group, rank, s);
         assert_eq!((row.window, row.group(), row.rank), (window, group, rank));
-        assert_eq!(summary_bits(&row.summary()), summary_bits(s));
+        assert_eq!(row_bits(&row), summary_bits(s));
         row
     }
 
@@ -1078,11 +1090,11 @@ mod tests {
     }
 
     /// Every presence combination of the three optional statistics, every
-    /// relationship and both route flags: 96 rows, each unpacked to the
+    /// relationship and both route flags: 96 rows, each reading back the
     /// summary it was packed from.
     #[test]
     fn packing_keeps_every_option_relationship_and_flag() {
-        let group = cell(7).group();
+        let group = group(7);
         for present in 0..8u8 {
             for rel in 0..3 {
                 for route in 0..4u8 {
@@ -1158,15 +1170,15 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, &(window, nbits, p50bits, varbits, hdbits))| {
-                    let c = cell(u32::try_from(i).unwrap());
+                    let i = u32::try_from(i).unwrap();
                     let summary = CellSummary {
                         n: usize::try_from(nbits).unwrap(),
                         min_rtt_p50: f64::from_bits(p50bits),
                         min_rtt_var: varbits.map(f64::from_bits),
                         hdratio_var: hdbits.map(f64::from_bits),
-                        ..c.summary()
+                        ..summary(i)
                     };
-                    WindowCell::new(window, c.group(), c.rank, &summary)
+                    WindowCell::new(window, group(i), cell(i).rank, &summary)
                 })
                 .collect();
             let back = decode_segment(&encode_segment(&cells)).expect("decodes");

@@ -13,14 +13,15 @@
 //! - [`crate::ColumnarSink`] — the exact path: workers append 20-byte
 //!   rows (cell id, MinRTT, HDratio) to columnar shards that the sink
 //!   seals at join time, as the streaming sink seals a prefix: every
-//!   cell's summary goes into its grid, from the cell's exact order
-//!   statistics, what Figures 6–7 read of HDratio into a
-//!   [tally](crate::figures::HdratioTally), and only the preferred route's
-//!   MinRTTs are kept, grouped by cell, for Figure 6. Memory grows by a
-//!   summary a cell, 4 bytes a study's preferred session (a whole number
-//!   of nanoseconds) and an entry a distinct HDratio.
+//!   cell's summary, from the cell's exact order statistics, goes into
+//!   its grid as a [`crate::WindowCell`] row, what Figures 6–7 read of
+//!   HDratio into a [tally](crate::figures::HdratioTally), and only the
+//!   preferred route's MinRTTs are kept, grouped by cell, for Figure 6.
+//!   Memory grows by a row a cell (80 B a grid slot), 4 bytes a study's
+//!   preferred session (a whole number of nanoseconds) and an entry a
+//!   distinct HDratio.
 //! - [`StreamingDataset`] — the production path (§3.4.1): t-digest cells
-//!   keyed exactly like the exact dataset's, each reduced to its summary
+//!   keyed exactly like the exact dataset's, each reduced to its row
 //!   when the runner [seals](RecordShard::seal) the work item that filled
 //!   it; no per-session row is ever kept, and no digest outlives its
 //!   prefix.
@@ -40,6 +41,7 @@ use crate::dataset::{CellSummary, GroupData, GroupSlots, Summaries};
 use crate::figures::HdratioCounts;
 use crate::hash::FxHashSet;
 use crate::record::{GroupKey, SessionRecord};
+use crate::segment::WindowCell;
 use crate::streaming::StreamingAggregation;
 use edgeperf_routing::Relationship;
 use edgeperf_stats::TDigest;
@@ -215,8 +217,8 @@ struct SealedGroup {
     /// The work item that pushed the group; sealed groups are ordered by it.
     unit: usize,
     key: GroupKey,
-    /// Every cell summarised by [`StreamingCell::summary`].
-    summaries: GroupData<CellSummary>,
+    /// Every cell summarised by [`StreamingCell::summary`], packed.
+    summaries: GroupData<WindowCell>,
     /// The preferred route's MinRTT digests merged in window order.
     minrtt: TDigest,
 }
@@ -226,10 +228,10 @@ struct SealedGroup {
 /// sorted sample vectors — for as long as its group is *open*. A
 /// 15-minute aggregation is final once its window is over, so when the
 /// runner reports a work item done ([`RecordShard::seal`]) every group
-/// pushed since the previous seal is reduced to its
-/// `GroupData<CellSummary>` plus one MinRTT digest for Figure 6, and its
-/// cells are dropped. Memory is bounded by the summaries (88 B a cell)
-/// and the open cells of the groups in flight, one per worker — not by
+/// pushed since the previous seal is reduced to its grid of
+/// [`WindowCell`] rows plus one MinRTT digest for Figure 6, and its cells
+/// are dropped. Memory is bounded by the rows (80 B a grid slot) and the
+/// open cells of the groups in flight, one per worker — not by
 /// the number of sessions, and not by the number of cells times a digest.
 ///
 /// [`RecordSink::finalize`] seals whatever is still open (a caller that
@@ -288,7 +290,7 @@ impl StreamingDataset {
         assert!(self.open.slots.is_empty(), "finalize first: a group is still open");
     }
 
-    /// Every cell's summary, groups in work-item order. Panics ("finalize
+    /// Every cell's row, groups in work-item order. Panics ("finalize
     /// first") while a group is open.
     pub fn summarize(&self) -> Summaries {
         self.assert_finalized();
@@ -302,12 +304,12 @@ impl StreamingDataset {
     }
 
     /// Sessions recorded across every cell, sealed and open.
-    pub(crate) fn record_count(&self) -> usize {
-        self.sealed_cells().map(|c| c.n).sum::<usize>()
-            + self.open_cells().map(|c| c.agg.n()).sum::<usize>()
+    pub(crate) fn record_count(&self) -> u64 {
+        self.sealed_cells().map(|c| c.n).sum::<u64>()
+            + self.open_cells().map(|c| c.agg.n() as u64).sum::<u64>()
     }
 
-    fn sealed_cells(&self) -> impl Iterator<Item = &CellSummary> {
+    fn sealed_cells(&self) -> impl Iterator<Item = &WindowCell> {
         self.sealed.iter().flat_map(|g| g.summaries.cells())
     }
 
@@ -371,7 +373,7 @@ impl RecordShard for StreamingDataset {
             let mut minrtt = TDigest::new(100.0);
             group.preferred().for_each(|cell| minrtt.merge(cell.agg.minrtt_digest()));
             minrtt.flush();
-            let summaries = group.summarize(StreamingCell::summary);
+            let summaries = group.summarize(key, StreamingCell::summary);
             self.sealed.push(SealedGroup { unit, key, summaries, minrtt });
         }
     }
@@ -432,7 +434,7 @@ impl RecordSink for StreamingDataset {
 
     fn stats(&self) -> SinkStats {
         SinkStats {
-            records: self.record_count() as u64,
+            records: self.record_count(),
             cells: self.cell_count() as u64,
             digest_centroids: self.state_centroids() as u64,
             digest_compressions: self.compressions
@@ -543,7 +545,7 @@ mod tests {
 
     /// A group's grid as text: `{:?}` prints floats in shortest round-trip
     /// form, so equal text means equal bits.
-    fn grid_bits(g: &GroupData<CellSummary>) -> String {
+    fn grid_bits(g: &GroupData<WindowCell>) -> String {
         format!("{g:?}")
     }
 
@@ -582,7 +584,7 @@ mod tests {
         // Sealed, the same cells are the summaries the analyses read, and
         // the Figure 6 HDratio counters are the exact sink's.
         let open: Vec<_> =
-            stream.iter().map(|(k, g)| (*k, g.summarize(StreamingCell::summary))).collect();
+            stream.iter().map(|(k, g)| (*k, g.summarize(*k, StreamingCell::summary))).collect();
         stream.finalize();
         assert!(stream.iter().next().is_none(), "finalize leaves no group open");
         assert_eq!((stream.len(), stream.cell_count()), (exact.groups.len(), exact.cell_count()));

@@ -221,8 +221,10 @@ mod tests {
     use crate::config::AnalysisConfig;
     use crate::dataset::{Aggregation, CellSummary};
     use crate::degradation::DegradationMetric::MinRtt;
+    use crate::record::GroupKey;
+    use crate::segment::WindowCell;
     use crate::sink::StreamingCell;
-    use edgeperf_routing::Relationship;
+    use edgeperf_routing::{PopId, Prefix, Relationship};
 
     fn samples(center: f64, spread: f64, n: usize) -> Vec<f64> {
         (0..n)
@@ -242,14 +244,17 @@ mod tests {
     }
 
     /// The same samples summarised from exact and from digest order
-    /// statistics.
-    fn summaries_of(v: &[f64]) -> (CellSummary, CellSummary) {
+    /// statistics, as rows.
+    fn summaries_of(v: &[f64]) -> (WindowCell, WindowCell) {
         let mut exact = Aggregation::new(Relationship::PrivatePeer);
         exact.min_rtt_ms = v.to_vec();
         exact.min_rtt_ms.sort_unstable_by(f64::total_cmp);
         let mut stream = StreamingCell::new(Relationship::PrivatePeer);
         stream.agg = stream_of(v);
-        (exact.summary(), stream.summary())
+        let group =
+            GroupKey { pop: PopId(0), prefix: Prefix::new(0, 16), country: 0, continent: 0 };
+        let row = |s: CellSummary| WindowCell::new(0, group, 0, &s);
+        (row(exact.summary()), row(stream.summary()))
     }
 
     #[test]

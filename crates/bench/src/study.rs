@@ -229,9 +229,9 @@ impl StudyBuilder {
 
     /// Run the study through the streaming sink, under the same driver.
     /// Each prefix is sealed as a worker finishes it, so digests exist
-    /// only for the prefixes in flight; what accumulates is an 88-byte
-    /// summary a cell and one Figure 6 rollup digest a group, in prefix
-    /// order at any parallelism.
+    /// only for the prefixes in flight; what accumulates is an 80-byte
+    /// grid slot a cell, holding its packed row, and one Figure 6 rollup
+    /// digest a group, in prefix order at any parallelism.
     ///
     /// # Errors
     ///

@@ -68,7 +68,7 @@ fn a_recovered_fault_changes_no_output_byte_of_either_sink() {
     assert_eq!(exact.report.completed, exact.report.n_prefixes);
     assert!(exact.report.quarantined.is_empty());
     let preferred = exact.summaries.groups.iter().flat_map(|(_, g)| g.preferred());
-    assert_eq!(rows(&exact).len(), preferred.map(|c| c.n).sum::<usize>());
+    assert_eq!(rows(&exact).len() as u64, preferred.map(|c| c.n).sum::<u64>());
 
     let shaken = small().fault_plan(plan(CHAOS)).parallelism(4).run().unwrap();
     assert_eq!(shaken.report.retries, 1);

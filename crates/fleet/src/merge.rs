@@ -16,45 +16,39 @@
 //! situation — so [`merge_cells`] detects it and fails with a typed
 //! [`FleetError::DuplicateCell`] instead of silently double-counting.
 
-use std::collections::HashMap;
-
 use edgeperf_live::{cell_line_sort_key, CellLine, ClassCount, LiveSnapshot, ReasonCount};
 
 use crate::FleetError;
-
-/// The canonical cell identity — [`cell_line_sort_key`]'s tuple.
-type CellKey = (u32, u16, u32, u8, u16, u8, u8);
 
 /// Merge per-PoP cell exports into the global canonical-order view.
 ///
 /// `per_pop` pairs each contributing node id with its `cells` rows, in
 /// whatever order the node served them (every PoP reply is canonical
-/// already; the merge does not rely on it). Errors
-/// with [`FleetError::DuplicateCell`] if two nodes both served the same
-/// (window, group, rank) cell.
+/// already; the merge does not rely on it). The rows, each beside its
+/// node, are stable-sorted by the canonical key, so a cell two nodes
+/// served is two equal neighbours, the node earlier in `per_pop` first:
+/// that is a [`FleetError::DuplicateCell`].
 pub(crate) fn merge_cells(per_pop: Vec<(u16, Vec<CellLine>)>) -> Result<Vec<CellLine>, FleetError> {
-    let total: usize = per_pop.iter().map(|(_, cells)| cells.len()).sum();
-    let mut owner: HashMap<CellKey, u16> = HashMap::with_capacity(total);
-    let mut merged: Vec<CellLine> = Vec::with_capacity(total);
-    for (node, cells) in per_pop {
-        for cell in cells {
-            let key = cell_line_sort_key(&cell);
-            if let Some(first) = owner.insert(key, node) {
-                return Err(FleetError::DuplicateCell {
-                    window: cell.window,
-                    pop: cell.pop,
-                    prefix_base: cell.prefix_base,
-                    prefix_len: cell.prefix_len,
-                    rank: cell.rank,
-                    first_node: first,
-                    second_node: node,
-                });
-            }
-            merged.push(cell);
-        }
+    let mut merged: Vec<(u16, CellLine)> = per_pop
+        .into_iter()
+        .flat_map(|(node, cells)| cells.into_iter().map(move |cell| (node, cell)))
+        .collect();
+    merged.sort_by_key(|(_, cell)| cell_line_sort_key(cell));
+    let same = |pair: &&[(u16, CellLine)]| {
+        cell_line_sort_key(&pair[0].1) == cell_line_sort_key(&pair[1].1)
+    };
+    if let Some([(first_node, _), (second_node, cell)]) = merged.windows(2).find(same) {
+        return Err(FleetError::DuplicateCell {
+            window: cell.window,
+            pop: cell.pop,
+            prefix_base: cell.prefix_base,
+            prefix_len: cell.prefix_len,
+            rank: cell.rank,
+            first_node: *first_node,
+            second_node: *second_node,
+        });
     }
-    merged.sort_by_key(cell_line_sort_key);
-    Ok(merged)
+    Ok(merged.into_iter().map(|(_, cell)| cell).collect())
 }
 
 /// Sum per-PoP snapshots into the fleet-wide snapshot. Counters add;
@@ -163,6 +157,46 @@ mod tests {
             other => panic!("expected DuplicateCell, got {other}"),
         }
         assert!(err.to_string().contains("catchment violation"), "{err}");
+    }
+
+    #[test]
+    fn a_collision_names_the_earlier_pop_first() {
+        let err = merge_cells(vec![
+            (0, vec![cell(0, 10, 0, 3), cell(1, 30, 0, 4)]),
+            (1, vec![cell(0, 20, 0, 5), cell(2, 30, 0, 4)]),
+            (2, vec![cell(1, 30, 0, 4)]),
+        ])
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FleetError::DuplicateCell {
+                    window: 1,
+                    prefix_base: 30,
+                    first_node: 0,
+                    second_node: 2,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_clean_merge_does_not_depend_on_the_order_of_the_pops() {
+        let mut negative_zero = cell(0, 20, 1, 6);
+        negative_zero.min_rtt_p50 = -0.0;
+        let per_pop = [
+            (0, vec![cell(2, 10, 1, 4), cell(0, 10, 0, 3)]),
+            (1, vec![cell(1, 20, 0, 5), negative_zero]),
+            (2, vec![cell(0, 30, 0, 7), cell(3, 30, 0, 0)]),
+        ];
+        let want = merge_cells(per_pop.to_vec()).unwrap();
+        assert_eq!(want.len(), 6);
+        for order in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let got = merge_cells(order.map(|i| per_pop[i].clone()).to_vec()).unwrap();
+            assert_eq!(edgeperf_live::first_difference(&got, &want), None, "order {order:?}");
+        }
     }
 
     #[test]

@@ -53,9 +53,6 @@ pub struct LiveConfig {
     pub minrtt_threshold_ms: f64,
     /// HDratio degradation threshold (ratio units, baseline − window).
     pub hdratio_threshold: f64,
-    /// Watchdog deadline: a worker stuck on one message longer than this
-    /// many milliseconds is flagged `live.workers.slow`.
-    pub slow_worker_ms: u64,
     /// Per-connection read buffer size in bytes: the `BufReader`
     /// capacity in JSONL mode and the reusable [`crate::FrameDecoder`]
     /// buffer in binary mode. One allocation per connection, reused for
@@ -101,7 +98,6 @@ impl Default for LiveConfig {
             analysis: AnalysisConfig::default(),
             minrtt_threshold_ms: 5.0,
             hdratio_threshold: 0.05,
-            slow_worker_ms: 5_000,
             read_buffer_bytes: 1 << 16,
             idle_timeout_ms: 0,
             write_timeout_ms: 0,

@@ -28,7 +28,7 @@
 use crate::window::{ClosedWindow, SharedWindow};
 use edgeperf_analysis::{
     assess_window, cell_sort_key, classify_group, pick_baseline, AnalysisConfig, CellSortKey,
-    CellSummary, DegradationMetric, FxHashMap, GroupKey, TemporalClass, WindowCell, WindowStatus,
+    DegradationMetric, FxHashMap, GroupKey, TemporalClass, WindowCell, WindowStatus,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -123,10 +123,8 @@ pub struct OnlineDetector {
     groups: FxHashMap<GroupKey, GroupState>,
     events: [u64; 2],
     episodes_opened: u64,
-    /// Scratch, reused across rows: one cursor per retained window, and
-    /// one group's preferred-route summaries in them, oldest first.
+    /// Scratch, reused across windows: one cursor per retained window.
     cursors: Vec<usize>,
-    history: Vec<CellSummary>,
 }
 
 impl OnlineDetector {
@@ -146,7 +144,6 @@ impl OnlineDetector {
             events: [0; 2],
             episodes_opened: 0,
             cursors: Vec::new(),
-            history: Vec::new(),
         }
     }
 
@@ -172,25 +169,24 @@ impl OnlineDetector {
         self.cursors.resize(self.windows.len(), 0);
         for row in rows.iter().filter(|row| row.rank == 0) {
             let at = place(row);
-            self.history.clear();
             for (retained, cursor) in self.windows.iter().zip(&mut self.cursors) {
                 // Rows and windows share one order: a cursor only moves on.
                 while retained.get(*cursor).is_some_and(|c| place(c) < at) {
                     *cursor += 1;
                 }
-                if let Some(c) = retained.get(*cursor).filter(|c| place(c) == at) {
-                    self.history.push(c.summary());
-                }
             }
-            let summary = row.summary();
+            // The group's preferred-route rows in the retained windows,
+            // oldest first: where the cursors stopped, if the place matches.
+            let history = (self.windows.iter().zip(&self.cursors))
+                .filter_map(|(retained, &cursor)| retained.get(cursor))
+                .filter(|c| place(c) == at);
             let group = row.group();
             let state = self.groups.entry(group).or_default();
             let mut statuses = [WindowStatus::NoTraffic; 2];
             for metric in METRICS {
                 let m = metric_slot(metric);
-                let baseline = pick_baseline(&self.cfg, metric, &self.history);
-                let assessed =
-                    assess_window(&self.cfg, metric, self.thresholds[m], &summary, baseline);
+                let baseline = pick_baseline(&self.cfg, metric, history.clone());
+                let assessed = assess_window(&self.cfg, metric, self.thresholds[m], row, baseline);
                 let status = assessed.status;
                 statuses[m] = status;
                 if status == WindowStatus::Event {
@@ -303,15 +299,15 @@ mod reference {
     use super::{metric_slot, EpisodeChange, METRICS};
     use crate::window::ClosedWindow;
     use edgeperf_analysis::{
-        assess_window, classify_group, pick_baseline, AnalysisConfig, CellSummary,
-        DegradationMetric, FxHashMap, GroupKey, TemporalClass, WindowStatus,
+        assess_window, classify_group, pick_baseline, AnalysisConfig, DegradationMetric, FxHashMap,
+        GroupKey, TemporalClass, WindowCell, WindowStatus,
     };
     use std::collections::VecDeque;
 
     #[derive(Debug, Default)]
     struct GroupState {
-        /// Closed preferred-route summaries, oldest first.
-        history: Vec<CellSummary>,
+        /// Closed preferred-route rows, oldest first.
+        history: Vec<WindowCell>,
         statuses: [(u32, VecDeque<WindowStatus>); 2],
         open_episode: [Option<u32>; 2],
     }
@@ -354,12 +350,13 @@ mod reference {
                 if state.history.len() >= self.retention {
                     state.history.remove(0);
                 }
-                state.history.push(*summary);
+                let row = WindowCell::new(window.index, *group, 0, summary);
+                state.history.push(row);
                 for metric in METRICS {
                     let m = metric_slot(metric);
                     let baseline = pick_baseline(&self.cfg, metric, &state.history);
                     let assessed =
-                        assess_window(&self.cfg, metric, self.thresholds[m], summary, baseline);
+                        assess_window(&self.cfg, metric, self.thresholds[m], &row, baseline);
                     let status = assessed.status;
                     if status == WindowStatus::Event {
                         self.events[m] += 1;
@@ -457,7 +454,7 @@ mod reference {
 mod tests {
     use super::reference::Reference;
     use super::*;
-    use edgeperf_analysis::{degradation_events, GroupData, StreamingCell};
+    use edgeperf_analysis::{degradation_events, CellSummary, GroupData, StreamingCell};
     use edgeperf_routing::{PopId, Prefix, Relationship};
     use proptest::prelude::*;
 
@@ -486,6 +483,13 @@ mod tests {
 
     fn window_of(index: u32, center_rtt: f64, hdratio: f64, n: usize) -> ClosedWindow {
         window_with(index, center_rtt, hdratio, n, n)
+    }
+
+    /// The rows of `group`'s preferred route among `d`'s retained
+    /// windows: how far back its baselines reach.
+    fn retained_rows(d: &OnlineDetector, group: &GroupKey) -> usize {
+        let rows = d.windows.iter().flat_map(|w| w.iter());
+        rows.filter(|c| c.rank == 0 && c.group() == *group).count()
     }
 
     fn detector() -> OnlineDetector {
@@ -605,7 +609,7 @@ mod tests {
         let (_, changes) = d.observe(&series[8]);
         let cfg = AnalysisConfig::default();
         let grid = GroupData {
-            ranks: vec![series.iter().map(|w| Some(w.cells[0].1)).collect()],
+            ranks: vec![series.iter().map(|w| Some(w.share()[0])).collect()],
             total_bytes: 0,
         };
         for (metric, threshold) in METRICS.into_iter().zip([5.0, 0.05]) {
@@ -626,7 +630,11 @@ mod tests {
         }
         assert_eq!(d.windows.len(), 8);
         assert!(d.windows.capacity() <= 8, "evict, then push");
-        assert_eq!(d.history.len(), 8, "the group's history reaches every retained window");
+        assert_eq!(
+            retained_rows(&d, &group()),
+            8,
+            "the group's history reaches every retained window"
+        );
         let state = &d.groups[&group()];
         assert_eq!((state.start, state.statuses.len()), (92, 8));
         assert!(state.statuses.capacity() <= 8, "evict, then push");

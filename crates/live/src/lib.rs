@@ -23,8 +23,10 @@
 //!   zero-allocation incremental [`FrameDecoder`].
 //! - [`window`]: [`WindowRing`] — the watermark, late-record rejection
 //!   ([`edgeperf_core::EdgeperfError::LateRecord`], counted, never
-//!   silent), closing into the [`CellSummary`] rows the offline analyses
-//!   read too.
+//!   silent), closing into [`CellSummary`]s that
+//!   [`ClosedWindow::share`] packs into the
+//!   [`WindowCell`](edgeperf_analysis::WindowCell) rows the offline
+//!   analyses read too.
 //! - [`detect`]: [`OnlineDetector`] — per-group baseline, degradation
 //!   events, episode tracking and temporal classes, computed as windows
 //!   close.

@@ -31,20 +31,22 @@ pub(super) fn compactor_loop(shared: &Shared, store: &SegmentStore) {
     }
 }
 
+/// Watchdog deadline: a worker stuck on one message longer than this is
+/// flagged `live.workers.slow`. The watchdog looks ten times a deadline.
+const SLOW_WORKER: Duration = Duration::from_millis(5_000);
+
 pub(super) fn supervisor_loop(shared: &Shared) {
-    let deadline = Duration::from_millis(shared.config.slow_worker_ms);
-    let tick = Duration::from_millis((shared.config.slow_worker_ms / 4).clamp(10, 500));
     let slow_gauge = shared.metrics.gauge("live.workers.slow");
     let slow_marks = shared.metrics.counter("live.workers.slow_marks");
     let mut last_slow = 0usize;
     while !shared.supervisor_stop.load(Ordering::Acquire) {
-        let slow = shared.board.overdue(deadline).len();
+        let slow = shared.board.overdue(SLOW_WORKER).len();
         slow_gauge.set(slow as f64);
         if slow > last_slow {
             slow_marks.add((slow - last_slow) as u64);
         }
         last_slow = slow;
-        std::thread::sleep(tick);
+        std::thread::sleep(SLOW_WORKER / 10);
     }
     slow_gauge.set(0.0);
 }

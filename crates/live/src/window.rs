@@ -19,12 +19,13 @@
 //! tails sum only their terms `exp` does not round to zero.
 //!
 //! [`ClosedWindow::share`] then packs a closed window into the 72-byte
-//! rows its worker's detector reads baselines from and its worker
-//! retains, spills and replies from.
+//! [`WindowCell`] rows everything downstream reads: its worker's detector,
+//! and its worker, which retains, spills and replies from them.
 //!
 //! The *watermark* trails the maximum observed timestamp by the allowed
 //! lateness. A window closes when the watermark passes its end: its cells
-//! are flushed, summarized ([`CellSummary`]) and handed to the caller.
+//! are flushed, summarized ([`CellSummary`], the form `benchmark/` reads)
+//! and handed to the caller.
 //! Records addressed at an already-closed window are rejected with the
 //! typed [`EdgeperfError::LateRecord`] — never silently dropped.
 

@@ -250,8 +250,7 @@ impl TDigest {
         let mut d = TDigest::new(compression);
         for &value in &samples {
             assert!(value.is_finite(), "non-finite sample {value}");
-            d.min = d.min.min(value);
-            d.max = d.max.max(value);
+            d.widen(value, value);
         }
         // A sum of unit weights is exact in any order.
         d.buffered_weight = samples.len() as f64;
@@ -284,9 +283,16 @@ impl TDigest {
         assert!(value.is_finite(), "non-finite sample {value}");
         assert!(weight > 0.0, "non-positive weight {weight}");
         assert!(weight.is_finite(), "non-finite weight {weight}");
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        self.widen(value, value);
         self.push_buffered(value, weight);
+    }
+
+    /// Widen the extremes to cover `lo..=hi` in `f64::total_cmp` order, so
+    /// `-0.0` is below `+0.0` in any build (`f64::min` may return either).
+    #[inline]
+    fn widen(&mut self, lo: f64, hi: f64) {
+        self.min = std::cmp::min_by(self.min, lo, f64::total_cmp);
+        self.max = std::cmp::max_by(self.max, hi, f64::total_cmp);
     }
 
     /// Append one sample to the buffer, compressing when it is full.
@@ -332,8 +338,7 @@ impl TDigest {
         // Take the extremes from the other digest's tracked min/max, not
         // from its centroid means: interior centroids are averages that
         // have already pulled away from the true sample extremes.
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.widen(other.min, other.max);
         for c in other.centroids.iter().copied().chain(other.buffered()) {
             self.push_buffered(c.mean, c.weight);
         }
@@ -649,6 +654,24 @@ mod tests {
         assert_eq!(a.max(), 999.0);
         assert_eq!(a.quantile(0.0), 0.0);
         assert_eq!(a.quantile(1.0), 999.0);
+    }
+
+    /// `-0.0` is the smaller zero whichever comes first, through inserts,
+    /// a hand-over and a merge alike, in debug and release builds.
+    #[test]
+    fn signed_zeros_order_the_extremes_in_any_order() {
+        let extremes = |d: &TDigest| (d.min().to_bits(), d.max().to_bits());
+        let want = ((-0.0f64).to_bits(), 0.0f64.to_bits());
+        for zeros in [[0.0, -0.0], [-0.0, 0.0]] {
+            let mut inserted = TDigest::new(100.0);
+            zeros.iter().for_each(|&v| inserted.insert(v));
+            assert_eq!(extremes(&inserted), want, "inserted {zeros:?}");
+            let built = TDigest::from_unit_samples(100.0, zeros.to_vec());
+            assert_eq!(extremes(&built), want, "handed over {zeros:?}");
+            let mut merged = TDigest::from_unit_samples(100.0, vec![zeros[0]]);
+            merged.merge(&TDigest::from_unit_samples(100.0, vec![zeros[1]]));
+            assert_eq!(extremes(&merged), want, "merged {zeros:?}");
+        }
     }
 
     #[test]

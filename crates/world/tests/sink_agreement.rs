@@ -11,9 +11,10 @@
 use edgeperf_analysis::figures::{HdratioTally, PreferredSessions};
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
-    compare, Aggregation, AnalysisConfig, CellSummary, ColumnarSink, CompareOutcome, Dataset,
-    DegradationMetric, GroupKey, SessionRecord, StreamingDataset, Summaries,
+    compare, Aggregation, AnalysisConfig, ColumnarSink, CompareOutcome, Dataset, DegradationMetric,
+    GroupKey, SessionRecord, StreamingDataset, Summaries, WindowCell,
 };
+use edgeperf_routing::{PopId, Prefix};
 use edgeperf_stats::median_ci::diff_of_medians_ci_sorted;
 use edgeperf_world::{run_study_into, StudyConfig, World, WorldConfig};
 use std::collections::HashMap;
@@ -174,12 +175,13 @@ fn streaming_cells_agree_with_exact_aggregations() {
     }
 }
 
-/// Every field of a summary, floats as bits.
-fn summary_bits(c: &CellSummary) -> impl PartialEq + std::fmt::Debug {
+/// Every field of a row, floats as bits.
+fn summary_bits(c: &WindowCell) -> impl PartialEq + std::fmt::Debug {
     (
-        (c.n, c.n_tested, c.bytes, c.relationship, c.longer_path, c.more_prepended),
-        (c.min_rtt_p50.to_bits(), c.min_rtt_var.map(f64::to_bits)),
-        (c.hdratio_p50.map(f64::to_bits), c.hdratio_var.map(f64::to_bits)),
+        (c.window, c.group(), c.rank),
+        (c.n, c.n_tested, c.bytes, c.relationship(), c.longer_path(), c.more_prepended()),
+        (c.min_rtt_p50.to_bits(), c.min_rtt_var().map(f64::to_bits)),
+        (c.hdratio_p50().map(f64::to_bits), c.hdratio_var().map(f64::to_bits)),
     )
 }
 
@@ -223,7 +225,9 @@ fn columnar_sink_matches_from_records_end_to_end() {
         assert_eq!(sink.cell_count(), whole.cell_count());
         let direct = sink.summarize();
         let cells = direct.groups.iter().flat_map(|(_, g)| g.cells());
-        assert!(cells.filter(|c| c.min_rtt_var.is_some() && c.hdratio_var.is_some()).count() > 50);
+        assert!(
+            cells.filter(|c| c.min_rtt_var().is_some() && c.hdratio_var().is_some()).count() > 50
+        );
         assert_summaries_identical(&direct, &whole.summarize());
 
         // Cell by cell, the preferred MinRTTs in the order they were pushed.
@@ -302,8 +306,10 @@ fn comparing_summaries_loses_nothing_against_sorted_samples() {
     let cfg = AnalysisConfig::default();
     let relaxed = AnalysisConfig { max_ci_width_hdratio: 1.01, ..cfg };
     let (mut valid, mut invalid) = ([0usize; 3], 0usize);
+    let group = GroupKey { pop: PopId(0), prefix: Prefix::new(0, 16), country: 0, continent: 0 };
     let mut check = |a: &Aggregation, b: &Aggregation| {
-        let (sa, sb) = (a.summary(), b.summary());
+        let row = |c: &Aggregation| WindowCell::new(0, group, 0, &c.summary());
+        let (sa, sb) = (row(a), row(b));
         let cases = [
             (&cfg, DegradationMetric::MinRtt, &a.min_rtt_ms, &b.min_rtt_ms, 10.0),
             (&cfg, DegradationMetric::HdRatio, &a.hdratio, &b.hdratio, 0.1),

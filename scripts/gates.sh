@@ -3,7 +3,8 @@
 # .github/workflows/ci.yml only calls them, one gate per step. Source
 # gates: greps that keep fixed mistakes from creeping back, and the
 # tracked-lines count ROADMAP quotes — plain bash over the working tree,
-# no build. Replay gates (live_smoke, chaos_live, fleet_smoke): `loadgen`
+# no build. One build gate (release_stats) runs the stats suite in a
+# release build. Replay gates (live_smoke, chaos_live, fleet_smoke): `loadgen`
 # replays through real `edgeperf` processes on loopback ports 4620-4631,
 # which leave their reports under replay-reports/. Repro gates
 # (repro_results, repro_streaming, study_resume): `repro all` must rewrite
@@ -128,6 +129,32 @@ store_rows() {
         END { exit found }' crates/live/src/reply.rs crates/live/src/server/query.rs \
         crates/live/src/store.rs
 }
+
+# outside_tests PATTERN FILE...: passes when no line before a FILE's first
+# `#[cfg(test)]` matches the awk regex PATTERN; prints each that does.
+outside_tests() {
+    awk -v pattern="$1" '/^#\[cfg\(test\)\]/ { nextfile }
+        $0 ~ pattern { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit found }' "${@:2}"
+}
+
+# A closed cell is read in one form, the packed `WindowCell` row: by the
+# analyses, by both offline sinks' grids and by the live detector. A
+# `CellSummary` is what a summarizer hands over and `WindowCell::new`
+# packs. The detector once unpacked every retained row back into one to
+# call the analyses, and the analyses each knew its `Option` fields; that
+# unpack, and a grid of summaries beside the rows, stay gone outside tests.
+cell_unpack() {
+    outside_tests CellSummary crates/analysis/src/{compare,degradation,opportunity,figures,tables}.rs \
+        crates/live/src/detect.rs &&
+        outside_tests 'GroupData<CellSummary>' $(find crates -name '*.rs') &&
+        outside_tests 'fn summary[(]&self[)] -> CellSummary' crates/analysis/src/segment.rs
+}
+
+# The stats suite in a release build as well: an optimised build may
+# return either zero from `f64::min`/`max`, so the t-digest's extremes
+# disagreed on ±0.0 in release only, which no debug run could catch.
+release_stats() { cargo test --release -q -p edgeperf-stats; }
 
 # --- Replay gates -----------------------------------------------------
 
@@ -409,8 +436,8 @@ tracked_lines() {
 }
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
-front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies store_rows live_smoke
-chaos_live fleet_smoke
+front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies store_rows cell_unpack
+release_stats live_smoke chaos_live fleet_smoke
 repro_results repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
