@@ -41,6 +41,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// PoPs a replay's groups are spread over, group by group.
+const POPS: u16 = 4;
+
 /// Knobs for one load run.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
@@ -54,8 +57,6 @@ pub struct LoadgenConfig {
     pub connections: usize,
     /// Distinct user groups to spread sessions over.
     pub groups: usize,
-    /// PoPs the groups are spread over.
-    pub pops: u16,
     /// Event time spans this many windows.
     pub windows: u32,
     /// Window length used to lay out event time (ms).
@@ -85,7 +86,6 @@ impl Default for LoadgenConfig {
             sessions: 100_000,
             connections: 4,
             groups: 64,
-            pops: 4,
             windows: 8,
             window_ms: 900_000.0,
             max_txns: 6,
@@ -192,7 +192,7 @@ pub fn generate_lines(cfg: &LoadgenConfig) -> Vec<String> {
             };
             WireSession {
                 ts_ms: (i as f64 + 0.5) * span_ms / cfg.sessions as f64,
-                pop: (g as u16) % cfg.pops.max(1),
+                pop: (g as u16) % POPS,
                 prefix_base: 0x0A00_0000 + ((g as u32) << 8),
                 prefix_len: 24,
                 country: (g % 40) as u16,

@@ -11,12 +11,12 @@ use edgeperf_analysis::{
 use edgeperf_obs::Metrics;
 use edgeperf_routing::Relationship;
 use edgeperf_world::{
-    checkpoint_fingerprint, run_study_checkpointed, run_study_supervised, Continent, FaultPlan,
-    StudyConfig, StudyReport, StudyStats, SupervisorConfig, SupervisorError, World, WorldConfig,
+    run_study_checkpointed, run_study_supervised, Continent, FaultPlan, StudyConfig, StudyReport,
+    StudyStats, SupervisorConfig, SupervisorError, World, WorldConfig,
 };
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Builder for study runs.
 ///
@@ -255,41 +255,15 @@ impl StudyBuilder {
     }
 
     /// The builder-level identity stored in (and checked against) a
-    /// checkpoint: with the study's own fingerprint, everything
-    /// [`resume_from`](Self::resume_from) needs to rebuild an equivalent
-    /// builder. Parallelism is deliberately absent — a resumed run may use
-    /// a different worker count.
+    /// checkpoint beside the study's own fingerprint, so a rerun with
+    /// another seed or country fraction refuses the directory instead of
+    /// resuming it. Parallelism is deliberately absent — a resumed run may
+    /// use a different worker count.
     fn checkpoint_meta(&self) -> Vec<(String, String)> {
         vec![
             ("builder_seed".into(), self.seed.to_string()),
             ("country_fraction".into(), self.resolved_country_fraction().to_string()),
         ]
-    }
-
-    /// Rebuild the builder for a study whose checkpoint lives in `dir`,
-    /// ready to [`run`](Self::run) to completion. The study shape (seed,
-    /// days, sessions, country fraction) comes from the checkpoint itself;
-    /// parallelism and metrics are fresh choices.
-    ///
-    /// # Errors
-    ///
-    /// When the checkpoint manifest is missing, unreadable, or malformed.
-    pub fn resume_from(dir: impl AsRef<Path>) -> Result<StudyBuilder, SupervisorError> {
-        let dir = dir.as_ref();
-        let stored = checkpoint_fingerprint(dir)?;
-        let field = |name: &str| stored.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
-        let shape = || {
-            let b = StudyBuilder::new()
-                .seed(field("builder_seed")?.parse().ok()?)
-                .days(field("days")?.parse().ok()?)
-                .sessions_per_group_window(field("sessions_per_group_window")?.parse().ok()?)
-                .country_fraction(field("country_fraction")?.parse().ok()?);
-            Some(b.checkpoint_dir(dir))
-        };
-        shape().ok_or_else(|| SupervisorError::Checkpoint {
-            path: dir.join("checkpoint.json"),
-            message: "not a StudyBuilder's checkpoint: a shape field is missing".into(),
-        })
     }
 }
 

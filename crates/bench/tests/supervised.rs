@@ -1,8 +1,8 @@
 //! The study driver through `StudyBuilder` and the `repro` command line:
 //! the same outputs with or without recovered faults, from either sink;
 //! faults quarantined with the figures intact and the exit code honest;
-//! and crash → `resume_from` → completion bit-identical to an
-//! uninterrupted run.
+//! and crash → rerun on the same checkpoint directory → completion
+//! bit-identical to an uninterrupted run.
 
 use edgeperf_analysis::{ColumnarSink, GroupKey};
 use edgeperf_bench::study::{self, Sessions, StudyBuilder, StudyData};
@@ -106,12 +106,9 @@ fn crash_resume_via_builder_is_bit_identical() {
     let err = first.map(|_| ()).expect_err("injected crash aborts the first run");
     assert!(err.to_string().contains("injected crash"), "got: {err}");
 
-    // `resume_from` rebuilds the study shape from the checkpoint alone.
-    let resumed = StudyBuilder::resume_from(&dir)
-        .expect("checkpoint readable")
-        .parallelism(4)
-        .run()
-        .expect("resume completes");
+    // Rerunning the same shape on the same directory resumes it, on any
+    // worker count.
+    let resumed = small().parallelism(4).checkpoint_dir(&dir).run().expect("resume completes");
     assert_eq!(resumed.report.resumed_at, Some(n / 2 + 1));
     assert_eq!(rows(&resumed), rows(&uninterrupted));
     assert_eq!(json_tree(&resumed), json_tree(&uninterrupted));
@@ -127,7 +124,7 @@ fn a_study_resumed_after_crash_8_tallies_what_an_uninterrupted_one_does() {
     let dir = scratch_dir("tally");
     let crashed = small().checkpoint_dir(&dir).fault_plan(plan("crash:8")).run();
     crashed.map(|_| ()).expect_err("injected crash aborts the first run");
-    let resumed = StudyBuilder::resume_from(&dir).unwrap().run().unwrap();
+    let resumed = small().checkpoint_dir(&dir).run().unwrap();
     assert_eq!(resumed.report.resumed_at, Some(9));
     let tally = |d: &StudyData| {
         let sink = exact_sink(d);
@@ -142,8 +139,15 @@ fn a_study_resumed_after_crash_8_tallies_what_an_uninterrupted_one_does() {
 
 #[test]
 fn what_cannot_be_resumed_or_checkpointed_is_an_error() {
+    let dir = scratch_dir("other");
+    let crashed = small().checkpoint_dir(&dir).fault_plan(plan("crash:1")).run();
+    crashed.map(|_| ()).expect_err("injected crash aborts the first run");
+    let other = small().seed(7).checkpoint_dir(&dir).run().map(|_| ());
+    let err = other.expect_err("another study's checkpoint is refused");
+    assert!(err.to_string().contains("belongs to a different study"), "got: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+
     let dir = scratch_dir("missing");
-    assert!(StudyBuilder::resume_from(&dir).is_err());
     let refused = small().checkpoint_dir(&dir).run_streaming().map(|_| ());
     let err = refused.expect_err("no on-disk form");
     assert!(err.to_string().contains("streaming sink cannot be checkpointed"), "got: {err}");

@@ -3,7 +3,7 @@
 //! Models the routing machinery the paper's opportunity analysis sits on:
 //!
 //! - [`types`]: prefixes, AS paths, peering relationship types.
-//! - [`rib`]: a per-PoP routing table with longest-prefix match and the
+//! - [`rib`]: a per-PoP routing table ranking each prefix's routes by the
 //!   paper's four-tiebreaker preference order: (1) longest matching
 //!   prefix, (2) prefer peer routes, (3) prefer shorter AS paths,
 //!   (4) prefer private interconnects (PNI) over public exchanges.

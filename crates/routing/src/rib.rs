@@ -5,7 +5,9 @@
 //! over transit, (3) prefer shorter AS paths, (4) prefer routes via a
 //! private network interconnect (PNI) over public exchanges. Any
 //! remaining tie breaks deterministically on route id (the stand-in for
-//! BGP's router-id tiebreakers).
+//! BGP's router-id tiebreakers). Every user the world samples sits in one
+//! announced prefix, so tiebreaker 1 is that prefix itself and a RIB
+//! ranks the routes of an exact prefix ([`Rib::ranked`]).
 
 use crate::types::{Prefix, Relationship, Route};
 use std::cmp::Ordering;
@@ -22,7 +24,7 @@ use std::collections::HashMap;
 /// rib.insert(Route { id: RouteId(2), prefix, relationship: Relationship::PrivatePeer,
 ///     as_path: AsPath(vec![Asn(64500)]), capacity_bps: 1 });
 /// // The §6.1 policy prefers the private peer.
-/// assert_eq!(rib.lookup(0xC0A8_0101)[0].id, RouteId(2));
+/// assert_eq!(rib.ranked(&prefix)[0].id, RouteId(2));
 /// ```
 /// A PoP's routing information base.
 #[derive(Debug, Default, Clone)]
@@ -39,16 +41,6 @@ impl Rib {
     /// Install an announced route.
     pub fn insert(&mut self, route: Route) {
         self.routes.entry(route.prefix).or_default().push(route);
-    }
-
-    /// Longest-prefix match for an address: returns the candidate routes
-    /// of the most specific covering prefix, ranked best-first by policy.
-    pub fn lookup(&self, addr: u32) -> Vec<&Route> {
-        let best_prefix = self.routes.keys().filter(|p| p.contains(addr)).max_by_key(|p| p.len);
-        match best_prefix {
-            None => Vec::new(),
-            Some(p) => self.ranked(p),
-        }
     }
 
     /// Routes for an exact prefix, ranked best-first by policy
@@ -105,18 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn longest_prefix_wins() {
-        let mut rib = Rib::new();
-        let wide = p(0x0A00_0000, 8);
-        let narrow = p(0x0A0B_0000, 16);
-        rib.insert(route(1, wide, Relationship::PrivatePeer, &[7018]));
-        rib.insert(route(2, narrow, Relationship::Transit, &[3356, 7018]));
-        // Despite the /8 being a peer route, the /16 is more specific.
-        let rs = rib.lookup(0x0A0B_1234);
-        assert_eq!(rs[0].id, RouteId(2));
-    }
-
-    #[test]
     fn peer_beats_transit() {
         let mut rib = Rib::new();
         let pre = p(0x0A0B_0000, 16);
@@ -167,13 +147,6 @@ mod tests {
         rib.insert(route(3, pre, Relationship::Transit, &[3356, 7018]));
         let rs = rib.ranked(&pre);
         assert_eq!(rs[0].id, RouteId(3));
-    }
-
-    #[test]
-    fn lookup_miss_returns_empty() {
-        let mut rib = Rib::new();
-        rib.insert(route(1, p(0x0A0B_0000, 16), Relationship::Transit, &[7018]));
-        assert!(rib.lookup(0x0B00_0000).is_empty());
     }
 
     #[test]

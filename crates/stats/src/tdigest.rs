@@ -25,9 +25,9 @@
 //! within a quarter of its count, so a hot digest holds its 4 KiB buffer
 //! and 16 B a centroid.
 //!
-//! Queries never mutate the digest: [`TDigest::quantile`]/[`TDigest::cdf`]
-//! take `&self` and, when buffered samples are pending, compress into a
-//! temporary view. Call [`TDigest::flush`] once after the last insert (the
+//! Queries never mutate the digest: [`TDigest::quantile`] takes `&self`
+//! and, when buffered samples are pending, compresses into a temporary
+//! view. Call [`TDigest::flush`] once after the last insert (the
 //! record sinks do this at finalize time, the live tier at window close):
 //! every subsequent query is allocation-free, the buffer is released and
 //! the digest holds its centroids and nothing else.
@@ -184,34 +184,6 @@ fn quantile_over(centroids: &[Centroid], total: f64, min: f64, max: f64, q: f64)
         cum += c.weight;
     }
     max
-}
-
-fn cdf_over(centroids: &[Centroid], total: f64, min: f64, max: f64, x: f64) -> f64 {
-    assert!(!centroids.is_empty(), "cdf of empty digest");
-    if x < min {
-        return 0.0;
-    }
-    if x >= max {
-        return 1.0;
-    }
-    let mut cum = 0.0;
-    for (i, c) in centroids.iter().enumerate() {
-        if x < c.mean {
-            if i == 0 {
-                let span = c.mean - min;
-                let frac = if span > 0.0 { (x - min) / span } else { 0.0 };
-                return (c.weight / 2.0) * frac / total;
-            }
-            let prev = &centroids[i - 1];
-            let span = c.mean - prev.mean;
-            let frac = if span > 0.0 { (x - prev.mean) / span } else { 0.0 };
-            let prev_mid = cum - prev.weight / 2.0;
-            let mid = cum + c.weight / 2.0;
-            return (prev_mid + (mid - prev_mid) * frac) / total;
-        }
-        cum += c.weight;
-    }
-    1.0
 }
 
 impl TDigest {
@@ -411,12 +383,6 @@ impl TDigest {
         self.with_view(|cs, total| quantile_over(cs, total, self.min, self.max, q))
     }
 
-    /// Estimate the fraction of samples ≤ `x` (the empirical CDF).
-    /// Non-mutating, like [`quantile`].
-    pub fn cdf(&self, x: f64) -> f64 {
-        self.with_view(|cs, total| cdf_over(cs, total, self.min, self.max, x))
-    }
-
     /// Smallest sample seen.
     pub fn min(&self) -> f64 {
         self.min
@@ -444,12 +410,10 @@ impl TDigest {
         self.with_view(|cs, _| cs.len())
     }
 
-    /// Flatten the digest into plain data for persistence. The centroid
-    /// list is the compressed view (identical to the post-[`flush`]
-    /// state), so `from_parts(d.to_parts())` reproduces a flushed `d`
-    /// bit-for-bit — including the tracked extremes and the compression
-    /// counter. This crate stays serialization-agnostic; callers own the
-    /// encoding.
+    /// Flatten the digest into plain data, so tests can compare two
+    /// digests bit for bit. The centroid list is the compressed view
+    /// (identical to the post-[`flush`] state); the tracked extremes and
+    /// the compression counter come along.
     pub fn to_parts(&self) -> DigestParts {
         let centroids =
             if self.is_empty() { Vec::new() } else { self.with_view(|cs, _| cs.to_vec()) };
@@ -461,42 +425,6 @@ impl TDigest {
             centroids,
         }
     }
-
-    /// Rebuild a digest from [`to_parts`] output.
-    ///
-    /// # Panics
-    /// Panics on the same invalid inputs `insert_weighted` rejects
-    /// (non-finite means, non-positive or non-finite weights) and those
-    /// `new` rejects (a non-finite compression or one < 10).
-    ///
-    /// [`to_parts`]: TDigest::to_parts
-    pub fn from_parts(parts: DigestParts) -> Self {
-        assert!(parts.compression.is_finite(), "non-finite compression {}", parts.compression);
-        assert!(parts.compression >= 10.0, "compression too small: {}", parts.compression);
-        let mut total_weight = 0.0;
-        for c in &parts.centroids {
-            assert!(c.mean.is_finite(), "non-finite centroid mean {}", c.mean);
-            assert!(c.weight > 0.0, "non-positive centroid weight {}", c.weight);
-            assert!(c.weight.is_finite(), "non-finite centroid weight {}", c.weight);
-            total_weight += c.weight;
-        }
-        let (min, max) = if parts.centroids.is_empty() {
-            (f64::INFINITY, f64::NEG_INFINITY)
-        } else {
-            (parts.min, parts.max)
-        };
-        TDigest {
-            compression: parts.compression,
-            centroids: parts.centroids,
-            buffer: Vec::new(),
-            weights: Vec::new(),
-            total_weight,
-            buffered_weight: 0.0,
-            min,
-            max,
-            compressions: parts.compressions,
-        }
-    }
 }
 
 /// Plain-data snapshot of a [`TDigest`] (see [`TDigest::to_parts`]).
@@ -504,9 +432,9 @@ impl TDigest {
 pub struct DigestParts {
     /// The digest's compression δ.
     pub compression: f64,
-    /// Tracked exact minimum (ignored when `centroids` is empty).
+    /// Tracked exact minimum (+∞ when `centroids` is empty).
     pub min: f64,
-    /// Tracked exact maximum (ignored when `centroids` is empty).
+    /// Tracked exact maximum (−∞ when `centroids` is empty).
     pub max: f64,
     /// Lifetime compression-pass counter.
     pub compressions: u64,
@@ -567,16 +495,6 @@ mod tests {
     fn memory_is_bounded() {
         let d = uniform_digest(1_000_000);
         assert!(d.centroid_count() < 200, "centroids = {}", d.centroid_count());
-    }
-
-    #[test]
-    fn cdf_and_quantile_are_inverse_ish() {
-        let d = uniform_digest(50_000);
-        for &q in &[0.1, 0.5, 0.9] {
-            let x = d.quantile(q);
-            let back = d.cdf(x);
-            assert!((back - q).abs() < 0.02, "q={q} back={back}");
-        }
     }
 
     #[test]
@@ -704,8 +622,6 @@ mod tests {
         let mut d = TDigest::new(100.0);
         d.insert(7.0);
         assert_eq!(d.quantile(0.5), 7.0);
-        assert_eq!(d.cdf(8.0), 1.0);
-        assert_eq!(d.cdf(6.0), 0.0);
     }
 
     #[test]
@@ -734,59 +650,6 @@ mod tests {
     #[should_panic(expected = "non-finite weight")]
     fn infinite_weight_panics() {
         TDigest::new(100.0).insert_weighted(1.0, f64::INFINITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite compression")]
-    fn parts_with_infinite_compression_panic() {
-        TDigest::from_parts(DigestParts {
-            compression: f64::INFINITY,
-            ..uniform_digest(10).to_parts()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite centroid weight")]
-    fn parts_with_an_infinite_weight_panic() {
-        let mut parts = uniform_digest(10).to_parts();
-        parts.centroids[3].weight = f64::INFINITY;
-        TDigest::from_parts(parts);
-    }
-
-    #[test]
-    fn parts_round_trip_is_bit_identical_to_flushed_state() {
-        let mut d = uniform_digest(10_000);
-        // Parts taken over a dirty buffer equal the flushed state (same
-        // compression routine) except the pass counter, which only counts
-        // real flushes.
-        let dirty = TDigest::from_parts(d.to_parts());
-        d.flush();
-        assert_eq!(dirty.quantile(0.5).to_bits(), d.quantile(0.5).to_bits());
-        let restored = TDigest::from_parts(d.to_parts());
-        assert_eq!(restored.centroids, d.centroids);
-        assert_eq!(restored.total_weight.to_bits(), d.total_weight.to_bits());
-        assert_eq!(restored.min.to_bits(), d.min.to_bits());
-        assert_eq!(restored.max.to_bits(), d.max.to_bits());
-        assert_eq!(restored.compressions, d.compressions);
-        for &q in &[0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(restored.quantile(q).to_bits(), d.quantile(q).to_bits());
-        }
-        // Continued inserts behave identically on both sides.
-        let (mut x, mut y) = (restored, d);
-        for i in 0..2_000 {
-            let v = (i as f64 * 0.7548776662466927).fract();
-            x.insert(v);
-            y.insert(v);
-        }
-        assert_eq!(x.quantile(0.5).to_bits(), y.quantile(0.5).to_bits());
-    }
-
-    #[test]
-    fn empty_digest_parts_round_trip() {
-        let d = TDigest::new(100.0);
-        let restored = TDigest::from_parts(d.to_parts());
-        assert!(restored.is_empty());
-        assert_eq!(restored.centroid_count(), 0);
     }
 
     #[test]

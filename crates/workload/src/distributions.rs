@@ -68,35 +68,6 @@ pub fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// A weighted mixture of samplers.
-#[derive(Debug, Clone)]
-pub struct Mixture<T> {
-    components: Vec<(f64, T)>,
-    total: f64,
-}
-
-impl<T> Mixture<T> {
-    /// Components as (weight, sampler) pairs.
-    pub fn new(components: Vec<(f64, T)>) -> Self {
-        assert!(!components.is_empty());
-        let total: f64 = components.iter().map(|(w, _)| *w).sum();
-        assert!(total > 0.0);
-        Mixture { components, total }
-    }
-
-    /// Pick one component by weight.
-    pub fn pick<R: Rng>(&self, rng: &mut R) -> &T {
-        let mut target = rng.gen::<f64>() * self.total;
-        for (w, t) in &self.components {
-            if target < *w {
-                return t;
-            }
-            target -= w;
-        }
-        &self.components.last().unwrap().1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,14 +129,5 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.03, "var = {var}");
-    }
-
-    #[test]
-    fn mixture_picks_by_weight() {
-        let m = Mixture::new(vec![(0.8, "a"), (0.2, "b")]);
-        let mut r = rng();
-        let picks_a = (0..10_000).filter(|_| *m.pick(&mut r) == "a").count();
-        let f = picks_a as f64 / 10_000.0;
-        assert!((f - 0.8).abs() < 0.02, "f = {f}");
     }
 }

@@ -15,5 +15,5 @@
 pub mod distributions;
 pub mod sessions;
 
-pub use distributions::{LogNormal, Mixture, Pareto};
+pub use distributions::{LogNormal, Pareto};
 pub use sessions::{EndpointKind, SessionPlan, TxnPlan, WorkloadConfig};

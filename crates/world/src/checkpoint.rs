@@ -126,18 +126,6 @@ fn read_manifest(dir: &Path) -> Result<Option<Manifest>, SupervisorError> {
     Ok(Some(manifest))
 }
 
-/// The (name, value) pairs the checkpoint in `dir` was written under: the
-/// study's `seed`, `days`, `sessions_per_group_window` and `n_prefixes`,
-/// then the writer's meta — what a caller needs to rebuild that study.
-///
-/// # Errors
-///
-/// When the manifest is missing, unreadable, or fails verification.
-pub fn checkpoint_fingerprint(dir: &Path) -> Result<Vec<(String, String)>, SupervisorError> {
-    let manifest = read_manifest(dir)?;
-    manifest.map(|m| m.study).ok_or_else(|| failed(&manifest_path(dir), "no checkpoint here"))
-}
-
 /// [`run_study_supervised`](crate::run_study_supervised) into the exact
 /// sink, journalled under `dir` (see the module docs). If `dir` already
 /// holds a checkpoint of this study — same [`StudyConfig`] shape, same

@@ -36,7 +36,7 @@ pub mod supervisor;
 pub mod topology;
 
 pub use cartographer::MappingPolicy;
-pub use checkpoint::{checkpoint_fingerprint, run_study_checkpointed};
+pub use checkpoint::run_study_checkpointed;
 pub use edgeperf_core::plan::PlanError;
 pub use geo::{propagation_rtt_ms, Continent, GeoPoint};
 pub use runner::{

@@ -151,6 +151,17 @@ cell_unpack() {
         outside_tests 'fn summary[(]&self[)] -> CellSummary' crates/analysis/src/segment.rs
 }
 
+# Capabilities that only their own tests reached, and that went: the
+# t-digest's CDF and rebuild from parts (the paper reads digests only for
+# percentiles), the builder's resume-from-directory and the fingerprint
+# reader behind it (a study resumes by rerunning `repro --checkpoint-dir`
+# with the same flags), the mixture sampler and the RIB's longest-prefix
+# lookup (the world ranks the routes of an exact prefix).
+uncalled_capabilities() {
+    banned -E "fn (cdf|cdf_over|from_parts|resume_from|checkpoint_fingerprint|lookup)\\b|struct Mixture\\b" \
+        crates src tests examples --include="*.rs"
+}
+
 # The stats suite in a release build as well: an optimised build may
 # return either zero from `f64::min`/`max`, so the t-digest's extremes
 # disagreed on ±0.0 in release only, which no debug run could catch.
@@ -437,7 +448,7 @@ tracked_lines() {
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
 front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies store_rows cell_unpack
-release_stats live_smoke chaos_live fleet_smoke
+uncalled_capabilities release_stats live_smoke chaos_live fleet_smoke
 repro_results repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
