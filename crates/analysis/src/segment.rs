@@ -842,6 +842,13 @@ fn staging_path(path: &Path) -> PathBuf {
 /// one sanctioned way to write durable artifacts (segments, manifests,
 /// checkpoints) — `scripts/gates.sh` greps direct `std::fs::write` and
 /// `File::create` out of the live, fleet and world tiers.
+///
+/// The crash model is a process crash: [`commit`](Self::commit) renames
+/// without an `fsync`, so a process that dies leaves the old file or the
+/// new one at `path`. After an OS crash or power loss the renamed bytes
+/// may not all be on disk; readers detect that (the store's length and
+/// footer checks at open, a study checkpoint's checksum) rather than
+/// this type preventing it.
 pub struct StagedFile {
     file: File,
     path: PathBuf,
@@ -855,7 +862,7 @@ impl StagedFile {
     }
 
     /// Publish the staged bytes at the path given to
-    /// [`create`](Self::create).
+    /// [`create`](Self::create): a rename, without an `fsync`.
     pub fn commit(self) -> io::Result<()> {
         drop(self.file);
         std::fs::rename(staging_path(&self.path), &self.path)

@@ -16,19 +16,26 @@
 //!
 //! Three modes, each proving the live tier correct — none times it, and
 //! there is no pacing or latency flag (`benchmark/` is the performance
-//! instrument). Each prints its report as JSON on stdout; `--json PATH`
+//! instrument). All three send the same way: every data connection is an
+//! exactly-once resumable session, and the sessions advance together in
+//! chunks of at most half the lateness bound of event time, each chunk
+//! ending when the server has acked (and so applied) all of it. Each
+//! mode prints its report as JSON on stdout; `--json PATH`
 //! also writes it to a file; `--expect-clean` exits non-zero unless the
 //! report's `verdict()` — the one predicate the test suites assert too —
 //! is `Ok`, naming the first condition that failed. Integer flags are
 //! parsed as integers of their own type: `1.5`, `-1` or a value out of
 //! range is an error naming the flag, not a silently altered number.
 //!
-//! The plain replay prints a [`edgeperf_bench::loadgen::LoadReport`].
-//! `--wire binary` negotiates the length-prefixed binary frame format
-//! (the estimator runs locally; the server skips JSON entirely).
-//! `--shutdown` drains the server at the end of the replay. Its verdict:
-//! every session ingested, no rejects, no late drops, groups observed,
-//! clean drain when `--shutdown` was given.
+//! The plain replay sends to the server at `--addr` over
+//! `--connections` sessions, session `c` carrying every record `i` with
+//! `i % connections == c`, and prints a
+//! [`edgeperf_bench::loadgen::LoadReport`]. `--wire binary` negotiates
+//! the length-prefixed binary frame format (the estimator runs locally;
+//! the server skips JSON entirely). `--shutdown` drains the server at
+//! the end of the replay. Its verdict: every session acked and
+//! ingested, no rejects, no late drops, groups observed, clean drain
+//! when `--shutdown` was given.
 //!
 //! `--query-from` / `--query-until` issue a window-range `cells` query
 //! after the replay (and before any `--shutdown` drain) — the smoke for
@@ -38,8 +45,8 @@
 //! `--chaos PLAN` self-hosts a fault-injected server (the plan's worker
 //! panics and disk faults fire server-side; its disconnects, torn
 //! records and stalls fire client-side in the resume loop), replays
-//! with reconnect-and-resume, then compares what it serves with the
-//! serial oracle, reported as a
+//! as one session, unchunked, with reconnect-and-resume, then compares
+//! what it serves with the serial oracle, reported as a
 //! [`edgeperf_bench::loadgen::ChaosReport`]. `--spill-dir` (with
 //! `--retention`, default
 //! [`edgeperf_bench::loadgen::CHAOS_SPILL_RETENTION`]) routes the server
@@ -55,7 +62,7 @@
 //! catchment homes them on, and the merged `fleet cells` view is
 //! compared with the serial oracle, reported as a
 //! [`edgeperf_bench::fleet_run::FleetReport`]. `--fleet-chaos PLAN`
-//! (grammar `kill:POP@RECORDS;seed:S`) kills a PoP mid-replay and
+//! (grammar `kill:POP@RECORDS`) kills a PoP mid-replay and
 //! proves exactly-once failover. Its verdict: every record acked and
 //! accepted exactly once fleet-wide, nothing rejected or late, a clean
 //! drain, every planned kill fired (re-homing at least one group), and
@@ -139,7 +146,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--windows" => cfg.windows = int(&mut it, flag)?,
             "--window-ms" => cfg.window_ms = value(&mut it, flag, "a number")?,
             "--lateness-ms" => cfg.lateness_ms = value(&mut it, flag, "a number")?,
-            "--target-bps" => cfg.target_bps = value(&mut it, flag, "a number")?,
             "--max-txns" => cfg.max_txns = int(&mut it, flag)?,
             "--seed" => cfg.seed = int(&mut it, flag)?,
             "--shutdown" => cfg.shutdown = true,
@@ -334,6 +340,7 @@ mod tests {
             (&["--json"], "--json needs a path"),
             (&["--chaos"], "--chaos needs a plan"),
             (&["--frobnicate"], "unknown argument --frobnicate"),
+            (&["--target-bps", "2.5e6"], "unknown argument --target-bps"),
         ] {
             assert_eq!(parse(args).err().as_deref(), Some(want), "{args:?}");
         }

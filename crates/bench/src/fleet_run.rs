@@ -5,11 +5,12 @@
 //!
 //! Routing mirrors anycast: each user group's client key is homed via
 //! the coordinator's `home` command, and the group's full record
-//! substream is replayed straight to that PoP's ingest socket over the
-//! PR 9 exactly-once session protocol ([`replay_with_resume`]). The
-//! replay is chunked on global event time — all streams quiesce at
-//! each boundary before any advances — so cross-PoP skew stays within
-//! half the lateness bound and nothing is ever late.
+//! substream is replayed straight to that PoP's ingest socket as one
+//! exactly-once session, through the replay engine every `loadgen` mode
+//! shares (`crate::loadgen::replay_in_chunks`). The replay is chunked on
+//! global event time — all streams quiesce at each boundary before any
+//! advances — so cross-PoP skew stays within half the lateness bound and
+//! nothing is ever late.
 //!
 //! **Failover.** A [`FleetChaosPlan`] kill fires at a chunk barrier:
 //! the coordinator stops the PoP (its un-drained state is discarded)
@@ -30,16 +31,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use edgeperf::serve::WireParser;
+use edgeperf_core::HD_GOODPUT_BPS;
 use edgeperf_fleet::{ClientKey, Fleet, FleetChaosPlan, FleetClient, FleetConfig};
-use edgeperf_live::{
-    first_difference, replay_with_resume, ChaosPlan, RetryPolicy, WireChaos, WireMode,
-};
+use edgeperf_live::{first_difference, RetryPolicy, WireMode};
 use edgeperf_obs::Metrics;
 use serde::{Deserialize, Serialize};
 
 use crate::loadgen::{
-    differs_from_serial, first_violated, generate_lines, jsonl_payloads, serial_rows,
-    settled_horizon, settled_query, LoadgenConfig, MetricsReply,
+    chunk_len, differs_from_serial, first_violated, generate_lines, jsonl_payloads,
+    replay_in_chunks, serial_rows, session_id, settled_horizon, settled_query, LoadgenConfig,
+    MetricsReply, Stream,
 };
 
 /// Fleet-run shape: how many PoPs to host and what to break.
@@ -133,36 +134,20 @@ impl FleetReport {
     }
 }
 
-/// One replay session: a (pop, session-id) pair carrying the global
-/// record indices homed there, replayed as growing prefixes.
-struct Stream {
-    addr: String,
+/// A session to the PoP at `addr` carrying a copy of every record of
+/// `payloads` whose global index `carries` accepts. The fleet keeps the
+/// whole replay: a failover re-sends a dead PoP's groups from record zero.
+fn substream(
+    addr: &str,
     session: u64,
-    /// Ascending global record indices this stream carries.
-    indices: Vec<usize>,
-    /// The JSONL payloads at those indices, in the same order.
-    payloads: Vec<Vec<u8>>,
-    /// Payloads already replayed and acked (a prefix length).
-    sent: usize,
-    /// Last cumulative ack from the server.
-    acked: u64,
-    pop: u16,
-}
-
-impl Stream {
-    /// A fresh session to `pop` at `addr`, carrying every record of
-    /// `payloads` whose global index `carries` accepts.
-    fn new(
-        pop: u16,
-        addr: &str,
-        session: u64,
-        payloads: &[Vec<u8>],
-        carries: impl Fn(usize) -> bool,
-    ) -> Stream {
-        let indices: Vec<usize> = (0..payloads.len()).filter(|&i| carries(i)).collect();
-        let payloads = indices.iter().map(|&i| payloads[i].clone()).collect();
-        Stream { addr: addr.to_string(), session, indices, payloads, sent: 0, acked: 0, pop }
+    payloads: &[Vec<u8>],
+    carries: impl Fn(usize) -> bool,
+) -> Stream {
+    let mut stream = Stream::new(addr, session);
+    for (i, payload) in payloads.iter().enumerate().filter(|&(i, _)| carries(i)) {
+        stream.carry(i, payload.clone());
     }
+    stream
 }
 
 /// The client key [`generate_lines`] encodes for group `g` — the
@@ -175,10 +160,6 @@ fn group_key(g: usize) -> ClientKey {
         country: (g % 40) as u16,
         continent: (g % 6) as u8,
     }
-}
-
-fn session_id(seed: u64, generation: u64, pop: u16) -> u64 {
-    (seed << 20) ^ (generation << 10) ^ u64::from(pop)
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -198,7 +179,7 @@ pub fn run_fleet(cfg: &LoadgenConfig, opts: &FleetRunOpts) -> io::Result<FleetRe
         seed: cfg.seed,
     };
     let handle =
-        Fleet::start(&fleet_cfg, Arc::new(WireParser::new(cfg.target_bps)), &Metrics::enabled())
+        Fleet::start(&fleet_cfg, Arc::new(WireParser::new(HD_GOODPUT_BPS)), &Metrics::enabled())
             .map_err(|e| invalid(e.to_string()))?;
     let report = run_fleet_at(&handle.addr().to_string(), cfg, opts);
     if report.is_err() {
@@ -267,40 +248,31 @@ pub fn run_fleet_at(
     // One initial stream per PoP that owns at least one group.
     let mut streams: Vec<Stream> = Vec::new();
     for (&pop, addr) in &pop_addr {
-        let session = session_id(cfg.seed, 1, pop);
-        let homed_here = |i: usize| group_home[i % groups] == pop;
-        streams.push(Stream::new(pop, addr, session, &payloads, homed_here));
+        let session = session_id(cfg.seed, 1, u64::from(pop));
+        streams.push(substream(addr, session, &payloads, |i| group_home[i % groups] == pop));
     }
     streams.retain(|s| !s.indices.is_empty());
     let mut total_streams = streams.len() as u64;
 
-    // Chunk the replay so each barrier-to-barrier stretch spans at most
-    // half the lateness bound in event time.
-    let chunk = ((cfg.lateness_ms / 2.0 / per_record_ms) as usize).max(1);
     let policy = RetryPolicy { seed: cfg.seed, ..RetryPolicy::default() };
-    let mut no_chaos = WireChaos::new(&ChaosPlan::default());
     let mut generation = 1u64;
     let mut kills_fired = 0u64;
     let mut rehomed_total = 0u64;
     let mut kill_iter = kills.iter().peekable();
-    let mut b_prev = 0usize;
-    let mut boundaries: Vec<usize> = (1..sessions.div_ceil(chunk)).map(|k| k * chunk).collect();
-    boundaries.push(sessions);
-    for b in boundaries {
-        // Kills land on barriers: everything sent so far is acked and
-        // applied, so the re-homed substreams rebuild complete
-        // per-group sequences on their new home.
-        while let Some(kill) = kill_iter.peek() {
-            if kill.after_records as usize > b_prev {
-                break;
-            }
+    // Kills land on barriers: everything sent so far is acked and
+    // applied, so the re-homed substreams rebuild complete per-group
+    // sequences on their new home.
+    let fire_kills = |b: usize, streams: &mut Vec<Stream>| -> io::Result<()> {
+        while let Some(kill) = kill_iter.next_if(|kill| kill.after_records as usize <= b) {
             let report = coord
                 .kill(kill.pop)
                 .map_err(|e| invalid(format!("kill of PoP {}: {e}", kill.pop)))?;
             kills_fired += 1;
             rehomed_total += report.rehomed;
             generation += 1;
-            streams.retain(|s| s.pop != kill.pop);
+            if let Some(dead) = pop_addr.get(&kill.pop) {
+                streams.retain(|s| &s.addr != dead);
+            }
             // Re-home the dead PoP's groups and open one catch-up
             // session per inheriting survivor, carrying the full
             // substream of every inherited group from record zero.
@@ -315,25 +287,22 @@ pub fn run_fleet_at(
                 inherited.entry(new_home).or_default().push(g);
             }
             for (pop, inherited_groups) in inherited {
-                let session = session_id(cfg.seed, generation, pop);
+                let session = session_id(cfg.seed, generation, u64::from(pop));
                 let inherits = |i: usize| inherited_groups.contains(&(i % groups));
-                let mut stream = Stream::new(pop, &pop_addr[&pop], session, &payloads, inherits);
+                let mut stream = substream(&pop_addr[&pop], session, &payloads, inherits);
                 // Catch the new session up to the barrier immediately:
                 // the survivors' watermark is still older than every
                 // inherited record (the budget check above).
-                replay_stream_to(&mut stream, b_prev, &policy, &mut no_chaos)?;
+                stream.replay_to(b, WireMode::Jsonl, &policy)?;
                 streams.push(stream);
                 total_streams += 1;
             }
-            kill_iter.next();
         }
-        for stream in &mut streams {
-            replay_stream_to(stream, b, &policy, &mut no_chaos)?;
-        }
-        b_prev = b;
-    }
+        Ok(())
+    };
+    replay_in_chunks(&mut streams, sessions, chunk_len(cfg), WireMode::Jsonl, &policy, fire_kills)?;
 
-    let acked: u64 = streams.iter().map(|s| s.acked).sum();
+    let acked: u64 = streams.iter().map(|s| s.last.acked).sum();
 
     // The merged fleet view, while windows are still live.
     let fleet_rows = coord.cells_query(&settled_query(settled_until))?;
@@ -366,38 +335,6 @@ pub fn run_fleet_at(
         settled_until,
         elapsed_s,
     })
-}
-
-/// Advance one stream to the global barrier `b`: replay the prefix of
-/// its payloads whose global index is below `b` and block until the
-/// server acks (and has applied) all of it.
-fn replay_stream_to(
-    stream: &mut Stream,
-    b: usize,
-    policy: &RetryPolicy,
-    wire: &mut WireChaos,
-) -> io::Result<()> {
-    let k = stream.indices.partition_point(|&i| i < b);
-    if k <= stream.sent {
-        return Ok(());
-    }
-    let report = replay_with_resume(
-        &stream.addr,
-        stream.session,
-        WireMode::Jsonl,
-        &stream.payloads[..k],
-        policy,
-        wire,
-    )?;
-    if report.acked != k as u64 {
-        return Err(io::Error::other(format!(
-            "stream for PoP {} quiesced at {} of {k} lines",
-            stream.pop, report.acked
-        )));
-    }
-    stream.sent = k;
-    stream.acked = report.acked;
-    Ok(())
 }
 
 #[cfg(test)]

@@ -16,6 +16,11 @@
 //! pass over the very records that were sent — under
 //! [`first_difference`].
 //!
+//! All three send the same way: each data connection is one exactly-once
+//! session ([`replay_with_resume`]) carrying its share of the records,
+//! and `replay_in_chunks` advances every session together, one stretch
+//! of event time at a time.
+//!
 //! In binary mode the generator runs the core estimator *locally*
 //! ([`edgeperf::serve::record_from_wire`], the same function the
 //! server's JSONL path calls) and ships the resulting `f64` bits verbatim
@@ -27,8 +32,9 @@ use edgeperf::serve::{WireParser, WireSession};
 use edgeperf_core::{HD_GOODPUT_BPS, MILLISECOND};
 pub use edgeperf_live::WireMode;
 use edgeperf_live::{
-    encode_frame, first_difference, preamble, replay_with_resume, serial_cells, CellLine,
-    CellQuery, ChaosPlan, LiveClient, LiveConfig, LiveRecord, LiveServer, RetryPolicy, WireChaos,
+    encode_frame, first_difference, replay_with_resume, serial_cells, CellLine, CellQuery,
+    ChaosPlan, LiveClient, LiveConfig, LiveRecord, LiveServer, ResumeReport, RetryPolicy,
+    WireChaos,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_workload::WorkloadConfig;
@@ -36,8 +42,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::{self, BufWriter, Write};
-use std::net::TcpStream;
+use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -68,10 +73,6 @@ pub struct LoadgenConfig {
     /// the replay is chunked so cross-connection event-time skew stays
     /// within half this bound, guaranteeing a late-free replay.
     pub lateness_ms: f64,
-    /// HD goodput target (bps) for the local estimator pass in binary
-    /// mode; must match the server's target so both wire formats yield
-    /// the same records.
-    pub target_bps: f64,
     /// Workload/rng seed.
     pub seed: u64,
     /// Drain the server after the replay (`shutdown` command).
@@ -90,7 +91,6 @@ impl Default for LoadgenConfig {
             window_ms: 900_000.0,
             max_txns: 6,
             lateness_ms: 60_000.0,
-            target_bps: HD_GOODPUT_BPS,
             seed: 7,
             shutdown: false,
         }
@@ -105,6 +105,9 @@ pub struct LoadReport {
     pub wire: String,
     /// Sessions replayed.
     pub sessions: u64,
+    /// Final cumulative acks summed over the replay's sessions (must
+    /// equal `sessions`: every record applied exactly once).
+    pub acked: u64,
     /// Wall-clock replay time (s).
     pub elapsed_s: f64,
     /// Server: records folded into windows.
@@ -130,13 +133,14 @@ pub(crate) fn first_violated<const N: usize>(checks: [(bool, String); N]) -> Res
 }
 
 impl LoadReport {
-    /// `Ok` when the replay was clean: every session accepted, nothing
-    /// rejected or late, groups observed and — when the run asked for
-    /// the `shutdown` drain — a clean drain. What `loadgen
-    /// --expect-clean` exits on and what the suites assert.
+    /// `Ok` when the replay was clean: every session acked and
+    /// accepted, nothing rejected or late, groups observed and — when
+    /// the run asked for the `shutdown` drain — a clean drain. What
+    /// `loadgen --expect-clean` exits on and what the suites assert.
     pub fn verdict(&self, shutdown: bool) -> Result<(), String> {
-        let LoadReport { sessions, accepted, rejected, late, .. } = self;
+        let LoadReport { sessions, acked, accepted, rejected, late, .. } = self;
         first_violated([
+            (acked == sessions, format!("acked {acked} of {sessions} sessions")),
             (accepted == sessions, format!("accepted {accepted} of {sessions} sessions")),
             (*rejected == 0, format!("{rejected} records rejected")),
             (*late == 0, format!("{late} records late")),
@@ -215,7 +219,7 @@ pub(crate) fn render_payloads(cfg: &LoadgenConfig, lines: &[String]) -> io::Resu
     match cfg.wire {
         WireMode::Jsonl => Ok(jsonl_payloads(lines)),
         WireMode::Binary => {
-            let parser = WireParser::new(cfg.target_bps);
+            let parser = WireParser::new(HD_GOODPUT_BPS);
             lines
                 .iter()
                 .map(|l| {
@@ -295,7 +299,7 @@ pub(crate) fn serial_rows(
     lines: &[String],
     until: u32,
 ) -> io::Result<Vec<CellLine>> {
-    let parser = WireParser::new(cfg.target_bps);
+    let parser = WireParser::new(HD_GOODPUT_BPS);
     let records: Result<Vec<LiveRecord>, _> = lines.iter().map(|l| parser.parse_line(l)).collect();
     let rows = records.and_then(|r| serial_cells(&r, cfg.window_ms, cfg.lateness_ms));
     let mut rows = rows.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -303,87 +307,135 @@ pub(crate) fn serial_rows(
     Ok(rows)
 }
 
-/// Run one replay against a live server and collect the report.
+/// One exactly-once replay session: the records it carries, in global
+/// order, replayed as growing prefixes through [`replay_with_resume`].
+#[derive(Default)]
+pub(crate) struct Stream {
+    /// The ingest socket the session lives on.
+    pub(crate) addr: String,
+    session: u64,
+    /// Ascending global record indices this stream carries.
+    pub(crate) indices: Vec<usize>,
+    /// The payloads at those indices, in the same order.
+    payloads: Vec<Vec<u8>>,
+    /// Client-side wire faults (none outside a chaos replay).
+    chaos: WireChaos,
+    /// The last replay call's account: its `total` is the prefix
+    /// replayed and acked so far, its `acked` the session's cumulative
+    /// ack, and for a stream replayed in one call it is the whole
+    /// replay's.
+    pub(crate) last: ResumeReport,
+}
+
+impl Stream {
+    /// An empty session `session` on `addr`, without wire faults.
+    pub(crate) fn new(addr: &str, session: u64) -> Stream {
+        Stream { addr: addr.to_string(), session, ..Stream::default() }
+    }
+
+    /// Append global record `index` (past every index carried so far).
+    pub(crate) fn carry(&mut self, index: usize, payload: Vec<u8>) {
+        self.indices.push(index);
+        self.payloads.push(payload);
+    }
+
+    /// Advance to the global barrier `b`: replay the prefix of the
+    /// payloads whose global index is below `b` and return once the
+    /// server has acked — and so applied — all of it.
+    pub(crate) fn replay_to(
+        &mut self,
+        b: usize,
+        wire: WireMode,
+        policy: &RetryPolicy,
+    ) -> io::Result<()> {
+        let k = self.indices.partition_point(|&i| i < b);
+        if k as u64 <= self.last.total {
+            return Ok(());
+        }
+        let payloads = &self.payloads[..k];
+        self.last =
+            replay_with_resume(&self.addr, self.session, wire, payloads, policy, &mut self.chaos)?;
+        if self.last.acked != k as u64 {
+            return Err(io::Error::other(format!(
+                "session {} on {} quiesced at {} of {k} records",
+                self.session, self.addr, self.last.acked
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// The session id of stream `n` of generation `generation`, unique
+/// within one replay of seed `seed`.
+pub(crate) fn session_id(seed: u64, generation: u64, n: u64) -> u64 {
+    (seed << 20) ^ (generation << 10) ^ n
+}
+
+/// Records in one barrier-to-barrier stretch of `cfg`'s replay: at most
+/// half the lateness bound of event time, so streams that drift apart
+/// within a stretch never send a record behind the watermark.
+pub(crate) fn chunk_len(cfg: &LoadgenConfig) -> usize {
+    let per_record_ms = f64::from(cfg.windows) * cfg.window_ms / cfg.sessions.max(1) as f64;
+    ((cfg.lateness_ms / 2.0 / per_record_ms) as usize).max(1)
+}
+
+/// Replay `total` global records through `streams` in stretches of
+/// `chunk`. Before each stretch `at_barrier(b, streams)` runs, `b` being
+/// the records every stream has had acked so far; then the streams
+/// advance through the stretch at once, one thread each, and the
+/// stretch ends when every one is acked through it. An ack means
+/// applied, so the last barrier leaves the server quiet: nothing in
+/// flight for a drain to cut.
+pub(crate) fn replay_in_chunks(
+    streams: &mut Vec<Stream>,
+    total: usize,
+    chunk: usize,
+    wire: WireMode,
+    policy: &RetryPolicy,
+    mut at_barrier: impl FnMut(usize, &mut Vec<Stream>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut b = 0;
+    while b < total {
+        at_barrier(b, streams)?;
+        b = (b + chunk).min(total);
+        std::thread::scope(|scope| {
+            let advancing: Vec<_> = streams
+                .iter_mut()
+                .map(|stream| scope.spawn(move || stream.replay_to(b, wire, policy)))
+                .collect();
+            advancing.into_iter().try_for_each(|t| t.join().expect("stream thread"))
+        })?;
+    }
+    Ok(())
+}
+
+/// Run one replay against a live server and collect the report: stream
+/// `c` of `cfg.connections` carries the records `i` with `i % N == c`.
 pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
     let lines = generate_lines(cfg);
     let payloads = render_payloads(cfg, &lines)?;
     drop(lines);
+    let total = payloads.len();
     let connections = cfg.connections.max(1);
-
-    // Senders: stripe the replay across connections. Event time is tied
-    // to the global line index, but connections drain at independent
-    // speeds, so an unconstrained replay would let one stripe race whole
-    // windows ahead and turn the others' records late. The replay is
-    // therefore chunked: after each chunk every sender flushes, meets at
-    // a barrier, and the leader polls `snapshot` until the server has
-    // processed everything sent so far. Chunks span at most half the
-    // lateness bound in event time, so no record can fall behind the
-    // watermark — and the final sync quiesces the server before the
-    // closing snapshot/shutdown (a drain cuts data connections, so bytes
-    // still in flight then would be lost).
-    let span_ms = cfg.windows as f64 * cfg.window_ms;
-    let chunk = ((cfg.sessions as f64 * (cfg.lateness_ms / 2.0) / span_ms) as usize)
-        .clamp(connections, cfg.sessions.max(1));
-    let barrier = Arc::new(std::sync::Barrier::new(connections));
-    let payloads = Arc::new(payloads);
-    let started = Instant::now();
-    let senders: Vec<_> = (0..connections)
-        .map(|c| {
-            let payloads = Arc::clone(&payloads);
-            let barrier = Arc::clone(&barrier);
-            let addr = cfg.addr.clone();
-            let wire = cfg.wire;
-            std::thread::spawn(move || -> io::Result<u64> {
-                let stream = TcpStream::connect(&addr)?;
-                stream.set_nodelay(true)?;
-                let mut out = BufWriter::with_capacity(1 << 18, stream);
-                if wire == WireMode::Binary {
-                    out.write_all(&preamble())?;
-                }
-                // The leader polls replay progress on a dedicated
-                // control connection: binary data connections carry no
-                // commands, and the snapshot counters are global anyway.
-                let mut control = if c == 0 { Some(LiveClient::connect(&addr)?) } else { None };
-                let mut sent = 0u64;
-                let total = payloads.len();
-                let mut chunk_start = 0usize;
-                while chunk_start < total {
-                    let chunk_end = (chunk_start + chunk).min(total);
-                    for payload in payloads[chunk_start..chunk_end]
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| (chunk_start + i) % connections == c)
-                        .map(|(_, p)| p)
-                    {
-                        out.write_all(payload)?;
-                        sent += 1;
-                    }
-                    out.flush()?;
-                    barrier.wait();
-                    if let Some(control) = control.as_mut() {
-                        control.wait_processed(chunk_end as u64)?;
-                    }
-                    barrier.wait();
-                    chunk_start = chunk_end;
-                }
-                Ok(sent)
-            })
-        })
+    let mut streams: Vec<Stream> = (0..connections)
+        .map(|c| Stream::new(&cfg.addr, session_id(cfg.seed, 0, c as u64)))
         .collect();
-
-    let mut sent = 0u64;
-    for s in senders {
-        sent += s.join().expect("sender thread")?;
+    for (i, payload) in payloads.into_iter().enumerate() {
+        streams[i % connections].carry(i, payload);
     }
+
+    let policy = RetryPolicy { seed: cfg.seed, ..RetryPolicy::default() };
+    let started = Instant::now();
+    replay_in_chunks(&mut streams, total, chunk_len(cfg), cfg.wire, &policy, |_, _| Ok(()))?;
     let elapsed = started.elapsed().as_secs_f64();
 
-    // Data connections are closed; fetch the closing server state.
     let mut control = LiveClient::connect(&cfg.addr)?;
     let snapshot = if cfg.shutdown { control.shutdown()? } else { control.snapshot()? };
 
     Ok(LoadReport {
         wire: cfg.wire.label().to_string(),
-        sessions: sent,
+        sessions: total as u64,
+        acked: streams.iter().map(|s| s.last.acked).sum(),
         elapsed_s: elapsed,
         accepted: snapshot.accepted,
         rejected: snapshot.rejected,
@@ -414,8 +466,6 @@ pub struct ChaosRunOpts {
     /// retention_windows)`. Disk faults in the plan need this to have
     /// anything to hit.
     pub spill: Option<(std::path::PathBuf, usize)>,
-    /// Worker respawn budget before zombie mode.
-    pub max_worker_respawns: u32,
     /// Asks the faulted server whatever it likes once the replay is over
     /// and before anything else does; an `Err` fails the run.
     pub inspect: fn(&mut LiveClient) -> io::Result<()>,
@@ -423,13 +473,7 @@ pub struct ChaosRunOpts {
 
 impl Default for ChaosRunOpts {
     fn default() -> ChaosRunOpts {
-        ChaosRunOpts {
-            workers: 4,
-            idle_timeout_ms: 0,
-            spill: None,
-            max_worker_respawns: 8,
-            inspect: |_| Ok(()),
-        }
+        ChaosRunOpts { workers: 4, idle_timeout_ms: 0, spill: None, inspect: |_| Ok(()) }
     }
 }
 
@@ -572,7 +616,6 @@ pub fn run_chaos(
         lateness_ms: cfg.lateness_ms,
         chaos: plan.clone(),
         idle_timeout_ms: opts.idle_timeout_ms,
-        max_worker_respawns: opts.max_worker_respawns,
         ..LiveConfig::default()
     };
     if let Some((dir, retention)) = &opts.spill {
@@ -581,16 +624,23 @@ pub fn run_chaos(
         config.compact_min_segments = 8;
         config.compact_batch = 4;
     }
-    let parser = Arc::new(WireParser::new(cfg.target_bps));
+    let parser = Arc::new(WireParser::new(HD_GOODPUT_BPS));
     let server = LiveServer::start(config, parser, Metrics::enabled())
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let addr = server.addr();
 
-    let mut wire_chaos = WireChaos::new(plan);
+    let total = payloads.len();
+    let mut streams = vec![Stream {
+        indices: (0..total).collect(),
+        payloads,
+        chaos: WireChaos::new(plan),
+        ..Stream::new(&addr.to_string(), cfg.seed)
+    }];
     let policy = RetryPolicy { seed: cfg.seed, ..RetryPolicy::default() };
     let started = Instant::now();
-    let resume = replay_with_resume(addr, cfg.seed, cfg.wire, &payloads, &policy, &mut wire_chaos)?;
+    replay_in_chunks(&mut streams, total, total, cfg.wire, &policy, |_, _| Ok(()))?;
     let elapsed_s = started.elapsed().as_secs_f64();
+    let resume = &streams[0].last;
 
     let mut control = LiveClient::connect(addr)?;
     (opts.inspect)(&mut control)?;
@@ -693,7 +743,7 @@ mod tests {
             seed: 7,
             ..LoadgenConfig::default()
         };
-        let plan = ChaosPlan::parse("disconnect:50;torn:120;stall:400@50;panic:0@300;seed:7")
+        let plan = ChaosPlan::parse("disconnect:50;torn:120;stall:400@50;panic:0@300")
             .expect("valid plan");
         let report =
             run_chaos(&cfg, &plan, &ChaosRunOpts { workers: 2, ..ChaosRunOpts::default() })
@@ -745,6 +795,7 @@ mod tests {
     fn each_verdict_names_the_first_violated_condition() {
         let clean = LoadReport {
             sessions: 10,
+            acked: 10,
             accepted: 10,
             groups: 2,
             drained: true,
@@ -754,6 +805,7 @@ mod tests {
         let undrained = LoadReport { drained: false, ..clean.clone() };
         assert_eq!(undrained.verdict(false), Ok(()), "no drain was asked for");
         for (broken, names) in [
+            (LoadReport { acked: 9, accepted: 9, ..clean.clone() }, "acked 9 of 10"),
             (LoadReport { accepted: 9, rejected: 1, ..clean.clone() }, "accepted 9 of 10"),
             (LoadReport { rejected: 1, late: 1, ..clean.clone() }, "1 records rejected"),
             (LoadReport { late: 2, groups: 0, ..clean.clone() }, "2 records late"),

@@ -43,7 +43,6 @@ pub struct StudyBuilder {
     scale: f64,
     days: Option<u32>,
     sessions_per_group_window: Option<u32>,
-    country_fraction: Option<f64>,
     parallelism: usize,
     metrics: Metrics,
     fault_plan: FaultPlan,
@@ -57,7 +56,6 @@ impl Default for StudyBuilder {
             scale: 1.0,
             days: None,
             sessions_per_group_window: None,
-            country_fraction: None,
             parallelism: 0,
             metrics: Metrics::disabled(),
             fault_plan: FaultPlan::default(),
@@ -94,12 +92,6 @@ impl StudyBuilder {
     /// mapping.
     pub fn sessions_per_group_window(mut self, sessions: u32) -> Self {
         self.sessions_per_group_window = Some(sessions);
-        self
-    }
-
-    /// Fraction of countries to keep. Overrides the scale mapping.
-    pub fn country_fraction(mut self, fraction: f64) -> Self {
-        self.country_fraction = Some(fraction);
         self
     }
 
@@ -141,7 +133,7 @@ impl StudyBuilder {
 
     /// Country fraction after applying the scale mapping.
     pub fn resolved_country_fraction(&self) -> f64 {
-        self.country_fraction.unwrap_or_else(|| self.scale.clamp(0.15, 1.0))
+        self.scale.clamp(0.15, 1.0)
     }
 }
 
@@ -665,7 +657,7 @@ mod tests {
     use edgeperf_analysis::RecordSink;
 
     fn small() -> StudyBuilder {
-        StudyBuilder::new().seed(42).days(1).sessions_per_group_window(40).country_fraction(0.3)
+        StudyBuilder::new().seed(42).scale(0.3).days(1).sessions_per_group_window(40)
     }
 
     fn sessions_held(data: &StudyData) -> u64 {

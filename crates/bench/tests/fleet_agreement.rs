@@ -56,7 +56,7 @@ fn failover_preserves_bit_identity_and_exactly_once_accounting() {
     let opts = FleetRunOpts {
         pops: 3,
         workers: 2,
-        plan: FleetChaosPlan::parse("kill:0@400;seed:7").expect("plan parses"),
+        plan: FleetChaosPlan::parse("kill:0@400").expect("plan parses"),
     };
     let report = run_fleet(&cfg, &opts).expect("failover fleet run");
     assert_eq!(report.kills, 1, "the planned kill must fire");

@@ -114,9 +114,9 @@ fn ping_stays_responsive_while_lanes_are_full() {
     let _ = server.join();
 }
 
-/// The full multi-connection replay protocol (loadgen's striped
-/// senders with chunk barriers) against a server whose lanes hold a
-/// single batch each: every (connection, worker) lane saturates
+/// The full multi-connection replay protocol (loadgen's exactly-once
+/// sessions, advanced together in chunks) against a server whose lanes
+/// hold a single batch each: every (connection, worker) lane saturates
 /// constantly, yet the run ends with every session accepted, zero
 /// rejects, and a clean drain.
 #[test]

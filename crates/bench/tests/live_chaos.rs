@@ -22,8 +22,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn kills_mid_replay_resume_bit_identical_at_1_4_16_workers_both_wires() {
-    let plan = ChaosPlan::parse("disconnect:40;torn:90;disconnect:150;torn:230;seed:3")
-        .expect("valid plan");
+    let plan =
+        ChaosPlan::parse("disconnect:40;torn:90;disconnect:150;torn:230").expect("valid plan");
     for wire in [WireMode::Jsonl, WireMode::Binary] {
         for workers in [1usize, 4, 16] {
             let report = run_chaos(
@@ -47,7 +47,7 @@ fn kills_mid_replay_resume_bit_identical_at_1_4_16_workers_both_wires() {
 
 #[test]
 fn worker_panics_recover_in_place_without_losing_records() {
-    let plan = ChaosPlan::parse("panic:0@100;panic:0@250;panic:1@200;seed:9").expect("valid plan");
+    let plan = ChaosPlan::parse("panic:0@100;panic:0@250;panic:1@200").expect("valid plan");
     let report = run_chaos(
         &cfg(WireMode::Jsonl, 1_500, 4, 9),
         &plan,
@@ -63,7 +63,7 @@ fn worker_panics_recover_in_place_without_losing_records() {
 #[test]
 fn injected_enospc_degrades_the_store_then_a_probe_recovers_it() {
     let dir = tmp_dir("enospc");
-    let plan = ChaosPlan::parse("spillfail:0@3;seed:5").expect("valid plan");
+    let plan = ChaosPlan::parse("spillfail:0@3").expect("valid plan");
     let report = run_chaos(
         &cfg(WireMode::Jsonl, 2_500, 12, 5),
         &plan,
@@ -160,8 +160,7 @@ fn metrics_mirror_the_account(control: &mut LiveClient) -> io::Result<()> {
 #[test]
 fn metrics_mirror_the_account_after_panics_and_spill_failures() {
     let dir = tmp_dir("mirror");
-    let plan =
-        ChaosPlan::parse("panic:0@300;panic:1@700;spillfail:0@3;seed:13").expect("valid plan");
+    let plan = ChaosPlan::parse("panic:0@300;panic:1@700;spillfail:0@3").expect("valid plan");
     let opts = ChaosRunOpts {
         workers: 2,
         spill: Some((dir.clone(), 2)),
@@ -178,7 +177,7 @@ fn metrics_mirror_the_account_after_panics_and_spill_failures() {
 
 #[test]
 fn slow_client_eviction_is_survived_by_resume() {
-    let plan = ChaosPlan::parse("stall:60@800;seed:11").expect("valid plan");
+    let plan = ChaosPlan::parse("stall:60@800").expect("valid plan");
     let report = run_chaos(
         &cfg(WireMode::Binary, 1_200, 4, 11),
         &plan,

@@ -14,12 +14,7 @@ use std::process::Command;
 const CHAOS: &str = "panic:1@1;delay:0:2";
 
 fn small() -> StudyBuilder {
-    StudyBuilder::new()
-        .seed(42)
-        .days(1)
-        .sessions_per_group_window(8)
-        .country_fraction(0.15)
-        .parallelism(2)
+    StudyBuilder::new().seed(42).scale(0.15).days(1).sessions_per_group_window(8).parallelism(2)
 }
 
 fn plan(spec: &str) -> FaultPlan {

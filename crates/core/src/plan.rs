@@ -3,7 +3,7 @@
 //! The offline supervisor's `FaultPlan`, the live tier's `ChaosPlan` and
 //! the fleet's `FleetChaosPlan` are written in the same language: a
 //! `;`-separated list of `kind:arg@arg` clauses whose arguments are
-//! unsigned integers (`panic:1@800;spillfail:3;seed:7`; `:` separates
+//! unsigned integers (`panic:1@800;spillfail:3`; `:` separates
 //! arguments too, for the supervisor's `delay:W:MS`). This module is that
 //! language — [`clauses`] splits a spec, [`Clause::args`] reads a
 //! clause's numbers, [`write_clauses`] renders the canonical form — and

@@ -1,4 +1,4 @@
-//! Seeded fleet-level fault plans: PoP kills at deterministic points.
+//! Fleet-level fault plans: PoP kills at deterministic points.
 //!
 //! The live tier's `ChaosPlan` injects wire/disk faults inside one
 //! node; a [`FleetChaosPlan`] operates one level up — it removes whole
@@ -27,14 +27,10 @@ pub struct FleetKill {
 ///
 /// - `kill:POP@RECORDS` — kill PoP `POP` once `RECORDS` records have
 ///   been replayed; repeatable.
-/// - `seed:S` — plan seed (reserved for future randomized placement;
-///   recorded so reports pin the full plan).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetChaosPlan {
     /// PoP kills, in spec order.
     pub kills: Vec<FleetKill>,
-    /// Plan seed.
-    pub seed: u64,
 }
 
 impl FleetChaosPlan {
@@ -49,7 +45,6 @@ impl FleetChaosPlan {
                     let [pop, after_records] = clause.args([None, None])?;
                     plan.kills.push(FleetKill { pop: clause.fit(pop)?, after_records });
                 }
-                "seed" => plan.seed = clause.args([None])?[0],
                 _ => return Err(clause.error("unknown clause kind")),
             }
         }
@@ -72,9 +67,8 @@ impl FleetChaosPlan {
 impl fmt::Display for FleetChaosPlan {
     /// Canonical spec form — `parse(plan.to_string())` round-trips.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut clauses: Vec<String> =
+        let clauses: Vec<String> =
             self.kills.iter().map(|k| format!("kill:{}@{}", k.pop, k.after_records)).collect();
-        clauses.extend((self.seed != 0).then(|| format!("seed:{}", self.seed)));
         write_clauses(f, &clauses)
     }
 }
@@ -86,15 +80,12 @@ mod tests {
 
     /// Plans generated from the struct side.
     fn plans() -> impl Strategy<Value = FleetChaosPlan> {
-        (prop::collection::vec((any::<u16>(), any::<u64>()), 0..4), any::<u64>()).prop_map(
-            |(kills, seed)| FleetChaosPlan {
-                kills: kills
-                    .into_iter()
-                    .map(|(pop, after_records)| FleetKill { pop, after_records })
-                    .collect(),
-                seed,
-            },
-        )
+        prop::collection::vec((any::<u16>(), any::<u64>()), 0..4).prop_map(|kills| FleetChaosPlan {
+            kills: kills
+                .into_iter()
+                .map(|(pop, after_records)| FleetKill { pop, after_records })
+                .collect(),
+        })
     }
 
     proptest! {
@@ -114,7 +105,7 @@ mod tests {
 
     #[test]
     fn full_spec_round_trips() {
-        let spec = "kill:1@5000;kill:3@2000;seed:42";
+        let spec = "kill:1@5000;kill:3@2000";
         let plan = FleetChaosPlan::parse(spec).unwrap();
         assert_eq!(
             plan.kills,
@@ -123,7 +114,6 @@ mod tests {
                 FleetKill { pop: 3, after_records: 2000 }
             ]
         );
-        assert_eq!(plan.seed, 42);
         assert_eq!(plan.to_string(), spec);
         assert_eq!(FleetChaosPlan::parse(&plan.to_string()).unwrap(), plan);
         assert_eq!(
@@ -141,5 +131,13 @@ mod tests {
             let err = FleetChaosPlan::parse(bad).unwrap_err();
             assert!(err.to_string().starts_with("invalid fleet chaos plan: "), "{err}");
         }
+    }
+
+    /// The plan seed was reserved for a randomized placement that never
+    /// came; nothing read it.
+    #[test]
+    fn a_seed_clause_is_an_unknown_clause() {
+        let err = FleetChaosPlan::parse("kill:1@1000;seed:7").expect_err("no seed clause");
+        assert!(err.to_string().contains("`seed:7`: unknown clause kind"), "{err}");
     }
 }

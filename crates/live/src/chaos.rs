@@ -1,8 +1,8 @@
 //! Deterministic chaos injection for the live tier.
 //!
 //! [`ChaosPlan`] is the network-tier sibling of the offline
-//! supervisor's `FaultPlan` (`edgeperf_world::supervisor`): a seeded,
-//! fully deterministic schedule of faults parsed from a compact spec
+//! supervisor's `FaultPlan` (`edgeperf_world::supervisor`): a fully
+//! deterministic schedule of faults parsed from a compact spec
 //! string (the grammar is [`edgeperf_core::plan`]'s, shared with that
 //! plan and the fleet's), so a chaos run is exactly reproducible and CI
 //! can assert on its outcome. One plan describes faults on both sides
@@ -22,9 +22,9 @@
 //!
 //! Record and op indices are 0-based positions in a deterministic
 //! sequence (the client's send order; the store's spill/compaction op
-//! order), so a clause fires at the same logical point on every run.
-//! `seed` feeds the client's backoff jitter (`client::RetryPolicy`);
-//! everything else is schedule-driven and needs no randomness at all.
+//! order), so a clause fires at the same logical point on every run:
+//! the schedule needs no randomness and the plan no seed (the client's
+//! backoff jitter is seeded by the caller's `client::RetryPolicy`).
 
 use edgeperf_core::plan::{clauses, write_clauses, PlanError};
 use std::fmt;
@@ -77,7 +77,7 @@ pub struct OpDelay {
 /// A deterministic chaos schedule for the live tier (see module docs).
 ///
 /// Parsed from a `;`-separated spec, e.g.
-/// `disconnect:500;torn:1200;stall:2000@1500;panic:0@800;spillfail:0@3;seed:7`.
+/// `disconnect:500;torn:1200;stall:2000@1500;panic:0@800;spillfail:0@3`.
 /// [`fmt::Display`] renders the canonical form, which re-parses to an
 /// equal plan.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -97,8 +97,6 @@ pub struct ChaosPlan {
     pub compact_failures: Vec<OpFault>,
     /// Store: delayed spill writes.
     pub spill_delays: Vec<OpDelay>,
-    /// Jitter seed for client backoff (`seed:S`).
-    pub seed: Option<u64>,
 }
 
 impl ChaosPlan {
@@ -138,7 +136,6 @@ impl ChaosPlan {
                     }
                     plan.spill_delays.push(OpDelay { op, millis });
                 }
-                "seed" => plan.seed = Some(clause.args([None])?[0]),
                 _ => return Err(clause.error("unknown clause kind")),
             }
         }
@@ -194,7 +191,6 @@ impl fmt::Display for ChaosPlan {
         clauses.extend(op_faults("compactfail", &self.compact_failures));
         clauses
             .extend(self.spill_delays.iter().map(|d| format!("spilldelay:{}@{}", d.op, d.millis)));
-        clauses.extend(self.seed.map(|seed| format!("seed:{seed}")));
         write_clauses(f, &clauses)
     }
 }
@@ -216,8 +212,8 @@ pub enum WireFault {
 /// restarts the send below the clause's record index (the fired flag
 /// persists across reconnects — otherwise a `disconnect:100` would
 /// re-fire on every pass over record 100 and the replay would never
-/// finish).
-#[derive(Debug)]
+/// finish). The default applier injects nothing.
+#[derive(Debug, Default)]
 pub struct WireChaos {
     events: Vec<(u64, WireFault, bool)>,
 }
@@ -269,29 +265,25 @@ mod tests {
             (records(), records(), pairs()),
             prop::collection::vec((0usize..64, any::<u64>()), 0..3),
             (pairs(), pairs(), pairs()),
-            prop::option::of(any::<u64>()),
         )
             .prop_map(
-                move |((disconnects, torn, stalls), panics, (spill, compact, delays), seed)| {
-                    ChaosPlan {
-                        disconnects,
-                        torn,
-                        stalls: stalls
-                            .into_iter()
-                            .map(|(record, millis)| ChaosStall { record, millis })
-                            .collect(),
-                        worker_panics: panics
-                            .into_iter()
-                            .map(|(worker, after_records)| WorkerPanic { worker, after_records })
-                            .collect(),
-                        spill_failures: op_faults(spill),
-                        compact_failures: op_faults(compact),
-                        spill_delays: delays
-                            .into_iter()
-                            .map(|(op, millis)| OpDelay { op, millis })
-                            .collect(),
-                        seed,
-                    }
+                move |((disconnects, torn, stalls), panics, (spill, compact, delays))| ChaosPlan {
+                    disconnects,
+                    torn,
+                    stalls: stalls
+                        .into_iter()
+                        .map(|(record, millis)| ChaosStall { record, millis })
+                        .collect(),
+                    worker_panics: panics
+                        .into_iter()
+                        .map(|(worker, after_records)| WorkerPanic { worker, after_records })
+                        .collect(),
+                    spill_failures: op_faults(spill),
+                    compact_failures: op_faults(compact),
+                    spill_delays: delays
+                        .into_iter()
+                        .map(|(op, millis)| OpDelay { op, millis })
+                        .collect(),
                 },
             )
     }
@@ -314,13 +306,12 @@ mod tests {
     #[test]
     fn full_spec_round_trips_through_display() {
         let spec = "disconnect:500;torn:1200;stall:2000@1500;panic:0@800;panic:2@100;\
-                    spillfail:0@3;compactfail:1@1;spilldelay:4@50;seed:7";
+                    spillfail:0@3;compactfail:1@1;spilldelay:4@50";
         let plan = ChaosPlan::parse(spec).expect("spec parses");
         assert_eq!(plan.disconnects, vec![500]);
         assert_eq!(plan.torn, vec![1200]);
         assert_eq!(plan.stalls, vec![ChaosStall { record: 2000, millis: 1500 }]);
         assert_eq!(plan.worker_panics.len(), 2);
-        assert_eq!(plan.seed, Some(7));
         let canonical = plan.to_string();
         let reparsed = ChaosPlan::parse(&canonical).expect("canonical form reparses");
         assert_eq!(plan, reparsed, "display must round-trip: {canonical}");
@@ -341,6 +332,14 @@ mod tests {
             let err = ChaosPlan::parse(spec).expect_err(spec);
             assert!(err.to_string().starts_with("invalid chaos plan: "), "{err}");
         }
+    }
+
+    /// Nothing read a plan seed: the schedule is deterministic without
+    /// one, and the client's jitter is seeded by its `RetryPolicy`.
+    #[test]
+    fn a_seed_clause_is_an_unknown_clause() {
+        let err = ChaosPlan::parse("disconnect:5;seed:7").expect_err("no seed clause");
+        assert!(err.to_string().contains("`seed:7`: unknown clause kind"), "{err}");
     }
 
     #[test]

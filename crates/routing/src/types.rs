@@ -38,16 +38,6 @@ impl Prefix {
         }
     }
 
-    /// Does this prefix contain the address?
-    pub fn contains(&self, addr: u32) -> bool {
-        (addr & Self::mask(self.len)) == self.base
-    }
-
-    /// Does this prefix contain the (equal-or-longer) other prefix?
-    pub fn covers(&self, other: &Prefix) -> bool {
-        other.len >= self.len && self.contains(other.base)
-    }
-
     /// Number of addresses in the prefix.
     pub fn size(&self) -> u64 {
         1u64 << (32 - self.len)
@@ -148,21 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_covers() {
-        let p16 = Prefix::new(0x0A0B_0000, 16);
-        let p24 = Prefix::new(0x0A0B_0C00, 24);
-        assert!(p16.contains(0x0A0B_FFFF));
-        assert!(!p16.contains(0x0A0C_0000));
-        assert!(p16.covers(&p24));
-        assert!(!p24.covers(&p16));
-        assert!(p16.covers(&p16));
-    }
-
-    #[test]
     fn zero_length_prefix_is_default_route() {
-        let p = Prefix::new(0, 0);
-        assert!(p.contains(0xFFFF_FFFF));
-        assert!(p.contains(0));
+        let p = Prefix::new(0xFFFF_FFFF, 0);
+        assert_eq!(p.base, 0, "a /0 masks every bit off");
         assert_eq!(p.size(), 1 << 32);
     }
 

@@ -156,10 +156,29 @@ cell_unpack() {
 # percentiles), the builder's resume-from-directory and the fingerprint
 # reader behind it (a study resumes by rerunning `repro --checkpoint-dir`
 # with the same flags), the mixture sampler and the RIB's longest-prefix
-# lookup (the world ranks the routes of an exact prefix).
+# lookup (the world ranks the routes of an exact prefix), then the
+# prefix containment tests that lookup had used and the builder's
+# country-fraction override (the scale sets it). Those two share a name
+# with code that stays (`OpFault::covers`, the `WorldConfig` field), so
+# they are banned by path.
 uncalled_capabilities() {
     banned -E "fn (cdf|cdf_over|from_parts|resume_from|checkpoint_fingerprint|lookup)\\b|struct Mixture\\b" \
-        crates src tests examples --include="*.rs"
+        crates src tests examples --include="*.rs" &&
+        banned -E "fn (contains|covers)\\b" crates/routing/src/types.rs &&
+        banned -E "fn country_fraction\\b" crates/bench/src/study.rs
+}
+
+# `loadgen` sends records one way: every replay — plain, chaos, fleet —
+# is exactly-once sessions advanced together through one chunk loop
+# (`loadgen::replay_in_chunks`). The plain mode once had a sender of its
+# own (raw sockets, a thread barrier, a leader polling `snapshot`), so no
+# raw socket, barrier or binary preamble comes back under
+# crates/bench/src, and the session client is called from one place.
+replay_paths() {
+    local calls
+    banned -E "TcpStream|Barrier|preamble[(]" crates/bench/src --include="*.rs" || return 1
+    calls=$(grep -rho "replay_with_resume(" crates/bench/src --include="*.rs" | wc -l)
+    [ "$calls" -eq 1 ] || { echo "replay_with_resume( is called $calls times in crates/bench/src, not once" >&2; return 1; }
 }
 
 # The stats suite in a release build as well: an optimised build may
@@ -262,7 +281,7 @@ live_smoke() {
 # One field of a replay report, by name.
 reported() { grep -q "\"$2\": *$3\b" "$1" || { echo "$1: $2 is not $3" >&2; return 1; }; }
 
-# Chaos over the live tier: a fixed-seed fault plan (wire cuts, torn
+# Chaos over the live tier: a fixed fault plan (wire cuts, torn
 # records, a slow-loris stall, worker panics, injected ENOSPC on spill)
 # against the reconnect-and-resume client, once per wire.
 # `--expect-clean` is ChaosReport::verdict: every record acked and
@@ -287,11 +306,11 @@ chaos_live() {
     }
     rm -rf "$reports/spill-chaos"
     mkdir -p "$reports/spill-chaos"
-    chaos_replay jsonl "$faults;spillfail:0@3;seed:42" \
+    chaos_replay jsonl "$faults;spillfail:0@3" \
         --retention 2 --spill-dir "$reports/spill-chaos" || return 1
-    chaos_replay binary "$faults;seed:42" || return 1
+    chaos_replay binary "$faults" || return 1
     with_server 4630 "$reports/serve_chaos_snapshot.json" \
-        serve --addr 127.0.0.1:4630 --workers 4 --chaos "panic:0@800;panic:2@5000;seed:42" \
+        serve --addr 127.0.0.1:4630 --workers 4 --chaos "panic:0@800;panic:2@5000" \
         --max-respawns 8 --idle-timeout-ms 5000 --max-conns 64 -- \
         "$bin/loadgen" --addr 127.0.0.1:4630 --sessions 20000 --connections 4 --wire jsonl \
         --shutdown --expect-clean --json "$reports/replay_chaos_serve.json" > /dev/null
@@ -314,7 +333,7 @@ fleet_smoke() {
     with_server 4631 "$reports/fleet_snapshot.json" \
         fleet --addr 127.0.0.1:4631 --pops 2 --workers 2 $geometry -- \
         "$bin/loadgen" --fleet 127.0.0.1:4631 --sessions 20000 --windows 8 $geometry \
-        --workers 2 --fleet-chaos "kill:1@1000;seed:7" --expect-clean --json "$report" \
+        --workers 2 --fleet-chaos "kill:1@1000" --expect-clean --json "$report" \
         > /dev/null &&
         reported "$report" kills 1 &&
         reported "$report" bit_identical_to_serial true &&
@@ -448,7 +467,7 @@ tracked_lines() {
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
 front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies store_rows cell_unpack
-uncalled_capabilities release_stats live_smoke chaos_live fleet_smoke
+uncalled_capabilities replay_paths release_stats live_smoke chaos_live fleet_smoke
 repro_results repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
