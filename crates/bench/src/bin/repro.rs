@@ -37,8 +37,9 @@
 //! and HDratio counters) but figure 7 (a joint distribution over sessions,
 //! which no cell holds), skipped with a note (`fig7 --streaming` alone
 //! prints it without running a study). The output is byte-identical run to
-//! run and at any worker count. Per-worker scheduler counters are printed
-//! either way. What never reads the study runs before it, and its own
+//! run and at any worker count. Either way the study's report (prefixes
+//! merged, sessions simulated, emitted and dropped, recovery decisions) is
+//! printed to stderr. What never reads the study runs before it, and its own
 //! experiments straight after it, so the exact sink's MinRTT rows, most
 //! of the job's memory, are dropped once no experiment still to run reads
 //! them (after `fig7` under `all`) and nothing else runs on top of them.
@@ -261,9 +262,8 @@ fn main() {
         let kept =
             if a.streaming { "sessions into bounded digest cells" } else { "session records" };
         eprintln!("study: {held} {kept} in {:.1?}", t0.elapsed());
-        eprintln!("{}", study::render_stats(&d.stats));
+        eprint!("{}", d.report.render());
         if a.fault_plan.is_some() || a.checkpoint_dir.is_some() {
-            eprint!("{}", d.report.render());
             let report = serde_json::to_value(&d.report).unwrap();
             if let Some(dir) = &a.checkpoint_dir {
                 // Beside a journal that is staged and renamed: so is this.

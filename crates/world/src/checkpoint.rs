@@ -27,7 +27,7 @@
 //!
 //! [`run_study_supervised`]: crate::run_study_supervised
 
-use crate::runner::{StudyConfig, StudyStats};
+use crate::runner::StudyConfig;
 use crate::supervisor::{drive, StudyReport, SupervisorConfig, SupervisorError};
 use crate::topology::World;
 use edgeperf_analysis::segment::{atomic_write, checksum};
@@ -145,7 +145,7 @@ pub fn run_study_checkpointed(
     meta: &[(String, String)],
     sink: &mut ColumnarSink,
     metrics: &Metrics,
-) -> Result<(StudyStats, StudyReport), SupervisorError> {
+) -> Result<StudyReport, SupervisorError> {
     let n = world.prefixes.len();
     let study = fingerprint(cfg, n, meta);
     std::fs::create_dir_all(dir).map_err(|e| failed(dir, e))?;
@@ -187,20 +187,17 @@ pub fn run_study_checkpointed(
             let path = shard_path(dir, prefix);
             atomic_write(&path, &image).map_err(|e| failed(&path, e))?;
         }
-        let manifest = Manifest {
-            version: CHECKPOINT_VERSION,
-            study: study.clone(),
-            cursor,
-            report: report.clone(),
-        };
+        // The manifest's report counts the checkpoint it is.
+        written += 1;
+        let report = StudyReport { checkpoints_written: written, ..report.clone() };
+        let manifest =
+            Manifest { version: CHECKPOINT_VERSION, study: study.clone(), cursor, report };
         let text = serde_json::to_string(&manifest).expect("a manifest serializes");
         let path = manifest_path(dir);
         atomic_write(&path, seal(text).as_bytes()).map_err(|e| failed(&path, e))?;
         metrics.counter("supervisor.checkpoints").inc();
-        written += 1;
         Ok(())
     };
-    let (stats, mut report) = drive(world, cfg, sup, sink, metrics, resumed, &mut journal)?;
-    report.checkpoints_written = written;
-    Ok((stats, report))
+    let report = drive(world, cfg, sup, sink, metrics, resumed, &mut journal)?;
+    Ok(StudyReport { checkpoints_written: written, ..report })
 }

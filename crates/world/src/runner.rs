@@ -12,7 +12,7 @@
 
 use crate::dynamics::{diurnal_factor, local_hour, pick_cluster, route_condition};
 use crate::geo::propagation_rtt_ms;
-use crate::supervisor::{run_study_supervised, SupervisorConfig};
+use crate::supervisor::{run_study_supervised, StudyReport, SupervisorConfig};
 use crate::topology::World;
 use edgeperf_analysis::{GroupKey, RecordShard, RecordSink, SessionRecord};
 use edgeperf_core::{session_hdratio, splitmix64, ResponseObs, SessionObs, HD_GOODPUT_BPS};
@@ -60,50 +60,6 @@ impl StudyConfig {
     }
 }
 
-/// Per-worker throughput and drop counters, reported by
-/// [`run_study_into`] so the CLI can surface scheduler behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerCounters {
-    /// Prefixes this worker claimed from the shared cursor.
-    pub prefixes: u64,
-    /// Sessions simulated (before any measurement-validity filtering).
-    pub sessions_simulated: u64,
-    /// Records pushed into the worker's shard.
-    pub records_emitted: u64,
-    /// Sessions dropped because the transport produced no MinRTT sample
-    /// (nothing was ever acked inside the window).
-    pub sessions_dropped_no_minrtt: u64,
-}
-
-impl WorkerCounters {
-    pub(crate) fn absorb(&mut self, other: &WorkerCounters) {
-        self.prefixes += other.prefixes;
-        self.sessions_simulated += other.sessions_simulated;
-        self.records_emitted += other.records_emitted;
-        self.sessions_dropped_no_minrtt += other.sessions_dropped_no_minrtt;
-    }
-}
-
-/// Scheduler statistics for one study run.
-#[derive(Debug, Clone, Default)]
-pub struct StudyStats {
-    /// One entry per worker thread, in spawn order. Which prefixes a
-    /// given worker claimed depends on OS scheduling; only the totals
-    /// are deterministic.
-    pub workers: Vec<WorkerCounters>,
-}
-
-impl StudyStats {
-    /// Counters summed across workers (deterministic for a fixed config).
-    pub fn total(&self) -> WorkerCounters {
-        let mut t = WorkerCounters::default();
-        for w in &self.workers {
-            t.absorb(w);
-        }
-        t
-    }
-}
-
 pub(crate) fn thread_count(cfg: &StudyConfig) -> usize {
     if cfg.parallelism == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
@@ -123,7 +79,7 @@ pub fn run_study(world: &World, cfg: &StudyConfig) -> Vec<SessionRecord> {
     records
 }
 
-/// Run the study into any [`RecordSink`], returning per-worker counters:
+/// Run the study into any [`RecordSink`], returning its [`StudyReport`]:
 /// [`run_study_supervised`] under its default configuration, with no
 /// faults planned and no metrics recorded. Prefixes are distributed by
 /// work stealing, each computed into its own shard, [sealed] with the
@@ -136,12 +92,16 @@ pub fn run_study(world: &World, cfg: &StudyConfig) -> Vec<SessionRecord> {
 /// the supervisor's reasons.
 ///
 /// [sealed]: edgeperf_analysis::RecordShard::seal
-pub fn run_study_into<S: RecordSink>(world: &World, cfg: &StudyConfig, sink: &mut S) -> StudyStats {
+pub fn run_study_into<S: RecordSink>(
+    world: &World,
+    cfg: &StudyConfig,
+    sink: &mut S,
+) -> StudyReport {
     let (sup, metrics) = (SupervisorConfig::default(), Metrics::disabled());
-    let (stats, report) = run_study_supervised(world, cfg, &sup, sink, &metrics)
+    let report = run_study_supervised(world, cfg, &sup, sink, &metrics)
         .expect("the empty plan injects no crash");
     assert!(report.quarantined.is_empty(), "runner thread panicked: {:?}", report.quarantined);
-    stats
+    report
 }
 
 /// Simulate and measure every session of prefix `idx`, window by window,
@@ -150,17 +110,17 @@ pub fn run_study_into<S: RecordSink>(world: &World, cfg: &StudyConfig, sink: &mu
 /// The supervisor's watchdog aborts a stuck prefix by flipping its
 /// cancellation flag; the sim loop honours it at window granularity (the
 /// finest point where abandoning work keeps the per-session RNG stream
-/// untouched for a future retry). Returns `false` if the prefix was
-/// abandoned mid-flight — the shard then holds a partial fragment the
-/// caller must discard.
+/// untouched for a future retry). Returns the sessions simulated — every
+/// one either pushed into `out` or dropped for want of a MinRTT sample —
+/// or `None` if the prefix was abandoned mid-flight: the shard then holds
+/// a partial fragment the caller must discard.
 pub(crate) fn run_prefix_cancellable<S: RecordShard>(
     world: &World,
     cfg: &StudyConfig,
     idx: usize,
     out: &mut S,
-    counters: &mut WorkerCounters,
     cancelled: &dyn Fn() -> bool,
-) -> bool {
+) -> Option<u64> {
     let site = &world.prefixes[idx];
     let pop = world.pop(site.pop);
     let group = GroupKey {
@@ -172,10 +132,11 @@ pub(crate) fn run_prefix_cancellable<S: RecordShard>(
     // One scratch per prefix: every session on this worker reuses the
     // same coalescing buffers instead of allocating per session.
     let mut scratch = SessionScratch::default();
+    let mut simulated = 0;
 
     for window in 0..cfg.n_windows() {
         if cancelled() {
-            return false;
+            return None;
         }
         // Sampled-session counts are stratified per group (the statistics
         // need ≥30 samples per route per window); the group's true traffic
@@ -242,7 +203,7 @@ pub(crate) fn run_prefix_cancellable<S: RecordShard>(
             };
 
             let plan = cfg.workload.generate(&mut rng);
-            counters.sessions_simulated += 1;
+            simulated += 1;
             let session = simulate_session_scratch(
                 &plan,
                 &state,
@@ -250,10 +211,7 @@ pub(crate) fn run_prefix_cancellable<S: RecordShard>(
                 &mut rng,
                 &mut scratch,
             );
-            let Some(min_rtt) = session.min_rtt else {
-                counters.sessions_dropped_no_minrtt += 1;
-                continue;
-            };
+            let Some(min_rtt) = session.min_rtt else { continue };
             let verdict = session_hdratio(&session, HD_GOODPUT_BPS);
 
             out.push(SessionRecord {
@@ -268,10 +226,9 @@ pub(crate) fn run_prefix_cancellable<S: RecordShard>(
                 // Weight the sampled session by its group's traffic share.
                 bytes: (session.total_bytes() as f64 * site.weight).max(1.0) as u64,
             });
-            counters.records_emitted += 1;
         }
     }
-    true
+    Some(simulated)
 }
 
 /// Execute a session plan over a path condition with the fast TCP model,
@@ -465,25 +422,23 @@ mod tests {
     #[test]
     fn counters_balance_across_parallelism() {
         let (world, cfg) = tiny_study();
-        let totals: Vec<WorkerCounters> = [1usize, 4]
+        let reports: Vec<StudyReport> = [1usize, 4]
             .iter()
             .map(|&p| {
                 let mut records: Vec<SessionRecord> = Vec::new();
-                let stats =
+                let report =
                     run_study_into(&world, &StudyConfig { parallelism: p, ..cfg }, &mut records);
-                assert_eq!(stats.workers.len(), p);
-                let t = stats.total();
-                assert_eq!(t.records_emitted, records.len() as u64);
+                assert_eq!(report.records_emitted, records.len() as u64);
                 assert_eq!(
-                    t.sessions_dropped_no_minrtt,
-                    t.sessions_simulated - t.records_emitted,
+                    report.sessions_simulated,
+                    report.records_emitted + report.sessions_dropped_no_minrtt,
                     "every simulated session is either emitted or dropped"
                 );
-                assert_eq!(t.prefixes, world.prefixes.len() as u64);
-                t
+                assert_eq!(report.completed, world.prefixes.len());
+                report
             })
             .collect();
-        assert_eq!(totals[0], totals[1]);
+        assert_eq!(reports[0], reports[1]);
     }
 
     #[test]
@@ -496,7 +451,7 @@ mod tests {
         for p in [1usize, 4] {
             let metrics = Metrics::enabled();
             let mut records: Vec<SessionRecord> = Vec::new();
-            let (stats, _) = run_study_supervised(
+            run_study_supervised(
                 &world,
                 &StudyConfig { parallelism: p, ..cfg },
                 &SupervisorConfig::default(),
@@ -525,7 +480,6 @@ mod tests {
             assert_eq!(snap.histograms["scheduler.queue_depth"].count, world.prefixes.len() as u64);
             // One fragment a prefix, merged in prefix order.
             assert_eq!(snap.histograms["sink.merge_ns"].count, world.prefixes.len() as u64);
-            assert_eq!(stats.workers.len(), p);
             // Span taxonomy is present and nested.
             let names: Vec<&str> = snap.spans.iter().map(|s| s.name.as_str()).collect();
             for want in ["study", "study.run", "study.run.merge", "study.finalize"] {
@@ -695,8 +649,7 @@ mod pep_runner_tests {
         // Run the PEP'd prefix, then the identical prefix with PEP removed.
         let median = |world: &World| {
             let mut out = Vec::new();
-            let mut counters = WorkerCounters::default();
-            assert!(run_prefix_cancellable(world, &cfg, idx, &mut out, &mut counters, &|| false));
+            assert!(run_prefix_cancellable(world, &cfg, idx, &mut out, &|| false).is_some());
             let mut v: Vec<f64> =
                 out.iter().filter(|r| r.route_rank == 0).map(|r| r.min_rtt_ms).collect();
             v.sort_unstable_by(f64::total_cmp);

@@ -34,13 +34,15 @@
 //!   [`FaultPlan`] — deterministic, spec-string-driven, honoured by unit
 //!   tests and the CI chaos job alike.
 //!
-//! The run records what the runner always has — spans `study` →
-//! `study.run` (with `study.run.merge` as the merge share) and
-//! `study.finalize`, counters `runner.*`, per-worker gauges
+//! The [`StudyReport`] is the study's one account: what merged, what was
+//! simulated, emitted and dropped, and every recovery decision, cumulative
+//! across resume. The run records what the runner always has — spans
+//! `study` → `study.run` (with `study.run.merge` as the merge share) and
+//! `study.finalize`, per-worker gauges
 //! `scheduler.worker.<i>.{steals,busy_sec,idle_sec}`, the
 //! `scheduler.queue_depth` and `sink.merge_ns` histograms, post-run
-//! `sink.<name>.*` gauges — plus its own decisions as `supervisor.*`
-//! counters, published from the [`StudyReport`] once the run ends.
+//! `sink.<name>.*` gauges — and, once the run ends, this process's share
+//! of the report as the `runner.*` and `supervisor.*` counters.
 //! Granularity is per prefix and per worker, never per record.
 //!
 //! What the supervisor cannot do: preemptively kill a truly wedged
@@ -52,9 +54,7 @@
 //!
 //! [`HeartbeatBoard`]: edgeperf_obs::HeartbeatBoard
 
-use crate::runner::{
-    run_prefix_cancellable, thread_count, StudyConfig, StudyStats, WorkerCounters,
-};
+use crate::runner::{run_prefix_cancellable, thread_count, StudyConfig};
 use crate::topology::World;
 use edgeperf_analysis::{RecordShard, RecordSink, SessionRecord, SinkStats};
 use edgeperf_core::plan::{clauses, write_clauses, Clause, PlanError};
@@ -245,7 +245,8 @@ pub struct StudyReport {
     pub malformed_dropped: u64,
     /// Messages for already-resolved (prefix, attempt) pairs, dropped.
     pub stale_results: u64,
-    /// Checkpoints written this process.
+    /// Checkpoints the process that made this report had written by then
+    /// (in a manifest: that manifest included).
     pub checkpoints_written: u64,
     /// Merge-cursor position restored from a checkpoint, if any.
     pub resumed_at: Option<usize>,
@@ -267,6 +268,10 @@ impl StudyReport {
             self.n_prefixes,
             self.quarantined.len(),
             self.retries
+        ));
+        out.push_str(&format!(
+            "  sessions: {} simulated, {} records emitted, {} dropped (no MinRTT)\n",
+            self.sessions_simulated, self.records_emitted, self.sessions_dropped_no_minrtt
         ));
         out.push_str(&format!(
             "  watchdog: {} slow, {} aborted | merge failures: {} | malformed dropped: {} | \
@@ -371,6 +376,7 @@ fn pop_ready<Sh>(queue: &Mutex<VecDeque<Work<Sh>>>) -> Option<(Work<Sh>, usize)>
 struct GuardShard<'a, S: RecordShard> {
     inner: &'a mut S,
     malformed_every: Option<u64>,
+    /// Records pushed: the prefix's emitted count.
     seen: u64,
     dropped: u64,
 }
@@ -398,9 +404,9 @@ impl<S: RecordShard> RecordShard for GuardShard<'_, S> {
 
 /// One finished attempt: its fragment and what filling it counted.
 struct Computed<Sh> {
-    worker: usize,
     fragment: Sh,
-    counters: WorkerCounters,
+    sessions_simulated: u64,
+    records_emitted: u64,
     malformed_dropped: u64,
 }
 
@@ -448,8 +454,7 @@ pub(crate) type Journal<'a, Sh> =
 
 /// Run the study into any [`RecordSink`] under the supervisor. See the
 /// module docs for the guarantees and for what an enabled [`Metrics`]
-/// handle records; on success returns the per-worker scheduler counters
-/// of *this process* plus the cumulative [`StudyReport`].
+/// handle records; on success returns the [`StudyReport`].
 ///
 /// # Errors
 ///
@@ -461,7 +466,7 @@ pub fn run_study_supervised<S: RecordSink>(
     sup: &SupervisorConfig,
     sink: &mut S,
     metrics: &Metrics,
-) -> Result<(StudyStats, StudyReport), SupervisorError> {
+) -> Result<StudyReport, SupervisorError> {
     drive(world, cfg, sup, sink, metrics, None, &mut |_, _, _| Ok(()))
 }
 
@@ -476,7 +481,7 @@ pub(crate) fn drive<S: RecordSink>(
     metrics: &Metrics,
     resumed: Option<(usize, StudyReport)>,
     journal: &mut Journal<'_, S::Shard>,
-) -> Result<(StudyStats, StudyReport), SupervisorError> {
+) -> Result<StudyReport, SupervisorError> {
     let _study = metrics.span("study");
     let n = world.prefixes.len();
     let threads = thread_count(cfg).max(1);
@@ -502,7 +507,6 @@ pub(crate) fn drive<S: RecordSink>(
     let board = HeartbeatBoard::new(threads);
     let (tx, rx) = mpsc::channel::<Msg<S::Shard>>();
 
-    let mut stats = StudyStats { workers: vec![WorkerCounters::default(); threads] };
     let mut crash: Option<SupervisorError> = None;
 
     let merge_ns = metrics.histogram("sink.merge_ns");
@@ -547,38 +551,31 @@ pub(crate) fn drive<S: RecordSink>(
                             // slow — keeps watchdog-less runs finite).
                             sleep_cancellable(60_000, &cancelled);
                         }
-                        let mut counters = WorkerCounters::default();
                         let mut guard = GuardShard {
                             inner: &mut fragment,
                             malformed_every: plan.malformed_every,
                             seen: 0,
                             dropped: 0,
                         };
-                        let completed = run_prefix_cancellable(
-                            world,
-                            cfg,
-                            prefix,
-                            &mut guard,
-                            &mut counters,
-                            &cancelled,
-                        );
-                        if completed {
-                            // The prefix is this fragment's alone and is
-                            // done: the shard may settle it now.
-                            guard.seal(prefix);
-                        }
-                        counters.prefixes += 1;
-                        let dropped = guard.dropped;
-                        (fragment, counters, dropped, completed)
+                        let sessions_simulated =
+                            run_prefix_cancellable(world, cfg, prefix, &mut guard, &cancelled)?;
+                        // The prefix is this fragment's alone and is done:
+                        // the shard may settle it now.
+                        guard.seal(prefix);
+                        let (records_emitted, malformed_dropped) = (guard.seen, guard.dropped);
+                        Some(Computed {
+                            fragment,
+                            sessions_simulated,
+                            records_emitted,
+                            malformed_dropped,
+                        })
                     }));
                     board.finish(w);
                     worked_until = Instant::now();
                     busy += worked_until - t0;
                     let outcome = match result {
-                        Ok((fragment, counters, malformed_dropped, true)) => {
-                            Ok(Computed { worker: w, fragment, counters, malformed_dropped })
-                        }
-                        Ok((_, _, _, false)) => continue,
+                        Ok(Some(computed)) => Ok(computed),
+                        Ok(None) => continue,
                         Err(payload) => Err(panic_message(payload)),
                     };
                     if tx.send(Msg { prefix, attempt, outcome }).is_err() {
@@ -670,16 +667,17 @@ pub(crate) fn drive<S: RecordSink>(
                     fail_attempt!(cursor, "sink merge failure (injected)".to_string());
                     continue;
                 }
-                let Slot::Ready(Computed { worker, fragment, counters, malformed_dropped }) =
-                    std::mem::replace(&mut slots[cursor], Slot::Merged)
+                let Slot::Ready(computed) = std::mem::replace(&mut slots[cursor], Slot::Merged)
                 else {
                     unreachable!("checked above");
                 };
-                stats.workers[worker].absorb(&counters);
+                let Computed { fragment, sessions_simulated, records_emitted, malformed_dropped } =
+                    computed;
                 report.completed += 1;
-                report.sessions_simulated += counters.sessions_simulated;
-                report.records_emitted += counters.records_emitted;
-                report.sessions_dropped_no_minrtt += counters.sessions_dropped_no_minrtt;
+                report.sessions_simulated += sessions_simulated;
+                report.records_emitted += records_emitted;
+                // A simulated session not emitted had no MinRTT sample.
+                report.sessions_dropped_no_minrtt += sessions_simulated - records_emitted;
                 report.malformed_dropped += malformed_dropped;
                 let merged_prefix = cursor;
                 cursor += 1;
@@ -755,11 +753,6 @@ pub(crate) fn drive<S: RecordSink>(
         sink.finalize();
     }
     if metrics.is_enabled() {
-        let t = stats.total();
-        metrics.counter("runner.prefixes").add(t.prefixes);
-        metrics.counter("runner.sessions_simulated").add(t.sessions_simulated);
-        metrics.counter("runner.records_emitted").add(t.records_emitted);
-        metrics.counter("runner.drop.no_minrtt").add(t.sessions_dropped_no_minrtt);
         let s: SinkStats = sink.stats().into();
         let label = sink.name();
         metrics.gauge(&format!("sink.{label}.records")).set(s.records as f64);
@@ -769,26 +762,31 @@ pub(crate) fn drive<S: RecordSink>(
             .gauge(&format!("sink.{label}.digest_compressions"))
             .set(s.digest_compressions as f64);
     }
-    Ok((stats, report))
+    Ok(report)
 }
 
-/// Publish this process's share of `report`'s decision counters — the
-/// report minus `start`, the one it resumed from — as `supervisor.*`.
+/// Publish this process's share of `report` — the report minus `start`,
+/// the one it resumed from — as the `runner.*` and `supervisor.*`
+/// counters.
 fn publish_decisions(metrics: &Metrics, report: &StudyReport, start: &StudyReport) {
     let decisions = |r: &StudyReport| {
         [
-            ("retries", r.retries),
-            ("quarantined", r.quarantined.len() as u64),
-            ("watchdog.slow", r.watchdog_slow),
-            ("watchdog.aborts", r.watchdog_aborts),
-            ("merge_failures", r.merge_failures),
-            ("malformed_dropped", r.malformed_dropped),
-            ("stale_results", r.stale_results),
-            ("prefixes_merged", r.completed as u64),
+            ("runner.prefixes", r.completed as u64),
+            ("runner.sessions_simulated", r.sessions_simulated),
+            ("runner.records_emitted", r.records_emitted),
+            ("runner.drop.no_minrtt", r.sessions_dropped_no_minrtt),
+            ("supervisor.retries", r.retries),
+            ("supervisor.quarantined", r.quarantined.len() as u64),
+            ("supervisor.watchdog.slow", r.watchdog_slow),
+            ("supervisor.watchdog.aborts", r.watchdog_aborts),
+            ("supervisor.merge_failures", r.merge_failures),
+            ("supervisor.malformed_dropped", r.malformed_dropped),
+            ("supervisor.stale_results", r.stale_results),
+            ("supervisor.prefixes_merged", r.completed as u64),
         ]
     };
     for ((name, now), (_, then)) in decisions(report).into_iter().zip(decisions(start)) {
-        metrics.counter(&format!("supervisor.{name}")).add(now - then);
+        metrics.counter(name).add(now - then);
     }
 }
 
@@ -886,10 +884,14 @@ mod tests {
             }],
             retries: 2,
             resumed_at: Some(5),
+            sessions_simulated: 12,
+            records_emitted: 10,
+            sessions_dropped_no_minrtt: 2,
             ..StudyReport::default()
         };
         let text = report.render();
         assert!(text.contains("9/10 prefixes merged"));
+        assert!(text.contains("sessions: 12 simulated, 10 records emitted, 2 dropped (no MinRTT)"));
         assert!(text.contains("quarantined prefix 4 after 3 attempts: panic: boom"));
         // `study_report.json` is the derive's tree, and reads back whole.
         let v = report.to_value();

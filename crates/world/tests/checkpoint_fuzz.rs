@@ -45,11 +45,11 @@ fn a_damaged_journal_is_refused_without_a_panic_or_an_oversized_allocation() {
         let mut sink = ColumnarSink::new(cfg.n_windows() as usize);
         let sup = SupervisorConfig::default();
         run_study_checkpointed(&world, &cfg, &sup, dir, &[], &mut sink, &Metrics::disabled())
-            .map(|(stats, _)| (sink.stats().records, stats.total().prefixes))
+            .map(|report| (sink.stats().records, report.resumed_at))
     };
-    let (records, ran) = resume().expect("the study runs");
-    assert_eq!(ran as usize, world.prefixes.len());
-    assert_eq!(resume().expect("and reads back"), (records, 0));
+    let (records, resumed_at) = resume().expect("the study runs");
+    assert_eq!(resumed_at, None);
+    assert_eq!(resume().expect("and reads back"), (records, Some(world.prefixes.len())));
 
     // `bytes` where `file` should be must be refused, naming the file,
     // within the allocation allowance.
@@ -135,7 +135,7 @@ fn a_damaged_journal_is_refused_without_a_panic_or_an_oversized_allocation() {
 
         // The real file back in place, the journal is whole again.
         atomic_write(file, &image).expect("restore");
-        assert_eq!(resume().expect("restored"), (records, 0));
+        assert_eq!(resume().expect("restored"), (records, Some(world.prefixes.len())));
     }
     std::fs::remove_dir_all(dir).expect("cleanup");
 }

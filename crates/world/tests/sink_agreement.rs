@@ -46,9 +46,9 @@ fn vec_sink_multiset_identical_across_parallelism() {
         .iter()
         .map(|&p| {
             let mut records: Vec<SessionRecord> = Vec::new();
-            let stats =
+            let report =
                 run_study_into(&world, &StudyConfig { parallelism: p, ..cfg }, &mut records);
-            assert_eq!(stats.total().records_emitted, records.len() as u64);
+            assert_eq!(report.records_emitted, records.len() as u64);
             records.sort_by_key(record_key);
             records
         })
@@ -158,8 +158,8 @@ fn streaming_cells_agree_with_exact_aggregations() {
     // The study run, which does seal, summarises those cells to the same
     // bits and counts the same sessions.
     let mut sealed = StreamingDataset::new(windows);
-    let stats = run_study_into(&world, &cfg, &mut sealed);
-    assert_eq!(stats.total().records_emitted, records.len() as u64);
+    let report = run_study_into(&world, &cfg, &mut sealed);
+    assert_eq!(report.records_emitted, records.len() as u64);
     assert_eq!(sealed.stats().records, records.len() as u64);
     assert_eq!(sealed.cell_count(), cells);
     let sealed = sealed.summarize();
@@ -217,8 +217,8 @@ fn columnar_sink_matches_from_records_end_to_end() {
         let mut records: Vec<SessionRecord> = Vec::new();
         run_study_into(&world, &cfg, &mut records);
         let mut sink = ColumnarSink::new(windows);
-        let stats = run_study_into(&world, &cfg, &mut sink);
-        assert_eq!(stats.total().records_emitted, records.len() as u64);
+        let report = run_study_into(&world, &cfg, &mut sink);
+        assert_eq!(report.records_emitted, records.len() as u64);
         assert_eq!(sink.stats().records, records.len() as u64);
 
         let whole = Dataset::from_records(&records, windows);

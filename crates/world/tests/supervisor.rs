@@ -11,11 +11,12 @@
 //! HDratio tally.
 
 use edgeperf_analysis::{atomic_write, ColumnarSink, RecordSink, StreamingDataset};
-use edgeperf_obs::Metrics;
+use edgeperf_obs::{Metrics, MetricsSnapshot};
 use edgeperf_world::{
     run_study_checkpointed, run_study_into, run_study_supervised, FaultPlan, StudyConfig,
-    StudyReport, StudyStats, SupervisorConfig, SupervisorError, World, WorldConfig,
+    StudyReport, SupervisorConfig, SupervisorError, World, WorldConfig,
 };
+use serde::Deserialize;
 use std::path::{Path, PathBuf};
 
 /// The plan CI's chaos job used to put in the environment of every test:
@@ -56,21 +57,29 @@ fn sink_for(cfg: &StudyConfig) -> ColumnarSink {
 /// One study into a fresh exact sink.
 fn run(world: &World, cfg: &StudyConfig, sup: &SupervisorConfig) -> (ColumnarSink, StudyReport) {
     let mut sink = sink_for(cfg);
-    let (_, report) = run_study_supervised(world, cfg, sup, &mut sink, &Metrics::disabled())
+    let report = run_study_supervised(world, cfg, sup, &mut sink, &Metrics::disabled())
         .expect("no crash planned");
     (sink, report)
 }
 
-/// The same, journalled under `dir` (resuming whatever is there).
+/// The same, journalled under `dir` (resuming whatever is there): the
+/// cumulative report, and this process's share of it as its metrics.
 fn run_in(
     dir: &Path,
     world: &World,
     cfg: &StudyConfig,
     sup: &SupervisorConfig,
-) -> Result<(ColumnarSink, StudyStats, StudyReport), SupervisorError> {
-    let mut sink = sink_for(cfg);
-    run_study_checkpointed(world, cfg, sup, dir, &[], &mut sink, &Metrics::disabled())
-        .map(|(stats, report)| (sink, stats, report))
+) -> Result<(ColumnarSink, StudyReport, MetricsSnapshot), SupervisorError> {
+    let (mut sink, metrics) = (sink_for(cfg), Metrics::enabled());
+    let report = run_study_checkpointed(world, cfg, sup, dir, &[], &mut sink, &metrics)?;
+    Ok((sink, report, metrics.snapshot()))
+}
+
+/// The report `dir`'s manifest carries.
+fn manifest_report(dir: &Path) -> StudyReport {
+    let text = std::fs::read_to_string(dir.join("checkpoint.json")).expect("a manifest");
+    let manifest = serde_json::parse(&text).expect("a manifest is JSON");
+    StudyReport::from_value(manifest.get("report").expect("a report member")).expect("a report")
 }
 
 type Row = (u32, u32, u8, u64);
@@ -109,8 +118,8 @@ fn output_is_the_same_bits_at_any_parallelism_with_or_without_recovered_faults()
 
     // `run_study_into` is the driver under its defaults: the baseline.
     let mut baseline = sink_for(&cfg);
-    let stats = run_study_into(&world, &StudyConfig { parallelism: 1, ..cfg }, &mut baseline);
-    assert_eq!(stats.total().records_emitted, baseline.stats().records);
+    let report = run_study_into(&world, &StudyConfig { parallelism: 1, ..cfg }, &mut baseline);
+    assert_eq!(report.records_emitted, baseline.stats().records);
 
     // Fragments merge strictly by prefix index, so the sink holds the same
     // rows in the same order at ANY parallelism — and a fault the retry
@@ -119,7 +128,7 @@ fn output_is_the_same_bits_at_any_parallelism_with_or_without_recovered_faults()
     for plan in ["", CHAOS, "mergefail:3"] {
         for p in [1usize, 4] {
             let mut sink = sink_for(&cfg);
-            let (stats, report) = run_study_supervised(
+            let report = run_study_supervised(
                 &world,
                 &StudyConfig { parallelism: p, ..cfg },
                 &sup(plan),
@@ -134,8 +143,6 @@ fn output_is_the_same_bits_at_any_parallelism_with_or_without_recovered_faults()
             assert_eq!(report.retries, u64::from(!plan.is_empty()));
             assert_eq!(report.merge_failures, u64::from(plan == "mergefail:3"));
             assert_eq!(report.malformed_dropped, 0);
-            assert_eq!(stats.workers.len(), p);
-            assert_eq!(stats.total().records_emitted, sink.stats().records);
             assert_eq!(report.records_emitted, sink.stats().records);
         }
     }
@@ -151,7 +158,7 @@ fn the_streaming_sink_runs_under_the_same_driver_and_the_same_faults() {
     let run = |plan: &str, parallelism: usize| {
         let mut sink = StreamingDataset::new(cfg.n_windows() as usize);
         let cfg = StudyConfig { parallelism, ..cfg };
-        let (_, report) =
+        let report =
             run_study_supervised(&world, &cfg, &sup(plan), &mut sink, &Metrics::disabled())
                 .unwrap();
         assert_eq!(report.retries, u64::from(!plan.is_empty()));
@@ -254,13 +261,20 @@ fn crash_then_resume_is_bit_identical_to_uninterrupted() {
             let err = run_in(&dir, &world, &cfg, &sup(&crash))
                 .expect_err("the injected crash must abort the run");
             assert!(err.to_string().contains("injected crash"), "got: {err}");
-            assert!(dir.join("checkpoint.json").exists());
+            let at_crash = manifest_report(&dir);
+            assert_eq!(at_crash.completed, n / 2 + 1);
 
             // Second process: same checkpoint dir, no crash → resume.
-            let (resumed, stats, report) = run_in(&dir, &world, &cfg, &sup(plan)).unwrap();
+            let (resumed, report, ours) = run_in(&dir, &world, &cfg, &sup(plan)).unwrap();
             assert_eq!(report.resumed_at, Some(n / 2 + 1), "parallelism {p}");
             assert_eq!(report.completed, n, "cumulative completion count survives resume");
-            assert_eq!(stats.total().prefixes as usize, n - (n / 2 + 1), "only the rest reran");
+            let merged = ours.counters["supervisor.prefixes_merged"];
+            assert_eq!(merged as usize, n - (n / 2 + 1), "only the rest reran");
+            // The counters are this process's share of the cumulative report.
+            assert_eq!(
+                ours.counters["runner.sessions_simulated"],
+                report.sessions_simulated - at_crash.sessions_simulated
+            );
             assert_same(&resumed, &uninterrupted, &format!("plan {plan:?} parallelism {p}"));
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -279,7 +293,7 @@ fn resume_preserves_quarantine_across_the_crash() {
     run_in(&dir, &world, &cfg, &sup(&format!("panic:{victim}@99;crash:{crash_at}")))
         .expect_err("crash fires");
 
-    let (resumed, _, report) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
+    let (resumed, report, _) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
     // The pre-crash quarantine is remembered: not re-attempted, still
     // reported, and its rows stay absent.
     assert_eq!(report.quarantined.len(), 1);
@@ -304,13 +318,13 @@ fn a_shard_file_beyond_the_cursor_is_ignored_and_overwritten() {
     assert!(!orphan.exists(), "the crash stopped the journal at the cursor");
     atomic_write(&orphan, b"not a shard: the prefix it names was never counted").unwrap();
 
-    let (resumed, _, report) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
+    let (resumed, report, _) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
     assert_eq!(report.resumed_at, Some(n / 2 + 1));
     assert_same(&resumed, &run(&world, &cfg, &sup("")).0, "resumed past an orphan");
     // The prefix reran and its file is now the real thing: a second rerun
     // reads every shard back.
-    let (again, stats, _) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
-    assert_eq!(stats.total().prefixes, 0);
+    let (again, _, ours) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
+    assert_eq!(ours.counters["supervisor.prefixes_merged"], 0);
     assert_same(&again, &resumed, "reread from the journal");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -356,16 +370,19 @@ fn checkpoint_from_a_different_study_is_rejected() {
 fn completed_checkpoint_resumes_as_a_no_op() {
     let (world, cfg) = tiny();
     let dir = scratch_dir("noop");
-    let (first, _, report) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
-    // A manifest per merge, and the last word.
+    let (first, report, _) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
+    // A manifest per merge, and the last word — which says so itself.
     assert_eq!(report.checkpoints_written as usize, world.prefixes.len() + 1);
+    assert_eq!(manifest_report(&dir), report, "the manifest holds the report returned");
 
     // Rerun against the finished checkpoint: nothing recomputes, the sink
     // is rebuilt bit-identically from the journalled shards.
-    let (again, stats, report) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
+    let (again, report, ours) = run_in(&dir, &world, &cfg, &sup("")).unwrap();
     assert_eq!(report.resumed_at, Some(world.prefixes.len()));
-    assert_eq!(stats.total().records_emitted, 0, "no new work on a finished study");
+    assert_eq!(ours.counters["runner.records_emitted"], 0, "no new work on a finished study");
     assert_eq!(report.records_emitted, again.stats().records, "the cumulative count stands");
+    assert_eq!(report.checkpoints_written, 1, "the last word alone");
+    assert_eq!(manifest_report(&dir), report, "the manifest holds the report returned");
     assert_same(&again, &first, "rebuilt from the journal");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -375,7 +392,7 @@ fn supervisor_metrics_account_for_every_decision() {
     let (world, cfg) = tiny();
     let metrics = Metrics::enabled();
     let mut sink = sink_for(&cfg);
-    let (_, report) =
+    let report =
         run_study_supervised(&world, &cfg, &sup("panic:0@99"), &mut sink, &metrics).unwrap();
 
     let snap = metrics.snapshot();
@@ -388,6 +405,8 @@ fn supervisor_metrics_account_for_every_decision() {
     // (three of them the victim's).
     assert_eq!(counter("runner.prefixes"), report.completed as u64);
     assert_eq!(counter("runner.records_emitted"), sink.stats().records);
+    assert_eq!(counter("runner.sessions_simulated"), report.sessions_simulated);
+    assert_eq!(counter("runner.drop.no_minrtt"), report.sessions_dropped_no_minrtt);
     assert_eq!(snap.histograms["sink.merge_ns"].count, report.completed as u64);
     assert_eq!(snap.histograms["scheduler.queue_depth"].count, report.completed as u64 + 3);
 }

@@ -181,6 +181,18 @@ replay_paths() {
     [ "$calls" -eq 1 ] || { echo "replay_with_resume( is called $calls times in crates/bench/src, not once" >&2; return 1; }
 }
 
+# A study has one account, its `StudyReport`: what merged, what was
+# simulated, emitted and dropped, and every recovery decision; the
+# `runner.*` and `supervisor.*` counters publish this process's share of
+# it. A per-worker tally of the same totals (which worker ran which prefix
+# is scheduler noise) and its CLI table stay gone, and so does the
+# analysis config a study's data once carried, which was always the
+# default.
+study_accounts() {
+    banned -E "StudyStats|WorkerCounters|fn render_stats\b" crates src tests examples --include="*.rs" &&
+        banned "pub cfg: AnalysisConfig" crates/bench/src/study.rs
+}
+
 # The stats suite in a release build as well: an optimised build may
 # return either zero from `f64::min`/`max`, so the t-digest's extremes
 # disagreed on ±0.0 in release only, which no debug run could catch.
@@ -467,7 +479,7 @@ tracked_lines() {
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
 front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies store_rows cell_unpack
-uncalled_capabilities replay_paths release_stats live_smoke chaos_live fleet_smoke
+uncalled_capabilities replay_paths study_accounts release_stats live_smoke chaos_live fleet_smoke
 repro_results repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
