@@ -33,7 +33,7 @@ use std::time::Instant;
 use edgeperf::serve::WireParser;
 use edgeperf_core::HD_GOODPUT_BPS;
 use edgeperf_fleet::{ClientKey, Fleet, FleetChaosPlan, FleetClient, FleetConfig};
-use edgeperf_live::{first_difference, RetryPolicy, WireMode};
+use edgeperf_live::{first_difference, WireMode};
 use edgeperf_obs::Metrics;
 use serde::{Deserialize, Serialize};
 
@@ -254,7 +254,6 @@ pub fn run_fleet_at(
     streams.retain(|s| !s.indices.is_empty());
     let mut total_streams = streams.len() as u64;
 
-    let policy = RetryPolicy { seed: cfg.seed, ..RetryPolicy::default() };
     let mut generation = 1u64;
     let mut kills_fired = 0u64;
     let mut rehomed_total = 0u64;
@@ -293,14 +292,14 @@ pub fn run_fleet_at(
                 // Catch the new session up to the barrier immediately:
                 // the survivors' watermark is still older than every
                 // inherited record (the budget check above).
-                stream.replay_to(b, WireMode::Jsonl, &policy)?;
+                stream.replay_to(b, WireMode::Jsonl)?;
                 streams.push(stream);
                 total_streams += 1;
             }
         }
         Ok(())
     };
-    replay_in_chunks(&mut streams, sessions, chunk_len(cfg), WireMode::Jsonl, &policy, fire_kills)?;
+    replay_in_chunks(&mut streams, sessions, chunk_len(cfg), WireMode::Jsonl, fire_kills)?;
 
     let acked: u64 = streams.iter().map(|s| s.last.acked).sum();
 

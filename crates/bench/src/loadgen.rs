@@ -33,8 +33,7 @@ use edgeperf_core::{HD_GOODPUT_BPS, MILLISECOND};
 pub use edgeperf_live::WireMode;
 use edgeperf_live::{
     encode_frame, first_difference, replay_with_resume, serial_cells, CellLine, CellQuery,
-    ChaosPlan, LiveClient, LiveConfig, LiveRecord, LiveServer, ResumeReport, RetryPolicy,
-    WireChaos,
+    ChaosPlan, LiveClient, LiveConfig, LiveRecord, LiveServer, ResumeReport, WireChaos,
 };
 use edgeperf_obs::Metrics;
 use edgeperf_workload::WorkloadConfig;
@@ -342,19 +341,13 @@ impl Stream {
     /// Advance to the global barrier `b`: replay the prefix of the
     /// payloads whose global index is below `b` and return once the
     /// server has acked — and so applied — all of it.
-    pub(crate) fn replay_to(
-        &mut self,
-        b: usize,
-        wire: WireMode,
-        policy: &RetryPolicy,
-    ) -> io::Result<()> {
+    pub(crate) fn replay_to(&mut self, b: usize, wire: WireMode) -> io::Result<()> {
         let k = self.indices.partition_point(|&i| i < b);
         if k as u64 <= self.last.total {
             return Ok(());
         }
         let payloads = &self.payloads[..k];
-        self.last =
-            replay_with_resume(&self.addr, self.session, wire, payloads, policy, &mut self.chaos)?;
+        self.last = replay_with_resume(&self.addr, self.session, wire, payloads, &mut self.chaos)?;
         if self.last.acked != k as u64 {
             return Err(io::Error::other(format!(
                 "session {} on {} quiesced at {} of {k} records",
@@ -391,7 +384,6 @@ pub(crate) fn replay_in_chunks(
     total: usize,
     chunk: usize,
     wire: WireMode,
-    policy: &RetryPolicy,
     mut at_barrier: impl FnMut(usize, &mut Vec<Stream>) -> io::Result<()>,
 ) -> io::Result<()> {
     let mut b = 0;
@@ -401,7 +393,7 @@ pub(crate) fn replay_in_chunks(
         std::thread::scope(|scope| {
             let advancing: Vec<_> = streams
                 .iter_mut()
-                .map(|stream| scope.spawn(move || stream.replay_to(b, wire, policy)))
+                .map(|stream| scope.spawn(move || stream.replay_to(b, wire)))
                 .collect();
             advancing.into_iter().try_for_each(|t| t.join().expect("stream thread"))
         })?;
@@ -424,9 +416,8 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
         streams[i % connections].carry(i, payload);
     }
 
-    let policy = RetryPolicy { seed: cfg.seed, ..RetryPolicy::default() };
     let started = Instant::now();
-    replay_in_chunks(&mut streams, total, chunk_len(cfg), cfg.wire, &policy, |_, _| Ok(()))?;
+    replay_in_chunks(&mut streams, total, chunk_len(cfg), cfg.wire, |_, _| Ok(()))?;
     let elapsed = started.elapsed().as_secs_f64();
 
     let mut control = LiveClient::connect(&cfg.addr)?;
@@ -636,9 +627,8 @@ pub fn run_chaos(
         chaos: WireChaos::new(plan),
         ..Stream::new(&addr.to_string(), cfg.seed)
     }];
-    let policy = RetryPolicy { seed: cfg.seed, ..RetryPolicy::default() };
     let started = Instant::now();
-    replay_in_chunks(&mut streams, total, total, cfg.wire, &policy, |_, _| Ok(()))?;
+    replay_in_chunks(&mut streams, total, total, cfg.wire, |_, _| Ok(()))?;
     let elapsed_s = started.elapsed().as_secs_f64();
     let resume = &streams[0].last;
 

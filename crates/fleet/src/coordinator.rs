@@ -150,6 +150,10 @@ impl Fleet {
         if config.pops == 0 {
             return Err(FleetError::Config("a fleet needs at least one PoP".to_string()));
         }
+        // Bind first: a taken address fails before any PoP runs, and a
+        // later failure stops the PoPs already started.
+        let listener = TcpListener::bind(&config.addr)?;
+        let addr = listener.local_addr()?;
         let mut pops = Vec::with_capacity(usize::from(config.pops));
         for pop in 0..config.pops {
             let pop_config = LiveConfig {
@@ -160,7 +164,10 @@ impl Fleet {
                 ..LiveConfig::default()
             };
             let handle = LiveServer::start(pop_config, Arc::clone(&parser), Metrics::enabled())
-                .map_err(|e| FleetError::Config(format!("PoP {pop}: {e}")))?;
+                .map_err(|e| {
+                    stop_pops(&pops);
+                    FleetError::Config(format!("PoP {pop}: {e}"))
+                })?;
             pops.push(PopState {
                 pop,
                 addr: handle.addr(),
@@ -169,8 +176,6 @@ impl Fleet {
                 link: Mutex::new(None),
             });
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let pop_addrs = pops.iter().map(|p| p.addr).collect();
         let shared = Arc::new(FleetShared {
             addr,
@@ -188,8 +193,20 @@ impl Fleet {
         let accept_thread = thread::Builder::new()
             .name("fleet-accept".to_string())
             .spawn(move || accept_loop(listener, accept_shared))
-            .map_err(FleetError::Io)?;
+            .map_err(|e| {
+                stop_pops(&shared.pops);
+                FleetError::Io(e)
+            })?;
         Ok(FleetHandle { addr, pop_addrs, accept_thread: Some(accept_thread), shared })
+    }
+}
+
+/// Shut down and join every PoP server in `pops` still running.
+fn stop_pops(pops: &[PopState]) {
+    for pop in pops {
+        if let Some(handle) = pop.handle.lock().expect("lock").take() {
+            let _ = handle.shutdown_and_join();
+        }
     }
 }
 

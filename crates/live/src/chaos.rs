@@ -24,7 +24,8 @@
 //! sequence (the client's send order; the store's spill/compaction op
 //! order), so a clause fires at the same logical point on every run:
 //! the schedule needs no randomness and the plan no seed (the client's
-//! backoff jitter is seeded by the caller's `client::RetryPolicy`).
+//! backoff jitter is keyed by the replay's session id, which the
+//! replay's own seed determines).
 
 use edgeperf_core::plan::{clauses, write_clauses, PlanError};
 use std::fmt;
@@ -335,7 +336,7 @@ mod tests {
     }
 
     /// Nothing read a plan seed: the schedule is deterministic without
-    /// one, and the client's jitter is seeded by its `RetryPolicy`.
+    /// one, and the client's jitter is keyed by its session id.
     #[test]
     fn a_seed_clause_is_an_unknown_clause() {
         let err = ChaosPlan::parse("disconnect:5;seed:7").expect_err("no seed clause");

@@ -249,49 +249,28 @@ impl BinarySender {
     }
 }
 
-/// Reconnect/backoff knobs for [`replay_with_resume`]. Backoff is
-/// exponential with deterministic jitter (seeded, so chaos runs
-/// replay identically), and `io_timeout` puts read/write deadlines on
-/// every data connection so a dead server fails fast instead of
-/// hanging the replay.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Consecutive no-progress failures tolerated before giving up.
-    pub max_attempts: u32,
-    /// First backoff; doubles per consecutive failure.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Jitter seed — same seed, same sleep schedule.
-    pub seed: u64,
-    /// Read/write deadline on data connections (`None` = never time out).
-    pub io_timeout: Option<Duration>,
-}
+/// Consecutive no-progress failures [`replay_with_resume`] tolerates
+/// before giving up.
+const MAX_ATTEMPTS: u32 = 5;
+/// The first backoff; it doubles per consecutive failure.
+const BASE_BACKOFF: Duration = Duration::from_millis(50);
+/// The backoff ceiling.
+const MAX_BACKOFF: Duration = Duration::from_secs(2);
+/// The read/write deadline on every data connection, so a dead server
+/// fails the replay fast instead of hanging it.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-            seed: 0x9E37_79B9_7F4A_7C15,
-            io_timeout: Some(Duration::from_secs(5)),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The sleep before retry number `attempt` (1-based): exponential
-    /// from `base_backoff`, capped at `max_backoff`, jittered into
-    /// [50%, 100%] so synchronized clients fan out. Deterministic in
-    /// (`seed`, `salt`, `attempt`).
-    pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
-        let exp = self.base_backoff.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        let capped = exp.min(self.max_backoff);
-        let state = self.seed ^ salt.wrapping_mul(0xA24B_AED4_963E_E407) ^ u64::from(attempt);
-        let jitter = splitmix64(state) % 50; // percent to shave off
-        capped.mul_f64(1.0 - jitter as f64 / 100.0)
-    }
+/// The sleep before retry number `attempt` (1-based) of session
+/// `session`: exponential from [`BASE_BACKOFF`], capped at
+/// [`MAX_BACKOFF`], jittered into [50%, 100%] so synchronized clients fan
+/// out. Deterministic in (`session`, `attempt`), so a chaos run replays
+/// identically.
+fn backoff(attempt: u32, session: u64) -> Duration {
+    let exp = BASE_BACKOFF.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
+    let capped = exp.min(MAX_BACKOFF);
+    let state = session.wrapping_mul(0xA24B_AED4_963E_E407) ^ u64::from(attempt);
+    let jitter = splitmix64(state) % 50; // percent to shave off
+    capped.mul_f64(1.0 - jitter as f64 / 100.0)
 }
 
 /// Wire format of a data connection.
@@ -360,12 +339,11 @@ impl DataConn {
         wire: WireMode,
         session: u64,
         epoch: u64,
-        timeout: Option<Duration>,
     ) -> io::Result<(DataConn, u64)> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(timeout)?;
-        stream.set_write_timeout(timeout)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         let mut ack_reader = BufReader::new(stream.try_clone()?);
         let mut out = BufWriter::with_capacity(1 << 18, stream);
         match wire {
@@ -415,14 +393,14 @@ fn ack_after_retire<A: ToSocketAddrs>(addr: &A, session: u64) -> io::Result<u64>
 /// `chaos` injects deterministic client-side wire faults (pass
 /// `WireChaos::new(&ChaosPlan::default())` for a fault-free replay).
 /// Fault cuts reconnect immediately; genuine errors back off
-/// exponentially per `policy` and give up after `policy.max_attempts`
-/// consecutive attempts without ack progress.
+/// exponentially (50 ms doubling to 2 s, jittered per session and
+/// attempt) and give up after 5 consecutive attempts without ack
+/// progress. Every data connection has a 5 s read/write deadline.
 pub fn replay_with_resume<A: ToSocketAddrs>(
     addr: A,
     session: u64,
     wire: WireMode,
     payloads: &[Vec<u8>],
-    policy: &RetryPolicy,
     chaos: &mut WireChaos,
 ) -> io::Result<ResumeReport> {
     let total = payloads.len() as u64;
@@ -434,16 +412,16 @@ pub fn replay_with_resume<A: ToSocketAddrs>(
             report.reconnects += 1;
         }
         report.connections += 1;
-        let opened = DataConn::open(&addr, wire, session, epoch, policy.io_timeout);
+        let opened = DataConn::open(&addr, wire, session, epoch);
         epoch = epoch.wrapping_add(1);
         let (mut conn, acked) = match opened {
             Ok(pair) => pair,
             Err(e) => {
                 failures += 1;
-                if failures > policy.max_attempts {
+                if failures > MAX_ATTEMPTS {
                     return Err(e);
                 }
-                std::thread::sleep(policy.backoff(failures, session));
+                std::thread::sleep(backoff(failures, session));
                 continue;
             }
         };
@@ -486,10 +464,10 @@ pub fn replay_with_resume<A: ToSocketAddrs>(
             Ok(a) => a,
             Err(e) => {
                 failures += 1;
-                if failures > policy.max_attempts {
+                if failures > MAX_ATTEMPTS {
                     return Err(e);
                 }
-                std::thread::sleep(policy.backoff(failures, session));
+                std::thread::sleep(backoff(failures, session));
                 continue;
             }
         };
@@ -503,12 +481,12 @@ pub fn replay_with_resume<A: ToSocketAddrs>(
             failures = 0;
         } else {
             failures += 1;
-            if failures > policy.max_attempts {
+            if failures > MAX_ATTEMPTS {
                 return Err(sent.err().unwrap_or_else(|| {
                     io::Error::other(format!("resume stuck at {}/{} records", report.acked, total))
                 }));
             }
-            std::thread::sleep(policy.backoff(failures, session));
+            std::thread::sleep(backoff(failures, session));
         }
     }
 }
@@ -519,18 +497,15 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_bounded_and_grows() {
-        let policy = RetryPolicy::default();
-        let a = policy.backoff(1, 7);
-        let b = policy.backoff(1, 7);
-        assert_eq!(a, b, "same (seed, salt, attempt) must sleep identically");
+        assert_eq!(backoff(1, 7), backoff(1, 7), "same (session, attempt) must sleep identically");
         for attempt in 1..10u32 {
-            let d = policy.backoff(attempt, 7);
-            assert!(d <= policy.max_backoff, "attempt {attempt}: {d:?} over cap");
+            let d = backoff(attempt, 7);
+            assert!(d <= MAX_BACKOFF, "attempt {attempt}: {d:?} over cap");
             // Jitter shaves at most 50%.
-            let floor = policy.base_backoff.mul_f64(0.5);
-            assert!(d >= floor.min(policy.max_backoff.mul_f64(0.5)), "attempt {attempt}: {d:?}");
+            let floor = BASE_BACKOFF.mul_f64(0.5);
+            assert!(d >= floor.min(MAX_BACKOFF.mul_f64(0.5)), "attempt {attempt}: {d:?}");
         }
-        // Different salts de-synchronize the schedule.
-        assert_ne!(policy.backoff(3, 1), policy.backoff(3, 2));
+        // Different sessions de-synchronize the schedule.
+        assert_ne!(backoff(3, 1), backoff(3, 2));
     }
 }

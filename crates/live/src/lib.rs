@@ -66,10 +66,15 @@
 //!   is [`LiveClient::wait_processed`]).
 //!
 //! The cross-cutting invariant: a finite replay through the server is
-//! **bit-identical** to the offline [`edgeperf_analysis::StreamingDataset`]
-//! at any worker count, because groups are sharded by the same
-//! deterministic FxHash and each cell's digest therefore sees the same
-//! insertion sequence as the serial offline pass.
+//! **bit-identical** to [`serial_cells`] — the same records, in order,
+//! through one serial [`WindowRing`] — at any worker count, because
+//! groups are sharded by a deterministic FxHash and each cell's digest
+//! therefore sees the same insertion sequence as the serial pass.
+//! `live_agreement`, `live_cells_smoke` and the chaos and fleet verdicts
+//! test that. The cell is the offline
+//! [`edgeperf_analysis::StreamingDataset`]'s `StreamingCell` too, but
+//! no test compares a replay's cells with that offline job's; ROADMAP's
+//! "One digest path" item is where that proof belongs.
 
 pub mod chaos;
 pub mod client;
@@ -86,9 +91,7 @@ pub mod store;
 pub mod window;
 
 pub use chaos::{ChaosPlan, WireChaos, WireFault};
-pub use client::{
-    replay_with_resume, BinarySender, LiveClient, ResumeReport, RetryPolicy, WireMode,
-};
+pub use client::{replay_with_resume, BinarySender, LiveClient, ResumeReport, WireMode};
 pub use config::LiveConfig;
 pub use detect::{EpisodeChange, OnlineDetector};
 pub use edgeperf_core::plan::PlanError;

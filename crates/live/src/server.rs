@@ -17,8 +17,10 @@
 //! are sharded by the deterministic FxHash), and one connection's records
 //! arrive in stream order — the per-lane FIFO preserves it — so per-cell
 //! digest insertion order is independent of the worker count, which is
-//! what makes live windows bit-identical to the offline
-//! [`edgeperf_analysis::StreamingDataset`].
+//! what makes live windows bit-identical to one serial ring's
+//! ([`crate::serial_cells`]) — what the agreement suites test. Agreement
+//! with the offline [`edgeperf_analysis::StreamingDataset`] is untested
+//! (ROADMAP's "One digest path").
 //!
 //! ## Tiered window store
 //!

@@ -4,8 +4,10 @@
 //! the ring assigns them to `floor(ts / window_ms)` windows whose
 //! per-(group, route-rank) cells are the same bounded-memory
 //! [`StreamingCell`]s the offline
-//! [`edgeperf_analysis::StreamingDataset`] uses — so a finite replay
-//! through the server reproduces the offline cells bit for bit.
+//! [`edgeperf_analysis::StreamingDataset`] uses. A finite replay through
+//! the server reproduces one serial ring's cells bit for bit
+//! ([`crate::serial_cells`]); that it reproduces the offline job's too is
+//! untested (ROADMAP's "One digest path").
 //!
 //! An open cell costs what it holds: a 72-byte arena entry (key, route
 //! flags, an empty slot for its digests), a 24-byte slot in the window's

@@ -59,6 +59,9 @@ impl SessionPlan {
     }
 }
 
+/// Tunables for the generator. Defaults reproduce §2.3; a study's
+/// checkpoint records every field, as each one moves every session.
+///
 /// # Example
 ///
 /// ```
@@ -69,7 +72,6 @@ impl SessionPlan {
 /// assert!(!plan.transactions.is_empty());
 /// assert!(plan.duration >= plan.transactions.last().unwrap().offset);
 /// ```
-/// Tunables for the generator. Defaults reproduce §2.3.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkloadConfig {
     /// Fraction of sessions using HTTP/2.

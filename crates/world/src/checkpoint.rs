@@ -33,6 +33,7 @@ use crate::topology::World;
 use edgeperf_analysis::segment::{atomic_write, checksum};
 use edgeperf_analysis::{ColumnarShard, ColumnarSink, RecordSink};
 use edgeperf_obs::Metrics;
+use edgeperf_workload::WorkloadConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -76,10 +77,18 @@ fn fingerprint(
     n_prefixes: usize,
     meta: &[(String, String)],
 ) -> Vec<(String, String)> {
+    // No `..`: a field added later does not compile until it is
+    // fingerprinted or named here beside `parallelism`, the one field
+    // that leaves the output unchanged (a resume may use another count).
+    let StudyConfig { seed, days, sessions_per_group_window, parallelism: _, workload } = *cfg;
+    let WorkloadConfig { h2_fraction, api_median_bytes, media_median_bytes } = workload;
     let own = [
-        ("seed", cfg.seed.to_string()),
-        ("days", cfg.days.to_string()),
-        ("sessions_per_group_window", cfg.sessions_per_group_window.to_string()),
+        ("seed", seed.to_string()),
+        ("days", days.to_string()),
+        ("sessions_per_group_window", sessions_per_group_window.to_string()),
+        ("h2_fraction", h2_fraction.to_string()),
+        ("api_median_bytes", api_median_bytes.to_string()),
+        ("media_median_bytes", media_median_bytes.to_string()),
         ("n_prefixes", n_prefixes.to_string()),
     ];
     own.into_iter().map(|(k, v)| (k.to_string(), v)).chain(meta.iter().cloned()).collect()

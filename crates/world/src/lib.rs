@@ -44,6 +44,6 @@ pub use runner::{
 };
 pub use supervisor::{
     run_study_supervised, FaultPlan, QuarantinedPrefix, StudyReport, SupervisorConfig,
-    SupervisorError,
+    SupervisorError, RETRY_BUDGET,
 };
 pub use topology::{ClientCluster, Pop, PrefixSite, RouteGt, World, WorldConfig};

@@ -183,31 +183,26 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// Supervisor tuning knobs. The defaults suit real studies; tests shrink
-/// the deadlines.
+/// Retries per prefix before quarantine (attempts = budget + 1).
+pub const RETRY_BUDGET: u32 = 2;
+/// Base requeue backoff after a failure; doubles on every retry.
+const BACKOFF: Duration = Duration::from_millis(10);
+/// Supervisor wake-up period (watchdog scan).
+const TICK: Duration = Duration::from_millis(20);
+
+/// What a study's supervisor is told. The default suits real studies;
+/// the watchdog tests shrink the deadline.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Retries per prefix before quarantine (attempts = budget + 1).
-    pub retry_budget: u32,
     /// Base wall-clock budget per prefix; doubles on every retry.
     pub deadline: Duration,
-    /// Base requeue backoff after a failure; doubles on every retry.
-    pub backoff: Duration,
-    /// Supervisor wake-up period (watchdog scan).
-    pub tick: Duration,
     /// Faults to inject (empty in production).
     pub fault_plan: FaultPlan,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig {
-            retry_budget: 2,
-            deadline: Duration::from_secs(30),
-            backoff: Duration::from_millis(10),
-            tick: Duration::from_millis(20),
-            fault_plan: FaultPlan::default(),
-        }
+        SupervisorConfig { deadline: Duration::from_secs(30), fault_plan: FaultPlan::default() }
     }
 }
 
@@ -605,14 +600,14 @@ pub(crate) fn drive<S: RecordSink>(
             ($prefix:expr, $reason:expr) => {{
                 let p: usize = $prefix;
                 let a = attempts[p];
-                if a < sup.retry_budget {
+                if a < RETRY_BUDGET {
                     attempts[p] = a + 1;
                     report.retries += 1;
                     slots[p] = Slot::Pending;
                     queue.lock().expect("no panic under the queue lock").push_back(Work {
                         prefix: p,
                         attempt: a + 1,
-                        not_before: Some(Instant::now() + scaled(sup.backoff, a)),
+                        not_before: Some(Instant::now() + scaled(BACKOFF, a)),
                         fragment: sink.new_shard(),
                     });
                 } else {
@@ -627,7 +622,7 @@ pub(crate) fn drive<S: RecordSink>(
         }
 
         loop {
-            let first = match rx.recv_timeout(sup.tick) {
+            let first = match rx.recv_timeout(TICK) {
                 Ok(msg) => Some(msg),
                 Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => break,

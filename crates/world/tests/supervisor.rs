@@ -12,9 +12,10 @@
 
 use edgeperf_analysis::{atomic_write, ColumnarSink, RecordSink, StreamingDataset};
 use edgeperf_obs::{Metrics, MetricsSnapshot};
+use edgeperf_workload::WorkloadConfig;
 use edgeperf_world::{
     run_study_checkpointed, run_study_into, run_study_supervised, FaultPlan, StudyConfig,
-    StudyReport, SupervisorConfig, SupervisorError, World, WorldConfig,
+    StudyReport, SupervisorConfig, SupervisorError, World, WorldConfig, RETRY_BUDGET,
 };
 use serde::Deserialize;
 use std::path::{Path, PathBuf};
@@ -39,15 +40,10 @@ fn tiny() -> (World, StudyConfig) {
     (world, cfg)
 }
 
-/// Test-speed supervisor defaults: fast tick, tiny backoff, generous
-/// deadline (the watchdog tests shrink it explicitly).
+/// The default supervisor under `plan`: a generous deadline (the
+/// watchdog tests shrink it explicitly).
 fn sup(plan: &str) -> SupervisorConfig {
-    SupervisorConfig {
-        backoff: std::time::Duration::from_millis(1),
-        tick: std::time::Duration::from_millis(5),
-        fault_plan: FaultPlan::parse(plan).unwrap(),
-        ..SupervisorConfig::default()
-    }
+    SupervisorConfig { fault_plan: FaultPlan::parse(plan).unwrap(), ..SupervisorConfig::default() }
 }
 
 fn sink_for(cfg: &StudyConfig) -> ColumnarSink {
@@ -219,7 +215,7 @@ fn acceptance_scenario_panic_plus_stall_completes_with_exact_quarantine() {
     assert_eq!(report.completed, n - 1);
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].prefix, bad);
-    assert_eq!(report.quarantined[0].attempts, 1 + SupervisorConfig::default().retry_budget);
+    assert_eq!(report.quarantined[0].attempts, 1 + RETRY_BUDGET);
     assert!(report.watchdog_aborts >= 1, "stalled prefix never aborted");
     assert!(report.watchdog_slow >= 1, "slow mark should precede the abort");
     // The stalled prefix recovered rather than being quarantined, and its
@@ -343,6 +339,11 @@ fn checkpoint_from_a_different_study_is_rejected() {
     // Same directory, different seed → refuse to resume.
     let other = StudyConfig { seed: cfg.seed + 1, ..cfg };
     mismatch(run_in(&dir, &world, &other, &sup("")).map(|_| ()), "seed");
+
+    // Another traffic mix changes every record → refused too.
+    let workload = WorkloadConfig { h2_fraction: 0.5, ..cfg.workload };
+    let other = StudyConfig { workload, ..cfg };
+    mismatch(run_in(&dir, &world, &other, &sup("")).map(|_| ()), "h2_fraction");
 
     // Different builder-level meta → also refused.
     let meta = [("scale".to_string(), "0.5".to_string())];

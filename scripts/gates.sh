@@ -193,6 +193,15 @@ study_accounts() {
         banned "pub cfg: AnalysisConfig" crates/bench/src/study.rs
 }
 
+# A setting no caller changes is a constant, not a field: the replay's
+# retry ladder and the study supervisor's retry budget, backoff and tick.
+# A condition that can vary must be recorded with the output (a study's
+# in its checkpoint fingerprint); one that cannot needs no field.
+constant_knobs() {
+    banned "struct RetryPolicy" crates src tests examples --include="*.rs" &&
+        banned -E "retry_budget:|pub backoff:|pub tick:" crates/world/src/supervisor.rs
+}
+
 # The stats suite in a release build as well: an optimised build may
 # return either zero from `f64::min`/`max`, so the t-digest's extremes
 # disagreed on ±0.0 in release only, which no debug run could catch.
@@ -479,7 +488,7 @@ tracked_lines() {
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
 front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies store_rows cell_unpack
-uncalled_capabilities replay_paths study_accounts release_stats live_smoke chaos_live fleet_smoke
+uncalled_capabilities replay_paths study_accounts constant_knobs release_stats live_smoke chaos_live fleet_smoke
 repro_results repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
