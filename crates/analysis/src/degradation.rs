@@ -80,7 +80,7 @@ pub fn pick_baseline<'a>(
 
 /// Assess one window against the group's baseline: invalid without a
 /// baseline or a valid comparison, an event when the CI lower bound of
-/// the window's [`deficit`] clears `threshold`.
+/// the window's `deficit` clears `threshold`.
 pub fn assess_window(
     cfg: &AnalysisConfig,
     metric: DegradationMetric,

@@ -7,7 +7,7 @@
 //! - [`record`]/[`dataset`]: user groups (PoP × BGP prefix × country),
 //!   15-minute windows, per-route aggregations with MinRTT_P50 and
 //!   HDratio_P50.
-//! - [`compare`]: statistically sound aggregation comparisons — the
+//! - [`compare`](mod@compare): statistically sound aggregation comparisons — the
 //!   ≥30-sample rule and the "tight confidence interval" validity rule
 //!   built on the Price–Bonett distribution-free CI for the difference of
 //!   medians.

@@ -361,7 +361,7 @@ impl RecordShard for StreamingDataset {
         }
     }
 
-    /// Turn every open group into a [`SealedGroup`] of work item `unit`:
+    /// Turn every open group into a `SealedGroup` of work item `unit`:
     /// each cell flushed and summarised, the preferred route's MinRTT
     /// digests merged oldest window first, the cells dropped.
     fn seal(&mut self, unit: usize) {

@@ -69,7 +69,7 @@ use edgeperf_bench::{
     ablations, cc_compare, detector, env_scale, fig4, fig5, naive, study, validation, workload_figs,
 };
 use edgeperf_obs::{render_table, Metrics};
-use edgeperf_world::FaultPlan;
+use edgeperf_world::{FaultPlan, SupervisorConfig};
 use std::fmt::Write as _;
 
 const USAGE: &str = "\
@@ -181,17 +181,6 @@ fn write_json(path: &Option<String>, name: &str, value: serde_json::Value) {
     }
 }
 
-fn study_builder(a: &Args, metrics: &Metrics) -> study::StudyBuilder {
-    let mut b = study::StudyBuilder::new().seed(a.seed).scale(a.scale).metrics(metrics);
-    if a.days > 0 {
-        b = b.days(a.days);
-    }
-    if a.sessions > 0 {
-        b = b.sessions_per_group_window(a.sessions);
-    }
-    b
-}
-
 fn main() {
     let a = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("repro: {e}");
@@ -236,23 +225,33 @@ fn main() {
 
     let mut data: Option<study::StudyData> = None;
     if needs_study(&a) {
-        let mut b = study_builder(&a, &metrics);
+        let (world, mut cfg) = study::scaled(a.seed, a.scale);
+        if a.days > 0 {
+            cfg.days = a.days;
+        }
+        if a.sessions > 0 {
+            cfg.sessions_per_group_window = a.sessions;
+        }
         eprintln!(
             "running study ({}): days={} sessions/group/window={} country_fraction={:.2}",
             if a.streaming { "streaming sink" } else { "exact sink" },
-            b.resolved_days(),
-            b.resolved_sessions_per_group_window(),
-            b.resolved_country_fraction()
+            cfg.days,
+            cfg.sessions_per_group_window,
+            world.country_fraction
         );
         let t0 = std::time::Instant::now();
+        let mut sup = SupervisorConfig::default();
         if let Some(plan) = &a.fault_plan {
             eprintln!("fault plan: {plan}");
-            b = b.fault_plan(plan.clone());
+            sup.fault_plan = plan.clone();
         }
-        if let Some(dir) = &a.checkpoint_dir {
-            b = b.checkpoint_dir(dir);
-        }
-        let d = if a.streaming { b.run_streaming() } else { b.run() }.unwrap_or_else(|e| {
+        let d = if a.streaming {
+            study::run_streaming(&world, &cfg, &sup, &metrics)
+        } else {
+            let checkpoint = a.checkpoint_dir.as_deref().map(std::path::Path::new);
+            study::run(&world, &cfg, &sup, checkpoint, &metrics)
+        };
+        let d = d.unwrap_or_else(|e| {
             eprintln!("study failed: {e}");
             std::process::exit(3);
         });

@@ -33,7 +33,7 @@ pub struct DetectorScore {
 /// standing queue this window (relative to the group's own floor).
 fn truly_degraded(world: &World, prefix_idx: usize, window: u32, queue_ms: f64) -> bool {
     let site = &world.prefixes[prefix_idx];
-    route_condition(world.seed, site, 0, window).standing_queue_ms >= queue_ms
+    route_condition(world.config.seed, site, 0, window).standing_queue_ms >= queue_ms
 }
 
 /// Run the validation: simulate `days`, detect MinRTT degradation at

@@ -1,5 +1,24 @@
 //! The global study: Figures 6–10 and Tables 1–2 over a full synthetic
 //! world run.
+//!
+//! A study is the world crate's description of it: the [`WorldConfig`]
+//! its world is generated from and the [`StudyConfig`] sampled over
+//! that world. [`scaled`] gives both at a fidelity; a caller overrides a
+//! field by setting it, and runs them through the exact sink ([`run`],
+//! journalled when given a checkpoint directory) or the streaming one
+//! ([`run_streaming`]).
+//!
+//! ```
+//! use edgeperf_bench::study;
+//! use edgeperf_obs::Metrics;
+//! use edgeperf_world::SupervisorConfig;
+//! let (world, mut cfg) = study::scaled(42, 0.1);
+//! cfg.parallelism = 2;
+//! let sup = SupervisorConfig::default();
+//! let data = study::run(&world, &cfg, &sup, None, &Metrics::disabled()).unwrap();
+//! assert!(!data.summaries.groups.is_empty());
+//! assert!(data.report.quarantined.is_empty());
+//! ```
 
 use edgeperf_analysis::figures::{
     fig10_by_relationship, fig6_minrtt, fig8_degradation, fig9_opportunity, DiffCdfs, RelPair,
@@ -11,130 +30,30 @@ use edgeperf_analysis::{
 use edgeperf_obs::Metrics;
 use edgeperf_routing::Relationship;
 use edgeperf_world::{
-    run_study_checkpointed, run_study_supervised, Continent, FaultPlan, StudyConfig, StudyReport,
+    run_study_checkpointed, run_study_supervised, Continent, StudyConfig, StudyReport,
     SupervisorConfig, SupervisorError, World, WorldConfig,
 };
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::Path;
 
-/// Builder for study runs.
-///
-/// Every knob the harness has grown — seed, scale, explicit shape
-/// overrides, parallelism, a metrics handle, a fault plan, a checkpoint
-/// directory — lives here, so the next knob is one more method instead of
-/// another positional argument at every call site.
-///
-/// `scale` is the single fidelity-for-speed dial: unless overridden
-/// explicitly, it derives the simulated days (`ceil(3·scale)`, clamped
-/// to 1..=10), the sampled sessions per (group, window) (`240·scale`,
-/// clamped to 8..=240), and the fraction of countries kept (`scale`,
-/// clamped to 0.15..=1.0). Scale 1.0 reproduces the default study.
-///
-/// ```
-/// use edgeperf_bench::study::StudyBuilder;
-/// let data = StudyBuilder::new().seed(42).scale(0.1).days(1).run().unwrap();
-/// assert!(!data.summaries.groups.is_empty());
-/// assert!(data.report.quarantined.is_empty());
-/// ```
-#[derive(Debug, Clone)]
-pub struct StudyBuilder {
-    seed: u64,
-    scale: f64,
-    days: Option<u32>,
-    sessions_per_group_window: Option<u32>,
-    parallelism: usize,
-    metrics: Metrics,
-    fault_plan: FaultPlan,
-    checkpoint_dir: Option<PathBuf>,
-}
-
-impl Default for StudyBuilder {
-    fn default() -> Self {
-        StudyBuilder {
-            seed: 20190521,
-            scale: 1.0,
-            days: None,
-            sessions_per_group_window: None,
-            parallelism: 0,
-            metrics: Metrics::disabled(),
-            fault_plan: FaultPlan::default(),
-            checkpoint_dir: None,
-        }
-    }
-}
-
-impl StudyBuilder {
-    /// Start from the default study (seed 20190521, scale 1.0).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// World + session seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Fidelity dial; see the type docs for the derived shape.
-    pub fn scale(mut self, scale: f64) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    /// Days to simulate (paper: 10). Overrides the scale mapping.
-    pub fn days(mut self, days: u32) -> Self {
-        self.days = Some(days);
-        self
-    }
-
-    /// Base sampled sessions per (group, window). Overrides the scale
-    /// mapping.
-    pub fn sessions_per_group_window(mut self, sessions: u32) -> Self {
-        self.sessions_per_group_window = Some(sessions);
-        self
-    }
-
-    /// Worker count (0 = one per available core).
-    pub fn parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Metrics handle the run records into (default: disabled).
-    pub fn metrics(mut self, metrics: &Metrics) -> Self {
-        self.metrics = metrics.clone();
-        self
-    }
-
-    /// Faults to inject (default: none).
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Journal the exact study there ([`run`](Self::run)). A compatible
-    /// checkpoint already present there resumes the study.
-    pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Days the run will simulate after applying the scale mapping.
-    pub fn resolved_days(&self) -> u32 {
-        self.days.unwrap_or_else(|| ((3.0 * self.scale).ceil() as u32).clamp(1, 10))
-    }
-
-    /// Sessions per (group, window) after applying the scale mapping.
-    pub fn resolved_sessions_per_group_window(&self) -> u32 {
-        self.sessions_per_group_window
-            .unwrap_or_else(|| ((240.0 * self.scale) as u32).clamp(8, 240))
-    }
-
-    /// Country fraction after applying the scale mapping.
-    pub fn resolved_country_fraction(&self) -> f64 {
-        self.scale.clamp(0.15, 1.0)
-    }
+/// The study at fidelity `scale`, the one dial that trades fidelity for
+/// speed: it sets the simulated days (`ceil(3·scale)`, clamped to
+/// 1..=10), the sampled sessions per (group, window) (`240·scale`,
+/// clamped to 8..=240) and the fraction of countries kept (`scale`,
+/// clamped to 0.15..=1.0). `seed` seeds the world, and `seed ^ 0xABCD`
+/// the sessions. Scale 1.0 is the default study. A caller that wants
+/// another shape sets the returned `StudyConfig`'s fields.
+pub fn scaled(seed: u64, scale: f64) -> (WorldConfig, StudyConfig) {
+    let world =
+        WorldConfig { seed, country_fraction: scale.clamp(0.15, 1.0), ..Default::default() };
+    let study = StudyConfig {
+        seed: seed ^ 0xABCD,
+        days: ((3.0 * scale).ceil() as u32).clamp(1, 10),
+        sessions_per_group_window: ((240.0 * scale) as u32).clamp(8, 240),
+        ..Default::default()
+    };
+    (world, study)
 }
 
 /// The per-session view of a study, as its sink kept it.
@@ -163,96 +82,65 @@ pub struct StudyData {
     pub report: StudyReport,
 }
 
-impl StudyBuilder {
-    fn build(&self) -> (World, StudyConfig) {
-        let world = World::generate(WorldConfig {
-            seed: self.seed,
-            country_fraction: self.resolved_country_fraction(),
-            ..Default::default()
-        });
-        let study = StudyConfig {
-            seed: self.seed ^ 0xABCD,
-            days: self.resolved_days(),
-            sessions_per_group_window: self.resolved_sessions_per_group_window(),
-            parallelism: self.parallelism,
-            ..Default::default()
-        };
-        (world, study)
-    }
+/// Run `study` over the world `world` describes through the exact sink,
+/// under the one study driver (`edgeperf-world`'s `supervisor` module:
+/// per-prefix panic isolation with retry/quarantine, watchdog deadlines,
+/// an in-order merge) — and, given a `checkpoint` directory, journalled
+/// there and resumed from a checkpoint of the same study found there.
+///
+/// The [`ColumnarSink`] is the only thing the run fills. It seals each
+/// prefix as the driver merges it: every cell's summary goes into its
+/// grid, read off the cell's exact order statistics (bit-identical to
+/// summarising the assembled `Dataset` — see `sink_agreement`), what
+/// Figures 6–7 read of HDratio is tallied, and only the preferred
+/// route's MinRTTs are kept, 4 bytes a session (whole nanoseconds)
+/// grouped by cell. The grid is handed over, not copied; Figure 6
+/// reads its ranks off the rows in place.
+///
+/// # Errors
+///
+/// Checkpoint I/O failures, resuming against a checkpoint of another
+/// study or world, and the fault plan's injected crash.
+pub fn run(
+    world: &WorldConfig,
+    study: &StudyConfig,
+    sup: &SupervisorConfig,
+    checkpoint: Option<&Path>,
+    metrics: &Metrics,
+) -> Result<StudyData, SupervisorError> {
+    let world = World::generate(*world);
+    let mut sink = ColumnarSink::new(study.n_windows() as usize);
+    let report = match checkpoint {
+        Some(dir) => run_study_checkpointed(&world, study, sup, dir, &mut sink, metrics)?,
+        None => run_study_supervised(&world, study, sup, &mut sink, metrics)?,
+    };
+    let summaries = sink.take_summaries();
+    let sessions = Some(Sessions::Columns(sink));
+    Ok(StudyData { summaries, sessions, report })
+}
 
-    /// Run the study through the exact sink, under the one study driver
-    /// (`edgeperf-world`'s `supervisor` module: per-prefix panic isolation
-    /// with retry/quarantine, watchdog deadlines, an in-order merge) — and,
-    /// when a checkpoint directory is set, journalled there and resumed
-    /// from what is there.
-    ///
-    /// The [`ColumnarSink`] is the only thing the run fills. It seals each
-    /// prefix as the driver merges it: every cell's summary goes into its
-    /// grid, read off the cell's exact order statistics (bit-identical to
-    /// summarising the assembled `Dataset` — see `sink_agreement`), what
-    /// Figures 6–7 read of HDratio is tallied, and only the preferred
-    /// route's MinRTTs are kept, 4 bytes a session (whole nanoseconds)
-    /// grouped by cell. The grid is handed over, not copied; Figure 6
-    /// reads its ranks off the rows in place.
-    ///
-    /// # Errors
-    ///
-    /// Checkpoint I/O failures, resuming against a checkpoint from a
-    /// different study, and the fault plan's injected crash.
-    pub fn run(&self) -> Result<StudyData, SupervisorError> {
-        let (world, study) = self.build();
-        let mut sink = ColumnarSink::new(study.n_windows() as usize);
-        let sup = SupervisorConfig { fault_plan: self.fault_plan.clone(), ..Default::default() };
-        let metrics = &self.metrics;
-        let report = match &self.checkpoint_dir {
-            Some(dir) => {
-                let meta = self.checkpoint_meta();
-                run_study_checkpointed(&world, &study, &sup, dir, &meta, &mut sink, metrics)?
-            }
-            None => run_study_supervised(&world, &study, &sup, &mut sink, metrics)?,
-        };
-        let summaries = sink.take_summaries();
-        let sessions = Some(Sessions::Columns(sink));
-        Ok(StudyData { summaries, sessions, report })
-    }
-
-    /// Run the study through the streaming sink, under the same driver.
-    /// Each prefix is sealed as a worker finishes it, so digests exist
-    /// only for the prefixes in flight; what accumulates is an 80-byte
-    /// grid slot a cell, holding its packed row, and one Figure 6 rollup
-    /// digest a group, in prefix order at any parallelism.
-    ///
-    /// # Errors
-    ///
-    /// The fault plan's injected crash — and a checkpoint directory, which
-    /// this sink cannot honour: its sealed state has no on-disk form.
-    pub fn run_streaming(&self) -> Result<StudyData, SupervisorError> {
-        if let Some(dir) = &self.checkpoint_dir {
-            return Err(SupervisorError::Checkpoint {
-                path: dir.clone(),
-                message: "the streaming sink cannot be checkpointed".into(),
-            });
-        }
-        let (world, study) = self.build();
-        let mut dataset = StreamingDataset::new(study.n_windows() as usize);
-        let sup = SupervisorConfig { fault_plan: self.fault_plan.clone(), ..Default::default() };
-        let report = run_study_supervised(&world, &study, &sup, &mut dataset, &self.metrics)?;
-        let summaries = dataset.summarize();
-        let sessions = Some(Sessions::Digests(dataset));
-        Ok(StudyData { summaries, sessions, report })
-    }
-
-    /// The builder-level identity stored in (and checked against) a
-    /// checkpoint beside the study's own fingerprint, so a rerun with
-    /// another seed or country fraction refuses the directory instead of
-    /// resuming it. Parallelism is deliberately absent — a resumed run may
-    /// use a different worker count.
-    fn checkpoint_meta(&self) -> Vec<(String, String)> {
-        vec![
-            ("builder_seed".into(), self.seed.to_string()),
-            ("country_fraction".into(), self.resolved_country_fraction().to_string()),
-        ]
-    }
+/// Run `study` through the streaming sink, under the same driver. Each
+/// prefix is sealed as a worker finishes it, so digests exist only for
+/// the prefixes in flight; what accumulates is an 80-byte grid slot a
+/// cell, holding its packed row, and one Figure 6 rollup digest a group,
+/// in prefix order at any parallelism. Its sealed state has no on-disk
+/// form, so it takes no checkpoint directory.
+///
+/// # Errors
+///
+/// The fault plan's injected crash.
+pub fn run_streaming(
+    world: &WorldConfig,
+    study: &StudyConfig,
+    sup: &SupervisorConfig,
+    metrics: &Metrics,
+) -> Result<StudyData, SupervisorError> {
+    let world = World::generate(*world);
+    let mut dataset = StreamingDataset::new(study.n_windows() as usize);
+    let report = run_study_supervised(&world, study, sup, &mut dataset, metrics)?;
+    let summaries = dataset.summarize();
+    let sessions = Some(Sessions::Digests(dataset));
+    Ok(StudyData { summaries, sessions, report })
 }
 
 fn cont_name(c: u8) -> &'static str {
@@ -638,8 +526,21 @@ mod tests {
     use super::*;
     use edgeperf_analysis::RecordSink;
 
-    fn small() -> StudyBuilder {
-        StudyBuilder::new().seed(42).scale(0.3).days(1).sessions_per_group_window(40)
+    fn small() -> (WorldConfig, StudyConfig) {
+        let (world, mut study) = scaled(42, 0.3);
+        (study.days, study.sessions_per_group_window) = (1, 40);
+        (world, study)
+    }
+
+    /// `study` over `world` through the exact sink, fault-free.
+    fn exact((world, study): (WorldConfig, StudyConfig)) -> StudyData {
+        run(&world, &study, &SupervisorConfig::default(), None, &Metrics::disabled()).unwrap()
+    }
+
+    /// The same through the streaming sink.
+    fn streaming((world, study): (WorldConfig, StudyConfig)) -> StudyData {
+        let sup = SupervisorConfig::default();
+        run_streaming(&world, &study, &sup, &Metrics::disabled()).unwrap()
     }
 
     fn sessions_held(data: &StudyData) -> u64 {
@@ -651,24 +552,21 @@ mod tests {
 
     #[test]
     fn scale_mapping_matches_the_old_cli_defaults() {
-        let b = StudyBuilder::new().scale(0.1);
-        assert_eq!(b.resolved_days(), 1);
-        assert_eq!(b.resolved_sessions_per_group_window(), 24);
-        assert!((b.resolved_country_fraction() - 0.15).abs() < 1e-12);
-        let full = StudyBuilder::new();
-        assert_eq!(full.resolved_days(), 3);
-        assert_eq!(full.resolved_sessions_per_group_window(), 240);
-        assert_eq!(full.resolved_country_fraction(), 1.0);
-        // Explicit overrides beat the scale mapping.
-        let o = StudyBuilder::new().scale(0.1).days(7).sessions_per_group_window(99);
-        assert_eq!(o.resolved_days(), 7);
-        assert_eq!(o.resolved_sessions_per_group_window(), 99);
+        let (world, study) = scaled(7, 0.1);
+        assert_eq!((world.seed, study.seed), (7, 7 ^ 0xABCD));
+        assert_eq!((study.days, study.sessions_per_group_window), (1, 24));
+        assert!((world.country_fraction - 0.15).abs() < 1e-12);
+        let (world, study) = scaled(7, 1.0);
+        assert_eq!((study.days, study.sessions_per_group_window), (3, 240));
+        assert_eq!(world.country_fraction, 1.0);
+        assert_eq!(study.parallelism, 0, "one worker a core");
     }
 
     #[test]
-    fn builder_records_into_the_supplied_metrics_handle() {
+    fn a_study_records_into_the_supplied_metrics_handle() {
         let metrics = Metrics::enabled();
-        let data = small().metrics(&metrics).run().unwrap();
+        let (world, study) = small();
+        let data = run(&world, &study, &SupervisorConfig::default(), None, &metrics).unwrap();
         let snap = metrics.snapshot();
         assert_eq!(
             snap.counters.get("runner.records_emitted").copied(),
@@ -679,7 +577,7 @@ mod tests {
 
     #[test]
     fn study_pipeline_produces_all_outputs() {
-        let data = small().run().unwrap();
+        let data = exact(small());
         assert!(sessions_held(&data) > 0);
         let f6 = fig6(&data);
         assert!(f6.minrtt_p50 > 5.0 && f6.minrtt_p50 < 100.0, "{}", f6.minrtt_p50);
@@ -702,7 +600,7 @@ mod tests {
         // as `achieved / tested`: were either to change, the exact sink
         // would fall back to 8 B a MinRTT, or tally an entry an HDratio,
         // without any output changing.
-        let data = StudyBuilder::new().scale(0.1).run().unwrap();
+        let data = exact(scaled(20190521, 0.1));
         let Some(Sessions::Columns(sink)) = &data.sessions else { panic!("an exact study") };
         let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();
         assert!(nanos.len() > 10 && nanos.iter().all(|&n| n), "{nanos:?}");
@@ -717,8 +615,7 @@ mod tests {
 
     #[test]
     fn streaming_study_tracks_exact_study() {
-        let exact = small().run().unwrap();
-        let stream = small().run_streaming().unwrap();
+        let (exact, stream) = (exact(small()), streaming(small()));
         // Same sessions flowed through both sinks.
         let totals = |r: &StudyReport| {
             (r.completed, r.sessions_simulated, r.records_emitted, r.sessions_dropped_no_minrtt)
@@ -770,7 +667,8 @@ mod tests {
         // digest merge, order-sensitive) and the float sums of figs 8–10
         // and the tables (group-order-sensitive) included.
         let tree = |parallelism: usize| {
-            let d = small().parallelism(parallelism).run_streaming().unwrap();
+            let (world, study) = small();
+            let d = streaming((world, StudyConfig { parallelism, ..study }));
             [
                 serde_json::to_string(&fig6(&d)),
                 serde_json::to_string(&fig8(&d)),
@@ -787,7 +685,7 @@ mod tests {
     #[test]
     fn preferred_route_is_usually_best() {
         // The paper's headline: default routing is close to optimal.
-        let data = small().run().unwrap();
+        let data = exact(small());
         let opp = fig9(&data);
         if let Some(minrtt) = opp.iter().find(|d| d.metric.contains("MinRTT")) {
             // Median improvement available should be ≈ 0 or negative.

@@ -1,24 +1,49 @@
-//! The study driver through `StudyBuilder` and the `repro` command line:
-//! the same outputs with or without recovered faults, from either sink;
-//! faults quarantined with the figures intact and the exit code honest;
-//! and crash → rerun on the same checkpoint directory → completion
-//! bit-identical to an uninterrupted run.
+//! The study driver through `study::run`, `study::run_streaming` and the
+//! `repro` command line: the same outputs with or without recovered
+//! faults, from either sink; faults quarantined with the figures intact
+//! and the exit code honest; crash → rerun on the same checkpoint
+//! directory → completion bit-identical to an uninterrupted run; and
+//! another world's checkpoint refused.
 
 use edgeperf_analysis::{ColumnarSink, GroupKey};
-use edgeperf_bench::study::{self, Sessions, StudyBuilder, StudyData};
-use edgeperf_world::FaultPlan;
+use edgeperf_bench::study::{self, Sessions, StudyData};
+use edgeperf_obs::Metrics;
+use edgeperf_world::{FaultPlan, StudyConfig, SupervisorConfig, SupervisorError, WorldConfig};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The plan CI's chaos job used to put in the environment of every test.
 const CHAOS: &str = "panic:1@1;delay:0:2";
 
-fn small() -> StudyBuilder {
-    StudyBuilder::new().seed(42).scale(0.15).days(1).sessions_per_group_window(8).parallelism(2)
+/// Seed 42 at scale 0.15: one day, 8 sessions a (group, window), two
+/// workers.
+fn small() -> (WorldConfig, StudyConfig) {
+    let (world, mut study) = study::scaled(42, 0.15);
+    (study.days, study.sessions_per_group_window, study.parallelism) = (1, 8, 2);
+    (world, study)
 }
 
-fn plan(spec: &str) -> FaultPlan {
-    FaultPlan::parse(spec).unwrap()
+fn sup(plan: &str) -> SupervisorConfig {
+    SupervisorConfig { fault_plan: FaultPlan::parse(plan).unwrap(), ..Default::default() }
+}
+
+/// The small study on `parallelism` workers through the exact sink under
+/// `plan`, journalled under `checkpoint` when there is one.
+fn run_exact(
+    plan: &str,
+    parallelism: usize,
+    checkpoint: Option<&Path>,
+) -> Result<StudyData, SupervisorError> {
+    let (world, study) = small();
+    let study = StudyConfig { parallelism, ..study };
+    study::run(&world, &study, &sup(plan), checkpoint, &Metrics::disabled())
+}
+
+/// The same through the streaming sink.
+fn run_streaming(plan: &str, parallelism: usize) -> StudyData {
+    let (world, study) = small();
+    let study = StudyConfig { parallelism, ..study };
+    study::run_streaming(&world, &study, &sup(plan), &Metrics::disabled()).unwrap()
 }
 
 fn exact_sink(data: &StudyData) -> &ColumnarSink {
@@ -59,27 +84,27 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn a_recovered_fault_changes_no_output_byte_of_either_sink() {
-    let exact = small().run().expect("fault-free run");
+    let exact = run_exact("", 2, None).expect("fault-free run");
     assert_eq!(exact.report.completed, exact.report.n_prefixes);
     assert!(exact.report.quarantined.is_empty());
     let preferred = exact.summaries.groups.iter().flat_map(|(_, g)| g.preferred());
     assert_eq!(rows(&exact).len() as u64, preferred.map(|c| c.n).sum::<u64>());
 
-    let shaken = small().fault_plan(plan(CHAOS)).parallelism(4).run().unwrap();
+    let shaken = run_exact(CHAOS, 4, None).unwrap();
     assert_eq!(shaken.report.retries, 1);
     assert_eq!(rows(&shaken), rows(&exact));
     assert_eq!(json_tree(&shaken), json_tree(&exact));
 
     // Streaming under `panic:1@1` writes what a clean streaming run writes.
-    let streaming = small().run_streaming().unwrap();
-    let shaken = small().fault_plan(plan(CHAOS)).parallelism(4).run_streaming().unwrap();
+    let streaming = run_streaming("", 2);
+    let shaken = run_streaming(CHAOS, 4);
     assert_eq!((shaken.report.retries, shaken.report.completed), (1, exact.report.n_prefixes));
     assert_eq!(json_tree(&shaken), json_tree(&streaming));
 }
 
 #[test]
 fn injected_fault_quarantines_but_figures_still_compute() {
-    let data = small().fault_plan(plan("panic:0@99")).run().expect("faulty run still completes");
+    let data = run_exact("panic:0@99", 2, None).expect("faulty run still completes");
     let report = &data.report;
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].prefix, 0);
@@ -92,18 +117,18 @@ fn injected_fault_quarantines_but_figures_still_compute() {
 }
 
 #[test]
-fn crash_resume_via_builder_is_bit_identical() {
-    let uninterrupted = small().run().unwrap();
+fn crash_resume_is_bit_identical() {
+    let uninterrupted = run_exact("", 2, None).unwrap();
     let n = uninterrupted.report.n_prefixes;
 
     let dir = scratch_dir("resume");
-    let first = small().checkpoint_dir(&dir).fault_plan(plan(&format!("crash:{}", n / 2))).run();
+    let first = run_exact(&format!("crash:{}", n / 2), 2, Some(&dir));
     let err = first.map(|_| ()).expect_err("injected crash aborts the first run");
     assert!(err.to_string().contains("injected crash"), "got: {err}");
 
-    // Rerunning the same shape on the same directory resumes it, on any
+    // Rerunning the same study on the same directory resumes it, on any
     // worker count.
-    let resumed = small().parallelism(4).checkpoint_dir(&dir).run().expect("resume completes");
+    let resumed = run_exact("", 4, Some(&dir)).expect("resume completes");
     assert_eq!(resumed.report.resumed_at, Some(n / 2 + 1));
     assert_eq!(rows(&resumed), rows(&uninterrupted));
     assert_eq!(json_tree(&resumed), json_tree(&uninterrupted));
@@ -114,12 +139,12 @@ fn crash_resume_via_builder_is_bit_identical() {
 fn a_study_resumed_after_crash_8_tallies_what_an_uninterrupted_one_does() {
     // The journal holds each prefix's worker shard, HDratios and all, so
     // the resumed sink tallies the journalled prefixes as it rereads them.
-    let uninterrupted = small().run().unwrap();
+    let uninterrupted = run_exact("", 2, None).unwrap();
     assert!(uninterrupted.report.n_prefixes > 9, "{} prefixes", uninterrupted.report.n_prefixes);
     let dir = scratch_dir("tally");
-    let crashed = small().checkpoint_dir(&dir).fault_plan(plan("crash:8")).run();
+    let crashed = run_exact("crash:8", 2, Some(&dir));
     crashed.map(|_| ()).expect_err("injected crash aborts the first run");
-    let resumed = small().checkpoint_dir(&dir).run().unwrap();
+    let resumed = run_exact("", 2, Some(&dir)).unwrap();
     assert_eq!(resumed.report.resumed_at, Some(9));
     let tally = |d: &StudyData| {
         let sink = exact_sink(d);
@@ -133,20 +158,17 @@ fn a_study_resumed_after_crash_8_tallies_what_an_uninterrupted_one_does() {
 }
 
 #[test]
-fn what_cannot_be_resumed_or_checkpointed_is_an_error() {
+fn another_worlds_checkpoint_is_refused() {
     let dir = scratch_dir("other");
-    let crashed = small().checkpoint_dir(&dir).fault_plan(plan("crash:1")).run();
+    let crashed = run_exact("crash:1", 2, Some(&dir));
     crashed.map(|_| ()).expect_err("injected crash aborts the first run");
-    let other = small().seed(7).checkpoint_dir(&dir).run().map(|_| ());
-    let err = other.expect_err("another study's checkpoint is refused");
-    assert!(err.to_string().contains("belongs to a different study"), "got: {err}");
+    let (world, study) = small();
+    let world = WorldConfig { seed: 7, ..world };
+    let other = study::run(&world, &study, &sup(""), Some(&dir), &Metrics::disabled());
+    let err = other.map(|_| ()).expect_err("another world's checkpoint is refused");
+    let named = "belongs to a different study: world_seed is 42, this run has 7";
+    assert!(err.to_string().contains(named), "got: {err}");
     let _ = std::fs::remove_dir_all(&dir);
-
-    let dir = scratch_dir("missing");
-    let refused = small().checkpoint_dir(&dir).run_streaming().map(|_| ());
-    let err = refused.expect_err("no on-disk form");
-    assert!(err.to_string().contains("streaming sink cannot be checkpointed"), "got: {err}");
-    assert!(!dir.exists(), "refused before anything was written");
 }
 
 /// `repro fig6` on a study of a second or so, plus `args`; its exit code.

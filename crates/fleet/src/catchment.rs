@@ -25,7 +25,7 @@ pub(crate) const CONTINENTS: u8 = 6;
 pub struct PopSite {
     /// The PoP id (index into the fleet).
     pub pop: u16,
-    /// Continent ring position (0..[`CONTINENTS`]).
+    /// Continent ring position (`0..CONTINENTS`).
     pub continent: u8,
     /// Relative capacity weight (higher attracts more prefixes).
     pub capacity: f64,

@@ -13,7 +13,7 @@
 //!
 //! A duplicate cell key across PoPs would mean the catchment homed one
 //! group on two nodes — a correctness violation, not a mergeable
-//! situation — so [`merge_cells`] detects it and fails with a typed
+//! situation — so `merge_cells` detects it and fails with a typed
 //! [`FleetError::DuplicateCell`] instead of silently double-counting.
 
 use edgeperf_live::{cell_line_sort_key, CellLine, ClassCount, LiveSnapshot, ReasonCount};

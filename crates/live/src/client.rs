@@ -7,7 +7,7 @@
 //! replies parsed by the [`crate::protocol`] helpers — the client never
 //! hand-rolls wire syntax, so it cannot drift from the server. The rows
 //! of a `cells` reply are read through one reused line buffer
-//! and [`crate::protocol::read_row`]: what a row still costs the client
+//! and `protocol::read_row`: what a row still costs the client
 //! is the [`CellLine`] it returns, relationship `String` included. Data
 //! lines are buffered (flushed before any command round-trip) so replay
 //! throughput is not bounded by per-line syscalls. An `{"error":…}`

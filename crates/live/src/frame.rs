@@ -25,9 +25,9 @@
 //!
 //! Byte 6 is a flag byte (it was reserved-zero before the resume
 //! protocol, so old preambles still parse identically): bit 0
-//! ([`PREAMBLE_FLAG_HELLO`]) announces that a 20-byte hello block
+//! (`PREAMBLE_FLAG_HELLO`) announces that a 20-byte hello block
 //! follows the preamble — magic `EPH1`, then session id and epoch as
-//! u64 LE ([`hello_block`]/[`parse_hello`]). The server replies
+//! u64 LE (`hello_block`/`parse_hello`). The server replies
 //! `{"acked":N}\n` before any frames flow, and the client resumes its
 //! replay from record N (DESIGN.md §15). Byte 7 stays reserved-zero.
 //!

@@ -13,10 +13,10 @@
 //!
 //! ## The row codec
 //!
-//! A `cells` reply is a header line ([`write_cells_header`]) and one
+//! A `cells` reply is a header line (`write_cells_header`) and one
 //! JSON object per row, and at the wide shape one reply is 32,768 rows.
 //! Rows therefore have one hand-written writer and one hand-written
-//! reader for their fixed 17 fields — [`write_row`] / [`read_row`] —
+//! reader for their fixed 17 fields — `write_row` / `read_row` —
 //! used by the server's streamed replies, by [`Response::render`], by
 //! [`crate::client::LiveClient`] and by the fleet tier alike. The wire
 //! format did not change: the writer emits exactly the bytes

@@ -244,7 +244,7 @@ const SPIN: u32 = 64;
 /// fences, and checks `waiting`. In the seq-cst total order one of the
 /// two observes the other, so a wakeup can only be missed across the
 /// unfenced interior of the condvar hand-off — which the
-/// [`PARK_BACKSTOP`] re-check bounds.
+/// `PARK_BACKSTOP` re-check bounds.
 pub struct Waiter {
     waiting: AtomicBool,
     epoch: Mutex<u64>,
@@ -271,7 +271,7 @@ impl Waiter {
     }
 
     /// Block until `cond()` holds, spinning briefly first. The caller's
-    /// peer must [`Self::notify`] after any change that could make
+    /// peer must `notify` after any change that could make
     /// `cond()` true.
     pub fn wait_until(&self, mut cond: impl FnMut() -> bool) {
         for _ in 0..SPIN {

@@ -15,7 +15,7 @@
 //! The merge runs twice, because the header announces the row count
 //! before the first row. The first pass counts, and each store run keeps
 //! the rows it matched while they fit one row group; the second writes
-//! each row straight from its run through [`crate::protocol::write_row`]
+//! each row straight from its run through `protocol::write_row`
 //! and one fixed-size buffer, replaying a store run that fit from what it
 //! kept and reading one that overflowed again. A store error in the first
 //! pass is the reply (`{"error":"store: …"}`, nothing else written); one

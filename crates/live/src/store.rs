@@ -87,14 +87,14 @@
 //! RAM instead (RAM-only retention; see `server::worker::handle_close`)
 //! — and every few skipped attempts one *probe* spill goes to disk anyway,
 //! with the skip run doubling after each failed probe
-//! ([`INITIAL_PROBE_SKIP`] → [`MAX_PROBE_SKIP`]). The first probe that
+//! (`INITIAL_PROBE_SKIP` → `MAX_PROBE_SKIP`). The first probe that
 //! succeeds clears degraded mode and the server's retained backlog
 //! drains through the normal eviction loop. The state is visible:
 //! [`StoreStats::spill_errors`] and [`StoreStats::degraded`] ride the
 //! `store` protocol reply, and the server mirrors them into the
 //! `store.spill_errors` / `store.degraded` metrics.
 //!
-//! Fault injection ([`SegmentStore::set_chaos`]) drives all of this
+//! Fault injection (`SegmentStore::set_chaos`) drives all of this
 //! deterministically: a [`ChaosPlan`]'s `spillfail`/`compactfail`/
 //! `spilldelay` clauses fire by 0-based operation index, so a test (or
 //! the CI chaos job) can script "spills 0–2 fail, then the disk heals"
@@ -654,7 +654,7 @@ impl SegmentStore {
     }
 
     /// Spill window `index`'s cells, in any order: they are sorted into
-    /// canonical order and [`spill`](Self::spill)ed.
+    /// canonical order and `spill`ed.
     pub fn spill_window(
         &self,
         index: u32,

@@ -5,7 +5,7 @@
 
 use rand::Rng;
 
-/// A packet-loss process. Stateful: call [`LossModel::is_lost`] once per
+/// A packet-loss process. Stateful: call `LossModel::is_lost` once per
 /// packet in transmission order.
 #[derive(Debug, Clone)]
 pub enum LossModel {

@@ -1,4 +1,4 @@
-//! Edge-Fabric-style egress control (paper §2.2.3, [55]).
+//! Edge-Fabric-style egress control (paper §2.2.3, \[55\]).
 //!
 //! Of the controller's two jobs only the measurement one is modelled:
 //! **sampled sessions** are pinned to routes deterministically so the

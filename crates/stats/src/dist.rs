@@ -41,7 +41,7 @@ fn erfc(x: f64) -> f64 {
 /// Inverse of the standard normal CDF (quantile function), Φ⁻¹(p).
 ///
 /// Acklam's rational approximation with one Halley step against
-/// [`norm_cdf`], whose `erfc` is good to 1.2e-7: measured absolute error up
+/// `norm_cdf`, whose `erfc` is good to 1.2e-7: measured absolute error up
 /// to 1.05e-7 across (0, 1), largest near p = 0.478 and p = 0.522.
 ///
 /// # Panics

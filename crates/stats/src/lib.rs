@@ -4,7 +4,7 @@
 //!
 //! - [`TDigest`]: the streaming quantile sketch the paper cites (Dunning &
 //!   Ertl) for production use in near-real-time comparisons.
-//! - [`median_ci`]: distribution-free confidence intervals for a median and
+//! - [`median_ci`](mod@median_ci): distribution-free confidence intervals for a median and
 //!   for the *difference* of two medians (Price & Bonett 2002), used to
 //!   separate measurement noise from statistically significant degradation
 //!   or routing opportunity.

@@ -9,18 +9,18 @@
 //! the same digest.
 //!
 //! Ingestion is buffered: inserts accumulate raw samples and merge into the
-//! compressed centroid list in batches of [`BUFFER_LEN`], so an insert
+//! compressed centroid list in batches of `BUFFER_LEN`, so an insert
 //! costs a bounds check and a push, and a batch one sort plus one merge
 //! pass that calls `asin` and `sin` once per *output* centroid — none for
 //! fewer than 0.95·2δ/π (60 at δ = 100) unit weights, which cannot merge:
 //! a 30-sample cell closes at the cost of its sort. The buffer
 //! costs what it holds: an empty digest owns no heap, the first insert
-//! allocates room for [`FIRST_BUFFER_LEN`] samples — one allocation covers
+//! allocates room for `FIRST_BUFFER_LEN` samples — one allocation covers
 //! a cell at the paper's 30-sample validity minimum — and it doubles from
-//! there up to [`BUFFER_LEN`]. Samples are buffered as bare `f64` means
+//! there up to `BUFFER_LEN`. Samples are buffered as bare `f64` means
 //! (8 B); a parallel weight column appears only once a weight other than 1
 //! is buffered ([`TDigest::insert_weighted`], or [`TDigest::merge`] of
-//! compressed centroids). The every-[`BUFFER_LEN`] compression keeps the
+//! compressed centroids). The every-`BUFFER_LEN` compression keeps the
 //! buffer for the next batch; every compression trims the centroid list to
 //! within a quarter of its count, so a hot digest holds its 4 KiB buffer
 //! and 16 B a centroid.
@@ -39,7 +39,7 @@ const BUFFER_LEN: usize = 512;
 /// one insert at a time: from empty, or after a flush. A digest built by
 /// [`TDigest::from_unit_samples`] starts from the buffer it was handed
 /// (the analysis cells build theirs that way from a small cell's
-/// sessions) and doubles from there, never past [`BUFFER_LEN`].
+/// sessions) and doubles from there, never past `BUFFER_LEN`.
 const FIRST_BUFFER_LEN: usize = 32;
 
 /// A single centroid: a weighted point approximating nearby samples.
@@ -347,12 +347,12 @@ impl TDigest {
     }
 
     /// Settle the digest: merge buffered samples into the compressed
-    /// centroid list (as happens automatically every [`BUFFER_LEN`]
+    /// centroid list (as happens automatically every `BUFFER_LEN`
     /// inserts) and release the insert buffer, leaving centroids only —
     /// trimmed, as every compression leaves them, to within a quarter of
     /// their count. Call it once after the last insert; subsequent queries
     /// are allocation-free. Inserting afterwards is fine — the buffer grows
-    /// again from [`FIRST_BUFFER_LEN`].
+    /// again from `FIRST_BUFFER_LEN`.
     pub fn flush(&mut self) {
         self.compress();
         self.buffer = Vec::new();
@@ -361,7 +361,7 @@ impl TDigest {
 
     /// Run `f` over the compressed view of this digest. When the buffer is
     /// clean this borrows the centroid list directly; otherwise it
-    /// compresses into a temporary using the same routine as [`flush`],
+    /// compresses into a temporary using the same routine as [`flush`](Self::flush),
     /// so the view is bit-identical to the post-flush state.
     fn with_view<R>(&self, f: impl FnOnce(&[Centroid], f64) -> R) -> R {
         if self.buffer.is_empty() {
@@ -374,7 +374,7 @@ impl TDigest {
     }
 
     /// Estimate the quantile `q` ∈ [0, 1]. Non-mutating: pending buffered
-    /// samples are folded in through a temporary view (see [`flush`]).
+    /// samples are folded in through a temporary view (see [`flush`](Self::flush)).
     ///
     /// # Panics
     /// Panics if the digest is empty or q outside [0, 1].
@@ -394,7 +394,7 @@ impl TDigest {
     }
 
     /// How many buffer-compression passes this digest has run (automatic
-    /// batch flushes plus explicit [`flush`] calls) — the signal behind
+    /// batch flushes plus explicit [`flush`](Self::flush) calls) — the signal behind
     /// the sinks' digest-flush metrics. Non-mutating queries over a dirty
     /// buffer compress a temporary and do not count.
     pub fn compressions(&self) -> u64 {
@@ -402,7 +402,7 @@ impl TDigest {
     }
 
     /// Number of centroids the compressed digest holds (buffered samples
-    /// are counted through the same compression as [`flush`]).
+    /// are counted through the same compression as [`flush`](Self::flush)).
     pub fn centroid_count(&self) -> usize {
         if self.is_empty() {
             return 0;
@@ -412,7 +412,7 @@ impl TDigest {
 
     /// Flatten the digest into plain data, so tests can compare two
     /// digests bit for bit. The centroid list is the compressed view
-    /// (identical to the post-[`flush`] state); the tracked extremes and
+    /// (identical to the post-[`flush`](Self::flush) state); the tracked extremes and
     /// the compression counter come along.
     pub fn to_parts(&self) -> DigestParts {
         let centroids =

@@ -1,6 +1,6 @@
 //! BBR-flavoured congestion control (model-based, loss-insensitive).
 //!
-//! The paper cites BBR (Cardwell et al. [20]) when discussing how loss
+//! The paper cites BBR (Cardwell et al. \[20\]) when discussing how loss
 //! interacts with the congestion controller to determine goodput. This is
 //! a deliberately simplified model-based controller in the window-driven
 //! mould of this crate's `CongestionControl` trait:

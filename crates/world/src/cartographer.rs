@@ -1,4 +1,4 @@
-//! Cartographer: mapping client populations to PoPs (paper §2.1, [56]).
+//! Cartographer: mapping client populations to PoPs (paper §2.1, \[56\]).
 //!
 //! The production system steers clients to PoPs via DNS and embedded
 //! URLs, using performance measurements to pick the best ingress. The

@@ -29,7 +29,7 @@
 
 use crate::runner::StudyConfig;
 use crate::supervisor::{drive, StudyReport, SupervisorConfig, SupervisorError};
-use crate::topology::World;
+use crate::topology::{World, WorldConfig};
 use edgeperf_analysis::segment::{atomic_write, checksum};
 use edgeperf_analysis::{ColumnarShard, ColumnarSink, RecordSink};
 use edgeperf_obs::Metrics;
@@ -46,8 +46,8 @@ const CHECKSUM_MEMBER: &str = ",\"checksum\":\"";
 #[derive(Serialize, Deserialize)]
 struct Manifest {
     version: u32,
-    /// (name, value) pairs that must match on resume: the study's own
-    /// shape, then the caller's meta.
+    /// (name, value) pairs that must match on resume: the study's shape,
+    /// then the world's.
     study: Vec<(String, String)>,
     /// Prefixes below this are merged (their shards journalled) or
     /// quarantined.
@@ -72,26 +72,26 @@ fn shard_path(dir: &Path, prefix: usize) -> PathBuf {
     dir.join(format!("shard-{prefix:06}.bin"))
 }
 
-fn fingerprint(
-    cfg: &StudyConfig,
-    n_prefixes: usize,
-    meta: &[(String, String)],
-) -> Vec<(String, String)> {
+fn fingerprint(world: &World, cfg: &StudyConfig) -> Vec<(String, String)> {
     // No `..`: a field added later does not compile until it is
     // fingerprinted or named here beside `parallelism`, the one field
     // that leaves the output unchanged (a resume may use another count).
     let StudyConfig { seed, days, sessions_per_group_window, parallelism: _, workload } = *cfg;
     let WorkloadConfig { h2_fraction, api_median_bytes, media_median_bytes } = workload;
-    let own = [
+    let WorldConfig { seed: world_seed, country_fraction, max_ases_per_country } = world.config;
+    let pairs = [
         ("seed", seed.to_string()),
         ("days", days.to_string()),
         ("sessions_per_group_window", sessions_per_group_window.to_string()),
         ("h2_fraction", h2_fraction.to_string()),
         ("api_median_bytes", api_median_bytes.to_string()),
         ("media_median_bytes", media_median_bytes.to_string()),
-        ("n_prefixes", n_prefixes.to_string()),
+        ("world_seed", world_seed.to_string()),
+        ("country_fraction", country_fraction.to_string()),
+        ("max_ases_per_country", max_ases_per_country.to_string()),
+        ("n_prefixes", world.prefixes.len().to_string()),
     ];
-    own.into_iter().map(|(k, v)| (k.to_string(), v)).chain(meta.iter().cloned()).collect()
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
 /// `json` (an object) with its checksum appended as a last member.
@@ -124,7 +124,8 @@ fn read_manifest(dir: &Path) -> Result<Option<Manifest>, SupervisorError> {
             _ => failed(&path, "not closed by a checksum"),
         });
     };
-    let body = format!("{head}}}");
+    // Not `format!`: its string would grow to twice the manifest.
+    let body = [head, "}"].concat();
     if sum.parse() != Ok(checksum(body.as_bytes())) {
         return Err(failed(&path, "checksum mismatch"));
     }
@@ -137,10 +138,10 @@ fn read_manifest(dir: &Path) -> Result<Option<Manifest>, SupervisorError> {
 
 /// [`run_study_supervised`](crate::run_study_supervised) into the exact
 /// sink, journalled under `dir` (see the module docs). If `dir` already
-/// holds a checkpoint of this study — same [`StudyConfig`] shape, same
-/// world size, same `meta` pairs (builder-level settings the config cannot
-/// express) — the run resumes after its last merged prefix; parallelism
-/// is free to differ.
+/// holds a checkpoint of this study — the same [`StudyConfig`] but for
+/// its parallelism, over a world generated from the same
+/// [`WorldConfig`] — the run resumes after its last merged prefix;
+/// parallelism is free to differ.
 ///
 /// # Errors
 ///
@@ -151,12 +152,11 @@ pub fn run_study_checkpointed(
     cfg: &StudyConfig,
     sup: &SupervisorConfig,
     dir: &Path,
-    meta: &[(String, String)],
     sink: &mut ColumnarSink,
     metrics: &Metrics,
 ) -> Result<StudyReport, SupervisorError> {
     let n = world.prefixes.len();
-    let study = fingerprint(cfg, n, meta);
+    let study = fingerprint(world, cfg);
     std::fs::create_dir_all(dir).map_err(|e| failed(dir, e))?;
 
     let mut resumed = None;

@@ -151,7 +151,7 @@ pub(crate) fn run_prefix_cancellable<S: RecordShard>(
 
             let rank = pin_sampled(session_id, site.routes.len());
             let gt = &site.routes[rank];
-            let cond = route_condition(world.seed, site, rank, window);
+            let cond = route_condition(world.config.seed, site, rank, window);
             let cluster_idx = pick_cluster(site, window, rng.gen::<f64>());
             let cluster = site.clusters[cluster_idx];
 
@@ -261,7 +261,7 @@ pub fn simulate_session_with(
     simulate_session_scratch(plan, state, tcp, rng, &mut SessionScratch::default())
 }
 
-/// Reusable per-worker buffers for [`simulate_session_scratch`]: the
+/// Reusable per-worker buffers for `simulate_session_scratch`: the
 /// write-coalescing member list would otherwise be reallocated for every
 /// back-to-back group of every session.
 #[derive(Debug, Default)]

@@ -87,8 +87,9 @@ pub struct WorkerDelay {
     pub delay_ms: u64,
 }
 
-/// A deterministic fault-injection plan, threaded from `StudyBuilder` /
-/// `repro --fault-plan` down to the workers.
+/// A deterministic fault-injection plan, carried by
+/// [`SupervisorConfig::fault_plan`] (`repro --fault-plan`) down to the
+/// workers.
 ///
 /// Spec strings are `;`-separated clauses:
 ///

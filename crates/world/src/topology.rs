@@ -100,8 +100,8 @@ pub struct World {
     pub prefixes: Vec<PrefixSite>,
     /// Country display names, indexed by `PrefixSite::country`.
     pub country_names: Vec<String>,
-    /// The seed the world was generated from.
-    pub seed: u64,
+    /// What the world was generated from.
+    pub config: WorldConfig,
 }
 
 /// Generation knobs.
@@ -276,7 +276,7 @@ impl World {
                 }
             }
         }
-        World { pops, prefixes, country_names, seed: cfg.seed }
+        World { pops, prefixes, country_names, config: cfg }
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -43,7 +43,7 @@ fn a_checkpointed_study_costs_a_fragment_of_heap_and_the_codec_s_bytes_of_disk()
     let plain_peak = held + above;
     let (journalled, held, above) = peak_above(|| {
         let mut sink = sink();
-        run_study_checkpointed(&world, &cfg, &sup, dir, &[], &mut sink, &metrics).unwrap();
+        run_study_checkpointed(&world, &cfg, &sup, dir, &mut sink, &metrics).unwrap();
         sink
     });
     let journalled_peak = held + above;
@@ -59,8 +59,7 @@ fn a_checkpointed_study_costs_a_fragment_of_heap_and_the_codec_s_bytes_of_disk()
     drop(journalled);
     let (resumed, held, above) = peak_above(|| {
         let mut sink = sink();
-        let report =
-            run_study_checkpointed(&world, &cfg, &sup, dir, &[], &mut sink, &metrics).unwrap();
+        let report = run_study_checkpointed(&world, &cfg, &sup, dir, &mut sink, &metrics).unwrap();
         assert_eq!(report.resumed_at, Some(world.prefixes.len()), "everything was on disk");
         sink
     });

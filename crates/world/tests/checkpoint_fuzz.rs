@@ -44,7 +44,7 @@ fn a_damaged_journal_is_refused_without_a_panic_or_an_oversized_allocation() {
     let resume = || {
         let mut sink = ColumnarSink::new(cfg.n_windows() as usize);
         let sup = SupervisorConfig::default();
-        run_study_checkpointed(&world, &cfg, &sup, dir, &[], &mut sink, &Metrics::disabled())
+        run_study_checkpointed(&world, &cfg, &sup, dir, &mut sink, &Metrics::disabled())
             .map(|report| (sink.stats().records, report.resumed_at))
     };
     let (records, resumed_at) = resume().expect("the study runs");

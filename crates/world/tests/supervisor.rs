@@ -67,7 +67,7 @@ fn run_in(
     sup: &SupervisorConfig,
 ) -> Result<(ColumnarSink, StudyReport, MetricsSnapshot), SupervisorError> {
     let (mut sink, metrics) = (sink_for(cfg), Metrics::enabled());
-    let report = run_study_checkpointed(world, cfg, sup, dir, &[], &mut sink, &metrics)?;
+    let report = run_study_checkpointed(world, cfg, sup, dir, &mut sink, &metrics)?;
     Ok((sink, report, metrics.snapshot()))
 }
 
@@ -345,19 +345,21 @@ fn checkpoint_from_a_different_study_is_rejected() {
     let other = StudyConfig { workload, ..cfg };
     mismatch(run_in(&dir, &world, &other, &sup("")).map(|_| ()), "h2_fraction");
 
-    // Different builder-level meta → also refused.
-    let meta = [("scale".to_string(), "0.5".to_string())];
-    let mut sink = sink_for(&cfg);
-    let with_meta = run_study_checkpointed(
-        &world,
-        &cfg,
-        &sup(""),
-        &dir,
-        &meta,
-        &mut sink,
-        &Metrics::disabled(),
-    );
-    mismatch(with_meta.map(|_| ()), "scale");
+    // The same study over another world with as many prefixes: a
+    // checkpoint that recorded only the prefix count would resume it.
+    let world_of = |seed, max_ases_per_country| {
+        World::generate(WorldConfig { seed, country_fraction: 0.12, max_ases_per_country })
+    };
+    for (crashed, resumed, field) in [
+        (world_of(42, 3), world_of(4, 3), "world_seed"),
+        (world_of(42, 1), world_of(42, 2), "max_ases_per_country"),
+    ] {
+        assert_eq!(crashed.prefixes.len(), resumed.prefixes.len(), "{field}: as many prefixes");
+        let dir = scratch_dir(field);
+        run_in(&dir, &crashed, &cfg, &sup("crash:1")).expect_err("crash fires");
+        mismatch(run_in(&dir, &resumed, &cfg, &sup("")).map(|_| ()), field);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     // A version-1 checkpoint (one JSON tree, sink inside, no checksum) is
     // another format, not damage: a checkpoint is one study's transient.

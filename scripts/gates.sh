@@ -3,8 +3,8 @@
 # .github/workflows/ci.yml only calls them, one gate per step. Source
 # gates: greps that keep fixed mistakes from creeping back, and the
 # tracked-lines count ROADMAP quotes — plain bash over the working tree,
-# no build. One build gate (release_stats) runs the stats suite in a
-# release build. Replay gates (live_smoke, chaos_live, fleet_smoke): `loadgen`
+# no build. Two build gates: release_stats runs the stats suite in a
+# release build, and docs builds the workspace's rustdoc. Replay gates (live_smoke, chaos_live, fleet_smoke): `loadgen`
 # replays through real `edgeperf` processes on loopback ports 4620-4631,
 # which leave their reports under replay-reports/. Repro gates
 # (repro_results, repro_streaming, study_resume): `repro all` must rewrite
@@ -63,9 +63,14 @@ per_row_serde() {
 
 # The live tier has one way in of each kind: a `LiveConfig` literal, a
 # `LiveClient` (the fleet's included) and one resumable data connection.
-# The wrappers that used to stand in front of them stay gone.
+# A study is described once, by the world crate's `WorldConfig` and
+# `StudyConfig`, and a checkpoint fingerprints both. The wrappers that
+# used to stand in front of them stay gone: among them the study builder
+# that repeated those fields, and the `meta` pairs it added to a
+# checkpoint's fingerprint, which a caller of the world crate left empty.
 front_door_wrappers() {
-    banned "ServeBuilder\|ResumeInput\|connect_resume" crates src tests examples
+    banned "ServeBuilder\|ResumeInput\|connect_resume\|StudyBuilder\|fn checkpoint_meta\|builder_seed" \
+        crates src tests examples
 }
 
 # The live tier's bit-identity claims have one proof kit
@@ -206,6 +211,13 @@ constant_knobs() {
 # return either zero from `f64::min`/`max`, so the t-digest's extremes
 # disagreed on ±0.0 in release only, which no debug run could catch.
 release_stats() { cargo test --release -q -p edgeperf-stats; }
+
+# Rustdoc builds without a warning. A public doc that links to a private
+# item, an unresolved link (a bare `[20]` citation, a renamed function)
+# or an ambiguous one (`median_ci`, both a function and a module) is a
+# warning rustdoc prints and nobody reads; write such names as plain
+# code text, or link the public item.
+docs() { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q; }
 
 # --- Replay gates -----------------------------------------------------
 
@@ -488,7 +500,7 @@ tracked_lines() {
 
 gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
 front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies store_rows cell_unpack
-uncalled_capabilities replay_paths study_accounts constant_knobs release_stats live_smoke chaos_live fleet_smoke
+uncalled_capabilities replay_paths study_accounts constant_knobs release_stats docs live_smoke chaos_live fleet_smoke
 repro_results repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
