@@ -33,7 +33,7 @@ impl PreferredSessions for [SessionRecord] {
 
 /// Figures 6–7 count a session as HDratio = 1 when its HDratio exceeds
 /// this: the share at 1 is `1 − fraction_below_one()`.
-pub const HDRATIO_BELOW_ONE: f64 = 1.0 - 1e-9;
+pub(crate) const HDRATIO_BELOW_ONE: f64 = 1.0 - 1e-9;
 
 /// The HDratio point masses of a set of tested sessions: Figures 6–7 read
 /// no HDratio CDF, only the share of sessions at 0 and at 1 (and Figure 7
@@ -46,7 +46,7 @@ pub struct HdratioCounts {
     pub tested: u64,
     /// Of those, sessions with HDratio ≤ 0.
     pub zero: u64,
-    /// Of those, sessions with HDratio ≤ [`HDRATIO_BELOW_ONE`].
+    /// Of those, sessions with HDratio ≤ `HDRATIO_BELOW_ONE`.
     pub below_one: u64,
 }
 

@@ -167,7 +167,7 @@ impl WindowCell {
     }
 
     /// The cell's median of `metric`, if it has one.
-    pub fn p50(&self, metric: DegradationMetric) -> Option<f64> {
+    pub(crate) fn p50(&self, metric: DegradationMetric) -> Option<f64> {
         match metric {
             DegradationMetric::MinRtt => Some(self.min_rtt_p50),
             DegradationMetric::HdRatio => self.hdratio_p50(),

@@ -142,7 +142,7 @@ impl StreamingAggregation {
 
     /// Digest compression passes run across both digests (see
     /// [`TDigest::compressions`]); none while the cell holds its run.
-    pub fn compressions(&self) -> u64 {
+    pub(crate) fn compressions(&self) -> u64 {
         self.digests.as_ref().map_or(0, |d| d.iter().map(TDigest::compressions).sum())
     }
 
@@ -152,7 +152,7 @@ impl StreamingAggregation {
     }
 
     /// Sessions with an HDratio.
-    pub fn n_tested(&self) -> usize {
+    pub(crate) fn n_tested(&self) -> usize {
         match &self.digests {
             Some(d) => d[1].count() as usize,
             None => self.pending.iter().filter(|s| !s[1].is_nan()).count(),

@@ -115,14 +115,18 @@ mod tests {
     #[test]
     fn packet_level_simulation_agrees() {
         use edgeperf_netsim::{FlowSim, PathConfig};
-        use edgeperf_tcp::TcpConfig;
+        use edgeperf_tcp::{CcAlgorithm, TcpConfig};
 
-        // Fat pipe ⇒ negligible serialization, like the paper's diagram.
-        let mut sim = FlowSim::new(
-            TcpConfig::figure4(),
-            PathConfig::ideal(1_000_000_000, 60 * MILLISECOND),
-            1,
-        );
+        // The paper's idealized example: 1500-byte packets, IW10,
+        // Reno-style growth, no delayed ACKs. A fat pipe ⇒ negligible
+        // serialization, like the paper's diagram.
+        let tcp = TcpConfig {
+            mss: 1500,
+            cc: CcAlgorithm::Reno,
+            delayed_ack_disabled: true,
+            ..Default::default()
+        };
+        let mut sim = FlowSim::new(tcp, PathConfig::ideal(1_000_000_000, 60 * MILLISECOND), 1);
         sim.schedule_write(0, 2 * 1_500);
         sim.schedule_write(200 * MILLISECOND, 24 * 1_500);
         sim.schedule_write(500 * MILLISECOND, 14 * 1_500);

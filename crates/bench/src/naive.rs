@@ -6,7 +6,6 @@
 use edgeperf_core::hdratio::session_hdratio_with_rule;
 use edgeperf_core::{AchievedRule, HD_GOODPUT_BPS, MILLISECOND};
 use edgeperf_netsim::PathState;
-use edgeperf_workload::WorkloadConfig;
 use edgeperf_world::runner::simulate_session;
 use rand::Rng;
 use rand::SeedableRng;
@@ -33,7 +32,6 @@ pub struct NaiveComparison {
 /// the network).
 pub fn run(seed: u64, n: usize) -> NaiveComparison {
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let _ = WorkloadConfig::default();
     let mut model = Vec::new();
     let mut naive = Vec::new();
 

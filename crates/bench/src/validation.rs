@@ -36,7 +36,7 @@ pub struct ValidationResult {
 
 /// Grid axes. `fraction` thins every axis (test-scale knob); 1.0 gives
 /// the full 10 × 9 × 11 × 16 = 15,840-point grid.
-pub fn grid(fraction: f64) -> Vec<(u64, u64, u32, u64)> {
+pub(crate) fn grid(fraction: f64) -> Vec<(u64, u64, u32, u64)> {
     let thin = |v: Vec<f64>| -> Vec<f64> {
         let keep = ((v.len() as f64 * fraction).ceil() as usize).clamp(2, v.len());
         let step = v.len() as f64 / keep as f64;

@@ -80,11 +80,6 @@ impl Estimator {
         Estimator { target_bps, opts, carry: None }
     }
 
-    /// Target rate in bits/second.
-    pub fn target_bps(&self) -> f64 {
-        self.target_bps
-    }
-
     /// Evaluate the next transaction of the session (in order). Advances
     /// the ideal-`Wstart` carry-forward even for ineligible transactions,
     /// since their bytes still grew the window under ideal conditions.

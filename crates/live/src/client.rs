@@ -19,8 +19,7 @@
 use crate::chaos::{WireChaos, WireFault};
 use crate::frame::{encode_frame, hello_block, preamble, preamble_with_hello};
 use crate::protocol::{
-    parse_acked, parse_cells_header, read_rows, CellLine, CellQuery, LiveSnapshot, ProtocolError,
-    Request, PROTOCOL_VERSION,
+    parse_acked, parse_cells_header, read_rows, CellLine, CellQuery, LiveSnapshot, Request,
 };
 use crate::record::LiveRecord;
 use crate::store::StoreStats;
@@ -152,29 +151,6 @@ impl LiveClient {
     /// server's reply when no spill directory is configured.
     pub fn store_stats(&mut self) -> io::Result<StoreStats> {
         from_json(&self.typed(&Request::Store)?)
-    }
-
-    /// Fetch the server's protocol version and check it against this
-    /// client's [`PROTOCOL_VERSION`].
-    pub fn version(&mut self) -> io::Result<u32> {
-        let reply = self.typed(&Request::Version)?;
-        let version: u32 = reply
-            .strip_prefix("{\"protocol\":")
-            .and_then(|s| s.strip_suffix('}'))
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                io::Error::from(ProtocolError::MalformedReply {
-                    expected: "{\"protocol\":N}",
-                    got: reply.clone(),
-                })
-            })?;
-        if version != PROTOCOL_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("server speaks protocol {version}, client speaks {PROTOCOL_VERSION}"),
-            ));
-        }
-        Ok(version)
     }
 
     /// Set read/write deadlines on the underlying socket (`None`

@@ -1,5 +1,5 @@
 //! Live-server tunables: one struct of public fields, checked by
-//! [`LiveConfig::validate`] when [`crate::LiveServer::start`] takes it.
+//! `LiveConfig::validate` when [`crate::LiveServer::start`] takes it.
 
 use edgeperf_analysis::AnalysisConfig;
 use edgeperf_core::EdgeperfError;
@@ -111,7 +111,7 @@ impl Default for LiveConfig {
 
 impl LiveConfig {
     /// Reject configurations the server cannot run with.
-    pub fn validate(&self) -> Result<(), EdgeperfError> {
+    pub(crate) fn validate(&self) -> Result<(), EdgeperfError> {
         fn bad(field: &'static str, message: String) -> Result<(), EdgeperfError> {
             Err(EdgeperfError::InvalidConfig { field, message })
         }

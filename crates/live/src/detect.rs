@@ -242,18 +242,18 @@ impl OnlineDetector {
     }
 
     /// Episodes opened so far (across both metrics).
-    pub fn episodes_opened(&self) -> u64 {
+    pub(crate) fn episodes_opened(&self) -> u64 {
         self.episodes_opened
     }
 
     /// Episodes currently open (across both metrics).
-    pub fn episodes_open(&self) -> usize {
+    pub(crate) fn episodes_open(&self) -> usize {
         self.groups.values().flat_map(|s| s.open_episode.iter()).flatten().count()
     }
 
     /// Current temporal class of every group for `metric`, in canonical
     /// group order, from the retained status series.
-    pub fn classes(&self, metric: DegradationMetric) -> Vec<(GroupKey, TemporalClass)> {
+    pub(crate) fn classes(&self, metric: DegradationMetric) -> Vec<(GroupKey, TemporalClass)> {
         let m = metric_slot(metric);
         let mut classes: Vec<(GroupKey, TemporalClass)> = self
             .groups

@@ -275,7 +275,7 @@ impl FrameDecoder {
     }
 
     /// Number of buffered, not yet consumed bytes.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.buf.len() - self.head
     }
 

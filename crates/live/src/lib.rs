@@ -99,7 +99,7 @@ pub use frame::{encode_frame, preamble, FrameDecoder, FRAME_BODY_LEN, FRAME_WIRE
 pub use proof::{first_difference, serial_cells};
 pub use protocol::{
     cell_line_sort_key, parse_cells_header, CellLine, CellQuery, ClassCount, GroupFilter,
-    LiveSnapshot, ProtocolError, ReasonCount, Request, Response, WorkerStatsLine, PROTOCOL_VERSION,
+    LiveSnapshot, ProtocolError, ReasonCount, Request, Response, WorkerStatsLine,
 };
 pub use queue::{spsc, Consumer, Producer, Waiter};
 pub use record::{relationship_from_label, LineParser, LiveRecord};

@@ -34,7 +34,7 @@
 //!
 //! ## Compatibility
 //!
-//! Protocol version [`PROTOCOL_VERSION`] = 1 is the PR-5 line protocol,
+//! Protocol version `PROTOCOL_VERSION` = 1 is the PR-5 line protocol,
 //! extended compatibly:
 //!
 //! - Every legacy bare command (`ping`, `snapshot`, `stats`, `cells`,
@@ -71,7 +71,7 @@ use std::fmt;
 use std::io;
 
 /// Version of the line protocol this build speaks (`version` command).
-pub const PROTOCOL_VERSION: u32 = 1;
+pub(crate) const PROTOCOL_VERSION: u32 = 1;
 
 /// Group predicate of a [`CellQuery`]: every present field must match.
 /// The default (all `None`) matches every group.

@@ -137,7 +137,7 @@ impl WindowRing {
     }
 
     /// Current watermark (ms); negative until the first record arrives.
-    pub fn watermark_ms(&self) -> f64 {
+    pub(crate) fn watermark_ms(&self) -> f64 {
         self.max_ts_ms - self.lateness_ms
     }
 

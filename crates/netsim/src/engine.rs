@@ -61,7 +61,7 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     /// Panics if `at` is before the current time (time travel).
-    pub fn schedule(&mut self, at: Nanos, payload: E) {
+    pub(crate) fn schedule(&mut self, at: Nanos, payload: E) {
         assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
         self.seq += 1;
         self.heap.push(Entry { key: Reverse((at, self.seq)), payload });

@@ -12,7 +12,7 @@
 //! packet-level [`crate::flow::FlowSim`].
 
 use edgeperf_tcp::time::transmission_time;
-use edgeperf_tcp::{Nanos, TcpConfig};
+use edgeperf_tcp::{Nanos, TcpConfig, MIN_RTO};
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha12Rng;
 
@@ -91,15 +91,6 @@ impl FastFlow {
         self.min_rtt
     }
 
-    /// The connection sat idle for `gap`; with `slow_start_after_idle`
-    /// configured, an idle period beyond the minimum RTO collapses the
-    /// window back to the initial cwnd (Linux behaviour).
-    pub fn on_idle(&mut self, gap: Nanos) {
-        if self.cfg.slow_start_after_idle && gap > self.cfg.min_rto {
-            self.cwnd = self.cwnd.min(self.cfg.initial_cwnd_bytes());
-        }
-    }
-
     /// Transfer `bytes` over a path in condition `st`, advancing the
     /// connection's congestion state.
     pub fn transfer(&mut self, bytes: u64, st: &PathState, rng: &mut ChaCha12Rng) -> FastTransfer {
@@ -158,7 +149,7 @@ impl FastFlow {
                     // (even BBR restarts after a tail timeout).
                     self.ssthresh = ((self.cwnd as f64 * beta) as u32).max(2 * self.cfg.mss);
                     self.cwnd = self.cfg.mss;
-                    self.cfg.min_rto.max(rtt)
+                    MIN_RTO.max(rtt)
                 } else {
                     // Fast retransmit: one extra round, beta decrease.
                     self.ssthresh = ((self.cwnd as f64 * beta) as u32).max(2 * self.cfg.mss);

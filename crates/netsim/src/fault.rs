@@ -58,7 +58,7 @@ impl Policer {
     }
 
     /// Offer a packet of `bytes` at time `now`; true = pass, false = drop.
-    pub fn admit(&mut self, now: edgeperf_tcp::Nanos, bytes: u32) -> bool {
+    pub(crate) fn admit(&mut self, now: edgeperf_tcp::Nanos, bytes: u32) -> bool {
         let elapsed = now.saturating_sub(self.last_refill);
         self.last_refill = now;
         self.tokens = (self.tokens

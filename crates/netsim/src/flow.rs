@@ -20,7 +20,7 @@ use crate::engine::EventQueue;
 use crate::path::{Path, PathConfig};
 use crate::trace::{FlowTrace, TraceEvent};
 use edgeperf_tcp::receiver::AckAction;
-use edgeperf_tcp::{DelayedAckReceiver, Nanos, TcpConfig, TcpInfo, TcpSender};
+use edgeperf_tcp::{DelayedAckReceiver, Nanos, TcpConfig, TcpInfo, TcpSender, DELAYED_ACK_TIMEOUT};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -127,7 +127,7 @@ impl FlowSim {
         FlowSim {
             q: EventQueue::new(),
             sender,
-            receiver: DelayedAckReceiver::new(tcp.delayed_ack_timeout, tcp.delayed_ack_disabled),
+            receiver: DelayedAckReceiver::new(DELAYED_ACK_TIMEOUT, tcp.delayed_ack_disabled),
             path,
             rng,
             writes: Vec::new(),
@@ -502,7 +502,7 @@ mod tests {
         sim.schedule_write(0, 500);
         let res = sim.run(10 * SECOND);
         let t = res.writes[0].t_full_ack.unwrap();
-        assert!(t >= 20 * MILLISECOND + cfg.delayed_ack_timeout, "t = {t}");
+        assert!(t >= 20 * MILLISECOND + DELAYED_ACK_TIMEOUT, "t = {t}");
     }
 }
 

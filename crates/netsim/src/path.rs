@@ -132,7 +132,12 @@ impl Path {
 
     /// Offer a data packet of `payload` bytes at `now`. Returns the
     /// delivery time at the receiver, or `None` if dropped.
-    pub fn transmit(&mut self, now: Nanos, payload: u32, rng: &mut ChaCha12Rng) -> Option<Nanos> {
+    pub(crate) fn transmit(
+        &mut self,
+        now: Nanos,
+        payload: u32,
+        rng: &mut ChaCha12Rng,
+    ) -> Option<Nanos> {
         self.stats.offered += 1;
         let wire_bytes = payload + self.cfg.header_bytes;
 
@@ -171,11 +176,6 @@ impl Path {
     /// Delay for an ACK travelling receiver → sender.
     pub(crate) fn ack_delay(&self) -> Nanos {
         self.cfg.one_way_propagation
-    }
-
-    /// The static configuration.
-    pub fn config(&self) -> &PathConfig {
-        &self.cfg
     }
 }
 

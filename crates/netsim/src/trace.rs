@@ -74,7 +74,8 @@ impl FlowTrace {
     }
 
     /// All events, in occurrence order.
-    pub fn events(&self) -> &[TraceEvent] {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 

@@ -81,11 +81,6 @@ impl HeartbeatBoard {
         }
     }
 
-    /// Number of worker slots.
-    pub fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Worker `w` starts working on `prefix`. Returns the cancellation
     /// token identifying this task instance; pass it to [`cancelled`]
     /// from the work loop.

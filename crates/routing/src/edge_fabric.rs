@@ -10,15 +10,15 @@
 //! is where it would come back.
 
 /// Fraction of sampled sessions pinned to the preferred route.
-pub const PREFERRED_FRACTION: f64 = 0.47;
+const PREFERRED_FRACTION: f64 = 0.47;
 
 /// Alternate routes measured beside the preferred one.
-pub const ALTERNATES: usize = 2;
+const ALTERNATES: usize = 2;
 
 /// Pin a *sampled* session to a route rank (0 = preferred), as an index
 /// into the policy-ranked route list. Deterministic in the session id:
-/// ≈[`PREFERRED_FRACTION`] of sessions go to rank 0, the rest split
-/// evenly across ranks 1..=[`ALTERNATES`] (clamped to the routes actually
+/// ≈`PREFERRED_FRACTION` of sessions go to rank 0, the rest split
+/// evenly across ranks 1..=`ALTERNATES` (clamped to the routes actually
 /// available).
 pub fn pin_sampled(session_id: u64, available_routes: usize) -> usize {
     assert!(available_routes > 0, "no routes");

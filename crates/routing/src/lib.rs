@@ -23,6 +23,6 @@ pub mod rib;
 pub mod types;
 
 pub use edge_fabric::pin_sampled;
-pub use prepend::{prepended_more, stripped_len};
+pub use prepend::prepended_more;
 pub use rib::Rib;
 pub use types::{AsPath, Asn, PopId, Prefix, Relationship, Route, RouteId};

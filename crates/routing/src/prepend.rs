@@ -9,7 +9,7 @@
 use crate::types::AsPath;
 
 /// Length of the path with consecutive duplicates collapsed.
-pub fn stripped_len(path: &AsPath) -> usize {
+fn stripped_len(path: &AsPath) -> usize {
     let mut n = 0;
     let mut prev = None;
     for &asn in &path.0 {
@@ -22,7 +22,7 @@ pub fn stripped_len(path: &AsPath) -> usize {
 }
 
 /// Number of prepended hops (announced length minus stripped length).
-pub fn prepend_count(path: &AsPath) -> usize {
+fn prepend_count(path: &AsPath) -> usize {
     path.len() - stripped_len(path)
 }
 

@@ -73,11 +73,6 @@ impl AsPath {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    /// Origin AS (the destination network), if any.
-    pub fn origin(&self) -> Option<Asn> {
-        self.0.last().copied()
-    }
 }
 
 /// Interconnection relationship of a route's next hop (§6.1).
@@ -148,7 +143,7 @@ mod tests {
     fn as_path_basics() {
         let p = AsPath(vec![Asn(64500), Asn(64501), Asn(64501), Asn(7018)]);
         assert_eq!(p.len(), 4);
-        assert_eq!(p.origin(), Some(Asn(7018)));
+        assert_eq!(p.0.last(), Some(&Asn(7018)));
         assert!(!p.is_empty());
     }
 

@@ -21,7 +21,7 @@ pub enum CcAlgorithm {
 ///
 /// All window quantities are in **bytes**. The sender guarantees calls are
 /// monotone in `now`.
-pub trait CongestionControl {
+pub(crate) trait CongestionControl {
     /// Bytes newly acknowledged while in slow start; returns the cwnd
     /// increment in bytes.
     fn on_ack_slow_start(&mut self, acked: u32, cwnd: u32) -> u32;

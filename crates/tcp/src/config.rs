@@ -3,11 +3,21 @@
 use crate::cc::CcAlgorithm;
 use crate::time::{Nanos, MILLISECOND};
 
+/// Minimum retransmission timeout (Linux's).
+pub const MIN_RTO: Nanos = 200 * MILLISECOND;
+
+/// Receiver delayed-ACK timeout: ACK every 2nd packet or after this
+/// (Linux's).
+pub const DELAYED_ACK_TIMEOUT: Nanos = 40 * MILLISECOND;
+
 /// Parameters of the modelled TCP connection.
 ///
 /// Defaults follow Linux: IW10 (RFC 6928), 1460-byte MSS (1500 MTU minus
 /// 40 bytes of headers — the paper's Figure 4 speaks of "1500-byte packets"
-/// meaning on-the-wire size), 200 ms minimum RTO, delayed ACKs up to 40 ms.
+/// meaning on-the-wire size), delayed ACKs on. The minimum RTO and the
+/// delayed-ACK timer are Linux's constants, [`MIN_RTO`] and
+/// [`DELAYED_ACK_TIMEOUT`]; the window persists across idle periods, as on
+/// CDN edge servers (the paper's Figure-4 example relies on it).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
     /// Maximum segment size in payload bytes.
@@ -16,34 +26,14 @@ pub struct TcpConfig {
     pub initial_cwnd_segments: u32,
     /// Congestion control algorithm.
     pub cc: CcAlgorithm,
-    /// Enable HyStart-style early slow-start exit on RTT growth (the
-    /// "CUBIC hybrid slow start" the paper cites as a goodput-degrading
-    /// event, §3.2.3).
-    pub hystart: bool,
-    /// RTT increase (relative to MinRTT) that triggers a HyStart exit.
-    pub hystart_rtt_threshold: f64,
-    /// Minimum retransmission timeout.
-    pub min_rto: Nanos,
-    /// Receiver delayed-ACK timeout (ACK every 2nd packet or after this).
-    pub delayed_ack_timeout: Nanos,
     /// Disable delayed ACKs entirely (the paper disabled them in NS3 to
     /// match Linux's byte-counted cwnd growth — footnote 7).
     pub delayed_ack_disabled: bool,
-    /// Receive window in bytes (a cap on in-flight data).
-    pub receive_window: u32,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_threshold: u32,
     /// Pace segment transmissions at ~2×cwnd/sRTT instead of bursting
     /// whole windows (Linux has paced by default since sch_fq; bursts are
     /// what overflow shallow queues and stretch multi-round transfers
     /// beyond the ideal model).
     pub pacing: bool,
-    /// Collapse the window back to the initial cwnd after an idle period
-    /// longer than the RTO (Linux `tcp_slow_start_after_idle`, on by
-    /// default there, typically *disabled* on CDN edge servers — the
-    /// paper's Figure-4 example relies on the window persisting across
-    /// transactions).
-    pub slow_start_after_idle: bool,
 }
 
 impl Default for TcpConfig {
@@ -52,15 +42,8 @@ impl Default for TcpConfig {
             mss: 1460,
             initial_cwnd_segments: 10,
             cc: CcAlgorithm::Cubic,
-            hystart: false,
-            hystart_rtt_threshold: 0.25,
-            min_rto: 200 * MILLISECOND,
-            delayed_ack_timeout: 40 * MILLISECOND,
             delayed_ack_disabled: false,
-            receive_window: 6 * 1024 * 1024,
-            dupack_threshold: 3,
             pacing: false,
-            slow_start_after_idle: false,
         }
     }
 }
@@ -69,18 +52,6 @@ impl TcpConfig {
     /// Initial congestion window in bytes.
     pub fn initial_cwnd_bytes(&self) -> u32 {
         self.mss * self.initial_cwnd_segments
-    }
-
-    /// Config matching the paper's Figure-4 idealized example: 1500-byte
-    /// packets, IW10, Reno-style loss-based growth, no delayed ACKs.
-    pub fn figure4() -> Self {
-        TcpConfig {
-            mss: 1500,
-            initial_cwnd_segments: 10,
-            cc: CcAlgorithm::Reno,
-            delayed_ack_disabled: true,
-            ..Default::default()
-        }
     }
 
     /// Config matching the paper's NS3 validation setup (§3.2.3): delayed
@@ -105,13 +76,5 @@ mod tests {
         let c = TcpConfig::default();
         assert_eq!(c.initial_cwnd_bytes(), 14_600);
         assert_eq!(c.cc, CcAlgorithm::Cubic);
-        assert_eq!(c.min_rto, 200 * MILLISECOND);
-    }
-
-    #[test]
-    fn figure4_uses_full_packets() {
-        let c = TcpConfig::figure4();
-        assert_eq!(c.initial_cwnd_bytes(), 15_000);
-        assert!(c.delayed_ack_disabled);
     }
 }

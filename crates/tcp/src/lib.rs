@@ -24,8 +24,8 @@ pub mod sender;
 pub mod time;
 
 pub use bbr::BbrLite;
-pub use cc::{CcAlgorithm, CongestionControl, Cubic, Reno};
-pub use config::TcpConfig;
+pub use cc::{CcAlgorithm, Cubic, Reno};
+pub use config::{TcpConfig, DELAYED_ACK_TIMEOUT, MIN_RTO};
 pub use info::TcpInfo;
 pub use receiver::DelayedAckReceiver;
 pub use rtt::RttEstimator;

@@ -9,7 +9,6 @@ pub struct RttEstimator {
     srtt: Option<Nanos>,
     rttvar: Nanos,
     min_rtt: Option<Nanos>,
-    latest: Option<Nanos>,
     min_rto: Nanos,
     /// Exponential backoff multiplier applied after consecutive timeouts.
     backoff: u32,
@@ -18,12 +17,11 @@ pub struct RttEstimator {
 impl RttEstimator {
     /// New estimator with the given minimum RTO (Linux: 200 ms).
     pub fn new(min_rto: Nanos) -> Self {
-        RttEstimator { srtt: None, rttvar: 0, min_rtt: None, latest: None, min_rto, backoff: 0 }
+        RttEstimator { srtt: None, rttvar: 0, min_rtt: None, min_rto, backoff: 0 }
     }
 
     /// Record an RTT sample (from a non-retransmitted segment, per Karn).
     pub fn on_sample(&mut self, rtt: Nanos) {
-        self.latest = Some(rtt);
         self.min_rtt = Some(self.min_rtt.map_or(rtt, |m| m.min(rtt)));
         match self.srtt {
             None => {
@@ -64,11 +62,6 @@ impl RttEstimator {
     /// Minimum RTT observed over the connection's lifetime.
     pub fn min_rtt(&self) -> Option<Nanos> {
         self.min_rtt
-    }
-
-    /// Most recent RTT sample.
-    pub fn latest(&self) -> Option<Nanos> {
-        self.latest
     }
 }
 

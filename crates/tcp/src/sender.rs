@@ -7,11 +7,16 @@
 //! actually limited by cwnd, by bytes ACKed, not ACK count).
 
 use crate::cc::{make_cc, CongestionControl};
-use crate::config::TcpConfig;
+use crate::config::{TcpConfig, MIN_RTO};
 use crate::info::TcpInfo;
 use crate::rtt::RttEstimator;
 use crate::time::Nanos;
 use std::collections::VecDeque;
+
+/// Receive window in bytes: a cap on in-flight data.
+const RECEIVE_WINDOW: u64 = 6 * 1024 * 1024;
+/// Duplicate ACKs that trigger a fast retransmit.
+const DUPACK_THRESHOLD: u32 = 3;
 
 /// Congestion state of the sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,9 +74,6 @@ pub struct TcpSender {
     in_flight_segs: VecDeque<InFlight>,
     /// Set when a send was blocked by cwnd; gates window growth.
     cwnd_limited: bool,
-    /// Last time a segment was sent or an ACK processed (for the
-    /// slow-start-after-idle rule).
-    last_activity: Nanos,
 
     bytes_acked_total: u64,
     retransmits: u64,
@@ -82,7 +84,7 @@ impl TcpSender {
     pub fn new(cfg: TcpConfig) -> Self {
         TcpSender {
             cc: make_cc(cfg.cc, cfg.mss),
-            rtt: RttEstimator::new(cfg.min_rto),
+            rtt: RttEstimator::new(MIN_RTO),
             snd_una: 0,
             snd_nxt: 0,
             app_limit: 0,
@@ -94,7 +96,6 @@ impl TcpSender {
             retx_queue: VecDeque::new(),
             in_flight_segs: VecDeque::new(),
             cwnd_limited: false,
-            last_activity: 0,
             bytes_acked_total: 0,
             retransmits: 0,
             cfg,
@@ -166,8 +167,7 @@ impl TcpSender {
 
     fn window_allows(&self, len: u32) -> bool {
         let inflight = self.bytes_in_flight();
-        inflight + len as u64 <= self.cwnd as u64
-            && inflight + len as u64 <= self.cfg.receive_window as u64
+        inflight + len as u64 <= self.cwnd as u64 && inflight + len as u64 <= RECEIVE_WINDOW
     }
 
     /// Produce the next segment to transmit at `now`, or `None` if the
@@ -186,14 +186,6 @@ impl TcpSender {
         if remaining == 0 {
             return None;
         }
-        // Slow start after idle: if the connection sat quiet for longer
-        // than the RTO, the old window no longer reflects path state.
-        if self.cfg.slow_start_after_idle
-            && self.bytes_in_flight() == 0
-            && now.saturating_sub(self.last_activity) > self.rtt.rto()
-        {
-            self.cwnd = self.cwnd.min(self.cfg.initial_cwnd_bytes());
-        }
         let len = (remaining.min(self.cfg.mss as u64)) as u32;
         if !self.window_allows(len) {
             self.cwnd_limited = true;
@@ -201,7 +193,6 @@ impl TcpSender {
         }
         let seq = self.snd_nxt;
         self.snd_nxt += len as u64;
-        self.last_activity = now;
         self.in_flight_segs.push_back(InFlight { seq, len, sent_at: now, retx: false });
         // Slow-start cwnd-limited rule: more than half the cwnd in flight.
         if self.in_slow_start() && self.bytes_in_flight() * 2 > self.cwnd as u64 {
@@ -226,7 +217,6 @@ impl TcpSender {
         }
         let newly_acked = (ack_seq - self.snd_una) as u32;
         self.snd_una = ack_seq;
-        self.last_activity = now;
         self.bytes_acked_total += newly_acked as u64;
         self.dupacks = 0;
 
@@ -291,24 +281,12 @@ impl TcpSender {
             return;
         }
         let inc = if self.in_slow_start() {
-            // HyStart: leave slow start early if RTT has inflated.
-            if self.cfg.hystart {
-                if let (Some(latest), Some(min)) = (self.rtt.latest(), self.rtt.min_rtt()) {
-                    if latest as f64 > min as f64 * (1.0 + self.cfg.hystart_rtt_threshold) {
-                        self.ssthresh = self.cwnd;
-                    }
-                }
-            }
-            if self.in_slow_start() {
-                let inc = self.cc.on_ack_slow_start(newly_acked, self.cwnd);
-                // Don't overshoot ssthresh.
-                if self.ssthresh != u32::MAX && self.cwnd + inc > self.ssthresh {
-                    self.ssthresh - self.cwnd
-                } else {
-                    inc
-                }
+            let inc = self.cc.on_ack_slow_start(newly_acked, self.cwnd);
+            // Don't overshoot ssthresh.
+            if self.ssthresh != u32::MAX && self.cwnd + inc > self.ssthresh {
+                self.ssthresh - self.cwnd
             } else {
-                0
+                inc
             }
         } else {
             self.cc.on_ack_avoidance(now, newly_acked, self.cwnd, self.rtt.min_rtt().unwrap_or(1))
@@ -320,7 +298,7 @@ impl TcpSender {
 
     fn on_dupack(&mut self, now: Nanos) {
         self.dupacks += 1;
-        if self.state == SenderState::Open && self.dupacks >= self.cfg.dupack_threshold {
+        if self.state == SenderState::Open && self.dupacks >= DUPACK_THRESHOLD {
             // Fast retransmit.
             let (ssthresh, cwnd) = self.cc.on_loss(now, self.cwnd);
             self.ssthresh = ssthresh;
@@ -567,53 +545,5 @@ mod tests {
         }
         // Growth through ssthresh must be exact, not overshooting.
         assert!(s.cwnd() >= ssthresh);
-    }
-}
-
-#[cfg(test)]
-mod hystart_tests {
-    use super::*;
-    use crate::cc::CcAlgorithm;
-    use crate::time::MILLISECOND;
-
-    /// HyStart: a sharp RTT rise during slow start caps ssthresh so the
-    /// window stops doubling (CUBIC's early exit, which the paper names
-    /// as a goodput-degrading event the model must not mistake for loss).
-    #[test]
-    fn hystart_exits_slow_start_on_rtt_inflation() {
-        let cfg = TcpConfig {
-            cc: CcAlgorithm::Cubic,
-            hystart: true,
-            delayed_ack_disabled: true,
-            ..Default::default()
-        };
-        let mut s = TcpSender::new(cfg);
-        s.seed_handshake_rtt(20 * MILLISECOND);
-        s.enqueue(10_000_000);
-        // Round 1: normal RTT.
-        let mut now = 0;
-        while s.next_segment(now).is_some() {}
-        now += 20 * MILLISECOND;
-        s.on_ack(now, s.snd_nxt());
-        let after_round1 = s.cwnd();
-        // Round 2: RTT inflates 2x (queue building) → HyStart should cap.
-        while s.next_segment(now).is_some() {}
-        now += 40 * MILLISECOND;
-        s.on_ack(now, s.snd_nxt());
-        let capped = s.info().ssthresh_bytes;
-        assert!(capped != u32::MAX, "HyStart must set ssthresh");
-        assert!(capped <= s.cwnd().max(after_round1) * 2, "ssthresh near current window");
-
-        // Control: without HyStart the window keeps doubling freely.
-        let mut c = TcpSender::new(TcpConfig { hystart: false, ..cfg });
-        c.seed_handshake_rtt(20 * MILLISECOND);
-        c.enqueue(10_000_000);
-        let mut now = 0;
-        for _ in 0..2 {
-            while c.next_segment(now).is_some() {}
-            now += 40 * MILLISECOND;
-            c.on_ack(now, c.snd_nxt());
-        }
-        assert_eq!(c.info().ssthresh_bytes, u32::MAX, "control must stay in slow start");
     }
 }

@@ -55,7 +55,7 @@ impl Pareto {
 }
 
 /// Exponential sample with the given mean.
-pub fn exponential<R: Rng>(rng: &mut R, mean: f64) -> f64 {
+pub(crate) fn exponential<R: Rng>(rng: &mut R, mean: f64) -> f64 {
     assert!(mean > 0.0);
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -mean * u.ln()

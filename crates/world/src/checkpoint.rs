@@ -179,7 +179,8 @@ pub fn run_study_checkpointed(
             let image = std::fs::read(&path).map_err(|e| failed(&path, e))?;
             sink.merge_shard(sink.decode_shard(&image).map_err(|e| failed(&path, e))?);
         }
-        (report.n_prefixes, report.resumed_at) = (n, Some(cursor));
+        report.n_prefixes = n;
+        report.resumed_at = Some(cursor);
         metrics.gauge("supervisor.resumed_at").set(cursor as f64);
         resumed = Some((cursor, report));
     }

@@ -39,9 +39,7 @@ pub use cartographer::MappingPolicy;
 pub use checkpoint::run_study_checkpointed;
 pub use edgeperf_core::plan::PlanError;
 pub use geo::{propagation_rtt_ms, Continent, GeoPoint};
-pub use runner::{
-    run_study, run_study_into, simulate_session, simulate_session_with, SessionScratch, StudyConfig,
-};
+pub use runner::{run_study, run_study_into, simulate_session, simulate_session_with, StudyConfig};
 pub use supervisor::{
     run_study_supervised, FaultPlan, QuarantinedPrefix, StudyReport, SupervisorConfig,
     SupervisorError, RETRY_BUDGET,

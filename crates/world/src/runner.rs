@@ -265,7 +265,7 @@ pub fn simulate_session_with(
 /// write-coalescing member list would otherwise be reallocated for every
 /// back-to-back group of every session.
 #[derive(Debug, Default)]
-pub struct SessionScratch {
+pub(crate) struct SessionScratch {
     members: Vec<u64>,
 }
 

@@ -492,11 +492,6 @@ impl World {
         ranked
     }
 
-    /// Total traffic weight across prefixes.
-    pub fn total_weight(&self) -> f64 {
-        self.prefixes.iter().map(|p| p.weight).sum()
-    }
-
     /// The PoP with the given id.
     pub fn pop(&self, id: PopId) -> &Pop {
         &self.pops[id.0 as usize]

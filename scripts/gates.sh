@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # The repository's gates, so they run wherever the tests run and
 # .github/workflows/ci.yml only calls them, one gate per step. Source
-# gates: greps that keep fixed mistakes from creeping back, and the
-# tracked-lines count ROADMAP quotes — plain bash over the working tree,
-# no build. Two build gates: release_stats runs the stats suite in a
+# gates: `surface` (scripts/surface.sh: every `pub` fn, method, const,
+# static or trait no code outside its library uses, and every `pub` field
+# of a Default struct no code sets, must have a `path item — reason` line
+# in scripts/surface.allow, and every line there an entry; make the item
+# private, delete it, or add its line), greps that keep fixed mistakes
+# from creeping back, and the tracked-lines count ROADMAP quotes — plain
+# bash over the working tree, no build. Two build gates: release_stats runs the stats suite in a
 # release build, and docs builds the workspace's rustdoc. Replay gates (live_smoke, chaos_live, fleet_smoke): `loadgen`
 # replays through real `edgeperf` processes on loopback ports 4620-4631,
 # which leave their reports under replay-reports/. Repro gates
@@ -59,18 +63,6 @@ raw_durable_writes() {
 per_row_serde() {
     ! grep -rnE "to_string\(cell|from_str\(&line|from_str\(&row" crates/live/src crates/fleet/src \
         --include="*.rs" | grep -v "^crates/live/src/protocol.rs:"
-}
-
-# The live tier has one way in of each kind: a `LiveConfig` literal, a
-# `LiveClient` (the fleet's included) and one resumable data connection.
-# A study is described once, by the world crate's `WorldConfig` and
-# `StudyConfig`, and a checkpoint fingerprints both. The wrappers that
-# used to stand in front of them stay gone: among them the study builder
-# that repeated those fields, and the `meta` pairs it added to a
-# checkpoint's fingerprint, which a caller of the world crate left empty.
-front_door_wrappers() {
-    banned "ServeBuilder\|ResumeInput\|connect_resume\|StudyBuilder\|fn checkpoint_meta\|builder_seed" \
-        crates src tests examples
 }
 
 # The live tier's bit-identity claims have one proof kit
@@ -156,23 +148,6 @@ cell_unpack() {
         outside_tests 'fn summary[(]&self[)] -> CellSummary' crates/analysis/src/segment.rs
 }
 
-# Capabilities that only their own tests reached, and that went: the
-# t-digest's CDF and rebuild from parts (the paper reads digests only for
-# percentiles), the builder's resume-from-directory and the fingerprint
-# reader behind it (a study resumes by rerunning `repro --checkpoint-dir`
-# with the same flags), the mixture sampler and the RIB's longest-prefix
-# lookup (the world ranks the routes of an exact prefix), then the
-# prefix containment tests that lookup had used and the builder's
-# country-fraction override (the scale sets it). Those two share a name
-# with code that stays (`OpFault::covers`, the `WorldConfig` field), so
-# they are banned by path.
-uncalled_capabilities() {
-    banned -E "fn (cdf|cdf_over|from_parts|resume_from|checkpoint_fingerprint|lookup)\\b|struct Mixture\\b" \
-        crates src tests examples --include="*.rs" &&
-        banned -E "fn (contains|covers)\\b" crates/routing/src/types.rs &&
-        banned -E "fn country_fraction\\b" crates/bench/src/study.rs
-}
-
 # `loadgen` sends records one way: every replay — plain, chaos, fleet —
 # is exactly-once sessions advanced together through one chunk loop
 # (`loadgen::replay_in_chunks`). The plain mode once had a sender of its
@@ -186,25 +161,34 @@ replay_paths() {
     [ "$calls" -eq 1 ] || { echo "replay_with_resume( is called $calls times in crates/bench/src, not once" >&2; return 1; }
 }
 
-# A study has one account, its `StudyReport`: what merged, what was
-# simulated, emitted and dropped, and every recovery decision; the
-# `runner.*` and `supervisor.*` counters publish this process's share of
-# it. A per-worker tally of the same totals (which worker ran which prefix
-# is scheduler noise) and its CLI table stay gone, and so does the
-# analysis config a study's data once carried, which was always the
-# default.
-study_accounts() {
-    banned -E "StudyStats|WorkerCounters|fn render_stats\b" crates src tests examples --include="*.rs" &&
-        banned "pub cfg: AnalysisConfig" crates/bench/src/study.rs
-}
+# Public surface nobody outside its library uses, against its reasoned
+# allowlist (what counts and how to add a line: scripts/surface.sh).
+surface() { scripts/surface.sh check; }
 
-# A setting no caller changes is a constant, not a field: the replay's
-# retry ladder and the study supervisor's retry budget, backoff and tick.
-# A condition that can vary must be recorded with the output (a study's
-# in its checkpoint fingerprint); one that cannot needs no field.
-constant_knobs() {
-    banned "struct RetryPolicy" crates src tests examples --include="*.rs" &&
-        banned -E "retry_budget:|pub backoff:|pub tick:" crates/world/src/supervisor.rs
+# Names that went and that `surface` cannot see come back: wrappers a
+# binary would call again, types (it lists no types), and names a live
+# item shares.
+# - The live tier has one way in of each kind: a `LiveConfig` literal, a
+#   `LiveClient` (the fleet's included) and one resumable data
+#   connection. A study is described once, by the world crate's
+#   `WorldConfig` and `StudyConfig`, and a checkpoint fingerprints both;
+#   the study builder that repeated those fields, and the `meta` pairs it
+#   added to a fingerprint, stay gone.
+# - A study has one account, its `StudyReport`: a per-worker tally of the
+#   same totals and its CLI table stay gone, and so does the analysis
+#   config a study's data once carried, which was always the default.
+# - A study resumes by rerunning `repro --checkpoint-dir` with the same
+#   flags, so the fingerprint reader goes with the builder's
+#   resume-from-directory; the world ranks the routes of an exact prefix,
+#   so the prefix containment tests stay gone (by path: `OpFault::covers`
+#   shares the name).
+gone_names() {
+    banned "ServeBuilder\|ResumeInput\|connect_resume\|StudyBuilder\|fn checkpoint_meta\|builder_seed" \
+        crates src tests examples &&
+        banned -E "StudyStats|WorkerCounters|fn render_stats\b" crates src tests examples --include="*.rs" &&
+        banned "pub cfg: AnalysisConfig" crates/bench/src/study.rs &&
+        banned -E "fn checkpoint_fingerprint\b" crates src tests examples --include="*.rs" &&
+        banned -E "fn (contains|covers)\b" crates/routing/src/types.rs
 }
 
 # The stats suite in a release build as well: an optimised build may
@@ -480,7 +464,8 @@ study_resume() {
 # `#[cfg(test)]` on; then the non-test lines of each crate (`crates/*`,
 # `benchmark`, and `.` for the root package's src/), largest first; then
 # the five largest files, so the next 2,000-line one is visible the week
-# it appears. Reports; never fails.
+# it appears; then the public surface kept with a reason, the lines of
+# scripts/surface.allow. Reports; never fails.
 tracked_lines() {
     git ls-files '*.rs' | xargs wc -l | tail -1
     git ls-files '*.rs' | xargs awk '
@@ -496,12 +481,12 @@ tracked_lines() {
             for (c in per) printf "%7d non-test  %s\n", per[c], c | "sort -rn"
         }'
     git ls-files '*.rs' | xargs wc -l | sort -rn | sed -n '2,6p'
+    echo "$(wc -l < scripts/surface.allow) surface.allow entries"
 }
 
-gates="stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
-front_door_wrappers proof_kit_copies double_counts reply_sorts detector_copies store_rows cell_unpack
-uncalled_capabilities replay_paths study_accounts constant_knobs release_stats docs live_smoke chaos_live fleet_smoke
-repro_results repro_streaming study_resume tracked_lines"
+gates="surface stringly_errors nan_unsafe_sorts saturating_u32_casts raw_durable_writes per_row_serde
+proof_kit_copies double_counts reply_sorts detector_copies store_rows cell_unpack replay_paths gone_names
+release_stats docs live_smoke chaos_live fleet_smoke repro_results repro_streaming study_resume tracked_lines"
 
 case "${1:-all}" in
 list) echo $gates ;;
