@@ -16,8 +16,9 @@ use edgeperf_stats::median_ci::median_variance_sorted;
 /// statistics) and [`crate::StreamingCell::summary`] (digest order
 /// statistics) — and what [`WindowCell::new`] packs. Nothing reads a cell
 /// as one: the analyses, both sinks' grids and the live detector read the
-/// packed row. It stays the element of a live `ClosedWindow`'s cells and
-/// the input of `store::window_cell`, `CellLine::new` and
+/// packed row. The live protocol's row reader builds one for each row it
+/// parses, to pack it. It stays the element of a live `ClosedWindow`'s
+/// cells and the input of `store::window_cell`, `CellLine::new` and
 /// `SegmentStore::spill_window`, because the benchmark's probes build
 /// and read those.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -41,9 +41,9 @@
 //! read from disk is bounded by the bytes that hold it before anything is
 //! allocated for it. Problems are the typed [`EdgeperfError::Segment`].
 //!
-//! Version 1 images (no groups: header, row count, the columns of every
-//! row, one checksum over it all) stay readable — [`SegmentIndex`]
-//! presents one as a single group with unbounded keys, read whole.
+//! A reader accepts only what this build writes: an image of another
+//! version — version 1's one unindexed run of rows included — is refused
+//! (`unsupported segment version 1`), not migrated.
 //!
 //! ## Writing
 //!
@@ -239,9 +239,6 @@ pub(crate) fn corrupt(message: String) -> EdgeperfError {
 pub(crate) const FLAG_LONGER_PATH: u8 = 1;
 pub(crate) const FLAG_MORE_PREPENDED: u8 = 2;
 
-/// The version-1 format: one unindexed run of rows, read whole.
-const VERSION_1: u8 = 1;
-
 /// Most rows in one row group. 512 rows encode to ~34 KB — small enough
 /// that a point query decodes little it does not return and a k-way
 /// merge holds a group per input, large enough that the 46-byte index
@@ -268,9 +265,6 @@ const FIXED_ROW_BYTES: u64 = 49;
 
 /// Bytes of a row group's frame: its row count and its checksum.
 const GROUP_FRAME: usize = 4 + 8;
-
-/// The shortest image there is: a version-1 segment of no rows.
-const MIN_IMAGE_LEN: u64 = (HEADER_LEN + GROUP_FRAME) as u64;
 
 /// The shortest version-2 image: header, empty footer, trailer.
 const MIN_V2_LEN: u64 = (HEADER_LEN + 8 + TRAILER_LEN) as u64;
@@ -470,16 +464,6 @@ fn read_column<const N: usize>(
     Ok(())
 }
 
-/// Decode a whole version-1 image: checksum, header, then every row.
-fn decode_v1(bytes: &[u8], out: &mut Vec<WindowCell>) -> Result<(), EdgeperfError> {
-    let mut r = Reader { bytes: checked_body(bytes)?, at: 0 };
-    let head = r.take(HEADER_LEN)?;
-    if head[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC || head[HEADER_LEN - 1] != VERSION_1 {
-        return Err(corrupt(format!("bad version-1 header {head:02x?}")));
-    }
-    decode_columns(&mut r, out)
-}
-
 /// Where one row group sits in its file and what it holds — one footer
 /// entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -502,7 +486,6 @@ pub struct GroupEntry {
 /// the disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentIndex {
-    version: u8,
     groups: Vec<GroupEntry>,
 }
 
@@ -540,17 +523,16 @@ impl SegmentIndex {
     }
 
     /// Index a `len`-byte image through `read_at`, which is only ever
-    /// asked for ranges already checked to lie inside `len`. A version-1
-    /// image is one group spanning the file, with unbounded keys.
+    /// asked for ranges already checked to lie inside `len`.
     fn read(
         len: u64,
         read_at: impl Fn(&mut [u8], u64) -> Result<(), EdgeperfError>,
     ) -> Result<SegmentIndex, EdgeperfError> {
         let too_short = || corrupt(format!("{len} bytes is too short for a segment"));
-        if len < MIN_IMAGE_LEN {
+        if len < HEADER_LEN as u64 {
             return Err(too_short());
         }
-        let mut head = [0u8; HEADER_LEN + 4];
+        let mut head = [0u8; HEADER_LEN];
         read_at(&mut head, 0)?;
         let mut r = Reader { bytes: &head, at: 0 };
         let magic = r.take(SEGMENT_MAGIC.len())?;
@@ -558,18 +540,6 @@ impl SegmentIndex {
             return Err(corrupt(format!("bad magic {magic:02x?}")));
         }
         match r.u8()? {
-            VERSION_1 => {
-                let rows = r.u32()?;
-                let Some(len) =
-                    u32::try_from(len).ok().filter(|_| columns_fit(rows, len - MIN_IMAGE_LEN))
-                else {
-                    return Err(corrupt(format!("{rows} version-1 rows cannot fill {len} bytes")));
-                };
-                let unbounded = (u32::MAX, u16::MAX, u32::MAX, u8::MAX, u16::MAX, u8::MAX, u8::MAX);
-                let whole =
-                    GroupEntry { offset: 0, len, rows, first: Default::default(), last: unbounded };
-                Ok(SegmentIndex { version: VERSION_1, groups: vec![whole] })
-            }
             SEGMENT_VERSION if len < MIN_V2_LEN => Err(too_short()),
             SEGMENT_VERSION => {
                 let mut trailer = [0u8; TRAILER_LEN];
@@ -592,11 +562,7 @@ impl SegmentIndex {
         out: &mut Vec<WindowCell>,
     ) -> Result<(), EdgeperfError> {
         let before = out.len();
-        if self.version == VERSION_1 {
-            decode_v1(bytes, out)?;
-        } else {
-            decode_columns(&mut Reader { bytes: checked_body(bytes)?, at: 0 }, out)?;
-        }
+        decode_columns(&mut Reader { bytes: checked_body(bytes)?, at: 0 }, out)?;
         let rows = out.len() - before;
         if rows != self.groups[i].rows as usize {
             return Err(corrupt(format!(
@@ -656,7 +622,7 @@ fn parse_footer(footer: &[u8], offset: u64) -> Result<SegmentIndex, EdgeperfErro
     if at != offset {
         return Err(corrupt(format!("groups end at byte {at}, the footer starts at {offset}")));
     }
-    Ok(SegmentIndex { version: SEGMENT_VERSION, groups })
+    Ok(SegmentIndex { groups })
 }
 
 fn read_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), EdgeperfError> {
@@ -760,7 +726,7 @@ impl<W: Write> SegmentWriter<W> {
         self.buf.extend_from_slice(&footer_len.to_le_bytes());
         self.buf.extend_from_slice(&TRAILER_MAGIC);
         self.out.write_all(&self.buf)?;
-        Ok((self.out, SegmentIndex { version: SEGMENT_VERSION, groups: self.groups }))
+        Ok((self.out, SegmentIndex { groups: self.groups }))
     }
 }
 
@@ -815,7 +781,7 @@ pub fn encode_segment(cells: &[WindowCell]) -> Vec<u8> {
     writer.finish().expect("a Vec takes every write").0
 }
 
-/// Decode a segment image of either version, verifying every checksum
+/// Decode a segment image, verifying every checksum
 /// and all length arithmetic before any row is surfaced.
 pub fn decode_segment(bytes: &[u8]) -> Result<Vec<WindowCell>, EdgeperfError> {
     let index = SegmentIndex::of_image(bytes)?;

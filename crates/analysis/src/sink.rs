@@ -84,7 +84,7 @@ pub trait RecordSink {
     type Shard: RecordShard;
 
     /// The finished artifact this sink is turned into once the run ends
-    /// (e.g. [`crate::Dataset`] for [`ColumnarSink`]). Sinks whose working
+    /// (e.g. [`crate::Summaries`] for [`ColumnarSink`]). Sinks whose working
     /// state *is* the artifact use `Self`.
     type Snapshot;
 

@@ -1,7 +1,7 @@
 //! Segment decoders against hostile bytes (ROADMAP: "every decoder that
 //! reads bytes off disk is fuzzed"). Whatever `decode_segment` and
-//! `SegmentReader` are handed — arbitrary bytes, a valid image of either
-//! version cut at any offset or with any one bit flipped, a forged count
+//! `SegmentReader` are handed — arbitrary bytes, a valid image cut at any
+//! offset or with any one bit flipped, a forged count
 //! under a recomputed checksum — the answer is the typed
 //! `EdgeperfError::Segment`: never a panic, never rows, and never an
 //! allocation sized by anything but bytes that are really there. Runs
@@ -19,8 +19,7 @@ use edgeperf_routing::{PopId, Prefix, Relationship};
 use std::hash::Hasher;
 use std::path::Path;
 
-/// Row `i` — the generator `tests/fixtures/segment_v1.bin` was recorded
-/// from (`encode_segment` of rows 0..64 at the last version-1 commit).
+/// Row `i` of the image the suite damages.
 fn cell(i: u32) -> WindowCell {
     let group = GroupKey {
         pop: PopId(u16::try_from(i % 5).unwrap()),
@@ -116,16 +115,7 @@ fn hostile_bytes_are_refused_without_a_panic_or_an_oversized_allocation() {
     let file = Some(scratch.as_path());
     let rows: Vec<WindowCell> = (0..64).map(cell).collect();
 
-    // The recorded version-1 image still decodes, to the rows it held.
-    let v1 = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/segment_v1.bin"))
-        .expect("fixture");
-    assert_eq!(v1[4], 1, "the fixture is a version-1 image");
-    assert!(same_bits(&decode_segment(&v1).expect("version 1 decodes"), &rows));
-    std::fs::write(scratch, &v1).expect("scratch file");
-    assert!(same_bits(&read_through_a_reader(scratch).expect("served as one group"), &rows));
-
-    // The same rows today: 22 windows, so 22 row groups, a footer and a
-    // trailer.
+    // 22 windows, so 22 row groups, a footer and a trailer.
     let v2 = encode_segment(&rows);
     assert_eq!(v2[4], 2);
     let index = SegmentIndex::of_image(&v2).expect("indexes");
@@ -134,43 +124,29 @@ fn hostile_bytes_are_refused_without_a_panic_or_an_oversized_allocation() {
     assert!(same_bits(&read_through_a_reader(scratch).expect("reads"), &rows));
 
     let footer_and_trailer = index.groups().len() * 46 + 8 + 16;
-    for (name, image, tail) in [("v1", &v1, 8), ("v2", &v2, footer_and_trailer)] {
-        // Cut anywhere.
-        for len in 0..image.len() {
-            assert_refused(&image[..len], file, &format!("{name} cut to {len} bytes"));
-        }
-        // Any one bit, anywhere — groups, footer and trailer alike. The
-        // reader, which costs a file each, takes every bit of the header
-        // and of the footer and trailer (version 1: of the checksum),
-        // and one bit a byte between.
-        let framing = 9..image.len() - tail;
-        let mut bad = image.clone();
-        for bit in 0..image.len() * 8 {
-            let (byte, mask) = (bit / 8, 1 << (bit % 8));
-            let on_disk = !framing.contains(&byte) || bit % 8 == byte % 8;
-            bad[byte] ^= mask;
-            assert_refused(
-                &bad,
-                file.filter(|_| on_disk),
-                &format!("{name} with bit {bit} flipped"),
-            );
-            bad[byte] ^= mask;
-        }
-        // And bytes glued on the end.
-        bad.extend_from_slice(&[0; 16]);
-        assert_refused(&bad, file, &format!("{name} with 16 bytes appended"));
+    // Cut anywhere.
+    for len in 0..v2.len() {
+        assert_refused(&v2[..len], file, &format!("v2 cut to {len} bytes"));
     }
+    // Any one bit, anywhere — groups, footer and trailer alike. The
+    // reader, which costs a file each, takes every bit of the header and
+    // of the footer and trailer, and one bit a byte between.
+    let framing = 9..v2.len() - footer_and_trailer;
+    let mut bad = v2.clone();
+    for bit in 0..v2.len() * 8 {
+        let (byte, mask) = (bit / 8, 1 << (bit % 8));
+        let on_disk = !framing.contains(&byte) || bit % 8 == byte % 8;
+        bad[byte] ^= mask;
+        assert_refused(&bad, file.filter(|_| on_disk), &format!("v2 with bit {bit} flipped"));
+        bad[byte] ^= mask;
+    }
+    // And bytes glued on the end.
+    bad.extend_from_slice(&[0; 16]);
+    assert_refused(&bad, file, "v2 with 16 bytes appended");
 
     // Forged counts under checksums recomputed to match: it is length
     // arithmetic, not the checksum, that must stop these — and before
     // anything is sized by them.
-    let mut forged = v1.clone();
-    forged[5..9].copy_from_slice(&0x00ff_ffffu32.to_le_bytes());
-    let body = forged.len() - 8;
-    let sum = checksum(&forged[..body]);
-    forged[body..].copy_from_slice(&sum);
-    assert_refused(&forged, file, "v1 claiming 16 M rows");
-
     let group = index.groups()[0];
     let (at, end) = (group.offset as usize, group.offset as usize + group.len as usize);
     let mut forged = v2.clone();

@@ -58,6 +58,12 @@ pub enum EdgeperfError {
         /// The ring's window length (ms).
         window_ms: f64,
     },
+    /// A record's client prefix length was above 32. Counted under
+    /// `ingest.reject.invalid_prefix_len` on either wire.
+    InvalidPrefixLen {
+        /// The rejected length.
+        len: u8,
+    },
     /// A binary wire frame could not be decoded (bad preamble, short
     /// length prefix, or invalid packed fields). Unlike per-line JSONL
     /// errors there is no way to resynchronize a corrupt binary stream,
@@ -106,6 +112,7 @@ impl EdgeperfError {
             EdgeperfError::Json { .. } => "json",
             EdgeperfError::LateRecord { .. } => "late",
             EdgeperfError::WindowOverflow { .. } => "window_overflow",
+            EdgeperfError::InvalidPrefixLen { .. } => "invalid_prefix_len",
             EdgeperfError::Frame { .. } => "frame",
             EdgeperfError::Segment { .. } => "segment",
             EdgeperfError::InvalidConfig { .. } => "invalid_config",
@@ -140,6 +147,9 @@ impl fmt::Display for EdgeperfError {
                     f,
                     "ts_ms {ts_ms} maps past the window-index horizon ({window_ms} ms windows)"
                 )
+            }
+            EdgeperfError::InvalidPrefixLen { len } => {
+                write!(f, "prefix_len: {len} exceeds 32")
             }
             EdgeperfError::Frame { message } => write!(f, "binary frame: {message}"),
             EdgeperfError::Segment { message } => write!(f, "window segment: {message}"),

@@ -6,9 +6,10 @@
 //! external tooling. Command lines are produced by [`Request::wire_line`] and
 //! replies parsed by the [`crate::protocol`] helpers — the client never
 //! hand-rolls wire syntax, so it cannot drift from the server. The rows
-//! of a `cells` reply are read through one reused line buffer
-//! and `protocol::read_row`: what a row still costs the client
-//! is the [`CellLine`] it returns, relationship `String` included. Data
+//! of a `cells` reply are read through one reused line buffer and
+//! `protocol::read_row`, which parses the `WindowCell` a row is; what a
+//! row still costs the client is the [`CellLine`] view of it that it
+//! returns, relationship `String` included. Data
 //! lines are buffered (flushed before any command round-trip) so replay
 //! throughput is not bounded by per-line syscalls. An `{"error":…}`
 //! reply to a typed verb is an [`io::Error`] carrying the server's line.

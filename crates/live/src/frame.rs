@@ -58,15 +58,16 @@
 //! Floats travel as raw IEEE-754 bits, so a record round-trips
 //! **bit-identically** — the property the JSONL path buys with full
 //! `{:?}` formatting, here for free. Any malformed frame is a typed
-//! [`EdgeperfError::Frame`] reject; unlike a bad JSONL line there is no
+//! reject — [`EdgeperfError::Frame`], or for a field's value the error
+//! the JSONL path gives the same value; unlike a bad JSONL line there is no
 //! newline to resynchronize on, so the server closes the connection
 //! after counting the reject.
 
 use edgeperf_analysis::GroupKey;
 use edgeperf_core::EdgeperfError;
-use edgeperf_routing::{PopId, Prefix, Relationship};
+use edgeperf_routing::{PopId, Relationship};
 
-use crate::record::{check_measurements, LiveRecord};
+use crate::record::{check_measurements, prefix_from_wire, LiveRecord};
 
 /// First four bytes of a binary-mode connection.
 pub(crate) const FRAME_MAGIC: [u8; 4] = *b"EPB1";
@@ -198,9 +199,10 @@ fn le_f64(b: &[u8]) -> f64 {
 ///
 /// Validation mirrors the JSONL path: non-finite or negative
 /// `min_rtt_ms` is [`EdgeperfError::InvalidMinRtt`], a non-finite
-/// flagged `hdratio` is [`EdgeperfError::NonFinite`], and structurally
-/// impossible packed fields (relationship code 3, prefix length > 32,
-/// unknown meta bits, non-finite `ts_ms`) are [`EdgeperfError::Frame`].
+/// flagged `hdratio` is [`EdgeperfError::NonFinite`], a prefix length
+/// above 32 is [`EdgeperfError::InvalidPrefixLen`], and structurally
+/// impossible packed fields (relationship code 3, unknown meta bits,
+/// non-finite `ts_ms`) are [`EdgeperfError::Frame`].
 pub(crate) fn decode_body(b: &[u8]) -> Result<LiveRecord, EdgeperfError> {
     debug_assert!(b.len() >= FRAME_BODY_LEN, "caller checks the length prefix");
     let meta = b[43];
@@ -213,12 +215,8 @@ pub(crate) fn decode_body(b: &[u8]) -> Result<LiveRecord, EdgeperfError> {
         2 => Relationship::Transit,
         _ => return Err(EdgeperfError::Frame { message: "relationship code 3 is invalid".into() }),
     };
-    let prefix_len = b[40];
-    if prefix_len > 32 {
-        return Err(EdgeperfError::Frame {
-            message: format!("prefix length {prefix_len} exceeds 32"),
-        });
-    }
+    let base = u32::from_le_bytes(b[32..36].try_into().expect("4-byte slice"));
+    let prefix = prefix_from_wire(base, b[40])?;
     let ts_ms = le_f64(&b[0..8]);
     if !ts_ms.is_finite() || ts_ms < 0.0 {
         return Err(EdgeperfError::Frame { message: format!("invalid ts_ms {ts_ms}") });
@@ -226,12 +224,11 @@ pub(crate) fn decode_body(b: &[u8]) -> Result<LiveRecord, EdgeperfError> {
     let min_rtt_ms = le_f64(&b[8..16]);
     let hdratio = (meta & META_HAS_HDRATIO != 0).then(|| le_f64(&b[16..24]));
     check_measurements(min_rtt_ms, hdratio)?;
-    let base = u32::from_le_bytes(b[32..36].try_into().expect("4-byte slice"));
     Ok(LiveRecord {
         ts_ms,
         group: GroupKey {
             pop: PopId(u16::from_le_bytes(b[36..38].try_into().expect("2-byte slice"))),
-            prefix: Prefix::new(base, prefix_len),
+            prefix,
             country: u16::from_le_bytes(b[38..40].try_into().expect("2-byte slice")),
             continent: b[41],
         },
@@ -355,6 +352,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgeperf_routing::Prefix;
 
     fn sample(hdratio: Option<f64>, relationship: Relationship) -> LiveRecord {
         LiveRecord {
@@ -551,8 +549,8 @@ mod tests {
         assert_eq!(corrupt(&mut f).reason(), "frame");
 
         let mut f = encode_frame(&good);
-        f[1 + 40] = 33; // prefix length
-        assert_eq!(corrupt(&mut f).reason(), "frame");
+        f[1 + 40] = 33; // prefix length: the JSONL path's reject
+        assert_eq!(corrupt(&mut f).reason(), "invalid_prefix_len");
 
         let mut f = encode_frame(&good);
         f[1 + 43] |= 0b1000_0000; // unknown meta bit
@@ -633,7 +631,10 @@ mod tests {
                         Ok(_) => {}
                         Err(e) => {
                             prop_assert!(
-                                matches!(e.reason(), "frame" | "invalid_min_rtt" | "non_finite"),
+                                matches!(
+                                    e.reason(),
+                                    "frame" | "invalid_min_rtt" | "non_finite" | "invalid_prefix_len"
+                                ),
                                 "untyped reject {e}"
                             );
                             // The server closes the connection here.

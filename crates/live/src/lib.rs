@@ -39,7 +39,8 @@
 //!   FaultPlan is written in too.
 //! - [`protocol`]: the typed, versioned line protocol —
 //!   [`Request`]/[`Response`], the wire structs a reply carries
-//!   ([`LiveSnapshot`], [`CellLine`]) and the one parse/render path
+//!   ([`LiveSnapshot`]; [`CellLine`], the client's view of a `cells`
+//!   row) and the one parse/render path
 //!   shared by server and client, byte-compatible with the legacy bare
 //!   commands; every `cells` reply is in canonical (window, group, rank)
 //!   order.
@@ -102,7 +103,7 @@ pub use protocol::{
     LiveSnapshot, ProtocolError, ReasonCount, Request, Response, WorkerStatsLine,
 };
 pub use queue::{spsc, Consumer, Producer, Waiter};
-pub use record::{relationship_from_label, LineParser, LiveRecord};
+pub use record::{prefix_from_wire, relationship_from_label, LineParser, LiveRecord};
 pub use reply::CellsReply;
 pub use server::{shard_of, LiveServer, ServerHandle};
 pub use store::{CrashPoint, Cursors, SegmentMeta, SegmentStore, SpillOutcome, StoreStats};

@@ -15,22 +15,32 @@
 //!
 //! A `cells` reply is a header line (`write_cells_header`) and one
 //! JSON object per row, and at the wide shape one reply is 32,768 rows.
-//! Rows therefore have one hand-written writer and one hand-written
-//! reader for their fixed 17 fields — `write_row` / `read_row` —
-//! used by the server's streamed replies, by [`Response::render`], by
-//! [`crate::client::LiveClient`] and by the fleet tier alike. The wire
-//! format did not change: the writer emits exactly the bytes
-//! `serde_json::to_string(&CellLine)` emitted (field order, integers
-//! below 1e15 as integers, `-0`, shortest round-trip floats, `null` for
-//! an absent or non-finite statistic, `u64` counts through the same
-//! `f64` rule), and the reader returns exactly the fields
-//! `serde_json::from_str::<CellLine>` returned, to the bit — but accepts
-//! only that one shape, so a reordered, truncated or padded row is a
-//! [`ProtocolError::MalformedReply`]. What the derive cost was a `Value`
-//! tree with 17 key `String`s per row in each direction. The golden
-//! tests pin the bytes; `prop_row_codec_is_the_serde_derive_byte_for_byte`
-//! pins both directions against the derive over every class of `f64`
-//! and `u64` the number rule tells apart.
+//! A row is a [`WindowCell`], the form the live tier holds, spills and
+//! streams a closed cell in, and it has one hand-written writer and one
+//! hand-written reader for its fixed 17 fields — `write_row` /
+//! `read_row` — used by the server's streamed replies, by
+//! [`Response::render`], by [`crate::client::LiveClient`] and by the
+//! fleet tier alike. [`CellLine`] is the client's view of a row: the
+//! client converts each row it reads through `From<&WindowCell>`, and
+//! [`Response::Cells`] renders each line back through
+//! `TryFrom<&CellLine> for WindowCell` and the writer.
+//!
+//! The writer emits exactly the bytes `serde_json::to_string(&CellLine)`
+//! emits (field order, integers below 1e15 as integers, `-0`, shortest
+//! round-trip floats, `null` for an absent or non-finite statistic, `u64`
+//! counts through the same `f64` rule). The relationship is one of the
+//! three labels `Relationship::label` gives, so it needs no escape. The
+//! reader accepts exactly the bytes the writer writes — it parses the
+//! fields and then checks that writing them back spells the line — so a
+//! reordered, truncated or padded row, a number in any other spelling, a
+//! prefix length above 32 or another label is a
+//! [`ProtocolError::MalformedReply`], never a panic. What it returns
+//! equals, to the bit, what `serde_json::from_str::<CellLine>` returns.
+//! The golden tests pin the bytes;
+//! `prop_row_codec_is_the_serde_derive_byte_for_byte` pins both
+//! directions against the derive over every class of `f64` and `u64` the
+//! number rule tells apart, and `prop_read_row_accepts_only_what_write_row_writes`
+//! feeds the reader damaged and arbitrary bytes.
 //!
 //! ## Compatibility
 //!
@@ -62,6 +72,7 @@
 //!   the same `{"error":"unknown command …"}` reply the stringly
 //!   dispatch produced.
 
+use crate::record::relationship_from_label;
 use crate::store::StoreStats;
 use crate::window::{CellKey, CellSummary};
 use edgeperf_analysis::{GroupKey, WindowCell};
@@ -322,7 +333,6 @@ pub struct WorkerStatsLine {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LiveSnapshot {
     /// True only for the final snapshot after a clean drain.
-    #[serde(default)]
     pub drained: bool,
     /// Worker threads.
     pub workers: u64,
@@ -347,10 +357,8 @@ pub struct LiveSnapshot {
     /// Degradation episodes currently open.
     pub episodes_open: u64,
     /// Reject counts by typed reason.
-    #[serde(default)]
     pub reject_reasons: Vec<ReasonCount>,
     /// MinRTT temporal-class histogram over groups.
-    #[serde(default)]
     pub classes_minrtt: Vec<ClassCount>,
 }
 
@@ -372,10 +380,13 @@ pub struct ClassCount {
     pub groups: u64,
 }
 
-/// One closed cell as served by the `cells` command — flat wire form of
-/// ([`CellKey`], [`CellSummary`]) with full `f64` round-trip precision
-/// (Rust's shortest-round-trip float formatting), so bit-identity can be
-/// asserted across the wire.
+/// The client's view of one `cells` reply row: a [`WindowCell`]'s
+/// fields flattened, with full `f64` round-trip precision (Rust's
+/// shortest-round-trip float formatting), so bit-identity can be asserted
+/// across the wire. Rows read off the wire and rows built by
+/// [`CellLine::new`] both come through `From<&WindowCell>`, so their
+/// `relationship` is one of the three labels and their `prefix_len` at
+/// most 32.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct CellLine {
     /// Window index.
@@ -417,7 +428,7 @@ pub struct CellLine {
 impl CellLine {
     /// Flatten a closed cell for the wire.
     pub fn new(window: u32, key: &CellKey, s: &CellSummary) -> CellLine {
-        crate::store::cell_line(&crate::store::window_cell(window, key, s))
+        CellLine::from(&crate::store::window_cell(window, key, s))
     }
 
     /// The cell's group key.
@@ -428,6 +439,65 @@ impl CellLine {
             country: self.country,
             continent: self.continent,
         }
+    }
+}
+
+impl From<&WindowCell> for CellLine {
+    fn from(c: &WindowCell) -> CellLine {
+        let group = c.group();
+        CellLine {
+            window: c.window,
+            pop: group.pop.0,
+            prefix_base: group.prefix.base,
+            prefix_len: group.prefix.len,
+            country: group.country,
+            continent: group.continent,
+            rank: c.rank,
+            relationship: c.relationship().label().to_string(),
+            longer_path: c.longer_path(),
+            more_prepended: c.more_prepended(),
+            n: c.n,
+            n_tested: c.n_tested,
+            bytes: c.bytes,
+            min_rtt_p50: c.min_rtt_p50,
+            min_rtt_var: c.min_rtt_var(),
+            hdratio_p50: c.hdratio_p50(),
+            hdratio_var: c.hdratio_var(),
+        }
+    }
+}
+
+/// What a row's relationship must be.
+const LABELS: &str = "a relationship label: private, public or transit";
+
+impl TryFrom<&CellLine> for WindowCell {
+    type Error = ProtocolError;
+
+    /// The row a line views, bit for bit. A `relationship` other than
+    /// the three labels has no row and is [`ProtocolError::MalformedReply`].
+    fn try_from(c: &CellLine) -> Result<WindowCell, ProtocolError> {
+        let relationship = relationship_from_label(&c.relationship).map_err(|_| {
+            ProtocolError::MalformedReply { expected: LABELS, got: c.relationship.clone() }
+        })?;
+        let group = GroupKey {
+            pop: PopId(c.pop),
+            prefix: Prefix { base: c.prefix_base, len: c.prefix_len },
+            country: c.country,
+            continent: c.continent,
+        };
+        let summary = CellSummary {
+            relationship,
+            longer_path: c.longer_path,
+            more_prepended: c.more_prepended,
+            n: usize::try_from(c.n).expect("64-bit usize"),
+            n_tested: usize::try_from(c.n_tested).expect("64-bit usize"),
+            bytes: c.bytes,
+            min_rtt_p50: c.min_rtt_p50,
+            min_rtt_var: c.min_rtt_var,
+            hdratio_p50: c.hdratio_p50,
+            hdratio_var: c.hdratio_var,
+        };
+        Ok(WindowCell::new(c.window, group, c.rank, &summary))
     }
 }
 
@@ -453,7 +523,10 @@ pub enum Response {
     Snapshot(LiveSnapshot),
     /// Per-worker statistics.
     Stats(Vec<WorkerStatsLine>),
-    /// Cell header + rows.
+    /// Cell header + rows, each written as the [`WindowCell`] it views.
+    /// Every line a server or a client makes holds one of the three
+    /// relationship labels; rendering a hand-built line with another is a
+    /// caller bug, and panics naming the label.
     Cells(Vec<CellLine>),
     /// Pre-serialized metrics snapshot JSON.
     Metrics(String),
@@ -530,81 +603,11 @@ fn render_rows(cells: &[CellLine]) -> String {
     let mut out = Vec::new();
     write_cells_header(&mut out, cells.len()).expect("write to a Vec");
     for cell in cells {
+        let row = WindowCell::try_from(cell).unwrap_or_else(|e| panic!("Response::Cells: {e}"));
         out.push(b'\n');
-        write_fields(&mut out, &Fields::from(cell)).expect("write to a Vec");
+        write_row(&mut out, &row).expect("write to a Vec");
     }
     String::from_utf8(out).expect("a row is UTF-8")
-}
-
-/// The 17 wire fields of one row, borrowed from wherever the row lives:
-/// a [`WindowCell`] the server holds or a [`CellLine`] a client parsed.
-struct Fields<'a> {
-    window: u32,
-    pop: u16,
-    prefix_base: u32,
-    prefix_len: u8,
-    country: u16,
-    continent: u8,
-    rank: u8,
-    relationship: &'a str,
-    longer_path: bool,
-    more_prepended: bool,
-    n: u64,
-    n_tested: u64,
-    bytes: u64,
-    min_rtt_p50: f64,
-    min_rtt_var: Option<f64>,
-    hdratio_p50: Option<f64>,
-    hdratio_var: Option<f64>,
-}
-
-impl<'a> From<&'a CellLine> for Fields<'a> {
-    fn from(c: &'a CellLine) -> Self {
-        Fields {
-            window: c.window,
-            pop: c.pop,
-            prefix_base: c.prefix_base,
-            prefix_len: c.prefix_len,
-            country: c.country,
-            continent: c.continent,
-            rank: c.rank,
-            relationship: &c.relationship,
-            longer_path: c.longer_path,
-            more_prepended: c.more_prepended,
-            n: c.n,
-            n_tested: c.n_tested,
-            bytes: c.bytes,
-            min_rtt_p50: c.min_rtt_p50,
-            min_rtt_var: c.min_rtt_var,
-            hdratio_p50: c.hdratio_p50,
-            hdratio_var: c.hdratio_var,
-        }
-    }
-}
-
-impl From<&WindowCell> for Fields<'static> {
-    fn from(c: &WindowCell) -> Self {
-        let group = c.group();
-        Fields {
-            window: c.window,
-            pop: group.pop.0,
-            prefix_base: group.prefix.base,
-            prefix_len: group.prefix.len,
-            country: group.country,
-            continent: group.continent,
-            rank: c.rank,
-            relationship: c.relationship().label(),
-            longer_path: c.longer_path(),
-            more_prepended: c.more_prepended(),
-            n: c.n,
-            n_tested: c.n_tested,
-            bytes: c.bytes,
-            min_rtt_p50: c.min_rtt_p50,
-            min_rtt_var: c.min_rtt_var(),
-            hdratio_p50: c.hdratio_p50(),
-            hdratio_var: c.hdratio_var(),
-        }
-    }
 }
 
 /// A JSON number as `serde_json::to_string` prints an `f64` (the rule
@@ -631,101 +634,82 @@ fn opt(n: Option<f64>) -> Num {
     Num(n.unwrap_or(f64::NAN))
 }
 
-/// A JSON string with `serde_json::to_string`'s escapes. The three
-/// relationship labels need none; a hand-built [`CellLine`] might.
-struct Quoted<'a>(&'a str);
-
-impl fmt::Display for Quoted<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use fmt::Write;
-        f.write_char('"')?;
-        for c in self.0.chars() {
-            match c {
-                '"' => f.write_str("\\\"")?,
-                '\\' => f.write_str("\\\\")?,
-                '\n' => f.write_str("\\n")?,
-                '\r' => f.write_str("\\r")?,
-                '\t' => f.write_str("\\t")?,
-                c if u32::from(c) < 0x20 => write!(f, "\\u{:04x}", u32::from(c))?,
-                c => f.write_char(c)?,
-            }
-        }
-        f.write_char('"')
-    }
-}
-
-/// The one place a row becomes bytes. Integer fields narrower than 54
-/// bits print as themselves — what [`Num`] would print for them.
-fn write_fields(out: &mut impl io::Write, r: &Fields<'_>) -> io::Result<()> {
+/// Write one row of a `cells` reply (no newline): exactly the bytes
+/// `serde_json::to_string(&CellLine::from(row))` gives, without building
+/// the [`CellLine`], its `String` or a `Value` tree. Integer fields
+/// narrower than 54 bits print as themselves — what [`Num`] would print
+/// for them. The property test below pins the equality; [`read_row`] is
+/// the inverse.
+pub(crate) fn write_row(out: &mut impl io::Write, row: &WindowCell) -> io::Result<()> {
+    let group = row.group();
     write!(
         out,
         "{{\"window\":{},\"pop\":{},\"prefix_base\":{},\"prefix_len\":{},\"country\":{},\
-         \"continent\":{},\"rank\":{},\"relationship\":{},\"longer_path\":{},\
+         \"continent\":{},\"rank\":{},\"relationship\":\"{}\",\"longer_path\":{},\
          \"more_prepended\":{},\"n\":{},\"n_tested\":{},\"bytes\":{},\"min_rtt_p50\":{},\
          \"min_rtt_var\":{},\"hdratio_p50\":{},\"hdratio_var\":{}}}",
-        r.window,
-        r.pop,
-        r.prefix_base,
-        r.prefix_len,
-        r.country,
-        r.continent,
-        r.rank,
-        Quoted(r.relationship),
-        r.longer_path,
-        r.more_prepended,
-        Num(r.n as f64),
-        Num(r.n_tested as f64),
-        Num(r.bytes as f64),
-        Num(r.min_rtt_p50),
-        opt(r.min_rtt_var),
-        opt(r.hdratio_p50),
-        opt(r.hdratio_var),
+        row.window,
+        group.pop.0,
+        group.prefix.base,
+        group.prefix.len,
+        group.country,
+        group.continent,
+        row.rank,
+        row.relationship().label(),
+        row.longer_path(),
+        row.more_prepended(),
+        Num(row.n as f64),
+        Num(row.n_tested as f64),
+        Num(row.bytes as f64),
+        Num(row.min_rtt_p50),
+        opt(row.min_rtt_var()),
+        opt(row.hdratio_p50()),
+        opt(row.hdratio_var()),
     )
-}
-
-/// Write one row of a `cells` reply (no newline): exactly the
-/// bytes `serde_json::to_string(&store::cell_line(row))` gives, without
-/// building the [`CellLine`], its `String` or a `Value` tree. The
-/// property test below pins the equality; [`read_row`] is the inverse.
-pub(crate) fn write_row(out: &mut impl io::Write, row: &WindowCell) -> io::Result<()> {
-    write_fields(out, &Fields::from(row))
 }
 
 const ROW_SHAPE: &str = "a cell row: {\"window\":N,…,\"hdratio_var\":X}";
 
-/// Parse one reply row: the strict inverse of [`write_row`]. The 17
-/// fields must come in wire order with nothing between or after them;
-/// each value is read as `serde_json::from_str::<CellLine>` reads it, so
-/// every `f64` keeps its bits. Anything else — a reordered, truncated or
-/// padded row, a value out of its field's range — is
+/// Parse one reply row: the strict inverse of [`write_row`]. It accepts
+/// exactly the lines `write_row` writes — the 17 fields in wire order,
+/// each spelled as the writer spells it, a prefix length of at most 32
+/// and one of the three relationship labels — and returns the row they
+/// came from, every `f64` to the bit. Anything else is
 /// [`ProtocolError::MalformedReply`], never a panic.
-pub(crate) fn read_row(line: &str) -> Result<CellLine, ProtocolError> {
+pub(crate) fn read_row(line: &str) -> Result<WindowCell, ProtocolError> {
     parse_row(line)
         .ok_or_else(|| ProtocolError::MalformedReply { expected: ROW_SHAPE, got: line.to_string() })
 }
 
-fn parse_row(line: &str) -> Option<CellLine> {
+fn parse_row(line: &str) -> Option<WindowCell> {
     let rest = &mut &*line;
-    let row = CellLine {
-        window: uint(scalar(rest, "{\"window\":")?)?,
-        pop: uint(scalar(rest, ",\"pop\":")?)?,
-        prefix_base: uint(scalar(rest, ",\"prefix_base\":")?)?,
-        prefix_len: uint(scalar(rest, ",\"prefix_len\":")?)?,
-        country: uint(scalar(rest, ",\"country\":")?)?,
-        continent: uint(scalar(rest, ",\"continent\":")?)?,
-        rank: uint(scalar(rest, ",\"rank\":")?)?,
-        relationship: quoted(rest, ",\"relationship\":\"")?,
-        longer_path: boolean(scalar(rest, ",\"longer_path\":")?)?,
-        more_prepended: boolean(scalar(rest, ",\"more_prepended\":")?)?,
-        n: uint(scalar(rest, ",\"n\":")?)?,
-        n_tested: uint(scalar(rest, ",\"n_tested\":")?)?,
-        bytes: uint(scalar(rest, ",\"bytes\":")?)?,
-        min_rtt_p50: number(scalar(rest, ",\"min_rtt_p50\":")?)?,
-        min_rtt_var: optional(scalar(rest, ",\"min_rtt_var\":")?)?,
-        hdratio_p50: optional(scalar(rest, ",\"hdratio_p50\":")?)?,
-        hdratio_var: optional(scalar(rest, ",\"hdratio_var\":")?)?,
+    let window = field(rest, "{\"window\":")?;
+    let group = GroupKey {
+        pop: PopId(field(rest, ",\"pop\":")?),
+        prefix: Prefix {
+            base: field(rest, ",\"prefix_base\":")?,
+            len: field(rest, ",\"prefix_len\":").filter(|len| *len <= 32)?,
+        },
+        country: field(rest, ",\"country\":")?,
+        continent: field(rest, ",\"continent\":")?,
     };
-    (*rest == "}").then_some(row)
+    let rank = field(rest, ",\"rank\":")?;
+    let label = scalar(rest, ",\"relationship\":")?;
+    let summary = CellSummary {
+        relationship: relationship_from_label(label.strip_prefix('"')?.strip_suffix('"')?).ok()?,
+        longer_path: field(rest, ",\"longer_path\":")?,
+        more_prepended: field(rest, ",\"more_prepended\":")?,
+        n: usize::try_from(count(rest, ",\"n\":")?).ok()?,
+        n_tested: usize::try_from(count(rest, ",\"n_tested\":")?).ok()?,
+        bytes: count(rest, ",\"bytes\":")?,
+        min_rtt_p50: field(rest, ",\"min_rtt_p50\":")?,
+        min_rtt_var: optional(rest, ",\"min_rtt_var\":")?,
+        hdratio_p50: optional(rest, ",\"hdratio_p50\":")?,
+        hdratio_var: optional(rest, ",\"hdratio_var\":")?,
+    };
+    let row = WindowCell::new(window, group, rank, &summary);
+    let mut unwritten = Unwritten(line.as_bytes());
+    (write_row(&mut unwritten, &row).is_ok() && unwritten.0.is_empty()).then_some(row)
 }
 
 /// Strip `key` off `rest` and take the value after it: the text up to
@@ -737,82 +721,38 @@ fn scalar<'a>(rest: &mut &'a str, key: &str) -> Option<&'a str> {
     Some(&after[..end])
 }
 
-/// Strip `key` (which ends with the opening quote) off `rest` and take
-/// the string after it, undoing exactly the escapes [`Quoted`] writes.
-fn quoted(rest: &mut &str, key: &str) -> Option<String> {
-    let after = rest.strip_prefix(key)?;
-    let plain = after.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20)?;
-    let mut out = after[..plain].to_string();
-    let mut chars = after[plain..].chars();
-    loop {
-        match chars.next()? {
-            '"' => break,
-            '\\' => out.push(match chars.next()? {
-                '"' => '"',
-                '\\' => '\\',
-                'n' => '\n',
-                'r' => '\r',
-                't' => '\t',
-                'u' => {
-                    let hex = |h: &&str| h.bytes().all(|b| b.is_ascii_hexdigit());
-                    let hex = chars.as_str().get(..4).filter(hex)?;
-                    let control = u8::from_str_radix(hex, 16).ok().filter(|c| *c < 0x20)?;
-                    chars = chars.as_str()[4..].chars();
-                    char::from(control)
-                }
-                _ => return None,
-            }),
-            c if u32::from(c) < 0x20 => return None,
-            c => out.push(c),
-        }
-    }
-    *rest = chars.as_str();
-    Some(out)
+/// The value after `key`, parsed as its type parses. Another spelling of
+/// the same value (`+1`, `01`, `1.0`) gets past the parse, not past the
+/// check [`parse_row`] ends with.
+fn field<T: std::str::FromStr>(rest: &mut &str, key: &str) -> Option<T> {
+    scalar(rest, key)?.parse().ok()
 }
 
-/// A number token as the `serde_json` stand-in's parser reads it: short
-/// integers through `i64` (but never `-0`, which must keep its sign),
-/// the rest through `f64::from_str` — which alone would also accept
-/// `inf` and `nan`, hence the character check.
-fn number(token: &str) -> Option<f64> {
-    let bytes = token.as_bytes();
-    if !matches!(bytes.first(), Some(b'-' | b'0'..=b'9')) {
-        return None;
-    }
-    if token.len() < 16 && bytes[1..].iter().all(u8::is_ascii_digit) {
-        if let Ok(i) = token.parse::<i64>() {
-            if i != 0 || bytes[0] != b'-' {
-                return Some(i as f64);
-            }
-        }
-    }
-    let json = |b: &u8| matches!(b, b'0'..=b'9' | b'+' | b'-' | b'.' | b'e' | b'E');
-    bytes.iter().all(json).then(|| token.parse().ok()).flatten()
+/// A `u64` count, written through the `f64` rule (so `u64::MAX` reads
+/// back from `18446744073709552000`).
+fn count(rest: &mut &str, key: &str) -> Option<u64> {
+    field::<f64>(rest, key).map(|n| n as u64)
 }
 
-/// An unsigned integer field, accepted as the stand-in's `Deserialize`
-/// accepts it: the `f64` must convert to the type and back unchanged
-/// (so `18446744073709552000`, what `u64::MAX` is written as, reads
-/// back as `u64::MAX`).
-fn uint<T: TryFrom<u64>>(token: &str) -> Option<T> {
-    let n = number(token)?;
-    let wide = n as u64;
-    (wide as f64 == n).then(|| T::try_from(wide).ok()).flatten()
-}
-
-fn optional(token: &str) -> Option<Option<f64>> {
-    if token == "null" {
-        Some(None)
-    } else {
-        number(token).map(Some)
+fn optional(rest: &mut &str, key: &str) -> Option<Option<f64>> {
+    match scalar(rest, key)? {
+        "null" => Some(None),
+        token => token.parse().ok().map(Some),
     }
 }
 
-fn boolean(token: &str) -> Option<bool> {
-    match token {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
+/// An `io::Write` that takes only the bytes it still holds, in order:
+/// what a parsed row must write back to be the line it was parsed from.
+struct Unwritten<'a>(&'a [u8]);
+
+impl io::Write for Unwritten<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 = self.0.strip_prefix(buf).ok_or(io::ErrorKind::InvalidData)?;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -837,7 +777,7 @@ pub(crate) fn read_rows(
         if reader.read_line(line)? == 0 || !line.ends_with('\n') {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "reply ended mid-rows"));
         }
-        rows.push(read_row(line.trim_end())?);
+        rows.push(CellLine::from(&read_row(line.trim_end())?));
     }
     Ok(rows)
 }
@@ -1105,14 +1045,6 @@ mod tests {
              \"query_rows_examined\":24,\"query_rows_returned\":3}"
         );
         assert_eq!(Response::Store(None).render(), "{\"error\":\"no spill directory configured\"}");
-        // Replies from servers predating the health fields still parse.
-        let legacy: StoreStats = serde_json::from_str(
-            "{\"segments\":1,\"cells\":9,\"bytes\":512,\"from_window\":1,\"until_window\":1,\
-             \"spilled_windows\":1,\"spilled_cells\":9,\"compactions\":0}",
-        )
-        .expect("legacy reply parses");
-        assert_eq!(legacy.spill_errors, 0);
-        assert!(!legacy.degraded);
     }
 
     #[test]
@@ -1244,6 +1176,12 @@ mod tests {
         )
     }
 
+    fn written(row: &WindowCell) -> String {
+        let mut out = Vec::new();
+        write_row(&mut out, row).expect("writes to a Vec");
+        String::from_utf8(out).expect("utf-8")
+    }
+
     fn malformed(line: &str) -> bool {
         matches!(read_row(line), Err(ProtocolError::MalformedReply { .. }))
     }
@@ -1309,19 +1247,25 @@ mod tests {
                 hdratio_var: (present & 4 != 0).then(|| float(classes.6, raw.6)),
             };
             let row = WindowCell::new(window, group, rank, &summary);
-            let line = crate::store::cell_line(&row);
-            let mut written = Vec::new();
-            write_row(&mut written, &row).expect("writes to a Vec");
-            let written = String::from_utf8(written).expect("utf-8");
+            let line = CellLine::from(&row);
+            let written = written(&row);
             prop_assert_eq!(&written, &serde_json::to_string(&line).expect("serializes"));
             prop_assert_eq!(
                 Response::Cells(vec![line]).render(),
                 format!("{{\"cells\":1}}\n{written}")
             );
+            // The derive reads a prefix length above 32 too; no server
+            // writes one, and the reader refuses it.
             match (read_row(&written), serde_json::from_str::<CellLine>(&written)) {
-                (Ok(ours), Ok(serde)) => prop_assert_eq!(bits(&ours), bits(&serde)),
+                (Ok(ours), Ok(serde)) => {
+                    prop_assert!(len <= 32, "{written}");
+                    prop_assert_eq!(bits(&CellLine::from(&ours)), bits(&serde))
+                }
                 (Err(ProtocolError::MalformedReply { .. }), Err(_)) => {
                     prop_assert!(!row.min_rtt_p50.is_finite(), "{written}")
+                }
+                (Err(ProtocolError::MalformedReply { .. }), Ok(_)) => {
+                    prop_assert!(len > 32, "{written}")
                 }
                 (ours, serde) => panic!("{written}: read_row {ours:?}, serde {serde:?}"),
             }
@@ -1340,31 +1284,146 @@ mod tests {
         }
     }
 
-    /// What no server sends but a hand-built [`CellLine`] may hold: a
-    /// relationship that needs every escape the writer knows.
-    #[test]
-    fn escaped_relationship_labels_round_trip_like_serde() {
-        let cell = CellLine {
-            relationship: "q\" b\\ n\n r\r t\t c\u{1}\u{1f} é 😀 ,}".to_string(),
-            ..serde_json::from_str(
-                "{\"window\":3,\"pop\":1,\"prefix_base\":167772160,\"prefix_len\":24,\
-                 \"country\":7,\"continent\":2,\"rank\":0,\"relationship\":\"\",\
-                 \"longer_path\":false,\"more_prepended\":true,\"n\":10,\"n_tested\":8,\
-                 \"bytes\":1000,\"min_rtt_p50\":42.5,\"min_rtt_var\":0.25,\
-                 \"hdratio_p50\":null,\"hdratio_var\":null}",
-            )
-            .expect("parses")
-        };
-        let rendered = Response::Cells(vec![cell.clone()]).render();
-        let row = rendered.lines().nth(1).expect("one row");
-        assert_eq!(row, serde_json::to_string(&cell).expect("serializes"));
-        assert_eq!(read_row(row), Ok(cell));
-        // Escapes the writer never emits are not read back either.
-        for alien in ["\\/", "\\b", "\\u0041", "\\u00e9", "\\ud83d\\ude00", "\u{1}"] {
-            let line = row.replacen("q\\\"", alien, 1);
-            assert_ne!(line, row);
-            assert!(malformed(&line), "{line}");
+    /// What a fuzzed row must be if `read_row` takes it: one whose
+    /// `group()` holds, with one of the three labels, and which writes
+    /// back to exactly the bytes it was read from.
+    fn only_its_own_writing(line: &str) {
+        if let Ok(row) = read_row(line) {
+            let view = CellLine::from(&row);
+            assert!(view.prefix_len <= 32, "{line}");
+            assert_eq!(view.group().prefix.len, view.prefix_len);
+            assert!(["private", "public", "transit"].contains(&&*view.relationship), "{line}");
+            assert_eq!(written(&row), line);
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `read_row` against arbitrary bytes (bare and behind a row's
+        /// first key), and against every truncation and every one-byte
+        /// edit of a valid row: it never panics, and takes only what
+        /// [`only_its_own_writing`] allows.
+        #[test]
+        fn prop_read_row_accepts_only_what_write_row_writes(
+            noise in proptest::prop::collection::vec(proptest::any::<u8>(), 0..300),
+            key in (proptest::any::<u32>(), proptest::any::<u32>(), 0u8..=32, proptest::any::<u8>()),
+            classes in (proptest::any::<u8>(), proptest::any::<u8>(), proptest::any::<u8>()),
+            raw in (proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u64>()),
+            edit in proptest::prop::sample::select(b"0123456789-+.eE\"nul,:{}x \\".to_vec()),
+        ) {
+            use edgeperf_routing::{PopId, Prefix, Relationship};
+            let noise = String::from_utf8_lossy(&noise);
+            only_its_own_writing(&noise);
+            only_its_own_writing(&format!("{{\"window\":{noise}"));
+            let (window, base, len, flags) = key;
+            let group = GroupKey { pop: PopId(7), prefix: Prefix { base, len }, country: 3, continent: 1 };
+            let summary = CellSummary {
+                relationship: [
+                    Relationship::PrivatePeer,
+                    Relationship::PublicPeer,
+                    Relationship::Transit,
+                ][usize::from(flags % 3)],
+                longer_path: flags & 4 != 0,
+                more_prepended: flags & 8 != 0,
+                n: usize::try_from(count(classes.0, raw.0)).expect("64-bit usize"),
+                n_tested: usize::try_from(raw.0 >> (flags & 63)).expect("64-bit usize"),
+                bytes: count(classes.1, raw.1),
+                min_rtt_p50: float(classes.2, raw.2),
+                min_rtt_var: (flags & 16 != 0).then(|| float(classes.1, raw.1)),
+                hdratio_p50: (flags & 32 != 0).then(|| float(classes.0, raw.2)),
+                hdratio_var: (flags & 64 != 0).then(|| float(classes.2, raw.0)),
+            };
+            let valid = written(&WindowCell::new(window, group, flags >> 4, &summary));
+            for cut in 0..=valid.len() {
+                only_its_own_writing(&valid[..cut]);
+            }
+            for at in 0..valid.len() {
+                let mut edited = valid.clone().into_bytes();
+                edited[at] = edit;
+                only_its_own_writing(std::str::from_utf8(&edited).expect("ASCII"));
+            }
+        }
+    }
+
+    /// A row no server writes is refused, whatever serde would make of
+    /// it: a prefix length above 32 (whose `group()` would panic),
+    /// another relationship label, and a value in another spelling than
+    /// the writer's.
+    #[test]
+    fn read_row_refuses_rows_no_server_writes() {
+        let row = CellLine {
+            window: 3,
+            pop: 1,
+            prefix_base: 167_772_160,
+            prefix_len: 24,
+            country: 7,
+            continent: 2,
+            rank: 0,
+            relationship: "transit".to_string(),
+            longer_path: false,
+            more_prepended: true,
+            n: 10,
+            n_tested: 8,
+            bytes: 1_000,
+            min_rtt_p50: 42.5,
+            min_rtt_var: Some(0.25),
+            hdratio_p50: None,
+            hdratio_var: Some(-0.0),
+        };
+        let line = Response::Cells(vec![row.clone()]).render().lines().nth(1).unwrap().to_string();
+        assert_eq!(read_row(&line).map(|r| CellLine::from(&r)), Ok(row));
+        for (from, to) in [
+            ("\"prefix_len\":24", "\"prefix_len\":33"),
+            ("\"prefix_len\":24", "\"prefix_len\":255"),
+            ("\"transit\"", "\"Transit\""),
+            ("\"transit\"", "\"peer\""),
+            ("\"transit\"", "\"transit \""),
+            ("\"transit\"", "\"tr\\u0061nsit\""),
+            ("\"window\":3", "\"window\":03"),
+            ("\"window\":3", "\"window\":+3"),
+            ("\"n\":10", "\"n\":10.0"),
+            ("\"n\":10", "\"n\":1e1"),
+            ("\"min_rtt_p50\":42.5", "\"min_rtt_p50\":42.50"),
+            ("\"min_rtt_p50\":42.5", "\"min_rtt_p50\":4.25e1"),
+            ("\"min_rtt_p50\":42.5", "\"min_rtt_p50\":inf"),
+            ("\"hdratio_var\":-0", "\"hdratio_var\":-0.0"),
+            ("\"hdratio_var\":-0", "\"hdratio_var\":NaN"),
+            ("\"longer_path\":false", "\"longer_path\":0"),
+        ] {
+            let bad = line.replacen(from, to, 1);
+            assert_ne!(bad, line, "{from}");
+            assert!(malformed(&bad), "{bad}");
+        }
+        // The derive would take the first three; the client never does.
+        let len_33 = line.replacen("\"prefix_len\":24", "\"prefix_len\":33", 1);
+        assert!(serde_json::from_str::<CellLine>(&len_33).is_ok());
+    }
+
+    /// A hand-built line whose relationship is no label has no row.
+    #[test]
+    #[should_panic(expected = "Response::Cells: malformed reply (expected a relationship label")]
+    fn rendering_a_line_with_another_label_panics_and_names_it() {
+        let group = GroupKey {
+            pop: edgeperf_routing::PopId(1),
+            prefix: edgeperf_routing::Prefix::new(0x0A00_0000, 24),
+            country: 7,
+            continent: 2,
+        };
+        let summary = CellSummary {
+            n: 1,
+            n_tested: 0,
+            bytes: 1,
+            min_rtt_p50: 1.0,
+            min_rtt_var: None,
+            hdratio_p50: None,
+            hdratio_var: None,
+            relationship: edgeperf_routing::Relationship::PrivatePeer,
+            longer_path: false,
+            more_prepended: false,
+        };
+        let line = CellLine::new(0, &(group, 0), &summary);
+        Response::Cells(vec![CellLine { relationship: "q\"uoted".to_string(), ..line }]).render();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use edgeperf_analysis::GroupKey;
 use edgeperf_core::EdgeperfError;
-use edgeperf_routing::Relationship;
+use edgeperf_routing::{Prefix, Relationship};
 
 /// One measured session arriving over the wire: a
 /// [`edgeperf_analysis::SessionRecord`] plus the event timestamp the
@@ -75,6 +75,16 @@ where
     fn parse(&self, line: &str) -> Result<LiveRecord, EdgeperfError> {
         self(line)
     }
+}
+
+/// The client prefix a record names, as either wire carries it: a length
+/// above 32 is [`EdgeperfError::InvalidPrefixLen`], where `Prefix::new`
+/// would panic. Both wire decoders call it.
+pub fn prefix_from_wire(base: u32, len: u8) -> Result<Prefix, EdgeperfError> {
+    if len > 32 {
+        return Err(EdgeperfError::InvalidPrefixLen { len });
+    }
+    Ok(Prefix::new(base, len))
 }
 
 /// Parse a relationship label as produced by [`Relationship::label`].

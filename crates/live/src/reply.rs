@@ -184,7 +184,7 @@ impl<W: Write> Write for Counted<W> {
 mod tests {
     use super::*;
     use crate::protocol::{CellLine, GroupFilter, Response};
-    use crate::store::{cell_line, window_cell, SegmentStore};
+    use crate::store::{window_cell, SegmentStore};
     use crate::window::{CellKey, CellSummary, ClosedWindow};
     use crate::LiveClient;
     use edgeperf_analysis::{sort_cells, GroupKey, SegmentIndex};
@@ -312,7 +312,7 @@ mod tests {
             }
             from_ram || ram_key != Some(cell_sort_key(c))
         });
-        rows.into_iter().map(|(_, c)| cell_line(c)).collect()
+        rows.into_iter().map(|(_, c)| CellLine::from(c)).collect()
     }
 
     /// `n` store rows over windows 0–2 and groups 0–349 from `seed`: a

@@ -101,7 +101,7 @@
 //! and assert the exact degraded/recovered sequence.
 
 use crate::chaos::ChaosPlan;
-use crate::protocol::{CellLine, CellQuery};
+use crate::protocol::CellQuery;
 use crate::window::{CellKey, CellSummary};
 use edgeperf_analysis::segment::{
     cell_sort_key, sort_cells, GroupEntry, SegmentIndex, SegmentReader, SegmentWriter, StagedFile,
@@ -126,32 +126,6 @@ const MANIFEST_FILE: &str = "manifest.json";
 /// Flatten one closed cell into its storage-neutral segment row.
 pub fn window_cell(window: u32, key: &CellKey, s: &CellSummary) -> WindowCell {
     WindowCell::new(window, key.0, key.1, s)
-}
-
-/// Flatten a segment row into the wire form served by `cells` — the
-/// same representation [`CellLine::new`] builds from a RAM window, so
-/// disk- and RAM-sourced cells are indistinguishable on the wire.
-pub(crate) fn cell_line(c: &WindowCell) -> CellLine {
-    let group = c.group();
-    CellLine {
-        window: c.window,
-        pop: group.pop.0,
-        prefix_base: group.prefix.base,
-        prefix_len: group.prefix.len,
-        country: group.country,
-        continent: group.continent,
-        rank: c.rank,
-        relationship: c.relationship().label().to_string(),
-        longer_path: c.longer_path(),
-        more_prepended: c.more_prepended(),
-        n: c.n,
-        n_tested: c.n_tested,
-        bytes: c.bytes,
-        min_rtt_p50: c.min_rtt_p50,
-        min_rtt_var: c.min_rtt_var(),
-        hdratio_p50: c.hdratio_p50(),
-        hdratio_var: c.hdratio_var(),
-    }
 }
 
 /// What [`SegmentStore::query`] answers: a run cursor an overlapping
@@ -420,26 +394,19 @@ pub struct StoreStats {
     pub spilled_cells: u64,
     /// Compaction merges since this store opened.
     pub compactions: u64,
-    /// Spill attempts that failed on disk (absent in replies from
-    /// before degraded mode existed).
-    #[serde(default)]
+    /// Spill attempts that failed on disk.
     pub spill_errors: u64,
     /// The store is currently in degraded (RAM-only retention) mode.
-    #[serde(default)]
     pub degraded: bool,
     /// Row groups queries have read since this store opened: every
     /// read, a reply's second-pass re-reads included.
-    #[serde(default)]
     pub query_groups_read: u64,
     /// Segment bytes those reads moved.
-    #[serde(default)]
     pub query_bytes_read: u64,
     /// Rows decoded out of them.
-    #[serde(default)]
     pub query_rows_examined: u64,
     /// Store rows replies carried, each once: a matching row whose key a
     /// RAM window carries too is not returned.
-    #[serde(default)]
     pub query_rows_returned: u64,
 }
 
@@ -906,12 +873,11 @@ fn write_err(id: u64, e: std::io::Error) -> EdgeperfError {
 /// Can row group `g` hold a cell matching `q`? Its window must fall in
 /// the range; and since [`cell_sort_key`] orders a window's cells by pop
 /// then prefix, a `pop=` filter (with `prefix=`, if given) names a key
-/// interval that must meet the group's `first..=last`. A version-1
-/// segment's one unbounded group always may.
+/// interval that must meet the group's `first..=last`.
 fn may_match(g: &GroupEntry, q: &CellQuery) -> bool {
     let in_range = q.from_window.is_none_or(|lo| lo <= g.last.0)
         && q.until_window.is_none_or(|hi| hi >= g.first.0);
-    let (Some(pop), true) = (q.group.pop, g.first.0 == g.last.0) else { return in_range };
+    let Some(pop) = q.group.pop else { return in_range };
     let (lo, hi) = match q.group.prefix {
         Some((base, len)) => ((pop, base, len), (pop, base, len)),
         None => ((pop, 0, 0), (pop, u32::MAX, u8::MAX)),
@@ -1566,42 +1532,23 @@ mod tests {
     }
 
     #[test]
-    fn a_spill_dir_written_by_version_1_opens_queries_and_compacts() {
-        // Written by the commit before row groups existed: `open(dir, 4,
-        // 4, 3)`, six spills of `window(w, 12)`, one compaction — so one
-        // four-window segment and two single-window ones, all version 1.
-        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/spill_v1");
-        let dir = tmpdir("v1-dir");
+    fn a_version_1_segment_is_refused_not_read() {
+        // A version-1 image of no rows: header, row count, checksum.
+        let mut v1 = b"EPSG\x01\0\0\0\0".to_vec();
+        v1.extend_from_slice(&edgeperf_analysis::segment::checksum(&v1).to_le_bytes());
+        let refused = |err: EdgeperfError| {
+            assert_eq!(err.reason(), "segment", "{err}");
+            assert!(err.to_string().ends_with("unsupported segment version 1"), "{err}");
+        };
+        refused(edgeperf_analysis::decode_segment(&v1).expect_err("version 1 is refused"));
+        let dir = tmpdir("v1");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        for entry in std::fs::read_dir(&fixture).expect("fixture dir").flatten() {
-            std::fs::copy(entry.path(), dir.join(entry.file_name())).expect("copies");
-        }
-        let all: Vec<WindowCell> =
-            (0..6u32).flat_map(|w| rows_of(w, &window(u64::from(w), 12))).collect();
-        let store = SegmentStore::open(&dir, 3, 3, 3).expect("opens a version-1 directory");
-        assert_eq!((store.stats().segments, store.stats().cells), (3, 72));
-        let queries = [
-            CellQuery::default(),
-            CellQuery { from_window: Some(2), until_window: Some(4), ..Default::default() },
-            point(&all[17]),
-        ];
-        // Version-1 segments were sorted too: each is a run a reply can
-        // merge.
-        for q in &queries {
-            assert_eq!(sorted_bits(drained(store.query(q))), answer(&all, q), "{q:?}");
-        }
-        // Compacting rewrites all three as one version-2 segment; a new
-        // spill lands beside it; nothing changes in any answer.
-        assert!(store.compact_once().expect("compacts version-1 victims"));
-        assert_eq!(store.stats().segments, 1);
-        for q in &queries {
-            assert_eq!(sorted_bits(drained(store.query(q))), answer(&all, q), "{q:?}");
-        }
-        drop(store);
-        let store = SegmentStore::open(&dir, 3, 3, 3).expect("reopens");
-        let merged = std::fs::read(dir.join("seg-00000007.seg")).expect("merged segment");
-        assert_eq!(merged[4], edgeperf_analysis::SEGMENT_VERSION);
-        assert_eq!(sorted_bits(drained(store.query(&queries[0]))), answer(&all, &queries[0]));
+        edgeperf_analysis::atomic_write(&dir.join("seg-00000000.seg"), &v1).expect("writes");
+        let manifest = r#"{"version":1,"next_id":1,"segments":[{"id":0,"file":"seg-00000000.seg",
+            "cells":0,"from_window":0,"until_window":0,"bytes":17}]}"#;
+        edgeperf_analysis::atomic_write(&dir.join(MANIFEST_FILE), manifest.as_bytes())
+            .expect("writes");
+        refused(SegmentStore::open(&dir, 8, 8, 3).err().expect("version 1 is refused on open"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

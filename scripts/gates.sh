@@ -25,7 +25,10 @@
 set -u
 cd "$(dirname "$0")/.."
 
-# A gate passes when its grep finds nothing; what it finds is printed.
+# A gate passes when its grep finds nothing; what it finds is printed. A
+# gate of several clauses runs every one (`|| failed=1`), so each prints
+# what it finds, and fails if any failed: `a && b` would stop at the first
+# failing clause and hide the rest.
 banned() { ! grep -rn "$@"; }
 
 # The typed-error API (edgeperf_core::EdgeperfError) replaced the
@@ -75,12 +78,14 @@ per_row_serde() {
 # helper `assert_bit_identical` are other things; `benchmark/` is outside
 # these paths.)
 proof_kit_copies() {
+    local failed=0
     banned -E "fn (offline_cells|serial_windows|cells_bit_identical|opt_bits|rows_json|run_control|assert_exact|percentile|check_clean)\\b|digest_query|Request::Digest|DigestHeader|RowsHeader" \
-        crates src tests examples --include="*.rs" &&
-        ! grep -rnE "fn (render_rows|assert_bit_identical)\\b" crates src tests examples \
-            --include="*.rs" | grep -v "^crates/live/src/\(protocol\|frame\).rs:" &&
-        ! grep -rnE "fn wait_processed|accepted \\+ .*rejected >=" crates src tests examples \
-            --include="*.rs" | grep -v "^crates/live/src/client.rs:"
+        crates src tests examples --include="*.rs" || failed=1
+    ! grep -rnE "fn (render_rows|assert_bit_identical)\\b" crates src tests examples \
+        --include="*.rs" | grep -v "^crates/live/src/\(protocol\|frame\).rs:" || failed=1
+    ! grep -rnE "fn wait_processed|accepted \\+ .*rejected >=" crates src tests examples \
+        --include="*.rs" | grep -v "^crates/live/src/client.rs:" || failed=1
+    return "$failed"
 }
 
 # `serve` counts each fact it reports once: the stat cells, worker state
@@ -142,10 +147,12 @@ outside_tests() {
 # call the analyses, and the analyses each knew its `Option` fields; that
 # unpack, and a grid of summaries beside the rows, stay gone outside tests.
 cell_unpack() {
+    local failed=0
     outside_tests CellSummary crates/analysis/src/{compare,degradation,opportunity,figures,tables}.rs \
-        crates/live/src/detect.rs &&
-        outside_tests 'GroupData<CellSummary>' $(find crates -name '*.rs') &&
-        outside_tests 'fn summary[(]&self[)] -> CellSummary' crates/analysis/src/segment.rs
+        crates/live/src/detect.rs || failed=1
+    outside_tests 'GroupData<CellSummary>' $(find crates -name '*.rs') || failed=1
+    outside_tests 'fn summary[(]&self[)] -> CellSummary' crates/analysis/src/segment.rs || failed=1
+    return "$failed"
 }
 
 # `loadgen` sends records one way: every replay — plain, chaos, fleet —
@@ -183,12 +190,14 @@ surface() { scripts/surface.sh check; }
 #   so the prefix containment tests stay gone (by path: `OpFault::covers`
 #   shares the name).
 gone_names() {
+    local failed=0
     banned "ServeBuilder\|ResumeInput\|connect_resume\|StudyBuilder\|fn checkpoint_meta\|builder_seed" \
-        crates src tests examples &&
-        banned -E "StudyStats|WorkerCounters|fn render_stats\b" crates src tests examples --include="*.rs" &&
-        banned "pub cfg: AnalysisConfig" crates/bench/src/study.rs &&
-        banned -E "fn checkpoint_fingerprint\b" crates src tests examples --include="*.rs" &&
-        banned -E "fn (contains|covers)\b" crates/routing/src/types.rs
+        crates src tests examples || failed=1
+    banned -E "StudyStats|WorkerCounters|fn render_stats\b" crates src tests examples --include="*.rs" || failed=1
+    banned "pub cfg: AnalysisConfig" crates/bench/src/study.rs || failed=1
+    banned -E "fn checkpoint_fingerprint\b" crates src tests examples --include="*.rs" || failed=1
+    banned -E "fn (contains|covers)\b" crates/routing/src/types.rs || failed=1
+    return "$failed"
 }
 
 # The stats suite in a release build as well: an optimised build may

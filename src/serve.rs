@@ -13,8 +13,8 @@
 use crate::ingest::SessionIn;
 use edgeperf_analysis::GroupKey;
 use edgeperf_core::EdgeperfError;
-use edgeperf_live::{relationship_from_label, LiveRecord};
-use edgeperf_routing::{PopId, Prefix};
+use edgeperf_live::{prefix_from_wire, relationship_from_label, LiveRecord};
+use edgeperf_routing::PopId;
 use serde::{Deserialize, Serialize};
 
 /// One session on the wire: event time + routing annotations + the raw
@@ -49,14 +49,15 @@ pub struct WireSession {
 }
 
 impl WireSession {
-    /// The group key encoded in this line.
-    pub fn group(&self) -> GroupKey {
-        GroupKey {
+    /// The group key encoded in this line; a `prefix_len` above 32 is
+    /// [`EdgeperfError::InvalidPrefixLen`].
+    pub fn group(&self) -> Result<GroupKey, EdgeperfError> {
+        Ok(GroupKey {
             pop: PopId(self.pop),
-            prefix: Prefix::new(self.prefix_base, self.prefix_len),
+            prefix: prefix_from_wire(self.prefix_base, self.prefix_len)?,
             country: self.country,
             continent: self.continent,
-        }
+        })
     }
 
     /// Serialize to one wire line (no trailing newline).
@@ -80,7 +81,7 @@ pub fn record_from_wire(wire: &WireSession, target_bps: f64) -> Result<LiveRecor
     let bytes = wire.session.responses.iter().map(|r| r.bytes).sum();
     Ok(LiveRecord {
         ts_ms: wire.ts_ms,
-        group: wire.group(),
+        group: wire.group()?,
         route_rank: wire.route_rank,
         relationship,
         longer_path: wire.longer_path,
@@ -149,7 +150,7 @@ mod tests {
         let parser = WireParser::new(HD_GOODPUT_BPS);
         let rec = parser.parse_line(&w.to_line()).unwrap();
         assert_eq!(rec.ts_ms, 1234.5);
-        assert_eq!(rec.group, w.group());
+        assert_eq!(rec.group, w.group().unwrap());
         assert_eq!(rec.relationship, Relationship::PrivatePeer);
         assert_eq!(rec.min_rtt_ms, 60.0);
         assert_eq!(rec.hdratio, Some(1.0));
@@ -168,5 +169,34 @@ mod tests {
         let mut w = wire(0.0);
         w.session.min_rtt_ms = -1.0;
         assert_eq!(parser.parse_line(&w.to_line()).unwrap_err().reason(), "invalid_min_rtt");
+
+        let w = WireSession { prefix_len: 33, ..wire(0.0) };
+        assert_eq!(parser.parse_line(&w.to_line()).unwrap_err().reason(), "invalid_prefix_len");
+    }
+
+    /// A line whose prefix length is above 32 is one counted, typed
+    /// reject, and the connection that sent it goes on answering.
+    #[test]
+    fn a_prefix_len_above_32_is_a_counted_reject_not_a_dead_reader() {
+        use edgeperf_live::{LiveClient, LiveConfig, LiveServer};
+        let config = LiveConfig { workers: 2, ..LiveConfig::default() };
+        let parser = std::sync::Arc::new(WireParser::new(HD_GOODPUT_BPS));
+        let server = LiveServer::start(config, parser, edgeperf_obs::Metrics::enabled())
+            .expect("server starts");
+        let mut client = LiveClient::connect(server.addr()).expect("connect");
+        client.set_io_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+        client.send_line(&wire(1_000.0).to_line()).expect("send");
+        client.send_line(&WireSession { prefix_len: 33, ..wire(1_000.0) }.to_line()).expect("send");
+        client.flush().expect("flush");
+
+        let snap = client.snapshot().expect("the same connection answers");
+        assert_eq!((snap.accepted, snap.rejected), (1, 1), "{snap:?}");
+        let reasons: Vec<(&str, u64)> =
+            snap.reject_reasons.iter().map(|r| (r.reason.as_str(), r.count)).collect();
+        assert_eq!(reasons, [("invalid_prefix_len", 1)]);
+        let metrics = client.metrics_json().expect("metrics");
+        assert!(metrics.contains("\"ingest.reject.invalid_prefix_len\":1"), "{metrics}");
+        assert!(client.shutdown().expect("shutdown").drained);
+        let _ = server.join();
     }
 }
