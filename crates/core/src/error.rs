@@ -89,6 +89,9 @@ pub enum EdgeperfError {
         /// Why it was rejected.
         message: String,
     },
+    /// A live-server reader panicked while parsing or decoding this record,
+    /// which counts as consumed. Counted under `ingest.reject.reader_panic`.
+    ReaderPanic,
     /// An OS thread could not be spawned (EMFILE / thread exhaustion).
     /// The live server refuses the work that needed the thread instead
     /// of panicking: a failed reader spawn drops that one connection
@@ -116,6 +119,7 @@ impl EdgeperfError {
             EdgeperfError::Frame { .. } => "frame",
             EdgeperfError::Segment { .. } => "segment",
             EdgeperfError::InvalidConfig { .. } => "invalid_config",
+            EdgeperfError::ReaderPanic => "reader_panic",
             EdgeperfError::Spawn { .. } => "spawn",
         }
     }
@@ -156,6 +160,7 @@ impl fmt::Display for EdgeperfError {
             EdgeperfError::InvalidConfig { field, message } => {
                 write!(f, "invalid config: {field}: {message}")
             }
+            EdgeperfError::ReaderPanic => write!(f, "reader panicked on this record"),
             EdgeperfError::Spawn { what, message } => {
                 write!(f, "spawn {what} thread: {message}")
             }
@@ -232,6 +237,7 @@ mod tests {
                 EdgeperfError::Segment { message: "checksum mismatch".into() },
                 "window segment: checksum mismatch",
             ),
+            (EdgeperfError::ReaderPanic, "reader panicked on this record"),
             (
                 EdgeperfError::Spawn { what: "reader", message: "Resource exhausted".into() },
                 "spawn reader thread: Resource exhausted",
@@ -258,6 +264,7 @@ mod tests {
             "window_overflow"
         );
         assert_eq!(EdgeperfError::Frame { message: String::new() }.reason(), "frame");
+        assert_eq!(EdgeperfError::ReaderPanic.reason(), "reader_panic");
         assert_eq!(EdgeperfError::Segment { message: String::new() }.reason(), "segment");
         assert_eq!(
             EdgeperfError::Spawn { what: "worker", message: String::new() }.reason(),

@@ -71,10 +71,6 @@ pub struct LiveConfig {
     /// the cap are refused (counted under `live.conns.refused`).
     /// `0` (the default) means unlimited.
     pub max_connections: usize,
-    /// Times a panicked ingest worker is respawned before its shard
-    /// goes into zombie mode (records drained and counted as rejected
-    /// with reason `worker_lost`, queries keep answering).
-    pub max_worker_respawns: u32,
     /// Consecutive spill failures before the segment store enters
     /// degraded (RAM-only retention) mode.
     pub spill_fail_threshold: u32,
@@ -102,7 +98,6 @@ impl Default for LiveConfig {
             idle_timeout_ms: 0,
             write_timeout_ms: 0,
             max_connections: 0,
-            max_worker_respawns: 8,
             spill_fail_threshold: 3,
             chaos: crate::ChaosPlan::default(),
         }

@@ -42,7 +42,7 @@
 //!
 //! | module | thread | what it owns |
 //! |---|---|---|
-//! | `conn` | acceptor, one reader per connection | `Shared::conns`; wire negotiation, the frame and line loops |
+//! | `conn` | acceptor, one reader per connection | `Shared::conns`; the one owner of a connection, wire negotiation, the frame and line loops |
 //! | `lanes` | reader (tx end), worker (rx end) | `Shared::hubs`; the SPSC lanes and their sync barrier |
 //! | `session` | reader | `Shared::resume`; resume acks |
 //! | `query` | reader | `Shared::router`; control fan-out, `cells` |
@@ -123,7 +123,7 @@ impl Shared {
 }
 
 /// Write one reply line.
-fn send(out: &mut impl Write, reply: &Response) -> io::Result<()> {
+fn send(mut out: impl Write, reply: &Response) -> io::Result<()> {
     out.write_all(reply.render().as_bytes())?;
     out.write_all(b"\n")
 }

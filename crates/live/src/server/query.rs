@@ -140,7 +140,7 @@ pub(super) fn query_workers<T>(
 pub(super) fn serve_cells(
     shared: &Shared,
     query: &CellQuery,
-    out: &mut impl Write,
+    mut out: impl Write,
 ) -> io::Result<()> {
     let started = shared.metrics.is_enabled().then(Instant::now);
     let Some(per_worker) = query_workers(shared, |reply| ControlMsg::Cells(*query, reply)) else {
@@ -153,7 +153,7 @@ pub(super) fn serve_cells(
         Err(err) => return send(out, &Response::StoreError(err.to_string())),
     };
     let rows = reply.rows() as u64;
-    let bytes = reply.write(out)?;
+    let bytes = reply.write(&mut out)?;
     if let Some(started) = started {
         shared.metrics.histogram("live.query.cells_ns").record(started.elapsed().as_nanos() as u64);
         shared.metrics.counter("live.query.rows").add(rows);

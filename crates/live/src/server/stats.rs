@@ -177,6 +177,8 @@ pub(super) fn publish(shared: &Shared, per_worker: &[WorkerSnap]) {
             raise("worker.lost_records", *count);
         }
     }
+    let active = shared.stats.readers.lock().expect("reader stats").active.len();
+    metrics.gauge("live.readers.active").set(active as f64);
     raise("live.windows.closed", snap.windows_closed);
     raise("live.events.minrtt", snap.events_minrtt);
     raise("live.events.hdratio", snap.events_hdratio);

@@ -24,6 +24,11 @@ use std::sync::Arc;
 /// bounds per-lane burst so one hot connection cannot starve the rest.
 const BATCHES_PER_LANE_ROUND: usize = 4;
 
+/// Times a panicked worker is respawned before its shard goes into
+/// zombie mode (records drained and counted as `worker_lost` rejects,
+/// queries keep answering).
+const MAX_WORKER_RESPAWNS: u32 = 8;
+
 struct WorkerState {
     ring: WindowRing,
     detector: OnlineDetector,
@@ -114,24 +119,18 @@ impl WorkerCtx {
 
 /// Worker thread entry: run [`worker_run`] under [`catch_unwind`] and
 /// respawn it in place (same thread, same [`WorkerCtx`]) after a panic,
-/// up to the configured budget; past the budget the worker degrades to
-/// zombie mode instead of stranding its readers.
+/// up to [`MAX_WORKER_RESPAWNS`] times; past the budget the worker
+/// degrades to zombie mode instead of stranding its readers.
 pub(super) fn worker_thread(w: usize, shared: &Shared, control: &Receiver<ControlMsg>) {
     let mut ctx = WorkerCtx::new(&shared.config, w);
-    let mut respawns = 0u32;
-    loop {
-        let run = catch_unwind(AssertUnwindSafe(|| worker_run(w, shared, control, &mut ctx)));
-        match run {
-            Ok(()) => return,
-            Err(_) => {
-                recover(w, shared, &mut ctx);
-                if respawns >= shared.config.max_worker_respawns {
-                    ctx.zombie = true;
-                    shared.metrics.counter("worker.zombie").inc();
-                } else {
-                    respawns += 1;
-                }
-            }
+    for respawns in 0.. {
+        if catch_unwind(AssertUnwindSafe(|| worker_run(w, shared, control, &mut ctx))).is_ok() {
+            return;
+        }
+        recover(w, shared, &mut ctx);
+        if respawns == MAX_WORKER_RESPAWNS {
+            ctx.zombie = true;
+            shared.metrics.counter("worker.zombie").inc();
         }
     }
 }
@@ -536,5 +535,57 @@ mod tests {
         let later = ctx.state.snap(0, 0);
         assert_eq!((later.events, later.episodes_opened, later.episodes_open), ([2, 0], 2, 1));
         assert_eq!(later.line.windows_closed, 14);
+    }
+
+    /// Past its respawn budget a worker is a zombie: its shard's records
+    /// are counted `worker_lost` rejects, the other shard is untouched,
+    /// and the server still answers and drains with every record counted.
+    #[test]
+    fn a_worker_past_its_respawn_budget_rejects_its_shard_as_worker_lost() {
+        use crate::{shard_of, ChaosPlan, LiveClient, LiveServer};
+        use edgeperf_core::EdgeperfError;
+        // A record line names its group's /24: `{7}`.
+        fn keyed(subnet: u32) -> LiveRecord {
+            let group =
+                GroupKey { prefix: Prefix::new(0x0A00_0000 + (subnet << 8), 24), ..group() };
+            LiveRecord { group, ..record(1_000.0, 40.0) }
+        }
+        let parser = |line: &str| {
+            let subnet = line
+                .trim_matches(['{', '}'])
+                .parse()
+                .map_err(|_| EdgeperfError::UnknownDuration)?;
+            Ok(keyed(subnet))
+        };
+        let on =
+            |shard| (0u32..).find(|s| shard_of(&keyed(*s).group, 2) == shard).expect("a subnet");
+        let (lost, kept) = (format!("{{{}}}", on(0)), format!("{{{}}}", on(1)));
+        let plan = vec!["panic:0@1"; MAX_WORKER_RESPAWNS as usize + 1].join(";");
+        let chaos = ChaosPlan::parse(&plan).expect("plan parses");
+        let metrics = Metrics::enabled();
+        let config = LiveConfig { workers: 2, chaos, ..LiveConfig::default() };
+        let server = LiveServer::start(config, Arc::new(parser), metrics.clone()).expect("starts");
+        let mut client = LiveClient::connect(server.addr()).expect("connects");
+
+        // Worker 0 applies one record, then panics once more than its
+        // budget, all before it answers the next control message.
+        client.send_line(&lost).expect("send");
+        assert_eq!(client.snapshot().expect("snapshot").accepted, 1);
+        let counters = metrics.snapshot().counters;
+        assert_eq!((counters["worker.zombie"], counters["worker.recovered"]), (1, 9));
+
+        for _ in 0..10 {
+            client.send_line(&lost).expect("send");
+            client.send_line(&kept).expect("send");
+        }
+        let snap = client.snapshot().expect("a zombie still answers");
+        assert_eq!((snap.accepted, snap.rejected), (11, 10));
+        let reasons: Vec<_> =
+            snap.reject_reasons.iter().map(|r| (r.reason.as_str(), r.count)).collect();
+        assert_eq!(reasons, [("worker_lost", 10)]);
+        let last = client.shutdown().expect("a zombie drains");
+        assert!(last.drained);
+        assert_eq!(last.accepted + last.rejected, 21);
+        let _ = server.join();
     }
 }

@@ -337,7 +337,7 @@ chaos_live() {
     chaos_replay binary "$faults" || return 1
     with_server 4630 "$reports/serve_chaos_snapshot.json" \
         serve --addr 127.0.0.1:4630 --workers 4 --chaos "panic:0@800;panic:2@5000" \
-        --max-respawns 8 --idle-timeout-ms 5000 --max-conns 64 -- \
+        --idle-timeout-ms 5000 --max-conns 64 -- \
         "$bin/loadgen" --addr 127.0.0.1:4630 --sessions 20000 --connections 4 --wire jsonl \
         --shutdown --expect-clean --json "$reports/replay_chaos_serve.json" > /dev/null
 }

@@ -8,8 +8,7 @@
 //!                [--queue N] [--retention N] [--spill-dir DIR]
 //!                [--compact-min N] [--compact-batch N]
 //!                [--idle-timeout-ms N] [--write-timeout-ms N]
-//!                [--max-conns N] [--max-respawns N]
-//!                [--spill-fail-threshold N] [--chaos PLAN]
+//!                [--max-conns N] [--spill-fail-threshold N] [--chaos PLAN]
 //!                [--target-mbps F] [--metrics]
 //!                                              live session-ingest server
 //! edgeperf fleet [--addr A] [--pops N] [--workers N] [--window-ms F]
@@ -38,9 +37,10 @@
 //! per-connection socket deadlines (0 = off; a timed-out connection is
 //! evicted and counted under `live.conns.evicted`; a resuming client
 //! replays its unacked tail). `--max-conns` caps concurrent
-//! connections (excess are refused, the acceptor keeps running).
-//! `--max-respawns` bounds per-worker panic recoveries before the
-//! worker degrades to a draining zombie. `--spill-fail-threshold` is
+//! connections (excess are refused, the acceptor keeps running; a
+//! connection's slot frees however it ends, a reader panic included).
+//! A panicked worker is respawned up to 8 times, then degrades to a
+//! draining zombie. `--spill-fail-threshold` is
 //! the consecutive-spill-failure count that flips the tiered store
 //! into degraded (RAM-only) retention. `--chaos PLAN` injects the
 //! deterministic server-side faults of an `edgeperf_live::ChaosPlan`
@@ -232,7 +232,6 @@ fn parse_serve(args: &[String]) -> Result<Serve, String> {
             "--idle-timeout-ms" => config.idle_timeout_ms = int(&mut it, flag)?,
             "--write-timeout-ms" => config.write_timeout_ms = int(&mut it, flag)?,
             "--max-conns" => config.max_connections = int(&mut it, flag)?,
-            "--max-respawns" => config.max_worker_respawns = int(&mut it, flag)?,
             "--spill-fail-threshold" => config.spill_fail_threshold = int(&mut it, flag)?,
             "--chaos" => {
                 let spec: String = value(&mut it, flag, "a plan")?;
@@ -306,12 +305,12 @@ mod tests {
         assert_eq!((f.config.pops, f.config.seed, f.config.workers), (u16::MAX, u64::MAX, 3));
         assert_eq!(fleet("").unwrap().config.addr, "127.0.0.1:4630");
         let s = serve(
-            "--max-respawns 4294967295 --idle-timeout-ms 18446744073709551615 --max-conns 0 \
-             --window-ms 1.5 --target-mbps 2.5",
+            "--spill-fail-threshold 4294967295 --idle-timeout-ms 18446744073709551615 \
+             --max-conns 0 --window-ms 1.5 --target-mbps 2.5",
         )
         .unwrap();
         let config = &s.config;
-        assert_eq!(config.max_worker_respawns, u32::MAX);
+        assert_eq!(config.spill_fail_threshold, u32::MAX);
         assert_eq!(config.idle_timeout_ms, u64::MAX);
         assert_eq!((config.max_connections, config.window_ms, s.target), (0, 1.5, 2.5e6));
         // The command line `benchmark/` starts its servers with.
@@ -333,7 +332,7 @@ mod tests {
             (
                 serve_err,
                 "--workers --queue --retention --compact-min --compact-batch --idle-timeout-ms \
-                 --write-timeout-ms --max-conns --max-respawns --spill-fail-threshold",
+                 --write-timeout-ms --max-conns --spill-fail-threshold",
             ),
             (fleet_err, "--pops --workers --retention --seed"),
         ];
@@ -347,7 +346,12 @@ mod tests {
         }
         for (parse, line, want) in [
             (fleet_err, "--pops 70000", "--pops needs an integer"),
-            (serve_err, "--max-respawns 4294967296", "--max-respawns needs an integer"),
+            (
+                serve_err,
+                "--spill-fail-threshold 4294967296",
+                "--spill-fail-threshold needs an integer",
+            ),
+            (serve_err, "--max-respawns 8", "unknown argument --max-respawns"),
             (serve_err, "--window-ms wide", "--window-ms needs a number"),
             (fleet_err, "--lateness-ms", "--lateness-ms needs a number"),
             (serve_err, "--target-mbps fast", "--target-mbps needs a number"),

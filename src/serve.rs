@@ -199,4 +199,60 @@ mod tests {
         assert!(client.shutdown().expect("shutdown").drained);
         let _ = server.join();
     }
+
+    /// A reader that panics on a record hands back everything it holds:
+    /// its client sees EOF at once, its session is free to resume, the
+    /// record counts as consumed (one `reader_panic` reject) and the
+    /// records before it are applied.
+    #[test]
+    fn a_reader_panic_hands_back_its_socket_session_and_records() {
+        use edgeperf_live::{LiveClient, LiveConfig, LiveServer};
+        use std::io::{BufRead, BufReader, Write};
+        use std::net::TcpStream;
+        use std::time::{Duration, Instant};
+        let wire_parser = WireParser::new(HD_GOODPUT_BPS);
+        let parser = move |line: &str| {
+            assert!(!line.contains("marker"), "the reader panics on the marker line");
+            wire_parser.parse_line(line)
+        };
+        let metrics = edgeperf_obs::Metrics::enabled();
+        let config = LiveConfig { workers: 2, ..LiveConfig::default() };
+        let server = LiveServer::start(config, std::sync::Arc::new(parser), metrics.clone())
+            .expect("server starts");
+
+        let mut conn = TcpStream::connect(server.addr()).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let mut replies = BufReader::new(conn.try_clone().expect("clone"));
+        let mut reply = String::new();
+        conn.write_all(b"hello 7 1\n").expect("hello");
+        replies.read_line(&mut reply).expect("ack");
+        assert_eq!(reply, "{\"acked\":0}\n");
+        let before = 5u32;
+        let mut lines: String =
+            (0..before).map(|i| wire(1_000.0 + f64::from(i)).to_line() + "\n").collect();
+        lines.push_str("{\"marker\":true}\n");
+        conn.write_all(lines.as_bytes()).expect("send");
+
+        let started = Instant::now();
+        reply.clear();
+        let read = replies.read_line(&mut reply).expect("EOF, not the read timeout");
+        assert_eq!((read, started.elapsed() < Duration::from_secs(2)), (0, true), "{reply}");
+
+        let mut client = LiveClient::connect(server.addr()).expect("connect");
+        let started = Instant::now();
+        let acked = client.request("hello 7 2").expect("the session is free");
+        assert_eq!(acked, format!("{{\"acked\":{}}}", before + 1));
+        assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
+
+        let snap = client.snapshot().expect("snapshot");
+        assert_eq!((snap.accepted, snap.rejected), (u64::from(before), 1), "{snap:?}");
+        assert_eq!(snap.reject_reasons[0].reason, "reader_panic");
+        let metrics_json = client.metrics_json().expect("metrics");
+        assert!(metrics_json.contains("\"live.readers.panicked\":1"), "{metrics_json}");
+        let last = client.shutdown().expect("shutdown");
+        assert!(last.drained);
+        assert_eq!(last.accepted + last.rejected, u64::from(before) + 1);
+        let _ = server.join();
+        assert_eq!(metrics.snapshot().gauges["live.readers.active"], 0.0, "no reader cell left");
+    }
 }
