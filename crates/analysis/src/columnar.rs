@@ -22,13 +22,16 @@
 //! [`HdratioTally`] off the shard's preferred-route rows. Then one stable
 //! counting scatter over the per-cell counts the pass tracked lays a
 //! metric's rows out cell by cell in a transient column, the preferred
-//! route's cells first. Their MinRTTs — the only per-session values left
-//! to read, by Figure 6 — are kept in the narrowest form that gives every
-//! value back to the bit, so their cell column becomes one `u32` end
-//! offset a cell. A study's MinRTTs are whole nanoseconds (the runner
-//! divides a nanosecond count by 10⁶), so a kept row is 4 bytes. Then
-//! each cell's slice is sorted once and its order statistics go into the
-//! sink's summary grid; an alternate route's rows are never stored. The
+//! route's cells first. Each cell's slice is sorted once and its order
+//! statistics go into the sink's summary grid. Then the preferred cells'
+//! MinRTTs — the only per-session values left to read, by Figure 6 — are
+//! kept, still sorted, in the narrowest form that gives every value back
+//! to the bit, so their cell column becomes one `u32` end offset a cell.
+//! A study's MinRTTs are whole nanoseconds (the runner divides a
+//! nanosecond count by 10⁶), so a kept cell is its least value and the
+//! Rice-coded gaps between the rest, with a parameter chosen per cell:
+//! under `k + 3` bits a row, 2.17 bytes a row at seed 7, scale 1 (a `u32`
+//! a row was 4). An alternate route's rows are never stored. The
 //! scheduler hands each prefix to exactly one worker, so shards share no
 //! group, and the sink refuses a shard that does: the group's cells are
 //! already summaries. [`ColumnarSink::rows`] and the sink's
@@ -42,7 +45,6 @@ use crate::segment::WindowCell;
 use crate::sink::{RecordShard, RecordSink, SinkStats};
 use edgeperf_routing::Relationship;
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// Identity of one (group, window, route-rank) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,13 +117,22 @@ impl ColumnarShard {
     }
 }
 
-/// An adopted shard's MinRTTs, in the first of these forms that gives
-/// every one of them back with the same `to_bits`.
+/// An adopted shard's MinRTTs, cell by cell and each cell in `total_cmp`
+/// order, in the first of these forms that gives every one of them back
+/// with the same `to_bits`.
 #[derive(Debug)]
 enum Column {
     /// Whole nanoseconds below 2³², a value being its count ÷ 10⁶ (a
-    /// MinRTT in ms): 4 B a row.
-    Nanos(Vec<u32>),
+    /// MinRTT in ms), Rice-coded in one bit stream, each word filled from
+    /// its least significant bit. A cell is its parameter `k` in 5 bits,
+    /// its least value in 32, then for each further value the low `k` bits
+    /// of its gap to the one before, then each gap's `gap >> k` in unary
+    /// (that many zeros, then a one). `k` is ⌊log₂⌋ of the cell's mean gap
+    /// (0 below 1), so Σ(gap >> k) < 2n and a row costs under `k + 3` bits
+    /// however skewed its cell. Low bits lie at fixed strides and the
+    /// unary codes are found a set bit at a time, so a reader's cursors do
+    /// not wait on one another.
+    Nanos(Vec<u64>),
     /// The `f64` itself: 8 B a row.
     Plain(Vec<f64>),
 }
@@ -133,34 +144,91 @@ fn nanos_of(ms: f64) -> Option<u32> {
     (f64::from(nanos) / 1e6).to_bits().eq(&ms.to_bits()).then_some(nanos)
 }
 
+/// Bits of a cell's header: its Rice parameter and its least value.
+const K_BITS: u32 = 5;
+const HEAD_BITS: usize = K_BITS as usize + 32;
+
 impl Column {
-    /// `values` in the first form that holds every one of them bit for bit.
-    fn adopt(values: &[f64]) -> Column {
-        // One exact-sized allocation, where collecting an `Option` grows by
-        // doubling.
-        let mut nanos = Vec::with_capacity(values.len());
-        for &value in values {
-            match nanos_of(value) {
-                Some(n) => nanos.push(n),
-                None => return Column::Plain(values.to_vec()),
+    /// `sorted`, cell `ci` being rows `ends[ci - 1]..ends[ci]` in
+    /// `total_cmp` order, in the first form that holds every value bit
+    /// for bit.
+    fn adopt(sorted: &[f64], ends: &[u32]) -> Column {
+        let mut out = BitWriter { words: Vec::new(), pos: 0 };
+        let mut nanos = Vec::new();
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        for (start, &end) in starts.zip(ends) {
+            nanos.clear();
+            for &ms in &sorted[start as usize..end as usize] {
+                match nanos_of(ms) {
+                    Some(n) => nanos.push(n),
+                    None => return Column::Plain(sorted.to_vec()),
+                }
             }
+            out.cell(&nanos);
         }
-        Column::Nanos(nanos)
+        // A zero word past the stream's last, so that a reader takes two
+        // whole words wherever a field starts.
+        out.words.push(0);
+        out.words.shrink_to_fit();
+        Column::Nanos(out.words)
+    }
+}
+
+/// A bit stream being written, and where it is.
+struct BitWriter {
+    words: Vec<u64>,
+    pos: usize,
+}
+
+impl BitWriter {
+    /// Append a cell of `sorted` values: its Rice parameter, ⌊log₂⌋ of its
+    /// mean gap (0 below 1 or for one value), its least value, the low
+    /// bits of each gap, then each gap's high bits in unary.
+    fn cell(&mut self, sorted: &[u32]) {
+        let mean_gap =
+            u64::from(sorted[sorted.len() - 1] - sorted[0]).checked_div(sorted.len() as u64 - 1);
+        let k = mean_gap.and_then(u64::checked_ilog2).unwrap_or(0);
+        self.write(k, K_BITS);
+        self.write(sorted[0], 32);
+        let gaps = sorted.windows(2).map(|pair| pair[1] - pair[0]);
+        gaps.clone().for_each(|gap| self.write(gap & ((1 << k) - 1), k));
+        gaps.for_each(|gap| {
+            self.pos += (gap >> k) as usize;
+            self.write(1, 1);
+        });
     }
 
-    /// Rows `rows`, decoded as they are read, their bits as adopted.
-    fn values(&self, rows: Range<usize>) -> impl Iterator<Item = f64> + '_ {
-        let (nanos, plain): (&[u32], &[f64]) = match self {
-            Column::Nanos(nanos) => (&nanos[rows], &[]),
-            Column::Plain(values) => (&[], &values[rows]),
-        };
-        nanos.iter().map(|&nanos| f64::from(nanos) / 1e6).chain(plain.iter().copied())
+    /// Append `value`, below 2^`width` (≤ 32), in `width` bits. Words are
+    /// added zeroed, so a zero needs no write.
+    fn write(&mut self, value: u32, width: u32) {
+        let (word, bit) = (self.pos / 64, self.pos % 64);
+        self.pos += width as usize;
+        if self.words.len() < self.pos.div_ceil(64) {
+            self.words.resize(self.pos.div_ceil(64), 0);
+        }
+        if value != 0 {
+            let value = u64::from(value);
+            self.words[word] |= value << bit;
+            if bit + width as usize > 64 {
+                self.words[word + 1] |= value >> (64 - bit);
+            }
+        }
     }
+}
+
+/// The `width` (≤ 32) bits of `words` from bit `pos` on: `pos` lies in
+/// the stream, which a zero word follows.
+#[inline]
+fn bits_at(words: &[u64], pos: usize, width: u32) -> u32 {
+    let (i, bit) = (pos / 64, pos % 64);
+    // Two shifts, so that `bit` 0 shifts the next word out entirely.
+    let window = words[i] >> bit | (words[i + 1] << 1) << (63 - bit);
+    (window & ((1 << width) - 1)) as u32
 }
 
 /// What the sink keeps of a shard: the MinRTTs of its preferred-route
 /// cells, laid out cell by cell — cell `ci` is rows `ends[ci - 1]..ends[ci]`,
-/// in the order its worker pushed them — so a cell's place costs one `u32`.
+/// in `total_cmp` order — so a cell's place costs one `u32`.
 #[derive(Debug)]
 struct AdoptedShard {
     cells: Vec<CellKey>,
@@ -174,11 +242,12 @@ impl AdoptedShard {
     /// (so groups land in first-seen order too), and keep its
     /// preferred-route MinRTTs. A stable counting scatter to the prefix
     /// sums of the per-cell counts the pass tracked lays a metric out cell
-    /// by cell, preferred cells first, in one transient column; the
-    /// preferred MinRTTs are adopted into their narrowest form, then every
+    /// by cell, preferred cells first, in one transient column; every
     /// cell's slice is sorted once — its NaNs (the untested mark, a
-    /// positive NaN) after its samples — and read. MinRTT's statistics are
-    /// taken before HDratio is scattered into the same column.
+    /// positive NaN) after its samples — and read, and the sorted
+    /// preferred MinRTTs are adopted into their narrowest form. MinRTT's
+    /// statistics are taken before HDratio is scattered into the same
+    /// column.
     fn adopt(
         shard: ColumnarShard,
         grid: &mut GroupSlots<WindowCell>,
@@ -217,8 +286,9 @@ impl AdoptedShard {
             (0..cells.len()).for_each(|ci| column[rows_of(ci)].sort_unstable_by(f64::total_cmp));
         };
         scatter(&mut column, &shard.min_rtt);
-        let min_rtt = Column::adopt(&column[..kept]);
         sort(&mut column);
+        let ends: Vec<u32> = preferred.iter().map(|&ci| starts[ci] + cells[ci].n_rtt).collect();
+        let min_rtt = Column::adopt(&column[..kept], &ends);
         let min_rtt_stats: Vec<(f64, Option<f64>)> = (0..cells.len())
             .map(|ci| median_and_variance(&column[rows_of(ci)]).expect("a cell holds a session"))
             .collect();
@@ -244,19 +314,132 @@ impl AdoptedShard {
             let row = WindowCell::new(window, group, rank, &summary);
             *grid.cell(group, rank as usize, window as usize, meta.bytes) = Some(row);
         }
-        AdoptedShard {
-            cells: preferred.iter().map(|&ci| cells[ci].key).collect(),
-            ends: preferred.iter().map(|&ci| starts[ci] + cells[ci].n_rtt).collect(),
-            min_rtt,
-        }
+        AdoptedShard { cells: preferred.iter().map(|&ci| cells[ci].key).collect(), ends, min_rtt }
     }
 
     /// Every session kept, cell by cell: its cell and its MinRTT (ms).
-    fn sessions(&self) -> impl Iterator<Item = (CellKey, f64)> + '_ {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        self.cells.iter().zip(starts.zip(&self.ends)).flat_map(|(&key, (start, &end))| {
-            self.min_rtt.values(start as usize..end as usize).map(move |min_rtt| (key, min_rtt))
-        })
+    fn sessions(&self) -> Sessions<'_> {
+        Sessions { shard: self, cell: 0, row: 0, end: 0, cursor: Cursor::default() }
+    }
+}
+
+/// An adopted shard's sessions in order, its stream decoded as they are
+/// read.
+struct Sessions<'a> {
+    shard: &'a AdoptedShard,
+    /// The next cell to open.
+    cell: usize,
+    row: u32,
+    /// The end row of the open cell.
+    end: u32,
+    cursor: Cursor,
+}
+
+/// Where a reader of a whole-nanosecond stream is.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    /// The open cell's Rice parameter and last value.
+    k: u32,
+    nanos: u32,
+    /// Where the open cell's next low bits are.
+    low: usize,
+    /// Where the next unary code starts (past a cell's last, where the
+    /// next cell does), the word that holds it and that word's bits from
+    /// there on.
+    unary: usize,
+    word: usize,
+    ones: u64,
+}
+
+impl Cursor {
+    /// Read the header of the `n`-row cell that starts at `unary`.
+    fn open(&mut self, words: &[u64], n: u32) {
+        let start = self.unary;
+        self.k = bits_at(words, start, K_BITS);
+        self.nanos = bits_at(words, start + K_BITS as usize, 32);
+        self.low = start + HEAD_BITS;
+        self.unary = self.low + (n as usize - 1) * self.k as usize;
+        self.word = self.unary / 64;
+        self.ones = words[self.word] & (!0 << (self.unary % 64));
+    }
+
+    /// Step to the open cell's next value: add its gap, whose low bits lie
+    /// at `low` and whose `gap >> k` is the zeros before the next one bit.
+    #[inline]
+    fn step(&mut self, words: &[u64]) {
+        while self.ones == 0 {
+            self.word += 1;
+            self.ones = words[self.word];
+        }
+        let one = self.word * 64 + self.ones.trailing_zeros() as usize;
+        self.ones &= self.ones - 1;
+        let q = (one - self.unary) as u32;
+        self.unary = one + 1;
+        let low = bits_at(words, self.low, self.k);
+        self.low += self.k as usize;
+        self.nanos += q << self.k | low;
+    }
+
+    /// The last value read, in ms.
+    fn min_rtt(&self) -> f64 {
+        f64::from(self.nanos) / 1e6
+    }
+}
+
+impl Iterator for Sessions<'_> {
+    type Item = (CellKey, f64);
+
+    fn next(&mut self) -> Option<(CellKey, f64)> {
+        let start = self.end;
+        let opens = self.row == start;
+        if opens {
+            self.end = *self.shard.ends.get(self.cell)?;
+            self.cell += 1;
+        }
+        let row = self.row as usize;
+        self.row += 1;
+        let min_rtt = match &self.shard.min_rtt {
+            Column::Plain(values) => values[row],
+            Column::Nanos(words) if opens => {
+                self.cursor.open(words, self.end - start);
+                self.cursor.min_rtt()
+            }
+            Column::Nanos(words) => {
+                self.cursor.step(words);
+                self.cursor.min_rtt()
+            }
+        };
+        Some((self.shard.cells[self.cell - 1], min_rtt))
+    }
+
+    /// What Figure 6's passes call: the rest of the open cell through
+    /// `next`, then cell by cell with the cursor a local, which keeps it
+    /// out of memory between rows.
+    fn fold<B, F: FnMut(B, (CellKey, f64)) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        while self.row < self.end {
+            acc = f(acc, self.next().expect("the open cell's rows"));
+        }
+        let Sessions { shard, cell, end: row, mut cursor, .. } = self;
+        let starts = std::iter::once(row).chain(shard.ends[cell..].iter().copied());
+        for ((&key, start), &end) in shard.cells[cell..].iter().zip(starts).zip(&shard.ends[cell..])
+        {
+            match &shard.min_rtt {
+                Column::Plain(values) => {
+                    let rows = &values[start as usize..end as usize];
+                    acc = rows.iter().fold(acc, |acc, &v| f(acc, (key, v)));
+                }
+                Column::Nanos(words) => {
+                    cursor.open(words, end - start);
+                    acc = f(acc, (key, cursor.min_rtt()));
+                    for _ in 1..end - start {
+                        cursor.step(words);
+                        acc = f(acc, (key, cursor.min_rtt()));
+                    }
+                }
+            }
+        }
+        acc
     }
 }
 
@@ -325,14 +508,16 @@ impl ColumnarSink {
     }
 
     /// Every preferred-route session, shard by shard and within a shard
-    /// cell by cell (cells in first-seen order, a cell's sessions in the
-    /// order its worker pushed them): its cell and its MinRTT (ms).
+    /// cell by cell (cells in first-seen order, a cell's sessions in
+    /// `total_cmp` order of their MinRTTs, not the order its worker pushed
+    /// them; Figure 6 reads them order-free): its cell and its MinRTT (ms).
     pub fn rows(&self) -> impl Iterator<Item = (CellKey, f64)> + '_ {
         self.preferred.iter().flat_map(AdoptedShard::sessions)
     }
 
     /// For every shard that kept rows, in merge order, whether its MinRTTs
-    /// are kept as whole nanoseconds (4 B a row) rather than `f64`s (8 B).
+    /// are kept as whole nanoseconds (Rice-coded gaps, under `k + 3` bits a
+    /// row) rather than `f64`s (8 B).
     pub fn min_rtt_in_nanos(&self) -> impl Iterator<Item = bool> + '_ {
         self.preferred.iter().map(|s| matches!(s.min_rtt, Column::Nanos(_)))
     }
@@ -465,7 +650,8 @@ pub(crate) mod tests {
     /// theirs, and the summaries are `Dataset::from_records`'s, groups in
     /// the same order.
     fn assert_reads_as(mut sink: ColumnarSink, records: &[SessionRecord]) {
-        // Rows come cell by cell, cells in first-seen order.
+        // Rows come cell by cell, cells in first-seen order, a cell's
+        // MinRTTs in `total_cmp` order.
         let mut first_seen = FxHashMap::default();
         let mut want: Vec<_> = records
             .iter()
@@ -473,13 +659,21 @@ pub(crate) mod tests {
             .map(|r| {
                 let key = CellKey { group: r.group, window: r.window, rank: r.route_rank };
                 let next = first_seen.len();
-                let seen = *first_seen.entry(key).or_insert(next);
-                (seen, (key, r.min_rtt_ms.to_bits()))
+                (*first_seen.entry(key).or_insert(next), key, r.min_rtt_ms)
             })
             .collect();
-        want.sort_by_key(|&(seen, _)| seen);
-        let rows = sink.rows().map(|(key, rtt)| (key, rtt.to_bits()));
-        assert!(rows.eq(want.into_iter().map(|(_, row)| row)), "rows differ");
+        want.sort_by(|a, b| a.0.cmp(&b.0).then(a.2.total_cmp(&b.2)));
+        let rows: Vec<_> = sink.rows().map(|(key, rtt)| (key, rtt.to_bits())).collect();
+        let want: Vec<_> = want.into_iter().map(|(_, key, rtt)| (key, rtt.to_bits())).collect();
+        assert_eq!(rows, want, "rows differ");
+        // Folded, as Figure 6 reads them, from wherever `next` left off,
+        // they are the same rows.
+        for skip in [0, 1, rows.len() / 3, rows.len() / 2, rows.len().saturating_sub(1), rows.len()]
+        {
+            let mut folded = Vec::new();
+            sink.rows().skip(skip).for_each(|(key, rtt)| folded.push((key, rtt.to_bits())));
+            assert_eq!(folded, rows[skip..], "rows folded after {skip}");
+        }
 
         // `{:?}` prints a float in its shortest round-trip form: equal text,
         // equal bits (-0.0 included).
@@ -600,5 +794,118 @@ pub(crate) mod tests {
         let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();
         assert_eq!(nanos, [true, false, false, false, true]);
         assert_reads_as(sink, &shards.concat());
+    }
+
+    /// A cell's MinRTTs, in nanoseconds, pushed in this order: `shape`
+    /// picks what the codec must survive, `n` (1–600) how many, and
+    /// `seed` the values. Shapes 3 and 4 hold two rows and one.
+    fn cell_nanos(shape: u8, n: usize, spread: u32, seed: u64) -> Vec<u32> {
+        let mut state = seed;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let base = next() as u32;
+        // Values from `base` up, `spread` bits wide, clamped: ties aplenty
+        // when the width is below the row count.
+        let mut scattered = |bits: u32| -> Vec<u32> {
+            (0..n).map(|_| base.saturating_add((next() >> (64 - bits)) as u32)).collect()
+        };
+        match shape {
+            // Gaps anywhere from 0 to 2³² − 1 (`k` from 0 to 31).
+            0 => scattered(spread.max(1)),
+            // Every row tied: `k` 0.
+            1 => vec![base; n],
+            // A tight cell and one outlier gap.
+            2 => {
+                let mut cell = scattered(4);
+                cell[n / 2] = if base < 1 << 31 { u32::MAX } else { 0 };
+                cell
+            }
+            // The widest gap there is: `k` 31.
+            3 => vec![u32::MAX, 0],
+            _ => vec![base],
+        }
+    }
+
+    /// The Rice parameter the codec must pick for a cell of `shape`.
+    fn expected_k(shape: u8) -> Option<u32> {
+        match shape {
+            1 | 4 => Some(0),
+            3 => Some(31),
+            _ => None,
+        }
+    }
+
+    /// What, other than whole nanoseconds below 2³², forces a shard's
+    /// column to plain `f64`s.
+    const NOT_NANOS: [f64; 3] = [-0.0, 4_294.967_296, 0.1 + 0.2];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Whatever a cell holds, the kept column gives back each cell's
+        /// pushed MinRTTs in `total_cmp` order, bit for bit; a shard keeps
+        /// whole nanoseconds exactly when every value is one below 2³²; and
+        /// a cell's stream is its 37-bit header and under `k + 3` bits a
+        /// further row, the shard's stream the words its bits fill and one.
+        #[test]
+        fn prop_kept_rows_round_trip_sorted_within_their_bound(
+            shards in prop::collection::vec(
+                (
+                    prop::collection::vec((0u8..5, 1usize..601, 0u32..33, any::<u64>()), 1..6),
+                    prop::option::of((0usize..3, any::<u64>())),
+                ),
+                1..4,
+            )
+        ) {
+            let mut records = Vec::new();
+            let mut plain = Vec::new();
+            let mut shapes = FxHashMap::default();
+            for (s, (cells, not_nanos)) in shards.iter().enumerate() {
+                let mut shard = Vec::new();
+                for (c, &(shape, n, spread, seed)) in cells.iter().enumerate() {
+                    let (prefix, window) = ((8 * s + c / 4) as u32, (c % 4) as u32);
+                    let nanos = cell_nanos(shape, n, spread, seed);
+                    let key = rec(prefix, window, 0, 0.0, None);
+                    shapes.insert((key.group, window), shape);
+                    shard.extend(
+                        nanos.iter().map(|&ns| rec(prefix, window, 0, f64::from(ns) / 1e6, None)),
+                    );
+                }
+                if let Some((which, at)) = *not_nanos {
+                    let row = at as usize % shard.len();
+                    shard[row].min_rtt_ms = NOT_NANOS[which];
+                }
+                // Cells interleaved, as a worker's records are.
+                let scrambled = |r: &SessionRecord| r.min_rtt_ms.to_bits().wrapping_mul(0x9e37);
+                shard.sort_by_key(|r| (scrambled(r), r.window));
+                plain.push(not_nanos.is_some());
+                records.push(shard);
+            }
+            let sink = adopted(&records);
+            let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();
+            prop_assert_eq!(nanos, plain.iter().map(|&p| !p).collect::<Vec<_>>());
+            for shard in &sink.preferred {
+                let Column::Nanos(words) = &shard.min_rtt else { continue };
+                let mut rows = shard.sessions();
+                let starts = std::iter::once(0).chain(shard.ends.iter().copied());
+                for ((&key, start), &end) in shard.cells.iter().zip(starts).zip(&shard.ends) {
+                    let (from, n) = (rows.cursor.unary, (end - start) as usize);
+                    rows.by_ref().take(n).for_each(drop);
+                    let k = rows.cursor.k as usize;
+                    prop_assert!(rows.cursor.unary - from <= HEAD_BITS + (k + 3) * (n - 1));
+                    if let Some(want) = expected_k(shapes[&(key.group, key.window)]) {
+                        prop_assert_eq!(rows.cursor.k, want);
+                    }
+                }
+                prop_assert!(rows.next().is_none());
+                prop_assert_eq!(words.len(), rows.cursor.unary.div_ceil(64) + 1);
+            }
+            assert_reads_as(sink, &records.concat());
+        }
     }
 }

@@ -62,6 +62,7 @@ use edgeperf_routing::{PopId, Prefix, Relationship};
 use std::fs::File;
 use std::hash::Hasher;
 use std::io::{self, Write};
+use std::num::NonZeroU8;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -78,8 +79,9 @@ pub const SEGMENT_VERSION: u8 = 2;
 /// from it. 72 bytes: what is stored as itself is a public field; the
 /// group is flat fields behind [`group`](Self::group), and one flag byte
 /// holds the route annotations and which optional statistics are
-/// present — an absent one's slot holds `0.0` and is never read.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// present — an absent one's slot holds `0.0` and is never read. The
+/// flag byte is never zero, so an `Option<WindowCell>` is 72 bytes too.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowCell {
     /// Window index (`floor(ts / window_ms)`).
     pub window: u32,
@@ -92,8 +94,8 @@ pub struct WindowCell {
     pub rank: u8,
     /// The segment's two route flags, the relationship code from
     /// [`REL_SHIFT`] and a presence bit an optional statistic from
-    /// [`HAS_SHIFT`].
-    flags: u8,
+    /// [`HAS_SHIFT`], beside [`FLAGS_SET`].
+    flags: NonZeroU8,
     /// Sessions recorded.
     pub n: u64,
     /// Sessions with an HDratio.
@@ -107,11 +109,36 @@ pub struct WindowCell {
 }
 
 const _: () = assert!(std::mem::size_of::<WindowCell>() == 72);
+const _: () = assert!(std::mem::size_of::<Option<WindowCell>>() == 72);
+
+impl Default for WindowCell {
+    fn default() -> Self {
+        WindowCell {
+            window: 0,
+            prefix_base: 0,
+            pop: 0,
+            country: 0,
+            prefix_len: 0,
+            continent: 0,
+            rank: 0,
+            flags: FLAGS_SET,
+            n: 0,
+            n_tested: 0,
+            bytes: 0,
+            min_rtt_p50: 0.0,
+            optional: [0.0; 3],
+        }
+    }
+}
 
 /// Where [`WindowCell`]'s flag byte keeps the relationship code (two
 /// bits) and the presence bits of its three optional statistics.
 const REL_SHIFT: usize = 2;
 const HAS_SHIFT: usize = 4;
+
+/// Bit 7 of [`WindowCell`]'s flag byte, always set and never stored: it
+/// makes the byte a niche for `Option`.
+const FLAGS_SET: NonZeroU8 = NonZeroU8::new(1 << 7).expect("non-zero");
 
 impl WindowCell {
     /// The row for summary `s` of cell (`window`, `group`, `rank`).
@@ -124,7 +151,8 @@ impl WindowCell {
             prefix_len: group.prefix.len,
             continent: group.continent,
             rank,
-            flags: (rel_code(s.relationship) << REL_SHIFT)
+            flags: FLAGS_SET
+                | (rel_code(s.relationship) << REL_SHIFT)
                 | (u8::from(s.longer_path) * FLAG_LONGER_PATH)
                 | (u8::from(s.more_prepended) * FLAG_MORE_PREPENDED),
             n: u64::try_from(s.n).expect("usize fits u64"),
@@ -153,17 +181,17 @@ impl WindowCell {
 
     /// Relationship of the route measured by this cell.
     pub fn relationship(&self) -> Relationship {
-        rel_from_code((self.flags >> REL_SHIFT) & 3).expect("built from a valid relationship")
+        rel_from_code((self.flags.get() >> REL_SHIFT) & 3).expect("built from a valid relationship")
     }
 
     /// This route's AS path is longer than the preferred route's.
     pub fn longer_path(&self) -> bool {
-        self.flags & FLAG_LONGER_PATH != 0
+        self.flags.get() & FLAG_LONGER_PATH != 0
     }
 
     /// This route is prepended more than the preferred route.
     pub fn more_prepended(&self) -> bool {
-        self.flags & FLAG_MORE_PREPENDED != 0
+        self.flags.get() & FLAG_MORE_PREPENDED != 0
     }
 
     /// The cell's median of `metric`, if it has one.
@@ -190,7 +218,7 @@ impl WindowCell {
     }
 
     fn get_optional(&self, i: usize) -> Option<f64> {
-        (self.flags & (1 << (HAS_SHIFT + i)) != 0).then_some(self.optional[i])
+        (self.flags.get() & (1 << (HAS_SHIFT + i)) != 0).then_some(self.optional[i])
     }
 
     fn set_optional(&mut self, i: usize, value: f64) {
@@ -305,8 +333,8 @@ fn encode_columns(out: &mut Vec<u8>, cells: &[WindowCell]) {
     column(out, cells, |c| c.country.to_le_bytes());
     column(out, cells, |c| [c.continent]);
     column(out, cells, |c| [c.rank]);
-    column(out, cells, |c| [(c.flags >> REL_SHIFT) & 3]);
-    column(out, cells, |c| [c.flags & (FLAG_LONGER_PATH | FLAG_MORE_PREPENDED)]);
+    column(out, cells, |c| [(c.flags.get() >> REL_SHIFT) & 3]);
+    column(out, cells, |c| [c.flags.get() & (FLAG_LONGER_PATH | FLAG_MORE_PREPENDED)]);
     column(out, cells, |c| c.n.to_le_bytes());
     column(out, cells, |c| c.n_tested.to_le_bytes());
     column(out, cells, |c| c.bytes.to_le_bytes());
@@ -425,7 +453,7 @@ fn decode_columns(r: &mut Reader<'_>, out: &mut Vec<WindowCell>) -> Result<(), E
     for c in &mut *cells {
         let code = r.u8()?;
         rel_from_code(code)?;
-        c.flags = code << REL_SHIFT;
+        c.flags = FLAGS_SET | code << REL_SHIFT;
     }
     for c in &mut *cells {
         let flags = r.u8()?;

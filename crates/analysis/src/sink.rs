@@ -17,9 +17,9 @@
 //!   its grid as a [`crate::WindowCell`] row, what Figures 6–7 read of
 //!   HDratio into a [tally](crate::figures::HdratioTally), and only the
 //!   preferred route's MinRTTs are kept, grouped by cell, for Figure 6.
-//!   Memory grows by a row a cell (80 B a grid slot), 4 bytes a study's
-//!   preferred session (a whole number of nanoseconds) and an entry a
-//!   distinct HDratio.
+//!   Memory grows by a row a cell (72 B a grid slot), ~2.2 bytes a
+//!   study's preferred session (whole nanoseconds, sorted within the
+//!   cell and Rice-coded as gaps) and an entry a distinct HDratio.
 //! - [`StreamingDataset`] — the production path (§3.4.1): t-digest cells
 //!   keyed exactly like the exact dataset's, each reduced to its row
 //!   when the runner [seals](RecordShard::seal) the work item that filled
@@ -230,7 +230,7 @@ struct SealedGroup {
 /// runner reports a work item done ([`RecordShard::seal`]) every group
 /// pushed since the previous seal is reduced to its grid of
 /// [`WindowCell`] rows plus one MinRTT digest for Figure 6, and its cells
-/// are dropped. Memory is bounded by the rows (80 B a grid slot) and the
+/// are dropped. Memory is bounded by the rows (72 B a grid slot) and the
 /// open cells of the groups in flight, one per worker — not by
 /// the number of sessions, and not by the number of cells times a digest.
 ///

@@ -178,9 +178,11 @@ proptest! {
             .collect();
         let mut rows: Vec<_> =
             sink.rows().map(|(c, rtt)| (c.group, c.window, c.rank, rtt.to_bits())).collect();
-        // Rows come cell by cell; within a cell, in the order pushed.
+        // Rows come cell by cell; within a cell, in `total_cmp` order.
         let cell = |r: &(GroupKey, u32, u8, u64)| (r.0.prefix.base, r.0.pop.0, r.1);
-        want.sort_by_key(cell);
+        want.sort_by(|a, b| {
+            cell(a).cmp(&cell(b)).then(f64::from_bits(a.3).total_cmp(&f64::from_bits(b.3)))
+        });
         rows.sort_by_key(cell);
         prop_assert_eq!(rows, want);
     }

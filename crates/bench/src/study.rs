@@ -93,9 +93,10 @@ pub struct StudyData {
 /// grid, read off the cell's exact order statistics (bit-identical to
 /// summarising the assembled `Dataset` — see `sink_agreement`), what
 /// Figures 6–7 read of HDratio is tallied, and only the preferred
-/// route's MinRTTs are kept, 4 bytes a session (whole nanoseconds)
-/// grouped by cell. The grid is handed over, not copied; Figure 6
-/// reads its ranks off the rows in place.
+/// route's MinRTTs are kept, grouped by cell and sorted within it, as
+/// whole nanoseconds Rice-coded as gaps: ~2.2 bytes a session. The grid
+/// is handed over, not copied; Figure 6 reads its ranks off the rows in
+/// place, decoding as it goes.
 ///
 /// # Errors
 ///
@@ -121,7 +122,7 @@ pub fn run(
 
 /// Run `study` through the streaming sink, under the same driver. Each
 /// prefix is sealed as a worker finishes it, so digests exist only for
-/// the prefixes in flight; what accumulates is an 80-byte grid slot a
+/// the prefixes in flight; what accumulates is a 72-byte grid slot a
 /// cell, holding its packed row, and one Figure 6 rollup digest a group,
 /// in prefix order at any parallelism. Its sealed state has no on-disk
 /// form, so it takes no checkpoint directory.
@@ -598,8 +599,8 @@ mod tests {
     fn a_quick_study_keeps_every_shard_compact() {
         // The runner writes a MinRTT as whole nanoseconds and an HDratio
         // as `achieved / tested`: were either to change, the exact sink
-        // would fall back to 8 B a MinRTT, or tally an entry an HDratio,
-        // without any output changing.
+        // would fall back from Rice-coded gaps to 8 B a MinRTT, or tally
+        // an entry an HDratio, without any output changing.
         let data = exact(scaled(20190521, 0.1));
         let Some(Sessions::Columns(sink)) = &data.sessions else { panic!("an exact study") };
         let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();

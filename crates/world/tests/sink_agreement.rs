@@ -230,11 +230,14 @@ fn columnar_sink_matches_from_records_end_to_end() {
         );
         assert_summaries_identical(&direct, &whole.summarize());
 
-        // Cell by cell, the preferred MinRTTs in the order they were pushed.
+        // Cell by cell, the preferred MinRTTs in `total_cmp` order.
         type Cell = (GroupKey, u32, u8);
         let mut want: HashMap<Cell, Vec<u64>> = HashMap::new();
         for r in records.iter().filter(|r| r.route_rank == 0) {
             want.entry((r.group, r.window, 0)).or_default().push(r.min_rtt_ms.to_bits());
+        }
+        for rtts in want.values_mut() {
+            rtts.sort_by(|a, b| f64::from_bits(*a).total_cmp(&f64::from_bits(*b)));
         }
         let mut rows: HashMap<Cell, Vec<u64>> = HashMap::new();
         for ((cell, rtt), (continent, p_rtt)) in sink.rows().zip(sink.preferred_sessions()) {
