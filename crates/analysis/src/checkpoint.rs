@@ -1,87 +1,177 @@
 //! The byte form of one exact fragment: what the study driver's
 //! checkpoint journal writes for each prefix it merges.
 //!
+//! A fragment is journalled sealed, so it is what its worker closed: a
+//! [`WindowCell`] row a cell, the preferred cells' sorted MinRTTs and the
+//! HDratio tally.
+//!
 //! ```text
-//! "EPSH" | version = 1 | cells: u32 | rows: u32                 13 bytes
-//! cell*   pop: u16 | base: u32 | len: u8 | country: u16 | continent: u8
-//!         | window: u32 | rank: u8 | relationship: u8 | flags: u8
-//!         | bytes: u64                                          25 bytes
-//! column  cell id: u32 per row
-//! column  MinRTT bits: u64 per row
-//! column  HDratio bits: u64 per row (`f64::NAN` = untested)
+//! "EPSH" | version = 2 | form: u8 | segment: u32 | kept: u32
+//!        | continents: u16 | entries: u32                       20 bytes
+//! segment   the rows in closing order: `encode_segment`'s image
+//! kept      u64 words: form 0, the Rice-coded stream of whole
+//!           nanoseconds; form 1, each preferred row's `n` MinRTTs'
+//!           `f64` bits, sorted
+//! continent tested: u64 | zero: u64 | below_one: u64             24 bytes
+//! entry     bucket: u8 | HDratio bits: u64 | sessions: u64       17 bytes
 //! FxHash of everything above: u64
 //! ```
 //!
-//! Rows are the shard's three aligned columns as they lie, floats as raw
-//! bit patterns, so a decoded fragment merges to the same bits as the one
-//! a worker filled. Per-cell sample counts are not stored: the decoder
-//! recounts them from the rows, so they cannot disagree.
+//! The segment is the live tier's codec, so a row decodes to the bits it
+//! was written with. A Figure 7 bucket's counts are not stored: the
+//! decoder adds them up from its entries, which are written in ascending
+//! (bucket, bits) order. A cell costs its segment row (49–73 B) and a
+//! share of its window's row-group frame; a preferred session a few bits.
+//! At seed 7, scale 1 the 121 fragments are 17.6 MB for 7.72 M sessions,
+//! 2.3 B a session.
 //!
-//! A journal file is outside input. Every record has a fixed size, so the
-//! two counts must account for the image's length *exactly* before
-//! anything is sized by them; a row must name a cell the image holds, a
-//! cell a rank and a window its sink has. Problems are the typed
-//! [`EdgeperfError::Segment`] — the checksum is `segment.rs`'s.
+//! A journal file is outside input. The header's counts must account for
+//! the image's length *exactly* before anything is sized by them; a row
+//! must name a cell its sink has, once; the stream must hold each
+//! preferred row's `n` values and nothing more, which a walk bounded by
+//! its words checks; and the tally must agree with the rows — a
+//! continent's tested sessions are its preferred rows' — and with itself.
+//! An image of another version, version 1's raw rows included, is refused
+//! (`unsupported shard version 1`), not migrated: a checkpoint is one
+//! study's transient. Problems are the typed [`EdgeperfError::Segment`] —
+//! the checksum is `segment.rs`'s.
 
-use crate::columnar::{CellKey, ColumnarShard, ColumnarSink};
-use crate::record::GroupKey;
+use crate::columnar::{BitWriter, ColumnarShard, ColumnarSink, Kept, HEAD_BITS, K_BITS};
+use crate::figures::{HdratioCounts, HdratioTally, HDRATIO_BELOW_ONE};
 use crate::segment::{
-    checked_body, checksum, corrupt, rel_code, rel_from_code, Reader, FLAG_LONGER_PATH,
-    FLAG_MORE_PREPENDED,
+    checked_body, checksum, corrupt, decode_segment, encode_segment, Reader, WindowCell,
 };
 use crate::sink::RecordSink;
 use edgeperf_core::EdgeperfError;
-use edgeperf_routing::{PopId, Prefix};
+use std::borrow::Cow;
 
 /// Magic bytes opening every encoded shard.
 pub(crate) const SHARD_MAGIC: [u8; 4] = *b"EPSH";
 
 /// Current shard format version.
-pub(crate) const SHARD_VERSION: u8 = 1;
+pub(crate) const SHARD_VERSION: u8 = 2;
 
-/// Magic, version, cell count, row count.
-const HEADER_LEN: usize = SHARD_MAGIC.len() + 1 + 4 + 4;
+/// Magic, version, form and the four counts.
+const HEADER_LEN: usize = SHARD_MAGIC.len() + 1 + 1 + 4 + 4 + 2 + 4;
 
-/// One cell's metadata: 2+4+1+2+1 + 4+1 + 1+1 + 8.
-const CELL_BYTES: usize = 25;
+/// A continent's three counts.
+const CONTINENT_BYTES: usize = 24;
 
-/// One row: cell id, MinRTT, HDratio.
-const ROW_BYTES: usize = 4 + 8 + 8;
+/// A tally entry: bucket, HDratio bits, sessions.
+const ENTRY_BYTES: usize = 1 + 8 + 8;
+
+/// The image of `rows`, a kept stream of `form` and `tally` (see the
+/// module docs), appended to `out`.
+fn write_image(
+    out: &mut Vec<u8>,
+    rows: &[WindowCell],
+    form: u8,
+    kept: &[u64],
+    tally: &HdratioTally,
+) {
+    let start = out.len();
+    let count = |n: usize| u32::try_from(n).expect("a shard's counts fit u32").to_le_bytes();
+    let segment = encode_segment(rows);
+    let mut entries: Vec<(usize, u64, u64)> = tally
+        .distinct
+        .iter()
+        .map(|(&(bucket, key), &n)| (bucket, key.rotate_right(32), n))
+        .collect();
+    entries.sort_unstable();
+    let parts = [segment.len(), 8 * kept.len(), CONTINENT_BYTES * tally.by_continent.len()];
+    out.reserve(HEADER_LEN + parts.iter().sum::<usize>() + ENTRY_BYTES * entries.len() + 8);
+    out.extend_from_slice(&SHARD_MAGIC);
+    out.extend_from_slice(&[SHARD_VERSION, form]);
+    out.extend_from_slice(&count(segment.len()));
+    out.extend_from_slice(&count(kept.len()));
+    let continents = u16::try_from(tally.by_continent.len()).expect("a continent is a u8");
+    out.extend_from_slice(&continents.to_le_bytes());
+    out.extend_from_slice(&count(entries.len()));
+    out.extend_from_slice(&segment);
+    kept.iter().for_each(|w| out.extend_from_slice(&w.to_le_bytes()));
+    for c in &tally.by_continent {
+        [c.tested, c.zero, c.below_one]
+            .iter()
+            .for_each(|n| out.extend_from_slice(&n.to_le_bytes()));
+    }
+    for (bucket, bits, n) in entries {
+        out.push(bucket as u8);
+        out.extend_from_slice(&bits.to_le_bytes());
+        out.extend_from_slice(&n.to_le_bytes());
+    }
+    let sum = checksum(&out[start..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+}
 
 impl ColumnarShard {
-    /// Append this shard's byte form (see the module docs) to `out`.
+    /// Append this shard's byte form (see the module docs) to `out`. The
+    /// shard must be sealed, as the runner leaves every shard it fills.
+    ///
+    /// # Panics
+    /// Panics when a window is still open.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        let count = |n: usize| u32::try_from(n).expect("a shard's counts fit u32").to_le_bytes();
-        out.reserve(HEADER_LEN + self.cells.len() * CELL_BYTES + self.cell.len() * ROW_BYTES + 8);
-        out.extend_from_slice(&SHARD_MAGIC);
-        out.push(SHARD_VERSION);
-        out.extend_from_slice(&count(self.cells.len()));
-        out.extend_from_slice(&count(self.cell.len()));
-        for c in &self.cells {
-            let CellKey { group, window, rank } = c.key;
-            out.extend_from_slice(&group.pop.0.to_le_bytes());
-            out.extend_from_slice(&group.prefix.base.to_le_bytes());
-            out.push(group.prefix.len);
-            out.extend_from_slice(&group.country.to_le_bytes());
-            out.push(group.continent);
-            out.extend_from_slice(&window.to_le_bytes());
-            let flags = u8::from(c.longer_path) * FLAG_LONGER_PATH
-                + u8::from(c.more_prepended) * FLAG_MORE_PREPENDED;
-            out.extend_from_slice(&[rank, rel_code(c.relationship), flags]);
-            out.extend_from_slice(&c.bytes.to_le_bytes());
-        }
-        self.cell.iter().for_each(|ci| out.extend_from_slice(&ci.to_le_bytes()));
-        for column in [&self.min_rtt, &self.hdratio] {
-            column.iter().for_each(|v| out.extend_from_slice(&v.to_bits().to_le_bytes()));
-        }
-        let sum = checksum(&out[start..]);
-        out.extend_from_slice(&sum.to_le_bytes());
+        assert!(self.is_sealed(), "a shard is encoded sealed");
+        let (form, kept) = match &self.kept {
+            Kept::Nanos(writer) => (0, Cow::Borrowed(&writer.words[..])),
+            Kept::Plain(values) => (1, Cow::Owned(values.iter().map(|v| v.to_bits()).collect())),
+        };
+        write_image(out, &self.rows, form, &kept, &self.tally);
     }
 }
 
+/// `width` (≤ 32) bits of `words` from bit `pos` on, if they are there.
+fn field(words: &[u64], pos: usize, width: usize) -> Option<u64> {
+    if pos.checked_add(width)? > words.len() * 64 {
+        return None;
+    }
+    let (i, bit) = (pos / 64, pos % 64);
+    let high = if bit + width > 64 { words[i + 1] << (64 - bit) } else { 0 };
+    Some((words[i] >> bit | high) & ((1 << width) - 1))
+}
+
+/// Walk a whole-nanosecond stream ([`Kept::Nanos`]) of cells of `counts`
+/// rows without reading past its words: the bit its last code ends at, or
+/// why it is not that stream.
+fn stream_end(words: &[u64], counts: impl Iterator<Item = u64>) -> Result<usize, EdgeperfError> {
+    let mut unary = 0;
+    for (cell, n) in counts.enumerate() {
+        let overrun = || corrupt(format!("preferred row {cell}'s {n} values overrun the stream"));
+        let k = field(words, unary, K_BITS as usize).ok_or_else(overrun)? as usize;
+        let mut nanos = field(words, unary + K_BITS as usize, 32).ok_or_else(overrun)?;
+        let mut low = unary + HEAD_BITS;
+        unary = (n - 1)
+            .checked_mul(k as u64)
+            .and_then(|bits| low.checked_add(usize::try_from(bits).ok()?))
+            .filter(|&end| end <= words.len() * 64)
+            .ok_or_else(overrun)?;
+        for _ in 1..n {
+            let mut word = unary / 64;
+            let mut ones = words.get(word).ok_or_else(overrun)? & (!0 << (unary % 64));
+            while ones == 0 {
+                word += 1;
+                ones = *words.get(word).ok_or_else(overrun)?;
+            }
+            let one = word * 64 + ones.trailing_zeros() as usize;
+            let gap = u64::try_from(one - unary)
+                .ok()
+                .filter(|&q| q < 1 << 32)
+                .map(|q| q << k | field(words, low, k).expect("inside the low bits"));
+            nanos += gap.filter(|&gap| gap <= u64::from(u32::MAX)).ok_or_else(overrun)?;
+            if nanos > u64::from(u32::MAX) {
+                return Err(corrupt(format!("preferred row {cell} passes 2^32 ns in the stream")));
+            }
+            (unary, low) = (one + 1, low + k);
+        }
+    }
+    let tail = unary % 64;
+    if words.len() != unary.div_ceil(64) || tail > 0 && words[words.len() - 1] >> tail != 0 {
+        return Err(corrupt(format!("{} words hold a {unary}-bit stream", words.len())));
+    }
+    Ok(unary)
+}
+
 impl ColumnarSink {
-    /// Rebuild a shard of this sink from [`ColumnarShard::encode`]'s
+    /// Rebuild a sealed shard of this sink from [`ColumnarShard::encode`]'s
     /// bytes, ready to [merge](crate::RecordSink::merge_shard).
     pub fn decode_shard(&self, bytes: &[u8]) -> Result<ColumnarShard, EdgeperfError> {
         let mut r = Reader { bytes: checked_body(bytes)?, at: 0 };
@@ -92,74 +182,138 @@ impl ColumnarSink {
         if version != SHARD_VERSION {
             return Err(corrupt(format!("unsupported shard version {version}")));
         }
-        let (n_cells, n_rows) = (r.u32()? as usize, r.u32()? as usize);
-        // Length arithmetic before any allocation: fixed-size records, so
-        // the counts either account for every byte left or are forged.
-        if n_cells as u64 * CELL_BYTES as u64 + n_rows as u64 * ROW_BYTES as u64
+        let form = r.u8()?;
+        if form > 1 {
+            return Err(corrupt(format!("unknown kept form {form}")));
+        }
+        let (segment, words) = (r.u32()? as usize, r.u32()? as usize);
+        let (continents, entries) = (r.u16()? as usize, r.u32()? as usize);
+        // Length arithmetic before any allocation: every part's size is
+        // its count times a fixed size, so the counts either account for
+        // every byte left or are forged.
+        let sizes =
+            [(segment, 1), (words, 8), (continents, CONTINENT_BYTES), (entries, ENTRY_BYTES)];
+        if sizes.iter().map(|&(n, size)| n as u64 * size as u64).sum::<u64>()
             != r.remaining() as u64
         {
             return Err(corrupt(format!(
-                "{n_cells} cells and {n_rows} rows cannot be {} bytes",
+                "a {segment}-byte segment, {words} words, {continents} continents and \
+                 {entries} entries cannot be {} bytes",
                 r.remaining()
             )));
         }
+        let rows = decode_segment(r.take(segment)?)?;
         let mut shard = self.new_shard();
-        for i in 0..n_cells {
-            let group = GroupKey {
-                pop: PopId(r.u16()?),
-                prefix: Prefix { base: r.u32()?, len: r.u8()? },
-                country: r.u16()?,
-                continent: r.u8()?,
-            };
-            let key = CellKey { group, window: r.u32()?, rank: r.u8()? };
-            // The two bounds `cell_id` and `summarize` would panic on.
-            if key.rank >= 8 || key.window as usize >= self.n_windows {
+        let mut tested_by_continent = Vec::new();
+        let mut kept_counts = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            // The bounds `GroupSlots::cell` and the stream's `u32` row
+            // counts would panic on.
+            if row.rank >= 8 || row.window as usize >= self.n_windows {
                 return Err(corrupt(format!(
-                    "cell {i} at rank {} window {} is outside the sink",
-                    key.rank, key.window
+                    "row {i} at rank {} window {} is outside the sink",
+                    row.rank, row.window
                 )));
             }
-            let (relationship, flags) = (rel_from_code(r.u8()?)?, r.u8()?);
-            if flags & !(FLAG_LONGER_PATH | FLAG_MORE_PREPENDED) != 0 {
-                return Err(corrupt(format!("unknown flag bits {flags:#04x}")));
+            if row.n == 0 || row.n > u64::from(u32::MAX) || row.n_tested > row.n {
+                return Err(corrupt(format!(
+                    "row {i} counts {} tested of {} sessions",
+                    row.n_tested, row.n
+                )));
             }
-            if shard.cell_id(key, relationship) != i {
-                return Err(corrupt(format!("cell {i} repeats an earlier cell's key")));
+            let slot = shard.ids.cell(row.group(), row.rank as usize, row.window as usize, 0);
+            if slot.replace(i as u32).is_some() {
+                return Err(corrupt(format!("row {i} repeats an earlier row's cell")));
             }
-            let cell = &mut shard.cells[i];
-            cell.longer_path = flags & FLAG_LONGER_PATH != 0;
-            cell.more_prepended = flags & FLAG_MORE_PREPENDED != 0;
-            cell.bytes = r.u64()?;
-        }
-        shard.cell.reserve_exact(n_rows);
-        for row in 0..n_rows {
-            let ci = r.u32()?;
-            if ci as usize >= n_cells {
-                return Err(corrupt(format!("row {row} names cell {ci} of {n_cells}")));
-            }
-            shard.cell.push(ci);
-        }
-        for column in [&mut shard.min_rtt, &mut shard.hdratio] {
-            column.reserve_exact(n_rows);
-            for _ in 0..n_rows {
-                column.push(f64::from_bits(r.u64()?));
+            if row.rank == 0 {
+                kept_counts.push(row.n);
+                let continent = row.group().continent as usize;
+                if tested_by_continent.len() <= continent {
+                    tested_by_continent.resize(continent + 1, 0);
+                }
+                tested_by_continent[continent] += row.n_tested;
             }
         }
-        for (row, &ci) in shard.cell.iter().enumerate() {
-            if shard.min_rtt[row].is_nan() {
-                return Err(corrupt(format!("row {row} has a NaN MinRTT")));
-            }
-            // Untested is one NaN, `f64::NAN`: it sorts after every sample.
-            let hd = shard.hdratio[row];
-            if hd.is_nan() && hd.to_bits() != f64::NAN.to_bits() {
-                return Err(corrupt(format!("row {row} has a NaN HDratio that is not the mark")));
-            }
-            let cell = &mut shard.cells[ci as usize];
-            cell.n_rtt += 1;
-            cell.n_hd += u32::from(!hd.is_nan());
+        let kept_rows: u64 = kept_counts.iter().sum();
+        if kept_rows > u64::from(u32::MAX) {
+            return Err(corrupt(format!("{kept_rows} preferred sessions overflow a shard")));
         }
+        let mut kept: Vec<u64> = Vec::with_capacity(words);
+        for _ in 0..words {
+            kept.push(r.u64()?);
+        }
+        shard.kept = if form == 0 {
+            let pos = stream_end(&kept, kept_counts.iter().copied())?;
+            Kept::Nanos(BitWriter { words: kept, pos })
+        } else {
+            if kept.len() as u64 != kept_rows {
+                return Err(corrupt(format!("{words} values for {kept_rows} preferred sessions")));
+            }
+            let values: Vec<f64> = kept.into_iter().map(f64::from_bits).collect();
+            let mut rest = &values[..];
+            for (cell, &n) in kept_counts.iter().enumerate() {
+                let (this, after) = rest.split_at(n as usize);
+                let sorted = this.windows(2).all(|pair| pair[0].total_cmp(&pair[1]).is_le());
+                if !sorted || this.iter().any(|v| v.is_nan()) {
+                    return Err(corrupt(format!("preferred row {cell}'s values are not sorted")));
+                }
+                rest = after;
+            }
+            Kept::Plain(values)
+        };
+        shard.tally = read_tally(&mut r, continents, entries, &tested_by_continent)?;
+        shard.base = rows.len() as u32;
+        shard.rows = rows;
         Ok(shard)
     }
+}
+
+/// The tally's `continents` counts and `entries` entries, checked against
+/// themselves and against `tested`, the preferred rows' tested sessions a
+/// continent.
+fn read_tally(
+    r: &mut Reader<'_>,
+    continents: usize,
+    entries: usize,
+    tested: &[u64],
+) -> Result<HdratioTally, EdgeperfError> {
+    let mut tally = HdratioTally::default();
+    for continent in 0..continents {
+        let counts = HdratioCounts { tested: r.u64()?, zero: r.u64()?, below_one: r.u64()? };
+        if counts.zero > counts.below_one || counts.below_one > counts.tested {
+            return Err(corrupt(format!("continent {continent}'s point masses exceed its count")));
+        }
+        tally.by_continent.push(counts);
+    }
+    let tested_by_continent = tally.by_continent.iter().map(|c| c.tested);
+    let last_tested = tested.iter().rposition(|&n| n > 0).map_or(0, |c| c + 1);
+    if !tested_by_continent.eq(tested[..last_tested].iter().copied()) {
+        return Err(corrupt("the tally's continents disagree with the rows".into()));
+    }
+    let (mut previous, mut sessions) = (None, 0u64);
+    tally.distinct.reserve(entries);
+    for i in 0..entries {
+        let (bucket, hdratio, n) = (r.u8()? as usize, f64::from_bits(r.u64()?), r.u64()?);
+        let key = (bucket, hdratio.to_bits());
+        if bucket >= tally.buckets.len() || !hdratio.is_finite() || n == 0 {
+            return Err(corrupt(format!("entry {i} is no bucket's HDratio count")));
+        }
+        if previous >= Some(key) {
+            return Err(corrupt(format!("entry {i} is out of order")));
+        }
+        previous = Some(key);
+        sessions = sessions.saturating_add(n);
+        let counts = &mut tally.buckets[bucket];
+        counts.tested = counts.tested.saturating_add(n);
+        counts.zero = counts.zero.saturating_add(if hdratio <= 0.0 { n } else { 0 });
+        counts.below_one =
+            counts.below_one.saturating_add(if hdratio <= HDRATIO_BELOW_ONE { n } else { 0 });
+        tally.distinct.insert((bucket, hdratio.to_bits().rotate_left(32)), n);
+    }
+    if sessions > tested.iter().sum::<u64>() {
+        return Err(corrupt(format!("{sessions} bucketed sessions exceed the tested")));
+    }
+    Ok(tally)
 }
 
 #[cfg(test)]
@@ -168,10 +322,18 @@ mod tests {
     use crate::columnar::tests::{rec, synthetic};
     use crate::sink::RecordShard;
 
-    /// 13 prefixes × 4 windows = 52 cells; a third of the rows untested.
-    fn shard_of(sink: &ColumnarSink, n: usize) -> ColumnarShard {
+    /// 13 prefixes × 4 windows = 52 cells, half of them preferred; a third
+    /// of the rows untested; sealed. Its MinRTTs are whole nanoseconds when
+    /// `nanos`, as a study's are, else arbitrary `f64`s.
+    fn shard_of(sink: &ColumnarSink, n: usize, nanos: bool) -> ColumnarShard {
         let mut shard = sink.new_shard();
-        synthetic(n).into_iter().for_each(|r| shard.push(r));
+        for mut r in synthetic(n) {
+            if nanos {
+                r.min_rtt_ms = (r.min_rtt_ms * 1e6).round() / 1e6;
+            }
+            shard.push(r);
+        }
+        shard.seal(0);
         shard
     }
 
@@ -183,41 +345,78 @@ mod tests {
         (rows, format!("{:?}", sink.summarize().groups), hdratio)
     }
 
+    fn encoded(shard: &ColumnarShard) -> Vec<u8> {
+        let mut image = Vec::new();
+        shard.encode(&mut image);
+        image
+    }
+
     #[test]
     fn a_shard_round_trips_to_the_same_rows_and_summaries() {
         let sink = || ColumnarSink::new(4);
-        let mut image = Vec::new();
-        shard_of(&sink(), 1_500).encode(&mut image);
-        assert_eq!(image.len(), HEADER_LEN + 13 * 4 * CELL_BYTES + 1_500 * ROW_BYTES + 8);
-        let decoded = sink().decode_shard(&image).expect("decodes");
-        // A third of the rows tested nothing: NaN in the column, `None` out.
-        assert_eq!(decoded.hdratio.iter().filter(|h| h.is_nan()).count(), 500);
-        assert_eq!(bits(sink(), decoded), bits(sink(), shard_of(&sink(), 1_500)));
+        for nanos in [true, false] {
+            let shard = shard_of(&sink(), 1_500, nanos);
+            let image = encoded(&shard);
+            let words = match &shard.kept {
+                Kept::Nanos(writer) if nanos => writer.words.len(),
+                Kept::Plain(values) if !nanos => values.len(),
+                _ => panic!("the form the values call for"),
+            };
+            let (rows, continents) = (shard.rows.len(), shard.tally.by_continent.len());
+            let entries = shard.tally.distinct_hdratios();
+            assert_eq!(
+                image.len(),
+                HEADER_LEN
+                    + encode_segment(&shard.rows).len()
+                    + 8 * words
+                    + CONTINENT_BYTES * continents
+                    + ENTRY_BYTES * entries
+                    + 8
+            );
+            assert_eq!((rows, continents), (52, 5));
+            let decoded = sink().decode_shard(&image).expect("decodes");
+            assert_eq!(decoded.sample_count(), 1_500);
+            assert_eq!(decoded.tally, shard.tally);
+            assert_eq!(bits(sink(), decoded), bits(sink(), shard_of(&sink(), 1_500, nanos)));
 
-        // A decoded shard is a working shard: pushed to and encoded again,
-        // it is the bytes of the shard that was pushed to all along.
-        let mut resumed = sink().decode_shard(&image).unwrap();
-        let mut whole = shard_of(&sink(), 1_500);
-        for shard in [&mut resumed, &mut whole] {
-            shard.push(rec(1, 3, 0, 41.5, None));
-            shard.push(rec(40, 0, 1, 7.25, Some(0.5)));
+            // A decoded shard is a working shard: pushed new cells and
+            // encoded again, it is the bytes of the shard that was pushed
+            // to all along.
+            let mut resumed = sink().decode_shard(&image).unwrap();
+            let mut whole = shard_of(&sink(), 1_500, nanos);
+            for shard in [&mut resumed, &mut whole] {
+                shard.push(rec(40, 0, 1, 7.25, Some(0.5)));
+                shard.push(rec(41, 3, 0, 41.5, None));
+                shard.push(rec(41, 3, 0, 40.5, Some(1.0)));
+                shard.seal(1);
+            }
+            assert_eq!(encoded(&resumed), encoded(&whole));
         }
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        resumed.encode(&mut a);
-        whole.encode(&mut b);
-        assert_eq!(a, b);
 
-        let mut empty = Vec::new();
-        sink().new_shard().encode(&mut empty);
-        assert_eq!(empty.len(), HEADER_LEN + 8);
-        assert_eq!(sink().decode_shard(&empty).expect("an empty shard decodes").sample_count(), 0);
+        let mut empty = sink().new_shard();
+        empty.seal(0);
+        let image = encoded(&empty);
+        assert_eq!(image.len(), HEADER_LEN + encode_segment(&[]).len() + 8);
+        assert_eq!(sink().decode_shard(&image).expect("an empty shard decodes").sample_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a shard is encoded sealed")]
+    fn an_open_window_is_not_encoded() {
+        let mut shard = ColumnarSink::new(4).new_shard();
+        shard.push(rec(1, 0, 0, 30.0, None));
+        shard.encode(&mut Vec::new());
     }
 
     #[test]
     fn what_the_checksum_cannot_stop_the_arithmetic_and_the_bounds_do() {
         let sink = ColumnarSink::new(4);
-        let mut image = Vec::new();
-        shard_of(&sink, 60).encode(&mut image);
+        let shard = shard_of(&sink, 600, true);
+        let image = encoded(&shard);
+        let refused = |bad: &[u8], want: &str| {
+            let err = sink.decode_shard(bad).expect_err(want);
+            assert!(err.to_string().contains(want), "{want}: {err}");
+        };
         // Forge one field, recompute the checksum, expect the message.
         let forged = |at: usize, bytes: &[u8], want: &str| {
             let mut bad = image.clone();
@@ -225,27 +424,95 @@ mod tests {
             let body = bad.len() - 8;
             let sum = checksum(&bad[..body]).to_le_bytes();
             bad[body..].copy_from_slice(&sum);
-            let err = sink.decode_shard(&bad).expect_err(want);
-            assert!(err.to_string().contains(want), "{want}: {err}");
+            refused(&bad, want);
         };
         forged(0, b"EPSG", "bad magic");
+        forged(4, &[1], "unsupported shard version 1");
         forged(4, &[9], "unsupported shard version 9");
-        forged(5, &u32::MAX.to_le_bytes(), "cells and 60 rows cannot be");
-        forged(9, &u32::MAX.to_le_bytes(), "rows cannot be");
-        let cell0 = HEADER_LEN;
-        forged(cell0 + 10, &4u32.to_le_bytes(), "window 4 is outside the sink");
-        forged(cell0 + 14, &[8], "rank 8");
-        forged(cell0 + 15, &[3], "unknown relationship code 3");
-        forged(cell0 + 16, &[4], "unknown flag bits");
-        let cell1: Vec<u8> = image[cell0 + CELL_BYTES..cell0 + 2 * CELL_BYTES].to_vec();
-        forged(cell0, &cell1, "cell 1 repeats an earlier cell's key");
-        let rows = HEADER_LEN + 13 * 4 * CELL_BYTES;
-        forged(rows, &52u32.to_le_bytes(), "row 0 names cell 52 of 52");
-        forged(rows + 60 * 4, &f64::NAN.to_bits().to_le_bytes(), "row 0 has a NaN MinRTT");
-        forged(
-            rows + 60 * 12,
-            &(-f64::NAN).to_bits().to_le_bytes(),
-            "row 0 has a NaN HDratio that",
+        forged(5, &[2], "unknown kept form 2");
+        for at in [6, 10, 16] {
+            forged(at, &u32::MAX.to_le_bytes(), "cannot be");
+            forged(at, &0u32.to_le_bytes(), "cannot be");
+        }
+        forged(14, &u16::MAX.to_le_bytes(), "cannot be");
+        forged(5, &[1], "values for");
+
+        // What a consistent image can still get wrong: images of forged
+        // parts, each whole and checksummed.
+        let Kept::Nanos(writer) = &shard.kept else { panic!("whole nanoseconds") };
+        let image_of = |rows: &[WindowCell], form: u8, kept: &[u64], tally: &HdratioTally| {
+            let mut image = Vec::new();
+            write_image(&mut image, rows, form, kept, tally);
+            image
+        };
+        let (rows, words, tally) = (&shard.rows[..], &writer.words[..], &shard.tally);
+        assert!(sink.decode_shard(&image_of(rows, 0, words, tally)).is_ok());
+        let with_row = |i: usize, edit: &dyn Fn(&mut WindowCell)| {
+            let mut rows = rows.to_vec();
+            edit(&mut rows[i]);
+            image_of(&rows, 0, words, tally)
+        };
+        refused(&with_row(1, &|r| r.window = 4), "row 1 at rank 0 window 4 is outside the sink");
+        refused(&with_row(1, &|r| r.rank = 8), "row 1 at rank 8");
+        refused(&with_row(3, &|r| r.n_tested = r.n + 1), "row 3 counts");
+        refused(&with_row(3, &|r| r.n = 0), "row 3 counts");
+        refused(&with_row(1, &|r| *r = rows[0]), "row 1 repeats an earlier row's cell");
+        // A preferred row one session longer or shorter than the stream.
+        refused(&with_row(0, &|r| r.n += 1), "the stream");
+        refused(&with_row(0, &|r| r.n -= 1), "the stream");
+        refused(&image_of(rows, 0, &[words, &[0]].concat(), tally), "words hold a");
+        refused(&image_of(rows, 0, &words[..words.len() - 1], tally), "overrun the stream");
+        let plain: Vec<u64> = sink.rows_of(&shard).iter().map(|v| v.to_bits()).collect();
+        assert!(sink.decode_shard(&image_of(rows, 1, &plain, tally)).is_ok());
+        let mut unsorted = plain.clone();
+        unsorted.swap(0, 1);
+        refused(&image_of(rows, 1, &unsorted, tally), "preferred row 0's values are not sorted");
+        let mut nan = plain.clone();
+        nan[0] = f64::NAN.to_bits();
+        refused(&image_of(rows, 1, &nan, tally), "are not sorted");
+
+        let with_tally = |edit: &dyn Fn(&mut HdratioTally)| {
+            let mut tally = tally.clone();
+            edit(&mut tally);
+            image_of(rows, 0, words, &tally)
+        };
+        refused(&with_tally(&|t| t.by_continent[1].zero += 10_000), "point masses exceed");
+        refused(&with_tally(&|t| t.by_continent[1].tested += 1), "disagree with the rows");
+        refused(&with_tally(&|t| t.by_continent.push(HdratioCounts::default())), "disagree");
+        let entry = *tally.distinct.keys().next().unwrap();
+        refused(&with_tally(&|t| *t.distinct.get_mut(&entry).unwrap() = 0), "no bucket's");
+        refused(&with_tally(&|t| *t.distinct.get_mut(&entry).unwrap() += 10_000), "exceed");
+        let nan_key = (0, f64::NAN.to_bits().rotate_left(32));
+        refused(
+            &with_tally(&|t| {
+                t.distinct.insert(nan_key, 1);
+            }),
+            "no bucket's",
         );
+        refused(
+            &with_tally(&|t| {
+                t.distinct.insert((4, 0), 1);
+            }),
+            "no bucket's",
+        );
+        // Entries out of order: the first two swapped.
+        let mut swapped = image_of(rows, 0, words, tally);
+        let at = swapped.len() - 8 - ENTRY_BYTES * tally.distinct_hdratios();
+        let first: Vec<u8> = swapped[at..at + ENTRY_BYTES].to_vec();
+        swapped.copy_within(at + ENTRY_BYTES..at + 2 * ENTRY_BYTES, at);
+        swapped[at + ENTRY_BYTES..at + 2 * ENTRY_BYTES].copy_from_slice(&first);
+        let body = swapped.len() - 8;
+        let sum = checksum(&swapped[..body]).to_le_bytes();
+        swapped[body..].copy_from_slice(&sum);
+        refused(&swapped, "entry 1 is out of order");
+    }
+
+    impl ColumnarSink {
+        /// The MinRTTs `shard` keeps, cell by cell, as a sink of it reads them.
+        fn rows_of(&self, shard: &ColumnarShard) -> Vec<f64> {
+            let mut sink = ColumnarSink::new(self.n_windows);
+            sink.merge_shard(self.decode_shard(&encoded(shard)).expect("decodes"));
+            sink.rows().map(|(_, v)| v).collect()
+        }
     }
 }

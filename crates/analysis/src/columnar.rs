@@ -1,42 +1,53 @@
 //! Columnar (SoA) worker shards: the one exact representation of a study.
 //!
-//! A [`ColumnarShard`] aggregates *during* the parallel pass. Every
-//! session appends one row to three aligned columns — a `u32` dense cell
-//! id, its MinRTT and its HDratio (NaN when the session tested nothing) —
-//! 20 bytes, and a row still carries the joint (MinRTT, HDratio) that
-//! Figure 7 needs. A cell's id lives in the same `GroupSlots` grid every
-//! dataset built cell by cell uses, sized from the sink's window count, so
-//! the steady-state cost per record is one memo equality check, two array
-//! indexings, and three unconditional pushes. The group → grid map is only
-//! consulted when the group changes, which the runner's per-prefix record
-//! order makes rare; within a group, (rank, window) → cell id resolves
-//! through the dense grid with no hashing at all. This matters because the
-//! runner interleaves ranks record-by-record (each session emits its
-//! preferred and alternate records back-to-back), so a cell-keyed memo
-//! would miss on almost every record.
+//! A [`ColumnarShard`] aggregates *during* the parallel pass, a window at
+//! a time. Every session of the open window appends one row to three
+//! aligned columns — a `u32` cell index, its MinRTT and its HDratio (NaN
+//! when the session tested nothing) — 20 bytes, and a row still carries
+//! the joint (MinRTT, HDratio) that Figure 7 needs. A cell's id lives in
+//! the same `GroupSlots` grid every dataset built cell by cell uses, sized
+//! from the sink's window count, so the steady-state cost per record is
+//! one memo equality check, two array indexings, and three unconditional
+//! pushes. The group → grid map is only consulted when the group changes,
+//! which the runner's per-prefix record order makes rare; within a group,
+//! (rank, window) → cell id resolves through the dense grid with no
+//! hashing at all. This matters because the runner interleaves ranks
+//! record-by-record (each session emits its preferred and alternate
+//! records back-to-back), so a cell-keyed memo would miss on almost every
+//! record.
 //!
-//! At join time [`ColumnarSink`] seals each shard as it adopts it, the
-//! way the streaming sink seals a prefix. What Figures 6–7 read of
-//! HDratio — point masses by continent, and by Figure 7's MinRTT bucket a
-//! count of each distinct HDratio — goes into the sink's
-//! [`HdratioTally`] off the shard's preferred-route rows. Then one stable
-//! counting scatter over the per-cell counts the pass tracked lays a
-//! metric's rows out cell by cell in a transient column, the preferred
-//! route's cells first. Each cell's slice is sorted once and its order
-//! statistics go into the sink's summary grid. Then the preferred cells'
-//! MinRTTs — the only per-session values left to read, by Figure 6 — are
-//! kept, still sorted, in the narrowest form that gives every value back
-//! to the bit, so their cell column becomes one `u32` end offset a cell.
-//! A study's MinRTTs are whole nanoseconds (the runner divides a
-//! nanosecond count by 10⁶), so a kept cell is its least value and the
-//! Rice-coded gaps between the rest, with a parameter chosen per cell:
-//! under `k + 3` bits a row, 2.17 bytes a row at seed 7, scale 1 (a `u32`
-//! a row was 4). An alternate route's rows are never stored. The
-//! scheduler hands each prefix to exactly one worker, so shards share no
-//! group, and the sink refuses a shard that does: the group's cells are
-//! already summaries. [`ColumnarSink::rows`] and the sink's
-//! [`PreferredSessions`] view walk the kept cells, decoding as they go,
-//! and [`ColumnarSink::take_summaries`] hands the grid over.
+//! A work item's records arrive window by window
+//! ([`RecordShard::push`]), and a (group, window) cell is final once its
+//! window is over (§3.3). So the shard closes a window's cells when the
+//! first record of another window arrives, and again when it is sealed or
+//! merged, on the worker's thread. Closing lays the window's rows out cell
+//! by cell — a counting scatter over the window's per-cell counts into
+//! two columns the shard reuses — and sorts each cell's slice once, its
+//! NaNs (the untested mark, a positive NaN) after its samples. Each cell's
+//! order statistics become its [`WindowCell`] row; what Figures 6–7 read
+//! of HDratio — point masses by continent, and by Figure 7's MinRTT
+//! bucket a count of each distinct HDratio — goes into the shard's
+//! [`HdratioTally`]; and each preferred cell's sorted MinRTTs — the only
+//! per-session values left to read, by Figure 6 — are appended to the
+//! shard's kept stream in the narrowest form that gives every value back
+//! to the bit. The columns are then cleared for the next window, so a
+//! shard holds one window's rows beside what it has closed. A study's
+//! MinRTTs are whole nanoseconds (the runner divides a nanosecond count by
+//! 10⁶), so a kept cell is its least value and the Rice-coded gaps between
+//! the rest, with a parameter chosen per cell: under `k + 3` bits a row,
+//! 2.17 bytes a row at seed 7, scale 1 (a `u32` a row was 4). An
+//! alternate route's MinRTTs are never kept.
+//!
+//! [`ColumnarSink`] merges a shard by placing its rows in the sink's grid
+//! in closing order — first-seen order, since the records came window by
+//! window — adding its tally to the sink's and appending its stream to one
+//! study-wide buffer, of which the shard keeps a word range and a cell
+//! column of one `u32` end offset a cell. The scheduler hands each prefix
+//! to exactly one worker, so shards share no group, and the sink refuses a
+//! shard that does: the group's cells are already summaries.
+//! [`ColumnarSink::rows`] and the sink's [`PreferredSessions`] view walk
+//! the kept cells, decoding as they go, and
+//! [`ColumnarSink::take_summaries`] hands the grid over.
 
 use crate::dataset::{in_dataset_order, median_and_variance, CellSummary, GroupSlots, Summaries};
 use crate::figures::{HdratioCounts, HdratioTally, PreferredSessions};
@@ -45,6 +56,7 @@ use crate::segment::WindowCell;
 use crate::sink::{RecordShard, RecordSink, SinkStats};
 use edgeperf_routing::Relationship;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Identity of one (group, window, route-rank) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,39 +81,62 @@ pub(crate) struct CellMeta {
     pub(crate) n_hd: u32,
 }
 
-/// One worker's columnar accumulator: one row per session in three
-/// aligned columns keyed by a dense per-shard cell id, plus one metadata
-/// slot per cell. Made by [`ColumnarSink::new_shard`], whose window count
-/// it takes: a record outside it panics at push.
+/// One worker's columnar accumulator: the open window's sessions, one row
+/// each in three aligned columns keyed by the cell's index in the window,
+/// plus one metadata slot per open cell; and what it has closed — a
+/// [`WindowCell`] row a cell, the HDratio tally and the kept preferred
+/// MinRTTs. Made by [`ColumnarSink::new_shard`], whose window count it
+/// takes: a record outside it panics at push, and so does a record for a
+/// cell whose window has closed.
 #[derive(Debug)]
 pub struct ColumnarShard {
-    /// Every cell's id, in its group's `ranks[rank][window]` slot.
-    ids: GroupSlots<u32>,
-    pub(crate) cells: Vec<CellMeta>,
-    pub(crate) cell: Vec<u32>,
-    pub(crate) min_rtt: Vec<f64>,
+    /// Every cell's id, in its group's `ranks[rank][window]` slot: a
+    /// closed cell's below `base`, an open one's `base` plus its index.
+    pub(crate) ids: GroupSlots<u32>,
+    pub(crate) base: u32,
+    /// The window whose cells are open, if any.
+    window: Option<u32>,
+    cells: Vec<CellMeta>,
+    cell: Vec<u32>,
+    min_rtt: Vec<f64>,
     /// NaN for a session that tested nothing.
-    pub(crate) hdratio: Vec<f64>,
+    hdratio: Vec<f64>,
+    scratch: Scratch,
+    /// Every closed cell's row, in closing order.
+    pub(crate) rows: Vec<WindowCell>,
+    /// The closed cells' tested preferred-route sessions.
+    pub(crate) tally: HdratioTally,
+    /// The closed preferred cells' MinRTTs, cell by cell in `rows` order,
+    /// each cell in `total_cmp` order.
+    pub(crate) kept: Kept,
 }
 
 impl ColumnarShard {
-    /// Number of distinct cells this shard has seen.
+    /// Number of distinct cells this shard has seen, closed and open.
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.base as usize + self.cells.len()
     }
 
-    /// MinRTT samples recorded (one per session).
+    /// No window is open: every cell seen is a row.
+    pub(crate) fn is_sealed(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// MinRTT samples recorded (one per session), closed and open.
     #[cfg(test)]
     pub(crate) fn sample_count(&self) -> usize {
-        self.min_rtt.len()
+        self.rows.iter().map(|r| r.n as usize).sum::<usize>() + self.min_rtt.len()
     }
 
-    /// Dense id of the cell `key`, created on first sight.
+    /// Index in the open window of the cell `key`, opened on first sight.
+    /// A cell of a closed window is refused, naming it: its row is written.
     #[inline]
-    pub(crate) fn cell_id(&mut self, key: CellKey, relationship: Relationship) -> usize {
+    fn cell_id(&mut self, key: CellKey, relationship: Relationship) -> usize {
         assert!(key.rank < 8, "suspicious route rank {}", key.rank);
+        let next = self.base + self.cells.len() as u32;
         let slot = self.ids.cell(key.group, key.rank as usize, key.window as usize, 0);
-        let id = *slot.get_or_insert_with(|| {
+        let id = *slot.get_or_insert(next);
+        if id == next {
             self.cells.push(CellMeta {
                 key,
                 relationship,
@@ -111,17 +146,106 @@ impl ColumnarShard {
                 n_rtt: 0,
                 n_hd: 0,
             });
-            (self.cells.len() - 1) as u32
-        });
-        id as usize
+        }
+        assert!(id >= self.base, "cell {key:?} reached its shard after its window closed");
+        (id - self.base) as usize
+    }
+
+    /// Close the open window's cells: each one's row, its tested preferred
+    /// sessions tallied and, for a preferred cell, its sorted MinRTTs kept.
+    fn close(&mut self) {
+        let ColumnarShard {
+            base,
+            window,
+            cells,
+            cell,
+            min_rtt,
+            hdratio,
+            scratch,
+            rows,
+            tally,
+            kept,
+            ..
+        } = self;
+        *window = None;
+        if cells.is_empty() {
+            return;
+        }
+        for ((&ci, &rtt), &h) in cell.iter().zip(&*min_rtt).zip(&*hdratio) {
+            let CellKey { group, rank, .. } = cells[ci as usize].key;
+            if rank == 0 && !h.is_nan() {
+                tally.record(group.continent, rtt, h);
+            }
+        }
+        // Each cell's start row, then — once the scatter has moved it past
+        // every row of the cell — its end row.
+        let Scratch { by_rtt, by_hd, ends, nanos } = scratch;
+        ends.clear();
+        ends.extend(cells.iter().scan(0, |start, c| {
+            *start += c.n_rtt;
+            Some(*start - c.n_rtt)
+        }));
+        for column in [&mut *by_rtt, &mut *by_hd] {
+            column.clear();
+            column.resize(cell.len(), 0.0);
+        }
+        for ((&ci, &rtt), &h) in cell.iter().zip(&*min_rtt).zip(&*hdratio) {
+            let at = &mut ends[ci as usize];
+            (by_rtt[*at as usize], by_hd[*at as usize]) = (rtt, h);
+            *at += 1;
+        }
+        let rows_of = |ci: usize| (ends[ci] - cells[ci].n_rtt) as usize..ends[ci] as usize;
+        for ci in 0..cells.len() {
+            by_rtt[rows_of(ci)].sort_unstable_by(f64::total_cmp);
+            by_hd[rows_of(ci)].sort_unstable_by(f64::total_cmp);
+        }
+        let preferred = (0..cells.len()).filter(|&ci| cells[ci].key.rank == 0);
+        kept.extend(preferred.map(|ci| &by_rtt[rows_of(ci)]), rows, nanos);
+        for (ci, meta) in cells.iter().enumerate() {
+            let (min_rtt_p50, min_rtt_var) =
+                median_and_variance(&by_rtt[rows_of(ci)]).expect("a cell holds a session");
+            let tested = &by_hd[rows_of(ci)][..meta.n_hd as usize];
+            let (hdratio_p50, hdratio_var) = median_and_variance(tested).unzip();
+            let CellKey { group, window, rank } = meta.key;
+            let summary = CellSummary {
+                n: meta.n_rtt as usize,
+                n_tested: meta.n_hd as usize,
+                bytes: meta.bytes,
+                min_rtt_p50,
+                min_rtt_var,
+                hdratio_p50,
+                hdratio_var: hdratio_var.flatten(),
+                relationship: meta.relationship,
+                longer_path: meta.longer_path,
+                more_prepended: meta.more_prepended,
+            };
+            rows.push(WindowCell::new(window, group, rank, &summary));
+        }
+        *base += cells.len() as u32;
+        cells.clear();
+        cell.clear();
+        min_rtt.clear();
+        hdratio.clear();
     }
 }
 
-/// An adopted shard's MinRTTs, cell by cell and each cell in `total_cmp`
+/// What a close lays the open window out in, reused from window to window.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The window's MinRTTs and HDratios, cell by cell.
+    by_rtt: Vec<f64>,
+    by_hd: Vec<f64>,
+    /// Each cell's end row in them.
+    ends: Vec<u32>,
+    /// The preferred cells' MinRTTs as whole nanoseconds.
+    nanos: Vec<u32>,
+}
+
+/// A shard's kept MinRTTs, cell by cell and each cell in `total_cmp`
 /// order, in the first of these forms that gives every one of them back
 /// with the same `to_bits`.
 #[derive(Debug)]
-enum Column {
+pub(crate) enum Kept {
     /// Whole nanoseconds below 2³², a value being its count ÷ 10⁶ (a
     /// MinRTT in ms), Rice-coded in one bit stream, each word filled from
     /// its least significant bit. A cell is its parameter `k` in 5 bits,
@@ -132,9 +256,43 @@ enum Column {
     /// however skewed its cell. Low bits lie at fixed strides and the
     /// unary codes are found a set bit at a time, so a reader's cursors do
     /// not wait on one another.
-    Nanos(Vec<u64>),
+    Nanos(BitWriter),
     /// The `f64` itself: 8 B a row.
     Plain(Vec<f64>),
+}
+
+impl Kept {
+    /// Append `cells`, each sorted, `nanos` the room to convert them in.
+    /// The first value that is not whole nanoseconds below 2³² turns the
+    /// stream so far — the preferred cells of `closed`, in order — into
+    /// `f64`s.
+    fn extend<'a>(
+        &mut self,
+        cells: impl Iterator<Item = &'a [f64]> + Clone,
+        closed: &[WindowCell],
+        nanos: &mut Vec<u32>,
+    ) {
+        if let Kept::Nanos(writer) = self {
+            nanos.clear();
+            let mut values = cells.clone().flatten();
+            if values.all(|&ms| nanos_of(ms).map(|n| nanos.push(n)).is_some()) {
+                let mut rest = &nanos[..];
+                for cell in cells {
+                    let (this, after) = rest.split_at(cell.len());
+                    writer.cell(this);
+                    rest = after;
+                }
+                return;
+            }
+            let mut words = std::mem::take(&mut writer.words);
+            words.push(0);
+            let counts = closed.iter().filter(|r| r.rank == 0).map(|r| r.n as u32);
+            *self = Kept::Plain(decoded(&words, counts));
+        }
+        if let Kept::Plain(values) = self {
+            cells.for_each(|cell| values.extend_from_slice(cell));
+        }
+    }
 }
 
 /// `ms` as a whole number of nanoseconds, if it is one below 2³².
@@ -145,39 +303,30 @@ fn nanos_of(ms: f64) -> Option<u32> {
 }
 
 /// Bits of a cell's header: its Rice parameter and its least value.
-const K_BITS: u32 = 5;
-const HEAD_BITS: usize = K_BITS as usize + 32;
+pub(crate) const K_BITS: u32 = 5;
+pub(crate) const HEAD_BITS: usize = K_BITS as usize + 32;
 
-impl Column {
-    /// `sorted`, cell `ci` being rows `ends[ci - 1]..ends[ci]` in
-    /// `total_cmp` order, in the first form that holds every value bit
-    /// for bit.
-    fn adopt(sorted: &[f64], ends: &[u32]) -> Column {
-        let mut out = BitWriter { words: Vec::new(), pos: 0 };
-        let mut nanos = Vec::new();
-        let starts = std::iter::once(0).chain(ends.iter().copied());
-        for (start, &end) in starts.zip(ends) {
-            nanos.clear();
-            for &ms in &sorted[start as usize..end as usize] {
-                match nanos_of(ms) {
-                    Some(n) => nanos.push(n),
-                    None => return Column::Plain(sorted.to_vec()),
-                }
-            }
-            out.cell(&nanos);
+/// The values of a whole-nanosecond stream's cells of `counts` rows, in
+/// ms: `words` ends with a zero word past the stream's last.
+fn decoded(words: &[u64], counts: impl Iterator<Item = u32>) -> Vec<f64> {
+    let mut out = Vec::new();
+    let mut cursor = Cursor::default();
+    for n in counts {
+        cursor.open(words, n);
+        out.push(cursor.min_rtt());
+        for _ in 1..n {
+            cursor.step(words);
+            out.push(cursor.min_rtt());
         }
-        // A zero word past the stream's last, so that a reader takes two
-        // whole words wherever a field starts.
-        out.words.push(0);
-        out.words.shrink_to_fit();
-        Column::Nanos(out.words)
     }
+    out
 }
 
 /// A bit stream being written, and where it is.
-struct BitWriter {
-    words: Vec<u64>,
-    pos: usize,
+#[derive(Debug, Default)]
+pub(crate) struct BitWriter {
+    pub(crate) words: Vec<u64>,
+    pub(crate) pos: usize,
 }
 
 impl BitWriter {
@@ -219,114 +368,40 @@ impl BitWriter {
 /// The `width` (≤ 32) bits of `words` from bit `pos` on: `pos` lies in
 /// the stream, which a zero word follows.
 #[inline]
-fn bits_at(words: &[u64], pos: usize, width: u32) -> u32 {
+pub(crate) fn bits_at(words: &[u64], pos: usize, width: u32) -> u32 {
     let (i, bit) = (pos / 64, pos % 64);
     // Two shifts, so that `bit` 0 shifts the next word out entirely.
     let window = words[i] >> bit | (words[i + 1] << 1) << (63 - bit);
     (window & ((1 << width) - 1)) as u32
 }
 
-/// What the sink keeps of a shard: the MinRTTs of its preferred-route
-/// cells, laid out cell by cell — cell `ci` is rows `ends[ci - 1]..ends[ci]`,
-/// in `total_cmp` order — so a cell's place costs one `u32`.
+/// What the sink keeps of a merged shard: where its preferred-route
+/// cells' MinRTTs lie in the sink's kept buffer — cell `ci` is rows
+/// `ends[ci - 1]..ends[ci]`, in `total_cmp` order — so a cell's place
+/// costs one `u32`.
 #[derive(Debug)]
 struct AdoptedShard {
     cells: Vec<CellKey>,
     ends: Vec<u32>,
-    min_rtt: Column,
+    /// Whole nanoseconds, Rice-coded ([`Kept::Nanos`]) with a zero word
+    /// after the stream; else one `f64`'s bits a row.
+    nanos: bool,
+    words: Range<usize>,
 }
 
 impl AdoptedShard {
-    /// Seal `shard`: tally its tested preferred-route sessions into
-    /// `hdratio`, summarise every cell into `grid`, in first-seen order
-    /// (so groups land in first-seen order too), and keep its
-    /// preferred-route MinRTTs. A stable counting scatter to the prefix
-    /// sums of the per-cell counts the pass tracked lays a metric out cell
-    /// by cell, preferred cells first, in one transient column; every
-    /// cell's slice is sorted once — its NaNs (the untested mark, a
-    /// positive NaN) after its samples — and read, and the sorted
-    /// preferred MinRTTs are adopted into their narrowest form. MinRTT's
-    /// statistics are taken before HDratio is scattered into the same
-    /// column.
-    fn adopt(
-        shard: ColumnarShard,
-        grid: &mut GroupSlots<WindowCell>,
-        hdratio: &mut HdratioTally,
-    ) -> Self {
-        let rows = shard.cell.len();
-        assert!(u32::try_from(rows).is_ok(), "a shard's rows fit u32");
-        let cells = &shard.cells;
-        for ((&ci, &min_rtt), &h) in shard.cell.iter().zip(&shard.min_rtt).zip(&shard.hdratio) {
-            let CellKey { group, rank, .. } = cells[ci as usize].key;
-            if rank == 0 && !h.is_nan() {
-                hdratio.record(group.continent, min_rtt, h);
-            }
-        }
-        let (preferred, alternate): (Vec<usize>, Vec<usize>) =
-            (0..cells.len()).partition(|&ci| cells[ci].key.rank == 0);
-        let mut starts = vec![0; cells.len()];
-        let mut total = 0u32;
-        for &ci in preferred.iter().chain(&alternate) {
-            starts[ci] = total;
-            total += cells[ci].n_rtt;
-        }
-        assert_eq!(total as usize, rows, "per-cell counts cover every row");
-        let kept: usize = preferred.iter().map(|&ci| cells[ci].n_rtt as usize).sum();
-        let rows_of = |ci: usize| starts[ci] as usize..(starts[ci] + cells[ci].n_rtt) as usize;
-
-        let mut column = vec![0.0; rows];
-        let scatter = |column: &mut [f64], values: &[f64]| {
-            let mut next = starts.clone();
-            for (&ci, &value) in shard.cell.iter().zip(values) {
-                column[next[ci as usize] as usize] = value;
-                next[ci as usize] += 1;
-            }
-        };
-        let sort = |column: &mut [f64]| {
-            (0..cells.len()).for_each(|ci| column[rows_of(ci)].sort_unstable_by(f64::total_cmp));
-        };
-        scatter(&mut column, &shard.min_rtt);
-        sort(&mut column);
-        let ends: Vec<u32> = preferred.iter().map(|&ci| starts[ci] + cells[ci].n_rtt).collect();
-        let min_rtt = Column::adopt(&column[..kept], &ends);
-        let min_rtt_stats: Vec<(f64, Option<f64>)> = (0..cells.len())
-            .map(|ci| median_and_variance(&column[rows_of(ci)]).expect("a cell holds a session"))
-            .collect();
-        scatter(&mut column, &shard.hdratio);
-        sort(&mut column);
-        for (ci, (meta, (min_rtt_p50, min_rtt_var))) in cells.iter().zip(min_rtt_stats).enumerate()
-        {
-            let tested = &column[rows_of(ci)][..meta.n_hd as usize];
-            let (hdratio_p50, hdratio_var) = median_and_variance(tested).unzip();
-            let CellKey { group, window, rank } = meta.key;
-            let summary = CellSummary {
-                n: meta.n_rtt as usize,
-                n_tested: meta.n_hd as usize,
-                bytes: meta.bytes,
-                min_rtt_p50,
-                min_rtt_var,
-                hdratio_p50,
-                hdratio_var: hdratio_var.flatten(),
-                relationship: meta.relationship,
-                longer_path: meta.longer_path,
-                more_prepended: meta.more_prepended,
-            };
-            let row = WindowCell::new(window, group, rank, &summary);
-            *grid.cell(group, rank as usize, window as usize, meta.bytes) = Some(row);
-        }
-        AdoptedShard { cells: preferred.iter().map(|&ci| cells[ci].key).collect(), ends, min_rtt }
-    }
-
     /// Every session kept, cell by cell: its cell and its MinRTT (ms).
-    fn sessions(&self) -> Sessions<'_> {
-        Sessions { shard: self, cell: 0, row: 0, end: 0, cursor: Cursor::default() }
+    /// `words` are the shard's own.
+    fn sessions<'a>(&'a self, words: &'a [u64]) -> Sessions<'a> {
+        Sessions { shard: self, words, cell: 0, row: 0, end: 0, cursor: Cursor::default() }
     }
 }
 
-/// An adopted shard's sessions in order, its stream decoded as they are
+/// A merged shard's sessions in order, its stream decoded as they are
 /// read.
 struct Sessions<'a> {
     shard: &'a AdoptedShard,
+    words: &'a [u64],
     /// The next cell to open.
     cell: usize,
     row: u32,
@@ -398,21 +473,21 @@ impl Iterator for Sessions<'_> {
         }
         let row = self.row as usize;
         self.row += 1;
-        let min_rtt = match &self.shard.min_rtt {
-            Column::Plain(values) => values[row],
-            Column::Nanos(words) if opens => {
-                self.cursor.open(words, self.end - start);
+        let min_rtt = match self.shard.nanos {
+            false => f64::from_bits(self.words[row]),
+            true if opens => {
+                self.cursor.open(self.words, self.end - start);
                 self.cursor.min_rtt()
             }
-            Column::Nanos(words) => {
-                self.cursor.step(words);
+            true => {
+                self.cursor.step(self.words);
                 self.cursor.min_rtt()
             }
         };
         Some((self.shard.cells[self.cell - 1], min_rtt))
     }
 
-    /// What Figure 6's passes call: the rest of the open cell through
+    /// What Figure 6's walks call: the rest of the open cell through
     /// `next`, then cell by cell with the cursor a local, which keeps it
     /// out of memory between rows.
     fn fold<B, F: FnMut(B, (CellKey, f64)) -> B>(mut self, init: B, mut f: F) -> B {
@@ -420,23 +495,20 @@ impl Iterator for Sessions<'_> {
         while self.row < self.end {
             acc = f(acc, self.next().expect("the open cell's rows"));
         }
-        let Sessions { shard, cell, end: row, mut cursor, .. } = self;
+        let Sessions { shard, words, cell, end: row, mut cursor, .. } = self;
         let starts = std::iter::once(row).chain(shard.ends[cell..].iter().copied());
         for ((&key, start), &end) in shard.cells[cell..].iter().zip(starts).zip(&shard.ends[cell..])
         {
-            match &shard.min_rtt {
-                Column::Plain(values) => {
-                    let rows = &values[start as usize..end as usize];
-                    acc = rows.iter().fold(acc, |acc, &v| f(acc, (key, v)));
-                }
-                Column::Nanos(words) => {
-                    cursor.open(words, end - start);
+            if shard.nanos {
+                cursor.open(words, end - start);
+                acc = f(acc, (key, cursor.min_rtt()));
+                for _ in 1..end - start {
+                    cursor.step(words);
                     acc = f(acc, (key, cursor.min_rtt()));
-                    for _ in 1..end - start {
-                        cursor.step(words);
-                        acc = f(acc, (key, cursor.min_rtt()));
-                    }
                 }
+            } else {
+                let rows = &words[start as usize..end as usize];
+                acc = rows.iter().fold(acc, |acc, &bits| f(acc, (key, f64::from_bits(bits))));
             }
         }
         acc
@@ -446,6 +518,10 @@ impl Iterator for Sessions<'_> {
 impl RecordShard for ColumnarShard {
     fn push(&mut self, r: SessionRecord) {
         assert!(!r.min_rtt_ms.is_nan(), "NaN MinRTT");
+        if self.window != Some(r.window) {
+            self.close();
+            self.window = Some(r.window);
+        }
         let key = CellKey { group: r.group, window: r.window, rank: r.route_rank };
         let ci = self.cell_id(key, r.relationship);
         let cell = &mut self.cells[ci];
@@ -466,16 +542,26 @@ impl RecordShard for ColumnarShard {
         self.min_rtt.push(r.min_rtt_ms);
         self.hdratio.push(hdratio);
     }
+
+    /// Close the open window — every cell this shard has seen is then a
+    /// row — and give back the columns: the work item is done.
+    fn seal(&mut self, _unit: usize) {
+        self.close();
+        (self.cells, self.cell, self.min_rtt, self.hdratio) = Default::default();
+        self.scratch = Scratch::default();
+    }
 }
 
-/// The exact study, sealed shard by shard as it is merged: every cell's
-/// summary, from its exact order statistics, the preferred route's
-/// MinRTTs, which Figure 6 reads, and what Figures 6–7 read of its
-/// HDratios, tallied.
+/// The exact study, closed cell by cell in the workers and merged shard by
+/// shard: every cell's summary, from its exact order statistics, the
+/// preferred route's MinRTTs, which Figure 6 reads, and what Figures 6–7
+/// read of its HDratios, tallied.
 #[derive(Debug)]
 pub struct ColumnarSink {
     pub(crate) n_windows: usize,
     summaries: GroupSlots<WindowCell>,
+    /// Every merged shard's kept MinRTTs, shard after shard.
+    kept: Vec<u64>,
     preferred: Vec<AdoptedShard>,
     hdratio: HdratioTally,
     records: u64,
@@ -485,8 +571,15 @@ pub struct ColumnarSink {
 impl ColumnarSink {
     /// Empty sink over a fixed number of 15-minute windows.
     pub fn new(n_windows: usize) -> Self {
-        let (summaries, hdratio) = (GroupSlots::new(n_windows), HdratioTally::default());
-        ColumnarSink { n_windows, summaries, preferred: Vec::new(), hdratio, records: 0, cells: 0 }
+        ColumnarSink {
+            n_windows,
+            summaries: GroupSlots::new(n_windows),
+            kept: Vec::new(),
+            preferred: Vec::new(),
+            hdratio: HdratioTally::default(),
+            records: 0,
+            cells: 0,
+        }
     }
 
     /// Distinct cells merged (shards never share a group).
@@ -512,14 +605,14 @@ impl ColumnarSink {
     /// `total_cmp` order of their MinRTTs, not the order its worker pushed
     /// them; Figure 6 reads them order-free): its cell and its MinRTT (ms).
     pub fn rows(&self) -> impl Iterator<Item = (CellKey, f64)> + '_ {
-        self.preferred.iter().flat_map(AdoptedShard::sessions)
+        self.preferred.iter().flat_map(|s| s.sessions(&self.kept[s.words.clone()]))
     }
 
     /// For every shard that kept rows, in merge order, whether its MinRTTs
     /// are kept as whole nanoseconds (Rice-coded gaps, under `k + 3` bits a
     /// row) rather than `f64`s (8 B).
     pub fn min_rtt_in_nanos(&self) -> impl Iterator<Item = bool> + '_ {
-        self.preferred.iter().map(|s| matches!(s.min_rtt, Column::Nanos(_)))
+        self.preferred.iter().map(|s| s.nanos)
     }
 
     /// The HDratio tally of every merged preferred-route session.
@@ -551,29 +644,71 @@ impl RecordSink for ColumnarSink {
     fn new_shard(&self) -> ColumnarShard {
         ColumnarShard {
             ids: GroupSlots::new(self.n_windows),
+            base: 0,
+            window: None,
             cells: Vec::new(),
             cell: Vec::new(),
             min_rtt: Vec::new(),
             hdratio: Vec::new(),
+            scratch: Scratch::default(),
+            rows: Vec::new(),
+            tally: HdratioTally::default(),
+            kept: Kept::Nanos(BitWriter::default()),
         }
     }
 
-    /// Seal `shard` into the sink. The runner hands each prefix to one
-    /// worker, so no two shards share a group; one that does is refused,
-    /// naming the group, since that group's cells are summaries already.
-    fn merge_shard(&mut self, shard: ColumnarShard) {
+    /// Close what `shard` still holds open, then place its rows in the
+    /// grid in closing order, add its tally and append its kept stream to
+    /// the sink's. The runner hands each prefix to one worker, so no two
+    /// shards share a group; one that does is refused, naming the group,
+    /// since that group's cells are summaries already.
+    fn merge_shard(&mut self, mut shard: ColumnarShard) {
+        shard.close();
         for (group, _) in &shard.ids.slots {
             assert!(
                 self.summaries.get(group).is_none(),
                 "group {group:?} reached the sink in two shards"
             );
         }
-        self.records += shard.cell.len() as u64;
-        self.cells += shard.cells.len() as u64;
-        let kept = AdoptedShard::adopt(shard, &mut self.summaries, &mut self.hdratio);
-        if !kept.cells.is_empty() {
-            self.preferred.push(kept);
+        let ColumnarShard { rows, tally, kept, .. } = shard;
+        self.hdratio.merge(&tally);
+        let (mut cells, mut ends, mut end) = (Vec::new(), Vec::new(), 0u64);
+        for row in &rows {
+            let group = row.group();
+            self.records += row.n;
+            if row.rank == 0 {
+                cells.push(CellKey { group, window: row.window, rank: 0 });
+                end += row.n;
+                ends.push(u32::try_from(end).expect("a shard's kept rows fit u32"));
+            }
+            let slot =
+                self.summaries.cell(group, row.rank as usize, row.window as usize, row.bytes);
+            *slot = Some(*row);
         }
+        self.cells += rows.len() as u64;
+        if cells.is_empty() {
+            return;
+        }
+        let start = self.kept.len();
+        let nanos = match kept {
+            Kept::Nanos(writer) => {
+                // A zero word past the stream's last, so that a reader
+                // takes two whole words wherever a field starts.
+                self.kept.extend_from_slice(&writer.words);
+                self.kept.push(0);
+                true
+            }
+            Kept::Plain(values) => {
+                self.kept.extend(values.iter().map(|v| v.to_bits()));
+                false
+            }
+        };
+        self.preferred.push(AdoptedShard { cells, ends, nanos, words: start..self.kept.len() });
+    }
+
+    /// The kept buffer stops growing: give back its spare capacity.
+    fn finalize(&mut self) {
+        self.kept.shrink_to_fit();
     }
 
     /// Every merged session, whether or not its rows were kept.
@@ -618,8 +753,10 @@ pub(crate) mod tests {
         }
     }
 
+    /// `n` sessions over 13 prefixes and 4 windows, window by window as a
+    /// worker pushes them, groups and ranks interleaved within a window.
     pub(crate) fn synthetic(n: usize) -> Vec<SessionRecord> {
-        (0..n)
+        let mut records: Vec<SessionRecord> = (0..n)
             .map(|i| {
                 let u = (i as f64 * 0.618_033_988_749).fract();
                 rec(
@@ -630,7 +767,9 @@ pub(crate) mod tests {
                     (i % 3 != 0).then_some(u),
                 )
             })
-            .collect()
+            .collect();
+        records.sort_by_key(|r| r.window);
+        records
     }
 
     /// One shard a `Vec` of `shards`, pushed in order, merged in order.
@@ -721,13 +860,25 @@ pub(crate) mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "reached its shard after its window closed")]
+    fn a_closed_window_is_refused_not_reopened() {
+        // A cell's row is written when its window closes: a later record
+        // for it could only be lost, so it is refused, naming the cell.
+        let mut shard = ColumnarSink::new(4).new_shard();
+        for window in [0, 1, 0] {
+            shard.push(rec(1, window, 0, 30.0, None));
+        }
+    }
+
+    #[test]
     fn memo_handles_interleaved_cells() {
-        // Alternating cells defeat the memo every push; correctness must
-        // not depend on the memo hitting.
+        // Alternating cells of one window — another group, another rank —
+        // defeat the memo every push; correctness must not depend on the
+        // memo hitting.
         let mut records = Vec::new();
         for i in 0..500 {
             records.push(rec(1, 0, 0, 30.0 + i as f64, None));
-            records.push(rec(2, 3, 1, 60.0 + i as f64, Some(0.5)));
+            records.push(rec(2, 0, 1, 60.0 + i as f64, Some(0.5)));
         }
         let mut shard = ColumnarSink::new(4).new_shard();
         records.iter().for_each(|r| shard.push(*r));
@@ -758,7 +909,9 @@ pub(crate) mod tests {
                 (!i.is_multiple_of(5)).then_some(hdratio),
             )
         };
-        (0..n).map(session).collect()
+        let mut records: Vec<SessionRecord> = (0..n).map(session).collect();
+        records.sort_by_key(|r| r.window);
+        records
     }
 
     #[test]
@@ -790,6 +943,8 @@ pub(crate) mod tests {
             (0..36).map(|i| rec(4, (i % 4) as u32, 0, edges[i % 9], ratios[i % 5])).collect(),
             study_shaped(5, 400, distinct),
         ];
+        let mut shards = shards;
+        shards[3].sort_by_key(|r| r.window);
         let sink = adopted(&shards);
         let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();
         assert_eq!(nanos, [true, false, false, false, true]);
@@ -880,18 +1035,19 @@ pub(crate) mod tests {
                     let row = at as usize % shard.len();
                     shard[row].min_rtt_ms = NOT_NANOS[which];
                 }
-                // Cells interleaved, as a worker's records are.
+                // Window by window, cells interleaved within a window, as a
+                // worker's records are.
                 let scrambled = |r: &SessionRecord| r.min_rtt_ms.to_bits().wrapping_mul(0x9e37);
-                shard.sort_by_key(|r| (scrambled(r), r.window));
+                shard.sort_by_key(|r| (r.window, scrambled(r)));
                 plain.push(not_nanos.is_some());
                 records.push(shard);
             }
             let sink = adopted(&records);
             let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();
             prop_assert_eq!(nanos, plain.iter().map(|&p| !p).collect::<Vec<_>>());
-            for shard in &sink.preferred {
-                let Column::Nanos(words) = &shard.min_rtt else { continue };
-                let mut rows = shard.sessions();
+            for shard in sink.preferred.iter().filter(|s| s.nanos) {
+                let words = &sink.kept[shard.words.clone()];
+                let mut rows = shard.sessions(words);
                 let starts = std::iter::once(0).chain(shard.ends.iter().copied());
                 for ((&key, start), &end) in shard.cells.iter().zip(starts).zip(&shard.ends) {
                     let (from, n) = (rows.cursor.unary, (end - start) as usize);

@@ -13,7 +13,7 @@ use crate::record::SessionRecord;
 use crate::segment::WindowCell;
 use edgeperf_routing::Relationship;
 use edgeperf_stats::cdf::{CdfBuilder, WeightedCdf};
-use edgeperf_stats::quantiles_in_place;
+use edgeperf_stats::{keyed_quantiles_in_place, Ranks};
 use std::collections::BTreeMap;
 
 /// The per-session view Figure 6's MinRTT half reads: every
@@ -111,27 +111,21 @@ pub struct MinRttQuantiles {
 
 /// Per-session MinRTT quantiles: overall and per continent (Figure 6a/6b).
 /// Only preferred-route sessions contribute (the §4 view). The ranks are
-/// read in place ([`quantiles_in_place`]): the same bits as a CDF of every
-/// session, holding one 65,536-counter histogram or one histogram bucket's
-/// samples at a time.
+/// read in place, every continent's at once ([`keyed_quantiles_in_place`]):
+/// the same bits as a CDF of every session, in three walks over the
+/// sessions that hold a 32 KiB histogram a continent, then one a wanted
+/// rank, then the samples of the 4,096th of an octave each wanted rank
+/// fell in. A set's session count is its histogram's sum.
 ///
 /// # Panics
 /// Panics when there is no preferred-route session.
 pub fn fig6_minrtt<S: PreferredSessions + ?Sized>(
     sessions: &S,
 ) -> (MinRttQuantiles, BTreeMap<u8, MinRttQuantiles>) {
-    let mut counts = [0u64; 1 << u8::BITS];
-    sessions.preferred_sessions().for_each(|(continent, _)| counts[continent as usize] += 1);
-    let read = |continent: Option<u8>, sessions_read: u64| {
-        let of = move |(c, min_rtt)| continent.is_none_or(|only| only == c).then_some(min_rtt);
-        let q = quantiles_in_place(|| sessions.preferred_sessions().filter_map(of), &[0.5, 0.8]);
-        MinRttQuantiles { sessions: sessions_read, p50: q[0], p80: q[1] }
-    };
-    let seen = (0..=u8::MAX).filter(|&c| counts[c as usize] > 0);
-    (
-        read(None, counts.iter().sum()),
-        seen.map(|c| (c, read(Some(c), counts[c as usize]))).collect(),
-    )
+    let (overall, per) = keyed_quantiles_in_place(|| sessions.preferred_sessions(), &[0.5, 0.8]);
+    let read =
+        |r: Ranks| MinRttQuantiles { sessions: r.n, p50: r.quantiles[0], p80: r.quantiles[1] };
+    (read(overall), per.into_iter().map(|(c, r)| (c, read(r))).collect())
 }
 
 /// One MinRTT bucket of Figure 7: the HDratio distribution of its tested
@@ -171,11 +165,11 @@ fn key_of(hdratio: f64) -> u64 {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HdratioTally {
     /// Indexed by continent; grown on first sight.
-    by_continent: Vec<HdratioCounts>,
+    pub(crate) by_continent: Vec<HdratioCounts>,
     /// Indexed like [`FIG7_BUCKETS`].
-    buckets: [HdratioCounts; FIG7_BUCKETS.len()],
+    pub(crate) buckets: [HdratioCounts; FIG7_BUCKETS.len()],
     /// Sessions a (bucket, [`key_of`] HDratio).
-    distinct: FxHashMap<(usize, u64), u64>,
+    pub(crate) distinct: FxHashMap<(usize, u64), u64>,
 }
 
 impl HdratioTally {
@@ -200,6 +194,17 @@ impl HdratioTally {
         }
     }
 
+    /// Add `other`'s sessions: the tally of both sets.
+    pub(crate) fn merge(&mut self, other: &HdratioTally) {
+        for (continent, counts) in other.by_continent.iter().enumerate() {
+            HdratioCounts::of(&mut self.by_continent, continent as u8).add(counts);
+        }
+        self.buckets.iter_mut().zip(&other.buckets).for_each(|(ours, theirs)| ours.add(theirs));
+        for (&key, &n) in &other.distinct {
+            *self.distinct.entry(key).or_default() += n;
+        }
+    }
+
     /// Figure 6's HDratio half (6a/6c): the point masses overall, and for
     /// every continent with a tested session.
     pub fn rollup(&self) -> (HdratioCounts, BTreeMap<u8, HdratioCounts>) {
@@ -216,7 +221,7 @@ impl HdratioTally {
         filled.map(bucket).collect()
     }
 
-    /// The median [`quantiles_in_place`] reads off Figure 7 bucket
+    /// The median [`edgeperf_stats::quantiles_in_place`] reads off Figure 7 bucket
     /// `bucket`'s sessions, bit for bit: the k-th smallest under
     /// `total_cmp`, k the least integer ≥ n / 2 and at least 1, and -0.0
     /// for a zero when any session's HDratio is -0.0.
@@ -376,6 +381,7 @@ mod tests {
     use crate::dataset::Dataset;
     use crate::record::GroupKey;
     use edgeperf_routing::{PopId, Prefix};
+    use edgeperf_stats::quantiles_in_place;
 
     fn rec(continent: u8, rank: u8, rtt: f64, hdr: Option<f64>) -> SessionRecord {
         SessionRecord {

@@ -11,15 +11,18 @@
 //! Three implementations cover the analysis modes:
 //!
 //! - [`crate::ColumnarSink`] — the exact path: workers append 20-byte
-//!   rows (cell id, MinRTT, HDratio) to columnar shards that the sink
-//!   seals at join time, as the streaming sink seals a prefix: every
-//!   cell's summary, from the cell's exact order statistics, goes into
-//!   its grid as a [`crate::WindowCell`] row, what Figures 6–7 read of
-//!   HDratio into a [tally](crate::figures::HdratioTally), and only the
-//!   preferred route's MinRTTs are kept, grouped by cell, for Figure 6.
-//!   Memory grows by a row a cell (72 B a grid slot), ~2.2 bytes a
-//!   study's preferred session (whole nanoseconds, sorted within the
-//!   cell and Rice-coded as gaps) and an entry a distinct HDratio.
+//!   rows (cell index, MinRTT, HDratio) to columnar shards for the window
+//!   open, and the shard closes the window's cells when the next window's
+//!   first record arrives, in the worker: every cell's summary, from the
+//!   cell's exact order statistics, becomes a [`crate::WindowCell`] row,
+//!   what Figures 6–7 read of HDratio goes into a
+//!   [tally](crate::figures::HdratioTally), and only the preferred route's
+//!   MinRTTs are kept, grouped by cell, for Figure 6. Merging places the
+//!   rows, adds the tally and appends the kept stream to one study-wide
+//!   buffer. Memory grows by a row a cell (72 B a grid slot), ~2.2 bytes
+//!   a study's preferred session (whole nanoseconds, sorted within the
+//!   cell and Rice-coded as gaps) and an entry a distinct HDratio, beside
+//!   one window's rows a worker.
 //! - [`StreamingDataset`] — the production path (§3.4.1): t-digest cells
 //!   keyed exactly like the exact dataset's, each reduced to its row
 //!   when the runner [seals](RecordShard::seal) the work item that filled
@@ -66,15 +69,23 @@ pub struct SinkStats {
 }
 
 /// A per-worker accumulator of session records.
+///
+/// A work item's records arrive window by window: once a record of
+/// another window has been pushed, no record of an earlier window's cell
+/// follows (the study runner simulates a prefix window by window). A
+/// shard may close a window's cells when the next window opens —
+/// [`ColumnarShard`] does, and refuses a record for a cell it has closed,
+/// naming the cell.
 pub trait RecordShard: Send {
-    /// Record one measured session.
+    /// Record one measured session, in the order the trait's docs give.
     fn push(&mut self, record: SessionRecord);
 
     /// The runner finished work item `unit` (a prefix index): every record
     /// of it has been pushed, and none for a group pushed so far will
     /// follow. A shard may settle what it holds — [`StreamingDataset`]
-    /// reduces the item's cells to their summaries; the default keeps
-    /// everything as it is.
+    /// reduces the item's cells to their summaries, [`ColumnarShard`]
+    /// closes its open window and gives back its columns; the default
+    /// keeps everything as it is.
     fn seal(&mut self, _unit: usize) {}
 }
 
@@ -232,7 +243,9 @@ struct SealedGroup {
 /// [`WindowCell`] rows plus one MinRTT digest for Figure 6, and its cells
 /// are dropped. Memory is bounded by the rows (72 B a grid slot) and the
 /// open cells of the groups in flight, one per worker — not by
-/// the number of sessions, and not by the number of cells times a digest.
+/// the number of sessions, and not by the number of cells times a digest
+/// — and [`take_summaries`](Self::take_summaries) hands the rows over
+/// rather than copying them.
 ///
 /// [`RecordSink::finalize`] seals whatever is still open (a caller that
 /// never sealed gets its groups in first-seen order) and orders sealed
@@ -247,6 +260,8 @@ pub struct StreamingDataset {
     hdratio: Vec<HdratioCounts>,
     /// Compression passes run by cells sealed so far.
     compressions: u64,
+    /// The sessions and cells of the grids handed over.
+    taken: SinkStats,
 }
 
 impl StreamingDataset {
@@ -257,6 +272,7 @@ impl StreamingDataset {
             sealed: Vec::new(),
             hdratio: Vec::new(),
             compressions: 0,
+            taken: SinkStats::default(),
         }
     }
 
@@ -290,22 +306,35 @@ impl StreamingDataset {
         assert!(self.open.slots.is_empty(), "finalize first: a group is still open");
     }
 
-    /// Every cell's row, groups in work-item order. Panics ("finalize
-    /// first") while a group is open.
+    /// Every cell's row, groups in work-item order, copied out of the
+    /// dataset. Panics ("finalize first") while a group is open.
     pub fn summarize(&self) -> Summaries {
         self.assert_finalized();
         Summaries { groups: self.sealed.iter().map(|g| (g.key, g.summaries.clone())).collect() }
     }
 
-    /// Number of materialized (group, window, route-rank) cells, sealed
-    /// and open.
-    pub fn cell_count(&self) -> usize {
-        self.sealed_cells().count() + self.open_cells().count()
+    /// [`summarize`](Self::summarize) without the copy: every sealed
+    /// group's grid is handed over, and the dataset keeps its Figure 6
+    /// rollups and counters and what it counted of the rows.
+    pub fn take_summaries(&mut self) -> Summaries {
+        self.assert_finalized();
+        self.taken.records += self.sealed_cells().map(|c| c.n).sum::<u64>();
+        self.taken.cells += self.sealed_cells().count() as u64;
+        let grids = self.sealed.iter_mut().map(|g| (g.key, std::mem::take(&mut g.summaries)));
+        Summaries { groups: grids.collect() }
     }
 
-    /// Sessions recorded across every cell, sealed and open.
+    /// Number of materialized (group, window, route-rank) cells, sealed
+    /// (handed over included) and open.
+    pub fn cell_count(&self) -> usize {
+        self.taken.cells as usize + self.sealed_cells().count() + self.open_cells().count()
+    }
+
+    /// Sessions recorded across every cell, sealed (handed over included)
+    /// and open.
     pub(crate) fn record_count(&self) -> u64 {
-        self.sealed_cells().map(|c| c.n).sum::<u64>()
+        self.taken.records
+            + self.sealed_cells().map(|c| c.n).sum::<u64>()
             + self.open_cells().map(|c| c.agg.n() as u64).sum::<u64>()
     }
 
@@ -475,8 +504,10 @@ mod tests {
         }
     }
 
+    /// `n` sessions over 13 prefixes and 4 windows, window by window as a
+    /// worker pushes them.
     fn synthetic(n: usize) -> Vec<SessionRecord> {
-        (0..n)
+        let mut records: Vec<SessionRecord> = (0..n)
             .map(|i| {
                 let u = (i as f64 * 0.618_033_988_749).fract();
                 rec(
@@ -487,7 +518,9 @@ mod tests {
                     (i % 3 != 0).then_some(u),
                 )
             })
-            .collect()
+            .collect();
+        records.sort_by_key(|r| r.window);
+        records
     }
 
     #[test]
@@ -620,6 +653,14 @@ mod tests {
             let below_one = cdf.fraction_leq(HDRATIO_BELOW_ONE);
             assert_eq!(counts.fraction_below_one().to_bits(), below_one.to_bits());
         }
+
+        // Handed over, the grids are the copies' bits, and the dataset
+        // still counts what they held.
+        let (stats, copied) = (stream.stats(), stream.summarize());
+        let taken = stream.take_summaries();
+        assert_eq!(format!("{:?}", taken.groups), format!("{:?}", copied.groups));
+        assert_eq!(stream.stats(), stats);
+        assert!(stream.summarize().groups.iter().all(|(_, g)| g.cells().next().is_none()));
     }
 
     #[test]

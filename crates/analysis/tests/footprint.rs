@@ -2,7 +2,9 @@
 //! digests only for the group in flight, the exact sink holds a summary a
 //! cell, every preferred-route session's MinRTT once — in 2.5 bytes when
 //! it is shaped like a study's, 8 at most — and an HDratio tally bounded by
-//! the distinct HDratios, and Figures 6–7 read it without copying it. Heap
+//! the distinct HDratios, its worker's shard holds one window's sessions
+//! beside what it has closed, and Figures 6–7 read it without copying it
+//! and in a transient of a few histograms. Heap
 //! bytes are counted exactly by the counting global allocator in
 //! `counting/`, which is why this is a test binary of its own with a
 //! single `#[test]`.
@@ -98,18 +100,27 @@ fn sealed_dataset(groups: u32, per_cell: usize) -> StreamingDataset {
 }
 
 /// The sessions of two shards, of `groups[0]` and `groups[1]` groups,
-/// `per_cell` sessions made by `session` in each cell, in push order.
+/// `per_cell` sessions made by `session` in each cell, in push order:
+/// window by window, as a worker pushes them, a window's cells
+/// interleaved.
 fn shards(
     groups: [u32; 2],
     per_cell: usize,
     session: fn(u32, usize) -> SessionRecord,
 ) -> [Vec<SessionRecord>; 2] {
     [0..groups[0] * 8, groups[0] * 8..(groups[0] + groups[1]) * 8].map(|cells| {
-        (0..per_cell).flat_map(|i| cells.clone().map(move |cell| session(cell, i))).collect()
+        let mut records = Vec::new();
+        for window in 0..4 {
+            for i in 0..per_cell {
+                let of_window = cells.clone().filter(|cell| cell % 4 == window);
+                records.extend(of_window.map(|cell| session(cell, i)));
+            }
+        }
+        records
     })
 }
 
-/// `shards` merged in order.
+/// `shards` merged in order, finalized.
 fn columnar_sink(shards: &[Vec<SessionRecord>]) -> ColumnarSink {
     let mut sink = ColumnarSink::new(4);
     for records in shards {
@@ -117,6 +128,7 @@ fn columnar_sink(shards: &[Vec<SessionRecord>]) -> ColumnarSink {
         records.iter().for_each(|r| shard.push(*r));
         sink.merge_shard(shard);
     }
+    sink.finalize();
     sink
 }
 
@@ -180,11 +192,11 @@ fn cells_cost_what_they_hold() {
         held + transient
     );
 
-    // The exact sink seals each shard as it merges it: every cell becomes a
-    // summary in its grid, what Figures 6–7 read of HDratio goes into its
-    // tally, and only a preferred-route session keeps a row, its MinRTT
-    // (the shard's kept rows lie grouped by cell, so no row names its
-    // cell). The skeleton — the same layout with one untested session a
+    // The exact sink's shards close each cell when its window ends: every
+    // cell becomes a summary in the sink's grid, what Figures 6–7 read of
+    // HDratio goes into its tally, and only a preferred-route session
+    // keeps a row, its MinRTT (a shard's kept rows lie grouped by cell, so
+    // no row names its cell). The skeleton — the same layout with one untested session a
     // cell — holds the grid, the cell and group tables and each cell's
     // 37-bit header, a shard's headers packed in 64-bit words. Beside the
     // tables, the headers and the tally, a study's preferred session is a
@@ -233,15 +245,16 @@ fn cells_cost_what_they_hold() {
     let distinct = few.distinct_hdratios();
     assert!(distinct > 50 && few_bytes <= 64 * distinct + 1024, "{distinct} in {few_bytes} B");
 
-    // Figure 6 reads its ranks off those rows in place: one 65,536-counter
-    // histogram (512 KiB) beside room for the samples of the histogram
-    // buckets a wanted rank fell in (8 B each; a bucket is a sixteenth of
-    // an octave, and these uniform samples put under an eighth of them
-    // into any two) — never the 16 B a preferred session of a CDF, nor a
-    // 4 B copy of the rows. Figure 7 reads the tally: one list of its
-    // distinct HDratios. Over 400 cells that bound leaves a copy of the
-    // sessions no room beside the histogram; over 200,000 preferred
-    // sessions a copy alone (800 KiB) breaks it.
+    // Figure 6 reads its ranks off those rows in place, every continent's
+    // at once, in three walks: one 4,096-counter histogram (32 KiB) a
+    // continent, then one a wanted rank — the p50 and p80 of the one
+    // continent here, which is the overall set — then the samples of the
+    // sub-buckets a wanted rank fell in (8 B each; a sub-bucket is a
+    // 4,096th of an octave, and these uniform samples put under a 512th of
+    // them into any two) — never the 16 B a preferred session of a CDF,
+    // nor a 4 B copy of the rows. Figure 7 reads the tally: one list of its
+    // distinct HDratios. Over 8,000 preferred sessions a copy of the rows
+    // (32 KB) breaks that bound.
     for (sink, preferred) in [
         (columnar_sink(&shards([10, 40], 40, study_session)), 8_000),
         (columnar_sink(&shards([1, 0], 50_000, study_session)), 200_000),
@@ -254,32 +267,60 @@ fn cells_cost_what_they_hold() {
         assert_eq!(figures.2.iter().map(|b| b.hdratio.tested).sum::<u64>(), tested);
         let distinct = sink.hdratio().distinct_hdratios();
         assert!(
-            held + transient <= (512 << 10) + 8 * preferred as usize / 8 + 16 * distinct + 1024,
+            held + transient <= 2 * (32 << 10) + 8 * preferred as usize / 512 + 16 * distinct + 1024,
             "figures 6-7 over {preferred} preferred sessions peaked {transient} B above the {held} B they return"
         );
     }
 
-    // Sealing a shard rises above the shard it is handed by at most what
-    // the sink then holds, one metric of the shard in a flat column (8 B a
-    // row) and 64 B of bookkeeping a cell — never a second copy of the
-    // shard's rows.
-    let one_shard = || {
-        let mut shard = ColumnarSink::new(4).new_shard();
-        for i in 0..per_cell {
-            (0..groups[1] * 8).for_each(|cell| shard.push(study_session(cell, i)));
+    // A worker's shard holds one window's rows at a time: pushed W windows
+    // window by window, it peaks above what it ends up holding — a row a
+    // cell, the tally and the kept stream — by one window's sessions,
+    // whatever W is: their three columns (20 B a session, in capacity
+    // that at most doubles), the two columns a close lays them out in (8 B
+    // each) and the window's per-cell bookkeeping.
+    let (window_groups, window_cells) = (16u32, 32);
+    let window_shard = |windows: u32| {
+        let mut shard = ColumnarSink::new(windows as usize).new_shard();
+        for window in 0..windows {
+            for i in 0..per_cell {
+                for cell in 0..window_groups * 8 {
+                    let r = study_session(cell, i);
+                    if cell % 4 == 0 {
+                        shard.push(SessionRecord { window, ..r });
+                    }
+                }
+            }
         }
+        shard.seal(0);
         shard
     };
-    let (_sealed, sealed_bytes) = heap_of(|| {
+    let window_sessions = window_cells * per_cell;
+    for windows in [8, 64] {
+        let (_shard, held, transient) = peak_above(|| window_shard(windows));
+        assert!(
+            transient <= 56 * window_sessions + 64 * window_cells + 1024,
+            "{windows} windows of {window_sessions} sessions peaked {transient} B above the {held} B they hold"
+        );
+    }
+
+    // Merging a closed shard places its rows, adds its tally and appends
+    // its stream: it rises above the shard it is handed by at most what
+    // the sink then holds — never a copy of the shard's sessions.
+    let one_shard = || {
+        let mut shard = ColumnarSink::new(4).new_shard();
+        shards([0, groups[1]], per_cell, study_session)[1].iter().for_each(|r| shard.push(*r));
+        shard.seal(0);
+        shard
+    };
+    let (_merged, merged_bytes) = heap_of(|| {
         let mut sink = ColumnarSink::new(4);
         sink.merge_shard(one_shard());
         sink
     });
     let (shard, mut fresh) = (one_shard(), ColumnarSink::new(4));
-    let shard_cells = groups[1] as usize * 8;
     let ((), _, rise) = peak_above(|| fresh.merge_shard(shard));
     assert!(
-        rise <= sealed_bytes + 8 * shard_cells * per_cell + 64 * shard_cells,
-        "sealing {shard_cells} cells rose {rise} B above the shard; the sealed sink is {sealed_bytes} B"
+        rise <= merged_bytes,
+        "merging a closed shard rose {rise} B above it; the sink then holds {merged_bytes} B"
     );
 }

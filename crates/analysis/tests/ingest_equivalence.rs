@@ -150,11 +150,13 @@ proptest! {
     fn columnar_shard_split_matches_baseline(raw in raw_stream(), n_shards in 1usize..5) {
         let records = materialize(&raw);
         // Split by group, as the runner does per prefix: no group is in
-        // two shards.
+        // two shards; and within a shard window by window, as a worker
+        // pushes them.
         let mut split = vec![Vec::new(); n_shards];
         for (&r, &(g, ..)) in records.iter().zip(&raw) {
             split[g as usize % n_shards].push(r);
         }
+        split.iter_mut().for_each(|part: &mut Vec<SessionRecord>| part.sort_by_key(|r| r.window));
         let mut sink = ColumnarSink::new(N_WINDOWS);
         for part in &split {
             let mut shard = sink.new_shard();

@@ -88,15 +88,16 @@ pub struct StudyData {
 /// an in-order merge) — and, given a `checkpoint` directory, journalled
 /// there and resumed from a checkpoint of the same study found there.
 ///
-/// The [`ColumnarSink`] is the only thing the run fills. It seals each
-/// prefix as the driver merges it: every cell's summary goes into its
-/// grid, read off the cell's exact order statistics (bit-identical to
-/// summarising the assembled `Dataset` — see `sink_agreement`), what
-/// Figures 6–7 read of HDratio is tallied, and only the preferred
-/// route's MinRTTs are kept, grouped by cell and sorted within it, as
-/// whole nanoseconds Rice-coded as gaps: ~2.2 bytes a session. The grid
-/// is handed over, not copied; Figure 6 reads its ranks off the rows in
-/// place, decoding as it goes.
+/// The [`ColumnarSink`] is the only thing the run fills. Each worker
+/// closes a prefix's cells a window at a time: every cell's summary,
+/// read off its exact order statistics (bit-identical to summarising the
+/// assembled `Dataset` — see `sink_agreement`), what Figures 6–7 read of
+/// HDratio, tallied, and only the preferred route's MinRTTs, grouped by
+/// cell and sorted within it, as whole nanoseconds Rice-coded as gaps:
+/// ~2.2 bytes a session. The supervisor's merge places the rows in the
+/// sink's grid and appends the MinRTTs to one study-wide buffer. The
+/// grid is handed over, not copied; Figure 6 reads its ranks off the
+/// rows in place, decoding as it goes.
 ///
 /// # Errors
 ///
@@ -124,8 +125,9 @@ pub fn run(
 /// prefix is sealed as a worker finishes it, so digests exist only for
 /// the prefixes in flight; what accumulates is a 72-byte grid slot a
 /// cell, holding its packed row, and one Figure 6 rollup digest a group,
-/// in prefix order at any parallelism. Its sealed state has no on-disk
-/// form, so it takes no checkpoint directory.
+/// in prefix order at any parallelism. The grid is handed over, not
+/// copied: the dataset keeps its rollups and counters. Its sealed state
+/// has no on-disk form, so it takes no checkpoint directory.
 ///
 /// # Errors
 ///
@@ -139,7 +141,7 @@ pub fn run_streaming(
     let world = World::generate(*world);
     let mut dataset = StreamingDataset::new(study.n_windows() as usize);
     let report = run_study_supervised(&world, study, sup, &mut dataset, metrics)?;
-    let summaries = dataset.summarize();
+    let summaries = dataset.take_summaries();
     let sessions = Some(Sessions::Digests(dataset));
     Ok(StudyData { summaries, sessions, report })
 }

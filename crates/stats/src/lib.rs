@@ -24,5 +24,7 @@ pub use cdf::WeightedCdf;
 pub use median_ci::{
     diff_of_medians_ci, median_ci, median_variance_from_order_stats, order_stat_c, DiffCi, MedianCi,
 };
-pub use quantile::{quantile_sorted, quantile_unsorted, quantiles_in_place};
+pub use quantile::{
+    keyed_quantiles_in_place, quantile_sorted, quantile_unsorted, quantiles_in_place, Ranks,
+};
 pub use tdigest::{Centroid, DigestParts, TDigest};

@@ -15,9 +15,15 @@
 //!   session values, its median, and its quantiles at the ranks
 //!   `order_stat_c` gives, fed to the shared variance inversion.
 //!
+//! And at the paper's volumes (ROADMAP item 28(a)), n ∈ {1,000, 4,000,
+//! 16,000} a side, the exact form only, the HDratio mixtures' coverage
+//! beside the share of null comparisons the paper's strict validity rule
+//! (a CI narrower than 0.1) would accept. n = 16,000 runs in a release
+//! build only — where `scripts/gates.sh release_stats` runs this suite.
+//!
 //! Draws are deterministic: a Weyl sequence through the SplitMix64 mixer.
 //! `cargo test -p edgeperf-stats --test coverage -- --nocapture` prints the
-//! table EXPERIMENTS.md quotes.
+//! tables EXPERIMENTS.md quotes.
 
 use edgeperf_stats::dist::norm_inv_cdf;
 use edgeperf_stats::{diff_of_medians_ci, median_variance_from_order_stats, order_stat_c, TDigest};
@@ -25,6 +31,10 @@ use edgeperf_stats::{diff_of_medians_ci, median_variance_from_order_stats, order
 const SIZES: [usize; 4] = [30, 60, 120, 240];
 const TRIALS: usize = 200;
 const CONFIDENCE: f64 = 0.95;
+
+/// The paper's sample sizes, and the strict rule's HDratio width cap.
+const PAPERS_SIZES: [usize; 3] = [1_000, 4_000, 16_000];
+const STRICT_WIDTH: f64 = 0.1;
 
 /// Uniforms in (0, 1): a Weyl sequence (the golden-ratio increment)
 /// through the SplitMix64 finalizer.
@@ -79,8 +89,14 @@ fn digest_ci(a: Vec<f64>, b: Vec<f64>) -> (f64, f64) {
 
 /// Share of `TRIALS` null comparisons at `n` a side whose CI holds 0.
 fn coverage(shape: &Shape, n: usize, digest: bool, seed: u64) -> f64 {
+    coverage_and_validity(shape, n, digest, seed).0
+}
+
+/// Of `TRIALS` null comparisons at `n` a side, the shares whose CI holds
+/// 0 and whose CI is narrower than [`STRICT_WIDTH`].
+fn coverage_and_validity(shape: &Shape, n: usize, digest: bool, seed: u64) -> (f64, f64) {
     let mut w = Weyl(seed);
-    let mut covered = 0;
+    let (mut covered, mut valid) = (0, 0);
     for _ in 0..TRIALS {
         let a: Vec<f64> = (0..n).map(|_| shape(&mut w)).collect();
         let b: Vec<f64> = (0..n).map(|_| shape(&mut w)).collect();
@@ -91,8 +107,9 @@ fn coverage(shape: &Shape, n: usize, digest: bool, seed: u64) -> f64 {
             (ci.lo, ci.hi)
         };
         covered += usize::from(lo <= 0.0 && 0.0 <= hi);
+        valid += usize::from(hi - lo < STRICT_WIDTH);
     }
-    covered as f64 / TRIALS as f64
+    (covered as f64 / TRIALS as f64, valid as f64 / TRIALS as f64)
 }
 
 /// The family's rows: label and coverage at each of `SIZES`.
@@ -158,4 +175,71 @@ fn difference_of_medians_coverage_at_the_studys_sample_sizes() {
             "{name}: mean coverage {got_mean:.5}, pinned {mean}"
         );
     }
+}
+
+#[test]
+fn coverage_and_the_strict_rule_at_the_papers_sample_sizes() {
+    let sizes = if cfg!(debug_assertions) { &PAPERS_SIZES[..2] } else { &PAPERS_SIZES[..] };
+    let members = mixtures();
+    // (coverage, validity) a member, at each size.
+    let cells: Vec<Vec<(f64, f64)>> = members
+        .iter()
+        .enumerate()
+        .map(|(m, (_, shape))| {
+            let seed = |s: usize| (m * PAPERS_SIZES.len() + s) as u64 * 0x2_0000_0003 + 1;
+            (0..sizes.len())
+                .map(|s| coverage_and_validity(shape, sizes[s], false, seed(s)))
+                .collect()
+        })
+        .collect();
+    // A share of `TRIALS` trials has standard error sqrt(p (1 - p) / TRIALS).
+    let se = |p: f64| (p * (1.0 - p) / TRIALS as f64).sqrt();
+    println!("coverage (± s.e.) and strict-rule validity (CI width < {STRICT_WIDTH}), {TRIALS} null trials a cell");
+    for (s, n) in sizes.iter().enumerate() {
+        for ((label, _), row) in members.iter().zip(&cells) {
+            let (c, v) = row[s];
+            println!("n {n:>6} {label:<24} coverage {c:.3} ± {:.3}  valid {v:.3}", se(c));
+        }
+    }
+
+    // Pinned a size: the lowest and mean coverage, the mean validity, and
+    // the validity of the lightest-massed mixtures (P(0) + P(1) ≤ 0.5),
+    // each lowest exactly (a share of 200 trials), each mean to ±0.0005.
+    let pinned = [
+        (1_000, 0.915, 0.97370, 0.49783, 0.000),
+        (4_000, 0.910, 0.97000, 0.74000, 0.965),
+        (16_000, 0.930, 0.97630, 1.00000, 1.000),
+    ];
+    let light: Vec<bool> = members.iter().map(|(label, _)| light_masses(label)).collect();
+    for (s, &(n, low, mean, valid, light_valid)) in pinned.iter().take(sizes.len()).enumerate() {
+        assert_eq!(n, sizes[s]);
+        let column: Vec<(f64, f64)> = cells.iter().map(|row| row[s]).collect();
+        let got_low = column.iter().map(|c| c.0).fold(1.0, f64::min);
+        let got_mean = column.iter().map(|c| c.0).sum::<f64>() / column.len() as f64;
+        let got_valid = column.iter().map(|c| c.1).sum::<f64>() / column.len() as f64;
+        let lightest = column.iter().zip(&light).filter(|(_, &l)| l).map(|(c, _)| c.1);
+        let got_light_valid = lightest.fold(1.0, f64::min);
+        println!(
+            "n {n}: coverage lowest {got_low:.3}, mean {got_mean:.5}; validity mean {got_valid:.5}, lowest where P(0) + P(1) <= 0.5 {got_light_valid:.3}"
+        );
+        assert!((got_low - low).abs() < 1e-9, "n {n}: lowest coverage {got_low:.3}, pinned {low}");
+        assert!(
+            (got_mean - mean).abs() <= 0.0005,
+            "n {n}: mean coverage {got_mean:.5}, pinned {mean}"
+        );
+        assert!(
+            (got_valid - valid).abs() <= 0.0005,
+            "n {n}: mean validity {got_valid:.5}, pinned {valid}"
+        );
+        assert!(
+            (got_light_valid - light_valid).abs() < 1e-9,
+            "n {n}: lightest mixtures' validity {got_light_valid:.3}, pinned {light_valid}"
+        );
+    }
+}
+
+/// Whether a mixture's label names point masses of at most 0.5 in all.
+fn light_masses(label: &str) -> bool {
+    let masses: Vec<f64> = label.split(&[' ', ','][..]).filter_map(|w| w.parse().ok()).collect();
+    masses.iter().sum::<f64>() <= 0.5 + 1e-9
 }

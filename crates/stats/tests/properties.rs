@@ -1,7 +1,7 @@
 //! Property tests over the statistics crate's public API.
 
 use edgeperf_stats::cdf::CdfBuilder;
-use edgeperf_stats::{quantile_sorted, quantiles_in_place, TDigest};
+use edgeperf_stats::{keyed_quantiles_in_place, quantile_sorted, quantiles_in_place, TDigest};
 use proptest::prelude::*;
 
 proptest! {
@@ -146,8 +146,10 @@ fn ranks_read_in_place_are_the_cdfs_bit_for_bit() {
     };
     let mut draw =
         |n: usize, f: &dyn Fn(f64) -> f64| -> Vec<f64> { (0..n).map(|_| f(unit())).collect() };
-    // 1.0 opens a 16-bit bucket that ends short of 1.0625.
+    // 1.0625 opened a 16-bit bucket of the two-walk reading; 2.0 opens a
+    // top bucket (an octave) and 1 + 2⁻¹² a sub-bucket of the three-walk one.
     let edge = 1.0625;
+    let (octave, sub) = (2.0, 1.0 + 1.0 / 4096.0);
     let cases: Vec<(&str, Vec<f64>)> = vec![
         ("n = 1", vec![42.5]),
         ("one value only", vec![7.25; 1_000]),
@@ -156,6 +158,9 @@ fn ranks_read_in_place_are_the_cdfs_bit_for_bit() {
         ("all in one bucket", draw(5_000, &|u| 1.0 + u * 0.0624)),
         ("straddling a bucket edge", draw(5_001, &|u| edge + (u - 0.5) * 1e-9)),
         ("two samples either side of an edge", vec![edge, f64::from_bits(edge.to_bits() - 1)]),
+        ("straddling an octave", draw(5_001, &|u| octave + (u - 0.5) * 1e-9)),
+        ("straddling a sub-bucket", draw(5_001, &|u| sub + (u - 0.5) * 1e-12)),
+        ("either side of a sub-bucket edge", vec![sub, f64::from_bits(sub.to_bits() - 1)]),
         ("negatives", draw(10_000, &|u| -1_000.0 * u)),
         ("both signs", draw(10_001, &|u| (u - 0.5) * 1e6)),
         ("-0.0 beside 0.0", vec![0.0, -0.0, 0.0, -0.0, 0.0]),
@@ -168,6 +173,56 @@ fn ranks_read_in_place_are_the_cdfs_bit_for_bit() {
     ];
     for (what, values) in &cases {
         assert_reads_the_cdfs_ranks(what, values);
+    }
+}
+
+/// The ranks `keyed_quantiles_in_place` reads against the CDFs it
+/// replaces, bit for bit: of every sample, and of each key's.
+fn assert_reads_each_keys_cdf(what: &str, samples: &[(u8, f64)]) {
+    let qs = [0.0, 0.25, 0.5, 0.8, 1.0];
+    let cdf_ranks = |key: Option<u8>| -> (u64, Vec<u64>) {
+        let mut b = CdfBuilder::new();
+        let of = samples.iter().filter(|(k, _)| key.is_none_or(|key| key == *k));
+        of.clone().for_each(|&(_, v)| b.push(v));
+        let cdf = b.build();
+        (of.count() as u64, qs.iter().map(|&q| cdf.quantile(q).to_bits()).collect())
+    };
+    let bits = |r: &edgeperf_stats::Ranks| (r.n, r.quantiles.iter().map(|v| v.to_bits()).collect());
+    let (overall, by_key) = keyed_quantiles_in_place(|| samples.iter().copied(), &qs);
+    assert_eq!(bits(&overall), cdf_ranks(None), "{what}: every sample");
+    let mut keys: Vec<u8> = samples.iter().map(|&(k, _)| k).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(by_key.keys().copied().collect::<Vec<_>>(), keys, "{what}: the keys present");
+    for (key, ranks) in &by_key {
+        assert_eq!(bits(ranks), cdf_ranks(Some(*key)), "{what}: key {key}");
+    }
+}
+
+#[test]
+fn each_keys_ranks_read_in_place_are_its_cdfs_bit_for_bit() {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut unit = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    // Continents' MinRTTs: each key its own spread, some keys rare.
+    let continents: Vec<(u8, f64)> = (0..60_000)
+        .map(|i| {
+            let key = [0u8, 1, 2, 3, 4, 5, 5, 5][i % 8] + u8::from(i % 997 == 0);
+            (key, 5.0 + 20.0 * f64::from(key) + 200.0 * unit() * unit())
+        })
+        .collect();
+    let cases: Vec<(&str, Vec<(u8, f64)>)> = vec![
+        ("one key", (0..1_000).map(|i| (3, f64::from(i % 17))).collect()),
+        ("one sample a key", vec![(0, 1.5), (9, -2.0), (255, 0.0)]),
+        ("keys sharing every bucket", (0..20_000).map(|i| ((i % 3) as u8, unit())).collect()),
+        ("-0.0 under one key only", vec![(1, -0.0), (1, 0.0), (2, 0.0), (2, 0.0), (1, 0.0)]),
+        ("continents", continents),
+    ];
+    for (what, samples) in &cases {
+        assert_reads_each_keys_cdf(what, samples);
     }
 }
 

@@ -5,8 +5,9 @@
 //! (DESIGN.md §10):
 //!
 //! - each fragment, just before it merges, is written to
-//!   `shard-<prefix>.bin` ([`ColumnarShard::encode`]: its rows as they
-//!   lie, 20 B a session), and then
+//!   `shard-<prefix>.bin` ([`ColumnarShard::encode`]: the cells its
+//!   worker closed — a row a cell, the preferred sessions' Rice-coded
+//!   MinRTTs and the HDratio tally), and then
 //! - `checkpoint.json` — format version, the study's fingerprint, the
 //!   merge cursor and the [`StudyReport`], closed by a checksum member —
 //!   is rewritten to say so.

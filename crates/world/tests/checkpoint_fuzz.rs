@@ -12,6 +12,7 @@
 mod counting;
 
 use counting::{count_every_thread, largest_request};
+use edgeperf_analysis::segment::checksum;
 use edgeperf_analysis::{atomic_write, ColumnarSink, RecordSink};
 use edgeperf_obs::Metrics;
 use edgeperf_world::{
@@ -21,7 +22,8 @@ use std::path::Path;
 
 /// The most a reader may ask the allocator for at once, given a file of
 /// `len` bytes: a copy of it, or what its records decode to in memory (a
-/// 25-byte cell is 48 bytes there), and an error message.
+/// row of 49 bytes or more in a segment is 72 there), and an error
+/// message.
 fn allowance(len: usize) -> usize {
     2 * len + 1024
 }
@@ -122,10 +124,46 @@ fn a_damaged_journal_is_refused_without_a_panic_or_an_oversized_allocation() {
         bad.extend_from_slice(&[0; 16]);
         refused(file, &bad, &format!("{name} with 16 bytes appended"));
 
+        if is_shard {
+            // A shard's header counts forged and the checksum recomputed:
+            // the length arithmetic, not the checksum, refuses them, and a
+            // version-1 image is refused as one.
+            let forged = |at: usize, value: &[u8]| {
+                let mut bad = image.clone();
+                bad[at..at + value.len()].copy_from_slice(value);
+                let body = bad.len() - 8;
+                let sum = checksum(&bad[..body]).to_le_bytes();
+                bad[body..].copy_from_slice(&sum);
+                bad
+            };
+            // Segment bytes, kept words, continents, entries.
+            for (at, width) in [(6, 4), (10, 4), (14, 2), (16, 4)] {
+                let mut field = [0; 8];
+                field[..width].copy_from_slice(&image[at..at + width]);
+                let count = u64::from_le_bytes(field);
+                let most = u64::MAX >> (64 - 8 * width);
+                for value in [0, 1, count.wrapping_sub(1) & most, (count + 1) & most, most] {
+                    if value == count {
+                        continue;
+                    }
+                    let bad = forged(at, &value.to_le_bytes()[..width]);
+                    let what = format!("{name} with the count at byte {at} forged to {value}");
+                    undecodable(&bad, &what);
+                    if value == most {
+                        refused(file, &bad, &what);
+                    }
+                }
+            }
+            let old = forged(4, &[1]);
+            let err = sink.decode_shard(&old).expect_err("a version-1 image is refused");
+            assert!(err.to_string().contains("unsupported shard version 1"), "{err}");
+            refused(file, &old, "a version-1 shard");
+        }
+
         // Arbitrary bytes, bare and behind a plausible opening.
         for round in 0..1_000 {
             let mut bytes: Vec<u8> = (0..next() % 300).map(|_| next() as u8).collect();
-            let opening: &[u8] = if is_shard { b"EPSH\x01" } else { b"{\"version\":2," };
+            let opening: &[u8] = if is_shard { b"EPSH\x02" } else { b"{\"version\":2," };
             if round % 2 == 1 && bytes.len() >= opening.len() {
                 bytes[..opening.len()].copy_from_slice(opening);
             }

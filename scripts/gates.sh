@@ -12,7 +12,7 @@
 # replays through real `edgeperf` processes on loopback ports 4620-4631,
 # which leave their reports under replay-reports/. Repro gates
 # (repro_results, repro_streaming, study_resume): `repro all` must rewrite
-# results/ and print the stdout kept there byte for byte within 30 MiB
+# results/ and print the stdout kept there byte for byte within 24 MiB
 # resident, its streaming job every study file but fig7.json, the same
 # bytes twice, and a study killed mid-run must resume from its checkpoint
 # to an uninterrupted run's fig6.json; they work in a temp dir they
@@ -395,11 +395,14 @@ repro_tree() {
 # for byte, and print results/repro_all.stdout byte for byte — what a
 # reader sees, whatever order the experiments ran in. The exact sink keeps
 # a summary a cell, an HDratio tally and, for the preferred route only,
-# each cell's MinRTTs sorted as Rice-coded gaps (~2.2 B a row), and
-# Figures 1-5 run before the study, so the job must also peak at no more
-# than 30 MiB resident (it reads ~25; a 4 B MinRTT row read ~32, and a
-# 6 B HDratio-and-MinRTT row, with Figures 1-3 run on top of the freed
-# rows, ~43).
+# each cell's MinRTTs sorted as Rice-coded gaps (~2.2 B a row) in one
+# study-wide buffer; its workers close each cell when its window ends, so
+# a prefix's raw rows never reach the merge; Figure 6 reads its ranks in
+# three walks with a few 32 KiB histograms; and Figures 1-5 run before
+# the study. So the job must also peak at no more than 24 MiB resident
+# (it reads ~21.1; with each prefix's raw rows held until the merge it
+# read 24.4-24.7, with a 4 B MinRTT row ~32, and with a 6 B
+# HDratio-and-MinRTT row, Figures 1-3 run on top of the freed rows, ~43).
 repro_results() {
     built || return 1
     local out status hwm
@@ -409,8 +412,8 @@ repro_results() {
     status=$?
     hwm=$(cat "$out/vmhwm_kb" 2> /dev/null || echo 0)
     echo "repro all --scale 1 peaked at $((hwm / 1024)) MiB resident (VmHWM $hwm kB)"
-    if [ "$status" = 0 ] && [ "$hwm" -gt $((30 * 1024)) ]; then
-        echo "repro all --scale 1 peaked above 30 MiB" >&2
+    if [ "$status" = 0 ] && [ "$hwm" -gt $((24 * 1024)) ]; then
+        echo "repro all --scale 1 peaked above 24 MiB" >&2
         status=1
     fi
     rm -rf "$out"
