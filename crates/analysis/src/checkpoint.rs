@@ -72,10 +72,11 @@ fn write_image(
     let start = out.len();
     let count = |n: usize| u32::try_from(n).expect("a shard's counts fit u32").to_le_bytes();
     let segment = encode_segment(rows);
-    let mut entries: Vec<(usize, u64, u64)> = tally
-        .distinct
-        .iter()
-        .map(|(&(bucket, key), &n)| (bucket, key.rotate_right(32), n))
+    let buckets = tally.distinct.iter().enumerate();
+    let mut entries: Vec<(usize, u64, u64)> = buckets
+        .flat_map(|(bucket, held)| {
+            held.iter().map(move |(&key, &n)| (bucket, key.rotate_right(32), n))
+        })
         .collect();
     entries.sort_unstable();
     let parts = [segment.len(), 8 * kept.len(), CONTINENT_BYTES * tally.by_continent.len()];
@@ -215,7 +216,7 @@ impl ColumnarSink {
                     row.rank, row.window
                 )));
             }
-            if row.n == 0 || row.n > u64::from(u32::MAX) || row.n_tested > row.n {
+            if row.n == 0 || row.n_tested > row.n {
                 return Err(corrupt(format!(
                     "row {i} counts {} tested of {} sessions",
                     row.n_tested, row.n
@@ -226,12 +227,12 @@ impl ColumnarSink {
                 return Err(corrupt(format!("row {i} repeats an earlier row's cell")));
             }
             if row.rank == 0 {
-                kept_counts.push(row.n);
+                kept_counts.push(u64::from(row.n));
                 let continent = row.group().continent as usize;
                 if tested_by_continent.len() <= continent {
                     tested_by_continent.resize(continent + 1, 0);
                 }
-                tested_by_continent[continent] += row.n_tested;
+                tested_by_continent[continent] += u64::from(row.n_tested);
             }
         }
         let kept_rows: u64 = kept_counts.iter().sum();
@@ -291,7 +292,6 @@ fn read_tally(
         return Err(corrupt("the tally's continents disagree with the rows".into()));
     }
     let (mut previous, mut sessions) = (None, 0u64);
-    tally.distinct.reserve(entries);
     for i in 0..entries {
         let (bucket, hdratio, n) = (r.u8()? as usize, f64::from_bits(r.u64()?), r.u64()?);
         let key = (bucket, hdratio.to_bits());
@@ -308,7 +308,7 @@ fn read_tally(
         counts.zero = counts.zero.saturating_add(if hdratio <= 0.0 { n } else { 0 });
         counts.below_one =
             counts.below_one.saturating_add(if hdratio <= HDRATIO_BELOW_ONE { n } else { 0 });
-        tally.distinct.insert((bucket, hdratio.to_bits().rotate_left(32)), n);
+        tally.distinct[bucket].insert(hdratio.to_bits().rotate_left(32), n);
     }
     if sessions > tested.iter().sum::<u64>() {
         return Err(corrupt(format!("{sessions} bucketed sessions exceed the tested")));
@@ -479,31 +479,37 @@ mod tests {
         refused(&with_tally(&|t| t.by_continent[1].zero += 10_000), "point masses exceed");
         refused(&with_tally(&|t| t.by_continent[1].tested += 1), "disagree with the rows");
         refused(&with_tally(&|t| t.by_continent.push(HdratioCounts::default())), "disagree");
-        let entry = *tally.distinct.keys().next().unwrap();
-        refused(&with_tally(&|t| *t.distinct.get_mut(&entry).unwrap() = 0), "no bucket's");
-        refused(&with_tally(&|t| *t.distinct.get_mut(&entry).unwrap() += 10_000), "exceed");
-        let nan_key = (0, f64::NAN.to_bits().rotate_left(32));
+        let bucket = tally.distinct.iter().position(|held| !held.is_empty()).unwrap();
+        let entry = *tally.distinct[bucket].keys().next().unwrap();
+        let count = |n: u64| with_tally(&|t| *t.distinct[bucket].get_mut(&entry).unwrap() = n);
+        refused(&count(0), "no bucket's");
+        refused(&count(10_000), "exceed");
+        let nan_key = f64::NAN.to_bits().rotate_left(32);
         refused(
             &with_tally(&|t| {
-                t.distinct.insert(nan_key, 1);
+                t.distinct[0].insert(nan_key, 1);
             }),
             "no bucket's",
         );
-        refused(
-            &with_tally(&|t| {
-                t.distinct.insert((4, 0), 1);
-            }),
-            "no bucket's",
-        );
+        // The entries as bytes, edited, the checksum made anew.
+        let with_entries = |edit: &dyn Fn(&mut [u8])| {
+            let mut image = image_of(rows, 0, words, tally);
+            let (at, body) =
+                (image.len() - 8 - ENTRY_BYTES * tally.distinct_hdratios(), image.len() - 8);
+            edit(&mut image[at..body]);
+            let sum = checksum(&image[..body]).to_le_bytes();
+            image[body..].copy_from_slice(&sum);
+            image
+        };
+        // The last entry in a fifth bucket, which keeps the order.
+        let last = ENTRY_BYTES * (tally.distinct_hdratios() - 1);
+        refused(&with_entries(&|entries| entries[last] = 4), "no bucket's");
         // Entries out of order: the first two swapped.
-        let mut swapped = image_of(rows, 0, words, tally);
-        let at = swapped.len() - 8 - ENTRY_BYTES * tally.distinct_hdratios();
-        let first: Vec<u8> = swapped[at..at + ENTRY_BYTES].to_vec();
-        swapped.copy_within(at + ENTRY_BYTES..at + 2 * ENTRY_BYTES, at);
-        swapped[at + ENTRY_BYTES..at + 2 * ENTRY_BYTES].copy_from_slice(&first);
-        let body = swapped.len() - 8;
-        let sum = checksum(&swapped[..body]).to_le_bytes();
-        swapped[body..].copy_from_slice(&sum);
+        let swapped = with_entries(&|entries| {
+            let first: Vec<u8> = entries[..ENTRY_BYTES].to_vec();
+            entries.copy_within(ENTRY_BYTES..2 * ENTRY_BYTES, 0);
+            entries[ENTRY_BYTES..2 * ENTRY_BYTES].copy_from_slice(&first);
+        });
         refused(&swapped, "entry 1 is out of order");
     }
 

@@ -41,13 +41,17 @@
 //! [`ColumnarSink`] merges a shard by placing its rows in the sink's grid
 //! in closing order — first-seen order, since the records came window by
 //! window — adding its tally to the sink's and appending its stream to one
-//! study-wide buffer, of which the shard keeps a word range and a cell
-//! column of one `u32` end offset a cell. The scheduler hands each prefix
-//! to exactly one worker, so shards share no group, and the sink refuses a
+//! study-wide buffer. Of the shard it keeps only Figure 6's index into
+//! that buffer: its word range, its groups once each and, a kept cell, two
+//! `u32`s — its window (with its group's place) and its end row — in one
+//! allocation sized at merge. A row names its cell nowhere else: the grid
+//! already holds every cell's key. The scheduler hands each prefix to
+//! exactly one worker, so shards share no group, and the sink refuses a
 //! shard that does: the group's cells are already summaries.
 //! [`ColumnarSink::rows`] and the sink's [`PreferredSessions`] view walk
 //! the kept cells, decoding as they go, and
-//! [`ColumnarSink::take_summaries`] hands the grid over.
+//! [`ColumnarSink::take_summaries`] hands the grid over. What the sink
+//! holds, part by part, is [`ColumnarSink::footprint`].
 
 use crate::dataset::{in_dataset_order, median_and_variance, CellSummary, GroupSlots, Summaries};
 use crate::figures::{HdratioCounts, HdratioTally, PreferredSessions};
@@ -219,7 +223,7 @@ impl ColumnarShard {
                 longer_path: meta.longer_path,
                 more_prepended: meta.more_prepended,
             };
-            rows.push(WindowCell::new(window, group, rank, &summary));
+            rows.push(WindowCell::new(window, group, rank, &summary).expect("u32 counts"));
         }
         *base += cells.len() as u32;
         cells.clear();
@@ -286,7 +290,7 @@ impl Kept {
             }
             let mut words = std::mem::take(&mut writer.words);
             words.push(0);
-            let counts = closed.iter().filter(|r| r.rank == 0).map(|r| r.n as u32);
+            let counts = closed.iter().filter(|r| r.rank == 0).map(|r| r.n);
             *self = Kept::Plain(decoded(&words, counts));
         }
         if let Kept::Plain(values) = self {
@@ -375,14 +379,17 @@ pub(crate) fn bits_at(words: &[u64], pos: usize, width: u32) -> u32 {
     (window & ((1 << width) - 1)) as u32
 }
 
-/// What the sink keeps of a merged shard: where its preferred-route
-/// cells' MinRTTs lie in the sink's kept buffer — cell `ci` is rows
-/// `ends[ci - 1]..ends[ci]`, in `total_cmp` order — so a cell's place
-/// costs one `u32`.
+/// What the sink keeps of a merged shard: its Figure 6 index and where
+/// its preferred-route cells' MinRTTs lie in the sink's kept buffer. The
+/// index is the shard's groups, each once (one in a study, whose shard is
+/// a prefix), and a kept cell's place, 8 B: its group's position times the
+/// sink's windows plus its window, and its end row — cell `ci` is rows
+/// `cells[ci - 1].1..cells[ci].1`, in `total_cmp` order. Both are sized
+/// once, at merge.
 #[derive(Debug)]
 struct AdoptedShard {
-    cells: Vec<CellKey>,
-    ends: Vec<u32>,
+    groups: Box<[GroupKey]>,
+    cells: Box<[(u32, u32)]>,
     /// Whole nanoseconds, Rice-coded ([`Kept::Nanos`]) with a zero word
     /// after the stream; else one `f64`'s bits a row.
     nanos: bool,
@@ -391,9 +398,28 @@ struct AdoptedShard {
 
 impl AdoptedShard {
     /// Every session kept, cell by cell: its cell and its MinRTT (ms).
-    /// `words` are the shard's own.
-    fn sessions<'a>(&'a self, words: &'a [u64]) -> Sessions<'a> {
-        Sessions { shard: self, words, cell: 0, row: 0, end: 0, cursor: Cursor::default() }
+    /// `words` are the shard's own, `n_windows` the sink's.
+    fn sessions<'a>(&'a self, words: &'a [u64], n_windows: u32) -> Sessions<'a> {
+        Sessions {
+            shard: self,
+            words,
+            n_windows,
+            cell: 0,
+            row: 0,
+            end: 0,
+            cursor: Cursor::default(),
+        }
+    }
+
+    /// The cell at `slot` of the index.
+    fn key(&self, slot: u32, n_windows: u32) -> CellKey {
+        let group = self.groups[(slot / n_windows) as usize];
+        CellKey { group, window: slot % n_windows, rank: 0 }
+    }
+
+    /// What the index holds: its two tables.
+    fn index_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.groups) + std::mem::size_of_val(&*self.cells)
     }
 }
 
@@ -402,6 +428,7 @@ impl AdoptedShard {
 struct Sessions<'a> {
     shard: &'a AdoptedShard,
     words: &'a [u64],
+    n_windows: u32,
     /// The next cell to open.
     cell: usize,
     row: u32,
@@ -468,7 +495,7 @@ impl Iterator for Sessions<'_> {
         let start = self.end;
         let opens = self.row == start;
         if opens {
-            self.end = *self.shard.ends.get(self.cell)?;
+            self.end = self.shard.cells.get(self.cell)?.1;
             self.cell += 1;
         }
         let row = self.row as usize;
@@ -484,7 +511,7 @@ impl Iterator for Sessions<'_> {
                 self.cursor.min_rtt()
             }
         };
-        Some((self.shard.cells[self.cell - 1], min_rtt))
+        Some((self.shard.key(self.shard.cells[self.cell - 1].0, self.n_windows), min_rtt))
     }
 
     /// What Figure 6's walks call: the rest of the open cell through
@@ -495,10 +522,10 @@ impl Iterator for Sessions<'_> {
         while self.row < self.end {
             acc = f(acc, self.next().expect("the open cell's rows"));
         }
-        let Sessions { shard, words, cell, end: row, mut cursor, .. } = self;
-        let starts = std::iter::once(row).chain(shard.ends[cell..].iter().copied());
-        for ((&key, start), &end) in shard.cells[cell..].iter().zip(starts).zip(&shard.ends[cell..])
-        {
+        let Sessions { shard, words, n_windows, cell, end: row, mut cursor, .. } = self;
+        let starts = std::iter::once(row).chain(shard.cells[cell..].iter().map(|&(_, end)| end));
+        for (&(slot, end), start) in shard.cells[cell..].iter().zip(starts) {
+            let key = shard.key(slot, n_windows);
             if shard.nanos {
                 cursor.open(words, end - start);
                 acc = f(acc, (key, cursor.min_rtt()));
@@ -605,7 +632,8 @@ impl ColumnarSink {
     /// `total_cmp` order of their MinRTTs, not the order its worker pushed
     /// them; Figure 6 reads them order-free): its cell and its MinRTT (ms).
     pub fn rows(&self) -> impl Iterator<Item = (CellKey, f64)> + '_ {
-        self.preferred.iter().flat_map(|s| s.sessions(&self.kept[s.words.clone()]))
+        let n_windows = self.n_windows as u32;
+        self.preferred.iter().flat_map(move |s| s.sessions(&self.kept[s.words.clone()], n_windows))
     }
 
     /// For every shard that kept rows, in merge order, whether its MinRTTs
@@ -623,6 +651,21 @@ impl ColumnarSink {
     /// Figure 6's HDratio point masses, as `StreamingDataset` answers them.
     pub fn hdratio_rollup(&self) -> (HdratioCounts, BTreeMap<u8, HdratioCounts>) {
         self.hdratio.rollup()
+    }
+
+    /// What the sink holds, by part: the grid's bytes (zero once handed
+    /// over), the kept stream's, the Figure 6 index's — every merged
+    /// shard's groups and kept cells — and the HDratio tally's entries.
+    pub fn footprint(&self) -> [(&'static str, usize); 4] {
+        let grid = self.summaries.slots.iter().map(|(_, g)| g.grid_bytes()).sum();
+        let index = self.preferred.iter().map(AdoptedShard::index_bytes).sum::<usize>()
+            + std::mem::size_of_val(&*self.preferred);
+        [
+            ("grid_bytes", grid),
+            ("kept_bytes", std::mem::size_of_val(&*self.kept)),
+            ("index_bytes", index),
+            ("tally_entries", self.hdratio.distinct_hdratios()),
+        ]
     }
 }
 
@@ -670,20 +713,27 @@ impl RecordSink for ColumnarSink {
                 "group {group:?} reached the sink in two shards"
             );
         }
-        let ColumnarShard { rows, tally, kept, .. } = shard;
+        let ColumnarShard { ids, rows, tally, kept, .. } = shard;
         self.hdratio.merge(&tally);
-        let (mut cells, mut ends, mut end) = (Vec::new(), Vec::new(), 0u64);
+        let groups: Box<[GroupKey]> = ids.slots.iter().map(|(group, _)| *group).collect();
+        let n_windows = u32::try_from(self.n_windows).expect("a window is a u32");
+        let slot = |row: &WindowCell| {
+            let at = ids.position(&row.group()).expect("a row's group has ids");
+            at.checked_mul(n_windows)
+                .and_then(|at| at.checked_add(row.window))
+                .expect("a shard's cells fit u32 slots")
+        };
+        let mut cells = Vec::with_capacity(rows.iter().filter(|r| r.rank == 0).count());
+        let mut end = 0u32;
         for row in &rows {
-            let group = row.group();
-            self.records += row.n;
+            self.records += u64::from(row.n);
             if row.rank == 0 {
-                cells.push(CellKey { group, window: row.window, rank: 0 });
-                end += row.n;
-                ends.push(u32::try_from(end).expect("a shard's kept rows fit u32"));
+                end = end.checked_add(row.n).expect("a shard's kept rows fit u32");
+                cells.push((slot(row), end));
             }
-            let slot =
-                self.summaries.cell(group, row.rank as usize, row.window as usize, row.bytes);
-            *slot = Some(*row);
+            let cell =
+                self.summaries.cell(row.group(), row.rank as usize, row.window as usize, row.bytes);
+            *cell = Some(*row);
         }
         self.cells += rows.len() as u64;
         if cells.is_empty() {
@@ -703,7 +753,8 @@ impl RecordSink for ColumnarSink {
                 false
             }
         };
-        self.preferred.push(AdoptedShard { cells, ends, nanos, words: start..self.kept.len() });
+        let (cells, words) = (cells.into_boxed_slice(), start..self.kept.len());
+        self.preferred.push(AdoptedShard { groups, cells, nanos, words });
     }
 
     /// The kept buffer stops growing: give back its spare capacity.
@@ -1047,10 +1098,10 @@ pub(crate) mod tests {
             prop_assert_eq!(nanos, plain.iter().map(|&p| !p).collect::<Vec<_>>());
             for shard in sink.preferred.iter().filter(|s| s.nanos) {
                 let words = &sink.kept[shard.words.clone()];
-                let mut rows = shard.sessions(words);
-                let starts = std::iter::once(0).chain(shard.ends.iter().copied());
-                for ((&key, start), &end) in shard.cells.iter().zip(starts).zip(&shard.ends) {
-                    let (from, n) = (rows.cursor.unary, (end - start) as usize);
+                let mut rows = shard.sessions(words, 4);
+                let starts = std::iter::once(0).chain(shard.cells.iter().map(|&(_, end)| end));
+                for (&(slot, end), start) in shard.cells.iter().zip(starts) {
+                    let (key, from, n) = (shard.key(slot, 4), rows.cursor.unary, (end - start) as usize);
                     rows.by_ref().take(n).for_each(drop);
                     let k = rows.cursor.k as usize;
                     prop_assert!(rows.cursor.unary - from <= HEAD_BITS + (k + 3) * (n - 1));

@@ -54,8 +54,8 @@ pub fn compare(
     b: &WindowCell,
 ) -> CompareOutcome {
     let stat = |c: &WindowCell| match metric {
-        DegradationMetric::MinRtt => (c.n, c.min_rtt_var()),
-        DegradationMetric::HdRatio => (c.n_tested, c.hdratio_var()),
+        DegradationMetric::MinRtt => (u64::from(c.n), c.min_rtt_var()),
+        DegradationMetric::HdRatio => (u64::from(c.n_tested), c.hdratio_var()),
     };
     let max_ci_width = match metric {
         DegradationMetric::MinRtt => cfg.max_ci_width_minrtt_ms,
@@ -114,7 +114,7 @@ mod tests {
         agg.hdratio = samples.iter().map(|v| v / 100.0).collect();
         let group =
             GroupKey { pop: PopId(0), prefix: Prefix::new(0, 16), country: 0, continent: 0 };
-        (samples, WindowCell::new(0, group, 0, &agg.summary()))
+        (samples, WindowCell::new(0, group, 0, &agg.summary()).unwrap())
     }
 
     #[test]

@@ -157,6 +157,11 @@ impl<C> GroupData<C> {
         self.ranks.iter().flat_map(|ws| ws.iter().flatten())
     }
 
+    /// What the grid's rank rows hold, slots and spare capacity alike.
+    pub(crate) fn grid_bytes(&self) -> usize {
+        self.ranks.iter().map(|row| row.capacity() * std::mem::size_of::<Option<C>>()).sum()
+    }
+
     /// The preferred route's present cells, oldest window first.
     pub fn preferred(&self) -> impl Iterator<Item = &C> {
         self.ranks.first().into_iter().flat_map(|ws| ws.iter().flatten())
@@ -164,6 +169,9 @@ impl<C> GroupData<C> {
 
     /// The same grid with every cell summarised by `summary` and packed
     /// into the row of (window `w`, group `key`, rank `r`).
+    ///
+    /// # Panics
+    /// Panics on a cell of more sessions than a row counts (`u32::MAX`).
     pub fn summarize(
         &self,
         key: GroupKey,
@@ -171,7 +179,8 @@ impl<C> GroupData<C> {
     ) -> GroupData<WindowCell> {
         let ranks = self.ranks.iter().zip(0u8..).map(|(ws, rank)| {
             let row = |(c, window): (&Option<C>, u32)| {
-                c.as_ref().map(|c| WindowCell::new(window, key, rank, &summary(c)))
+                let row = |c| WindowCell::new(window, key, rank, &summary(c));
+                c.as_ref().map(|c| row(c).unwrap_or_else(|e| panic!("group {key:?}: {e}")))
             };
             ws.iter().zip(0u32..).map(row).collect()
         });
@@ -197,6 +206,11 @@ impl<C: Clone> GroupSlots<C> {
     /// Data of `key`, if present.
     pub(crate) fn get(&self, key: &GroupKey) -> Option<&GroupData<C>> {
         self.index.get(key).map(|&i| &self.slots[i as usize].1)
+    }
+
+    /// Where `key` is in `slots`, if present.
+    pub(crate) fn position(&self, key: &GroupKey) -> Option<u32> {
+        self.index.get(key).copied()
     }
 
     /// Every group in first-seen order, leaving the grid empty.

@@ -61,7 +61,7 @@ pub fn pick_baseline<'a>(
 ) -> Option<&'a WindowCell> {
     let candidates: Vec<(&WindowCell, f64)> = windows
         .into_iter()
-        .filter(|c| c.n >= cfg.min_samples as u64)
+        .filter(|c| u64::from(c.n) >= cfg.min_samples as u64)
         .filter_map(|c| Some((c, c.p50(metric)?)))
         .collect();
     if candidates.is_empty() {

@@ -160,16 +160,17 @@ fn key_of(hdratio: f64) -> u64 {
 /// point masses of every continent's tested preferred-route sessions and,
 /// for each of Figure 7's MinRTT buckets, its point masses and a count of
 /// each distinct HDratio, from which its exact median is read. It holds
-/// an entry a distinct HDratio and bucket, not a row a session: a study's
-/// HDratios are `achieved / tested` ratios, a few thousand distinct.
+/// an entry a distinct HDratio and bucket, 16 B, not a row a session: a
+/// study's HDratios are `achieved / tested` ratios, a few thousand
+/// distinct.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HdratioTally {
     /// Indexed by continent; grown on first sight.
     pub(crate) by_continent: Vec<HdratioCounts>,
     /// Indexed like [`FIG7_BUCKETS`].
     pub(crate) buckets: [HdratioCounts; FIG7_BUCKETS.len()],
-    /// Sessions a (bucket, [`key_of`] HDratio).
-    pub(crate) distinct: FxHashMap<(usize, u64), u64>,
+    /// Sessions a [`key_of`] HDratio, a map a bucket.
+    pub(crate) distinct: [FxHashMap<u64, u64>; FIG7_BUCKETS.len()],
 }
 
 impl HdratioTally {
@@ -190,7 +191,7 @@ impl HdratioTally {
         let bucket = FIG7_BUCKETS.iter().position(|&(_, lo, hi)| min_rtt > lo && min_rtt <= hi);
         if let Some(bucket) = bucket {
             self.buckets[bucket].record(hdratio);
-            *self.distinct.entry((bucket, key_of(hdratio))).or_default() += 1;
+            *self.distinct[bucket].entry(key_of(hdratio)).or_default() += 1;
         }
     }
 
@@ -200,8 +201,10 @@ impl HdratioTally {
             HdratioCounts::of(&mut self.by_continent, continent as u8).add(counts);
         }
         self.buckets.iter_mut().zip(&other.buckets).for_each(|(ours, theirs)| ours.add(theirs));
-        for (&key, &n) in &other.distinct {
-            *self.distinct.entry(key).or_default() += n;
+        for (ours, theirs) in self.distinct.iter_mut().zip(&other.distinct) {
+            for (&key, &n) in theirs {
+                *ours.entry(key).or_default() += n;
+            }
         }
     }
 
@@ -226,9 +229,9 @@ impl HdratioTally {
     /// `total_cmp`, k the least integer ≥ n / 2 and at least 1, and -0.0
     /// for a zero when any session's HDratio is -0.0.
     fn median(&self, bucket: usize) -> f64 {
-        let held = self.distinct.iter().filter(|((b, _), _)| *b == bucket);
+        let held = &self.distinct[bucket];
         let mut values: Vec<(f64, u64)> =
-            held.map(|(&(_, key), &n)| (f64::from_bits(key.rotate_right(32)), n)).collect();
+            held.iter().map(|(&key, &n)| (f64::from_bits(key.rotate_right(32)), n)).collect();
         assert!(values.iter().all(|(v, _)| v.is_finite()), "bad quantile sample");
         values.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         let k = ((0.5 * self.buckets[bucket].tested as f64).ceil() as u64).max(1);
@@ -238,7 +241,7 @@ impl HdratioTally {
             seen >= k
         });
         let median = kth.expect("a tested session").0;
-        let negative_zero = self.distinct.contains_key(&(bucket, key_of(-0.0)));
+        let negative_zero = held.contains_key(&key_of(-0.0));
         if median == 0.0 && negative_zero {
             -0.0
         } else {
@@ -248,7 +251,7 @@ impl HdratioTally {
 
     /// Distinct HDratios held, summed over Figure 7's buckets.
     pub fn distinct_hdratios(&self) -> usize {
-        self.distinct.len()
+        self.distinct.iter().map(FxHashMap::len).sum()
     }
 }
 
@@ -359,7 +362,7 @@ pub fn fig10_by_relationship(
     ds: &Summaries,
     pair: RelPair,
 ) -> Option<DiffCdfs> {
-    let enough = |c: &&WindowCell| c.n >= cfg.min_samples as u64;
+    let enough = |c: &&WindowCell| u64::from(c.n) >= cfg.min_samples as u64;
     let compared = |g: &GroupData<WindowCell>, w: usize| {
         let pref = g.cell(0, w).filter(enough)?;
         // First (most preferred) alternate with the matching type.

@@ -50,7 +50,7 @@ fn best_alternate<'a>(
     let mut best: Option<(u8, &WindowCell, f64)> = None;
     for rank in 1..group.ranks.len() {
         let cell = match group.cell(rank, window) {
-            Some(c) if c.n >= cfg.min_samples as u64 => c,
+            Some(c) if u64::from(c.n) >= cfg.min_samples as u64 => c,
             _ => continue,
         };
         let Some(p50) = cell.p50(metric) else { continue };

@@ -76,11 +76,15 @@ pub const SEGMENT_VERSION: u8 = 2;
 /// One closed cell: the one form every reader of a (window, group, rank)
 /// cell's statistic takes it in — the offline analyses and both sinks'
 /// grids, and the live tier, which holds, shares, spills and replies
-/// from it. 72 bytes: what is stored as itself is a public field; the
+/// from it. 64 bytes: what is stored as itself is a public field; the
 /// group is flat fields behind [`group`](Self::group), and one flag byte
 /// holds the route annotations and which optional statistics are
 /// present — an absent one's slot holds `0.0` and is never read. The
-/// flag byte is never zero, so an `Option<WindowCell>` is 72 bytes too.
+/// flag byte is never zero, so an `Option<WindowCell>` is 64 bytes too.
+/// The session counts are `u32`s: a study's cells hold at most 240, the
+/// live ring refuses a record that would take a cell past `u32::MAX`, and
+/// [`new`](Self::new) refuses a summary of more. On disk and on the wire
+/// they stay 8 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowCell {
     /// Window index (`floor(ts / window_ms)`).
@@ -97,9 +101,9 @@ pub struct WindowCell {
     /// [`HAS_SHIFT`], beside [`FLAGS_SET`].
     flags: NonZeroU8,
     /// Sessions recorded.
-    pub n: u64,
+    pub n: u32,
     /// Sessions with an HDratio.
-    pub n_tested: u64,
+    pub n_tested: u32,
     /// Traffic bytes.
     pub bytes: u64,
     /// Median MinRTT (ms).
@@ -108,8 +112,8 @@ pub struct WindowCell {
     optional: [f64; 3],
 }
 
-const _: () = assert!(std::mem::size_of::<WindowCell>() == 72);
-const _: () = assert!(std::mem::size_of::<Option<WindowCell>>() == 72);
+const _: () = assert!(std::mem::size_of::<WindowCell>() == 64);
+const _: () = assert!(std::mem::size_of::<Option<WindowCell>>() == 64);
 
 impl Default for WindowCell {
     fn default() -> Self {
@@ -142,7 +146,19 @@ const FLAGS_SET: NonZeroU8 = NonZeroU8::new(1 << 7).expect("non-zero");
 
 impl WindowCell {
     /// The row for summary `s` of cell (`window`, `group`, `rank`).
-    pub fn new(window: u32, group: GroupKey, rank: u8, s: &CellSummary) -> WindowCell {
+    ///
+    /// # Errors
+    /// [`EdgeperfError::CellOverflow`] when `s` counts more sessions than
+    /// a `u32` holds.
+    pub fn new(
+        window: u32,
+        group: GroupKey,
+        rank: u8,
+        s: &CellSummary,
+    ) -> Result<WindowCell, EdgeperfError> {
+        let count = |n: usize| {
+            u32::try_from(n).map_err(|_| EdgeperfError::CellOverflow { sessions: n as u64 })
+        };
         let mut row = WindowCell {
             window,
             prefix_base: group.prefix.base,
@@ -155,8 +171,8 @@ impl WindowCell {
                 | (rel_code(s.relationship) << REL_SHIFT)
                 | (u8::from(s.longer_path) * FLAG_LONGER_PATH)
                 | (u8::from(s.more_prepended) * FLAG_MORE_PREPENDED),
-            n: u64::try_from(s.n).expect("usize fits u64"),
-            n_tested: u64::try_from(s.n_tested).expect("usize fits u64"),
+            n: count(s.n)?,
+            n_tested: count(s.n_tested)?,
             bytes: s.bytes,
             min_rtt_p50: s.min_rtt_p50,
             optional: [0.0; 3],
@@ -166,7 +182,7 @@ impl WindowCell {
                 row.set_optional(i, value);
             }
         }
-        row
+        Ok(row)
     }
 
     /// The cell's user group.
@@ -335,8 +351,8 @@ fn encode_columns(out: &mut Vec<u8>, cells: &[WindowCell]) {
     column(out, cells, |c| [c.rank]);
     column(out, cells, |c| [(c.flags.get() >> REL_SHIFT) & 3]);
     column(out, cells, |c| [c.flags.get() & (FLAG_LONGER_PATH | FLAG_MORE_PREPENDED)]);
-    column(out, cells, |c| c.n.to_le_bytes());
-    column(out, cells, |c| c.n_tested.to_le_bytes());
+    column(out, cells, |c| u64::from(c.n).to_le_bytes());
+    column(out, cells, |c| u64::from(c.n_tested).to_le_bytes());
     column(out, cells, |c| c.bytes.to_le_bytes());
     column(out, cells, |c| c.min_rtt_p50.to_le_bytes());
     (0..3).for_each(|i| encode_optional(out, cells, i));
@@ -462,8 +478,12 @@ fn decode_columns(r: &mut Reader<'_>, out: &mut Vec<WindowCell>) -> Result<(), E
         }
         c.flags |= flags;
     }
-    read_column(r, cells, |c, b| c.n = u64::from_le_bytes(b))?;
-    read_column(r, cells, |c, b| c.n_tested = u64::from_le_bytes(b))?;
+    for c in &mut *cells {
+        c.n = read_count(r)?;
+    }
+    for c in &mut *cells {
+        c.n_tested = read_count(r)?;
+    }
     read_column(r, cells, |c, b| c.bytes = u64::from_le_bytes(b))?;
     read_column(r, cells, |c, b| c.min_rtt_p50 = f64::from_le_bytes(b))?;
     for i in 0..3 {
@@ -478,6 +498,12 @@ fn decode_columns(r: &mut Reader<'_>, out: &mut Vec<WindowCell>) -> Result<(), E
         return Err(corrupt(format!("{} trailing bytes after the last column", r.remaining())));
     }
     Ok(())
+}
+
+/// A session count: eight bytes on disk, a `u32` in a row.
+fn read_count(r: &mut Reader<'_>) -> Result<u32, EdgeperfError> {
+    let n = r.u64()?;
+    u32::try_from(n).map_err(|_| corrupt(format!("a count of {n} sessions passes 2^32")))
 }
 
 /// Read one fixed-width column into every row through `set`.
@@ -920,7 +946,7 @@ mod tests {
     }
 
     fn cell(i: u32) -> WindowCell {
-        WindowCell::new(i / 3, group(i), u8::try_from(i % 2).unwrap(), &summary(i))
+        WindowCell::new(i / 3, group(i), u8::try_from(i % 2).unwrap(), &summary(i)).unwrap()
     }
 
     /// Counts, route annotations and floats as their bits: equal means
@@ -940,7 +966,7 @@ mod tests {
     fn row_bits(c: &WindowCell) -> Bits {
         let floats = [Some(c.min_rtt_p50), c.min_rtt_var(), c.hdratio_p50(), c.hdratio_var()];
         (
-            (c.n, c.n_tested, c.bytes),
+            (c.n.into(), c.n_tested.into(), c.bytes),
             (c.relationship(), c.longer_path(), c.more_prepended()),
             floats.map(|f| f.map(f64::to_bits)),
         )
@@ -1065,7 +1091,7 @@ mod tests {
 
     /// Pack a cell into its row and take it back out.
     fn repacked(window: u32, group: GroupKey, rank: u8, s: &CellSummary) -> WindowCell {
-        let row = WindowCell::new(window, group, rank, s);
+        let row = WindowCell::new(window, group, rank, s).expect("u32 counts");
         assert_eq!((row.window, row.group(), row.rank), (window, group, rank));
         assert_eq!(row_bits(&row), summary_bits(s));
         row
@@ -1090,6 +1116,28 @@ mod tests {
         (0u8..3, any::<u64>()).prop_map(|(class, raw)| [u64::MAX, 0, raw][usize::from(class)])
     }
 
+    /// A session count a row holds: `u32::MAX`, 0 or anything between.
+    fn odd_sessions() -> impl Strategy<Value = u32> {
+        (0u8..3, any::<u32>()).prop_map(|(class, raw)| [u32::MAX, 0, raw][usize::from(class)])
+    }
+
+    /// A summary counting more sessions, or tested sessions, than a `u32`
+    /// holds is no row: a typed error naming the count, not a panic or a
+    /// wrapped count.
+    #[test]
+    fn a_count_past_u32_is_no_row() {
+        let within =
+            CellSummary { n: u32::MAX as usize, n_tested: u32::MAX as usize, ..summary(1) };
+        let row = WindowCell::new(0, group(1), 0, &within).expect("u32::MAX fits");
+        assert_eq!((row.n, row.n_tested), (u32::MAX, u32::MAX));
+        for past in
+            [CellSummary { n: 1 << 32, ..within }, CellSummary { n_tested: 1 << 32, ..within }]
+        {
+            let err = WindowCell::new(0, group(1), 0, &past).expect_err("past u32");
+            assert_eq!(err, EdgeperfError::CellOverflow { sessions: 1 << 32 });
+        }
+    }
+
     /// Every presence combination of the three optional statistics, every
     /// relationship and both route flags: 96 rows, each reading back the
     /// summary it was packed from.
@@ -1101,7 +1149,7 @@ mod tests {
                 for route in 0..4u8 {
                     let (longer_path, more_prepended) = (route & 1 != 0, route & 2 != 0);
                     let s = CellSummary {
-                        n: usize::MAX,
+                        n: u32::MAX as usize,
                         n_tested: 0,
                         bytes: u64::MAX,
                         min_rtt_p50: -0.0,
@@ -1122,11 +1170,11 @@ mod tests {
     proptest! {
         /// Packing is lossless: whatever the group, rank, counts and
         /// float bits, a (key, summary) pair comes back out of its
-        /// 72-byte row bit for bit.
+        /// 64-byte row bit for bit.
         #[test]
         fn prop_packing_is_lossless(
             key in (any::<u32>(), any::<u16>(), any::<u32>(), any::<u8>(), any::<u16>(), any::<u8>(), any::<u8>()),
-            counts in (odd_count(), odd_count(), odd_count()),
+            counts in (odd_sessions(), odd_sessions(), odd_count()),
             floats in (odd_float(), odd_float(), odd_float(), odd_float()),
             present in 0u8..8,
             route in (0u32..3, any::<bool>(), any::<bool>()),
@@ -1134,8 +1182,8 @@ mod tests {
             let (window, pop, base, len, country, continent, rank) = key;
             let group = GroupKey { pop: PopId(pop), prefix: Prefix { base, len }, country, continent };
             let s = CellSummary {
-                n: usize::try_from(counts.0).unwrap(),
-                n_tested: usize::try_from(counts.1).unwrap(),
+                n: counts.0 as usize,
+                n_tested: counts.1 as usize,
                 bytes: counts.2,
                 min_rtt_p50: floats.0,
                 min_rtt_var: (present & 1 != 0).then_some(floats.1),
@@ -1159,7 +1207,7 @@ mod tests {
             rows in prop::collection::vec(
                 (
                     any::<u32>(),
-                    any::<u64>(),
+                    any::<u32>(),
                     any::<u64>(),
                     prop::option::of(any::<u64>()),
                     prop::option::of(any::<u64>()),
@@ -1173,13 +1221,13 @@ mod tests {
                 .map(|(i, &(window, nbits, p50bits, varbits, hdbits))| {
                     let i = u32::try_from(i).unwrap();
                     let summary = CellSummary {
-                        n: usize::try_from(nbits).unwrap(),
+                        n: nbits as usize,
                         min_rtt_p50: f64::from_bits(p50bits),
                         min_rtt_var: varbits.map(f64::from_bits),
                         hdratio_var: hdbits.map(f64::from_bits),
                         ..summary(i)
                     };
-                    WindowCell::new(window, group(i), cell(i).rank, &summary)
+                    WindowCell::new(window, group(i), cell(i).rank, &summary).unwrap()
                 })
                 .collect();
             let back = decode_segment(&encode_segment(&cells)).expect("decodes");

@@ -19,7 +19,7 @@
 //!   [tally](crate::figures::HdratioTally), and only the preferred route's
 //!   MinRTTs are kept, grouped by cell, for Figure 6. Merging places the
 //!   rows, adds the tally and appends the kept stream to one study-wide
-//!   buffer. Memory grows by a row a cell (72 B a grid slot), ~2.2 bytes
+//!   buffer. Memory grows by a row a cell (64 B a grid slot), ~2.2 bytes
 //!   a study's preferred session (whole nanoseconds, sorted within the
 //!   cell and Rice-coded as gaps) and an entry a distinct HDratio, beside
 //!   one window's rows a worker.
@@ -241,7 +241,7 @@ struct SealedGroup {
 /// runner reports a work item done ([`RecordShard::seal`]) every group
 /// pushed since the previous seal is reduced to its grid of
 /// [`WindowCell`] rows plus one MinRTT digest for Figure 6, and its cells
-/// are dropped. Memory is bounded by the rows (72 B a grid slot) and the
+/// are dropped. Memory is bounded by the rows (64 B a grid slot) and the
 /// open cells of the groups in flight, one per worker — not by
 /// the number of sessions, and not by the number of cells times a digest
 /// — and [`take_summaries`](Self::take_summaries) hands the rows over
@@ -318,7 +318,7 @@ impl StreamingDataset {
     /// rollups and counters and what it counted of the rows.
     pub fn take_summaries(&mut self) -> Summaries {
         self.assert_finalized();
-        self.taken.records += self.sealed_cells().map(|c| c.n).sum::<u64>();
+        self.taken.records += self.sealed_cells().map(|c| u64::from(c.n)).sum::<u64>();
         self.taken.cells += self.sealed_cells().count() as u64;
         let grids = self.sealed.iter_mut().map(|g| (g.key, std::mem::take(&mut g.summaries)));
         Summaries { groups: grids.collect() }
@@ -334,7 +334,7 @@ impl StreamingDataset {
     /// and open.
     pub(crate) fn record_count(&self) -> u64 {
         self.taken.records
-            + self.sealed_cells().map(|c| c.n).sum::<u64>()
+            + self.sealed_cells().map(|c| u64::from(c.n)).sum::<u64>()
             + self.open_cells().map(|c| c.agg.n() as u64).sum::<u64>()
     }
 
@@ -351,6 +351,15 @@ impl StreamingDataset {
     pub fn state_centroids(&self) -> usize {
         self.sealed.iter().map(|g| g.minrtt.centroid_count()).sum::<usize>()
             + self.open_cells().map(|c| c.agg.state_centroids()).sum::<usize>()
+    }
+
+    /// What the dataset holds, by part: the sealed grids' bytes (zero once
+    /// handed over) and their Figure 6 rollup digests' centroids, 16 B
+    /// each.
+    pub fn footprint(&self) -> [(&'static str, usize); 2] {
+        let grid = self.sealed.iter().map(|g| g.summaries.grid_bytes()).sum();
+        let rollup = self.sealed.iter().map(|g| 16 * g.minrtt.centroid_count()).sum();
+        [("grid_bytes", grid), ("rollup_bytes", rollup)]
     }
 
     /// Per-session MinRTT digests over preferred-route sessions: overall

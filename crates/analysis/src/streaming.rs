@@ -253,7 +253,7 @@ mod tests {
         stream.agg = stream_of(v);
         let group =
             GroupKey { pop: PopId(0), prefix: Prefix::new(0, 16), country: 0, continent: 0 };
-        let row = |s: CellSummary| WindowCell::new(0, group, 0, &s);
+        let row = |s: CellSummary| WindowCell::new(0, group, 0, &s).unwrap();
         (row(exact.summary()), row(stream.summary()))
     }
 

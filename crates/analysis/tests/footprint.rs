@@ -1,7 +1,8 @@
 //! Footprint gate: a cell costs what it holds, the streaming sink holds
 //! digests only for the group in flight, the exact sink holds a summary a
 //! cell, every preferred-route session's MinRTT once — in 2.5 bytes when
-//! it is shaped like a study's, 8 at most — and an HDratio tally bounded by
+//! it is shaped like a study's, 8 at most — indexed by 8 B a kept cell and
+//! its group once, and an HDratio tally bounded by
 //! the distinct HDratios, its worker's shard holds one window's sessions
 //! beside what it has closed, and Figures 6–7 read it without copying it
 //! and in a transient of a few histograms. Heap
@@ -229,6 +230,15 @@ fn cells_cost_what_they_hold() {
             held as f64 <= row_bytes * rows as f64,
             "{rows} preferred rows in {held} B beside {table_bytes} B of grid and tables, {headers} B of headers and a {tally_bytes} B tally"
         );
+        // Of the tables, Figure 6's index — which cell a kept row is in —
+        // is a kept cell's window and end row, 8 B, and each group once,
+        // whatever the order its shard closed its cells in (here a
+        // window's groups interleave), beside a constant a shard.
+        let part = |name: &str| sink.footprint().into_iter().find(|p| p.0 == name).unwrap().1;
+        let (index, groups) = (part("index_bytes"), (groups[0] + groups[1]) as usize);
+        let bound = 8 * preferred_cells + std::mem::size_of::<GroupKey>() * groups + 64 * 2;
+        assert!(index <= bound, "a {index} B index for {preferred_cells} kept cells");
+        assert_eq!(part("tally_entries"), sink.hdratio().distinct_hdratios());
     }
 
     // The tally holds an entry a distinct HDratio and Figure 7 bucket,

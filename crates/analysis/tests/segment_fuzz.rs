@@ -43,7 +43,7 @@ fn cell(i: u32) -> WindowCell {
         longer_path: i.is_multiple_of(5),
         more_prepended: i.is_multiple_of(7),
     };
-    WindowCell::new(i / 3, group, u8::try_from(i % 2).unwrap(), &summary)
+    WindowCell::new(i / 3, group, u8::try_from(i % 2).unwrap(), &summary).unwrap()
 }
 
 fn same_bits(a: &[WindowCell], b: &[WindowCell]) -> bool {
@@ -73,8 +73,8 @@ fn checksum(bytes: &[u8]) -> [u8; 8] {
 
 /// The most a decoder may ask the allocator for at once, given `len`
 /// bytes of input: the rows those bytes could encode (49 bytes a row at
-/// the least, 72 in memory) or a copy of the bytes themselves, and an
-/// error message.
+/// the least, `size_of::<WindowCell>()` in memory) or a copy of the bytes
+/// themselves, and an error message.
 fn allowance(len: usize) -> usize {
     len * std::mem::size_of::<WindowCell>() / 49 + 512
 }
@@ -154,6 +154,18 @@ fn hostile_bytes_are_refused_without_a_panic_or_an_oversized_allocation() {
     let sum = checksum(&forged[at..end - 8]);
     forged[end - 8..end].copy_from_slice(&sum);
     assert_refused(&forged, file, "v2 group claiming 4 G rows");
+
+    // A session count of 2^32, eight bytes on disk, is more than a row's
+    // `u32` holds: the first row's, after the group's 17 bytes a row of
+    // key, relationship and flag columns.
+    for count in [0, 1] {
+        let mut forged = v2.clone();
+        let n = at + 4 + 17 * group.rows as usize + 8 * count * group.rows as usize;
+        forged[n..n + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        let sum = checksum(&forged[at..end - 8]);
+        forged[end - 8..end].copy_from_slice(&sum);
+        assert_refused(&forged, file, &format!("v2 count column {count} holding 2^32"));
+    }
 
     let footer = index.groups().last().map(|g| g.offset as usize + g.len as usize).unwrap();
     let footer_end = v2.len() - 16 - 8;

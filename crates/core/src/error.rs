@@ -58,6 +58,14 @@ pub enum EdgeperfError {
         /// The ring's window length (ms).
         window_ms: f64,
     },
+    /// A cell would hold more sessions than the `u32` count its row
+    /// keeps: the live ring refuses the record that would take a cell past
+    /// `u32::MAX` (counted under `ingest.reject.cell_overflow`), and a
+    /// summary of more is no row.
+    CellOverflow {
+        /// The sessions the cell would hold.
+        sessions: u64,
+    },
     /// A record's client prefix length was above 32. Counted under
     /// `ingest.reject.invalid_prefix_len` on either wire.
     InvalidPrefixLen {
@@ -115,6 +123,7 @@ impl EdgeperfError {
             EdgeperfError::Json { .. } => "json",
             EdgeperfError::LateRecord { .. } => "late",
             EdgeperfError::WindowOverflow { .. } => "window_overflow",
+            EdgeperfError::CellOverflow { .. } => "cell_overflow",
             EdgeperfError::InvalidPrefixLen { .. } => "invalid_prefix_len",
             EdgeperfError::Frame { .. } => "frame",
             EdgeperfError::Segment { .. } => "segment",
@@ -151,6 +160,9 @@ impl fmt::Display for EdgeperfError {
                     f,
                     "ts_ms {ts_ms} maps past the window-index horizon ({window_ms} ms windows)"
                 )
+            }
+            EdgeperfError::CellOverflow { sessions } => {
+                write!(f, "a cell of {sessions} sessions passes the u32 count a row keeps")
             }
             EdgeperfError::InvalidPrefixLen { len } => {
                 write!(f, "prefix_len: {len} exceeds 32")
@@ -230,6 +242,10 @@ mod tests {
                 "ts_ms 4000000000000000 maps past the window-index horizon (900000 ms windows)",
             ),
             (
+                EdgeperfError::CellOverflow { sessions: 1 << 32 },
+                "a cell of 4294967296 sessions passes the u32 count a row keeps",
+            ),
+            (
                 EdgeperfError::Frame { message: "length prefix 3 below minimum 44".into() },
                 "binary frame: length prefix 3 below minimum 44",
             ),
@@ -263,6 +279,7 @@ mod tests {
             EdgeperfError::WindowOverflow { ts_ms: 0.0, window_ms: 1.0 }.reason(),
             "window_overflow"
         );
+        assert_eq!(EdgeperfError::CellOverflow { sessions: 0 }.reason(), "cell_overflow");
         assert_eq!(EdgeperfError::Frame { message: String::new() }.reason(), "frame");
         assert_eq!(EdgeperfError::ReaderPanic.reason(), "reader_panic");
         assert_eq!(EdgeperfError::Segment { message: String::new() }.reason(), "segment");

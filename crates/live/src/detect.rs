@@ -350,7 +350,7 @@ mod reference {
                 if state.history.len() >= self.retention {
                     state.history.remove(0);
                 }
-                let row = WindowCell::new(window.index, *group, 0, summary);
+                let row = WindowCell::new(window.index, *group, 0, summary).unwrap();
                 state.history.push(row);
                 for metric in METRICS {
                     let m = metric_slot(metric);

@@ -456,8 +456,8 @@ impl From<&WindowCell> for CellLine {
             relationship: c.relationship().label().to_string(),
             longer_path: c.longer_path(),
             more_prepended: c.more_prepended(),
-            n: c.n,
-            n_tested: c.n_tested,
+            n: c.n.into(),
+            n_tested: c.n_tested.into(),
             bytes: c.bytes,
             min_rtt_p50: c.min_rtt_p50,
             min_rtt_var: c.min_rtt_var(),
@@ -470,11 +470,15 @@ impl From<&WindowCell> for CellLine {
 /// What a row's relationship must be.
 const LABELS: &str = "a relationship label: private, public or transit";
 
+/// What a row's session counts must be.
+const COUNTS: &str = "session counts below 2^32";
+
 impl TryFrom<&CellLine> for WindowCell {
     type Error = ProtocolError;
 
     /// The row a line views, bit for bit. A `relationship` other than
-    /// the three labels has no row and is [`ProtocolError::MalformedReply`].
+    /// the three labels, or a count past `u32::MAX`, has no row and is
+    /// [`ProtocolError::MalformedReply`].
     fn try_from(c: &CellLine) -> Result<WindowCell, ProtocolError> {
         let relationship = relationship_from_label(&c.relationship).map_err(|_| {
             ProtocolError::MalformedReply { expected: LABELS, got: c.relationship.clone() }
@@ -497,7 +501,12 @@ impl TryFrom<&CellLine> for WindowCell {
             hdratio_p50: c.hdratio_p50,
             hdratio_var: c.hdratio_var,
         };
-        Ok(WindowCell::new(c.window, group, c.rank, &summary))
+        WindowCell::new(c.window, group, c.rank, &summary).map_err(|_| {
+            ProtocolError::MalformedReply {
+                expected: COUNTS,
+                got: format!("{} of {}", c.n_tested, c.n),
+            }
+        })
     }
 }
 
@@ -658,8 +667,8 @@ pub(crate) fn write_row(out: &mut impl io::Write, row: &WindowCell) -> io::Resul
         row.relationship().label(),
         row.longer_path(),
         row.more_prepended(),
-        Num(row.n as f64),
-        Num(row.n_tested as f64),
+        Num(row.n.into()),
+        Num(row.n_tested.into()),
         Num(row.bytes as f64),
         Num(row.min_rtt_p50),
         opt(row.min_rtt_var()),
@@ -674,7 +683,8 @@ const ROW_SHAPE: &str = "a cell row: {\"window\":N,…,\"hdratio_var\":X}";
 /// exactly the lines `write_row` writes — the 17 fields in wire order,
 /// each spelled as the writer spells it, a prefix length of at most 32
 /// and one of the three relationship labels — and returns the row they
-/// came from, every `f64` to the bit. Anything else is
+/// came from, every `f64` to the bit. Anything else — a count past
+/// `u32::MAX` included — is
 /// [`ProtocolError::MalformedReply`], never a panic.
 pub(crate) fn read_row(line: &str) -> Result<WindowCell, ProtocolError> {
     parse_row(line)
@@ -707,7 +717,7 @@ fn parse_row(line: &str) -> Option<WindowCell> {
         hdratio_p50: optional(rest, ",\"hdratio_p50\":")?,
         hdratio_var: optional(rest, ",\"hdratio_var\":")?,
     };
-    let row = WindowCell::new(window, group, rank, &summary);
+    let row = WindowCell::new(window, group, rank, &summary).ok()?;
     let mut unwritten = Unwritten(line.as_bytes());
     (write_row(&mut unwritten, &row).is_ok() && unwritten.0.is_empty()).then_some(row)
 }
@@ -1154,6 +1164,51 @@ mod tests {
     }
 
     /// A `u64` at each edge of the `f64` rule it is written through.
+    /// A session count a row holds: its edges, and anything between.
+    fn sessions(class: u8, bits: u64) -> usize {
+        let n = match class % 4 {
+            0 => 0,
+            1 => u32::MAX,
+            2 => u32::MAX - 1,
+            _ => u32::try_from(bits >> 32).expect("32 bits"),
+        };
+        usize::try_from(n).expect("64-bit usize")
+    }
+
+    /// A session count past a row's `u32` is no row, through either
+    /// reader: `read_row` on the bytes, `TryFrom` on the client's view.
+    #[test]
+    fn a_count_past_u32_is_a_malformed_row() {
+        use edgeperf_routing::{PopId, Prefix, Relationship};
+        let group =
+            GroupKey { pop: PopId(7), prefix: Prefix::new(10 << 24, 8), country: 3, continent: 1 };
+        let summary = CellSummary {
+            relationship: Relationship::Transit,
+            longer_path: false,
+            more_prepended: false,
+            n: u32::MAX as usize,
+            n_tested: 5,
+            bytes: 1,
+            min_rtt_p50: 20.0,
+            min_rtt_var: None,
+            hdratio_p50: None,
+            hdratio_var: None,
+        };
+        let row = WindowCell::new(3, group, 0, &summary).expect("u32::MAX is a count");
+        let written = written(&row);
+        assert_eq!(read_row(&written).map(|r| r.n), Ok(u32::MAX));
+        let past = written.replace("\"n\":4294967295,", "\"n\":4294967296,");
+        assert_ne!(past, written);
+        assert!(matches!(read_row(&past), Err(ProtocolError::MalformedReply { .. })), "{past}");
+        for line in [
+            CellLine { n: 1 << 32, ..CellLine::from(&row) },
+            CellLine { n_tested: 1 << 32, ..CellLine::from(&row) },
+        ] {
+            let err = WindowCell::try_from(&line).expect_err("past u32");
+            assert!(matches!(err, ProtocolError::MalformedReply { .. }), "{err:?}");
+        }
+    }
+
     fn count(class: u8, bits: u64) -> u64 {
         match class % 8 {
             0 => 0,
@@ -1238,15 +1293,15 @@ mod tests {
                 ][usize::from(relationship)],
                 longer_path,
                 more_prepended,
-                n: usize::try_from(count(classes.0, raw.0)).expect("64-bit usize"),
-                n_tested: usize::try_from(count(classes.1, raw.1)).expect("64-bit usize"),
+                n: sessions(classes.0, raw.0),
+                n_tested: sessions(classes.1, raw.1),
                 bytes: count(classes.2, raw.2),
                 min_rtt_p50: float(classes.3, raw.3),
                 min_rtt_var: (present & 1 != 0).then(|| float(classes.4, raw.4)),
                 hdratio_p50: (present & 2 != 0).then(|| float(classes.5, raw.5)),
                 hdratio_var: (present & 4 != 0).then(|| float(classes.6, raw.6)),
             };
-            let row = WindowCell::new(window, group, rank, &summary);
+            let row = WindowCell::new(window, group, rank, &summary).expect("u32 counts");
             let line = CellLine::from(&row);
             let written = written(&row);
             prop_assert_eq!(&written, &serde_json::to_string(&line).expect("serializes"));
@@ -1326,15 +1381,16 @@ mod tests {
                 ][usize::from(flags % 3)],
                 longer_path: flags & 4 != 0,
                 more_prepended: flags & 8 != 0,
-                n: usize::try_from(count(classes.0, raw.0)).expect("64-bit usize"),
-                n_tested: usize::try_from(raw.0 >> (flags & 63)).expect("64-bit usize"),
+                n: sessions(classes.0, raw.0),
+                n_tested: sessions(flags, raw.0 >> (flags & 31)),
                 bytes: count(classes.1, raw.1),
                 min_rtt_p50: float(classes.2, raw.2),
                 min_rtt_var: (flags & 16 != 0).then(|| float(classes.1, raw.1)),
                 hdratio_p50: (flags & 32 != 0).then(|| float(classes.0, raw.2)),
                 hdratio_var: (flags & 64 != 0).then(|| float(classes.2, raw.0)),
             };
-            let valid = written(&WindowCell::new(window, group, flags >> 4, &summary));
+            let row = WindowCell::new(window, group, flags >> 4, &summary).expect("u32 counts");
+            let valid = written(&row);
             for cut in 0..=valid.len() {
                 only_its_own_writing(&valid[..cut]);
             }

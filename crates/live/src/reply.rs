@@ -1,7 +1,7 @@
 //! A `cells` reply, merged and written from rows that stay where they
 //! are.
 //!
-//! A closed cell is one 72-byte [`WindowCell`] from its window's close to
+//! A closed cell is one 64-byte [`WindowCell`] from its window's close to
 //! the reply. A worker keeps each closed window as one shared immutable
 //! slice ([`SharedWindow`]) already in canonical (window, group, rank)
 //! order, and the tiered store answers with one run cursor an overlapping

@@ -124,8 +124,12 @@ const MANIFEST_VERSION: u64 = 1;
 const MANIFEST_FILE: &str = "manifest.json";
 
 /// Flatten one closed cell into its storage-neutral segment row.
+///
+/// # Panics
+/// Panics on a summary of more sessions than a row counts, which no
+/// [`crate::WindowRing`] closes.
 pub fn window_cell(window: u32, key: &CellKey, s: &CellSummary) -> WindowCell {
-    WindowCell::new(window, key.0, key.1, s)
+    WindowCell::new(window, key.0, key.1, s).unwrap_or_else(|e| panic!("{key:?}: {e}"))
 }
 
 /// What [`SegmentStore::query`] answers: a run cursor an overlapping
@@ -986,7 +990,7 @@ mod tests {
         (
             cell_sort_key(c),
             (c.relationship(), c.longer_path(), c.more_prepended()),
-            (c.n, c.n_tested, c.bytes),
+            (c.n.into(), c.n_tested.into(), c.bytes),
             c.min_rtt_p50.to_bits(),
             [c.min_rtt_var(), c.hdratio_p50(), c.hdratio_var()].map(|v| v.map(f64::to_bits)),
         )

@@ -20,7 +20,7 @@
 //! summarises and drops its cells one at a time: a summary's Price–Bonett
 //! tails sum only their terms `exp` does not round to zero.
 //!
-//! [`ClosedWindow::share`] then packs a closed window into the 72-byte
+//! [`ClosedWindow::share`] then packs a closed window into the 64-byte
 //! [`WindowCell`] rows everything downstream reads: its worker's detector,
 //! and its worker, which retains, spills and replies from them.
 //!
@@ -32,6 +32,7 @@
 //! typed [`EdgeperfError::LateRecord`] — never silently dropped.
 
 use crate::record::{check_measurements, LiveRecord};
+use crate::store::window_cell;
 pub use edgeperf_analysis::CellSummary;
 use edgeperf_analysis::{cell_sort_key, FxHashMap, GroupKey, StreamingCell, WindowCell};
 use edgeperf_core::EdgeperfError;
@@ -56,12 +57,12 @@ pub type SharedWindow = Arc<[WindowCell]>;
 
 impl ClosedWindow {
     /// The window as its detector and worker keep it, packed once when the
-    /// detector observes it: one allocation of 72-byte rows, sorted where
+    /// detector observes it: one allocation of 64-byte rows, sorted where
     /// it lies. A window's (group, rank) keys are distinct, so an unstable
     /// sort is the canonical order and allocates nothing more.
     pub fn share(&self) -> SharedWindow {
         let mut rows: SharedWindow =
-            self.cells.iter().map(|(k, s)| WindowCell::new(self.index, k.0, k.1, s)).collect();
+            self.cells.iter().map(|(k, s)| window_cell(self.index, k, s)).collect();
         Arc::get_mut(&mut rows).expect("not shared yet").sort_unstable_by_key(cell_sort_key);
         rows
     }
@@ -77,19 +78,18 @@ struct OpenWindow {
 }
 
 impl OpenWindow {
-    fn push(&mut self, r: &LiveRecord) {
+    /// Fold `r` into its cell, unless the cell already counts as many
+    /// sessions as its row can.
+    fn push(&mut self, r: &LiveRecord) -> Result<(), EdgeperfError> {
         let key = (r.group, r.route_rank);
         let slot = *self.index.entry(key).or_insert_with(|| {
             self.cells.push((key, StreamingCell::new(r.relationship)));
             u32::try_from(self.cells.len() - 1).expect("a window holds fewer than 2^32 cells")
         });
-        self.cells[slot as usize].1.push(
-            r.min_rtt_ms,
-            r.hdratio,
-            r.bytes,
-            r.longer_path,
-            r.more_prepended,
-        );
+        let cell = &mut self.cells[slot as usize].1;
+        admit(cell.agg.n())?;
+        cell.push(r.min_rtt_ms, r.hdratio, r.bytes, r.longer_path, r.more_prepended);
+        Ok(())
     }
 
     /// Summarise the cells in insertion order, dropping each cell's
@@ -107,6 +107,17 @@ impl OpenWindow {
             (key, cell.summary())
         }));
         ClosedWindow { index, cells }
+    }
+}
+
+/// Whether a cell of `sessions` takes one more: a closed cell's row counts
+/// its sessions in a `u32`, so the record that would take a cell past
+/// `u32::MAX` is refused as [`EdgeperfError::CellOverflow`] rather than
+/// counted short.
+fn admit(sessions: usize) -> Result<(), EdgeperfError> {
+    match u32::try_from(sessions) {
+        Ok(n) if n < u32::MAX => Ok(()),
+        _ => Err(EdgeperfError::CellOverflow { sessions: sessions as u64 + 1 }),
     }
 }
 
@@ -151,7 +162,9 @@ impl WindowRing {
     /// an already-closed window — are rejected as
     /// [`EdgeperfError::LateRecord`]; a bad timestamp or measurement (the
     /// frame decoder's rule: a non-finite or negative MinRTT, a non-finite
-    /// HDratio) is rejected before it touches a cell or the watermark.
+    /// HDratio) is rejected before it touches a cell or the watermark, and
+    /// so is one its cell has no room to count
+    /// ([`EdgeperfError::CellOverflow`]: a cell holds at most `u32::MAX`).
     pub fn push(&mut self, r: &LiveRecord) -> Result<Vec<ClosedWindow>, EdgeperfError> {
         if !r.ts_ms.is_finite() {
             return Err(EdgeperfError::NonFinite { field: "ts_ms".to_string(), value: r.ts_ms });
@@ -181,7 +194,7 @@ impl WindowRing {
                 watermark_ms: self.watermark_ms(),
             });
         }
-        self.open.entry(index).or_default().push(r);
+        self.open.entry(index).or_default().push(r)?;
         if r.ts_ms > self.max_ts_ms {
             self.max_ts_ms = r.ts_ms;
             return Ok(self.advance());
@@ -341,6 +354,22 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             // `{:?}` of an f64 round-trips it, so equal text is equal bits.
             assert_eq!(format!("{g:?}"), format!("{w:?}"));
+        }
+    }
+
+    /// A closed cell's row counts its sessions in a `u32`: a cell takes
+    /// records up to `u32::MAX` and refuses the next as a typed reject,
+    /// never a count that wraps or saturates. (`push` asks this of every
+    /// record; 2³² records a cell are out of a test's reach.)
+    #[test]
+    fn a_cell_takes_u32_max_sessions_and_refuses_the_next() {
+        let full = u32::MAX as usize;
+        assert_eq!(admit(0), Ok(()));
+        assert_eq!(admit(full - 1), Ok(()));
+        for sessions in [full, full + 1, usize::MAX / 2] {
+            let err = admit(sessions).unwrap_err();
+            assert_eq!(err, EdgeperfError::CellOverflow { sessions: sessions as u64 + 1 });
+            assert_eq!(err.reason(), "cell_overflow");
         }
     }
 

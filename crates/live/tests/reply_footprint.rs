@@ -1,6 +1,6 @@
 //! Footprint gate for `cells` replies: a reply is merged and written from
 //! the windows the workers share and the store's segments, not built or
-//! sorted. A retained window of 8,192 cells is one allocation of 72 B a
+//! sorted. A retained window of 8,192 cells is one allocation of 64 B a
 //! cell. Merging and writing the `recent_4w` read at the wide shape —
 //! 32,768 rows from four such windows, 10.6 MB on the wire — peaks below
 //! 256 KiB of live heap (one 64 KiB buffer and a heap of one head a
@@ -11,7 +11,7 @@
 //! in as many
 //! requests as a 256-row answer from the same four segments makes. A sort
 //! index (24 B a row, 786 KB here), the store's matches collected in one
-//! vector (72 B a row, 2.36 MB), a `Vec<CellLine>` (a `String` a row), a
+//! vector (64 B a row, 2.1 MB), a `Vec<CellLine>` (a `String` a row), a
 //! `Value` tree a row or the reply as one `String` fails here. Heap is
 //! counted exactly by the counting global allocator the analysis crate's
 //! footprint test uses, hence one `#[test]`.
@@ -94,7 +94,7 @@ fn a_reply_holds_a_buffer_and_a_head_a_window_not_its_rows() {
             let closed = closed(w, 8_192);
             let (shared, heap) = heap_of(|| closed.share());
             let arc_counts = 2 * std::mem::size_of::<usize>();
-            assert_eq!(heap, 72 * 8_192 + arc_counts, "a retained window is 72 B a cell");
+            assert_eq!(heap, 64 * 8_192 + arc_counts, "a retained window is 64 B a cell");
             shared
         })
         .collect();

@@ -1,6 +1,6 @@
 //! Footprint gate for the tiered store: a historical query and a
 //! compaction hold row groups, not segments. On eight 25,000-row
-//! segments (1.6 MB each on disk, 1.8 MB decoded at 72 B a row) a point
+//! segments (1.6 MB each on disk, 1.6 MB decoded at 64 B a row) a point
 //! query over every window holds room for a row group's matches and for
 //! the matches it keeps a segment, and one pair of read buffers, and
 //! peaks below 1 MB of live heap; a merge of all

@@ -22,7 +22,7 @@ use std::path::Path;
 
 /// The most a reader may ask the allocator for at once, given a file of
 /// `len` bytes: a copy of it, or what its records decode to in memory (a
-/// row of 49 bytes or more in a segment is 72 there), and an error
+/// row of 49 bytes or more in a segment is 64 there), and an error
 /// message.
 fn allowance(len: usize) -> usize {
     2 * len + 1024

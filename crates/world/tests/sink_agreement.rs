@@ -311,7 +311,7 @@ fn comparing_summaries_loses_nothing_against_sorted_samples() {
     let (mut valid, mut invalid) = ([0usize; 3], 0usize);
     let group = GroupKey { pop: PopId(0), prefix: Prefix::new(0, 16), country: 0, continent: 0 };
     let mut check = |a: &Aggregation, b: &Aggregation| {
-        let row = |c: &Aggregation| WindowCell::new(0, group, 0, &c.summary());
+        let row = |c: &Aggregation| WindowCell::new(0, group, 0, &c.summary()).unwrap();
         let (sa, sb) = (row(a), row(b));
         let cases = [
             (&cfg, DegradationMetric::MinRtt, &a.min_rtt_ms, &b.min_rtt_ms, 10.0),

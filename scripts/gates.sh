@@ -12,9 +12,10 @@
 # replays through real `edgeperf` processes on loopback ports 4620-4631,
 # which leave their reports under replay-reports/. Repro gates
 # (repro_results, repro_streaming, study_resume): `repro all` must rewrite
-# results/ and print the stdout kept there byte for byte within 24 MiB
+# results/ and print the stdout kept there byte for byte within 20 MiB
 # resident, its streaming job every study file but fig7.json, the same
-# bytes twice, and a study killed mid-run must resume from its checkpoint
+# bytes twice, and within 17 MiB at full scale, and a study killed mid-run
+# must resume from its checkpoint
 # to an uninterrupted run's fig6.json; they work in a temp dir they
 # remove. Replay and repro gates need the release binaries
 # (`cargo build --release -p edgeperf -p edgeperf-bench`). No downloads
@@ -389,33 +390,42 @@ repro_tree() {
     wait "$pid" || { tail -n 5 "$dir/stderr" >&2; return 1; }
 }
 
+# peaked_within DIR WHAT MIB: print the peak repro_tree recorded in DIR,
+# and fail when it is above MIB MiB.
+peaked_within() {
+    local hwm
+    hwm=$(cat "$1/vmhwm_kb" 2> /dev/null || echo 0)
+    echo "$2 peaked at $((hwm / 1024)) MiB resident (VmHWM $hwm kB)"
+    if [ "$hwm" -gt $(($3 * 1024)) ]; then
+        echo "$2 peaked above $3 MiB" >&2
+        return 1
+    fi
+}
+
 # The checked-in results/ are compared, not just regenerated: the exact
 # job at the default seed and full scale (~15 s; `--scale 1` overrides an
 # ambient EDGEPERF_SCALE) must rewrite every JSON file of results/ byte
 # for byte, and print results/repro_all.stdout byte for byte — what a
 # reader sees, whatever order the experiments ran in. The exact sink keeps
-# a summary a cell, an HDratio tally and, for the preferred route only,
-# each cell's MinRTTs sorted as Rice-coded gaps (~2.2 B a row) in one
-# study-wide buffer; its workers close each cell when its window ends, so
-# a prefix's raw rows never reach the merge; Figure 6 reads its ranks in
-# three walks with a few 32 KiB histograms; and Figures 1-5 run before
-# the study. So the job must also peak at no more than 24 MiB resident
-# (it reads ~21.1; with each prefix's raw rows held until the merge it
-# read 24.4-24.7, with a 4 B MinRTT row ~32, and with a 6 B
+# a summary a cell (a 64-byte row), an HDratio tally and, for the
+# preferred route only, each cell's MinRTTs sorted as Rice-coded gaps
+# (~2.2 B a row) in one study-wide buffer, indexed by 8 B a kept cell; its
+# workers close each cell when its window ends, so a prefix's raw rows
+# never reach the merge; Figure 6 reads its ranks in three walks with a
+# few 32 KiB histograms; and Figures 1-5 run before the study. So the job
+# must also peak at no more than 20 MiB resident (it reads ~18.8; with a
+# 24 B key and a u32 end a kept cell, in vectors grown by doubling, and
+# 72-byte rows it read 20.9-21.1, with each prefix's raw rows held until
+# the merge 24.4-24.7, with a 4 B MinRTT row ~32, and with a 6 B
 # HDratio-and-MinRTT row, Figures 1-3 run on top of the freed rows, ~43).
 repro_results() {
     built || return 1
-    local out status hwm
+    local out status
     out=$(mktemp -d) || return 1
     repro_tree "$out" --scale 1 && diff -r -x repro_all.stdout "$out/tree" results &&
         cmp "$out/stdout" results/repro_all.stdout
     status=$?
-    hwm=$(cat "$out/vmhwm_kb" 2> /dev/null || echo 0)
-    echo "repro all --scale 1 peaked at $((hwm / 1024)) MiB resident (VmHWM $hwm kB)"
-    if [ "$status" = 0 ] && [ "$hwm" -gt $((24 * 1024)) ]; then
-        echo "repro all --scale 1 peaked above 24 MiB" >&2
-        status=1
-    fi
+    peaked_within "$out" "repro all --scale 1" 20 || status=1
     rm -rf "$out"
     return "$status"
 }
@@ -426,7 +436,10 @@ repro_results() {
 # MinRTT x HDratio distribution, which no cell holds). The sink seals
 # each prefix under its index, so a second run must write the same bytes,
 # fig6.json included (its digest merge order used to follow the
-# scheduler).
+# scheduler). At full scale the job holds the grid (a 64-byte row a cell)
+# and one rollup digest a group, and its peak is bounded like the exact
+# job's: no more than 17 MiB resident (it reads ~15.9; with 72-byte rows
+# 16.6). The benchmark's offline memory is the larger of the two jobs.
 repro_streaming() {
     built || return 1
     local out status f
@@ -434,6 +447,8 @@ repro_streaming() {
     repro_tree "$out/a" --streaming --scale 0.1 && repro_tree "$out/b" --streaming --scale 0.1 &&
         diff -r "$out/a/tree" "$out/b/tree"
     status=$?
+    repro_tree "$out/full" --streaming --scale 1 || status=1
+    peaked_within "$out/full" "repro all --streaming --scale 1" 17 || status=1
     for f in fig6 fig8 fig9 fig10 table1 table2; do
         test -f "$out/a/tree/$f.json" || { echo "streaming repro wrote no $f.json" >&2; status=1; }
     done
