@@ -6,12 +6,11 @@
 //! HDratio tally.
 //!
 //! ```text
-//! "EPSH" | version = 2 | form: u8 | segment: u32 | kept: u32
+//! "EPSH" | version = 2 | form = 0 | segment: u32 | kept: u32
 //!        | continents: u16 | entries: u32                       20 bytes
 //! segment   the rows in closing order: `encode_segment`'s image
-//! kept      u64 words: form 0, the Rice-coded stream of whole
-//!           nanoseconds; form 1, each preferred row's `n` MinRTTs'
-//!           `f64` bits, sorted
+//! kept      u64 words: the Rice-coded stream of the preferred rows'
+//!           MinRTTs, whole nanoseconds, each row's `n` sorted
 //! continent tested: u64 | zero: u64 | below_one: u64             24 bytes
 //! entry     bucket: u8 | HDratio bits: u64 | sessions: u64       17 bytes
 //! FxHash of everything above: u64
@@ -32,24 +31,28 @@
 //! its words checks; and the tally must agree with the rows — a
 //! continent's tested sessions are its preferred rows' — and with itself.
 //! An image of another version, version 1's raw rows included, is refused
-//! (`unsupported shard version 1`), not migrated: a checkpoint is one
-//! study's transient. Problems are the typed [`EdgeperfError::Segment`] —
+//! (`unsupported shard version 1`), and so is one of another kept form —
+//! form 1, the `f64`s of MinRTTs that were not whole nanoseconds, included
+//! (`unknown kept form 1`) — not migrated: a checkpoint is one study's
+//! transient. Problems are the typed [`EdgeperfError::Segment`] —
 //! the checksum is `segment.rs`'s.
 
-use crate::columnar::{BitWriter, ColumnarShard, ColumnarSink, Kept, HEAD_BITS, K_BITS};
+use crate::columnar::{BitWriter, ColumnarShard, ColumnarSink, HEAD_BITS, K_BITS};
 use crate::figures::{HdratioCounts, HdratioTally, HDRATIO_BELOW_ONE};
 use crate::segment::{
     checked_body, checksum, corrupt, decode_segment, encode_segment, Reader, WindowCell,
 };
 use crate::sink::RecordSink;
 use edgeperf_core::EdgeperfError;
-use std::borrow::Cow;
 
 /// Magic bytes opening every encoded shard.
 pub(crate) const SHARD_MAGIC: [u8; 4] = *b"EPSH";
 
 /// Current shard format version.
 pub(crate) const SHARD_VERSION: u8 = 2;
+
+/// The one kept form: whole nanoseconds, Rice-coded.
+const KEPT_FORM: u8 = 0;
 
 /// Magic, version, form and the four counts.
 const HEADER_LEN: usize = SHARD_MAGIC.len() + 1 + 1 + 4 + 4 + 2 + 4;
@@ -60,15 +63,9 @@ const CONTINENT_BYTES: usize = 24;
 /// A tally entry: bucket, HDratio bits, sessions.
 const ENTRY_BYTES: usize = 1 + 8 + 8;
 
-/// The image of `rows`, a kept stream of `form` and `tally` (see the
-/// module docs), appended to `out`.
-fn write_image(
-    out: &mut Vec<u8>,
-    rows: &[WindowCell],
-    form: u8,
-    kept: &[u64],
-    tally: &HdratioTally,
-) {
+/// The image of `rows`, a kept stream and `tally` (see the module docs),
+/// appended to `out`.
+fn write_image(out: &mut Vec<u8>, rows: &[WindowCell], kept: &[u64], tally: &HdratioTally) {
     let start = out.len();
     let count = |n: usize| u32::try_from(n).expect("a shard's counts fit u32").to_le_bytes();
     let segment = encode_segment(rows);
@@ -82,7 +79,7 @@ fn write_image(
     let parts = [segment.len(), 8 * kept.len(), CONTINENT_BYTES * tally.by_continent.len()];
     out.reserve(HEADER_LEN + parts.iter().sum::<usize>() + ENTRY_BYTES * entries.len() + 8);
     out.extend_from_slice(&SHARD_MAGIC);
-    out.extend_from_slice(&[SHARD_VERSION, form]);
+    out.extend_from_slice(&[SHARD_VERSION, KEPT_FORM]);
     out.extend_from_slice(&count(segment.len()));
     out.extend_from_slice(&count(kept.len()));
     let continents = u16::try_from(tally.by_continent.len()).expect("a continent is a u8");
@@ -112,11 +109,7 @@ impl ColumnarShard {
     /// Panics when a window is still open.
     pub fn encode(&self, out: &mut Vec<u8>) {
         assert!(self.is_sealed(), "a shard is encoded sealed");
-        let (form, kept) = match &self.kept {
-            Kept::Nanos(writer) => (0, Cow::Borrowed(&writer.words[..])),
-            Kept::Plain(values) => (1, Cow::Owned(values.iter().map(|v| v.to_bits()).collect())),
-        };
-        write_image(out, &self.rows, form, &kept, &self.tally);
+        write_image(out, &self.rows, &self.kept.words, &self.tally);
     }
 }
 
@@ -130,9 +123,9 @@ fn field(words: &[u64], pos: usize, width: usize) -> Option<u64> {
     Some((words[i] >> bit | high) & ((1 << width) - 1))
 }
 
-/// Walk a whole-nanosecond stream ([`Kept::Nanos`]) of cells of `counts`
-/// rows without reading past its words: the bit its last code ends at, or
-/// why it is not that stream.
+/// Walk a kept stream ([`BitWriter`]) of cells of `counts` rows without
+/// reading past its words: the bit its last code ends at, or why it is not
+/// that stream.
 fn stream_end(words: &[u64], counts: impl Iterator<Item = u64>) -> Result<usize, EdgeperfError> {
     let mut unary = 0;
     for (cell, n) in counts.enumerate() {
@@ -184,7 +177,7 @@ impl ColumnarSink {
             return Err(corrupt(format!("unsupported shard version {version}")));
         }
         let form = r.u8()?;
-        if form > 1 {
+        if form != KEPT_FORM {
             return Err(corrupt(format!("unknown kept form {form}")));
         }
         let (segment, words) = (r.u32()? as usize, r.u32()? as usize);
@@ -243,25 +236,8 @@ impl ColumnarSink {
         for _ in 0..words {
             kept.push(r.u64()?);
         }
-        shard.kept = if form == 0 {
-            let pos = stream_end(&kept, kept_counts.iter().copied())?;
-            Kept::Nanos(BitWriter { words: kept, pos })
-        } else {
-            if kept.len() as u64 != kept_rows {
-                return Err(corrupt(format!("{words} values for {kept_rows} preferred sessions")));
-            }
-            let values: Vec<f64> = kept.into_iter().map(f64::from_bits).collect();
-            let mut rest = &values[..];
-            for (cell, &n) in kept_counts.iter().enumerate() {
-                let (this, after) = rest.split_at(n as usize);
-                let sorted = this.windows(2).all(|pair| pair[0].total_cmp(&pair[1]).is_le());
-                if !sorted || this.iter().any(|v| v.is_nan()) {
-                    return Err(corrupt(format!("preferred row {cell}'s values are not sorted")));
-                }
-                rest = after;
-            }
-            Kept::Plain(values)
-        };
+        let pos = stream_end(&kept, kept_counts.iter().copied())?;
+        shard.kept = BitWriter { words: kept, pos };
         shard.tally = read_tally(&mut r, continents, entries, &tested_by_continent)?;
         shard.base = rows.len() as u32;
         shard.rows = rows;
@@ -323,16 +299,10 @@ mod tests {
     use crate::sink::RecordShard;
 
     /// 13 prefixes × 4 windows = 52 cells, half of them preferred; a third
-    /// of the rows untested; sealed. Its MinRTTs are whole nanoseconds when
-    /// `nanos`, as a study's are, else arbitrary `f64`s.
-    fn shard_of(sink: &ColumnarSink, n: usize, nanos: bool) -> ColumnarShard {
+    /// of the rows untested; sealed.
+    fn shard_of(sink: &ColumnarSink, n: usize) -> ColumnarShard {
         let mut shard = sink.new_shard();
-        for mut r in synthetic(n) {
-            if nanos {
-                r.min_rtt_ms = (r.min_rtt_ms * 1e6).round() / 1e6;
-            }
-            shard.push(r);
-        }
+        synthetic(n).into_iter().for_each(|r| shard.push(r));
         shard.seal(0);
         shard
     }
@@ -354,44 +324,36 @@ mod tests {
     #[test]
     fn a_shard_round_trips_to_the_same_rows_and_summaries() {
         let sink = || ColumnarSink::new(4);
-        for nanos in [true, false] {
-            let shard = shard_of(&sink(), 1_500, nanos);
-            let image = encoded(&shard);
-            let words = match &shard.kept {
-                Kept::Nanos(writer) if nanos => writer.words.len(),
-                Kept::Plain(values) if !nanos => values.len(),
-                _ => panic!("the form the values call for"),
-            };
-            let (rows, continents) = (shard.rows.len(), shard.tally.by_continent.len());
-            let entries = shard.tally.distinct_hdratios();
-            assert_eq!(
-                image.len(),
-                HEADER_LEN
-                    + encode_segment(&shard.rows).len()
-                    + 8 * words
-                    + CONTINENT_BYTES * continents
-                    + ENTRY_BYTES * entries
-                    + 8
-            );
-            assert_eq!((rows, continents), (52, 5));
-            let decoded = sink().decode_shard(&image).expect("decodes");
-            assert_eq!(decoded.sample_count(), 1_500);
-            assert_eq!(decoded.tally, shard.tally);
-            assert_eq!(bits(sink(), decoded), bits(sink(), shard_of(&sink(), 1_500, nanos)));
+        let shard = shard_of(&sink(), 1_500);
+        let image = encoded(&shard);
+        let (rows, continents) = (shard.rows.len(), shard.tally.by_continent.len());
+        let entries = shard.tally.distinct_hdratios();
+        assert_eq!(
+            image.len(),
+            HEADER_LEN
+                + encode_segment(&shard.rows).len()
+                + 8 * shard.kept.words.len()
+                + CONTINENT_BYTES * continents
+                + ENTRY_BYTES * entries
+                + 8
+        );
+        assert_eq!((rows, continents), (52, 5));
+        let decoded = sink().decode_shard(&image).expect("decodes");
+        assert_eq!(decoded.sample_count(), 1_500);
+        assert_eq!(decoded.tally, shard.tally);
+        assert_eq!(bits(sink(), decoded), bits(sink(), shard_of(&sink(), 1_500)));
 
-            // A decoded shard is a working shard: pushed new cells and
-            // encoded again, it is the bytes of the shard that was pushed
-            // to all along.
-            let mut resumed = sink().decode_shard(&image).unwrap();
-            let mut whole = shard_of(&sink(), 1_500, nanos);
-            for shard in [&mut resumed, &mut whole] {
-                shard.push(rec(40, 0, 1, 7.25, Some(0.5)));
-                shard.push(rec(41, 3, 0, 41.5, None));
-                shard.push(rec(41, 3, 0, 40.5, Some(1.0)));
-                shard.seal(1);
-            }
-            assert_eq!(encoded(&resumed), encoded(&whole));
+        // A decoded shard is a working shard: pushed new cells and encoded
+        // again, it is the bytes of the shard that was pushed to all along.
+        let mut resumed = sink().decode_shard(&image).unwrap();
+        let mut whole = shard_of(&sink(), 1_500);
+        for shard in [&mut resumed, &mut whole] {
+            shard.push(rec(40, 0, 1, 7_250_000, Some(0.5)));
+            shard.push(rec(41, 3, 0, 41_500_000, None));
+            shard.push(rec(41, 3, 0, 40_500_000, Some(1.0)));
+            shard.seal(1);
         }
+        assert_eq!(encoded(&resumed), encoded(&whole));
 
         let mut empty = sink().new_shard();
         empty.seal(0);
@@ -404,14 +366,38 @@ mod tests {
     #[should_panic(expected = "a shard is encoded sealed")]
     fn an_open_window_is_not_encoded() {
         let mut shard = ColumnarSink::new(4).new_shard();
-        shard.push(rec(1, 0, 0, 30.0, None));
+        shard.push(rec(1, 0, 0, 30_000_000, None));
         shard.encode(&mut Vec::new());
+    }
+
+    /// `image` with its checksum made anew over its body.
+    fn resummed(mut image: Vec<u8>) -> Vec<u8> {
+        let body = image.len() - 8;
+        let sum = checksum(&image[..body]).to_le_bytes();
+        image[body..].copy_from_slice(&sum);
+        image
+    }
+
+    #[test]
+    fn a_form_1_image_is_refused_as_corruption() {
+        // Form 1 held each preferred row's MinRTTs as sorted `f64` bits: a
+        // whole, checksummed image of it, as an encoder of that form wrote.
+        let sink = ColumnarSink::new(4);
+        let shard = shard_of(&sink, 600);
+        let plain: Vec<u64> = sink.rows_of(&shard).iter().map(|v| v.to_bits()).collect();
+        let mut image = Vec::new();
+        write_image(&mut image, &shard.rows, &plain, &shard.tally);
+        image[5] = 1;
+        let err = sink.decode_shard(&resummed(image)).expect_err("form 1 is no form");
+        assert!(
+            matches!(&err, EdgeperfError::Segment { message } if message == "unknown kept form 1")
+        );
     }
 
     #[test]
     fn what_the_checksum_cannot_stop_the_arithmetic_and_the_bounds_do() {
         let sink = ColumnarSink::new(4);
-        let shard = shard_of(&sink, 600, true);
+        let shard = shard_of(&sink, 600);
         let image = encoded(&shard);
         let refused = |bad: &[u8], want: &str| {
             let err = sink.decode_shard(bad).expect_err(want);
@@ -421,10 +407,7 @@ mod tests {
         let forged = |at: usize, bytes: &[u8], want: &str| {
             let mut bad = image.clone();
             bad[at..at + bytes.len()].copy_from_slice(bytes);
-            let body = bad.len() - 8;
-            let sum = checksum(&bad[..body]).to_le_bytes();
-            bad[body..].copy_from_slice(&sum);
-            refused(&bad, want);
+            refused(&resummed(bad), want);
         };
         forged(0, b"EPSG", "bad magic");
         forged(4, &[1], "unsupported shard version 1");
@@ -435,22 +418,21 @@ mod tests {
             forged(at, &0u32.to_le_bytes(), "cannot be");
         }
         forged(14, &u16::MAX.to_le_bytes(), "cannot be");
-        forged(5, &[1], "values for");
+        forged(5, &[1], "unknown kept form 1");
 
         // What a consistent image can still get wrong: images of forged
         // parts, each whole and checksummed.
-        let Kept::Nanos(writer) = &shard.kept else { panic!("whole nanoseconds") };
-        let image_of = |rows: &[WindowCell], form: u8, kept: &[u64], tally: &HdratioTally| {
+        let image_of = |rows: &[WindowCell], kept: &[u64], tally: &HdratioTally| {
             let mut image = Vec::new();
-            write_image(&mut image, rows, form, kept, tally);
+            write_image(&mut image, rows, kept, tally);
             image
         };
-        let (rows, words, tally) = (&shard.rows[..], &writer.words[..], &shard.tally);
-        assert!(sink.decode_shard(&image_of(rows, 0, words, tally)).is_ok());
+        let (rows, words, tally) = (&shard.rows[..], &shard.kept.words[..], &shard.tally);
+        assert!(sink.decode_shard(&image_of(rows, words, tally)).is_ok());
         let with_row = |i: usize, edit: &dyn Fn(&mut WindowCell)| {
             let mut rows = rows.to_vec();
             edit(&mut rows[i]);
-            image_of(&rows, 0, words, tally)
+            image_of(&rows, words, tally)
         };
         refused(&with_row(1, &|r| r.window = 4), "row 1 at rank 0 window 4 is outside the sink");
         refused(&with_row(1, &|r| r.rank = 8), "row 1 at rank 8");
@@ -460,21 +442,13 @@ mod tests {
         // A preferred row one session longer or shorter than the stream.
         refused(&with_row(0, &|r| r.n += 1), "the stream");
         refused(&with_row(0, &|r| r.n -= 1), "the stream");
-        refused(&image_of(rows, 0, &[words, &[0]].concat(), tally), "words hold a");
-        refused(&image_of(rows, 0, &words[..words.len() - 1], tally), "overrun the stream");
-        let plain: Vec<u64> = sink.rows_of(&shard).iter().map(|v| v.to_bits()).collect();
-        assert!(sink.decode_shard(&image_of(rows, 1, &plain, tally)).is_ok());
-        let mut unsorted = plain.clone();
-        unsorted.swap(0, 1);
-        refused(&image_of(rows, 1, &unsorted, tally), "preferred row 0's values are not sorted");
-        let mut nan = plain.clone();
-        nan[0] = f64::NAN.to_bits();
-        refused(&image_of(rows, 1, &nan, tally), "are not sorted");
+        refused(&image_of(rows, &[words, &[0]].concat(), tally), "words hold a");
+        refused(&image_of(rows, &words[..words.len() - 1], tally), "overrun the stream");
 
         let with_tally = |edit: &dyn Fn(&mut HdratioTally)| {
             let mut tally = tally.clone();
             edit(&mut tally);
-            image_of(rows, 0, words, &tally)
+            image_of(rows, words, &tally)
         };
         refused(&with_tally(&|t| t.by_continent[1].zero += 10_000), "point masses exceed");
         refused(&with_tally(&|t| t.by_continent[1].tested += 1), "disagree with the rows");
@@ -493,13 +467,11 @@ mod tests {
         );
         // The entries as bytes, edited, the checksum made anew.
         let with_entries = |edit: &dyn Fn(&mut [u8])| {
-            let mut image = image_of(rows, 0, words, tally);
+            let mut image = image_of(rows, words, tally);
             let (at, body) =
                 (image.len() - 8 - ENTRY_BYTES * tally.distinct_hdratios(), image.len() - 8);
             edit(&mut image[at..body]);
-            let sum = checksum(&image[..body]).to_le_bytes();
-            image[body..].copy_from_slice(&sum);
-            image
+            resummed(image)
         };
         // The last entry in a fifth bucket, which keeps the order.
         let last = ENTRY_BYTES * (tally.distinct_hdratios() - 1);

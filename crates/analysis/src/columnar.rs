@@ -2,13 +2,13 @@
 //!
 //! A [`ColumnarShard`] aggregates *during* the parallel pass, a window at
 //! a time. Every session of the open window appends one row to three
-//! aligned columns — a `u32` cell index, its MinRTT and its HDratio (NaN
-//! when the session tested nothing) — 20 bytes, and a row still carries
-//! the joint (MinRTT, HDratio) that Figure 7 needs. A cell's id lives in
-//! the same `GroupSlots` grid every dataset built cell by cell uses, sized
-//! from the sink's window count, so the steady-state cost per record is
-//! one memo equality check, two array indexings, and three unconditional
-//! pushes. The group → grid map is only consulted when the group changes,
+//! aligned columns — a `u32` cell index, its MinRTT in whole nanoseconds
+//! (a `u32`) and its HDratio (NaN when the session tested nothing) — 16
+//! bytes, and a row still carries the joint (MinRTT, HDratio) that
+//! Figure 7 needs. A cell's id lives in the same `GroupSlots` grid every
+//! dataset built cell by cell uses, sized from the sink's window count,
+//! so the steady-state cost per record is one memo equality check, two
+//! array indexings, and three unconditional pushes. The group → grid map is only consulted when the group changes,
 //! which the runner's per-prefix record order makes rare; within a group,
 //! (rank, window) → cell id resolves through the dense grid with no
 //! hashing at all. This matters because the runner interleaves ranks
@@ -24,19 +24,17 @@
 //! by cell — a counting scatter over the window's per-cell counts into
 //! two columns the shard reuses — and sorts each cell's slice once, its
 //! NaNs (the untested mark, a positive NaN) after its samples. Each cell's
-//! order statistics become its [`WindowCell`] row; what Figures 6–7 read
-//! of HDratio — point masses by continent, and by Figure 7's MinRTT
-//! bucket a count of each distinct HDratio — goes into the shard's
-//! [`HdratioTally`]; and each preferred cell's sorted MinRTTs — the only
-//! per-session values left to read, by Figure 6 — are appended to the
-//! shard's kept stream in the narrowest form that gives every value back
-//! to the bit. The columns are then cleared for the next window, so a
-//! shard holds one window's rows beside what it has closed. A study's
-//! MinRTTs are whole nanoseconds (the runner divides a nanosecond count by
-//! 10⁶), so a kept cell is its least value and the Rice-coded gaps between
-//! the rest, with a parameter chosen per cell: under `k + 3` bits a row,
-//! 2.17 bytes a row at seed 7, scale 1 (a `u32` a row was 4). An
-//! alternate route's MinRTTs are never kept.
+//! order statistics, read in milliseconds, become its [`WindowCell`] row;
+//! what Figures 6–7 read of HDratio — point masses by continent, and by
+//! Figure 7's MinRTT bucket a count of each distinct HDratio — goes into
+//! the shard's [`HdratioTally`]; and each preferred cell's sorted MinRTTs
+//! — the only per-session values left to read, by Figure 6 — are
+//! appended to the shard's kept stream as they lie: the cell's least
+//! value and the Rice-coded gaps between the rest, with a parameter chosen
+//! per cell, under `k + 3` bits a row, 2.17 bytes a row at seed 7, scale 1
+//! (a `u32` a row was 4). The columns are then cleared for the next
+//! window, so a shard holds one window's rows beside what it has closed.
+//! An alternate route's MinRTTs are never kept.
 //!
 //! [`ColumnarSink`] merges a shard by placing its rows in the sink's grid
 //! in closing order — first-seen order, since the records came window by
@@ -55,7 +53,7 @@
 
 use crate::dataset::{in_dataset_order, median_and_variance, CellSummary, GroupSlots, Summaries};
 use crate::figures::{HdratioCounts, HdratioTally, PreferredSessions};
-use crate::record::{GroupKey, SessionRecord};
+use crate::record::{ms, GroupKey, SessionRecord};
 use crate::segment::WindowCell;
 use crate::sink::{RecordShard, RecordSink, SinkStats};
 use edgeperf_routing::Relationship;
@@ -102,7 +100,8 @@ pub struct ColumnarShard {
     window: Option<u32>,
     cells: Vec<CellMeta>,
     cell: Vec<u32>,
-    min_rtt: Vec<f64>,
+    /// Whole nanoseconds.
+    min_rtt: Vec<u32>,
     /// NaN for a session that tested nothing.
     hdratio: Vec<f64>,
     scratch: Scratch,
@@ -111,8 +110,8 @@ pub struct ColumnarShard {
     /// The closed cells' tested preferred-route sessions.
     pub(crate) tally: HdratioTally,
     /// The closed preferred cells' MinRTTs, cell by cell in `rows` order,
-    /// each cell in `total_cmp` order.
-    pub(crate) kept: Kept,
+    /// each cell sorted.
+    pub(crate) kept: BitWriter,
 }
 
 impl ColumnarShard {
@@ -178,36 +177,40 @@ impl ColumnarShard {
         for ((&ci, &rtt), &h) in cell.iter().zip(&*min_rtt).zip(&*hdratio) {
             let CellKey { group, rank, .. } = cells[ci as usize].key;
             if rank == 0 && !h.is_nan() {
-                tally.record(group.continent, rtt, h);
+                tally.record(group.continent, ms(rtt), h);
             }
         }
         // Each cell's start row, then — once the scatter has moved it past
         // every row of the cell — its end row.
-        let Scratch { by_rtt, by_hd, ends, nanos } = scratch;
+        let Scratch { by_rtt, by_hd, ends, in_ms } = scratch;
         ends.clear();
         ends.extend(cells.iter().scan(0, |start, c| {
             *start += c.n_rtt;
             Some(*start - c.n_rtt)
         }));
-        for column in [&mut *by_rtt, &mut *by_hd] {
-            column.clear();
-            column.resize(cell.len(), 0.0);
-        }
+        by_rtt.clear();
+        by_rtt.resize(cell.len(), 0);
+        by_hd.clear();
+        by_hd.resize(cell.len(), 0.0);
         for ((&ci, &rtt), &h) in cell.iter().zip(&*min_rtt).zip(&*hdratio) {
             let at = &mut ends[ci as usize];
             (by_rtt[*at as usize], by_hd[*at as usize]) = (rtt, h);
             *at += 1;
         }
         let rows_of = |ci: usize| (ends[ci] - cells[ci].n_rtt) as usize..ends[ci] as usize;
-        for ci in 0..cells.len() {
-            by_rtt[rows_of(ci)].sort_unstable_by(f64::total_cmp);
-            by_hd[rows_of(ci)].sort_unstable_by(f64::total_cmp);
-        }
-        let preferred = (0..cells.len()).filter(|&ci| cells[ci].key.rank == 0);
-        kept.extend(preferred.map(|ci| &by_rtt[rows_of(ci)]), rows, nanos);
         for (ci, meta) in cells.iter().enumerate() {
+            // Counts sort as their milliseconds do: `ms` is monotone and
+            // one-to-one on `u32`s.
+            let rtts = &mut by_rtt[rows_of(ci)];
+            rtts.sort_unstable();
+            by_hd[rows_of(ci)].sort_unstable_by(f64::total_cmp);
+            if meta.key.rank == 0 {
+                kept.cell(rtts);
+            }
+            in_ms.clear();
+            in_ms.extend(rtts.iter().map(|&n| ms(n)));
             let (min_rtt_p50, min_rtt_var) =
-                median_and_variance(&by_rtt[rows_of(ci)]).expect("a cell holds a session");
+                median_and_variance(in_ms).expect("a cell holds a session");
             let tested = &by_hd[rows_of(ci)][..meta.n_hd as usize];
             let (hdratio_p50, hdratio_var) = median_and_variance(tested).unzip();
             let CellKey { group, window, rank } = meta.key;
@@ -237,96 +240,28 @@ impl ColumnarShard {
 #[derive(Debug, Default)]
 struct Scratch {
     /// The window's MinRTTs and HDratios, cell by cell.
-    by_rtt: Vec<f64>,
+    by_rtt: Vec<u32>,
     by_hd: Vec<f64>,
     /// Each cell's end row in them.
     ends: Vec<u32>,
-    /// The preferred cells' MinRTTs as whole nanoseconds.
-    nanos: Vec<u32>,
-}
-
-/// A shard's kept MinRTTs, cell by cell and each cell in `total_cmp`
-/// order, in the first of these forms that gives every one of them back
-/// with the same `to_bits`.
-#[derive(Debug)]
-pub(crate) enum Kept {
-    /// Whole nanoseconds below 2³², a value being its count ÷ 10⁶ (a
-    /// MinRTT in ms), Rice-coded in one bit stream, each word filled from
-    /// its least significant bit. A cell is its parameter `k` in 5 bits,
-    /// its least value in 32, then for each further value the low `k` bits
-    /// of its gap to the one before, then each gap's `gap >> k` in unary
-    /// (that many zeros, then a one). `k` is ⌊log₂⌋ of the cell's mean gap
-    /// (0 below 1), so Σ(gap >> k) < 2n and a row costs under `k + 3` bits
-    /// however skewed its cell. Low bits lie at fixed strides and the
-    /// unary codes are found a set bit at a time, so a reader's cursors do
-    /// not wait on one another.
-    Nanos(BitWriter),
-    /// The `f64` itself: 8 B a row.
-    Plain(Vec<f64>),
-}
-
-impl Kept {
-    /// Append `cells`, each sorted, `nanos` the room to convert them in.
-    /// The first value that is not whole nanoseconds below 2³² turns the
-    /// stream so far — the preferred cells of `closed`, in order — into
-    /// `f64`s.
-    fn extend<'a>(
-        &mut self,
-        cells: impl Iterator<Item = &'a [f64]> + Clone,
-        closed: &[WindowCell],
-        nanos: &mut Vec<u32>,
-    ) {
-        if let Kept::Nanos(writer) = self {
-            nanos.clear();
-            let mut values = cells.clone().flatten();
-            if values.all(|&ms| nanos_of(ms).map(|n| nanos.push(n)).is_some()) {
-                let mut rest = &nanos[..];
-                for cell in cells {
-                    let (this, after) = rest.split_at(cell.len());
-                    writer.cell(this);
-                    rest = after;
-                }
-                return;
-            }
-            let mut words = std::mem::take(&mut writer.words);
-            words.push(0);
-            let counts = closed.iter().filter(|r| r.rank == 0).map(|r| r.n);
-            *self = Kept::Plain(decoded(&words, counts));
-        }
-        if let Kept::Plain(values) = self {
-            cells.for_each(|cell| values.extend_from_slice(cell));
-        }
-    }
-}
-
-/// `ms` as a whole number of nanoseconds, if it is one below 2³².
-fn nanos_of(ms: f64) -> Option<u32> {
-    // `as` saturates (NaN to 0); what does not come back is refused.
-    let nanos = (ms * 1e6).round() as u32;
-    (f64::from(nanos) / 1e6).to_bits().eq(&ms.to_bits()).then_some(nanos)
+    /// One cell's sorted MinRTTs in ms, as its summary reads them.
+    in_ms: Vec<f64>,
 }
 
 /// Bits of a cell's header: its Rice parameter and its least value.
 pub(crate) const K_BITS: u32 = 5;
 pub(crate) const HEAD_BITS: usize = K_BITS as usize + 32;
 
-/// The values of a whole-nanosecond stream's cells of `counts` rows, in
-/// ms: `words` ends with a zero word past the stream's last.
-fn decoded(words: &[u64], counts: impl Iterator<Item = u32>) -> Vec<f64> {
-    let mut out = Vec::new();
-    let mut cursor = Cursor::default();
-    for n in counts {
-        cursor.open(words, n);
-        out.push(cursor.min_rtt());
-        for _ in 1..n {
-            cursor.step(words);
-            out.push(cursor.min_rtt());
-        }
-    }
-    out
-}
-
-/// A bit stream being written, and where it is.
+/// A shard's kept MinRTTs, cell by cell and each cell sorted, as whole
+/// nanoseconds Rice-coded in one bit stream, each word filled from its
+/// least significant bit, and where the stream is. A cell is its parameter
+/// `k` in 5 bits, its least value in 32, then for each further value the
+/// low `k` bits of its gap to the one before, then each gap's `gap >> k`
+/// in unary (that many zeros, then a one). `k` is ⌊log₂⌋ of the cell's
+/// mean gap (0 below 1), so Σ(gap >> k) < 2n and a row costs under `k + 3`
+/// bits however skewed its cell. Low bits lie at fixed strides and the
+/// unary codes are found a set bit at a time, so a reader's cursors do not
+/// wait on one another.
 #[derive(Debug, Default)]
 pub(crate) struct BitWriter {
     pub(crate) words: Vec<u64>,
@@ -384,15 +319,12 @@ pub(crate) fn bits_at(words: &[u64], pos: usize, width: u32) -> u32 {
 /// index is the shard's groups, each once (one in a study, whose shard is
 /// a prefix), and a kept cell's place, 8 B: its group's position times the
 /// sink's windows plus its window, and its end row — cell `ci` is rows
-/// `cells[ci - 1].1..cells[ci].1`, in `total_cmp` order. Both are sized
-/// once, at merge.
+/// `cells[ci - 1].1..cells[ci].1`, sorted. Both are sized once, at merge.
 #[derive(Debug)]
 struct AdoptedShard {
     groups: Box<[GroupKey]>,
     cells: Box<[(u32, u32)]>,
-    /// Whole nanoseconds, Rice-coded ([`Kept::Nanos`]) with a zero word
-    /// after the stream; else one `f64`'s bits a row.
-    nanos: bool,
+    /// Its [`BitWriter`] stream, with a zero word after it.
     words: Range<usize>,
 }
 
@@ -437,7 +369,7 @@ struct Sessions<'a> {
     cursor: Cursor,
 }
 
-/// Where a reader of a whole-nanosecond stream is.
+/// Where a reader of a kept stream is.
 #[derive(Debug, Clone, Copy, Default)]
 struct Cursor {
     /// The open cell's Rice parameter and last value.
@@ -484,7 +416,7 @@ impl Cursor {
 
     /// The last value read, in ms.
     fn min_rtt(&self) -> f64 {
-        f64::from(self.nanos) / 1e6
+        ms(self.nanos)
     }
 }
 
@@ -492,26 +424,17 @@ impl Iterator for Sessions<'_> {
     type Item = (CellKey, f64);
 
     fn next(&mut self) -> Option<(CellKey, f64)> {
-        let start = self.end;
-        let opens = self.row == start;
-        if opens {
+        if self.row == self.end {
+            let start = self.end;
             self.end = self.shard.cells.get(self.cell)?.1;
             self.cell += 1;
+            self.cursor.open(self.words, self.end - start);
+        } else {
+            self.cursor.step(self.words);
         }
-        let row = self.row as usize;
         self.row += 1;
-        let min_rtt = match self.shard.nanos {
-            false => f64::from_bits(self.words[row]),
-            true if opens => {
-                self.cursor.open(self.words, self.end - start);
-                self.cursor.min_rtt()
-            }
-            true => {
-                self.cursor.step(self.words);
-                self.cursor.min_rtt()
-            }
-        };
-        Some((self.shard.key(self.shard.cells[self.cell - 1].0, self.n_windows), min_rtt))
+        let key = self.shard.key(self.shard.cells[self.cell - 1].0, self.n_windows);
+        Some((key, self.cursor.min_rtt()))
     }
 
     /// What Figure 6's walks call: the rest of the open cell through
@@ -526,16 +449,11 @@ impl Iterator for Sessions<'_> {
         let starts = std::iter::once(row).chain(shard.cells[cell..].iter().map(|&(_, end)| end));
         for (&(slot, end), start) in shard.cells[cell..].iter().zip(starts) {
             let key = shard.key(slot, n_windows);
-            if shard.nanos {
-                cursor.open(words, end - start);
+            cursor.open(words, end - start);
+            acc = f(acc, (key, cursor.min_rtt()));
+            for _ in 1..end - start {
+                cursor.step(words);
                 acc = f(acc, (key, cursor.min_rtt()));
-                for _ in 1..end - start {
-                    cursor.step(words);
-                    acc = f(acc, (key, cursor.min_rtt()));
-                }
-            } else {
-                let rows = &words[start as usize..end as usize];
-                acc = rows.iter().fold(acc, |acc, &bits| f(acc, (key, f64::from_bits(bits))));
             }
         }
         acc
@@ -544,7 +462,6 @@ impl Iterator for Sessions<'_> {
 
 impl RecordShard for ColumnarShard {
     fn push(&mut self, r: SessionRecord) {
-        assert!(!r.min_rtt_ms.is_nan(), "NaN MinRTT");
         if self.window != Some(r.window) {
             self.close();
             self.window = Some(r.window);
@@ -566,7 +483,7 @@ impl RecordShard for ColumnarShard {
             None => f64::NAN,
         };
         self.cell.push(ci as u32);
-        self.min_rtt.push(r.min_rtt_ms);
+        self.min_rtt.push(r.min_rtt_ns);
         self.hdratio.push(hdratio);
     }
 
@@ -628,19 +545,12 @@ impl ColumnarSink {
     }
 
     /// Every preferred-route session, shard by shard and within a shard
-    /// cell by cell (cells in first-seen order, a cell's sessions in
-    /// `total_cmp` order of their MinRTTs, not the order its worker pushed
-    /// them; Figure 6 reads them order-free): its cell and its MinRTT (ms).
+    /// cell by cell (cells in first-seen order, a cell's sessions in order
+    /// of their MinRTTs, not the order its worker pushed them; Figure 6
+    /// reads them order-free): its cell and its MinRTT (ms).
     pub fn rows(&self) -> impl Iterator<Item = (CellKey, f64)> + '_ {
         let n_windows = self.n_windows as u32;
         self.preferred.iter().flat_map(move |s| s.sessions(&self.kept[s.words.clone()], n_windows))
-    }
-
-    /// For every shard that kept rows, in merge order, whether its MinRTTs
-    /// are kept as whole nanoseconds (Rice-coded gaps, under `k + 3` bits a
-    /// row) rather than `f64`s (8 B).
-    pub fn min_rtt_in_nanos(&self) -> impl Iterator<Item = bool> + '_ {
-        self.preferred.iter().map(|s| s.nanos)
     }
 
     /// The HDratio tally of every merged preferred-route session.
@@ -696,7 +606,7 @@ impl RecordSink for ColumnarSink {
             scratch: Scratch::default(),
             rows: Vec::new(),
             tally: HdratioTally::default(),
-            kept: Kept::Nanos(BitWriter::default()),
+            kept: BitWriter::default(),
         }
     }
 
@@ -740,21 +650,12 @@ impl RecordSink for ColumnarSink {
             return;
         }
         let start = self.kept.len();
-        let nanos = match kept {
-            Kept::Nanos(writer) => {
-                // A zero word past the stream's last, so that a reader
-                // takes two whole words wherever a field starts.
-                self.kept.extend_from_slice(&writer.words);
-                self.kept.push(0);
-                true
-            }
-            Kept::Plain(values) => {
-                self.kept.extend(values.iter().map(|v| v.to_bits()));
-                false
-            }
-        };
+        // A zero word past the stream's last, so that a reader takes two
+        // whole words wherever a field starts.
+        self.kept.extend_from_slice(&kept.words);
+        self.kept.push(0);
         let (cells, words) = (cells.into_boxed_slice(), start..self.kept.len());
-        self.preferred.push(AdoptedShard { groups, cells, nanos, words });
+        self.preferred.push(AdoptedShard { groups, cells, words });
     }
 
     /// The kept buffer stops growing: give back its spare capacity.
@@ -783,7 +684,7 @@ pub(crate) mod tests {
         prefix: u32,
         window: u32,
         rank: u8,
-        rtt: f64,
+        rtt_ns: u32,
         hdr: Option<f64>,
     ) -> SessionRecord {
         SessionRecord {
@@ -798,7 +699,7 @@ pub(crate) mod tests {
             relationship: if rank == 0 { Relationship::PrivatePeer } else { Relationship::Transit },
             longer_path: rank > 0,
             more_prepended: prefix.is_multiple_of(11),
-            min_rtt_ms: rtt,
+            min_rtt_ns: rtt_ns,
             hdratio: hdr,
             bytes: 50 + u64::from(prefix),
         }
@@ -814,7 +715,7 @@ pub(crate) mod tests {
                     (i % 13) as u32,
                     (i % 4) as u32,
                     (i % 2) as u8,
-                    20.0 + 60.0 * u,
+                    20_000_000 + (60e6 * u) as u32,
                     (i % 3 != 0).then_some(u),
                 )
             })
@@ -835,13 +736,13 @@ pub(crate) mod tests {
     }
 
     /// Every way the sink is read — its rows, Figures 6–7 and its summaries
-    /// — gives the bits `records`, in merge order and held as `f64`s, give:
+    /// — gives the bits `records`, in merge order, give:
     /// the rows are the preferred route's MinRTTs, the HDratio tally
     /// theirs, and the summaries are `Dataset::from_records`'s, groups in
     /// the same order.
     fn assert_reads_as(mut sink: ColumnarSink, records: &[SessionRecord]) {
         // Rows come cell by cell, cells in first-seen order, a cell's
-        // MinRTTs in `total_cmp` order.
+        // MinRTTs in order.
         let mut first_seen = FxHashMap::default();
         let mut want: Vec<_> = records
             .iter()
@@ -849,12 +750,12 @@ pub(crate) mod tests {
             .map(|r| {
                 let key = CellKey { group: r.group, window: r.window, rank: r.route_rank };
                 let next = first_seen.len();
-                (*first_seen.entry(key).or_insert(next), key, r.min_rtt_ms)
+                (*first_seen.entry(key).or_insert(next), key, r.min_rtt_ns)
             })
             .collect();
-        want.sort_by(|a, b| a.0.cmp(&b.0).then(a.2.total_cmp(&b.2)));
+        want.sort_by_key(|&(first, _, rtt)| (first, rtt));
         let rows: Vec<_> = sink.rows().map(|(key, rtt)| (key, rtt.to_bits())).collect();
-        let want: Vec<_> = want.into_iter().map(|(_, key, rtt)| (key, rtt.to_bits())).collect();
+        let want: Vec<_> = want.into_iter().map(|(_, key, rtt)| (key, ms(rtt).to_bits())).collect();
         assert_eq!(rows, want, "rows differ");
         // Folded, as Figure 6 reads them, from wherever `next` left off,
         // they are the same rows.
@@ -917,7 +818,7 @@ pub(crate) mod tests {
         // for it could only be lost, so it is refused, naming the cell.
         let mut shard = ColumnarSink::new(4).new_shard();
         for window in [0, 1, 0] {
-            shard.push(rec(1, window, 0, 30.0, None));
+            shard.push(rec(1, window, 0, 30_000_000, None));
         }
     }
 
@@ -928,8 +829,8 @@ pub(crate) mod tests {
         // memo hitting.
         let mut records = Vec::new();
         for i in 0..500 {
-            records.push(rec(1, 0, 0, 30.0 + i as f64, None));
-            records.push(rec(2, 0, 1, 60.0 + i as f64, Some(0.5)));
+            records.push(rec(1, 0, 0, 30_000_000 + 1_000_000 * i, None));
+            records.push(rec(2, 0, 1, 60_000_000 + 1_000_000 * i, Some(0.5)));
         }
         let mut shard = ColumnarSink::new(4).new_shard();
         records.iter().for_each(|r| shard.push(*r));
@@ -941,22 +842,21 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn window_out_of_range_panics_at_push() {
-        adopted(&[vec![rec(1, 4, 0, 30.0, None)]]);
+        adopted(&[vec![rec(1, 4, 0, 30_000_000, None)]]);
     }
 
-    /// `n` sessions of `prefix` shaped like a study's: a MinRTT of a whole
+    /// `n` sessions of `prefix` shaped like a study's: a MinRTT of
     /// `nanos(i)` nanoseconds and an `achieved / tested` HDratio, a fifth
     /// of them untested.
-    fn study_shaped(prefix: u32, n: usize, nanos: impl Fn(usize) -> u64) -> Vec<SessionRecord> {
+    fn study_shaped(prefix: u32, n: usize, nanos: impl Fn(usize) -> u32) -> Vec<SessionRecord> {
         let session = |i: usize| {
             let tested = 1 + i % 9;
             let hdratio = (i * 7 % (tested + 1)) as f64 / tested as f64;
-            let min_rtt = nanos(i) as f64 / 1e6;
             rec(
                 prefix,
                 (i % 4) as u32,
                 (i / 4 % 2) as u8,
-                min_rtt,
+                nanos(i),
                 (!i.is_multiple_of(5)).then_some(hdratio),
             )
         };
@@ -966,40 +866,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn each_shard_takes_the_first_form_that_gives_back_every_bit() {
-        let edges = [
-            -0.0,
-            0.0,
-            5e-324,
-            f64::MIN_POSITIVE / 3.0,
-            0.1 + 0.2,
-            0.3,
-            4_294.967_295,
-            4_294.967_296,
-            1e300,
-        ];
-        let ratios = [Some(-0.0), Some(0.1 + 0.2), Some(5e-324), None, Some(1.0)];
-        let distinct = |i: usize| 1_000 + 7_919 * i as u64;
-        // Each shard's form is chosen over its preferred-route rows: half of
-        // them, session 8 among them.
-        let mut negative_zero = study_shaped(3, 400, distinct);
-        negative_zero[8].min_rtt_ms = -0.0;
+    fn every_nanosecond_count_a_u32_holds_reads_back() {
+        // The least and the most a `u32` counts, among study-shaped rows
+        // and as the whole of a cell.
+        let distinct = |i: usize| 1_000 + 7_919 * i as u32;
         let shards = [
-            // Whole nanoseconds up to the most a `u32` counts.
-            study_shaped(1, 400, |i| if i == 8 { u32::MAX.into() } else { distinct(i) }),
-            // One 2³² ns among whole milliseconds: plain, this shard only.
-            study_shaped(2, 400, |i| if i == 8 { 1 << 32 } else { 1_000_000 * (i as u64 % 50) }),
-            // One -0.0 among whole nanoseconds.
-            negative_zero,
-            (0..36).map(|i| rec(4, (i % 4) as u32, 0, edges[i % 9], ratios[i % 5])).collect(),
-            study_shaped(5, 400, distinct),
+            study_shaped(1, 400, |i| if i == 8 { u32::MAX } else { distinct(i) }),
+            study_shaped(2, 400, |i| if i == 8 { 0 } else { 1_000_000 * (i as u32 % 50) }),
+            study_shaped(3, 36, |i| [0, 1, u32::MAX][i % 3]),
         ];
-        let mut shards = shards;
-        shards[3].sort_by_key(|r| r.window);
-        let sink = adopted(&shards);
-        let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();
-        assert_eq!(nanos, [true, false, false, false, true]);
-        assert_reads_as(sink, &shards.concat());
+        assert_reads_as(adopted(&shards), &shards.concat());
     }
 
     /// A cell's MinRTTs, in nanoseconds, pushed in this order: `shape`
@@ -1046,57 +922,39 @@ pub(crate) mod tests {
         }
     }
 
-    /// What, other than whole nanoseconds below 2³², forces a shard's
-    /// column to plain `f64`s.
-    const NOT_NANOS: [f64; 3] = [-0.0, 4_294.967_296, 0.1 + 0.2];
-
     use proptest::prelude::*;
 
     proptest! {
         /// Whatever a cell holds, the kept column gives back each cell's
-        /// pushed MinRTTs in `total_cmp` order, bit for bit; a shard keeps
-        /// whole nanoseconds exactly when every value is one below 2³²; and
-        /// a cell's stream is its 37-bit header and under `k + 3` bits a
-        /// further row, the shard's stream the words its bits fill and one.
+        /// pushed MinRTTs in order, bit for bit; and a cell's stream is its
+        /// 37-bit header and under `k + 3` bits a further row, the shard's
+        /// stream the words its bits fill and one.
         #[test]
         fn prop_kept_rows_round_trip_sorted_within_their_bound(
             shards in prop::collection::vec(
-                (
-                    prop::collection::vec((0u8..5, 1usize..601, 0u32..33, any::<u64>()), 1..6),
-                    prop::option::of((0usize..3, any::<u64>())),
-                ),
+                prop::collection::vec((0u8..5, 1usize..601, 0u32..33, any::<u64>()), 1..6),
                 1..4,
             )
         ) {
             let mut records = Vec::new();
-            let mut plain = Vec::new();
             let mut shapes = FxHashMap::default();
-            for (s, (cells, not_nanos)) in shards.iter().enumerate() {
+            for (s, cells) in shards.iter().enumerate() {
                 let mut shard = Vec::new();
                 for (c, &(shape, n, spread, seed)) in cells.iter().enumerate() {
                     let (prefix, window) = ((8 * s + c / 4) as u32, (c % 4) as u32);
                     let nanos = cell_nanos(shape, n, spread, seed);
-                    let key = rec(prefix, window, 0, 0.0, None);
+                    let key = rec(prefix, window, 0, 0, None);
                     shapes.insert((key.group, window), shape);
-                    shard.extend(
-                        nanos.iter().map(|&ns| rec(prefix, window, 0, f64::from(ns) / 1e6, None)),
-                    );
-                }
-                if let Some((which, at)) = *not_nanos {
-                    let row = at as usize % shard.len();
-                    shard[row].min_rtt_ms = NOT_NANOS[which];
+                    shard.extend(nanos.iter().map(|&ns| rec(prefix, window, 0, ns, None)));
                 }
                 // Window by window, cells interleaved within a window, as a
                 // worker's records are.
-                let scrambled = |r: &SessionRecord| r.min_rtt_ms.to_bits().wrapping_mul(0x9e37);
+                let scrambled = |r: &SessionRecord| u64::from(r.min_rtt_ns).wrapping_mul(0x9e37);
                 shard.sort_by_key(|r| (r.window, scrambled(r)));
-                plain.push(not_nanos.is_some());
                 records.push(shard);
             }
             let sink = adopted(&records);
-            let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();
-            prop_assert_eq!(nanos, plain.iter().map(|&p| !p).collect::<Vec<_>>());
-            for shard in sink.preferred.iter().filter(|s| s.nanos) {
+            for shard in &sink.preferred {
                 let words = &sink.kept[shard.words.clone()];
                 let mut rows = shard.sessions(words, 4);
                 let starts = std::iter::once(0).chain(shard.cells.iter().map(|&(_, end)| end));

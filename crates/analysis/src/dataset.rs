@@ -313,7 +313,7 @@ impl Summaries {
 /// let records: Vec<SessionRecord> = (0..40).map(|i| SessionRecord {
 ///     group, window: 0, route_rank: 0, relationship: Relationship::PrivatePeer,
 ///     longer_path: false, more_prepended: false,
-///     min_rtt_ms: 30.0 + i as f64 * 0.1, hdratio: Some(1.0), bytes: 1_000,
+///     min_rtt_ns: 30_000_000 + 100_000 * i, hdratio: Some(1.0), bytes: 1_000,
 /// }).collect();
 /// let ds = Dataset::from_records(&records, 1);
 /// let cell = ds.groups[&group].cell(0, 0).unwrap();
@@ -339,7 +339,7 @@ impl Dataset {
             let cell = grid
                 .cell(r.group, r.route_rank as usize, r.window as usize, r.bytes)
                 .get_or_insert_with(|| Aggregation::new(r.relationship));
-            cell.min_rtt_ms.push(r.min_rtt_ms);
+            cell.min_rtt_ms.push(r.min_rtt_ms());
             if let Some(h) = r.hdratio {
                 cell.hdratio.push(h);
             }
@@ -395,7 +395,7 @@ mod tests {
     use super::*;
     use edgeperf_routing::{PopId, Prefix};
 
-    fn rec(window: u32, rank: u8, rtt: f64, hdr: Option<f64>, bytes: u64) -> SessionRecord {
+    fn rec(window: u32, rank: u8, rtt_ns: u32, hdr: Option<f64>, bytes: u64) -> SessionRecord {
         SessionRecord {
             group: GroupKey {
                 pop: PopId(1),
@@ -408,7 +408,7 @@ mod tests {
             relationship: Relationship::PrivatePeer,
             longer_path: rank > 0,
             more_prepended: false,
-            min_rtt_ms: rtt,
+            min_rtt_ns: rtt_ns,
             hdratio: hdr,
             bytes,
         }
@@ -417,11 +417,11 @@ mod tests {
     #[test]
     fn builds_cells_and_medians() {
         let records = vec![
-            rec(0, 0, 30.0, Some(1.0), 100),
-            rec(0, 0, 40.0, Some(0.5), 100),
-            rec(0, 0, 50.0, None, 100),
-            rec(1, 0, 90.0, Some(0.0), 50),
-            rec(0, 1, 35.0, Some(1.0), 10),
+            rec(0, 0, 30_000_000, Some(1.0), 100),
+            rec(0, 0, 40_000_000, Some(0.5), 100),
+            rec(0, 0, 50_000_000, None, 100),
+            rec(1, 0, 90_000_000, Some(0.0), 50),
+            rec(0, 1, 35_000_000, Some(1.0), 10),
         ];
         let ds = Dataset::from_records(&records, 4);
         assert_eq!(ds.groups.len(), 1);
@@ -439,7 +439,7 @@ mod tests {
 
     #[test]
     fn hdratio_p50_none_when_no_tested_sessions() {
-        let ds = Dataset::from_records(&[rec(0, 0, 20.0, None, 1)], 1);
+        let ds = Dataset::from_records(&[rec(0, 0, 20_000_000, None, 1)], 1);
         let g = ds.groups.values().next().unwrap();
         assert_eq!(g.cell(0, 0).unwrap().hdratio_p50(), None);
     }
@@ -447,13 +447,16 @@ mod tests {
     #[test]
     #[should_panic]
     fn window_out_of_range_panics() {
-        Dataset::from_records(&[rec(5, 0, 20.0, None, 1)], 4);
+        Dataset::from_records(&[rec(5, 0, 20_000_000, None, 1)], 4);
     }
 
     #[test]
     fn samples_are_sorted() {
-        let records =
-            vec![rec(0, 0, 50.0, None, 1), rec(0, 0, 10.0, None, 1), rec(0, 0, 30.0, None, 1)];
+        let records = vec![
+            rec(0, 0, 50_000_000, None, 1),
+            rec(0, 0, 10_000_000, None, 1),
+            rec(0, 0, 30_000_000, None, 1),
+        ];
         let ds = Dataset::from_records(&records, 1);
         let g = ds.groups.values().next().unwrap();
         assert_eq!(g.cell(0, 0).unwrap().min_rtt_ms, vec![10.0, 30.0, 50.0]);

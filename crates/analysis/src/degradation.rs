@@ -123,7 +123,7 @@ pub fn degradation_events(
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use crate::record::{GroupKey, SessionRecord};
+    use crate::record::{ns, GroupKey, SessionRecord};
     use edgeperf_routing::{PopId, Prefix, Relationship};
 
     fn records_with_rtts(per_window: &[f64]) -> Vec<SessionRecord> {
@@ -143,7 +143,7 @@ mod tests {
                     relationship: Relationship::PrivatePeer,
                     longer_path: false,
                     more_prepended: false,
-                    min_rtt_ms: center + (i as f64 - 30.0) * 0.05, // ±1.5 ms spread
+                    min_rtt_ns: ns(center + (i as f64 - 30.0) * 0.05), // ±1.5 ms spread
                     hdratio: Some(1.0),
                     bytes: 1000,
                 });
@@ -219,7 +219,7 @@ mod tests {
                     relationship: Relationship::PrivatePeer,
                     longer_path: false,
                     more_prepended: false,
-                    min_rtt_ms: 40.0,
+                    min_rtt_ns: 40_000_000,
                     hdratio: Some((center + (i as f64 - 30.0) * 0.001).clamp(0.0, 1.0)),
                     bytes: 500,
                 });
@@ -250,7 +250,7 @@ mod tests {
                 relationship: Relationship::PrivatePeer,
                 longer_path: false,
                 more_prepended: false,
-                min_rtt_ms: 40.0 + i as f64,
+                min_rtt_ns: 40_000_000 + 1_000_000 * i,
                 hdratio: None,
                 bytes: 10,
             });

@@ -27,7 +27,7 @@ pub trait PreferredSessions {
 
 impl PreferredSessions for [SessionRecord] {
     fn preferred_sessions(&self) -> impl Iterator<Item = (u8, f64)> {
-        self.iter().filter(|r| r.route_rank == 0).map(|r| (r.group.continent, r.min_rtt_ms))
+        self.iter().filter(|r| r.route_rank == 0).map(|r| (r.group.continent, r.min_rtt_ms()))
     }
 }
 
@@ -179,7 +179,7 @@ impl HdratioTally {
         let mut tally = HdratioTally::default();
         for r in records.iter().filter(|r| r.route_rank == 0) {
             if let Some(hdratio) = r.hdratio {
-                tally.record(r.group.continent, r.min_rtt_ms, hdratio);
+                tally.record(r.group.continent, r.min_rtt_ms(), hdratio);
             }
         }
         tally
@@ -382,11 +382,11 @@ pub fn fig10_by_relationship(
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use crate::record::GroupKey;
+    use crate::record::{ns, GroupKey};
     use edgeperf_routing::{PopId, Prefix};
     use edgeperf_stats::quantiles_in_place;
 
-    fn rec(continent: u8, rank: u8, rtt: f64, hdr: Option<f64>) -> SessionRecord {
+    fn rec(continent: u8, rank: u8, rtt_ns: u32, hdr: Option<f64>) -> SessionRecord {
         SessionRecord {
             group: GroupKey {
                 pop: PopId(0),
@@ -399,7 +399,7 @@ mod tests {
             relationship: if rank == 0 { Relationship::PrivatePeer } else { Relationship::Transit },
             longer_path: false,
             more_prepended: false,
-            min_rtt_ms: rtt,
+            min_rtt_ns: rtt_ns,
             hdratio: hdr,
             bytes: 100,
         }
@@ -408,11 +408,11 @@ mod tests {
     #[test]
     fn fig6_splits_by_continent() {
         let records = [
-            rec(0, 0, 20.0, Some(1.0)),
-            rec(0, 0, 30.0, Some(1.0)),
-            rec(1, 0, 80.0, Some(0.2)),
-            rec(1, 0, 90.0, None),
-            rec(1, 1, 10.0, Some(1.0)), // alternate: excluded from fig6
+            rec(0, 0, 20_000_000, Some(1.0)),
+            rec(0, 0, 30_000_000, Some(1.0)),
+            rec(1, 0, 80_000_000, Some(0.2)),
+            rec(1, 0, 90_000_000, None),
+            rec(1, 1, 10_000_000, Some(1.0)), // alternate: excluded from fig6
         ];
         let (overall, per) = fig6_minrtt(&records[..]);
         assert_eq!(overall, MinRttQuantiles { sessions: 4, p50: 30.0, p80: 90.0 });
@@ -426,10 +426,10 @@ mod tests {
     #[test]
     fn fig7_buckets_split_on_minrtt() {
         let records = [
-            rec(0, 0, 10.0, Some(1.0)),
-            rec(0, 0, 40.0, Some(0.8)),
-            rec(0, 0, 70.0, Some(0.5)),
-            rec(0, 0, 120.0, Some(0.1)),
+            rec(0, 0, 10_000_000, Some(1.0)),
+            rec(0, 0, 40_000_000, Some(0.8)),
+            rec(0, 0, 70_000_000, Some(0.5)),
+            rec(0, 0, 120_000_000, Some(0.1)),
         ];
         let buckets = HdratioTally::of(&records).fig7();
         let labels: Vec<_> = buckets.iter().map(|b| b.label).collect();
@@ -447,7 +447,7 @@ mod tests {
     fn fig7_in_place(records: &[SessionRecord]) -> Vec<(&'static str, HdratioCounts, u64)> {
         let bucket = |&(label, lo, hi): &(&'static str, f64, f64)| {
             let preferred = records.iter().filter(|r| r.route_rank == 0);
-            let within = move |r: &&SessionRecord| r.min_rtt_ms > lo && r.min_rtt_ms <= hi;
+            let within = move |r: &&SessionRecord| r.min_rtt_ms() > lo && r.min_rtt_ms() <= hi;
             let tested = move || preferred.clone().filter(within).filter_map(|r| r.hdratio);
             let mut counts = HdratioCounts::default();
             tested().for_each(|h| counts.record(h));
@@ -460,7 +460,7 @@ mod tests {
     #[test]
     fn the_tally_reads_figure_7_as_the_sessions_read_in_place() {
         let tested = |rtt: f64, hdratios: &[f64]| -> Vec<SessionRecord> {
-            hdratios.iter().map(|&h| rec(0, 0, rtt, Some(h))).collect()
+            hdratios.iter().map(|&h| rec(0, 0, ns(rtt), Some(h))).collect()
         };
         let repeated = |value: f64, n: usize| vec![value; n];
         // k/n ratios as the runner writes them, in every bucket, with
@@ -470,9 +470,9 @@ mod tests {
                 let n = 1 + i % 37;
                 let h = (i * 7_919 % (n + 1)) as f64 / n as f64;
                 let rank = u8::from(i % 11 == 0);
-                rec((i % 5) as u8, rank, 5.0 + (i * 13 % 1_200) as f64 / 10.0, Some(h))
+                rec((i % 5) as u8, rank, ns(5.0 + (i * 13 % 1_200) as f64 / 10.0), Some(h))
             })
-            .chain((0..100).map(|i| rec(1, 0, 40.0 + i as f64, None)))
+            .chain((0..100).map(|i| rec(1, 0, ns(40.0 + i as f64), None)))
             .collect();
         let cases: Vec<Vec<SessionRecord>> = vec![
             // -0.0 beside 0.0: the median a zero, of either sign.
@@ -491,7 +491,8 @@ mod tests {
             tested(20.0, &[repeated(0.0, 500), repeated(1.0, 500)].concat()),
             tested(20.0, &[repeated(0.0, 500), repeated(1.0, 501)].concat()),
             // An empty bucket: 31–50 has sessions, none tested.
-            [tested(20.0, &[0.5, 0.6]), vec![rec(0, 0, 40.0, None)], tested(90.0, &[0.1])].concat(),
+            [tested(20.0, &[0.5, 0.6]), vec![rec(0, 0, 40_000_000, None)], tested(90.0, &[0.1])]
+                .concat(),
             // MinRTT exactly on the edges (and at 0, in no bucket).
             tested(30.0, &[0.1, 0.2])
                 .into_iter()
@@ -527,9 +528,10 @@ mod tests {
         for w in 0..3u32 {
             for rank in 0..2u8 {
                 for i in 0..40 {
-                    let mut r = rec(0, rank, 0.0, Some(0.9));
+                    let mut r = rec(0, rank, 0, Some(0.9));
                     r.window = w;
-                    r.min_rtt_ms = if rank == 0 { 55.0 } else { 40.0 } + (i as f64 - 20.0) * 0.05;
+                    r.min_rtt_ns =
+                        ns(if rank == 0 { 55.0 } else { 40.0 } + (i as f64 - 20.0) * 0.05);
                     records.push(r);
                 }
             }
@@ -549,8 +551,8 @@ mod tests {
         let mut records = Vec::new();
         for rank in 0..2u8 {
             for i in 0..40 {
-                let mut r = rec(0, rank, 0.0, Some(0.9));
-                r.min_rtt_ms = if rank == 0 { 50.0 } else { 48.0 } + (i as f64 - 20.0) * 0.05;
+                let mut r = rec(0, rank, 0, Some(0.9));
+                r.min_rtt_ns = ns(if rank == 0 { 50.0 } else { 48.0 } + (i as f64 - 20.0) * 0.05);
                 records.push(r);
             }
         }

@@ -118,7 +118,7 @@ pub fn opportunity_events(
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use crate::record::{GroupKey, SessionRecord};
+    use crate::record::{ns, GroupKey, SessionRecord};
     use edgeperf_routing::{PopId, Prefix};
 
     /// Build a group where rank 0 has `pref_rtt` and rank 1 `alt_rtt`.
@@ -142,7 +142,7 @@ mod tests {
                         relationship: rel,
                         longer_path: rank == 1,
                         more_prepended: false,
-                        min_rtt_ms: center + (i as f64 - 30.0) * 0.05,
+                        min_rtt_ns: ns(center + (i as f64 - 30.0) * 0.05),
                         hdratio: Some(0.9 + (i % 10) as f64 * 0.01),
                         bytes: 800,
                     });
@@ -222,7 +222,7 @@ mod tests {
                     relationship: rel,
                     longer_path: false,
                     more_prepended: false,
-                    min_rtt_ms: rtt + (i as f64 - 30.0) * 0.05,
+                    min_rtt_ns: ns(rtt + (i as f64 - 30.0) * 0.05),
                     hdratio: Some((hdr + (i % 10) as f64 * 0.005).clamp(0.0, 1.0)),
                     bytes: 100,
                 });
@@ -254,7 +254,7 @@ mod tests {
                     relationship: rel,
                     longer_path: false,
                     more_prepended: true,
-                    min_rtt_ms: 50.0,
+                    min_rtt_ns: 50_000_000,
                     hdratio: Some((hdr + (i % 10) as f64 * 0.005).clamp(0.0, 1.0)),
                     bytes: 100,
                 });

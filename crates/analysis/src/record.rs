@@ -32,12 +32,33 @@ pub struct SessionRecord {
     pub longer_path: bool,
     /// The pinned route is prepended more than the preferred route.
     pub more_prepended: bool,
-    /// Session MinRTT in milliseconds.
-    pub min_rtt_ms: f64,
+    /// Session MinRTT in whole nanoseconds, as the transport counts it (a
+    /// `u32` holds up to 4.29 s).
+    pub min_rtt_ns: u32,
     /// Session HDratio, if any transaction could test for HD goodput.
     pub hdratio: Option<f64>,
     /// Response bytes carried (the session's traffic weight).
     pub bytes: u64,
+}
+
+impl SessionRecord {
+    /// Session MinRTT in milliseconds.
+    pub(crate) fn min_rtt_ms(&self) -> f64 {
+        ms(self.min_rtt_ns)
+    }
+}
+
+/// A MinRTT of `nanos` nanoseconds, in milliseconds: every reader of a
+/// study's MinRTTs sees the one `f64` a count gives.
+pub(crate) fn ms(nanos: u32) -> f64 {
+    f64::from(nanos) / 1e6
+}
+
+/// `ms` as the nearest whole count of nanoseconds: a test's MinRTT, thought
+/// of in milliseconds.
+#[cfg(test)]
+pub(crate) fn ns(ms: f64) -> u32 {
+    (ms * 1e6).round() as u32
 }
 
 #[cfg(test)]
@@ -64,5 +85,41 @@ mod tests {
         set.insert(k1);
         assert!(set.contains(&k2));
         assert!(!set.contains(&k3));
+    }
+
+    fn record(min_rtt_ns: u32) -> SessionRecord {
+        SessionRecord {
+            group: GroupKey { pop: PopId(0), prefix: Prefix::new(0, 8), country: 0, continent: 0 },
+            window: 0,
+            route_rank: 0,
+            relationship: Relationship::PrivatePeer,
+            longer_path: false,
+            more_prepended: false,
+            min_rtt_ns,
+            hdratio: None,
+            bytes: 1,
+        }
+    }
+
+    /// What the runner's `u64` count over `MILLISECOND` gave, as bits.
+    fn counted_ms(n: u32) -> u64 {
+        use edgeperf_core::MILLISECOND;
+        (u64::from(n) as f64 / MILLISECOND as f64).to_bits()
+    }
+
+    #[test]
+    fn min_rtt_ms_is_the_nanosecond_count_over_a_million() {
+        for n in [0, 1, 999_999, 1_000_000, 1 << 31, u32::MAX] {
+            assert_eq!(record(n).min_rtt_ms().to_bits(), counted_ms(n), "{n} ns");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn prop_min_rtt_ms_is_the_nanosecond_count_over_a_million(n in any::<u32>()) {
+            prop_assert_eq!(record(n).min_rtt_ms().to_bits(), counted_ms(n));
+        }
     }
 }

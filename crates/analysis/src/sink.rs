@@ -10,10 +10,10 @@
 //!
 //! Three implementations cover the analysis modes:
 //!
-//! - [`crate::ColumnarSink`] — the exact path: workers append 20-byte
-//!   rows (cell index, MinRTT, HDratio) to columnar shards for the window
-//!   open, and the shard closes the window's cells when the next window's
-//!   first record arrives, in the worker: every cell's summary, from the
+//! - [`crate::ColumnarSink`] — the exact path: workers append 16-byte
+//!   rows (cell index, MinRTT in nanoseconds, HDratio) to columnar shards
+//!   for the window open, and the shard closes the window's cells when
+//!   the next window's first record arrives, in the worker: every cell's summary, from the
 //!   cell's exact order statistics, becomes a [`crate::WindowCell`] row,
 //!   what Figures 6–7 read of HDratio goes into a
 //!   [tally](crate::figures::HdratioTally), and only the preferred route's
@@ -366,7 +366,11 @@ impl StreamingDataset {
     /// and per continent — the streaming analogue of
     /// [`crate::figures::fig6_minrtt`]: the sealed groups' digests merged
     /// in work-item order (each session contributes weight 1, as in the
-    /// exact path). Panics ("finalize first") while a group is open.
+    /// exact path). An estimate, not a rank: a quantile that falls where
+    /// the sessions thin out lies between two centroids far apart, and is
+    /// read by interpolating between them — Figure 6's p80 at seed 51,
+    /// scale 1 reads 4.6 % above the exact one (EXPERIMENTS.md). Panics
+    /// ("finalize first") while a group is open.
     pub fn minrtt_rollup(&self) -> (TDigest, BTreeMap<u8, TDigest>) {
         self.assert_finalized();
         let mut overall = TDigest::new(100.0);
@@ -393,7 +397,7 @@ impl RecordShard for StreamingDataset {
         self.open
             .cell(r.group, r.route_rank as usize, r.window as usize, r.bytes)
             .get_or_insert_with(|| StreamingCell::new(r.relationship))
-            .push(r.min_rtt_ms, r.hdratio, r.bytes, r.longer_path, r.more_prepended);
+            .push(r.min_rtt_ms(), r.hdratio, r.bytes, r.longer_path, r.more_prepended);
         if let (0, Some(h)) = (r.route_rank, r.hdratio) {
             HdratioCounts::of(&mut self.hdratio, r.group.continent).record(h);
         }
@@ -491,10 +495,11 @@ mod tests {
     use crate::config::AnalysisConfig;
     use crate::dataset::Dataset;
     use crate::figures::{fig10_by_relationship, RelPair, HDRATIO_BELOW_ONE};
+    use crate::record::ns;
     use edgeperf_routing::{PopId, Prefix};
     use edgeperf_stats::cdf::CdfBuilder;
 
-    fn rec(prefix: u32, window: u32, rank: u8, rtt: f64, hdr: Option<f64>) -> SessionRecord {
+    fn rec(prefix: u32, window: u32, rank: u8, rtt_ns: u32, hdr: Option<f64>) -> SessionRecord {
         SessionRecord {
             group: GroupKey {
                 pop: PopId(0),
@@ -507,7 +512,7 @@ mod tests {
             relationship: if rank == 0 { Relationship::PrivatePeer } else { Relationship::Transit },
             longer_path: rank > 0,
             more_prepended: false,
-            min_rtt_ms: rtt,
+            min_rtt_ns: rtt_ns,
             hdratio: hdr,
             bytes: 100,
         }
@@ -523,7 +528,7 @@ mod tests {
                     (i % 13) as u32,
                     (i % 4) as u32,
                     (i % 2) as u8,
-                    20.0 + 60.0 * u,
+                    ns(20.0 + 60.0 * u),
                     (i % 3 != 0).then_some(u),
                 )
             })
@@ -771,7 +776,7 @@ mod tests {
             ds.push(r);
         });
         ds.seal(0);
-        ds.push(rec(5, 0, 0, 30.0, None));
+        ds.push(rec(5, 0, 0, 30_000_000, None));
         // Counts cover open groups; the HDratio counters never wait.
         assert_eq!((ds.len(), ds.record_count(), ds.stats().records), (3, 33, 33));
         assert!(ds.hdratio_rollup().0.tested > 0);
@@ -782,7 +787,7 @@ mod tests {
     #[should_panic(expected = "finalize first")]
     fn the_figure_6_rollup_of_an_open_group_does_not_exist() {
         let mut ds = StreamingDataset::new(4);
-        ds.push(rec(5, 0, 0, 30.0, None));
+        ds.push(rec(5, 0, 0, 30_000_000, None));
         let _ = ds.minrtt_rollup();
     }
 
@@ -790,9 +795,9 @@ mod tests {
     #[should_panic(expected = "sealed twice")]
     fn a_group_sealed_twice_is_a_runner_bug() {
         let mut ds = StreamingDataset::new(4);
-        ds.push(rec(5, 0, 0, 30.0, None));
+        ds.push(rec(5, 0, 0, 30_000_000, None));
         ds.seal(0);
-        ds.push(rec(5, 1, 0, 31.0, None));
+        ds.push(rec(5, 1, 0, 31_000_000, None));
         ds.seal(1);
         ds.finalize();
     }
@@ -805,7 +810,7 @@ mod tests {
         let mut sink = StreamingDataset::new(1);
         let mut shards = [sink.new_shard(), sink.new_shard()];
         for i in 0..2_000 {
-            shards[i % 2].push(rec(1, 0, 0, 10.0 + i as f64 * 0.1, None));
+            shards[i % 2].push(rec(1, 0, 0, ns(10.0 + i as f64 * 0.1), None));
         }
         shards.into_iter().for_each(|shard| sink.merge_shard(shard));
     }
@@ -820,7 +825,13 @@ mod tests {
             let u = (i as f64 * 0.618_033_988_749).fract();
             RecordShard::push(
                 &mut ds,
-                rec((i % 8) as u32, (i % 4) as u32, ((i / 8) % 2) as u8, 10.0 + 90.0 * u, Some(u)),
+                rec(
+                    (i % 8) as u32,
+                    (i % 4) as u32,
+                    ((i / 8) % 2) as u8,
+                    ns(10.0 + 90.0 * u),
+                    Some(u),
+                ),
             );
         }
         let cells = 64;
@@ -842,8 +853,8 @@ mod tests {
         let mut ds = StreamingDataset::new(1);
         for i in 0..40 {
             let jitter = (i as f64 - 20.0) * 0.05;
-            RecordShard::push(&mut ds, rec(3, 0, 0, 50.0 + jitter, None));
-            RecordShard::push(&mut ds, rec(3, 0, 1, 45.0 + jitter, None));
+            RecordShard::push(&mut ds, rec(3, 0, 0, ns(50.0 + jitter), None));
+            RecordShard::push(&mut ds, rec(3, 0, 1, ns(45.0 + jitter), None));
         }
         ds.finalize();
         let (cfg, ds) = (AnalysisConfig::default(), ds.summarize());

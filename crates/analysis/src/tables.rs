@@ -156,7 +156,7 @@ pub fn table2(
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use crate::record::{GroupKey, SessionRecord};
+    use crate::record::{ns, GroupKey, SessionRecord};
     use edgeperf_routing::{PopId, Prefix};
 
     /// One group with a persistent 20 ms opportunity, another stable —
@@ -182,13 +182,13 @@ mod tests {
                             relationship: rel,
                             longer_path: rank == 1,
                             more_prepended: rank == 1 && gidx == 0,
-                            min_rtt_ms: rtt
+                            min_rtt_ns: ns(rtt
                                 + (i as f64 - 20.0) * 0.05
                                 + if spike && gidx == 1 && w == 7 && rank == 0 {
                                     25.0
                                 } else {
                                     0.0
-                                },
+                                }),
                             hdratio: Some(0.9),
                             bytes: 100,
                         });
@@ -286,7 +286,7 @@ mod tests {
                         relationship: Relationship::Transit,
                         longer_path: false,
                         more_prepended: false,
-                        min_rtt_ms: 50.0 + (i as f64 - 20.0) * 0.05,
+                        min_rtt_ns: ns(50.0 + (i as f64 - 20.0) * 0.05),
                         hdratio: Some(0.9),
                         bytes: 100,
                     });

@@ -1,8 +1,8 @@
 //! Footprint gate: a cell costs what it holds, the streaming sink holds
 //! digests only for the group in flight, the exact sink holds a summary a
 //! cell, every preferred-route session's MinRTT once — in 2.5 bytes when
-//! it is shaped like a study's, 8 at most — indexed by 8 B a kept cell and
-//! its group once, and an HDratio tally bounded by
+//! it is shaped like a study's, 3 when a cell spreads over 80 ms — indexed
+//! by 8 B a kept cell and its group once, and an HDratio tally bounded by
 //! the distinct HDratios, its worker's shard holds one window's sessions
 //! beside what it has closed, and Figures 6–7 read it without copying it
 //! and in a transient of a few histograms. Heap
@@ -46,24 +46,19 @@ fn session(cell: u32, i: usize) -> SessionRecord {
         relationship: Relationship::Transit,
         longer_path: false,
         more_prepended: false,
-        min_rtt_ms: 20.0 + 80.0 * u,
+        min_rtt_ns: ((20.0 + 80.0 * u) * 1e6).round() as u32,
         hdratio: Some(u),
         bytes: 1_000,
     }
 }
 
-/// Session `i` of cell `cell` shaped like a study's: its MinRTT a whole
-/// number of nanoseconds, as the runner writes it, and its HDratio
+/// Session `i` of cell `cell` with an HDratio shaped like a study's:
 /// `achieved / tested`, untested one time in five.
 fn study_session(cell: u32, i: usize) -> SessionRecord {
     let r = session(cell, i);
     let tested = 1 + i % 9;
     let hdratio = (i * 7 % (tested + 1)) as f64 / tested as f64;
-    SessionRecord {
-        min_rtt_ms: (r.min_rtt_ms * 1e6).round() / 1e6,
-        hdratio: (!i.is_multiple_of(5)).then_some(hdratio),
-        ..r
-    }
+    SessionRecord { hdratio: (!i.is_multiple_of(5)).then_some(hdratio), ..r }
 }
 
 /// [`study_session`] with the spread of a study's cell: its MinRTTs lie
@@ -73,7 +68,8 @@ fn study_session(cell: u32, i: usize) -> SessionRecord {
 fn tight_session(cell: u32, i: usize) -> SessionRecord {
     let r = study_session(cell, i);
     let base = 20.0 + 80.0 * (f64::from(cell) * 0.618_033_988_749).fract();
-    SessionRecord { min_rtt_ms: ((base + (r.min_rtt_ms - 20.0) / 40.0) * 1e6).round() / 1e6, ..r }
+    let min_rtt_ms = base + (f64::from(r.min_rtt_ns) / 1e6 - 20.0) / 40.0;
+    SessionRecord { min_rtt_ns: (min_rtt_ms * 1e6).round() as u32, ..r }
 }
 
 /// One worker's shard after groups `groups` × 2 ranks × 4 windows cells
@@ -201,9 +197,10 @@ fn cells_cost_what_they_hold() {
     // cell — holds the grid, the cell and group tables and each cell's
     // 37-bit header, a shard's headers packed in 64-bit words. Beside the
     // tables, the headers and the tally, a study's preferred session is a
-    // Rice-coded gap of at most 2.5 B (whole nanoseconds, sorted, a few ms
-    // apart), no session is more than 8, and an alternate route's
-    // sessions hold no row bytes at all.
+    // Rice-coded gap of at most 2.5 B (sorted, a few ms apart), one of a
+    // cell spread over 80 ms — 40 sessions, gaps of 2 ms on average, so
+    // `k` ≤ 20 and a row under 23 bits — at most 3, and an alternate
+    // route's sessions hold no row bytes at all.
     let groups = [64, 192];
     let cells = (groups[0] + groups[1]) as usize * 8;
     let preferred_cells = cells / 2;
@@ -214,7 +211,7 @@ fn cells_cost_what_they_hold() {
     drop(skeleton);
     let per_cell = 40;
     for (session, row_bytes) in
-        [(tight_session as fn(u32, usize) -> SessionRecord, 2.5), (session, 8.0)]
+        [(tight_session as fn(u32, usize) -> SessionRecord, 2.5), (session, 3.0)]
     {
         let sessions = shards(groups, per_cell, session);
         let (sink, bytes) = heap_of(|| columnar_sink(&sessions));
@@ -224,7 +221,6 @@ fn cells_cost_what_they_hold() {
         let rows = sink.rows().count();
         assert_eq!(rows, preferred_cells * per_cell);
         assert!(sink.rows().all(|(cell, _)| cell.rank == 0), "an alternate row is held");
-        assert!(sink.min_rtt_in_nanos().all(|nanos| nanos == (row_bytes < 8.0)));
         let held = bytes - headers - table_bytes - tally_bytes;
         assert!(
             held as f64 <= row_bytes * rows as f64,

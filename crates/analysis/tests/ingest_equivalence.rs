@@ -33,7 +33,7 @@ fn relationship(g: u8, rank: u8) -> Relationship {
     }
 }
 
-type RawRecord = (u8, u32, u8, f64, Option<f64>, u64);
+type RawRecord = (u8, u32, u8, u32, Option<f64>, u64);
 
 fn materialize(raw: &[RawRecord]) -> Vec<SessionRecord> {
     raw.iter()
@@ -44,11 +44,16 @@ fn materialize(raw: &[RawRecord]) -> Vec<SessionRecord> {
             relationship: relationship(g, rank % 3),
             longer_path: (rank % 3) > 0,
             more_prepended: g % 2 == 0,
-            min_rtt_ms: rtt,
+            min_rtt_ns: rtt,
             hdratio: hd,
             bytes,
         })
         .collect()
+}
+
+/// The record's MinRTT in ms, as the analyses read it.
+fn min_rtt_ms(r: &SessionRecord) -> f64 {
+    f64::from(r.min_rtt_ns) / 1e6
 }
 
 /// (sorted minrtt, sorted hdratio, bytes, relationship, longer, prepended).
@@ -70,7 +75,7 @@ fn reference_ingest(records: &[SessionRecord]) -> HashMap<GroupKey, RefGroup> {
             .cells
             .entry((r.route_rank, r.window))
             .or_insert_with(|| (Vec::new(), Vec::new(), 0, r.relationship, false, false));
-        cell.0.push(r.min_rtt_ms);
+        cell.0.push(min_rtt_ms(r));
         if let Some(h) = r.hdratio {
             cell.1.push(h);
         }
@@ -121,7 +126,7 @@ fn raw_stream() -> impl Strategy<Value = Vec<RawRecord>> {
             0u8..12,
             0u32..(N_WINDOWS as u32),
             0u8..3,
-            1.0f64..500.0,
+            1_000_000u32..500_000_000,
             prop::option::of(0.0f64..=1.0),
             1u64..50_000,
         ),
@@ -176,7 +181,7 @@ proptest! {
         let mut want: Vec<_> = merged
             .iter()
             .filter(|r| r.route_rank == 0)
-            .map(|r| (r.group, r.window, 0, r.min_rtt_ms.to_bits()))
+            .map(|r| (r.group, r.window, 0, min_rtt_ms(r).to_bits()))
             .collect();
         let mut rows: Vec<_> =
             sink.rows().map(|(c, rtt)| (c.group, c.window, c.rank, rtt.to_bits())).collect();

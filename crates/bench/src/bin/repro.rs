@@ -52,7 +52,8 @@
 //! Every study runs under the one fault-tolerant driver (panic isolation,
 //! retry/quarantine, watchdog deadlines, an in-order merge), whichever
 //! sink it fills. `--fault-plan SPEC` injects deterministic faults —
-//! `panic:K`, `stall:K`, `delay:W:MS`, `malformed:N`, `mergefail:K`,
+//! `panic:K`, `stall:K`, `delay:W:MS`, `malformed:N` (every Nth record's
+//! HDratio made NaN, which validation drops and counts), `mergefail:K`,
 //! `crash:K` — for chaos testing, with either sink. `--checkpoint-dir
 //! PATH` journals each merged prefix of the exact study there — a rerun
 //! against the same directory resumes after the last one — and is refused

@@ -184,8 +184,10 @@ pub struct Fig6Summary {
 /// From the exact sink the MinRTT quantiles are exact ranks read in place
 /// off its rows and the HDratio point masses are the counts it tallied: no
 /// copy of the sessions is made. From the streaming sink the MinRTT quantiles come off its
-/// rollup digests (the sealed groups' merged in work-item order — within a
-/// percent of exact, see EXPERIMENTS.md) and the HDratio point masses off
+/// rollup digests (the sealed groups' merged in work-item order — mostly
+/// within a percent of exact, but 4.6 % over at seed 51, where the 80th
+/// percentile sits where the sessions thin out: see EXPERIMENTS.md) and
+/// the HDratio point masses off
 /// the counters it kept as records arrived, which equal the exact sink's.
 ///
 /// # Panics
@@ -613,14 +615,15 @@ mod tests {
 
     #[test]
     fn a_quick_study_keeps_every_shard_compact() {
-        // The runner writes a MinRTT as whole nanoseconds and an HDratio
-        // as `achieved / tested`: were either to change, the exact sink
-        // would fall back from Rice-coded gaps to 8 B a MinRTT, or tally
-        // an entry an HDratio, without any output changing.
+        // A cell's MinRTTs lie a few ms apart and an HDratio is `achieved /
+        // tested`: were either to change, the exact sink would keep wider
+        // Rice-coded gaps, or tally an entry an HDratio, without any
+        // output changing.
         let data = exact(scaled(20190521, 0.1));
         let Some(Sessions::Columns(sink)) = &data.sessions else { panic!("an exact study") };
-        let nanos: Vec<bool> = sink.min_rtt_in_nanos().collect();
-        assert!(nanos.len() > 10 && nanos.iter().all(|&n| n), "{nanos:?}");
+        let kept = sink.footprint().into_iter().find(|p| p.0 == "kept_bytes").unwrap().1;
+        let rows = sink.rows().count();
+        assert!(rows > 10_000 && kept < 3 * rows, "{kept} B for {rows} MinRTTs");
         let (tested, distinct) =
             (sink.hdratio_rollup().0.tested, sink.hdratio().distinct_hdratios());
         assert!(distinct > 0 && (distinct as u64) < tested / 10, "{distinct} distinct of {tested}");

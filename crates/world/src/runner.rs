@@ -221,7 +221,9 @@ pub(crate) fn run_prefix_cancellable<S: RecordShard>(
                 relationship: gt.route.relationship,
                 longer_path: gt.longer_path,
                 more_prepended: gt.more_prepended,
-                min_rtt_ms: min_rtt as f64 / MILLISECOND as f64,
+                // A `u32` counts 4.29 s; one past it panics, and the
+                // supervisor quarantines the prefix and says so.
+                min_rtt_ns: u32::try_from(min_rtt).expect("a MinRTT under 4.29 s (2^32 ns)"),
                 hdratio: verdict.and_then(|v| v.hdratio()),
                 // Weight the sampled session by its group's traffic share.
                 bytes: (session.total_bytes() as f64 * site.weight).max(1.0) as u64,
@@ -353,6 +355,10 @@ mod tests {
     use crate::topology::WorldConfig;
     use edgeperf_core::{MILLISECOND as NS_MS, SECOND};
 
+    fn min_rtt_ms(r: &SessionRecord) -> f64 {
+        f64::from(r.min_rtt_ns) / 1e6
+    }
+
     fn tiny_study() -> (World, StudyConfig) {
         let world = World::generate(WorldConfig::default());
         let cfg = StudyConfig {
@@ -380,11 +386,11 @@ mod tests {
         let (world, cfg) = tiny_study();
         let records = run_study(&world, &cfg);
         for r in &records {
-            assert!(r.min_rtt_ms > 1.0 && r.min_rtt_ms < 600.0, "min_rtt = {}", r.min_rtt_ms);
+            assert!(r.min_rtt_ns > 1_000_000 && r.min_rtt_ns < 600_000_000, "{} ns", r.min_rtt_ns);
         }
         // Global median in a plausible band (paper: < 40 ms; our world is
         // similar but not identical — allow a generous band).
-        let mut rtts: Vec<f64> = records.iter().map(|r| r.min_rtt_ms).collect();
+        let mut rtts: Vec<f64> = records.iter().map(min_rtt_ms).collect();
         rtts.sort_unstable_by(f64::total_cmp);
         let med = rtts[rtts.len() / 2];
         assert!(med > 10.0 && med < 80.0, "median min_rtt = {med}");
@@ -407,9 +413,7 @@ mod tests {
         let (world, cfg) = tiny_study();
         let mut a = run_study(&world, &cfg);
         let mut b = run_study(&world, &cfg);
-        let key = |r: &SessionRecord| {
-            (r.group.prefix.base, r.window, r.route_rank, r.min_rtt_ms.to_bits())
-        };
+        let key = |r: &SessionRecord| (r.group.prefix.base, r.window, r.route_rank, r.min_rtt_ns);
         a.sort_by_key(key);
         b.sort_by_key(key);
         assert_eq!(a.len(), b.len());
@@ -505,7 +509,7 @@ mod tests {
             let mut v: Vec<f64> = records
                 .iter()
                 .filter(|r| r.group.continent == cont as u8 && r.route_rank == 0)
-                .map(|r| r.min_rtt_ms)
+                .map(min_rtt_ms)
                 .collect();
             v.sort_unstable_by(f64::total_cmp);
             v[v.len() / 2]
@@ -650,8 +654,11 @@ mod pep_runner_tests {
         let median = |world: &World| {
             let mut out = Vec::new();
             assert!(run_prefix_cancellable(world, &cfg, idx, &mut out, &|| false).is_some());
-            let mut v: Vec<f64> =
-                out.iter().filter(|r| r.route_rank == 0).map(|r| r.min_rtt_ms).collect();
+            let mut v: Vec<f64> = out
+                .iter()
+                .filter(|r| r.route_rank == 0)
+                .map(|r| f64::from(r.min_rtt_ns) / 1e6)
+                .collect();
             v.sort_unstable_by(f64::total_cmp);
             v[v.len() / 2]
         };

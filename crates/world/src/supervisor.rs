@@ -98,7 +98,7 @@ pub struct WorkerDelay {
 /// | `panic:K` or `panic:K@A` | prefix `K` panics on its first `A` attempts (default 1) |
 /// | `stall:K` or `stall:K@A` | prefix `K` stalls (cancel-aware) on its first `A` attempts |
 /// | `delay:W:MS` | worker `W` sleeps `MS` ms before every prefix it claims |
-/// | `malformed:N` | every `N`-th record of every prefix is corrupted (NaN MinRTT) before validation |
+/// | `malformed:N` | every `N`-th record of every prefix is corrupted (NaN HDratio) before validation |
 /// | `mergefail:K` or `mergefail:K@A` | merging prefix `K` into the sink fails on the first `A` tries |
 /// | `crash:K` | the supervisor aborts right after merging (and journalling) prefix `K` |
 ///
@@ -364,9 +364,9 @@ fn pop_ready<Sh>(queue: &Mutex<VecDeque<Work<Sh>>>) -> Option<(Work<Sh>, usize)>
 }
 
 /// Sink-side validation plus fault injection, wrapped around a worker's
-/// fragment. Validation is always on: a record with a non-finite MinRTT
-/// or HDratio is dropped and counted rather than poisoning a digest or a
-/// figure. The injector corrupts every N-th record *before* validation,
+/// fragment. Validation is always on: a record with a non-finite HDratio
+/// is dropped and counted rather than poisoning a digest or a figure (a
+/// MinRTT is a whole count of nanoseconds, finite by type). The injector corrupts every N-th record *before* validation,
 /// so the chaos tests exercise the same path a buggy instrumentation
 /// change would hit.
 struct GuardShard<'a, S: RecordShard> {
@@ -382,11 +382,10 @@ impl<S: RecordShard> RecordShard for GuardShard<'_, S> {
         self.seen += 1;
         if let Some(n) = self.malformed_every {
             if self.seen.is_multiple_of(n) {
-                record.min_rtt_ms = f64::NAN;
+                record.hdratio = Some(f64::NAN);
             }
         }
-        let bad = !record.min_rtt_ms.is_finite() || record.hdratio.is_some_and(|h| !h.is_finite());
-        if bad {
+        if record.hdratio.is_some_and(|h| !h.is_finite()) {
             self.dropped += 1;
             return;
         }

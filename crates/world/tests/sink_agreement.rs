@@ -36,7 +36,7 @@ fn skewed() -> (World, StudyConfig) {
 }
 
 fn record_key(r: &SessionRecord) -> (u32, u32, u8, u64, u64) {
-    (r.group.prefix.base, r.window, r.route_rank, r.min_rtt_ms.to_bits(), r.bytes)
+    (r.group.prefix.base, r.window, r.route_rank, u64::from(r.min_rtt_ns), r.bytes)
 }
 
 #[test]
@@ -234,7 +234,8 @@ fn columnar_sink_matches_from_records_end_to_end() {
         type Cell = (GroupKey, u32, u8);
         let mut want: HashMap<Cell, Vec<u64>> = HashMap::new();
         for r in records.iter().filter(|r| r.route_rank == 0) {
-            want.entry((r.group, r.window, 0)).or_default().push(r.min_rtt_ms.to_bits());
+            let min_rtt_ms = f64::from(r.min_rtt_ns) / 1e6;
+            want.entry((r.group, r.window, 0)).or_default().push(min_rtt_ms.to_bits());
         }
         for rtts in want.values_mut() {
             rtts.sort_by(|a, b| f64::from_bits(*a).total_cmp(&f64::from_bits(*b)));

@@ -10,7 +10,8 @@
 //! holds: `ColumnarSink::rows()` as bit tuples, its summaries and its
 //! HDratio tally.
 
-use edgeperf_analysis::{atomic_write, ColumnarSink, RecordSink, StreamingDataset};
+use edgeperf_analysis::figures::HdratioTally;
+use edgeperf_analysis::{atomic_write, ColumnarSink, RecordSink, SessionRecord, StreamingDataset};
 use edgeperf_obs::{Metrics, MetricsSnapshot};
 use edgeperf_workload::WorkloadConfig;
 use edgeperf_world::{
@@ -231,12 +232,18 @@ fn malformed_records_are_dropped_counted_and_never_reach_the_sink() {
     let (world, cfg) = tiny();
     let (sink, report) = run(&world, &cfg, &sup("malformed:7"));
 
-    assert!(report.malformed_dropped > 0, "injector never fired");
+    // Every 7th record of each prefix, as many as when the injector wrote
+    // a NaN MinRTT instead of a NaN HDratio (252 of 1,834 in this study).
+    assert_eq!(report.malformed_dropped, 252, "the injector drops other records");
     // Accounting closes: emitted = kept + dropped.
     assert_eq!(report.records_emitted, sink.stats().records + report.malformed_dropped);
-    // Validation held the line: nothing non-finite reached the sink (which
-    // would have refused it with a panic, not a count).
-    assert!(sink.rows().all(|(_, rtt)| rtt.is_finite()));
+    // Validation held the line: no NaN HDratio reached the tally, which is
+    // that of the records the same plan lets through, each HDratio finite.
+    let mut kept: Vec<SessionRecord> = Vec::new();
+    run_study_supervised(&world, &cfg, &sup("malformed:7"), &mut kept, &Metrics::disabled())
+        .expect("no crash planned");
+    assert!(kept.iter().all(|r| r.hdratio.is_none_or(f64::is_finite)));
+    assert_eq!(sink.hdratio(), &HdratioTally::of(&kept));
     let fig7 = sink.hdratio().fig7();
     assert!(fig7.iter().all(|b| b.median.is_finite()), "{fig7:?}");
 }

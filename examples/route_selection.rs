@@ -76,7 +76,7 @@ fn main() {
                     relationship: ranked[rank as usize].relationship,
                     longer_path: rank == 1,
                     more_prepended: false,
-                    min_rtt_ms: min_rtt as f64 / MILLISECOND as f64,
+                    min_rtt_ns: u32::try_from(min_rtt).expect("a MinRTT under 4.29 s"),
                     hdratio: session_hdratio(&obs, HD_GOODPUT_BPS).and_then(|v| v.hdratio()),
                     bytes: obs.total_bytes(),
                 });

@@ -93,7 +93,7 @@ fn study_records_are_internally_consistent() {
     for r in &records {
         assert!(r.route_rank <= 2);
         assert!((r.window as usize) < n_windows);
-        assert!(r.min_rtt_ms.is_finite() && r.min_rtt_ms > 0.0);
+        assert!(r.min_rtt_ns > 0);
         if let Some(h) = r.hdratio {
             assert!((0.0..=1.0).contains(&h));
         }
