@@ -2,15 +2,18 @@
 //! checkpoint journal writes for each prefix it merges.
 //!
 //! A fragment is journalled sealed, so it is what its worker closed: a
-//! [`WindowCell`] row a cell, the preferred cells' sorted MinRTTs and the
+//! [`WindowCell`] row a cell, each kept group's sorted MinRTTs and the
 //! HDratio tally.
 //!
 //! ```text
-//! "EPSH" | version = 2 | form = 0 | segment: u32 | kept: u32
+//! "EPSH" | version = 3 | form = 0 | segment: u32 | kept: u32
 //!        | continents: u16 | entries: u32                       20 bytes
 //! segment   the rows in closing order: `encode_segment`'s image
 //! kept      u64 words: the Rice-coded stream of the preferred rows'
-//!           MinRTTs, whole nanoseconds, each row's `n` sorted
+//!           MinRTTs, whole nanoseconds, one sorted run a group — groups
+//!           in the order the rows first name them, a group's run the sum
+//!           of its preferred rows' `n` — then a zero word (no word at
+//!           all without a preferred row)
 //! continent tested: u64 | zero: u64 | below_one: u64             24 bytes
 //! entry     bucket: u8 | HDratio bits: u64 | sessions: u64       17 bytes
 //! FxHash of everything above: u64
@@ -21,23 +24,24 @@
 //! decoder adds them up from its entries, which are written in ascending
 //! (bucket, bits) order. A cell costs its segment row (49–73 B) and a
 //! share of its window's row-group frame; a preferred session a few bits.
-//! At seed 7, scale 1 the 121 fragments are 17.6 MB for 7.72 M sessions,
-//! 2.3 B a session.
+//! At seed 7, scale 1 the 121 fragments are 14.1 MB for 7.72 M sessions,
+//! 1.8 B a session.
 //!
 //! A journal file is outside input. The header's counts must account for
 //! the image's length *exactly* before anything is sized by them; a row
-//! must name a cell its sink has, once; the stream must hold each
-//! preferred row's `n` values and nothing more, which a walk bounded by
-//! its words checks; and the tally must agree with the rows — a
-//! continent's tested sessions are its preferred rows' — and with itself.
-//! An image of another version, version 1's raw rows included, is refused
-//! (`unsupported shard version 1`), and so is one of another kept form —
-//! form 1, the `f64`s of MinRTTs that were not whole nanoseconds, included
-//! (`unknown kept form 1`) — not migrated: a checkpoint is one study's
-//! transient. Problems are the typed [`EdgeperfError::Segment`] —
-//! the checksum is `segment.rs`'s.
+//! must name a cell its sink has, once; the stream must hold each group's
+//! run of exactly its preferred rows' `n` values and nothing more, which a
+//! walk bounded by its words checks; and the tally must agree with the
+//! rows — a continent's tested sessions are its preferred rows' — and with
+//! itself. An image of another version is refused — version 1's raw rows
+//! (`unsupported shard version 1`) and version 2's run a preferred cell
+//! (`unsupported shard version 2`) included — and so is one of another
+//! kept form — form 1, the `f64`s of MinRTTs that were not whole
+//! nanoseconds, included (`unknown kept form 1`) — not migrated: a
+//! checkpoint is one study's transient. Problems are the typed
+//! [`EdgeperfError::Segment`] — the checksum is `segment.rs`'s.
 
-use crate::columnar::{BitWriter, ColumnarShard, ColumnarSink, HEAD_BITS, K_BITS};
+use crate::columnar::{ColumnarShard, ColumnarSink, KeptRuns, HEAD_BITS, K_BITS};
 use crate::figures::{HdratioCounts, HdratioTally, HDRATIO_BELOW_ONE};
 use crate::segment::{
     checked_body, checksum, corrupt, decode_segment, encode_segment, Reader, WindowCell,
@@ -49,7 +53,7 @@ use edgeperf_core::EdgeperfError;
 pub(crate) const SHARD_MAGIC: [u8; 4] = *b"EPSH";
 
 /// Current shard format version.
-pub(crate) const SHARD_VERSION: u8 = 2;
+pub(crate) const SHARD_VERSION: u8 = 3;
 
 /// The one kept form: whole nanoseconds, Rice-coded.
 const KEPT_FORM: u8 = 0;
@@ -63,8 +67,8 @@ const CONTINENT_BYTES: usize = 24;
 /// A tally entry: bucket, HDratio bits, sessions.
 const ENTRY_BYTES: usize = 1 + 8 + 8;
 
-/// The image of `rows`, a kept stream and `tally` (see the module docs),
-/// appended to `out`.
+/// The image of `rows`, a kept stream's words and `tally` (see the module
+/// docs), appended to `out`.
 fn write_image(out: &mut Vec<u8>, rows: &[WindowCell], kept: &[u64], tally: &HdratioTally) {
     let start = out.len();
     let count = |n: usize| u32::try_from(n).expect("a shard's counts fit u32").to_le_bytes();
@@ -123,13 +127,13 @@ fn field(words: &[u64], pos: usize, width: usize) -> Option<u64> {
     Some((words[i] >> bit | high) & ((1 << width) - 1))
 }
 
-/// Walk a kept stream ([`BitWriter`]) of cells of `counts` rows without
-/// reading past its words: the bit its last code ends at, or why it is not
-/// that stream.
-fn stream_end(words: &[u64], counts: impl Iterator<Item = u64>) -> Result<usize, EdgeperfError> {
+/// Walk a kept stream of runs of `counts` rows, and the zero word after
+/// it, without reading past its words: why it is not that stream, if it
+/// is not.
+fn check_stream(words: &[u64], counts: &[u64]) -> Result<(), EdgeperfError> {
     let mut unary = 0;
-    for (cell, n) in counts.enumerate() {
-        let overrun = || corrupt(format!("preferred row {cell}'s {n} values overrun the stream"));
+    for (run, &n) in counts.iter().enumerate() {
+        let overrun = || corrupt(format!("kept group {run}'s {n} values overrun the stream"));
         let k = field(words, unary, K_BITS as usize).ok_or_else(overrun)? as usize;
         let mut nanos = field(words, unary + K_BITS as usize, 32).ok_or_else(overrun)?;
         let mut low = unary + HEAD_BITS;
@@ -152,16 +156,20 @@ fn stream_end(words: &[u64], counts: impl Iterator<Item = u64>) -> Result<usize,
                 .map(|q| q << k | field(words, low, k).expect("inside the low bits"));
             nanos += gap.filter(|&gap| gap <= u64::from(u32::MAX)).ok_or_else(overrun)?;
             if nanos > u64::from(u32::MAX) {
-                return Err(corrupt(format!("preferred row {cell} passes 2^32 ns in the stream")));
+                return Err(corrupt(format!("kept group {run} passes 2^32 ns in the stream")));
             }
             (unary, low) = (one + 1, low + k);
         }
     }
-    let tail = unary % 64;
-    if words.len() != unary.div_ceil(64) || tail > 0 && words[words.len() - 1] >> tail != 0 {
+    // The stream's words, then a zero word if there is a stream at all.
+    let (len, tail) = (unary.div_ceil(64) + usize::from(!counts.is_empty()), unary % 64);
+    if words.len() != len
+        || tail > 0 && words[unary / 64] >> tail != 0
+        || words.last().is_some_and(|&last| last != 0)
+    {
         return Err(corrupt(format!("{} words hold a {unary}-bit stream", words.len())));
     }
-    Ok(unary)
+    Ok(())
 }
 
 impl ColumnarSink {
@@ -199,7 +207,8 @@ impl ColumnarSink {
         let rows = decode_segment(r.take(segment)?)?;
         let mut shard = self.new_shard();
         let mut tested_by_continent = Vec::new();
-        let mut kept_counts = Vec::new();
+        // Each group's preferred sessions, indexed like `shard.ids.slots`.
+        let mut kept_counts: Vec<u64> = Vec::new();
         for (i, row) in rows.iter().enumerate() {
             // The bounds `GroupSlots::cell` and the stream's `u32` row
             // counts would panic on.
@@ -220,7 +229,11 @@ impl ColumnarSink {
                 return Err(corrupt(format!("row {i} repeats an earlier row's cell")));
             }
             if row.rank == 0 {
-                kept_counts.push(u64::from(row.n));
+                let at = shard.ids.position(&row.group()).expect("just given ids") as usize;
+                if kept_counts.len() <= at {
+                    kept_counts.resize(at + 1, 0);
+                }
+                kept_counts[at] += u64::from(row.n);
                 let continent = row.group().continent as usize;
                 if tested_by_continent.len() <= continent {
                     tested_by_continent.resize(continent + 1, 0);
@@ -236,8 +249,15 @@ impl ColumnarSink {
         for _ in 0..words {
             kept.push(r.u64()?);
         }
-        let pos = stream_end(&kept, kept_counts.iter().copied())?;
-        shard.kept = BitWriter { words: kept, pos };
+        let groups = shard.ids.slots.iter().map(|(group, _)| *group).zip(&kept_counts);
+        let (groups, counts): (Vec<_>, Vec<_>) = groups.filter(|&(_, &n)| n > 0).unzip();
+        check_stream(&kept, &counts)?;
+        let ends = counts.iter().scan(0, |end, &n| {
+            *end += n as u32;
+            Some(*end)
+        });
+        let groups = groups.into_iter().zip(ends).collect();
+        shard.kept = KeptRuns { words: kept.into_boxed_slice(), groups };
         shard.tally = read_tally(&mut r, continents, entries, &tested_by_continent)?;
         shard.base = rows.len() as u32;
         shard.rows = rows;
@@ -296,6 +316,7 @@ fn read_tally(
 mod tests {
     use super::*;
     use crate::columnar::tests::{rec, synthetic};
+    use crate::columnar::BitWriter;
     use crate::sink::RecordShard;
 
     /// 13 prefixes × 4 windows = 52 cells, half of them preferred; a third
@@ -395,6 +416,37 @@ mod tests {
     }
 
     #[test]
+    fn a_version_2_image_is_refused_as_corruption() {
+        // Version 2 held a coded run a preferred cell, no word after the
+        // stream: a whole, checksummed image of it, as an encoder of that
+        // version wrote.
+        let sink = ColumnarSink::new(4);
+        let shard = shard_of(&sink, 600);
+        let mut cells: Vec<((u32, u32), Vec<u32>)> = Vec::new();
+        for r in synthetic(600).iter().filter(|r| r.route_rank == 0) {
+            let cell = (r.group.prefix.base, r.window);
+            match cells.iter_mut().find(|(c, _)| *c == cell) {
+                Some((_, nanos)) => nanos.push(r.min_rtt_ns),
+                None => cells.push((cell, vec![r.min_rtt_ns])),
+            }
+        }
+        let mut stream = BitWriter::default();
+        for row in shard.rows.iter().filter(|r| r.rank == 0) {
+            let cell = (row.group().prefix.base, row.window);
+            let (_, nanos) = cells.iter_mut().find(|(c, _)| *c == cell).expect("a row's cell");
+            nanos.sort_unstable();
+            stream.run(nanos);
+        }
+        let mut image = Vec::new();
+        write_image(&mut image, &shard.rows, &stream.words, &shard.tally);
+        image[4] = 2;
+        let err = sink.decode_shard(&resummed(image)).expect_err("version 2 is no version");
+        assert!(
+            matches!(&err, EdgeperfError::Segment { message } if message == "unsupported shard version 2")
+        );
+    }
+
+    #[test]
     fn what_the_checksum_cannot_stop_the_arithmetic_and_the_bounds_do() {
         let sink = ColumnarSink::new(4);
         let shard = shard_of(&sink, 600);
@@ -439,11 +491,19 @@ mod tests {
         refused(&with_row(3, &|r| r.n_tested = r.n + 1), "row 3 counts");
         refused(&with_row(3, &|r| r.n = 0), "row 3 counts");
         refused(&with_row(1, &|r| *r = rows[0]), "row 1 repeats an earlier row's cell");
-        // A preferred row one session longer or shorter than the stream.
-        refused(&with_row(0, &|r| r.n += 1), "the stream");
-        refused(&with_row(0, &|r| r.n -= 1), "the stream");
+        // A preferred row one session longer or shorter, so its group's
+        // run is too: the walk overruns the words or ends short of them.
+        refused(&with_row(0, &|r| r.n += 1), "stream");
+        refused(&with_row(0, &|r| r.n -= 1), "stream");
         refused(&image_of(rows, &[words, &[0]].concat(), tally), "words hold a");
-        refused(&image_of(rows, &words[..words.len() - 1], tally), "overrun the stream");
+        refused(&image_of(rows, &words[..words.len() - 1], tally), "words hold a");
+        refused(&image_of(rows, &words[..words.len() - 2], tally), "overrun the stream");
+        let mut dirty = words.to_vec();
+        *dirty.last_mut().unwrap() = 1;
+        refused(&image_of(rows, &dirty, tally), "words hold a");
+        // No preferred row, no word.
+        let alternates: Vec<WindowCell> = rows.iter().filter(|r| r.rank > 0).copied().collect();
+        refused(&image_of(&alternates, &[0], &HdratioTally::default()), "words hold a");
 
         let with_tally = |edit: &dyn Fn(&mut HdratioTally)| {
             let mut tally = tally.clone();

@@ -28,26 +28,30 @@
 //! what Figures 6–7 read of HDratio — point masses by continent, and by
 //! Figure 7's MinRTT bucket a count of each distinct HDratio — goes into
 //! the shard's [`HdratioTally`]; and each preferred cell's sorted MinRTTs
-//! — the only per-session values left to read, by Figure 6 — are
-//! appended to the shard's kept stream as they lie: the cell's least
-//! value and the Rice-coded gaps between the rest, with a parameter chosen
-//! per cell, under `k + 3` bits a row, 2.17 bytes a row at seed 7, scale 1
-//! (a `u32` a row was 4). The columns are then cleared for the next
-//! window, so a shard holds one window's rows beside what it has closed.
-//! An alternate route's MinRTTs are never kept.
+//! — the only per-session values left to read, by Figure 6, which pools
+//! them by continent — are appended to its group's run, a `u32` a row.
+//! The columns are then cleared for the next window, so a shard holds one
+//! window's rows beside what it has closed. An alternate route's MinRTTs
+//! are never kept.
+//!
+//! Sealing the shard (or merging it unsealed) sorts each group's run once
+//! and Rice-codes it: the run's least value and the gaps between the rest,
+//! with one parameter for the run, under `k + 3` bits a row, 1.2 bytes a
+//! row at seed 7, scale 1 (one coded run a cell was 2.17, a `u32` a row
+//! 4). A sealed shard's runs lie group after group in one bit stream, a
+//! kept group named once beside its run's end row.
 //!
 //! [`ColumnarSink`] merges a shard by placing its rows in the sink's grid
 //! in closing order — first-seen order, since the records came window by
 //! window — adding its tally to the sink's and appending its stream to one
-//! study-wide buffer. Of the shard it keeps only Figure 6's index into
-//! that buffer: its word range, its groups once each and, a kept cell, two
-//! `u32`s — its window (with its group's place) and its end row — in one
-//! allocation sized at merge. A row names its cell nowhere else: the grid
+//! study-wide buffer. Of the shard it keeps only Figure 6's index: its
+//! word range and its kept groups, each once beside its run's end row. A
+//! row names its cell nowhere else: the grid
 //! already holds every cell's key. The scheduler hands each prefix to
 //! exactly one worker, so shards share no group, and the sink refuses a
 //! shard that does: the group's cells are already summaries.
 //! [`ColumnarSink::rows`] and the sink's [`PreferredSessions`] view walk
-//! the kept cells, decoding as they go, and
+//! the kept runs, decoding as they go, and
 //! [`ColumnarSink::take_summaries`] hands the grid over. What the sink
 //! holds, part by part, is [`ColumnarSink::footprint`].
 
@@ -62,7 +66,7 @@ use std::ops::Range;
 
 /// Identity of one (group, window, route-rank) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CellKey {
+pub(crate) struct CellKey {
     /// User group (PoP × prefix × country).
     pub group: GroupKey,
     /// 15-minute window index.
@@ -87,9 +91,9 @@ pub(crate) struct CellMeta {
 /// each in three aligned columns keyed by the cell's index in the window,
 /// plus one metadata slot per open cell; and what it has closed — a
 /// [`WindowCell`] row a cell, the HDratio tally and the kept preferred
-/// MinRTTs. Made by [`ColumnarSink::new_shard`], whose window count it
-/// takes: a record outside it panics at push, and so does a record for a
-/// cell whose window has closed.
+/// MinRTTs, a run a group. Made by [`ColumnarSink::new_shard`], whose
+/// window count it takes: a record outside it panics at push, and so does
+/// a record for a cell whose window has closed.
 #[derive(Debug)]
 pub struct ColumnarShard {
     /// Every cell's id, in its group's `ranks[rank][window]` slot: a
@@ -109,9 +113,11 @@ pub struct ColumnarShard {
     pub(crate) rows: Vec<WindowCell>,
     /// The closed cells' tested preferred-route sessions.
     pub(crate) tally: HdratioTally,
-    /// The closed preferred cells' MinRTTs, cell by cell in `rows` order,
-    /// each cell sorted.
-    pub(crate) kept: BitWriter,
+    /// Each group's closed preferred MinRTTs not yet sealed, indexed like
+    /// `ids.slots`: cell after cell, each cell sorted.
+    runs: Vec<Vec<u32>>,
+    /// The sealed runs.
+    pub(crate) kept: KeptRuns,
 }
 
 impl ColumnarShard {
@@ -120,9 +126,10 @@ impl ColumnarShard {
         self.base as usize + self.cells.len()
     }
 
-    /// No window is open: every cell seen is a row.
+    /// No window is open and every kept MinRTT is coded: every cell seen
+    /// is a row.
     pub(crate) fn is_sealed(&self) -> bool {
-        self.cells.is_empty()
+        self.cells.is_empty() && self.runs.is_empty()
     }
 
     /// MinRTT samples recorded (one per session), closed and open.
@@ -155,11 +162,19 @@ impl ColumnarShard {
     }
 
     /// Close the open window's cells: each one's row, its tested preferred
-    /// sessions tallied and, for a preferred cell, its sorted MinRTTs kept.
+    /// sessions tallied and, for a preferred cell, its sorted MinRTTs
+    /// appended to its group's run.
     fn close(&mut self) {
+        self.window = None;
+        if self.cells.is_empty() {
+            return;
+        }
+        if !self.kept.groups.is_empty() {
+            self.unseal();
+        }
         let ColumnarShard {
+            ids,
             base,
-            window,
             cells,
             cell,
             min_rtt,
@@ -167,13 +182,9 @@ impl ColumnarShard {
             scratch,
             rows,
             tally,
-            kept,
+            runs,
             ..
         } = self;
-        *window = None;
-        if cells.is_empty() {
-            return;
-        }
         for ((&ci, &rtt), &h) in cell.iter().zip(&*min_rtt).zip(&*hdratio) {
             let CellKey { group, rank, .. } = cells[ci as usize].key;
             if rank == 0 && !h.is_nan() {
@@ -205,7 +216,11 @@ impl ColumnarShard {
             rtts.sort_unstable();
             by_hd[rows_of(ci)].sort_unstable_by(f64::total_cmp);
             if meta.key.rank == 0 {
-                kept.cell(rtts);
+                let at = ids.position(&meta.key.group).expect("an open cell's group has ids");
+                if runs.len() <= at as usize {
+                    runs.resize_with(at as usize + 1, Vec::new);
+                }
+                runs[at as usize].extend_from_slice(rtts);
             }
             in_ms.clear();
             in_ms.extend(rtts.iter().map(|&n| ms(n)));
@@ -234,6 +249,45 @@ impl ColumnarShard {
         min_rtt.clear();
         hdratio.clear();
     }
+
+    /// Close the open window, then sort and code each group's run once,
+    /// after the runs sealed before, in `ids.slots` order.
+    fn seal_runs(&mut self) {
+        self.close();
+        if self.runs.is_empty() {
+            return;
+        }
+        let (mut stream, mut groups, mut end) = (BitWriter::default(), Vec::new(), 0u32);
+        let runs = std::mem::take(&mut self.runs);
+        for ((group, _), mut run) in self.ids.slots.iter().zip(runs) {
+            if run.is_empty() {
+                continue;
+            }
+            run.sort_unstable();
+            stream.run(&run);
+            end = u32::try_from(run.len())
+                .ok()
+                .and_then(|n| end.checked_add(n))
+                .expect("a shard's kept rows fit u32");
+            groups.push((*group, end));
+        }
+        // A zero word past the stream's last, so that a reader takes two
+        // whole words wherever a field starts.
+        let mut words = stream.words;
+        words.push(0);
+        self.kept = KeptRuns { words: words.into_boxed_slice(), groups: groups.into_boxed_slice() };
+    }
+
+    /// Decode the sealed runs back into raw ones, so that a close may add
+    /// to them: only a shard sealed (or decoded) and then pushed again.
+    fn unseal(&mut self) {
+        let kept = std::mem::take(&mut self.kept);
+        self.runs.resize_with(self.ids.slots.len(), Vec::new);
+        for (group, nanos) in Sessions::new(&kept.words, &kept.groups) {
+            let at = self.ids.position(&group).expect("a kept group has ids");
+            self.runs[at as usize].push(nanos);
+        }
+    }
 }
 
 /// What a close lays the open window out in, reused from window to window.
@@ -248,31 +302,30 @@ struct Scratch {
     in_ms: Vec<f64>,
 }
 
-/// Bits of a cell's header: its Rice parameter and its least value.
+/// Bits of a run's header: its Rice parameter and its least value.
 pub(crate) const K_BITS: u32 = 5;
 pub(crate) const HEAD_BITS: usize = K_BITS as usize + 32;
 
-/// A shard's kept MinRTTs, cell by cell and each cell sorted, as whole
-/// nanoseconds Rice-coded in one bit stream, each word filled from its
-/// least significant bit, and where the stream is. A cell is its parameter
-/// `k` in 5 bits, its least value in 32, then for each further value the
-/// low `k` bits of its gap to the one before, then each gap's `gap >> k`
-/// in unary (that many zeros, then a one). `k` is ⌊log₂⌋ of the cell's
-/// mean gap (0 below 1), so Σ(gap >> k) < 2n and a row costs under `k + 3`
-/// bits however skewed its cell. Low bits lie at fixed strides and the
-/// unary codes are found a set bit at a time, so a reader's cursors do not
-/// wait on one another.
+/// Sorted runs of whole nanoseconds, Rice-coded one after another in one
+/// bit stream, each word filled from its least significant bit, and where
+/// the stream is. A run is its parameter `k` in 5 bits, its least value in
+/// 32, then for each further value the low `k` bits of its gap to the one
+/// before, then each gap's `gap >> k` in unary (that many zeros, then a
+/// one). `k` is ⌊log₂⌋ of the run's mean gap (0 below 1), so Σ(gap >> k)
+/// < 2n and a row costs under `k + 3` bits however skewed its run. Low
+/// bits lie at fixed strides and the unary codes are found a set bit at a
+/// time, so a reader's cursors do not wait on one another.
 #[derive(Debug, Default)]
 pub(crate) struct BitWriter {
     pub(crate) words: Vec<u64>,
-    pub(crate) pos: usize,
+    pos: usize,
 }
 
 impl BitWriter {
-    /// Append a cell of `sorted` values: its Rice parameter, ⌊log₂⌋ of its
+    /// Append a run of `sorted` values: its Rice parameter, ⌊log₂⌋ of its
     /// mean gap (0 below 1 or for one value), its least value, the low
     /// bits of each gap, then each gap's high bits in unary.
-    fn cell(&mut self, sorted: &[u32]) {
+    pub(crate) fn run(&mut self, sorted: &[u32]) {
         let mean_gap =
             u64::from(sorted[sorted.len() - 1] - sorted[0]).checked_div(sorted.len() as u64 - 1);
         let k = mean_gap.and_then(u64::checked_ilog2).unwrap_or(0);
@@ -314,57 +367,36 @@ pub(crate) fn bits_at(words: &[u64], pos: usize, width: u32) -> u32 {
     (window & ((1 << width) - 1)) as u32
 }
 
-/// What the sink keeps of a merged shard: its Figure 6 index and where
-/// its preferred-route cells' MinRTTs lie in the sink's kept buffer. The
-/// index is the shard's groups, each once (one in a study, whose shard is
-/// a prefix), and a kept cell's place, 8 B: its group's position times the
-/// sink's windows plus its window, and its end row — cell `ci` is rows
-/// `cells[ci - 1].1..cells[ci].1`, sorted. Both are sized once, at merge.
+/// A sealed shard's kept MinRTTs: each kept group's run, sorted, group
+/// after group in one [`BitWriter`] stream, and the groups once each
+/// beside their runs' end rows — group `i`'s run is rows
+/// `groups[i - 1].1..groups[i].1`. Those groups are Figure 6's index: 20 B
+/// a group, one prefix's few in a shard.
+#[derive(Debug, Default)]
+pub(crate) struct KeptRuns {
+    /// The stream, with a zero word after it; no word when no run.
+    pub(crate) words: Box<[u64]>,
+    pub(crate) groups: Box<[(GroupKey, u32)]>,
+}
+
+/// A merged shard's kept runs: where its words lie in the sink's buffer,
+/// and its kept groups as [`KeptRuns`] has them.
 #[derive(Debug)]
-struct AdoptedShard {
-    groups: Box<[GroupKey]>,
-    cells: Box<[(u32, u32)]>,
-    /// Its [`BitWriter`] stream, with a zero word after it.
+struct Adopted {
     words: Range<usize>,
+    groups: Box<[(GroupKey, u32)]>,
 }
 
-impl AdoptedShard {
-    /// Every session kept, cell by cell: its cell and its MinRTT (ms).
-    /// `words` are the shard's own, `n_windows` the sink's.
-    fn sessions<'a>(&'a self, words: &'a [u64], n_windows: u32) -> Sessions<'a> {
-        Sessions {
-            shard: self,
-            words,
-            n_windows,
-            cell: 0,
-            row: 0,
-            end: 0,
-            cursor: Cursor::default(),
-        }
-    }
-
-    /// The cell at `slot` of the index.
-    fn key(&self, slot: u32, n_windows: u32) -> CellKey {
-        let group = self.groups[(slot / n_windows) as usize];
-        CellKey { group, window: slot % n_windows, rank: 0 }
-    }
-
-    /// What the index holds: its two tables.
-    fn index_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.groups) + std::mem::size_of_val(&*self.cells)
-    }
-}
-
-/// A merged shard's sessions in order, its stream decoded as they are
-/// read.
+/// Kept sessions in order, run by run, their stream decoded as they are
+/// read: each one's group and its MinRTT in whole nanoseconds.
 struct Sessions<'a> {
-    shard: &'a AdoptedShard,
+    /// The stream, with a zero word after it.
     words: &'a [u64],
-    n_windows: u32,
-    /// The next cell to open.
-    cell: usize,
+    groups: &'a [(GroupKey, u32)],
+    /// The next run to open.
+    run: usize,
     row: u32,
-    /// The end row of the open cell.
+    /// The end row of the open run.
     end: u32,
     cursor: Cursor,
 }
@@ -372,13 +404,13 @@ struct Sessions<'a> {
 /// Where a reader of a kept stream is.
 #[derive(Debug, Clone, Copy, Default)]
 struct Cursor {
-    /// The open cell's Rice parameter and last value.
+    /// The open run's Rice parameter and last value.
     k: u32,
     nanos: u32,
-    /// Where the open cell's next low bits are.
+    /// Where the open run's next low bits are.
     low: usize,
-    /// Where the next unary code starts (past a cell's last, where the
-    /// next cell does), the word that holds it and that word's bits from
+    /// Where the next unary code starts (past a run's last, where the
+    /// next run does), the word that holds it and that word's bits from
     /// there on.
     unary: usize,
     word: usize,
@@ -386,7 +418,7 @@ struct Cursor {
 }
 
 impl Cursor {
-    /// Read the header of the `n`-row cell that starts at `unary`.
+    /// Read the header of the `n`-row run that starts at `unary`.
     fn open(&mut self, words: &[u64], n: u32) {
         let start = self.unary;
         self.k = bits_at(words, start, K_BITS);
@@ -397,7 +429,7 @@ impl Cursor {
         self.ones = words[self.word] & (!0 << (self.unary % 64));
     }
 
-    /// Step to the open cell's next value: add its gap, whose low bits lie
+    /// Step to the open run's next value: add its gap, whose low bits lie
     /// at `low` and whose `gap >> k` is the zeros before the next one bit.
     #[inline]
     fn step(&mut self, words: &[u64]) {
@@ -413,47 +445,48 @@ impl Cursor {
         self.low += self.k as usize;
         self.nanos += q << self.k | low;
     }
+}
 
-    /// The last value read, in ms.
-    fn min_rtt(&self) -> f64 {
-        ms(self.nanos)
+impl<'a> Sessions<'a> {
+    fn new(words: &'a [u64], groups: &'a [(GroupKey, u32)]) -> Self {
+        Sessions { words, groups, run: 0, row: 0, end: 0, cursor: Cursor::default() }
     }
 }
 
 impl Iterator for Sessions<'_> {
-    type Item = (CellKey, f64);
+    type Item = (GroupKey, u32);
 
-    fn next(&mut self) -> Option<(CellKey, f64)> {
+    fn next(&mut self) -> Option<(GroupKey, u32)> {
+        let words = self.words;
         if self.row == self.end {
             let start = self.end;
-            self.end = self.shard.cells.get(self.cell)?.1;
-            self.cell += 1;
-            self.cursor.open(self.words, self.end - start);
+            self.end = self.groups.get(self.run)?.1;
+            self.run += 1;
+            self.cursor.open(words, self.end - start);
         } else {
-            self.cursor.step(self.words);
+            self.cursor.step(words);
         }
         self.row += 1;
-        let key = self.shard.key(self.shard.cells[self.cell - 1].0, self.n_windows);
-        Some((key, self.cursor.min_rtt()))
+        Some((self.groups[self.run - 1].0, self.cursor.nanos))
     }
 
-    /// What Figure 6's walks call: the rest of the open cell through
-    /// `next`, then cell by cell with the cursor a local, which keeps it
-    /// out of memory between rows.
-    fn fold<B, F: FnMut(B, (CellKey, f64)) -> B>(mut self, init: B, mut f: F) -> B {
+    /// What Figure 6's walks call: the rest of the open run through
+    /// `next`, then run by run with the cursor a local, which keeps it out
+    /// of memory between rows.
+    fn fold<B, F: FnMut(B, (GroupKey, u32)) -> B>(mut self, init: B, mut f: F) -> B {
         let mut acc = init;
         while self.row < self.end {
-            acc = f(acc, self.next().expect("the open cell's rows"));
+            acc = f(acc, self.next().expect("the open run's rows"));
         }
-        let Sessions { shard, words, n_windows, cell, end: row, mut cursor, .. } = self;
-        let starts = std::iter::once(row).chain(shard.cells[cell..].iter().map(|&(_, end)| end));
-        for (&(slot, end), start) in shard.cells[cell..].iter().zip(starts) {
-            let key = shard.key(slot, n_windows);
+        let Sessions { words, groups, run, end: row, mut cursor, .. } = self;
+        let runs = &groups[run..];
+        let starts = std::iter::once(row).chain(runs.iter().map(|&(_, end)| end));
+        for (&(group, end), start) in runs.iter().zip(starts) {
             cursor.open(words, end - start);
-            acc = f(acc, (key, cursor.min_rtt()));
+            acc = f(acc, (group, cursor.nanos));
             for _ in 1..end - start {
                 cursor.step(words);
-                acc = f(acc, (key, cursor.min_rtt()));
+                acc = f(acc, (group, cursor.nanos));
             }
         }
         acc
@@ -488,9 +521,10 @@ impl RecordShard for ColumnarShard {
     }
 
     /// Close the open window — every cell this shard has seen is then a
-    /// row — and give back the columns: the work item is done.
+    /// row — code each group's run, and give back the columns: the work
+    /// item is done.
     fn seal(&mut self, _unit: usize) {
-        self.close();
+        self.seal_runs();
         (self.cells, self.cell, self.min_rtt, self.hdratio) = Default::default();
         self.scratch = Scratch::default();
     }
@@ -498,15 +532,15 @@ impl RecordShard for ColumnarShard {
 
 /// The exact study, closed cell by cell in the workers and merged shard by
 /// shard: every cell's summary, from its exact order statistics, the
-/// preferred route's MinRTTs, which Figure 6 reads, and what Figures 6–7
-/// read of its HDratios, tallied.
+/// preferred route's MinRTTs, which Figure 6 reads, a sorted run a group,
+/// and what Figures 6–7 read of its HDratios, tallied.
 #[derive(Debug)]
 pub struct ColumnarSink {
     pub(crate) n_windows: usize,
     summaries: GroupSlots<WindowCell>,
-    /// Every merged shard's kept MinRTTs, shard after shard.
+    /// Every merged shard's coded runs, shard after shard.
     kept: Vec<u64>,
-    preferred: Vec<AdoptedShard>,
+    preferred: Vec<Adopted>,
     hdratio: HdratioTally,
     records: u64,
     cells: u64,
@@ -545,12 +579,14 @@ impl ColumnarSink {
     }
 
     /// Every preferred-route session, shard by shard and within a shard
-    /// cell by cell (cells in first-seen order, a cell's sessions in order
-    /// of their MinRTTs, not the order its worker pushed them; Figure 6
-    /// reads them order-free): its cell and its MinRTT (ms).
-    pub fn rows(&self) -> impl Iterator<Item = (CellKey, f64)> + '_ {
-        let n_windows = self.n_windows as u32;
-        self.preferred.iter().flat_map(move |s| s.sessions(&self.kept[s.words.clone()], n_windows))
+    /// group by group (groups in first-seen order, a group's sessions in
+    /// order of their MinRTTs, whatever their windows; Figure 6 reads them
+    /// order-free): its group and its MinRTT (ms).
+    pub fn rows(&self) -> impl Iterator<Item = (GroupKey, f64)> + '_ {
+        self.preferred.iter().flat_map(|shard| {
+            let words = &self.kept[shard.words.clone()];
+            Sessions::new(words, &shard.groups).map(|(group, n)| (group, ms(n)))
+        })
     }
 
     /// The HDratio tally of every merged preferred-route session.
@@ -564,15 +600,19 @@ impl ColumnarSink {
     }
 
     /// What the sink holds, by part: the grid's bytes (zero once handed
-    /// over), the kept stream's, the Figure 6 index's — every merged
-    /// shard's groups and kept cells — and the HDratio tally's entries.
-    pub fn footprint(&self) -> [(&'static str, usize); 4] {
+    /// over), the kept buffer's bytes and rows, the Figure 6 index's bytes
+    /// — every merged shard's word range and kept groups — and the HDratio
+    /// tally's entries.
+    pub fn footprint(&self) -> [(&'static str, usize); 5] {
         let grid = self.summaries.slots.iter().map(|(_, g)| g.grid_bytes()).sum();
-        let index = self.preferred.iter().map(AdoptedShard::index_bytes).sum::<usize>()
-            + std::mem::size_of_val(&*self.preferred);
+        let ends = self.preferred.iter().filter_map(|shard| shard.groups.last());
+        let rows = ends.map(|&(_, end)| end as usize).sum();
+        let groups = self.preferred.iter().map(|shard| std::mem::size_of_val(&*shard.groups));
+        let index = groups.sum::<usize>() + std::mem::size_of_val(&*self.preferred);
         [
             ("grid_bytes", grid),
             ("kept_bytes", std::mem::size_of_val(&*self.kept)),
+            ("kept_rows", rows),
             ("index_bytes", index),
             ("tally_entries", self.hdratio.distinct_hdratios()),
         ]
@@ -581,7 +621,7 @@ impl ColumnarSink {
 
 impl PreferredSessions for ColumnarSink {
     fn preferred_sessions(&self) -> impl Iterator<Item = (u8, f64)> {
-        self.rows().map(|(cell, min_rtt)| (cell.group.continent, min_rtt))
+        self.rows().map(|(group, min_rtt)| (group.continent, min_rtt))
     }
 }
 
@@ -606,56 +646,42 @@ impl RecordSink for ColumnarSink {
             scratch: Scratch::default(),
             rows: Vec::new(),
             tally: HdratioTally::default(),
-            kept: BitWriter::default(),
+            runs: Vec::new(),
+            kept: KeptRuns::default(),
         }
     }
 
-    /// Close what `shard` still holds open, then place its rows in the
-    /// grid in closing order, add its tally and append its kept stream to
-    /// the sink's. The runner hands each prefix to one worker, so no two
+    /// Close what `shard` still holds open and code its runs, then place
+    /// its rows in the grid in closing order, add its tally and append its
+    /// coded runs to the sink's buffer. The runner hands each prefix to one worker, so no two
     /// shards share a group; one that does is refused, naming the group,
     /// since that group's cells are summaries already.
     fn merge_shard(&mut self, mut shard: ColumnarShard) {
-        shard.close();
+        shard.seal_runs();
         for (group, _) in &shard.ids.slots {
             assert!(
                 self.summaries.get(group).is_none(),
                 "group {group:?} reached the sink in two shards"
             );
         }
-        let ColumnarShard { ids, rows, tally, kept, .. } = shard;
+        let ColumnarShard { rows, tally, kept, .. } = shard;
         self.hdratio.merge(&tally);
-        let groups: Box<[GroupKey]> = ids.slots.iter().map(|(group, _)| *group).collect();
-        let n_windows = u32::try_from(self.n_windows).expect("a window is a u32");
-        let slot = |row: &WindowCell| {
-            let at = ids.position(&row.group()).expect("a row's group has ids");
-            at.checked_mul(n_windows)
-                .and_then(|at| at.checked_add(row.window))
-                .expect("a shard's cells fit u32 slots")
-        };
-        let mut cells = Vec::with_capacity(rows.iter().filter(|r| r.rank == 0).count());
-        let mut end = 0u32;
         for row in &rows {
             self.records += u64::from(row.n);
-            if row.rank == 0 {
-                end = end.checked_add(row.n).expect("a shard's kept rows fit u32");
-                cells.push((slot(row), end));
-            }
             let cell =
                 self.summaries.cell(row.group(), row.rank as usize, row.window as usize, row.bytes);
             *cell = Some(*row);
         }
         self.cells += rows.len() as u64;
-        if cells.is_empty() {
-            return;
+        if !kept.groups.is_empty() {
+            // Copied into one buffer on this thread, not adopted where the
+            // worker allocated them: left there, a study's runs lie among
+            // the free blocks of every prefix its worker ran, and the job's
+            // peak rose by ~1.4 MB in some runs of the same study.
+            let start = self.kept.len();
+            self.kept.extend_from_slice(&kept.words);
+            self.preferred.push(Adopted { words: start..self.kept.len(), groups: kept.groups });
         }
-        let start = self.kept.len();
-        // A zero word past the stream's last, so that a reader takes two
-        // whole words wherever a field starts.
-        self.kept.extend_from_slice(&kept.words);
-        self.kept.push(0);
-        let (cells, words) = (cells.into_boxed_slice(), start..self.kept.len());
-        self.preferred.push(AdoptedShard { groups, cells, words });
     }
 
     /// The kept buffer stops growing: give back its spare capacity.
@@ -735,34 +761,40 @@ pub(crate) mod tests {
         sink
     }
 
+    /// Each group's preferred MinRTTs (ms bits), sorted, groups in
+    /// first-seen order — the rows a sink of `records`, in merge order,
+    /// must yield.
+    fn sorted_runs(records: &[SessionRecord]) -> Vec<(GroupKey, u64)> {
+        let mut first_seen = FxHashMap::default();
+        let mut want: Vec<_> = records
+            .iter()
+            .map(|r| {
+                let next = first_seen.len();
+                (*first_seen.entry(r.group).or_insert(next), r)
+            })
+            .filter(|(_, r)| r.route_rank == 0)
+            .map(|(first, r)| (first, r.group, r.min_rtt_ns))
+            .collect();
+        want.sort_by_key(|&(first, _, rtt)| (first, rtt));
+        want.into_iter().map(|(_, group, rtt)| (group, ms(rtt).to_bits())).collect()
+    }
+
     /// Every way the sink is read — its rows, Figures 6–7 and its summaries
     /// — gives the bits `records`, in merge order, give:
     /// the rows are the preferred route's MinRTTs, the HDratio tally
     /// theirs, and the summaries are `Dataset::from_records`'s, groups in
     /// the same order.
     fn assert_reads_as(mut sink: ColumnarSink, records: &[SessionRecord]) {
-        // Rows come cell by cell, cells in first-seen order, a cell's
-        // MinRTTs in order.
-        let mut first_seen = FxHashMap::default();
-        let mut want: Vec<_> = records
-            .iter()
-            .filter(|r| r.route_rank == 0)
-            .map(|r| {
-                let key = CellKey { group: r.group, window: r.window, rank: r.route_rank };
-                let next = first_seen.len();
-                (*first_seen.entry(key).or_insert(next), key, r.min_rtt_ns)
-            })
-            .collect();
-        want.sort_by_key(|&(first, _, rtt)| (first, rtt));
-        let rows: Vec<_> = sink.rows().map(|(key, rtt)| (key, rtt.to_bits())).collect();
-        let want: Vec<_> = want.into_iter().map(|(_, key, rtt)| (key, ms(rtt).to_bits())).collect();
-        assert_eq!(rows, want, "rows differ");
+        // Rows come group by group, groups in first-seen order, a group's
+        // MinRTTs in order whatever their windows.
+        let rows: Vec<_> = sink.rows().map(|(group, rtt)| (group, rtt.to_bits())).collect();
+        assert_eq!(rows, sorted_runs(records), "rows differ");
         // Folded, as Figure 6 reads them, from wherever `next` left off,
         // they are the same rows.
         for skip in [0, 1, rows.len() / 3, rows.len() / 2, rows.len().saturating_sub(1), rows.len()]
         {
             let mut folded = Vec::new();
-            sink.rows().skip(skip).for_each(|(key, rtt)| folded.push((key, rtt.to_bits())));
+            sink.rows().skip(skip).for_each(|(group, rtt)| folded.push((group, rtt.to_bits())));
             assert_eq!(folded, rows[skip..], "rows folded after {skip}");
         }
 
@@ -878,10 +910,10 @@ pub(crate) mod tests {
         assert_reads_as(adopted(&shards), &shards.concat());
     }
 
-    /// A cell's MinRTTs, in nanoseconds, pushed in this order: `shape`
+    /// A group's MinRTTs, in nanoseconds, pushed in this order: `shape`
     /// picks what the codec must survive, `n` (1–600) how many, and
     /// `seed` the values. Shapes 3 and 4 hold two rows and one.
-    fn cell_nanos(shape: u8, n: usize, spread: u32, seed: u64) -> Vec<u32> {
+    fn run_nanos(shape: u8, n: usize, spread: u32, seed: u64) -> Vec<u32> {
         let mut state = seed;
         let mut next = move || {
             // SplitMix64.
@@ -901,11 +933,11 @@ pub(crate) mod tests {
             0 => scattered(spread.max(1)),
             // Every row tied: `k` 0.
             1 => vec![base; n],
-            // A tight cell and one outlier gap.
+            // A tight run and one outlier gap.
             2 => {
-                let mut cell = scattered(4);
-                cell[n / 2] = if base < 1 << 31 { u32::MAX } else { 0 };
-                cell
+                let mut run = scattered(4);
+                run[n / 2] = if base < 1 << 31 { u32::MAX } else { 0 };
+                run
             }
             // The widest gap there is: `k` 31.
             3 => vec![u32::MAX, 0],
@@ -913,7 +945,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The Rice parameter the codec must pick for a cell of `shape`.
+    /// The Rice parameter the codec must pick for a run of `shape`.
     fn expected_k(shape: u8) -> Option<u32> {
         match shape {
             1 | 4 => Some(0),
@@ -922,15 +954,33 @@ pub(crate) mod tests {
         }
     }
 
+    /// The records of groups `first..` of `runs`, each run's values dealt
+    /// over the four windows and its preferred and alternate routes, and
+    /// pushed window by window, a window's cells interleaved, as a
+    /// worker's records are.
+    fn interleaved(first: u32, runs: &[Vec<u32>]) -> Vec<SessionRecord> {
+        let mut records = Vec::new();
+        for (g, nanos) in runs.iter().enumerate() {
+            let prefix = first + g as u32;
+            let rank = |i: usize| u8::from(i % 3 == 2);
+            records.extend(nanos.iter().enumerate().map(|(i, &ns)| {
+                rec(prefix, (i % 4) as u32, rank(i), ns, (i % 5 > 0).then_some(0.5))
+            }));
+        }
+        let scrambled = |r: &SessionRecord| u64::from(r.min_rtt_ns).wrapping_mul(0x9e37);
+        records.sort_by_key(|r| (r.window, scrambled(r)));
+        records
+    }
+
     use proptest::prelude::*;
 
     proptest! {
-        /// Whatever a cell holds, the kept column gives back each cell's
-        /// pushed MinRTTs in order, bit for bit; and a cell's stream is its
-        /// 37-bit header and under `k + 3` bits a further row, the shard's
-        /// stream the words its bits fill and one.
+        /// Whatever a group holds, each shard's kept stream gives back each
+        /// group's preferred MinRTTs sorted, bit for bit; and a run's stream
+        /// is its 37-bit header and under `k + 3` bits a further row, the
+        /// shard's stream the words its bits fill and a zero word.
         #[test]
-        fn prop_kept_rows_round_trip_sorted_within_their_bound(
+        fn prop_kept_runs_round_trip_sorted_within_their_bound(
             shards in prop::collection::vec(
                 prop::collection::vec((0u8..5, 1usize..601, 0u32..33, any::<u64>()), 1..6),
                 1..4,
@@ -938,39 +988,74 @@ pub(crate) mod tests {
         ) {
             let mut records = Vec::new();
             let mut shapes = FxHashMap::default();
-            for (s, cells) in shards.iter().enumerate() {
-                let mut shard = Vec::new();
-                for (c, &(shape, n, spread, seed)) in cells.iter().enumerate() {
-                    let (prefix, window) = ((8 * s + c / 4) as u32, (c % 4) as u32);
-                    let nanos = cell_nanos(shape, n, spread, seed);
-                    let key = rec(prefix, window, 0, 0, None);
-                    shapes.insert((key.group, window), shape);
-                    shard.extend(nanos.iter().map(|&ns| rec(prefix, window, 0, ns, None)));
+            for (s, runs) in shards.iter().enumerate() {
+                let nanos: Vec<Vec<u32>> =
+                    runs.iter().map(|&(shape, n, spread, seed)| run_nanos(shape, n, spread, seed)).collect();
+                let shard = interleaved(8 * s as u32, &nanos);
+                for (g, &(shape, ..)) in runs.iter().enumerate() {
+                    shapes.insert(rec(8 * s as u32 + g as u32, 0, 0, 0, None).group, shape);
                 }
-                // Window by window, cells interleaved within a window, as a
-                // worker's records are.
-                let scrambled = |r: &SessionRecord| u64::from(r.min_rtt_ns).wrapping_mul(0x9e37);
-                shard.sort_by_key(|r| (r.window, scrambled(r)));
                 records.push(shard);
             }
             let sink = adopted(&records);
             for shard in &sink.preferred {
                 let words = &sink.kept[shard.words.clone()];
-                let mut rows = shard.sessions(words, 4);
-                let starts = std::iter::once(0).chain(shard.cells.iter().map(|&(_, end)| end));
-                for (&(slot, end), start) in shard.cells.iter().zip(starts) {
-                    let (key, from, n) = (shard.key(slot, 4), rows.cursor.unary, (end - start) as usize);
+                let mut rows = Sessions::new(words, &shard.groups);
+                let starts = std::iter::once(0).chain(shard.groups.iter().map(|&(_, end)| end));
+                for (&(group, end), start) in shard.groups.iter().zip(starts) {
+                    let (from, n) = (rows.cursor.unary, (end - start) as usize);
                     rows.by_ref().take(n).for_each(drop);
                     let k = rows.cursor.k as usize;
                     prop_assert!(rows.cursor.unary - from <= HEAD_BITS + (k + 3) * (n - 1));
-                    if let Some(want) = expected_k(shapes[&(key.group, key.window)]) {
+                    // A run holds its preferred rows only, so a group of one
+                    // row's shape holds it whole.
+                    if let Some(want) = expected_k(shapes[&group]).filter(|_| n > 1 || shapes[&group] == 4) {
                         prop_assert_eq!(rows.cursor.k, want);
                     }
                 }
                 prop_assert!(rows.next().is_none());
                 prop_assert_eq!(words.len(), rows.cursor.unary.div_ceil(64) + 1);
+                prop_assert_eq!(words.last(), Some(&0));
             }
             assert_reads_as(sink, &records.concat());
+        }
+
+        /// A shard whose groups' cells interleave within each window reads
+        /// back each group's sorted MinRTTs — sealed by its worker, merged
+        /// unsealed, or sealed, pushed more groups and sealed again — and
+        /// the three sinks hold the same stream.
+        #[test]
+        fn prop_interleaved_groups_read_back_sealed_or_not(
+            runs in prop::collection::vec(
+                prop::collection::vec(0u32..200_000_000, 1..300),
+                1..7,
+            ),
+            split in 0usize..7,
+        ) {
+            let split = split.min(runs.len());
+            let (early, late) = (interleaved(0, &runs[..split]), interleaved(split as u32, &runs[split..]));
+            let fill = |seal_at: &[usize]| {
+                let mut sink = ColumnarSink::new(4);
+                let mut shard = sink.new_shard();
+                let mut pushed = 0;
+                for part in [&early, &late] {
+                    part.iter().for_each(|r| shard.push(*r));
+                    pushed += 1;
+                    if seal_at.contains(&pushed) {
+                        shard.seal(pushed);
+                    }
+                }
+                sink.merge_shard(shard);
+                sink
+            };
+            let want = sorted_runs(&[early.clone(), late.clone()].concat());
+            let sinks = [fill(&[2]), fill(&[]), fill(&[1, 2])];
+            for sink in &sinks {
+                let rows: Vec<_> = sink.rows().map(|(group, rtt)| (group, rtt.to_bits())).collect();
+                prop_assert_eq!(&rows, &want);
+                prop_assert_eq!(sink.preferred.len(), 1);
+                prop_assert_eq!(&sink.kept, &sinks[0].kept);
+            }
         }
     }
 }

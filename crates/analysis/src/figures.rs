@@ -270,12 +270,16 @@ pub struct DiffCdfs {
 }
 
 /// Weighted CDFs of `(diff, lo, hi)` comparisons, each weighted by the
-/// traffic bytes it covers.
+/// traffic bytes it covers. There is at most one comparison a (group,
+/// window), so the three builders are sized to that once rather than
+/// grown by doubling in step.
 fn diff_cdfs(
     ds: &Summaries,
     points: impl Iterator<Item = ((f64, f64, f64), u64)>,
 ) -> Option<DiffCdfs> {
-    let (mut d, mut l, mut h) = (CdfBuilder::new(), CdfBuilder::new(), CdfBuilder::new());
+    let most = ds.groups.iter().map(|(_, g)| g.n_windows()).sum();
+    let builder = || CdfBuilder::with_capacity(most);
+    let (mut d, mut l, mut h) = (builder(), builder(), builder());
     let mut covered = 0u64;
     for ((diff, lo, hi), bytes) in points {
         let w = bytes as f64;

@@ -49,7 +49,7 @@ pub mod streaming;
 pub mod tables;
 
 pub use classify::{classify_group, TemporalClass};
-pub use columnar::{CellKey, ColumnarShard, ColumnarSink};
+pub use columnar::{ColumnarShard, ColumnarSink};
 pub use compare::{compare, CompareOutcome};
 pub use config::AnalysisConfig;
 pub use dataset::{Aggregation, CellSummary, Dataset, GroupData, Summaries};

@@ -1,11 +1,11 @@
 //! Footprint gate: a cell costs what it holds, the streaming sink holds
 //! digests only for the group in flight, the exact sink holds a summary a
-//! cell, every preferred-route session's MinRTT once — in 2.5 bytes when
-//! it is shaped like a study's, 3 when a cell spreads over 80 ms — indexed
-//! by 8 B a kept cell and its group once, and an HDratio tally bounded by
-//! the distinct HDratios, its worker's shard holds one window's sessions
-//! beside what it has closed, and Figures 6–7 read it without copying it
-//! and in a transient of a few histograms. Heap
+//! cell, every preferred-route session's MinRTT once, in one sorted run a
+//! group — in 1.9 bytes when it is shaped like a study's, 2.55 when a
+//! group spreads over 80 ms — indexed by each kept group once, and an
+//! HDratio tally bounded by the distinct HDratios, its worker's shard
+//! holds one window's sessions beside what it has closed, and Figures 6–7
+//! read it without copying it and in a transient of a few histograms. Heap
 //! bytes are counted exactly by the counting global allocator in
 //! `counting/`, which is why this is a test binary of its own with a
 //! single `#[test]`.
@@ -61,13 +61,13 @@ fn study_session(cell: u32, i: usize) -> SessionRecord {
     SessionRecord { hdratio: (!i.is_multiple_of(5)).then_some(hdratio), ..r }
 }
 
-/// [`study_session`] with the spread of a study's cell: its MinRTTs lie
-/// within 2 ms of each other, where `session`'s spread over 80. (At seed 7,
-/// scale 1, a study's preferred cell holds ~104 sessions whose mean gap is
-/// 2¹³–2²⁰ ns, 2¹⁴–2¹⁸ in 95 % of cells.)
+/// [`study_session`] with the spread of a study's group: its MinRTTs, in
+/// every window, lie within 2 ms of each other, where `session`'s spread
+/// over 80. (At seed 7, scale 1, a study's group is a prefix whose ~30,000
+/// preferred sessions a run codes in 9.6 bits each.)
 fn tight_session(cell: u32, i: usize) -> SessionRecord {
     let r = study_session(cell, i);
-    let base = 20.0 + 80.0 * (f64::from(cell) * 0.618_033_988_749).fract();
+    let base = 20.0 + 80.0 * (f64::from(cell / 8) * 0.618_033_988_749).fract();
     let min_rtt_ms = base + (f64::from(r.min_rtt_ns) / 1e6 - 20.0) / 40.0;
     SessionRecord { min_rtt_ns: (min_rtt_ms * 1e6).round() as u32, ..r }
 }
@@ -192,26 +192,31 @@ fn cells_cost_what_they_hold() {
     // The exact sink's shards close each cell when its window ends: every
     // cell becomes a summary in the sink's grid, what Figures 6–7 read of
     // HDratio goes into its tally, and only a preferred-route session
-    // keeps a row, its MinRTT (a shard's kept rows lie grouped by cell, so
-    // no row names its cell). The skeleton — the same layout with one untested session a
-    // cell — holds the grid, the cell and group tables and each cell's
-    // 37-bit header, a shard's headers packed in 64-bit words. Beside the
-    // tables, the headers and the tally, a study's preferred session is a
-    // Rice-coded gap of at most 2.5 B (sorted, a few ms apart), one of a
-    // cell spread over 80 ms — 40 sessions, gaps of 2 ms on average, so
-    // `k` ≤ 20 and a row under 23 bits — at most 3, and an alternate
-    // route's sessions hold no row bytes at all.
+    // keeps a row, its MinRTT, in its group's one sorted run (so no row
+    // names its cell or its window). The skeleton — the same layout with
+    // one untested session a cell — holds the grid and the tables beside
+    // its kept streams, whose bytes it reports. Beside the tables and the
+    // tally, a group's run is a 37-bit header — a shard's packed in 64-bit
+    // words, then a zero word — and a Rice-coded gap a further row: at
+    // most 1.9 B for a study-shaped group (160 sessions within 2 ms,
+    // gaps of 12.5 µs on average, so `k` ≤ 13 and a row under 16 bits),
+    // at most 2.55 for one spread over 80 ms (gaps of 0.5 ms, `k` ≤ 18
+    // and a row under 21 bits); an alternate route's sessions hold no row
+    // bytes at all.
     let groups = [64, 192];
     let cells = (groups[0] + groups[1]) as usize * 8;
     let preferred_cells = cells / 2;
+    let part = |sink: &ColumnarSink, name: &str| {
+        sink.footprint().into_iter().find(|p| p.0 == name).unwrap().1
+    };
     let (skeleton, skeleton_bytes) = heap_of(|| columnar_sink(&shards(groups, 1, tight_session)));
     assert_eq!(skeleton.hdratio_rollup().0.tested, 0, "session 0 tests nothing");
-    let headers: usize = groups.iter().map(|&g| (37 * 4 * g as usize).div_ceil(64) * 8).sum();
-    let table_bytes = skeleton_bytes - headers;
+    let table_bytes = skeleton_bytes - part(&skeleton, "kept_bytes");
     drop(skeleton);
+    let headers: usize = groups.iter().map(|&g| (37 * g as usize).div_ceil(64) * 8 + 8).sum();
     let per_cell = 40;
     for (session, row_bytes) in
-        [(tight_session as fn(u32, usize) -> SessionRecord, 2.5), (session, 3.0)]
+        [(tight_session as fn(u32, usize) -> SessionRecord, 1.9), (session, 2.55)]
     {
         let sessions = shards(groups, per_cell, session);
         let (sink, bytes) = heap_of(|| columnar_sink(&sessions));
@@ -219,22 +224,22 @@ fn cells_cost_what_they_hold() {
         assert_eq!(sink.hdratio(), &tally);
         assert_eq!(sink.stats().records as usize, cells * per_cell);
         let rows = sink.rows().count();
-        assert_eq!(rows, preferred_cells * per_cell);
-        assert!(sink.rows().all(|(cell, _)| cell.rank == 0), "an alternate row is held");
-        let held = bytes - headers - table_bytes - tally_bytes;
+        assert_eq!(rows, preferred_cells * per_cell, "an alternate row is held");
+        assert_eq!(part(&sink, "kept_rows"), rows);
+        let held = bytes - table_bytes - tally_bytes;
+        assert_eq!(held, part(&sink, "kept_bytes"), "the sink holds more than it reports");
         assert!(
-            held as f64 <= row_bytes * rows as f64,
+            (held - headers) as f64 <= row_bytes * rows as f64,
             "{rows} preferred rows in {held} B beside {table_bytes} B of grid and tables, {headers} B of headers and a {tally_bytes} B tally"
         );
-        // Of the tables, Figure 6's index — which cell a kept row is in —
-        // is a kept cell's window and end row, 8 B, and each group once,
-        // whatever the order its shard closed its cells in (here a
-        // window's groups interleave), beside a constant a shard.
-        let part = |name: &str| sink.footprint().into_iter().find(|p| p.0 == name).unwrap().1;
-        let (index, groups) = (part("index_bytes"), (groups[0] + groups[1]) as usize);
-        let bound = 8 * preferred_cells + std::mem::size_of::<GroupKey>() * groups + 64 * 2;
-        assert!(index <= bound, "a {index} B index for {preferred_cells} kept cells");
-        assert_eq!(part("tally_entries"), sink.hdratio().distinct_hdratios());
+        // Of the tables, Figure 6's index — which group a kept row is in —
+        // is each kept group once with its run's end row, 20 B, whatever
+        // the order its shard closed its cells in (here a window's groups
+        // interleave), beside a constant a shard.
+        let (index, groups) = (part(&sink, "index_bytes"), (groups[0] + groups[1]) as usize);
+        let bound = std::mem::size_of::<(GroupKey, u32)>() * groups + 32 * 2;
+        assert!(index <= bound, "a {index} B index for {groups} kept groups");
+        assert_eq!(part(&sink, "tally_entries"), sink.hdratio().distinct_hdratios());
     }
 
     // The tally holds an entry a distinct HDratio and Figure 7 bucket,
@@ -278,12 +283,14 @@ fn cells_cost_what_they_hold() {
         );
     }
 
-    // A worker's shard holds one window's rows at a time: pushed W windows
-    // window by window, it peaks above what it ends up holding — a row a
-    // cell, the tally and the kept stream — by one window's sessions,
-    // whatever W is: their three columns (20 B a session, in capacity
+    // A worker's shard holds one window's rows at a time, and what it has
+    // closed: pushed W windows window by window, it peaks above what it
+    // ends up holding — a row a cell, the tally and the coded runs — by one
+    // window's sessions: their three columns (20 B a session, in capacity
     // that at most doubles), the two columns a close lays them out in (8 B
-    // each) and the window's per-cell bookkeeping.
+    // each) and the window's per-cell bookkeeping; and by its groups' raw
+    // runs, which sealing sorts, codes and frees: a `u32` a kept session
+    // of every window, in capacity that at most doubles.
     let (window_groups, window_cells) = (16u32, 32);
     let window_shard = |windows: u32| {
         let mut shard = ColumnarSink::new(windows as usize).new_shard();
@@ -303,14 +310,15 @@ fn cells_cost_what_they_hold() {
     let window_sessions = window_cells * per_cell;
     for windows in [8, 64] {
         let (_shard, held, transient) = peak_above(|| window_shard(windows));
+        let raw_runs = 8 * windows as usize * window_sessions / 2;
         assert!(
-            transient <= 56 * window_sessions + 64 * window_cells + 1024,
+            transient <= 56 * window_sessions + 64 * window_cells + raw_runs + 1024,
             "{windows} windows of {window_sessions} sessions peaked {transient} B above the {held} B they hold"
         );
     }
 
     // Merging a closed shard places its rows, adds its tally and appends
-    // its stream: it rises above the shard it is handed by at most what
+    // its coded runs: it rises above the shard it is handed by at most what
     // the sink then holds — never a copy of the shard's sessions.
     let one_shard = || {
         let mut shard = ColumnarSink::new(4).new_shard();

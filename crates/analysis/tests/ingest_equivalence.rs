@@ -149,8 +149,8 @@ proptest! {
     /// Columnar shards from an arbitrary by-group split of the stream
     /// summarise to what a single `from_records` pass over the same records
     /// in merge order summarises to, bit for bit and in the same group
-    /// order, keep the preferred route's MinRTTs, cell by cell, and tally
-    /// their HDratios.
+    /// order, keep the preferred route's MinRTTs, one sorted run a group,
+    /// and tally their HDratios.
     #[test]
     fn columnar_shard_split_matches_baseline(raw in raw_stream(), n_shards in 1usize..5) {
         let records = materialize(&raw);
@@ -178,19 +178,24 @@ proptest! {
             format!("{:?}", whole.summarize().groups)
         );
         prop_assert_eq!(sink.hdratio(), &HdratioTally::of(&merged));
-        let mut want: Vec<_> = merged
-            .iter()
-            .filter(|r| r.route_rank == 0)
-            .map(|r| (r.group, r.window, 0, min_rtt_ms(r).to_bits()))
-            .collect();
-        let mut rows: Vec<_> =
-            sink.rows().map(|(c, rtt)| (c.group, c.window, c.rank, rtt.to_bits())).collect();
-        // Rows come cell by cell; within a cell, in `total_cmp` order.
-        let cell = |r: &(GroupKey, u32, u8, u64)| (r.0.prefix.base, r.0.pop.0, r.1);
-        want.sort_by(|a, b| {
-            cell(a).cmp(&cell(b)).then(f64::from_bits(a.3).total_cmp(&f64::from_bits(b.3)))
-        });
-        rows.sort_by_key(cell);
+        // Each group's preferred MinRTTs as a multiset, sorted under
+        // `total_cmp`: the rows of its one run, in the order they come.
+        let mut want: HashMap<GroupKey, Vec<u64>> = HashMap::new();
+        for r in merged.iter().filter(|r| r.route_rank == 0) {
+            want.entry(r.group).or_default().push(min_rtt_ms(r).to_bits());
+        }
+        for run in want.values_mut() {
+            run.sort_by(|a, b| f64::from_bits(*a).total_cmp(&f64::from_bits(*b)));
+        }
+        let mut rows: HashMap<GroupKey, Vec<u64>> = HashMap::new();
+        let mut runs_seen = Vec::new();
+        for (group, rtt) in sink.rows() {
+            if runs_seen.last() != Some(&group) {
+                prop_assert!(!runs_seen.contains(&group), "{:?}'s rows come in two runs", group);
+                runs_seen.push(group);
+            }
+            rows.entry(group).or_default().push(rtt.to_bits());
+        }
         prop_assert_eq!(rows, want);
     }
 }

@@ -39,10 +39,15 @@
 //! prints it without running a study). The output is byte-identical run to
 //! run and at any worker count. Either way the study's report (prefixes
 //! merged, sessions simulated, emitted and dropped, recovery decisions) is
-//! printed to stderr. What never reads the study runs before it, and its own
-//! experiments straight after it, so the exact sink's MinRTT rows, most
-//! of the job's memory, are dropped once no experiment still to run reads
-//! them (after `fig7` under `all`) and nothing else runs on top of them.
+//! printed to stderr. What never reads the study runs before it — Figures
+//! 1–5, validation and grouping, then `cc`, `detector`, `ablations` and
+//! `naive`, whose text is held back to print after the study's so that
+//! stdout keeps its order — and its own experiments straight after it, so
+//! the exact sink's MinRTT runs, most of the job's memory, are dropped
+//! once no experiment still to run reads them (after `fig7` under `all`)
+//! and nothing else runs on top of the study. So a `repro all --json DIR`
+//! whose study fails (exit 3) has already written those experiments'
+//! JSON.
 //!
 //! `--metrics` prints the observability snapshot (counters, gauges,
 //! latency histograms, phase spans) to stderr after the run;
@@ -224,6 +229,31 @@ fn main() {
         write_json(&a.json, "grouping", serde_json::to_value(&g).unwrap());
     }
 
+    // Nor do the experiments printed after the study's: they run before it
+    // too, their text held back so that stdout keeps its order.
+    let mut unread = String::new();
+    if matches!(exp, "cc" | "all") {
+        let rows = cc_compare::run(a.seed, ((1_500.0 * a.scale) as usize).max(200));
+        let _ = writeln!(unread, "{}", cc_compare::render(&rows));
+        write_json(&a.json, "cc", serde_json::to_value(&rows).unwrap());
+    }
+    if matches!(exp, "detector" | "all") {
+        let days = if a.days > 0 { a.days.min(3) } else { 1 };
+        let s = detector::run(a.seed, days, ((160.0 * a.scale) as u32).max(40), 10.0);
+        let _ = writeln!(unread, "{s}");
+        write_json(&a.json, "detector", serde_json::to_value(&s).unwrap());
+    }
+    if matches!(exp, "ablations" | "all") {
+        let rows = ablations::run(a.seed, ((12.0 * a.scale) as usize).max(3));
+        let _ = writeln!(unread, "{}", ablations::render(&rows));
+        write_json(&a.json, "ablations", serde_json::to_value(&rows).unwrap());
+    }
+    if matches!(exp, "naive" | "all") {
+        let r = naive::run(a.seed, ((2_000.0 * a.scale) as usize).max(300));
+        let _ = writeln!(unread, "{r}");
+        write_json(&a.json, "naive", serde_json::to_value(&r).unwrap());
+    }
+
     let mut data: Option<study::StudyData> = None;
     if needs_study(&a) {
         let (world, mut cfg) = study::scaled(a.seed, a.scale);
@@ -351,27 +381,7 @@ fn main() {
         }
     }
 
-    if matches!(exp, "cc" | "all") {
-        let rows = cc_compare::run(a.seed, ((1_500.0 * a.scale) as usize).max(200));
-        let _ = writeln!(printed, "{}", cc_compare::render(&rows));
-        write_json(&a.json, "cc", serde_json::to_value(&rows).unwrap());
-    }
-    if matches!(exp, "detector" | "all") {
-        let days = if a.days > 0 { a.days.min(3) } else { 1 };
-        let s = detector::run(a.seed, days, ((160.0 * a.scale) as u32).max(40), 10.0);
-        let _ = writeln!(printed, "{s}");
-        write_json(&a.json, "detector", serde_json::to_value(&s).unwrap());
-    }
-    if matches!(exp, "ablations" | "all") {
-        let rows = ablations::run(a.seed, ((12.0 * a.scale) as usize).max(3));
-        let _ = writeln!(printed, "{}", ablations::render(&rows));
-        write_json(&a.json, "ablations", serde_json::to_value(&rows).unwrap());
-    }
-    if matches!(exp, "naive" | "all") {
-        let r = naive::run(a.seed, ((2_000.0 * a.scale) as usize).max(300));
-        let _ = writeln!(printed, "{r}");
-        write_json(&a.json, "naive", serde_json::to_value(&r).unwrap());
-    }
+    printed.push_str(&unread);
     if printed.is_empty() {
         eprintln!("repro: unknown experiment '{exp}'; try --help");
         std::process::exit(2);

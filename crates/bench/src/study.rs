@@ -92,12 +92,12 @@ pub struct StudyData {
 /// closes a prefix's cells a window at a time: every cell's summary,
 /// read off its exact order statistics (bit-identical to summarising the
 /// assembled `Dataset` — see `sink_agreement`), what Figures 6–7 read of
-/// HDratio, tallied, and only the preferred route's MinRTTs, grouped by
-/// cell and sorted within it, as whole nanoseconds Rice-coded as gaps:
-/// ~2.2 bytes a session. The supervisor's merge places the rows in the
-/// sink's grid and appends the MinRTTs to one study-wide buffer. The
-/// grid is handed over, not copied; Figure 6 reads its ranks off the
-/// rows in place, decoding as it goes.
+/// HDratio, tallied, and only the preferred route's MinRTTs, one run a
+/// group; sealing the prefix sorts each run once and codes it as whole
+/// nanoseconds Rice-coded as gaps: ~1.2 bytes a session. The supervisor's
+/// merge places the rows in the sink's grid and appends the prefix's coded
+/// runs to one study-wide buffer. The grid is handed over, not copied;
+/// Figure 6 reads its ranks off the runs in place, decoding as it goes.
 ///
 /// # Errors
 ///
@@ -615,20 +615,24 @@ mod tests {
 
     #[test]
     fn a_quick_study_keeps_every_shard_compact() {
-        // A cell's MinRTTs lie a few ms apart and an HDratio is `achieved /
-        // tested`: were either to change, the exact sink would keep wider
+        // A group's MinRTTs lie close together and an HDratio is `achieved
+        // / tested`: were either to change, the exact sink would keep wider
         // Rice-coded gaps, or tally an entry an HDratio, without any
         // output changing.
         let data = exact(scaled(20190521, 0.1));
         let Some(Sessions::Columns(sink)) = &data.sessions else { panic!("an exact study") };
-        let kept = sink.footprint().into_iter().find(|p| p.0 == "kept_bytes").unwrap().1;
-        let rows = sink.rows().count();
-        assert!(rows > 10_000 && kept < 3 * rows, "{kept} B for {rows} MinRTTs");
+        let part = |name: &str| sink.footprint().into_iter().find(|p| p.0 == name).unwrap().1;
+        let (kept, rows) = (part("kept_bytes"), sink.rows().count());
+        assert_eq!(part("kept_rows"), rows);
+        // 1.71 B a row: at this scale a group's run is ~1,000 rows, so its
+        // gaps are wider than in scale 1's ~30,000.
+        assert!(rows > 10_000 && kept * 5 < 9 * rows, "{kept} B for {rows} MinRTTs");
         let (tested, distinct) =
             (sink.hdratio_rollup().0.tested, sink.hdratio().distinct_hdratios());
         assert!(distinct > 0 && (distinct as u64) < tested / 10, "{distinct} distinct of {tested}");
         // Alternate routes are summaries only: no row of theirs is held.
-        assert!(sink.rows().all(|(cell, _)| cell.rank == 0));
+        let preferred = data.summaries.groups.iter().flat_map(|(_, g)| g.preferred());
+        assert_eq!(preferred.map(|c| c.n as usize).sum::<usize>(), rows);
         let alternates = data.summaries.groups.iter().flat_map(|(_, g)| g.ranks.iter().skip(1));
         assert!(alternates.flatten().flatten().count() > 0, "the study measured alternates");
     }

@@ -53,11 +53,11 @@ fn exact_sink(data: &StudyData) -> &ColumnarSink {
     sink
 }
 
-/// (group, window, rank, MinRTT bits) of every session the exact sink
-/// holds — the preferred route's — in the order it holds them.
-fn rows(data: &StudyData) -> Vec<(GroupKey, u32, u8, u64)> {
+/// (group, MinRTT bits) of every session the exact sink holds — the
+/// preferred route's, a sorted run a group — in the order it holds them.
+fn rows(data: &StudyData) -> Vec<(GroupKey, u64)> {
     let rows = exact_sink(data).rows();
-    rows.map(|(cell, rtt)| (cell.group, cell.window, cell.rank, rtt.to_bits())).collect()
+    rows.map(|(group, rtt)| (group, rtt.to_bits())).collect()
 }
 
 /// Every study experiment as the JSON `repro all --json` writes for it

@@ -25,6 +25,12 @@ impl CdfBuilder {
         Self::default()
     }
 
+    /// Empty builder with room for `samples` samples, so that one known
+    /// not to exceed it never grows by doubling.
+    pub fn with_capacity(samples: usize) -> Self {
+        CdfBuilder { items: Vec::with_capacity(samples) }
+    }
+
     /// Add a sample with weight 1.
     pub fn push(&mut self, value: f64) {
         self.push_weighted(value, 1.0);
@@ -209,6 +215,34 @@ mod tests {
         assert_eq!(bits(&cdf.points), bits(&reference(items.clone())));
         assert_eq!(cdf.total.to_bits(), cdf.points.last().unwrap().1.to_bits());
         assert!(cdf.points.capacity() <= cdf.points.len() + cdf.points.len() / 4);
+    }
+
+    #[test]
+    fn a_presized_builder_builds_the_bits_a_grown_one_does() {
+        let items: Vec<(f64, f64)> = (0..3_000)
+            .map(|i| {
+                let u = (i as f64 * 0.618_033_988_749).fract();
+                ((u * 64.0).floor() - 20.0, if i % 7 == 0 { 0.0 } else { 1.0 + u })
+            })
+            .collect();
+        let bits = |cdf: &WeightedCdf| -> (Vec<(u64, u64)>, u64) {
+            (
+                cdf.points.iter().map(|p| (p.0.to_bits(), p.1.to_bits())).collect(),
+                cdf.total.to_bits(),
+            )
+        };
+        let mut grown = CdfBuilder::new();
+        items.iter().for_each(|&(v, w)| grown.push_weighted(v, w));
+        let grown = grown.build();
+        // Room for exactly the samples, and for far more than them.
+        for room in [items.len(), 4 * items.len()] {
+            let mut sized = CdfBuilder::with_capacity(room);
+            items.iter().for_each(|&(v, w)| sized.push_weighted(v, w));
+            assert_eq!(sized.items.capacity(), room, "a presized builder grew");
+            let sized = sized.build();
+            assert_eq!(bits(&sized), bits(&grown));
+            assert!(sized.points.capacity() <= sized.points.len() + sized.points.len() / 4);
+        }
     }
 
     #[test]

@@ -74,12 +74,14 @@ fn a_checkpointed_study_costs_a_fragment_of_heap_and_the_codec_s_bytes_of_disk()
     let on_disk: u64 =
         std::fs::read_dir(dir).unwrap().map(|entry| entry.unwrap().metadata().unwrap().len()).sum();
     // A cell is its row — 49–73 B in its fragment's segment, and a share
-    // of its window's 58 B row-group frame and index entry — and, when
-    // preferred, a 37-bit stream header; a session is a few bits of
-    // Rice-coded gap (the manifest fits the constant). Version 1 wrote
-    // every session's raw row, 20 B, and 25 B a cell.
+    // of its window's 58 B row-group frame and index entry; a session is
+    // a few bits of Rice-coded gap in its group's one run, a 37-bit
+    // header a group (the manifest fits the constant): 899,899 B for
+    // 70,618 sessions in 9,581 cells. Version 2 coded a run a preferred
+    // cell (931 KB here), version 1 wrote every session's raw row, 20 B,
+    // and 25 B a cell.
     assert!(
-        on_disk <= 3 * rows + 100 * cells + 4096,
+        on_disk <= rows + 90 * cells + 4096,
         "{on_disk} B on disk for {rows} rows in {cells} cells"
     );
     std::fs::remove_dir_all(dir).expect("cleanup");

@@ -127,7 +127,7 @@ fn a_damaged_journal_is_refused_without_a_panic_or_an_oversized_allocation() {
         if is_shard {
             // A shard's header counts forged and the checksum recomputed:
             // the length arithmetic, not the checksum, refuses them, and a
-            // version-1 image is refused as one.
+            // version-1 or version-2 image is refused as one.
             let forged = |at: usize, value: &[u8]| {
                 let mut bad = image.clone();
                 bad[at..at + value.len()].copy_from_slice(value);
@@ -154,16 +154,19 @@ fn a_damaged_journal_is_refused_without_a_panic_or_an_oversized_allocation() {
                     }
                 }
             }
-            let old = forged(4, &[1]);
-            let err = sink.decode_shard(&old).expect_err("a version-1 image is refused");
-            assert!(err.to_string().contains("unsupported shard version 1"), "{err}");
-            refused(file, &old, "a version-1 shard");
+            for version in [1, 2] {
+                let old = forged(4, &[version]);
+                let err = sink.decode_shard(&old).expect_err("an older image is refused");
+                let want = format!("unsupported shard version {version}");
+                assert!(err.to_string().contains(&want), "{err}");
+                refused(file, &old, &format!("a version-{version} shard"));
+            }
         }
 
         // Arbitrary bytes, bare and behind a plausible opening.
         for round in 0..1_000 {
             let mut bytes: Vec<u8> = (0..next() % 300).map(|_| next() as u8).collect();
-            let opening: &[u8] = if is_shard { b"EPSH\x02" } else { b"{\"version\":2," };
+            let opening: &[u8] = if is_shard { b"EPSH\x03" } else { b"{\"version\":2," };
             if round % 2 == 1 && bytes.len() >= opening.len() {
                 bytes[..opening.len()].copy_from_slice(opening);
             }

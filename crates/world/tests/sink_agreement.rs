@@ -230,20 +230,25 @@ fn columnar_sink_matches_from_records_end_to_end() {
         );
         assert_summaries_identical(&direct, &whole.summarize());
 
-        // Cell by cell, the preferred MinRTTs in `total_cmp` order.
-        type Cell = (GroupKey, u32, u8);
-        let mut want: HashMap<Cell, Vec<u64>> = HashMap::new();
+        // Group by group, each group's preferred MinRTTs — every window's
+        // — in `total_cmp` order, one run a group.
+        let mut want: HashMap<GroupKey, Vec<u64>> = HashMap::new();
         for r in records.iter().filter(|r| r.route_rank == 0) {
             let min_rtt_ms = f64::from(r.min_rtt_ns) / 1e6;
-            want.entry((r.group, r.window, 0)).or_default().push(min_rtt_ms.to_bits());
+            want.entry(r.group).or_default().push(min_rtt_ms.to_bits());
         }
         for rtts in want.values_mut() {
             rtts.sort_by(|a, b| f64::from_bits(*a).total_cmp(&f64::from_bits(*b)));
         }
-        let mut rows: HashMap<Cell, Vec<u64>> = HashMap::new();
-        for ((cell, rtt), (continent, p_rtt)) in sink.rows().zip(sink.preferred_sessions()) {
-            assert_eq!((cell.group.continent, rtt.to_bits()), (continent, p_rtt.to_bits()));
-            rows.entry((cell.group, cell.window, cell.rank)).or_default().push(rtt.to_bits());
+        let mut rows: HashMap<GroupKey, Vec<u64>> = HashMap::new();
+        let mut runs: Vec<GroupKey> = Vec::new();
+        for ((group, rtt), (continent, p_rtt)) in sink.rows().zip(sink.preferred_sessions()) {
+            assert_eq!((group.continent, rtt.to_bits()), (continent, p_rtt.to_bits()));
+            if runs.last() != Some(&group) {
+                assert!(!runs.contains(&group), "{group:?}'s rows come in two runs");
+                runs.push(group);
+            }
+            rows.entry(group).or_default().push(rtt.to_bits());
         }
         assert_eq!(sink.rows().count(), sink.preferred_sessions().count());
         assert_eq!(rows, want);

@@ -79,14 +79,13 @@ fn manifest_report(dir: &Path) -> StudyReport {
     StudyReport::from_value(manifest.get("report").expect("a report member")).expect("a report")
 }
 
-type Row = (u32, u32, u8, u64);
+type Row = (u32, u16, u64);
 
-/// Every session the sink holds, in the order it holds them: prefix,
-/// window, rank, MinRTT bits.
+/// Every session the sink holds, in the order it holds them — group by
+/// group, each group's sorted — : prefix, PoP, MinRTT bits.
 fn rows(sink: &ColumnarSink) -> Vec<Row> {
     let rows = sink.rows();
-    rows.map(|(cell, rtt)| (cell.group.prefix.base, cell.window, cell.rank, rtt.to_bits()))
-        .collect()
+    rows.map(|(group, rtt)| (group.prefix.base, group.pop.0, rtt.to_bits())).collect()
 }
 
 /// Every cell's summary (bytes and flags included) as text: `{:?}` prints

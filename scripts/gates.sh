@@ -12,7 +12,7 @@
 # replays through real `edgeperf` processes on loopback ports 4620-4631,
 # which leave their reports under replay-reports/. Repro gates
 # (repro_results, repro_streaming, study_resume): `repro all` must rewrite
-# results/ and print the stdout kept there byte for byte within 20 MiB
+# results/ and print the stdout kept there byte for byte within 17 MiB
 # resident, its streaming job every study file but fig7.json, the same
 # bytes twice, and within 17 MiB at full scale, and a study killed mid-run
 # must resume from its checkpoint
@@ -413,15 +413,18 @@ peaked_within() {
 # for byte, and print results/repro_all.stdout byte for byte — what a
 # reader sees, whatever order the experiments ran in. The exact sink keeps
 # a summary a cell (a 64-byte row), an HDratio tally and, for the
-# preferred route only, each cell's MinRTTs sorted as Rice-coded gaps
-# (~2.2 B a row) in one study-wide buffer, indexed by 8 B a kept cell; its
-# workers close each cell when its window ends, so a prefix's raw rows
-# never reach the merge; Figure 6 reads its ranks in three walks with a
-# few 32 KiB histograms; and Figures 1-5 run before the study. So the job
-# must also peak at no more than 20 MiB resident (it reads ~18.8; with a
-# 24 B key and a u32 end a kept cell, in vectors grown by doubling, and
-# 72-byte rows it read 20.9-21.1, with each prefix's raw rows held until
-# the merge 24.4-24.7, with a 4 B MinRTT row ~32, and with a 6 B
+# preferred route only, each group's MinRTTs in one sorted run coded as
+# Rice gaps when its prefix is sealed (~1.2 B a row), the group named once
+# beside its run; its workers close each cell when its window ends, so a
+# prefix's raw rows never reach the merge; Figure 6 reads its ranks in
+# three walks with a few 32 KiB histograms; and every experiment that
+# never reads the study (Figures 1-5, validation, grouping, cc, detector,
+# ablations, naive) runs before it. So the job must also peak at no more
+# than 17 MiB resident (it reads ~15.8, under Figure 6; with a coded
+# run a cell in one study-wide buffer, indexed by 8 B a kept cell, it read
+# 18.8, with a 24 B key and a u32 end a kept cell, in vectors grown by
+# doubling, and 72-byte rows 20.9-21.1, with each prefix's raw rows held
+# until the merge 24.4-24.7, with a 4 B MinRTT row ~32, and with a 6 B
 # HDratio-and-MinRTT row, Figures 1-3 run on top of the freed rows, ~43).
 repro_results() {
     built || return 1
@@ -430,7 +433,7 @@ repro_results() {
     repro_tree "$out" --scale 1 && diff -r -x repro_all.stdout "$out/tree" results &&
         cmp "$out/stdout" results/repro_all.stdout
     status=$?
-    peaked_within "$out" "repro all --scale 1" 20 || status=1
+    peaked_within "$out" "repro all --scale 1" 17 || status=1
     rm -rf "$out"
     return "$status"
 }
@@ -443,8 +446,10 @@ repro_results() {
 # fig6.json included (its digest merge order used to follow the
 # scheduler). At full scale the job holds the grid (a 64-byte row a cell)
 # and one rollup digest a group, and its peak is bounded like the exact
-# job's: no more than 17 MiB resident (it reads ~15.9; with 72-byte rows
-# 16.6). The benchmark's offline memory is the larger of the two jobs.
+# job's: no more than 17 MiB resident (it reads ~15.7; with the
+# detector's own study run after it, not before, ~15.9, and with 72-byte
+# rows 16.6). The benchmark's offline memory is the larger of the two
+# jobs.
 repro_streaming() {
     built || return 1
     local out status f
