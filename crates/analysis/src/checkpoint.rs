@@ -41,7 +41,7 @@
 //! checkpoint is one study's transient. Problems are the typed
 //! [`EdgeperfError::Segment`] — the checksum is `segment.rs`'s.
 
-use crate::columnar::{ColumnarShard, ColumnarSink, KeptRuns, HEAD_BITS, K_BITS};
+use crate::columnar::{ColumnarShard, ColumnarSink, Keep, KeptRuns, HEAD_BITS, K_BITS};
 use crate::figures::{HdratioCounts, HdratioTally, HDRATIO_BELOW_ONE};
 use crate::segment::{
     checked_body, checksum, corrupt, decode_segment, encode_segment, Reader, WindowCell,
@@ -112,8 +112,8 @@ impl ColumnarShard {
     /// # Panics
     /// Panics when a window is still open.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        assert!(self.is_sealed(), "a shard is encoded sealed");
-        write_image(out, &self.rows, &self.kept.words, &self.tally);
+        assert!(self.sealed, "a shard is encoded sealed");
+        write_image(out, &self.rows, &self.coded().words, &self.tally);
     }
 }
 
@@ -212,7 +212,7 @@ impl ColumnarSink {
         for (i, row) in rows.iter().enumerate() {
             // The bounds `GroupSlots::cell` and the stream's `u32` row
             // counts would panic on.
-            if row.rank >= 8 || row.window as usize >= self.n_windows {
+            if row.rank >= 8 || row.window as usize >= self.n_windows() {
                 return Err(corrupt(format!(
                     "row {i} at rank {} window {} is outside the sink",
                     row.rank, row.window
@@ -257,7 +257,9 @@ impl ColumnarSink {
             Some(*end)
         });
         let groups = groups.into_iter().zip(ends).collect();
-        shard.kept = KeptRuns { words: kept.into_boxed_slice(), groups };
+        let coded = KeptRuns { words: kept.into_boxed_slice(), groups };
+        shard.keep = Keep::Runs { raw: Vec::new(), coded };
+        shard.sealed = true;
         shard.tally = read_tally(&mut r, continents, entries, &tested_by_continent)?;
         shard.base = rows.len() as u32;
         shard.rows = rows;
@@ -324,7 +326,7 @@ mod tests {
     fn shard_of(sink: &ColumnarSink, n: usize) -> ColumnarShard {
         let mut shard = sink.new_shard();
         synthetic(n).into_iter().for_each(|r| shard.push(r));
-        shard.seal(0);
+        shard.seal();
         shard
     }
 
@@ -332,7 +334,7 @@ mod tests {
     fn bits(mut sink: ColumnarSink, shard: ColumnarShard) -> (Vec<String>, String, String) {
         sink.merge_shard(shard);
         let rows = sink.rows().map(|(k, rtt)| format!("{k:?} {rtt:?}")).collect();
-        let hdratio = format!("{:?}", (sink.hdratio_rollup(), sink.hdratio().fig7()));
+        let hdratio = format!("{:?}", (sink.hdratio().rollup(), sink.hdratio().fig7()));
         (rows, format!("{:?}", sink.summarize().groups), hdratio)
     }
 
@@ -353,7 +355,7 @@ mod tests {
             image.len(),
             HEADER_LEN
                 + encode_segment(&shard.rows).len()
-                + 8 * shard.kept.words.len()
+                + 8 * shard.coded().words.len()
                 + CONTINENT_BYTES * continents
                 + ENTRY_BYTES * entries
                 + 8
@@ -364,20 +366,14 @@ mod tests {
         assert_eq!(decoded.tally, shard.tally);
         assert_eq!(bits(sink(), decoded), bits(sink(), shard_of(&sink(), 1_500)));
 
-        // A decoded shard is a working shard: pushed new cells and encoded
-        // again, it is the bytes of the shard that was pushed to all along.
-        let mut resumed = sink().decode_shard(&image).unwrap();
-        let mut whole = shard_of(&sink(), 1_500);
-        for shard in [&mut resumed, &mut whole] {
-            shard.push(rec(40, 0, 1, 7_250_000, Some(0.5)));
-            shard.push(rec(41, 3, 0, 41_500_000, None));
-            shard.push(rec(41, 3, 0, 40_500_000, Some(1.0)));
-            shard.seal(1);
-        }
-        assert_eq!(encoded(&resumed), encoded(&whole));
+        // A decoded shard is sealed, as it was encoded: encoded again, it
+        // is the same bytes.
+        let resumed = sink().decode_shard(&image).unwrap();
+        assert!(resumed.sealed);
+        assert_eq!(encoded(&resumed), image);
 
         let mut empty = sink().new_shard();
-        empty.seal(0);
+        empty.seal();
         let image = encoded(&empty);
         assert_eq!(image.len(), HEADER_LEN + encode_segment(&[]).len() + 8);
         assert_eq!(sink().decode_shard(&image).expect("an empty shard decodes").sample_count(), 0);
@@ -479,7 +475,7 @@ mod tests {
             write_image(&mut image, rows, kept, tally);
             image
         };
-        let (rows, words, tally) = (&shard.rows[..], &shard.kept.words[..], &shard.tally);
+        let (rows, words, tally) = (&shard.rows[..], &shard.coded().words[..], &shard.tally);
         assert!(sink.decode_shard(&image_of(rows, words, tally)).is_ok());
         let with_row = |i: usize, edit: &dyn Fn(&mut WindowCell)| {
             let mut rows = rows.to_vec();
@@ -548,7 +544,7 @@ mod tests {
     impl ColumnarSink {
         /// The MinRTTs `shard` keeps, cell by cell, as a sink of it reads them.
         fn rows_of(&self, shard: &ColumnarShard) -> Vec<f64> {
-            let mut sink = ColumnarSink::new(self.n_windows);
+            let mut sink = ColumnarSink::new(self.n_windows());
             sink.merge_shard(self.decode_shard(&encoded(shard)).expect("decodes"));
             sink.rows().map(|(_, v)| v).collect()
         }

@@ -22,24 +22,36 @@
 //! first record of another window arrives, and again when it is sealed or
 //! merged, on the worker's thread. Closing lays the window's rows out cell
 //! by cell — a counting scatter over the window's per-cell counts into
-//! two columns the shard reuses — and sorts each cell's slice once, its
-//! NaNs (the untested mark, a positive NaN) after its samples. Each cell's
-//! order statistics, read in milliseconds, become its [`WindowCell`] row;
-//! what Figures 6–7 read of HDratio — point masses by continent, and by
-//! Figure 7's MinRTT bucket a count of each distinct HDratio — goes into
-//! the shard's [`HdratioTally`]; and each preferred cell's sorted MinRTTs
-//! — the only per-session values left to read, by Figure 6, which pools
-//! them by continent — are appended to its group's run, a `u32` a row.
-//! The columns are then cleared for the next window, so a shard holds one
-//! window's rows beside what it has closed. An alternate route's MinRTTs
-//! are never kept.
+//! two columns the shard reuses, stable, so a cell's rows keep their
+//! arrival order — and makes each cell its [`WindowCell`] row; what
+//! Figures 6–7 read of HDratio — point masses by continent, and by Figure
+//! 7's MinRTT bucket a count of each distinct HDratio — goes into the
+//! shard's [`HdratioTally`]. The columns are then cleared for the next
+//! window, so a shard holds one window's rows beside what it has closed.
 //!
-//! Sealing the shard (or merging it unsealed) sorts each group's run once
-//! and Rice-codes it: the run's least value and the gaps between the rest,
-//! with one parameter for the run, under `k + 3` bits a row, 1.2 bytes a
-//! row at seed 7, scale 1 (one coded run a cell was 2.17, a `u32` a row
-//! 4). A sealed shard's runs lie group after group in one bit stream, a
-//! kept group named once beside its run's end row.
+//! Both offline sinks fill these shards; the sink that makes one picks
+//! what a closed cell becomes beside its row and its tally entries:
+//!
+//! - [`ColumnarSink`]'s (exact): the cell's slice is sorted once, its
+//!   NaNs (the untested mark, a positive NaN) after its samples; its order
+//!   statistics, read in milliseconds, make the row; and a preferred
+//!   cell's sorted MinRTTs — the only per-session values left to read, by
+//!   Figure 6, which pools them by continent — are appended to its group's
+//!   run, a `u32` a row. An alternate route's MinRTTs are never kept.
+//!   Sealing the shard (or merging it unsealed) sorts each group's run once
+//!   and Rice-codes it: the run's least value and the gaps between the
+//!   rest, with one parameter for the run, under `k + 3` bits a row, 1.2
+//!   bytes a row at seed 7, scale 1 (one coded run a cell was 2.17, a `u32`
+//!   a row 4). A sealed shard's runs lie group after group in one bit
+//!   stream, a kept group named once beside its run's end row.
+//! - [`crate::StreamingDataset`]'s (§3.4.1): the cell's rows, in arrival
+//!   order, feed a [`StreamingCell`], which is flushed and summarised as
+//!   the live tier closes a window's cells — the same bits; a preferred
+//!   cell's MinRTT digest is then merged into its group's Figure 6 rollup,
+//!   window by window, and the cell is dropped. Sealing flushes each
+//!   group's rollup.
+//!
+//! A shard is one work item: once sealed it takes no more records.
 //!
 //! [`ColumnarSink`] merges a shard by placing its rows in the sink's grid
 //! in closing order — first-seen order, since the records came window by
@@ -55,14 +67,20 @@
 //! [`ColumnarSink::take_summaries`] hands the grid over. What the sink
 //! holds, part by part, is [`ColumnarSink::footprint`].
 
-use crate::dataset::{in_dataset_order, median_and_variance, CellSummary, GroupSlots, Summaries};
-use crate::figures::{HdratioCounts, HdratioTally, PreferredSessions};
+use crate::dataset::{
+    in_dataset_order, median_and_variance, CellSummary, GroupData, GroupSlots, Summaries,
+};
+use crate::figures::{HdratioTally, PreferredSessions};
 use crate::record::{ms, GroupKey, SessionRecord};
 use crate::segment::WindowCell;
-use crate::sink::{RecordShard, RecordSink, SinkStats};
+use crate::sink::{RecordShard, RecordSink, SinkStats, StreamingCell};
+use crate::streaming::StreamingAggregation;
 use edgeperf_routing::Relationship;
-use std::collections::BTreeMap;
+use edgeperf_stats::TDigest;
 use std::ops::Range;
+
+/// t-digest compression δ of a group's Figure 6 rollup.
+pub(crate) const ROLLUP_COMPRESSION: f64 = 100.0;
 
 /// Identity of one (group, window, route-rank) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,13 +105,15 @@ pub(crate) struct CellMeta {
     pub(crate) n_hd: u32,
 }
 
-/// One worker's columnar accumulator: the open window's sessions, one row
-/// each in three aligned columns keyed by the cell's index in the window,
-/// plus one metadata slot per open cell; and what it has closed — a
-/// [`WindowCell`] row a cell, the HDratio tally and the kept preferred
-/// MinRTTs, a run a group. Made by [`ColumnarSink::new_shard`], whose
-/// window count it takes: a record outside it panics at push, and so does
-/// a record for a cell whose window has closed.
+/// One worker's columnar accumulator for one work item: the open window's
+/// sessions, one row each in three aligned columns keyed by the cell's
+/// index in the window, plus one metadata slot per open cell; and what it
+/// has closed — a [`WindowCell`] row a cell, the HDratio tally and what
+/// its sink keeps beside them: each group's MinRTT run (exact) or Figure 6
+/// rollup digest (streaming). Made by a sink's `new_shard`,
+/// whose window count it takes: a record outside it panics at push, and
+/// so does a record for a cell whose window has closed, or any record
+/// once the shard is sealed.
 #[derive(Debug)]
 pub struct ColumnarShard {
     /// Every cell's id, in its group's `ranks[rank][window]` slot: a
@@ -102,6 +122,8 @@ pub struct ColumnarShard {
     pub(crate) base: u32,
     /// The window whose cells are open, if any.
     window: Option<u32>,
+    /// The work item is done: every cell is a row.
+    pub(crate) sealed: bool,
     cells: Vec<CellMeta>,
     cell: Vec<u32>,
     /// Whole nanoseconds.
@@ -113,23 +135,54 @@ pub struct ColumnarShard {
     pub(crate) rows: Vec<WindowCell>,
     /// The closed cells' tested preferred-route sessions.
     pub(crate) tally: HdratioTally,
-    /// Each group's closed preferred MinRTTs not yet sealed, indexed like
-    /// `ids.slots`: cell after cell, each cell sorted.
-    runs: Vec<Vec<u32>>,
-    /// The sealed runs.
-    pub(crate) kept: KeptRuns,
+    pub(crate) keep: Keep,
+}
+
+/// What a shard keeps of its closed cells beside their rows and tally:
+/// its sink's choice. Both are indexed like the shard's `ids.slots`.
+#[derive(Debug)]
+pub(crate) enum Keep {
+    /// The exact sink's: each group's closed preferred MinRTTs, cell after
+    /// cell, each cell sorted, until sealing codes each run once.
+    Runs { raw: Vec<Vec<u32>>, coded: KeptRuns },
+    /// The streaming sink's: each group's Figure 6 rollup, its preferred
+    /// cells' flushed MinRTT digests merged window by window, and the
+    /// compression passes the closed cells' digests ran.
+    Digests { rollups: Vec<TDigest>, compressions: u64 },
 }
 
 impl ColumnarShard {
+    fn new(n_windows: usize, keep: Keep) -> Self {
+        ColumnarShard {
+            ids: GroupSlots::new(n_windows),
+            base: 0,
+            window: None,
+            sealed: false,
+            cells: Vec::new(),
+            cell: Vec::new(),
+            min_rtt: Vec::new(),
+            hdratio: Vec::new(),
+            scratch: Scratch::default(),
+            rows: Vec::new(),
+            tally: HdratioTally::default(),
+            keep,
+        }
+    }
+
     /// Number of distinct cells this shard has seen, closed and open.
     pub fn cell_count(&self) -> usize {
         self.base as usize + self.cells.len()
     }
 
-    /// No window is open and every kept MinRTT is coded: every cell seen
-    /// is a row.
-    pub(crate) fn is_sealed(&self) -> bool {
-        self.cells.is_empty() && self.runs.is_empty()
+    /// The sealed exact shard's coded runs.
+    ///
+    /// # Panics
+    /// Panics on a streaming shard, whose rollups have no coded form.
+    pub(crate) fn coded(&self) -> &KeptRuns {
+        match &self.keep {
+            Keep::Runs { coded, .. } => coded,
+            Keep::Digests { .. } => panic!("a streaming shard keeps no MinRTT runs"),
+        }
     }
 
     /// MinRTT samples recorded (one per session), closed and open.
@@ -162,15 +215,12 @@ impl ColumnarShard {
     }
 
     /// Close the open window's cells: each one's row, its tested preferred
-    /// sessions tallied and, for a preferred cell, its sorted MinRTTs
-    /// appended to its group's run.
+    /// sessions tallied and, for a preferred cell, its MinRTTs kept as the
+    /// sink keeps them.
     fn close(&mut self) {
         self.window = None;
         if self.cells.is_empty() {
             return;
-        }
-        if !self.kept.groups.is_empty() {
-            self.unseal();
         }
         let ColumnarShard {
             ids,
@@ -182,7 +232,7 @@ impl ColumnarShard {
             scratch,
             rows,
             tally,
-            runs,
+            keep,
             ..
         } = self;
         for ((&ci, &rtt), &h) in cell.iter().zip(&*min_rtt).zip(&*hdratio) {
@@ -210,36 +260,36 @@ impl ColumnarShard {
         }
         let rows_of = |ci: usize| (ends[ci] - cells[ci].n_rtt) as usize..ends[ci] as usize;
         for (ci, meta) in cells.iter().enumerate() {
-            // Counts sort as their milliseconds do: `ms` is monotone and
-            // one-to-one on `u32`s.
-            let rtts = &mut by_rtt[rows_of(ci)];
-            rtts.sort_unstable();
-            by_hd[rows_of(ci)].sort_unstable_by(f64::total_cmp);
-            if meta.key.rank == 0 {
-                let at = ids.position(&meta.key.group).expect("an open cell's group has ids");
-                if runs.len() <= at as usize {
-                    runs.resize_with(at as usize + 1, Vec::new);
-                }
-                runs[at as usize].extend_from_slice(rtts);
-            }
-            in_ms.clear();
-            in_ms.extend(rtts.iter().map(|&n| ms(n)));
-            let (min_rtt_p50, min_rtt_var) =
-                median_and_variance(in_ms).expect("a cell holds a session");
-            let tested = &by_hd[rows_of(ci)][..meta.n_hd as usize];
-            let (hdratio_p50, hdratio_var) = median_and_variance(tested).unzip();
+            let (rtts, hds) = (&mut by_rtt[rows_of(ci)], &mut by_hd[rows_of(ci)]);
             let CellKey { group, window, rank } = meta.key;
-            let summary = CellSummary {
-                n: meta.n_rtt as usize,
-                n_tested: meta.n_hd as usize,
-                bytes: meta.bytes,
-                min_rtt_p50,
-                min_rtt_var,
-                hdratio_p50,
-                hdratio_var: hdratio_var.flatten(),
-                relationship: meta.relationship,
-                longer_path: meta.longer_path,
-                more_prepended: meta.more_prepended,
+            let slot = || ids.position(&group).expect("an open cell's group has ids") as usize;
+            let summary = match keep {
+                Keep::Runs { raw, .. } => {
+                    // Counts sort as their milliseconds do: `ms` is monotone
+                    // and one-to-one on `u32`s.
+                    rtts.sort_unstable();
+                    hds.sort_unstable_by(f64::total_cmp);
+                    if rank == 0 {
+                        let at = slot();
+                        if raw.len() <= at {
+                            raw.resize_with(at + 1, Vec::new);
+                        }
+                        raw[at].extend_from_slice(rtts);
+                    }
+                    exact_summary(meta, rtts, hds, in_ms)
+                }
+                Keep::Digests { rollups, compressions } => {
+                    let cell = digest_cell(meta, rtts, hds);
+                    *compressions += cell.agg.compressions();
+                    if rank == 0 {
+                        let at = slot();
+                        if rollups.len() <= at {
+                            rollups.resize_with(at + 1, || TDigest::new(ROLLUP_COMPRESSION));
+                        }
+                        rollups[at].merge(cell.agg.minrtt_digest());
+                    }
+                    cell.summary()
+                }
             };
             rows.push(WindowCell::new(window, group, rank, &summary).expect("u32 counts"));
         }
@@ -249,45 +299,66 @@ impl ColumnarShard {
         min_rtt.clear();
         hdratio.clear();
     }
+}
 
-    /// Close the open window, then sort and code each group's run once,
-    /// after the runs sealed before, in `ids.slots` order.
-    fn seal_runs(&mut self) {
-        self.close();
-        if self.runs.is_empty() {
-            return;
-        }
-        let (mut stream, mut groups, mut end) = (BitWriter::default(), Vec::new(), 0u32);
-        let runs = std::mem::take(&mut self.runs);
-        for ((group, _), mut run) in self.ids.slots.iter().zip(runs) {
-            if run.is_empty() {
-                continue;
-            }
-            run.sort_unstable();
-            stream.run(&run);
-            end = u32::try_from(run.len())
-                .ok()
-                .and_then(|n| end.checked_add(n))
-                .expect("a shard's kept rows fit u32");
-            groups.push((*group, end));
-        }
-        // A zero word past the stream's last, so that a reader takes two
-        // whole words wherever a field starts.
-        let mut words = stream.words;
-        words.push(0);
-        self.kept = KeptRuns { words: words.into_boxed_slice(), groups: groups.into_boxed_slice() };
+/// A closed cell's summary off its exact order statistics: its MinRTTs
+/// and HDratios each sorted, the untested NaNs last.
+fn exact_summary(meta: &CellMeta, rtts: &[u32], hds: &[f64], in_ms: &mut Vec<f64>) -> CellSummary {
+    in_ms.clear();
+    in_ms.extend(rtts.iter().map(|&n| ms(n)));
+    let (min_rtt_p50, min_rtt_var) = median_and_variance(in_ms).expect("a cell holds a session");
+    let (hdratio_p50, hdratio_var) = median_and_variance(&hds[..meta.n_hd as usize]).unzip();
+    CellSummary {
+        n: meta.n_rtt as usize,
+        n_tested: meta.n_hd as usize,
+        bytes: meta.bytes,
+        min_rtt_p50,
+        min_rtt_var,
+        hdratio_p50,
+        hdratio_var: hdratio_var.flatten(),
+        relationship: meta.relationship,
+        longer_path: meta.longer_path,
+        more_prepended: meta.more_prepended,
     }
+}
 
-    /// Decode the sealed runs back into raw ones, so that a close may add
-    /// to them: only a shard sealed (or decoded) and then pushed again.
-    fn unseal(&mut self) {
-        let kept = std::mem::take(&mut self.kept);
-        self.runs.resize_with(self.ids.slots.len(), Vec::new);
-        for (group, nanos) in Sessions::new(&kept.words, &kept.groups) {
-            let at = self.ids.position(&group).expect("a kept group has ids");
-            self.runs[at as usize].push(nanos);
-        }
+/// A closed cell as the live tier closes one: a [`StreamingCell`] fed the
+/// cell's sessions in arrival order, then flushed.
+fn digest_cell(meta: &CellMeta, rtts: &[u32], hds: &[f64]) -> StreamingCell {
+    let CellMeta { relationship, longer_path, more_prepended, mut bytes, .. } = *meta;
+    let agg = StreamingAggregation::new();
+    let mut cell = StreamingCell { agg, relationship, longer_path, more_prepended };
+    for (&rtt, &h) in rtts.iter().zip(hds) {
+        // The cell's bytes ride on its first session: they only add up.
+        cell.agg.push(ms(rtt), (!h.is_nan()).then_some(h), std::mem::take(&mut bytes));
     }
+    cell.agg.flush();
+    cell
+}
+
+/// Sort and code each group's raw run once, groups in `slots` order.
+fn code_runs(slots: &[(GroupKey, GroupData<u32>)], raw: Vec<Vec<u32>>) -> KeptRuns {
+    if raw.is_empty() {
+        return KeptRuns::default();
+    }
+    let (mut stream, mut groups, mut end) = (BitWriter::default(), Vec::new(), 0u32);
+    for ((group, _), mut run) in slots.iter().zip(raw) {
+        if run.is_empty() {
+            continue;
+        }
+        run.sort_unstable();
+        stream.run(&run);
+        end = u32::try_from(run.len())
+            .ok()
+            .and_then(|n| end.checked_add(n))
+            .expect("a shard's kept rows fit u32");
+        groups.push((*group, end));
+    }
+    // A zero word past the stream's last, so that a reader takes two
+    // whole words wherever a field starts.
+    let mut words = stream.words;
+    words.push(0);
+    KeptRuns { words: words.into_boxed_slice(), groups: groups.into_boxed_slice() }
 }
 
 /// What a close lays the open window out in, reused from window to window.
@@ -496,6 +567,7 @@ impl Iterator for Sessions<'_> {
 impl RecordShard for ColumnarShard {
     fn push(&mut self, r: SessionRecord) {
         if self.window != Some(r.window) {
+            assert!(!self.sealed, "a sealed shard was pushed a record of {:?}", r.group);
             self.close();
             self.window = Some(r.window);
         }
@@ -521,12 +593,79 @@ impl RecordShard for ColumnarShard {
     }
 
     /// Close the open window — every cell this shard has seen is then a
-    /// row — code each group's run, and give back the columns: the work
-    /// item is done.
-    fn seal(&mut self, _unit: usize) {
-        self.seal_runs();
+    /// row — settle what the sink keeps (code each group's run, or flush
+    /// each group's rollup) and give back the columns: the work item is
+    /// done. Sealing a sealed shard does nothing.
+    fn seal(&mut self) {
+        if self.sealed {
+            return;
+        }
+        self.close();
+        match &mut self.keep {
+            Keep::Runs { raw, coded } => *coded = code_runs(&self.ids.slots, std::mem::take(raw)),
+            Keep::Digests { rollups, .. } => {
+                // A group with no preferred cell has an empty rollup.
+                rollups.resize_with(self.ids.slots.len(), || TDigest::new(ROLLUP_COMPRESSION));
+                rollups.iter_mut().for_each(TDigest::flush);
+            }
+        }
+        self.sealed = true;
         (self.cells, self.cell, self.min_rtt, self.hdratio) = Default::default();
         self.scratch = Scratch::default();
+    }
+}
+
+/// What both offline sinks hold of the shards they merged: every cell's
+/// row in one grid, groups in merge order and within a shard in the order
+/// its cells closed, the HDratio tally, and the sessions and cells merged.
+#[derive(Debug)]
+pub(crate) struct Merged {
+    pub(crate) grid: GroupSlots<WindowCell>,
+    pub(crate) tally: HdratioTally,
+    pub(crate) records: u64,
+    pub(crate) cells: u64,
+}
+
+impl Merged {
+    pub(crate) fn new(n_windows: usize) -> Self {
+        Merged {
+            grid: GroupSlots::new(n_windows),
+            tally: HdratioTally::default(),
+            records: 0,
+            cells: 0,
+        }
+    }
+
+    /// A shard for this grid that keeps what `keep` keeps.
+    pub(crate) fn shard(&self, keep: Keep) -> ColumnarShard {
+        ColumnarShard::new(self.grid.n_windows, keep)
+    }
+
+    /// Seal `shard`, place its rows in closing order and add its tally,
+    /// leaving it what its sink keeps. The runner hands each prefix to one
+    /// worker, so no two shards share a group; one that does is refused,
+    /// naming the group, since that group's cells are summaries already.
+    pub(crate) fn adopt(&mut self, shard: &mut ColumnarShard) {
+        shard.seal();
+        for (group, _) in &shard.ids.slots {
+            assert!(
+                self.grid.get(group).is_none(),
+                "group {group:?} reached the sink in two shards"
+            );
+        }
+        self.tally.merge(&shard.tally);
+        for row in std::mem::take(&mut shard.rows) {
+            self.records += u64::from(row.n);
+            let cell =
+                self.grid.cell(row.group(), row.rank as usize, row.window as usize, row.bytes);
+            *cell = Some(row);
+            self.cells += 1;
+        }
+    }
+
+    /// The sessions and cells merged.
+    pub(crate) fn stats(&self) -> SinkStats {
+        SinkStats { records: self.records, cells: self.cells, ..SinkStats::default() }
     }
 }
 
@@ -536,46 +675,39 @@ impl RecordShard for ColumnarShard {
 /// and what Figures 6–7 read of its HDratios, tallied.
 #[derive(Debug)]
 pub struct ColumnarSink {
-    pub(crate) n_windows: usize,
-    summaries: GroupSlots<WindowCell>,
+    merged: Merged,
     /// Every merged shard's coded runs, shard after shard.
     kept: Vec<u64>,
     preferred: Vec<Adopted>,
-    hdratio: HdratioTally,
-    records: u64,
-    cells: u64,
 }
 
 impl ColumnarSink {
     /// Empty sink over a fixed number of 15-minute windows.
     pub fn new(n_windows: usize) -> Self {
-        ColumnarSink {
-            n_windows,
-            summaries: GroupSlots::new(n_windows),
-            kept: Vec::new(),
-            preferred: Vec::new(),
-            hdratio: HdratioTally::default(),
-            records: 0,
-            cells: 0,
-        }
+        ColumnarSink { merged: Merged::new(n_windows), kept: Vec::new(), preferred: Vec::new() }
+    }
+
+    /// Number of 15-minute windows in the study.
+    pub(crate) fn n_windows(&self) -> usize {
+        self.merged.grid.n_windows
     }
 
     /// Distinct cells merged (shards never share a group).
     pub fn cell_count(&self) -> usize {
-        self.cells as usize
+        self.merged.cells as usize
     }
 
     /// Every cell's summary — the same numbers, groups in the same order,
     /// as `Dataset::from_records` over the merged sessions, then
     /// `summarize()` — copied out of the sink.
     pub fn summarize(&self) -> Summaries {
-        Summaries { groups: in_dataset_order(self.summaries.slots.clone()) }
+        Summaries { groups: in_dataset_order(self.merged.grid.slots.clone()) }
     }
 
     /// [`summarize`](Self::summarize) without the copy: the grid is handed
     /// over and the sink keeps only its rows and tally.
     pub fn take_summaries(&mut self) -> Summaries {
-        Summaries { groups: in_dataset_order(self.summaries.take()) }
+        Summaries { groups: in_dataset_order(self.merged.grid.take()) }
     }
 
     /// Every preferred-route session, shard by shard and within a shard
@@ -589,14 +721,10 @@ impl ColumnarSink {
         })
     }
 
-    /// The HDratio tally of every merged preferred-route session.
+    /// The HDratio tally of every merged preferred-route session: Figure
+    /// 6's HDratio half and Figure 7.
     pub fn hdratio(&self) -> &HdratioTally {
-        &self.hdratio
-    }
-
-    /// Figure 6's HDratio point masses, as `StreamingDataset` answers them.
-    pub fn hdratio_rollup(&self) -> (HdratioCounts, BTreeMap<u8, HdratioCounts>) {
-        self.hdratio.rollup()
+        &self.merged.tally
     }
 
     /// What the sink holds, by part: the grid's bytes (zero once handed
@@ -604,7 +732,7 @@ impl ColumnarSink {
     /// — every merged shard's word range and kept groups — and the HDratio
     /// tally's entries.
     pub fn footprint(&self) -> [(&'static str, usize); 5] {
-        let grid = self.summaries.slots.iter().map(|(_, g)| g.grid_bytes()).sum();
+        let grid = self.merged.grid.slots.iter().map(|(_, g)| g.grid_bytes()).sum();
         let ends = self.preferred.iter().filter_map(|shard| shard.groups.last());
         let rows = ends.map(|&(_, end)| end as usize).sum();
         let groups = self.preferred.iter().map(|shard| std::mem::size_of_val(&*shard.groups));
@@ -614,7 +742,7 @@ impl ColumnarSink {
             ("kept_bytes", std::mem::size_of_val(&*self.kept)),
             ("kept_rows", rows),
             ("index_bytes", index),
-            ("tally_entries", self.hdratio.distinct_hdratios()),
+            ("tally_entries", self.merged.tally.distinct_hdratios()),
         ]
     }
 }
@@ -635,52 +763,23 @@ impl RecordSink for ColumnarSink {
     }
 
     fn new_shard(&self) -> ColumnarShard {
-        ColumnarShard {
-            ids: GroupSlots::new(self.n_windows),
-            base: 0,
-            window: None,
-            cells: Vec::new(),
-            cell: Vec::new(),
-            min_rtt: Vec::new(),
-            hdratio: Vec::new(),
-            scratch: Scratch::default(),
-            rows: Vec::new(),
-            tally: HdratioTally::default(),
-            runs: Vec::new(),
-            kept: KeptRuns::default(),
-        }
+        self.merged.shard(Keep::Runs { raw: Vec::new(), coded: KeptRuns::default() })
     }
 
-    /// Close what `shard` still holds open and code its runs, then place
-    /// its rows in the grid in closing order, add its tally and append its
-    /// coded runs to the sink's buffer. The runner hands each prefix to one worker, so no two
-    /// shards share a group; one that does is refused, naming the group,
-    /// since that group's cells are summaries already.
+    /// Seal `shard`, place its rows and add its tally, then append its coded runs to the sink's buffer.
     fn merge_shard(&mut self, mut shard: ColumnarShard) {
-        shard.seal_runs();
-        for (group, _) in &shard.ids.slots {
-            assert!(
-                self.summaries.get(group).is_none(),
-                "group {group:?} reached the sink in two shards"
-            );
-        }
-        let ColumnarShard { rows, tally, kept, .. } = shard;
-        self.hdratio.merge(&tally);
-        for row in &rows {
-            self.records += u64::from(row.n);
-            let cell =
-                self.summaries.cell(row.group(), row.rank as usize, row.window as usize, row.bytes);
-            *cell = Some(*row);
-        }
-        self.cells += rows.len() as u64;
-        if !kept.groups.is_empty() {
+        self.merged.adopt(&mut shard);
+        let Keep::Runs { coded, .. } = shard.keep else {
+            panic!("a streaming shard reached the exact sink")
+        };
+        if !coded.groups.is_empty() {
             // Copied into one buffer on this thread, not adopted where the
             // worker allocated them: left there, a study's runs lie among
             // the free blocks of every prefix its worker ran, and the job's
             // peak rose by ~1.4 MB in some runs of the same study.
             let start = self.kept.len();
-            self.kept.extend_from_slice(&kept.words);
-            self.preferred.push(Adopted { words: start..self.kept.len(), groups: kept.groups });
+            self.kept.extend_from_slice(&coded.words);
+            self.preferred.push(Adopted { words: start..self.kept.len(), groups: coded.groups });
         }
     }
 
@@ -691,7 +790,7 @@ impl RecordSink for ColumnarSink {
 
     /// Every merged session, whether or not its rows were kept.
     fn stats(&self) -> SinkStats {
-        SinkStats { records: self.records, cells: self.cells, ..SinkStats::default() }
+        self.merged.stats()
     }
 
     fn into_snapshot(mut self) -> Summaries {
@@ -803,7 +902,7 @@ pub(crate) mod tests {
         use crate::figures::{fig6_minrtt, HdratioTally};
         let tally = HdratioTally::of(records);
         assert_eq!(sink.hdratio(), &tally);
-        let figures = (fig6_minrtt(&sink), sink.hdratio_rollup(), sink.hdratio().fig7());
+        let figures = (fig6_minrtt(&sink), sink.hdratio().rollup(), sink.hdratio().fig7());
         let want = (fig6_minrtt(records), tally.rollup(), tally.fig7());
         assert_eq!(format!("{figures:?}"), format!("{want:?}"));
         let whole = Dataset::from_records(records, 4);
@@ -852,6 +951,17 @@ pub(crate) mod tests {
         for window in [0, 1, 0] {
             shard.push(rec(1, window, 0, 30_000_000, None));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a sealed shard was pushed a record")]
+    fn a_sealed_shard_is_refused_not_reopened() {
+        // A shard is one work item: sealed, every cell of it is a row and
+        // its runs are coded, so a later record could only be lost.
+        let mut shard = ColumnarSink::new(4).new_shard();
+        shard.push(rec(1, 0, 0, 30_000_000, None));
+        shard.seal();
+        shard.push(rec(2, 1, 0, 30_000_000, None));
     }
 
     #[test]
@@ -1021,35 +1131,28 @@ pub(crate) mod tests {
         }
 
         /// A shard whose groups' cells interleave within each window reads
-        /// back each group's sorted MinRTTs — sealed by its worker, merged
-        /// unsealed, or sealed, pushed more groups and sealed again — and
-        /// the three sinks hold the same stream.
+        /// back each group's sorted MinRTTs — sealed by its worker or
+        /// merged unsealed — and the two sinks hold the same stream.
         #[test]
         fn prop_interleaved_groups_read_back_sealed_or_not(
             runs in prop::collection::vec(
                 prop::collection::vec(0u32..200_000_000, 1..300),
                 1..7,
             ),
-            split in 0usize..7,
         ) {
-            let split = split.min(runs.len());
-            let (early, late) = (interleaved(0, &runs[..split]), interleaved(split as u32, &runs[split..]));
-            let fill = |seal_at: &[usize]| {
+            let records = interleaved(0, &runs);
+            let fill = |seal: bool| {
                 let mut sink = ColumnarSink::new(4);
                 let mut shard = sink.new_shard();
-                let mut pushed = 0;
-                for part in [&early, &late] {
-                    part.iter().for_each(|r| shard.push(*r));
-                    pushed += 1;
-                    if seal_at.contains(&pushed) {
-                        shard.seal(pushed);
-                    }
+                records.iter().for_each(|r| shard.push(*r));
+                if seal {
+                    shard.seal();
                 }
                 sink.merge_shard(shard);
                 sink
             };
-            let want = sorted_runs(&[early.clone(), late.clone()].concat());
-            let sinks = [fill(&[2]), fill(&[]), fill(&[1, 2])];
+            let want = sorted_runs(&records);
+            let sinks = [fill(true), fill(false)];
             for sink in &sinks {
                 let rows: Vec<_> = sink.rows().map(|(group, rtt)| (group, rtt.to_bits())).collect();
                 prop_assert_eq!(&rows, &want);

@@ -24,8 +24,8 @@
 //!   a `Vec`, the columnar fast path, or the bounded-memory
 //!   [`StreamingDataset`] of per-cell t-digests (§3.4.1) — plus the
 //!   [`SinkStats`] summary the observability layer exports as gauges.
-//! - [`columnar`]: struct-of-arrays worker shards for the exact path,
-//!   merged zero-copy into the sink at join time.
+//! - [`columnar`]: struct-of-arrays worker shards, closing each cell when
+//!   its window ends, for both the exact and the streaming sink.
 //! - [`checkpoint`]: the byte form of one exact fragment
 //!   ([`ColumnarShard::encode`] / [`ColumnarSink::decode_shard`]) — what
 //!   the study driver's checkpoint journal writes per merged prefix.

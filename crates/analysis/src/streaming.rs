@@ -96,8 +96,8 @@ impl StreamingAggregation {
     /// reached 512 sessions: their insert buffers are compressed in (a
     /// sort, and under ~60 sessions no merge test) and released, so the
     /// aggregation holds centroids only and subsequent queries are
-    /// allocation-free. The streaming sink calls this when it seals the
-    /// cell's group, the live tier at window close.
+    /// allocation-free. The streaming sink's shards and the live tier both
+    /// call this when the cell's window closes.
     pub fn flush(&mut self) {
         let digests = match &mut self.digests {
             Some(digests) => digests,

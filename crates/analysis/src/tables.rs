@@ -250,8 +250,9 @@ mod tests {
         // through the segment codec (in the store's canonical order, not
         // the grid's) rebuild a grid the analyses cannot tell apart.
         let mut stream = StreamingDataset::new(10);
-        records(true).into_iter().for_each(|r| stream.push(r));
-        stream.finalize();
+        let mut shard = stream.new_shard();
+        records(true).into_iter().for_each(|r| shard.push(r));
+        stream.merge_shard(shard);
         let direct = stream.summarize();
         let mut rows = direct.to_cells();
         sort_cells(&mut rows);

@@ -1,5 +1,5 @@
-//! Footprint gate: a cell costs what it holds, the streaming sink holds
-//! digests only for the group in flight, the exact sink holds a summary a
+//! Footprint gate: a cell costs what it holds, the streaming sink holds a
+//! digest only for the cell being closed, the exact sink holds a summary a
 //! cell, every preferred-route session's MinRTT once, in one sorted run a
 //! group — in 1.9 bytes when it is shaped like a study's, 2.55 when a
 //! group spreads over 80 ms — indexed by each kept group once, and an
@@ -16,7 +16,8 @@ use counting::{count_this_thread, heap_of, peak_above};
 use edgeperf_analysis::figures::{fig6_minrtt, HdratioTally};
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
-    ColumnarSink, GroupKey, SessionRecord, StreamingAggregation, StreamingCell, StreamingDataset,
+    ColumnarShard, ColumnarSink, GroupKey, SessionRecord, StreamingAggregation, StreamingCell,
+    StreamingDataset,
 };
 use edgeperf_routing::{PopId, Prefix, Relationship};
 use edgeperf_stats::TDigest;
@@ -72,26 +73,36 @@ fn tight_session(cell: u32, i: usize) -> SessionRecord {
     SessionRecord { min_rtt_ns: (min_rtt_ms * 1e6).round() as u32, ..r }
 }
 
-/// One worker's shard after groups `groups` × 2 ranks × 4 windows cells
-/// of `per_cell` sessions each, pushed group by group and — when `seal` —
-/// sealed as each is done, the way the runner does.
-fn streaming_shard(groups: std::ops::Range<u32>, per_cell: usize, seal: bool) -> StreamingDataset {
-    let mut shard = StreamingDataset::new(4);
-    for group in groups {
-        for i in 0..per_cell {
-            (group * 8..(group + 1) * 8).for_each(|cell| shard.push(session(cell, i)));
-        }
-        if seal {
-            shard.seal(group as usize);
-        }
-    }
+/// The sessions of group `group` — 2 ranks × 4 windows cells of
+/// `per_cell` study-shaped sessions each — window by window, as a worker
+/// pushes them, a window's cells interleaved.
+fn group_sessions(group: u32, per_cell: usize) -> impl Iterator<Item = SessionRecord> {
+    (0..4).flat_map(move |window| {
+        (0..per_cell).flat_map(move |i| {
+            let cells = (group * 8..(group + 1) * 8).filter(move |cell| cell % 4 == window);
+            cells.map(move |cell| study_session(cell, i))
+        })
+    })
+}
+
+/// A streaming shard of group 0's sessions, `per_cell` a cell, unsealed.
+fn streaming_shard(per_cell: usize) -> ColumnarShard {
+    let mut shard = StreamingDataset::new(4).new_shard();
+    group_sessions(0, per_cell).for_each(|r| shard.push(r));
     shard
 }
 
-/// A study of `groups` groups run through one sealing worker, finalized.
+/// A study of `groups` groups through the streaming sink, a shard a group
+/// the way the runner makes them: pushed, sealed when done and merged in
+/// order.
 fn sealed_dataset(groups: u32, per_cell: usize) -> StreamingDataset {
     let mut sink = StreamingDataset::new(4);
-    sink.merge_shard(streaming_shard(0..groups, per_cell, true));
+    for group in 0..groups {
+        let mut shard = sink.new_shard();
+        group_sessions(group, per_cell).for_each(|r| shard.push(r));
+        shard.seal();
+        sink.merge_shard(shard);
+    }
     sink.finalize();
     sink
 }
@@ -154,38 +165,67 @@ fn cells_cost_what_they_hold() {
     let held = std::mem::size_of::<[TDigest; 2]>() + 2 * 4096 + 16 * cell.state_centroids();
     assert!(bytes <= held, "an open 100,000-sample cell holds {bytes} B, its content {held} B");
 
-    // A sealed, finalized sink holds a summary a cell and one Figure 6
-    // rollup digest a group, so its heap does not grow with the sessions
-    // a cell saw: twenty times the sessions cost at most what the rollups
-    // gained, if anything (a fuller digest can merge to fewer centroids) —
-    // 16 B a centroid, and up to a quarter of slack in the list
-    // (every `TDigest` compression trims beyond that).
+    // A sealed, finalized sink holds a summary a cell, one Figure 6
+    // rollup digest a group and the HDratio tally, so beside the tally —
+    // bounded by the distinct HDratios, below — its heap does not grow
+    // with the sessions a cell saw: twenty times the sessions cost at most
+    // what the rollups gained, if anything (a fuller digest can merge to
+    // fewer centroids) — 16 B a centroid, and up to a quarter of slack in
+    // the list (every `TDigest` compression trims beyond that).
     let groups = 64;
+    let tally_bytes = |per_cell: usize| {
+        let sessions: Vec<_> = (0..groups).flat_map(|g| group_sessions(g, per_cell)).collect();
+        heap_of(|| HdratioTally::of(&sessions))
+    };
+    let ((thin_tally, thin_tally_bytes), (thick_tally, thick_tally_bytes)) =
+        (tally_bytes(30), tally_bytes(600));
     let (thin, thin_bytes) = heap_of(|| sealed_dataset(groups, 30));
     let (thick, thick_bytes) = heap_of(|| sealed_dataset(groups, 600));
+    assert_eq!((thin.hdratio(), thick.hdratio()), (&thin_tally, &thick_tally));
     assert_eq!(thick.stats().records, 20 * thin.stats().records);
     assert_eq!(thick.cell_count(), groups as usize * 8);
     let gained = thick.state_centroids().saturating_sub(thin.state_centroids());
+    let (thin_bytes, thick_bytes) =
+        (thin_bytes - thin_tally_bytes, thick_bytes - thick_tally_bytes);
     assert!(
         thick_bytes <= thin_bytes + 20 * gained,
-        "600 a cell holds {thick_bytes} B, 30 a cell {thin_bytes} B; rollups gained {gained} centroids"
+        "600 a cell holds {thick_bytes} B, 30 a cell {thin_bytes} B beside the tally; rollups gained {gained} centroids"
     );
     drop((thin, thick));
 
-    // And the run never holds more than that plus the group in flight:
-    // sealing group by group peaks at one group's open cells above what
-    // it ends up holding (and a flush's temporaries: a digest's centroids
-    // once more), where an unsealed run holds every group's.
-    let (_open, one_group_bytes) = heap_of(|| streaming_shard(0..1, 600, false));
+    // And the run never holds more than that plus the work item in
+    // flight: a shard holds one window's sessions raw and no digest but
+    // that of the cell it is closing, so a run of shards merged one by one
+    // peaks above what it ends up holding by one open shard, the cell it
+    // closes at that cell's own peak (its digests built from its 600
+    // sessions) and the slack of the sink's growing lists — an eighth of
+    // what it holds — where every cell's digests held open would be far
+    // more.
+    let (_open, one_group_bytes) = heap_of(|| streaming_shard(600));
+    let (_cell, cell_held, cell_transient) = peak_above(|| {
+        let mut cell = open_cell(600);
+        cell.flush();
+        cell
+    });
     let (_sealed, held, transient) = peak_above(|| sealed_dataset(groups, 600));
+    let closing = cell_held + cell_transient;
     assert!(
-        transient <= one_group_bytes + one_group_bytes / 4,
-        "sealing peaked {transient} B above the {held} B it holds; one open group is {one_group_bytes} B"
+        transient <= one_group_bytes + closing + held / 8,
+        "sealing peaked {transient} B above the {held} B it holds; one open shard is {one_group_bytes} B, closing a cell {closing} B"
     );
-    let (_unsealed, all_open_bytes) = heap_of(|| streaming_shard(0..groups, 600, false));
+    let (_open_cells, all_open_bytes) = heap_of(|| {
+        let cells = (0..groups * 8).map(|cell| {
+            let mut agg = StreamingAggregation::new();
+            for r in (0..600).map(|i| session(cell, i)) {
+                agg.push(f64::from(r.min_rtt_ns) / 1e6, r.hdratio, r.bytes);
+            }
+            agg
+        });
+        cells.collect::<Vec<_>>()
+    });
     assert!(
         held + transient < all_open_bytes / 8,
-        "the sealed run peaks at {} B, every group open is {all_open_bytes} B",
+        "the sealed run peaks at {} B, every cell's digests open are {all_open_bytes} B",
         held + transient
     );
 
@@ -210,7 +250,7 @@ fn cells_cost_what_they_hold() {
         sink.footprint().into_iter().find(|p| p.0 == name).unwrap().1
     };
     let (skeleton, skeleton_bytes) = heap_of(|| columnar_sink(&shards(groups, 1, tight_session)));
-    assert_eq!(skeleton.hdratio_rollup().0.tested, 0, "session 0 tests nothing");
+    assert_eq!(skeleton.hdratio().rollup().0.tested, 0, "session 0 tests nothing");
     let table_bytes = skeleton_bytes - part(&skeleton, "kept_bytes");
     drop(skeleton);
     let headers: usize = groups.iter().map(|&g| (37 * g as usize).div_ceil(64) * 8 + 8).sum();
@@ -271,7 +311,7 @@ fn cells_cost_what_they_hold() {
         (columnar_sink(&shards([1, 0], 50_000, study_session)), 200_000),
     ] {
         let (figures, held, transient) =
-            peak_above(|| (fig6_minrtt(&sink), sink.hdratio_rollup(), sink.hdratio().fig7()));
+            peak_above(|| (fig6_minrtt(&sink), sink.hdratio().rollup(), sink.hdratio().fig7()));
         let tested = preferred * 4 / 5;
         assert_eq!(figures.0 .0.sessions, preferred);
         assert_eq!(figures.1 .0.tested, tested);
@@ -304,7 +344,7 @@ fn cells_cost_what_they_hold() {
                 }
             }
         }
-        shard.seal(0);
+        shard.seal();
         shard
     };
     let window_sessions = window_cells * per_cell;
@@ -323,7 +363,7 @@ fn cells_cost_what_they_hold() {
     let one_shard = || {
         let mut shard = ColumnarSink::new(4).new_shard();
         shards([0, groups[1]], per_cell, study_session)[1].iter().for_each(|r| shard.push(*r));
-        shard.seal(0);
+        shard.seal();
         shard
     };
     let (_merged, merged_bytes) = heap_of(|| {

@@ -31,15 +31,14 @@
 //! Scale 1.0 reproduces the full configuration; CI uses ~0.1.
 //!
 //! `--streaming` runs the study through the bounded-memory t-digest sink
-//! instead of collecting every record: digest cells are reduced to their
-//! summaries as the runner finishes each prefix, and every figure and
-//! table is computed from those (figure 6 from per-prefix MinRTT digests
-//! and HDratio counters) but figure 7 (a joint distribution over sessions,
-//! which no cell holds), skipped with a note (`fig7 --streaming` alone
-//! prints it without running a study). The output is byte-identical run to
-//! run and at any worker count. Either way the study's report (prefixes
-//! merged, sessions simulated, emitted and dropped, recovery decisions) is
-//! printed to stderr. What never reads the study runs before it — Figures
+//! instead of keeping every preferred session's MinRTT: each cell is a
+//! digest reduced to its summary as its window closes, and every figure
+//! and table is computed from those — figure 6's MinRTT half from
+//! per-group MinRTT digests — and from the HDratio tally both sinks keep,
+//! so figure 7 and figure 6's HDratio half are the exact job's. The
+//! output is byte-identical run to run and at any worker count. Either
+//! way the study's report (prefixes merged, sessions simulated, emitted
+//! and dropped, recovery decisions) is printed to stderr. What never reads the study runs before it — Figures
 //! 1–5, validation and grouping, then `cc`, `detector`, `ablations` and
 //! `naive`, whose text is held back to print after the study's so that
 //! stdout keeps its order — and its own experiments straight after it, so
@@ -86,7 +85,7 @@ experiments: fig1 fig2 fig3 fig4 validation fig5 grouping fig6 fig7 fig8 table1
              fig9 fig10 table2 cc detector ablations naive all (the default)
   --quick                scale 0.1 unless --scale or EDGEPERF_SCALE says otherwise
   --json DIR             also write each experiment as DIR/<name>.json
-  --streaming            bounded-memory t-digest sink (skips fig7)
+  --streaming            bounded-memory t-digest sink
   --metrics              print the observability snapshot to stderr
   --metrics-json PATH    write the same snapshot as JSON
   --fault-plan SPEC      inject deterministic faults into the study driver
@@ -168,13 +167,10 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Whether anything asked for can use a study run: a study experiment, but
-/// not Figure 7 alone through the streaming sink — that is its "skipped"
-/// note, known before any session is simulated.
+/// Whether anything asked for reads a study run.
 fn needs_study(a: &Args) -> bool {
     let exp = a.experiment.as_str();
     matches!(exp, "fig6" | "fig7" | "fig8" | "fig9" | "fig10" | "table1" | "table2" | "all")
-        && !(a.streaming && exp == "fig7")
 }
 
 fn write_json(path: &Option<String>, name: &str, value: serde_json::Value) {
@@ -312,13 +308,10 @@ fn main() {
     // gone before anything else runs.
     {
         // One entry per study experiment, whichever sink ran: the printed
-        // text and the JSON, or `None` when the sink kept too little.
-        type Experiment = fn(&study::StudyData) -> Option<(String, serde_json::Value)>;
-        fn rendered<T: serde::Serialize>(
-            text: String,
-            value: &T,
-        ) -> Option<(String, serde_json::Value)> {
-            Some((text, serde_json::to_value(value).unwrap()))
+        // text and the JSON.
+        type Experiment = fn(&study::StudyData) -> (String, serde_json::Value);
+        fn rendered<T: serde::Serialize>(text: String, value: &T) -> (String, serde_json::Value) {
+            (text, serde_json::to_value(value).unwrap())
         }
         let experiments: [(&str, Experiment); 7] = [
             ("fig6", |d| {
@@ -326,7 +319,7 @@ fn main() {
                 rendered(study::render_fig6(&s), &s)
             }),
             ("fig7", |d| {
-                let rows = study::fig7(d)?;
+                let rows = study::fig7(d);
                 rendered(study::render_fig7(&rows), &rows)
             }),
             ("fig8", |d| {
@@ -361,23 +354,13 @@ fn main() {
             if !wanted(name) {
                 continue;
             }
-            let out = {
+            let d = data.as_ref().expect("a study experiment has run its study");
+            let (text, json) = {
                 let _sp = metrics.span(&format!("figures.{name}"));
-                // No study ran: nothing in it could have been used.
-                data.as_ref().and_then(run)
+                run(d)
             };
-            match out {
-                Some((text, json)) => {
-                    let _ = writeln!(printed, "{text}");
-                    write_json(&a.json, name, json);
-                }
-                None => {
-                    let _ = writeln!(
-                        printed,
-                        "== {name}: skipped — needs per-session records; rerun without --streaming ==\n"
-                    );
-                }
-            }
+            let _ = writeln!(printed, "{text}");
+            write_json(&a.json, name, json);
         }
     }
 
@@ -463,9 +446,7 @@ mod tests {
     fn a_study_runs_only_for_an_experiment_that_can_use_it() {
         let study = |args: &[&str]| needs_study(&parse(args).unwrap());
         for exp in ["all", "fig6", "fig7", "fig8", "fig9", "fig10", "table1", "table2"] {
-            assert!(study(&[exp]), "{exp}");
-            // Figure 7 alone through the streaming sink is its "skipped" note.
-            assert_eq!(study(&[exp, "--streaming"]), exp != "fig7", "{exp} --streaming");
+            assert!(study(&[exp]) && study(&[exp, "--streaming"]), "{exp}");
         }
         assert!(study(&[]) && study(&["--streaming"]));
         for exp in ["fig4", "validation", "cc", "naive", "nonesuch"] {

@@ -21,7 +21,8 @@
 //! ```
 
 use edgeperf_analysis::figures::{
-    fig10_by_relationship, fig6_minrtt, fig8_degradation, fig9_opportunity, DiffCdfs, RelPair,
+    fig10_by_relationship, fig6_minrtt, fig8_degradation, fig9_opportunity, DiffCdfs, HdratioTally,
+    RelPair,
 };
 use edgeperf_analysis::tables::{table1, table2, AnalysisKind, Table2Row};
 use edgeperf_analysis::{
@@ -61,9 +62,20 @@ pub enum Sessions {
     /// Every preferred-route session's cell and MinRTT, and the HDratio
     /// tally behind Figures 6–7 (exact sink, its summaries taken).
     Columns(Box<ColumnarSink>),
-    /// The streaming sink once sealed: Figure 6's MinRTT rollup digests
-    /// and HDratio counters, no per-session row.
-    Digests(StreamingDataset),
+    /// The streaming sink once its study is run: Figure 6's MinRTT rollup
+    /// digests and the same HDratio tally, no per-session row.
+    Digests(Box<StreamingDataset>),
+}
+
+impl Sessions {
+    /// The HDratio tally of every preferred-route session, which both
+    /// sinks keep alike: Figure 6's HDratio half and Figure 7.
+    fn hdratio(&self) -> &HdratioTally {
+        match self {
+            Sessions::Columns(sink) => sink.hdratio(),
+            Sessions::Digests(ds) => ds.hdratio(),
+        }
+    }
 }
 
 /// Everything the §§4–6 experiments need, whichever sink ran: the
@@ -123,12 +135,13 @@ pub fn run(
 }
 
 /// Run `study` through the streaming sink, under the same driver. Each
-/// prefix is sealed as a worker finishes it, so digests exist only for
-/// the prefixes in flight; what accumulates is a 64-byte grid slot a
-/// cell, holding its packed row, and one Figure 6 rollup digest a group,
-/// in prefix order at any parallelism. The grid is handed over, not
-/// copied: the dataset keeps its rollups and counters. Its sealed state
-/// has no on-disk form, so it takes no checkpoint directory.
+/// worker closes a prefix's cells a window at a time, each into its
+/// digest cell's row, so a digest exists only for the cell being closed;
+/// what accumulates is a 64-byte grid slot a cell, holding its packed
+/// row, one Figure 6 rollup digest a group, in prefix order at any
+/// parallelism, and the exact sink's HDratio tally. The grid is handed
+/// over, not copied: the dataset keeps its rollups, tally and counters.
+/// Its rollups have no on-disk form, so it takes no checkpoint directory.
 ///
 /// # Errors
 ///
@@ -144,7 +157,7 @@ pub fn run_streaming(
     let report = run_study_supervised(&world, study, sup, &mut dataset, metrics)?;
     publish_footprint(metrics, "streaming", &dataset.footprint());
     let summaries = dataset.take_summaries();
-    let sessions = Some(Sessions::Digests(dataset));
+    let sessions = Some(Sessions::Digests(Box::new(dataset)));
     Ok(StudyData { summaries, sessions, report })
 }
 
@@ -182,13 +195,12 @@ pub struct Fig6Summary {
 /// Compute the Figure 6 summary.
 ///
 /// From the exact sink the MinRTT quantiles are exact ranks read in place
-/// off its rows and the HDratio point masses are the counts it tallied: no
-/// copy of the sessions is made. From the streaming sink the MinRTT quantiles come off its
-/// rollup digests (the sealed groups' merged in work-item order — mostly
-/// within a percent of exact, but 4.6 % over at seed 51, where the 80th
-/// percentile sits where the sessions thin out: see EXPERIMENTS.md) and
-/// the HDratio point masses off
-/// the counters it kept as records arrived, which equal the exact sink's.
+/// off its rows; from the streaming sink they come off its rollup digests
+/// (the groups' merged in work-item order — mostly within a percent of
+/// exact, but 4.6 % over at seed 51, where the 80th percentile sits where
+/// the sessions thin out: see EXPERIMENTS.md). Either way the HDratio
+/// point masses are the counts the sink tallied, the same in both: no copy
+/// of the sessions is made.
 ///
 /// # Panics
 /// Panics when the per-session view has been released.
@@ -206,10 +218,7 @@ pub fn fig6(data: &StudyData) -> Fig6Summary {
             (all.quantile(0.5), all.quantile(0.8), medians)
         }
     };
-    let (hd_all, hd_cont) = match sessions {
-        Sessions::Columns(sink) => sink.hdratio_rollup(),
-        Sessions::Digests(ds) => ds.hdratio_rollup(),
-    };
+    let (hd_all, hd_cont) = sessions.hdratio().rollup();
     Fig6Summary {
         minrtt_p50,
         minrtt_p80,
@@ -236,16 +245,14 @@ pub struct Fig7Row {
     pub frac_one: f64,
 }
 
-/// Compute Figure 7 rows, off the exact sink's HDratio tally. `None` from
-/// the streaming sink: the joint MinRTT × HDratio distribution is in no
-/// per-cell summary or digest.
+/// Compute Figure 7 rows, off the sink's HDratio tally: the same counts,
+/// hence the same rows, from either sink.
 ///
 /// # Panics
 /// Panics when the per-session view has been released.
-pub fn fig7(data: &StudyData) -> Option<Vec<Fig7Row>> {
+pub fn fig7(data: &StudyData) -> Vec<Fig7Row> {
     let sessions = data.sessions.as_ref().expect("fig7 reads the per-session view");
-    let Sessions::Columns(sink) = sessions else { return None };
-    let rows = sink
+    sessions
         .hdratio()
         .fig7()
         .into_iter()
@@ -255,8 +262,7 @@ pub fn fig7(data: &StudyData) -> Option<Vec<Fig7Row>> {
             median: b.median,
             frac_one: 1.0 - b.hdratio.fraction_below_one(),
         })
-        .collect();
-    Some(rows)
+        .collect()
 }
 
 /// A difference-distribution summary (Figures 8 and 9).
@@ -601,7 +607,7 @@ mod tests {
         let f6 = fig6(&data);
         assert!(f6.minrtt_p50 > 5.0 && f6.minrtt_p50 < 100.0, "{}", f6.minrtt_p50);
         assert!(f6.hdratio_gt0 > 0.3, "{}", f6.hdratio_gt0);
-        let f7 = fig7(&data).unwrap();
+        let f7 = fig7(&data);
         assert!(!f7.is_empty());
         // Lower-latency buckets should not be worse than the 81+ bucket.
         if f7.len() == 4 {
@@ -628,7 +634,7 @@ mod tests {
         // gaps are wider than in scale 1's ~30,000.
         assert!(rows > 10_000 && kept * 5 < 9 * rows, "{kept} B for {rows} MinRTTs");
         let (tested, distinct) =
-            (sink.hdratio_rollup().0.tested, sink.hdratio().distinct_hdratios());
+            (sink.hdratio().rollup().0.tested, sink.hdratio().distinct_hdratios());
         assert!(distinct > 0 && (distinct as u64) < tested / 10, "{distinct} distinct of {tested}");
         // Alternate routes are summaries only: no row of theirs is held.
         let preferred = data.summaries.groups.iter().flat_map(|(_, g)| g.preferred());
@@ -646,7 +652,10 @@ mod tests {
         };
         assert_eq!(totals(&exact.report), totals(&stream.report));
         assert_eq!(exact.report.records_emitted, sessions_held(&exact));
-        assert!(fig7(&stream).is_none(), "fig7 needs per-session rows");
+        // Both sinks tally the same HDratios: Figure 7 is the same bits.
+        let f7 = |d: &StudyData| serde_json::to_string(&fig7(d)).expect("serializable");
+        assert_eq!(f7(&stream), f7(&exact));
+        assert!(!fig7(&stream).is_empty());
         let f6e = fig6(&exact);
         let f6s = fig6(&stream);
         assert!(
@@ -695,6 +704,7 @@ mod tests {
             let d = streaming((world, StudyConfig { parallelism, ..study }));
             [
                 serde_json::to_string(&fig6(&d)),
+                serde_json::to_string(&fig7(&d)),
                 serde_json::to_string(&fig8(&d)),
                 serde_json::to_string(&fig9(&d)),
                 serde_json::to_string(&fig10(&d)),

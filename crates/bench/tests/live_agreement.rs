@@ -15,21 +15,29 @@
 //! locally and frames carry raw little-endian f64 bits, so the identity
 //! extends across the frame codec too.
 //!
+//! The offline study's streaming sink closes its cells into the same
+//! rows: a study's records through `StreamingDataset`, at parallelism 1
+//! and 4, and through one `WindowRing` a prefix, give the same rows bit
+//! for bit — one digest path, offline and live.
+//!
 //! Also covers the late-record path end to end: a record behind the
 //! watermark must surface as a typed `late` reject in the snapshot, the
 //! reason table, and the `ingest.reject.late` metric — never a silent
 //! drop.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use edgeperf::analysis::{SessionRecord, StreamingDataset};
 use edgeperf::core::HD_GOODPUT_BPS;
 use edgeperf::ingest::{ResponseIn, SessionIn};
 use edgeperf::live::{
-    first_difference, serial_cells, BinarySender, CellLine, CellQuery, LiveClient, LiveConfig,
-    LiveRecord, LiveServer, ServerHandle,
+    cell_line_sort_key, first_difference, serial_cells, BinarySender, CellLine, CellQuery,
+    ClosedWindow, LiveClient, LiveConfig, LiveRecord, LiveServer, ServerHandle, WindowRing,
 };
 use edgeperf::obs::Metrics;
 use edgeperf::serve::{WireParser, WireSession};
+use edgeperf::world::{run_study_into, StudyConfig, World, WorldConfig};
 use edgeperf_bench::loadgen::{generate_lines, settled_horizon, LoadgenConfig};
 use serde_json::Value;
 
@@ -138,6 +146,66 @@ fn live_replay_matches_offline_windows_bit_for_bit() {
     for workers in [1usize, 4, 16] {
         let live = live_cells(&lines, &settled, workers);
         assert_eq!(first_difference(&live, &offline), None, "workers={workers}");
+    }
+}
+
+#[test]
+fn the_streaming_sinks_rows_are_the_live_rings_bit_for_bit() {
+    // `sink_agreement`'s skewed world: a quarter of the countries, one day.
+    let world =
+        World::generate(WorldConfig { seed: 99, country_fraction: 0.25, ..Default::default() });
+    let cfg = StudyConfig {
+        seed: 17,
+        days: 1,
+        sessions_per_group_window: 20,
+        parallelism: 1,
+        ..Default::default()
+    };
+    const STUDY_WINDOW_MS: f64 = 900_000.0;
+    let mut records: Vec<SessionRecord> = Vec::new();
+    run_study_into(&world, &cfg, &mut records);
+
+    // The live tier's rows: a window's records stamped inside it, through
+    // one ring a prefix — a prefix's records come window by window, but a
+    // ring for the whole study would take each later prefix's first
+    // windows as late — every ring closed at the end.
+    let rows = |closed: Vec<ClosedWindow>| -> Vec<CellLine> {
+        let of_window = |w: &ClosedWindow| -> Vec<CellLine> {
+            w.cells.iter().map(|(key, s)| CellLine::new(w.index, key, s)).collect()
+        };
+        closed.iter().flat_map(of_window).collect()
+    };
+    let mut rings = HashMap::new();
+    let mut live: Vec<CellLine> = Vec::new();
+    for r in &records {
+        let record = LiveRecord {
+            ts_ms: (f64::from(r.window) + 0.5) * STUDY_WINDOW_MS,
+            group: r.group,
+            route_rank: r.route_rank,
+            relationship: r.relationship,
+            longer_path: r.longer_path,
+            more_prepended: r.more_prepended,
+            min_rtt_ms: f64::from(r.min_rtt_ns) / 1e6,
+            hdratio: r.hdratio,
+            bytes: r.bytes,
+        };
+        let ring =
+            rings.entry(r.group.prefix).or_insert_with(|| WindowRing::new(STUDY_WINDOW_MS, 0.0));
+        live.extend(rows(ring.push(&record).expect("a window's records come in order")));
+    }
+    rings.values_mut().for_each(|ring| live.extend(rows(ring.force_close())));
+    live.sort_by_key(cell_line_sort_key);
+    assert!(live.len() > 500, "only {} cells", live.len());
+
+    for parallelism in [1, 4] {
+        let mut sink = StreamingDataset::new(cfg.n_windows() as usize);
+        run_study_into(&world, &StudyConfig { parallelism, ..cfg }, &mut sink);
+        assert_eq!(sink.cell_count(), live.len());
+        let grids = sink.summarize().groups;
+        let mut offline: Vec<CellLine> =
+            grids.iter().flat_map(|(_, g)| g.cells()).map(CellLine::from).collect();
+        offline.sort_by_key(cell_line_sort_key);
+        assert_eq!(first_difference(&offline, &live), None, "parallelism {parallelism}");
     }
 }
 

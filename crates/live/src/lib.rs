@@ -72,10 +72,12 @@
 //! groups are sharded by a deterministic FxHash and each cell's digest
 //! therefore sees the same insertion sequence as the serial pass.
 //! `live_agreement`, `live_cells_smoke` and the chaos and fleet verdicts
-//! test that. The cell is the offline
-//! [`edgeperf_analysis::StreamingDataset`]'s `StreamingCell` too, but
-//! no test compares a replay's cells with that offline job's; ROADMAP's
-//! "One digest path" item is where that proof belongs.
+//! test that. The cell is the one the offline
+//! [`edgeperf_analysis::StreamingDataset`]'s shards close a study's cells
+//! into, each fed its sessions in arrival order, flushed and summarised as
+//! a window here is: the `live_agreement` suite of `edgeperf-bench`
+//! checks that a study's rows through that sink are, bit for bit, those
+//! of one ring a prefix.
 
 pub mod chaos;
 pub mod client;

@@ -18,9 +18,10 @@
 //! arrive in stream order — the per-lane FIFO preserves it — so per-cell
 //! digest insertion order is independent of the worker count, which is
 //! what makes live windows bit-identical to one serial ring's
-//! ([`crate::serial_cells`]) — what the agreement suites test. Agreement
-//! with the offline [`edgeperf_analysis::StreamingDataset`] is untested
-//! (ROADMAP's "One digest path").
+//! ([`crate::serial_cells`]) — what the agreement suites test. The
+//! offline [`edgeperf_analysis::StreamingDataset`] closes a study's cells
+//! into the same rows as one ring a prefix, bit for bit: the
+//! `live_agreement` suite of `edgeperf-bench` tests that too.
 //!
 //! ## Tiered window store
 //!

@@ -4,10 +4,11 @@
 //! the ring assigns them to `floor(ts / window_ms)` windows whose
 //! per-(group, route-rank) cells are the same bounded-memory
 //! [`StreamingCell`]s the offline
-//! [`edgeperf_analysis::StreamingDataset`] uses. A finite replay through
-//! the server reproduces one serial ring's cells bit for bit
-//! ([`crate::serial_cells`]); that it reproduces the offline job's too is
-//! untested (ROADMAP's "One digest path").
+//! [`edgeperf_analysis::StreamingDataset`]'s shards close a study's cells
+//! into. A finite replay through the server reproduces one serial ring's
+//! cells bit for bit ([`crate::serial_cells`]), and one ring a prefix
+//! reproduces the offline job's rows (the `live_agreement` suite of
+//! `edgeperf-bench`).
 //!
 //! An open cell costs what it holds: a 72-byte arena entry (key, route
 //! flags, an empty slot for its digests), a 24-byte slot in the window's
@@ -69,8 +70,7 @@ impl ClosedWindow {
 }
 
 /// Cells of one still-open window: a dense arena in insertion order,
-/// addressed through an index map whose slots hold a key and a `u32`
-/// (the layout `StreamingDataset` uses for its groups).
+/// addressed through an index map whose slots hold a key and a `u32`.
 #[derive(Debug, Default)]
 struct OpenWindow {
     index: FxHashMap<CellKey, u32>,

@@ -82,8 +82,8 @@ pub fn run_study(world: &World, cfg: &StudyConfig) -> Vec<SessionRecord> {
 /// Run the study into any [`RecordSink`], returning its [`StudyReport`]:
 /// [`run_study_supervised`] under its default configuration, with no
 /// faults planned and no metrics recorded. Prefixes are distributed by
-/// work stealing, each computed into its own shard, [sealed] with the
-/// prefix index and merged into `sink` in prefix order — so what the sink
+/// work stealing, each computed into its own shard, [sealed] when the
+/// prefix is done and merged into `sink` in prefix order — so what the sink
 /// ends up holding is independent of the parallelism level.
 ///
 /// # Panics

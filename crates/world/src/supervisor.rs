@@ -11,7 +11,7 @@
 //! - **One fragment per attempt.** Each (prefix, attempt) computes into a
 //!   fresh shard the sink's owner made ([`RecordSink::new_shard`]) and
 //!   shipped with the work item; a worker [seals](RecordShard::seal) it
-//!   with the prefix index on success. A failed attempt's fragment is
+//!   when the prefix is done. A failed attempt's fragment is
 //!   dropped, so nothing poisoned ever reaches the sink.
 //! - **Panic isolation.** Each attempt runs under `catch_unwind`. A
 //!   panicking prefix is requeued with a bounded retry budget and
@@ -392,8 +392,8 @@ impl<S: RecordShard> RecordShard for GuardShard<'_, S> {
         self.inner.push(record);
     }
 
-    fn seal(&mut self, unit: usize) {
-        self.inner.seal(unit);
+    fn seal(&mut self) {
+        self.inner.seal();
     }
 }
 
@@ -556,7 +556,7 @@ pub(crate) fn drive<S: RecordSink>(
                             run_prefix_cancellable(world, cfg, prefix, &mut guard, &cancelled)?;
                         // The prefix is this fragment's alone and is done:
                         // the shard may settle it now.
-                        guard.seal(prefix);
+                        guard.seal();
                         let (records_emitted, malformed_dropped) = (guard.seen, guard.dropped);
                         Some(Computed {
                             fragment,
@@ -742,8 +742,8 @@ pub(crate) fn drive<S: RecordSink>(
     // against the same journal is a no-op resume.
     journal(cursor, None, &report)?;
     {
-        // Let the sink settle deferred state (e.g. the order of sealed
-        // groups) so post-run queries borrow `&self` without hidden work.
+        // Let the sink settle deferred state (e.g. the exact sink's spare
+        // buffer) so post-run queries borrow `&self` without hidden work.
         let _finalize = metrics.span("study.finalize");
         sink.finalize();
     }

@@ -2,8 +2,8 @@
 //! sinks, across parallelism levels, on a skewed world.
 //!
 //! The work-stealing scheduler hands each prefix to exactly one worker,
-//! so the record *multiset* (Vec sink) and everything the streaming sink
-//! answers once finalized (it seals each prefix under its index) must be
+//! and the supervisor merges prefixes in order, so the record *multiset*
+//! (Vec sink) and everything the streaming sink answers must be
 //! independent of the worker count; and the streaming cells must agree
 //! with the exact aggregations to within the t-digest approximation
 //! bounds, with sample extremes preserved exactly.
@@ -12,7 +12,7 @@ use edgeperf_analysis::figures::{HdratioTally, PreferredSessions};
 use edgeperf_analysis::sink::{RecordShard, RecordSink};
 use edgeperf_analysis::{
     compare, Aggregation, AnalysisConfig, ColumnarSink, CompareOutcome, Dataset, DegradationMetric,
-    GroupKey, SessionRecord, StreamingDataset, Summaries, WindowCell,
+    GroupKey, SessionRecord, StreamingCell, StreamingDataset, Summaries, WindowCell,
 };
 use edgeperf_routing::{PopId, Prefix};
 use edgeperf_stats::median_ci::diff_of_medians_ci_sorted;
@@ -76,8 +76,8 @@ fn streaming_cells_identical_across_parallelism() {
         .iter()
         .map(|&p| {
             let mut ds = StreamingDataset::new(windows);
-            run_study_into(&world, &StudyConfig { parallelism: p, ..cfg }, &mut ds);
-            assert!(ds.iter().next().is_none(), "the runner sealed every prefix");
+            let report = run_study_into(&world, &StudyConfig { parallelism: p, ..cfg }, &mut ds);
+            assert_eq!(ds.stats().records, report.records_emitted);
             ds
         })
         .collect();
@@ -95,9 +95,9 @@ fn streaming_cells_identical_across_parallelism() {
     for (continent, digest) in &per_a {
         assert_eq!(digest.to_parts(), per_b[continent].to_parts(), "continent {continent}");
     }
-    let (hd, hd_per) = a.hdratio_rollup();
+    let (hd, _) = a.hdratio().rollup();
     assert!(hd.tested > 0 && hd.zero > 0 && hd.below_one > hd.zero, "{hd:?}");
-    assert_eq!((hd, hd_per), b.hdratio_rollup());
+    assert_eq!(a.hdratio(), b.hdratio());
 }
 
 #[test]
@@ -110,24 +110,43 @@ fn streaming_cells_agree_with_exact_aggregations() {
     run_study_into(&world, &cfg, &mut records);
     let exact = Dataset::from_records(&records, windows);
 
-    // The runner seals a prefix's cells as soon as it is done; pushing its
-    // records into a sink nobody seals keeps the digests inspectable.
-    let mut stream = StreamingDataset::new(windows);
-    records.iter().for_each(|r| stream.push(*r));
+    // Each cell's digests, fed the cell's records in arrival order, as
+    // the sink's shards feed them when the cell's window closes.
+    let mut digests: HashMap<(GroupKey, usize, usize), StreamingCell> = HashMap::new();
+    for r in &records {
+        let cell = (r.group, r.route_rank as usize, r.window as usize);
+        let min_rtt_ms = f64::from(r.min_rtt_ns) / 1e6;
+        digests.entry(cell).or_insert_with(|| StreamingCell::new(r.relationship)).push(
+            min_rtt_ms,
+            r.hdratio,
+            r.bytes,
+            r.longer_path,
+            r.more_prepended,
+        );
+    }
 
-    assert_eq!(stream.len(), exact.groups.len());
+    // The study run, which closes every cell into its row as its window
+    // ends.
+    let mut sealed = StreamingDataset::new(windows);
+    let report = run_study_into(&world, &cfg, &mut sealed);
+    assert_eq!(report.records_emitted, records.len() as u64);
+    assert_eq!(sealed.stats().records, records.len() as u64);
+    let sealed_cells = sealed.cell_count();
+    let sealed = sealed.summarize();
+    let by_key: HashMap<_, _> = sealed.groups.iter().map(|(k, g)| (*k, g)).collect();
+
+    assert_eq!(by_key.len(), exact.groups.len());
     let mut cells = 0usize;
     for (key, g) in &exact.groups {
-        let sg = stream.get(key).expect("group present in stream");
-        assert_eq!(sg.total_bytes, g.total_bytes);
+        assert_eq!(by_key[key].total_bytes, g.total_bytes);
         for (rank, ws) in g.ranks.iter().enumerate() {
             for (w, cell) in ws.iter().enumerate() {
                 let Some(cell) = cell else {
-                    assert!(sg.cell(rank, w).is_none());
+                    assert!(!digests.contains_key(&(*key, rank, w)));
                     continue;
                 };
                 cells += 1;
-                let agg = &sg.cell(rank, w).unwrap().agg;
+                let agg = &digests[&(*key, rank, w)].agg;
                 assert_eq!(agg.n(), cell.n());
                 assert_eq!(agg.bytes(), cell.bytes);
                 // Medians agree within the acceptance bounds.
@@ -154,24 +173,22 @@ fn streaming_cells_agree_with_exact_aggregations() {
         }
     }
     assert!(cells > 50, "too few cells to be meaningful: {cells}");
+    assert_eq!(digests.len(), cells);
 
-    // The study run, which does seal, summarises those cells to the same
-    // bits and counts the same sessions.
-    let mut sealed = StreamingDataset::new(windows);
-    let report = run_study_into(&world, &cfg, &mut sealed);
-    assert_eq!(report.records_emitted, records.len() as u64);
-    assert_eq!(sealed.stats().records, records.len() as u64);
-    assert_eq!(sealed.cell_count(), cells);
-    let sealed = sealed.summarize();
+    // The study run summarises those cells, flushed, to the same bits and
+    // counts the same sessions.
+    assert_eq!(sealed_cells, cells);
     assert_eq!(sealed.preferred_bytes(), exact.preferred_bytes());
-    stream.finalize();
-    let by_key: HashMap<_, _> = stream.summarize().groups.into_iter().collect();
-    for (key, g) in sealed.groups {
-        let unsealed = by_key[&key].clone();
-        assert_summaries_identical(
-            &Summaries { groups: vec![(key, g)] },
-            &Summaries { groups: vec![(key, unsealed)] },
-        );
+    for (key, g) in &sealed.groups {
+        for (rank, ws) in g.ranks.iter().enumerate() {
+            for (w, row) in ws.iter().enumerate() {
+                let want = digests.get_mut(&(*key, rank, w)).map(|cell| {
+                    cell.agg.flush();
+                    WindowCell::new(w as u32, *key, rank as u8, &cell.summary()).unwrap()
+                });
+                assert_eq!(row.as_ref().map(summary_bits), want.as_ref().map(summary_bits));
+            }
+        }
     }
 }
 

@@ -161,7 +161,7 @@ fn the_streaming_sink_runs_under_the_same_driver_and_the_same_faults() {
         let (minrtt, per_continent) = sink.minrtt_rollup();
         let rollups: Vec<_> =
             std::iter::once(&minrtt).chain(per_continent.values()).map(|d| d.to_parts()).collect();
-        (format!("{:?}", sink.summarize().groups), rollups, sink.hdratio_rollup(), sink.stats())
+        (format!("{:?}", sink.summarize().groups), rollups, sink.hdratio().clone(), sink.stats())
     };
     let clean = run("", 1);
     assert!(clean.3.records > 0);

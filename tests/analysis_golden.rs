@@ -178,7 +178,7 @@ fn render() -> String {
     let mut sessions = ColumnarSink::new(windows);
     run_study_into(&wide, &StudyConfig { sessions_per_group_window: 4, ..study }, &mut sessions);
     let masses = |n: &HdratioCounts| (n.tested as f64, n.fraction_zero(), n.fraction_below_one());
-    let exact_hdratio = fig6_hdratio_json(&sessions.hdratio_rollup(), masses);
+    let exact_hdratio = fig6_hdratio_json(&sessions.hdratio().rollup(), masses);
     let exact_minrtt = fig6_minrtt_json(
         &fig6_minrtt(&sessions),
         |d: &MinRttQuantiles| d.sessions as f64,
@@ -201,7 +201,7 @@ fn render() -> String {
     // digests, HDratio off the counters — which are not an approximation.
     let mut digests = StreamingDataset::new(windows);
     run_study_into(&wide, &StudyConfig { sessions_per_group_window: 4, ..study }, &mut digests);
-    let stream_hdratio = fig6_hdratio_json(&digests.hdratio_rollup(), masses);
+    let stream_hdratio = fig6_hdratio_json(&digests.hdratio().rollup(), masses);
     assert_eq!(stream_hdratio, exact_hdratio, "HDratio point masses are counted, hence exact");
     let stream_minrtt =
         fig6_minrtt_json(&digests.minrtt_rollup(), TDigest::count, TDigest::quantile);
