@@ -9,6 +9,9 @@
 //! 3. **Continuous** — events in ≥ 75% of valid windows.
 //! 4. **Diurnal** — some fixed 15-minute slot is eventful on ≥ 5 days.
 //! 5. **Episodic** — everything else.
+//!
+//! A run shorter than those 5 days cannot tell 4 from 5: its eventful,
+//! non-continuous groups are **not assessable**, never episodic.
 
 use crate::config::AnalysisConfig;
 use crate::degradation::WindowStatus;
@@ -27,17 +30,24 @@ pub enum TemporalClass {
     Diurnal,
     /// Some events, no clear pattern.
     Episodic,
+    /// Some events, not continuous, in a run of `days` days, fewer than
+    /// the `needed` (`AnalysisConfig::diurnal_days`) a diurnal slot must
+    /// recur on: diurnal or episodic, the run cannot tell.
+    NotAssessable { days: u32, needed: u32 },
 }
 
 impl TemporalClass {
     /// Display label matching the paper's tables.
-    pub fn label(&self) -> &'static str {
+    pub fn label(&self) -> String {
         match self {
-            TemporalClass::Ignored => "ignored",
-            TemporalClass::Uneventful => "uneventful",
-            TemporalClass::Continuous => "continuous",
-            TemporalClass::Diurnal => "diurnal",
-            TemporalClass::Episodic => "episodic",
+            TemporalClass::Ignored => "ignored".into(),
+            TemporalClass::Uneventful => "uneventful".into(),
+            TemporalClass::Continuous => "continuous".into(),
+            TemporalClass::Diurnal => "diurnal".into(),
+            TemporalClass::Episodic => "episodic".into(),
+            TemporalClass::NotAssessable { days, needed } => {
+                format!("not assessable ({days} < {needed} days)")
+            }
         }
     }
 }
@@ -64,24 +74,20 @@ pub fn classify_group(cfg: &AnalysisConfig, statuses: &[WindowStatus]) -> Tempor
     if !valid.is_empty() && events as f64 >= cfg.continuous_fraction * valid.len() as f64 {
         return TemporalClass::Continuous;
     }
-    // Diurnal: same slot-of-day eventful on ≥ diurnal_days distinct days.
+    // Diurnal: same slot-of-day eventful on ≥ diurnal_days distinct days,
+    // which a shorter run cannot show (and its day count fits a `u32`).
     let wpd = cfg.windows_per_day as usize;
     let days = n.div_ceil(wpd);
-    if days >= cfg.diurnal_days as usize {
-        for slot in 0..wpd {
-            let mut eventful_days = 0;
-            for day in 0..days {
-                let idx = day * wpd + slot;
-                if idx < n && statuses[idx] == WindowStatus::Event {
-                    eventful_days += 1;
-                }
-            }
-            if eventful_days >= cfg.diurnal_days {
-                return TemporalClass::Diurnal;
-            }
-        }
+    if days < cfg.diurnal_days as usize {
+        return TemporalClass::NotAssessable { days: days as u32, needed: cfg.diurnal_days };
     }
-    TemporalClass::Episodic
+    let eventful_days =
+        |slot| (slot..n).step_by(wpd).filter(|&i| statuses[i] == WindowStatus::Event).count();
+    if (0..wpd).any(|slot| eventful_days(slot) >= cfg.diurnal_days as usize) {
+        TemporalClass::Diurnal
+    } else {
+        TemporalClass::Episodic
+    }
 }
 
 #[cfg(test)]
@@ -145,6 +151,16 @@ mod tests {
             }
         }
         assert_eq!(classify_group(&cfg(), &s), TemporalClass::Episodic);
+    }
+
+    #[test]
+    fn a_run_shorter_than_the_diurnal_rule_is_not_assessable() {
+        // 3 days × 4 windows; slot 2 eventful every day: diurnal over 5
+        // days, but 3 cannot show it.
+        let s: Vec<_> = (0..3).flat_map(|_| [Quiet, Quiet, Event, Quiet]).collect();
+        let class = classify_group(&cfg(), &s);
+        assert_eq!(class, TemporalClass::NotAssessable { days: 3, needed: 5 });
+        assert_eq!(class.label(), "not assessable (3 < 5 days)");
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   fig6 fig7           global performance (Figures 6–7)
 //!   fig8 table1         degradation over time (Figure 8, Table 1)
 //!   fig9 fig10 table2   routing opportunity (Figures 9–10, Table 2)
+//!   detector            §5 degradation detector on the study vs the
+//!                       world's known congestion episodes (precision/recall)
 //!   cc                  congestion-control comparison (Reno/Cubic/BBR)
-//!   detector            §5 degradation detector vs the world's known
-//!                       congestion episodes (precision/recall)
 //!   ablations           what each §3.2 estimator correction buys
 //!   naive               naive-vs-model achieved-rule ablation (§4)
 //!   all                 everything (one shared study run)
@@ -38,11 +38,14 @@
 //! so figure 7 and figure 6's HDratio half are the exact job's. The
 //! output is byte-identical run to run and at any worker count. Either
 //! way the study's report (prefixes merged, sessions simulated, emitted
-//! and dropped, recovery decisions) is printed to stderr. What never reads the study runs before it — Figures
-//! 1–5, validation and grouping, then `cc`, `detector`, `ablations` and
-//! `naive`, whose text is held back to print after the study's so that
-//! stdout keeps its order — and its own experiments straight after it, so
-//! the exact sink's MinRTT runs, most of the job's memory, are dropped
+//! and dropped, recovery decisions) is printed to stderr. `repro`
+//! generates one world and runs one study over it, which `--days`,
+//! `--sessions` and `--scale` describe for every experiment that reads
+//! it. What never reads the study runs before it — Figures 1–5,
+//! validation and grouping, then `cc`, `ablations` and `naive`, whose
+//! text is held back to print after the study's so that stdout keeps its
+//! order — and its own experiments straight after it, the detector last,
+//! so the exact sink's MinRTT runs, most of the job's memory, are dropped
 //! once no experiment still to run reads them (after `fig7` under `all`)
 //! and nothing else runs on top of the study. So a `repro all --json DIR`
 //! whose study fails (exit 3) has already written those experiments'
@@ -82,7 +85,7 @@ repro <experiment> [--seed N] [--days N] [--sessions N] [--scale F] [--quick]
                    [--json DIR] [--streaming] [--metrics] [--metrics-json PATH]
                    [--fault-plan SPEC] [--checkpoint-dir DIR]
 experiments: fig1 fig2 fig3 fig4 validation fig5 grouping fig6 fig7 fig8 table1
-             fig9 fig10 table2 cc detector ablations naive all (the default)
+             fig9 fig10 table2 detector cc ablations naive all (the default)
   --quick                scale 0.1 unless --scale or EDGEPERF_SCALE says otherwise
   --json DIR             also write each experiment as DIR/<name>.json
   --streaming            bounded-memory t-digest sink
@@ -167,10 +170,42 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
+/// One study experiment, whichever sink ran: its name, and its printed
+/// text and JSON.
+type Experiment = (&'static str, fn(&study::StudyData) -> (String, serde_json::Value));
+
+fn rendered<T: serde::Serialize>(
+    value: T,
+    render: fn(&T) -> String,
+) -> (String, serde_json::Value) {
+    (render(&value), serde_json::to_value(&value).unwrap())
+}
+
+/// The study experiments, in the order they run.
+const STUDY_EXPERIMENTS: [Experiment; 8] = [
+    ("fig6", |d| rendered(study::fig6(d), study::render_fig6)),
+    ("fig7", |d| rendered(study::fig7(d), |rows| study::render_fig7(rows))),
+    ("fig8", |d| {
+        rendered(study::fig8(d), |s| study::render_diffs("Figure 8: degradation vs baseline", s))
+    }),
+    ("table1", |d| rendered(study::table1_blocks(d), |t| study::render_table1(t))),
+    ("fig9", |d| {
+        rendered(study::fig9(d), |s| {
+            study::render_diffs("Figure 9: opportunity vs best alternate", s)
+        })
+    }),
+    ("fig10", |d| {
+        rendered(study::fig10(d), |s| {
+            study::render_diffs("Figure 10: MinRTT by relationship pair", s)
+        })
+    }),
+    ("table2", |d| rendered(study::table2_outputs(d), |t| study::render_table2(t))),
+    ("detector", |d| rendered(detector::score(d), |s| s.to_string())),
+];
+
 /// Whether anything asked for reads a study run.
 fn needs_study(a: &Args) -> bool {
-    let exp = a.experiment.as_str();
-    matches!(exp, "fig6" | "fig7" | "fig8" | "fig9" | "fig10" | "table1" | "table2" | "all")
+    a.experiment == "all" || STUDY_EXPERIMENTS.iter().any(|(name, _)| *name == a.experiment)
 }
 
 fn write_json(path: &Option<String>, name: &str, value: serde_json::Value) {
@@ -232,12 +267,6 @@ fn main() {
         let rows = cc_compare::run(a.seed, ((1_500.0 * a.scale) as usize).max(200));
         let _ = writeln!(unread, "{}", cc_compare::render(&rows));
         write_json(&a.json, "cc", serde_json::to_value(&rows).unwrap());
-    }
-    if matches!(exp, "detector" | "all") {
-        let days = if a.days > 0 { a.days.min(3) } else { 1 };
-        let s = detector::run(a.seed, days, ((160.0 * a.scale) as u32).max(40), 10.0);
-        let _ = writeln!(unread, "{s}");
-        write_json(&a.json, "detector", serde_json::to_value(&s).unwrap());
     }
     if matches!(exp, "ablations" | "all") {
         let rows = ablations::run(a.seed, ((12.0 * a.scale) as usize).max(3));
@@ -306,62 +335,23 @@ fn main() {
 
     // The study experiments run straight after the study, so the rows are
     // gone before anything else runs.
-    {
-        // One entry per study experiment, whichever sink ran: the printed
-        // text and the JSON.
-        type Experiment = fn(&study::StudyData) -> (String, serde_json::Value);
-        fn rendered<T: serde::Serialize>(text: String, value: &T) -> (String, serde_json::Value) {
-            (text, serde_json::to_value(value).unwrap())
+    let wanted = |name: &str| exp == name || exp == "all";
+    for (i, (name, run)) in STUDY_EXPERIMENTS.into_iter().enumerate() {
+        // The rows and tally go with their last reader: Figure 6 or 7.
+        let reads_rows = |(n, _): &Experiment| wanted(n) && matches!(*n, "fig6" | "fig7");
+        if let Some(d) = data.as_mut().filter(|_| !STUDY_EXPERIMENTS[i..].iter().any(reads_rows)) {
+            d.sessions = None;
         }
-        let experiments: [(&str, Experiment); 7] = [
-            ("fig6", |d| {
-                let s = study::fig6(d);
-                rendered(study::render_fig6(&s), &s)
-            }),
-            ("fig7", |d| {
-                let rows = study::fig7(d);
-                rendered(study::render_fig7(&rows), &rows)
-            }),
-            ("fig8", |d| {
-                let s = study::fig8(d);
-                rendered(study::render_diffs("Figure 8: degradation vs baseline", &s), &s)
-            }),
-            ("table1", |d| {
-                let t = study::table1_blocks(d);
-                rendered(study::render_table1(&t), &t)
-            }),
-            ("fig9", |d| {
-                let s = study::fig9(d);
-                rendered(study::render_diffs("Figure 9: opportunity vs best alternate", &s), &s)
-            }),
-            ("fig10", |d| {
-                let s = study::fig10(d);
-                rendered(study::render_diffs("Figure 10: MinRTT by relationship pair", &s), &s)
-            }),
-            ("table2", |d| {
-                let t = study::table2_outputs(d);
-                rendered(study::render_table2(&t), &t)
-            }),
-        ];
-        let wanted = |name: &str| exp == name || exp == "all";
-        for (i, (name, run)) in experiments.into_iter().enumerate() {
-            // The rows and tally go with their last reader: Figure 6 or 7.
-            let reads_rows =
-                |(n, _): &(&str, Experiment)| wanted(n) && matches!(*n, "fig6" | "fig7");
-            if let Some(d) = data.as_mut().filter(|_| !experiments[i..].iter().any(reads_rows)) {
-                d.sessions = None;
-            }
-            if !wanted(name) {
-                continue;
-            }
-            let d = data.as_ref().expect("a study experiment has run its study");
-            let (text, json) = {
-                let _sp = metrics.span(&format!("figures.{name}"));
-                run(d)
-            };
-            let _ = writeln!(printed, "{text}");
-            write_json(&a.json, name, json);
+        if !wanted(name) {
+            continue;
         }
+        let d = data.as_ref().expect("a study experiment has run its study");
+        let (text, json) = {
+            let _sp = metrics.span(&format!("figures.{name}"));
+            run(d)
+        };
+        let _ = writeln!(printed, "{text}");
+        write_json(&a.json, name, json);
     }
 
     printed.push_str(&unread);
@@ -445,7 +435,8 @@ mod tests {
     #[test]
     fn a_study_runs_only_for_an_experiment_that_can_use_it() {
         let study = |args: &[&str]| needs_study(&parse(args).unwrap());
-        for exp in ["all", "fig6", "fig7", "fig8", "fig9", "fig10", "table1", "table2"] {
+        for exp in ["all", "fig6", "fig7", "fig8", "fig9", "fig10", "table1", "table2", "detector"]
+        {
             assert!(study(&[exp]) && study(&[exp, "--streaming"]), "{exp}");
         }
         assert!(study(&[]) && study(&["--streaming"]));

@@ -10,7 +10,7 @@ use edgeperf_netsim::{FastFlow, PathState};
 use edgeperf_tcp::TcpConfig;
 use edgeperf_world::dynamics::{pick_cluster, WINDOWS_PER_DAY};
 use edgeperf_world::geo::{propagation_rtt_ms, GeoPoint};
-use edgeperf_world::topology::{ClientCluster, PrefixSite, World, WorldConfig};
+use edgeperf_world::topology::ClientCluster;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -34,16 +34,14 @@ pub struct Fig5Point {
 /// Run the Figure-5 scenario over `days` days.
 pub fn run(seed: u64, days: u32, sessions_per_window: usize) -> Vec<Fig5Point> {
     // A synthetic two-cluster prefix: PoP at Palo Alto; clusters in
-    // California (UTC-8) and Hawaii (UTC-10).
-    let world = World::generate(WorldConfig::default());
-    let pop_loc = world.pops.iter().find(|p| p.name == "PaloAlto").unwrap().loc;
-    let mut site: PrefixSite = world.prefixes[0].clone();
-    site.clusters = vec![
+    // California (UTC-8) and Hawaii (UTC-10), 8 ms of last mile, 3 ms of
+    // jitter.
+    let pop_loc = GeoPoint { lat: 37.4, lon: -122.1 };
+    let clusters = [
         ClientCluster { loc: GeoPoint { lat: 37.0, lon: -120.0 }, utc_offset: -8 },
         ClientCluster { loc: GeoPoint { lat: 21.3, lon: -157.8 }, utc_offset: -10 },
     ];
-    site.last_mile_ms = 8.0;
-    site.jitter_max_ms = 3.0;
+    let (last_mile_ms, jitter_max_ms) = (8.0, 3.0);
 
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
     let mut out = Vec::new();
@@ -52,12 +50,12 @@ pub fn run(seed: u64, days: u32, sessions_per_window: usize) -> Vec<Fig5Point> {
         let mut near = Vec::new();
         let mut far = Vec::new();
         for _ in 0..sessions_per_window {
-            let c = pick_cluster(&site, window, rng.gen());
-            let base = propagation_rtt_ms(pop_loc, site.clusters[c].loc) + site.last_mile_ms;
+            let c = pick_cluster(&clusters, window, rng.gen());
+            let base = propagation_rtt_ms(pop_loc, clusters[c].loc) + last_mile_ms;
             let state = PathState {
                 base_rtt: (base * MILLISECOND as f64) as u64,
                 standing_queue: 0,
-                jitter_max: (site.jitter_max_ms * MILLISECOND as f64) as u64,
+                jitter_max: (jitter_max_ms * MILLISECOND as f64) as u64,
                 bottleneck_bps: 20_000_000,
                 loss: 0.0,
             };

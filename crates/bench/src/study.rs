@@ -79,9 +79,16 @@ impl Sessions {
 }
 
 /// Everything the §§4–6 experiments need, whichever sink ran: the
-/// per-cell summaries behind Figures 8–10 and both tables, plus the
-/// per-session view behind Figures 6–7.
+/// per-cell summaries behind Figures 8–10, both tables and the detector's
+/// score, the per-session view behind Figures 6–7, and the world and study
+/// they came from, which the detector scores its summaries against.
 pub struct StudyData {
+    /// The world the study ran over: its routes' ground truth.
+    pub world: World,
+    /// The study run over it.
+    pub study: StudyConfig,
+    /// The sink that kept its cells: `"exact"` or `"streaming"`.
+    pub sink: &'static str,
     /// One summary per (group, window, route-rank) cell.
     pub summaries: Summaries,
     /// Per-session measurements, read by [`fig6`] and [`fig7`] alone. The
@@ -131,7 +138,7 @@ pub fn run(
     publish_footprint(metrics, "columnar", &sink.footprint());
     let summaries = sink.take_summaries();
     let sessions = Some(Sessions::Columns(Box::new(sink)));
-    Ok(StudyData { summaries, sessions, report })
+    Ok(StudyData { world, study: *study, sink: "exact", summaries, sessions, report })
 }
 
 /// Run `study` through the streaming sink, under the same driver. Each
@@ -158,7 +165,7 @@ pub fn run_streaming(
     publish_footprint(metrics, "streaming", &dataset.footprint());
     let summaries = dataset.take_summaries();
     let sessions = Some(Sessions::Digests(Box::new(dataset)));
-    Ok(StudyData { summaries, sessions, report })
+    Ok(StudyData { world, study: *study, sink: "streaming", summaries, sessions, report })
 }
 
 /// What a sink holds once its study is run, part by part, as the gauges
@@ -372,54 +379,34 @@ pub struct Table1Block {
 
 /// Compute the paper's Table-1 threshold grid.
 pub fn table1_blocks(data: &StudyData) -> Vec<Table1Block> {
-    let mut blocks = Vec::new();
-    let spec: Vec<(AnalysisKind, DegradationMetric, &str, Vec<f64>)> = vec![
-        (
-            AnalysisKind::Degradation,
-            DegradationMetric::MinRtt,
-            "MinRTT_P50 (+ms)",
-            vec![5.0, 10.0, 20.0, 50.0],
-        ),
-        (
-            AnalysisKind::Degradation,
-            DegradationMetric::HdRatio,
-            "HDratio_P50 (-) [relaxed CI]",
-            vec![0.05, 0.1, 0.2, 0.5],
-        ),
-        (AnalysisKind::Opportunity, DegradationMetric::MinRtt, "MinRTT_P50 (-ms)", vec![5.0, 10.0]),
-        (
-            AnalysisKind::Opportunity,
-            DegradationMetric::HdRatio,
-            "HDratio_P50 (+) [relaxed CI]",
-            vec![0.05],
-        ),
+    use AnalysisKind::{Degradation, Opportunity};
+    use DegradationMetric::{HdRatio, MinRtt};
+    let spec: [(AnalysisKind, DegradationMetric, &str, &[f64]); 4] = [
+        (Degradation, MinRtt, "MinRTT_P50 (+ms)", &[5.0, 10.0, 20.0, 50.0]),
+        (Degradation, HdRatio, "HDratio_P50 (-) [relaxed CI]", &[0.05, 0.1, 0.2, 0.5]),
+        (Opportunity, MinRtt, "MinRTT_P50 (-ms)", &[5.0, 10.0]),
+        (Opportunity, HdRatio, "HDratio_P50 (+) [relaxed CI]", &[0.05]),
     ];
+    let mut blocks = Vec::new();
     for (kind, metric, label, thresholds) in spec {
-        for t in thresholds {
-            let cfg = if metric == DegradationMetric::HdRatio {
-                relaxed()
-            } else {
-                AnalysisConfig::default()
-            };
+        let cfg = if metric == HdRatio { relaxed() } else { AnalysisConfig::default() };
+        for &t in thresholds {
             let tab = table1(&cfg, &data.summaries, kind, metric, t);
             blocks.push(Table1Block {
-                kind: match kind {
-                    AnalysisKind::Degradation => "degradation".into(),
-                    AnalysisKind::Opportunity => "opportunity".into(),
-                },
+                kind: if kind == Degradation { "degradation" } else { "opportunity" }.into(),
                 metric: label.to_string(),
                 threshold: t,
                 overall: tab
                     .overall
                     .iter()
-                    .map(|(c, s)| (c.label().to_string(), s.group_share, s.event_share))
+                    .map(|(c, s)| (c.label(), s.group_share, s.event_share))
                     .collect(),
                 per_continent: tab
                     .per_continent
                     .iter()
                     .map(|((c, cont), s)| {
                         let cont = cont_name(*cont).to_string();
-                        (c.label().to_string(), cont, s.group_share, s.event_share)
+                        (c.label(), cont, s.group_share, s.event_share)
                     })
                     .collect(),
             });

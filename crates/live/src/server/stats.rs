@@ -142,7 +142,7 @@ impl Stats {
             .collect();
         snap.classes_minrtt = classes
             .into_iter()
-            .map(|(class, groups)| ClassCount { class: class.label().to_string(), groups })
+            .map(|(class, groups)| ClassCount { class: class.label(), groups })
             .collect();
         snap
     }

@@ -6,7 +6,7 @@
 //! independently — no global state to advance, and parallel runners see
 //! identical ground truth.
 
-use crate::topology::PrefixSite;
+use crate::topology::{ClientCluster, PrefixSite};
 use edgeperf_core::splitmix64;
 
 /// Condition of a route toward a prefix during one 15-minute window.
@@ -84,15 +84,15 @@ pub fn route_condition(seed: u64, site: &PrefixSite, rank: usize, window: u32) -
     RouteCondition { standing_queue_ms: queue, loss: loss.min(0.5), bw_factor }
 }
 
-/// Which client cluster a session belongs to, given the diurnal mix
-/// (two-cluster prefixes only; the Figure-5 effect). Returns the cluster
-/// index; single-cluster prefixes always return 0.
-pub fn pick_cluster(site: &PrefixSite, window: u32, u: f64) -> usize {
-    if site.clusters.len() < 2 {
+/// Which of a prefix's client `clusters` a session belongs to, given the
+/// diurnal mix (two-cluster prefixes only; the Figure-5 effect). Returns
+/// the cluster index; a single cluster always returns 0.
+pub fn pick_cluster(clusters: &[ClientCluster], window: u32, u: f64) -> usize {
+    if clusters.len() < 2 {
         return 0;
     }
-    let a0 = diurnal_factor(local_hour(window, site.clusters[0].utc_offset)) + 0.05;
-    let a1 = diurnal_factor(local_hour(window, site.clusters[1].utc_offset)) + 0.05;
+    let a0 = diurnal_factor(local_hour(window, clusters[0].utc_offset)) + 0.05;
+    let a1 = diurnal_factor(local_hour(window, clusters[1].utc_offset)) + 0.05;
     let share1 = a1 / (a0 + a1);
     usize::from(u < share1)
 }
@@ -199,7 +199,9 @@ mod tests {
         // Over a day, the share of cluster 1 must vary.
         let share_at = |window| {
             let n = 1000;
-            (0..n).filter(|i| pick_cluster(site, window, *i as f64 / n as f64) == 1).count() as f64
+            (0..n)
+                .filter(|i| pick_cluster(&site.clusters, window, *i as f64 / n as f64) == 1)
+                .count() as f64
                 / n as f64
         };
         let shares: Vec<f64> = (0..96).step_by(8).map(share_at).collect();
@@ -213,7 +215,7 @@ mod tests {
         let w = World::generate(WorldConfig::default());
         let site = w.prefixes.iter().find(|p| p.clusters.len() == 1).unwrap();
         for u in [0.0, 0.5, 0.99] {
-            assert_eq!(pick_cluster(site, 40, u), 0);
+            assert_eq!(pick_cluster(&site.clusters, 40, u), 0);
         }
     }
 }

@@ -152,7 +152,7 @@ pub(crate) fn run_prefix_cancellable<S: RecordShard>(
             let rank = pin_sampled(session_id, site.routes.len());
             let gt = &site.routes[rank];
             let cond = route_condition(world.config.seed, site, rank, window);
-            let cluster_idx = pick_cluster(site, window, rng.gen::<f64>());
+            let cluster_idx = pick_cluster(&site.clusters, window, rng.gen::<f64>());
             let cluster = site.clusters[cluster_idx];
 
             let geo_rtt = propagation_rtt_ms(pop.loc, cluster.loc);

@@ -197,6 +197,10 @@ surface() { scripts/surface.sh check; }
 #   a shard sealed once: the streaming sink's prefix-wide grid of open
 #   digest cells, its sealed groups and the decoding of a sealed shard's
 #   runs back to raw ones stay gone.
+# - `repro` generates one world and runs one study, in study.rs: no other
+#   file of the bench library generates a world or runs a study of its
+#   own (the detector scores the main study's cells; Figure 5's scenario
+#   is a literal PoP and two literal clusters).
 gone_names() {
     local failed=0
     banned "ServeBuilder\|ResumeInput\|connect_resume\|StudyBuilder\|fn checkpoint_meta\|builder_seed" \
@@ -209,6 +213,8 @@ gone_names() {
         --include="*.rs" || failed=1
     banned -E "SealedGroup|GroupSlots<StreamingCell>|fn unseal\b" crates src tests examples \
         --include="*.rs" || failed=1
+    banned -E "World::generate|run_study_into|run_study\(" crates/bench/src --include="*.rs" \
+        --exclude=study.rs || failed=1
     return "$failed"
 }
 
@@ -423,9 +429,11 @@ peaked_within() {
 # Rice gaps when its prefix is sealed (~1.2 B a row), the group named once
 # beside its run; its workers close each cell when its window ends, so a
 # prefix's raw rows never reach the merge; Figure 6 reads its ranks in
-# three walks with a few 32 KiB histograms; and every experiment that
-# never reads the study (Figures 1-5, validation, grouping, cc, detector,
-# ablations, naive) runs before it. So the job must also peak at no more
+# three walks with a few 32 KiB histograms; every experiment that never
+# reads the study (Figures 1-5, validation, grouping, cc, ablations,
+# naive) runs before it; and the detector scores the study's own cells
+# after Figure 7, once the MinRTT runs are dropped, on the world the study
+# ran over, with no world or study of its own. So the job must also peak at no more
 # than 17 MiB resident (it reads ~15.8, under Figure 6; with a coded
 # run a cell in one study-wide buffer, indexed by 8 B a kept cell, it read
 # 18.8, with a 24 B key and a u32 end a kept cell, in vectors grown by
@@ -447,7 +455,8 @@ repro_results() {
 # Every analysis reads per-cell summaries either sink can produce, so the
 # streaming job writes Figures 8-10 and both tables too, and both sinks
 # keep the same HDratio tally, so it writes Figure 7 (the joint MinRTT x
-# HDratio distribution, which no cell holds) and skips nothing: its
+# HDratio distribution, which no cell holds) and the detector's score of
+# its digest cells, and skips nothing: its
 # full-scale fig7.json must be results/fig7.json byte for byte (same seed
 # and scale). Shards merge in prefix order, so a second run must write
 # the same bytes, fig6.json included (its digest merge order used to
@@ -468,7 +477,7 @@ repro_streaming() {
     status=$?
     repro_tree "$out/full" --streaming --scale 1 || status=1
     peaked_within "$out/full" "repro all --streaming --scale 1" 14 || status=1
-    for f in fig6 fig7 fig8 fig9 fig10 table1 table2; do
+    for f in fig6 fig7 fig8 fig9 fig10 table1 table2 detector; do
         test -f "$out/a/tree/$f.json" || { echo "streaming repro wrote no $f.json" >&2; status=1; }
     done
     cmp "$out/full/tree/fig7.json" results/fig7.json || status=1
